@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-escape test test-short race chaos crash metrics-smoke stream-smoke serve-smoke fuzz-smoke bench bench-quick bench-all report markdown examples clean
+.PHONY: all build vet lint lint-escape test test-short bench-test race chaos crash metrics-smoke stream-smoke serve-smoke fuzz-smoke bench bench-quick bench-all report markdown examples clean
 
 all: build vet lint test
 
@@ -33,6 +33,12 @@ test:
 
 test-short:
 	$(GO) test -short ./...
+
+# The benchmark harness (BENCHMARK.json, `go run -C bench goingwild/bench`)
+# is its own module, so the root `go test ./...` neither builds nor runs
+# it; this does.
+bench-test:
+	$(GO) test -C bench ./...
 
 # Race-detector pass over the concurrent subsystems (the stress tests in
 # scanner and wildnet exist for this target).

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"goingwild/internal/metrics"
+	"goingwild/internal/wildnet"
 )
 
 // stripJSON renders the deterministic portion of a snapshot — the bytes
@@ -90,6 +91,11 @@ func TestChaosMetricsSideChannelAndReproducible(t *testing.T) {
 			if s.Counter("pipeline.stage.done") == 0 {
 				t.Error("pipeline.stage.done = 0; the engine left no trace")
 			}
+			// The transport's dispatch reject rides the same snapshot, so
+			// the comparisons above cover it under every profile.
+			if s.Counter("wildnet.send.rejected") == 0 {
+				t.Error("wildnet.send.rejected = 0; the transport dropped nothing at dispatch")
+			}
 			finished := s.Counter("pipeline.stage.done") + s.Counter("pipeline.stage.degraded") +
 				s.Counter("pipeline.stage.failed")
 			if got := s.Counter("pipeline.stage.started"); got != finished {
@@ -129,5 +135,37 @@ func TestChaosMetricsSideChannelAndReproducible(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSendRejectedReconcilesWithSweep reads the sweep's cost split off
+// the snapshot: every probe scanner.sweep.sent counts was either dropped
+// at the transport's dispatch (wildnet.send.rejected) or reached the
+// full pipeline, and the second group is exactly the probed addresses
+// something can answer from.
+func TestSendRejectedReconcilesWithSweep(t *testing.T) {
+	const week = 3
+	reg := metrics.New()
+	cfg := DefaultConfig(14)
+	cfg.Metrics = reg
+	s, err := NewStudy(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	res, err := s.SweepAt(week)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The blacklist keeps the sweep off the infrastructure ranges, so
+	// the only live destinations it probes are visible resolvers.
+	live := uint64(s.World.CountRespondingAt(wildnet.VantagePrimary, wildnet.At(week), s.World.ScanBlacklist().ContainsU32))
+	snap := reg.Snapshot()
+	sent, rej := snap.Counter("scanner.sweep.sent"), snap.Counter("wildnet.send.rejected")
+	if sent != res.Probed {
+		t.Fatalf("scanner.sweep.sent = %d, sweep probed %d", sent, res.Probed)
+	}
+	if sent != rej+live {
+		t.Errorf("scanner.sweep.sent = %d, want wildnet.send.rejected %d + %d live destinations", sent, rej, live)
 	}
 }

@@ -186,6 +186,84 @@ func TestSweepResumeStops(t *testing.T) {
 	}
 }
 
+// TestSweepCheckpointAttemptsDeliverableOnly interrupts a hostile sweep
+// in the middle of its first retry round. The transport drops probes to
+// silent addresses before the fault layer sees them, so at every
+// checkpoint the retransmission counters it would serialise — the
+// transport's live map, of which SweepCheckpoint.Attempts is the
+// multi-shot subset — name only destinations something could answer from:
+// an infrastructure DNS server or a visible resolver. (Empty Chinese
+// space, which the dispatch keeps for GFW-listed names only, never
+// matches a sweep's scan-domain probe.) The interrupted sweep, resumed on
+// a fresh transport, must still land on the uninterrupted result.
+func TestSweepCheckpointAttemptsDeliverableOnly(t *testing.T) {
+	const order = 14
+	w, tr := resumeWorld(t, order, "hostile")
+	defer tr.Close()
+	bl := w.ScanBlacklist()
+	errStop := errors.New("stop requested")
+	now := tr.Time()
+
+	live := func(u uint32) bool {
+		switch role, _ := w.RoleOf(u); role {
+		case wildnet.RoleAuthNS, wildnet.RoleTrustedDNS:
+			return true
+		case wildnet.RoleNone:
+			return w.ResolverAt(u, now) && w.VisibleFrom(u, wildnet.VantagePrimary, now)
+		}
+		return false
+	}
+	want, err := New(wildnet.NewMemTransport(w, wildnet.VantagePrimary), resumeOpts(2)).
+		SweepContext(context.Background(), order, 5, bl)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var last *SweepCheckpoint
+	entries := 0
+	rc := &ResumeControl{
+		EveryBatches: 2,
+		Save: func(ck *SweepCheckpoint) error {
+			last = copyCheckpoint(t, ck)
+			// Save runs with every sender parked, so the live map is a
+			// consistent cut.
+			state := tr.AttemptsState()
+			entries = len(state)
+			for _, recs := range [][]wildnet.AttemptRecord{state, ck.Attempts} {
+				for _, r := range recs {
+					if !live(r.Addr) {
+						t.Errorf("round %d: attempt entry for %#x, which nothing can answer from", ck.Round, r.Addr)
+					}
+				}
+			}
+			if ck.Round >= 1 && len(ck.Workers) > 0 {
+				return errStop
+			}
+			return nil
+		},
+	}
+	if _, err := New(tr, resumeOpts(2)).SweepResumeContext(context.Background(), order, 5, bl, rc); !errors.Is(err, errStop) {
+		t.Fatalf("interrupted sweep returned %v, want the stop error", err)
+	}
+	// One entry per (deliverable target, round): far below the 2^14
+	// probes of the census alone, yet not empty.
+	if entries == 0 || entries > 2*want.Total()+64 {
+		t.Errorf("attempt map held %d entries at the cut with %d responders; want one per deliverable probe", entries, want.Total())
+	}
+
+	tr2 := wildnet.NewMemTransport(w, wildnet.VantagePrimary)
+	defer tr2.Close()
+	got, err := New(tr2, resumeOpts(2)).SweepResumeContext(context.Background(), order, 5, bl,
+		&ResumeControl{Prev: last, EveryBatches: 2, Save: func(*SweepCheckpoint) error { return nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("stop+resume diverged from uninterrupted run: probed %d vs %d, responders %d vs %d",
+			got.Probed, want.Probed, got.Total(), want.Total())
+	}
+}
+
 // TestSweepResumeBudgeted covers the bounded-retransmission path: the
 // per-shard streaming budget countdown must pick the same targets the
 // materialize-first path picks.

@@ -67,6 +67,19 @@ func (s *shardedMap[V]) InsertOnce(key uint32, v V) bool {
 	return !dup
 }
 
+// Merge stores v under key, or merge(old, v) when the key is already
+// present. With a commutative, associative merge the stored value is the
+// same whatever order concurrent writers arrive in.
+func (s *shardedMap[V]) Merge(key uint32, v V, merge func(old, v V) V) {
+	sh := &s.shards[shardOf(key)]
+	sh.mu.Lock()
+	if old, dup := sh.m[key]; dup {
+		v = merge(old, v)
+	}
+	sh.m[key] = v
+	sh.mu.Unlock()
+}
+
 // Get returns the value stored under key.
 func (s *shardedMap[V]) Get(key uint32) (V, bool) {
 	sh := &s.shards[shardOf(key)]

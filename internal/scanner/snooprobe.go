@@ -19,6 +19,24 @@ type SnoopObs struct {
 	TTL uint32
 }
 
+// mergeSnoopObs keeps the lesser of two observations filed under one
+// source address in a fixed total order: Cached before Empty, then the
+// lower TTL. A source can answer twice in a round — for itself and for a
+// mis-sourced sibling that replies from its address — and the senders
+// race, so the kept observation must not depend on which arrived first.
+func mergeSnoopObs(a, b SnoopObs) SnoopObs {
+	if a.Cached != b.Cached {
+		if a.Cached {
+			return a
+		}
+		return b
+	}
+	if b.TTL < a.TTL {
+		return b
+	}
+	return a
+}
+
 // SnoopRound sends one non-recursive NS query for tld to every resolver;
 // it is the ctx-less wrapper over SnoopRoundContext.
 func (s *Scanner) SnoopRound(resolvers []uint32, tld string, seq uint16) map[uint32]SnoopObs {
@@ -31,7 +49,8 @@ func (s *Scanner) SnoopRound(resolvers []uint32, tld string, seq uint16) map[uin
 // sees it as the transaction ID, which is how often it has been probed so
 // far. Responses are attributed by source address, so the handful of
 // resolvers answering from foreign addresses drop out — the same
-// attrition the paper tolerates for this experiment. A cancelled round
+// attrition the paper tolerates for this experiment — and a source with
+// two answers keeps the mergeSnoopObs minimum. A cancelled round
 // returns the observations gathered so far plus ctx.Err().
 func (s *Scanner) SnoopRoundContext(ctx context.Context, resolvers []uint32, tld string, seq uint16) (map[uint32]SnoopObs, error) {
 	if s.tr == nil {
@@ -61,7 +80,7 @@ func (s *Scanner) SnoopRoundContext(ctx context.Context, resolvers []uint32, tld
 		} else {
 			obs.Empty = true
 		}
-		collected.InsertOnce(u, obs)
+		collected.Merge(u, obs, mergeSnoopObs)
 	})
 	s.sendAll(ctx, len(resolvers), func(i int) {
 		q := dnswire.NewQuery(seq, tld, dnswire.TypeNS, dnswire.ClassIN)

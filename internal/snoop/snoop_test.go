@@ -3,6 +3,8 @@ package snoop
 import (
 	"context"
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -184,5 +186,77 @@ func TestInUseThreshold(t *testing.T) {
 	v := classify(hist, cfg)
 	if v.Addr == ClassInUse {
 		t.Errorf("2 refreshed TLDs flagged in-use (threshold is %d)", cfg.MinRefreshTLDs)
+	}
+}
+
+// TestRunIndependentOfDeliveryOrder is the repeat-run guard for the
+// round's by-source filing. At this seed and order, source 0.1.130.153
+// answers twice per round — for itself and for the mis-sourced
+// 0.1.130.216 — so a first-writer-wins round classified it by whichever
+// sender got there first. Walking the resolver list forwards and
+// backwards on one worker delivers the two answers in both orders; eight
+// racing workers add the schedule. Every run must reach the same
+// verdicts.
+func TestRunIndependentOfDeliveryOrder(t *testing.T) {
+	const order, week = 18, 9
+	wc := wildnet.DefaultConfig(order)
+	wc.Seed = 126450538
+	w, err := wildnet.NewWorld(wc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	study := func(workers int, reverse bool) *Result {
+		tr := wildnet.NewMemTransport(w, wildnet.VantagePrimary)
+		defer tr.Close()
+		sc := scanner.New(tr, scanner.Options{Workers: workers, SettleDelay: -1})
+		at := wildnet.Time{Week: week}
+		tr.SetTime(at)
+		sweep, err := sc.Sweep(order, 21, w.ScanBlacklist())
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Only a mis-sourced resolver can make a /24 neighbour answer
+		// twice, so the study keeps just the blocks that hold one.
+		open := sweep.NOERROR()
+		shared := map[uint32]bool{}
+		for _, u := range open {
+			if p, ok := w.ProfileAt(u, at); ok && p.MisSourced {
+				shared[u>>8] = true
+			}
+		}
+		var resolvers []uint32
+		for _, u := range open {
+			if shared[u>>8] {
+				resolvers = append(resolvers, u)
+			}
+		}
+		if len(resolvers) < 50 {
+			t.Fatalf("only %d resolvers share a block with a mis-sourced one", len(resolvers))
+		}
+		if reverse {
+			slices.Reverse(resolvers)
+		}
+		cfg := DefaultConfig(domains.SnoopedTLDs)
+		cfg.Week = week
+		res, err := Run(context.Background(), sc, tr, resolvers, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	want := study(1, false)
+	for _, c := range []struct {
+		workers int
+		reverse bool
+	}{{1, true}, {8, false}} {
+		got := study(c.workers, c.reverse)
+		for u, v := range want.Verdicts {
+			if got.Verdicts[u] != v {
+				t.Errorf("workers=%d reverse=%v: %#x classified %v, want %v", c.workers, c.reverse, u, got.Verdicts[u], v)
+			}
+		}
+		if !reflect.DeepEqual(got.Counts, want.Counts) {
+			t.Errorf("workers=%d reverse=%v: counts %v, want %v", c.workers, c.reverse, got.Counts, want.Counts)
+		}
 	}
 }

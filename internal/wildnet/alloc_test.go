@@ -3,9 +3,11 @@ package wildnet
 import (
 	"context"
 	"net/netip"
+	"reflect"
 	"testing"
 
 	"goingwild/internal/dnswire"
+	"goingwild/internal/metrics"
 )
 
 // TestSendZeroFaultConfigAllocs pins the transport's silent-path
@@ -88,5 +90,134 @@ func TestSendZeroFaultConfigAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("zero-fault CN-silent Send allocates %.1f per probe, want 0", allocs)
+	}
+}
+
+// TestSendHostileRejectAllocs is the chaos-profile sibling of the test
+// above: under the hostile profile a probe toward a rejected address
+// must take the same dispatch exit as on a clean world — zero heap
+// allocations through Send and through SendBatch, and no attempt-counter
+// entry, so a sweep's retransmission map (and the checkpoint that
+// serialises it) holds deliverable destinations only.
+func TestSendHostileRejectAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instruments allocations")
+	}
+	w := faultyWorld(t, 16, "hostile")
+	tr := NewMemTransport(w, VantagePrimary)
+	defer tr.Close()
+	if tr.attempts == nil {
+		t.Fatal("hostile profile must arm the attempt counter")
+	}
+	tr.SetReceiver(func(netip.Addr, uint16, uint16, []byte) {})
+
+	q := dnswire.NewQuery(7, "r1.c0a80101.scan.dnsstudy.example.edu", dnswire.TypeA, dnswire.ClassIN)
+	payload, err := q.PackBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	now := tr.Time()
+	bc := w.blockCache(now.Week)
+
+	// One deliverable probe first, so "unchanged" is checked against a
+	// non-empty map.
+	var rejected netip.Addr
+	seeded := false
+	for u := uint32(1); u < 1<<16 && !(rejected.IsValid() && seeded); u++ {
+		switch w.sweepClassify(u, VantagePrimary, now, bc) {
+		case classReject:
+			rejected = w.Addr(u)
+		case classDeliver:
+			if !seeded {
+				if err := tr.Send(ctx, w.Addr(u), 53, 40000, payload); err != nil {
+					t.Fatal(err)
+				}
+				seeded = true
+			}
+		}
+	}
+	if !rejected.IsValid() || !seeded {
+		t.Fatalf("missing probe classes in the first 64Ki targets (rejected=%v deliverable=%v)", rejected, seeded)
+	}
+	before := tr.AttemptsState()
+	if len(before) != 1 {
+		t.Fatalf("one deliverable probe left %d attempt entries, want 1", len(before))
+	}
+
+	batch := make([]Probe, 64)
+	for i := range batch {
+		batch[i] = Probe{Dst: rejected, DstPort: 53, SrcPort: 40000, Payload: payload}
+	}
+	allocs := testing.AllocsPerRun(500, func() {
+		if err := tr.Send(ctx, rejected, 53, 40000, payload); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("hostile rejected Send allocates %.1f per probe, want 0", allocs)
+	}
+	allocs = testing.AllocsPerRun(100, func() {
+		if n, err := tr.SendBatch(ctx, batch); err != nil || n != len(batch) {
+			t.Fatalf("SendBatch = %d, %v", n, err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("hostile rejected SendBatch allocates %.1f per batch, want 0", allocs)
+	}
+	if after := tr.AttemptsState(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("rejected probes changed the attempt map: %v -> %v", before, after)
+	}
+}
+
+// TestSendRejectedCounter: wildnet.send.rejected counts exactly the
+// datagrams the dispatch dropped — the same number through Send and
+// through SendBatch, under a clean and a chaos profile alike.
+func TestSendRejectedCounter(t *testing.T) {
+	for _, profile := range []string{"clean", "hostile"} {
+		for _, batched := range []bool{false, true} {
+			reg := metrics.New()
+			cfg := DefaultConfig(14)
+			cfg.Faults = MustChaosProfile(profile)
+			cfg.Metrics = reg
+			w, err := NewWorld(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr := NewMemTransport(w, VantagePrimary)
+			tr.SetReceiver(func(netip.Addr, uint16, uint16, []byte) {})
+			now := tr.Time()
+			bc := w.blockCache(now.Week)
+			ctx := context.Background()
+			var batch []Probe
+			want := uint64(0)
+			for u := uint32(0); u < uint32(w.SpaceSize()); u++ {
+				q := dnswire.NewQuery(uint16(u), "facebook.com", dnswire.TypeA, dnswire.ClassIN)
+				payload, err := q.PackBytes()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tr.undeliverable(w.sweepClassify(u, VantagePrimary, now, bc), 53, payload) {
+					want++
+				}
+				batch = append(batch, Probe{Dst: w.Addr(u), DstPort: 53, SrcPort: 40000, Payload: payload})
+			}
+			if batched {
+				if n, err := tr.SendBatch(ctx, batch); err != nil || n != len(batch) {
+					t.Fatalf("SendBatch = %d, %v", n, err)
+				}
+			} else {
+				for _, p := range batch {
+					if err := tr.Send(ctx, p.Dst, p.DstPort, p.SrcPort, p.Payload); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			tr.Close()
+			got := reg.Snapshot().Counter("wildnet.send.rejected")
+			if got != want || want == 0 || want == uint64(len(batch)) {
+				t.Errorf("%s batched=%v: wildnet.send.rejected = %d, want %d of %d probes", profile, batched, got, want, len(batch))
+			}
+		}
 	}
 }

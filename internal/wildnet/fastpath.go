@@ -6,24 +6,34 @@ import (
 	"goingwild/internal/prand"
 )
 
-// The transport fast path: an Internet-wide sweep sends one probe to
+// The transport reject path: an Internet-wide sweep sends one probe to
 // every address, but at realistic densities fewer than one in a hundred
-// addresses hosts anything that answers. Walking the full handler
-// pipeline (payload hash, loss draw, query parse, profile construction)
-// for the silent majority is what capped the in-memory sweep below 2M
-// probes/s. sweepReject decides, from a handful of seeded draws and one
-// per-block cache line, that a destination can produce no response for
-// ANY query — in which case the transport drops the probe on the floor
-// without parsing it, exactly as the full pipeline would have.
+// addresses hosts anything that answers. Walking the full pipeline
+// (payload hash, loss draws, attempt counter, query parse, profile
+// construction) for the silent majority caps the in-memory sweep below
+// 2M probes/s clean and below 0.5M under a chaos profile.
+// sweepClassify decides, from a handful of seeded draws and one per-block
+// cache line, that a destination can produce no response for ANY query —
+// in which case Send and SendBatch drop the probe on the floor without
+// parsing it, exactly as the full pipeline would have.
 //
-// Soundness contract: sweepReject(u, v, t) == true must imply that
-// handleDNS(v, srcPort, u, q, t, fc) returns no responses for every
-// well-formed query q. It may return false conservatively (e.g. for
-// Chinese address space, where the injector can answer even when no
-// resolver lives at the address); a false only costs the slow path, never
-// correctness. The fast path is only consulted when the fault layer is
-// off: fault draws mutate the per-transport attempt counter and count
-// injected faults, so a chaos-profile run always takes the full pipeline.
+// Soundness contract: sweepClassify(u, v, t, c) == classReject must imply
+// that handleDNS(v, srcPort, u, q, t, fc) returns no responses for every
+// well-formed query q, every faultCtx fc and every FaultConfig. It may
+// answer classDeliver conservatively; that only costs the slow path,
+// never correctness. The contract is profile-independent because a fault
+// can only drop, delay, duplicate, garble, refuse or flap an exchange
+// that exists — none of them creates a responder — so the transport
+// consults the predicate first under every chaos profile, through the
+// same dispatch as a clean run.
+//
+// A rejected datagram never touches the base loss draw (pure and
+// unmetered), the fault loss draw and its wildnet.fault.drop.query /
+// .drop.burst counters, the flap check and wildnet.fault.flap.suppressed,
+// or the per-transport attempt counter (so SweepCheckpoint.Attempts
+// lists deliverable destinations only). Those counters therefore read
+// "faults injected into exchanges with a live endpoint". The reject is
+// itself counted, in wildnet.send.rejected.
 
 // blockInfo caches the per-network-block facts the reject predicate
 // needs. Every field is a pure function of (world seed, block, week).
@@ -76,25 +86,6 @@ func (w *World) blockCache(week int) *rejectCache {
 	}
 	w.bc.Store(c)
 	return c
-}
-
-// sweepReject reports whether a datagram to dst (already masked or not;
-// the predicate masks) can be discarded without consulting the DNS
-// handler: true only when handleDNS provably returns no response for any
-// query from vantage v at time t. See the soundness contract above.
-//
-//lint:hotpath per-probe reject predicate; the sweep pays this for ~99% of targets
-func (w *World) sweepReject(u uint32, v Vantage, t Time) bool {
-	return w.sweepClassify(u, v, t, w.blockCache(t.Week)) == classReject
-}
-
-// sweepRejectCached is sweepReject with the week's block table already in
-// hand, so a batch send loads the cache pointer once instead of per probe.
-// c must be w.blockCache(t.Week).
-//
-//lint:hotpath per-probe reject predicate; the sweep pays this for ~99% of targets
-func (w *World) sweepRejectCached(u uint32, v Vantage, t Time, c *rejectCache) bool {
-	return w.sweepClassify(u, v, t, c) == classReject
 }
 
 // sweepClass is the transport fast-path verdict for one destination.

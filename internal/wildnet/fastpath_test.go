@@ -8,6 +8,12 @@ import (
 	"goingwild/internal/dnswire"
 )
 
+// sweepReject is the reject verdict alone, with the week's block table
+// looked up per call.
+func (w *World) sweepReject(u uint32, v Vantage, t Time) bool {
+	return w.sweepClassify(u, v, t, w.blockCache(t.Week)) == classReject
+}
+
 // referenceCanAnswer recomputes, from the public World API, whether any
 // query toward u could draw a response — the predicate sweepReject must
 // never contradict.
@@ -30,66 +36,87 @@ func referenceCanAnswer(w *World, u uint32, v Vantage, t Time) bool {
 	return w.geo.LookupU32(u).Country == "CN"
 }
 
-// TestSweepRejectSoundness walks the entire order-14 space at several
-// instants and vantages, checking the fast predicate against the defining
-// slow computation: a reject must imply no possible answer, and a
-// non-reject of non-Chinese space must imply an answerer exists (the
-// predicate is exact there; Chinese space is conservatively kept).
+// soundnessTimes are the instants the soundness tests visit: the first
+// week, two mid-study weeks (one off the week boundary) and the last.
+var soundnessTimes = []Time{{}, {Week: 5}, {Week: 20, Day: 3, Hour: 7}, {Week: 55}}
+
+// TestSweepRejectSoundness walks the entire order-14 space under every
+// chaos profile, at several instants and both vantages, checking the fast
+// predicate against the defining slow computation: a reject must imply no
+// possible answer, and a non-reject of non-Chinese space must imply an
+// answerer exists (the predicate is exact there; Chinese space is
+// conservatively kept).
 func TestSweepRejectSoundness(t *testing.T) {
-	w := testWorld(t, 14)
-	for _, tm := range []Time{{}, {Week: 5}, {Week: 20, Day: 3, Hour: 7}, {Week: 55}} {
-		for _, v := range []Vantage{VantagePrimary, VantageSecondary} {
-			for u := uint32(0); u < uint32(w.SpaceSize()); u++ {
-				reject := w.sweepReject(u, v, tm)
-				can := referenceCanAnswer(w, u, v, tm)
-				if reject && can {
-					t.Fatalf("week %d vantage %d: %#x fast-rejected but can answer", tm.Week, v, u)
-				}
-				if !reject && !can && w.geo.LookupU32(u).Country != "CN" {
-					t.Fatalf("week %d vantage %d: %#x not rejected yet cannot answer", tm.Week, v, u)
+	for _, profile := range ChaosProfileNames() {
+		w := faultyWorld(t, 14, profile)
+		for _, tm := range soundnessTimes {
+			for _, v := range []Vantage{VantagePrimary, VantageSecondary} {
+				for u := uint32(0); u < uint32(w.SpaceSize()); u++ {
+					reject := w.sweepReject(u, v, tm)
+					can := referenceCanAnswer(w, u, v, tm)
+					if reject && can {
+						t.Fatalf("%s week %d vantage %d: %#x fast-rejected but can answer", profile, tm.Week, v, u)
+					}
+					if !reject && !can && w.geo.LookupU32(u).Country != "CN" {
+						t.Fatalf("%s week %d vantage %d: %#x not rejected yet cannot answer", profile, tm.Week, v, u)
+					}
 				}
 			}
 		}
 	}
 }
 
-// TestSweepRejectMatchesHandler fires a real sweep-shaped query at every
-// fast-rejected address of a small world and demands silence from the
-// full handler, plus a second opinion via Send on a transport with the
-// fast path disabled by construction (we call process directly).
+// TestSweepRejectMatchesHandler proves, rather than assumes, that the
+// dispatch decision holds under faults: for every chaos profile, vantage
+// and instant it fires a sweep-shaped query at each address Send would
+// drop and demands silence from the full handler and — bypassing the
+// dispatch by calling process directly — from the full transport
+// pipeline, for the first transmission and two identical retransmissions
+// (attempts 0–2, each a fresh set of fault draws).
 func TestSweepRejectMatchesHandler(t *testing.T) {
-	w := testWorld(t, 14)
-	tr := NewMemTransport(w, VantagePrimary)
-	defer tr.Close()
-	delivered := 0
-	tr.SetReceiver(func(netip.Addr, uint16, uint16, []byte) { delivered++ })
 	ctx := context.Background()
-	now := Time{Week: 9}
-	tr.SetTime(now)
-	checked := 0
-	for u := uint32(0); u < uint32(w.SpaceSize()); u += 3 {
-		if !w.sweepReject(u, VantagePrimary, now) {
-			continue
+	for _, profile := range ChaosProfileNames() {
+		w := faultyWorld(t, 14, profile)
+		for _, v := range []Vantage{VantagePrimary, VantageSecondary} {
+			tr := NewMemTransport(w, v)
+			delivered := 0
+			tr.SetReceiver(func(netip.Addr, uint16, uint16, []byte) { delivered++ })
+			for _, now := range soundnessTimes {
+				tr.SetTime(now)
+				bc := w.blockCache(now.Week)
+				checked := 0
+				for u := uint32(0); u < uint32(w.SpaceSize()); u += 3 {
+					q := dnswire.NewQuery(uint16(u), "r0af3.00112233.scan.dnsstudy.example.edu", dnswire.TypeA, dnswire.ClassIN)
+					payload, err := q.PackBytes()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !tr.undeliverable(w.sweepClassify(u, v, now, bc), 53, payload) {
+						continue
+					}
+					for attempt := uint64(0); attempt < 3; attempt++ {
+						fc := faultCtx{payloadHash: hashBytes(payload), attempt: attempt}
+						if resps := w.handleDNS(v, 33000, u, q, now, fc); len(resps) != 0 {
+							t.Fatalf("%s vantage %d week %d: %#x dropped at dispatch but handleDNS answered attempt %d",
+								profile, v, now.Week, u, attempt)
+						}
+						if err := tr.process(ctx, u, 53, 33000, payload, now); err != nil {
+							t.Fatal(err)
+						}
+					}
+					checked++
+				}
+				if delivered != 0 {
+					t.Fatalf("%s vantage %d week %d: full pipeline delivered %d responses for dropped targets",
+						profile, v, now.Week, delivered)
+				}
+				if checked < 1000 {
+					t.Fatalf("%s vantage %d week %d: only %d dropped targets in an order-14 world; predicate suspiciously weak",
+						profile, v, now.Week, checked)
+				}
+			}
+			tr.Close()
 		}
-		q := dnswire.NewQuery(uint16(u), "r0af3.00112233.scan.dnsstudy.example.edu", dnswire.TypeA, dnswire.ClassIN)
-		if resps := w.HandleDNS(VantagePrimary, 33000, u, q, now); len(resps) != 0 {
-			t.Fatalf("%#x fast-rejected but HandleDNS answered", u)
-		}
-		// Bypass the fast path: the full transport pipeline must agree.
-		payload, err := q.PackBytes()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := tr.process(ctx, u, 53, 33000, payload, now); err != nil {
-			t.Fatal(err)
-		}
-		checked++
-	}
-	if delivered != 0 {
-		t.Fatalf("full pipeline delivered %d responses for fast-rejected targets", delivered)
-	}
-	if checked < 1000 {
-		t.Fatalf("only %d rejected targets in an order-14 world; predicate suspiciously weak", checked)
 	}
 }
 

@@ -10,6 +10,12 @@ import "goingwild/internal/metrics"
 // schedule-independent, so the fates drawn for them are too. All fields
 // are nil (no-op) when Config.Metrics is unset.
 //
+// The counters count faults injected into exchanges with a live
+// endpoint. The transport drops a datagram nothing can answer before the
+// fault layer runs (fastpath.go; counted in wildnet.send.rejected
+// instead), so the query-side counters — dropQuery, dropBurst, flapped —
+// never tally the fate of a probe into empty address space.
+//
 // faultFlapped itself is deliberately not instrumented: the ground-truth
 // walk CountRespondingAt consults the same predicate, and counting there
 // would mix bookkeeping reads into traffic totals. Flap suppressions are

@@ -78,7 +78,9 @@ type MemTransport struct {
 	clock Time
 
 	// attempts counts identical retransmissions for the fault layer's
-	// redraws; nil (and never touched) when the world has no faults.
+	// redraws; nil (and never touched) when the world has no faults. Only
+	// datagrams that reach process take an entry, so a sweep's map holds
+	// its deliverable destinations, not the address space.
 	attempts *attemptCounter
 }
 
@@ -138,6 +140,13 @@ var packPool = sync.Pool{New: func() any {
 // of the sort all run against pooled storage, and the context is checked
 // only at loop edges (entry and between response deliveries), never per
 // byte.
+//
+// Under every fault profile the destination is classified first: a
+// datagram nothing can answer is counted in wildnet.send.rejected and
+// dropped there. It draws no base or fault loss, takes no attempt-counter
+// entry, and moves no wildnet.fault.* counter — faults act on exchanges
+// that have a live endpoint, and a dropped, flapped or delivered probe to
+// empty space is the same silence to the sender.
 func (m *MemTransport) Send(ctx context.Context, dst netip.Addr, dstPort, srcPort uint16, payload []byte) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -150,26 +159,26 @@ func (m *MemTransport) Send(ctx context.Context, dst netip.Addr, dstPort, srcPor
 	}
 	t := m.Time()
 	u32dst := lfsr.AddrToU32(dst)
-	// Fast reject: when the fault layer is off and the destination
-	// provably answers nothing, skip the hash, the loss draw, and the
-	// parse entirely. Rejected packets have no observable fate — the
-	// loss draw is pure and unmetered — so results are byte-identical.
-	if !m.world.faultsOn {
-		switch m.world.sweepClassify(u32dst, m.vantage, t, m.world.blockCache(t.Week)) {
-		case classReject:
-			return nil
-		case classCNOnly:
-			if !m.cnCouldAnswer(dstPort, payload) {
-				return nil
-			}
-		}
+	class := m.world.sweepClassify(u32dst, m.vantage, t, m.world.blockCache(t.Week))
+	if m.undeliverable(class, dstPort, payload) {
+		m.world.sendRejected.Inc()
+		return nil
 	}
 	return m.process(ctx, u32dst, dstPort, srcPort, payload, t)
 }
 
+// undeliverable is the second half of the dispatch decision Send and
+// SendBatch share, given the destination's sweepClassify verdict: true
+// when nothing there can answer this datagram (fastpath.go), so the
+// caller drops it before the hash, the loss draws, the attempt counter,
+// the parse and the handler. Small enough to inline into both loops.
+func (m *MemTransport) undeliverable(class sweepClass, dstPort uint16, payload []byte) bool {
+	return class == classReject || class == classCNOnly && !m.cnCouldAnswer(dstPort, payload)
+}
+
 // SendBatch implements BatchSender: per-probe semantics are exactly those
-// of Send, with the clock lock, the receiver load, and the fault-layer
-// gate amortized over the whole batch.
+// of Send, with the clock lock, the block-table load, and the rejected
+// count amortized over the whole batch.
 func (m *MemTransport) SendBatch(ctx context.Context, batch []Probe) (int, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
@@ -178,32 +187,29 @@ func (m *MemTransport) SendBatch(ctx context.Context, batch []Probe) (int, error
 		return 0, ErrTransportClosed
 	}
 	t := m.Time()
-	fastOK := !m.world.faultsOn
-	var bc *rejectCache
-	if fastOK {
-		bc = m.world.blockCache(t.Week)
-	}
+	bc := m.world.blockCache(t.Week)
+	// Rejects are tallied locally and added once per batch, so the
+	// shared counter costs the silent majority nothing.
+	n, rejected := len(batch), uint64(0)
+	var err error
 	for i := range batch {
 		p := &batch[i]
 		if !p.Dst.Is4() {
-			return i, errIPv4Only
+			n, err = i, errIPv4Only
+			break
 		}
 		u32dst := lfsr.AddrToU32(p.Dst)
-		if fastOK {
-			switch m.world.sweepClassify(u32dst, m.vantage, t, bc) {
-			case classReject:
-				continue
-			case classCNOnly:
-				if !m.cnCouldAnswer(p.DstPort, p.Payload) {
-					continue
-				}
-			}
+		if m.undeliverable(m.world.sweepClassify(u32dst, m.vantage, t, bc), p.DstPort, p.Payload) {
+			rejected++
+			continue
 		}
-		if err := m.process(ctx, u32dst, p.DstPort, p.SrcPort, p.Payload, t); err != nil {
-			return i, err
+		if err = m.process(ctx, u32dst, p.DstPort, p.SrcPort, p.Payload, t); err != nil {
+			n = i
+			break
 		}
 	}
-	return len(batch), nil
+	m.world.sendRejected.Add(rejected)
+	return n, err
 }
 
 // process runs one datagram through the world at simulated time t and

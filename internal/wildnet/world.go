@@ -114,6 +114,10 @@ type World struct {
 	faultsOn bool
 	// fm counts injected faults; all-nil (no-op) without a registry.
 	fm faultMetrics
+	// sendRejected counts datagrams the in-memory transport dropped at
+	// dispatch because nothing at the destination could answer them
+	// (fastpath.go); nil (no-op) without a registry.
+	sendRejected *metrics.Counter
 	// bc memoizes the per-block facts of the transport fast path for the
 	// most recently queried week (fastpath.go). Pure caching: every value
 	// is a function of (seed, block, week) the slow path would compute.
@@ -140,12 +144,13 @@ func NewWorld(cfg Config) (*World, error) {
 		return nil, err
 	}
 	w := &World{
-		cfg:      cfg,
-		geo:      geo,
-		mask:     mask,
-		scale:    float64(uint64(1)<<32) / float64(uint64(1)<<cfg.Order),
-		faultsOn: cfg.Faults.Enabled(),
-		fm:       newFaultMetrics(cfg.Metrics),
+		cfg:          cfg,
+		geo:          geo,
+		mask:         mask,
+		scale:        float64(uint64(1)<<32) / float64(uint64(1)<<cfg.Order),
+		faultsOn:     cfg.Faults.Enabled(),
+		fm:           newFaultMetrics(cfg.Metrics),
+		sendRejected: cfg.Metrics.Counter("wildnet.send.rejected"),
 	}
 	w.infra = buildInfraMap(w)
 	w.stations = w.buildStations()
