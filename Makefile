@@ -25,8 +25,8 @@ lint:
 # fail if the compiler reports a heap allocation inside an annotated
 # function. The static rule and the compiler must agree.
 lint-escape:
-	$(GO) build -a -gcflags=-m ./internal/scanner ./internal/dnswire ./internal/lfsr 2> /tmp/wildlint_escape.log || (cat /tmp/wildlint_escape.log; exit 1)
-	$(GO) run ./cmd/wildlint -escape-log /tmp/wildlint_escape.log ./internal/scanner ./internal/dnswire ./internal/lfsr
+	$(GO) build -a -gcflags=-m ./internal/scanner ./internal/dnswire ./internal/lfsr ./internal/wildnet 2> /tmp/wildlint_escape.log || (cat /tmp/wildlint_escape.log; exit 1)
+	$(GO) run ./cmd/wildlint -escape-log /tmp/wildlint_escape.log ./internal/scanner ./internal/dnswire ./internal/lfsr ./internal/wildnet
 
 test:
 	$(GO) test ./...
@@ -90,9 +90,10 @@ serve-smoke:
 	$(GO) run ./cmd/wildsvc -smoke
 
 # A few seconds of coverage-guided fuzzing per wire-format fuzz target.
-# `go test -fuzz` accepts one target per invocation, hence six runs.
+# `go test -fuzz` accepts one target per invocation, hence seven runs.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzUnpack -fuzztime=5s ./internal/dnswire
+	$(GO) test -fuzz=FuzzAppendNameCompression -fuzztime=5s ./internal/dnswire
 	$(GO) test -fuzz=FuzzView -fuzztime=5s ./internal/dnswire
 	$(GO) test -fuzz=FuzzDecodeTargetQName -fuzztime=5s ./internal/dnswire
 	$(GO) test -fuzz=FuzzHandleDNS -fuzztime=5s ./internal/wildnet

@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"testing"
 
+	"goingwild/internal/dnswire"
+	"goingwild/internal/domains"
 	"goingwild/internal/metrics"
 	"goingwild/internal/wildnet"
 )
@@ -96,6 +98,11 @@ func TestChaosMetricsSideChannelAndReproducible(t *testing.T) {
 			if s.Counter("wildnet.send.rejected") == 0 {
 				t.Error("wildnet.send.rejected = 0; the transport dropped nothing at dispatch")
 			}
+			// So do the answered-path counters (wildnet.response.truncated
+			// stays 0 here: no stage of this pipeline provokes truncation).
+			if s.Counter("wildnet.send.answered") == 0 {
+				t.Error("wildnet.send.answered = 0; no exchange was answered")
+			}
 			finished := s.Counter("pipeline.stage.done") + s.Counter("pipeline.stage.degraded") +
 				s.Counter("pipeline.stage.failed")
 			if got := s.Counter("pipeline.stage.started"); got != finished {
@@ -167,5 +174,51 @@ func TestSendRejectedReconcilesWithSweep(t *testing.T) {
 	}
 	if sent != rej+live {
 		t.Errorf("scanner.sweep.sent = %d, want wildnet.send.rejected %d + %d live destinations", sent, rej, live)
+	}
+}
+
+// TestSendAnsweredReconcilesWithDomainScan reads the domain scan's cost
+// split off the snapshot. Every probe scanner.domains.sent counts was
+// rejected at dispatch, met silence, or was answered, so the answered
+// exchanges cannot outnumber the probes. And an answered exchange puts at
+// least one response on the wire — two when an injected racer beats the
+// legitimate answer, never none — so they cannot outnumber the responses
+// either, once nothing is lost on the way back: packet loss is off, and
+// the names scanned have the nine letters whose casing lets the receiver
+// attribute a response even from a resolver that rewrote its port (it
+// drops, uncounted, what it cannot attribute).
+func TestSendAnsweredReconcilesWithDomainScan(t *testing.T) {
+	const week = 3
+	reg := metrics.New()
+	cfg := DefaultConfig(14)
+	cfg.Metrics = reg
+	cfg.Loss = 0
+	s, err := NewStudy(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	census, err := s.SweepAt(week)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, name := range domains.Names() {
+		if _, letters := dnswire.Encode0x20(name, 0, 9); letters == 9 {
+			names = append(names, name)
+		}
+	}
+	before := reg.Snapshot().Counter("wildnet.send.answered")
+	if _, err := s.Scanner.ScanDomains(census.NOERROR(), names); err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
+	answered := snap.Counter("wildnet.send.answered") - before
+	sent, recv := snap.Counter("scanner.domains.sent"), snap.Counter("scanner.domains.recv")
+	if answered == 0 || answered > sent {
+		t.Errorf("wildnet.send.answered = %d over the scan, scanner.domains.sent = %d", answered, sent)
+	}
+	if answered > recv {
+		t.Errorf("wildnet.send.answered = %d exceeds scanner.domains.recv = %d", answered, recv)
 	}
 }

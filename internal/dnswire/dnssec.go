@@ -28,7 +28,7 @@ type DNSKEY struct {
 // Type implements RData.
 func (DNSKEY) Type() Type { return TypeDNSKEY }
 
-func (k DNSKEY) appendTo(buf []byte, _ map[string]int) ([]byte, error) {
+func (k DNSKEY) appendTo(buf []byte, _ *Compressor) ([]byte, error) {
 	buf = binary.BigEndian.AppendUint16(buf, k.Flags)
 	buf = append(buf, k.Protocol, k.Algorithm)
 	return append(buf, k.PublicKey...), nil
@@ -55,7 +55,7 @@ type RRSIG struct {
 // Type implements RData.
 func (RRSIG) Type() Type { return TypeRRSIG }
 
-func (s RRSIG) appendTo(buf []byte, _ map[string]int) ([]byte, error) {
+func (s RRSIG) appendTo(buf []byte, _ *Compressor) ([]byte, error) {
 	buf = binary.BigEndian.AppendUint16(buf, uint16(s.TypeCovered))
 	buf = append(buf, s.Algorithm, s.Labels)
 	buf = binary.BigEndian.AppendUint32(buf, s.OrigTTL)

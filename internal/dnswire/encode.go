@@ -118,23 +118,34 @@ func JoinProbeID(txid, portIndex uint16) ProbeID {
 // carry bits (bit i of bits sets letter i to upper case). Non-letter
 // octets are skipped and do not consume bits. It returns the encoded name
 // and the number of bits actually embedded, which is limited by the count
-// of ASCII letters in the name.
+// of ASCII letters in the name. Scans re-case the wire name in place with
+// Encode0x20Bytes; this string form is its reference.
 func Encode0x20(name string, bits uint32, n int) (string, int) {
 	out := []byte(name)
+	bit := Encode0x20Bytes(out, bits, n)
+	return string(out), bit
+}
+
+// Encode0x20Bytes is Encode0x20 in place over a raw name, in text or wire
+// form (QueryNameWire): the byte-form mirror of Decode0x20Bytes. It
+// returns the number of bits embedded.
+//
+//lint:hotpath per-probe re-casing of the domain-scan query name
+func Encode0x20Bytes(name []byte, bits uint32, n int) int {
 	bit := 0
-	for i := 0; i < len(out) && bit < n; i++ {
-		c := out[i]
+	for i := 0; i < len(name) && bit < n; i++ {
+		c := name[i]
 		if !isLetter(c) {
 			continue
 		}
 		if bits>>uint(bit)&1 == 1 {
-			out[i] = c &^ 0x20 // upper
+			name[i] = c &^ 0x20 // upper
 		} else {
-			out[i] = c | 0x20 // lower
+			name[i] = c | 0x20 // lower
 		}
 		bit++
 	}
-	return string(out), bit
+	return bit
 }
 
 // Decode0x20 recovers up to n bits from the letter casing of name,

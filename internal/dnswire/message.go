@@ -142,16 +142,19 @@ func (m *Message) Pack(buf []byte) ([]byte, error) {
 }
 
 func (m *Message) packLocal() ([]byte, error) {
-	return m.PackInto(make([]byte, 0, 128), make(map[string]int, 8))
+	return m.PackInto(make([]byte, 0, 128), new(Compressor))
 }
 
 // PackInto packs m from offset 0 of buf (truncated first) using the
-// caller-supplied compression map (cleared first), so a pooled buffer and
-// map serve many packs without per-message allocations. The result aliases
-// buf's storage when capacity suffices.
-func (m *Message) PackInto(buf []byte, cmp map[string]int) ([]byte, error) {
+// caller-supplied Compressor (emptied first; nil packs every name in
+// full), so a pooled buffer and Compressor serve many packs without
+// per-message allocations. The result aliases buf's storage when capacity
+// suffices.
+func (m *Message) PackInto(buf []byte, cmp *Compressor) ([]byte, error) {
 	buf = buf[:0]
-	clear(cmp)
+	if cmp != nil {
+		cmp.entries = cmp.entries[:0]
+	}
 	var flags uint16
 	if m.Header.QR {
 		flags |= flagQR
@@ -218,12 +221,18 @@ func (m *Message) PackBytes() ([]byte, error) {
 	return m.packLocal()
 }
 
-// AppendQuery appends the wire form of a single-question query with
-// recursion desired — the shape every scan probe takes — without building
-// a Message. buf may be a pooled scratch slice; the result aliases it.
-func AppendQuery(buf []byte, id uint16, name string, typ Type, class Class) ([]byte, error) {
+// AppendQuery appends the wire form of a single-question query — the
+// shape every scan probe takes — without building a Message. rd is the
+// recursion-desired bit, which only cache snooping clears. buf may be a
+// pooled scratch slice; the result aliases it. The bytes equal
+// NewQuery(...).PackBytes() with Header.RD set to rd.
+func AppendQuery(buf []byte, id uint16, rd bool, name string, typ Type, class Class) ([]byte, error) {
+	var flags uint16
+	if rd {
+		flags = flagRD
+	}
 	buf = binary.BigEndian.AppendUint16(buf, id)
-	buf = binary.BigEndian.AppendUint16(buf, flagRD)
+	buf = binary.BigEndian.AppendUint16(buf, flags)
 	buf = binary.BigEndian.AppendUint16(buf, 1)
 	buf = append(buf, 0, 0, 0, 0, 0, 0)
 	var err error
@@ -233,6 +242,14 @@ func AppendQuery(buf []byte, id uint16, name string, typ Type, class Class) ([]b
 	buf = binary.BigEndian.AppendUint16(buf, uint16(typ))
 	buf = binary.BigEndian.AppendUint16(buf, uint16(class))
 	return buf, nil
+}
+
+// QueryNameWire returns the question name of a query built by AppendQuery
+// as it sits on the wire — labels behind their length octets, root label
+// last — aliasing query. Length octets are at most 63 and so never ASCII
+// letters, which lets Encode0x20Bytes re-case the name where it lies.
+func QueryNameWire(query []byte) []byte {
+	return query[12 : len(query)-4]
 }
 
 // EncodeNameWire returns the uncompressed wire encoding of name, for

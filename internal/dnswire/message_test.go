@@ -160,6 +160,9 @@ func TestCanonicalName(t *testing.T) {
 		{".", ""},
 		{"", ""},
 		{"WwW.PayPal.CoM", "www.paypal.com"},
+		// Only ASCII folds (RFC 4343); other octets pass through as they are.
+		{"ÉX.Example", "Éx.example"},
+		{"A\xffB.example", "a\xffb.example"},
 	}
 	for _, c := range cases {
 		if got := CanonicalName(c.in); got != c.want {
@@ -190,6 +193,12 @@ func TestEqualNamesFold(t *testing.T) {
 	}
 	if EqualNamesFold("example.com", "example.org") {
 		t.Error("different names equal")
+	}
+	if EqualNamesFold("ÉX.example", "éX.example") {
+		t.Error("names differing in a non-ASCII octet equal: DNS folds A–Z only")
+	}
+	if !EqualNamesFold("ÉX.example.", "Éx.EXAMPLE") {
+		t.Error("ASCII case difference beside a non-ASCII octet not folded")
 	}
 }
 

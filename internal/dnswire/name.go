@@ -29,21 +29,44 @@ const (
 
 // CanonicalName lowercases a domain name and strips a single trailing dot,
 // producing the form used as map keys throughout the pipeline. The empty
-// string denotes the DNS root.
+// string denotes the DNS root. Only ASCII letters fold (RFC 4343): every
+// other octet, UTF-8 or not, is part of the name as it stands.
 func CanonicalName(name string) string {
 	name = strings.TrimSuffix(name, ".")
 	// Fast path: already lower case.
-	lower := true
-	for i := 0; i < len(name); i++ {
-		if c := name[i]; 'A' <= c && c <= 'Z' {
-			lower = false
-			break
-		}
+	i := 0
+	for i < len(name) && !('A' <= name[i] && name[i] <= 'Z') {
+		i++
 	}
-	if lower {
+	if i == len(name) {
 		return name
 	}
-	return strings.ToLower(name)
+	var sb strings.Builder
+	sb.Grow(len(name))
+	sb.WriteString(name[:i])
+	for ; i < len(name); i++ {
+		sb.WriteByte(lowerASCII(name[i]))
+	}
+	return sb.String()
+}
+
+func lowerASCII(c byte) byte {
+	if 'A' <= c && c <= 'Z' {
+		c += 'a' - 'A'
+	}
+	return c
+}
+
+// equalFoldASCII compares two equal-length names under DNS case folding.
+//
+//lint:hotpath per-label compression lookup on the response pack path
+func equalFoldASCII(a, b string) bool {
+	for i := 0; i < len(a); i++ {
+		if a[i] != b[i] && lowerASCII(a[i]) != lowerASCII(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // SplitLabels splits a canonical name into its labels. The root returns nil.
@@ -74,11 +97,52 @@ func ValidName(name string) bool {
 	return true
 }
 
+// Compressor records where the suffixes of the names written so far start
+// in the message being packed, so a later name can end in a pointer to an
+// earlier one (RFC 1035 §4.1.4). Entries hold substrings of the names
+// handed to the packer — nothing is joined, lowered or hashed — and are
+// matched by a length check plus an ASCII case-folding compare; a message
+// carries a handful of names, so the scan beats a map and allocates
+// nothing once the slice has grown. The zero value is ready to use, and
+// one Compressor serves any number of PackInto calls.
+type Compressor struct {
+	entries []compEntry
+}
+
+type compEntry struct {
+	suffix string // no trailing dot; aliases the caller's name
+	off    int    // always < 0x4000, the reach of a 14-bit pointer
+}
+
+// find returns the offset of the first suffix registered under a name
+// equal to suffix, or -1.
+//
+//lint:hotpath per-label compression lookup on the response pack path
+func (c *Compressor) find(suffix string) int {
+	for i := range c.entries {
+		e := &c.entries[i]
+		if len(e.suffix) == len(suffix) && equalFoldASCII(e.suffix, suffix) {
+			return e.off
+		}
+	}
+	return -1
+}
+
+// cutLabel splits the first label off a name that has no trailing dot.
+//
+//lint:hotpath per-label walk on the query build and response pack paths
+func cutLabel(name string) (label, rest string, more bool) {
+	if i := strings.IndexByte(name, '.'); i >= 0 {
+		return name[:i], name[i+1:], true
+	}
+	return name, "", false
+}
+
 // appendName appends the wire encoding of name to buf, using cmp to emit
-// and record compression pointers. cmp maps canonical suffixes to their
-// wire offsets; pass nil to disable compression (required inside RDATA of
-// types that predate compression-awareness, and for root-only names).
-func appendName(buf []byte, name string, cmp map[string]int) ([]byte, error) {
+// and record compression pointers; pass nil to disable compression
+// (required inside RDATA of types that predate compression-awareness).
+// The first suffix registered under a name keeps its offset.
+func appendName(buf []byte, name string, cmp *Compressor) ([]byte, error) {
 	name = strings.TrimSuffix(name, ".")
 	if name == "" {
 		return append(buf, 0), nil
@@ -86,8 +150,8 @@ func appendName(buf []byte, name string, cmp map[string]int) ([]byte, error) {
 	if len(name)+2 > maxNameWire {
 		return buf, ErrNameTooLong
 	}
-	labels := strings.Split(name, ".")
-	for i, label := range labels {
+	for {
+		label, rest, more := cutLabel(name)
 		if label == "" {
 			return buf, ErrEmptyLabel
 		}
@@ -95,18 +159,20 @@ func appendName(buf []byte, name string, cmp map[string]int) ([]byte, error) {
 			return buf, ErrLabelTooLong
 		}
 		if cmp != nil {
-			suffix := CanonicalName(strings.Join(labels[i:], "."))
-			if off, ok := cmp[suffix]; ok && off < 0x4000 {
+			if off := cmp.find(name); off >= 0 {
 				return append(buf, 0xC0|byte(off>>8), byte(off)), nil
 			}
 			if len(buf) < 0x4000 {
-				cmp[suffix] = len(buf)
+				cmp.entries = append(cmp.entries, compEntry{name, len(buf)})
 			}
 		}
 		buf = append(buf, byte(len(label)))
 		buf = append(buf, label...)
+		if !more {
+			return append(buf, 0), nil
+		}
+		name = rest
 	}
-	return append(buf, 0), nil
 }
 
 // unpackName decodes a possibly compressed name starting at off in msg.
@@ -128,5 +194,6 @@ func unpackName(msg []byte, off int) (string, int, error) {
 // folding (ASCII case-insensitive label comparison), tolerating an optional
 // trailing dot on either side.
 func EqualNamesFold(a, b string) bool {
-	return CanonicalName(a) == CanonicalName(b)
+	a, b = strings.TrimSuffix(a, "."), strings.TrimSuffix(b, ".")
+	return len(a) == len(b) && equalFoldASCII(a, b)
 }

@@ -16,8 +16,8 @@ type RData interface {
 	// Type returns the record type this body belongs to.
 	Type() Type
 	// appendTo appends the wire form of the body to buf. cmp is the
-	// message-wide compression map (nil disables compression).
-	appendTo(buf []byte, cmp map[string]int) ([]byte, error)
+	// message-wide Compressor (nil disables compression).
+	appendTo(buf []byte, cmp *Compressor) ([]byte, error)
 	// String renders the body in zone-file style presentation format.
 	String() string
 }
@@ -28,7 +28,7 @@ type A struct{ Addr netip.Addr }
 // Type implements RData.
 func (A) Type() Type { return TypeA }
 
-func (a A) appendTo(buf []byte, _ map[string]int) ([]byte, error) {
+func (a A) appendTo(buf []byte, _ *Compressor) ([]byte, error) {
 	if !a.Addr.Is4() {
 		return buf, fmt.Errorf("%w: A record address %v is not IPv4", ErrBadRData, a.Addr)
 	}
@@ -44,7 +44,7 @@ type AAAA struct{ Addr netip.Addr }
 // Type implements RData.
 func (AAAA) Type() Type { return TypeAAAA }
 
-func (a AAAA) appendTo(buf []byte, _ map[string]int) ([]byte, error) {
+func (a AAAA) appendTo(buf []byte, _ *Compressor) ([]byte, error) {
 	if !a.Addr.Is6() || a.Addr.Is4In6() {
 		return buf, fmt.Errorf("%w: AAAA record address %v is not IPv6", ErrBadRData, a.Addr)
 	}
@@ -60,7 +60,7 @@ type NS struct{ Host string }
 // Type implements RData.
 func (NS) Type() Type { return TypeNS }
 
-func (n NS) appendTo(buf []byte, cmp map[string]int) ([]byte, error) {
+func (n NS) appendTo(buf []byte, cmp *Compressor) ([]byte, error) {
 	return appendName(buf, n.Host, cmp)
 }
 
@@ -72,7 +72,7 @@ type CNAME struct{ Target string }
 // Type implements RData.
 func (CNAME) Type() Type { return TypeCNAME }
 
-func (c CNAME) appendTo(buf []byte, cmp map[string]int) ([]byte, error) {
+func (c CNAME) appendTo(buf []byte, cmp *Compressor) ([]byte, error) {
 	return appendName(buf, c.Target, cmp)
 }
 
@@ -84,7 +84,7 @@ type PTR struct{ Target string }
 // Type implements RData.
 func (PTR) Type() Type { return TypePTR }
 
-func (p PTR) appendTo(buf []byte, cmp map[string]int) ([]byte, error) {
+func (p PTR) appendTo(buf []byte, cmp *Compressor) ([]byte, error) {
 	return appendName(buf, p.Target, cmp)
 }
 
@@ -99,7 +99,7 @@ type MX struct {
 // Type implements RData.
 func (MX) Type() Type { return TypeMX }
 
-func (m MX) appendTo(buf []byte, cmp map[string]int) ([]byte, error) {
+func (m MX) appendTo(buf []byte, cmp *Compressor) ([]byte, error) {
 	buf = binary.BigEndian.AppendUint16(buf, m.Preference)
 	return appendName(buf, m.Host, cmp)
 }
@@ -120,7 +120,7 @@ type SOA struct {
 // Type implements RData.
 func (SOA) Type() Type { return TypeSOA }
 
-func (s SOA) appendTo(buf []byte, cmp map[string]int) ([]byte, error) {
+func (s SOA) appendTo(buf []byte, cmp *Compressor) ([]byte, error) {
 	var err error
 	if buf, err = appendName(buf, s.MName, cmp); err != nil {
 		return buf, err
@@ -148,7 +148,7 @@ type TXT struct{ Strings []string }
 // Type implements RData.
 func (TXT) Type() Type { return TypeTXT }
 
-func (t TXT) appendTo(buf []byte, _ map[string]int) ([]byte, error) {
+func (t TXT) appendTo(buf []byte, _ *Compressor) ([]byte, error) {
 	if len(t.Strings) == 0 {
 		// An empty TXT is encoded as a single empty character-string.
 		return append(buf, 0), nil
@@ -184,7 +184,7 @@ type OPT struct{ Options []byte }
 // Type implements RData.
 func (OPT) Type() Type { return TypeOPT }
 
-func (o OPT) appendTo(buf []byte, _ map[string]int) ([]byte, error) {
+func (o OPT) appendTo(buf []byte, _ *Compressor) ([]byte, error) {
 	return append(buf, o.Options...), nil
 }
 
@@ -201,7 +201,7 @@ type RawRData struct {
 // Type implements RData.
 func (r RawRData) Type() Type { return r.RType }
 
-func (r RawRData) appendTo(buf []byte, _ map[string]int) ([]byte, error) {
+func (r RawRData) appendTo(buf []byte, _ *Compressor) ([]byte, error) {
 	return append(buf, r.Data...), nil
 }
 

@@ -232,7 +232,7 @@ func TestAppendTargetQueryMatchesAppendQuery(t *testing.T) {
 	for _, u := range []uint32{1, 0xC0A80001, 0xFFFFFFFF} {
 		addr := netip.AddrFrom4([4]byte{byte(u >> 24), byte(u >> 16), byte(u >> 8), byte(u)})
 		name := EncodeTargetQName("r1a2b", addr, base)
-		want, err := AppendQuery(nil, 0x1234, name, TypeA, ClassIN)
+		want, err := AppendQuery(nil, 0x1234, true, name, TypeA, ClassIN)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -284,9 +284,9 @@ func TestPackIntoReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 0, 16) // deliberately small: must grow correctly
-	cmp := make(map[string]int, 8)
+	var cmp Compressor
 	for i := 0; i < 3; i++ {
-		got, err := m.PackInto(buf, cmp)
+		got, err := m.PackInto(buf, &cmp)
 		if err != nil {
 			t.Fatal(err)
 		}

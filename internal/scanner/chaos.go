@@ -108,10 +108,11 @@ func (s *Scanner) ScanChaosContext(ctx context.Context, resolvers []uint32) (*Ch
 			// (and any future retry policy) lives in one place.
 			s.retryRounds(ctx, 0, len(batch),
 				func(i, _ int) {
-					wire := packQuery(uint16(i), qname, dnswire.TypeTXT, dnswire.ClassCH)
+					q := getQuery(uint16(i), qname, dnswire.TypeTXT, dnswire.ClassCH)
 					s.m.chaosSent.Inc()
 					//lint:allow errdrop CHAOS-probe send failures are modeled packet loss
-					s.tr.Send(ctx, lfsr.U32ToAddr(batch[i]), 53, s.opts.BasePort, wire)
+					s.tr.Send(ctx, lfsr.U32ToAddr(batch[i]), 53, s.opts.BasePort, *q)
+					queryBufs.Put(q)
 				},
 				func(i int) bool {
 					mu := locks.of(uint32(lo + i))

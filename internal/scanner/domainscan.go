@@ -142,11 +142,12 @@ func (s *Scanner) ScanDomainsContext(ctx context.Context, resolvers []uint32, na
 			func(ri, _ int) {
 				id := dnswire.ProbeID(ri)
 				txid, portIdx := dnswire.SplitProbeID(id)
-				qname, _ := dnswire.Encode0x20(name, uint32(portIdx), 9)
-				wire := packQuery(txid, qname, dnswire.TypeA, dnswire.ClassIN)
+				q := getQuery(txid, name, dnswire.TypeA, dnswire.ClassIN)
+				dnswire.Encode0x20Bytes(dnswire.QueryNameWire(*q), uint32(portIdx), 9)
 				s.m.domainsSent.Inc()
 				//lint:allow errdrop domain-probe send failures are modeled packet loss
-				s.tr.Send(ctx, lfsr.U32ToAddr(resolvers[ri]), 53, s.opts.BasePort+portIdx, wire)
+				s.tr.Send(ctx, lfsr.U32ToAddr(resolvers[ri]), 53, s.opts.BasePort+portIdx, *q)
+				queryBufs.Put(q)
 			},
 			func(ri int) bool {
 				mu := locks.of(uint32(ri))

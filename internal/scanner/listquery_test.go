@@ -1,0 +1,110 @@
+package scanner
+
+import (
+	"bytes"
+	"context"
+	"net/netip"
+	"sync/atomic"
+	"testing"
+
+	"goingwild/internal/dnswire"
+	"goingwild/internal/lfsr"
+)
+
+// inspectTransport hands every datagram to check inside Send — while the
+// scanner still lends it the payload — and answers nothing.
+type inspectTransport struct {
+	check func(dst uint32, srcPort uint16, payload []byte)
+}
+
+func (tr *inspectTransport) Send(_ context.Context, dst netip.Addr, _, srcPort uint16, payload []byte) error {
+	tr.check(lfsr.AddrToU32(dst), srcPort, payload)
+	return nil
+}
+
+func (tr *inspectTransport) SetReceiver(func(src netip.Addr, srcPort, dstPort uint16, payload []byte)) {
+}
+
+func (tr *inspectTransport) Close() error { return nil }
+
+// TestDomainScanQueriesMatchMessageForm: the domain scan builds each probe
+// on the wire, in a pooled buffer, and re-cases the name where it lies.
+// What reaches the transport must be byte for byte the query the Message
+// encoder packs from the 0x20-cased string — the form the benchmark's
+// traced replay still sends — on the source port that carries the same
+// nine bits. Four workers share the buffer pool, so a buffer handed back
+// too early would surface here as a torn payload.
+func TestDomainScanQueriesMatchMessageForm(t *testing.T) {
+	const addrBase, basePort = 0x0B000000, 40000
+	// Past 2^16 resolvers the port index, and with it the casing, moves.
+	resolvers := make([]uint32, 0x10000+500)
+	for i := range resolvers {
+		resolvers[i] = addrBase + uint32(i)
+	}
+	// A name with fewer than nine letters takes fewer bits.
+	names := []string{"qq.com", "thepiratebay.se", "update.adobe.example"}
+	var sends atomic.Int64
+	tr := &inspectTransport{}
+	tr.check = func(dst uint32, srcPort uint16, payload []byte) {
+		// Nothing answers, so every name costs its round and one retry
+		// round of identical probes; the rounds are barriered, which
+		// lets the send count name the round.
+		name := names[int(sends.Add(1)-1)/(2*len(resolvers))]
+		txid, portIdx := dnswire.SplitProbeID(dnswire.ProbeID(dst - addrBase))
+		qname, _ := dnswire.Encode0x20(name, uint32(portIdx), 9)
+		want, err := dnswire.NewQuery(txid, qname, dnswire.TypeA, dnswire.ClassIN).PackBytes()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if !bytes.Equal(payload, want) || srcPort != basePort+portIdx {
+			t.Errorf("resolver %d, %s: sent %x from port %d, want %x from port %d",
+				dst-addrBase, name, payload, srcPort, want, basePort+portIdx)
+		}
+	}
+	sc := New(tr, Options{Workers: 4, SettleDelay: NoSettle, BasePort: basePort})
+	if _, err := sc.ScanDomainsContext(context.Background(), resolvers, names); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := sends.Load(), int64(2*len(resolvers)*len(names)); got != want {
+		t.Fatalf("%d probes sent, want %d", got, want)
+	}
+}
+
+// TestSnoopRoundSendsOnePayload: a snoop round's query is the same for
+// every resolver, so the round packs it once and lends the transport that
+// one payload — RD clear, the round's sequence number as the ID — for
+// every send.
+func TestSnoopRoundSendsOnePayload(t *testing.T) {
+	q := dnswire.NewQuery(41, "org", dnswire.TypeNS, dnswire.ClassIN)
+	q.Header.RD = false
+	want, err := q.PackBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first atomic.Pointer[byte]
+	var sends atomic.Int64
+	tr := &inspectTransport{check: func(_ uint32, _ uint16, payload []byte) {
+		sends.Add(1)
+		if !bytes.Equal(payload, want) {
+			t.Errorf("snoop probe %x, want %x", payload, want)
+		}
+		if !first.CompareAndSwap(nil, &payload[0]) && first.Load() != &payload[0] {
+			t.Error("snoop round packed its query more than once")
+		}
+	}}
+	sc := New(tr, Options{Workers: 4, SettleDelay: NoSettle})
+	resolvers := make([]uint32, 3000)
+	for i := range resolvers {
+		resolvers[i] = 0x0C000000 + uint32(i)
+	}
+	if _, err := sc.SnoopRoundContext(context.Background(), resolvers, "org", 41); err != nil {
+		t.Fatal(err)
+	}
+	if sends.Load() != int64(len(resolvers)) {
+		t.Fatalf("%d probes sent, want %d", sends.Load(), len(resolvers))
+	}
+	if _, err := sc.SnoopRoundContext(context.Background(), resolvers, "a..b", 41); err == nil {
+		t.Error("snoop round for an unencodable tld returned no error")
+	}
+}

@@ -46,10 +46,11 @@ func (s *Scanner) ProbeAliveContext(ctx context.Context, addrs []uint32) (map[ui
 		func(i, _ int) {
 			u := addrs[i]
 			name := dnswire.EncodeTargetQName(fmt.Sprintf("c%x", u&0xFFF), lfsr.U32ToAddr(u), domains.ScanBase)
-			wire := packQuery(uint16(u), name, dnswire.TypeA, dnswire.ClassIN)
+			q := getQuery(uint16(u), name, dnswire.TypeA, dnswire.ClassIN)
 			s.m.aliveSent.Inc()
 			//lint:allow errdrop alive-probe send failures are modeled packet loss
-			s.tr.Send(ctx, lfsr.U32ToAddr(u), 53, s.opts.BasePort, wire)
+			s.tr.Send(ctx, lfsr.U32ToAddr(u), 53, s.opts.BasePort, *q)
+			queryBufs.Put(q)
 		},
 		func(i int) bool {
 			_, ok := collected.Get(addrs[i])

@@ -388,13 +388,23 @@ type netip4 = netip.Addr
 //lint:hotpath per-response address conversion
 func addrU32(a netip.Addr) uint32 { return lfsr.AddrToU32(a) }
 
-// packQuery builds and packs a query, panicking only on programmer error
-// (static names are always packable).
-func packQuery(id uint16, name string, typ dnswire.Type, class dnswire.Class) []byte {
-	q := dnswire.NewQuery(id, name, typ, class)
-	wire, err := q.PackBytes()
+// queryBufs recycles the wire buffers list scans build their probes into.
+// A buffer is lent to Transport.Send for the call and goes back right
+// after it.
+var queryBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, 128)
+	return &b
+}}
+
+// getQuery builds a recursion-desired query into a pooled buffer; hand it
+// back with queryBufs.Put once Send has returned. It panics only on
+// programmer error (static names are always packable).
+func getQuery(id uint16, name string, typ dnswire.Type, class dnswire.Class) *[]byte {
+	bp := queryBufs.Get().(*[]byte)
+	wire, err := dnswire.AppendQuery((*bp)[:0], id, true, name, typ, class)
 	if err != nil {
 		panic("scanner: unpackable query: " + err.Error())
 	}
-	return wire
+	*bp = wire
+	return bp
 }

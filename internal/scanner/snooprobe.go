@@ -2,6 +2,7 @@ package scanner
 
 import (
 	"context"
+	"fmt"
 
 	"goingwild/internal/dnswire"
 	"goingwild/internal/lfsr"
@@ -51,10 +52,17 @@ func (s *Scanner) SnoopRound(resolvers []uint32, tld string, seq uint16) map[uin
 // resolvers answering from foreign addresses drop out — the same
 // attrition the paper tolerates for this experiment — and a source with
 // two answers keeps the mergeSnoopObs minimum. A cancelled round
-// returns the observations gathered so far plus ctx.Err().
+// returns the observations gathered so far plus ctx.Err(); a tld that
+// cannot be encoded sends nothing and returns the encoder's error.
 func (s *Scanner) SnoopRoundContext(ctx context.Context, resolvers []uint32, tld string, seq uint16) (map[uint32]SnoopObs, error) {
 	if s.tr == nil {
 		return nil, ErrNoTransport
+	}
+	// Every resolver gets the same bytes, so the round packs its query
+	// once; RD stays clear because snooping must not trigger recursion.
+	wire, err := dnswire.AppendQuery(nil, seq, false, tld, dnswire.TypeNS, dnswire.ClassIN)
+	if err != nil {
+		return nil, fmt.Errorf("scanner: snoop query for %q: %w", tld, err)
 	}
 	collected := newShardedMap[SnoopObs](len(resolvers) / 2)
 	// want is written before the sends and only read by receivers.
@@ -83,17 +91,11 @@ func (s *Scanner) SnoopRoundContext(ctx context.Context, resolvers []uint32, tld
 		collected.Merge(u, obs, mergeSnoopObs)
 	})
 	s.sendAll(ctx, len(resolvers), func(i int) {
-		q := dnswire.NewQuery(seq, tld, dnswire.TypeNS, dnswire.ClassIN)
-		q.Header.RD = false // snooping must not trigger recursion
-		wire, err := q.PackBytes()
-		if err != nil {
-			return
-		}
 		s.m.snoopSent.Inc()
 		//lint:allow errdrop snoop-probe send failures are modeled packet loss
 		s.tr.Send(ctx, lfsr.U32ToAddr(resolvers[i]), 53, s.opts.BasePort, wire)
 	})
-	err := s.settle(ctx)
+	err = s.settle(ctx)
 	out := make(map[uint32]SnoopObs, collected.Len())
 	collected.Collect(func(u uint32, obs SnoopObs) {
 		out[u] = obs

@@ -554,10 +554,11 @@ func (s *Scanner) ProbeContext(ctx context.Context, addr uint32, name string, ty
 			mu.Unlock()
 		}
 	})
-	wire := packQuery(0x5157, name, typ, class)
+	q := getQuery(0x5157, name, typ, class)
 	s.m.probeSent.Inc()
 	//lint:allow errdrop single-probe send failures are modeled packet loss
-	s.tr.Send(ctx, lfsr.U32ToAddr(addr), 53, s.opts.BasePort, wire)
+	s.tr.Send(ctx, lfsr.U32ToAddr(addr), 53, s.opts.BasePort, *q)
+	queryBufs.Put(q)
 	err := s.settle(ctx)
 	mu.Lock()
 	defer mu.Unlock()

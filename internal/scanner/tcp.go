@@ -33,7 +33,11 @@ func (s *Scanner) ProbeTC(addr uint32, name string, typ dnswire.Type, class dnsw
 			mu.Unlock()
 		}
 	})
-	wire := packQuery(0x7C17, name, typ, class)
+	// The same query goes out again over TCP, so the buffer stays out of
+	// the pool until both exchanges are over.
+	q := getQuery(0x7C17, name, typ, class)
+	defer queryBufs.Put(q)
+	wire := *q
 	s.m.tcpSent.Inc()
 	//lint:allow errdrop TC-probe send failures are modeled packet loss
 	s.tr.Send(bgCtx, lfsr.U32ToAddr(addr), 53, s.opts.BasePort, wire)

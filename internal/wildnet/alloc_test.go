@@ -221,3 +221,66 @@ func TestSendRejectedCounter(t *testing.T) {
 		}
 	}
 }
+
+// TestSendAnsweredAndTruncatedCounters: wildnet.send.answered counts the
+// exchanges the DNS handler answered and wildnet.response.truncated the
+// responses the transport re-packed as an empty TC reply — the same
+// numbers through Send and SendBatch. ANY queries without EDNS make the
+// large amplifiers overflow the 512-octet ceiling; with loss off, every
+// truncated response reaches the receiver carrying the TC bit.
+func TestSendAnsweredAndTruncatedCounters(t *testing.T) {
+	for _, batched := range []bool{false, true} {
+		reg := metrics.New()
+		cfg := DefaultConfig(14)
+		cfg.Loss = 0
+		cfg.Metrics = reg
+		w, err := NewWorld(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := NewMemTransport(w, VantagePrimary)
+		var gotTC uint64
+		tr.SetReceiver(func(_ netip.Addr, _, _ uint16, payload []byte) {
+			if m, err := dnswire.Unpack(payload); err == nil && m.Header.TC {
+				gotTC++
+			}
+		})
+		now := tr.Time()
+		ctx := context.Background()
+		var batch []Probe
+		wantAnswered := uint64(0)
+		for u := uint32(0); u < uint32(w.SpaceSize()); u++ {
+			q := dnswire.NewQuery(uint16(u), "chase.com", dnswire.TypeANY, dnswire.ClassIN)
+			if len(w.HandleDNS(VantagePrimary, 40000, u, q, now)) > 0 {
+				wantAnswered++
+			}
+			payload, err := q.PackBytes()
+			if err != nil {
+				t.Fatal(err)
+			}
+			batch = append(batch, Probe{Dst: w.Addr(u), DstPort: 53, SrcPort: 40000, Payload: payload})
+		}
+		if batched {
+			if n, err := tr.SendBatch(ctx, batch); err != nil || n != len(batch) {
+				t.Fatalf("SendBatch = %d, %v", n, err)
+			}
+		} else {
+			for _, p := range batch {
+				if err := tr.Send(ctx, p.Dst, p.DstPort, p.SrcPort, p.Payload); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		tr.Close()
+		snap := reg.Snapshot()
+		if got := snap.Counter("wildnet.send.answered"); got != wantAnswered || got == 0 {
+			t.Errorf("batched=%v: wildnet.send.answered = %d, want %d", batched, got, wantAnswered)
+		}
+		if got := snap.Counter("wildnet.response.truncated"); got != gotTC || got == 0 {
+			t.Errorf("batched=%v: wildnet.response.truncated = %d, receiver saw %d TC responses", batched, got, gotTC)
+		}
+		if rej := snap.Counter("wildnet.send.rejected"); rej+wantAnswered > uint64(len(batch)) {
+			t.Errorf("batched=%v: rejected %d + answered %d exceed the %d probes sent", batched, rej, wantAnswered, len(batch))
+		}
+	}
+}

@@ -2,6 +2,7 @@ package wildnet
 
 import (
 	"goingwild/internal/dnswire"
+	"goingwild/internal/domains"
 	"goingwild/internal/prand"
 )
 
@@ -63,5 +64,6 @@ func (w *World) HandleClientDNS(client uint32, q *dnswire.Message, t Time) []Que
 	if q.Questions[0].Type != dnswire.TypeA {
 		return []QueryResponse{{Src: resolver, ToPort: 53, Msg: dnswire.NewResponse(q, dnswire.RCodeNotImp)}}
 	}
-	return w.answerA(&p, q, qname, resolver, resolver, 53, 3, t)
+	d, listed := domains.ByName(qname)
+	return w.answerA(&p, q, qname, d, listed, resolver, resolver, 53, 3, t)
 }

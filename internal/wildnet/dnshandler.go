@@ -167,7 +167,8 @@ func (w *World) handleDNS(v Vantage, srcPort uint16, dst uint32, q *dnswire.Mess
 		resp.AddAnswer(question.Name, dnswire.ClassIN, answerTTL, dnswire.NS{Host: "ns1." + qname})
 		return emit(resp)
 	case dnswire.TypeA:
-		return w.answerA(&p, q, qname, dst, src, toPort, delay, t)
+		d, listed := domains.ByName(qname)
+		return w.answerA(&p, q, qname, d, listed, dst, src, toPort, delay, t)
 	case dnswire.TypeDNSKEY:
 		return emit(w.answerDNSKEY(q, qname))
 	case dnswire.TypeANY:
@@ -283,8 +284,9 @@ func nsHostName(tld string, i int) string {
 }
 
 // answerA synthesizes the resolver's answer for an A query, applying
-// censorship policy and the manipulation profile.
-func (w *World) answerA(p *Profile, q *dnswire.Message, qname string, dst, src uint32, toPort uint16, delay int, t Time) []QueryResponse {
+// censorship policy and the manipulation profile. qname is canonical and
+// (d, listed) its domains.ByName entry: the caller looks both up once.
+func (w *World) answerA(p *Profile, q *dnswire.Message, qname string, d domains.Domain, listed bool, dst, src uint32, toPort uint16, delay int, t Time) []QueryResponse {
 	question := q.Questions[0]
 	emit := func(m *dnswire.Message) []QueryResponse {
 		return []QueryResponse{{Src: src, ToPort: toPort, DelayMS: delay, Msg: m}}
@@ -303,7 +305,7 @@ func (w *World) answerA(p *Profile, q *dnswire.Message, qname string, dst, src u
 
 	// Censorship takes precedence: it is enforced upstream of the
 	// resolver's own behavior.
-	switch mode, landing := w.CensorDecision(p, qname); mode {
+	switch mode, landing := w.censorDecision(p, qname, d.Category); mode {
 	case CensorLanding:
 		return emit(withAddrs(landing))
 	case CensorGFW:
@@ -317,7 +319,6 @@ func (w *World) answerA(p *Profile, q *dnswire.Message, qname string, dst, src u
 		return out
 	}
 
-	d, listed := domains.ByName(qname)
 	id := p.Identity
 
 	switch p.Manip {

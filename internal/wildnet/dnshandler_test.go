@@ -2,11 +2,13 @@ package wildnet
 
 import (
 	"net/netip"
+	"strings"
 	"testing"
 
 	"goingwild/internal/dnswire"
 	"goingwild/internal/domains"
 	"goingwild/internal/lfsr"
+	"goingwild/internal/prand"
 )
 
 // findResolver locates an address with the wanted property.
@@ -244,6 +246,58 @@ func TestCensorshipLandingPages(t *testing.T) {
 	}
 	if CensorPageCountry(slot) != "ID" {
 		t.Errorf("landing page country = %s, want ID", CensorPageCountry(slot))
+	}
+}
+
+// TestCensorIndexMatchesFullWalk: the by-country rule index must decide
+// exactly as a walk over the whole table does — same first match, same
+// table index in the compliance draw — for every country with rules, a
+// country with none, every scan-list name and an unlisted one.
+func TestCensorIndexMatchesFullWalk(t *testing.T) {
+	w := testWorld(t, 16)
+	fullWalk := func(p *Profile, cn string, cat domains.Category) (CensorMode, uint32) {
+		for ri := range censorRules {
+			r := &censorRules[ri]
+			if r.country != p.Country || !r.matches(cn, cat) {
+				continue
+			}
+			if prand.UnitOf(p.Identity, facetCensor, uint64(ri)) >= r.coverage {
+				continue
+			}
+			if r.gfw {
+				return CensorGFW, w.gfwRandomAddr(p.Identity, cn)
+			}
+			landing := r.country
+			if r.landing != "" {
+				landing = r.landing
+			}
+			return CensorLanding, w.CensorPageAddr(landing, int(prand.Hash(p.Identity, facetCensor, 0xBEEF)%64))
+		}
+		return CensorNone, 0
+	}
+	countries := append([]string{"US", ""}, CensorCountries...)
+	names := append(domains.Names(), "unlisted.example")
+	censored := 0
+	for _, cc := range countries {
+		for id := uint64(1); id <= 12; id++ {
+			p := Profile{Identity: id * 0x9E3779B97F4A7C15, Country: cc}
+			for _, name := range names {
+				d, _ := domains.ByName(name)
+				wantMode, wantAddr := fullWalk(&p, name, d.Category)
+				if mode, addr := w.censorDecision(&p, name, d.Category); mode != wantMode || addr != wantAddr {
+					t.Fatalf("%s id %#x %s: index decided (%v, %#x), full walk (%v, %#x)", cc, p.Identity, name, mode, addr, wantMode, wantAddr)
+				}
+				if mode, addr := w.CensorDecision(&p, strings.ToUpper(name)+"."); mode != wantMode || addr != wantAddr {
+					t.Fatalf("%s id %#x %s: CensorDecision disagrees with censorDecision", cc, p.Identity, name)
+				}
+				if wantMode != CensorNone {
+					censored++
+				}
+			}
+		}
+	}
+	if censored == 0 {
+		t.Fatal("no profile censored anything; the comparison is vacuous")
 	}
 }
 

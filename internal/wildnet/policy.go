@@ -46,6 +46,19 @@ var gfwNames = []string{
 
 var censorRules = buildCensorRules()
 
+// censorRulesOf lists, per country, the indices of its censorRules in
+// table order, so a decision walks only the rules that can match. The
+// order within a country is the table's: the first match wins and the
+// compliance draw keys on the table index, exactly as a full walk would.
+var censorRulesOf = func() map[string][]int {
+	m := map[string][]int{}
+	for ri := range censorRules {
+		cc := censorRules[ri].country
+		m[cc] = append(m[cc], ri)
+	}
+	return m
+}()
+
 func buildCensorRules() []censorRule {
 	rules := []censorRule{
 		{country: "CN", names: gfwNames, coverage: 0.997, gfw: true},
@@ -116,13 +129,17 @@ func (r *censorRule) matches(name string, cat domains.Category) bool {
 // as ISP-level filtering does.
 func (w *World) CensorDecision(p *Profile, name string) (CensorMode, uint32) {
 	cn := dnswire.CanonicalName(name)
-	var cat domains.Category
-	if d, ok := domains.ByName(cn); ok {
-		cat = d.Category
-	}
-	for ri := range censorRules {
+	d, _ := domains.ByName(cn)
+	return w.censorDecision(p, cn, d.Category)
+}
+
+// censorDecision is CensorDecision for a caller that has already
+// canonicalised the name and looked up its scan-list category (the zero
+// Category for an unlisted name), as the DNS handler has.
+func (w *World) censorDecision(p *Profile, cn string, cat domains.Category) (CensorMode, uint32) {
+	for _, ri := range censorRulesOf[p.Country] {
 		r := &censorRules[ri]
-		if r.country != p.Country || !r.matches(cn, cat) {
+		if !r.matches(cn, cat) {
 			continue
 		}
 		if prand.UnitOf(p.Identity, facetCensor, uint64(ri)) >= r.coverage {

@@ -25,7 +25,11 @@ type Transport interface {
 	// dst:dstPort. Delivery is not guaranteed (packet loss is part of
 	// the model, §5 "Completeness"). A cancelled ctx aborts the send —
 	// including, on the synchronous in-memory transport, the response
-	// deliveries that happen inside Send — with ctx.Err().
+	// deliveries that happen inside Send — with ctx.Err(). payload is
+	// borrowed for the duration of the call only, as Probe.Payload is:
+	// implementations copy or consume it before returning and neither
+	// keep nor modify it, because scans build probes into pooled buffers
+	// and send one shared payload from many goroutines at once.
 	Send(ctx context.Context, dst netip.Addr, dstPort, srcPort uint16, payload []byte) error
 	// SetReceiver registers the response callback. It must be called
 	// before the first Send. The callback may run concurrently, and must
@@ -123,14 +127,14 @@ func (m *MemTransport) SetReceiver(f func(src netip.Addr, srcPort, dstPort uint1
 var queryPool = sync.Pool{New: func() any { return new(dnswire.Message) }}
 
 // packScratch is one response-packing workspace: the wire buffer and the
-// name-compression map PackInto fills.
+// name Compressor PackInto fills.
 type packScratch struct {
 	buf []byte
-	cmp map[string]int
+	cmp dnswire.Compressor
 }
 
 var packPool = sync.Pool{New: func() any {
-	return &packScratch{buf: make([]byte, 0, 512), cmp: make(map[string]int, 8)}
+	return &packScratch{buf: make([]byte, 0, 512)}
 }}
 
 // Send implements Transport: the query is processed by the world and all
@@ -242,6 +246,7 @@ func (m *MemTransport) process(ctx context.Context, u32dst uint32, dstPort, srcP
 	if len(resps) == 0 {
 		return nil
 	}
+	m.world.sendAnswered.Inc()
 	if m.world.faultsOn {
 		// Latency, jitter, and the delivery deadline reshape the
 		// response timeline before the delay sort, so injected-response
@@ -274,7 +279,7 @@ func (m *MemTransport) process(ctx context.Context, u32dst uint32, dstPort, srcP
 		}
 		// Pack once; oversized responses are re-packed as an empty
 		// TC-bit reply (the Truncate contract) rather than packed twice.
-		wire, err := r.Msg.PackInto(ps.buf, ps.cmp)
+		wire, err := r.Msg.PackInto(ps.buf, &ps.cmp)
 		if err != nil {
 			continue
 		}
@@ -282,7 +287,8 @@ func (m *MemTransport) process(ctx context.Context, u32dst uint32, dstPort, srcP
 		if len(wire) > limit {
 			tc := dnswire.Message{Header: r.Msg.Header, Questions: r.Msg.Questions}
 			tc.Header.TC = true
-			wire, err = tc.PackInto(ps.buf, ps.cmp)
+			m.world.respTruncated.Inc()
+			wire, err = tc.PackInto(ps.buf, &ps.cmp)
 			if err != nil {
 				continue
 			}

@@ -118,6 +118,13 @@ type World struct {
 	// dispatch because nothing at the destination could answer them
 	// (fastpath.go); nil (no-op) without a registry.
 	sendRejected *metrics.Counter
+	// sendAnswered counts exchanges on the in-memory transport for which
+	// the DNS handler produced at least one response, and respTruncated
+	// the responses it re-packed as an empty TC reply; with sendRejected
+	// they split a stage's sent count into rejected + silent + answered.
+	// Both are tallied on the answered path only and nil without a registry.
+	sendAnswered  *metrics.Counter
+	respTruncated *metrics.Counter
 	// bc memoizes the per-block facts of the transport fast path for the
 	// most recently queried week (fastpath.go). Pure caching: every value
 	// is a function of (seed, block, week) the slow path would compute.
@@ -144,13 +151,15 @@ func NewWorld(cfg Config) (*World, error) {
 		return nil, err
 	}
 	w := &World{
-		cfg:          cfg,
-		geo:          geo,
-		mask:         mask,
-		scale:        float64(uint64(1)<<32) / float64(uint64(1)<<cfg.Order),
-		faultsOn:     cfg.Faults.Enabled(),
-		fm:           newFaultMetrics(cfg.Metrics),
-		sendRejected: cfg.Metrics.Counter("wildnet.send.rejected"),
+		cfg:           cfg,
+		geo:           geo,
+		mask:          mask,
+		scale:         float64(uint64(1)<<32) / float64(uint64(1)<<cfg.Order),
+		faultsOn:      cfg.Faults.Enabled(),
+		fm:            newFaultMetrics(cfg.Metrics),
+		sendRejected:  cfg.Metrics.Counter("wildnet.send.rejected"),
+		sendAnswered:  cfg.Metrics.Counter("wildnet.send.answered"),
+		respTruncated: cfg.Metrics.Counter("wildnet.response.truncated"),
 	}
 	w.infra = buildInfraMap(w)
 	w.stations = w.buildStations()
