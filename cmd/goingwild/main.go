@@ -54,7 +54,6 @@ func main() {
 		export      = flag.String("export", "", "directory to export JSONL datasets into")
 		progress    = flag.Bool("progress", false, "print per-stage pipeline events to stderr")
 		chaos       = flag.String("chaos", "", "fault-injection profile (clean, lossy, hostile, flaky); empty injects nothing")
-		shards      = flag.Int("shards", 0, "run every sweep as N in-process leapfrog shard workers (0/1 = unsharded; results identical)")
 		shardSpec   = flag.String("shard", "", "run only census shard i/M of the -week sweep and exit (e.g. -shard 0/4); requires -shard-out")
 		shardOut    = flag.String("shard-out", "", "write the -shard census artifact (JSON) to this file, for cmd/wildmerge")
 		ckptDir     = flag.String("checkpoint", "", "directory for crash-safe checkpoints; progress is saved there at every safe point")
@@ -81,8 +80,8 @@ func main() {
 
 	// The fingerprint covers every flag that shapes stdout, so a resume
 	// under different flags is refused instead of splicing two studies.
-	fingerprint := fmt.Sprintf("goingwild order=%d seed=%#x weeks=%d epochs=%d exp=%s week=%d chaos=%s shards=%d export=%s",
-		*order, *seed, *weeks, *epochs, *exps, *week, *chaos, *shards, *export)
+	fingerprint := fmt.Sprintf("goingwild order=%d seed=%#x weeks=%d epochs=%d exp=%s week=%d chaos=%s export=%s",
+		*order, *seed, *weeks, *epochs, *exps, *week, *chaos, *export)
 	var runner *checkpoint.Runner
 	var ctx context.Context
 	if *ckptDir != "" {
@@ -120,7 +119,6 @@ func main() {
 		cfg.Weeks = *epochs
 		*weeks = *epochs
 	}
-	cfg.Shards = *shards
 	// Metrics are a pure side channel: stdout is byte-identical with and
 	// without a registry attached.
 	var reg *metrics.Registry

@@ -49,7 +49,6 @@ func main() {
 		markdown    = flag.Bool("markdown", false, "emit the markdown comparison table only")
 		progress    = flag.Bool("progress", false, "print per-stage pipeline events to stderr")
 		chaosProf   = flag.String("chaos", "", "fault-injection profile (clean, lossy, hostile, flaky); empty injects nothing")
-		shards      = flag.Int("shards", 0, "run every sweep as N in-process leapfrog shard workers (0/1 = unsharded; stdout is byte-identical)")
 		ckptDir     = flag.String("checkpoint", "", "directory for crash-safe checkpoints; progress is saved there at every safe point")
 		resume      = flag.Bool("resume", false, "resume from the newest checkpoint in -checkpoint instead of starting over")
 		metricsPath = flag.String("metrics", "", "write a JSON metrics snapshot to this file at exit")
@@ -67,8 +66,8 @@ func main() {
 		fatal(fmt.Errorf("-checkpoint and -markdown are mutually exclusive"))
 	}
 
-	fingerprint := fmt.Sprintf("wildreport order=%d seed=%#x weeks=%d epochs=%d week=%d chaos=%s shards=%d",
-		*order, *seed, *weeks, *epochs, *week, *chaosProf, *shards)
+	fingerprint := fmt.Sprintf("wildreport order=%d seed=%#x weeks=%d epochs=%d week=%d chaos=%s",
+		*order, *seed, *weeks, *epochs, *week, *chaosProf)
 	var runner *checkpoint.Runner
 	var ctx context.Context
 	if *ckptDir != "" {
@@ -106,7 +105,6 @@ func main() {
 		cfg.Weeks = *epochs
 		*weeks = *epochs
 	}
-	cfg.Shards = *shards
 	// Metrics are a pure side channel: stdout is byte-identical with and
 	// without a registry attached, so observability costs reproducibility
 	// nothing (the determinism guard in CI enforces exactly that).

@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -197,5 +198,44 @@ func TestRunnerStopBetweenSections(t *testing.T) {
 	}
 	if err := r.CheckStop(); !errors.Is(err, ErrStopped) {
 		t.Fatalf("CheckStop: %v, want ErrStopped", err)
+	}
+}
+
+// TestOpenRunIgnoresStaleSchema: a state file written by the previous
+// schema (here a version-1 file holding a per-shard sweep document) is
+// never decoded into today's documents. The resume says why it ignored
+// the file and starts fresh.
+func TestOpenRunIgnoresStaleSchema(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := NewState("fp")
+	old.Version = Version - 1
+	oldSweep := map[string]any{
+		"order": 16, "seed": 7, "shards": 1, "round": 0, "probed": 4096,
+		"workers":    []map[string]any{{"gen": map[string]any{"Order": 16, "Seed": 7, "Of": 1, "Emitted": 4100}, "sent": 4096}},
+		"responders": []map[string]any{{"Addr": 9, "Source": 9}},
+	}
+	if err := old.Put("sweep", oldSweep); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Save(old); err != nil {
+		t.Fatal(err)
+	}
+
+	var warn bytes.Buffer
+	r, err := OpenRun(dir, true, "fp", io.Discard, &warn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("schema version %d, want %d; ignoring", Version-1, Version)
+	if !strings.Contains(warn.String(), want) {
+		t.Errorf("resume diagnostics %q lack %q", warn.String(), want)
+	}
+	var doc map[string]any
+	if ok, err := r.Fetch("sweep", &doc); err != nil || ok {
+		t.Errorf("stale sweep document reached the resumed run (ok=%v err=%v): %v", ok, err, doc)
 	}
 }

@@ -6,8 +6,11 @@ import (
 )
 
 // Version is the State schema version; a checkpoint written by a
-// different schema is treated as unusable rather than misread.
-const Version = 1
+// different schema is treated as unusable rather than misread. Bump it
+// whenever a document stored under Data changes layout: version 2 is the
+// one-generator scanner.SweepCheckpoint (a version-1 sweep document would
+// unmarshal into it with a zero position beside a non-empty collector).
+const Version = 2
 
 // State is everything a resumed run needs. It is one JSON document —
 // saved and loaded as a unit, never patched in place — so a checkpoint

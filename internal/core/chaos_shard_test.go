@@ -2,87 +2,78 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"runtime"
 	"testing"
 
-	"goingwild/internal/domains"
-	"goingwild/internal/wildnet"
+	"goingwild/internal/scanner"
 )
 
-// chaosShardSummary runs the chaos pipeline (the RunChaosPipeline
-// stages) with the census sweep split across m shard workers and
-// returns the rendered summary.
-func chaosShardSummary(t *testing.T, profile string, m int) string {
+// chaosShardUnion runs the week-3 census under a chaos profile as `of`
+// independent shard studies — a fresh world and scanner each, as the
+// separate `goingwild -shard i/of` processes have — and merges the
+// per-shard results the way cmd/wildmerge does.
+func chaosShardUnion(t *testing.T, profile string, of int) *scanner.SweepResult {
 	t.Helper()
 	cfg, err := ChaosProfileConfig(14, profile)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Shards = m
-	s, err := NewStudy(cfg)
-	if err != nil {
-		t.Fatal(err)
+	parts := make([]*scanner.SweepResult, of)
+	for shard := range parts {
+		s, err := NewStudy(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts[shard], err = s.SweepShardAt(context.Background(), 3, shard, of)
+		s.Close()
+		if err != nil {
+			t.Fatalf("chaos %s shard %d/%d: %v", profile, shard, of, err)
+		}
 	}
-	defer s.Close()
-
-	ctx := context.Background()
-	sum := &ChaosSummary{Profile: profile, Week: 3}
-	bl := s.World.ScanBlacklist()
-	sum.GroundTruth = s.World.CountRespondingAt(wildnet.VantagePrimary, wildnet.At(3), bl.ContainsU32)
-	sweep, err := s.SweepAtContext(ctx, 3)
+	merged, err := scanner.MergeSweepResults(parts)
 	if err != nil {
-		t.Fatalf("chaos %s shards=%d: sweep: %v", profile, m, err)
+		t.Fatalf("chaos %s: merging %d shards: %v", profile, of, err)
 	}
-	sum.SweepTotal = sweep.Total()
-	survey, _, err := s.RunChaosContext(ctx, 3)
-	if err != nil {
-		t.Fatalf("chaos %s shards=%d: chaos scan: %v", profile, m, err)
-	}
-	sum.ChaosResponders = survey.Responded
-	dom, err := s.RunDomainStudyContext(ctx, 3, []domains.Category{domains.Alexa})
-	if err != nil {
-		t.Fatalf("chaos %s shards=%d: domain chain: %v", profile, m, err)
-	}
-	sum.NoError = len(dom.Resolvers)
-	sum.StageTrace = dom.StageTrace
-	sum.Degraded = s.Degraded
-	return sum.Render()
+	return merged
 }
 
-// TestChaosMatrixSharded pins the strongest form of the sharding
-// contract: under every fault profile, the full pipeline with the
-// census sweep split across four shard workers renders the exact
-// summary the unsharded pipeline renders. This holds because fault
+// TestChaosMatrixSharded pins the sharding contract under every fault
+// profile: the census split across four share-nothing shard studies and
+// merged is exactly the census one study sweeps. This holds because fault
 // draws are pure per (identity, window, payload, attempt) and the
-// retransmission counter is keyed by destination — a destination
-// belongs to exactly one shard, so concurrent shard workers cannot
-// perturb each other's attempt counts (wildnet.attemptCounter).
+// retransmission counter is keyed by destination — a destination belongs
+// to exactly one shard, so a shard's attempt counts are the ones the
+// unsharded sweep sees for the same targets (wildnet.attemptCounter).
 func TestChaosMatrixSharded(t *testing.T) {
 	for _, profile := range []string{"clean", "lossy", "hostile", "flaky"} {
 		t.Run(profile, func(t *testing.T) {
-			single := chaosShardSummary(t, profile, 1)
-			sharded := chaosShardSummary(t, profile, 4)
-			if single != sharded {
-				t.Errorf("sharded chaos pipeline diverges from unsharded:\n--- shards=1\n%s--- shards=4\n%s", single, sharded)
+			single := chaosShardUnion(t, profile, 1)
+			if single.Total() == 0 {
+				t.Fatal("unsharded census found nothing")
+			}
+			if sharded := chaosShardUnion(t, profile, 4); !reflect.DeepEqual(single, sharded) {
+				t.Errorf("four-shard union diverges from the unsharded census: probed %d vs %d, responders %d vs %d",
+					sharded.Probed, single.Probed, sharded.Total(), single.Total())
 			}
 		})
 	}
 }
 
 // TestChaosShardedSchedulerIndependent reruns the nastiest profile's
-// sharded pipeline under a flipped GOMAXPROCS: the four shard workers
-// schedule completely differently, the summary must not move a byte.
+// shard union under a flipped GOMAXPROCS: every shard's senders schedule
+// completely differently, the merged census must not move.
 func TestChaosShardedSchedulerIndependent(t *testing.T) {
-	base := chaosShardSummary(t, "hostile", 4)
+	base := chaosShardUnion(t, "hostile", 4)
 	old := runtime.GOMAXPROCS(0)
 	flipped := 1
 	if old == 1 {
 		flipped = 4
 	}
 	runtime.GOMAXPROCS(flipped)
-	alt := chaosShardSummary(t, "hostile", 4)
+	alt := chaosShardUnion(t, "hostile", 4)
 	runtime.GOMAXPROCS(old)
-	if base != alt {
-		t.Errorf("sharded hostile summary diverges at GOMAXPROCS=%d:\n--- base\n%s--- flipped\n%s", flipped, base, alt)
+	if !reflect.DeepEqual(base, alt) {
+		t.Errorf("hostile shard union diverges at GOMAXPROCS=%d: responders %d vs %d", flipped, alt.Total(), base.Total())
 	}
 }

@@ -88,14 +88,14 @@ func restoredFrom(gen map[string]json.RawMessage) *memStore {
 	return s
 }
 
-func resumeStudy(t *testing.T, order uint, profile string, shards int) *Study {
+func resumeStudy(t *testing.T, order uint, profile string, workers int) *Study {
 	t.Helper()
 	cfg, err := ChaosProfileConfig(order, profile)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Weeks = 4
-	cfg.Shards = shards
+	cfg.Workers = workers
 	s, err := NewStudy(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +144,7 @@ func TestSeriesResumeFromEveryGeneration(t *testing.T) {
 				if _, ok := snap[seriesDocName]; ok {
 					committed++
 				}
-				s := resumeStudy(t, 14, profile, 2)
+				s := resumeStudy(t, 14, profile, 8)
 				res, err := s.RunWeeklySeriesResumeContext(context.Background(), restoredFrom(snap), nil)
 				if err != nil {
 					t.Fatalf("resume from generation %d: %v", gen, err)
@@ -165,7 +165,7 @@ func TestSeriesResumeFromEveryGeneration(t *testing.T) {
 // its state saved, and a resume from the surviving store completes to
 // the uninterrupted result.
 func TestSeriesResumeAfterStop(t *testing.T) {
-	base := resumeStudy(t, 14, "hostile", 1)
+	base := resumeStudy(t, 14, "hostile", 8)
 	want, err := base.RunWeeklySeriesResumeContext(context.Background(), newMemStore(), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -173,13 +173,13 @@ func TestSeriesResumeAfterStop(t *testing.T) {
 
 	store := newMemStore()
 	store.stopAt = 5
-	stopped := resumeStudy(t, 14, "hostile", 1)
+	stopped := resumeStudy(t, 14, "hostile", 8)
 	if _, err := stopped.RunWeeklySeriesResumeContext(context.Background(), store, nil); !errors.Is(err, errStopRun) {
 		t.Fatalf("stopped run returned %v, want the stop error", err)
 	}
 	store.stopAt = 0
 
-	resumed := resumeStudy(t, 14, "hostile", 1)
+	resumed := resumeStudy(t, 14, "hostile", 8)
 	res, err := resumed.RunWeeklySeriesResumeContext(context.Background(), store, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -196,13 +196,13 @@ func TestSeriesResumeAfterStop(t *testing.T) {
 // store whose cursor already equals Weeks runs no sweeps and returns
 // the checkpointed series as-is.
 func TestSeriesResumeAfterCompletion(t *testing.T) {
-	base := resumeStudy(t, 14, "clean", 1)
+	base := resumeStudy(t, 14, "clean", 8)
 	store := newMemStore()
 	want, err := base.RunWeeklySeriesResumeContext(context.Background(), store, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again := resumeStudy(t, 14, "clean", 1)
+	again := resumeStudy(t, 14, "clean", 8)
 	res, err := again.RunWeeklySeriesResumeContext(context.Background(), store, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -220,7 +220,7 @@ func TestSeriesResumeRejectsBadCursor(t *testing.T) {
 	if err := store.Update(seriesDocName, SeriesCheckpoint{Cursor: 99}); err != nil {
 		t.Fatal(err)
 	}
-	s := resumeStudy(t, 14, "clean", 1)
+	s := resumeStudy(t, 14, "clean", 8)
 	if _, err := s.RunWeeklySeriesResumeContext(context.Background(), store, nil); err == nil {
 		t.Fatal("out-of-range cursor accepted")
 	} else if want := fmt.Sprintf("cursor %d out of range", 99); !strings.Contains(err.Error(), want) {

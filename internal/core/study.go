@@ -46,10 +46,6 @@ type Config struct {
 	Loss float64
 	// Workers is the scanner's sender concurrency.
 	Workers int
-	// Shards runs every sweep as that many leapfrog shard workers
-	// (scanner.Options.Shards). 0 or 1 scans unsharded; results are
-	// identical either way (see the scanner's sharding contract).
-	Shards int
 	// Faults layers the deterministic fault model over the world
 	// (bursty loss, latency, duplication, garbling, rate limiting,
 	// flaps — see wildnet.FaultConfig). The zero value injects nothing
@@ -150,7 +146,6 @@ type DegradedStage struct {
 func (c Config) scanOpts() scanner.Options {
 	return scanner.Options{
 		Workers:      c.Workers,
-		Shards:       c.Shards,
 		Retries:      1,
 		SettleDelay:  scanner.NoSettle,
 		Backoff:      c.Backoff,

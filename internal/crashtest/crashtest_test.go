@@ -115,12 +115,8 @@ func saveMismatch(t *testing.T, name string, got, want []byte) (string, string) 
 
 // scenarioArgs is the flag set every run in a scenario shares; the
 // checkpoint flags are appended per attempt.
-func scenarioArgs(chaos string, shards int) []string {
-	args := []string{"-order", "16", "-exp", "all", "-weeks", "6", "-chaos", chaos}
-	if shards > 1 {
-		args = append(args, "-shards", fmt.Sprint(shards))
-	}
-	return args
+func scenarioArgs(chaos string) []string {
+	return []string{"-order", "16", "-exp", "all", "-weeks", "6", "-chaos", chaos}
 }
 
 // TestCrashResumeByteIdentity is the main matrix: for each scenario,
@@ -129,28 +125,36 @@ func scenarioArgs(chaos string, shards int) []string {
 // (alternating GOMAXPROCS across attempts) until a run completes. The
 // completing run's stdout — journaled sections replayed, interrupted
 // work redone — must match the uninterrupted run byte for byte.
+//
+// A checkpointed sweep runs Options.Workers senders, so what gets killed
+// is up to eight of them at or between rendezvous. Most rows start on
+// four procs and resume on one; the last row flips the other way, so the
+// resumed runs — the ones picking up another process's checkpoint — are
+// the ones whose senders truly run in parallel when the kill lands.
 func TestCrashResumeByteIdentity(t *testing.T) {
 	gate(t)
 	bin := goingwildBin(t)
 	scenarios := []struct {
-		chaos  string
-		shards int
+		chaos string
+		// procs is GOMAXPROCS for even (incl. the first) and odd attempts.
+		procs [2]string
 	}{
-		{"clean", 1}, {"lossy", 1}, {"hostile", 1}, {"flaky", 1},
-		{"clean", 4}, {"hostile", 4},
+		{"clean", [2]string{"4", "1"}}, {"lossy", [2]string{"4", "1"}},
+		{"hostile", [2]string{"4", "1"}}, {"flaky", [2]string{"4", "1"}},
+		{"hostile", [2]string{"1", "8"}},
 	}
 	// killQuota kills per scenario keeps the total well past the
 	// twenty-point floor while letting each scenario terminate.
 	const (
-		killQuota   = 4
+		killQuota   = 5
 		maxAttempts = 40
 	)
 	rng := rand.New(rand.NewSource(0x5EED))
 	totalKills := 0
 	for _, sc := range scenarios {
-		name := fmt.Sprintf("%s-m%d", sc.chaos, sc.shards)
+		name := fmt.Sprintf("%s-p%s-p%s", sc.chaos, sc.procs[0], sc.procs[1])
 		t.Run(name, func(t *testing.T) {
-			args := scenarioArgs(sc.chaos, sc.shards)
+			args := scenarioArgs(sc.chaos)
 			base := runOnce(t, bin, args, "4", 0)
 			if base.exit != 0 {
 				t.Fatalf("baseline failed (exit %d):\n%s", base.exit, base.stderr.String())
@@ -168,10 +172,7 @@ func TestCrashResumeByteIdentity(t *testing.T) {
 				}
 				// Flip schedulers across attempts: resume state must be
 				// insensitive to GOMAXPROCS.
-				gmp := "4"
-				if attempt%2 == 1 {
-					gmp = "1"
-				}
+				gmp := sc.procs[attempt%2]
 				// While under quota, aim the kill inside the previous
 				// attempt's runtime so it actually lands; after quota,
 				// let the run finish.
@@ -232,7 +233,7 @@ func ckptFiles(t *testing.T, dir string) []string {
 func TestTornCheckpointFallsBack(t *testing.T) {
 	gate(t)
 	bin := goingwildBin(t)
-	args := scenarioArgs("hostile", 1)
+	args := scenarioArgs("hostile")
 	base := runOnce(t, bin, args, "4", 0)
 	if base.exit != 0 {
 		t.Fatalf("baseline failed (exit %d):\n%s", base.exit, base.stderr.String())
@@ -289,7 +290,7 @@ func TestTornCheckpointFallsBack(t *testing.T) {
 func TestInterruptCheckpointsAndResumes(t *testing.T) {
 	gate(t)
 	bin := goingwildBin(t)
-	args := scenarioArgs("clean", 1)
+	args := scenarioArgs("clean")
 	base := runOnce(t, bin, args, "4", 0)
 	if base.exit != 0 {
 		t.Fatalf("baseline failed (exit %d):\n%s", base.exit, base.stderr.String())

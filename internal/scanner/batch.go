@@ -3,7 +3,6 @@ package scanner
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 
 	"goingwild/internal/dnswire"
 	"goingwild/internal/lfsr"
@@ -15,10 +14,32 @@ import (
 // the whole batch to the transport in one BatchSender.SendBatch call.
 // Against the in-memory transport that amortizes the clock lock and the
 // fault-layer gate; against the UDP gateway it becomes one sendmmsg(2)
-// per batch instead of 256 sendto(2) calls. Transports that do not
-// implement wildnet.BatchSender keep the per-probe Send loop — scan
-// results are identical either way, batching only changes the dispatch
-// overhead.
+// per batch instead of 256 sendto(2) calls. A transport that does not
+// implement wildnet.BatchSender is driven through the sendLoop adapter —
+// scan results are identical either way, batching only changes the
+// dispatch overhead.
+
+// batchSender resolves a transport's batch dispatch once: its own
+// SendBatch, or the loop-over-Send adapter.
+func batchSender(tr Transport) wildnet.BatchSender {
+	if bs, ok := tr.(wildnet.BatchSender); ok {
+		return bs
+	}
+	return sendLoop{tr}
+}
+
+// sendLoop adapts a Send-only transport to wildnet.BatchSender.
+type sendLoop struct{ tr Transport }
+
+// SendBatch implements wildnet.BatchSender, one Send per probe in order.
+func (l sendLoop) SendBatch(ctx context.Context, batch []wildnet.Probe) (int, error) {
+	for i := range batch {
+		p := &batch[i]
+		//lint:allow errdrop send failures are modeled packet loss
+		l.tr.Send(ctx, p.Dst, p.DstPort, p.SrcPort, p.Payload)
+	}
+	return len(batch), nil
+}
 
 // batchSizeBounds buckets the transport.batch.size histogram: powers of
 // two up to the streamBatch flush threshold.
@@ -39,10 +60,10 @@ type probeBatch struct {
 	probes []wildnet.Probe
 }
 
-// probeBatchPool recycles assembly arenas across batches and scans, like
-// sweepBufPool does for the per-probe path. The probe headers are kept at
-// full length with the constant fields (DstPort 53) prefilled; finish
-// only writes what varies per probe.
+// probeBatchPool recycles assembly arenas across batches and scans; it
+// lives at package scope so warm arenas carry from one sweep to the next.
+// The probe headers are kept at full length with the constant fields
+// (DstPort 53) prefilled; finish only writes what varies per probe.
 var probeBatchPool = sync.Pool{New: func() any {
 	b := &probeBatch{
 		us:     make([]uint32, streamBatch),
@@ -60,9 +81,7 @@ var probeBatchPool = sync.Pool{New: func() any {
 // per-target fields (transaction ID, anti-caching prefix, hex-IP label)
 // into a preassembled query, instead of rebuilding the query label by
 // label. The output is byte-for-byte what AppendTargetQuery produces for
-// the same target and attempt (TestTemplateBuildMatchesAppend pins this),
-// which the batched sweep path relies on for probe identity with the
-// per-probe path.
+// the same target and attempt (TestTemplateBuildMatchesAppend pins this).
 func templateBuild(baseWire []byte, attempt int) func(u uint32, buf []byte) []byte {
 	p0 := cachePrefixN(0, attempt)
 	tmpl := dnswire.AppendTargetQuery(nil, 0, p0[:], 0, baseWire, dnswire.TypeA, dnswire.ClassIN)
@@ -135,88 +154,4 @@ func (b *probeBatch) finish(srcPort uint16) []wildnet.Probe {
 		p.Payload = b.buf[b.offs[i]:end:end]
 	}
 	return probes
-}
-
-// batchWorker is one batched sender: it pulls target batches from gen
-// (under genMu when the generator is shared), assembles the accepted
-// targets' probes, and dispatches each batch in a single SendBatch call.
-// accept filters targets (nil accepts all; retry rounds pass the miss
-// check); build writes one probe payload by appending to the arena;
-// onFlush observes each dispatched batch size (for sent accounting).
-// Returns the number of probes sent.
-//
-// Cancellation mirrors streamAll: polled once per pulled batch, and
-// skipped entirely for non-cancellable contexts.
-func (s *Scanner) batchWorker(ctx context.Context, gen *lfsr.TargetGenerator, genMu *sync.Mutex,
-	bs wildnet.BatchSender, build func(u uint32, buf []byte) []byte,
-	accept func(u uint32) bool, onFlush func(n int)) (uint64, error) {
-	cancellable := ctx.Done() != nil
-	limited := s.rate.interval != 0
-	bat := probeBatchPool.Get().(*probeBatch)
-	defer probeBatchPool.Put(bat)
-	var targets [streamBatch]uint32
-	var total uint64
-	for {
-		if cancellable && ctx.Err() != nil {
-			return total, ctx.Err()
-		}
-		var n int
-		if genMu != nil {
-			genMu.Lock()
-			n = gen.NextBatch(targets[:])
-			genMu.Unlock()
-		} else {
-			n = gen.NextBatch(targets[:])
-		}
-		if n == 0 {
-			return total, ctx.Err()
-		}
-		bat.reset()
-		for _, u := range targets[:n] {
-			if accept != nil && !accept(u) {
-				continue
-			}
-			if limited {
-				s.rate.wait(ctx)
-			}
-			bat.add(u, build)
-		}
-		if bat.n == 0 {
-			continue
-		}
-		probes := bat.finish(s.opts.BasePort)
-		total += uint64(len(probes))
-		if onFlush != nil {
-			onFlush(len(probes))
-		}
-		s.m.batchSize.Observe(int64(len(probes)))
-		// Send failures are modeled packet loss, like streamAll's Send.
-		bs.SendBatch(ctx, probes)
-	}
-}
-
-// streamAllBatched is streamAll's bulk variant: the worker pool shares
-// the generator and every worker runs batchWorker. Returns the probe
-// count, exactly as streamAll counts targets.
-func (s *Scanner) streamAllBatched(ctx context.Context, gen *lfsr.TargetGenerator, bs wildnet.BatchSender,
-	build func(u uint32, buf []byte) []byte, accept func(u uint32) bool, onFlush func(n int)) (uint64, error) {
-	workers := s.opts.Workers
-	if workers <= 1 {
-		return s.batchWorker(ctx, gen, nil, bs, build, accept, onFlush)
-	}
-	var (
-		genMu sync.Mutex
-		total atomic.Uint64
-		wg    sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			n, _ := s.batchWorker(ctx, gen, &genMu, bs, build, accept, onFlush)
-			total.Add(n)
-		}()
-	}
-	wg.Wait()
-	return total.Load(), ctx.Err()
 }

@@ -34,10 +34,11 @@ type scanMetrics struct {
 	settleWaits *metrics.Counter
 	// rateStalls counts rate-limiter sleeps (Timing class).
 	rateStalls *metrics.Counter
-	// batchSize distributes the per-SendBatch probe counts the batched
-	// send path dispatched. The multiset of batch sizes is deterministic
-	// (full streamBatch flushes plus one remainder per stream), even
-	// though which worker flushed which batch is not.
+	// batchSize distributes the per-SendBatch probe counts the sweep
+	// dispatched. The multiset of batch sizes is deterministic (batches
+	// are cut by the one generator's pull sequence: full streamBatch pulls
+	// plus one remainder per round, less what a retry round's miss check
+	// drops), even though which worker flushed which batch is not.
 	batchSize *metrics.Histogram
 }
 

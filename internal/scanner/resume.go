@@ -3,61 +3,45 @@ package scanner
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 
-	"goingwild/internal/dnswire"
-	"goingwild/internal/domains"
 	"goingwild/internal/lfsr"
 	"goingwild/internal/wildnet"
 )
 
-// Resumable sweeps. SweepResumeContext runs the same census (and the
-// same chaos-profile retry rounds) as SweepContext, but periodically
-// quiesces its sender workers at a rendezvous barrier and hands a
-// consistent SweepCheckpoint to the caller's Save hook. A process
-// killed at any instant can restart from the last saved checkpoint and
-// produce the identical SweepResult an uninterrupted run produces:
+// Resumable sweeps. SweepResumeContext runs the sweep engine with a
+// ResumeControl attached: the sender workers periodically quiesce at a
+// rendezvous barrier and a consistent SweepCheckpoint goes to the
+// caller's Save hook. A process killed at any instant can restart from
+// the last saved checkpoint — at any Workers value — and produce the
+// identical SweepResult an uninterrupted run produces:
 //
-//   - Shard workers own disjoint slices of the target permutation, and
-//     every probe payload is a pure function of (target, round), so
-//     replaying a shard from its saved generator position re-sends
-//     exactly the probes the dead run had not yet sent.
+//   - All workers drain one generator, and every probe payload is a pure
+//     function of (target, round), so replaying the round from the saved
+//     generator position re-sends exactly the probes the dead run had not
+//     yet sent.
 //   - The world model's packet fates are pure per-packet draws — the
 //     only mutable transport state is the retransmission counter, which
 //     the checkpoint carries — so a replayed send observes the same
 //     fate it would have in the uninterrupted run.
 //   - The collector snapshot is taken only while every sender is parked
 //     at the barrier, so it can never contain a response to a probe
-//     beyond some shard's saved generator position. That matters in
-//     retry rounds: the miss filter consults the collector, and a
-//     "future" entry would suppress a retransmission the uninterrupted
-//     run made.
-
-// ShardProgress is one shard worker's position inside the current
-// sweep round.
-type ShardProgress struct {
-	// Gen marks how far the shard's target generator has advanced;
-	// every target before this position has been fully sent.
-	Gen lfsr.GeneratorState `json:"gen"`
-	// Sent counts this shard's census probes (round 0 only; retry
-	// traffic never counts toward Probed).
-	Sent uint64 `json:"sent"`
-}
+//     beyond the saved generator position. That matters in retry rounds:
+//     the miss filter consults the collector, and a "future" entry would
+//     suppress a retransmission the uninterrupted run made.
 
 // SweepCheckpoint is a consistent cut of an in-flight sweep.
 type SweepCheckpoint struct {
-	Order  uint   `json:"order"`
-	Seed   uint32 `json:"seed"`
-	Shards int    `json:"shards"`
 	// Round is the round in progress: 0 is the census, 1..SweepRetries
-	// are retransmission rounds. When Workers is nil the round has not
-	// started (the checkpoint sits on a round boundary).
-	Round   int             `json:"round"`
-	Workers []ShardProgress `json:"workers,omitempty"`
-	// Budgets is each shard's remaining retransmission allowance; nil
-	// when the scan runs with an unlimited budget.
-	Budgets []int `json:"budgets,omitempty"`
+	// are retransmission rounds.
+	Round int `json:"round"`
+	// Gen names the walk (order, seed, shard) and marks how far Round's
+	// target generator has advanced: every target before this position has
+	// been fully sent. On a round boundary it is the start of the walk.
+	Gen lfsr.GeneratorState `json:"gen"`
+	// Budget is the remaining retransmission allowance; meaningful only
+	// when the scan runs with a bound RetryBudget.
+	Budget int `json:"budget,omitempty"`
 	// Probed is the census probe count so far (final once Round > 0).
 	Probed uint64 `json:"probed"`
 	// Responders is the sorted collector content at the cut.
@@ -83,9 +67,9 @@ type ResumeControl struct {
 	// error (e.g. checkpoint.ErrStopped from a signal-triggered stop
 	// after a successful save) unwinds the sweep.
 	Save func(*SweepCheckpoint) error
-	// EveryBatches is how many send batches each worker dispatches
-	// between rendezvous points (default 16; one batch is up to
-	// streamBatch probes).
+	// EveryBatches is how many send batches the workers dispatch between
+	// rendezvous points (default 16; one batch is up to streamBatch
+	// probes).
 	EveryBatches int
 }
 
@@ -97,24 +81,29 @@ type attemptsCarrier interface {
 }
 
 // rendezvous is the quiesce barrier checkpoint snapshots require. Every
-// worker calls pause after each batch; when a snapshot is due, workers
-// park until the last arrival runs snap() — at that instant every
-// registered worker has published its position and nothing is in
-// flight. Errors from snap (including the deliberate stop signal) are
-// sticky and unwind every worker.
+// worker calls pause after each batch; every `every` batches a snapshot
+// falls due and workers park until the last arrival runs snap() — at
+// that instant every registered worker sits on a batch boundary and
+// nothing is in flight. Errors from snap (including the deliberate stop
+// signal) are sticky and unwind every worker.
 type rendezvous struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	active int
-	parked int
-	gen    uint64
-	due    bool
-	snap   func() error
-	err    error
+	mu      sync.Mutex
+	cond    *sync.Cond
+	every   int
+	batches int
+	active  int
+	parked  int
+	gen     uint64
+	due     bool
+	snap    func() error
+	err     error
 }
 
-func newRendezvous(workers int, snap func() error) *rendezvous {
-	r := &rendezvous{active: workers, snap: snap}
+func newRendezvous(workers, every int, snap func() error) *rendezvous {
+	if every <= 0 {
+		every = 16
+	}
+	r := &rendezvous{active: workers, every: every, snap: snap}
 	r.cond = sync.NewCond(&r.mu)
 	return r
 }
@@ -123,9 +112,7 @@ func newRendezvous(workers int, snap func() error) *rendezvous {
 // holds mu; every active worker is parked (or this is the last one).
 func (r *rendezvous) fire() {
 	if r.err == nil {
-		if err := r.snap(); err != nil {
-			r.err = err
-		}
+		r.err = r.snap()
 	}
 	r.due = false
 	r.parked = 0
@@ -133,17 +120,17 @@ func (r *rendezvous) fire() {
 	r.cond.Broadcast()
 }
 
-// pause publishes the worker's position via update and, when a snapshot
-// is due (or this worker requests one), parks until it is taken.
-func (r *rendezvous) pause(update func(), request bool) error {
+// pause counts one dispatched batch and, when a snapshot is due, parks
+// the worker until it is taken.
+func (r *rendezvous) pause() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	update()
-	if request {
-		r.due = true
-	}
 	if r.err != nil {
 		return r.err
+	}
+	r.batches++
+	if r.batches%r.every == 0 {
+		r.due = true
 	}
 	if !r.due {
 		return nil
@@ -159,12 +146,11 @@ func (r *rendezvous) pause(update func(), request bool) error {
 	return r.err
 }
 
-// finish publishes the worker's final position and deregisters it. If
-// the remaining workers are all parked on a due snapshot, the departing
+// finish deregisters a worker that has sent everything it pulled. If the
+// remaining workers are all parked on a due snapshot, the departing
 // worker takes it for them.
-func (r *rendezvous) finish(update func()) {
+func (r *rendezvous) finish() {
 	r.mu.Lock()
-	update()
 	r.active--
 	if r.due && r.parked == r.active {
 		r.fire()
@@ -172,280 +158,61 @@ func (r *rendezvous) finish(update func()) {
 	r.mu.Unlock()
 }
 
-// SweepResumeContext is SweepContext with crash-safe checkpoints. With
-// rc nil it is exactly SweepContext; otherwise it periodically saves a
-// consistent SweepCheckpoint through rc.Save and, when rc.Prev is set,
-// resumes from it instead of starting over. The final SweepResult is
-// identical to an uninterrupted SweepContext run with the same options
-// (shard workers emit the same probe set as the sharded and unsharded
-// sweeps — see sweepSharded's equivalence argument).
+// SweepResumeContext is SweepContext with crash-safe checkpoints: it
+// periodically saves a consistent SweepCheckpoint through rc.Save and,
+// when rc.Prev is set, resumes from it instead of starting over. With rc
+// nil (or no Save hook) it is exactly SweepContext. The final SweepResult
+// is identical to an uninterrupted SweepContext run with the same
+// options, whatever Workers value either run used.
 func (s *Scanner) SweepResumeContext(ctx context.Context, order uint, seed uint32, bl *lfsr.Blacklist, rc *ResumeControl) (*SweepResult, error) {
-	if rc == nil || rc.Save == nil {
-		return s.SweepContext(ctx, order, seed, bl)
-	}
-	if s.tr == nil {
-		return nil, ErrNoTransport
-	}
-	m := s.opts.Shards
-	prev := rc.Prev
-	if prev != nil {
-		if prev.Order != order || prev.Seed != seed || prev.Shards != m {
-			return nil, fmt.Errorf("scanner: checkpoint is a %d-shard order-%d seed-%d sweep; this run is %d-shard order-%d seed-%d",
-				prev.Shards, prev.Order, prev.Seed, m, order, seed)
-		}
-		if !prev.Done && prev.Round > s.opts.SweepRetries {
-			return nil, fmt.Errorf("scanner: checkpoint round %d exceeds this run's %d retry rounds", prev.Round, s.opts.SweepRetries)
-		}
-	}
-	hint := int(uint64(1) << order / 64)
-	st := newSweepCollector(domains.ScanBase, hint)
-	st.recv = s.m.sweepRecv
-	s.tr.SetReceiver(st.receive)
-	baseWire, err := dnswire.EncodeNameWire(st.base)
-	if err != nil {
-		return nil, err
-	}
-	if bl != nil {
-		bl.Freeze()
-	}
-
-	budgeted := s.opts.RetryBudget > 0
-	var budgets []int
-	if budgeted {
-		budgets = make([]int, m)
-		for i := range budgets {
-			budgets[i] = shardBudget(s.opts.RetryBudget, i, m)
-		}
-	}
-	var census uint64
-	startRound := 0
-	if prev != nil {
-		for _, r := range prev.Responders {
-			st.responses.InsertOnce(r.Addr, r)
-		}
-		if tc, ok := s.tr.(attemptsCarrier); ok {
-			tc.RestoreAttempts(prev.Attempts)
-		}
-		if prev.Done {
-			return s.collectSweep(st, prev.Probed), nil
-		}
-		census = prev.Probed
-		startRound = prev.Round
-		if budgeted && len(prev.Budgets) == m {
-			copy(budgets, prev.Budgets)
-		}
-	}
-
-	every := rc.EveryBatches
-	if every <= 0 {
-		every = 16
-	}
-	bs, batched := s.tr.(wildnet.BatchSender)
-	limited := s.rate.interval != 0
-	cancellable := ctx.Done() != nil
-	guard := s.newDeadlineGuard()
-	miss := func(u uint32) bool {
-		_, answered := st.responses.Get(u)
-		return !answered
-	}
-	// snapshot state shared between the round workers and the snap
-	// closure; every access happens under the rendezvous mutex.
-	slots := make([]ShardProgress, m)
-
-	snapRound := 0
-	snap := func() error {
-		ck := &SweepCheckpoint{
-			Order:   order,
-			Seed:    seed,
-			Shards:  m,
-			Round:   snapRound,
-			Workers: append([]ShardProgress(nil), slots...),
-			Probed:  census,
-		}
-		if snapRound == 0 {
-			ck.Probed = 0
-			for _, sl := range slots {
-				ck.Probed += sl.Sent
-			}
-		}
-		if budgeted {
-			ck.Budgets = append([]int(nil), budgets...)
-		}
-		ck.Responders = s.snapshotResponders(st)
-		ck.Attempts = s.snapshotAttempts()
-		return rc.Save(ck)
-	}
-
-	partial := func() uint64 {
-		if census > 0 {
-			return census
-		}
-		var n uint64
-		for _, sl := range slots {
-			n += sl.Sent
-		}
-		return n
-	}
-
-	for round := startRound; round <= s.opts.SweepRetries; round++ {
-		if err := ctx.Err(); err != nil {
-			return s.collectSweep(st, partial()), err
-		}
-		if round > 0 {
-			if guard.expired() {
-				break
-			}
-			if err := s.backoffWait(ctx, round); err != nil {
-				return s.collectSweep(st, partial()), err
-			}
-		}
-		resumed := prev != nil && prev.Round == round && len(prev.Workers) == m
-		build := templateBuild(baseWire, round)
-		snapRound = round
-		for i := range slots {
-			slots[i] = ShardProgress{}
-		}
-		gens := make([]*lfsr.TargetGenerator, m)
-		sents := make([]uint64, m)
-		for i := 0; i < m; i++ {
-			if resumed {
-				gens[i], err = lfsr.Resume(prev.Workers[i].Gen, bl)
-				sents[i] = prev.Workers[i].Sent
-			} else {
-				gens[i], err = lfsr.ShardedGenerator(order, seed, bl, i, m)
-			}
-			if err != nil {
-				return s.collectSweep(st, partial()), err
-			}
-			slots[i] = ShardProgress{Gen: gens[i].State(), Sent: sents[i]}
-		}
-		rz := newRendezvous(m, snap)
-		errs := make([]error, m)
-		var wg sync.WaitGroup
-		for i := 0; i < m; i++ {
-			wg.Add(1)
-			go func(i int, gen *lfsr.TargetGenerator, sent uint64) {
-				defer wg.Done()
-				budget := 0
-				if budgeted {
-					budget = budgets[i]
-				}
-				update := func() {
-					slots[i] = ShardProgress{Gen: gen.State(), Sent: sent}
-					if budgeted {
-						budgets[i] = budget
-					}
-				}
-				defer rz.finish(update)
-				if round > 0 {
-					s.m.retryRounds.Inc()
-				}
-				bat := probeBatchPool.Get().(*probeBatch)
-				defer probeBatchPool.Put(bat)
-				var targets [streamBatch]uint32
-				batches := 0
-				exhausted := false
-				for !exhausted {
-					if cancellable && ctx.Err() != nil {
-						errs[i] = ctx.Err()
-						return
-					}
-					n := gen.NextBatch(targets[:])
-					if n == 0 {
-						return
-					}
-					bat.reset()
-					for _, u := range targets[:n] {
-						if round > 0 {
-							if !miss(u) {
-								continue
-							}
-							if budgeted {
-								if budget <= 0 {
-									exhausted = true
-									break
-								}
-								budget--
-							}
-						}
-						if limited {
-							s.rate.wait(ctx)
-						}
-						bat.add(u, build)
-					}
-					if bat.n > 0 {
-						probes := bat.finish(s.opts.BasePort)
-						sent += uint64(len(probes))
-						s.m.sweepSent.Add(uint64(len(probes)))
-						if round > 0 {
-							s.m.retrySpend.Add(uint64(len(probes)))
-						}
-						s.m.batchSize.Observe(int64(len(probes)))
-						if batched {
-							// Send failures are modeled packet loss.
-							bs.SendBatch(ctx, probes)
-						} else {
-							for k := range probes {
-								p := &probes[k]
-								//lint:allow errdrop sweep send failures are modeled packet loss
-								s.tr.Send(ctx, p.Dst, 53, p.SrcPort, p.Payload)
-							}
-						}
-					}
-					batches++
-					if err := rz.pause(update, batches%every == 0); err != nil {
-						errs[i] = err
-						return
-					}
-				}
-			}(i, gens[i], sents[i])
-		}
-		wg.Wait()
-		prev = nil
-		if round == 0 {
-			census = 0
-			for _, sl := range slots {
-				census += sl.Sent
-			}
-		}
-		for _, e := range errs {
-			if e != nil {
-				return s.collectSweep(st, partial()), e
-			}
-		}
-		if err := s.settle(ctx); err != nil {
-			return s.collectSweep(st, census), err
-		}
-		// Round boundary: force a checkpoint so a crash during the next
-		// round's backoff (or after the last round) resumes cleanly.
-		bound := &SweepCheckpoint{
-			Order: order, Seed: seed, Shards: m,
-			Round:      round + 1,
-			Probed:     census,
-			Responders: s.snapshotResponders(st),
-			Attempts:   s.snapshotAttempts(),
-			Done:       round == s.opts.SweepRetries,
-		}
-		if budgeted {
-			bound.Budgets = append([]int(nil), budgets...)
-		}
-		if err := rc.Save(bound); err != nil {
-			return s.collectSweep(st, census), err
-		}
-		if bound.Done {
-			break
-		}
-	}
-	return s.collectSweep(st, census), ctx.Err()
+	return s.sweep(ctx, order, seed, bl, 0, 1, rc)
 }
 
-// snapshotResponders freezes the collector into a sorted slice for a
-// checkpoint. Callers guarantee no sender is in flight.
-func (s *Scanner) snapshotResponders(st *sweepCollector) []Responder {
-	out := make([]Responder, 0, st.responses.Len())
-	st.responses.Collect(func(_ uint32, r Responder) { out = append(out, r) })
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
-	return out
+// restoreSweep loads prev into a freshly built run and collector. It
+// reports done when prev already holds the complete result.
+func (s *Scanner) restoreSweep(run *sweepRun, st *sweepCollector, prev *SweepCheckpoint, bl *lfsr.Blacklist) (done bool, err error) {
+	g, want := prev.Gen, run.gen.State()
+	if g.Order != want.Order || g.Seed != want.Seed || g.Shard != want.Shard || g.Of != want.Of {
+		return false, fmt.Errorf("scanner: checkpoint is shard %d/%d of an order-%d seed-%d sweep; this run is shard %d/%d of order-%d seed-%d",
+			g.Shard, g.Of, g.Order, g.Seed, want.Shard, want.Of, want.Order, want.Seed)
+	}
+	if !prev.Done && prev.Round > s.opts.SweepRetries {
+		return false, fmt.Errorf("scanner: checkpoint round %d exceeds this run's %d retry rounds", prev.Round, s.opts.SweepRetries)
+	}
+	if run.gen, err = lfsr.Resume(g, bl); err != nil {
+		return false, err
+	}
+	for _, r := range prev.Responders {
+		st.responses.InsertOnce(r.Addr, r)
+	}
+	if tc, ok := s.tr.(attemptsCarrier); ok {
+		tc.RestoreAttempts(prev.Attempts)
+	}
+	run.round = prev.Round
+	run.probed = prev.Probed
+	if run.bound {
+		run.budget = prev.Budget
+	}
+	return prev.Done, nil
+}
+
+// checkpointSweep cuts a checkpoint of the run. Callers guarantee no
+// sender is in flight: every worker is parked at the rendezvous, or the
+// round's workers have all returned.
+func (s *Scanner) checkpointSweep(run *sweepRun, st *sweepCollector) *SweepCheckpoint {
+	run.mu.Lock()
+	defer run.mu.Unlock()
+	ck := &SweepCheckpoint{
+		Round:      run.round,
+		Gen:        run.gen.State(),
+		Probed:     run.probed,
+		Responders: s.collectSweep(st, run.probed).Responders,
+		Attempts:   s.snapshotAttempts(),
+	}
+	if run.bound {
+		ck.Budget = run.budget
+	}
+	return ck
 }
 
 // snapshotAttempts captures the transport's retransmission counters,

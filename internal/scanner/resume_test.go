@@ -6,8 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"goingwild/internal/lfsr"
+	"goingwild/internal/prand"
 	"goingwild/internal/wildnet"
 )
 
@@ -25,9 +29,13 @@ func resumeWorld(t *testing.T, order uint, profile string) (*wildnet.World, *wil
 	return w, wildnet.NewMemTransport(w, wildnet.VantagePrimary)
 }
 
-func resumeOpts(shards int) Options {
-	return Options{Workers: 4, Shards: shards, SettleDelay: NoSettle, SweepRetries: 2}
+func resumeOpts(workers int) Options {
+	return Options{Workers: workers, SettleDelay: NoSettle, SweepRetries: 2}
 }
+
+// midRound reports whether ck was cut at a rendezvous inside a round
+// rather than on a round boundary (where the walk is back at its start).
+func midRound(ck *SweepCheckpoint) bool { return ck.Gen.Emitted > uint64(ck.Gen.Shard) }
 
 // copyCheckpoint deep-copies through JSON, which doubles as a check
 // that every checkpoint a sweep emits survives serialization.
@@ -44,41 +52,126 @@ func copyCheckpoint(t *testing.T, ck *SweepCheckpoint) *SweepCheckpoint {
 	return out
 }
 
-// TestSweepResumeMatchesSweep pins the core equivalence: an
-// uninterrupted checkpointing sweep produces exactly the result of the
-// plain SweepContext path, across fault profiles and shard counts.
-func TestSweepResumeMatchesSweep(t *testing.T) {
-	const order = 14
-	for _, profile := range []string{"clean", "hostile"} {
-		for _, shards := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s/shards=%d", profile, shards), func(t *testing.T) {
-				w, tr := resumeWorld(t, order, profile)
-				defer tr.Close()
-				want, err := New(tr, resumeOpts(shards)).SweepContext(context.Background(), order, 99, w.ScanBlacklist())
-				if err != nil {
-					t.Fatal(err)
-				}
-				tr2 := wildnet.NewMemTransport(w, wildnet.VantagePrimary)
-				defer tr2.Close()
-				saves := 0
-				rc := &ResumeControl{
-					EveryBatches: 2,
-					Save:         func(ck *SweepCheckpoint) error { saves++; return nil },
-				}
-				got, err := New(tr2, resumeOpts(shards)).SweepResumeContext(context.Background(), order, 99, w.ScanBlacklist(), rc)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if saves == 0 {
-					t.Fatal("sweep never checkpointed")
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("resumable sweep diverged: probed %d vs %d, responders %d vs %d",
-						got.Probed, want.Probed, got.Total(), want.Total())
-				}
-			})
+// sweepContract checks, for one (fault profile, retry rounds, retry
+// budget) cell, everything the one sweep engine promises about Workers:
+//
+//	(a) SweepContext returns the same result at every worker count, a
+//	    bound budget included;
+//	(b) a checkpointing sweep stopped at a seeded rendezvous and resumed
+//	    at a *different* worker count lands on that same result;
+//	(c) with an unlimited budget, the SweepShardContext shards of a
+//	    1-way and a 4-way split still union to it.
+func sweepContract(t *testing.T, profile string, retries, budget int) {
+	const order, seed = 14, 99
+	ctx := context.Background()
+	w, _ := resumeWorld(t, order, profile)
+	bl := w.ScanBlacklist()
+	newScanner := func(workers int) (*Scanner, func() error) {
+		tr := wildnet.NewMemTransport(w, wildnet.VantagePrimary)
+		return New(tr, Options{Workers: workers, SettleDelay: NoSettle, SweepRetries: retries, RetryBudget: budget}), tr.Close
+	}
+	sweep := func(workers int, rc *ResumeControl) (*SweepResult, error) {
+		s, closeTr := newScanner(workers)
+		defer closeTr()
+		return s.SweepResumeContext(ctx, order, seed, bl, rc)
+	}
+	want, err := sweep(1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Total() == 0 {
+		t.Fatal("reference sweep found nothing")
+	}
+	same := func(t *testing.T, what string, got *SweepResult) {
+		t.Helper()
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s diverged: probed %d vs %d, responders %d vs %d",
+				what, got.Probed, want.Probed, got.Total(), want.Total())
 		}
 	}
+	errStop := errors.New("stop requested")
+	workers := []int{1, 2, 8}
+	for i, n := range workers {
+		t.Run(fmt.Sprintf("workers=%d", n), func(t *testing.T) {
+			got, err := sweep(n, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			same(t, "SweepContext", got)
+
+			// An uninterrupted checkpointing run, to learn how many
+			// rendezvous the sweep has to stop at.
+			saves := 0
+			got, err = sweep(n, &ResumeControl{EveryBatches: 2, Save: func(*SweepCheckpoint) error { saves++; return nil }})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if saves == 0 {
+				t.Fatal("sweep never checkpointed")
+			}
+			same(t, "uninterrupted checkpointing sweep", got)
+
+			stopAt := 1 + int(prand.UnitOf(seed, uint64(n), uint64(budget))*float64(saves))
+			var last *SweepCheckpoint
+			seen := 0
+			_, err = sweep(n, &ResumeControl{EveryBatches: 2, Save: func(ck *SweepCheckpoint) error {
+				last = copyCheckpoint(t, ck)
+				if seen++; seen == stopAt {
+					return errStop
+				}
+				return nil
+			}})
+			if !errors.Is(err, errStop) {
+				t.Fatalf("sweep stopped at save %d/%d returned %v, want the stop error", stopAt, saves, err)
+			}
+			resumeWith := workers[(i+1)%len(workers)]
+			got, err = sweep(resumeWith, &ResumeControl{Prev: last, EveryBatches: 2, Save: func(*SweepCheckpoint) error { return nil }})
+			if err != nil {
+				t.Fatalf("resume from save %d/%d (round %d) at workers=%d: %v", stopAt, saves, last.Round, resumeWith, err)
+			}
+			same(t, fmt.Sprintf("stop at save %d/%d (round %d), resume at workers=%d", stopAt, saves, last.Round, resumeWith), got)
+		})
+	}
+	if budget > 0 {
+		// A bound budget is split across shards (shardBudget), the one
+		// documented way a shard union may differ from the unsharded run.
+		return
+	}
+	for _, of := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", of), func(t *testing.T) {
+			parts := make([]*SweepResult, of)
+			for shard := range parts {
+				s, closeTr := newScanner(2)
+				parts[shard], err = s.SweepShardContext(ctx, order, seed, bl, shard, of)
+				closeTr()
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, err := MergeSweepResults(parts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			same(t, fmt.Sprintf("%d-shard union", of), got)
+		})
+	}
+}
+
+// TestSweepResumeMatchesSweep runs the engine contract with an unlimited
+// retransmission budget, on a clean world (census only) and under the
+// hostile profile with two retry rounds.
+func TestSweepResumeMatchesSweep(t *testing.T) {
+	t.Run("clean", func(t *testing.T) { sweepContract(t, "clean", 0, 0) })
+	t.Run("hostile", func(t *testing.T) { sweepContract(t, "hostile", 2, 0) })
+}
+
+// TestSweepResumeBudgeted runs the same contract with a bound
+// RetryBudget: the budget is spent on the first misses in permutation
+// order as workers pull them, so neither the worker count nor a stop and
+// resume may change which targets are retransmitted to.
+func TestSweepResumeBudgeted(t *testing.T) {
+	t.Run("clean", func(t *testing.T) { sweepContract(t, "clean", 0, 300) })
+	t.Run("hostile", func(t *testing.T) { sweepContract(t, "hostile", 2, 300) })
 }
 
 // TestSweepResumeFromAnyCheckpoint captures every checkpoint an
@@ -88,11 +181,10 @@ func TestSweepResumeMatchesSweep(t *testing.T) {
 // on the identical result.
 func TestSweepResumeFromAnyCheckpoint(t *testing.T) {
 	const order = 14
-	const shards = 2
 	w, _ := resumeWorld(t, order, "hostile")
 	bl := w.ScanBlacklist()
 
-	run := func(prev *SweepCheckpoint) (*SweepResult, []*SweepCheckpoint, error) {
+	run := func(prev *SweepCheckpoint, workers int) (*SweepResult, []*SweepCheckpoint, error) {
 		tr := wildnet.NewMemTransport(w, wildnet.VantagePrimary)
 		defer tr.Close()
 		var cks []*SweepCheckpoint
@@ -104,11 +196,11 @@ func TestSweepResumeFromAnyCheckpoint(t *testing.T) {
 				return nil
 			},
 		}
-		res, err := New(tr, resumeOpts(shards)).SweepResumeContext(context.Background(), order, 7, bl, rc)
+		res, err := New(tr, resumeOpts(workers)).SweepResumeContext(context.Background(), order, 7, bl, rc)
 		return res, cks, err
 	}
 
-	want, cks, err := run(nil)
+	want, cks, err := run(nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,16 +209,16 @@ func TestSweepResumeFromAnyCheckpoint(t *testing.T) {
 	}
 	sawMidRound := false
 	for k, ck := range cks {
-		if len(ck.Workers) > 0 && !ck.Done {
+		if midRound(ck) {
 			sawMidRound = true
 		}
-		got, _, err := run(ck)
+		got, _, err := run(ck, 8)
 		if err != nil {
 			t.Fatalf("resume from checkpoint %d (round %d, done=%v): %v", k, ck.Round, ck.Done, err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("resume from checkpoint %d (round %d, %d workers, done=%v) diverged: probed %d vs %d, responders %d vs %d",
-				k, ck.Round, len(ck.Workers), ck.Done, got.Probed, want.Probed, got.Total(), want.Total())
+			t.Errorf("resume from checkpoint %d (round %d, mid-round=%v, done=%v) diverged: probed %d vs %d, responders %d vs %d",
+				k, ck.Round, midRound(ck), ck.Done, got.Probed, want.Probed, got.Total(), want.Total())
 		}
 	}
 	if !sawMidRound {
@@ -236,7 +328,7 @@ func TestSweepCheckpointAttemptsDeliverableOnly(t *testing.T) {
 					}
 				}
 			}
-			if ck.Round >= 1 && len(ck.Workers) > 0 {
+			if ck.Round >= 1 && midRound(ck) {
 				return errStop
 			}
 			return nil
@@ -264,41 +356,71 @@ func TestSweepCheckpointAttemptsDeliverableOnly(t *testing.T) {
 	}
 }
 
-// TestSweepResumeBudgeted covers the bounded-retransmission path: the
-// per-shard streaming budget countdown must pick the same targets the
-// materialize-first path picks.
-func TestSweepResumeBudgeted(t *testing.T) {
-	const order = 14
-	w, tr := resumeWorld(t, order, "hostile")
-	defer tr.Close()
-	bl := w.ScanBlacklist()
-	opts := resumeOpts(2)
-	opts.RetryBudget = 300
-	want, err := New(tr, opts).SweepContext(context.Background(), order, 11, bl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr2 := wildnet.NewMemTransport(w, wildnet.VantagePrimary)
-	defer tr2.Close()
-	got, err := New(tr2, opts).SweepResumeContext(context.Background(), order, 11, bl,
-		&ResumeControl{EveryBatches: 2, Save: func(*SweepCheckpoint) error { return nil }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("budgeted resumable sweep diverged: probed %d vs %d, responders %d vs %d",
-			got.Probed, want.Probed, got.Total(), want.Total())
-	}
-}
-
-// TestSweepResumeRejectsMismatch guards against resuming the wrong scan.
+// TestSweepResumeRejectsMismatch guards against resuming the wrong scan:
+// another seed's checkpoint, or a position inside another walk.
 func TestSweepResumeRejectsMismatch(t *testing.T) {
 	w, tr := resumeWorld(t, 14, "clean")
 	defer tr.Close()
-	prev := &SweepCheckpoint{Order: 14, Seed: 5, Shards: 2}
-	_, err := New(tr, resumeOpts(1)).SweepResumeContext(context.Background(), 14, 5, w.ScanBlacklist(),
-		&ResumeControl{Prev: prev, Save: func(*SweepCheckpoint) error { return nil }})
-	if err == nil {
-		t.Fatal("shard-count mismatch accepted")
+	for name, prev := range map[string]*SweepCheckpoint{
+		"seed":  {Gen: lfsr.GeneratorState{Order: 14, Seed: 6, Of: 1}},
+		"shard": {Gen: lfsr.GeneratorState{Order: 14, Seed: 5, Shard: 1, Of: 2, Emitted: 1}},
+	} {
+		_, err := New(tr, resumeOpts(1)).SweepResumeContext(context.Background(), 14, 5, w.ScanBlacklist(),
+			&ResumeControl{Prev: prev, Save: func(*SweepCheckpoint) error { return nil }})
+		if err == nil {
+			t.Errorf("%s mismatch accepted", name)
+		}
+	}
+}
+
+// meetTransport answers nothing; its first SendBatch caller waits for a
+// second, concurrent one, so a sweep driven by a single sender cannot get
+// past its first batch without tripping alone.
+type meetTransport struct {
+	nullTransport
+	calls  atomic.Int32
+	second chan struct{}
+	alone  atomic.Bool
+}
+
+func (m *meetTransport) SendBatch(ctx context.Context, batch []wildnet.Probe) (int, error) {
+	switch m.calls.Add(1) {
+	case 1:
+		select {
+		case <-m.second:
+		case <-time.After(10 * time.Second):
+			m.alone.Store(true)
+		}
+	case 2:
+		close(m.second)
+	}
+	return len(batch), nil
+}
+
+// TestSweepResumeUsesWorkers: a checkpointed sweep takes its parallelism
+// from Options.Workers like any other sweep. More than one sender is
+// inside the transport at once, and the rendezvous still quiesces them
+// for mid-round saves.
+func TestSweepResumeUsesWorkers(t *testing.T) {
+	tr := &meetTransport{second: make(chan struct{})}
+	inRound := 0
+	rc := &ResumeControl{Save: func(ck *SweepCheckpoint) error {
+		if midRound(ck) {
+			inRound++
+		}
+		return nil
+	}}
+	res, err := New(tr, Options{Workers: 8, SettleDelay: NoSettle}).SweepResumeContext(context.Background(), 18, 3, nil, rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.alone.Load() {
+		t.Fatal("no second sender joined the first within 10s: the checkpointed sweep ran on one goroutine")
+	}
+	if res.Probed != 1<<18-1 {
+		t.Errorf("probed %d targets, want %d", res.Probed, 1<<18-1)
+	}
+	if inRound == 0 {
+		t.Error("no mid-round checkpoint was saved")
 	}
 }

@@ -52,15 +52,9 @@ type Options struct {
 	// RatePPS caps the probe rate in packets per second; 0 disables
 	// rate limiting (useful against the in-memory transport).
 	RatePPS int
-	// Workers is the number of sender goroutines (default 8).
+	// Workers is the number of sender goroutines (default 8). It is the
+	// only parallelism knob: scan results never depend on it.
 	Workers int
-	// Shards splits batch scans into that many leapfrog shards running
-	// concurrently: shard i of M owns every M-th slot of the target
-	// permutation (lfsr.ShardedGenerator) or every M-th index of a target
-	// list, with its own generator and retry state. Results are merged
-	// into one collector and stay byte-identical to an unsharded run.
-	// 0 or 1 means unsharded.
-	Shards int
 	// Retries is how many retransmission rounds cover unanswered
 	// probes (packet loss, §5). The zero value defaults to 1;
 	// NoRetries (or any negative value) disables retransmission.
@@ -111,9 +105,6 @@ func (o *Options) fill() {
 	if o.Workers <= 0 {
 		o.Workers = 8
 	}
-	if o.Shards <= 0 {
-		o.Shards = 1
-	}
 	if o.Retries == 0 {
 		o.Retries = 1
 	}
@@ -139,16 +130,19 @@ func (o *Options) fill() {
 
 // Scanner drives probes over a transport.
 type Scanner struct {
-	tr   Transport
-	opts Options
-	rate *rateLimiter
-	m    scanMetrics
+	tr Transport
+	// batch is the sweep's only dispatch: tr's own SendBatch, or the
+	// loop-over-Send adapter for a transport without one.
+	batch wildnet.BatchSender
+	opts  Options
+	rate  *rateLimiter
+	m     scanMetrics
 }
 
 // New builds a scanner.
 func New(tr Transport, opts Options) *Scanner {
 	opts.fill()
-	s := &Scanner{tr: tr, opts: opts, rate: newRateLimiter(opts.RatePPS, opts.Clock), m: newScanMetrics(opts.Metrics)}
+	s := &Scanner{tr: tr, batch: batchSender(tr), opts: opts, rate: newRateLimiter(opts.RatePPS, opts.Clock), m: newScanMetrics(opts.Metrics)}
 	s.rate.stalls = s.m.rateStalls
 	return s
 }
@@ -212,32 +206,6 @@ func (r *rateLimiter) wait(ctx context.Context) {
 // hot path exactly as fast as before contexts existed.
 func (s *Scanner) sendAll(ctx context.Context, n int, send func(i int)) error {
 	cancellable := ctx.Done() != nil
-	if m := s.opts.Shards; m > 1 {
-		// Sharded list scan: shard k owns indices k, k+M, k+2M, ... —
-		// the list analogue of the leapfrog permutation split. Each
-		// shard walks its slice in order, so per-shard send order is
-		// deterministic and the union is exactly the list.
-		workers := m
-		if n < workers {
-			workers = n
-		}
-		var wg sync.WaitGroup
-		for k := 0; k < workers; k++ {
-			wg.Add(1)
-			go func(k int) {
-				defer wg.Done()
-				for i := k; i < n; i += m {
-					if cancellable && ctx.Err() != nil {
-						return
-					}
-					s.rate.wait(ctx)
-					send(i)
-				}
-			}(k)
-		}
-		wg.Wait()
-		return ctx.Err()
-	}
 	workers := s.opts.Workers
 	if n < workers {
 		workers = n
@@ -280,91 +248,6 @@ func (s *Scanner) sendAll(ctx context.Context, n int, send func(i int)) error {
 // under 1% of each worker's time while bounding how far ahead of the
 // others any worker can run.
 const streamBatch = 256
-
-// streamAll drives one probe per generator target across the worker pool
-// without materializing the permutation (a full order-32 sweep would
-// otherwise stage 16 GiB of targets). Workers pull batches from the
-// generator under a shared lock; send receives each target plus a pooled
-// scratch buffer for query assembly (reslice it, leave the grown buffer
-// behind). Returns the number of targets sent.
-//
-// The set of probes sent is exactly the generator's permutation no matter
-// how batches interleave, so scan results stay schedule-independent. A
-// cancelled context stops each worker at its next batch boundary (at most
-// one in-flight batch of streamBatch targets per worker completes), and
-// streamAll returns the partial send count plus ctx.Err().
-//
-// Cancellation is polled via ctx.Err() once per batch — 1/256th of the
-// probe rate, synchronous with cancel() — and skipped entirely for the
-// non-cancellable contexts the ctx-less wrappers pass, preserving the
-// zero-overhead hot path.
-func (s *Scanner) streamAll(ctx context.Context, gen *lfsr.TargetGenerator, send func(u uint32, scratch *[]byte)) (uint64, error) {
-	cancellable := ctx.Done() != nil
-	workers := s.opts.Workers
-	if workers <= 1 {
-		return s.streamOne(ctx, gen, send)
-	}
-	var (
-		genMu sync.Mutex
-		total atomic.Uint64
-		wg    sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			scratch := sweepBufPool.Get().(*[]byte)
-			defer sweepBufPool.Put(scratch)
-			var batch [streamBatch]uint32
-			for {
-				if cancellable && ctx.Err() != nil {
-					return
-				}
-				genMu.Lock()
-				n := gen.NextBatch(batch[:])
-				genMu.Unlock()
-				if n == 0 {
-					return
-				}
-				total.Add(uint64(n))
-				for _, u := range batch[:n] {
-					s.rate.wait(ctx)
-					send(u, scratch)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return total.Load(), ctx.Err()
-}
-
-// streamOne is streamAll's single-goroutine loop: one sender draining one
-// generator in permutation order. Shard workers call it directly (each
-// owns a private sharded generator, so no lock and no pool), which keeps
-// a shard's send order deterministic.
-func (s *Scanner) streamOne(ctx context.Context, gen *lfsr.TargetGenerator, send func(u uint32, scratch *[]byte)) (uint64, error) {
-	cancellable := ctx.Done() != nil
-	scratch := sweepBufPool.Get().(*[]byte)
-	defer sweepBufPool.Put(scratch)
-	var n uint64
-	for {
-		if cancellable && n%streamBatch == 0 && ctx.Err() != nil {
-			return n, ctx.Err()
-		}
-		u, ok := gen.NextU32()
-		if !ok {
-			return n, ctx.Err()
-		}
-		s.rate.wait(ctx)
-		send(u, scratch)
-		n++
-	}
-}
-
-// sweepBufPool recycles probe assembly buffers. It lives at package scope
-// so the pool carries warm buffers across scans instead of draining when
-// each Sweep call returns.
-var sweepBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 128); return &b }}
 
 // settle waits for late responses on asynchronous transports. A negative
 // SettleDelay (synchronous transport) skips the wait. A dead context

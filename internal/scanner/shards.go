@@ -10,13 +10,13 @@ import "sync"
 // multiplicative hash of the key, so concurrent receivers contend only
 // when they land on the same shard.
 
-// nShards is the stripe count. 64 shards keep the collision probability
+// nStripes is the stripe count. 64 stripes keep the collision probability
 // for 16 workers under 2% per access while the whole array stays small
 // enough to walk cheaply at collect time.
-const nShards = 64
+const nStripes = 64
 
 // shardMask extracts the shard index from the hash's top bits.
-const shardShift = 32 - 6 // log2(nShards) == 6
+const shardShift = 32 - 6 // log2(nStripes) == 6
 
 // shardOf maps a key (an IPv4 address or probe index) to its stripe.
 // Knuth's multiplicative hash spreads sequential and LFSR-permuted keys
@@ -38,13 +38,13 @@ type mapShard[V any] struct {
 // shardedMap is a striped insert-mostly map keyed by uint32. All methods
 // are safe for concurrent use.
 type shardedMap[V any] struct {
-	shards [nShards]mapShard[V]
+	shards [nStripes]mapShard[V]
 }
 
 // newShardedMap sizes each stripe for about hint total entries.
 func newShardedMap[V any](hint int) *shardedMap[V] {
 	s := new(shardedMap[V])
-	per := hint / nShards
+	per := hint / nStripes
 	for i := range s.shards {
 		s.shards[i].m = make(map[uint32]V, per)
 	}
@@ -125,7 +125,7 @@ type paddedMutex struct {
 // any access to the state that key addresses. Distinct keys may share a
 // stripe; that is safe (coarser locking), just slower.
 type stripedMutex struct {
-	locks [nShards]paddedMutex
+	locks [nStripes]paddedMutex
 }
 
 // of returns the stripe lock for key.

@@ -114,7 +114,7 @@ func TestStripedMutexCoversAllKeys(t *testing.T) {
 func TestShardOfSpread(t *testing.T) {
 	// Sweep keys must spread across stripes; a degenerate hash would
 	// re-serialize the collector.
-	var hits [nShards]int
+	var hits [nStripes]int
 	for i := uint32(1); i <= 1<<14; i++ {
 		hits[shardOf(i)]++
 	}

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"goingwild/internal/wildnet"
 )
 
 // Stats counts a scanner's traffic, for operator dashboards and the
@@ -65,9 +67,13 @@ func (s Snapshot) String() string {
 		s.Sent, s.Received, 100*s.ResponseRatio(), s.Rate(), s.BytesOut, s.BytesIn)
 }
 
-// statsTransport wraps a Transport with counting.
+// statsTransport wraps a Transport with counting. It stays transparent
+// for everything the scanner type-asserts a transport for: batch
+// dispatch, DNS-over-TCP and the fault layer's attempt counters.
 type statsTransport struct {
 	inner Transport
+	// batch is inner's batch dispatch, resolved as New resolves it.
+	batch wildnet.BatchSender
 	stats *Stats
 }
 
@@ -85,7 +91,7 @@ func WithStatsClock(inner Transport, clock Clock) (Transport, *Stats) {
 		clock = SystemClock
 	}
 	st := &Stats{clock: clock}
-	return &statsTransport{inner: inner, stats: st}, st
+	return &statsTransport{inner: inner, batch: batchSender(inner), stats: st}, st
 }
 
 // Snapshot reads the counters. Elapsed is zero until the first probe is
@@ -109,6 +115,39 @@ func (t *statsTransport) Send(ctx context.Context, dst netip4, dstPort, srcPort 
 	t.stats.sent.Add(1)
 	t.stats.bytesOut.Add(uint64(len(payload)))
 	return t.inner.Send(ctx, dst, dstPort, srcPort, payload)
+}
+
+// SendBatch implements wildnet.BatchSender, so a counted transport keeps
+// its inner transport's bulk path (one sendmmsg(2) per batch over UDP).
+// Only the probes the inner transport handled are counted.
+func (t *statsTransport) SendBatch(ctx context.Context, batch []wildnet.Probe) (int, error) {
+	t.stats.markStarted()
+	n, err := t.batch.SendBatch(ctx, batch)
+	var bytes uint64
+	for i := range batch[:n] {
+		bytes += uint64(len(batch[i].Payload))
+	}
+	t.stats.sent.Add(uint64(n))
+	t.stats.bytesOut.Add(bytes)
+	return n, err
+}
+
+// AttemptsState forwards the wrapped fault layer's retransmission
+// counters (nil when the inner transport keeps none), so a checkpoint
+// taken through the wrapper carries them.
+func (t *statsTransport) AttemptsState() []wildnet.AttemptRecord {
+	if tc, ok := t.inner.(attemptsCarrier); ok {
+		return tc.AttemptsState()
+	}
+	return nil
+}
+
+// RestoreAttempts forwards a checkpoint's retransmission counters to the
+// wrapped transport.
+func (t *statsTransport) RestoreAttempts(recs []wildnet.AttemptRecord) {
+	if tc, ok := t.inner.(attemptsCarrier); ok {
+		tc.RestoreAttempts(recs)
+	}
 }
 
 // SetReceiver implements Transport, interposing the counters.

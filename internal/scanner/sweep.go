@@ -3,14 +3,12 @@ package scanner
 import (
 	"context"
 	"sort"
-	"strconv"
 	"sync"
 
 	"goingwild/internal/dnswire"
 	"goingwild/internal/domains"
 	"goingwild/internal/lfsr"
 	"goingwild/internal/metrics"
-	"goingwild/internal/wildnet"
 )
 
 // Responder is one host that answered the Internet-wide sweep.
@@ -156,82 +154,279 @@ func (s *Scanner) Sweep(order uint, seed uint32, bl *lfsr.Blacklist) (*SweepResu
 // sorted, and counted, so callers that tolerate partial censuses (e.g. a
 // checkpointing orchestrator) can keep it.
 func (s *Scanner) SweepContext(ctx context.Context, order uint, seed uint32, bl *lfsr.Blacklist) (*SweepResult, error) {
+	return s.sweep(ctx, order, seed, bl, 0, 1, nil)
+}
+
+// SweepShard probes only shard i of m of the sweep permutation; it is the
+// ctx-less wrapper over SweepShardContext.
+func (s *Scanner) SweepShard(order uint, seed uint32, bl *lfsr.Blacklist, shard, of int) (*SweepResult, error) {
+	return s.SweepShardContext(bgCtx, order, seed, bl, shard, of)
+}
+
+// SweepShardContext probes shard `shard` of `of` of a 2^order sweep: the
+// targets lfsr.ShardedGenerator(order, seed, bl, shard, of) yields, i.e.
+// every of-th slot of the full permutation. Separate processes each run
+// one shard (goingwild -shard i/M) and cmd/wildmerge recombines the
+// per-shard results into the unsharded report — shards share nothing, as
+// ZMap's do. Every probe a shard sends is bit-identical to the probe the
+// unsharded sweep sends to the same target, so the modeled per-packet
+// loss draws — and therefore the responder set — cannot depend on `of`.
+// The one exception is a bound RetryBudget, which is split across shards
+// (shardBudget) and can so pick different retransmission targets than an
+// unsharded run. The result holds only this shard's probes and
+// responders.
+func (s *Scanner) SweepShardContext(ctx context.Context, order uint, seed uint32, bl *lfsr.Blacklist, shard, of int) (*SweepResult, error) {
+	return s.sweep(ctx, order, seed, bl, shard, of, nil)
+}
+
+// shardBudget splits a retransmission budget across m shards: shard i
+// gets total/m, plus one of the first total%m remainder units, so the
+// shares sum exactly to the budget.
+func shardBudget(total, i, m int) int {
+	if total <= 0 {
+		return 0
+	}
+	share := total / m
+	if i < total%m {
+		share++
+	}
+	return share
+}
+
+// sweepRun is what the sender workers of a sweep share: the one target
+// generator and the two counters a checkpoint carries. mu is the generator
+// lock; workers hold it for one pull per streamBatch targets.
+type sweepRun struct {
+	mu  sync.Mutex
+	gen *lfsr.TargetGenerator
+	// round is 0 for the census, 1..SweepRetries for retransmissions.
+	round int
+	// probed counts census targets pulled. Retry rounds never add to it:
+	// retries are recovery traffic, not coverage.
+	probed uint64
+	// budget is the retransmission allowance left when the scan runs with
+	// a bound RetryBudget (bound); miss is the still-silent check a bound
+	// budget is spent against.
+	bound  bool
+	budget int
+	miss   func(u uint32) bool
+}
+
+// pull fills dst with the round's next targets and reports whether the
+// round has more. Under a bound budget a retry round keeps only the first
+// `budget` misses in permutation order — decided here, under the generator
+// lock, so the retransmitted set does not depend on how many workers pull.
+func (r *sweepRun) pull(dst []uint32) (n int, more bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	spending := r.round > 0 && r.bound
+	if spending && r.budget <= 0 {
+		return 0, false
+	}
+	n = r.gen.NextBatch(dst)
+	switch {
+	case n == 0:
+		return 0, false
+	case r.round == 0:
+		r.probed += uint64(n)
+	case spending:
+		k := 0
+		for _, u := range dst[:n] {
+			if k < r.budget && r.miss(u) {
+				dst[k] = u
+				k++
+			}
+		}
+		r.budget -= k
+		n = k
+	}
+	return n, true
+}
+
+// sweep is the one sweep engine behind SweepContext (full permutation),
+// SweepShardContext (one leapfrog shard of it) and SweepResumeContext (a
+// ResumeControl attached). It runs rounds 0..SweepRetries; each round
+// Options.Workers senders drain one generator, then the settle barrier
+// fixes the answered set the next round's miss check reads.
+//
+// A census sends exactly one probe per target: retransmitting to the
+// silent majority (non-resolvers) would double the scan for a
+// fraction-of-a-percent gain, and loss is accounted for by the
+// secondary-vantage verification scan instead (§2.2). Retry rounds exist
+// for the fault profiles: they re-probe only still-silent targets with an
+// attempt-salted anti-caching prefix, so every retransmission is a new
+// packet with a fresh loss draw, honoring the backoff schedule, the
+// retransmission budget and the stage deadline. A target is pulled once
+// per round, so whether it is still silent is settled before the round
+// starts: the probes sent — and the result — are independent of Workers.
+//
+// With rc set the senders quiesce at a rendezvous every rc.EveryBatches
+// batches and at every round boundary, and a consistent SweepCheckpoint
+// goes to rc.Save (see resume.go); with rc nil that hook costs nothing.
+func (s *Scanner) sweep(ctx context.Context, order uint, seed uint32, bl *lfsr.Blacklist, shard, of int, rc *ResumeControl) (*SweepResult, error) {
 	if s.tr == nil {
 		return nil, ErrNoTransport
 	}
-	hint := int(uint64(1) << order / 64)
-	st := newSweepCollector(domains.ScanBase, hint)
+	if rc != nil && rc.Save == nil {
+		rc = nil
+	}
+	gen, err := lfsr.ShardedGenerator(order, seed, bl, shard, of)
+	if err != nil {
+		return nil, err
+	}
+	st := newSweepCollector(domains.ScanBase, int(uint64(1)<<order/64/uint64(of)))
 	st.recv = s.m.sweepRecv
 	s.tr.SetReceiver(st.receive)
 	baseWire, err := dnswire.EncodeNameWire(st.base)
 	if err != nil {
 		return nil, err
 	}
-
-	var probed uint64
-	var scanErr error
-	if m := s.opts.Shards; m > 1 {
-		probed, scanErr = s.sweepSharded(ctx, order, seed, bl, baseWire, st, m)
-	} else {
-		probed, scanErr = s.sweepSingle(ctx, order, seed, bl, baseWire, st)
+	run := &sweepRun{
+		gen:    gen,
+		bound:  s.opts.RetryBudget > 0,
+		budget: shardBudget(s.opts.RetryBudget, shard, of),
+		miss: func(u uint32) bool {
+			_, answered := st.responses.Get(u)
+			return !answered
+		},
 	}
-	return s.collectSweep(st, probed), scanErr
+	if rc != nil && rc.Prev != nil {
+		done, err := s.restoreSweep(run, st, rc.Prev, bl)
+		if err != nil {
+			return nil, err
+		}
+		if done {
+			return s.collectSweep(st, run.probed), nil
+		}
+	}
+
+	guard := s.newDeadlineGuard()
+	for run.round <= s.opts.SweepRetries {
+		if err := ctx.Err(); err != nil {
+			return s.collectSweep(st, run.probed), err
+		}
+		if run.round > 0 {
+			if guard.expired() || (run.bound && run.budget <= 0) {
+				break
+			}
+			if err := s.backoffWait(ctx, run.round); err != nil {
+				return s.collectSweep(st, run.probed), err
+			}
+			s.m.retryRounds.Inc()
+		}
+		var rz *rendezvous
+		if rc != nil {
+			rz = newRendezvous(s.opts.Workers, rc.EveryBatches, func() error {
+				return rc.Save(s.checkpointSweep(run, st))
+			})
+		}
+		err := s.sendRound(ctx, run, templateBuild(baseWire, run.round), rz)
+		if err == nil {
+			err = s.settle(ctx)
+		}
+		if err != nil {
+			return s.collectSweep(st, run.probed), err
+		}
+		if run.round == 0 {
+			// The stage deadline bounds the retry phase, not the census.
+			guard = s.newDeadlineGuard()
+		}
+		run.gen.Reset()
+		run.round++
+		if rc != nil {
+			// Round boundary: force a checkpoint so a crash during the next
+			// round's backoff (or after the last round) resumes cleanly.
+			ck := s.checkpointSweep(run, st)
+			ck.Done = run.round > s.opts.SweepRetries
+			if err := rc.Save(ck); err != nil {
+				return s.collectSweep(st, run.probed), err
+			}
+		}
+	}
+	return s.collectSweep(st, run.probed), ctx.Err()
 }
 
-// sweepSingle is the unsharded sweep body: one shared generator drained
-// by the worker pool, then the settle barrier and retry rounds.
+// sendRound runs one round of the sweep: Options.Workers senders, each
+// pulling streamBatch targets at a time from the shared generator,
+// assembling the still-wanted ones into a pooled arena and dispatching
+// the batch in a single SendBatch call. The set of probes sent is exactly
+// the round's target set no matter how batches interleave, so scan
+// results stay schedule-independent.
 //
-// A census sends exactly one probe per target: retransmitting to the
-// silent majority (non-resolvers) would double the scan for a
-// fraction-of-a-percent gain. Loss is accounted for by the
-// secondary-vantage verification scan instead (§2.2).
-//
-// Probe construction is the hot path: queries are written label by label
-// into pooled buffers without a name or Message allocation, and batched
-// into one SendBatch per generator pull when the transport supports it.
-// Transports must not retain payloads after Send/SendBatch returns.
-func (s *Scanner) sweepSingle(ctx context.Context, order uint, seed uint32, bl *lfsr.Blacklist, baseWire []byte, st *sweepCollector) (uint64, error) {
-	gen, err := lfsr.NewTargetGenerator(order, seed, bl)
-	if err != nil {
-		return 0, err
+// A cancelled context stops each worker at its next batch boundary (at
+// most one in-flight batch of streamBatch targets per worker completes).
+// Cancellation is polled via ctx.Err() once per batch — 1/256th of the
+// probe rate, synchronous with cancel() — and skipped entirely for the
+// non-cancellable contexts the ctx-less wrappers pass. rz, when set, is
+// the checkpoint rendezvous every worker visits after each batch; a nil
+// rz adds no lock and no allocation to the batch.
+func (s *Scanner) sendRound(ctx context.Context, run *sweepRun, build func(u uint32, buf []byte) []byte, rz *rendezvous) error {
+	cancellable := ctx.Done() != nil
+	limited := s.rate.interval != 0
+	retry := run.round > 0
+	// A bound budget has already applied the miss check in pull.
+	var accept func(u uint32) bool
+	if retry && !run.bound {
+		accept = run.miss
 	}
-	var probed uint64
-	var scanErr error
-	if bs, ok := s.tr.(wildnet.BatchSender); ok {
-		probed, scanErr = s.streamAllBatched(ctx, gen, bs, censusBuild(baseWire), nil,
-			func(n int) { s.m.sweepSent.Add(uint64(n)) })
-	} else {
-		probed, scanErr = s.streamAll(ctx, gen, s.censusSend(ctx, baseWire))
+	sender := func() error {
+		if rz != nil {
+			defer rz.finish()
+		}
+		bat := probeBatchPool.Get().(*probeBatch)
+		defer probeBatchPool.Put(bat)
+		var targets [streamBatch]uint32
+		for {
+			if cancellable && ctx.Err() != nil {
+				return ctx.Err()
+			}
+			n, more := run.pull(targets[:])
+			if !more {
+				return nil
+			}
+			bat.reset()
+			for _, u := range targets[:n] {
+				if accept != nil && !accept(u) {
+					continue
+				}
+				if limited {
+					s.rate.wait(ctx)
+				}
+				bat.add(u, build)
+			}
+			if bat.n > 0 {
+				probes := bat.finish(s.opts.BasePort)
+				s.m.sweepSent.Add(uint64(len(probes)))
+				if retry {
+					s.m.retrySpend.Add(uint64(len(probes)))
+				}
+				s.m.batchSize.Observe(int64(len(probes)))
+				// Send failures are modeled packet loss.
+				s.batch.SendBatch(ctx, probes)
+			}
+			if rz != nil {
+				if err := rz.pause(); err != nil {
+					return err
+				}
+			}
+		}
 	}
-	if settleErr := s.settle(ctx); scanErr == nil {
-		scanErr = settleErr
+	errs := make([]error, s.opts.Workers)
+	var wg sync.WaitGroup
+	for w := range errs {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			errs[w] = sender()
+		}(w)
 	}
-	if scanErr == nil && s.opts.SweepRetries > 0 {
-		newGen := func() (*lfsr.TargetGenerator, error) { return lfsr.NewTargetGenerator(order, seed, bl) }
-		scanErr = s.sweepRetryRounds(ctx, newGen, baseWire, st, s.opts.RetryBudget, false)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
 	}
-	return probed, scanErr
-}
-
-// censusBuild returns the batched payload builder for census probes —
-// byte-identical to the per-probe path's query, appended into the batch
-// arena instead of a scratch buffer.
-func censusBuild(baseWire []byte) func(u uint32, buf []byte) []byte {
-	return templateBuild(baseWire, 0)
-}
-
-// censusSend returns the per-probe census sender for transports without
-// batch support.
-func (s *Scanner) censusSend(ctx context.Context, baseWire []byte) func(u uint32, scratch *[]byte) {
-	return func(u uint32, scratch *[]byte) {
-		prefix := cachePrefix(u)
-		wire := dnswire.AppendTargetQuery((*scratch)[:0], uint16(u)^uint16(u>>16),
-			prefix[:], u, baseWire, dnswire.TypeA, dnswire.ClassIN)
-		s.m.sweepSent.Inc()
-		//lint:allow errdrop sweep send failures are modeled packet loss
-		s.tr.Send(ctx, lfsr.U32ToAddr(u), 53, s.opts.BasePort, wire)
-		*scratch = wire[:0]
-	}
+	return nil
 }
 
 // collectSweep freezes the collector into the sorted result.
@@ -252,281 +447,6 @@ func (s *Scanner) collectSweep(st *sweepCollector, probed uint64) *SweepResult {
 		return res.Responders[i].Addr < res.Responders[j].Addr
 	})
 	return res
-}
-
-// sweepSharded runs the sweep as m concurrent shard workers. Shard i owns
-// every m-th slot of the target permutation (lfsr.ShardedGenerator), with
-// its own generator, settle barrier, and retry state; all shards insert
-// into the one shared collector, which is safe and order-independent
-// because their target sets are disjoint and first-response-wins is
-// per-target. Every probe a shard sends is bit-identical to the probe the
-// unsharded sweep sends to the same target (same ports, same payload), so
-// the modeled per-packet loss draws — and therefore the responder set —
-// cannot depend on m.
-//
-// The retransmission budget is split across shards (shardBudget), which
-// is the one place a bound budget can pick different retransmission
-// targets than an unsharded run; an unlimited budget (the default) is
-// exactly equivalent.
-func (s *Scanner) sweepSharded(ctx context.Context, order uint, seed uint32, bl *lfsr.Blacklist, baseWire []byte, st *sweepCollector, m int) (uint64, error) {
-	if bl != nil {
-		// The shard workers read the blacklist concurrently; the lazy
-		// sort-and-merge must happen before they start.
-		bl.Freeze()
-	}
-	bs, batched := s.tr.(wildnet.BatchSender)
-	build := censusBuild(baseWire)
-	sents := make([]uint64, m)
-	errs := make([]error, m)
-	var wg sync.WaitGroup
-	for i := 0; i < m; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			gen, err := lfsr.ShardedGenerator(order, seed, bl, i, m)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			var sent uint64
-			if batched {
-				sent, err = s.batchWorker(ctx, gen, nil, bs, build, nil,
-					func(n int) { s.m.sweepSent.Add(uint64(n)) })
-			} else {
-				sent, err = s.streamOne(ctx, gen, s.censusSend(ctx, baseWire))
-			}
-			sents[i] = sent
-			if settleErr := s.settle(ctx); err == nil {
-				err = settleErr
-			}
-			if err == nil && s.opts.SweepRetries > 0 {
-				newGen := func() (*lfsr.TargetGenerator, error) {
-					return lfsr.ShardedGenerator(order, seed, bl, i, m)
-				}
-				err = s.sweepRetryRounds(ctx, newGen, baseWire, st, shardBudget(s.opts.RetryBudget, i, m), true)
-			}
-			errs[i] = err
-		}(i)
-	}
-	wg.Wait()
-	var probed uint64
-	for _, n := range sents {
-		probed += n
-	}
-	s.publishShardGauges(order, seed, bl, st, m, sents)
-	for _, e := range errs {
-		if e != nil {
-			return probed, e
-		}
-	}
-	return probed, nil
-}
-
-// shardBudget splits a retransmission budget across m shards: shard i
-// gets total/m, plus one of the first total%m remainder units, so the
-// shares sum exactly to the budget.
-func shardBudget(total, i, m int) int {
-	if total <= 0 {
-		return 0
-	}
-	share := total / m
-	if i < total%m {
-		share++
-	}
-	return share
-}
-
-// publishShardGauges records the per-shard census accounting:
-// scan.shard.<i>.sent is the number of census probes shard i dispatched,
-// scan.shard.<i>.recv the number of responding targets shard i owns.
-// Ownership is recovered after the fact by replaying the raw register
-// walk once (slot position mod m, exactly the leapfrog split), so the
-// hot receive path stays untouched. Both gauges are deterministic.
-func (s *Scanner) publishShardGauges(order uint, seed uint32, bl *lfsr.Blacklist, st *sweepCollector, m int, sents []uint64) {
-	if s.opts.Metrics == nil {
-		return
-	}
-	for i, n := range sents {
-		s.opts.Metrics.Gauge("scan.shard." + strconv.Itoa(i) + ".sent").Set(int64(n))
-	}
-	reg, err := lfsr.New(order, seed)
-	if err != nil {
-		return
-	}
-	counts := make([]int64, m)
-	period := reg.Period()
-	for pos := uint64(0); pos < period; pos++ {
-		u := reg.Next()
-		if bl != nil && bl.ContainsU32(u) {
-			continue
-		}
-		if _, ok := st.responses.Get(u); ok {
-			counts[pos%uint64(m)]++
-		}
-	}
-	for i, c := range counts {
-		s.opts.Metrics.Gauge("scan.shard." + strconv.Itoa(i) + ".recv").Set(c)
-	}
-}
-
-// SweepShard probes only shard i of m of the sweep permutation; it is the
-// ctx-less wrapper over SweepShardContext.
-func (s *Scanner) SweepShard(order uint, seed uint32, bl *lfsr.Blacklist, shard, of int) (*SweepResult, error) {
-	return s.SweepShardContext(bgCtx, order, seed, bl, shard, of)
-}
-
-// SweepShardContext probes shard `shard` of `of` of a 2^order sweep: the
-// targets lfsr.ShardedGenerator(order, seed, bl, shard, of) yields, i.e.
-// every of-th slot of the full permutation. Separate processes can each
-// run one shard (goingwild -shard i/M) and cmd/wildmerge recombines the
-// per-shard results into the unsharded report. The worker pool, retry
-// rounds (with this shard's budget share), and batching all apply within
-// the shard; the result holds only this shard's probes and responders.
-func (s *Scanner) SweepShardContext(ctx context.Context, order uint, seed uint32, bl *lfsr.Blacklist, shard, of int) (*SweepResult, error) {
-	if s.tr == nil {
-		return nil, ErrNoTransport
-	}
-	gen, err := lfsr.ShardedGenerator(order, seed, bl, shard, of)
-	if err != nil {
-		return nil, err
-	}
-	hint := int(uint64(1) << order / 64 / uint64(of))
-	st := newSweepCollector(domains.ScanBase, hint)
-	st.recv = s.m.sweepRecv
-	s.tr.SetReceiver(st.receive)
-	baseWire, err := dnswire.EncodeNameWire(st.base)
-	if err != nil {
-		return nil, err
-	}
-	var probed uint64
-	var scanErr error
-	if bs, ok := s.tr.(wildnet.BatchSender); ok {
-		probed, scanErr = s.streamAllBatched(ctx, gen, bs, censusBuild(baseWire), nil,
-			func(n int) { s.m.sweepSent.Add(uint64(n)) })
-	} else {
-		probed, scanErr = s.streamAll(ctx, gen, s.censusSend(ctx, baseWire))
-	}
-	if settleErr := s.settle(ctx); scanErr == nil {
-		scanErr = settleErr
-	}
-	if scanErr == nil && s.opts.SweepRetries > 0 {
-		newGen := func() (*lfsr.TargetGenerator, error) {
-			return lfsr.ShardedGenerator(order, seed, bl, shard, of)
-		}
-		scanErr = s.sweepRetryRounds(ctx, newGen, baseWire, st, shardBudget(s.opts.RetryBudget, shard, of), false)
-	}
-	return s.collectSweep(st, probed), scanErr
-}
-
-// sweepRetryRounds retransmits toward the sweep's non-responders
-// (Options.SweepRetries rounds), honoring the backoff schedule, the
-// retransmission budget, and the stage deadline. Each round walks the
-// generator newGen rebuilds (the full permutation, or one shard of it)
-// and re-probes only still-silent targets with an attempt-salted
-// anti-caching prefix, so every retransmission is a new packet with a
-// fresh loss draw. The answered set at each round's start is fixed by
-// the settle barrier — and, under sharding, by shard-disjoint target
-// ownership — so the retransmitted target set is schedule-independent;
-// Probed stays the census count (retries are recovery traffic, not
-// coverage).
-//
-// budget is this caller's retransmission allowance (the whole
-// Options.RetryBudget, or one shard's share); shardWorker marks a caller
-// that is already one goroutine of a shard pool, which must not spawn a
-// nested worker pool over its private generator.
-func (s *Scanner) sweepRetryRounds(ctx context.Context, newGen func() (*lfsr.TargetGenerator, error), baseWire []byte, st *sweepCollector, budget int, shardWorker bool) error {
-	guard := s.newDeadlineGuard()
-	budgeted := s.opts.RetryBudget > 0
-	bs, batched := s.tr.(wildnet.BatchSender)
-	miss := func(u uint32) bool {
-		_, answered := st.responses.Get(u)
-		return !answered
-	}
-	for attempt := 1; attempt <= s.opts.SweepRetries; attempt++ {
-		// Checkpoint between retry rounds.
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if guard.expired() {
-			return nil
-		}
-		if budgeted && budget <= 0 {
-			return nil
-		}
-		if err := s.backoffWait(ctx, attempt); err != nil {
-			return err
-		}
-		gen, err := newGen()
-		if err != nil {
-			return err
-		}
-		s.m.retryRounds.Inc()
-		resend := func(u uint32, scratch *[]byte) {
-			if !miss(u) {
-				return
-			}
-			prefix := cachePrefixN(u, attempt)
-			wire := dnswire.AppendTargetQuery((*scratch)[:0], uint16(u)^uint16(u>>16),
-				prefix[:], u, baseWire, dnswire.TypeA, dnswire.ClassIN)
-			s.m.sweepSent.Inc()
-			s.m.retrySpend.Inc()
-			//lint:allow errdrop sweep retransmission failures are modeled packet loss
-			s.tr.Send(ctx, lfsr.U32ToAddr(u), 53, s.opts.BasePort, wire)
-			*scratch = wire[:0]
-		}
-		switch {
-		case budgeted:
-			// A bound budget needs a deterministic target set: materialize
-			// the first `budget` misses in permutation order, then send
-			// serially (the budgeted path is small by construction).
-			targets := make([]uint32, 0, budget)
-			for len(targets) < budget {
-				u, ok := gen.NextU32()
-				if !ok {
-					break
-				}
-				if miss(u) {
-					targets = append(targets, u)
-				}
-			}
-			budget -= len(targets)
-			scratch := sweepBufPool.Get().(*[]byte)
-			cancellable := ctx.Done() != nil
-			for i, u := range targets {
-				if cancellable && i%streamBatch == 0 && ctx.Err() != nil {
-					break
-				}
-				s.rate.wait(ctx)
-				resend(u, scratch)
-			}
-			sweepBufPool.Put(scratch)
-		case batched:
-			build := templateBuild(baseWire, attempt)
-			onFlush := func(n int) {
-				s.m.sweepSent.Add(uint64(n))
-				s.m.retrySpend.Add(uint64(n))
-			}
-			if shardWorker {
-				if _, err := s.batchWorker(ctx, gen, nil, bs, build, miss, onFlush); err != nil {
-					return err
-				}
-			} else if _, err := s.streamAllBatched(ctx, gen, bs, build, miss, onFlush); err != nil {
-				return err
-			}
-		case shardWorker:
-			if _, err := s.streamOne(ctx, gen, resend); err != nil {
-				return err
-			}
-		default:
-			if _, err := s.streamAll(ctx, gen, resend); err != nil {
-				return err
-			}
-		}
-		if err := s.settle(ctx); err != nil {
-			return err
-		}
-	}
-	return ctx.Err()
 }
 
 // Probe sends a single query toward one resolver; it is the ctx-less
