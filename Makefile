@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-escape test test-short bench-test race chaos crash metrics-smoke stream-smoke serve-smoke fuzz-smoke bench-quick bench-all report markdown examples clean
+.PHONY: all build vet lint lint-escape test test-short bench-test race chaos crash metrics-smoke stream-smoke serve-smoke fuzz-smoke bench-all report markdown examples clean
 
 all: build vet lint test
 
@@ -99,18 +99,6 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzHandleDNS -fuzztime=5s ./internal/wildnet
 	$(GO) test -fuzz=FuzzParse -fuzztime=5s ./internal/zonefile
 	$(GO) test -fuzz=FuzzCheckpointDecode -fuzztime=5s ./internal/checkpoint
-
-# CI smoke for the serving-path load generator, seconds not minutes.
-# Gates on the report shape, not on absolute throughput, which would
-# flake on shared CI runners. (Sweep and report performance is measured
-# by the repository benchmark, `go run -C bench goingwild/bench`.)
-bench-quick:
-	$(GO) run ./cmd/wildsvc -loadgen -epochs 4 -loadgen-lookups 200000 -bench-out /tmp/bench_serve_quick.json 2>/dev/null
-	grep -q '"lookups_per_sec":' /tmp/bench_serve_quick.json
-	grep -q '"p99_ns":' /tmp/bench_serve_quick.json
-	grep -q '"hits":' /tmp/bench_serve_quick.json
-	grep -q '"coalesced":' /tmp/bench_serve_quick.json
-	grep -q '"probes":' /tmp/bench_serve_quick.json
 
 # One iteration of every table/figure benchmark.
 bench-all:

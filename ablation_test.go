@@ -5,6 +5,7 @@
 package goingwild
 
 import (
+	"context"
 	"testing"
 
 	"goingwild/internal/cluster"
@@ -28,7 +29,7 @@ func TestAblationCertRule(t *testing.T) {
 	}
 	defer s.Close()
 	s.SetWeek(50)
-	sweep, err := s.SweepAt(50)
+	sweep, err := s.SweepAtContext(context.Background(), 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func TestAblationCertRule(t *testing.T) {
 	for _, d := range domains.ByCategory(domains.Alexa) {
 		names = append(names, d.Name)
 	}
-	scan, err := s.Scanner.ScanDomains(resolvers, names)
+	scan, err := s.Scanner.ScanDomainsContext(context.Background(), resolvers, names)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,12 +66,12 @@ func TestAblation0x20(t *testing.T) {
 	}
 	defer s.Close()
 	s.SetWeek(50)
-	sweep, err := s.SweepAt(50)
+	sweep, err := s.SweepAtContext(context.Background(), 50)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resolvers := sweep.NOERROR()
-	scan, err := s.Scanner.ScanDomains(resolvers, []string{"thepiratebay.se", "chase.com"})
+	scan, err := s.Scanner.ScanDomainsContext(context.Background(), resolvers, []string{"thepiratebay.se", "chase.com"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,11 +164,11 @@ func BenchmarkAblationPrefilterNoCache(b *testing.B) {
 	}
 	defer s.Close()
 	s.SetWeek(50)
-	sweep, err := s.SweepAt(50)
+	sweep, err := s.SweepAtContext(context.Background(), 50)
 	if err != nil {
 		b.Fatal(err)
 	}
-	scan, err := s.Scanner.ScanDomains(sweep.NOERROR(), []string{"chase.com", "facebook.com"})
+	scan, err := s.Scanner.ScanDomainsContext(context.Background(), sweep.NOERROR(), []string{"chase.com", "facebook.com"})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -83,7 +83,7 @@ func endpointSeries(b *testing.B, s *core.Study) *churn.Series {
 	b.Helper()
 	series := &churn.Series{}
 	for _, week := range []int{0, 55} {
-		res, err := s.SweepAt(week)
+		res, err := s.SweepAtContext(context.Background(), week)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -104,7 +104,7 @@ func endpointSeries(b *testing.B, s *core.Study) *churn.Series {
 func BenchmarkTable3ChaosFingerprint(b *testing.B) {
 	s := benchStudy(b, 17)
 	for i := 0; i < b.N; i++ {
-		survey, n, err := s.RunChaos(46)
+		survey, n, err := s.RunChaosContext(context.Background(), 46)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -121,7 +121,7 @@ func BenchmarkTable3ChaosFingerprint(b *testing.B) {
 func BenchmarkTable4DeviceFingerprint(b *testing.B) {
 	s := benchStudy(b, 17)
 	for i := 0; i < b.N; i++ {
-		survey, err := s.RunDevices(46)
+		survey, err := s.RunDevicesContext(context.Background(), 46)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -136,7 +136,7 @@ func BenchmarkTable4DeviceFingerprint(b *testing.B) {
 func BenchmarkFigure2IPChurn(b *testing.B) {
 	s := benchStudy(b, 16)
 	for i := 0; i < b.N; i++ {
-		study, err := s.RunCohortStudy(8)
+		study, err := s.RunCohortStudyContext(context.Background(), 8)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -149,7 +149,7 @@ func BenchmarkFigure2IPChurn(b *testing.B) {
 func BenchmarkUtilizationSnooping(b *testing.B) {
 	s := benchStudy(b, 15)
 	for i := 0; i < b.N; i++ {
-		res, err := s.RunUtilization(43)
+		res, err := s.RunUtilizationContext(context.Background(), 43)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -162,7 +162,7 @@ func BenchmarkUtilizationSnooping(b *testing.B) {
 func BenchmarkPrefiltering(b *testing.B) {
 	s := benchStudy(b, 16)
 	for i := 0; i < b.N; i++ {
-		res, err := s.RunDomainStudy(50, []domains.Category{domains.Banking, domains.NX})
+		res, err := s.RunDomainStudyContext(context.Background(), 50, []domains.Category{domains.Banking, domains.NX})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -175,7 +175,7 @@ func BenchmarkPrefiltering(b *testing.B) {
 func BenchmarkTable5Classification(b *testing.B) {
 	s := benchStudy(b, 16)
 	for i := 0; i < b.N; i++ {
-		res, err := s.RunDomainStudy(50, []domains.Category{
+		res, err := s.RunDomainStudyContext(context.Background(), 50, []domains.Category{
 			domains.Adult, domains.Gambling, domains.NX, domains.Banking,
 		})
 		if err != nil {
@@ -190,7 +190,7 @@ func BenchmarkTable5Classification(b *testing.B) {
 func BenchmarkFigure4CensorshipGeo(b *testing.B) {
 	s := benchStudy(b, 17)
 	for i := 0; i < b.N; i++ {
-		res, err := s.RunDomainStudy(50, []domains.Category{domains.Alexa})
+		res, err := s.RunDomainStudyContext(context.Background(), 50, []domains.Category{domains.Alexa})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -202,7 +202,7 @@ func BenchmarkFigure4CensorshipGeo(b *testing.B) {
 func BenchmarkCaseStudies(b *testing.B) {
 	s := benchStudy(b, 16)
 	for i := 0; i < b.N; i++ {
-		res, err := s.RunDomainStudy(50, []domains.Category{
+		res, err := s.RunDomainStudyContext(context.Background(), 50, []domains.Category{
 			domains.Ads, domains.Banking, domains.MX, domains.Misc,
 		})
 		if err != nil {
@@ -218,7 +218,7 @@ func BenchmarkCaseStudies(b *testing.B) {
 func BenchmarkFullPipeline(b *testing.B) {
 	s := benchStudy(b, 16)
 	for i := 0; i < b.N; i++ {
-		res, err := s.RunDomainStudy(50, nil)
+		res, err := s.RunDomainStudyContext(context.Background(), 50, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -234,7 +234,7 @@ func BenchmarkFullPipeline(b *testing.B) {
 func BenchmarkScanVerification(b *testing.B) {
 	s := benchStudy(b, 17)
 	for i := 0; i < b.N; i++ {
-		v, err := s.RunVerification(50)
+		v, err := s.RunVerificationContext(context.Background(), 50)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -250,7 +250,7 @@ func BenchmarkSweepThroughput(b *testing.B) {
 	s := benchStudy(b, 16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := s.Scanner.Sweep(16, uint32(i+1), s.World.ScanBlacklist())
+		res, err := s.Scanner.SweepContext(context.Background(), 16, uint32(i+1), s.World.ScanBlacklist())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -379,7 +379,7 @@ func BenchmarkHTMLExtract(b *testing.B) {
 // must be negligible next to measurement).
 func BenchmarkRenderReports(b *testing.B) {
 	s := benchStudy(b, 16)
-	survey, _, err := s.RunChaos(46)
+	survey, _, err := s.RunChaosContext(context.Background(), 46)
 	if err != nil {
 		b.Fatal(err)
 	}

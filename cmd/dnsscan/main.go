@@ -12,96 +12,61 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"time"
 
-	"goingwild/internal/checkpoint"
-	"goingwild/internal/debughttp"
+	"goingwild/internal/cli"
 	"goingwild/internal/dnswire"
 	"goingwild/internal/domains"
 	"goingwild/internal/fingerprint"
-	"goingwild/internal/metrics"
 	"goingwild/internal/scanner"
 	"goingwild/internal/wildnet"
 )
 
 func main() {
+	f := cli.Register("dnsscan", 16)
+	f.RegisterRun()
+	flag.Lookup("progress").Usage = "print a periodic progress line to stderr (implies a metrics registry)"
+	flag.Lookup("checkpoint").Usage = "directory for crash-safe sweep checkpoints (in-memory transport only)"
+	flag.Lookup("resume").Usage = "resume the sweep from the newest checkpoint in -checkpoint"
 	var (
-		order       = flag.Uint("order", 16, "address-space width in bits")
-		seed        = flag.Uint64("seed", 0x60176A11D, "world seed")
-		scanSeed    = flag.Uint("scanseed", 0x5EED, "LFSR seed for the target permutation")
-		week        = flag.Int("week", 0, "study week")
-		mode        = flag.String("mode", "sweep", "sweep | chaos | domains")
-		epochs      = flag.Int("epochs", 0, "run N weekly epoch sweeps through the delta layer (per-epoch diffs on stderr; summary reflects the replayed final snapshot)")
-		category    = flag.String("category", "Banking", "domain category for -mode domains")
-		useUDP      = flag.Bool("udp", false, "drive the scan over real UDP sockets (loopback gateway)")
-		rate        = flag.Int("rate", 0, "probe rate limit in packets/s (0 = unlimited)")
-		chaos       = flag.String("chaos", "", "fault-injection profile (clean, lossy, hostile, flaky); empty injects nothing")
-		ckptDir     = flag.String("checkpoint", "", "directory for crash-safe sweep checkpoints (in-memory transport only)")
-		resume      = flag.Bool("resume", false, "resume the sweep from the newest checkpoint in -checkpoint")
-		progress    = flag.Bool("progress", false, "print a periodic progress line to stderr (implies a metrics registry)")
-		metricsPath = flag.String("metrics", "", "write a JSON metrics snapshot to this file at exit")
-		debugAddr   = flag.String("debug-addr", "", "serve expvar/pprof/metrics over HTTP on this address (e.g. localhost:6060)")
+		scanSeed = flag.Uint("scanseed", 0x5EED, "LFSR seed for the target permutation")
+		week     = flag.Int("week", 0, "study week")
+		mode     = flag.String("mode", "sweep", "sweep | chaos | domains")
+		epochs   = flag.Int("epochs", 0, "run N weekly epoch sweeps through the delta layer (per-epoch diffs on stderr; summary reflects the replayed final snapshot)")
+		category = flag.String("category", "Banking", "domain category for -mode domains")
+		useUDP   = flag.Bool("udp", false, "drive the scan over real UDP sockets (loopback gateway)")
+		rate     = flag.Int("rate", 0, "probe rate limit in packets/s (0 = unlimited)")
 	)
-	flag.Parse()
-
-	if *resume && *ckptDir == "" {
-		fatal(fmt.Errorf("-resume requires -checkpoint"))
-	}
-	if *ckptDir != "" && (*useUDP || *epochs > 0) {
+	f.Parse()
+	if f.Checkpoint != "" && (*useUDP || *epochs > 0) {
 		// The resumable sweep replays the in-memory world's deterministic
 		// fault draws; real sockets and the epoch demo have no such replay.
-		fatal(fmt.Errorf("-checkpoint supports only the in-memory transport without -epochs"))
+		f.Fatal(fmt.Errorf("-checkpoint supports only the in-memory transport without -epochs"))
 	}
+	// The checkpoint fingerprint covers every flag that shapes the sweep.
+	// An interrupted plain scan still prints its partial tally; a
+	// checkpointed one exits 3 at the next rendezvous.
+	ctx, runner, release := f.Context(context.Background(), fmt.Sprintf(
+		"dnsscan order=%d seed=%#x scanseed=%#x week=%d chaos=%s", f.Order, f.Seed, *scanSeed, *week, f.Chaos))
+	defer release()
 
-	// The checkpoint fingerprint covers every flag that shapes the sweep,
-	// so a resume under different flags is refused.
-	var runner *checkpoint.Runner
-	var ctx context.Context
-	if *ckptDir != "" {
-		fingerprint := fmt.Sprintf("dnsscan order=%d seed=%#x scanseed=%#x week=%d chaos=%s", *order, *seed, *scanSeed, *week, *chaos)
-		r, err := checkpoint.OpenRun(*ckptDir, *resume, fingerprint, os.Stdout, os.Stderr)
+	wcfg := wildnet.DefaultConfig(f.Order)
+	wcfg.Seed = f.Seed
+	reg := f.Registry(f.Progress)
+	wcfg.Metrics = reg
+	if f.Chaos != "" {
+		faults, err := wildnet.ChaosProfile(f.Chaos)
 		if err != nil {
-			fatal(err)
-		}
-		runner = r
-		// Two-phase interrupts: first SIGINT checkpoints at the next
-		// rendezvous and exits 3, the second cancels hard.
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithCancel(context.Background())
-		defer cancel()
-		defer runner.InstallSignals(cancel)()
-	} else {
-		// SIGINT cancels the sweep within one send batch; the partial
-		// tally still prints, so an interrupted scan reports what it saw.
-		var stop context.CancelFunc
-		ctx, stop = signal.NotifyContext(context.Background(), os.Interrupt)
-		defer stop()
-	}
-
-	wcfg := wildnet.DefaultConfig(*order)
-	wcfg.Seed = *seed
-	// Metrics are a pure side channel: the scan's stdout is
-	// byte-identical with and without a registry attached.
-	var reg *metrics.Registry
-	if *metricsPath != "" || *debugAddr != "" || *progress {
-		reg = metrics.New()
-		wcfg.Metrics = reg
-	}
-	if *chaos != "" {
-		faults, err := wildnet.ChaosProfile(*chaos)
-		if err != nil {
-			fatal(err)
+			f.Fatal(err)
 		}
 		wcfg.Faults = faults
 	}
 	world, err := wildnet.NewWorld(wcfg)
 	if err != nil {
-		fatal(err)
+		f.Fatal(err)
 	}
 
 	var tr scanner.Transport
@@ -110,13 +75,13 @@ func main() {
 	if *useUDP {
 		gw, err := wildnet.StartGateway(world, wildnet.VantagePrimary)
 		if err != nil {
-			fatal(err)
+			f.Fatal(err)
 		}
 		defer gw.Close()
 		gw.SetTime(wildnet.At(*week))
 		udp, err := wildnet.DialGateway(gw.Addr())
 		if err != nil {
-			fatal(err)
+			f.Fatal(err)
 		}
 		tr = udp
 		setWeek = func(w int) { gw.SetTime(wildnet.At(w)) }
@@ -145,31 +110,7 @@ func main() {
 		Workers: 8, Retries: 1, SettleDelay: settle, RatePPS: *rate,
 		SweepRetries: sweepRetries, Metrics: reg,
 	})
-	if *debugAddr != "" {
-		addr, stopDebug, err := debughttp.Serve(*debugAddr, reg)
-		if err != nil {
-			fatal(err)
-		}
-		defer func() {
-			if err := stopDebug(); err != nil {
-				fmt.Fprintln(os.Stderr, "dnsscan: debug endpoint:", err)
-			}
-		}()
-		fmt.Fprintf(os.Stderr, "dnsscan: debug endpoint on http://%s\n", addr)
-	}
-	if *metricsPath != "" {
-		defer func() {
-			if err := writeMetricsSnapshot(*metricsPath, reg); err != nil {
-				fmt.Fprintln(os.Stderr, "dnsscan:", err)
-			}
-		}()
-	}
-	if *progress {
-		// The periodic traffic line goes to stderr, clocked through the
-		// scanner's Clock seam, so stdout stays byte-identical.
-		stopProg := metrics.StartProgress(os.Stderr, scanner.SystemClock, 2*time.Second, reg, nil)
-		defer stopProg()
-	}
+	defer f.Observe()()
 	defer func() { fmt.Printf("traffic: %s\n", stats.Snapshot()) }()
 	start := time.Now()
 	var sweep *scanner.SweepResult
@@ -184,14 +125,14 @@ func main() {
 		var records int
 		for epoch := 0; epoch < *epochs; epoch++ {
 			setWeek(epoch)
-			res, err := sc.SweepContext(ctx, *order, uint32(*scanSeed)+uint32(epoch), world.ScanBlacklist())
+			res, err := sc.SweepContext(ctx, f.Order, uint32(*scanSeed)+uint32(epoch), world.ScanBlacklist())
 			if err != nil {
-				fatal(err)
+				f.Fatal(err)
 			}
 			deltas := scanner.DiffSweepResponders(prev, res.Responders)
 			snapshot, err = scanner.ApplyResponderDeltas(snapshot, deltas)
 			if err != nil {
-				fatal(err)
+				f.Fatal(err)
 			}
 			prev, probed = res.Responders, res.Probed
 			records += len(deltas)
@@ -206,30 +147,19 @@ func main() {
 		// Crash-safe sweep: progress lands in the checkpoint directory at
 		// every rendezvous; a killed run resumes mid-sweep and reproduces
 		// the uninterrupted responder set exactly.
-		rc := &scanner.ResumeControl{
-			Save: func(ck *scanner.SweepCheckpoint) error {
-				if err := runner.Update("sweep", ck); err != nil {
-					return err
-				}
-				return runner.CheckStop()
-			},
-		}
-		var prev scanner.SweepCheckpoint
-		if ok, err := runner.Fetch("sweep", &prev); err != nil {
-			fatal(err)
-		} else if ok {
-			rc.Prev = &prev
-		}
-		var err error
-		sweep, err = sc.SweepResumeContext(ctx, *order, uint32(*scanSeed), world.ScanBlacklist(), rc)
+		rc, err := cli.SweepResume(runner, "sweep")
 		if err != nil {
-			fatal(err)
+			f.Fatal(err)
+		}
+		sweep, err = sc.SweepResumeContext(ctx, f.Order, uint32(*scanSeed), world.ScanBlacklist(), rc)
+		if err != nil {
+			f.Fatal(err)
 		}
 	} else {
 		var err error
-		sweep, err = sc.SweepContext(ctx, *order, uint32(*scanSeed), world.ScanBlacklist())
+		sweep, err = sc.SweepContext(ctx, f.Order, uint32(*scanSeed), world.ScanBlacklist())
 		if err != nil {
-			fatal(err)
+			f.Fatal(err)
 		}
 	}
 	elapsed := time.Since(start)
@@ -247,7 +177,7 @@ func main() {
 		resolvers := sweep.NOERROR()
 		res, err := sc.ScanChaosContext(ctx, resolvers)
 		if err != nil {
-			fatal(err)
+			f.Fatal(err)
 		}
 		survey := fingerprint.SurveyChaos(res)
 		fmt.Printf("chaos: %d/%d responded; versioned %.1f%%\n",
@@ -258,13 +188,13 @@ func main() {
 			names = append(names, d.Name)
 		}
 		if len(names) == 0 {
-			fatal(fmt.Errorf("unknown category %q", *category))
+			f.Fatal(fmt.Errorf("unknown category %q", *category))
 		}
 		names = append(names, domains.GroundTruth)
 		resolvers := sweep.NOERROR()
 		res, err := sc.ScanDomainsContext(ctx, resolvers, names)
 		if err != nil {
-			fatal(err)
+			f.Fatal(err)
 		}
 		for ni, name := range res.Names {
 			answered, withAddrs := 0, 0
@@ -280,28 +210,6 @@ func main() {
 			fmt.Printf("  %-38s answered %5d  with-addresses %5d\n", name, answered, withAddrs)
 		}
 	default:
-		fatal(fmt.Errorf("unknown mode %q", *mode))
+		f.Fatal(fmt.Errorf("unknown mode %q", *mode))
 	}
-}
-
-func fatal(err error) {
-	if errors.Is(err, checkpoint.ErrStopped) {
-		fmt.Fprintln(os.Stderr, "dnsscan: checkpoint saved; resume with -resume")
-		os.Exit(3)
-	}
-	fmt.Fprintln(os.Stderr, "dnsscan:", err)
-	os.Exit(1)
-}
-
-// writeMetricsSnapshot writes the registry's final snapshot as JSON.
-func writeMetricsSnapshot(path string, reg *metrics.Registry) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := reg.Snapshot().WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -8,8 +8,10 @@
 // Usage:
 //
 //	wildsvc -order 16 -epochs 55 -addr localhost:8053   # daemon
-//	wildsvc -order 16 -epochs 6 -loadgen                # benchmark, writes BENCH_serve.json
 //	wildsvc -order 16 -smoke                            # self-contained smoke test
+//
+// What a client on a socket gets out of it is measured by the repository
+// benchmark: go run -C bench goingwild/bench -workload serve-hit.
 //
 // The API rides the debug endpoint's mux: /resolver?ip=A.B.C.D,
 // /resolvers?limit=N&open=1, /svc/status, plus the usual /metrics,
@@ -25,10 +27,10 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"os/signal"
 	"sync"
 	"time"
 
+	"goingwild/internal/cli"
 	"goingwild/internal/core"
 	"goingwild/internal/debughttp"
 	"goingwild/internal/geodb"
@@ -40,34 +42,25 @@ import (
 )
 
 func main() {
+	f := cli.Register("wildsvc", 16)
+	flag.Lookup("progress").Usage = "print one line per committed epoch to stderr"
 	var (
-		order       = flag.Uint("order", 16, "address-space width in bits")
-		seed        = flag.Uint64("seed", 0x60176A11D, "world seed")
 		epochs      = flag.Int("epochs", 55, "weekly re-scan epochs the producer runs")
-		addr        = flag.String("addr", "", "HTTP listen address for the query API (default 127.0.0.1:0 for the daemon; empty disables HTTP in -loadgen)")
+		addr        = flag.String("addr", "", "HTTP listen address for the query API (default 127.0.0.1:0)")
 		queueDepth  = flag.Int("queue-depth", 2, "bounded epoch queue between producer and store")
 		ttlBase     = flag.Int("ttl-base", resolvesvc.DefaultTTLBase, "refresh TTL in epochs for once-flapped records (halves per flap)")
 		batchWindow = flag.Duration("batch-window", 2*time.Millisecond, "how long the coalescer gathers concurrent misses into one probe batch")
 		workers     = flag.Int("workers", 8, "scanner sender goroutines")
-		progress    = flag.Bool("progress", false, "print one line per committed epoch to stderr")
-		metricsPath = flag.String("metrics", "", "write a JSON metrics snapshot to this file at exit")
-		loadgen     = flag.Bool("loadgen", false, "run the epochs, then the deterministic lookup storm, and write the benchmark report")
-		benchOut    = flag.String("bench-out", "BENCH_serve.json", "where -loadgen writes its report")
-		lgWorkers   = flag.Int("loadgen-workers", 8, "lookup goroutines for -loadgen")
-		lgLookups   = flag.Int("loadgen-lookups", 2_000_000, "total timed lookups for -loadgen")
 		smoke       = flag.Bool("smoke", false, "run the self-contained HTTP smoke test and exit")
 	)
-	flag.Parse()
+	f.Parse()
+	ctx, _, release := f.Context(context.Background(), "")
+	defer release()
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-
-	reg := metrics.New()
-	cfg := core.DefaultConfig(*order)
-	cfg.Seed = *seed
+	reg := f.Registry(true)
+	cfg := f.StudyConfig()
 	cfg.Weeks = *epochs
 	cfg.Workers = *workers
-	cfg.Metrics = reg
 	if *smoke {
 		// The smoke run is small and fast: a few epochs, a generous
 		// batch window so the concurrent-miss burst provably coalesces.
@@ -77,7 +70,7 @@ func main() {
 	}
 	study, err := core.NewStudy(cfg)
 	if err != nil {
-		fatal(err)
+		f.Fatal(err)
 	}
 	defer study.Close()
 
@@ -98,7 +91,7 @@ func main() {
 		return loc.Country, loc.RIR
 	}
 	svcCfg := resolvesvc.Config{
-		Order:       *order,
+		Order:       f.Order,
 		ScanSeed:    cfg.ScanSeed,
 		Epochs:      *epochs,
 		QueueDepth:  *queueDepth,
@@ -106,7 +99,7 @@ func main() {
 		BatchWindow: *batchWindow,
 		Blacklist:   study.World.ScanBlacklist(),
 	}
-	if *progress {
+	if f.Progress {
 		svcCfg.OnEpoch = func(st resolvesvc.EpochStatus) {
 			fmt.Fprintf(os.Stderr, "wildsvc: epoch %d committed  probed=%d deltas=%d records=%d open=%d lag=%d\n",
 				st.Epoch, st.Probed, st.Deltas, st.Records, st.Open, st.Lag)
@@ -122,37 +115,27 @@ func main() {
 		WallClock:  scanner.SystemClock,
 	})
 
-	if *metricsPath != "" {
-		defer func() {
-			if err := writeMetricsSnapshot(*metricsPath, reg); err != nil {
-				fmt.Fprintln(os.Stderr, "wildsvc:", err)
-			}
-		}()
-	}
+	defer f.WriteMetrics()
 
 	// Mount the query API on the debug endpoint's mux.
-	serveAddr := *addr
-	if serveAddr == "" && !*loadgen {
-		serveAddr = "127.0.0.1:0"
+	if *addr == "" {
+		*addr = "127.0.0.1:0"
 	}
-	var baseURL string
-	if serveAddr != "" {
-		var routes []debughttp.Route
-		for _, r := range svc.APIRoutes() {
-			routes = append(routes, debughttp.Route{Pattern: r.Pattern, Handler: r.Handler})
-		}
-		boundAddr, stopDebug, err := debughttp.Serve(serveAddr, reg, routes...)
-		if err != nil {
-			fatal(err)
-		}
-		defer func() {
-			if err := stopDebug(); err != nil {
-				fmt.Fprintln(os.Stderr, "wildsvc: http endpoint:", err)
-			}
-		}()
-		baseURL = "http://" + boundAddr
-		fmt.Fprintf(os.Stderr, "wildsvc: query API on %s\n", baseURL)
+	var routes []debughttp.Route
+	for _, r := range svc.APIRoutes() {
+		routes = append(routes, debughttp.Route{Pattern: r.Pattern, Handler: r.Handler})
 	}
+	boundAddr, stopDebug, err := debughttp.Serve(*addr, reg, routes...)
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer func() {
+		if err := stopDebug(); err != nil {
+			fmt.Fprintln(os.Stderr, "wildsvc: http endpoint:", err)
+		}
+	}()
+	baseURL := "http://" + boundAddr
+	fmt.Fprintf(os.Stderr, "wildsvc: query API on %s\n", baseURL)
 
 	// The epoch loop: the producer keeps re-sweeping the space and Run
 	// returns once every epoch has been committed to the store. The
@@ -160,44 +143,27 @@ func main() {
 	runErr := make(chan error, 1)
 	go func() { runErr <- svc.Run(ctx) }()
 
-	switch {
-	case *smoke:
+	if *smoke {
 		// Wait for the epochs, then drive the API over real HTTP.
 		if err := <-runErr; err != nil {
-			fatal(err)
+			f.Fatal(err)
 		}
 		if err := runSmoke(ctx, baseURL, svc, reg, *epochs); err != nil {
-			fatal(err)
+			f.Fatal(err)
 		}
 		fmt.Println("wildsvc smoke: PASS")
-	case *loadgen:
-		if err := <-runErr; err != nil {
-			fatal(err)
-		}
-		rep, err := svc.RunLoadGen(ctx, resolvesvc.LoadGenConfig{
-			Workers: *lgWorkers,
-			Lookups: *lgLookups,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		if err := writeReport(*benchOut, rep); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "wildsvc loadgen: %d lookups in %.3fs = %.2fM lookups/s  p50=%dns p99=%dns  (report: %s)\n",
-			rep.Lookups, float64(rep.ElapsedNs)/1e9, rep.LookupsPerS/1e6, rep.P50Ns, rep.P99Ns, *benchOut)
-	default:
-		// Daemon: after the final epoch the service keeps serving the
-		// committed store (and demand probes) until interrupted.
-		if err := <-runErr; err != nil && !errors.Is(err, context.Canceled) {
-			fatal(err)
-		}
-		if ctx.Err() == nil {
-			fmt.Fprintf(os.Stderr, "wildsvc: all %d epochs committed; serving until interrupt\n", *epochs)
-			<-ctx.Done()
-		}
-		fmt.Fprintln(os.Stderr, "wildsvc: shutting down")
+		return
 	}
+	// Daemon: after the final epoch the service keeps serving the
+	// committed store (and demand probes) until interrupted.
+	if err := <-runErr; err != nil && !errors.Is(err, context.Canceled) {
+		f.Fatal(err)
+	}
+	if ctx.Err() == nil {
+		fmt.Fprintf(os.Stderr, "wildsvc: all %d epochs committed; serving until interrupt\n", *epochs)
+		<-ctx.Done()
+	}
+	fmt.Fprintln(os.Stderr, "wildsvc: shutting down")
 }
 
 // runSmoke drives the query API end to end over real HTTP: a known
@@ -320,37 +286,4 @@ func getJSON(ctx context.Context, url string, out any) error {
 		return fmt.Errorf("GET %s: status %d: %s", url, resp.StatusCode, body)
 	}
 	return json.Unmarshal(body, out)
-}
-
-// writeReport writes the benchmark report as indented JSON.
-func writeReport(path string, rep *resolvesvc.BenchServeReport) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// writeMetricsSnapshot writes the registry's final snapshot as JSON.
-func writeMetricsSnapshot(path string, reg *metrics.Registry) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := reg.Snapshot().WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "wildsvc:", err)
-	os.Exit(1)
 }

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -19,8 +20,9 @@ func main() {
 		log.Fatal(err)
 	}
 	defer study.Close()
+	ctx := context.Background()
 
-	survey, scanned, err := study.RunAmplification(50, "chase.com")
+	survey, scanned, err := study.RunAmplificationContext(ctx, 50, "chase.com")
 	if err != nil {
 		log.Fatal(err)
 	}

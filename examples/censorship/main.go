@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -22,8 +23,9 @@ func main() {
 		log.Fatal(err)
 	}
 	defer study.Close()
+	ctx := context.Background()
 
-	res, err := study.RunDomainStudy(50, []goingwild.Category{domains.Alexa, domains.Adult})
+	res, err := study.RunDomainStudyContext(ctx, 50, []goingwild.Category{domains.Alexa, domains.Adult})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -21,9 +22,10 @@ func main() {
 		log.Fatal(err)
 	}
 	defer study.Close()
+	ctx := context.Background()
 	scale := goingwild.ScaleOf(study)
 
-	series, err := study.RunWeeklySeries()
+	series, err := study.RunWeeklySeriesContext(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -31,13 +33,13 @@ func main() {
 	fmt.Println(analysis.RenderTable1(series, scale, 10))
 	fmt.Println(analysis.RenderTable2(series, scale))
 
-	cohort, err := study.RunCohortStudy(10)
+	cohort, err := study.RunCohortStudyContext(ctx, 10)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println(analysis.RenderFigure2(cohort))
 
-	util, err := study.RunUtilization(43)
+	util, err := study.RunUtilizationContext(ctx, 43)
 	if err != nil {
 		log.Fatal(err)
 	}

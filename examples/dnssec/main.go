@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -21,9 +22,10 @@ func main() {
 		log.Fatal(err)
 	}
 	defer study.Close()
+	ctx := context.Background()
 
 	for _, name := range []string{"wikileaks.org", "facebook.com"} {
-		res, err := study.RunDNSSECRace(50, "CN", name)
+		res, err := study.RunDNSSECRaceContext(ctx, 50, "CN", name)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -20,9 +21,10 @@ func main() {
 		log.Fatal(err)
 	}
 	defer study.Close()
+	ctx := context.Background()
 
 	// Dec 17, 2014 is week 46 of the study.
-	chaos, n, err := study.RunChaos(46)
+	chaos, n, err := study.RunChaosContext(ctx, 46)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -30,7 +32,7 @@ func main() {
 		n, fingerprint.RuleCount())
 	fmt.Println(analysis.RenderTable3(chaos, 10))
 
-	devices, err := study.RunDevices(46)
+	devices, err := study.RunDevicesContext(ctx, 46)
 	if err != nil {
 		log.Fatal(err)
 	}

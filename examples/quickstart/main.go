@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -21,9 +22,10 @@ func main() {
 		log.Fatal(err)
 	}
 	defer study.Close()
+	ctx := context.Background()
 
 	// Step 1: the Internet-wide scan.
-	sweep, err := study.SweepAt(50)
+	sweep, err := study.SweepAtContext(ctx, 50)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -32,7 +34,7 @@ func main() {
 
 	// Steps 2–6: domain scan, prefilter, acquisition, clustering,
 	// labeling for the Banking and NX categories.
-	res, err := study.RunDomainStudy(50, []goingwild.Category{domains.Banking, domains.NX})
+	res, err := study.RunDomainStudyContext(ctx, 50, []goingwild.Category{domains.Banking, domains.NX})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,8 +9,11 @@
 //	study, err := goingwild.NewStudy(goingwild.DefaultConfig(20))
 //	if err != nil { ... }
 //	defer study.Close()
-//	series, err := study.RunWeeklySeries()            // Figure 1, Tables 1–2
-//	result, err := study.RunDomainStudy(50, nil)      // the Figure-3 chain
+//	series, err := study.RunWeeklySeriesContext(ctx)          // Figure 1, Tables 1–2
+//	result, err := study.RunDomainStudyContext(ctx, 50, nil)  // the Figure-3 chain
+//
+// Every study entry point takes a context and stops at the next stage
+// boundary or send batch once it is cancelled.
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 // paper-vs-measured record of every table and figure.

@@ -1,6 +1,7 @@
 package goingwild
 
 import (
+	"context"
 	"testing"
 
 	"goingwild/internal/domains"
@@ -18,14 +19,14 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if len(AllCategories()) != 13 {
 		t.Errorf("categories = %d", len(AllCategories()))
 	}
-	sweep, err := study.SweepAt(0)
+	sweep, err := study.SweepAtContext(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sweep.Total() == 0 {
 		t.Fatal("empty sweep through the facade")
 	}
-	res, err := study.RunDomainStudy(50, []Category{domains.Dating})
+	res, err := study.RunDomainStudyContext(context.Background(), 50, []Category{domains.Dating})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,7 +65,7 @@ func TestCountryFluctuationShape(t *testing.T) {
 	series := &Series{}
 	for _, week := range []int{0, 55} {
 		r.tr.SetTime(wildnet.At(week))
-		res, err := r.sc.Sweep(19, uint32(100+week), r.w.ScanBlacklist())
+		res, err := r.sc.SweepContext(context.Background(), 19, uint32(100+week), r.w.ScanBlacklist())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +118,7 @@ func TestCohortStudyMatchesFigure2(t *testing.T) {
 	r := newRig(t, 17)
 	defer r.tr.Close()
 	r.tr.SetTime(wildnet.At(0))
-	res, err := r.sc.Sweep(17, 3, r.w.ScanBlacklist())
+	res, err := r.sc.SweepContext(context.Background(), 17, 3, r.w.ScanBlacklist())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestREFUSEDCountStaysFlat(t *testing.T) {
 	counts := []int{}
 	for _, week := range []int{0, 27, 55} {
 		r.tr.SetTime(wildnet.At(week))
-		res, err := r.sc.Sweep(17, uint32(500+week), r.w.ScanBlacklist())
+		res, err := r.sc.SweepContext(context.Background(), 17, uint32(500+week), r.w.ScanBlacklist())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package classify
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -34,7 +35,7 @@ func newPipelineRig(t *testing.T, order uint) *pipelineRig {
 	t.Cleanup(func() { tr.Close() })
 	tr.SetTime(wildnet.At(50))
 	sc := scanner.New(tr, scanner.Options{Workers: 4, Retries: 1, SettleDelay: time.Millisecond})
-	sweep, err := sc.Sweep(order, 77, w.ScanBlacklist())
+	sweep, err := sc.SweepContext(context.Background(), order, 77, w.ScanBlacklist())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestPipelineDirectRun(t *testing.T) {
 	for _, d := range domains.ByCategory(domains.NX) {
 		names = append(names, d.Name)
 	}
-	scan, err := rig.sc.ScanDomains(rig.res, names)
+	scan, err := rig.sc.ScanDomainsContext(context.Background(), rig.res, names)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestPipelineDirectRun(t *testing.T) {
 
 func TestPipelineInjectionProberLabelsDarkTuples(t *testing.T) {
 	rig := newPipelineRig(t, 18)
-	scan, err := rig.sc.ScanDomains(rig.res, []string{"facebook.com"})
+	scan, err := rig.sc.ScanDomainsContext(context.Background(), rig.res, []string{"facebook.com"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,282 @@
+// Package cli is the one place the command-line surface goingwild,
+// wildreport, dnsscan and wildsvc share is declared: the flags all of them
+// take, and the run scaffolding behind those flags — checkpoint store and
+// interrupt handling, metrics registry, debug endpoint, progress output,
+// exit-time snapshot, journaled report sections. A binary's main keeps
+// only its own flags and its own work.
+package cli
+
+import (
+	"context"
+	"errors"
+	"flag"
+	"fmt"
+	"io"
+	"os"
+	"os/signal"
+	"time"
+
+	"goingwild/internal/checkpoint"
+	"goingwild/internal/core"
+	"goingwild/internal/debughttp"
+	"goingwild/internal/metrics"
+	"goingwild/internal/pipeline"
+	"goingwild/internal/scanner"
+)
+
+// Flags holds one binary's shared flags, valid after Parse. A binary whose
+// wording of a flag differs sets flag.Lookup(name).Usage after registering.
+type Flags struct {
+	prog string
+	reg  *metrics.Registry
+
+	Order    uint
+	Seed     uint64
+	Progress bool
+	Metrics  string
+	// The run flags; see RegisterRun.
+	Chaos      string
+	Checkpoint string
+	Resume     bool
+	DebugAddr  string
+}
+
+// Register declares the flags all four binaries take, on the process
+// command line: -order (default order), -seed, -progress and -metrics.
+// prog names the binary in everything the package prints.
+func Register(prog string, order uint) *Flags {
+	f := &Flags{prog: prog}
+	flag.UintVar(&f.Order, "order", order, "address-space width in bits")
+	flag.Uint64Var(&f.Seed, "seed", 0x60176A11D, "world seed")
+	flag.BoolVar(&f.Progress, "progress", false, "print per-stage pipeline events to stderr")
+	flag.StringVar(&f.Metrics, "metrics", "", "write a JSON metrics snapshot to this file at exit")
+	return f
+}
+
+// RegisterRun adds the flags of a binary that runs a study or scan to
+// completion: -chaos, -checkpoint, -resume and -debug-addr. The daemon has
+// no run to checkpoint and serves its own endpoint, so it goes without.
+func (f *Flags) RegisterRun() {
+	flag.StringVar(&f.Chaos, "chaos", "", "fault-injection profile (clean, lossy, hostile, flaky); empty injects nothing")
+	flag.StringVar(&f.Checkpoint, "checkpoint", "", "directory for crash-safe checkpoints; progress is saved there at every safe point")
+	flag.BoolVar(&f.Resume, "resume", false, "resume from the newest checkpoint in -checkpoint instead of starting over")
+	flag.StringVar(&f.DebugAddr, "debug-addr", "", "serve expvar/pprof/metrics over HTTP on this address (e.g. localhost:6060)")
+}
+
+// Parse parses the command line and checks the shared flags against each
+// other.
+func (f *Flags) Parse() {
+	flag.Parse()
+	if f.Resume && f.Checkpoint == "" {
+		f.Fatal(errors.New("-resume requires -checkpoint"))
+	}
+}
+
+// Fatal reports err on stderr and exits: status 3 when err is the orderly
+// first-interrupt stop of a checkpointed run (the checkpoint is saved),
+// status 1 for a failure.
+func (f *Flags) Fatal(err error) {
+	if errors.Is(err, checkpoint.ErrStopped) {
+		fmt.Fprintf(os.Stderr, "%s: checkpoint saved; resume with -resume\n", f.prog)
+		os.Exit(3)
+	}
+	fmt.Fprintf(os.Stderr, "%s: %v\n", f.prog, err)
+	os.Exit(1)
+}
+
+// Context derives the run's context from root and, under -checkpoint,
+// opens the checkpoint run. fingerprint names every flag that shapes
+// stdout, so a resume under different flags is refused instead of
+// splicing two runs. Without -checkpoint SIGINT cancels the context, and
+// every stage boundary and send batch honors it. With it interrupts are
+// two-phase: the first SIGINT drains to the next safe point, checkpoints
+// and surfaces as checkpoint.ErrStopped; the second cancels hard. release
+// undoes the signal handling.
+func (f *Flags) Context(root context.Context, fingerprint string) (ctx context.Context, runner *checkpoint.Runner, release func()) {
+	if f.Checkpoint == "" {
+		ctx, release = signal.NotifyContext(root, os.Interrupt)
+		return ctx, nil, release
+	}
+	runner, err := checkpoint.OpenRun(f.Checkpoint, f.Resume, fingerprint, os.Stdout, os.Stderr)
+	if err != nil {
+		f.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(root)
+	uninstall := runner.InstallSignals(cancel)
+	return ctx, runner, func() { uninstall(); cancel() }
+}
+
+// Registry returns the run's metrics registry, created when -metrics or
+// -debug-addr asks for one or the binary always wants one (force); nil
+// leaves instrumentation off. Metrics are a pure side channel: stdout is
+// byte-identical with and without a registry attached.
+func (f *Flags) Registry(force bool) *metrics.Registry {
+	if f.reg == nil && (force || f.Metrics != "" || f.DebugAddr != "") {
+		f.reg = metrics.New()
+	}
+	return f.reg
+}
+
+// StudyConfig is the study the shared flags describe: -order, the -chaos
+// profile's faults with the retry tuning that rides over them, -seed, and
+// the registry.
+func (f *Flags) StudyConfig() core.Config {
+	cfg := core.DefaultConfig(f.Order)
+	if f.Chaos != "" {
+		var err error
+		if cfg, err = core.ChaosProfileConfig(f.Order, f.Chaos); err != nil {
+			f.Fatal(err)
+		}
+	}
+	cfg.Seed = f.Seed
+	cfg.Metrics = f.Registry(false)
+	return cfg
+}
+
+// Observe starts the side channels the flags ask for — the -debug-addr
+// endpoint and, under -progress with a registry live, the periodic
+// one-line traffic summary — and returns the exit hook that stops them
+// and writes the -metrics snapshot. All of it goes to stderr or off
+// process, so stdout stays byte-identical.
+func (f *Flags) Observe() (stop func()) {
+	stopDebug := func() error { return nil }
+	if f.DebugAddr != "" {
+		addr, stop, err := debughttp.Serve(f.DebugAddr, f.reg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		stopDebug = stop
+		fmt.Fprintf(os.Stderr, "%s: debug endpoint on http://%s\n", f.prog, addr)
+	}
+	stopProgress := func() {}
+	if f.Progress && f.reg != nil {
+		stopProgress = metrics.StartProgress(os.Stderr, scanner.SystemClock, 2*time.Second, f.reg, nil)
+	}
+	return func() {
+		stopProgress()
+		f.WriteMetrics()
+		if err := stopDebug(); err != nil {
+			fmt.Fprintf(os.Stderr, "%s: debug endpoint: %v\n", f.prog, err)
+		}
+	}
+}
+
+// WriteMetrics writes the registry's final snapshot to the -metrics file,
+// if one was asked for.
+func (f *Flags) WriteMetrics() {
+	if f.Metrics == "" {
+		return
+	}
+	if err := writeSnapshot(f.Metrics, f.reg); err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", f.prog, err)
+	}
+}
+
+func writeSnapshot(path string, reg *metrics.Registry) error {
+	file, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := reg.Snapshot().WriteJSON(file); err != nil {
+		file.Close()
+		return err
+	}
+	return file.Close()
+}
+
+// StageProgress returns the -progress stage observer, one stderr line per
+// pipeline stage edge; nil without -progress.
+func (f *Flags) StageProgress() pipeline.Observer {
+	if !f.Progress {
+		return nil
+	}
+	return func(ev pipeline.StageEvent) {
+		switch ev.Kind {
+		case pipeline.StageStart:
+			fmt.Fprintf(os.Stderr, "%s: stage %-16s start\n", f.prog, ev.Stage)
+		case pipeline.StageDone:
+			fmt.Fprintf(os.Stderr, "%s: stage %-16s done  (%s)", f.prog, ev.Stage, ev.Elapsed)
+			for _, c := range ev.Counts {
+				fmt.Fprintf(os.Stderr, "  %s=%d", c.Name, c.Value)
+			}
+			fmt.Fprintln(os.Stderr)
+		case pipeline.StageFailed:
+			fmt.Fprintf(os.Stderr, "%s: stage %-16s failed: %v\n", f.prog, ev.Stage, ev.Err)
+		case pipeline.StageDegraded:
+			fmt.Fprintf(os.Stderr, "%s: stage %-16s degraded: %v\n", f.prog, ev.Stage, ev.Err)
+		case pipeline.StageSkipped:
+			fmt.Fprintf(os.Stderr, "%s: stage %-16s skipped\n", f.prog, ev.Stage)
+		}
+	}
+}
+
+// Sectioned returns the seam every stdout block of a report goes through:
+// direct execution without a checkpoint run, journaled crash-safe
+// sections with one. Each checkpointed section also persists the
+// degradation entries it contributed, so a resumed run's final "Degraded
+// stages" block matches the uninterrupted run even when the degrading
+// section is replayed from the journal instead of re-executed.
+func Sectioned(runner *checkpoint.Runner, study *core.Study) func(name string, fn func(w io.Writer) error) error {
+	if runner == nil {
+		return func(name string, fn func(w io.Writer) error) error { return fn(os.Stdout) }
+	}
+	return func(name string, fn func(w io.Writer) error) error {
+		doc := "degraded:" + name
+		if runner.Done(name) {
+			var recs []core.DegradedStage
+			if ok, err := runner.Fetch(doc, &recs); err != nil {
+				return err
+			} else if ok {
+				study.Degraded = append(study.Degraded, recs...)
+			}
+			return runner.Section(name, fn)
+		}
+		base := len(study.Degraded)
+		return runner.Section(name, func(w io.Writer) error {
+			if err := fn(w); err != nil {
+				return err
+			}
+			// Overwriting the same value makes a crash-retry idempotent.
+			if delta := study.Degraded[base:]; len(delta) > 0 {
+				return runner.Update(doc, delta)
+			}
+			return nil
+		})
+	}
+}
+
+// PrintDegraded reports the best-effort stages whose failures the
+// pipeline absorbed. A clean run prints nothing, keeping stdout
+// byte-identical to a build without degradation support.
+func PrintDegraded(w io.Writer, study *core.Study) {
+	if len(study.Degraded) == 0 {
+		return
+	}
+	fmt.Fprintln(w, "Degraded stages (best-effort failures absorbed):")
+	for _, d := range study.Degraded {
+		fmt.Fprintf(w, "  %-26s %s\n", d.Stage, d.Err)
+	}
+	fmt.Fprintln(w)
+}
+
+// SweepResume wires a resumable sweep to document doc of the checkpoint
+// run: the sweep's rendezvous checkpoints land there, a requested stop
+// unwinds the sweep right after a save, and a document a killed run left
+// behind is where the sweep picks up.
+func SweepResume(runner *checkpoint.Runner, doc string) (*scanner.ResumeControl, error) {
+	rc := &scanner.ResumeControl{
+		Save: func(ck *scanner.SweepCheckpoint) error {
+			if err := runner.Update(doc, ck); err != nil {
+				return err
+			}
+			return runner.CheckStop()
+		},
+	}
+	var prev scanner.SweepCheckpoint
+	if ok, err := runner.Fetch(doc, &prev); err != nil {
+		return nil, err
+	} else if ok {
+		rc.Prev = &prev
+	}
+	return rc, nil
+}

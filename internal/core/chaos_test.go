@@ -100,7 +100,7 @@ func TestDomainStudyReportDeterministicUnderFaults(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer s.Close()
-		res, err := s.RunDomainStudy(3, nil)
+		res, err := s.RunDomainStudyContext(context.Background(), 3, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -50,7 +51,7 @@ func TestTrustedResolveAndRDNSChannels(t *testing.T) {
 
 func TestVerificationScanFindsBlockedNetworks(t *testing.T) {
 	s := newStudy(t, 17)
-	v, err := s.RunVerification(50)
+	v, err := s.RunVerificationContext(context.Background(), 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestVerificationScanFindsBlockedNetworks(t *testing.T) {
 
 func TestDomainStudySmallCategories(t *testing.T) {
 	s := newStudy(t, 17)
-	res, err := s.RunDomainStudy(50, []domains.Category{domains.Adult, domains.Gambling, domains.NX})
+	res, err := s.RunDomainStudyContext(context.Background(), 50, []domains.Category{domains.Adult, domains.Gambling, domains.NX})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestDomainStudySmallCategories(t *testing.T) {
 
 func TestDomainStudyCensorshipGeography(t *testing.T) {
 	s := newStudy(t, 18)
-	res, err := s.RunDomainStudy(50, []domains.Category{domains.Alexa})
+	res, err := s.RunDomainStudyContext(context.Background(), 50, []domains.Category{domains.Alexa})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +167,7 @@ func TestDomainStudyCensorshipGeography(t *testing.T) {
 
 func TestDomainStudyCaseStudies(t *testing.T) {
 	s := newStudy(t, 17)
-	res, err := s.RunDomainStudy(50, []domains.Category{
+	res, err := s.RunDomainStudyContext(context.Background(), 50, []domains.Category{
 		domains.Ads, domains.Banking, domains.MX, domains.Misc,
 	})
 	if err != nil {
@@ -202,7 +203,7 @@ func TestDomainStudyCaseStudies(t *testing.T) {
 
 func TestChaosAndDeviceSurveysEndToEnd(t *testing.T) {
 	s := newStudy(t, 16)
-	chaos, n, err := s.RunChaos(46)
+	chaos, n, err := s.RunChaosContext(context.Background(), 46)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +213,7 @@ func TestChaosAndDeviceSurveysEndToEnd(t *testing.T) {
 	if v := chaos.VersionedShare(); math.Abs(v-0.339) > 0.08 {
 		t.Errorf("versioned share = %.3f", v)
 	}
-	dev, err := s.RunDevices(46)
+	dev, err := s.RunDevicesContext(context.Background(), 46)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +224,7 @@ func TestChaosAndDeviceSurveysEndToEnd(t *testing.T) {
 
 func TestStageTraceComplete(t *testing.T) {
 	s := newStudy(t, 16)
-	res, err := s.RunDomainStudy(50, []domains.Category{domains.Dating})
+	res, err := s.RunDomainStudyContext(context.Background(), 50, []domains.Category{domains.Dating})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +242,7 @@ func TestDNSSECRaceExperiment(t *testing.T) {
 	s := newStudy(t, 18)
 	// wikileaks.org is signed AND injected by the Chinese firewall:
 	// the exact §5 scenario.
-	res, err := s.RunDNSSECRace(50, "CN", "wikileaks.org")
+	res, err := s.RunDNSSECRaceContext(context.Background(), 50, "CN", "wikileaks.org")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +278,7 @@ func TestDNSSECRaceExperiment(t *testing.T) {
 		t.Error("validated success should be the exception, not the rule")
 	}
 	// An unsigned injected domain cannot be protected at all.
-	un, err := s.RunDNSSECRace(50, "CN", "facebook.com")
+	un, err := s.RunDNSSECRaceContext(context.Background(), 50, "CN", "facebook.com")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +308,7 @@ func TestDNSSECSignedAnswerValidatesEndToEnd(t *testing.T) {
 
 func TestFineGrainedModificationClustering(t *testing.T) {
 	s := newStudy(t, 17)
-	res, err := s.RunDomainStudy(50, []domains.Category{domains.Banking})
+	res, err := s.RunDomainStudyContext(context.Background(), 50, []domains.Category{domains.Banking})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,12 +341,12 @@ func TestOpenResolverProjectCrossCheck(t *testing.T) {
 	// independent scans within a 2% error margin. Model: a second,
 	// independently seeded scan of the same week must agree.
 	s := newStudy(t, 17)
-	ours, err := s.SweepAt(10)
+	ours, err := s.SweepAtContext(context.Background(), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	orp := scanner.New(s.Transport, scanner.Options{Workers: 4, SettleDelay: scanner.NoSettle})
-	theirs, err := orp.Sweep(s.Cfg.Order, 0x0127734C7, s.World.ScanBlacklist())
+	theirs, err := orp.SweepContext(context.Background(), s.Cfg.Order, 0x0127734C7, s.World.ScanBlacklist())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,15 +363,15 @@ func TestVanishedNetworkForensicsEndToEnd(t *testing.T) {
 	// first scan show none at the end; the verification vantage
 	// separates scanner-blocking from real filtering/shutdown.
 	s := newStudy(t, 20)
-	first, err := s.SweepAt(0)
+	first, err := s.SweepAtContext(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	last, err := s.SweepAt(55)
+	last, err := s.SweepAtContext(context.Background(), 55)
 	if err != nil {
 		t.Fatal(err)
 	}
-	secondary, err := s.SecondaryAliveSet(55)
+	secondary, err := s.SecondaryAliveSetContext(context.Background(), 55)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +407,7 @@ func TestVanishedNetworkForensicsEndToEnd(t *testing.T) {
 // (stage events appear) but never what it measures.
 func TestObserverIsSideChannelOnly(t *testing.T) {
 	plain := newStudy(t, 16)
-	resA, err := plain.RunDomainStudy(50, []domains.Category{domains.Dating})
+	resA, err := plain.RunDomainStudyContext(context.Background(), 50, []domains.Category{domains.Dating})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +415,7 @@ func TestObserverIsSideChannelOnly(t *testing.T) {
 	observed := newStudy(t, 16)
 	var events []pipeline.StageEvent
 	observed.Observer = func(ev pipeline.StageEvent) { events = append(events, ev) }
-	resB, err := observed.RunDomainStudy(50, []domains.Category{domains.Dating})
+	resB, err := observed.RunDomainStudyContext(context.Background(), 50, []domains.Category{domains.Dating})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,12 +29,6 @@ type DNSSECRaceResult struct {
 	ValidatedFallback int // unsigned domain: validation cannot help
 }
 
-// RunDNSSECRace probes every resolver of a country for one domain; it
-// is the ctx-less wrapper over RunDNSSECRaceContext.
-func (s *Study) RunDNSSECRace(week int, country, name string) (*DNSSECRaceResult, error) {
-	return s.RunDNSSECRaceContext(bgCtx, week, country, name)
-}
-
 // RunDNSSECRaceContext probes every resolver of a country for one domain
 // and evaluates both client strategies: census stage, trusted key-fetch
 // stage, then the per-resolver race probes. The zone key is fetched

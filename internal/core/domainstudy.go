@@ -33,12 +33,6 @@ type StageCount struct {
 	Count int
 }
 
-// RunDomainStudy executes the Figure-3 chain; it is the ctx-less wrapper
-// over RunDomainStudyContext.
-func (s *Study) RunDomainStudy(week int, cats []domains.Category) (*DomainStudyResult, error) {
-	return s.RunDomainStudyContext(bgCtx, week, cats)
-}
-
 // RunDomainStudyContext executes steps ❶–❻ at the given week for the
 // given categories (nil means all 13) as a pipeline: census → domain
 // scan → prefilter → classify → Figure 4. The ground-truth domain is

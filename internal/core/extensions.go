@@ -10,12 +10,6 @@ import (
 	"goingwild/internal/snoop"
 )
 
-// RunAmplification surveys ANY-query amplification; it is the ctx-less
-// wrapper over RunAmplificationContext.
-func (s *Study) RunAmplification(week int, name string) (*ampli.Survey, int, error) {
-	return s.RunAmplificationContext(bgCtx, week, name)
-}
-
 // RunAmplificationContext surveys the population's ANY-query
 // amplification potential (the DDoS framing of §1/§3; companion to the
 // authors' 2014 amplification study): census stage, then ANY-survey
@@ -42,12 +36,6 @@ func (s *Study) RunAmplificationContext(ctx context.Context, week int, name stri
 		return nil, 0, err
 	}
 	return survey, len(resolvers), nil
-}
-
-// RunPopularity executes the minute-resolution cache probe; it is the
-// ctx-less wrapper over RunPopularityContext.
-func (s *Study) RunPopularity(week int) ([]snoop.PopularityEstimate, error) {
-	return s.RunPopularityContext(bgCtx, week)
 }
 
 // RunPopularityContext executes the fine-grained minute-resolution cache

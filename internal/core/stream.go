@@ -26,12 +26,6 @@ type EpochView struct {
 	Lag   int
 }
 
-// RunWeeklySeriesStream is the ctx-less wrapper over
-// RunWeeklySeriesStreamContext.
-func (s *Study) RunWeeklySeriesStream(live func(EpochView)) (*churn.Series, error) {
-	return s.RunWeeklySeriesStreamContext(bgCtx, live)
-}
-
 // RunWeeklySeriesStreamContext performs the §2.2 longitudinal scans as
 // an epoch stream instead of one batch stage: a producer goroutine runs
 // the weekly sweeps (in exactly the batch path's clock and seed order,

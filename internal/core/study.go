@@ -25,12 +25,6 @@ import (
 	"goingwild/internal/wildnet"
 )
 
-// bgCtx backs the ctx-less compatibility wrappers around the Context
-// study entrypoints.
-//
-//lint:allow ctxhygiene sole Background escape for the ctx-less compatibility wrappers
-var bgCtx = context.Background()
-
 // Config parameterizes a study.
 type Config struct {
 	// Order is the simulated address-space width (the paper's Internet
@@ -280,12 +274,6 @@ func (s *Study) sweepStage(name string, week int, resolvers *[]uint32, total *in
 	}
 }
 
-// RunWeeklySeries performs the §2.2 longitudinal scans; it is the
-// ctx-less wrapper over RunWeeklySeriesContext.
-func (s *Study) RunWeeklySeries() (*churn.Series, error) {
-	return s.RunWeeklySeriesContext(bgCtx)
-}
-
 // RunWeeklySeriesContext performs the §2.2 longitudinal scans (Figure 1
 // and, via the retained endpoints, Tables 1–2) as a one-stage pipeline.
 func (s *Study) RunWeeklySeriesContext(ctx context.Context) (*churn.Series, error) {
@@ -318,12 +306,6 @@ func (s *Study) RunWeeklySeriesContext(ctx context.Context) (*churn.Series, erro
 	return series, nil
 }
 
-// SweepAt runs a single Internet-wide scan at a given week; it is the
-// ctx-less wrapper over SweepAtContext.
-func (s *Study) SweepAt(week int) (*scanner.SweepResult, error) {
-	return s.SweepAtContext(bgCtx, week)
-}
-
 // SweepAtContext runs a single Internet-wide scan at a given week.
 func (s *Study) SweepAtContext(ctx context.Context, week int) (*scanner.SweepResult, error) {
 	s.SetWeek(week)
@@ -331,18 +313,12 @@ func (s *Study) SweepAtContext(ctx context.Context, week int) (*scanner.SweepRes
 }
 
 // SweepShardAt runs shard `shard` of `of` of the week's Internet-wide
-// scan — the same permutation SweepAt walks, decimated by leapfrog — so
-// separate processes can each cover one shard and cmd/wildmerge can
+// scan — the same permutation SweepAtContext walks, decimated by leapfrog
+// — so separate processes can each cover one shard and cmd/wildmerge can
 // recombine their artifacts into the unsharded census.
 func (s *Study) SweepShardAt(ctx context.Context, week, shard, of int) (*scanner.SweepResult, error) {
 	s.SetWeek(week)
 	return s.Scanner.SweepShardContext(ctx, s.Cfg.Order, s.Cfg.ScanSeed+uint32(week)*7919, s.World.ScanBlacklist(), shard, of)
-}
-
-// RunCohortStudy tracks the week-0 responders; it is the ctx-less
-// wrapper over RunCohortStudyContext.
-func (s *Study) RunCohortStudy(weeks int) (*churn.CohortStudy, error) {
-	return s.RunCohortStudyContext(bgCtx, weeks)
 }
 
 // RunCohortStudyContext tracks the week-0 responders (Figure 2, §2.5):
@@ -385,12 +361,6 @@ func (s *Study) RunCohortStudyContext(ctx context.Context, weeks int) (*churn.Co
 	return study, nil
 }
 
-// RunChaos performs the CHAOS fingerprinting scan; it is the ctx-less
-// wrapper over RunChaosContext.
-func (s *Study) RunChaos(week int) (*fingerprint.ChaosSurvey, int, error) {
-	return s.RunChaosContext(bgCtx, week)
-}
-
 // RunChaosContext performs the CHAOS fingerprinting scan of §2.4
 // (Table 3): census stage, then version-query stage.
 func (s *Study) RunChaosContext(ctx context.Context, week int) (*fingerprint.ChaosSurvey, int, error) {
@@ -429,12 +399,6 @@ func (b bannerSource) Banner(addr uint32, proto devices.Proto) (string, bool) {
 	return b.w.ServiceBanner(addr, proto, b.t)
 }
 
-// RunDevices performs the device fingerprinting; it is the ctx-less
-// wrapper over RunDevicesContext.
-func (s *Study) RunDevices(week int) (*fingerprint.DeviceSurvey, error) {
-	return s.RunDevicesContext(bgCtx, week)
-}
-
 // RunDevicesContext performs the device fingerprinting of §2.4
 // (Table 4): census stage, then banner-grab stage.
 func (s *Study) RunDevicesContext(ctx context.Context, week int) (*fingerprint.DeviceSurvey, error) {
@@ -463,12 +427,6 @@ func (s *Study) RunDevicesContext(ctx context.Context, week int) (*fingerprint.D
 		survey = &fingerprint.DeviceSurvey{Scanned: len(resolvers)}
 	}
 	return survey, nil
-}
-
-// RunUtilization performs the cache-snooping study; it is the ctx-less
-// wrapper over RunUtilizationContext.
-func (s *Study) RunUtilization(week int) (*snoop.Result, error) {
-	return s.RunUtilizationContext(bgCtx, week)
 }
 
 // RunUtilizationContext performs the cache-snooping study of §2.6:
@@ -521,12 +479,6 @@ type VerificationResult struct {
 	OnlySecondary        int
 	OnlySecondaryByRCode map[dnswire.RCode]int
 	MissedNOERRORShare   float64
-}
-
-// RunVerification executes the secondary-vantage verification scan; it
-// is the ctx-less wrapper over RunVerificationContext.
-func (s *Study) RunVerification(week int) (*VerificationResult, error) {
-	return s.RunVerificationContext(bgCtx, week)
 }
 
 // RunVerificationContext executes the secondary-vantage verification
@@ -598,12 +550,6 @@ func (s *Study) RunVerificationContext(ctx context.Context, week int) (*Verifica
 		return nil, err
 	}
 	return out, nil
-}
-
-// SecondaryAliveSet probes the full space from the secondary vantage;
-// it is the ctx-less wrapper over SecondaryAliveSetContext.
-func (s *Study) SecondaryAliveSet(week int) (map[uint32]bool, error) {
-	return s.SecondaryAliveSetContext(bgCtx, week)
 }
 
 // SecondaryAliveSetContext probes the full space from the secondary

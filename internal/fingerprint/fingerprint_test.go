@@ -1,6 +1,7 @@
 package fingerprint
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -162,11 +163,11 @@ func TestChaosSurveyMatchesTable3Shape(t *testing.T) {
 	tr := wildnet.NewMemTransport(w, wildnet.VantagePrimary)
 	defer tr.Close()
 	sc := scanner.New(tr, scanner.Options{Workers: 4, SettleDelay: time.Millisecond})
-	sweep, err := sc.Sweep(18, 17, w.ScanBlacklist())
+	sweep, err := sc.SweepContext(context.Background(), 18, 17, w.ScanBlacklist())
 	if err != nil {
 		t.Fatal(err)
 	}
-	chaos, err := sc.ScanChaos(sweep.NOERROR())
+	chaos, err := sc.ScanChaosContext(context.Background(), sweep.NOERROR())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,11 +218,11 @@ func TestSurveySeedRobustness(t *testing.T) {
 		}
 		tr := wildnet.NewMemTransport(w, wildnet.VantagePrimary)
 		sc := scanner.New(tr, scanner.Options{Workers: 4, SettleDelay: scanner.NoSettle})
-		sweep, err := sc.Sweep(17, uint32(seed), w.ScanBlacklist())
+		sweep, err := sc.SweepContext(context.Background(), 17, uint32(seed), w.ScanBlacklist())
 		if err != nil {
 			t.Fatal(err)
 		}
-		chaos, err := sc.ScanChaos(sweep.NOERROR())
+		chaos, err := sc.ScanChaosContext(context.Background(), sweep.NOERROR())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package scanner
 
 import (
+	"context"
 	"net/netip"
 	"testing"
 
@@ -26,7 +27,7 @@ func TestSweepSendPathAllocs(t *testing.T) {
 	buf := make([]byte, 0, 128)
 	u := uint32(0x0A0B0C0D)
 	allocs := testing.AllocsPerRun(500, func() {
-		prefix := cachePrefix(u)
+		prefix := cachePrefixN(u, 0)
 		wire := dnswire.AppendTargetQuery(buf[:0], uint16(u)^uint16(u>>16),
 			prefix[:], u, baseWire, dnswire.TypeA, dnswire.ClassIN)
 		buf = wire[:0]
@@ -73,7 +74,7 @@ func TestSweepReceivePathAllocs(t *testing.T) {
 	// Build one realistic sweep response: the echoed question plus an A
 	// answer.
 	u := uint32(0x7F000001)
-	prefix := cachePrefix(u)
+	prefix := cachePrefixN(u, 0)
 	name := dnswire.EncodeTargetQName(string(prefix[:]), lfsr.U32ToAddr(u), domains.ScanBase)
 	m := dnswire.NewQuery(uint16(u)^uint16(u>>16), name, dnswire.TypeA, dnswire.ClassIN)
 	m.Header.QR = true
@@ -134,7 +135,7 @@ func TestDomainScanAllocsPerTuple(t *testing.T) {
 	w, tr := testWorld(t, 14)
 	defer tr.Close()
 	s := New(tr, Options{Workers: 1, SettleDelay: NoSettle})
-	census, err := s.Sweep(14, 1, w.ScanBlacklist())
+	census, err := s.SweepContext(context.Background(), 14, 1, w.ScanBlacklist())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestDomainScanAllocsPerTuple(t *testing.T) {
 	}
 	answered := 0
 	perScan := testing.AllocsPerRun(2, func() {
-		res, err := s.ScanDomains(resolvers, names)
+		res, err := s.ScanDomainsContext(context.Background(), resolvers, names)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,7 +181,7 @@ func TestSnoopRoundSendAllocs(t *testing.T) {
 		resolvers[i] = 0x0D000000 + uint32(i)
 	}
 	round := func(n int) float64 {
-		return testing.AllocsPerRun(5, func() { s.SnoopRound(resolvers[:n], "com", 1) })
+		return testing.AllocsPerRun(5, func() { s.SnoopRoundContext(context.Background(), resolvers[:n], "com", 1) })
 	}
 	half, full := round(len(resolvers)/2), round(len(resolvers))
 	if per := (full - half) / float64(len(resolvers)/2); per > 0.05 {

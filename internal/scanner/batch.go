@@ -10,8 +10,9 @@ import (
 )
 
 // Batched probe dispatch: instead of one Transport.Send per probe, sender
-// workers assemble up to streamBatch probes into a pooled arena and hand
-// the whole batch to the transport in one BatchSender.SendBatch call.
+// workers assemble one pull's worth of probes (up to streamBatch) into a
+// pooled arena and hand the whole batch to the transport in one
+// BatchSender.SendBatch call.
 // Against the in-memory transport that amortizes the clock lock and the
 // fault-layer gate; against the UDP gateway it becomes one sendmmsg(2)
 // per batch instead of 256 sendto(2) calls. A transport that does not
@@ -45,16 +46,16 @@ func (l sendLoop) SendBatch(ctx context.Context, batch []wildnet.Probe) (int, er
 // two up to the streamBatch flush threshold.
 var batchSizeBounds = []int64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 
-// probeBatch is a pooled batch-assembly arena: target addresses, payload
-// bytes, and the probe headers that point into them. Payloads append into
-// one buffer and are sliced only in finish, after the arena has stopped
-// growing, so reallocation never leaves a probe pointing at a stale
-// backing array.
+// probeBatch is a pooled batch-assembly arena: the items of one pull, the
+// payload bytes built for them and the probe headers that point into
+// those. Payloads append into one buffer and are sliced only in finish,
+// after the arena has stopped growing, so reallocation never leaves a
+// probe pointing at a stale backing array.
 type probeBatch struct {
-	// n is the live probe count; us and offs stay at full streamBatch
+	items [streamBatch]uint32
+	// n is the live probe count; offs and probes stay at full streamBatch
 	// length so batch assembly writes by index and never appends.
 	n      int
-	us     []uint32
 	offs   []int
 	buf    []byte
 	probes []wildnet.Probe
@@ -63,10 +64,9 @@ type probeBatch struct {
 // probeBatchPool recycles assembly arenas across batches and scans; it
 // lives at package scope so warm arenas carry from one sweep to the next.
 // The probe headers are kept at full length with the constant fields
-// (DstPort 53) prefilled; finish only writes what varies per probe.
+// (DstPort 53) prefilled; builders only write what varies per probe.
 var probeBatchPool = sync.Pool{New: func() any {
 	b := &probeBatch{
-		us:     make([]uint32, streamBatch),
 		offs:   make([]int, streamBatch),
 		buf:    make([]byte, 0, streamBatch*64),
 		probes: make([]wildnet.Probe, streamBatch),
@@ -77,12 +77,13 @@ var probeBatchPool = sync.Pool{New: func() any {
 	return b
 }}
 
-// templateBuild returns a batch payload builder that patches the three
-// per-target fields (transaction ID, anti-caching prefix, hex-IP label)
-// into a preassembled query, instead of rebuilding the query label by
-// label. The output is byte-for-byte what AppendTargetQuery produces for
-// the same target and attempt (TestTemplateBuildMatchesAppend pins this).
-func templateBuild(baseWire []byte, attempt int) func(u uint32, buf []byte) []byte {
+// templateBuild returns the sweep's probe builder: it addresses the probe
+// to target u from srcPort and patches the three per-target fields
+// (transaction ID, anti-caching prefix, hex-IP label) into a preassembled
+// query, instead of rebuilding the query label by label. The payload is
+// byte-for-byte what AppendTargetQuery produces for the same target and
+// attempt (TestTemplateBuildMatchesAppend pins this).
+func templateBuild(baseWire []byte, attempt int, srcPort uint16) probeBuild {
 	p0 := cachePrefixN(0, attempt)
 	tmpl := dnswire.AppendTargetQuery(nil, 0, p0[:], 0, baseWire, dnswire.TypeA, dnswire.ClassIN)
 	// Fixed layout: id at [0:2]; the 5-byte prefix label content at
@@ -90,7 +91,8 @@ func templateBuild(baseWire []byte, attempt int) func(u uint32, buf []byte) []by
 	// 8-hex-digit target label content at [19:27].
 	const hexdigits = "0123456789abcdef"
 	salt := uint64(attempt) * 0x9E3779B9
-	return func(u uint32, buf []byte) []byte {
+	return func(u uint32, p *wildnet.Probe, buf []byte) []byte {
+		p.Dst, p.SrcPort = lfsr.U32ToAddr(u), srcPort
 		off := len(buf)
 		buf = append(buf, tmpl...)
 		w := buf[off:]
@@ -123,35 +125,33 @@ func (b *probeBatch) reset() {
 	b.buf = b.buf[:0]
 }
 
-// add records target u and writes its payload (via build) to the arena.
-// Callers flush before n can reach streamBatch, so the indexed writes
-// stay in bounds.
+// add builds item u's probe into the next header slot and, through
+// build, its payload into the arena. A pull is at most streamBatch items,
+// so the indexed writes stay in bounds.
 //
 //lint:hotpath per-probe batch assembly
-func (b *probeBatch) add(u uint32, build func(u uint32, buf []byte) []byte) {
-	b.us[b.n] = u
+func (b *probeBatch) add(u uint32, build probeBuild) {
 	b.offs[b.n] = len(b.buf)
+	b.buf = build(u, &b.probes[b.n], b.buf)
 	b.n++
-	b.buf = build(u, b.buf)
 }
 
-// finish materializes the probe headers once the arena is stable. Only
-// the varying fields are written: DstPort is prefilled at pool
-// construction, and the header slots beyond this batch's length keep
-// their stale-but-unreachable previous values.
+// finish points every probe whose builder wrote to the arena at its bytes,
+// now that the arena is stable; a probe that was lent its payload keeps
+// it. The header slots beyond this batch's length keep their
+// stale-but-unreachable previous values.
 //
 //lint:hotpath per-probe batch assembly
-func (b *probeBatch) finish(srcPort uint16) []wildnet.Probe {
+func (b *probeBatch) finish() []wildnet.Probe {
 	probes := b.probes[:b.n]
-	for i := 0; i < b.n; i++ {
-		end := len(b.buf)
+	for i := range probes {
+		off, end := b.offs[i], len(b.buf)
 		if i+1 < b.n {
 			end = b.offs[i+1]
 		}
-		p := &probes[i]
-		p.Dst = lfsr.U32ToAddr(b.us[i])
-		p.SrcPort = srcPort
-		p.Payload = b.buf[b.offs[i]:end:end]
+		if off < end {
+			probes[i].Payload = b.buf[off:end:end]
+		}
 	}
 	return probes
 }

@@ -2,6 +2,7 @@ package scanner
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"testing"
 	"time"
@@ -26,12 +27,16 @@ func TestTemplateBuildMatchesAppend(t *testing.T) {
 		targets = append(targets, u)
 	}
 	for attempt := 0; attempt <= 3; attempt++ {
-		build := templateBuild(baseWire, attempt)
+		build := templateBuild(baseWire, attempt, 33000)
 		var arena []byte
 		offs := []int{0}
 		for _, u := range targets {
-			arena = build(u, arena)
+			var p wildnet.Probe
+			arena = build(u, &p, arena)
 			offs = append(offs, len(arena))
+			if p.Dst != lfsr.U32ToAddr(u) || p.SrcPort != 33000 || p.Payload != nil {
+				t.Fatalf("attempt %d target %08x: probe header %+v", attempt, u, p)
+			}
 		}
 		for i, u := range targets {
 			got := arena[offs[i]:offs[i+1]]
@@ -56,7 +61,7 @@ func sweepWith(t *testing.T, order uint, seed uint32, opts Options) *SweepResult
 	}
 	tr := wildnet.NewMemTransport(w, wildnet.VantagePrimary)
 	defer tr.Close()
-	res, err := New(tr, opts).Sweep(order, seed, w.ScanBlacklist())
+	res, err := New(tr, opts).SweepContext(context.Background(), order, seed, w.ScanBlacklist())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +85,7 @@ func TestSweepShardUnionMatchesUnsharded(t *testing.T) {
 			t.Fatal(err)
 		}
 		tr := wildnet.NewMemTransport(w, wildnet.VantagePrimary)
-		res, err := New(tr, opts).SweepShard(16, 777, w.ScanBlacklist(), shard, of)
+		res, err := New(tr, opts).SweepShardContext(context.Background(), 16, 777, w.ScanBlacklist(), shard, of)
 		tr.Close()
 		if err != nil {
 			t.Fatal(err)
@@ -128,32 +133,67 @@ func TestShardedSweepBudgetSplit(t *testing.T) {
 	}
 }
 
-// TestBatchedDispatchMatchesPerProbe pins that hiding BatchSender from
+// TestBatchedDispatchMatchesPerProbe pins, for the sweep and each of the
+// four list scans under the hostile profile, that hiding BatchSender from
 // the scanner (so the engine dispatches through the sendLoop adapter)
-// changes nothing about the result — batching is pure dispatch overhead.
+// changes nothing about the result — batching is pure dispatch overhead —
+// and that the worker count changes nothing either.
 func TestBatchedDispatchMatchesPerProbe(t *testing.T) {
-	run := func(hide bool) *SweepResult {
-		w, err := wildnet.NewWorld(wildnet.DefaultConfig(14))
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr := wildnet.NewMemTransport(w, wildnet.VantagePrimary)
-		defer tr.Close()
-		var transport Transport = tr
-		if hide {
-			transport = struct{ Transport }{tr}
-		}
-		res, err := New(transport, Options{Workers: 2, SweepRetries: 1, SettleDelay: time.Millisecond}).
-			Sweep(14, 31337, w.ScanBlacklist())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	ctx := context.Background()
+	names := []string{"qq.com", "chase.com", "thepiratebay.se"}
+	scans := []struct {
+		name string
+		run  func(s *Scanner, census *SweepResult) (any, error)
+	}{
+		{"sweep", func(s *Scanner, census *SweepResult) (any, error) { return census, nil }},
+		{"domains", func(s *Scanner, census *SweepResult) (any, error) {
+			return s.ScanDomainsContext(ctx, census.NOERROR(), names)
+		}},
+		{"chaos", func(s *Scanner, census *SweepResult) (any, error) {
+			return s.ScanChaosContext(ctx, census.NOERROR())
+		}},
+		{"alive", func(s *Scanner, census *SweepResult) (any, error) {
+			cohort := make([]uint32, len(census.Responders))
+			for i, r := range census.Responders {
+				cohort[i] = r.Addr
+			}
+			return s.ProbeAliveContext(ctx, cohort)
+		}},
+		{"snoop", func(s *Scanner, census *SweepResult) (any, error) {
+			return s.SnoopRoundContext(ctx, census.NOERROR(), "com", 3)
+		}},
 	}
-	batched, single := run(false), run(true)
-	if !reflect.DeepEqual(batched, single) {
-		t.Errorf("batched dispatch diverges from per-probe Send: %d vs %d responders",
-			batched.Total(), single.Total())
+	for _, sc := range scans {
+		run := func(hide bool, workers int) any {
+			w, tr := resumeWorld(t, 14, "hostile")
+			defer tr.Close()
+			var transport Transport = tr
+			if hide {
+				transport = struct{ Transport }{tr}
+			}
+			s := New(transport, Options{Workers: workers, SweepRetries: 1, SettleDelay: time.Millisecond})
+			census, err := s.SweepContext(ctx, 14, 31337, w.ScanBlacklist())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(census.NOERROR()) < 50 {
+				t.Fatalf("only %d resolvers in the order-14 world", len(census.NOERROR()))
+			}
+			res, err := sc.run(s, census)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		want := run(false, 2)
+		if got := run(true, 2); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: batched dispatch diverges from per-probe Send", sc.name)
+		}
+		for _, workers := range []int{1, 8} {
+			if got := run(false, workers); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: Workers=%d diverges from Workers=2", sc.name, workers)
+			}
+		}
 	}
 	if _, ok := any(struct{ Transport }{}).(wildnet.BatchSender); ok {
 		t.Fatal("wrapper unexpectedly still exposes SendBatch")

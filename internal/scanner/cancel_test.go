@@ -77,6 +77,34 @@ func TestSweepCancelMidScan(t *testing.T) {
 	}
 }
 
+// TestListScanCancelMidScan is TestSweepCancelMidScan for a list scan,
+// which cancels on the same engine: workers stop at their next pull, so
+// at most one pull per worker goes out beyond the cancellation point, and
+// the scan returns ctx.Err() with the allocated result.
+func TestListScanCancelMidScan(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	const cancelAfter, workers = 1000, 4
+	tr := &cancelAfterTransport{inner: &nullTransport{}, cancel: cancel, after: cancelAfter}
+	resolvers := make([]uint32, 4096)
+	for i := range resolvers {
+		resolvers[i] = 0x0E000000 + uint32(i)
+	}
+	s := New(tr, Options{Workers: workers, SettleDelay: NoSettle})
+
+	res, err := s.ScanDomainsContext(ctx, resolvers, []string{"chase.com", "okcupid.com"})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled domain scan returned err=%v, want context.Canceled", err)
+	}
+	if res == nil || len(res.Answers) != 2 {
+		t.Fatal("cancelled domain scan must return the allocated result rows")
+	}
+	maxProbes := int64(cancelAfter + workers*listPull(len(resolvers)))
+	if got := tr.sent.Load(); got < cancelAfter || got > maxProbes {
+		t.Errorf("cancelled domain scan sent %d probes, want [%d, %d]", got, cancelAfter, maxProbes)
+	}
+}
+
 // TestSweepCancelBounded is the acceptance assertion: a cancelled
 // order-20 sweep returns within one send batch per worker plus one
 // settle tick, measured on the fake clock.
@@ -163,7 +191,7 @@ func TestScanDomainsCancelBetweenRounds(t *testing.T) {
 	w, mem := testWorld(t, 16)
 	defer mem.Close()
 	s := New(mem, Options{Workers: 4, SettleDelay: NoSettle})
-	sweep, err := s.Sweep(16, 31, w.ScanBlacklist())
+	sweep, err := s.SweepContext(context.Background(), 16, 31, w.ScanBlacklist())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,32 +214,6 @@ func TestScanDomainsCancelBetweenRounds(t *testing.T) {
 			if res.Answers[ni][ri].Answered() {
 				t.Fatalf("row %d answer %d recorded despite pre-cancelled context", ni, ri)
 			}
-		}
-	}
-}
-
-// TestSweepContextUncancelledMatchesWrapper pins the compatibility
-// contract: threading a live context through SweepContext yields exactly
-// the result of the ctx-less wrapper.
-func TestSweepContextUncancelledMatchesWrapper(t *testing.T) {
-	w, tr := testWorld(t, 16)
-	defer tr.Close()
-	s := testScanner(tr)
-	a, err := s.Sweep(16, 31, w.ScanBlacklist())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := s.SweepContext(context.Background(), 16, 31, w.ScanBlacklist())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Probed != b.Probed || len(a.Responders) != len(b.Responders) {
-		t.Fatalf("ctx variant diverged: probed %d/%d, responders %d/%d",
-			a.Probed, b.Probed, len(a.Responders), len(b.Responders))
-	}
-	for i := range a.Responders {
-		if a.Responders[i] != b.Responders[i] {
-			t.Fatalf("responder %d differs: %+v vs %+v", i, a.Responders[i], b.Responders[i])
 		}
 	}
 }

@@ -2,9 +2,11 @@ package scanner
 
 import (
 	"context"
+	"fmt"
 
 	"goingwild/internal/dnswire"
 	"goingwild/internal/lfsr"
+	"goingwild/internal/wildnet"
 )
 
 // ChaosAnswer is one resolver's pair of CHAOS version responses (§2.4).
@@ -39,12 +41,6 @@ func (c *ChaosResult) Responded() int {
 	return n
 }
 
-// ScanChaos issues version.bind and version.server CHAOS TXT queries to
-// every resolver; it is the ctx-less wrapper over ScanChaosContext.
-func (s *Scanner) ScanChaos(resolvers []uint32) (*ChaosResult, error) {
-	return s.ScanChaosContext(bgCtx, resolvers)
-}
-
 // ScanChaosContext issues version.bind and version.server CHAOS TXT
 // queries to every resolver. The probe identifier rides in the
 // transaction ID (CHAOS scans target an enumerated list, so 16+1 bits
@@ -64,6 +60,11 @@ func (s *Scanner) ScanChaosContext(ctx context.Context, resolvers []uint32) (*Ch
 	var locks stripedMutex
 	for pass, qname := range []string{"version.bind", "version.server"} {
 		isBind := pass == 0
+		// Every probe of a pass asks the same question; only the ID moves.
+		tmpl, err := dnswire.AppendQuery(nil, 0, true, qname, dnswire.TypeTXT, dnswire.ClassCH)
+		if err != nil {
+			return res, fmt.Errorf("scanner: CHAOS query for %q: %w", qname, err)
+		}
 		// Identify resolvers by transaction id chunks of 64k.
 		chunks := (len(resolvers) + 0xFFFF) / 0x10000
 		for chunk := 0; chunk < chunks; chunk++ {
@@ -102,28 +103,16 @@ func (s *Scanner) ScanChaosContext(ctx context.Context, resolvers []uint32) (*Ch
 				}
 				mu.Unlock()
 			})
-			// The version census sends once per (resolver, name): the
-			// shared retry helper runs with zero retry rounds so Table 3
-			// keeps its single-probe response rates, but the loop shape
-			// (and any future retry policy) lives in one place.
-			s.retryRounds(ctx, 0, len(batch),
-				func(i, _ int) {
-					q := getQuery(uint16(i), qname, dnswire.TypeTXT, dnswire.ClassCH)
-					s.m.chaosSent.Inc()
-					//lint:allow errdrop CHAOS-probe send failures are modeled packet loss
-					s.tr.Send(ctx, lfsr.U32ToAddr(batch[i]), 53, s.opts.BasePort, *q)
-					queryBufs.Put(q)
-				},
-				func(i int) bool {
-					mu := locks.of(uint32(lo + i))
-					mu.Lock()
-					a := res.Answers[lo+i]
-					mu.Unlock()
-					if isBind {
-						return !a.BindAnswered
-					}
-					return !a.ServerAnswered
-				})
+			// The version census sends once per (resolver, name) — no
+			// retry rounds — so Table 3 keeps its single-probe response
+			// rates.
+			if err := s.listScan(ctx, len(batch), 0, s.m.chaosSent,
+				func(i uint32, p *wildnet.Probe, arena []byte) []byte {
+					p.Dst, p.SrcPort = lfsr.U32ToAddr(batch[i]), s.opts.BasePort
+					return appendWithID(arena, tmpl, uint16(i))
+				}, nil); err != nil {
+				return res, err
+			}
 		}
 	}
 	return res, ctx.Err()

@@ -29,12 +29,11 @@ type ContextSleeper interface {
 }
 
 // sleepCtx sleeps d on the clock but returns early once ctx dies. A
-// context that can never be cancelled (Done() == nil, the compatibility-
-// wrapper path) sleeps directly on the clock, byte-for-byte the old
-// behavior. Clocks implementing ContextSleeper get the cancellation
-// handed to them; for plain clocks the sleep is parked on a goroutine so
-// the scan itself returns promptly (the goroutine is reclaimed when the
-// clock's Sleep elapses).
+// context that can never be cancelled (Done() == nil, e.g. a Background)
+// sleeps directly on the clock. Clocks implementing ContextSleeper get the
+// cancellation handed to them; for plain clocks the sleep is parked on a
+// goroutine so the scan itself returns promptly (the goroutine is
+// reclaimed when the clock's Sleep elapses).
 func sleepCtx(ctx context.Context, c Clock, d time.Duration) error {
 	if d <= 0 {
 		return ctx.Err()

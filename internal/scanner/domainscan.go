@@ -2,9 +2,11 @@ package scanner
 
 import (
 	"context"
+	"fmt"
 
 	"goingwild/internal/dnswire"
 	"goingwild/internal/lfsr"
+	"goingwild/internal/wildnet"
 )
 
 // TupleAnswer is the outcome of one (domain, resolver) probe — the raw
@@ -39,12 +41,6 @@ type DomainScanResult struct {
 	Answers [][]TupleAnswer
 }
 
-// ScanDomains queries every resolver for every name; it is the ctx-less
-// wrapper over ScanDomainsContext.
-func (s *Scanner) ScanDomains(resolvers []uint32, names []string) (*DomainScanResult, error) {
-	return s.ScanDomainsContext(bgCtx, resolvers, names)
-}
-
 // ScanDomainsContext queries every resolver for every name. Each probe
 // carries the resolver's index as a 25-bit identifier: 16 bits in the DNS
 // transaction ID, 9 bits selecting the UDP source port, and the same 9
@@ -52,9 +48,10 @@ func (s *Scanner) ScanDomains(resolvers []uint32, names []string) (*DomainScanRe
 // exactly the encoding of §3.3, which survives resolvers that rewrite the
 // response's destination port.
 //
-// Cancellation checkpoints sit between name rounds and between retry
-// rounds; a cancelled scan returns the partially filled result together
-// with ctx.Err().
+// Cancellation checkpoints sit between name rounds, between retry rounds
+// and between send batches; a cancelled scan returns the partially filled
+// result together with ctx.Err(). A name that cannot be encoded ends the
+// scan with the encoder's error and the rows measured so far.
 func (s *Scanner) ScanDomainsContext(ctx context.Context, resolvers []uint32, names []string) (*DomainScanResult, error) {
 	if s.tr == nil {
 		return nil, ErrNoTransport
@@ -78,11 +75,18 @@ func (s *Scanner) ScanDomainsContext(ctx context.Context, resolvers []uint32, na
 	// by resolver index, so receivers for different resolvers proceed in
 	// parallel instead of convoying on a per-name mutex.
 	var locks stripedMutex
+	var tmpl []byte
 	for ni, name := range names {
 		// Checkpoint between name rounds: a cancelled scan keeps the
 		// rows already measured and stops before the next fan-out.
 		if err := ctx.Err(); err != nil {
 			return res, err
+		}
+		// A name round's probes differ only in the resolver identifier, so
+		// the round packs its query once and the builder patches that in.
+		var err error
+		if tmpl, err = dnswire.AppendQuery(tmpl[:0], 0, true, name, dnswire.TypeA, dnswire.ClassIN); err != nil {
+			return res, fmt.Errorf("scanner: domain query for %q: %w", name, err)
 		}
 		row := res.Answers[ni]
 		s.tr.SetReceiver(func(src netip4, srcPort, dstPort uint16, payload []byte) {
@@ -106,6 +110,7 @@ func (s *Scanner) ScanDomainsContext(ctx context.Context, resolvers []uint32, na
 				if nbits < 9 {
 					// Too few letters to recover; drop like the
 					// paper drops unattributable responses.
+					s.m.domainsUnattributed.Inc()
 					return
 				}
 				hi = uint16(bits)
@@ -113,6 +118,7 @@ func (s *Scanner) ScanDomainsContext(ctx context.Context, resolvers []uint32, na
 			}
 			id := dnswire.JoinProbeID(txid, hi)
 			if int(id) >= len(resolvers) {
+				s.m.domainsUnattributed.Inc()
 				return
 			}
 			s.m.domainsRecv.Inc()
@@ -134,23 +140,19 @@ func (s *Scanner) ScanDomainsContext(ctx context.Context, resolvers []uint32, na
 			}
 		})
 
-		// The retransmission loop (round 0 fan-out, miss recomputation,
-		// backoff, budget, deadline) is the shared retryRounds helper;
-		// the probe payload is identical across attempts, so fault-layer
+		// The probe payload is identical across attempts, so fault-layer
 		// redraws ride on the transport's retransmission counter.
-		err := s.retryRounds(ctx, s.opts.Retries, len(resolvers),
-			func(ri, _ int) {
-				id := dnswire.ProbeID(ri)
-				txid, portIdx := dnswire.SplitProbeID(id)
-				q := getQuery(txid, name, dnswire.TypeA, dnswire.ClassIN)
-				dnswire.Encode0x20Bytes(dnswire.QueryNameWire(*q), uint32(portIdx), 9)
-				s.m.domainsSent.Inc()
-				//lint:allow errdrop domain-probe send failures are modeled packet loss
-				s.tr.Send(ctx, lfsr.U32ToAddr(resolvers[ri]), 53, s.opts.BasePort+portIdx, *q)
-				queryBufs.Put(q)
+		err = s.listScan(ctx, len(resolvers), s.opts.Retries, s.m.domainsSent,
+			func(ri uint32, p *wildnet.Probe, arena []byte) []byte {
+				txid, portIdx := dnswire.SplitProbeID(dnswire.ProbeID(ri))
+				off := len(arena)
+				arena = appendWithID(arena, tmpl, txid)
+				dnswire.Encode0x20Bytes(dnswire.QueryNameWire(arena[off:]), uint32(portIdx), 9)
+				p.Dst, p.SrcPort = lfsr.U32ToAddr(resolvers[ri]), s.opts.BasePort+portIdx
+				return arena
 			},
-			func(ri int) bool {
-				mu := locks.of(uint32(ri))
+			func(ri uint32) bool {
+				mu := locks.of(ri)
 				mu.Lock()
 				n := row[ri].Responses
 				mu.Unlock()

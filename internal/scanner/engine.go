@@ -1,0 +1,323 @@
+package scanner
+
+import (
+	"context"
+	"sync"
+
+	"goingwild/internal/metrics"
+	"goingwild/internal/wildnet"
+)
+
+// The scan engine. Every scan — the Internet-wide sweep and the list
+// scans over an enumerated resolver population (domain, CHAOS, alive,
+// snoop) — is rounds of the same thing: Options.Workers senders drain one
+// target source, build a probe per item into a pooled batch and hand the
+// batch to the transport; a settle barrier follows; retry rounds re-probe
+// what stayed silent under the backoff, budget and deadline policy. A
+// scan differs only in what it hands the engine: the source, the probe
+// builder, the miss check, the counter its probes are tallied in, and how
+// many retry rounds it wants.
+
+// targetSource yields a round's items in a fixed order: the sweep's
+// *lfsr.TargetGenerator yields target addresses, a listSource yields
+// indices into the caller's address list.
+type targetSource interface {
+	// NextBatch fills dst with the round's next items and reports how
+	// many; zero ends the round.
+	NextBatch(dst []uint32) int
+	// Reset rewinds to the start of the round.
+	Reset()
+}
+
+// listSource walks the indices 0..n-1 of an address list in order.
+type listSource struct{ n, next uint32 }
+
+// NextBatch implements targetSource.
+//
+//lint:hotpath per-probe index generation for list scans
+func (l *listSource) NextBatch(dst []uint32) int {
+	n := 0
+	for n < len(dst) && l.next < l.n {
+		dst[n] = l.next
+		l.next++
+		n++
+	}
+	return n
+}
+
+// Reset implements targetSource.
+func (l *listSource) Reset() { l.next = 0 }
+
+// streamBatch is how many targets a sender worker pulls from the sweep's
+// generator per lock acquisition, and the ceiling of any pull. 256 keeps
+// the generator lock at well under 1% of each worker's time while
+// bounding how far ahead of the others any worker can run.
+const streamBatch = 256
+
+// listPull is how many indices a worker pulls from an n-item list at a
+// time: a thirty-second of the list, so a name round of a few thousand
+// resolvers still spreads over every worker, within [8, streamBatch]. It
+// is a function of n alone — pulls cut the batches, so a size derived
+// from Workers or GOMAXPROCS would make transport.batch.size depend on
+// the machine.
+func listPull(n int) int {
+	return min(max(n/32, 8), streamBatch)
+}
+
+// probeBuild fills p for item u: destination, source port and payload. A
+// payload built per item is appended to arena, which is returned grown —
+// the batch cuts it into p.Payload once the arena has stopped moving. A
+// payload the whole round shares is lent through p.Payload as is, and
+// arena comes back untouched.
+type probeBuild func(u uint32, p *wildnet.Probe, arena []byte) []byte
+
+// appendWithID appends the packed query tmpl to arena under transaction
+// id — what a probe builder does when a round's queries differ only in
+// their ID.
+func appendWithID(arena, tmpl []byte, id uint16) []byte {
+	off := len(arena)
+	arena = append(arena, tmpl...)
+	arena[off], arena[off+1] = byte(id>>8), byte(id)
+	return arena
+}
+
+// scanRun is one scan on the engine: what the caller hands it, and the
+// round state the sender workers share under mu (held for one pull).
+type scanRun struct {
+	src targetSource
+	// chunk is how many items one pull takes, at most streamBatch.
+	chunk int
+	// rounds is how many retry rounds may follow round 0.
+	rounds int
+	// build returns the round's probe builder. Sweeps salt the payload
+	// with the round so a retransmission redraws its loss fate as a new
+	// packet; list scans send identical bytes every round and ride the
+	// transport's attempt counter instead.
+	build func(round int) probeBuild
+	// miss reports whether item u is still unanswered. It is consulted
+	// only for items of a retry round, each pulled once per round.
+	miss func(u uint32) bool
+	// sent tallies the probes dispatched (nil = metrics off).
+	sent *metrics.Counter
+	// budget is the retransmission allowance left when the scan runs with
+	// a bound RetryBudget (bound).
+	bound  bool
+	budget int
+	// save, when set, persists a checkpoint of the run: from the
+	// rendezvous every `every` batches, and at each round boundary with
+	// done reporting that nothing is left to send.
+	save  func(done bool) error
+	every int
+
+	mu sync.Mutex
+	// round is 0 for the first pass, 1..rounds for retransmissions.
+	round int
+	// probed counts round-0 items pulled. Retry rounds never add to it:
+	// retries are recovery traffic, not coverage.
+	probed uint64
+}
+
+// pull fills dst with the round's next items and reports whether the
+// round has more. Under a bound budget a retry round keeps only the first
+// `budget` misses in source order — decided here, under the lock, so the
+// retransmitted set does not depend on how many workers pull.
+func (r *scanRun) pull(dst []uint32) (n int, more bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	spending := r.round > 0 && r.bound
+	if spending && r.budget <= 0 {
+		return 0, false
+	}
+	n = r.src.NextBatch(dst)
+	switch {
+	case n == 0:
+		return 0, false
+	case r.round == 0:
+		r.probed += uint64(n)
+	case spending:
+		k := 0
+		for _, u := range dst[:n] {
+			if k < r.budget && r.miss(u) {
+				dst[k] = u
+				k++
+			}
+		}
+		r.budget -= k
+		n = k
+	}
+	return n, true
+}
+
+// pending reports whether the round about to start has anything to send:
+// it walks the rewound source to the first still-silent item and rewinds
+// again. A sweep finds one within its first pull; a list scan whose
+// probes were all answered ends here, before the backoff sleep and the
+// settle wait another round would cost.
+func (r *scanRun) pending() bool {
+	defer r.src.Reset()
+	bat := probeBatchPool.Get().(*probeBatch)
+	defer probeBatchPool.Put(bat)
+	for {
+		n := r.src.NextBatch(bat.items[:])
+		if n == 0 {
+			return false
+		}
+		for _, u := range bat.items[:n] {
+			if r.miss(u) {
+				return true
+			}
+		}
+	}
+}
+
+// run drives r through its rounds, starting at r.round (nonzero only for
+// a resumed sweep). Each round Options.Workers senders drain the source,
+// then the settle barrier fixes the answered set the next round's miss
+// check reads — an item is pulled once per round, so whether it is still
+// silent is settled before the round starts, and the probes sent are
+// independent of Workers. Retry rounds honor the backoff schedule, the
+// retransmission budget and the stage deadline; an exhausted budget, an
+// expired deadline or an empty miss set ends the scan quietly — partial
+// coverage is the graceful outcome — while context death and save errors
+// surface.
+func (s *Scanner) run(ctx context.Context, r *scanRun) error {
+	guard := s.newDeadlineGuard()
+	for {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if r.round > 0 {
+			if guard.expired() || (r.bound && r.budget <= 0) {
+				break
+			}
+			if err := s.backoffWait(ctx, r.round); err != nil {
+				return err
+			}
+			s.m.retryRound.Inc()
+		}
+		var rz *rendezvous
+		if r.save != nil {
+			rz = newRendezvous(s.opts.Workers, r.every, func() error { return r.save(false) })
+		}
+		err := s.sendRound(ctx, r, rz)
+		if err == nil {
+			err = s.settle(ctx)
+		}
+		if err != nil {
+			return err
+		}
+		if r.round == 0 {
+			// The stage deadline bounds the retry phase, not round 0.
+			guard = s.newDeadlineGuard()
+		}
+		r.src.Reset()
+		r.round++
+		done := r.round > r.rounds || !r.pending()
+		if r.save != nil {
+			// Round boundary: force a checkpoint so a crash during the next
+			// round's backoff (or after the last round) resumes cleanly.
+			if err := r.save(done); err != nil {
+				return err
+			}
+		}
+		if done {
+			break
+		}
+	}
+	return ctx.Err()
+}
+
+// sendRound runs one round: Options.Workers senders, each pulling
+// r.chunk items at a time from the shared source, building the
+// still-wanted ones into a pooled batch and dispatching it in a single
+// SendBatch call. The set of probes sent is exactly the round's item set
+// no matter how batches interleave, so scan results stay
+// schedule-independent.
+//
+// A cancelled context stops each worker at its next pull (at most one
+// in-flight batch per worker completes). rz, when set, is the checkpoint
+// rendezvous every worker visits after each batch; a nil rz adds no lock
+// and no allocation to the batch.
+func (s *Scanner) sendRound(ctx context.Context, r *scanRun, rz *rendezvous) error {
+	limited := s.rate.interval != 0
+	retry := r.round > 0
+	build := r.build(r.round)
+	// A bound budget has already applied the miss check in pull.
+	var accept func(u uint32) bool
+	if retry && !r.bound {
+		accept = r.miss
+	}
+	sender := func() error {
+		if rz != nil {
+			defer rz.finish()
+		}
+		bat := probeBatchPool.Get().(*probeBatch)
+		defer probeBatchPool.Put(bat)
+		for {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			n, more := r.pull(bat.items[:r.chunk])
+			if !more {
+				return nil
+			}
+			bat.reset()
+			for _, u := range bat.items[:n] {
+				if accept != nil && !accept(u) {
+					continue
+				}
+				if limited {
+					s.rate.wait(ctx)
+				}
+				bat.add(u, build)
+			}
+			if bat.n > 0 {
+				probes := bat.finish()
+				r.sent.Add(uint64(len(probes)))
+				if retry {
+					s.m.retrySpend.Add(uint64(len(probes)))
+				}
+				s.m.batchSize.Observe(int64(len(probes)))
+				// Send failures are modeled packet loss.
+				s.batch.SendBatch(ctx, probes)
+			}
+			if rz != nil {
+				if err := rz.pause(); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	errs := make([]error, s.opts.Workers)
+	var wg sync.WaitGroup
+	for w := range errs {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			errs[w] = sender()
+		}(w)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// listScan runs the engine over the indices of an n-item list: every index
+// is probed once, then up to `rounds` retry rounds cover the ones miss
+// still reports (miss may be nil when rounds is 0).
+func (s *Scanner) listScan(ctx context.Context, n, rounds int, sent *metrics.Counter, build probeBuild, miss func(i uint32) bool) error {
+	return s.run(ctx, &scanRun{
+		src:    &listSource{n: uint32(n)},
+		chunk:  listPull(n),
+		rounds: rounds,
+		build:  func(int) probeBuild { return build },
+		miss:   miss,
+		sent:   sent,
+		bound:  s.opts.RetryBudget > 0,
+		budget: s.opts.RetryBudget,
+	})
+}

@@ -3,11 +3,13 @@ package scanner
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net/netip"
 	"sync/atomic"
 	"testing"
 
 	"goingwild/internal/dnswire"
+	"goingwild/internal/domains"
 	"goingwild/internal/lfsr"
 )
 
@@ -106,5 +108,54 @@ func TestSnoopRoundSendsOnePayload(t *testing.T) {
 	}
 	if _, err := sc.SnoopRoundContext(context.Background(), resolvers, "a..b", 41); err == nil {
 		t.Error("snoop round for an unencodable tld returned no error")
+	}
+}
+
+// TestAliveAndChaosQueriesMatchMessageForm: the alive and CHAOS builders
+// assemble their probes from precomputed wire pieces in the batch arena.
+// What reaches the transport must be byte for byte the query the Message
+// encoder packs from the name's string form, on the base source port —
+// packed bytes key the world's loss draws, so a moved byte moves reports.
+func TestAliveAndChaosQueriesMatchMessageForm(t *testing.T) {
+	const addrBase, basePort = 0x0B000000, 40000
+	var want func(dst uint32) *dnswire.Message
+	tr := &inspectTransport{check: func(dst uint32, srcPort uint16, payload []byte) {
+		wire, err := want(dst).PackBytes()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if !bytes.Equal(payload, wire) || srcPort != basePort {
+			t.Errorf("target %#x: sent %x from port %d, want %x from port %d", dst, payload, srcPort, wire, basePort)
+		}
+	}}
+	sc := New(tr, Options{Workers: 4, SettleDelay: NoSettle, BasePort: basePort})
+
+	// The alive prefix is "c" plus the low twelve bits in hex, unpadded.
+	want = func(u uint32) *dnswire.Message {
+		name := dnswire.EncodeTargetQName(fmt.Sprintf("c%x", u&0xFFF), lfsr.U32ToAddr(u), domains.ScanBase)
+		return dnswire.NewQuery(uint16(u), name, dnswire.TypeA, dnswire.ClassIN)
+	}
+	alive := []uint32{addrBase, addrBase + 0xF, addrBase + 0x10, addrBase + 0x123, addrBase + 0xFFF, 0xC0FFEE00, 0xFFFFFFFF}
+	if _, err := sc.ProbeAliveContext(context.Background(), alive); err != nil {
+		t.Fatal(err)
+	}
+
+	// Past 2^16 resolvers the CHAOS scan starts a second transaction-ID
+	// chunk; the two passes are barriered, so the send count names the pass.
+	resolvers := make([]uint32, 0x10000+300)
+	for i := range resolvers {
+		resolvers[i] = addrBase + uint32(i)
+	}
+	var sends atomic.Int64
+	want = func(dst uint32) *dnswire.Message {
+		qname := []string{"version.bind", "version.server"}[int(sends.Add(1)-1)/len(resolvers)]
+		return dnswire.NewQuery(uint16(dst-addrBase), qname, dnswire.TypeTXT, dnswire.ClassCH)
+	}
+	if _, err := sc.ScanChaosContext(context.Background(), resolvers); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := sends.Load(), int64(2*len(resolvers)); got != want {
+		t.Fatalf("%d CHAOS probes sent, want %d", got, want)
 	}
 }

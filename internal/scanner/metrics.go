@@ -24,21 +24,28 @@ type scanMetrics struct {
 	snoopSent, snoopRecv     *metrics.Counter
 	probeSent, probeRecv     *metrics.Counter
 	tcpSent, tcpRecv         *metrics.Counter
-	// retryRounds counts retry rounds that actually retransmitted;
+	// domainsUnattributed counts domain-scan responses dropped before
+	// domainsRecv because no resolver can be named for them: a rewritten
+	// port under a question with fewer than nine letters, or a recovered
+	// identifier beyond the resolver list. With it the stage reconciles:
+	// wildnet.send.answered ≤ domains.recv + domains.unattributed.
+	domainsUnattributed *metrics.Counter
+	// retryRound counts retry rounds that actually retransmitted;
 	// retrySpend counts the retransmissions they sent.
-	retryRounds *metrics.Counter
-	retrySpend  *metrics.Counter
+	retryRound *metrics.Counter
+	retrySpend *metrics.Counter
 	// settleWaits counts settle barriers that waited for in-flight
 	// responses (a deterministic call count; the waited duration flows
 	// through the Clock).
 	settleWaits *metrics.Counter
 	// rateStalls counts rate-limiter sleeps (Timing class).
 	rateStalls *metrics.Counter
-	// batchSize distributes the per-SendBatch probe counts the sweep
+	// batchSize distributes the per-SendBatch probe counts every scan
 	// dispatched. The multiset of batch sizes is deterministic (batches
-	// are cut by the one generator's pull sequence: full streamBatch pulls
-	// plus one remainder per round, less what a retry round's miss check
-	// drops), even though which worker flushed which batch is not.
+	// are cut by the one source's pull sequence: full pulls — streamBatch
+	// for a sweep, listPull of the list length for a list scan — plus one
+	// remainder per round, less what a retry round's miss check drops),
+	// even though which worker flushed which batch is not.
 	batchSize *metrics.Histogram
 }
 
@@ -49,24 +56,25 @@ func newScanMetrics(r *metrics.Registry) scanMetrics {
 		return scanMetrics{}
 	}
 	return scanMetrics{
-		sweepSent:   r.Counter("scanner.sweep.sent"),
-		sweepRecv:   r.Counter("scanner.sweep.recv"),
-		domainsSent: r.Counter("scanner.domains.sent"),
-		domainsRecv: r.Counter("scanner.domains.recv"),
-		chaosSent:   r.Counter("scanner.chaos.sent"),
-		chaosRecv:   r.Counter("scanner.chaos.recv"),
-		aliveSent:   r.Counter("scanner.alive.sent"),
-		aliveRecv:   r.Counter("scanner.alive.recv"),
-		snoopSent:   r.Counter("scanner.snoop.sent"),
-		snoopRecv:   r.Counter("scanner.snoop.recv"),
-		probeSent:   r.Counter("scanner.probe.sent"),
-		probeRecv:   r.Counter("scanner.probe.recv"),
-		tcpSent:     r.Counter("scanner.tcp.sent"),
-		tcpRecv:     r.Counter("scanner.tcp.recv"),
-		retryRounds: r.Counter("scanner.retry.rounds"),
-		retrySpend:  r.Counter("scanner.retry.spend"),
-		settleWaits: r.Counter("scanner.settle.waits"),
-		rateStalls:  r.TimingCounter("scanner.rate.stalls"),
-		batchSize:   r.Histogram("transport.batch.size", batchSizeBounds),
+		sweepSent:           r.Counter("scanner.sweep.sent"),
+		sweepRecv:           r.Counter("scanner.sweep.recv"),
+		domainsSent:         r.Counter("scanner.domains.sent"),
+		domainsRecv:         r.Counter("scanner.domains.recv"),
+		domainsUnattributed: r.Counter("scanner.domains.unattributed"),
+		chaosSent:           r.Counter("scanner.chaos.sent"),
+		chaosRecv:           r.Counter("scanner.chaos.recv"),
+		aliveSent:           r.Counter("scanner.alive.sent"),
+		aliveRecv:           r.Counter("scanner.alive.recv"),
+		snoopSent:           r.Counter("scanner.snoop.sent"),
+		snoopRecv:           r.Counter("scanner.snoop.recv"),
+		probeSent:           r.Counter("scanner.probe.sent"),
+		probeRecv:           r.Counter("scanner.probe.recv"),
+		tcpSent:             r.Counter("scanner.tcp.sent"),
+		tcpRecv:             r.Counter("scanner.tcp.recv"),
+		retryRound:          r.Counter("scanner.retry.rounds"),
+		retrySpend:          r.Counter("scanner.retry.spend"),
+		settleWaits:         r.Counter("scanner.settle.waits"),
+		rateStalls:          r.TimingCounter("scanner.rate.stalls"),
+		batchSize:           r.Histogram("transport.batch.size", batchSizeBounds),
 	}
 }

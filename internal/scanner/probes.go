@@ -3,18 +3,13 @@ package scanner
 import (
 	"context"
 	"fmt"
+	"strconv"
 
 	"goingwild/internal/dnswire"
 	"goingwild/internal/domains"
 	"goingwild/internal/lfsr"
+	"goingwild/internal/wildnet"
 )
-
-// ProbeAlive re-probes an explicit address list; it is the ctx-less
-// wrapper over ProbeAliveContext.
-func (s *Scanner) ProbeAlive(addrs []uint32) map[uint32]bool {
-	alive, _ := s.ProbeAliveContext(bgCtx, addrs)
-	return alive
-}
 
 // ProbeAliveContext re-probes an explicit address list (the §2.5 churn
 // study tracks the week-0 cohort this way) and returns the set that
@@ -27,6 +22,10 @@ func (s *Scanner) ProbeAliveContext(ctx context.Context, addrs []uint32) (map[ui
 	}
 	collected := newShardedMap[bool](len(addrs) / 4)
 	base := dnswire.CanonicalName(domains.ScanBase)
+	baseWire, err := dnswire.EncodeNameWire(base)
+	if err != nil {
+		return nil, err
+	}
 	s.tr.SetReceiver(func(src netip4, srcPort, dstPort uint16, payload []byte) {
 		v := dnswire.GetView()
 		defer dnswire.PutView(v)
@@ -40,19 +39,18 @@ func (s *Scanner) ProbeAliveContext(ctx context.Context, addrs []uint32) (map[ui
 		s.m.aliveRecv.Inc()
 		collected.InsertOnce(target, true)
 	})
-	// Shared retransmission loop: identical payload per attempt, misses
-	// recomputed between settle-barriered rounds.
-	s.retryRounds(ctx, s.opts.Retries, len(addrs),
-		func(i, _ int) {
+	// The probe asks for c<hex of the low 12 bits>.<hex-ip>.<scan base>:
+	// identical bytes on every attempt, so fault-layer redraws ride on the
+	// transport's retransmission counter.
+	err = s.listScan(ctx, len(addrs), s.opts.Retries, s.m.aliveSent,
+		func(i uint32, p *wildnet.Probe, arena []byte) []byte {
 			u := addrs[i]
-			name := dnswire.EncodeTargetQName(fmt.Sprintf("c%x", u&0xFFF), lfsr.U32ToAddr(u), domains.ScanBase)
-			q := getQuery(uint16(u), name, dnswire.TypeA, dnswire.ClassIN)
-			s.m.aliveSent.Inc()
-			//lint:allow errdrop alive-probe send failures are modeled packet loss
-			s.tr.Send(ctx, lfsr.U32ToAddr(u), 53, s.opts.BasePort, *q)
-			queryBufs.Put(q)
+			prefix := [4]byte{'c'}
+			p.Dst, p.SrcPort = lfsr.U32ToAddr(u), s.opts.BasePort
+			return dnswire.AppendTargetQuery(arena, uint16(u), strconv.AppendUint(prefix[:1], uint64(u&0xFFF), 16),
+				u, baseWire, dnswire.TypeA, dnswire.ClassIN)
 		},
-		func(i int) bool {
+		func(i uint32) bool {
 			_, ok := collected.Get(addrs[i])
 			return !ok
 		})
@@ -60,7 +58,7 @@ func (s *Scanner) ProbeAliveContext(ctx context.Context, addrs []uint32) (map[ui
 	collected.Collect(func(u uint32, _ bool) {
 		alive[u] = true
 	})
-	return alive, ctx.Err()
+	return alive, err
 }
 
 // LookupPTR resolves the reverse name of target through the resolver at

@@ -13,7 +13,7 @@ func TestProbeAliveTracksCohort(t *testing.T) {
 	w, tr := testWorld(t, 16)
 	defer tr.Close()
 	s := testScanner(tr)
-	sweep, err := s.Sweep(16, 5, w.ScanBlacklist())
+	sweep, err := s.SweepContext(context.Background(), 16, 5, w.ScanBlacklist())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,13 +21,19 @@ func TestProbeAliveTracksCohort(t *testing.T) {
 	for _, r := range sweep.Responders {
 		cohort = append(cohort, r.Addr)
 	}
-	alive := s.ProbeAlive(cohort)
+	alive, err := s.ProbeAliveContext(context.Background(), cohort)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(alive) < len(cohort)*95/100 {
 		t.Errorf("same-time reprobe found only %d/%d", len(alive), len(cohort))
 	}
 	// A week later, many are gone.
 	tr.SetTime(wildnet.At(1))
-	aliveLater := s.ProbeAlive(cohort)
+	aliveLater, err := s.ProbeAliveContext(context.Background(), cohort)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(aliveLater) >= len(alive) {
 		t.Errorf("no churn observed: %d then %d", len(alive), len(aliveLater))
 	}
@@ -102,12 +108,15 @@ func TestSnoopRoundAttribution(t *testing.T) {
 	w, tr := testWorld(t, 16)
 	defer tr.Close()
 	s := testScanner(tr)
-	sweep, err := s.Sweep(16, 5, w.ScanBlacklist())
+	sweep, err := s.SweepContext(context.Background(), 16, 5, w.ScanBlacklist())
 	if err != nil {
 		t.Fatal(err)
 	}
 	resolvers := sweep.NOERROR()
-	round := s.SnoopRound(resolvers, "com", 0)
+	round, err := s.SnoopRoundContext(context.Background(), resolvers, "com", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(round) < len(resolvers)/2 {
 		t.Errorf("snoop round reached %d/%d resolvers", len(round), len(resolvers))
 	}
@@ -180,7 +189,7 @@ func TestStatsCounting(t *testing.T) {
 	defer mem.Close()
 	tr, stats := WithStats(mem)
 	s := New(tr, Options{Workers: 4, Retries: 0, SettleDelay: NoSettle})
-	if _, err := s.Sweep(16, 5, w.ScanBlacklist()); err != nil {
+	if _, err := s.SweepContext(context.Background(), 16, 5, w.ScanBlacklist()); err != nil {
 		t.Fatal(err)
 	}
 	snap := stats.Snapshot()

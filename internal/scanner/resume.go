@@ -170,16 +170,16 @@ func (s *Scanner) SweepResumeContext(ctx context.Context, order uint, seed uint3
 
 // restoreSweep loads prev into a freshly built run and collector. It
 // reports done when prev already holds the complete result.
-func (s *Scanner) restoreSweep(run *sweepRun, st *sweepCollector, prev *SweepCheckpoint, bl *lfsr.Blacklist) (done bool, err error) {
-	g, want := prev.Gen, run.gen.State()
+func (s *Scanner) restoreSweep(run *scanRun, st *sweepCollector, prev *SweepCheckpoint, bl *lfsr.Blacklist) (done bool, err error) {
+	g, want := prev.Gen, run.src.(*lfsr.TargetGenerator).State()
 	if g.Order != want.Order || g.Seed != want.Seed || g.Shard != want.Shard || g.Of != want.Of {
 		return false, fmt.Errorf("scanner: checkpoint is shard %d/%d of an order-%d seed-%d sweep; this run is shard %d/%d of order-%d seed-%d",
 			g.Shard, g.Of, g.Order, g.Seed, want.Shard, want.Of, want.Order, want.Seed)
 	}
-	if !prev.Done && prev.Round > s.opts.SweepRetries {
-		return false, fmt.Errorf("scanner: checkpoint round %d exceeds this run's %d retry rounds", prev.Round, s.opts.SweepRetries)
+	if !prev.Done && prev.Round > run.rounds {
+		return false, fmt.Errorf("scanner: checkpoint round %d exceeds this run's %d retry rounds", prev.Round, run.rounds)
 	}
-	if run.gen, err = lfsr.Resume(g, bl); err != nil {
+	if run.src, err = lfsr.Resume(g, bl); err != nil {
 		return false, err
 	}
 	for _, r := range prev.Responders {
@@ -199,12 +199,12 @@ func (s *Scanner) restoreSweep(run *sweepRun, st *sweepCollector, prev *SweepChe
 // checkpointSweep cuts a checkpoint of the run. Callers guarantee no
 // sender is in flight: every worker is parked at the rendezvous, or the
 // round's workers have all returned.
-func (s *Scanner) checkpointSweep(run *sweepRun, st *sweepCollector) *SweepCheckpoint {
+func (s *Scanner) checkpointSweep(run *scanRun, st *sweepCollector) *SweepCheckpoint {
 	run.mu.Lock()
 	defer run.mu.Unlock()
 	ck := &SweepCheckpoint{
 		Round:      run.round,
-		Gen:        run.gen.State(),
+		Gen:        run.src.(*lfsr.TargetGenerator).State(),
 		Probed:     run.probed,
 		Responders: s.collectSweep(st, run.probed).Responders,
 		Attempts:   s.snapshotAttempts(),

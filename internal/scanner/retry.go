@@ -78,72 +78,3 @@ func (s *Scanner) newDeadlineGuard() deadlineGuard {
 func (g *deadlineGuard) expired() bool {
 	return g.deadline > 0 && g.clock.Now().Sub(g.start) >= g.deadline
 }
-
-// retryRounds is the one retransmission loop every list-targeted scan
-// shares (domain scans, CHAOS scans, alive re-probes): send round 0 to
-// all n items, settle, then run up to `rounds` retry rounds over the
-// still-unanswered items with exponential backoff between rounds, a
-// total retransmission budget, and a per-stage deadline budget.
-//
-// send transmits item i for the given retry attempt (0 for the initial
-// round); unanswered reports whether item i still lacks a response (it is
-// only consulted between settle-barriered rounds, so implementations may
-// lock per item). Retransmission sets are rebuilt in item order, so the
-// probes sent are schedule-independent. An expired deadline or exhausted
-// budget ends the loop quietly — partial coverage is the graceful
-// outcome — while context death surfaces as ctx.Err().
-func (s *Scanner) retryRounds(ctx context.Context, rounds, n int,
-	send func(i, attempt int), unanswered func(i int) bool) error {
-	if err := s.sendAll(ctx, n, func(i int) { send(i, 0) }); err != nil {
-		return err
-	}
-	if err := s.settle(ctx); err != nil {
-		return err
-	}
-	if rounds <= 0 || n == 0 {
-		return ctx.Err()
-	}
-	guard := s.newDeadlineGuard()
-	budget := s.opts.RetryBudget
-	var pending []int
-	for attempt := 1; attempt <= rounds; attempt++ {
-		// Checkpoint between retry rounds.
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if guard.expired() {
-			break
-		}
-		pending = pending[:0]
-		for i := 0; i < n; i++ {
-			if unanswered(i) {
-				pending = append(pending, i)
-			}
-		}
-		if len(pending) == 0 {
-			break
-		}
-		if s.opts.RetryBudget > 0 {
-			if budget <= 0 {
-				break
-			}
-			if len(pending) > budget {
-				pending = pending[:budget]
-			}
-			budget -= len(pending)
-		}
-		if err := s.backoffWait(ctx, attempt); err != nil {
-			return err
-		}
-		batch, a := pending, attempt
-		s.m.retryRounds.Inc()
-		s.m.retrySpend.Add(uint64(len(batch)))
-		if err := s.sendAll(ctx, len(batch), func(k int) { send(batch[k], a) }); err != nil {
-			return err
-		}
-		if err := s.settle(ctx); err != nil {
-			return err
-		}
-	}
-	return ctx.Err()
-}

@@ -10,10 +10,10 @@
 // world (millions of probes per second) and real UDP sockets through the
 // loopback gateway.
 //
-// Every scan entrypoint has a context-aware variant (SweepContext,
-// ScanDomainsContext, ...) that aborts between send batches, between
-// retry rounds, and during settle waits. The ctx-less names are thin
-// compatibility wrappers over those.
+// Every scan entrypoint takes a context (SweepContext,
+// ScanDomainsContext, ...) and aborts between send batches, between
+// retry rounds, and during settle waits; all of them run on the one
+// round loop in engine.go.
 package scanner
 
 import (
@@ -21,10 +21,8 @@ import (
 	"errors"
 	"net/netip"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"goingwild/internal/dnswire"
 	"goingwild/internal/lfsr"
 	"goingwild/internal/metrics"
 	"goingwild/internal/wildnet"
@@ -36,11 +34,11 @@ import (
 // implementations (wildnet.MemTransport, wildnet.UDPTransport).
 type Transport = wildnet.Transport
 
-// bgCtx backs the ctx-less compatibility wrappers (Sweep, ScanDomains,
-// ...). New code should call the Context variants with a real caller
-// context instead.
+// bgCtx backs the two single-exchange helpers that take no context, Probe
+// (under LookupA, LookupPTR and core's injection probe, whose
+// callback-typed consumers carry none) and ProbeTC.
 //
-//lint:allow ctxhygiene sole Background escape for the ctx-less compatibility wrappers
+//lint:allow ctxhygiene sole Background escape, for the single-exchange helpers whose callers carry no context
 var bgCtx = context.Background()
 
 // NoRetries is the Options.Retries value that disables retransmission
@@ -131,7 +129,7 @@ func (o *Options) fill() {
 // Scanner drives probes over a transport.
 type Scanner struct {
 	tr Transport
-	// batch is the sweep's only dispatch: tr's own SendBatch, or the
+	// batch is the engine's only dispatch: tr's own SendBatch, or the
 	// loop-over-Send adapter for a transport without one.
 	batch wildnet.BatchSender
 	opts  Options
@@ -194,61 +192,6 @@ func (r *rateLimiter) wait(ctx context.Context) {
 	}
 }
 
-// sendAll distributes jobs across worker goroutines. Each job sends one
-// probe; the rate limiter is shared. A cancelled context stops every
-// worker at its next probe boundary; sendAll returns ctx.Err() in that
-// case with an unspecified subset of the jobs sent.
-//
-// Cancellation is polled via ctx.Err() so a cancel() that fires inside a
-// Send callback is observed at the very next probe — no watcher
-// goroutine, no scheduling latency. The ctx-less wrappers pass a context
-// whose Done() is nil, which skips the polling entirely and keeps the
-// hot path exactly as fast as before contexts existed.
-func (s *Scanner) sendAll(ctx context.Context, n int, send func(i int)) error {
-	cancellable := ctx.Done() != nil
-	workers := s.opts.Workers
-	if n < workers {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if cancellable && ctx.Err() != nil {
-				return ctx.Err()
-			}
-			s.rate.wait(ctx)
-			send(i)
-		}
-		return ctx.Err()
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if cancellable && ctx.Err() != nil {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				s.rate.wait(ctx)
-				send(i)
-			}
-		}()
-	}
-	wg.Wait()
-	return ctx.Err()
-}
-
-// streamBatch is how many targets a sender worker pulls from the shared
-// generator per lock acquisition. 256 keeps the generator lock at well
-// under 1% of each worker's time while bounding how far ahead of the
-// others any worker can run.
-const streamBatch = 256
-
 // settle waits for late responses on asynchronous transports. A negative
 // SettleDelay (synchronous transport) skips the wait. A dead context
 // skips or cuts short the wait and is reported as ctx.Err().
@@ -270,24 +213,3 @@ type netip4 = netip.Addr
 //
 //lint:hotpath per-response address conversion
 func addrU32(a netip.Addr) uint32 { return lfsr.AddrToU32(a) }
-
-// queryBufs recycles the wire buffers list scans build their probes into.
-// A buffer is lent to Transport.Send for the call and goes back right
-// after it.
-var queryBufs = sync.Pool{New: func() any {
-	b := make([]byte, 0, 128)
-	return &b
-}}
-
-// getQuery builds a recursion-desired query into a pooled buffer; hand it
-// back with queryBufs.Put once Send has returned. It panics only on
-// programmer error (static names are always packable).
-func getQuery(id uint16, name string, typ dnswire.Type, class dnswire.Class) *[]byte {
-	bp := queryBufs.Get().(*[]byte)
-	wire, err := dnswire.AppendQuery((*bp)[:0], id, true, name, typ, class)
-	if err != nil {
-		panic("scanner: unpackable query: " + err.Error())
-	}
-	*bp = wire
-	return bp
-}

@@ -1,6 +1,7 @@
 package scanner
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -29,7 +30,7 @@ func TestSweepFindsPopulation(t *testing.T) {
 	defer tr.Close()
 	s := testScanner(tr)
 	bl := w.ScanBlacklist()
-	res, err := s.Sweep(16, 12345, bl)
+	res, err := s.SweepContext(context.Background(), 16, 12345, bl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestSweepRecoveryExact(t *testing.T) {
 	tr := wildnet.NewMemTransport(w, wildnet.VantagePrimary)
 	defer tr.Close()
 	s := New(tr, Options{Workers: 4, SettleDelay: time.Millisecond})
-	res, err := s.Sweep(16, 7, w.ScanBlacklist())
+	res, err := s.SweepContext(context.Background(), 16, 7, w.ScanBlacklist())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestSweepRespectsBlacklist(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := testScanner(tr)
-	res, err := s.Sweep(16, 5, bl)
+	res, err := s.SweepContext(context.Background(), 16, 5, bl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestSweepDetectsMisSourced(t *testing.T) {
 	w, tr := testWorld(t, 18)
 	defer tr.Close()
 	s := testScanner(tr)
-	res, err := s.Sweep(18, 5, w.ScanBlacklist())
+	res, err := s.SweepContext(context.Background(), 18, 5, w.ScanBlacklist())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestDomainScanRoundTrip(t *testing.T) {
 	w, tr := testWorld(t, 16)
 	defer tr.Close()
 	s := testScanner(tr)
-	sweep, err := s.Sweep(16, 9, w.ScanBlacklist())
+	sweep, err := s.SweepContext(context.Background(), 16, 9, w.ScanBlacklist())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestDomainScanRoundTrip(t *testing.T) {
 		t.Fatalf("only %d NOERROR resolvers", len(resolvers))
 	}
 	names := []string{domains.GroundTruth, "chase.com", "ghoogle.com"}
-	res, err := s.ScanDomains(resolvers, names)
+	res, err := s.ScanDomainsContext(context.Background(), resolvers, names)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,12 +170,12 @@ func TestDomainScanAttributionViaPortScramble(t *testing.T) {
 	w, tr := testWorld(t, 18)
 	defer tr.Close()
 	s := testScanner(tr)
-	sweep, err := s.Sweep(18, 3, w.ScanBlacklist())
+	sweep, err := s.SweepContext(context.Background(), 18, 3, w.ScanBlacklist())
 	if err != nil {
 		t.Fatal(err)
 	}
 	resolvers := sweep.NOERROR()
-	res, err := s.ScanDomains(resolvers, []string{"thepiratebay.se"})
+	res, err := s.ScanDomainsContext(context.Background(), resolvers, []string{"thepiratebay.se"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,12 +194,12 @@ func TestDomainScanDetectsDoubleResponses(t *testing.T) {
 	w, tr := testWorld(t, 20)
 	defer tr.Close()
 	s := testScanner(tr)
-	sweep, err := s.Sweep(20, 3, w.ScanBlacklist())
+	sweep, err := s.SweepContext(context.Background(), 20, 3, w.ScanBlacklist())
 	if err != nil {
 		t.Fatal(err)
 	}
 	resolvers := sweep.NOERROR()
-	res, err := s.ScanDomains(resolvers, []string{"facebook.com"})
+	res, err := s.ScanDomainsContext(context.Background(), resolvers, []string{"facebook.com"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,12 +218,12 @@ func TestChaosScan(t *testing.T) {
 	w, tr := testWorld(t, 16)
 	defer tr.Close()
 	s := testScanner(tr)
-	sweep, err := s.Sweep(16, 9, w.ScanBlacklist())
+	sweep, err := s.SweepContext(context.Background(), 16, 9, w.ScanBlacklist())
 	if err != nil {
 		t.Fatal(err)
 	}
 	resolvers := sweep.NOERROR()
-	res, err := s.ScanChaos(resolvers)
+	res, err := s.ScanChaosContext(context.Background(), resolvers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +250,7 @@ func TestScanDomainsRejectsOversizedPopulation(t *testing.T) {
 	defer tr.Close()
 	s := testScanner(tr)
 	big := make([]uint32, dnswire.MaxProbeID+2)
-	if _, err := s.ScanDomains(big, []string{"x.example"}); err == nil {
+	if _, err := s.ScanDomainsContext(context.Background(), big, []string{"x.example"}); err == nil {
 		t.Error("oversized resolver list accepted")
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"goingwild/internal/dnswire"
 	"goingwild/internal/lfsr"
+	"goingwild/internal/wildnet"
 )
 
 // SnoopObs is one cache-snooping observation (§2.6): the resolver's view
@@ -36,13 +37,6 @@ func mergeSnoopObs(a, b SnoopObs) SnoopObs {
 		return b
 	}
 	return a
-}
-
-// SnoopRound sends one non-recursive NS query for tld to every resolver;
-// it is the ctx-less wrapper over SnoopRoundContext.
-func (s *Scanner) SnoopRound(resolvers []uint32, tld string, seq uint16) map[uint32]SnoopObs {
-	out, _ := s.SnoopRoundContext(bgCtx, resolvers, tld, seq)
-	return out
 }
 
 // SnoopRoundContext sends one non-recursive NS query for tld to every
@@ -90,12 +84,13 @@ func (s *Scanner) SnoopRoundContext(ctx context.Context, resolvers []uint32, tld
 		}
 		collected.Merge(u, obs, mergeSnoopObs)
 	})
-	s.sendAll(ctx, len(resolvers), func(i int) {
-		s.m.snoopSent.Inc()
-		//lint:allow errdrop snoop-probe send failures are modeled packet loss
-		s.tr.Send(ctx, lfsr.U32ToAddr(resolvers[i]), 53, s.opts.BasePort, wire)
-	})
-	err = s.settle(ctx)
+	// One probe per resolver, no retry rounds: every probe is lent the
+	// round's one query.
+	err = s.listScan(ctx, len(resolvers), 0, s.m.snoopSent,
+		func(i uint32, p *wildnet.Probe, arena []byte) []byte {
+			p.Dst, p.SrcPort, p.Payload = lfsr.U32ToAddr(resolvers[i]), s.opts.BasePort, wire
+			return arena
+		}, nil)
 	out := make(map[uint32]SnoopObs, collected.Len())
 	collected.Collect(func(u uint32, obs SnoopObs) {
 		out[u] = obs

@@ -102,7 +102,7 @@ func TestStatsKeepsBatchDispatch(t *testing.T) {
 	defer mem.Close()
 	inner := &batchCountingTransport{MemTransport: mem}
 	tr, stats := WithStats(inner)
-	res, err := New(tr, Options{Workers: 4, SettleDelay: NoSettle}).Sweep(14, 5, w.ScanBlacklist())
+	res, err := New(tr, Options{Workers: 4, SettleDelay: NoSettle}).SweepContext(context.Background(), 14, 5, w.ScanBlacklist())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package scanner
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -10,7 +11,7 @@ import (
 
 // TestSweepStressParallel drives several full sweeps at once, each with
 // its own world and a wide worker pool. Its job is to give the race
-// detector concurrent coverage of sendAll's fan-out, the shared rate
+// detector concurrent coverage of the engine's fan-out, the shared rate
 // limiter, and the receiver path (see `make race`).
 func TestSweepStressParallel(t *testing.T) {
 	t.Parallel()
@@ -22,7 +23,7 @@ func TestSweepStressParallel(t *testing.T) {
 			defer tr.Close()
 			str, stats := WithStats(tr)
 			s := New(str, Options{Workers: 16, RatePPS: 2_000_000, SettleDelay: NoSettle})
-			res, err := s.Sweep(14, seed, w.ScanBlacklist())
+			res, err := s.SweepContext(context.Background(), 14, seed, w.ScanBlacklist())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -51,7 +52,7 @@ func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 		}
 		tr := wildnet.NewMemTransport(w, wildnet.VantagePrimary)
 		s := New(tr, Options{Workers: workers, SettleDelay: time.Millisecond})
-		res, err := s.Sweep(14, 77, w.ScanBlacklist())
+		res, err := s.SweepContext(context.Background(), 14, 77, w.ScanBlacklist())
 		tr.Close()
 		if err != nil {
 			t.Fatal(err)

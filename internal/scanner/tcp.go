@@ -23,6 +23,11 @@ func (s *Scanner) ProbeTC(addr uint32, name string, typ dnswire.Type, class dnsw
 	if s.tr == nil {
 		return nil, false
 	}
+	// The same query goes out again over TCP after a truncated answer.
+	wire, err := dnswire.AppendQuery(nil, 0x7C17, true, name, typ, class)
+	if err != nil {
+		return nil, false
+	}
 	var mu sync.Mutex
 	var out []*dnswire.Message
 	s.tr.SetReceiver(func(src netip4, srcPort, dstPort uint16, payload []byte) {
@@ -33,11 +38,6 @@ func (s *Scanner) ProbeTC(addr uint32, name string, typ dnswire.Type, class dnsw
 			mu.Unlock()
 		}
 	})
-	// The same query goes out again over TCP, so the buffer stays out of
-	// the pool until both exchanges are over.
-	q := getQuery(0x7C17, name, typ, class)
-	defer queryBufs.Put(q)
-	wire := *q
 	s.m.tcpSent.Inc()
 	//lint:allow errdrop TC-probe send failures are modeled packet loss
 	s.tr.Send(bgCtx, lfsr.U32ToAddr(addr), 53, s.opts.BasePort, wire)

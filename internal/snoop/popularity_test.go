@@ -19,7 +19,7 @@ func TestPopularityRecoversPlantedGaps(t *testing.T) {
 	sc := scanner.New(tr, scanner.Options{Workers: 4, SettleDelay: time.Millisecond})
 	cfg := DefaultPopularityConfig()
 	tr.SetTime(wildnet.Time{Week: cfg.Week})
-	sweep, err := sc.Sweep(17, 77, w.ScanBlacklist())
+	sweep, err := sc.SweepContext(context.Background(), 17, 77, w.ScanBlacklist())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func runStudy(t *testing.T, order uint) (*Result, int) {
 	sc := scanner.New(tr, scanner.Options{Workers: 4, SettleDelay: time.Millisecond})
 	cfg := DefaultConfig(domains.SnoopedTLDs)
 	tr.SetTime(wildnet.Time{Week: cfg.Week})
-	sweep, err := sc.Sweep(order, 21, w.ScanBlacklist())
+	sweep, err := sc.SweepContext(context.Background(), order, 21, w.ScanBlacklist())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestRunIndependentOfDeliveryOrder(t *testing.T) {
 		sc := scanner.New(tr, scanner.Options{Workers: workers, SettleDelay: -1})
 		at := wildnet.Time{Week: week}
 		tr.SetTime(at)
-		sweep, err := sc.Sweep(order, 21, w.ScanBlacklist())
+		sweep, err := sc.SweepContext(context.Background(), order, 21, w.ScanBlacklist())
 		if err != nil {
 			t.Fatal(err)
 		}
