@@ -90,13 +90,14 @@ serve-smoke:
 	$(GO) run ./cmd/wildsvc -smoke
 
 # A few seconds of coverage-guided fuzzing per wire-format fuzz target.
-# `go test -fuzz` accepts one target per invocation, hence seven runs.
+# `go test -fuzz` accepts one target per invocation, hence eight runs.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzUnpack -fuzztime=5s ./internal/dnswire
 	$(GO) test -fuzz=FuzzAppendNameCompression -fuzztime=5s ./internal/dnswire
 	$(GO) test -fuzz=FuzzView -fuzztime=5s ./internal/dnswire
 	$(GO) test -fuzz=FuzzDecodeTargetQName -fuzztime=5s ./internal/dnswire
 	$(GO) test -fuzz=FuzzHandleDNS -fuzztime=5s ./internal/wildnet
+	$(GO) test -fuzz=FuzzAnswerWire -fuzztime=5s ./internal/wildnet
 	$(GO) test -fuzz=FuzzParse -fuzztime=5s ./internal/zonefile
 	$(GO) test -fuzz=FuzzCheckpointDecode -fuzztime=5s ./internal/checkpoint
 

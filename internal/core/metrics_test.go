@@ -102,6 +102,11 @@ func TestChaosMetricsSideChannelAndReproducible(t *testing.T) {
 			if s.Counter("wildnet.send.answered") == 0 {
 				t.Error("wildnet.send.answered = 0; no exchange was answered")
 			}
+			// And the delivered response bytes, the tripwire for the wire
+			// responder's encoder: one moved byte anywhere moves this sum.
+			if got, flip := s.Counter("wildnet.response.bytes"), regC.Snapshot().Counter("wildnet.response.bytes"); got == 0 || got != flip {
+				t.Errorf("wildnet.response.bytes = %d, %d at GOMAXPROCS=%d; want equal and non-zero", got, flip, flipped)
+			}
 			finished := s.Counter("pipeline.stage.done") + s.Counter("pipeline.stage.degraded") +
 				s.Counter("pipeline.stage.failed")
 			if got := s.Counter("pipeline.stage.started"); got != finished {

@@ -153,7 +153,7 @@ func (m *Message) packLocal() ([]byte, error) {
 func (m *Message) PackInto(buf []byte, cmp *Compressor) ([]byte, error) {
 	buf = buf[:0]
 	if cmp != nil {
-		cmp.entries = cmp.entries[:0]
+		cmp.reset(0)
 	}
 	var flags uint16
 	if m.Header.QR {
@@ -300,10 +300,8 @@ func Unpack(msg []byte) (*Message, error) {
 
 // UnpackInto is Unpack decoding into a caller-owned (typically pooled)
 // Message: section slices are truncated and their capacity reused, so a
-// message of steady shape — e.g. the single-question query the in-memory
-// transport decodes per probe — settles to near-zero slice allocations.
-// All sections are parsed; EDNS payload sniffing reads the additional
-// section even on queries. On error m is left partially filled.
+// message of steady shape settles to near-zero slice allocations. All
+// sections are parsed. On error m is left partially filled.
 func UnpackInto(msg []byte, m *Message) error {
 	if len(msg) < 12 {
 		return ErrShortMessage

@@ -163,10 +163,14 @@ func TestCanonicalName(t *testing.T) {
 		// Only ASCII folds (RFC 4343); other octets pass through as they are.
 		{"ÉX.Example", "Éx.example"},
 		{"A\xffB.example", "a\xffb.example"},
+		{"example.com..", "example.com."},
 	}
 	for _, c := range cases {
 		if got := CanonicalName(c.in); got != c.want {
 			t.Errorf("CanonicalName(%q) = %q, want %q", c.in, got, c.want)
+		}
+		if got := AppendCanonicalName([]byte("kept|"), []byte(c.in)); string(got) != "kept|"+c.want {
+			t.Errorf("AppendCanonicalName(%q) = %q, want %q behind the prefix", c.in, got, c.want)
 		}
 	}
 }

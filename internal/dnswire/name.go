@@ -50,6 +50,21 @@ func CanonicalName(name string) string {
 	return sb.String()
 }
 
+// AppendCanonicalName is CanonicalName over a name held as bytes, as a
+// View holds it: the canonical form is appended to dst, so a caller with
+// reusable storage canonicalises without allocating.
+func AppendCanonicalName(dst, name []byte) []byte {
+	if n := len(name); n > 0 && name[n-1] == '.' {
+		name = name[:n-1]
+	}
+	start := len(dst)
+	dst = append(dst, name...)
+	for i := start; i < len(dst); i++ {
+		dst[i] = lowerASCII(dst[i])
+	}
+	return dst
+}
+
 func lowerASCII(c byte) byte {
 	if 'A' <= c && c <= 'Z' {
 		c += 'a' - 'A'
@@ -107,6 +122,17 @@ func ValidName(name string) bool {
 // one Compressor serves any number of PackInto calls.
 type Compressor struct {
 	entries []compEntry
+	// base is where the message being packed starts in its buffer.
+	// Pointers are offsets from the message start (RFC 1035 §4.1.4), so
+	// a message appended behind others in one arena (ResponseBuilder)
+	// compresses exactly as it would at offset 0.
+	base int
+}
+
+// reset empties the Compressor for a message starting at buf[base].
+func (c *Compressor) reset(base int) {
+	c.entries = c.entries[:0]
+	c.base = base
 }
 
 type compEntry struct {
@@ -143,7 +169,12 @@ func cutLabel(name string) (label, rest string, more bool) {
 // (required inside RDATA of types that predate compression-awareness).
 // The first suffix registered under a name keeps its offset.
 func appendName(buf []byte, name string, cmp *Compressor) ([]byte, error) {
-	name = strings.TrimSuffix(name, ".")
+	return appendLabels(buf, strings.TrimSuffix(name, "."), cmp)
+}
+
+// appendLabels is appendName for a name already stripped of its one
+// optional trailing dot.
+func appendLabels(buf []byte, name string, cmp *Compressor) ([]byte, error) {
 	if name == "" {
 		return append(buf, 0), nil
 	}
@@ -162,8 +193,8 @@ func appendName(buf []byte, name string, cmp *Compressor) ([]byte, error) {
 			if off := cmp.find(name); off >= 0 {
 				return append(buf, 0xC0|byte(off>>8), byte(off)), nil
 			}
-			if len(buf) < 0x4000 {
-				cmp.entries = append(cmp.entries, compEntry{name, len(buf)})
+			if off := len(buf) - cmp.base; off < 0x4000 {
+				cmp.entries = append(cmp.entries, compEntry{name, off})
 			}
 		}
 		buf = append(buf, byte(len(label)))

@@ -84,6 +84,12 @@ func (v *View) ID() uint16 { return v.id }
 //lint:hotpath pooled-view accessor on the receive path
 func (v *View) QR() bool { return v.flags&flagQR != 0 }
 
+// RD reports the recursion-desired flag, which only cache snooping
+// clears.
+//
+//lint:hotpath pooled-view accessor on the simulated resolver's query path
+func (v *View) RD() bool { return v.flags&flagRD != 0 }
+
 // TC reports the truncation flag.
 //
 //lint:hotpath pooled-view accessor on the receive path
@@ -148,6 +154,29 @@ func (v *View) walk(off, count int, fn func(typ Type, class Class, ttl uint32, r
 		off += rdlen
 	}
 	return off, nil
+}
+
+// EDNSPayloadSize walks the three record sections to their end and
+// returns the UDP payload size the first OPT record of the additional
+// section advertises in its CLASS field (RFC 6891) — what
+// Message.EDNSPayloadSize reads off a full unpack. err reports a section
+// that does not walk: an owner name or an RDLENGTH running past the
+// message. RDATA is not interpreted, so a record Unpack would reject for
+// its body alone still walks.
+func (v *View) EDNSPayloadSize() (size uint16, ok bool, err error) {
+	if v.counts[1]|v.counts[2]|v.counts[3] == 0 {
+		return 0, false, nil // the shape of every scan probe
+	}
+	off, err := v.walk(v.ansOff, v.counts[1]+v.counts[2], nil)
+	if err != nil {
+		return 0, false, err
+	}
+	_, err = v.walk(off, v.counts[3], func(typ Type, class Class, _ uint32, _, _ int) {
+		if typ == TypeOPT && !ok {
+			size, ok = uint16(class), true
+		}
+	})
+	return size, ok, err
 }
 
 // HasAnswerA reports whether the answer section carries at least one A

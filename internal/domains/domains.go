@@ -282,6 +282,13 @@ func ByName(name string) (Domain, bool) {
 	return d, ok
 }
 
+// ByNameBytes is ByName for a name held as bytes, as a wire decoder holds
+// it; the lookup does not allocate.
+func ByNameBytes(name []byte) (Domain, bool) {
+	d, ok := byName[string(name)]
+	return d, ok
+}
+
 // Names returns all scan-list names in order.
 func Names() []string {
 	out := make([]string, len(List))

@@ -124,10 +124,13 @@ func TestNOERRORPreallocates(t *testing.T) {
 
 // TestDomainScanAllocsPerTuple budgets the answered path end to end: one
 // (name, resolver) tuple is a probe built on the wire, the simulated
-// resolver's handler and response pack, the View decode and the collector.
-// Before the name Compressor and the wire-built queries it cost 22.8
-// allocations; what remains is the handler boxing its response Message
-// and records, and the answer sets the result keeps.
+// resolver reading it through a View and appending its answer on the
+// wire, the View decode and the collector. It cost 22.8 allocations
+// before the name Compressor and the wire-built queries, 9.9 while the
+// resolver still built a Message per response, and measures 1.0 now: the
+// answer set the result keeps, copied out in one allocation. The budget
+// leaves room for a signature-cache miss or a grown pool, not for a
+// Message.
 func TestDomainScanAllocsPerTuple(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instruments allocations")
@@ -162,8 +165,8 @@ func TestDomainScanAllocsPerTuple(t *testing.T) {
 	if answered < tuples*9/10 {
 		t.Fatalf("%d of %d tuples answered; the budget is for the answered path", answered, tuples)
 	}
-	if per := perScan / float64(tuples); per > 12 {
-		t.Fatalf("domain scan allocates %.1f per tuple over %d tuples, want <= 12", per, tuples)
+	if per := perScan / float64(tuples); per > 3 {
+		t.Fatalf("domain scan allocates %.1f per tuple over %d tuples, want <= 3", per, tuples)
 	}
 }
 

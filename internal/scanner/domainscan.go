@@ -132,11 +132,11 @@ func (s *Scanner) ScanDomainsContext(ctx context.Context, resolvers []uint32, na
 			// allocation.
 			if ans.Responses == 1 {
 				ans.RCode = v.RCode()
-				ans.Addrs = v.AppendAnswerA(nil)
+				ans.Addrs = answerSet(v)
 				ans.NSOnly = len(ans.Addrs) == 0 && v.HasAuthorityNS()
 				ans.PortRewritten = portRewritten
 			} else if ans.Responses == 2 {
-				ans.SecondAddrs = v.AppendAnswerA(nil)
+				ans.SecondAddrs = answerSet(v)
 			}
 		})
 
@@ -163,6 +163,19 @@ func (s *Scanner) ScanDomainsContext(ctx context.Context, resolvers []uint32, na
 		}
 	}
 	return res, ctx.Err()
+}
+
+// answerSet copies a response's A answer set out of the view in one
+// allocation, sized by the answer count; nil when it carries no A record.
+func answerSet(v *dnswire.View) []uint32 {
+	n := v.AnswerCount()
+	if n == 0 {
+		return nil
+	}
+	if addrs := v.AppendAnswerA(make([]uint32, 0, n)); len(addrs) > 0 {
+		return addrs
+	}
+	return nil
 }
 
 type errTooManyResolvers int

@@ -223,8 +223,9 @@ func TestSendRejectedCounter(t *testing.T) {
 }
 
 // TestSendAnsweredAndTruncatedCounters: wildnet.send.answered counts the
-// exchanges the DNS handler answered and wildnet.response.truncated the
-// responses the transport re-packed as an empty TC reply — the same
+// exchanges the DNS handler answered, wildnet.response.truncated the
+// responses the transport cut down to an empty TC reply, and
+// wildnet.response.bytes every byte it handed the receiver — the same
 // numbers through Send and SendBatch. ANY queries without EDNS make the
 // large amplifiers overflow the 512-octet ceiling; with loss off, every
 // truncated response reaches the receiver carrying the TC bit.
@@ -239,8 +240,9 @@ func TestSendAnsweredAndTruncatedCounters(t *testing.T) {
 			t.Fatal(err)
 		}
 		tr := NewMemTransport(w, VantagePrimary)
-		var gotTC uint64
+		var gotTC, gotBytes uint64
 		tr.SetReceiver(func(_ netip.Addr, _, _ uint16, payload []byte) {
+			gotBytes += uint64(len(payload))
 			if m, err := dnswire.Unpack(payload); err == nil && m.Header.TC {
 				gotTC++
 			}
@@ -279,8 +281,86 @@ func TestSendAnsweredAndTruncatedCounters(t *testing.T) {
 		if got := snap.Counter("wildnet.response.truncated"); got != gotTC || got == 0 {
 			t.Errorf("batched=%v: wildnet.response.truncated = %d, receiver saw %d TC responses", batched, got, gotTC)
 		}
+		if got := snap.Counter("wildnet.response.bytes"); got != gotBytes || got == 0 {
+			t.Errorf("batched=%v: wildnet.response.bytes = %d, receiver saw %d bytes", batched, got, gotBytes)
+		}
 		if rej := snap.Counter("wildnet.send.rejected"); rej+wantAnswered > uint64(len(batch)) {
 			t.Errorf("batched=%v: rejected %d + answered %d exceed the %d probes sent", batched, rej, wantAnswered, len(batch))
+		}
+	}
+}
+
+// TestAnsweredSendAllocs pins the answered path's budget: with a zero
+// FaultConfig and a receiver that keeps nothing, an exchange an honest
+// resolver answers costs zero heap allocations at steady state — through
+// Send and through SendBatch — for an A question on a scan-list name
+// (0x20-cased, as the domain scan sends it), for a name in a signed zone
+// (the RRSIG comes from the signature cache), and for a cache-snooping NS
+// question. The query is read through the exchange's View and the
+// response appended into its arena; a Message, a boxed record or a name
+// string anywhere on that path shows up here as a non-zero count. (The
+// handler before it cost 8 per A answer.)
+func TestAnsweredSendAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instruments allocations")
+	}
+	w := testWorld(t, 16)
+	tr := NewMemTransport(w, VantagePrimary)
+	defer tr.Close()
+	now := tr.Time()
+	answers := 0
+	tr.SetReceiver(func(_ netip.Addr, _, _ uint16, payload []byte) {
+		v := dnswire.GetView()
+		if v.Reset(payload) == nil && v.AnswerCount() > 0 {
+			answers++
+		}
+		dnswire.PutView(v)
+	})
+	u, _ := findResolver(t, w, now, func(p Profile) bool {
+		return p.RCode == RCNoError && p.Manip == ManipHonest && p.Country == "US" &&
+			(p.Util == UtilInUseFast || p.Util == UtilResetting)
+	})
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		typ  dnswire.Type
+		rd   bool
+	}{
+		{"chase.com", dnswire.TypeA, true},
+		{"paypal.com", dnswire.TypeA, true},
+		{"com", dnswire.TypeNS, false},
+	} {
+		payload, err := dnswire.AppendQuery(nil, 0, tc.rd, tc.name, tc.typ, dnswire.ClassIN)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dnswire.Encode0x20Bytes(dnswire.QueryNameWire(payload), 0x155, 9)
+		batch := make([]Probe, 64)
+		for i := range batch {
+			batch[i] = Probe{Dst: w.Addr(u), DstPort: 53, SrcPort: 40000, Payload: payload}
+		}
+		// Warm the pools and the signature cache, and make sure the budget
+		// is measured on exchanges that are answered and delivered.
+		answers = 0
+		if n, err := tr.SendBatch(ctx, batch); err != nil || n != len(batch) {
+			t.Fatalf("SendBatch = %d, %v", n, err)
+		}
+		if answers != len(batch) {
+			t.Fatalf("%s %v: %d of %d probes drew an answer record", tc.name, tc.typ, answers, len(batch))
+		}
+		if allocs := testing.AllocsPerRun(500, func() {
+			if err := tr.Send(ctx, w.Addr(u), 53, 40000, payload); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s %v: answered Send allocates %.1f per probe, want 0", tc.name, tc.typ, allocs)
+		}
+		if allocs := testing.AllocsPerRun(100, func() {
+			if n, err := tr.SendBatch(ctx, batch); err != nil || n != len(batch) {
+				t.Fatalf("SendBatch = %d, %v", n, err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s %v: answered SendBatch allocates %.1f per batch of %d, want 0", tc.name, tc.typ, allocs, len(batch))
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 
 	"goingwild/internal/dnswire"
+	"goingwild/internal/domains"
 	"goingwild/internal/prand"
 )
 
@@ -63,12 +64,16 @@ func (w *World) AmpClassAt(u uint32, t Time) (AmpClass, bool) {
 // buffer. Large amplifiers are exactly the EDNS-capable ones — which is
 // why real amplification attacks always send EDNS queries.
 func (w *World) UDPPayloadLimit(u uint32, q *dnswire.Message, t Time) int {
-	advertised, hasEDNS := 0, false
-	if q != nil {
-		if size, ok := q.EDNSPayloadSize(); ok {
-			advertised, hasEDNS = int(size), true
-		}
+	if q == nil {
+		return dnswire.MaxUDPSize
 	}
+	size, hasEDNS := q.EDNSPayloadSize()
+	return w.udpPayloadLimit(u, size, hasEDNS, t)
+}
+
+// udpPayloadLimit is UDPPayloadLimit for a caller that has read the
+// query's OPT record itself, as the wire handler has.
+func (w *World) udpPayloadLimit(u uint32, advertised uint16, hasEDNS bool, t Time) int {
 	if !hasEDNS || advertised <= dnswire.MaxUDPSize {
 		return dnswire.MaxUDPSize
 	}
@@ -82,7 +87,19 @@ func (w *World) UDPPayloadLimit(u uint32, q *dnswire.Message, t Time) int {
 	if advertised > 4096 {
 		return 4096
 	}
-	return advertised
+	return int(advertised)
+}
+
+// fitUDP applies the one truncation rule of the simulated resolvers, on
+// every transport: a response longer than the exchange's payload limit
+// is cut in place to its header and question with TC set, inviting the
+// client to retry over TCP.
+func (w *World) fitUDP(wire []byte, limit int) []byte {
+	if len(wire) <= limit {
+		return wire
+	}
+	w.respTruncated.Inc()
+	return dnswire.TruncateResponse(wire)
 }
 
 // HandleDNSTCP answers a query over TCP: no size limit and — because
@@ -90,6 +107,18 @@ func (w *World) UDPPayloadLimit(u uint32, q *dnswire.Message, t Time) int {
 // UDP — no in-transit injection. Only resolvers offering TCP service
 // answer (about two thirds of the population).
 func (w *World) HandleDNSTCP(v Vantage, dst uint32, q *dnswire.Message, t Time) *dnswire.Message {
+	resps := decoded(q, func(x *exchange, payload []byte) []QueryResponse {
+		return w.handleDNSTCP(x, v, dst, payload, t)
+	})
+	if len(resps) == 0 {
+		return nil
+	}
+	return resps[0].Msg
+}
+
+// handleDNSTCP is the wire handler under HandleDNSTCP and QueryTCP; it
+// returns at most one response.
+func (w *World) handleDNSTCP(x *exchange, v Vantage, dst uint32, payload []byte, t Time) []QueryResponse {
 	dst = w.Mask(dst)
 	p, ok := w.ProfileAt(dst, t)
 	if !ok || !w.VisibleFrom(dst, v, t) {
@@ -101,65 +130,57 @@ func (w *World) HandleDNSTCP(v Vantage, dst uint32, q *dnswire.Message, t Time) 
 	// TCP answers skip the injector: the CensorGFW mode degrades to the
 	// resolver's own (possibly cache-poisoned) answer, which the
 	// double-response minority has correct.
-	resps := w.HandleDNS(v, 53, dst, q, t)
+	resps := w.handleDNS(x, v, 53, dst, payload, t, faultCtx{})
 	if len(resps) == 0 {
 		return nil
 	}
-	return resps[len(resps)-1].Msg
+	return resps[len(resps)-1:]
+}
+
+// soaOf is the SOA record ANY answers carry for a zone.
+func soaOf(qname string) dnswire.SOA {
+	return dnswire.SOA{
+		MName: "ns1." + qname, RName: "hostmaster." + qname,
+		Serial: 2015010100, Refresh: 7200, Retry: 900, Expire: 1209600, Minimum: 3600,
+	}
 }
 
 // answerANY builds the resolver's response to an ANY query.
-func (w *World) answerANY(p *Profile, q *dnswire.Message, qname string) *dnswire.Message {
-	switch ampClassOf(p.Identity) {
-	case AmpRefusesANY:
-		return dnswire.NewResponse(q, dnswire.RCodeRefused)
-	case AmpMinimal:
-		resp := dnswire.NewResponse(q, dnswire.RCodeNoError)
-		addrs, rc := w.LegitAddrs(qname, p.Country)
-		resp.Header.RCode = rc
-		for _, a := range addrs {
-			resp.AddAnswer(q.Questions[0].Name, dnswire.ClassIN, answerTTL, dnswire.A{Addr: w.Addr(a)})
-		}
-		return resp
+func (w *World) answerANY(x *exchange, p *Profile, qname string, d domains.Domain, listed bool) {
+	class := ampClassOf(p.Identity)
+	if class == AmpRefusesANY {
+		x.begin(qname, dnswire.RCodeRefused)
+		return
+	}
+	addrs, rc := w.legitAddrs(x.addrs[:0], qname, d, listed, p.Country)
+	if class == AmpLarge {
+		rc = dnswire.RCodeNoError
+	}
+	x.begin(qname, rc)
+	for _, a := range addrs {
+		w.addA(x, a)
+	}
+	txt := func(blob string) {
+		x.rb.RR(dnswire.ClassIN, answerTTL, dnswire.TXT{Strings: []string{blob}})
+	}
+	switch class {
 	case AmpModerate:
-		resp := dnswire.NewResponse(q, dnswire.RCodeNoError)
-		addrs, rc := w.LegitAddrs(qname, p.Country)
-		resp.Header.RCode = rc
-		name := q.Questions[0].Name
-		for _, a := range addrs {
-			resp.AddAnswer(name, dnswire.ClassIN, answerTTL, dnswire.A{Addr: w.Addr(a)})
-		}
-		resp.AddAnswer(name, dnswire.ClassIN, answerTTL, dnswire.NS{Host: "ns1." + qname})
-		resp.AddAnswer(name, dnswire.ClassIN, answerTTL, dnswire.NS{Host: "ns2." + qname})
-		resp.AddAnswer(name, dnswire.ClassIN, answerTTL, dnswire.SOA{
-			MName: "ns1." + qname, RName: "hostmaster." + qname,
-			Serial: 2015010100, Refresh: 7200, Retry: 900, Expire: 1209600, Minimum: 3600,
-		})
+		x.rb.NS(answerTTL, "ns1."+qname)
+		x.rb.NS(answerTTL, "ns2."+qname)
+		x.rb.RR(dnswire.ClassIN, answerTTL, soaOf(qname))
 		// A quarter of the moderates hold more data than fits in 512
 		// octets but do not speak EDNS: their UDP answers truncate and
 		// clients must retry over TCP — the hardened non-amplifiers.
 		if prand.UnitOf(p.Identity, 0xA3C) < 0.25 {
-			blob := strings.Repeat("descriptive-policy-text ", 28)
-			resp.AddAnswer(name, dnswire.ClassIN, answerTTL, dnswire.TXT{Strings: []string{blob}})
+			txt(strings.Repeat("descriptive-policy-text ", 28))
 		}
-		return resp
-	default: // AmpLarge
-		resp := dnswire.NewResponse(q, dnswire.RCodeNoError)
-		name := q.Questions[0].Name
-		addrs, _ := w.LegitAddrs(qname, p.Country)
-		for _, a := range addrs {
-			resp.AddAnswer(name, dnswire.ClassIN, answerTTL, dnswire.A{Addr: w.Addr(a)})
-		}
+	case AmpLarge:
 		// Bulky TXT padding, the classic amplification payload.
 		blob := strings.Repeat("v=spf1 include:_spf."+qname+" ", 8)
 		for i := 0; i < 4; i++ {
-			resp.AddAnswer(name, dnswire.ClassIN, answerTTL, dnswire.TXT{Strings: []string{blob}})
+			txt(blob)
 		}
-		resp.AddAnswer(name, dnswire.ClassIN, answerTTL, dnswire.NS{Host: "ns1." + qname})
-		resp.AddAnswer(name, dnswire.ClassIN, answerTTL, dnswire.SOA{
-			MName: "ns1." + qname, RName: "hostmaster." + qname,
-			Serial: 2015010100, Refresh: 7200, Retry: 900, Expire: 1209600, Minimum: 3600,
-		})
-		return resp
+		x.rb.NS(answerTTL, "ns1."+qname)
+		x.rb.RR(dnswire.ClassIN, answerTTL, soaOf(qname))
 	}
 }

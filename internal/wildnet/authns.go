@@ -38,36 +38,43 @@ const vantageCountry = "DE"
 // rcode is NXDOMAIN with no addresses.
 func (w *World) LegitAddrs(name string, requesterCountry string) ([]uint32, dnswire.RCode) {
 	cn := dnswire.CanonicalName(name)
+	d, listed := domains.ByName(cn)
+	return w.legitAddrs(nil, cn, d, listed, requesterCountry)
+}
+
+// legitAddrs is LegitAddrs for a caller that has already canonicalised
+// the name and looked it up in the scan list, as the DNS handler has. The
+// answer set (at most four addresses) is appended to dst.
+func (w *World) legitAddrs(dst []uint32, cn string, d domains.Domain, listed bool, requesterCountry string) ([]uint32, dnswire.RCode) {
 	if cn == domains.GroundTruth || strings.HasSuffix(cn, "."+domains.GroundTruth) {
-		return []uint32{w.infra.addrOf(RoleSiteHost, 0)}, dnswire.RCodeNoError
+		return append(dst, w.infra.addrOf(RoleSiteHost, 0)), dnswire.RCodeNoError
 	}
 	if strings.HasSuffix(cn, "."+domains.ScanBase) || cn == domains.ScanBase {
 		// Any name under the scan base resolves; the A record carries
 		// the encoded target back (the zone is wildcarded).
 		if target, err := dnswire.DecodeTargetQName(cn, domains.ScanBase); err == nil {
-			return []uint32{w.Mask(lfsr.AddrToU32(target))}, dnswire.RCodeNoError
+			return append(dst, w.Mask(lfsr.AddrToU32(target))), dnswire.RCodeNoError
 		}
-		return []uint32{w.infra.addrOf(RoleSiteHost, 1)}, dnswire.RCodeNoError
+		return append(dst, w.infra.addrOf(RoleSiteHost, 1)), dnswire.RCodeNoError
 	}
 	if ip, ok := w.rdnsRoundTrip(cn); ok {
-		return []uint32{ip}, dnswire.RCodeNoError
+		return append(dst, ip), dnswire.RCodeNoError
 	}
-	d, ok := domains.ByName(cn)
-	if !ok {
+	if !listed {
 		// Unlisted names (sub-resolutions from redirects) hash onto a
 		// stable site-host slot.
 		h := prand.Hash(w.cfg.Seed, facetInfra, hashString(cn))
-		return []uint32{w.infra.addrOf(RoleSiteHost, 2+prand.IntN(h, nSiteHost-2))}, dnswire.RCodeNoError
+		return append(dst, w.infra.addrOf(RoleSiteHost, 2+prand.IntN(h, nSiteHost-2))), dnswire.RCodeNoError
 	}
 	switch d.Kind {
 	case domains.KindNonexistent:
-		return nil, dnswire.RCodeNXDomain
+		return dst, dnswire.RCodeNXDomain
 	case domains.KindMailHost:
-		return w.mailLegitAddrs(cn), dnswire.RCodeNoError
+		return append(dst, w.mailLegitAddr(cn)), dnswire.RCodeNoError
 	case domains.KindCDN:
-		return w.cdnAddrs(cn, RegionOf(requesterCountry)), dnswire.RCodeNoError
+		return w.cdnAddrs(dst, cn, RegionOf(requesterCountry)), dnswire.RCodeNoError
 	default:
-		return w.ordinaryAddrs(cn), dnswire.RCodeNoError
+		return w.ordinaryAddrs(dst, cn), dnswire.RCodeNoError
 	}
 }
 
@@ -77,42 +84,40 @@ func (w *World) TrustedResolve(name string) ([]uint32, dnswire.RCode) {
 	return w.LegitAddrs(name, vantageCountry)
 }
 
-// ordinaryAddrs returns the fixed 1–3 hosting addresses of a non-CDN
+// ordinaryAddrs appends the fixed 1–3 hosting addresses of a non-CDN
 // domain, all within one owner network.
-func (w *World) ordinaryAddrs(cn string) []uint32 {
+func (w *World) ordinaryAddrs(dst []uint32, cn string) []uint32 {
 	h := prand.Hash(w.cfg.Seed, facetInfra, hashString(cn), 1)
 	n := 1 + prand.IntN(h, 3)
 	base := 8 + prand.IntN(prand.Mix64(h), nSiteHost-16)
-	out := make([]uint32, n)
-	for i := range out {
-		out[i] = w.infra.addrOf(RoleSiteHost, base+i)
+	for i := 0; i < n; i++ {
+		dst = append(dst, w.infra.addrOf(RoleSiteHost, base+i))
 	}
-	return out
+	return dst
 }
 
-// cdnAddrs returns a CDN domain's deployment addresses for one region.
-// A small share of slots point at currently-dead content nodes, which is
-// what leaves some tuples without HTTP payload (§4.2).
-func (w *World) cdnAddrs(cn string, region int) []uint32 {
+// cdnAddrs appends a CDN domain's 2–4 deployment addresses for one
+// region. A small share of slots point at currently-dead content nodes,
+// which is what leaves some tuples without HTTP payload (§4.2).
+func (w *World) cdnAddrs(dst []uint32, cn string, region int) []uint32 {
 	h := prand.Hash(w.cfg.Seed, facetRegion, hashString(cn), uint64(region))
 	n := 2 + prand.IntN(h, 3)
-	out := make([]uint32, 0, n)
 	for i := 0; i < n; i++ {
 		hi := prand.Hash(h, uint64(i))
 		if prand.Float64(hi) < 0.003 {
-			out = append(out, w.infra.addrOf(RoleDeadCDN, prand.IntN(hi, nDeadCDN)))
+			dst = append(dst, w.infra.addrOf(RoleDeadCDN, prand.IntN(hi, nDeadCDN)))
 			continue
 		}
-		out = append(out, w.infra.addrOf(RoleCDNNode, prand.IntN(hi, nCDNNode)))
+		dst = append(dst, w.infra.addrOf(RoleCDNNode, prand.IntN(hi, nCDNNode)))
 	}
-	return out
+	return dst
 }
 
-// mailLegitAddrs returns the provider's real mail host addresses.
-func (w *World) mailLegitAddrs(cn string) []uint32 {
+// mailLegitAddr returns the provider's real mail host address.
+func (w *World) mailLegitAddr(cn string) uint32 {
 	provider := mailProviderOf(cn)
 	slot := provider*4 + mailProtoOf(cn)
-	return []uint32{w.infra.addrOf(RoleMailLegit, slot)}
+	return w.infra.addrOf(RoleMailLegit, slot)
 }
 
 // mailProviderOf maps an MX-set hostname to its provider index (6
@@ -228,19 +233,19 @@ func (w *World) rdnsRoundTrip(cn string) (uint32, bool) {
 	if i := strings.IndexByte(cn, '.'); i > 0 {
 		first = cn[:i]
 	}
-	parts := strings.Split(first, "-")
-	if len(parts) < 4 {
+	// The last four dash-separated fields are the octets.
+	if strings.Count(first, "-") < 3 {
 		return 0, false
 	}
-	// The last four dash-separated fields are the octets.
-	oct := parts[len(parts)-4:]
 	var u uint32
-	for _, s := range oct {
-		v, err := strconv.Atoi(s)
+	for shift, end := 0, len(first); shift < 32; shift += 8 {
+		i := strings.LastIndexByte(first[:end], '-')
+		v, err := strconv.Atoi(first[i+1 : end])
 		if err != nil || v < 0 || v > 255 {
 			return 0, false
 		}
-		u = u<<8 | uint32(v)
+		u |= uint32(v) << shift
+		end = max(i, 0)
 	}
 	u = w.Mask(u)
 	// Verify this really is the address's rDNS name.

@@ -2,7 +2,6 @@ package wildnet
 
 import (
 	"goingwild/internal/dnswire"
-	"goingwild/internal/domains"
 	"goingwild/internal/prand"
 )
 
@@ -51,19 +50,27 @@ func (w *World) closedProfile(resolver uint32) Profile {
 // to its ISP's closed resolver. Queries from outside the resolver's
 // block are refused — which is what makes the resolver closed.
 func (w *World) HandleClientDNS(client uint32, q *dnswire.Message, t Time) []QueryResponse {
-	client = w.Mask(client)
-	resolver := w.ClosedResolverOf(client)
-	if len(q.Questions) == 0 {
+	return decoded(q, func(x *exchange, payload []byte) []QueryResponse {
+		return w.handleClientDNS(x, client, payload, t)
+	})
+}
+
+// handleClientDNS is the wire handler under HandleClientDNS.
+func (w *World) handleClientDNS(x *exchange, client uint32, payload []byte, t Time) []QueryResponse {
+	if !x.accept(payload) {
 		return nil
 	}
+	client = w.Mask(client)
+	resolver := w.ClosedResolverOf(client)
+	qname, d, listed := x.qname()
 	if w.geo.BlockOf(client) != w.geo.BlockOf(resolver) {
-		return []QueryResponse{{Src: resolver, ToPort: 53, Msg: dnswire.NewResponse(q, dnswire.RCodeRefused)}}
+		x.begin(qname, dnswire.RCodeRefused)
+		return x.emit(resolver, 53, 0)
 	}
 	p := w.closedProfile(resolver)
-	qname := dnswire.CanonicalName(q.Questions[0].Name)
-	if q.Questions[0].Type != dnswire.TypeA {
-		return []QueryResponse{{Src: resolver, ToPort: 53, Msg: dnswire.NewResponse(q, dnswire.RCodeNotImp)}}
+	if x.q.QType() != dnswire.TypeA {
+		x.begin(qname, dnswire.RCodeNotImp)
+		return x.emit(resolver, 53, 0)
 	}
-	d, listed := domains.ByName(qname)
-	return w.answerA(&p, q, qname, d, listed, resolver, resolver, 53, 3, t)
+	return w.answerA(x, &p, qname, d, listed, resolver, resolver, 53, 3, t)
 }

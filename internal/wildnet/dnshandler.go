@@ -1,7 +1,6 @@
 package wildnet
 
 import (
-	"net/netip"
 	"strings"
 
 	"goingwild/internal/dnswire"
@@ -21,8 +20,26 @@ type QueryResponse struct {
 	ToPort uint16
 	// DelayMS orders responses in time.
 	DelayMS int
-	Msg     *dnswire.Message
+	// Msg is the decoded response, filled by the exported tree adapters
+	// (HandleDNS, HandleClientDNS) for callers that want a Message. The
+	// wire handler leaves it nil: there the response is the span
+	// [off, end) of the exchange's arena, empty when it did not encode.
+	Msg      *dnswire.Message
+	off, end int
 }
+
+// answerAddr is the address an A record carries for a: folded into the
+// world's space, except an RFC1918 one, which must look like a real LAN
+// address to the client.
+func (w *World) answerAddr(a uint32) uint32 {
+	if IsLANAddr(a) {
+		return a
+	}
+	return w.Mask(a)
+}
+
+// addA adds an A record for a to the response under construction.
+func (w *World) addA(x *exchange, a uint32) { x.rb.A(answerTTL, w.answerAddr(a)) }
 
 // answerTTL is the TTL planted on synthesized A answers.
 const answerTTL = 300
@@ -53,34 +70,61 @@ func IsLANAddr(u uint32) bool {
 }
 
 // HandleDNS processes one DNS query sent from a scan vantage to dst and
-// returns the wire responses. srcPort is the scanner-side UDP source port
+// returns the responses. srcPort is the scanner-side UDP source port
 // (echoed into ToPort unless the resolver scrambles it). Stateful hosts
 // know how often they have been probed; the snooping prober exposes that
 // sequence number through the transaction ID it chooses, which is how the
 // single-response-then-stop class of §2.6 is modeled.
+//
+// HandleDNS, HandleClientDNS and HandleDNSTCP are tree adapters over the
+// wire handlers the transports call: the query is packed, answered on the
+// wire, and each response unpacked into QueryResponse.Msg.
 func (w *World) HandleDNS(v Vantage, srcPort uint16, dst uint32, q *dnswire.Message, t Time) []QueryResponse {
-	return w.handleDNS(v, srcPort, dst, q, t, faultCtx{})
+	return decoded(q, func(x *exchange, payload []byte) []QueryResponse {
+		return w.handleDNS(x, v, srcPort, dst, payload, t, faultCtx{})
+	})
 }
 
-// handleDNS is HandleDNS plus the per-packet fault context the in-memory
-// transport threads through for retransmission redraws. Host flaps and
-// rate limiting live here rather than in the transport because they are
-// properties of the responding host, not of the path — and because
-// trusted infrastructure (handled above the resolver path) must stay
-// exempt so the measurement channels of §3 remain reliable.
-func (w *World) handleDNS(v Vantage, srcPort uint16, dst uint32, q *dnswire.Message, t Time, fc faultCtx) []QueryResponse {
-	seq := int(q.Header.ID)
-	dst = w.Mask(dst)
-	if len(q.Questions) == 0 {
+// decoded runs a wire handler over the packed form of q and decodes what
+// it answered. A query that does not pack, like one the handler does not
+// accept, draws nothing.
+func decoded(q *dnswire.Message, handle func(x *exchange, payload []byte) []QueryResponse) []QueryResponse {
+	payload, err := q.PackBytes()
+	if err != nil {
 		return nil
 	}
-	question := q.Questions[0]
-	qname := dnswire.CanonicalName(question.Name)
+	x := exchangePool.Get().(*exchange)
+	defer exchangePool.Put(x)
+	var out []QueryResponse
+	for _, r := range handle(x, payload) {
+		if r.Msg, err = dnswire.Unpack(x.wire(r)); err == nil {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// handleDNS answers one datagram on the wire: the query is read through
+// x's View and every response appended into x's arena; the returned
+// slots (x's own, valid until its next exchange) carry the spans. fc is
+// the per-packet fault context the in-memory transport threads through
+// for retransmission redraws. Host flaps and rate limiting live here
+// rather than in the transport because they are properties of the
+// responding host, not of the path — and because trusted infrastructure
+// (handled above the resolver path) must stay exempt so the measurement
+// channels of §3 remain reliable.
+func (w *World) handleDNS(x *exchange, v Vantage, srcPort uint16, dst uint32, payload []byte, t Time, fc faultCtx) []QueryResponse {
+	if !x.accept(payload) {
+		return nil
+	}
+	q := &x.q
+	seq := int(q.ID())
+	dst = w.Mask(dst)
 
 	// Infrastructure DNS servers.
 	switch role, _ := w.infra.roleParam(dst); role {
 	case RoleAuthNS, RoleTrustedDNS:
-		return w.answerTrusted(dst, srcPort, q)
+		return w.answerTrusted(x, dst, srcPort)
 	case RoleNone:
 		// fall through to resolver handling
 	default:
@@ -105,11 +149,12 @@ func (w *World) handleDNS(v Vantage, srcPort uint16, dst uint32, q *dnswire.Mess
 	if !ok {
 		// The injector reacts to queries into Chinese address space
 		// even when no resolver lives there.
-		if w.geo.LookupU32(dst).Country == "CN" && question.Type == dnswire.TypeA && GFWMatches(qname) {
-			resp := dnswire.NewResponse(q, dnswire.RCodeNoError)
-			resp.AddAnswer(question.Name, dnswire.ClassIN, answerTTL,
-				dnswire.A{Addr: w.Addr(w.gfwRandomAddr(uint64(dst), qname))})
-			return []QueryResponse{{Src: dst, ToPort: srcPort, DelayMS: 2, Msg: resp}}
+		if q.QType() == dnswire.TypeA && w.geo.ASOfU32(dst).Country == "CN" {
+			if qname, _, _ := x.qname(); gfwListed(qname) {
+				x.begin(qname, dnswire.RCodeNoError)
+				w.addA(x, w.gfwRandomAddr(uint64(dst), qname))
+				return x.emit(dst, srcPort, 2)
+			}
 		}
 		return nil
 	}
@@ -128,8 +173,10 @@ func (w *World) handleDNS(v Vantage, srcPort uint16, dst uint32, q *dnswire.Mess
 		toPort = uint16(1024 + prand.Hash(p.Identity, 0x9048, uint64(seq))%50000)
 	}
 	delay := 5 + int(prand.Hash(p.Identity, uint64(seq))%115)
-	emit := func(m *dnswire.Message) []QueryResponse {
-		return []QueryResponse{{Src: src, ToPort: toPort, DelayMS: delay, Msg: m}}
+	qname, d, listed := x.qname()
+	status := func(rcode dnswire.RCode) []QueryResponse {
+		x.begin(qname, rcode)
+		return x.emit(src, toPort, delay)
 	}
 
 	// Rate-limiting resolvers reject queries above their per-window
@@ -138,77 +185,77 @@ func (w *World) handleDNS(v Vantage, srcPort uint16, dst uint32, q *dnswire.Mess
 		if refused, dropped := w.faultRateLimited(p.Identity, t, fc); dropped {
 			return nil
 		} else if refused {
-			return emit(dnswire.NewResponse(q, dnswire.RCodeRefused))
+			return status(dnswire.RCodeRefused)
 		}
 	}
 
 	switch p.RCode {
 	case RCRefused:
-		return emit(dnswire.NewResponse(q, dnswire.RCodeRefused))
+		return status(dnswire.RCodeRefused)
 	case RCServFail:
-		return emit(dnswire.NewResponse(q, dnswire.RCodeServFail))
+		return status(dnswire.RCodeServFail)
 	}
 
 	// CHAOS version fingerprinting (§2.4).
-	if question.Class == dnswire.ClassCH {
-		return emit(w.answerChaos(&p, q, qname))
+	if q.QClass() == dnswire.ClassCH {
+		w.answerChaos(x, &p, qname)
+		return x.emit(src, toPort, delay)
 	}
 
-	switch question.Type {
+	switch q.QType() {
 	case dnswire.TypePTR:
-		return emit(w.answerPTR(q, qname))
+		w.answerPTR(x, qname)
 	case dnswire.TypeNS:
-		if !q.Header.RD {
+		if !q.RD() {
 			if tldIdx := snoopedTLDIndex(qname); tldIdx >= 0 {
-				return w.answerSnoop(&p, q, qname, tldIdx, src, toPort, delay, t, seq)
+				return w.answerSnoop(x, &p, qname, tldIdx, src, toPort, delay, t, seq)
 			}
 		}
-		resp := dnswire.NewResponse(q, dnswire.RCodeNoError)
-		resp.AddAnswer(question.Name, dnswire.ClassIN, answerTTL, dnswire.NS{Host: "ns1." + qname})
-		return emit(resp)
+		x.begin(qname, dnswire.RCodeNoError)
+		x.rb.NS(answerTTL, "ns1."+qname)
 	case dnswire.TypeA:
-		d, listed := domains.ByName(qname)
-		return w.answerA(&p, q, qname, d, listed, dst, src, toPort, delay, t)
+		return w.answerA(x, &p, qname, d, listed, dst, src, toPort, delay, t)
 	case dnswire.TypeDNSKEY:
-		return emit(w.answerDNSKEY(q, qname))
+		w.answerDNSKEY(x, qname, listed)
 	case dnswire.TypeANY:
-		return emit(w.answerANY(&p, q, qname))
+		w.answerANY(x, &p, qname, d, listed)
 	default:
-		return emit(dnswire.NewResponse(q, dnswire.RCodeNotImp))
+		return status(dnswire.RCodeNotImp)
 	}
+	return x.emit(src, toPort, delay)
 }
 
 // answerTrusted implements the measurement team's own resolvers and the
 // authoritative servers: straight, hierarchy-following resolution.
-func (w *World) answerTrusted(dst uint32, srcPort uint16, q *dnswire.Message) []QueryResponse {
-	question := q.Questions[0]
-	qname := dnswire.CanonicalName(question.Name)
-	resp := dnswire.NewResponse(q, dnswire.RCodeNoError)
-	resp.Header.AA = true
-	switch question.Type {
+func (w *World) answerTrusted(x *exchange, dst uint32, srcPort uint16) []QueryResponse {
+	qname, d, listed := x.qname()
+	switch x.q.QType() {
 	case dnswire.TypePTR:
-		resp = w.answerPTR(q, qname)
+		w.answerPTR(x, qname)
 	case dnswire.TypeA:
-		addrs, rc := w.TrustedResolve(qname)
-		resp.Header.RCode = rc
+		addrs, rc := w.legitAddrs(x.addrs[:0], qname, d, listed, vantageCountry)
+		x.begin(qname, rc)
+		x.rb.SetAA()
 		for _, a := range addrs {
-			resp.AddAnswer(question.Name, dnswire.ClassIN, answerTTL, dnswire.A{Addr: w.Addr(a)})
+			w.addA(x, a)
 		}
-		w.signAnswer(resp, qname)
+		w.signAnswer(x, qname, listed, addrs)
 	case dnswire.TypeDNSKEY:
-		resp = w.answerDNSKEY(q, qname)
+		w.answerDNSKEY(x, qname, listed)
 	default:
-		resp.Header.RCode = dnswire.RCodeNotImp
+		x.begin(qname, dnswire.RCodeNotImp)
+		x.rb.SetAA()
 	}
-	return []QueryResponse{{Src: dst, ToPort: srcPort, DelayMS: 1, Msg: resp}}
+	return x.emit(dst, srcPort, 1)
 }
 
 // answerChaos builds the CHAOS TXT response per the resolver's class.
-func (w *World) answerChaos(p *Profile, q *dnswire.Message, qname string) *dnswire.Message {
+func (w *World) answerChaos(x *exchange, p *Profile, qname string) {
 	isBind := qname == "version.bind"
 	isServer := qname == "version.server"
 	if !isBind && !isServer {
-		return dnswire.NewResponse(q, dnswire.RCodeNotImp)
+		x.begin(qname, dnswire.RCodeNotImp)
+		return
 	}
 	switch p.Chaos {
 	case ChaosError:
@@ -216,39 +263,35 @@ func (w *World) answerChaos(p *Profile, q *dnswire.Message, qname string) *dnswi
 		if prand.Hash(p.Identity, 0xCE)%2 == 0 {
 			code = dnswire.RCodeServFail
 		}
-		return dnswire.NewResponse(q, code)
+		x.begin(qname, code)
 	case ChaosEmptyVersion:
-		return dnswire.NewResponse(q, dnswire.RCodeNoError)
+		x.begin(qname, dnswire.RCodeNoError)
 	case ChaosHidden:
-		resp := dnswire.NewResponse(q, dnswire.RCodeNoError)
-		resp.AddAnswer(q.Questions[0].Name, dnswire.ClassCH, 0,
-			dnswire.TXT{Strings: []string{software.HiddenStrings[p.HiddenIdx]}})
-		return resp
+		x.begin(qname, dnswire.RCodeNoError)
+		x.rb.RR(dnswire.ClassCH, 0, dnswire.TXT{Strings: []string{software.HiddenStrings[p.HiddenIdx]}})
 	default:
 		e := software.Catalog[p.SoftwareIdx]
 		text := e.Bind
 		if isServer {
 			text = e.Server
 		}
-		resp := dnswire.NewResponse(q, dnswire.RCodeNoError)
-		resp.AddAnswer(q.Questions[0].Name, dnswire.ClassCH, 0, dnswire.TXT{Strings: []string{text}})
-		return resp
+		x.begin(qname, dnswire.RCodeNoError)
+		x.rb.RR(dnswire.ClassCH, 0, dnswire.TXT{Strings: []string{text}})
 	}
 }
 
 // answerPTR resolves reverse lookups against the world's rDNS.
-func (w *World) answerPTR(q *dnswire.Message, qname string) *dnswire.Message {
-	u, ok := ParsePTRName(qname)
-	if !ok {
-		return dnswire.NewResponse(q, dnswire.RCodeNXDomain)
+func (w *World) answerPTR(x *exchange, qname string) {
+	name := ""
+	if u, ok := ParsePTRName(qname); ok {
+		name = w.RDNS(w.Mask(u))
 	}
-	name := w.RDNS(w.Mask(u))
 	if name == "" {
-		return dnswire.NewResponse(q, dnswire.RCodeNXDomain)
+		x.begin(qname, dnswire.RCodeNXDomain)
+		return
 	}
-	resp := dnswire.NewResponse(q, dnswire.RCodeNoError)
-	resp.AddAnswer(q.Questions[0].Name, dnswire.ClassIN, 3600, dnswire.PTR{Target: name})
-	return resp
+	x.begin(qname, dnswire.RCodeNoError)
+	x.rb.RR(dnswire.ClassIN, 3600, dnswire.PTR{Target: name})
 }
 
 // snoopedTLDIndex returns the index of a snooped TLD, or -1.
@@ -262,59 +305,66 @@ func snoopedTLDIndex(qname string) int {
 }
 
 // answerSnoop renders the resolver's cache view for a snooping probe.
-func (w *World) answerSnoop(p *Profile, q *dnswire.Message, qname string, tldIdx int, src uint32, toPort uint16, delay int, t Time, seq int) []QueryResponse {
+func (w *World) answerSnoop(x *exchange, p *Profile, qname string, tldIdx int, src uint32, toPort uint16, delay int, t Time, seq int) []QueryResponse {
 	// Daily-churn hosts drop out of reach partway through the window.
 	sa := snoopState(p, tldIdx, t.AbsSeconds(), seq)
 	if !sa.Responded {
 		return nil
 	}
-	resp := dnswire.NewResponse(q, dnswire.RCodeNoError)
-	if sa.Empty || !sa.Cached {
-		return []QueryResponse{{Src: src, ToPort: toPort, DelayMS: delay, Msg: resp}}
+	x.begin(qname, dnswire.RCodeNoError)
+	if !sa.Empty && sa.Cached {
+		for _, host := range snoopNSHosts[tldIdx] {
+			x.rb.NS(sa.TTL, host)
+		}
 	}
-	for i := 0; i < 2; i++ {
-		resp.AddAnswer(q.Questions[0].Name, dnswire.ClassIN, sa.TTL,
-			dnswire.NS{Host: nsHostName(qname, i)})
-	}
-	return []QueryResponse{{Src: src, ToPort: toPort, DelayMS: delay, Msg: resp}}
+	return x.emit(src, toPort, delay)
 }
 
-func nsHostName(tld string, i int) string {
-	return "ns" + string(rune('1'+i)) + ".nic." + strings.ReplaceAll(tld, ".", "-") + ".example"
-}
+// snoopNSHosts names the two servers each snooped TLD's cached NS set
+// lists, by SnoopedTLDs index.
+var snoopNSHosts = func() [][2]string {
+	out := make([][2]string, len(domains.SnoopedTLDs))
+	for i, tld := range domains.SnoopedTLDs {
+		for j := range out[i] {
+			out[i][j] = "ns" + string(rune('1'+j)) + ".nic." + strings.ReplaceAll(tld, ".", "-") + ".example"
+		}
+	}
+	return out
+}()
 
 // answerA synthesizes the resolver's answer for an A query, applying
 // censorship policy and the manipulation profile. qname is canonical and
 // (d, listed) its domains.ByName entry: the caller looks both up once.
-func (w *World) answerA(p *Profile, q *dnswire.Message, qname string, d domains.Domain, listed bool, dst, src uint32, toPort uint16, delay int, t Time) []QueryResponse {
-	question := q.Questions[0]
-	emit := func(m *dnswire.Message) []QueryResponse {
-		return []QueryResponse{{Src: src, ToPort: toPort, DelayMS: delay, Msg: m}}
+func (w *World) answerA(x *exchange, p *Profile, qname string, d domains.Domain, listed bool, dst, src uint32, toPort uint16, delay int, t Time) []QueryResponse {
+	status := func(rcode dnswire.RCode) []QueryResponse {
+		x.begin(qname, rcode)
+		return x.emit(src, toPort, delay)
 	}
-	withAddrs := func(addrs ...uint32) *dnswire.Message {
-		resp := dnswire.NewResponse(q, dnswire.RCodeNoError)
+	answer := func(a uint32) []QueryResponse {
+		x.begin(qname, dnswire.RCodeNoError)
+		w.addA(x, a)
+		return x.emit(src, toPort, delay)
+	}
+	// legit answers with the zone's own records, signed where the zone is.
+	legit := func(addrs []uint32, delayMS int) []QueryResponse {
+		x.begin(qname, dnswire.RCodeNoError)
 		for _, a := range addrs {
-			var addr = w.Addr(a)
-			if IsLANAddr(a) {
-				addr = lanAddr(a)
-			}
-			resp.AddAnswer(question.Name, dnswire.ClassIN, answerTTL, dnswire.A{Addr: addr})
+			w.addA(x, a)
 		}
-		return resp
+		w.signAnswer(x, qname, listed, addrs)
+		return x.emit(src, toPort, delayMS)
 	}
 
 	// Censorship takes precedence: it is enforced upstream of the
 	// resolver's own behavior.
 	switch mode, landing := w.censorDecision(p, qname, d.Category); mode {
 	case CensorLanding:
-		return emit(withAddrs(landing))
+		return answer(landing)
 	case CensorGFW:
-		out := emit(withAddrs(landing)) // poisoned/injected answer, never signed
+		out := answer(landing) // poisoned/injected answer, never signed
 		if p.GFWDouble {
-			legit, _ := w.LegitAddrs(qname, p.Country)
-			second := withAddrs(legit...)
-			w.signAnswer(second, qname)
-			out = append(out, QueryResponse{Src: src, ToPort: toPort, DelayMS: delay + 4, Msg: second})
+			addrs, _ := w.legitAddrs(x.addrs[:0], qname, d, listed, p.Country)
+			out = legit(addrs, delay+4)
 		}
 		return out
 	}
@@ -323,104 +373,103 @@ func (w *World) answerA(p *Profile, q *dnswire.Message, qname string, d domains.
 
 	switch p.Manip {
 	case ManipEmptyAll:
-		return emit(dnswire.NewResponse(q, dnswire.RCodeNoError))
+		return status(dnswire.RCodeNoError)
 	case ManipStaticIP:
-		return emit(withAddrs(w.staticAnswerAddr(id)))
+		return answer(w.staticAnswerAddr(id))
 	case ManipSelfIP:
-		return emit(withAddrs(dst))
+		return answer(dst)
 	case ManipCaptiveLAN:
 		if prand.UnitOf(id, 0xCA9) < 0.5 {
-			return emit(withAddrs(w.infra.addrOf(RoleLoginPortal, int(prand.Hash(id, 0xCAA)%nLoginPortal))))
+			return answer(w.infra.addrOf(RoleLoginPortal, int(prand.Hash(id, 0xCAA)%nLoginPortal)))
 		}
-		return emit(withAddrs(lanBase + 1 + uint32(prand.Hash(id, 0xCAB)%4)))
+		return answer(lanBase + 1 + uint32(prand.Hash(id, 0xCAB)%4))
 	case ManipWildPark:
-		return emit(withAddrs(w.infra.addrOf(RoleParking, int(prand.Hash(id, 0x9A4)%nParking))))
+		return answer(w.infra.addrOf(RoleParking, int(prand.Hash(id, 0x9A4)%nParking)))
 	case ManipStaleMis:
 		v := prand.UnitOf(id, 0x57A1E, hashString(qname))
 		switch {
 		case v < 0.60:
-			return emit(withAddrs(w.infra.addrOf(RoleErrorPage, int(prand.Hash(id, hashString(qname))%nErrorPage))))
+			return answer(w.infra.addrOf(RoleErrorPage, int(prand.Hash(id, hashString(qname))%nErrorPage)))
 		case v < 0.85:
-			return emit(withAddrs(w.infra.addrOf(RoleDeadCDN, int(prand.Hash(id, 0xDEAD)%nDeadCDN))))
+			return answer(w.infra.addrOf(RoleDeadCDN, int(prand.Hash(id, 0xDEAD)%nDeadCDN)))
 		default:
 			sib := (dst &^ 0xFF) | uint32(prand.Hash(id, 0x24)%250)
-			return emit(withAddrs(w.Mask(sib)))
+			return answer(w.Mask(sib))
 		}
 	case ManipNSOnly:
-		resp := dnswire.NewResponse(q, dnswire.RCodeNoError)
-		resp.AddAuthority(question.Name, dnswire.ClassIN, answerTTL, dnswire.NS{Host: "ns1." + qname})
-		return emit(resp)
+		x.begin(qname, dnswire.RCodeNoError)
+		x.rb.Authority()
+		x.rb.NS(answerTTL, "ns1."+qname)
+		return x.emit(src, toPort, delay)
 	case ManipProtect:
 		if listed && d.Category == domains.Malware {
 			if prand.UnitOf(id, 0x9207) < 0.7 {
-				return emit(dnswire.NewResponse(q, dnswire.RCodeNoError))
+				return status(dnswire.RCodeNoError)
 			}
-			return emit(withAddrs(w.infra.addrOf(RoleBlockPage, int(prand.Hash(id, 0x9208)%nBlockPage))))
+			return answer(w.infra.addrOf(RoleBlockPage, int(prand.Hash(id, 0x9208)%nBlockPage)))
 		}
 	case ManipNXMonetize:
 		if w.monetizes(qname, d, listed, id) {
-			return emit(withAddrs(w.monetizeAddr(id, qname)))
+			return answer(w.monetizeAddr(id, qname))
 		}
 	case ManipMailRedir:
 		if listed && d.Category == domains.MX {
-			return emit(withAddrs(w.infra.addrOf(RoleMailSniff, int(prand.Hash(id, 0x3A11)%nMailSniff))))
+			return answer(w.infra.addrOf(RoleMailSniff, int(prand.Hash(id, 0x3A11)%nMailSniff)))
 		}
 	case ManipAdRedirect:
 		if listed && d.Category == domains.Ads {
 			if prand.Hash(id, 0xAD)%2 == 0 {
-				return emit(withAddrs(w.infra.addrOf(RoleAdInjectHTML, int(prand.Hash(id, 0xAD1)%nAdInjHTML))))
+				return answer(w.infra.addrOf(RoleAdInjectHTML, int(prand.Hash(id, 0xAD1)%nAdInjHTML)))
 			}
-			return emit(withAddrs(w.infra.addrOf(RoleAdInjectJS, int(prand.Hash(id, 0xAD2)%nAdInjJS))))
+			return answer(w.infra.addrOf(RoleAdInjectJS, int(prand.Hash(id, 0xAD2)%nAdInjJS)))
 		}
 	case ManipAdBlock:
 		if listed && d.Category == domains.Ads {
-			return emit(withAddrs(w.infra.addrOf(RoleAdBlockEmpty, int(prand.Hash(id, 0xADB)%nAdBlock))))
+			return answer(w.infra.addrOf(RoleAdBlockEmpty, int(prand.Hash(id, 0xADB)%nAdBlock)))
 		}
 	case ManipAdFakeSearch:
 		if qname == "google.com" || qname == "bing.com" || qname == "duckduckgo.com" {
-			return emit(withAddrs(w.infra.addrOf(RoleAdFakeSearch, int(prand.Hash(id, 0xADF)%nAdFake))))
+			return answer(w.infra.addrOf(RoleAdFakeSearch, int(prand.Hash(id, 0xADF)%nAdFake)))
 		}
 	case ManipProxyTLS:
-		return emit(withAddrs(w.infra.addrOf(RoleProxyTLS, int(prand.Hash(id, 0x960)%nProxyTLS))))
+		return answer(w.infra.addrOf(RoleProxyTLS, int(prand.Hash(id, 0x960)%nProxyTLS)))
 	case ManipProxyPlain:
-		return emit(withAddrs(w.infra.addrOf(RoleProxyPlain, int(prand.Hash(id, 0x961)%nProxyPlain))))
+		return answer(w.infra.addrOf(RoleProxyPlain, int(prand.Hash(id, 0x961)%nProxyPlain)))
 	case ManipPhishPayPal:
 		if qname == "paypal.com" {
-			return emit(withAddrs(w.infra.addrOf(RolePhishPayPal, int(prand.Hash(id, 0xF15)%nPhishPayPal))))
+			return answer(w.infra.addrOf(RolePhishPayPal, int(prand.Hash(id, 0xF15)%nPhishPayPal)))
 		}
 	case ManipPhishBankBR:
 		if qname == "intesasanpaolo.it" {
-			return emit(withAddrs(w.infra.addrOf(RolePhishBankBR, 0)))
+			return answer(w.infra.addrOf(RolePhishBankBR, 0))
 		}
 	case ManipPhishBankRU:
 		if qname == "intesasanpaolo.it" {
-			return emit(withAddrs(w.infra.addrOf(RolePhishBankRU, 0)))
+			return answer(w.infra.addrOf(RolePhishBankRU, 0))
 		}
 	case ManipPhishOther:
 		if listed && d.Category == domains.Banking && prand.UnitOf(id, 0xF16, hashString(qname)) < 0.12 {
-			return emit(withAddrs(w.infra.addrOf(RolePhishOther, int(prand.Hash(id, 0xF17, hashString(qname))%nPhishOther))))
+			return answer(w.infra.addrOf(RolePhishOther, int(prand.Hash(id, 0xF17, hashString(qname))%nPhishOther)))
 		}
 	case ManipMalware:
 		if isUpdateDomain(qname) {
-			return emit(withAddrs(w.infra.addrOf(RoleMalware, int(prand.Hash(id, 0x3A1)%nMalware))))
+			return answer(w.infra.addrOf(RoleMalware, int(prand.Hash(id, 0x3A1)%nMalware)))
 		}
 	}
 
 	// Honest resolution (possibly with per-domain quirks).
 	if role, prob := domainQuirk(qname); prob > 0 && prand.UnitOf(id, 0x2B1, hashString(qname)) < prob {
-		return emit(withAddrs(w.infra.addrOf(role, int(prand.Hash(id, 0x2B2)%uint64(w.infra.rangeSize(role))))))
+		return answer(w.infra.addrOf(role, int(prand.Hash(id, 0x2B2)%uint64(w.infra.rangeSize(role)))))
 	}
-	addrs, rc := w.LegitAddrs(qname, p.Country)
+	addrs, rc := w.legitAddrs(x.addrs[:0], qname, d, listed, p.Country)
 	if rc == dnswire.RCodeNXDomain {
 		// A share of resolvers translates NXDOMAIN into empty NOERROR.
 		if prand.UnitOf(id, 0x88F) < 0.3 {
-			return emit(dnswire.NewResponse(q, dnswire.RCodeNoError))
+			return status(dnswire.RCodeNoError)
 		}
-		return emit(dnswire.NewResponse(q, dnswire.RCodeNXDomain))
+		return status(dnswire.RCodeNXDomain)
 	}
-	resp := withAddrs(addrs...)
-	w.signAnswer(resp, qname)
-	return emit(resp)
+	return legit(addrs, delay)
 }
 
 // monetizes reports whether an NX-monetizing resolver intercepts this
@@ -501,10 +550,4 @@ func isUpdateDomain(qname string) bool {
 		return true
 	}
 	return false
-}
-
-// lanAddr renders RFC1918 answers without folding them into the world
-// space (they must look like real LAN addresses to the client).
-func lanAddr(u uint32) netip.Addr {
-	return netip.AddrFrom4([4]byte{byte(u >> 24), byte(u >> 16), byte(u >> 8), byte(u)})
 }

@@ -2,11 +2,13 @@ package wildnet
 
 import (
 	"crypto/ed25519"
+	"encoding/binary"
 	"sync"
 
 	"goingwild/internal/dnssec"
 	"goingwild/internal/dnswire"
 	"goingwild/internal/domains"
+	"goingwild/internal/lfsr"
 	"goingwild/internal/prand"
 )
 
@@ -28,13 +30,15 @@ type dnssecState struct {
 	mu   sync.Mutex
 	once sync.Once
 	keys map[string]*dnssec.ZoneKey
-	sigs map[string]dnswire.RRSIG // cache key: zone + packed answer identity
+	// sigs caches RRSIGs by zone + "|" + the packed answer addresses,
+	// boxed once so the responder appends a hit without allocating.
+	sigs map[string]dnswire.RData
 }
 
 func (w *World) dnssecStateOf() *dnssecState {
 	w.dnssec.once.Do(func() {
 		w.dnssec.keys = map[string]*dnssec.ZoneKey{}
-		w.dnssec.sigs = map[string]dnswire.RRSIG{}
+		w.dnssec.sigs = map[string]dnswire.RData{}
 	})
 	return &w.dnssec
 }
@@ -43,16 +47,21 @@ func (w *World) dnssecStateOf() *dnssecState {
 // returns the zone apex.
 func (w *World) SignedZone(name string) (string, bool) {
 	cn := dnswire.CanonicalName(name)
+	_, listed := domains.ByName(cn)
+	return w.signedZone(cn, listed)
+}
+
+// signedZone is SignedZone for a caller that has already canonicalised
+// the name and looked it up in the scan list, as the DNS handler has.
+func (w *World) signedZone(cn string, listed bool) (string, bool) {
 	for _, z := range signedZoneList {
 		if cn == z {
 			return z, true
 		}
 	}
 	// A ~1% tail of other zones is signed, seeded per world.
-	if _, listed := domains.ByName(cn); listed {
-		if prand.UnitOf(w.cfg.Seed, 0xD5EC, hashString(cn)) < 0.01 {
-			return cn, true
-		}
+	if listed && prand.UnitOf(w.cfg.Seed, 0xD5EC, hashString(cn)) < 0.01 {
+		return cn, true
 	}
 	return "", false
 }
@@ -79,46 +88,41 @@ func (w *World) ZonePublicKey(zone string) (ed25519.PublicKey, bool) {
 	return w.ZoneKeyOf(dnswire.CanonicalName(zone)).Public, true
 }
 
-// signAnswer appends an RRSIG over the answer RRset when the queried
-// zone is signed. Signatures are cached per (zone, answer identity).
-func (w *World) signAnswer(m *dnswire.Message, qname string) {
-	zone, signed := w.SignedZone(qname)
-	if !signed || len(m.Answers) == 0 {
+// signAnswer appends an RRSIG over the answer RRset addrs, just added to
+// the response under construction, when the queried zone is signed.
+// Signatures are cached per (zone, answer set); the key is built on the
+// stack, so a hit allocates nothing.
+func (w *World) signAnswer(x *exchange, qname string, listed bool, addrs []uint32) {
+	zone, signed := w.signedZone(qname, listed)
+	if !signed || len(addrs) == 0 {
 		return
 	}
-	key := w.ZoneKeyOf(zone)
-	cacheKey := zone + "|" + answerIdentity(m)
+	var kb [96]byte
+	key := append(append(kb[:0], zone...), '|')
+	for _, a := range addrs {
+		key = binary.BigEndian.AppendUint32(key, w.answerAddr(a))
+	}
 	st := w.dnssecStateOf()
 	st.mu.Lock()
-	sig, ok := st.sigs[cacheKey]
+	sig, ok := st.sigs[string(key)]
 	st.mu.Unlock()
 	if !ok {
-		sig = key.Sign(qname, dnswire.ClassIN, answerTTL, m.Answers)
+		rrs := make([]dnswire.ResourceRecord, len(addrs))
+		for i, a := range addrs {
+			rrs[i].Data = dnswire.A{Addr: lfsr.U32ToAddr(w.answerAddr(a))}
+		}
+		sig = w.ZoneKeyOf(zone).Sign(qname, dnswire.ClassIN, answerTTL, rrs)
 		st.mu.Lock()
-		st.sigs[cacheKey] = sig
+		st.sigs[string(key)] = sig
 		st.mu.Unlock()
 	}
-	m.AddAnswer(qname, dnswire.ClassIN, answerTTL, sig)
-}
-
-func answerIdentity(m *dnswire.Message) string {
-	var b []byte
-	for _, rr := range m.Answers {
-		if a, ok := rr.Data.(dnswire.A); ok {
-			v := a.Addr.As4()
-			b = append(b, v[:]...)
-		}
-	}
-	return string(b)
+	x.rb.RR(dnswire.ClassIN, answerTTL, sig)
 }
 
 // answerDNSKEY serves the zone's public key record.
-func (w *World) answerDNSKEY(q *dnswire.Message, qname string) *dnswire.Message {
-	zone, signed := w.SignedZone(qname)
-	if !signed {
-		return dnswire.NewResponse(q, dnswire.RCodeNoError)
+func (w *World) answerDNSKEY(x *exchange, qname string, listed bool) {
+	x.begin(qname, dnswire.RCodeNoError)
+	if zone, signed := w.signedZone(qname, listed); signed {
+		x.rb.RR(dnswire.ClassIN, 3600, w.ZoneKeyOf(zone).DNSKEY())
 	}
-	resp := dnswire.NewResponse(q, dnswire.RCodeNoError)
-	resp.AddAnswer(q.Questions[0].Name, dnswire.ClassIN, 3600, w.ZoneKeyOf(zone).DNSKEY())
-	return resp
 }

@@ -55,10 +55,19 @@ type blockInfo struct {
 	hasStations bool
 }
 
-// rejectCache is the week-stamped block table.
+// rejectCache is the week-stamped block table, plus the week's
+// population-wide constants ProfileAt draws against. They are evaluated
+// once per week with the expressions the per-query code used, so every
+// draw of the week compares against the same bits it always did.
 type rejectCache struct {
 	week   int
 	blocks []blockInfo
+	// pRefused is the REFUSED share of the responder population: Figure
+	// 1 shows the REFUSED count staying flat while the total declines, so
+	// the share grows inversely with the world decline, capped at 15%.
+	pRefused float64
+	// pServFail is the week's SERVFAIL share.
+	pServFail float64
 }
 
 // blockCache returns the block table for week, rebuilding it when the
@@ -70,7 +79,12 @@ func (w *World) blockCache(week int) *rejectCache {
 		return c
 	}
 	t := Time{Week: week}
-	c := &rejectCache{week: week, blocks: make([]blockInfo, w.geo.NumBlocks())}
+	c := &rejectCache{
+		week:      week,
+		blocks:    make([]blockInfo, w.geo.NumBlocks()),
+		pRefused:  min(pRefusedBase/geodb.WorldDeclineAt(week), 0.15),
+		pServFail: servFailShare(week),
+	}
 	for b := range c.blocks {
 		base := w.geo.BlockBase(b)
 		as := w.geo.ASOfU32(base)

@@ -81,6 +81,7 @@ func TestSweepRejectMatchesHandler(t *testing.T) {
 			tr := NewMemTransport(w, v)
 			delivered := 0
 			tr.SetReceiver(func(netip.Addr, uint16, uint16, []byte) { delivered++ })
+			x := new(exchange)
 			for _, now := range soundnessTimes {
 				tr.SetTime(now)
 				bc := w.blockCache(now.Week)
@@ -96,11 +97,11 @@ func TestSweepRejectMatchesHandler(t *testing.T) {
 					}
 					for attempt := uint64(0); attempt < 3; attempt++ {
 						fc := faultCtx{payloadHash: hashBytes(payload), attempt: attempt}
-						if resps := w.handleDNS(v, 33000, u, q, now, fc); len(resps) != 0 {
+						if resps := w.handleDNS(x, v, 33000, u, payload, now, fc); len(resps) != 0 {
 							t.Fatalf("%s vantage %d week %d: %#x dropped at dispatch but handleDNS answered attempt %d",
 								profile, v, now.Week, u, attempt)
 						}
-						if err := tr.process(ctx, u, 53, 33000, payload, now); err != nil {
+						if err := tr.process(ctx, x, u, 53, 33000, payload, now); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -157,7 +158,7 @@ func TestCNFilterMatchesPipeline(t *testing.T) {
 					t.Fatal(err)
 				}
 				if bypass {
-					if err := tr.process(ctx, u, 53, 34567, payload, now); err != nil {
+					if err := tr.process(ctx, new(exchange), u, 53, 34567, payload, now); err != nil {
 						t.Fatal(err)
 					}
 				} else if err := tr.Send(ctx, w.Addr(u), 53, 34567, payload); err != nil {

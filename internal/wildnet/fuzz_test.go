@@ -1,6 +1,7 @@
 package wildnet
 
 import (
+	"bytes"
 	"context"
 	"net/netip"
 	"sync"
@@ -75,6 +76,91 @@ func FuzzHandleDNS(f *testing.F) {
 		})
 		dst := lfsr.U32ToAddr(target)
 		if err := tr.Send(context.Background(), dst, dstPort, srcPort, payload); err != nil {
+			t.Fatalf("Send: %v", err)
+		}
+	})
+}
+
+// The answer-wire fuzz world is clean and lossless, so every response the
+// handler writes is delivered as written.
+var (
+	answerWorldOnce sync.Once
+	answerWorld     *World
+	answerWorldErr  error
+	answerResolvers []uint32
+)
+
+func cleanFuzzWorld() (*World, []uint32, error) {
+	answerWorldOnce.Do(func() {
+		cfg := DefaultConfig(14)
+		cfg.Loss = 0
+		if answerWorld, answerWorldErr = NewWorld(cfg); answerWorldErr != nil {
+			return
+		}
+		for week := 0; week < 8; week++ {
+			for u := uint32(0); u < uint32(answerWorld.SpaceSize()); u++ {
+				if answerWorld.ResolverAt(u, At(week)) {
+					answerResolvers = append(answerResolvers, u)
+				}
+			}
+		}
+	})
+	return answerWorld, answerResolvers, answerWorldErr
+}
+
+// FuzzAnswerWire holds the wire responder to the tree encoder on
+// arbitrary questions: whatever a query draws — from a resolver of any
+// class, the trusted infrastructure, or the injector — unpacks, re-packs
+// through PackInto to the very bytes delivered (so the builder made the
+// encoder's compression choices), and echoes the query's ID and question
+// octet for octet.
+func FuzzAnswerWire(f *testing.F) {
+	f.Add("chase.com", uint16(dnswire.TypeA), uint16(dnswire.ClassIN), true, uint16(7), uint32(0), uint8(0))
+	f.Add("WikiLeaks.ORG", uint16(dnswire.TypeA), uint16(dnswire.ClassIN), true, uint16(8), uint32(2), uint8(3))
+	f.Add("com", uint16(dnswire.TypeNS), uint16(dnswire.ClassIN), false, uint16(0), uint32(4), uint8(1))
+	f.Add("version.bind", uint16(dnswire.TypeTXT), uint16(dnswire.ClassCH), true, uint16(9), uint32(6), uint8(0))
+	f.Add("chase.com", uint16(dnswire.TypeANY), uint16(dnswire.ClassIN), true, uint16(10), uint32(8), uint8(5))
+	f.Add(domains.GroundTruth, uint16(dnswire.TypeDNSKEY), uint16(dnswire.ClassIN), true, uint16(11), uint32(10), uint8(2))
+	f.Add("4.3.2.1.in-addr.arpa", uint16(dnswire.TypePTR), uint16(dnswire.ClassIN), true, uint16(12), uint32(12), uint8(7))
+	f.Add("", uint16(dnswire.TypeA), uint16(dnswire.ClassIN), true, uint16(13), uint32(14), uint8(0))
+	f.Add("facebook.com", uint16(dnswire.TypeA), uint16(dnswire.ClassIN), true, uint16(14), uint32(0x7001), uint8(4))
+	f.Add("r1.c0a80101."+domains.ScanBase, uint16(dnswire.TypeA), uint16(dnswire.ClassIN), true, uint16(15), uint32(0x7FFF9), uint8(0))
+	f.Fuzz(func(t *testing.T, name string, qtype, qclass uint16, rd bool, id uint16, dst uint32, week uint8) {
+		w, resolvers, err := cleanFuzzWorld()
+		if err != nil {
+			t.Skipf("fuzz world: %v", err)
+		}
+		query, err := dnswire.AppendQuery(nil, id, rd, name, dnswire.Type(qtype), dnswire.Class(qclass))
+		if err != nil {
+			t.Skip("name does not encode")
+		}
+		// Even selectors pick a known resolver address, odd ones any
+		// address (infrastructure and empty space included).
+		u := dst >> 1
+		if dst&1 == 0 {
+			u = resolvers[int(dst>>1)%len(resolvers)]
+		}
+		tr := NewMemTransport(w, VantagePrimary)
+		defer tr.Close()
+		tr.SetTime(At(int(week % 8)))
+		var cmp dnswire.Compressor
+		tr.SetReceiver(func(_ netip.Addr, _, _ uint16, resp []byte) {
+			m, err := dnswire.Unpack(resp)
+			if err != nil {
+				t.Fatalf("response %x to %x does not unpack: %v", resp, query, err)
+			}
+			repacked, err := m.PackInto(nil, &cmp)
+			if err != nil || !bytes.Equal(repacked, resp) {
+				t.Fatalf("response to %x:\n  wire   %x\n  repack %x (%v)", query, resp, repacked, err)
+			}
+			if !m.Header.QR || m.Header.ID != id || m.Header.RD != rd {
+				t.Fatalf("response header %+v to query id %d rd %v", m.Header, id, rd)
+			}
+			if len(resp) < len(query) || !bytes.Equal(resp[12:len(query)], query[12:]) {
+				t.Fatalf("question %x not echoed in %x", query[12:], resp)
+			}
+		})
+		if err := tr.Send(context.Background(), w.Addr(u), 53, 40000, query); err != nil {
 			t.Fatalf("Send: %v", err)
 		}
 	})

@@ -161,8 +161,10 @@ func (w *World) censorDecision(p *Profile, cn string, cat domains.Category) (Cen
 // GFWMatches reports whether the injector reacts to a name, independent of
 // any resolver (injection triggers even for probes to non-resolver hosts
 // in Chinese address space, §4.2).
-func GFWMatches(name string) bool {
-	cn := dnswire.CanonicalName(name)
+func GFWMatches(name string) bool { return gfwListed(dnswire.CanonicalName(name)) }
+
+// gfwListed is GFWMatches for a name already in canonical form.
+func gfwListed(cn string) bool {
 	for _, n := range gfwNames {
 		if n == cn {
 			return true

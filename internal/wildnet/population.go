@@ -65,16 +65,11 @@ func (w *World) stabilityOfDyn(u uint32, dynamic bool) Stability {
 	}
 }
 
-// leaseEpoch identifies the tenancy of an address at a given time: a new
-// epoch means a (statistically) new tenant behind the address. The epoch
-// doubles as the identity key for all behavioral draws, so a host keeps
-// its personality for exactly one lease.
-func (w *World) leaseEpoch(u uint32, t Time) uint64 {
-	return w.leaseEpochDyn(u, t, w.geo.ASOfU32(u).DynamicPool)
-}
-
-// leaseEpochDyn is leaseEpoch with the DynamicPool flag supplied by the
-// caller (see stabilityOfDyn).
+// leaseEpochDyn identifies the tenancy of an address at a given time: a
+// new epoch means a (statistically) new tenant behind the address. The
+// epoch doubles as the identity key for all behavioral draws, so a host
+// keeps its personality for exactly one lease. dynamic is the owning
+// network's DynamicPool flag (see stabilityOfDyn).
 func (w *World) leaseEpochDyn(u uint32, t Time, dynamic bool) uint64 {
 	switch w.stabilityOfDyn(u, dynamic) {
 	case StabilityDaily:
@@ -111,14 +106,6 @@ func (w *World) leaseEpochDyn(u uint32, t Time, dynamic bool) uint64 {
 	}
 }
 
-// densityAt returns the probability that an address hosts a responding
-// resolver at time t. All inputs are per-block, so the value comes from
-// the per-week block cache; densitySlow is the defining computation.
-func (w *World) densityAt(u uint32, t Time) float64 {
-	u &= w.mask
-	return w.blockCache(t.Week).blocks[w.geo.BlockOf(u)].density
-}
-
 // densitySlow combines the base density, the AS's density multiplier, the
 // country's interpolated decline, and any AS collapse or fate event. It
 // only runs when the block cache is (re)built for a week.
@@ -148,24 +135,28 @@ func (w *World) densitySlow(u uint32, t Time) float64 {
 // REFUSED, SERVFAIL); use ProfileAt for the class.
 func (w *World) ResolverAt(u uint32, t Time) bool {
 	u = w.Mask(u)
-	if w.infra.roleOf(u) != RoleNone {
-		return false // infrastructure addresses are servers, not resolvers
-	}
 	if _, ok := w.stations[u]; ok {
 		return true // rare-behavior stations are always-on resolvers
 	}
-	d := w.densityAt(u, t)
-	if d == 0 {
-		return false
-	}
-	epoch := w.leaseEpoch(u, t)
-	return prand.UnitOf(w.cfg.Seed, facetSlot, uint64(u), epoch) < d
+	_, ok := w.resolverEpoch(u, t, w.blockCache(t.Week))
+	return ok
 }
 
-// identity returns the behavioral identity key of the resolver at u at
-// time t (valid only when ResolverAt holds).
-func (w *World) identity(u uint32, t Time) uint64 {
-	return prand.Hash(w.cfg.Seed, uint64(u), w.leaseEpoch(u, t))
+// resolverEpoch draws whether a resolver holds the (masked, non-station)
+// address u at time t and returns the lease epoch the draw used — the
+// tenancy that also keys the resolver's behavioral identity, valid only
+// when ok. c must be w.blockCache(t.Week); density and the DynamicPool
+// flag are per-block, so both come from it.
+func (w *World) resolverEpoch(u uint32, t Time, c *rejectCache) (epoch uint64, ok bool) {
+	if w.infra.roleOf(u) != RoleNone {
+		return 0, false // infrastructure addresses are servers, not resolvers
+	}
+	bi := &c.blocks[w.geo.BlockOf(u)]
+	if bi.density == 0 {
+		return 0, false
+	}
+	epoch = w.leaseEpochDyn(u, t, bi.dynamic)
+	return epoch, prand.UnitOf(w.cfg.Seed, facetSlot, uint64(u), epoch) < bi.density
 }
 
 // VisibleFrom reports whether the resolver's network lets packets from the

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"goingwild/internal/devices"
-	"goingwild/internal/geodb"
 	"goingwild/internal/prand"
 	"goingwild/internal/software"
 )
@@ -130,34 +129,35 @@ func servFailShare(week int) float64 {
 }
 
 // ProfileAt derives the full profile of the resolver at u. ok is false
-// when no resolver answers at u at time t.
+// when no resolver answers at u at time t. The lease epoch is derived
+// once, for the slot draw and for the identity, and the week's constants
+// — density, REFUSED and SERVFAIL shares — come from the block cache.
 func (w *World) ProfileAt(u uint32, t Time) (Profile, bool) {
 	u = w.Mask(u)
+	wk := w.blockCache(t.Week)
 	station, isStation := w.stations[u]
-	if !isStation && !w.ResolverAt(u, t) {
-		return Profile{}, false
-	}
-	id := w.identity(u, t)
+	var id uint64
 	if isStation {
 		id = prand.Hash(w.cfg.Seed, uint64(u)) // stations never churn
+	} else {
+		epoch, ok := w.resolverEpoch(u, t, wk)
+		if !ok {
+			return Profile{}, false
+		}
+		id = prand.Hash(w.cfg.Seed, uint64(u), epoch)
 	}
-	loc := w.geo.LookupU32(u)
-	p := Profile{Identity: id, Country: loc.Country, SoftwareIdx: -1, HiddenIdx: -1, DeviceIdx: -1}
+	country := w.geo.ASOfU32(u).Country
+	p := Profile{Identity: id, Country: country, SoftwareIdx: -1, HiddenIdx: -1, DeviceIdx: -1}
 
 	// Response-code class. The REFUSED share grows as the population
 	// declines so its absolute count stays flat (Figure 1).
 	r := prand.UnitOf(id, facetRCode)
-	pRef := pRefusedBase / geodb.WorldDeclineAt(t.Week)
-	if pRef > 0.15 {
-		pRef = 0.15
-	}
-	sf := servFailShare(t.Week)
 	switch {
 	case isStation:
 		p.RCode = RCNoError
-	case r < pRef:
+	case r < wk.pRefused:
 		p.RCode = RCRefused
-	case r < pRef+sf:
+	case r < wk.pRefused+wk.pServFail:
 		p.RCode = RCServFail
 	default:
 		p.RCode = RCNoError
@@ -171,7 +171,7 @@ func (w *World) ProfileAt(u uint32, t Time) (Profile, bool) {
 	}
 
 	p.MisSourced = prand.UnitOf(id, facetMisSourced) < pMisSourced
-	if loc.Country == "CN" {
+	if country == "CN" {
 		p.GFWDouble = prand.UnitOf(id, facetGFWDouble) < 0.024
 	}
 

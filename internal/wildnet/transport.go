@@ -4,11 +4,9 @@ import (
 	"context"
 	"errors"
 	"net/netip"
-	"sort"
 	"sync"
 	"sync/atomic"
 
-	"goingwild/internal/dnswire"
 	"goingwild/internal/lfsr"
 	"goingwild/internal/prand"
 )
@@ -121,29 +119,13 @@ func (m *MemTransport) SetReceiver(f func(src netip.Addr, srcPort, dstPort uint1
 	m.recv.Store(&f)
 }
 
-// queryPool recycles the per-Send query Message. HandleDNS never retains
-// the query (responses copy the question section), so the Message and its
-// section slices can be reused across sends.
-var queryPool = sync.Pool{New: func() any { return new(dnswire.Message) }}
-
-// packScratch is one response-packing workspace: the wire buffer and the
-// name Compressor PackInto fills.
-type packScratch struct {
-	buf []byte
-	cmp dnswire.Compressor
-}
-
-var packPool = sync.Pool{New: func() any {
-	return &packScratch{buf: make([]byte, 0, 512)}
-}}
-
 // Send implements Transport: the query is processed by the world and all
 // surviving responses are delivered to the receiver before Send returns.
 // This is the hot path of every simulated scan — one call per probe — so
-// the query parse, the response packing, and the two-response common case
-// of the sort all run against pooled storage, and the context is checked
-// only at loop edges (entry and between response deliveries), never per
-// byte.
+// the query is read through a View, the responses are appended on the
+// wire, and the two-response common case of the sort runs in place, all
+// in one pooled exchange scratch, and the context is checked only at loop
+// edges (entry and between response deliveries), never per byte.
 //
 // Under every fault profile the destination is classified first: a
 // datagram nothing can answer is counted in wildnet.send.rejected and
@@ -168,7 +150,20 @@ func (m *MemTransport) Send(ctx context.Context, dst netip.Addr, dstPort, srcPor
 		m.world.sendRejected.Inc()
 		return nil
 	}
-	return m.process(ctx, u32dst, dstPort, srcPort, payload, t)
+	x := exchangePool.Get().(*exchange)
+	err := m.process(ctx, x, u32dst, dstPort, srcPort, payload, t)
+	m.putExchange(x)
+	return err
+}
+
+// putExchange adds an exchange scratch's tallies to the world's counters
+// — once per Send or SendBatch, so the shared counters cost an answered
+// exchange nothing — and returns it to the pool.
+func (m *MemTransport) putExchange(x *exchange) {
+	m.world.sendAnswered.Add(x.answered)
+	m.world.respBytes.Add(x.bytes)
+	x.answered, x.bytes = 0, 0
+	exchangePool.Put(x)
 }
 
 // undeliverable is the second half of the dispatch decision Send and
@@ -181,8 +176,8 @@ func (m *MemTransport) undeliverable(class sweepClass, dstPort uint16, payload [
 }
 
 // SendBatch implements BatchSender: per-probe semantics are exactly those
-// of Send, with the clock lock, the block-table load, and the rejected
-// count amortized over the whole batch.
+// of Send, with the clock lock, the block-table load, the exchange
+// scratch and the counters amortized over the whole batch.
 func (m *MemTransport) SendBatch(ctx context.Context, batch []Probe) (int, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
@@ -195,6 +190,7 @@ func (m *MemTransport) SendBatch(ctx context.Context, batch []Probe) (int, error
 	// Rejects are tallied locally and added once per batch, so the
 	// shared counter costs the silent majority nothing.
 	n, rejected := len(batch), uint64(0)
+	x := exchangePool.Get().(*exchange)
 	var err error
 	for i := range batch {
 		p := &batch[i]
@@ -207,19 +203,20 @@ func (m *MemTransport) SendBatch(ctx context.Context, batch []Probe) (int, error
 			rejected++
 			continue
 		}
-		if err = m.process(ctx, u32dst, p.DstPort, p.SrcPort, p.Payload, t); err != nil {
+		if err = m.process(ctx, x, u32dst, p.DstPort, p.SrcPort, p.Payload, t); err != nil {
 			n = i
 			break
 		}
 	}
 	m.world.sendRejected.Add(rejected)
+	m.putExchange(x)
 	return n, err
 }
 
-// process runs one datagram through the world at simulated time t and
-// delivers the surviving responses. It is the shared tail of Send and
-// SendBatch.
-func (m *MemTransport) process(ctx context.Context, u32dst uint32, dstPort, srcPort uint16, payload []byte, t Time) error {
+// process runs one datagram through the world at simulated time t, in
+// the exchange scratch x, and delivers the surviving responses. It is the
+// shared tail of Send and SendBatch.
+func (m *MemTransport) process(ctx context.Context, x *exchange, u32dst uint32, dstPort, srcPort uint16, payload []byte, t Time) error {
 	qph := hashBytes(payload)
 	// Independent loss on the query packet.
 	if m.drop(dirQuery, u32dst, dstPort, srcPort, qph, t) {
@@ -234,66 +231,45 @@ func (m *MemTransport) process(ctx context.Context, u32dst uint32, dstPort, srcP
 			return nil
 		}
 	}
-	q := queryPool.Get().(*dnswire.Message)
-	defer queryPool.Put(q)
-	if err := dnswire.UnpackInto(payload, q); err != nil {
-		return nil // malformed packets vanish, as on the real Internet
-	}
 	if dstPort != 53 {
 		return nil
 	}
-	resps := m.world.handleDNS(m.vantage, srcPort, u32dst, q, t, fc)
+	// Datagrams the handler does not accept vanish, as on the real
+	// Internet.
+	resps := m.world.handleDNS(x, m.vantage, srcPort, u32dst, payload, t, fc)
 	if len(resps) == 0 {
 		return nil
 	}
-	m.world.sendAnswered.Inc()
+	x.answered++
 	if m.world.faultsOn {
 		// Latency, jitter, and the delivery deadline reshape the
 		// response timeline before the delay sort, so injected-response
 		// races are decided on the faulted ordering.
 		resps = m.world.faultAdjustResponses(resps, t, fc)
 	}
-	// Deliver in delay order. Almost every exchange yields one or two
-	// responses (the second being an injected racer, §4.2); swap those in
-	// place instead of paying sort.SliceStable's interface overhead.
-	switch {
-	case len(resps) == 2:
-		if resps[1].DelayMS < resps[0].DelayMS {
-			resps[0], resps[1] = resps[1], resps[0]
-		}
-	case len(resps) > 2:
-		sort.SliceStable(resps, func(i, j int) bool { return resps[i].DelayMS < resps[j].DelayMS })
+	// Deliver in delay order. An exchange yields one or two responses
+	// (the second being an injected racer, §4.2).
+	if len(resps) == 2 && resps[1].DelayMS < resps[0].DelayMS {
+		resps[0], resps[1] = resps[1], resps[0]
 	}
 	recv := m.recv.Load()
 	if recv == nil {
 		return nil
 	}
-	limit := m.world.UDPPayloadLimit(u32dst, q, t)
-	ps := packPool.Get().(*packScratch)
-	defer packPool.Put(ps)
+	limit := m.world.udpPayloadLimit(u32dst, x.edns, x.hasEDNS, t)
 	for _, r := range resps {
 		// A context death mid-delivery drops the remaining responses,
 		// exactly as a real cancelled scan stops reading its socket.
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		// Pack once; oversized responses are re-packed as an empty
-		// TC-bit reply (the Truncate contract) rather than packed twice.
-		wire, err := r.Msg.PackInto(ps.buf, &ps.cmp)
-		if err != nil {
-			continue
+		wire := x.wire(r)
+		if len(wire) == 0 {
+			continue // the response did not encode
 		}
-		ps.buf = wire[:0]
-		if len(wire) > limit {
-			tc := dnswire.Message{Header: r.Msg.Header, Questions: r.Msg.Questions}
-			tc.Header.TC = true
-			m.world.respTruncated.Inc()
-			wire, err = tc.PackInto(ps.buf, &ps.cmp)
-			if err != nil {
-				continue
-			}
-			ps.buf = wire[:0]
-		}
+		// Oversized responses go out as the empty TC-bit reply, cut from
+		// the bytes already written.
+		wire = m.world.fitUDP(wire, limit)
 		rph := hashBytes(wire)
 		if m.drop(dirResponse, r.Src, 53, r.ToPort, rph, t) {
 			continue
@@ -303,8 +279,8 @@ func (m *MemTransport) process(ctx context.Context, u32dst uint32, dstPort, srcP
 			if m.world.faultDrop(dirResponse, r.Src, 53, r.ToPort, rph, t, fc.attempt) {
 				continue
 			}
-			// Garble mutates the pooled wire in place; the draw keys on
-			// the pre-corruption hash so it stays a pure packet fate.
+			// Garble mutates the arena in place; the draw keys on the
+			// pre-corruption hash so it stays a pure packet fate.
 			m.world.faultGarble(wire, r.Src, rph, t, fc.attempt)
 			if m.world.faultDup(r.Src, rph, t, fc.attempt) {
 				deliveries = 2
@@ -314,6 +290,7 @@ func (m *MemTransport) process(ctx context.Context, u32dst uint32, dstPort, srcP
 			return ErrTransportClosed
 		}
 		for d := 0; d < deliveries; d++ {
+			x.bytes += uint64(len(wire))
 			(*recv)(m.world.Addr(r.Src), 53, r.ToPort, wire)
 		}
 	}
@@ -327,19 +304,13 @@ func (m *MemTransport) QueryTCP(dst netip.Addr, payload []byte) ([]byte, bool) {
 	if m.closed.Load() || !dst.Is4() {
 		return nil, false
 	}
-	q, err := dnswire.Unpack(payload)
-	if err != nil {
+	x := exchangePool.Get().(*exchange)
+	defer exchangePool.Put(x)
+	resps := m.world.handleDNSTCP(x, m.vantage, lfsr.AddrToU32(dst), payload, m.Time())
+	if len(resps) == 0 || resps[0].end == resps[0].off {
 		return nil, false
 	}
-	resp := m.world.HandleDNSTCP(m.vantage, lfsr.AddrToU32(dst), q, m.Time())
-	if resp == nil {
-		return nil, false
-	}
-	wire, err := resp.PackBytes()
-	if err != nil {
-		return nil, false
-	}
-	return wire, true
+	return append([]byte(nil), x.wire(resps[0])...), true
 }
 
 // Loss-draw direction tags, so a query and its response get independent

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"goingwild/internal/dnswire"
 	"goingwild/internal/lfsr"
 )
 
@@ -85,6 +84,9 @@ func (g *Gateway) Close() error {
 func (g *Gateway) serve() {
 	defer g.wg.Done()
 	buf := make([]byte, 65535)
+	// The read loop is the gateway's only handler goroutine, so one
+	// exchange scratch serves every datagram.
+	x := new(exchange)
 	for {
 		n, peer, err := g.conn.ReadFromUDP(buf)
 		if err != nil {
@@ -99,18 +101,18 @@ func (g *Gateway) serve() {
 		if dstPort != 53 {
 			continue
 		}
-		q, err := dnswire.Unpack(buf[tunnelHeaderLen:n])
-		if err != nil {
+		t := g.time()
+		resps := g.world.handleDNS(x, g.vantage, srcPort, dst, buf[tunnelHeaderLen:n], t, faultCtx{})
+		if len(resps) == 0 {
 			continue
 		}
-		resps := g.world.HandleDNS(g.vantage, srcPort, dst, q, g.time())
-		limit := g.world.UDPPayloadLimit(dst, q, g.time())
+		limit := g.world.udpPayloadLimit(dst, x.edns, x.hasEDNS, t)
 		for _, r := range resps {
-			msg, _ := r.Msg.Truncate(limit)
-			wire, err := msg.PackBytes()
-			if err != nil {
-				continue
+			wire := x.wire(r)
+			if len(wire) == 0 {
+				continue // the response did not encode
 			}
+			wire = g.world.fitUDP(wire, limit)
 			out := make([]byte, tunnelHeaderLen+len(wire))
 			binary.BigEndian.PutUint32(out[0:], r.Src)
 			binary.BigEndian.PutUint16(out[4:], 53)
@@ -119,7 +121,6 @@ func (g *Gateway) serve() {
 			if r.DelayMS > 0 {
 				// Deliver injected-vs-legit races in order without
 				// blocking the read loop.
-				resp := out
 				delay := time.Duration(r.DelayMS) * time.Millisecond
 				to := *peer
 				g.wg.Add(1)
@@ -127,7 +128,7 @@ func (g *Gateway) serve() {
 					defer g.wg.Done()
 					//lint:allow sleepcall gateway delivery delay models the wire, not scan pacing
 					time.Sleep(delay / 10) // compressed timescale
-					g.conn.WriteToUDP(resp, &to)
+					g.conn.WriteToUDP(out, &to)
 				}()
 				continue
 			}

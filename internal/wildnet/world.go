@@ -119,11 +119,16 @@ type World struct {
 	// (fastpath.go); nil (no-op) without a registry.
 	sendRejected *metrics.Counter
 	// sendAnswered counts exchanges on the in-memory transport for which
-	// the DNS handler produced at least one response, and respTruncated
-	// the responses it re-packed as an empty TC reply; with sendRejected
-	// they split a stage's sent count into rejected + silent + answered.
-	// Both are tallied on the answered path only and nil without a registry.
+	// the DNS handler produced at least one response; with sendRejected
+	// it splits a stage's sent count into rejected + silent + answered.
+	// respBytes counts the bytes of every response that transport
+	// delivered (a duplicate counts per delivery): the useful-bytes series,
+	// and a tripwire that shows any drift of the response encoder as one
+	// number. respTruncated counts the responses cut down to an empty TC
+	// reply, on either transport. All three are tallied on the answered
+	// path only and nil without a registry.
 	sendAnswered  *metrics.Counter
+	respBytes     *metrics.Counter
 	respTruncated *metrics.Counter
 	// bc memoizes the per-block facts of the transport fast path for the
 	// most recently queried week (fastpath.go). Pure caching: every value
@@ -159,6 +164,7 @@ func NewWorld(cfg Config) (*World, error) {
 		fm:            newFaultMetrics(cfg.Metrics),
 		sendRejected:  cfg.Metrics.Counter("wildnet.send.rejected"),
 		sendAnswered:  cfg.Metrics.Counter("wildnet.send.answered"),
+		respBytes:     cfg.Metrics.Counter("wildnet.response.bytes"),
 		respTruncated: cfg.Metrics.Counter("wildnet.response.truncated"),
 	}
 	w.infra = buildInfraMap(w)
