@@ -25,8 +25,8 @@ lint:
 # fail if the compiler reports a heap allocation inside an annotated
 # function. The static rule and the compiler must agree.
 lint-escape:
-	$(GO) build -a -gcflags=-m ./internal/scanner ./internal/dnswire ./internal/lfsr ./internal/wildnet 2> /tmp/wildlint_escape.log || (cat /tmp/wildlint_escape.log; exit 1)
-	$(GO) run ./cmd/wildlint -escape-log /tmp/wildlint_escape.log ./internal/scanner ./internal/dnswire ./internal/lfsr ./internal/wildnet
+	$(GO) build -a -gcflags=-m ./internal/scanner ./internal/dnswire ./internal/lfsr ./internal/wildnet ./internal/prand 2> /tmp/wildlint_escape.log || (cat /tmp/wildlint_escape.log; exit 1)
+	$(GO) run ./cmd/wildlint -escape-log /tmp/wildlint_escape.log ./internal/scanner ./internal/dnswire ./internal/lfsr ./internal/wildnet ./internal/prand
 
 test:
 	$(GO) test ./...

@@ -15,13 +15,42 @@ func Mix64(x uint64) uint64 {
 }
 
 // Hash combines an arbitrary number of words into one well-mixed word.
+// It folds left to right — h = Mix64(h ^ w) per word — so the value after
+// any prefix of the words is itself a resumable State.
 func Hash(words ...uint64) uint64 {
-	h := uint64(0x8445D61A4E774912)
-	for _, w := range words {
-		h = Mix64(h ^ w)
-	}
-	return h
+	return Start(words...).Sum()
 }
+
+// State is a Hash stopped after some prefix of its words: the chain value
+// so far. Because Hash folds left to right, Start(a, b).Add(c).Sum() ==
+// Hash(a, b, c) by construction, and a caller that draws many values under
+// one prefix (the world seed and a facet, or those plus an address) folds
+// the prefix once and pays one Mix64 per further word.
+type State uint64
+
+// Start folds words into a fresh State.
+func Start(words ...uint64) State {
+	s := State(0x8445D61A4E774912)
+	for _, w := range words {
+		s = s.Add(w)
+	}
+	return s
+}
+
+// Add folds one more word in.
+//
+//lint:hotpath one Mix64 per word on every seeded draw
+func (s State) Add(w uint64) State { return State(Mix64(uint64(s) ^ w)) }
+
+// Sum is the Hash of the words folded so far.
+//
+//lint:hotpath per-draw
+func (s State) Sum() uint64 { return uint64(s) }
+
+// Unit is the UnitOf of the words folded so far: Float64(Sum()).
+//
+//lint:hotpath per-draw
+func (s State) Unit() float64 { return Float64(uint64(s)) }
 
 // Float64 maps a hash word to [0, 1).
 func Float64(h uint64) float64 {

@@ -94,3 +94,36 @@ func TestIntNRange(t *testing.T) {
 		}
 	}
 }
+
+// TestStateResumesHash: a State is a Hash stopped after a prefix — for
+// every prefix length the wildnet call sites use (none to four words),
+// folding one more word into the State is hashing the longer word list.
+func TestStateResumesHash(t *testing.T) {
+	f := func(p [4]uint64, n uint8, x uint64) bool {
+		prefix := p[:n%5]
+		s := Start(prefix...).Add(x)
+		all := append(append([]uint64(nil), prefix...), x)
+		return s.Sum() == Hash(all...) && s.Unit() == UnitOf(all...) &&
+			Start(prefix...).Sum() == Hash(prefix...)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestHashGolden pins Hash itself: State now computes it, and every seeded
+// report in the repository is a function of these bits.
+func TestHashGolden(t *testing.T) {
+	for _, c := range []struct {
+		words []uint64
+		want  uint64
+	}{
+		{nil, 0x8445D61A4E774912},
+		{[]uint64{0}, Mix64(0x8445D61A4E774912)},
+		{[]uint64{1, 2, 3}, Mix64(Mix64(Mix64(0x8445D61A4E774912^1)^2) ^ 3)},
+	} {
+		if got := Hash(c.words...); got != c.want {
+			t.Errorf("Hash(%v) = %#x, want %#x", c.words, got, c.want)
+		}
+	}
+}

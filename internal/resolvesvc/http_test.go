@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"goingwild/internal/dnswire"
+	"goingwild/internal/geodb"
 	"goingwild/internal/lfsr"
 	"goingwild/internal/metrics"
 	"goingwild/internal/scanner"
@@ -155,5 +156,80 @@ func TestHTTPStatus(t *testing.T) {
 	}
 	if st.Epoch != 1 || st.Records != 2 || st.Open != 1 {
 		t.Fatalf("/svc/status values: %+v", st)
+	}
+}
+
+// TestHTTPResolversBodyGolden pins the bytes a client reads for the three
+// shapes a record takes — swept and open, flapped in out-of-registry
+// space (no country, no RIR), probe-born and closed — to the body recorded
+// when the stripes still held Record itself: the stored form is not
+// visible through the API.
+func TestHTTPResolversBodyGolden(t *testing.T) {
+	loc := func(u uint32) (string, geodb.RIR) {
+		switch u {
+		case 9:
+			return "", 0
+		case 77:
+			return "DE", geodb.RIPE
+		}
+		return "US", geodb.ARIN
+	}
+	svc := New(Config{Order: 12}, Deps{Locator: loc, Metrics: metrics.New()})
+	for e, deltas := range [][]scanner.ResponderDelta{
+		{add(5, dnswire.RCodeNoError), add(9, dnswire.RCodeRefused)},
+		{remove(9)},
+		{add(9, dnswire.RCodeServFail)},
+	} {
+		if err := svc.store.ApplyEpoch(e, deltas, loc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	svc.store.RecordProbe(77, 2, false, 0, false, loc)
+	rec := httptest.NewRecorder()
+	svc.handleResolvers(rec, httptest.NewRequest("GET", "/resolvers?limit=0", nil))
+	const want = `[
+  {
+    "ip": "0.0.0.5",
+    "known": true,
+    "open": true,
+    "rcode": "NOERROR",
+    "answered": true,
+    "country": "US",
+    "rir": "ARIN",
+    "first_seen_epoch": 0,
+    "last_seen_epoch": 0,
+    "flaps": 0,
+    "epoch": 2,
+    "source": "store"
+  },
+  {
+    "ip": "0.0.0.9",
+    "known": true,
+    "open": true,
+    "rcode": "SERVFAIL",
+    "answered": true,
+    "first_seen_epoch": 0,
+    "last_seen_epoch": 2,
+    "flaps": 1,
+    "epoch": 2,
+    "source": "store"
+  },
+  {
+    "ip": "0.0.0.77",
+    "known": true,
+    "open": false,
+    "answered": false,
+    "country": "DE",
+    "rir": "RIPE",
+    "first_seen_epoch": -1,
+    "last_seen_epoch": -1,
+    "flaps": 0,
+    "epoch": 2,
+    "source": "store"
+  }
+]
+`
+	if got := rec.Body.String(); got != want {
+		t.Errorf("/resolvers body moved:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -12,6 +12,7 @@ package resolvesvc
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -77,11 +78,115 @@ type Record struct {
 	Probed   bool
 }
 
+// stored is the form a Record takes inside a stripe's map: 24 pointer-free
+// bytes against Record's 88 with a string in it, so a store that has seen
+// a hundred thousand addresses come and go costs a third of the heap and
+// gives the garbage collector nothing to scan. Record stays the type every
+// caller sees; pack and unpack are the only code that knows both.
+//
+// Epochs are int32 (ApplyEpoch refuses one that does not fit). Flaps
+// saturate at 65 535, which Fresh cannot tell from any count above 30.
+// The address is the map key. The country is an index into the store's
+// intern table (see intern).
+type stored struct {
+	firstSeen, lastSeen, checked, probedAt int32
+	flaps                                  uint16
+	country                                uint16
+	rir                                    geodb.RIR
+	rcode                                  dnswire.RCode
+	flags                                  uint8
+}
+
+// stored.flags bits.
+const (
+	flagOpen uint8 = 1 << iota
+	flagAnswered
+	flagProbed
+)
+
+// pack converts r to its stored form; country is r.Country's index in the
+// store's intern table (Store.intern for a new record, the stored value's
+// own index when an existing one is written back).
+func pack(r Record, country uint16) stored {
+	p := stored{
+		firstSeen: int32(r.FirstSeen),
+		lastSeen:  int32(r.LastSeen),
+		checked:   int32(r.Checked),
+		probedAt:  int32(r.ProbedAt),
+		flaps:     uint16(min(r.Flaps, math.MaxUint16)),
+		country:   country,
+		rir:       r.RIR,
+		rcode:     r.RCode,
+	}
+	if r.Open {
+		p.flags |= flagOpen
+	}
+	if r.Answered {
+		p.flags |= flagAnswered
+	}
+	if r.Probed {
+		p.flags |= flagProbed
+	}
+	return p
+}
+
+// unpack rebuilds the Record stored under addr.
+func (s *Store) unpack(addr uint32, p stored) Record {
+	return Record{
+		Addr:      addr,
+		Open:      p.flags&flagOpen != 0,
+		RCode:     p.rcode,
+		Answered:  p.flags&flagAnswered != 0,
+		Country:   (*s.countries.Load())[p.country],
+		RIR:       p.rir,
+		FirstSeen: int(p.firstSeen),
+		LastSeen:  int(p.lastSeen),
+		Flaps:     int(p.flaps),
+		Checked:   int(p.checked),
+		ProbedAt:  int(p.probedAt),
+		Probed:    p.flags&flagProbed != 0,
+	}
+}
+
+// intern returns country's index in the store's append-only intern table,
+// adding it on first sight (once per country code in a store's life). The
+// published slice is never written again — a new country publishes a copy
+// one entry longer — so unpack reads it without a lock, and an index, once
+// handed out, names the same string in every later table. Entry 0 is
+// always "", the country of out-of-registry space.
+func (s *Store) intern(country string) uint16 {
+	s.internMu.Lock()
+	defer s.internMu.Unlock()
+	if i, ok := s.countryIdx[country]; ok {
+		return i
+	}
+	names := *s.countries.Load()
+	if len(names) > math.MaxUint16 {
+		// ISO 3166 has ≈ 250 codes; only a Locator inventing names
+		// can get here.
+		panic("resolvesvc: Locator returned more than 65536 distinct countries")
+	}
+	i := uint16(len(names))
+	next := append(names[:i:i], country)
+	s.countryIdx[country] = i
+	//lint:allow atomichygiene internMu serializes every writer; readers only Load
+	s.countries.Store(&next)
+	return i
+}
+
+// newRecord is the record of a target the store has just learned of:
+// located once, no sweep or probe evidence yet. The second result is its
+// country's intern index, for pack.
+func (s *Store) newRecord(addr uint32, loc churn.Locator) (Record, uint16) {
+	country, rir := loc(addr)
+	return Record{Addr: addr, Country: country, RIR: rir, FirstSeen: NeverSeen, LastSeen: NeverSeen, ProbedAt: NeverSeen}, s.intern(country)
+}
+
 // storeShard is one stripe: an RWMutex-guarded map plus padding so
 // neighboring stripe locks do not false-share.
 type storeShard struct {
 	mu sync.RWMutex
-	m  map[uint32]Record
+	m  map[uint32]stored
 	_  [32]byte
 }
 
@@ -97,6 +202,12 @@ type Store struct {
 	records atomic.Int64 // total records (sweep- and probe-created)
 	open    atomic.Int64 // records with Open == true
 	ttlBase int
+
+	// The country intern table (see intern): the published names, and
+	// under internMu their reverse index.
+	countries  atomic.Pointer[[]string]
+	internMu   sync.Mutex
+	countryIdx map[string]uint16
 }
 
 // DefaultTTLBase is the refresh TTL (in epochs) a once-flapped record
@@ -110,8 +221,10 @@ func NewStore(ttlBase int) *Store {
 	}
 	s := &Store{ttlBase: ttlBase}
 	s.epoch.Store(-1)
+	s.countries.Store(&[]string{""})
+	s.countryIdx = map[string]uint16{"": 0}
 	for i := range s.shards {
-		s.shards[i].m = make(map[uint32]Record)
+		s.shards[i].m = make(map[uint32]stored)
 	}
 	return s
 }
@@ -129,9 +242,12 @@ func (s *Store) OpenCount() int { return int(s.open.Load()) }
 func (s *Store) Get(addr uint32) (Record, bool) {
 	sh := &s.shards[shardOf(addr)]
 	sh.mu.RLock()
-	r, ok := sh.m[addr]
+	p, ok := sh.m[addr]
 	sh.mu.RUnlock()
-	return r, ok
+	if !ok {
+		return Record{}, false
+	}
+	return s.unpack(addr, p), true
 }
 
 // Fresh reports whether r can be served without a refresh probe at the
@@ -169,7 +285,11 @@ func (s *Store) Fresh(r Record, epoch int) bool {
 // contract (sorted, adds for absent targets, updates/removes for
 // present ones); a violation aborts with an error before the epoch is
 // published, because it means the producer and the store have drifted.
+// So does an epoch the stored form's 32 bits cannot hold.
 func (s *Store) ApplyEpoch(epoch int, deltas []scanner.ResponderDelta, loc churn.Locator) error {
+	if epoch < math.MinInt32 || epoch > math.MaxInt32 {
+		return fmt.Errorf("resolvesvc: epoch %d does not fit the store's 32-bit epochs", epoch)
+	}
 	var buckets [nShards][]scanner.ResponderDelta
 	for _, d := range deltas {
 		si := shardOf(d.Addr())
@@ -184,7 +304,8 @@ func (s *Store) ApplyEpoch(epoch int, deltas []scanner.ResponderDelta, loc churn
 		sh.mu.Lock()
 		for _, d := range buckets[si] {
 			addr := d.Addr()
-			r, exists := sh.m[addr]
+			p, exists := sh.m[addr]
+			r := s.unpack(addr, p)
 			switch d.Op {
 			case scanner.DeltaAdd:
 				if exists && r.Open && !r.Probed {
@@ -192,8 +313,7 @@ func (s *Store) ApplyEpoch(epoch int, deltas []scanner.ResponderDelta, loc churn
 					return fmt.Errorf("resolvesvc: epoch %d add of open target %08x", epoch, addr)
 				}
 				if !exists {
-					country, rir := loc(addr)
-					r = Record{Addr: addr, Country: country, RIR: rir, FirstSeen: NeverSeen, LastSeen: NeverSeen, ProbedAt: NeverSeen}
+					r, p.country = s.newRecord(addr, loc)
 					addedRecords++
 				}
 				if !r.Open {
@@ -243,7 +363,7 @@ func (s *Store) ApplyEpoch(epoch int, deltas []scanner.ResponderDelta, loc churn
 				sh.mu.Unlock()
 				return fmt.Errorf("resolvesvc: epoch %d unknown delta op %d", epoch, d.Op)
 			}
-			sh.m[addr] = r
+			sh.m[addr] = pack(r, p.country)
 		}
 		sh.mu.Unlock()
 	}
@@ -258,14 +378,16 @@ func (s *Store) ApplyEpoch(epoch int, deltas []scanner.ResponderDelta, loc churn
 // sweep-owned longitudinal fields are left alone. A target no sweep
 // ever observed gets a probe-born record with FirstSeen == NeverSeen,
 // so repeated queries for the same silent address are served from
-// memory instead of re-probing every time.
+// memory instead of re-probing every time. epoch is the committed epoch
+// the probe ran under (Store.Epoch(), which ApplyEpoch keeps within the
+// stored form's 32 bits).
 func (s *Store) RecordProbe(addr uint32, epoch int, open bool, rcode dnswire.RCode, answered bool, loc churn.Locator) Record {
 	sh := &s.shards[shardOf(addr)]
 	sh.mu.Lock()
-	r, exists := sh.m[addr]
+	p, exists := sh.m[addr]
+	r := s.unpack(addr, p)
 	if !exists {
-		country, rir := loc(addr)
-		r = Record{Addr: addr, Country: country, RIR: rir, FirstSeen: NeverSeen, LastSeen: NeverSeen, ProbedAt: NeverSeen}
+		r, p.country = s.newRecord(addr, loc)
 		s.records.Add(1)
 	}
 	if open != r.Open {
@@ -282,7 +404,7 @@ func (s *Store) RecordProbe(addr uint32, epoch int, open bool, rcode dnswire.RCo
 	}
 	r.ProbedAt = epoch
 	r.Probed = true
-	sh.m[addr] = r
+	sh.m[addr] = pack(r, p.country)
 	sh.mu.Unlock()
 	return r
 }
@@ -296,11 +418,11 @@ func (s *Store) List(openOnly bool, limit int) []Record {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for _, r := range sh.m {
-			if openOnly && !r.Open {
+		for addr, p := range sh.m {
+			if openOnly && p.flags&flagOpen == 0 {
 				continue
 			}
-			out = append(out, r)
+			out = append(out, s.unpack(addr, p))
 		}
 		sh.mu.RUnlock()
 	}

@@ -1,8 +1,14 @@
 package resolvesvc
 
 import (
+	"math"
+	"math/rand"
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+	"testing/quick"
+	"unsafe"
 
 	"goingwild/internal/dnswire"
 	"goingwild/internal/geodb"
@@ -236,6 +242,235 @@ func TestStoreConcurrentLookupsVsEpochApply(t *testing.T) {
 	if want := (epochs - 1) / 2; r.Flaps != want {
 		t.Errorf("flappy target flaps = %d, want %d", r.Flaps, want)
 	}
+}
+
+// TestStoredFormSmallAndPointerFree: the value a stripe's map holds is at
+// most 24 bytes and contains nothing the garbage collector must follow, so
+// a later field cannot silently bring the scan (or the bytes) back.
+func TestStoredFormSmallAndPointerFree(t *testing.T) {
+	if size := unsafe.Sizeof(stored{}); size > 24 {
+		t.Errorf("unsafe.Sizeof(stored{}) = %d, want <= 24", size)
+	}
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				walk(path+"."+typ.Field(i).Name, typ.Field(i).Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Bool, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64, reflect.Int,
+			reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uint,
+			reflect.Float32, reflect.Float64:
+		default:
+			t.Errorf("%s is a %s: the stored form must hold no pointers", path, typ.Kind())
+		}
+	}
+	walk("stored", reflect.TypeOf(stored{}))
+}
+
+// reachableRecord draws a Record the store can come to hold: any state
+// bits and rcode, a registry country or the empty one, epochs that are
+// NeverSeen or fit 32 bits, and flap counts on both sides of every edge
+// the stored form and Fresh have.
+func reachableRecord(rng *rand.Rand) Record {
+	epoch := func() int {
+		if rng.Intn(4) == 0 {
+			return NeverSeen
+		}
+		return int(rng.Int31())
+	}
+	flapEdges := []int{0, 1, 30, 31, math.MaxUint16, 70000}
+	flaps := rng.Intn(math.MaxUint16 + 1)
+	if rng.Intn(2) == 0 {
+		flaps = flapEdges[rng.Intn(len(flapEdges))]
+	}
+	r := Record{
+		Addr:      rng.Uint32(),
+		Open:      rng.Intn(2) == 0,
+		RCode:     dnswire.RCode(rng.Intn(256)),
+		Answered:  rng.Intn(2) == 0,
+		FirstSeen: epoch(),
+		LastSeen:  epoch(),
+		Flaps:     flaps,
+		Checked:   epoch(),
+		ProbedAt:  epoch(),
+		Probed:    rng.Intn(2) == 0,
+	}
+	if ci := rng.Intn(len(geodb.Countries) + 1); ci < len(geodb.Countries) {
+		r.Country, r.RIR = geodb.Countries[ci].Code, geodb.Countries[ci].RIR
+	}
+	return r
+}
+
+// TestPackUnpackRoundTrip: what goes into a stripe comes back out — every
+// field but Flaps exactly, Flaps saturated at 65 535, and Fresh giving the
+// packed record the verdict it gives the original at any epoch.
+func TestPackUnpackRoundTrip(t *testing.T) {
+	s := NewStore(8)
+	property := func(seed int64, at int32) bool {
+		r := reachableRecord(rand.New(rand.NewSource(seed)))
+		got := s.unpack(r.Addr, pack(r, s.intern(r.Country)))
+		want := r
+		want.Flaps = min(r.Flaps, math.MaxUint16)
+		if got != want {
+			t.Logf("packed %+v, unpacked %+v", r, got)
+			return false
+		}
+		return s.Fresh(got, int(at)) == s.Fresh(r, int(at))
+	}
+	if err := quick.Check(property, &quick.Config{MaxCount: 20000}); err != nil {
+		t.Fatal(err)
+	}
+	// Every registry country, and the empty country of out-of-registry
+	// space, survives the intern table.
+	for _, c := range append([]geodb.Country{{}}, geodb.Countries...) {
+		r := Record{Addr: 1, Country: c.Code, RIR: c.RIR}
+		if got := s.unpack(1, pack(r, s.intern(c.Code))); got != r {
+			t.Errorf("country %q: unpacked %+v", c.Code, got)
+		}
+	}
+	// A sweep cannot push a saturated flap count over the edge.
+	if err := s.ApplyEpoch(0, []scanner.ResponderDelta{add(7, dnswire.RCodeNoError)}, testLoc); err != nil {
+		t.Fatal(err)
+	}
+	sh := &s.shards[shardOf(7)]
+	p := sh.m[7]
+	p.flaps = math.MaxUint16
+	p.flags &^= flagOpen
+	sh.m[7] = p
+	if err := s.ApplyEpoch(1, []scanner.ResponderDelta{add(7, dnswire.RCodeNoError)}, testLoc); err != nil {
+		t.Fatal(err)
+	}
+	if r, _ := s.Get(7); r.Flaps != math.MaxUint16 {
+		t.Errorf("flaps after a flap at saturation = %d, want %d", r.Flaps, math.MaxUint16)
+	}
+}
+
+// TestStoreInternConcurrentReaders: the country table grows under the
+// writer while readers unpack through it. Every epoch brings addresses of
+// countries the store has not seen; a reader must always get the country
+// the Locator gave that address, never a neighbour's or a torn table
+// (run under -race by `make race`).
+func TestStoreInternConcurrentReaders(t *testing.T) {
+	const (
+		epochs   = 40
+		perEpoch = 16
+	)
+	countryOf := func(u uint32) string { return string([]byte{'A' + byte(u/26%26), 'A' + byte(u%26)}) }
+	loc := func(u uint32) (string, geodb.RIR) { return countryOf(u), geodb.RIPE }
+	s := NewStore(0)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := uint32(0); ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				addr := i%(epochs*perEpoch) + 1
+				if rec, ok := s.Get(addr); ok && rec.Country != countryOf(addr) {
+					t.Errorf("record %d reads country %q, want %q", addr, rec.Country, countryOf(addr))
+					return
+				}
+				if i%256 == 0 {
+					for _, rec := range s.List(false, 0) {
+						if rec.Country != countryOf(rec.Addr) {
+							t.Errorf("listed record %d reads country %q, want %q", rec.Addr, rec.Country, countryOf(rec.Addr))
+							return
+						}
+					}
+				}
+			}
+		}()
+	}
+	for e := 0; e < epochs; e++ {
+		deltas := make([]scanner.ResponderDelta, perEpoch)
+		for i := range deltas {
+			deltas[i] = add(uint32(e*perEpoch+i+1), dnswire.RCodeNoError)
+		}
+		if err := s.ApplyEpoch(e, deltas, loc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if got := len(*s.countries.Load()); got != epochs*perEpoch+1 {
+		t.Errorf("intern table holds %d entries, want %d countries and the empty one", got, epochs*perEpoch)
+	}
+}
+
+// TestStoreApplyEpochRefusesWideEpoch: the stored form's epochs are 32
+// bits, so an epoch past them is refused, not truncated.
+func TestStoreApplyEpochRefusesWideEpoch(t *testing.T) {
+	if math.MaxInt == math.MaxInt32 {
+		t.Skip("int is 32 bits: every epoch fits")
+	}
+	s := NewStore(0)
+	wide := math.MaxInt32
+	wide++
+	if err := s.ApplyEpoch(wide, []scanner.ResponderDelta{add(5, dnswire.RCodeNoError)}, testLoc); err == nil {
+		t.Error("epoch MaxInt32+1 accepted")
+	}
+	if s.Records() != 0 || s.Epoch() != -1 {
+		t.Errorf("refused epoch left records=%d epoch=%d", s.Records(), s.Epoch())
+	}
+	if err := s.ApplyEpoch(math.MaxInt32, []scanner.ResponderDelta{add(5, dnswire.RCodeNoError)}, testLoc); err != nil {
+		t.Errorf("epoch MaxInt32 refused: %v", err)
+	}
+	if r, _ := s.Get(5); r.FirstSeen != math.MaxInt32 {
+		t.Errorf("FirstSeen = %d, want MaxInt32", r.FirstSeen)
+	}
+}
+
+// TestStoreBytesPerRecord is the memory contract: the store never drops a
+// record, so what a dead one costs decides what a long-running wildsvc
+// costs. 200 000 records added by one epoch and removed by the next may
+// hold at most 64 bytes of live heap each (the map[uint32]Record this
+// replaced held ≈ 126 in this test, ≈ 180 in a live daemon).
+func TestStoreBytesPerRecord(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap sizes are not meaningful under the race detector")
+	}
+	const n = 200000
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	s := NewStore(0)
+	func() {
+		deltas := make([]scanner.ResponderDelta, n)
+		for i := range deltas {
+			deltas[i] = add(uint32(i)*2654435761, dnswire.RCodeNoError)
+		}
+		if err := s.ApplyEpoch(0, deltas, testLoc); err != nil {
+			t.Fatal(err)
+		}
+		for i := range deltas {
+			deltas[i] = remove(deltas[i].Addr())
+		}
+		if err := s.ApplyEpoch(1, deltas, testLoc); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	after := heap()
+	if s.Records() != n || s.OpenCount() != 0 {
+		t.Fatalf("records=%d open=%d, want %d dead records", s.Records(), s.OpenCount(), n)
+	}
+	perRecord := (float64(after) - float64(before)) / n
+	t.Logf("%.1f B of live heap per dead record", perRecord)
+	if perRecord > 64 {
+		t.Errorf("a dead record costs %.1f B of live heap, want <= 64", perRecord)
+	}
+	runtime.KeepAlive(s)
 }
 
 func TestStoreList(t *testing.T) {

@@ -63,7 +63,7 @@ func (w *World) legitAddrs(dst []uint32, cn string, d domains.Domain, listed boo
 	if !listed {
 		// Unlisted names (sub-resolutions from redirects) hash onto a
 		// stable site-host slot.
-		h := prand.Hash(w.cfg.Seed, facetInfra, hashString(cn))
+		h := w.pre[facetInfra].Add(hashString(cn)).Sum()
 		return append(dst, w.infra.addrOf(RoleSiteHost, 2+prand.IntN(h, nSiteHost-2))), dnswire.RCodeNoError
 	}
 	switch d.Kind {
@@ -87,7 +87,7 @@ func (w *World) TrustedResolve(name string) ([]uint32, dnswire.RCode) {
 // ordinaryAddrs appends the fixed 1–3 hosting addresses of a non-CDN
 // domain, all within one owner network.
 func (w *World) ordinaryAddrs(dst []uint32, cn string) []uint32 {
-	h := prand.Hash(w.cfg.Seed, facetInfra, hashString(cn), 1)
+	h := w.pre[facetInfra].Add(hashString(cn)).Add(1).Sum()
 	n := 1 + prand.IntN(h, 3)
 	base := 8 + prand.IntN(prand.Mix64(h), nSiteHost-16)
 	for i := 0; i < n; i++ {
@@ -100,7 +100,7 @@ func (w *World) ordinaryAddrs(dst []uint32, cn string) []uint32 {
 // region. A small share of slots point at currently-dead content nodes,
 // which is what leaves some tuples without HTTP payload (§4.2).
 func (w *World) cdnAddrs(dst []uint32, cn string, region int) []uint32 {
-	h := prand.Hash(w.cfg.Seed, facetRegion, hashString(cn), uint64(region))
+	h := w.pre[facetRegion].Add(hashString(cn)).Add(uint64(region)).Sum()
 	n := 2 + prand.IntN(h, 3)
 	for i := 0; i < n; i++ {
 		hi := prand.Hash(h, uint64(i))
@@ -175,7 +175,7 @@ func (w *World) RDNS(u uint32) string {
 		return w.geo.RDNSName(w.cfg.Seed, u)
 	case RoleSiteHost:
 		if d := w.siteHostDomain(idx); d != "" {
-			if prand.UnitOf(w.cfg.Seed, facetInfra, 0x7D45, uint64(idx)) < 0.5 {
+			if w.pre[facetInfra].Add(0x7D45).Add(uint64(idx)).Unit() < 0.5 {
 				return d
 			}
 			return fmt.Sprintf("web%d.hosting-%02d.example", idx, idx%7)
@@ -210,7 +210,7 @@ func (w *World) siteHostDomain(idx int) string {
 		if d.Kind != domains.KindOrdinary {
 			continue
 		}
-		h := prand.Hash(w.cfg.Seed, facetInfra, hashString(d.Name), 1)
+		h := w.pre[facetInfra].Add(hashString(d.Name)).Add(1).Sum()
 		n := 1 + prand.IntN(h, 3)
 		base := 8 + prand.IntN(prand.Mix64(h), nSiteHost-16)
 		if idx >= base && idx < base+n {

@@ -3,7 +3,6 @@ package wildnet
 import (
 	"goingwild/internal/dnswire"
 	"goingwild/internal/geodb"
-	"goingwild/internal/prand"
 )
 
 // The transport reject path: an Internet-wide sweep sends one probe to
@@ -55,7 +54,7 @@ type blockInfo struct {
 	hasStations bool
 }
 
-// rejectCache is the week-stamped block table, plus the week's
+// rejectCache is one week's block table, plus the week's
 // population-wide constants ProfileAt draws against. They are evaluated
 // once per week with the expressions the per-query code used, so every
 // draw of the week compares against the same bits it always did.
@@ -70,14 +69,26 @@ type rejectCache struct {
 	pServFail float64
 }
 
-// blockCache returns the block table for week, rebuilding it when the
-// cached week differs. Rebuilds are rare (one per simulated week touched)
-// and cheap (one densitySlow per block); racing builders publish
-// identical tables, so last-write-wins is safe.
+// blockCacheWeeks is how many weeks' block tables a World keeps, direct-
+// mapped by week. One is enough for a scan, which stays on its week; a
+// wildsvc runs two transports over one World — the sweeper leads the
+// committed epoch the demand prober is pinned to by up to QueueDepth+2
+// = 4 weeks at the default queue — and with a single slot each side's
+// batch rebuilt the table the other had just built. Eight consecutive
+// weeks never share a slot, so that lead cannot collide.
+const blockCacheWeeks = 8
+
+// blockCache returns the block table for week, building it when the
+// week's slot holds another week (or nothing). Builds are rare (one per
+// simulated week touched; a colliding week costs a rebuild, never
+// correctness) and cheap (one densitySlow per block); racing builders
+// publish identical tables, so last-write-wins is safe.
 func (w *World) blockCache(week int) *rejectCache {
-	if c := w.bc.Load(); c != nil && c.week == week {
+	slot := &w.bc[uint(week)%blockCacheWeeks]
+	if c := slot.Load(); c != nil && c.week == week {
 		return c
 	}
+	w.bcRebuilds.Inc()
 	t := Time{Week: week}
 	c := &rejectCache{
 		week:      week,
@@ -98,7 +109,7 @@ func (w *World) blockCache(week int) *rejectCache {
 	for u := range w.stations {
 		c.blocks[w.geo.BlockOf(u&w.mask)].hasStations = true
 	}
-	w.bc.Store(c)
+	slot.Store(c)
 	return c
 }
 
@@ -147,9 +158,12 @@ func (w *World) sweepClassify(u uint32, v Vantage, t Time, c *rejectCache) sweep
 			return classDeliver
 		}
 	}
-	// The resolver slot draw, exactly as ResolverAt computes it.
+	// The resolver slot draw, exactly as ResolverAt computes it. Its
+	// tenancy key is the only part whose cost could depend on the week,
+	// and leaseEpochDyn bounds that by 1/rot (≈ 4 draws), not by the
+	// week: a silent address costs the same at week 500 as at week 5.
 	d := bi.density
-	if d > 0 && prand.UnitOf(w.cfg.Seed, facetSlot, uint64(u), w.leaseEpochDyn(u, t, bi.dynamic)) < d {
+	if d > 0 && w.pre[facetSlot].Add(uint64(u)).Add(w.leaseEpochDyn(u, t, bi.dynamic)).Unit() < d {
 		return classDeliver
 	}
 	// No resolver lives here. The injector still reacts to queries into

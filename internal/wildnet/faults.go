@@ -204,7 +204,7 @@ type faultCtx struct {
 func (w *World) faultLossProb(addr uint32, t Time) (p float64, burst bool) {
 	f := &w.cfg.Faults
 	if f.BurstProb > 0 &&
-		prand.UnitOf(w.cfg.Seed, facetFaultBurst, uint64(addr), f.burstWindow(t)) < f.BurstProb {
+		w.pre[facetFaultBurst].Add(uint64(addr)).Add(f.burstWindow(t)).Unit() < f.BurstProb {
 		return f.BurstLoss, true
 	}
 	return f.ExtraLoss, false
@@ -219,10 +219,9 @@ func (w *World) faultDrop(dir uint64, addr uint32, aPort, bPort uint16, ph uint6
 	if p <= 0 {
 		return false
 	}
-	h := prand.Hash(w.cfg.Seed, facetFaultDrop, dir, uint64(addr),
-		uint64(aPort)<<16|uint64(bPort), ph,
-		uint64(t.AbsHour()*60+t.Minute), attempt)
-	if prand.Float64(h) >= p {
+	if w.pre[facetFaultDrop].Add(dir).Add(uint64(addr)).
+		Add(uint64(aPort)<<16|uint64(bPort)).Add(ph).
+		Add(uint64(t.AbsHour()*60+t.Minute)).Add(attempt).Unit() >= p {
 		return false
 	}
 	if dir == dirQuery {
@@ -244,7 +243,7 @@ func (w *World) faultFlapped(u uint32, t Time) bool {
 	if f.FlapProb <= 0 {
 		return false
 	}
-	return prand.UnitOf(w.cfg.Seed, facetFaultFlap, uint64(u), f.flapWindow(t)) < f.FlapProb
+	return w.pre[facetFaultFlap].Add(uint64(u)).Add(f.flapWindow(t)).Unit() < f.FlapProb
 }
 
 // faultRateLimited draws the rate-limiter verdict for a resolver query:
@@ -285,8 +284,8 @@ func (w *World) faultAdjustResponses(resps []QueryResponse, t Time, fc faultCtx)
 		r := resps[i]
 		delta := f.LatencyBaseMS
 		if f.LatencyJitterMS > 0 {
-			h := prand.Hash(w.cfg.Seed, facetFaultLatency, uint64(r.Src), fc.payloadHash,
-				uint64(i), uint64(t.AbsHour()*60+t.Minute), fc.attempt)
+			h := w.pre[facetFaultLatency].Add(uint64(r.Src)).Add(fc.payloadHash).
+				Add(uint64(i)).Add(uint64(t.AbsHour()*60 + t.Minute)).Add(fc.attempt).Sum()
 			delta += prand.IntN(h, f.LatencyJitterMS+1)
 		}
 		r.DelayMS += delta
@@ -320,8 +319,8 @@ func (w *World) faultGarble(wire []byte, src uint32, rph uint64, t Time, attempt
 	if f.GarbleProb <= 0 || len(wire) == 0 {
 		return
 	}
-	h := prand.Hash(w.cfg.Seed, facetFaultGarble, uint64(src), rph,
-		uint64(t.AbsHour()*60+t.Minute), attempt)
+	h := w.pre[facetFaultGarble].Add(uint64(src)).Add(rph).
+		Add(uint64(t.AbsHour()*60 + t.Minute)).Add(attempt).Sum()
 	if prand.Float64(h) >= f.GarbleProb {
 		return
 	}
@@ -374,8 +373,8 @@ func (w *World) faultDup(src uint32, rph uint64, t Time, attempt uint64) bool {
 	if f.DupProb <= 0 {
 		return false
 	}
-	if prand.UnitOf(w.cfg.Seed, facetFaultDup, uint64(src), rph,
-		uint64(t.AbsHour()*60+t.Minute), attempt) >= f.DupProb {
+	if w.pre[facetFaultDup].Add(uint64(src)).Add(rph).
+		Add(uint64(t.AbsHour()*60+t.Minute)).Add(attempt).Unit() >= f.DupProb {
 		return false
 	}
 	w.fm.duplicated.Inc()

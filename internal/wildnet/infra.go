@@ -282,7 +282,7 @@ func (w *World) CensorPageAddr(country string, variant int) uint32 {
 		return 0
 	}
 	// Each country activates 4–12 of its slots, totalling ≈299 IPs.
-	active := 4 + prand.IntN(prand.Hash(w.cfg.Seed, facetInfra, uint64(ci)), 9)
+	active := 4 + prand.IntN(w.pre[facetInfra].Add(uint64(ci)).Sum(), 9)
 	slot := ci*censorSlotsPerCountry + variant%active
 	return w.infra.addrOf(RoleCensorPage, slot)
 }
@@ -302,7 +302,7 @@ func CensorPageCountry(slot int) string {
 func (w *World) ActiveCensorPages() int {
 	total := 0
 	for ci := range CensorCountries {
-		total += 4 + prand.IntN(prand.Hash(w.cfg.Seed, facetInfra, uint64(ci)), 9)
+		total += 4 + prand.IntN(w.pre[facetInfra].Add(uint64(ci)).Sum(), 9)
 	}
 	return total
 }

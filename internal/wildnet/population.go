@@ -24,13 +24,17 @@ const (
 	StabilityStatic
 )
 
-// rotateProbOf draws an address's weekly lease-rotation probability.
+// rotateProbOf draws an address's weekly lease-rotation probability from
+// ru, the address's rotation prefix w.pre[facetRotate].Add(u) — the same
+// state its per-week draws resume, so leaseEpochDyn folds it once.
 // Rates are heterogeneous (0.06–0.46, quadratically skewed toward low
 // values) because a single geometric rate cannot reproduce Figure 2's
 // shape: a steep first-weeks drop together with a ≈4% tail still alive
 // after 55 weeks.
-func (w *World) rotateProbOf(u uint32) float64 {
-	v := prand.UnitOf(w.cfg.Seed, facetRotate, uint64(u), 0xA77E)
+//
+//lint:hotpath per-probe draw for every weekly-lease address
+func rotateProbOf(ru prand.State) float64 {
+	v := ru.Add(0xA77E).Unit()
 	return 0.10 + 0.38*v*v
 }
 
@@ -43,8 +47,10 @@ func (w *World) stabilityOf(u uint32) Stability {
 // stabilityOfDyn is stabilityOf with the owning network's DynamicPool
 // flag already in hand — the transport fast path carries it in its
 // per-block cache, so the draw skips the registry lookup.
+//
+//lint:hotpath per-probe churn-class draw
 func (w *World) stabilityOfDyn(u uint32, dynamic bool) Stability {
-	v := prand.UnitOf(w.cfg.Seed, facetStability, uint64(u))
+	v := w.pre[facetStability].Add(uint64(u)).Unit()
 	if dynamic {
 		switch {
 		case v < 0.56:
@@ -70,6 +76,8 @@ func (w *World) stabilityOfDyn(u uint32, dynamic bool) Stability {
 // epoch doubles as the identity key for all behavioral draws, so a host
 // keeps its personality for exactly one lease. dynamic is the owning
 // network's DynamicPool flag (see stabilityOfDyn).
+//
+//lint:hotpath per-probe tenancy draw; must not grow with the study week
 func (w *World) leaseEpochDyn(u uint32, t Time, dynamic bool) uint64 {
 	switch w.stabilityOfDyn(u, dynamic) {
 	case StabilityDaily:
@@ -82,25 +90,28 @@ func (w *World) leaseEpochDyn(u uint32, t Time, dynamic bool) uint64 {
 		if t.AbsHour() == 0 {
 			return 1
 		}
-		phase := int(prand.Hash(w.cfg.Seed, facetSnoopHour, uint64(u)) % 24)
+		phase := int(w.pre[facetSnoopHour].Add(uint64(u)).Sum() % 24)
 		return uint64((t.AbsHour()+phase)/24) + 1
 	case StabilityWeekly:
-		// No rotation can have happened before week 1, so the first
-		// census (the hottest caller by far) skips the rotation draws
-		// entirely.
+		// The epoch is the last week in 1..t.Week whose per-(address,
+		// week) rotation draw fires, 0 if none has. Walking down from
+		// the current week and stopping at the first hit finds it in
+		// an expected min(week, 1/rot) ≈ 4 draws: the cost is bounded
+		// by 1/rot, not by the week. Every draw resumes the address's
+		// rotation prefix, so a week costs one Mix64. No rotation can
+		// have happened before week 1, so the first census draws
+		// nothing here.
 		if t.Week <= 0 {
 			return 0
 		}
-		// Count rotations up to this week: rotation happens at week k
-		// when the per-(address, week) draw fires.
-		rot := w.rotateProbOf(u)
-		var epoch uint64
-		for k := 1; k <= t.Week; k++ {
-			if prand.UnitOf(w.cfg.Seed, facetRotate, uint64(u), uint64(k)) < rot {
-				epoch = uint64(k)
+		ru := w.pre[facetRotate].Add(uint64(u))
+		rot := rotateProbOf(ru)
+		for k := t.Week; k >= 1; k-- {
+			if ru.Add(uint64(k)).Unit() < rot {
+				return uint64(k)
 			}
 		}
-		return epoch
+		return 0
 	default:
 		return 0
 	}
@@ -156,7 +167,7 @@ func (w *World) resolverEpoch(u uint32, t Time, c *rejectCache) (epoch uint64, o
 		return 0, false
 	}
 	epoch = w.leaseEpochDyn(u, t, bi.dynamic)
-	return epoch, prand.UnitOf(w.cfg.Seed, facetSlot, uint64(u), epoch) < bi.density
+	return epoch, w.pre[facetSlot].Add(uint64(u)).Add(epoch).Unit() < bi.density
 }
 
 // VisibleFrom reports whether the resolver's network lets packets from the

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"goingwild/internal/lfsr"
-	"goingwild/internal/prand"
 )
 
 // Transport is the scanner's view of the network: fire-and-forget UDP
@@ -334,10 +333,9 @@ func (m *MemTransport) drop(dir uint64, addr uint32, aPort, bPort uint16, ph uin
 	if m.world.cfg.Loss <= 0 {
 		return false
 	}
-	h := prand.Hash(m.world.cfg.Seed, facetLoss, dir, uint64(addr),
-		uint64(aPort)<<16|uint64(bPort), ph,
-		uint64(t.AbsHour()*60+t.Minute))
-	return prand.Float64(h) < m.world.cfg.Loss
+	return m.world.pre[facetLoss].Add(dir).Add(uint64(addr)).
+		Add(uint64(aPort)<<16|uint64(bPort)).Add(ph).
+		Add(uint64(t.AbsHour()*60+t.Minute)).Unit() < m.world.cfg.Loss
 }
 
 // hashBytes folds a payload into one word (FNV-1a).

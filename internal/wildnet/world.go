@@ -20,6 +20,7 @@ import (
 	"goingwild/internal/geodb"
 	"goingwild/internal/lfsr"
 	"goingwild/internal/metrics"
+	"goingwild/internal/prand"
 )
 
 // Facet tags keep the per-host hash draws independent of each other.
@@ -57,6 +58,9 @@ const (
 	facetFaultRate    = 0x1C // rate-limiter admission draw
 	facetFaultRateCls = 0x1D // is this resolver a rate limiter
 	facetFaultFlap    = 0x1E // mid-scan host outage windows
+
+	// numFacets is one past the last tag; it sizes World.pre.
+	numFacets = 0x1F
 )
 
 // Config parameterizes a world.
@@ -130,10 +134,22 @@ type World struct {
 	sendAnswered  *metrics.Counter
 	respBytes     *metrics.Counter
 	respTruncated *metrics.Counter
-	// bc memoizes the per-block facts of the transport fast path for the
-	// most recently queried week (fastpath.go). Pure caching: every value
-	// is a function of (seed, block, week) the slow path would compute.
-	bc atomic.Pointer[rejectCache]
+	// pre[f] is prand.Start(cfg.Seed, f): the hash prefix every
+	// world-seeded draw of facet f resumes. A draw is written
+	// w.pre[facetX].Add(word)….Unit() (or .Sum()) and equals
+	// prand.UnitOf(cfg.Seed, facetX, word, …) bit for bit, because Hash
+	// folds its words left to right; the seed and facet are folded once
+	// per world instead of once per draw.
+	pre [numFacets]prand.State
+	// bc memoizes the per-block facts of the transport fast path for a
+	// small fixed set of weeks, direct-mapped by week (fastpath.go). Pure
+	// caching: every value is a function of (seed, block, week) the slow
+	// path would compute.
+	bc [blockCacheWeeks]atomic.Pointer[rejectCache]
+	// bcRebuilds counts block-table builds (Timing: which transport
+	// touches which week first is a scheduling fact); nil (no-op)
+	// without a registry.
+	bcRebuilds *metrics.Counter
 }
 
 // NewWorld builds a world from cfg.
@@ -166,6 +182,10 @@ func NewWorld(cfg Config) (*World, error) {
 		sendAnswered:  cfg.Metrics.Counter("wildnet.send.answered"),
 		respBytes:     cfg.Metrics.Counter("wildnet.response.bytes"),
 		respTruncated: cfg.Metrics.Counter("wildnet.response.truncated"),
+		bcRebuilds:    cfg.Metrics.TimingCounter("wildnet.blockcache.rebuilds"),
+	}
+	for f := range w.pre {
+		w.pre[f] = prand.Start(cfg.Seed, uint64(f))
 	}
 	w.infra = buildInfraMap(w)
 	w.stations = w.buildStations()
