@@ -27,8 +27,8 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"strings"
 	"sync"
-	"time"
 
 	"goingwild/internal/cli"
 	"goingwild/internal/core"
@@ -45,13 +45,12 @@ func main() {
 	f := cli.Register("wildsvc", 16)
 	flag.Lookup("progress").Usage = "print one line per committed epoch to stderr"
 	var (
-		epochs      = flag.Int("epochs", 55, "weekly re-scan epochs the producer runs")
-		addr        = flag.String("addr", "", "HTTP listen address for the query API (default 127.0.0.1:0)")
-		queueDepth  = flag.Int("queue-depth", 2, "bounded epoch queue between producer and store")
-		ttlBase     = flag.Int("ttl-base", resolvesvc.DefaultTTLBase, "refresh TTL in epochs for once-flapped records (halves per flap)")
-		batchWindow = flag.Duration("batch-window", 2*time.Millisecond, "how long the coalescer gathers concurrent misses into one probe batch")
-		workers     = flag.Int("workers", 8, "scanner sender goroutines")
-		smoke       = flag.Bool("smoke", false, "run the self-contained HTTP smoke test and exit")
+		epochs     = flag.Int("epochs", 55, "weekly re-scan epochs the producer runs")
+		addr       = flag.String("addr", "", "HTTP listen address for the query API (default 127.0.0.1:0)")
+		queueDepth = flag.Int("queue-depth", 2, "bounded epoch queue between producer and store")
+		ttlBase    = flag.Int("ttl-base", resolvesvc.DefaultTTLBase, "refresh TTL in epochs for once-flapped records (halves per flap)")
+		workers    = flag.Int("workers", 8, "scanner sender goroutines")
+		smoke      = flag.Bool("smoke", false, "run the self-contained HTTP smoke test and exit")
 	)
 	f.Parse()
 	ctx, _, release := f.Context(context.Background(), "")
@@ -62,11 +61,9 @@ func main() {
 	cfg.Weeks = *epochs
 	cfg.Workers = *workers
 	if *smoke {
-		// The smoke run is small and fast: a few epochs, a generous
-		// batch window so the concurrent-miss burst provably coalesces.
+		// The smoke run is small and fast: a few epochs.
 		cfg.Weeks = 3
 		*epochs = 3
-		*batchWindow = 100 * time.Millisecond
 	}
 	study, err := core.NewStudy(cfg)
 	if err != nil {
@@ -91,13 +88,12 @@ func main() {
 		return loc.Country, loc.RIR
 	}
 	svcCfg := resolvesvc.Config{
-		Order:       f.Order,
-		ScanSeed:    cfg.ScanSeed,
-		Epochs:      *epochs,
-		QueueDepth:  *queueDepth,
-		TTLBase:     *ttlBase,
-		BatchWindow: *batchWindow,
-		Blacklist:   study.World.ScanBlacklist(),
+		Order:      f.Order,
+		ScanSeed:   cfg.ScanSeed,
+		Epochs:     *epochs,
+		QueueDepth: *queueDepth,
+		TTLBase:    *ttlBase,
+		Blacklist:  study.World.ScanBlacklist(),
 	}
 	if f.Progress {
 		svcCfg.OnEpoch = func(st resolvesvc.EpochStatus) {
@@ -148,7 +144,7 @@ func main() {
 		if err := <-runErr; err != nil {
 			f.Fatal(err)
 		}
-		if err := runSmoke(ctx, baseURL, svc, reg, *epochs); err != nil {
+		if err := runSmoke(ctx, baseURL, svc, reg, f.Order, *epochs); err != nil {
 			f.Fatal(err)
 		}
 		fmt.Println("wildsvc smoke: PASS")
@@ -168,8 +164,10 @@ func main() {
 
 // runSmoke drives the query API end to end over real HTTP: a known
 // responder must hit the store, a known-miss IP must take the probe
-// path, a concurrent burst must coalesce, and the counters must agree.
-func runSmoke(ctx context.Context, baseURL string, svc *resolvesvc.Service, reg *metrics.Registry, epochs int) error {
+// path, an address outside the scanned space must be refused without a
+// trace, a concurrent burst on one cold address must cost one probe, and
+// the counters must agree.
+func runSmoke(ctx context.Context, baseURL string, svc *resolvesvc.Service, reg *metrics.Registry, order uint, epochs int) error {
 	store := svc.Store()
 	open := store.List(true, 1)
 	if len(open) == 0 {
@@ -179,7 +177,7 @@ func runSmoke(ctx context.Context, baseURL string, svc *resolvesvc.Service, reg 
 
 	// A known responder: served from the store, correctly shaped.
 	var lr resolvesvc.LookupResponse
-	if err := getJSON(ctx, baseURL+"/resolver?ip="+knownIP, &lr); err != nil {
+	if err := getJSON(ctx, baseURL+"/resolver?ip="+knownIP, http.StatusOK, &lr); err != nil {
 		return err
 	}
 	if !lr.Known || !lr.Open || lr.IP != knownIP {
@@ -195,12 +193,12 @@ func runSmoke(ctx context.Context, baseURL string, svc *resolvesvc.Service, reg 
 
 	// A known miss: an in-space address no sweep ever saw answers via
 	// the demand-probe path.
-	missAddr, ok := findMiss(store)
+	missAddr, ok := findMiss(store, order)
 	if !ok {
 		return errors.New("smoke: no miss address available")
 	}
 	missIP := lfsr.U32ToAddr(missAddr).String()
-	if err := getJSON(ctx, baseURL+"/resolver?ip="+missIP, &lr); err != nil {
+	if err := getJSON(ctx, baseURL+"/resolver?ip="+missIP, http.StatusOK, &lr); err != nil {
 		return err
 	}
 	if lr.Source != "probe" || lr.FirstSeenEpoch != resolvesvc.NeverSeen {
@@ -210,65 +208,108 @@ func runSmoke(ctx context.Context, baseURL string, svc *resolvesvc.Service, reg 
 		return errors.New("smoke: miss lookup did not count as a miss")
 	}
 
-	// A concurrent burst on a second cold address coalesces onto one
-	// probe (the service's batch window holds the probe long enough for
-	// every request of the burst to arrive).
-	burstAddr, ok := findMiss(store)
+	// Outside the scanned space — address zero and the first address past
+	// 2^order−1 — is a client error: no probe, no record.
+	recordsBefore, probesBefore := store.Records(), reg.Snapshot().Counter("svc.probe.done")
+	for _, a := range []uint32{0, 1 << order} {
+		outIP := lfsr.U32ToAddr(a).String()
+		var e map[string]string
+		if err := getJSON(ctx, baseURL+"/resolver?ip="+outIP, http.StatusBadRequest, &e); err != nil {
+			return err
+		}
+		if e["error"] == "" {
+			return fmt.Errorf("smoke: out-of-space %s refused without an error body", outIP)
+		}
+	}
+	snap := reg.Snapshot()
+	if store.Records() != recordsBefore || snap.Counter("svc.probe.done") != probesBefore || snap.Counter("svc.lookup.rejected") != 2 {
+		return fmt.Errorf("smoke: out-of-space lookups left a trace (records %d→%d, probes %d→%d, rejected %d)",
+			recordsBefore, store.Records(), probesBefore, snap.Counter("svc.probe.done"), snap.Counter("svc.lookup.rejected"))
+	}
+
+	// A concurrent burst on a second cold address costs exactly one probe:
+	// each request either joins the probe in flight or, arriving after its
+	// answer, is served the probe-born record — and all read the same.
+	burstAddr, ok := findMiss(store, order)
 	if !ok {
 		return errors.New("smoke: no burst address available")
 	}
 	burstIP := lfsr.U32ToAddr(burstAddr).String()
 	const fanout = 4
+	answers := make([]resolvesvc.LookupResponse, fanout)
 	errs := make([]error, fanout)
 	var wg sync.WaitGroup
 	for i := 0; i < fanout; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			var r resolvesvc.LookupResponse
-			errs[i] = getJSON(ctx, baseURL+"/resolver?ip="+burstIP, &r)
+			errs[i] = getJSON(ctx, baseURL+"/resolver?ip="+burstIP, http.StatusOK, &answers[i])
 		}(i)
 	}
 	wg.Wait()
-	for _, err := range errs {
+	for i, err := range errs {
 		if err != nil {
 			return err
 		}
+		a, b := answers[i], answers[0]
+		if a.Known != b.Known || a.Open != b.Open || a.FirstSeenEpoch != b.FirstSeenEpoch {
+			return fmt.Errorf("smoke: burst on %s answered %+v and %+v", burstIP, b, a)
+		}
 	}
-	if n := reg.Snapshot().Counter("svc.lookup.coalesced"); n == 0 {
-		return errors.New("smoke: concurrent burst did not coalesce")
+	if n := reg.Snapshot().Counter("svc.probe.done") - probesBefore; n != 1 {
+		return fmt.Errorf("smoke: burst of %d on one cold address cost %d probes, want 1", fanout, n)
 	}
 
 	// Status agrees with the store.
 	var st resolvesvc.StatusResponse
-	if err := getJSON(ctx, baseURL+"/svc/status", &st); err != nil {
+	if err := getJSON(ctx, baseURL+"/svc/status", http.StatusOK, &st); err != nil {
 		return err
 	}
 	if st.Epoch != epochs-1 || st.Records != store.Records() {
 		return fmt.Errorf("smoke: status %+v disagrees with store (epoch %d, records %d)", st, epochs-1, store.Records())
 	}
-	snap := reg.Snapshot()
-	fmt.Printf("wildsvc smoke: epoch=%d records=%d open=%d hit=%d miss=%d coalesced=%d probes=%d\n",
+	snap = reg.Snapshot()
+	fmt.Printf("wildsvc smoke: epoch=%d records=%d open=%d hit=%d miss=%d coalesced=%d rejected=%d probes=%d\n",
 		st.Epoch, st.Records, st.Open,
 		snap.Counter("svc.lookup.hit"), snap.Counter("svc.lookup.miss"),
-		snap.Counter("svc.lookup.coalesced"), snap.Counter("svc.probe.done"))
+		snap.Counter("svc.lookup.coalesced"), snap.Counter("svc.lookup.rejected"), snap.Counter("svc.probe.done"))
+	for _, h := range snap.Histograms {
+		if h.Name == "svc.probe.wait_us" {
+			fmt.Println("wildsvc smoke:", bucketLine(h))
+		}
+	}
 	return nil
 }
 
-// findMiss returns an in-space (order-16 smoke world) address the store
-// has no record of.
-func findMiss(store *resolvesvc.Store) (uint32, bool) {
-	space := uint32(1) << 16
-	for a := uint32(1); a < space; a++ {
-		if _, ok := store.Get(a); !ok {
-			return a, true
+// bucketLine renders a histogram as one line, "name le10=3 … inf=0 count=5".
+func bucketLine(h metrics.HistogramValue) string {
+	var b strings.Builder
+	b.WriteString(h.Name)
+	for _, bk := range h.Buckets {
+		if bk.Upper == nil {
+			fmt.Fprintf(&b, " inf=%d", bk.Count)
+		} else {
+			fmt.Fprintf(&b, " le%d=%d", *bk.Upper, bk.Count)
+		}
+	}
+	fmt.Fprintf(&b, " count=%d", h.Count)
+	return b.String()
+}
+
+// findMiss returns an address inside the scanned space the store has no
+// record of.
+func findMiss(store *resolvesvc.Store, order uint) (uint32, bool) {
+	for a := uint64(1); a < 1<<order; a++ {
+		if _, ok := store.Get(uint32(a)); !ok {
+			return uint32(a), true
 		}
 	}
 	return 0, false
 }
 
-// getJSON fetches url and decodes the JSON body into out.
-func getJSON(ctx context.Context, url string, out any) error {
+// getJSON fetches url, requires the given status, and decodes the JSON
+// body into out.
+func getJSON(ctx context.Context, url string, want int, out any) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return err
@@ -282,8 +323,8 @@ func getJSON(ctx context.Context, url string, out any) error {
 	if err != nil {
 		return err
 	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET %s: status %d: %s", url, resp.StatusCode, body)
+	if resp.StatusCode != want {
+		return fmt.Errorf("GET %s: status %d, want %d: %s", url, resp.StatusCode, want, body)
 	}
 	return json.Unmarshal(body, out)
 }

@@ -2,6 +2,7 @@ package resolvesvc
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/netip"
 	"strconv"
@@ -79,7 +80,10 @@ func httpError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, map[string]string{"error": msg})
 }
 
-// handleResolver answers GET /resolver?ip=A.B.C.D.
+// handleResolver answers GET /resolver?ip=A.B.C.D: 400 for anything
+// that is not an IPv4 address inside the scanned space, 429 with
+// Retry-After when the demand-probe queue is full, 503 when the probe
+// itself failed or the service is stopping.
 func (s *Service) handleResolver(w http.ResponseWriter, req *http.Request) {
 	ipStr := req.URL.Query().Get("ip")
 	if ipStr == "" {
@@ -92,11 +96,17 @@ func (s *Service) handleResolver(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	res, err := s.Lookup(req.Context(), lfsr.AddrToU32(addr))
-	if err != nil {
+	switch {
+	case errors.Is(err, ErrOutOfSpace):
+		httpError(w, http.StatusBadRequest, err.Error())
+	case errors.Is(err, ErrOverloaded):
+		w.Header().Set("Retry-After", "1")
+		httpError(w, http.StatusTooManyRequests, err.Error())
+	case err != nil:
 		httpError(w, http.StatusServiceUnavailable, err.Error())
-		return
+	default:
+		writeJSON(w, http.StatusOK, lookupResponse(res))
 	}
-	writeJSON(w, http.StatusOK, lookupResponse(res))
 }
 
 // handleResolvers answers GET /resolvers?limit=N&open=1 with the

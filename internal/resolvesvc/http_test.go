@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"goingwild/internal/dnswire"
 	"goingwild/internal/geodb"
@@ -20,16 +19,14 @@ import (
 // exactly how cmd/wildsvc mounts them on debughttp's mux.
 func newHTTPRig(t *testing.T) (*Service, *httptest.Server) {
 	t.Helper()
-	svc := New(Config{Order: 12, BatchWindow: time.Millisecond}, Deps{
+	svc := New(Config{Order: 12}, Deps{
 		Locator: testLoc,
 		Metrics: metrics.New(),
 	})
 	svc.probeFn = func(_ context.Context, addr uint32) (Record, error) {
 		return svc.store.RecordProbe(addr, svc.store.Epoch(), false, 0, false, testLoc), nil
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	t.Cleanup(cancel)
-	go svc.coalesce(ctx)
+	startCoalescer(t, svc)
 
 	if err := svc.store.ApplyEpoch(0, []scanner.ResponderDelta{
 		add(5, dnswire.RCodeNoError),
@@ -41,13 +38,19 @@ func newHTTPRig(t *testing.T) (*Service, *httptest.Server) {
 		t.Fatal(err)
 	}
 
+	return svc, mountAPI(t, svc)
+}
+
+// mountAPI serves svc's routes from an httptest server.
+func mountAPI(t *testing.T, svc *Service) *httptest.Server {
+	t.Helper()
 	mux := http.NewServeMux()
 	for _, r := range svc.APIRoutes() {
 		mux.Handle(r.Pattern, r.Handler)
 	}
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
-	return svc, srv
+	return srv
 }
 
 func getStatus(t *testing.T, url string, want int, v any) {
@@ -119,6 +122,70 @@ func TestHTTPResolverBadRequests(t *testing.T) {
 			t.Fatalf("bad request %q: no error field", q)
 		}
 	}
+}
+
+// TestHTTPResolverOutOfSpace: an IPv4 address that parses but lies
+// outside the scanned space (order 12: 1 … 4095) is a 400, and leaves no
+// record behind — a client walking 2^32 addresses must not grow the store.
+func TestHTTPResolverOutOfSpace(t *testing.T) {
+	svc, srv := newHTTPRig(t)
+	records := svc.Store().Records()
+	for _, ip := range []string{"200.1.2.3", "0.0.0.0", "0.0.16.0"} {
+		var e map[string]string
+		getStatus(t, srv.URL+"/resolver?ip="+ip, http.StatusBadRequest, &e)
+		if e["error"] == "" {
+			t.Fatalf("out-of-space %s: no error field", ip)
+		}
+	}
+	var got LookupResponse
+	getStatus(t, srv.URL+"/resolver?ip=0.0.15.255", http.StatusOK, &got)
+	if got.Source != "probe" {
+		t.Fatalf("last in-space address: %+v", got)
+	}
+	if n := svc.Store().Records(); n != records+1 {
+		t.Fatalf("store went %d → %d records; only the in-space lookup may add one", records, n)
+	}
+}
+
+// TestHTTPResolverOverloaded: with the demand-probe queue at its cap a
+// miss is answered 429 with Retry-After, as JSON, while a store hit on
+// the same listener is served as ever.
+func TestHTTPResolverOverloaded(t *testing.T) {
+	svc := New(Config{Order: 16}, Deps{Locator: testLoc, Metrics: metrics.New()})
+	if err := svc.store.ApplyEpoch(0, []scanner.ResponderDelta{add(60000, dnswire.RCodeNoError)}, testLoc); err != nil {
+		t.Fatal(err)
+	}
+	probes := newBlockedProbes(svc)
+	startCoalescer(t, svc)
+	parked := fillPending(t, svc, probes)
+	srv := mountAPI(t, svc)
+
+	resp, err := http.Get(srv.URL + "/resolver?ip=" + lfsr.U32ToAddr(maxPending+1).String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var e map[string]string
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+		t.Fatalf("429 body: %v", err)
+	}
+	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") != "1" ||
+		resp.Header.Get("Content-Type") != "application/json" || e["error"] == "" {
+		t.Fatalf("miss at the cap: status %d, Retry-After %q, Content-Type %q, body %v",
+			resp.StatusCode, resp.Header.Get("Retry-After"), resp.Header.Get("Content-Type"), e)
+	}
+	var hit LookupResponse
+	getStatus(t, srv.URL+"/resolver?ip="+lfsr.U32ToAddr(60000).String(), http.StatusOK, &hit)
+	if hit.Source != "store" {
+		t.Fatalf("store hit at the cap: %+v", hit)
+	}
+	var st StatusResponse
+	getStatus(t, srv.URL+"/svc/status", http.StatusOK, &st)
+	if st.Pending != maxPending {
+		t.Fatalf("/svc/status pending = %d, want %d", st.Pending, maxPending)
+	}
+	close(probes.release)
+	parked.Wait()
 }
 
 func TestHTTPResolversListAndFilters(t *testing.T) {

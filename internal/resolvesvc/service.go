@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -34,10 +33,6 @@ type Config struct {
 	// TTLBase seeds the churn-aware refresh TTL (see Store.Fresh);
 	// <= 0 selects DefaultTTLBase.
 	TTLBase int
-	// BatchWindow is how long the coalescer lingers after the first
-	// cache miss of a tick so concurrent misses for the same targets
-	// pile into one probe batch. Zero probes immediately.
-	BatchWindow time.Duration
 	// Blacklist is excluded from sweeps, as everywhere else.
 	Blacklist *lfsr.Blacklist
 	// OnEpoch, when set, observes each committed epoch (live logging;
@@ -65,8 +60,9 @@ type Deps struct {
 	Locator churn.Locator
 	// Metrics receives the service counters; nil disables them.
 	Metrics *metrics.Registry
-	// WallClock paces the coalescer's batch window and the load
-	// generator's latency measurements (default scanner.SystemClock).
+	// WallClock times a miss's wait for its demand probe, the
+	// svc.probe.wait_us histogram (default scanner.SystemClock). Nothing
+	// in the service sleeps on it.
 	WallClock scanner.Clock
 }
 
@@ -94,6 +90,30 @@ type Result struct {
 // because the service is shutting down.
 var ErrStopped = errors.New("resolvesvc: service stopped")
 
+// ErrOutOfSpace is returned for an address outside the scanned space
+// 1 … 2^Order−1: no sweep will ever confirm or retire a record there, so
+// the service neither probes nor stores it.
+var ErrOutOfSpace = errors.New("resolvesvc: address outside the scanned space")
+
+// ErrOverloaded is returned when a miss would open a demand probe while
+// maxPending are already unanswered; the lookup is shed, not queued.
+var ErrOverloaded = errors.New("resolvesvc: too many demand probes pending")
+
+// maxPending caps the demand probes not yet answered (queued or
+// executing). The probe path is a request amplifier — one cheap GET buys
+// one probe — so its queue is bounded and the excess refused; 4096 is
+// three orders above what the benchmark's closed-loop clients can hold
+// open, and a constant because no caller needs another value.
+const maxPending = 4096
+
+// Bucket bounds of the probe-path histograms: waits in microseconds,
+// from the few a probe and its two goroutine hand-offs cost up to a
+// stalled service's second, and batch sizes up to the cap.
+var (
+	waitBucketsUS = []int64{10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10_000, 50_000, 100_000, 1_000_000}
+	batchBuckets  = []int64{1, 2, 4, 8, 16, 64, 256, 1024, maxPending}
+)
+
 // svcMetrics bundles the service's registry handles (all nil-safe).
 type svcMetrics struct {
 	// Request-path counters are Timing class: how many lookups hit,
@@ -103,7 +123,15 @@ type svcMetrics struct {
 	miss      *metrics.Counter
 	refresh   *metrics.Counter
 	coalesced *metrics.Counter
+	rejected  *metrics.Counter
+	shed      *metrics.Counter
 	probes    *metrics.Counter
+	// The probe path as the coalescer sees it: how long the lookup that
+	// opened a probe waited for its answer, how many addresses each
+	// batch held, how many probes are unanswered now.
+	wait    *metrics.Histogram
+	batch   *metrics.Histogram
+	pending *metrics.Gauge
 	// Epoch-side state is Deterministic: after epoch k the committed
 	// count and the sweep-born store shape are a pure function of
 	// (order, seed) — the same contract the streaming engine keeps.
@@ -124,7 +152,12 @@ func newSvcMetrics(reg *metrics.Registry) svcMetrics {
 		miss:      reg.TimingCounter("svc.lookup.miss"),
 		refresh:   reg.TimingCounter("svc.lookup.refresh"),
 		coalesced: reg.TimingCounter("svc.lookup.coalesced"),
+		rejected:  reg.TimingCounter("svc.lookup.rejected"),
+		shed:      reg.TimingCounter("svc.lookup.shed"),
 		probes:    reg.TimingCounter("svc.probe.done"),
+		wait:      reg.TimingHistogram("svc.probe.wait_us", waitBucketsUS),
+		batch:     reg.TimingHistogram("svc.probe.batch", batchBuckets),
+		pending:   reg.TimingGauge("svc.probe.pending"),
 		epochs:    reg.Counter("svc.epoch.done"),
 		records:   reg.Gauge("svc.store.records"),
 		open:      reg.Gauge("svc.store.open"),
@@ -132,8 +165,8 @@ func newSvcMetrics(reg *metrics.Registry) svcMetrics {
 	}
 }
 
-// inflight is one in-progress demand probe; every lookup coalesced onto
-// it waits for done and reads rec/err.
+// inflight is one demand probe not yet answered; every lookup coalesced
+// onto it waits for done and reads rec/err.
 type inflight struct {
 	done chan struct{}
 	rec  Record
@@ -152,10 +185,15 @@ type Service struct {
 	trackerMu sync.Mutex
 	tracker   *churn.Tracker
 
-	// pending holds the cache misses awaiting the next probe tick,
-	// keyed by target; wake (capacity 1) nudges the coalescer.
+	// pending holds every demand probe not yet answered — queued or
+	// executing — keyed by target, so a lookup can join one until its
+	// answer is in; queue holds the queued ones in arrival order. wake
+	// (capacity 1) nudges the coalescer; stopped is set once it has
+	// exited and nothing will be probed again.
 	mu      sync.Mutex
 	pending map[uint32]*inflight
+	queue   []uint32
+	stopped bool
 	wake    chan struct{}
 
 	// probeFn performs one demand probe and records it in the store.
@@ -270,31 +308,70 @@ func (s *Service) Run(ctx context.Context) error {
 // can vouch for (present and fresh at the committed epoch) is a pure
 // in-memory hit. Anything else — absent record, or a flappy record past
 // its refresh TTL — funnels into the coalescer: the first lookup per
-// target enqueues a demand probe, concurrent lookups for the same
-// target coalesce onto it, and everyone wakes with the probe's answer.
+// target enqueues a demand probe, lookups for the same target coalesce
+// onto it until its answer is in, and everyone wakes with that answer.
+// An address outside the scanned space is refused with ErrOutOfSpace
+// before store or coalescer see it.
 func (s *Service) Lookup(ctx context.Context, addr uint32) (Result, error) {
-	epoch := s.store.Epoch()
-	if r, ok := s.store.Get(addr); ok {
-		if s.store.Fresh(r, epoch) {
-			s.m.hit.Inc()
-			return Result{Record: r, Epoch: epoch, Source: "store"}, nil
-		}
+	if addr == 0 || uint64(addr) >= 1<<s.cfg.Order {
+		s.m.rejected.Inc()
+		return Result{}, ErrOutOfSpace
+	}
+	res, known, fresh := s.vouched(addr)
+	switch {
+	case fresh:
+		s.m.hit.Inc()
+		return res, nil
+	case known:
 		s.m.refresh.Inc()
-	} else {
+	default:
 		s.m.miss.Inc()
 	}
 	return s.await(ctx, addr)
 }
 
-// await joins (or opens) the in-flight probe for addr and waits it out.
+// vouched reads addr's record as a store answer at the committed epoch;
+// fresh reports whether the store vouches for it, i.e. whether it may be
+// served without a probe.
+func (s *Service) vouched(addr uint32) (res Result, known, fresh bool) {
+	epoch := s.store.Epoch()
+	r, known := s.store.Get(addr)
+	return Result{Record: r, Epoch: epoch, Source: "store"}, known, known && s.store.Fresh(r, epoch)
+}
+
+// await joins (or opens) the unanswered probe for addr and waits it out.
+// Joining is never refused; opening is, with ErrOverloaded, once
+// maxPending probes are unanswered.
 func (s *Service) await(ctx context.Context, addr uint32) (Result, error) {
+	var opened time.Time
 	s.mu.Lock()
-	fl, ok := s.pending[addr]
-	if ok {
+	fl, joined := s.pending[addr]
+	switch {
+	case s.stopped:
+		s.mu.Unlock()
+		return Result{}, ErrStopped
+	case joined:
 		s.m.coalesced.Inc()
-	} else {
+	case len(s.pending) >= maxPending:
+		s.mu.Unlock()
+		s.m.shed.Inc()
+		return Result{}, ErrOverloaded
+	default:
+		// A probe stores its record before its entry leaves pending, so
+		// finding neither an entry nor (still under mu) a fresh record
+		// means no probe for addr has been answered since this lookup
+		// read the store: it opens one. Without the second read, a probe
+		// completing between Lookup's read and this lock would be sent
+		// twice.
+		if res, _, fresh := s.vouched(addr); fresh {
+			s.mu.Unlock()
+			return res, nil
+		}
+		opened = s.deps.WallClock.Now()
 		fl = &inflight{done: make(chan struct{})}
 		s.pending[addr] = fl
+		s.queue = append(s.queue, addr)
+		s.m.pending.Set(int64(len(s.pending)))
 		select {
 		case s.wake <- struct{}{}:
 		default:
@@ -303,6 +380,9 @@ func (s *Service) await(ctx context.Context, addr uint32) (Result, error) {
 	s.mu.Unlock()
 	select {
 	case <-fl.done:
+		if !joined {
+			s.m.wait.Observe(s.deps.WallClock.Now().Sub(opened).Microseconds())
+		}
 		if fl.err != nil {
 			return Result{}, fl.err
 		}
@@ -312,49 +392,59 @@ func (s *Service) await(ctx context.Context, addr uint32) (Result, error) {
 	}
 }
 
-// coalesce is the demand-probe loop: each wake-up lingers BatchWindow
-// (so a burst of concurrent misses lands in one tick), swaps out the
-// pending set, and probes it in address order. It runs until ctx dies,
-// then fails whatever is still queued.
+// coalesce is the demand-probe loop, and the probe in flight is its
+// clock: it swaps the queue out and probes it front to back, answering
+// each address (entry out of pending, done closed) as its probe returns,
+// and parks on wake only when a swap finds the queue empty. An idle service therefore probes a lone miss at once, and a
+// busy one batches exactly the misses that arrived while the previous
+// batch was on the wire — no window to wait out or tune. One goroutine
+// runs every probe because the prober transport takes one receiver at a
+// time (scanner.ProbeContext installs it) and because a probe must run
+// under the service's context, not under the request that happened to
+// open it. It runs until ctx dies, then fails whatever is unanswered.
 func (s *Service) coalesce(ctx context.Context) {
+	defer s.failPending()
+	var batch []uint32
 	for {
-		select {
-		case <-ctx.Done():
-			s.failPending()
-			return
-		case <-s.wake:
+		s.mu.Lock()
+		batch, s.queue = s.queue, batch[:0]
+		s.mu.Unlock()
+		if len(batch) == 0 {
+			select {
+			case <-ctx.Done():
+				return
+			case <-s.wake:
+			}
+			continue
 		}
-		if w := s.cfg.BatchWindow; w > 0 {
-			if sleepCtx(ctx, s.deps.WallClock, w) != nil {
-				s.failPending()
+		s.m.batch.Observe(int64(len(batch)))
+		for _, a := range batch {
+			if ctx.Err() != nil {
 				return
 			}
-		}
-		s.mu.Lock()
-		batch := s.pending
-		s.pending = map[uint32]*inflight{}
-		s.mu.Unlock()
-		addrs := make([]uint32, 0, len(batch))
-		for a := range batch {
-			addrs = append(addrs, a)
-		}
-		sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-		for _, a := range addrs {
-			fl := batch[a]
-			fl.rec, fl.err = s.probeFn(ctx, a)
+			rec, err := s.probeFn(ctx, a)
 			s.m.probes.Inc()
+			s.mu.Lock()
+			fl := s.pending[a]
+			delete(s.pending, a)
+			s.m.pending.Set(int64(len(s.pending)))
+			s.mu.Unlock()
+			fl.rec, fl.err = rec, err
 			close(fl.done)
 		}
 	}
 }
 
-// failPending wakes every queued lookup with ErrStopped.
+// failPending wakes every lookup still waiting — queued, or in a batch
+// the coalescer abandoned — with ErrStopped, and turns later misses away
+// with the same error: nothing will probe for them.
 func (s *Service) failPending() {
 	s.mu.Lock()
-	batch := s.pending
-	s.pending = map[uint32]*inflight{}
+	unanswered := s.pending
+	s.pending, s.queue, s.stopped = nil, nil, true
+	s.m.pending.Set(0)
 	s.mu.Unlock()
-	for _, fl := range batch {
+	for _, fl := range unanswered {
 		fl.err = ErrStopped
 		close(fl.done)
 	}
@@ -385,18 +475,4 @@ func (s *Service) demandProbe(ctx context.Context, addr uint32) (Record, error) 
 		}
 	}
 	return s.store.RecordProbe(addr, s.store.Epoch(), open, rcode, answered, s.deps.Locator), nil
-}
-
-// sleepCtx sleeps d on the clock, cut short by ctx. Clocks implementing
-// scanner.ContextSleeper (the system clock does) get the cancellation
-// handed to them; plain fake clocks sleep directly.
-func sleepCtx(ctx context.Context, c scanner.Clock, d time.Duration) error {
-	if cs, ok := c.(scanner.ContextSleeper); ok {
-		return cs.SleepContext(ctx, d)
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	c.Sleep(d)
-	return ctx.Err()
 }

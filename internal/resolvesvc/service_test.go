@@ -3,7 +3,12 @@ package resolvesvc
 import (
 	"bytes"
 	"context"
+	"errors"
+	"net/netip"
+	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -26,7 +31,7 @@ type testWorld struct {
 	bl      *lfsr.Blacklist
 }
 
-func newTestWorld(t *testing.T, order uint, reg *metrics.Registry) *testWorld {
+func newTestWorld(t testing.TB, order uint, reg *metrics.Registry) *testWorld {
 	t.Helper()
 	wcfg := wildnet.DefaultConfig(order)
 	wcfg.Seed = 0x60176A11D
@@ -194,38 +199,100 @@ func TestServiceLookupHitThenProbeThenHit(t *testing.T) {
 	}
 }
 
-// gateClock blocks every Sleep until the test releases it, making the
-// coalescer's batch window a deterministic rendezvous.
-type gateClock struct {
-	release chan struct{}
+// startCoalescer runs svc's coalescer under a context of its own and
+// returns that context's cancel and a channel closed once the goroutine
+// has exited; the test's clean-up stops it and waits.
+func startCoalescer(t testing.TB, svc *Service) (cancel context.CancelFunc, exited <-chan struct{}) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		svc.coalesce(ctx)
+	}()
+	t.Cleanup(func() {
+		cancel()
+		<-done
+	})
+	return cancel, done
 }
 
-func (g *gateClock) Now() time.Time        { return time.Unix(0, 0) }
-func (g *gateClock) Sleep(_ time.Duration) { <-g.release }
+// waitFor spins until cond holds, failing the test after five seconds.
+func waitFor(t testing.TB, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		runtime.Gosched()
+	}
+}
+
+// histogram returns the named histogram of a snapshot.
+func histogram(t testing.TB, snap metrics.Snapshot, name string) metrics.HistogramValue {
+	t.Helper()
+	for _, h := range snap.Histograms {
+		if h.Name == name {
+			return h
+		}
+	}
+	t.Fatalf("no histogram %s in the snapshot", name)
+	return metrics.HistogramValue{}
+}
+
+// blockedProbes is an injected probeFn that parks every probe until the
+// test releases it (or the coalescer's context dies), recording the
+// order the probes ran in. Its answers go into the store like a real
+// probe's.
+type blockedProbes struct {
+	svc     *Service
+	entered chan uint32 // one send per probe, before it parks
+	release chan struct{}
+
+	mu    sync.Mutex
+	order []uint32
+}
+
+func newBlockedProbes(svc *Service) *blockedProbes {
+	// entered is sized so the probes of a full pending map never block on
+	// a test that does not read it.
+	b := &blockedProbes{svc: svc, entered: make(chan uint32, maxPending+1), release: make(chan struct{})}
+	svc.probeFn = b.probe
+	return b
+}
+
+func (b *blockedProbes) probe(ctx context.Context, addr uint32) (Record, error) {
+	b.mu.Lock()
+	b.order = append(b.order, addr)
+	b.mu.Unlock()
+	b.entered <- addr
+	select {
+	case <-b.release:
+	case <-ctx.Done():
+		return Record{}, ctx.Err()
+	}
+	return b.svc.store.RecordProbe(addr, b.svc.store.Epoch(), true, dnswire.RCodeNoError, true, testLoc), nil
+}
+
+func (b *blockedProbes) probed() []uint32 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return append([]uint32(nil), b.order...)
+}
 
 // TestServiceCoalescing pins the singleflight contract deterministically:
 // 8 concurrent lookups for one cold target must produce exactly one
-// probe, with the other 7 coalescing onto it. The gate clock holds the
-// coalescer's batch window open until every request has joined.
+// probe, with the other 7 coalescing onto it *while it is in flight* —
+// the probe itself is the gate, held until every joiner is counted. (A
+// coalescer that forgets an address when it starts probing it sends a
+// second probe for the joiners.)
 func TestServiceCoalescing(t *testing.T) {
 	reg := metrics.New()
-	gate := &gateClock{release: make(chan struct{})}
-	svc := New(Config{Order: 12, BatchWindow: time.Millisecond}, Deps{
-		Locator:   testLoc,
-		Metrics:   reg,
-		WallClock: gate,
-	})
-	var probes int
-	var probeMu sync.Mutex
-	svc.probeFn = func(_ context.Context, addr uint32) (Record, error) {
-		probeMu.Lock()
-		probes++
-		probeMu.Unlock()
-		return svc.store.RecordProbe(addr, 0, true, dnswire.RCodeNoError, true, testLoc), nil
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go svc.coalesce(ctx)
+	svc := New(Config{Order: 12}, Deps{Locator: testLoc, Metrics: reg})
+	probes := newBlockedProbes(svc)
+	startCoalescer(t, svc)
+	ctx := context.Background()
 
 	const fanout = 8
 	const target = 42
@@ -239,15 +306,11 @@ func TestServiceCoalescing(t *testing.T) {
 			results[i], errs[i] = svc.Lookup(ctx, target)
 		}(i)
 	}
-	// Wait until all 8 are parked on the single inflight entry, then
-	// release the batch window.
-	deadline := time.Now().Add(5 * time.Second)
-	for reg.Snapshot().Counter("svc.lookup.coalesced") != fanout-1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("coalesced = %d, want %d", reg.Snapshot().Counter("svc.lookup.coalesced"), fanout-1)
-		}
-	}
-	close(gate.release)
+	<-probes.entered
+	waitFor(t, "7 joiners on the probe in flight", func() bool {
+		return reg.Snapshot().Counter("svc.lookup.coalesced") == fanout-1
+	})
+	close(probes.release)
 	wg.Wait()
 
 	for i := 0; i < fanout; i++ {
@@ -258,8 +321,8 @@ func TestServiceCoalescing(t *testing.T) {
 			t.Fatalf("lookup %d result: %+v", i, results[i])
 		}
 	}
-	if probes != 1 {
-		t.Fatalf("probe ran %d times, want 1 (singleflight)", probes)
+	if got := probes.probed(); len(got) != 1 {
+		t.Fatalf("probe ran %d times, want 1 (singleflight)", len(got))
 	}
 	snap := reg.Snapshot()
 	if snap.Counter("svc.lookup.miss") != fanout {
@@ -267,6 +330,298 @@ func TestServiceCoalescing(t *testing.T) {
 	}
 	if snap.Counter("svc.probe.done") != 1 {
 		t.Errorf("probe.done = %d, want 1", snap.Counter("svc.probe.done"))
+	}
+	if w := histogram(t, snap, "svc.probe.wait_us"); w.Count != 1 {
+		t.Errorf("svc.probe.wait_us holds %d observations, want 1 (the lookup that opened the probe)", w.Count)
+	}
+}
+
+// TestServiceBatchFormsBehindInFlightProbe pins the self-clocking: the
+// misses that arrive while a probe is on the wire form the next batch,
+// in arrival order, and are probed once each.
+func TestServiceBatchFormsBehindInFlightProbe(t *testing.T) {
+	reg := metrics.New()
+	svc := New(Config{Order: 12}, Deps{Locator: testLoc, Metrics: reg})
+	probes := newBlockedProbes(svc)
+	startCoalescer(t, svc)
+	ctx := context.Background()
+
+	// A is probed alone and blocks; C, B, D register behind it one at a
+	// time (deliberately not in address order).
+	arrivals := []uint32{100, 300, 200, 400}
+	var wg sync.WaitGroup
+	for i, a := range arrivals {
+		wg.Add(1)
+		go func(a uint32) {
+			defer wg.Done()
+			if res, err := svc.Lookup(ctx, a); err != nil || res.Source != "probe" || res.Record.Addr != a {
+				t.Errorf("lookup %d: %+v, %v", a, res, err)
+			}
+		}(a)
+		if i == 0 {
+			<-probes.entered
+		}
+		waitFor(t, "the miss to register", func() bool {
+			return reg.Snapshot().Gauge("svc.probe.pending") == int64(i+1)
+		})
+	}
+	close(probes.release)
+	wg.Wait()
+
+	if got := probes.probed(); !slices.Equal(got, arrivals) {
+		t.Fatalf("probed %v, want arrival order %v", got, arrivals)
+	}
+	// Two batches, {A} and {C B D}: count 2, sum 4, one of them of size 1.
+	b := histogram(t, reg.Snapshot(), "svc.probe.batch")
+	if b.Count != 2 || b.Sum != 4 || b.Buckets[0].Count != 1 {
+		t.Fatalf("svc.probe.batch = %+v, want one batch of 1 and one of 3", b)
+	}
+	if g := reg.Snapshot().Gauge("svc.probe.pending"); g != 0 {
+		t.Fatalf("svc.probe.pending = %d after the drain", g)
+	}
+}
+
+// noSleepClock is a wall clock nothing may sleep on.
+type noSleepClock struct{ t *testing.T }
+
+func (c noSleepClock) Now() time.Time { return time.Unix(0, 0) }
+func (c noSleepClock) Sleep(d time.Duration) {
+	c.t.Errorf("the service slept %v on its wall clock", d)
+}
+
+// TestServiceLoneMissNeedsNoClock: an idle service probes a lone miss at
+// once — there is no window to wait out.
+func TestServiceLoneMissNeedsNoClock(t *testing.T) {
+	svc := New(Config{Order: 12}, Deps{Locator: testLoc, WallClock: noSleepClock{t}})
+	svc.probeFn = func(_ context.Context, addr uint32) (Record, error) {
+		return svc.store.RecordProbe(addr, 0, false, 0, false, testLoc), nil
+	}
+	startCoalescer(t, svc)
+	res, err := svc.Lookup(context.Background(), 42)
+	if err != nil || res.Source != "probe" {
+		t.Fatalf("lone miss: %+v, %v", res, err)
+	}
+}
+
+// TestServiceLookupOutOfSpace: the scanned space is 1 … 2^order−1; a
+// lookup outside it is refused before it can cost a probe or a record.
+func TestServiceLookupOutOfSpace(t *testing.T) {
+	const order = 14
+	reg := metrics.New()
+	svc := New(Config{Order: order}, Deps{Locator: testLoc, Metrics: reg})
+	svc.probeFn = func(_ context.Context, addr uint32) (Record, error) {
+		return svc.store.RecordProbe(addr, 0, false, 0, false, testLoc), nil
+	}
+	startCoalescer(t, svc)
+	for _, tc := range []struct {
+		name string
+		ip   string
+		in   bool
+	}{
+		{"zero", "0.0.0.0", false},
+		{"first in space", "0.0.0.1", true},
+		{"last in space", "0.0.63.255", true},
+		{"first out of space", "0.0.64.0", false},
+		{"far outside", "200.1.2.3", false},
+		{"broadcast", "255.255.255.255", false},
+	} {
+		addr := lfsr.AddrToU32(netip.MustParseAddr(tc.ip))
+		before := svc.store.Records()
+		res, err := svc.Lookup(context.Background(), addr)
+		if tc.in {
+			if err != nil || res.Source != "probe" || svc.store.Records() != before+1 {
+				t.Errorf("%s (%s): %+v, %v, records %d→%d", tc.name, tc.ip, res, err, before, svc.store.Records())
+			}
+			continue
+		}
+		if !errors.Is(err, ErrOutOfSpace) || svc.store.Records() != before {
+			t.Errorf("%s (%s): err = %v, records %d→%d; want ErrOutOfSpace and no record", tc.name, tc.ip, err, before, svc.store.Records())
+		}
+	}
+	snap := reg.Snapshot()
+	if snap.Counter("svc.lookup.rejected") != 4 || snap.Counter("svc.probe.done") != 2 || snap.Counter("svc.lookup.miss") != 2 {
+		t.Errorf("rejected=%d probes=%d miss=%d, want 4/2/2",
+			snap.Counter("svc.lookup.rejected"), snap.Counter("svc.probe.done"), snap.Counter("svc.lookup.miss"))
+	}
+}
+
+// fillPending parks maxPending lookups for distinct cold addresses
+// (1 … maxPending) behind a blocked probe and returns a wait for them.
+func fillPending(t *testing.T, svc *Service, probes *blockedProbes) *sync.WaitGroup {
+	t.Helper()
+	var wg sync.WaitGroup
+	for a := uint32(1); a <= maxPending; a++ {
+		wg.Add(1)
+		go func(a uint32) {
+			defer wg.Done()
+			if res, err := svc.Lookup(context.Background(), a); err != nil || res.Record.Addr != a {
+				t.Errorf("parked lookup %d: %+v, %v", a, res, err)
+			}
+		}(a)
+	}
+	<-probes.entered
+	waitFor(t, "pending to reach its cap", func() bool {
+		svc.mu.Lock()
+		defer svc.mu.Unlock()
+		return len(svc.pending) == maxPending
+	})
+	return &wg
+}
+
+// TestServiceShedsAtPendingCap: the demand-probe queue is bounded. With
+// maxPending probes unanswered, a miss for one more address is shed with
+// ErrOverloaded, a lookup for an address already pending still joins,
+// and once the queue drains the cap admits new misses again.
+func TestServiceShedsAtPendingCap(t *testing.T) {
+	reg := metrics.New()
+	svc := New(Config{Order: 16}, Deps{Locator: testLoc, Metrics: reg})
+	probes := newBlockedProbes(svc)
+	startCoalescer(t, svc)
+	parked := fillPending(t, svc, probes)
+	ctx := context.Background()
+
+	if _, err := svc.Lookup(ctx, maxPending+1); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("miss beyond the cap: err = %v, want ErrOverloaded", err)
+	}
+	snap := reg.Snapshot()
+	if snap.Counter("svc.lookup.shed") != 1 || snap.Gauge("svc.probe.pending") != maxPending {
+		t.Fatalf("shed=%d pending=%d, want 1/%d", snap.Counter("svc.lookup.shed"), snap.Gauge("svc.probe.pending"), maxPending)
+	}
+	if _, ok := svc.store.Get(maxPending + 1); ok {
+		t.Fatal("a shed lookup left a record")
+	}
+	joined := make(chan error, 1)
+	go func() {
+		_, err := svc.Lookup(ctx, maxPending/2)
+		joined <- err
+	}()
+	waitFor(t, "the joiner to coalesce", func() bool {
+		return reg.Snapshot().Counter("svc.lookup.coalesced") == 1
+	})
+
+	close(probes.release)
+	parked.Wait()
+	if err := <-joined; err != nil {
+		t.Fatalf("joiner at the cap: %v", err)
+	}
+	if res, err := svc.Lookup(ctx, maxPending+1); err != nil || res.Source != "probe" {
+		t.Fatalf("miss after the drain: %+v, %v", res, err)
+	}
+	snap = reg.Snapshot()
+	if snap.Counter("svc.lookup.shed") != 1 || snap.Counter("svc.probe.done") != maxPending+1 || snap.Gauge("svc.probe.pending") != 0 {
+		t.Fatalf("after the drain: shed=%d probes=%d pending=%d", snap.Counter("svc.lookup.shed"), snap.Counter("svc.probe.done"), snap.Gauge("svc.probe.pending"))
+	}
+}
+
+// TestServiceStopWakesEveryWaiter is the "time to die" audit of the
+// coalescer's waits: cancelling its context while one probe is blocked
+// and others are queued wakes the executing probe's waiter with the
+// probe's context error and the queued ones with ErrStopped, the
+// goroutine exits, and a later miss is turned away instead of parking
+// behind a coalescer that is gone.
+func TestServiceStopWakesEveryWaiter(t *testing.T) {
+	reg := metrics.New()
+	svc := New(Config{Order: 12}, Deps{Locator: testLoc, Metrics: reg})
+	probes := newBlockedProbes(svc)
+	cancel, exited := startCoalescer(t, svc)
+	ctx := context.Background()
+
+	errs := make(map[uint32]chan error)
+	for i, a := range []uint32{10, 20, 30} {
+		woke := make(chan error, 1)
+		errs[a] = woke
+		go func() {
+			_, err := svc.Lookup(ctx, a)
+			woke <- err
+		}()
+		if i == 0 {
+			<-probes.entered
+		}
+		waitFor(t, "the miss to register", func() bool {
+			return reg.Snapshot().Gauge("svc.probe.pending") == int64(i+1)
+		})
+	}
+	cancel()
+	for a, want := range map[uint32]error{10: context.Canceled, 20: ErrStopped, 30: ErrStopped} {
+		select {
+		case err := <-errs[a]:
+			if !errors.Is(err, want) {
+				t.Errorf("waiter on %d woke with %v, want %v", a, err, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("waiter on %d still parked after the stop", a)
+		}
+	}
+	select {
+	case <-exited:
+	case <-time.After(5 * time.Second):
+		t.Fatal("coalescer goroutine still running after the stop")
+	}
+	if got := probes.probed(); len(got) != 1 {
+		t.Errorf("probed %v after the stop, want only the one in flight", got)
+	}
+	if _, err := svc.Lookup(ctx, 40); !errors.Is(err, ErrStopped) {
+		t.Errorf("miss after the stop: err = %v, want ErrStopped", err)
+	}
+	if g := reg.Snapshot().Gauge("svc.probe.pending"); g != 0 {
+		t.Errorf("svc.probe.pending = %d after the stop", g)
+	}
+}
+
+// TestServiceCoalescerStress hammers one coalescer from 16 goroutines
+// over 64 addresses. The probe stores nothing, so every lookup is a
+// miss: each one either opened a probe or joined one, no address ever
+// has two probes in flight, and every answer is about the address asked.
+// Run under -race (make race gives this package three schedules).
+func TestServiceCoalescerStress(t *testing.T) {
+	const goroutines, addrs = 16, 64
+	rounds := 200
+	if testing.Short() {
+		rounds = 20
+	}
+	reg := metrics.New()
+	svc := New(Config{Order: 12}, Deps{Locator: testLoc, Metrics: reg})
+	var inFlight [addrs + 1]atomic.Int32
+	svc.probeFn = func(_ context.Context, addr uint32) (Record, error) {
+		if n := inFlight[addr].Add(1); n != 1 {
+			t.Errorf("address %d has %d probes in flight", addr, n)
+		}
+		runtime.Gosched()
+		inFlight[addr].Add(-1)
+		return Record{Addr: addr, Probed: true}, nil
+	}
+	startCoalescer(t, svc)
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for i := 0; i < addrs; i++ {
+					// Every goroutine walks the addresses from its own
+					// offset, so they collide on some and not on others.
+					addr := uint32(1 + (i+g*5)%addrs)
+					res, err := svc.Lookup(ctx, addr)
+					if err != nil || res.Record.Addr != addr || res.Source != "probe" {
+						t.Errorf("lookup %d: %+v, %v", addr, res, err)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	snap := reg.Snapshot()
+	lookups := uint64(goroutines * addrs * rounds)
+	if got := snap.Counter("svc.probe.done") + snap.Counter("svc.lookup.coalesced"); got != lookups || snap.Counter("svc.lookup.miss") != lookups {
+		t.Fatalf("probes %d + coalesced %d != %d lookups (miss %d)", snap.Counter("svc.probe.done"), snap.Counter("svc.lookup.coalesced"), lookups, snap.Counter("svc.lookup.miss"))
+	}
+	if b := histogram(t, snap, "svc.probe.batch"); uint64(b.Sum) != snap.Counter("svc.probe.done") {
+		t.Fatalf("svc.probe.batch sums to %d addresses, %d probes ran", b.Sum, snap.Counter("svc.probe.done"))
+	}
+	if g := snap.Gauge("svc.probe.pending"); g != 0 {
+		t.Fatalf("svc.probe.pending = %d at rest", g)
 	}
 }
 
@@ -283,9 +638,8 @@ func TestServiceStaleRecordRefreshes(t *testing.T) {
 	svc.probeFn = func(_ context.Context, addr uint32) (Record, error) {
 		return svc.store.RecordProbe(addr, svc.store.Epoch(), true, dnswire.RCodeNoError, true, testLoc), nil
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go svc.coalesce(ctx)
+	startCoalescer(t, svc)
+	ctx := context.Background()
 
 	// Epoch history: target 7 appears, vanishes, reappears (one flap,
 	// TTL 4>>1 = 2), then the world stays quiet long past its TTL.
@@ -364,6 +718,14 @@ func TestServiceZeroEpochs(t *testing.T) {
 	}
 }
 
+// requestPathSeries are the series whose values depend on when requests
+// arrive; every one is Timing class.
+var requestPathSeries = []string{
+	"svc.lookup.hit", "svc.lookup.miss", "svc.lookup.refresh", "svc.lookup.coalesced",
+	"svc.lookup.rejected", "svc.lookup.shed", "svc.probe.done",
+	"svc.probe.wait_us", "svc.probe.batch", "svc.probe.pending", "svc.epoch.lag",
+}
+
 // TestServiceDeterministicMetrics pins the StripTiming contract: two
 // identical runs (same world seed, same epochs, same sequential lookup
 // script) must export byte-identical deterministic-class snapshots,
@@ -379,6 +741,17 @@ func TestServiceDeterministicMetrics(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		// The request path is registered (so its absence below means
+		// stripped, not missing), probe-path instruments included.
+		var full bytes.Buffer
+		if err := reg.Snapshot().WriteJSON(&full); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range requestPathSeries {
+			if !bytes.Contains(full.Bytes(), []byte(name)) {
+				t.Fatalf("snapshot missing %s", name)
+			}
+		}
 		var buf bytes.Buffer
 		if err := reg.Snapshot().StripTiming().WriteJSON(&buf); err != nil {
 			t.Fatal(err)
@@ -389,10 +762,12 @@ func TestServiceDeterministicMetrics(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatalf("deterministic snapshots differ:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", a, b)
 	}
-	// The request-path counters must be Timing class (stripped), since
+	// The request-path series must be Timing class (stripped), since
 	// their values depend on request arrival vs epoch commits.
-	if bytes.Contains(a, []byte("svc.lookup.hit")) || bytes.Contains(a, []byte("svc.epoch.lag")) {
-		t.Fatal("request-path metrics leaked into the deterministic snapshot")
+	for _, name := range requestPathSeries {
+		if bytes.Contains(a, []byte(name)) {
+			t.Fatalf("request-path metric %s leaked into the deterministic snapshot", name)
+		}
 	}
 	// The epoch-side state must be present and deterministic.
 	for _, name := range []string{"svc.epoch.done", "svc.store.records", "svc.store.open"} {
@@ -405,15 +780,9 @@ func TestServiceDeterministicMetrics(t *testing.T) {
 // TestServiceLookupCancelled proves a lookup parked on the coalescer
 // honors its context instead of hanging when no probe ever completes.
 func TestServiceLookupCancelled(t *testing.T) {
-	gate := &gateClock{release: make(chan struct{})}
-	defer close(gate.release)
-	svc := New(Config{Order: 12, BatchWindow: time.Millisecond}, Deps{
-		Locator:   testLoc,
-		WallClock: gate,
-	})
-	runCtx, cancelRun := context.WithCancel(context.Background())
-	defer cancelRun()
-	go svc.coalesce(runCtx)
+	svc := New(Config{Order: 12}, Deps{Locator: testLoc})
+	probes := newBlockedProbes(svc) // never released
+	startCoalescer(t, svc)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
@@ -421,6 +790,7 @@ func TestServiceLookupCancelled(t *testing.T) {
 		_, err := svc.Lookup(ctx, 42)
 		done <- err
 	}()
+	<-probes.entered
 	cancel()
 	select {
 	case err := <-done:
@@ -430,4 +800,45 @@ func TestServiceLookupCancelled(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("cancelled lookup hung")
 	}
+}
+
+// BenchmarkLookupMiss is what a miss costs, read without the harness:
+// the real prober over an order-14 world, every lookup a distinct cold
+// in-space address, two goroutines in a closed loop each (the
+// benchmark's serve-churn has two clients). ns/lookup is the mean a
+// caller waits; it was the 2 ms batch window when the coalescer had one.
+func BenchmarkLookupMiss(b *testing.B) {
+	const order, callers = 14, 2
+	const space = 1<<order - 1
+	tw := newTestWorld(b, order, nil)
+	var waited atomic.Int64
+	for done := 0; done < b.N; done += space {
+		// A fresh service per pass over the space: a probed address is a
+		// store hit ever after.
+		b.StopTimer()
+		svc := New(Config{Order: order, Blacklist: tw.bl}, tw.deps)
+		cancel, exited := startCoalescer(b, svc)
+		n := min(b.N-done, space)
+		var wg sync.WaitGroup
+		b.StartTimer()
+		for c := 0; c < callers; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				start := time.Now()
+				for a := 1 + c; a <= n; a += callers {
+					if res, err := svc.Lookup(context.Background(), uint32(a)); err != nil || res.Source != "probe" {
+						b.Errorf("lookup %d: %+v, %v", a, res, err)
+						return
+					}
+				}
+				waited.Add(int64(time.Since(start)))
+			}(c)
+		}
+		wg.Wait()
+		b.StopTimer()
+		cancel()
+		<-exited
+	}
+	b.ReportMetric(float64(waited.Load())/float64(b.N), "ns/lookup")
 }
