@@ -114,7 +114,7 @@ bench-all:
 report:
 	$(GO) run ./cmd/wildreport -order 17 -weeks 10 -week 9
 
-# The paper-vs-measured markdown table at publication scale (slow).
+# The paper-vs-measured markdown table at publication scale (≈ 3 s).
 markdown:
 	$(GO) run ./cmd/wildreport -order 18 -weeks 55 -week 50 -markdown
 

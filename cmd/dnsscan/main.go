@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"goingwild/internal/cli"
+	"goingwild/internal/core"
 	"goingwild/internal/dnswire"
 	"goingwild/internal/domains"
 	"goingwild/internal/fingerprint"
@@ -147,7 +148,7 @@ func main() {
 		// Crash-safe sweep: progress lands in the checkpoint directory at
 		// every rendezvous; a killed run resumes mid-sweep and reproduces
 		// the uninterrupted responder set exactly.
-		rc, err := cli.SweepResume(runner, "sweep")
+		rc, err := core.SweepResume(runner, "sweep")
 		if err != nil {
 			f.Fatal(err)
 		}

@@ -11,7 +11,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 	"time"
@@ -208,75 +207,4 @@ func (f *Flags) StageProgress() pipeline.Observer {
 			fmt.Fprintf(os.Stderr, "%s: stage %-16s skipped\n", f.prog, ev.Stage)
 		}
 	}
-}
-
-// Sectioned returns the seam every stdout block of a report goes through:
-// direct execution without a checkpoint run, journaled crash-safe
-// sections with one. Each checkpointed section also persists the
-// degradation entries it contributed, so a resumed run's final "Degraded
-// stages" block matches the uninterrupted run even when the degrading
-// section is replayed from the journal instead of re-executed.
-func Sectioned(runner *checkpoint.Runner, study *core.Study) func(name string, fn func(w io.Writer) error) error {
-	if runner == nil {
-		return func(name string, fn func(w io.Writer) error) error { return fn(os.Stdout) }
-	}
-	return func(name string, fn func(w io.Writer) error) error {
-		doc := "degraded:" + name
-		if runner.Done(name) {
-			var recs []core.DegradedStage
-			if ok, err := runner.Fetch(doc, &recs); err != nil {
-				return err
-			} else if ok {
-				study.Degraded = append(study.Degraded, recs...)
-			}
-			return runner.Section(name, fn)
-		}
-		base := len(study.Degraded)
-		return runner.Section(name, func(w io.Writer) error {
-			if err := fn(w); err != nil {
-				return err
-			}
-			// Overwriting the same value makes a crash-retry idempotent.
-			if delta := study.Degraded[base:]; len(delta) > 0 {
-				return runner.Update(doc, delta)
-			}
-			return nil
-		})
-	}
-}
-
-// PrintDegraded reports the best-effort stages whose failures the
-// pipeline absorbed. A clean run prints nothing, keeping stdout
-// byte-identical to a build without degradation support.
-func PrintDegraded(w io.Writer, study *core.Study) {
-	if len(study.Degraded) == 0 {
-		return
-	}
-	fmt.Fprintln(w, "Degraded stages (best-effort failures absorbed):")
-	for _, d := range study.Degraded {
-		fmt.Fprintf(w, "  %-26s %s\n", d.Stage, d.Err)
-	}
-	fmt.Fprintln(w)
-}
-
-// SweepResume wires a resumable sweep to document doc of the checkpoint
-// run: the sweep's rendezvous checkpoints land there, a requested stop
-// unwinds the sweep right after a save, and a document a killed run left
-// behind is where the sweep picks up.
-func SweepResume(runner *checkpoint.Runner, doc string) (*scanner.ResumeControl, error) {
-	rc := &scanner.ResumeControl{
-		Save: func(ck *scanner.SweepCheckpoint) error {
-			if err := runner.Update(doc, ck); err != nil {
-				return err
-			}
-			return runner.CheckStop()
-		},
-	}
-	var prev scanner.SweepCheckpoint
-	if ok, err := runner.Fetch(doc, &prev); err != nil {
-		return nil, err
-	} else if ok {
-		rc.Prev = &prev
-	}
-	return rc, nil
 }

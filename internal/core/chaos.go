@@ -60,12 +60,12 @@ func (c *ChaosSummary) Render() string {
 }
 
 // RunChaosPipeline builds a fresh study under the named chaos profile
-// and drives a compact end-to-end pipeline at the given week: the
-// Internet-wide census (compared against the planted ground truth), the
-// CHAOS fingerprinting scan, and the Figure-3 domain chain over one
-// category. It is the harness behind `make chaos` and the chaos matrix
-// test: the pipeline must complete without error under every profile,
-// and the summary must be byte-identical across runs.
+// and drives a compact end-to-end plan at the given week: the
+// Internet-wide census (compared against the planted ground truth) and,
+// over it, the CHAOS fingerprinting scan and the Figure-3 domain chain
+// for one category. It is the harness behind `make chaos` and the chaos
+// matrix test: the pipeline must complete without error under every
+// profile, and the summary must be byte-identical across runs.
 func RunChaosPipeline(ctx context.Context, order uint, profile string, week int) (*ChaosSummary, error) {
 	return RunChaosPipelineMetrics(ctx, order, profile, week, nil)
 }
@@ -88,28 +88,20 @@ func RunChaosPipelineMetrics(ctx context.Context, order uint, profile string, we
 	}
 	defer s.Close()
 
-	sum := &ChaosSummary{Profile: profile, Week: week}
-	bl := s.World.ScanBlacklist()
-	sum.GroundTruth = s.World.CountRespondingAt(wildnet.VantagePrimary, wildnet.At(week), bl.ContainsU32)
-
-	sweep, err := s.SweepAtContext(ctx, week)
-	if err != nil {
-		return nil, fmt.Errorf("chaos %s: sweep: %w", profile, err)
+	p := s.NewPlan(nil)
+	census, survey := p.Census(week), p.Chaos(week)
+	dom := p.DomainStudy(week, []domains.Category{domains.Alexa})
+	if err := p.Run(ctx); err != nil {
+		return nil, fmt.Errorf("chaos %s: %w", profile, err)
 	}
-	sum.SweepTotal = sweep.Total()
-
-	survey, _, err := s.RunChaosContext(ctx, week)
-	if err != nil {
-		return nil, fmt.Errorf("chaos %s: chaos scan: %w", profile, err)
-	}
-	sum.ChaosResponders = survey.Responded
-
-	dom, err := s.RunDomainStudyContext(ctx, week, []domains.Category{domains.Alexa})
-	if err != nil {
-		return nil, fmt.Errorf("chaos %s: domain chain: %w", profile, err)
-	}
-	sum.NoError = len(dom.Resolvers)
-	sum.StageTrace = dom.StageTrace
-	sum.Degraded = s.Degraded
-	return sum, nil
+	return &ChaosSummary{
+		Profile:         profile,
+		Week:            week,
+		SweepTotal:      census.Sweep.Total(),
+		GroundTruth:     s.World.CountRespondingAt(wildnet.VantagePrimary, wildnet.At(week), s.World.ScanBlacklist().ContainsU32),
+		NoError:         len(census.Resolvers),
+		ChaosResponders: survey.V.Responded,
+		StageTrace:      dom.V.StageTrace,
+		Degraded:        s.Degraded,
+	}, nil
 }

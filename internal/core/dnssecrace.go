@@ -29,28 +29,40 @@ type DNSSECRaceResult struct {
 	ValidatedFallback int // unsigned domain: validation cannot help
 }
 
-// RunDNSSECRaceContext probes every resolver of a country for one domain
-// and evaluates both client strategies: census stage, trusted key-fetch
-// stage, then the per-resolver race probes. The zone key is fetched
-// through the trusted path (the "previous knowledge that the domain
-// supports DNSSEC" precondition the paper spells out).
-func (s *Study) RunDNSSECRaceContext(ctx context.Context, week int, country, name string) (*DNSSECRaceResult, error) {
-	s.SetWeek(week)
+// DNSSECRace adds §5's experiment: every resolver of a country among the
+// week's census is probed for one domain and both client strategies are
+// evaluated. The zone key is fetched through the trusted path first (the
+// "previous knowledge that the domain supports DNSSEC" precondition the
+// paper spells out). A plan may race several domains; the stages carry
+// the domain in their name.
+func (p *Plan) DNSSECRace(week int, country, name string) *Out[*DNSSECRaceResult] {
+	s, c, out := p.s, p.Census(week), &Out[*DNSSECRaceResult]{}
 	var (
-		resolvers []uint32
-		pub       ed25519.PublicKey
-		signed    bool
-		res       *DNSSECRaceResult
+		pub    ed25519.PublicKey
+		signed bool
 	)
-	eng := s.engine()
-	eng.MustAdd(pipeline.Stage{
-		Name: "ipv4-scan",
-		Run: func(ctx context.Context) ([]pipeline.Count, error) {
-			sweep, err := s.SweepAtContext(ctx, week)
-			if err != nil {
-				return nil, err
+	c.follow("key-fetch@"+name, pipeline.Required, func(ctx context.Context) ([]pipeline.Count, error) {
+		// Client-side key knowledge via a trusted DNSKEY lookup.
+		msgs, err := s.Scanner.ProbeContext(ctx, s.trustedDNS, name, dnswire.TypeDNSKEY, dnswire.ClassIN)
+		if err != nil {
+			return nil, err
+		}
+		for _, m := range msgs {
+			for _, rr := range m.Answers {
+				if k, ok := rr.Data.(dnswire.DNSKEY); ok {
+					pub = ed25519.PublicKey(k.PublicKey)
+					signed = true
+				}
 			}
-			for _, addr := range sweep.NOERROR() {
+		}
+		return nil, nil
+	})
+	p.Add(pipeline.Stage{
+		Name:  "race-probes@" + name,
+		Needs: []string{"key-fetch@" + name},
+		Run: func(ctx context.Context) ([]pipeline.Count, error) {
+			var resolvers []uint32
+			for _, addr := range c.Resolvers {
 				if s.World.Geo().LookupU32(addr).Country == country {
 					resolvers = append(resolvers, addr)
 				}
@@ -58,33 +70,6 @@ func (s *Study) RunDNSSECRaceContext(ctx context.Context, week int, country, nam
 			if len(resolvers) == 0 {
 				return nil, fmt.Errorf("core: no NOERROR resolvers in %s", country)
 			}
-			return []pipeline.Count{{Name: "country resolvers", Value: len(resolvers)}}, nil
-		},
-	})
-	eng.MustAdd(pipeline.Stage{
-		Name:  "key-fetch",
-		Needs: []string{"ipv4-scan"},
-		Run: func(ctx context.Context) ([]pipeline.Count, error) {
-			// Client-side key knowledge via a trusted DNSKEY lookup.
-			msgs, err := s.Scanner.ProbeContext(ctx, s.trustedDNS, name, dnswire.TypeDNSKEY, dnswire.ClassIN)
-			if err != nil {
-				return nil, err
-			}
-			for _, m := range msgs {
-				for _, rr := range m.Answers {
-					if k, ok := rr.Data.(dnswire.DNSKEY); ok {
-						pub = ed25519.PublicKey(k.PublicKey)
-						signed = true
-					}
-				}
-			}
-			return nil, nil
-		},
-	})
-	eng.MustAdd(pipeline.Stage{
-		Name:  "race-probes",
-		Needs: []string{"key-fetch"},
-		Run: func(ctx context.Context) ([]pipeline.Count, error) {
 			legit, _ := s.TrustedResolve(name)
 			legitSet := map[uint32]bool{}
 			for _, a := range legit {
@@ -99,7 +84,7 @@ func (s *Study) RunDNSSECRaceContext(ctx context.Context, week int, country, nam
 				return false
 			}
 
-			res = &DNSSECRaceResult{Domain: name, Signed: signed, Resolvers: len(resolvers)}
+			res := &DNSSECRaceResult{Domain: name, Signed: signed, Resolvers: len(resolvers)}
 			for _, r := range resolvers {
 				if err := ctx.Err(); err != nil {
 					return nil, err
@@ -139,16 +124,21 @@ func (s *Study) RunDNSSECRaceContext(ctx context.Context, week int, country, nam
 					res.ValidatedUnavail++
 				}
 			}
+			out.V = res
 			return []pipeline.Count{
+				{Name: "country resolvers", Value: len(resolvers)},
 				{Name: "first-response poisoned", Value: res.FirstPoisoned},
 				{Name: "validated correct", Value: res.ValidatedCorrect},
 			}, nil
 		},
 	})
-	if _, err := s.runEngine(ctx, eng); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return out
+}
+
+// RunDNSSECRaceContext probes every resolver of a country for one domain
+// and evaluates both client strategies.
+func (s *Study) RunDNSSECRaceContext(ctx context.Context, week int, country, name string) (*DNSSECRaceResult, error) {
+	return runOne(ctx, s, func(p *Plan) *Out[*DNSSECRaceResult] { return p.DNSSECRace(week, country, name) })
 }
 
 func u32Of(a interface{ As4() [4]byte }) uint32 {

@@ -21,9 +21,9 @@ type DomainStudyResult struct {
 	// Fig4 is the country-distribution figure for the censored trio.
 	Fig4 *classify.Figure4
 	// StageTrace records per-stage tuple counts (the Figure-3 box
-	// flow). The counts are emitted by the pipeline stages themselves
-	// and collected from the engine's trace — there is no separate
-	// accounting to fall out of sync.
+	// flow): the very counts steps ❶–❺ hand the engine, filed as they
+	// are handed over — there is no separate accounting to fall out of
+	// sync.
 	StageTrace []StageCount
 }
 
@@ -33,13 +33,11 @@ type StageCount struct {
 	Count int
 }
 
-// RunDomainStudyContext executes steps ❶–❻ at the given week for the
-// given categories (nil means all 13) as a pipeline: census → domain
-// scan → prefilter → classify → Figure 4. The ground-truth domain is
-// always appended, as in §3.3.
-func (s *Study) RunDomainStudyContext(ctx context.Context, week int, cats []domains.Category) (*DomainStudyResult, error) {
-	s.SetWeek(week)
-
+// DomainStudy adds steps ❷–❻ at the given week for the given categories
+// (nil means all 13) behind the week's census, step ❶: domain scan →
+// prefilter → classify → Figure 4. The ground-truth domain is always
+// appended, as in §3.3.
+func (p *Plan) DomainStudy(week int, cats []domains.Category) *Out[*DomainStudyResult] {
 	// ❷'s name list is static configuration, not stage work.
 	var names []string
 	if cats == nil {
@@ -53,42 +51,46 @@ func (s *Study) RunDomainStudyContext(ctx context.Context, week int, cats []doma
 	}
 	names = append(names, domains.GroundTruth)
 
-	res := &DomainStudyResult{}
+	s, c, res := p.s, p.Census(week), &DomainStudyResult{}
 	var pipe *classify.Pipeline
-	eng := s.engine()
+	// flow files a stage's counts in the result's Figure-3 box flow on
+	// their way to the engine. The plan's engine traces every experiment,
+	// so the chain keeps its own boxes.
+	flow := func(counts ...pipeline.Count) []pipeline.Count {
+		for _, n := range counts {
+			res.StageTrace = append(res.StageTrace, StageCount{Stage: n.Name, Count: n.Value})
+		}
+		return counts
+	}
 
-	// ❶ Full IPv4 scan.
-	eng.MustAdd(s.sweepStage("ipv4-scan", week, &res.Resolvers, nil))
-
-	// ❷ Domain scan for the selected categories plus the GT domain.
-	eng.MustAdd(pipeline.Stage{
-		Name:  "domain-scan",
-		Needs: []string{"ipv4-scan"},
-		Run: func(ctx context.Context) ([]pipeline.Count, error) {
-			var err error
-			res.Scan, err = s.Scanner.ScanDomainsContext(ctx, res.Resolvers, names)
-			if err != nil {
-				return nil, err
-			}
-			return []pipeline.Count{{Name: "2-domain-scan probes", Value: len(res.Resolvers) * len(names)}}, nil
-		},
+	// ❷ Domain scan for the selected categories plus the GT domain, over
+	// ❶'s resolvers; ❶'s boxes open the flow.
+	c.follow("domain-scan", pipeline.Required, func(ctx context.Context) ([]pipeline.Count, error) {
+		res.Resolvers = c.Resolvers
+		var err error
+		res.Scan, err = s.Scanner.ScanDomainsContext(ctx, res.Resolvers, names)
+		if err != nil {
+			return nil, err
+		}
+		flow(c.counts()...)
+		return flow(pipeline.Count{Name: "2-domain-scan probes", Value: len(res.Resolvers) * len(names)}), nil
 	})
 
 	// ❸ DNS-based prefiltering.
-	eng.MustAdd(pipeline.Stage{
+	p.Add(pipeline.Stage{
 		Name:  "prefilter",
 		Needs: []string{"domain-scan"},
 		Run: func(ctx context.Context) ([]pipeline.Count, error) {
 			res.Pre = prefilter.Run(res.Scan, s.PrefilterEnv())
-			return []pipeline.Count{
-				{Name: "3-unexpected tuples", Value: len(res.Pre.Unexpected)},
-				{Name: "3-unexpected resolvers", Value: len(res.Pre.UnexpectedResolvers())},
-			}, nil
+			return flow(
+				pipeline.Count{Name: "3-unexpected tuples", Value: len(res.Pre.Unexpected)},
+				pipeline.Count{Name: "3-unexpected resolvers", Value: len(res.Pre.UnexpectedResolvers())},
+			), nil
 		},
 	})
 
 	// ❹–❻ Acquisition, clustering, labeling, case studies.
-	eng.MustAdd(pipeline.Stage{
+	p.Add(pipeline.Stage{
 		Name:  "classify",
 		Needs: []string{"prefilter"},
 		Run: func(ctx context.Context) ([]pipeline.Count, error) {
@@ -106,19 +108,18 @@ func (s *Study) RunDomainStudyContext(ctx context.Context, week int, cats []doma
 				ProbeCountryInjection: s.ProbeCountryInjection,
 			}
 			res.Report = pipe.Run(res.Scan, res.Pre, gt)
-			return []pipeline.Count{
-				{Name: "4-fetched pairs", Value: res.Report.PairCount},
-				{Name: "5-clusters", Value: res.Report.Clusters},
-			}, nil
+			return flow(
+				pipeline.Count{Name: "4-fetched pairs", Value: res.Report.PairCount},
+				pipeline.Count{Name: "5-clusters", Value: res.Report.Clusters},
+			), nil
 		},
 	})
 
 	// Figure 4 rides after classification (it reads scan + prefilter
 	// only, but the figure belongs to the finished report). It reports
-	// no Figure-3 counts, keeping the trace exactly the box flow. The
-	// figure is presentation, not measurement, so a failure degrades to
-	// an empty figure instead of discarding the whole chain.
-	eng.MustAdd(pipeline.Stage{
+	// no Figure-3 counts, keeping the flow exactly the boxes. The figure
+	// is presentation, not measurement, hence best-effort.
+	p.Add(pipeline.Stage{
 		Name:   "figure4",
 		Needs:  []string{"classify"},
 		Policy: pipeline.BestEffort,
@@ -128,19 +129,13 @@ func (s *Study) RunDomainStudyContext(ctx context.Context, week int, cats []doma
 			return nil, nil
 		},
 	})
+	return &Out[*DomainStudyResult]{V: res}
+}
 
-	trace, err := s.runEngine(ctx, eng)
-	if err != nil {
-		return nil, err
-	}
-	if res.Fig4 == nil {
-		// Degraded: an empty figure keeps the renderers total-safe.
-		res.Fig4 = &classify.Figure4{}
-	}
-	for _, c := range trace.Counts() {
-		res.StageTrace = append(res.StageTrace, StageCount{Stage: c.Name, Count: c.Value})
-	}
-	return res, nil
+// RunDomainStudyContext executes steps ❶–❻ at the given week for the
+// given categories (nil means all 13).
+func (s *Study) RunDomainStudyContext(ctx context.Context, week int, cats []domains.Category) (*DomainStudyResult, error) {
+	return runOne(ctx, s, func(p *Plan) *Out[*DomainStudyResult] { return p.DomainStudy(week, cats) })
 }
 
 // CensorCoverageFor exposes the per-country compliance ratio for one

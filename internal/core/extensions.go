@@ -10,69 +10,72 @@ import (
 	"goingwild/internal/snoop"
 )
 
-// RunAmplificationContext surveys the population's ANY-query
+// Amplification adds the survey of the population's ANY-query
 // amplification potential (the DDoS framing of §1/§3; companion to the
-// authors' 2014 amplification study): census stage, then ANY-survey
-// stage.
-func (s *Study) RunAmplificationContext(ctx context.Context, week int, name string) (*ampli.Survey, int, error) {
-	var (
-		resolvers []uint32
-		survey    *ampli.Survey
-	)
-	eng := s.engine()
-	eng.MustAdd(s.sweepStage("ipv4-scan", week, &resolvers, nil))
-	eng.MustAdd(pipeline.Stage{
-		Name:  "any-survey",
-		Needs: []string{"ipv4-scan"},
-		Run: func(ctx context.Context) ([]pipeline.Count, error) {
-			survey = ampli.Run(ctx, s.Transport, resolvers, name)
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			return []pipeline.Count{{Name: "amplification responders", Value: survey.Responded}}, nil
-		},
+// authors' 2014 amplification study) over the week's census.
+func (p *Plan) Amplification(week int, name string) *Out[*ampli.Survey] {
+	c, out := p.Census(week), &Out[*ampli.Survey]{}
+	c.follow("any-survey", pipeline.Required, func(ctx context.Context) ([]pipeline.Count, error) {
+		out.V = ampli.Run(ctx, p.s.Transport, c.Resolvers, name)
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		return []pipeline.Count{{Name: "amplification responders", Value: out.V.Responded}}, nil
 	})
-	if _, err := s.runEngine(ctx, eng); err != nil {
-		return nil, 0, err
-	}
-	return survey, len(resolvers), nil
+	return out
 }
 
-// RunPopularityContext executes the fine-grained minute-resolution cache
-// probe (§2.6's suggested follow-up) over the resolvers the hourly study
-// flagged as in use: census stage, then minute-snoop stage.
+// RunAmplificationContext runs the amplification survey and reports how
+// many resolvers it targeted.
+func (s *Study) RunAmplificationContext(ctx context.Context, week int, name string) (*ampli.Survey, int, error) {
+	p := s.NewPlan(nil)
+	survey := p.Amplification(week, name)
+	if err := p.Run(ctx); err != nil {
+		return nil, 0, err
+	}
+	return survey.V, len(p.Census(week).Resolvers), nil
+}
+
+// Popularity adds the fine-grained minute-resolution cache probe (§2.6's
+// suggested follow-up) over the week's census.
+func (p *Plan) Popularity(week int) *Out[[]snoop.PopularityEstimate] {
+	c, out := p.Census(week), &Out[[]snoop.PopularityEstimate]{}
+	c.follow("minute-snoop", pipeline.Required, func(ctx context.Context) ([]pipeline.Count, error) {
+		cfg := snoop.DefaultPopularityConfig()
+		cfg.Week = week
+		// Index of "com" in the snooped TLD list keeps probe
+		// sequence numbers aligned with the hourly study.
+		for i, tld := range domains.SnoopedTLDs {
+			if tld == cfg.TLD {
+				cfg.TLDIdx = i
+			}
+		}
+		var err error
+		out.V, err = snoop.EstimatePopularity(ctx, p.s.Scanner, p.s.Transport, c.Resolvers, cfg)
+		if err != nil {
+			return nil, err
+		}
+		return []pipeline.Count{{Name: "popularity estimates", Value: len(out.V)}}, nil
+	})
+	return out
+}
+
+// RunPopularityContext executes the minute-resolution cache probe.
 func (s *Study) RunPopularityContext(ctx context.Context, week int) ([]snoop.PopularityEstimate, error) {
-	var (
-		resolvers []uint32
-		estimates []snoop.PopularityEstimate
-	)
-	eng := s.engine()
-	eng.MustAdd(s.sweepStage("ipv4-scan", week, &resolvers, nil))
-	eng.MustAdd(pipeline.Stage{
-		Name:  "minute-snoop",
-		Needs: []string{"ipv4-scan"},
+	return runOne(ctx, s, func(p *Plan) *Out[[]snoop.PopularityEstimate] { return p.Popularity(week) })
+}
+
+// Netalyzr adds RunNetalyzr as a stage.
+func (p *Plan) Netalyzr(week, sessions int) *Out[*netalyzr.Study] {
+	out := &Out[*netalyzr.Study]{}
+	p.Add(pipeline.Stage{
+		Name: "netalyzr",
 		Run: func(ctx context.Context) ([]pipeline.Count, error) {
-			cfg := snoop.DefaultPopularityConfig()
-			cfg.Week = week
-			// Index of "com" in the snooped TLD list keeps probe
-			// sequence numbers aligned with the hourly study.
-			for i, tld := range domains.SnoopedTLDs {
-				if tld == cfg.TLD {
-					cfg.TLDIdx = i
-				}
-			}
-			var err error
-			estimates, err = snoop.EstimatePopularity(ctx, s.Scanner, s.Transport, resolvers, cfg)
-			if err != nil {
-				return nil, err
-			}
-			return []pipeline.Count{{Name: "popularity estimates", Value: len(estimates)}}, nil
+			out.V = p.s.RunNetalyzr(week, sessions)
+			return nil, nil
 		},
 	})
-	if _, err := s.runEngine(ctx, eng); err != nil {
-		return nil, err
-	}
-	return estimates, nil
+	return out
 }
 
 // RunNetalyzr simulates the in-network volunteer-session study of Weaver

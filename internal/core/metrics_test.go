@@ -224,3 +224,38 @@ func TestSendAnsweredReconcilesWithDomainScan(t *testing.T) {
 		t.Error("scanner.domains.unattributed = 0 over every name: the short names' rewritten-port responses went uncounted")
 	}
 }
+
+// TestPlanCountsTheCensusOnce reads a full report plan's traffic off the
+// snapshot: the census counters are the census, not a multiple of it by
+// however many experiments stand behind it, and the sweep traffic is
+// weeks + 2 sweeps — the weekly series, the one census, the cohort's
+// week-0 scan — and nothing else.
+func TestPlanCountsTheCensusOnce(t *testing.T) {
+	const weeks, week = 4, 3
+	reg := metrics.New()
+	cfg := DefaultConfig(16)
+	cfg.Weeks = weeks
+	cfg.Metrics = reg
+	s, err := NewStudy(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	p := s.NewPlan(nil)
+	full := addFullReport(p, week)
+	if err := p.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
+	census := full.census
+	if got, want := snap.Counter("pipeline.count.1-ipv4-scan responders"), uint64(len(census.Sweep.Responders)); got != want {
+		t.Errorf("pipeline.count.1-ipv4-scan responders = %d, the census holds %d", got, want)
+	}
+	if got, want := snap.Counter("pipeline.count.1-noerror resolvers"), uint64(len(census.Resolvers)); got != want {
+		t.Errorf("pipeline.count.1-noerror resolvers = %d, the census holds %d", got, want)
+	}
+	if got, want := snap.Counter("scanner.sweep.sent"), uint64(weeks+2)*census.Sweep.Probed; got != want {
+		t.Errorf("scanner.sweep.sent = %d, want %d = (%d weeks + census + week0-scan) × %d probed",
+			got, want, weeks, census.Sweep.Probed)
+	}
+}

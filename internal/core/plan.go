@@ -1,0 +1,134 @@
+package core
+
+import (
+	"context"
+	"fmt"
+
+	"goingwild/internal/pipeline"
+	"goingwild/internal/scanner"
+)
+
+// Plan is one report: one pipeline.Engine, the inputs its experiments
+// share, and the experiments themselves. Figure 3 starts with one "❶ full
+// IPv4 scan" per week, and every follow-up of §2.4–§4 targets the
+// resolver list that scan produced; a plan is that DAG. Census adds a
+// week's scan the first time the week is asked for, each experiment
+// method adds its own stages behind it and returns the handle its result
+// lands in, and Run executes the lot in the order it was added (a stage
+// is always added after the stages it needs). The sharing dies with the
+// plan: Study.SweepAtContext sweeps on every call.
+//
+// The one invariant an experiment honours: its first stage re-seats the
+// clock before it touches the network (Census.follow does it) and never
+// assumes the census ran just before it — some other experiment usually
+// did, and left the clock where it finished (the cohort at its last
+// week, the snoop 36 hours into its own). Re-seating is also why a shared
+// census is byte-identical to a private one under every fault profile:
+// MemTransport.SetTime restarts the fault layer's retransmission counter,
+// so every sweep of a week starts from the same transport state, and a
+// sweep's probes are unique per (target, round), so the counter entries
+// it leaves are ones no follow-up probe can hit.
+type Plan struct {
+	s      *Study
+	eng    *pipeline.Engine
+	store  SeriesStore
+	census map[int]*Census
+}
+
+// NewPlan starts an empty plan. A non-nil store makes its long scans
+// crash-safe: a census sweep and the streamed weekly series record their
+// progress there and resume from what a killed run left.
+func (s *Study) NewPlan(store SeriesStore) *Plan {
+	return &Plan{s: s, eng: s.engine(), store: store, census: map[int]*Census{}}
+}
+
+// Add appends a stage; a name already taken panics.
+func (p *Plan) Add(st pipeline.Stage) { p.eng.MustAdd(st) }
+
+// Run executes the plan, once. Handles are valid when it returns nil.
+func (p *Plan) Run(ctx context.Context) error {
+	_, err := p.eng.Run(ctx)
+	return err
+}
+
+// Out is the typed handle to an experiment's result: V is set by the
+// stages that produce it.
+type Out[T any] struct{ V T }
+
+// runOne is the plan behind a Study.Run*Context method: one experiment.
+func runOne[T any](ctx context.Context, s *Study, add func(*Plan) *Out[T]) (T, error) {
+	p := s.NewPlan(nil)
+	out := add(p)
+	if err := p.Run(ctx); err != nil {
+		var zero T
+		return zero, err
+	}
+	return out.V, nil
+}
+
+// Census is one week's "❶ full IPv4 scan", the input the week's
+// point-in-time experiments share: Stage names it for Needs edges, Sweep
+// is its result and Resolvers the NOERROR population every follow-up scan
+// targets, both set when the stage runs and read-only after.
+type Census struct {
+	Stage     string
+	Week      int
+	Sweep     *scanner.SweepResult
+	Resolvers []uint32
+	p         *Plan
+}
+
+// Census adds the week's scan to the plan the first time the week is
+// asked for and returns the same handle every time after.
+func (p *Plan) Census(week int) *Census {
+	if c, ok := p.census[week]; ok {
+		return c
+	}
+	c := &Census{Stage: "ipv4-scan", Week: week, p: p}
+	if len(p.census) > 0 {
+		c.Stage = fmt.Sprintf("ipv4-scan@%d", week)
+	}
+	p.census[week] = c
+	p.Add(pipeline.Stage{
+		Name: c.Stage,
+		Run: func(ctx context.Context) ([]pipeline.Count, error) {
+			doc := fmt.Sprintf("census-sweep@%d", week)
+			rc, err := SweepResume(p.store, doc)
+			if err != nil {
+				return nil, err
+			}
+			if c.Sweep, err = p.s.SweepAtResumeContext(ctx, week, rc); err != nil {
+				return nil, err
+			}
+			if p.store != nil {
+				p.store.Drop(doc) // reaches disk with the store's next save
+			}
+			c.Resolvers = c.Sweep.NOERROR()
+			return c.counts(), nil
+		},
+	})
+	return c
+}
+
+// counts are the Figure-3 box annotations of step ❶.
+func (c *Census) counts() []pipeline.Count {
+	return []pipeline.Count{
+		{Name: "1-ipv4-scan responders", Value: c.Sweep.Total()},
+		{Name: "1-noerror resolvers", Value: len(c.Resolvers)},
+	}
+}
+
+// follow adds the stage an experiment opens with: it needs the census
+// and re-seats the clock at the census week (see Plan). The experiment's
+// later stages continue on the clock this one leaves.
+func (c *Census) follow(name string, policy pipeline.Policy, run func(ctx context.Context) ([]pipeline.Count, error)) {
+	c.p.Add(pipeline.Stage{
+		Name:   name,
+		Needs:  []string{c.Stage},
+		Policy: policy,
+		Run: func(ctx context.Context) ([]pipeline.Count, error) {
+			c.p.s.SetWeek(c.Week)
+			return run(ctx)
+		},
+	})
+}

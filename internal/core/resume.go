@@ -3,10 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"goingwild/internal/churn"
-	"goingwild/internal/pipeline"
 	"goingwild/internal/scanner"
 )
 
@@ -64,158 +62,55 @@ func (s *Study) SweepAtResumeContext(ctx context.Context, week int, rc *scanner.
 	return s.Scanner.SweepResumeContext(ctx, s.Cfg.Order, s.Cfg.ScanSeed+uint32(week)*7919, s.World.ScanBlacklist(), rc)
 }
 
-// RunWeeklySeriesResumeContext is the crash-safe twin of
-// RunWeeklySeriesStreamContext: the identical epoch stream — same clock
-// advance, same per-week seed schedule, same stage names, same applied
-// deltas — threaded through a SeriesStore so the run can be killed at
-// any instant and resumed to the exact same Series.
-//
-// Progress is recorded at two granularities. Mid-sweep, the scanner's
-// rendezvous checkpoints land in sweepDocName (tagged with the week);
-// after each epoch's deltas are applied, the EpochCommit hook persists
-// the cursor and the tracker's frozen state in seriesDocName. On entry,
-// the store is consulted: a committed cursor skips the finished weeks
-// entirely (the tracker resumes from its frozen aggregates, and
-// RunEpochsFrom re-enters the stream at the cursor), and a sweep
-// document for the in-flight week resumes that sweep from its last
-// rendezvous. A sweep document for an already-committed week — a crash
-// landed between the epoch commit and the next generation — is simply
-// ignored: replaying a week's sweep from scratch is deterministic, so
-// dropped progress costs time, never bytes.
-//
-// A nil store degrades to RunWeeklySeriesStreamContext.
-func (s *Study) RunWeeklySeriesResumeContext(ctx context.Context, store SeriesStore, live func(EpochView)) (*churn.Series, error) {
+// SweepResume wires a resumable sweep to document doc of the store: the
+// sweep's rendezvous checkpoints land there, a requested stop unwinds the
+// sweep right after a save, and a document a killed run left behind is
+// where the sweep picks up. A nil store yields a nil control, which is
+// the plain sweep.
+func SweepResume(store SeriesStore, doc string) (*scanner.ResumeControl, error) {
 	if store == nil {
-		return s.RunWeeklySeriesStreamContext(ctx, live)
+		return nil, nil
+	}
+	rc := &scanner.ResumeControl{
+		Save: func(ck *scanner.SweepCheckpoint) error {
+			if err := store.Update(doc, ck); err != nil {
+				return err
+			}
+			return store.CheckStop()
+		},
+	}
+	var prev scanner.SweepCheckpoint
+	if ok, err := store.Fetch(doc, &prev); err != nil {
+		return nil, err
+	} else if ok {
+		rc.Prev = &prev
+	}
+	return rc, nil
+}
+
+// resumeSeries reads where a weekly series stands in the store: the
+// tracker holding every committed epoch, the cursor (the next week to
+// sweep) and the in-flight week's sweep checkpoint if it left one. A nil
+// or empty store is a series that has not started.
+func (s *Study) resumeSeries(store SeriesStore) (tracker *churn.Tracker, cursor int, prevSweep *scanner.SweepCheckpoint, err error) {
+	tracker = churn.NewTracker(s.locator(), []int{0, s.Cfg.Weeks - 1})
+	if store == nil {
+		return tracker, 0, nil, nil
 	}
 	var ck SeriesCheckpoint
-	resumed, err := store.Fetch(seriesDocName, &ck)
-	if err != nil {
-		return nil, err
-	}
-	var tracker *churn.Tracker
-	if resumed {
+	if ok, err := store.Fetch(seriesDocName, &ck); err != nil {
+		return nil, 0, nil, err
+	} else if ok {
 		if ck.Cursor < 0 || ck.Cursor > s.Cfg.Weeks {
-			return nil, fmt.Errorf("core: series checkpoint cursor %d out of range for %d weeks", ck.Cursor, s.Cfg.Weeks)
+			return nil, 0, nil, fmt.Errorf("core: series checkpoint cursor %d out of range for %d weeks", ck.Cursor, s.Cfg.Weeks)
 		}
 		tracker = churn.ResumeTracker(s.locator(), ck.Tracker)
-	} else {
-		tracker = churn.NewTracker(s.locator(), []int{0, s.Cfg.Weeks - 1})
 	}
-	cursor := ck.Cursor
-
 	var ws weekSweepState
-	var prevSweep *scanner.SweepCheckpoint
 	if ok, err := store.Fetch(sweepDocName, &ws); err != nil {
-		return nil, err
-	} else if ok && ws.Week == cursor {
+		return nil, 0, nil, err
+	} else if ok && ws.Week == ck.Cursor {
 		prevSweep = &ws.Ck
 	}
-
-	em := pipeline.NewEpochMetrics(s.Cfg.Metrics)
-	q := pipeline.NewQueue[churn.EpochDelta](epochQueueDepth)
-
-	// The producer owns the queue, exactly as in the plain stream; its
-	// Sweep closure routes each week through the resumable sweep so the
-	// rendezvous checkpoints reach the store mid-week.
-	prodCtx, cancelProd := context.WithCancel(ctx)
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	defer cancelProd()
-	var prodErr error
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer q.Close()
-		prodErr = churn.StreamWeekly(prodCtx, s.Scanner, s.Transport, churn.StudyConfig{
-			Order:     s.Cfg.Order,
-			Seed:      s.Cfg.ScanSeed,
-			Weeks:     s.Cfg.Weeks,
-			Blacklist: s.World.ScanBlacklist(),
-			StartWeek: cursor,
-			Prev:      tracker.Snapshot(),
-			Sweep: func(ctx context.Context, week int) (*scanner.SweepResult, error) {
-				rc := &scanner.ResumeControl{
-					Save: func(sck *scanner.SweepCheckpoint) error {
-						if err := store.Update(sweepDocName, weekSweepState{Week: week, Ck: *sck}); err != nil {
-							return err
-						}
-						return store.CheckStop()
-					},
-				}
-				if week == cursor {
-					rc.Prev = prevSweep
-				}
-				return s.Scanner.SweepResumeContext(ctx, s.Cfg.Order, s.Cfg.ScanSeed+uint32(week), s.World.ScanBlacklist(), rc)
-			},
-		}, func(ctx context.Context, d churn.EpochDelta) error {
-			return q.Put(ctx, d)
-		})
-	}()
-
-	eng := s.engine()
-	eng.MustAdd(pipeline.Stage{
-		Name: "epoch-apply",
-		RunEpoch: func(ctx context.Context, epoch int) ([]pipeline.Count, error) {
-			d, ok, err := q.Get(ctx)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				if prodErr != nil {
-					return nil, prodErr
-				}
-				return nil, fmt.Errorf("core: epoch stream ended before epoch %d", epoch)
-			}
-			lag := q.Len()
-			em.Lag.Set(int64(lag))
-			em.DeltaSize.Observe(int64(len(d.Deltas)))
-			obs, err := tracker.Apply(d)
-			if err != nil {
-				return nil, err
-			}
-			em.Epochs.Inc()
-			if live != nil {
-				live(EpochView{Obs: obs, Delta: d, Lag: lag})
-			}
-			return []pipeline.Count{
-				{Name: "epoch deltas", Value: len(d.Deltas)},
-				{Name: "week responders", Value: obs.Total},
-			}, nil
-		},
-	})
-	eng.MustAdd(pipeline.Stage{
-		Name:  "series-final",
-		Needs: []string{"epoch-apply"},
-		Run: func(ctx context.Context) ([]pipeline.Count, error) {
-			wg.Wait()
-			if prodErr != nil {
-				return nil, prodErr
-			}
-			// The producer is done, so no in-flight sweep save can race
-			// this removal; it reaches disk with the caller's next
-			// generation (typically the owning section's completion).
-			store.Drop(sweepDocName)
-			series := tracker.Series()
-			counts := []pipeline.Count{{Name: "weeks scanned", Value: len(series.Weeks)}}
-			if len(series.Weeks) > 0 {
-				counts = append(counts, pipeline.Count{Name: "final-week responders", Value: series.Last().Total})
-			}
-			return counts, nil
-		},
-	})
-	// Commit the cursor after each applied epoch: everything up to and
-	// including this week is now derivable from the store alone. The
-	// stop check runs after the save, so a first-interrupt run exits
-	// with exactly this state on disk.
-	eng.EpochCommit = func(ctx context.Context, epoch int) error {
-		if err := store.Update(seriesDocName, SeriesCheckpoint{Cursor: epoch + 1, Tracker: tracker.State()}); err != nil {
-			return err
-		}
-		return store.CheckStop()
-	}
-	if _, err := s.runEngineEpochsFrom(ctx, eng, cursor, s.Cfg.Weeks); err != nil {
-		return nil, err
-	}
-	return tracker.Series(), nil
+	return tracker, ck.Cursor, prevSweep, nil
 }

@@ -7,6 +7,7 @@ import (
 
 	"goingwild/internal/churn"
 	"goingwild/internal/pipeline"
+	"goingwild/internal/scanner"
 )
 
 // epochQueueDepth bounds the delta queue between the sweep producer and
@@ -27,6 +28,13 @@ type EpochView struct {
 }
 
 // RunWeeklySeriesStreamContext performs the §2.2 longitudinal scans as
+// an epoch stream: RunWeeklySeriesResumeContext with nothing to resume
+// from and nowhere to save.
+func (s *Study) RunWeeklySeriesStreamContext(ctx context.Context, live func(EpochView)) (*churn.Series, error) {
+	return s.RunWeeklySeriesResumeContext(ctx, nil, live)
+}
+
+// RunWeeklySeriesResumeContext performs the §2.2 longitudinal scans as
 // an epoch stream instead of one batch stage: a producer goroutine runs
 // the weekly sweeps (in exactly the batch path's clock and seed order,
 // so the simulated world evolves identically) and feeds per-week delta
@@ -34,19 +42,61 @@ type EpochView struct {
 // batch per epoch into a mergeable churn.Tracker; the "series-final"
 // finalizer joins the producer and freezes the series. The returned
 // Series is identical — byte for byte through every renderer — to what
-// RunWeeklySeriesContext produces, which is the whole point: live
-// per-epoch output without forking the results.
+// RunWeeklySeriesContext produces: live per-epoch output without forking
+// the results.
 //
 // live, when non-nil, is called after each epoch is applied, on the
 // consumer side of the queue; like the pipeline observer it is a side
-// channel and must not be used to feed results back in. Per-epoch lag
-// and delta-size metrics land in Cfg.Metrics (pipeline.epoch.lag is
-// Timing class; pipeline.delta.size and pipeline.epoch.done are
-// deterministic).
-func (s *Study) RunWeeklySeriesStreamContext(ctx context.Context, live func(EpochView)) (*churn.Series, error) {
+// channel. Per-epoch lag and delta-size metrics land in Cfg.Metrics
+// (pipeline.epoch.lag is Timing class; pipeline.delta.size and
+// pipeline.epoch.done are deterministic).
+//
+// store, when non-nil, makes the run resumable to the exact same Series
+// from a kill at any instant; a nil store is the same stream entered at
+// week 0 with no save hooks installed. Progress is recorded at two
+// granularities: mid-sweep, the scanner's rendezvous checkpoints land in
+// sweepDocName (tagged with the week); after each epoch's deltas are
+// applied, the EpochCommit hook persists the cursor and the tracker's
+// frozen state in seriesDocName. On entry a committed cursor skips the
+// finished weeks entirely, and a sweep document for the in-flight week
+// resumes that sweep from its last rendezvous. One for an
+// already-committed week — a crash landed between the epoch commit and
+// the next generation — is ignored: replaying a week's sweep from scratch
+// is deterministic, so dropped progress costs time, never bytes.
+func (s *Study) RunWeeklySeriesResumeContext(ctx context.Context, store SeriesStore, live func(EpochView)) (*churn.Series, error) {
+	tracker, cursor, prevSweep, err := s.resumeSeries(store)
+	if err != nil {
+		return nil, err
+	}
+	weekly := churn.StudyConfig{
+		Order:     s.Cfg.Order,
+		Seed:      s.Cfg.ScanSeed,
+		Weeks:     s.Cfg.Weeks,
+		Blacklist: s.World.ScanBlacklist(),
+		StartWeek: cursor,
+		Prev:      tracker.Snapshot(),
+	}
+	if store != nil {
+		// Route each week through the resumable sweep so the rendezvous
+		// checkpoints reach the store mid-week.
+		weekly.Sweep = func(ctx context.Context, week int) (*scanner.SweepResult, error) {
+			rc := &scanner.ResumeControl{
+				Save: func(sck *scanner.SweepCheckpoint) error {
+					if err := store.Update(sweepDocName, weekSweepState{Week: week, Ck: *sck}); err != nil {
+						return err
+					}
+					return store.CheckStop()
+				},
+			}
+			if week == cursor {
+				rc.Prev = prevSweep
+			}
+			return s.Scanner.SweepResumeContext(ctx, s.Cfg.Order, s.Cfg.ScanSeed+uint32(week), s.World.ScanBlacklist(), rc)
+		}
+	}
+
 	em := pipeline.NewEpochMetrics(s.Cfg.Metrics)
 	q := pipeline.NewQueue[churn.EpochDelta](epochQueueDepth)
-	tracker := churn.NewTracker(s.locator(), []int{0, s.Cfg.Weeks - 1})
 
 	// The producer owns the queue: it alone calls Put and closes it when
 	// the stream ends (normally or not). Its context is cancelled when
@@ -61,14 +111,7 @@ func (s *Study) RunWeeklySeriesStreamContext(ctx context.Context, live func(Epoc
 	go func() {
 		defer wg.Done()
 		defer q.Close()
-		prodErr = churn.StreamWeekly(prodCtx, s.Scanner, s.Transport, churn.StudyConfig{
-			Order:     s.Cfg.Order,
-			Seed:      s.Cfg.ScanSeed,
-			Weeks:     s.Cfg.Weeks,
-			Blacklist: s.World.ScanBlacklist(),
-		}, func(ctx context.Context, d churn.EpochDelta) error {
-			return q.Put(ctx, d)
-		})
+		prodErr = churn.StreamWeekly(prodCtx, s.Scanner, s.Transport, weekly, q.Put)
 	}()
 
 	eng := s.engine()
@@ -114,33 +157,45 @@ func (s *Study) RunWeeklySeriesStreamContext(ctx context.Context, live func(Epoc
 			if prodErr != nil {
 				return nil, prodErr
 			}
-			series := tracker.Series()
-			counts := []pipeline.Count{{Name: "weeks scanned", Value: len(series.Weeks)}}
-			if len(series.Weeks) > 0 {
-				counts = append(counts, pipeline.Count{Name: "final-week responders", Value: series.Last().Total})
+			if store != nil {
+				// The producer is done, so no in-flight sweep save can race
+				// this removal; it reaches disk with the store's next save.
+				store.Drop(sweepDocName)
 			}
-			return counts, nil
+			return seriesCounts(tracker.Series()), nil
 		},
 	})
-	if _, err := s.runEngineEpochs(ctx, eng, s.Cfg.Weeks); err != nil {
+	if store != nil {
+		// Commit the cursor after each applied epoch: everything up to and
+		// including this week is now derivable from the store alone. The
+		// stop check runs after the save, so a first-interrupt run exits
+		// with exactly this state on disk.
+		eng.EpochCommit = func(ctx context.Context, epoch int) error {
+			if err := store.Update(seriesDocName, SeriesCheckpoint{Cursor: epoch + 1, Tracker: tracker.State()}); err != nil {
+				return err
+			}
+			return store.CheckStop()
+		}
+	}
+	if _, err := eng.RunEpochsFrom(ctx, cursor, s.Cfg.Weeks); err != nil {
 		return nil, err
 	}
 	return tracker.Series(), nil
 }
 
-// runEngineEpochs is runEngine's streaming twin: it executes the engine
-// in epoch mode and folds its degradation record into the study-wide
-// Degraded list before handing the trace back.
-func (s *Study) runEngineEpochs(ctx context.Context, eng *pipeline.Engine, epochs int) (*pipeline.Trace, error) {
-	return s.runEngineEpochsFrom(ctx, eng, 0, epochs)
-}
-
-// runEngineEpochsFrom is runEngineEpochs entering the stream at a
-// resumed epoch cursor.
-func (s *Study) runEngineEpochsFrom(ctx context.Context, eng *pipeline.Engine, first, epochs int) (*pipeline.Trace, error) {
-	trace, err := eng.RunEpochsFrom(ctx, first, epochs)
-	for _, st := range trace.Degraded() {
-		s.Degraded = append(s.Degraded, DegradedStage{Stage: st.Name, Err: st.Err.Error()})
-	}
-	return trace, err
+// WeeklySeriesStream adds the §2.2 longitudinal scans as the epoch
+// stream, through the plan's store if it has one. The stream's epochs run
+// on an engine of their own — a plan has none — so its "epoch-apply" and
+// "series-final" events arrive inside this stage's.
+func (p *Plan) WeeklySeriesStream(live func(EpochView)) *Out[*churn.Series] {
+	out := &Out[*churn.Series]{}
+	p.Add(pipeline.Stage{
+		Name: "weekly-stream",
+		Run: func(ctx context.Context) ([]pipeline.Count, error) {
+			var err error
+			out.V, err = p.s.RunWeeklySeriesResumeContext(ctx, p.store, live)
+			return nil, err
+		},
+	})
+	return out
 }

@@ -99,17 +99,17 @@ type Study struct {
 	Client    *fetch.Client
 
 	// Observer, when set, receives every pipeline stage event of every
-	// Run* method — start, done (with tuple counts and elapsed time),
-	// failed. It is a side channel only: study results never depend on
-	// it, so attaching a progress printer cannot perturb the
-	// determinism contract.
+	// plan — start, done (with tuple counts and elapsed time), failed. It
+	// is a side channel only: study results never depend on it, so
+	// attaching a progress printer cannot perturb the determinism
+	// contract.
 	Observer pipeline.Observer
 	// EngineClock times pipeline stages; nil means scanner.SystemClock.
 	EngineClock scanner.Clock
 
 	// Degraded accumulates the best-effort stages whose failures were
-	// absorbed across every Run* call, in execution order. It is
-	// derived from engine traces (never from the observer), so it is as
+	// absorbed, in execution order, filed as the engine announces them
+	// (on its own goroutine, before the next stage starts), so it is as
 	// deterministic as the results themselves. Empty on a clean run.
 	Degraded []DegradedStage
 
@@ -234,56 +234,37 @@ func (s *Study) locator() churn.Locator {
 }
 
 // engine builds a stage engine wired to the study's observer and clock,
-// teeing stage events into the metrics registry when one is attached.
-// Every Run* method composes its work as stages of such an engine.
+// teeing stage events into the metrics registry when one is attached and
+// filing every absorbed best-effort failure in Degraded.
 func (s *Study) engine() *pipeline.Engine {
 	return pipeline.New(s.EngineClock,
-		pipeline.TeeObservers(s.Observer, pipeline.MetricsObserver(s.Cfg.Metrics)))
+		pipeline.TeeObservers(s.noteDegraded, s.Observer, pipeline.MetricsObserver(s.Cfg.Metrics)))
 }
 
-// runEngine executes an engine and folds its degradation record into
-// the study-wide Degraded list before handing the trace back.
-func (s *Study) runEngine(ctx context.Context, eng *pipeline.Engine) (*pipeline.Trace, error) {
-	trace, err := eng.Run(ctx)
-	for _, st := range trace.Degraded() {
-		s.Degraded = append(s.Degraded, DegradedStage{Stage: st.Name, Err: st.Err.Error()})
-	}
-	return trace, err
-}
-
-// sweepStage is the shared "❶ full IPv4 scan" stage: it sweeps the
-// space at the given week and hands the NOERROR population to *resolvers
-// (and, when total is non-nil, the responder total to *total).
-func (s *Study) sweepStage(name string, week int, resolvers *[]uint32, total *int) pipeline.Stage {
-	return pipeline.Stage{
-		Name: name,
-		Run: func(ctx context.Context) ([]pipeline.Count, error) {
-			res, err := s.SweepAtContext(ctx, week)
-			if err != nil {
-				return nil, err
-			}
-			*resolvers = res.NOERROR()
-			if total != nil {
-				*total = res.Total()
-			}
-			return []pipeline.Count{
-				{Name: "1-ipv4-scan responders", Value: res.Total()},
-				{Name: "1-noerror resolvers", Value: len(*resolvers)},
-			}, nil
-		},
+func (s *Study) noteDegraded(ev pipeline.StageEvent) {
+	if ev.Kind == pipeline.StageDegraded {
+		s.Degraded = append(s.Degraded, DegradedStage{Stage: ev.Stage, Err: ev.Err.Error()})
 	}
 }
 
-// RunWeeklySeriesContext performs the §2.2 longitudinal scans (Figure 1
-// and, via the retained endpoints, Tables 1–2) as a one-stage pipeline.
-func (s *Study) RunWeeklySeriesContext(ctx context.Context) (*churn.Series, error) {
-	var series *churn.Series
-	eng := s.engine()
-	eng.MustAdd(pipeline.Stage{
+// seriesCounts are the counts the weekly series reports when it is done.
+func seriesCounts(series *churn.Series) []pipeline.Count {
+	counts := []pipeline.Count{{Name: "weeks scanned", Value: len(series.Weeks)}}
+	if len(series.Weeks) > 0 {
+		counts = append(counts, pipeline.Count{Name: "final-week responders", Value: series.Last().Total})
+	}
+	return counts
+}
+
+// WeeklySeries adds the §2.2 longitudinal scans (Figure 1 and, via the
+// retained endpoints, Tables 1–2) as one batch stage.
+func (p *Plan) WeeklySeries() *Out[*churn.Series] {
+	s, out := p.s, &Out[*churn.Series]{}
+	p.Add(pipeline.Stage{
 		Name: "weekly-scans",
 		Run: func(ctx context.Context) ([]pipeline.Count, error) {
 			var err error
-			series, err = churn.RunWeekly(ctx, s.Scanner, s.Transport, s.locator(), churn.StudyConfig{
+			out.V, err = churn.RunWeekly(ctx, s.Scanner, s.Transport, s.locator(), churn.StudyConfig{
 				Order:       s.Cfg.Order,
 				Seed:        s.Cfg.ScanSeed,
 				Weeks:       s.Cfg.Weeks,
@@ -293,23 +274,21 @@ func (s *Study) RunWeeklySeriesContext(ctx context.Context) (*churn.Series, erro
 			if err != nil {
 				return nil, err
 			}
-			counts := []pipeline.Count{{Name: "weeks scanned", Value: len(series.Weeks)}}
-			if len(series.Weeks) > 0 {
-				counts = append(counts, pipeline.Count{Name: "final-week responders", Value: series.Last().Total})
-			}
-			return counts, nil
+			return seriesCounts(out.V), nil
 		},
 	})
-	if _, err := s.runEngine(ctx, eng); err != nil {
-		return nil, err
-	}
-	return series, nil
+	return out
 }
 
-// SweepAtContext runs a single Internet-wide scan at a given week.
+// RunWeeklySeriesContext performs the §2.2 longitudinal scans.
+func (s *Study) RunWeeklySeriesContext(ctx context.Context) (*churn.Series, error) {
+	return runOne(ctx, s, (*Plan).WeeklySeries)
+}
+
+// SweepAtContext runs a single Internet-wide scan at a given week, on
+// every call; sharing one week's scan between experiments is a Plan's job.
 func (s *Study) SweepAtContext(ctx context.Context, week int) (*scanner.SweepResult, error) {
-	s.SetWeek(week)
-	return s.Scanner.SweepContext(ctx, s.Cfg.Order, s.Cfg.ScanSeed+uint32(week)*7919, s.World.ScanBlacklist())
+	return s.SweepAtResumeContext(ctx, week, nil)
 }
 
 // SweepShardAt runs shard `shard` of `of` of the week's Internet-wide
@@ -321,15 +300,13 @@ func (s *Study) SweepShardAt(ctx context.Context, week, shard, of int) (*scanner
 	return s.Scanner.SweepShardContext(ctx, s.Cfg.Order, s.Cfg.ScanSeed+uint32(week)*7919, s.World.ScanBlacklist(), shard, of)
 }
 
-// RunCohortStudyContext tracks the week-0 responders (Figure 2, §2.5):
-// a week-0 census stage feeding a weekly re-probe stage.
-func (s *Study) RunCohortStudyContext(ctx context.Context, weeks int) (*churn.CohortStudy, error) {
-	var (
-		cohort []uint32
-		study  *churn.CohortStudy
-	)
-	eng := s.engine()
-	eng.MustAdd(pipeline.Stage{
+// Cohort adds the tracking of the week-0 responders (Figure 2, §2.5): a
+// week-0 census of its own — a different week from the report's — feeding
+// a weekly re-probe stage.
+func (p *Plan) Cohort(weeks int) *Out[*churn.CohortStudy] {
+	s, out := p.s, &Out[*churn.CohortStudy]{}
+	var cohort []uint32
+	p.Add(pipeline.Stage{
 		Name: "week0-scan",
 		Run: func(ctx context.Context) ([]pipeline.Count, error) {
 			res, err := s.SweepAtContext(ctx, 0)
@@ -343,49 +320,50 @@ func (s *Study) RunCohortStudyContext(ctx context.Context, weeks int) (*churn.Co
 			return []pipeline.Count{{Name: "cohort members", Value: len(cohort)}}, nil
 		},
 	})
-	eng.MustAdd(pipeline.Stage{
+	p.Add(pipeline.Stage{
 		Name:  "cohort-track",
 		Needs: []string{"week0-scan"},
 		Run: func(ctx context.Context) ([]pipeline.Count, error) {
 			var err error
-			study, err = churn.RunCohort(ctx, s.Scanner, s.Transport, cohort, weeks, s.trustedDNS)
+			out.V, err = churn.RunCohort(ctx, s.Scanner, s.Transport, cohort, weeks, s.trustedDNS)
 			if err != nil {
 				return nil, err
 			}
-			return []pipeline.Count{{Name: "final survivors", Value: len(study.Survivors)}}, nil
+			return []pipeline.Count{{Name: "final survivors", Value: len(out.V.Survivors)}}, nil
 		},
 	})
-	if _, err := s.runEngine(ctx, eng); err != nil {
-		return nil, err
-	}
-	return study, nil
+	return out
 }
 
-// RunChaosContext performs the CHAOS fingerprinting scan of §2.4
-// (Table 3): census stage, then version-query stage.
-func (s *Study) RunChaosContext(ctx context.Context, week int) (*fingerprint.ChaosSurvey, int, error) {
-	var (
-		resolvers []uint32
-		survey    *fingerprint.ChaosSurvey
-	)
-	eng := s.engine()
-	eng.MustAdd(s.sweepStage("ipv4-scan", week, &resolvers, nil))
-	eng.MustAdd(pipeline.Stage{
-		Name:  "chaos-scan",
-		Needs: []string{"ipv4-scan"},
-		Run: func(ctx context.Context) ([]pipeline.Count, error) {
-			chaos, err := s.Scanner.ScanChaosContext(ctx, resolvers)
-			if err != nil {
-				return nil, err
-			}
-			survey = fingerprint.SurveyChaos(chaos)
-			return []pipeline.Count{{Name: "chaos responders", Value: chaos.Responded()}}, nil
-		},
+// RunCohortStudyContext tracks the week-0 responders (Figure 2, §2.5).
+func (s *Study) RunCohortStudyContext(ctx context.Context, weeks int) (*churn.CohortStudy, error) {
+	return runOne(ctx, s, func(p *Plan) *Out[*churn.CohortStudy] { return p.Cohort(weeks) })
+}
+
+// Chaos adds the CHAOS fingerprinting scan of §2.4 (Table 3) over the
+// week's census.
+func (p *Plan) Chaos(week int) *Out[*fingerprint.ChaosSurvey] {
+	c, out := p.Census(week), &Out[*fingerprint.ChaosSurvey]{}
+	c.follow("chaos-scan", pipeline.Required, func(ctx context.Context) ([]pipeline.Count, error) {
+		chaos, err := p.s.Scanner.ScanChaosContext(ctx, c.Resolvers)
+		if err != nil {
+			return nil, err
+		}
+		out.V = fingerprint.SurveyChaos(chaos)
+		return []pipeline.Count{{Name: "chaos responders", Value: chaos.Responded()}}, nil
 	})
-	if _, err := s.runEngine(ctx, eng); err != nil {
+	return out
+}
+
+// RunChaosContext performs the CHAOS scan of §2.4 (Table 3) and reports
+// how many resolvers it targeted.
+func (s *Study) RunChaosContext(ctx context.Context, week int) (*fingerprint.ChaosSurvey, int, error) {
+	p := s.NewPlan(nil)
+	survey := p.Chaos(week)
+	if err := p.Run(ctx); err != nil {
 		return nil, 0, err
 	}
-	return survey, len(resolvers), nil
+	return survey.V, len(p.Census(week).Resolvers), nil
 }
 
 // bannerSource adapts the world's TCP services for the fingerprinter.
@@ -399,77 +377,47 @@ func (b bannerSource) Banner(addr uint32, proto devices.Proto) (string, bool) {
 	return b.w.ServiceBanner(addr, proto, b.t)
 }
 
-// RunDevicesContext performs the device fingerprinting of §2.4
-// (Table 4): census stage, then banner-grab stage.
-func (s *Study) RunDevicesContext(ctx context.Context, week int) (*fingerprint.DeviceSurvey, error) {
-	var (
-		resolvers []uint32
-		survey    *fingerprint.DeviceSurvey
-	)
-	eng := s.engine()
-	eng.MustAdd(s.sweepStage("ipv4-scan", week, &resolvers, nil))
-	// Banner grabbing is auxiliary to the DNS study: a failure here
-	// degrades Table 4 to zeros instead of killing the whole run.
-	eng.MustAdd(pipeline.Stage{
-		Name:   "device-fingerprint",
-		Needs:  []string{"ipv4-scan"},
-		Policy: pipeline.BestEffort,
-		Run: func(ctx context.Context) ([]pipeline.Count, error) {
-			survey = fingerprint.SurveyDevices(bannerSource{s.World, wildnet.At(week)}, resolvers)
-			return []pipeline.Count{{Name: "banner responders", Value: survey.Responsive}}, nil
-		},
+// Devices adds the device fingerprinting of §2.4 (Table 4) over the
+// week's census. Banner grabbing is auxiliary to the DNS study: a
+// failure here degrades Table 4 instead of killing the whole run.
+func (p *Plan) Devices(week int) *Out[*fingerprint.DeviceSurvey] {
+	c, out := p.Census(week), &Out[*fingerprint.DeviceSurvey]{}
+	c.follow("device-fingerprint", pipeline.BestEffort, func(ctx context.Context) ([]pipeline.Count, error) {
+		out.V = fingerprint.SurveyDevices(bannerSource{p.s.World, wildnet.At(week)}, c.Resolvers)
+		return []pipeline.Count{{Name: "banner responders", Value: out.V.Responsive}}, nil
 	})
-	if _, err := s.runEngine(ctx, eng); err != nil {
-		return nil, err
-	}
-	if survey == nil {
-		// Degraded: an empty survey keeps every renderer total-safe.
-		survey = &fingerprint.DeviceSurvey{Scanned: len(resolvers)}
-	}
-	return survey, nil
+	return out
 }
 
-// RunUtilizationContext performs the cache-snooping study of §2.6:
-// census stage, then the 36-hour snooping stage.
-func (s *Study) RunUtilizationContext(ctx context.Context, week int) (*snoop.Result, error) {
-	var (
-		resolvers []uint32
-		result    *snoop.Result
-	)
-	eng := s.engine()
-	eng.MustAdd(s.sweepStage("ipv4-scan", week, &resolvers, nil))
-	// Cache snooping is a 36-hour side study (§2.6): a failure degrades
-	// the utilization table instead of killing the run.
-	eng.MustAdd(pipeline.Stage{
-		Name:   "cache-snoop",
-		Needs:  []string{"ipv4-scan"},
-		Policy: pipeline.BestEffort,
-		Run: func(ctx context.Context) ([]pipeline.Count, error) {
-			cfg := snoop.DefaultConfig(domains.SnoopedTLDs)
-			cfg.Week = week
-			var err error
-			result, err = snoop.Run(ctx, s.Scanner, s.Transport, resolvers, cfg)
-			if err != nil {
-				return nil, err
-			}
-			return []pipeline.Count{
-				{Name: "snoop responders", Value: result.Responded},
-				{Name: "in-use resolvers", Value: result.Counts[snoop.ClassInUse]},
-			}, nil
-		},
-	})
-	if _, err := s.runEngine(ctx, eng); err != nil {
-		return nil, err
-	}
-	if result == nil {
-		// Degraded: an empty result keeps every renderer total-safe.
-		result = &snoop.Result{
-			Scanned:  len(resolvers),
-			Counts:   map[snoop.Class]int{},
-			Verdicts: map[uint32]snoop.Class{},
+// RunDevicesContext performs the device fingerprinting of §2.4 (Table 4).
+func (s *Study) RunDevicesContext(ctx context.Context, week int) (*fingerprint.DeviceSurvey, error) {
+	return runOne(ctx, s, func(p *Plan) *Out[*fingerprint.DeviceSurvey] { return p.Devices(week) })
+}
+
+// Utilization adds the 36-hour cache-snooping study of §2.6 over the
+// week's census. It is a side study: a failure degrades the utilization
+// table — to whatever history the snoop had gathered, which snoop.Run
+// classifies and returns beside its error — instead of killing the run.
+func (p *Plan) Utilization(week int) *Out[*snoop.Result] {
+	c, out := p.Census(week), &Out[*snoop.Result]{}
+	c.follow("cache-snoop", pipeline.BestEffort, func(ctx context.Context) ([]pipeline.Count, error) {
+		cfg := snoop.DefaultConfig(domains.SnoopedTLDs)
+		cfg.Week = week
+		var err error
+		if out.V, err = snoop.Run(ctx, p.s.Scanner, p.s.Transport, c.Resolvers, cfg); err != nil {
+			return nil, err
 		}
-	}
-	return result, nil
+		return []pipeline.Count{
+			{Name: "snoop responders", Value: out.V.Responded},
+			{Name: "in-use resolvers", Value: out.V.Counts[snoop.ClassInUse]},
+		}, nil
+	})
+	return out
+}
+
+// RunUtilizationContext performs the cache-snooping study of §2.6.
+func (s *Study) RunUtilizationContext(ctx context.Context, week int) (*snoop.Result, error) {
+	return runOne(ctx, s, func(p *Plan) *Out[*snoop.Result] { return p.Utilization(week) })
 }
 
 // VerificationResult compares the primary and secondary vantage scans
@@ -481,50 +429,32 @@ type VerificationResult struct {
 	MissedNOERRORShare   float64
 }
 
-// RunVerificationContext executes the secondary-vantage verification
-// scan: the primary and secondary censuses run as independent stages, a
-// comparison stage joins them.
-func (s *Study) RunVerificationContext(ctx context.Context, week int) (*VerificationResult, error) {
-	var (
-		primary, secondary *scanner.SweepResult
-		out                *VerificationResult
-	)
-	eng := s.engine()
-	eng.MustAdd(pipeline.Stage{
-		Name: "primary-scan",
-		Run: func(ctx context.Context) ([]pipeline.Count, error) {
-			var err error
-			primary, err = s.SweepAtContext(ctx, week)
-			if err != nil {
-				return nil, err
-			}
-			return []pipeline.Count{{Name: "primary responders", Value: primary.Total()}}, nil
-		},
-	})
-	eng.MustAdd(pipeline.Stage{
+// Verification adds the secondary-vantage verification scan: the week's
+// census is the primary scan, the secondary vantage sweeps on a
+// transport of its own, and a comparison stage joins the two.
+func (p *Plan) Verification(week int) *Out[*VerificationResult] {
+	s, c, out := p.s, p.Census(week), &Out[*VerificationResult]{}
+	var secondary *scanner.SweepResult
+	p.Add(pipeline.Stage{
 		Name: "secondary-scan",
 		Run: func(ctx context.Context) ([]pipeline.Count, error) {
-			tr2 := wildnet.NewMemTransport(s.World, wildnet.VantageSecondary)
-			defer tr2.Close()
-			tr2.SetTime(wildnet.At(week))
-			sc2 := scanner.New(tr2, s.Cfg.scanOpts())
 			var err error
-			secondary, err = sc2.SweepContext(ctx, s.Cfg.Order, s.Cfg.ScanSeed+uint32(week)*7919+1, s.World.ScanBlacklist())
-			if err != nil {
+			if secondary, err = s.sweepSecondary(ctx, week, s.Cfg.ScanSeed+uint32(week)*7919+1); err != nil {
 				return nil, err
 			}
 			return []pipeline.Count{{Name: "secondary responders", Value: secondary.Total()}}, nil
 		},
 	})
-	eng.MustAdd(pipeline.Stage{
+	p.Add(pipeline.Stage{
 		Name:  "compare-vantages",
-		Needs: []string{"primary-scan", "secondary-scan"},
+		Needs: []string{c.Stage, "secondary-scan"},
 		Run: func(ctx context.Context) ([]pipeline.Count, error) {
+			primary := c.Sweep
 			primarySet := make(map[uint32]bool, primary.Total())
 			for _, r := range primary.Responders {
 				primarySet[r.Addr] = true
 			}
-			out = &VerificationResult{
+			out.V = &VerificationResult{
 				Primary:              primary.Total(),
 				Secondary:            secondary.Total(),
 				OnlySecondaryByRCode: map[dnswire.RCode]int{},
@@ -534,33 +464,40 @@ func (s *Study) RunVerificationContext(ctx context.Context, week int) (*Verifica
 				if primarySet[r.Addr] {
 					continue
 				}
-				out.OnlySecondary++
-				out.OnlySecondaryByRCode[r.RCode]++
+				out.V.OnlySecondary++
+				out.V.OnlySecondaryByRCode[r.RCode]++
 				if r.RCode == dnswire.RCodeNoError {
 					missedNOERROR++
 				}
 			}
 			if n := primary.ByRCode[dnswire.RCodeNoError]; n > 0 {
-				out.MissedNOERRORShare = float64(missedNOERROR) / float64(n)
+				out.V.MissedNOERRORShare = float64(missedNOERROR) / float64(n)
 			}
-			return []pipeline.Count{{Name: "only-secondary responders", Value: out.OnlySecondary}}, nil
+			return []pipeline.Count{{Name: "only-secondary responders", Value: out.V.OnlySecondary}}, nil
 		},
 	})
-	if _, err := s.runEngine(ctx, eng); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return out
+}
+
+// RunVerificationContext executes the §2.2 secondary-vantage verification.
+func (s *Study) RunVerificationContext(ctx context.Context, week int) (*VerificationResult, error) {
+	return runOne(ctx, s, func(p *Plan) *Out[*VerificationResult] { return p.Verification(week) })
+}
+
+// sweepSecondary sweeps the full space at week from the secondary
+// vantage, on a transport of its own.
+func (s *Study) sweepSecondary(ctx context.Context, week int, seed uint32) (*scanner.SweepResult, error) {
+	tr2 := wildnet.NewMemTransport(s.World, wildnet.VantageSecondary)
+	defer tr2.Close()
+	tr2.SetTime(wildnet.At(week))
+	return scanner.New(tr2, s.Cfg.scanOpts()).SweepContext(ctx, s.Cfg.Order, seed, s.World.ScanBlacklist())
 }
 
 // SecondaryAliveSetContext probes the full space from the secondary
 // vantage and returns the responding set, for the vanished-network
 // classification.
 func (s *Study) SecondaryAliveSetContext(ctx context.Context, week int) (map[uint32]bool, error) {
-	tr2 := wildnet.NewMemTransport(s.World, wildnet.VantageSecondary)
-	defer tr2.Close()
-	tr2.SetTime(wildnet.At(week))
-	sc2 := scanner.New(tr2, s.Cfg.scanOpts())
-	res, err := sc2.SweepContext(ctx, s.Cfg.Order, s.Cfg.ScanSeed+99, s.World.ScanBlacklist())
+	res, err := s.sweepSecondary(ctx, week, s.Cfg.ScanSeed+99)
 	if err != nil {
 		return nil, err
 	}

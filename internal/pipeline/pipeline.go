@@ -1,8 +1,8 @@
 // Package pipeline is the measurement pipeline's stage engine. The
 // paper's processing chain (Figure 3: sweep → prefilter → domain scans →
-// matching → clustering → labeling) is a DAG of stages, and every study
-// in internal/core is a composition of such stages rather than a
-// hand-wired monolith.
+// matching → clustering → labeling) is a DAG of stages, and a report in
+// internal/core is one plan of such stages rather than a hand-wired
+// monolith.
 //
 // The engine owns three concerns the stages themselves must not:
 //
