@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-escape test test-short bench-test race chaos crash metrics-smoke stream-smoke serve-smoke fuzz-smoke bench-all report markdown examples clean
+.PHONY: all build vet lint lint-escape test test-short bench-test race chaos crash metrics-smoke serve-smoke fuzz-smoke bench-all report markdown examples clean
 
 all: build vet lint test
 
@@ -72,17 +72,6 @@ metrics-smoke:
 	/tmp/wildreport_metrics -order 16 -weeks 8 -week 7 -metrics /tmp/wr_metrics.json > /tmp/wr_withmetrics.txt
 	diff /tmp/wr_nometrics.txt /tmp/wr_withmetrics.txt
 	test -s /tmp/wr_metrics.json
-
-# Streaming epoch guard: the weekly series run incrementally via
-# -epochs (per-week delta batches applied live) must print stdout
-# byte-identical to the batch -weeks run. This is the executable form
-# of the contract that streaming changes when results appear, never
-# what they are.
-stream-smoke:
-	$(GO) build -o /tmp/wildreport_stream ./cmd/wildreport
-	/tmp/wildreport_stream -order 16 -weeks 6 -week 5 > /tmp/wr_batch.txt
-	/tmp/wildreport_stream -order 16 -epochs 6 -week 5 -progress > /tmp/wr_stream.txt 2>/dev/null
-	diff /tmp/wr_batch.txt /tmp/wr_stream.txt
 
 # Service smoke: run wildsvc's built-in self-check — three epochs at
 # order 16, then query the HTTP API over a real socket: a known

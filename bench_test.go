@@ -36,15 +36,16 @@ func benchStudy(b *testing.B, order uint) *core.Study {
 // BenchmarkFigure1WeeklyScans regenerates E1: the weekly responder series
 // with its NOERROR/REFUSED/SERVFAIL breakdown.
 func BenchmarkFigure1WeeklyScans(b *testing.B) {
-	s := benchStudy(b, 16)
-	cfg := churn.StudyConfig{Order: 16, Seed: 42, Weeks: 4, Blacklist: s.World.ScanBlacklist()}
-	loc := func(u uint32) (string, geodb.RIR) {
-		l := s.World.Geo().LookupU32(u)
-		return l.Country, l.RIR
+	cfg := core.DefaultConfig(16)
+	cfg.Weeks = 4
+	s, err := core.NewStudy(cfg)
+	if err != nil {
+		b.Fatal(err)
 	}
+	defer s.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		series, err := churn.RunWeekly(context.Background(), s.Scanner, s.Transport, loc, cfg)
+		series, err := s.RunWeeklySeriesContext(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -17,6 +17,7 @@ import (
 	"os"
 	"time"
 
+	"goingwild/internal/churn"
 	"goingwild/internal/cli"
 	"goingwild/internal/core"
 	"goingwild/internal/dnswire"
@@ -71,7 +72,7 @@ func main() {
 	}
 
 	var tr scanner.Transport
-	var setWeek func(int)
+	var clock churn.Clock // advances the world between -epochs sweeps
 	settle := scanner.NoSettle
 	if *useUDP {
 		gw, err := wildnet.StartGateway(world, wildnet.VantagePrimary)
@@ -84,8 +85,7 @@ func main() {
 		if err != nil {
 			f.Fatal(err)
 		}
-		tr = udp
-		setWeek = func(w int) { gw.SetTime(wildnet.At(w)) }
+		tr, clock = udp, gw
 		settle = 200 * time.Millisecond
 		if *rate == 0 {
 			// Loopback sockets drop bursts beyond the buffer; pace
@@ -96,8 +96,7 @@ func main() {
 	} else {
 		mem := wildnet.NewMemTransport(world, wildnet.VantagePrimary)
 		mem.SetTime(wildnet.At(*week))
-		tr = mem
-		setWeek = func(w int) { mem.SetTime(wildnet.At(w)) }
+		tr, clock = mem, mem
 	}
 	defer tr.Close()
 
@@ -116,29 +115,29 @@ func main() {
 	start := time.Now()
 	var sweep *scanner.SweepResult
 	if *epochs > 0 {
-		// Epoch-streaming mode: one weekly sweep per epoch, expressed as
-		// delta batches and replayed into a running snapshot — the same
-		// diff/apply layer the streaming study engine rides on. Per-epoch
-		// lines go to stderr; the summary below reflects the replayed
-		// final snapshot, which must equal the last sweep exactly.
-		var snapshot, prev []scanner.Responder
+		// Epoch-streaming mode: the weekly loop every binary runs
+		// (churn.StreamWeekly), here into a sink that replays each week's
+		// delta batch into a running snapshot. Per-epoch lines go to
+		// stderr; the summary below reflects the replayed final snapshot,
+		// which must equal the last sweep exactly.
+		var snapshot []scanner.Responder
 		var probed uint64
 		var records int
-		for epoch := 0; epoch < *epochs; epoch++ {
-			setWeek(epoch)
-			res, err := sc.SweepContext(ctx, f.Order, uint32(*scanSeed)+uint32(epoch), world.ScanBlacklist())
+		err := churn.StreamWeekly(ctx, sc, clock, churn.StudyConfig{
+			Order: f.Order, Seed: uint32(*scanSeed), Weeks: *epochs, Blacklist: world.ScanBlacklist(),
+		}, func(_ context.Context, d churn.EpochDelta) error {
+			next, err := scanner.ApplyResponderDeltas(snapshot, d.Deltas)
 			if err != nil {
-				f.Fatal(err)
+				return err
 			}
-			deltas := scanner.DiffSweepResponders(prev, res.Responders)
-			snapshot, err = scanner.ApplyResponderDeltas(snapshot, deltas)
-			if err != nil {
-				f.Fatal(err)
-			}
-			prev, probed = res.Responders, res.Probed
-			records += len(deltas)
+			snapshot, probed = next, d.Probed
+			records += len(d.Deltas)
 			fmt.Fprintf(os.Stderr, "dnsscan: epoch %d: %d delta records, %d responders\n",
-				epoch, len(deltas), len(snapshot))
+				d.Week, len(d.Deltas), len(snapshot))
+			return nil
+		})
+		if err != nil {
+			f.Fatal(err)
 		}
 		sweep = scanner.SnapshotSweep(probed, snapshot)
 		elapsed := time.Since(start)

@@ -39,7 +39,6 @@ func main() {
 	flag.Lookup("order").Usage = "address-space width in bits (14–32)"
 	var (
 		weeks     = flag.Int("weeks", 12, "weekly scans for the longitudinal study")
-		epochs    = flag.Int("epochs", 0, "stream the weekly series incrementally as N weekly epochs (implies -weeks N; 0 = batch); stdout is byte-identical either way")
 		r         cli.Report
 		exps      = flag.String("exp", "all", "comma-separated experiments: "+strings.Join(cli.ExpNames(sections(&r, "")), ",")+" (census is not part of all)")
 		week      = flag.Int("week", 50, "study week for the point-in-time experiments")
@@ -53,9 +52,6 @@ func main() {
 	}
 	cfg := f.StudyConfig()
 	cfg.Weeks = *weeks
-	if *epochs > 0 {
-		cfg.Weeks = *epochs
-	}
 	// -exp is a filter over the section table; a name the table does not
 	// know is a usage error, not an empty report.
 	table, err := cli.Select(sections(&r, *export), *exps)
@@ -64,8 +60,8 @@ func main() {
 		os.Exit(2)
 	}
 	ctx, runner, release := f.Context(context.Background(), fmt.Sprintf(
-		"goingwild order=%d seed=%#x weeks=%d epochs=%d exp=%s week=%d chaos=%s export=%s",
-		f.Order, f.Seed, *weeks, *epochs, *exps, *week, f.Chaos, *export))
+		"goingwild order=%d seed=%#x weeks=%d exp=%s week=%d chaos=%s export=%s",
+		f.Order, f.Seed, *weeks, *exps, *week, f.Chaos, *export))
 	defer release()
 
 	study, err := core.NewStudy(cfg)
@@ -88,7 +84,7 @@ func main() {
 		return
 	}
 
-	f.Start(&r, study, runner, *week, *epochs > 0)
+	f.Start(&r, study, runner, *week)
 	cli.Sectioned(&r, table)
 	if err := r.Plan.Run(ctx); err != nil {
 		f.Fatal(err)

@@ -6,9 +6,8 @@
 //
 //	wildreport -order 18 -weeks 55            # full run, text output
 //	wildreport -order 18 -markdown            # markdown comparison table
-//	wildreport -order 20 -progress            # stage events on stderr
+//	wildreport -order 20 -progress            # stage events and live per-week churn on stderr
 //	wildreport -order 16 -chaos hostile       # run under injected faults
-//	wildreport -order 16 -epochs 8 -progress  # stream the weekly series, live churn on stderr
 //	wildreport -order 20 -checkpoint run.ckpt # crash-safe; resume with -resume
 //
 // With -checkpoint, every completed report section is journaled and the
@@ -32,7 +31,6 @@ func main() {
 	f.RegisterRun()
 	var (
 		weeks    = flag.Int("weeks", 55, "weekly scans")
-		epochs   = flag.Int("epochs", 0, "stream the weekly series incrementally as N weekly epochs (implies -weeks N; 0 = batch); stdout is byte-identical either way")
 		week     = flag.Int("week", 50, "week for point-in-time experiments")
 		markdown = flag.Bool("markdown", false, "emit the markdown comparison table only")
 	)
@@ -44,13 +42,10 @@ func main() {
 		f.Fatal(fmt.Errorf("-checkpoint and -markdown are mutually exclusive"))
 	}
 	ctx, runner, release := f.Context(context.Background(), fmt.Sprintf(
-		"wildreport order=%d seed=%#x weeks=%d epochs=%d week=%d chaos=%s",
-		f.Order, f.Seed, *weeks, *epochs, *week, f.Chaos))
+		"wildreport order=%d seed=%#x weeks=%d week=%d chaos=%s",
+		f.Order, f.Seed, *weeks, *week, f.Chaos))
 	defer release()
 
-	if *epochs > 0 {
-		*weeks = *epochs
-	}
 	cfg := f.StudyConfig()
 	cfg.Weeks = *weeks
 	study, err := core.NewStudy(cfg)
@@ -70,7 +65,7 @@ func main() {
 	// (every experiment re-seats the world clock before touching the
 	// network, so section-granularity replay is exact).
 	var r cli.Report
-	f.Start(&r, study, runner, *week, *epochs > 0)
+	f.Start(&r, study, runner, *week)
 	table := []cli.Section{
 		{Name: "series", Blocks: []cli.Block{r.Figure1(), r.Table1(), r.Table2()}},
 		cli.Of(r.Table3(false)),

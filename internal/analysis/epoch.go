@@ -10,13 +10,12 @@ import (
 	"goingwild/internal/scanner"
 )
 
-// RenderEpochDelta renders one epoch of the streaming weekly series as
-// a live churn update: the delta composition (adds, removes, rcode or
-// source flips) followed by the week's running Figure-1 line and the
-// top country movements. It is the per-epoch view the binaries print to
-// stderr under -epochs -progress; the final tables on stdout stay the
-// batch renderings, byte for byte.
-func RenderEpochDelta(obs *churn.WeekObservation, d churn.EpochDelta, scale Scale, lag int) string {
+// RenderEpochDelta renders one epoch of the weekly series as a live
+// churn update: the delta composition (adds, removes, rcode or source
+// flips) followed by the week's running Figure-1 line and the top
+// country movements. It is the per-epoch view the report binaries print
+// to stderr under -progress; the final tables go to stdout.
+func RenderEpochDelta(obs *churn.WeekObservation, d churn.EpochDelta, scale Scale) string {
 	var adds, updates, removes int
 	for _, dl := range d.Deltas {
 		switch dl.Op {
@@ -29,12 +28,11 @@ func RenderEpochDelta(obs *churn.WeekObservation, d churn.EpochDelta, scale Scal
 		}
 	}
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "epoch %2d  +%d -%d ~%d  responders %.0f  (NOERROR %.0f, REFUSED %.0f)  lag %d\n",
+	fmt.Fprintf(&sb, "epoch %2d  +%d -%d ~%d  responders %.0f  (NOERROR %.0f, REFUSED %.0f)\n",
 		d.Week, adds, removes, updates,
 		scale.Extrapolate(obs.Total),
 		scale.Extrapolate(obs.ByRCode[dnswire.RCodeNoError]),
-		scale.Extrapolate(obs.ByRCode[dnswire.RCodeRefused]),
-		lag)
+		scale.Extrapolate(obs.ByRCode[dnswire.RCodeRefused]))
 	for _, row := range topCountries(obs, 5) {
 		fmt.Fprintf(&sb, "          %-8s %8.0f\n", row.key, scale.Extrapolate(row.n))
 	}

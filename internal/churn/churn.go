@@ -32,8 +32,8 @@ type WeekObservation struct {
 	ByRCode   map[dnswire.RCode]int
 	ByCountry map[string]int
 	ByRIR     map[geodb.RIR]int
-	// Responders is kept only for the weeks the caller asks to retain
-	// (the first and last, for Tables 1–2 and network forensics).
+	// Responders is kept only for the weeks the Tracker is asked to
+	// retain (the first and last, for Tables 1–2 and network forensics).
 	Responders []scanner.Responder
 }
 
@@ -42,17 +42,15 @@ type Series struct {
 	Weeks []WeekObservation
 }
 
-// StudyConfig parameterizes the longitudinal run.
+// StudyConfig parameterizes the longitudinal run (StreamWeekly).
 type StudyConfig struct {
 	Order     uint
 	Seed      uint32
 	Weeks     int // number of weekly scans (the paper ran 55)
 	Blacklist *lfsr.Blacklist
-	// RetainWeeks lists week indices whose responder lists are kept.
-	RetainWeeks []int
-	// StartWeek is the first week StreamWeekly scans (resume support):
-	// weeks before it are assumed already applied downstream. The zero
-	// value streams the whole study. RunWeekly ignores it.
+	// StartWeek is the first week scanned (resume support): weeks before
+	// it are assumed already applied downstream. The zero value streams
+	// the whole study.
 	StartWeek int
 	// Prev is the responder snapshot of week StartWeek-1, needed to
 	// diff the first streamed week against when resuming mid-series.
@@ -60,46 +58,8 @@ type StudyConfig struct {
 	// Sweep, when set, replaces the weekly SweepContext call — the seam
 	// through which a checkpointing orchestrator injects resumable
 	// sweeps. It must produce exactly what SweepContext(ctx, Order,
-	// Seed+week, Blacklist) produces. RunWeekly ignores it.
+	// Seed+week, Blacklist) produces.
 	Sweep func(ctx context.Context, week int) (*scanner.SweepResult, error)
-}
-
-// RunWeekly performs cfg.Weeks weekly scans, advancing the clock before
-// each. Cancellation checkpoints sit between weeks; a cancelled run
-// returns the weeks measured so far together with ctx.Err().
-func RunWeekly(ctx context.Context, sc *scanner.Scanner, clock Clock, loc Locator, cfg StudyConfig) (*Series, error) {
-	retain := map[int]bool{}
-	for _, w := range cfg.RetainWeeks {
-		retain[w] = true
-	}
-	series := &Series{}
-	for week := 0; week < cfg.Weeks; week++ {
-		if err := ctx.Err(); err != nil {
-			return series, err
-		}
-		clock.SetTime(wildnet.At(week))
-		res, err := sc.SweepContext(ctx, cfg.Order, cfg.Seed+uint32(week), cfg.Blacklist)
-		if err != nil {
-			return series, err
-		}
-		obs := WeekObservation{
-			Week:      week,
-			Total:     res.Total(),
-			ByRCode:   res.ByRCode,
-			ByCountry: map[string]int{},
-			ByRIR:     map[geodb.RIR]int{},
-		}
-		for _, r := range res.Responders {
-			country, rir := loc(r.Addr)
-			obs.ByCountry[country]++
-			obs.ByRIR[rir]++
-		}
-		if retain[week] {
-			obs.Responders = res.Responders
-		}
-		series.Weeks = append(series.Weeks, obs)
-	}
-	return series, nil
 }
 
 // First returns the series' opening observation, or nil when no weeks

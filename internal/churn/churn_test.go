@@ -17,15 +17,28 @@ type rig struct {
 	sc *scanner.Scanner
 }
 
-func newRig(t testing.TB, order uint) *rig {
+func newRig(t testing.TB, order uint) *rig { return newChaosRig(t, order, "clean") }
+
+// newChaosRig builds the rig over a world under a named fault profile,
+// with the sweep retransmission the study runs such profiles with.
+func newChaosRig(t testing.TB, order uint, profile string) *rig {
 	t.Helper()
-	w, err := wildnet.NewWorld(wildnet.DefaultConfig(order))
+	faults, err := wildnet.ChaosProfile(profile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wcfg := wildnet.DefaultConfig(order)
+	wcfg.Faults = faults
+	w, err := wildnet.NewWorld(wcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr := wildnet.NewMemTransport(w, wildnet.VantagePrimary)
-	sc := scanner.New(tr, scanner.Options{Workers: 4, Retries: 1, SettleDelay: time.Millisecond})
-	return &rig{w: w, tr: tr, sc: sc}
+	opts := scanner.Options{Workers: 4, Retries: 1, SettleDelay: time.Millisecond}
+	if faults.Enabled() {
+		opts.SweepRetries = 2
+	}
+	return &rig{w: w, tr: tr, sc: scanner.New(tr, opts)}
 }
 
 func (r *rig) locator() Locator {
@@ -35,16 +48,59 @@ func (r *rig) locator() Locator {
 	}
 }
 
+// runWeeklyReference is the batch weekly series the program ran until
+// StreamWeekly became its only weekly loop, kept as the oracle the
+// differential tests compare the stream against: cfg.Weeks full sweeps,
+// each aggregated from scratch, the responder lists of retainWeeks kept.
+func runWeeklyReference(ctx context.Context, sc *scanner.Scanner, clock Clock, loc Locator, cfg StudyConfig, retainWeeks []int) (*Series, error) {
+	retain := map[int]bool{}
+	for _, w := range retainWeeks {
+		retain[w] = true
+	}
+	series := &Series{}
+	for week := 0; week < cfg.Weeks; week++ {
+		if err := ctx.Err(); err != nil {
+			return series, err
+		}
+		clock.SetTime(wildnet.At(week))
+		res, err := sc.SweepContext(ctx, cfg.Order, cfg.Seed+uint32(week), cfg.Blacklist)
+		if err != nil {
+			return series, err
+		}
+		obs := WeekObservation{
+			Week:      week,
+			Total:     res.Total(),
+			ByRCode:   res.ByRCode,
+			ByCountry: map[string]int{},
+			ByRIR:     map[geodb.RIR]int{},
+		}
+		for _, r := range res.Responders {
+			country, rir := loc(r.Addr)
+			obs.ByCountry[country]++
+			obs.ByRIR[rir]++
+		}
+		if retain[week] {
+			obs.Responders = res.Responders
+		}
+		series.Weeks = append(series.Weeks, obs)
+	}
+	return series, nil
+}
+
 func TestWeeklySeriesDeclines(t *testing.T) {
 	r := newRig(t, 17)
 	defer r.tr.Close()
-	series, err := RunWeekly(context.Background(), r.sc, r.tr, r.locator(), StudyConfig{
+	tracker := NewTracker(r.locator(), []int{0, 7})
+	err := StreamWeekly(context.Background(), r.sc, r.tr, StudyConfig{
 		Order: 17, Seed: 11, Weeks: 8, Blacklist: r.w.ScanBlacklist(),
-		RetainWeeks: []int{0, 7},
+	}, func(_ context.Context, d EpochDelta) error {
+		_, err := tracker.Apply(d)
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	series := tracker.Series()
 	if len(series.Weeks) != 8 {
 		t.Fatalf("weeks = %d", len(series.Weeks))
 	}

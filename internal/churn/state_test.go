@@ -25,7 +25,8 @@ func TestTrackerResumeMidSeries(t *testing.T) {
 		l := w.Geo().LookupU32(u)
 		return l.Country, l.RIR
 	}
-	cfg := StudyConfig{Order: order, Seed: 21, Weeks: weeks, Blacklist: w.ScanBlacklist(), RetainWeeks: []int{0, weeks - 1}}
+	cfg := StudyConfig{Order: order, Seed: 21, Weeks: weeks, Blacklist: w.ScanBlacklist()}
+	retain := []int{0, weeks - 1}
 
 	stream := func(cfg StudyConfig, tr *Tracker) {
 		t.Helper()
@@ -41,10 +42,10 @@ func TestTrackerResumeMidSeries(t *testing.T) {
 		}
 	}
 
-	whole := NewTracker(loc, cfg.RetainWeeks)
+	whole := NewTracker(loc, retain)
 	stream(cfg, whole)
 
-	head := NewTracker(loc, cfg.RetainWeeks)
+	head := NewTracker(loc, retain)
 	headCfg := cfg
 	headCfg.Weeks = cut
 	stream(headCfg, head)

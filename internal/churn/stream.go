@@ -13,21 +13,24 @@ import (
 
 // EpochDelta is one weekly scan expressed as a typed change batch: the
 // deltas that transform the previous week's responder set into this
-// week's, sorted by target address. It is the unit flowing through the
-// epoch stream's bounded queues.
+// week's, sorted by target address. It is what StreamWeekly hands its
+// sink.
 type EpochDelta struct {
 	Week   int
 	Probed uint64
 	Deltas []scanner.ResponderDelta
 }
 
-// StreamWeekly is the incremental producer behind RunWeekly: it runs
-// the identical weekly sweeps — same clock advance, same per-week seed
-// schedule, in the same order, so the simulated world's fault state
-// evolves exactly as under the batch path — but hands each week to sink
-// as an EpochDelta instead of accumulating a Series. A blocking sink
-// (e.g. pipeline.Queue.Put) is the backpressure seam: the producer can
-// run only as far ahead as the sink allows. A sink error (including a
+// StreamWeekly is the program's one weekly loop: for each week it
+// advances the clock, sweeps (seed Seed+week), diffs the responders
+// against the previous week's and hands the result to sink as an
+// EpochDelta before the next week starts. What a run does with a week is
+// its sink: the report applies it to a Tracker inline (core.Plan.
+// WeeklySeries), the serving daemon queues it for an applier that
+// contends with readers (resolvesvc.Service.Run — a blocking sink such as
+// pipeline.Queue.Put is the backpressure seam: the loop runs only as far
+// ahead as the sink allows), dnsscan replays it into a snapshot.
+// Cancellation checkpoints sit between weeks; a sink error (including a
 // closed queue's) aborts the stream.
 func StreamWeekly(ctx context.Context, sc *scanner.Scanner, clock Clock, cfg StudyConfig, sink func(context.Context, EpochDelta) error) error {
 	prev := cfg.Prev
@@ -55,16 +58,12 @@ func StreamWeekly(ctx context.Context, sc *scanner.Scanner, clock Clock, cfg Stu
 	return nil
 }
 
-// Tracker is the mergeable streaming collector for the weekly series:
-// it consumes EpochDeltas in week order and maintains the responder
-// snapshot plus the per-week aggregates incrementally, so each week's
-// tables can render live without a second pass. Its Series output is
-// identical — map for map, slice for slice — to what the batch
-// RunWeekly builds from full sweeps.
-//
-// A Tracker is shard-local (accumulate) and Merge is the deterministic
-// combine: trackers fed disjoint target subsets of the same weeks fold
-// into the tracker the full stream would have produced.
+// Tracker is the streaming collector for the weekly series: it consumes
+// EpochDeltas in week order and maintains the responder snapshot plus
+// the per-week aggregates incrementally, so each week's tables can
+// render live without a second pass. Its Series output is identical —
+// map for map, slice for slice — to what accumulating the full sweeps
+// week by week builds (runWeeklyReference in the tests).
 type Tracker struct {
 	loc      Locator
 	retain   map[int]bool
@@ -78,7 +77,7 @@ type Tracker struct {
 }
 
 // NewTracker builds a tracker that locates responders with loc and
-// retains the responder lists of retainWeeks (as StudyConfig does).
+// retains the responder lists of retainWeeks.
 func NewTracker(loc Locator, retainWeeks []int) *Tracker {
 	retain := map[int]bool{}
 	for _, w := range retainWeeks {
@@ -94,8 +93,8 @@ func NewTracker(loc Locator, retainWeeks []int) *Tracker {
 }
 
 // bump adjusts one aggregate bucket, deleting the key when it reaches
-// zero: the batch path builds its maps by pure increment, so they carry
-// only >0 entries, and the incremental maps must match key for key.
+// zero: maps built from a full sweep by pure increment carry only >0
+// entries, and the incremental maps must match them key for key.
 func bump[K comparable](m map[K]int, k K, by int) {
 	if n := m[k] + by; n == 0 {
 		delete(m, k)
@@ -158,7 +157,7 @@ func (t *Tracker) Apply(d EpochDelta) (*WeekObservation, error) {
 		ByRIR:     copyMap(t.byRIR),
 	}
 	if t.retain[d.Week] {
-		// Non-nil even when empty, matching the batch collector's freeze.
+		// Non-nil even when empty, as a sweep's own responder list is.
 		obs.Responders = make([]scanner.Responder, len(t.snapshot))
 		copy(obs.Responders, t.snapshot)
 	}
@@ -170,75 +169,8 @@ func (t *Tracker) Apply(d EpochDelta) (*WeekObservation, error) {
 // must not mutate it.
 func (t *Tracker) Snapshot() []scanner.Responder { return t.snapshot }
 
-// Series returns the accumulated weekly series — after the final epoch,
-// the same value RunWeekly returns.
+// Series returns the accumulated weekly series.
 func (t *Tracker) Series() *Series { return &t.series }
-
-// Merge folds other — a tracker fed the same weeks over a disjoint
-// target subset — into t. Snapshots merge by address (a shared target
-// is an error: shard streams must partition the space), per-week totals
-// and aggregate maps sum, and retained responder lists merge sorted.
-// The combine is deterministic: the result is independent of merge
-// order up to the commutativity of the sums.
-func (t *Tracker) Merge(other *Tracker) error {
-	if len(t.series.Weeks) != len(other.series.Weeks) {
-		return fmt.Errorf("churn: merging trackers at week %d and week %d", len(t.series.Weeks), len(other.series.Weeks))
-	}
-	merged, err := mergeResponders(t.snapshot, other.snapshot)
-	if err != nil {
-		return err
-	}
-	t.snapshot = merged
-	for k, n := range other.byRCode {
-		bump(t.byRCode, k, n)
-	}
-	for k, n := range other.byCountry {
-		bump(t.byCountry, k, n)
-	}
-	for k, n := range other.byRIR {
-		bump(t.byRIR, k, n)
-	}
-	for i := range t.series.Weeks {
-		a, b := &t.series.Weeks[i], &other.series.Weeks[i]
-		a.Total += b.Total
-		for k, n := range b.ByRCode {
-			bump(a.ByRCode, k, n)
-		}
-		for k, n := range b.ByCountry {
-			bump(a.ByCountry, k, n)
-		}
-		for k, n := range b.ByRIR {
-			bump(a.ByRIR, k, n)
-		}
-		if a.Responders != nil || b.Responders != nil {
-			if a.Responders, err = mergeResponders(a.Responders, b.Responders); err != nil {
-				return fmt.Errorf("churn: week %d retained set: %w", a.Week, err)
-			}
-		}
-	}
-	return nil
-}
-
-// mergeResponders merge-sorts two disjoint sorted responder sets.
-func mergeResponders(a, b []scanner.Responder) ([]scanner.Responder, error) {
-	out := make([]scanner.Responder, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i].Addr < b[j].Addr:
-			out = append(out, a[i])
-			i++
-		case a[i].Addr > b[j].Addr:
-			out = append(out, b[j])
-			j++
-		default:
-			return nil, fmt.Errorf("churn: target %08x tracked by both shards", a[i].Addr)
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out, nil
-}
 
 func copyMap[K comparable](m map[K]int) map[K]int {
 	out := make(map[K]int, len(m))

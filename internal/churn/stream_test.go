@@ -3,20 +3,25 @@ package churn
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
-// streamConfig is the shared study shape for the batch-vs-stream tests.
-var streamConfig = StudyConfig{Order: 16, Seed: 77, Weeks: 6, RetainWeeks: []int{0, 5}}
+// streamConfig is the shared study shape of the reference-vs-stream
+// tests; streamRetain are the weeks whose responder lists are kept.
+var (
+	streamConfig = StudyConfig{Order: 16, Seed: 77, Weeks: 6}
+	streamRetain = []int{0, 5}
+)
 
-// runBatch runs RunWeekly on a fresh world.
-func runBatch(t *testing.T) *Series {
+// runReference runs the batch oracle on a fresh world under profile.
+func runReference(t *testing.T, profile string) *Series {
 	t.Helper()
-	r := newRig(t, streamConfig.Order)
+	r := newChaosRig(t, streamConfig.Order, profile)
 	defer r.tr.Close()
 	cfg := streamConfig
 	cfg.Blacklist = r.w.ScanBlacklist()
-	series, err := RunWeekly(context.Background(), r.sc, r.tr, r.locator(), cfg)
+	series, err := runWeeklyReference(context.Background(), r.sc, r.tr, r.locator(), cfg, streamRetain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,10 +30,10 @@ func runBatch(t *testing.T) *Series {
 
 // runStream runs StreamWeekly into sink on an identically configured
 // fresh world, so the sweeps see the same simulated Internet as the
-// batch run.
-func runStream(t *testing.T, sink func(context.Context, EpochDelta) error) Locator {
+// reference run.
+func runStream(t *testing.T, profile string, sink func(context.Context, EpochDelta) error) Locator {
 	t.Helper()
-	r := newRig(t, streamConfig.Order)
+	r := newChaosRig(t, streamConfig.Order, profile)
 	defer r.tr.Close()
 	cfg := streamConfig
 	cfg.Blacklist = r.w.ScanBlacklist()
@@ -48,53 +53,65 @@ func locFromRig(t *testing.T) Locator {
 	return r.locator()
 }
 
+// TestStreamWeeklyMatchesBatchSeries is the differential test that let
+// the batch loop be deleted: the delta stream replayed through a Tracker
+// must equal the batch oracle's series, map for map and responder for
+// responder, on a clean and on a hostile network, with the scheduler
+// flipped between the two sides.
 func TestStreamWeeklyMatchesBatchSeries(t *testing.T) {
-	batch := runBatch(t)
+	for _, profile := range []string{"clean", "hostile"} {
+		t.Run(profile, func(t *testing.T) {
+			batch := runReference(t, profile)
 
-	var deltas []EpochDelta
-	loc := runStream(t, func(_ context.Context, d EpochDelta) error {
-		deltas = append(deltas, d)
-		return nil
-	})
-
-	// The tracker replays the delta stream over the empty snapshot; the
-	// resulting series must be identical to the batch run's, map for map
-	// and responder for responder — the contract that lets the one-shot
-	// binaries stream without changing a byte of output.
-	tr := NewTracker(loc, streamConfig.RetainWeeks)
-	for _, d := range deltas {
-		if _, err := tr.Apply(d); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := tr.Series()
-	if !reflect.DeepEqual(got, batch) {
-		for i := range batch.Weeks {
-			if !reflect.DeepEqual(got.Weeks[i], batch.Weeks[i]) {
-				t.Errorf("week %d diverged\ngot  %+v\nwant %+v", i, got.Weeks[i], batch.Weeks[i])
+			old := runtime.GOMAXPROCS(0)
+			flipped := 1
+			if old == 1 {
+				flipped = 4
 			}
-		}
-		t.Fatal("streamed series != batch series")
-	}
+			runtime.GOMAXPROCS(flipped)
+			var deltas []EpochDelta
+			loc := runStream(t, profile, func(_ context.Context, d EpochDelta) error {
+				deltas = append(deltas, d)
+				return nil
+			})
+			runtime.GOMAXPROCS(old)
 
-	// The final snapshot must equal the last week's retained set.
-	if !reflect.DeepEqual(tr.Snapshot(), batch.Last().Responders) {
-		t.Error("final snapshot != last retained responder set")
-	}
+			tr := NewTracker(loc, streamRetain)
+			for _, d := range deltas {
+				if _, err := tr.Apply(d); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got := tr.Series()
+			if !reflect.DeepEqual(got, batch) {
+				for i := range batch.Weeks {
+					if !reflect.DeepEqual(got.Weeks[i], batch.Weeks[i]) {
+						t.Errorf("week %d diverged\ngot  %+v\nwant %+v", i, got.Weeks[i], batch.Weeks[i])
+					}
+				}
+				t.Fatal("streamed series != batch series")
+			}
 
-	// The tables the binaries print derive from the series alone, so they
-	// match too; render one as a sanity anchor.
-	if !reflect.DeepEqual(got.CountryFluctuation(10), batch.CountryFluctuation(10)) {
-		t.Error("country fluctuation tables diverged")
+			// The final snapshot must equal the last week's retained set.
+			if !reflect.DeepEqual(tr.Snapshot(), batch.Last().Responders) {
+				t.Error("final snapshot != last retained responder set")
+			}
+
+			// The tables the binaries print derive from the series alone, so they
+			// match too; render one as a sanity anchor.
+			if !reflect.DeepEqual(got.CountryFluctuation(10), batch.CountryFluctuation(10)) {
+				t.Error("country fluctuation tables diverged")
+			}
+		})
 	}
 }
 
 func TestTrackerApplyReturnsLiveObservation(t *testing.T) {
 	// Apply's return value is the live per-epoch view the -progress path
 	// renders: the tracker consumes the stream as it arrives, no buffering.
-	tr := NewTracker(locFromRig(t), streamConfig.RetainWeeks)
+	tr := NewTracker(locFromRig(t), streamRetain)
 	var obs []WeekObservation
-	runStream(t, func(_ context.Context, d EpochDelta) error {
+	runStream(t, "clean", func(_ context.Context, d EpochDelta) error {
 		o, err := tr.Apply(d)
 		if err != nil {
 			return err
@@ -123,54 +140,5 @@ func TestTrackerWeekOrderContract(t *testing.T) {
 	}
 	if _, err := tr.Apply(EpochDelta{Week: 0}); err == nil {
 		t.Error("tracker accepted a repeated week")
-	}
-}
-
-func TestTrackerMergeEqualsUnshardedTracker(t *testing.T) {
-	var deltas []EpochDelta
-	loc := runStream(t, func(_ context.Context, d EpochDelta) error {
-		deltas = append(deltas, d)
-		return nil
-	})
-
-	full := NewTracker(loc, streamConfig.RetainWeeks)
-	even := NewTracker(loc, streamConfig.RetainWeeks)
-	odd := NewTracker(loc, streamConfig.RetainWeeks)
-	for _, d := range deltas {
-		if _, err := full.Apply(d); err != nil {
-			t.Fatal(err)
-		}
-		// Shard-local accumulate: split each batch by target parity, the
-		// same disjoint-partition shape the leapfrog shards produce.
-		var evenD, oddD EpochDelta
-		evenD.Week, oddD.Week = d.Week, d.Week
-		for _, dl := range d.Deltas {
-			if dl.Addr()%2 == 0 {
-				evenD.Deltas = append(evenD.Deltas, dl)
-			} else {
-				oddD.Deltas = append(oddD.Deltas, dl)
-			}
-		}
-		if _, err := even.Apply(evenD); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := odd.Apply(oddD); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	if err := even.Merge(odd); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(even.Series(), full.Series()) {
-		t.Fatal("merged shard trackers != unsharded tracker")
-	}
-	if !reflect.DeepEqual(even.Snapshot(), full.Snapshot()) {
-		t.Fatal("merged snapshot != unsharded snapshot")
-	}
-
-	// Overlap detection: merging a tracker with itself shares every target.
-	if err := full.Merge(full); err == nil {
-		t.Error("self-merge accepted despite shared targets")
 	}
 }

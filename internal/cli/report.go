@@ -115,19 +115,16 @@ type Report struct {
 	Week  int
 	Scale analysis.Scale
 
-	runner    *checkpoint.Runner
-	addSeries func() *core.Out[*churn.Series]
-	series    *core.Out[*churn.Series]
-	dom       *core.Out[*core.DomainStudyResult]
+	runner *checkpoint.Runner
+	live   func(core.EpochView)
+	series *core.Out[*churn.Series]
+	dom    *core.Out[*core.DomainStudyResult]
 }
 
 // Start binds r to a study and an empty plan, crash-safe through runner
-// when the run is checkpointed. stream is the binary's -epochs: the
-// weekly series runs as the resumable epoch stream under -checkpoint, as
-// the plain stream when stream is set, and as one batch stage otherwise —
-// stdout is byte-identical all three ways. Under -progress the stream
-// prints every applied epoch to stderr.
-func (f *Flags) Start(r *Report, study *core.Study, runner *checkpoint.Runner, week int, stream bool) {
+// when the run is checkpointed. Under -progress the weekly series prints
+// every applied epoch to stderr.
+func (f *Flags) Start(r *Report, study *core.Study, runner *checkpoint.Runner, week int) {
 	r.Study, r.Week, r.runner = study, week, runner
 	r.Scale = analysis.Scale(study.World.ScaleFactor())
 	var store core.SeriesStore
@@ -135,15 +132,10 @@ func (f *Flags) Start(r *Report, study *core.Study, runner *checkpoint.Runner, w
 		store = runner
 	}
 	r.Plan = study.NewPlan(store)
-	r.addSeries = r.Plan.WeeklySeries
-	if stream || runner != nil {
-		var live func(core.EpochView)
-		if f.Progress {
-			live = func(v core.EpochView) {
-				fmt.Fprint(os.Stderr, analysis.RenderEpochDelta(v.Obs, v.Delta, r.Scale, v.Lag))
-			}
+	if f.Progress {
+		r.live = func(v core.EpochView) {
+			fmt.Fprint(os.Stderr, analysis.RenderEpochDelta(v.Obs, v.Delta, r.Scale))
 		}
-		r.addSeries = func() *core.Out[*churn.Series] { return r.Plan.WeeklySeriesStream(live) }
 	}
 }
 
@@ -152,7 +144,7 @@ func (f *Flags) Start(r *Report, study *core.Study, runner *checkpoint.Runner, w
 // week replays the checkpointed tracker without scanning at all.
 func (r *Report) Series() *core.Out[*churn.Series] {
 	if r.series == nil {
-		r.series = r.addSeries()
+		r.series = r.Plan.WeeklySeries(r.live)
 	}
 	return r.series
 }

@@ -67,7 +67,7 @@ func TestSectionedAttributesDegradation(t *testing.T) {
 			t.Fatal(err)
 		}
 		var r Report
-		(&Flags{prog: "test"}).Start(&r, study, runner, 3, false)
+		(&Flags{prog: "test"}).Start(&r, study, runner, 3)
 		Sectioned(&r, table(&r, die))
 		err = r.Plan.Run(context.Background())
 		return stdout.String(), runner, err

@@ -36,8 +36,8 @@ type Plan struct {
 }
 
 // NewPlan starts an empty plan. A non-nil store makes its long scans
-// crash-safe: a census sweep and the streamed weekly series record their
-// progress there and resume from what a killed run left.
+// crash-safe: a census sweep and the weekly series record their progress
+// there and resume from what a killed run left.
 func (s *Study) NewPlan(store SeriesStore) *Plan {
 	return &Plan{s: s, eng: s.engine(), store: store, census: map[int]*Census{}}
 }

@@ -1,14 +1,17 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"goingwild/internal/ampli"
 	"goingwild/internal/churn"
 	"goingwild/internal/fingerprint"
+	"goingwild/internal/metrics"
 	"goingwild/internal/netalyzr"
 	"goingwild/internal/pipeline"
 	"goingwild/internal/snoop"
@@ -32,7 +35,7 @@ type fullReport struct {
 
 func addFullReport(p *Plan, week int) *fullReport {
 	return &fullReport{
-		series:   p.WeeklySeries(),
+		series:   p.WeeklySeries(nil),
 		chaos:    p.Chaos(week),
 		devices:  p.Devices(week),
 		cohort:   p.Cohort(p.s.Cfg.Weeks),
@@ -160,6 +163,70 @@ func TestPlanSweepsEachWeekOnce(t *testing.T) {
 	}
 	if other.Sweep == nil || other.Sweep.Total() == 0 {
 		t.Error("the second week's census is empty")
+	}
+}
+
+// TestPlanSeriesIsOneStage watches a series plan from the observer's
+// side: with and without a store it is the one stage "weekly-scans" —
+// started once, done once, nothing nested around or inside it — and the
+// per-epoch instruments count the weeks the stage applied.
+func TestPlanSeriesIsOneStage(t *testing.T) {
+	const weeks = 4
+	run := func(store SeriesStore) (events []string, stripped []byte, epochs uint64) {
+		t.Helper()
+		cfg := DefaultConfig(14)
+		cfg.Weeks, cfg.Metrics = weeks, metrics.New()
+		s, err := NewStudy(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		s.Observer = func(ev pipeline.StageEvent) {
+			events = append(events, ev.Stage+" "+ev.Kind.String())
+		}
+		p := s.NewPlan(store)
+		series := p.WeeklySeries(nil)
+		if err := p.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if len(series.V.Weeks) != weeks {
+			t.Fatalf("series has %d weeks, want %d", len(series.V.Weeks), weeks)
+		}
+		return events, stripJSON(t, cfg.Metrics), cfg.Metrics.Snapshot().Counter("pipeline.epoch.done")
+	}
+	plain, plainJSON, plainEpochs := run(nil)
+	stored, _, storedEpochs := run(newMemStore())
+	want := []string{"weekly-scans start", "weekly-scans done"}
+	if !reflect.DeepEqual(plain, want) || !reflect.DeepEqual(stored, want) {
+		t.Errorf("stage events: plain %v, with a store %v; want %v both ways", plain, stored, want)
+	}
+	if plainEpochs != weeks || storedEpochs != weeks {
+		t.Errorf("pipeline.epoch.done = %d plain, %d with a store; want %d", plainEpochs, storedEpochs, weeks)
+	}
+	if !bytes.Contains(plainJSON, []byte("pipeline.delta.size")) {
+		t.Error("stripped snapshot is missing pipeline.delta.size")
+	}
+}
+
+// TestNewStudyRejectsNegativeWeeks: a negative study length comes from a
+// command line (it used to print empty tables, fail in the epoch engine
+// or panic in the cohort, depending on the flags beside it) and is
+// refused where every binary builds its study; zero stays an empty series.
+func TestNewStudyRejectsNegativeWeeks(t *testing.T) {
+	cfg := DefaultConfig(14)
+	cfg.Weeks = -1
+	if s, err := NewStudy(cfg); err == nil {
+		s.Close()
+		t.Fatal("NewStudy accepted Weeks = -1")
+	} else if !strings.Contains(err.Error(), "-weeks") {
+		t.Errorf("error %q does not name the flag", err)
+	}
+	series, err := planStudy(t, "clean", 14, 0).RunWeeklySeriesContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(series.Weeks) != 0 {
+		t.Errorf("a zero-week study scanned %d weeks", len(series.Weeks))
 	}
 }
 

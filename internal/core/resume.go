@@ -37,8 +37,8 @@ const (
 
 // SeriesCheckpoint is the committed cursor of a resumable weekly
 // series: every epoch before Cursor is applied into Tracker, and the
-// next sweep to run is week Cursor. It is saved by the stream's
-// EpochCommit hook, so a crash between commits re-runs at most one
+// next sweep to run is week Cursor. It is saved by the series' sink right
+// after each apply, so a crash between commits re-runs at most one
 // week's apply (and the sweep itself resumes from sweepDocName).
 type SeriesCheckpoint struct {
 	Cursor  int                `json:"cursor"`
@@ -62,6 +62,16 @@ func (s *Study) SweepAtResumeContext(ctx context.Context, week int, rc *scanner.
 	return s.Scanner.SweepResumeContext(ctx, s.Cfg.Order, s.Cfg.ScanSeed+uint32(week)*7919, s.World.ScanBlacklist(), rc)
 }
 
+// save stores v as the named document and then honours a requested stop:
+// the check runs after the save, so a first-interrupt run unwinds with
+// exactly this state on disk.
+func save(store SeriesStore, doc string, v any) error {
+	if err := store.Update(doc, v); err != nil {
+		return err
+	}
+	return store.CheckStop()
+}
+
 // SweepResume wires a resumable sweep to document doc of the store: the
 // sweep's rendezvous checkpoints land there, a requested stop unwinds the
 // sweep right after a save, and a document a killed run left behind is
@@ -72,12 +82,7 @@ func SweepResume(store SeriesStore, doc string) (*scanner.ResumeControl, error) 
 		return nil, nil
 	}
 	rc := &scanner.ResumeControl{
-		Save: func(ck *scanner.SweepCheckpoint) error {
-			if err := store.Update(doc, ck); err != nil {
-				return err
-			}
-			return store.CheckStop()
-		},
+		Save: func(ck *scanner.SweepCheckpoint) error { return save(store, doc, ck) },
 	}
 	var prev scanner.SweepCheckpoint
 	if ok, err := store.Fetch(doc, &prev); err != nil {

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"goingwild/internal/churn"
 )
 
 // memStore is an in-memory SeriesStore that snapshots its documents on
@@ -88,6 +90,17 @@ func restoredFrom(gen map[string]json.RawMessage) *memStore {
 	return s
 }
 
+// planSeries runs the weekly series as a one-stage plan over store, the
+// way a checkpointed report does.
+func planSeries(s *Study, store SeriesStore) (*churn.Series, error) {
+	p := s.NewPlan(store)
+	series := p.WeeklySeries(nil)
+	if err := p.Run(context.Background()); err != nil {
+		return nil, err
+	}
+	return series.V, nil
+}
+
 func resumeStudy(t *testing.T, order uint, profile string, workers int) *Study {
 	t.Helper()
 	cfg, err := ChaosProfileConfig(order, profile)
@@ -116,19 +129,19 @@ func TestSeriesResumeFromEveryGeneration(t *testing.T) {
 		t.Run(profile, func(t *testing.T) {
 			base := resumeStudy(t, 14, profile, 2)
 			store := newMemStore()
-			want, err := base.RunWeeklySeriesResumeContext(context.Background(), store, nil)
+			want, err := planSeries(base, store)
 			if err != nil {
 				t.Fatal(err)
 			}
 
-			// The plain stream path must be unaffected by the resume plumbing.
+			// The storeless series must be unaffected by the resume plumbing.
 			plain := resumeStudy(t, 14, profile, 2)
-			got, err := plain.RunWeeklySeriesStreamContext(context.Background(), nil)
+			got, err := plain.RunWeeklySeriesContext(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(want, got) {
-				t.Fatal("resumable series differs from the plain stream series")
+				t.Fatal("resumable series differs from the storeless series")
 			}
 
 			if len(store.hist) < 8 {
@@ -145,7 +158,7 @@ func TestSeriesResumeFromEveryGeneration(t *testing.T) {
 					committed++
 				}
 				s := resumeStudy(t, 14, profile, 8)
-				res, err := s.RunWeeklySeriesResumeContext(context.Background(), restoredFrom(snap), nil)
+				res, err := planSeries(s, restoredFrom(snap))
 				if err != nil {
 					t.Fatalf("resume from generation %d: %v", gen, err)
 				}
@@ -166,7 +179,7 @@ func TestSeriesResumeFromEveryGeneration(t *testing.T) {
 // the uninterrupted result.
 func TestSeriesResumeAfterStop(t *testing.T) {
 	base := resumeStudy(t, 14, "hostile", 8)
-	want, err := base.RunWeeklySeriesResumeContext(context.Background(), newMemStore(), nil)
+	want, err := planSeries(base, newMemStore())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,13 +187,13 @@ func TestSeriesResumeAfterStop(t *testing.T) {
 	store := newMemStore()
 	store.stopAt = 5
 	stopped := resumeStudy(t, 14, "hostile", 8)
-	if _, err := stopped.RunWeeklySeriesResumeContext(context.Background(), store, nil); !errors.Is(err, errStopRun) {
+	if _, err := planSeries(stopped, store); !errors.Is(err, errStopRun) {
 		t.Fatalf("stopped run returned %v, want the stop error", err)
 	}
 	store.stopAt = 0
 
 	resumed := resumeStudy(t, 14, "hostile", 8)
-	res, err := resumed.RunWeeklySeriesResumeContext(context.Background(), store, nil)
+	res, err := planSeries(resumed, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,17 +211,21 @@ func TestSeriesResumeAfterStop(t *testing.T) {
 func TestSeriesResumeAfterCompletion(t *testing.T) {
 	base := resumeStudy(t, 14, "clean", 8)
 	store := newMemStore()
-	want, err := base.RunWeeklySeriesResumeContext(context.Background(), store, nil)
+	want, err := planSeries(base, store)
 	if err != nil {
 		t.Fatal(err)
 	}
+	saves := store.saves
 	again := resumeStudy(t, 14, "clean", 8)
-	res, err := again.RunWeeklySeriesResumeContext(context.Background(), store, nil)
+	res, err := planSeries(again, store)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, res) {
 		t.Fatal("resume after completion altered the series")
+	}
+	if store.saves != saves {
+		t.Errorf("resume after completion saved %d more generations; a sweep or a commit ran", store.saves-saves)
 	}
 }
 
@@ -221,7 +238,7 @@ func TestSeriesResumeRejectsBadCursor(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := resumeStudy(t, 14, "clean", 8)
-	if _, err := s.RunWeeklySeriesResumeContext(context.Background(), store, nil); err == nil {
+	if _, err := planSeries(s, store); err == nil {
 		t.Fatal("out-of-range cursor accepted")
 	} else if want := fmt.Sprintf("cursor %d out of range", 99); !strings.Contains(err.Error(), want) {
 		t.Fatalf("error %q does not mention the cursor", err)

@@ -8,19 +8,29 @@ import (
 	"testing"
 
 	"goingwild/internal/churn"
+	"goingwild/internal/geodb"
 	"goingwild/internal/metrics"
 	"goingwild/internal/scanner"
+	"goingwild/internal/wildnet"
 )
 
-// streamCfg is the shared shape of the streaming-determinism tests: a
-// small world, enough weeks to exercise add/update/remove deltas.
-func streamCfg(order uint) Config {
-	cfg := DefaultConfig(order)
+// streamCfg is the shared shape of the series tests: a small world under
+// a fault profile, enough weeks to exercise add/update/remove deltas.
+func streamCfg(t *testing.T, order uint, profile string) Config {
+	t.Helper()
+	cfg, err := ChaosProfileConfig(order, profile)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg.Weeks = 6
 	return cfg
 }
 
-// seriesBatch runs the batch weekly series on a fresh study.
+// seriesBatch is the oracle on a fresh study: the batch weekly series the
+// program ran until churn.StreamWeekly became its only weekly loop (the
+// copy of churn's runWeeklyReference a test of this package can reach) —
+// cfg.Weeks full sweeps on the series' clock and seed schedule, each
+// aggregated from scratch, the first and last responder lists kept.
 func seriesBatch(t *testing.T, cfg Config) *churn.Series {
 	t.Helper()
 	s, err := NewStudy(cfg)
@@ -28,14 +38,33 @@ func seriesBatch(t *testing.T, cfg Config) *churn.Series {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	series, err := s.RunWeeklySeriesContext(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	loc := s.locator()
+	series := &churn.Series{}
+	for week := 0; week < cfg.Weeks; week++ {
+		s.Transport.SetTime(wildnet.At(week))
+		res, err := s.Scanner.SweepContext(context.Background(), cfg.Order, cfg.ScanSeed+uint32(week), s.World.ScanBlacklist())
+		if err != nil {
+			t.Fatal(err)
+		}
+		obs := churn.WeekObservation{
+			Week: week, Total: res.Total(), ByRCode: res.ByRCode,
+			ByCountry: map[string]int{}, ByRIR: map[geodb.RIR]int{},
+		}
+		for _, r := range res.Responders {
+			country, rir := loc(r.Addr)
+			obs.ByCountry[country]++
+			obs.ByRIR[rir]++
+		}
+		if week == 0 || week == cfg.Weeks-1 {
+			obs.Responders = res.Responders
+		}
+		series.Weeks = append(series.Weeks, obs)
 	}
 	return series
 }
 
-// seriesStream runs the streaming weekly series on a fresh study.
+// seriesStream runs the weekly series on a fresh study, as a one-stage
+// plan with live watching the epochs.
 func seriesStream(t *testing.T, cfg Config, live func(EpochView)) *churn.Series {
 	t.Helper()
 	s, err := NewStudy(cfg)
@@ -43,60 +72,62 @@ func seriesStream(t *testing.T, cfg Config, live func(EpochView)) *churn.Series 
 		t.Fatal(err)
 	}
 	defer s.Close()
-	series, err := s.RunWeeklySeriesStreamContext(context.Background(), live)
-	if err != nil {
+	p := s.NewPlan(nil)
+	series := p.WeeklySeries(live)
+	if err := p.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	return series
+	return series.V
 }
 
-// TestStreamingSeriesMatchesBatch is the tentpole contract: the epoch
-// stream must reproduce the batch series exactly — deeply equal
-// structures, so every rendering derived from them (Figure 1, Tables
-// 1–2; pure functions of the series) is byte-identical — including
-// across a GOMAXPROCS flip, since the bounded queue hands the consumer
-// exactly the producer's epoch order no matter the schedule. The CI
-// stream-determinism job diffs the binaries' full stdout on top.
+// TestStreamingSeriesMatchesBatch is the contract that let the batch
+// stage be deleted: the plan's series must reproduce the batch oracle
+// exactly — deeply equal structures, so every rendering derived from them
+// (Figure 1, Tables 1–2; pure functions of the series) is byte-identical
+// — on a clean and on a hostile network, and across a GOMAXPROCS flip.
 func TestStreamingSeriesMatchesBatch(t *testing.T) {
-	const order = 16
-	cfg := streamCfg(order)
-	batch := seriesBatch(t, cfg)
+	for _, profile := range []string{"clean", "hostile"} {
+		t.Run(profile, func(t *testing.T) {
+			cfg := streamCfg(t, 16, profile)
+			batch := seriesBatch(t, cfg)
 
-	var views []EpochView
-	stream := seriesStream(t, cfg, func(v EpochView) { views = append(views, v) })
-	if !reflect.DeepEqual(stream, batch) {
-		t.Fatal("streamed series != batch series")
-	}
+			var views []EpochView
+			stream := seriesStream(t, cfg, func(v EpochView) { views = append(views, v) })
+			if !reflect.DeepEqual(stream, batch) {
+				t.Fatal("streamed series != batch series")
+			}
 
-	// The live views arrive once per week, in order, already aggregated.
-	if len(views) != cfg.Weeks {
-		t.Fatalf("live callback fired %d times, want %d", len(views), cfg.Weeks)
-	}
-	for i, v := range views {
-		if v.Obs.Week != i || v.Delta.Week != i {
-			t.Errorf("view %d carries week %d / delta week %d", i, v.Obs.Week, v.Delta.Week)
-		}
-		if v.Obs.Total == 0 {
-			t.Errorf("week %d live observation is empty", i)
-		}
-	}
-	// After week 0's full-census delta, later weeks are genuinely
-	// incremental: updates and removes appear, not just adds.
-	if len(views[0].Delta.Deltas) != views[0].Obs.Total {
-		t.Errorf("week-0 delta has %d records for %d responders; first epoch must be all adds",
-			len(views[0].Delta.Deltas), views[0].Obs.Total)
-	}
+			// The live views arrive once per week, in order, already aggregated.
+			if len(views) != cfg.Weeks {
+				t.Fatalf("live callback fired %d times, want %d", len(views), cfg.Weeks)
+			}
+			for i, v := range views {
+				if v.Obs.Week != i || v.Delta.Week != i {
+					t.Errorf("view %d carries week %d / delta week %d", i, v.Obs.Week, v.Delta.Week)
+				}
+				if v.Obs.Total == 0 {
+					t.Errorf("week %d live observation is empty", i)
+				}
+			}
+			// After week 0's full-census delta, later weeks are genuinely
+			// incremental: updates and removes appear, not just adds.
+			if len(views[0].Delta.Deltas) != views[0].Obs.Total {
+				t.Errorf("week-0 delta has %d records for %d responders; first epoch must be all adds",
+					len(views[0].Delta.Deltas), views[0].Obs.Total)
+			}
 
-	old := runtime.GOMAXPROCS(0)
-	flipped := 1
-	if old == 1 {
-		flipped = 4
-	}
-	runtime.GOMAXPROCS(flipped)
-	again := seriesStream(t, cfg, nil)
-	runtime.GOMAXPROCS(old)
-	if !reflect.DeepEqual(again, batch) {
-		t.Fatalf("streamed series diverges from batch at GOMAXPROCS=%d", flipped)
+			old := runtime.GOMAXPROCS(0)
+			flipped := 1
+			if old == 1 {
+				flipped = 4
+			}
+			runtime.GOMAXPROCS(flipped)
+			again := seriesStream(t, cfg, nil)
+			runtime.GOMAXPROCS(old)
+			if !reflect.DeepEqual(again, batch) {
+				t.Fatalf("streamed series diverges from batch at GOMAXPROCS=%d", flipped)
+			}
+		})
 	}
 }
 
@@ -105,8 +136,7 @@ func TestStreamingSeriesMatchesBatch(t *testing.T) {
 // the empty snapshot — which is exactly what the tracker does — must
 // land on the batch run's final retained responder set, byte for byte.
 func TestStreamingReplayReproducesBatchSnapshot(t *testing.T) {
-	const order = 16
-	cfg := streamCfg(order)
+	cfg := streamCfg(t, 16, "clean")
 	batch := seriesBatch(t, cfg)
 
 	var deltas []churn.EpochDelta
@@ -116,7 +146,7 @@ func TestStreamingReplayReproducesBatchSnapshot(t *testing.T) {
 	}
 
 	// Replay through the scanner delta layer alone, with no tracker in
-	// the loop, as the CI determinism job does.
+	// the loop, as dnsscan -epochs does.
 	var state []scanner.Responder
 	for _, d := range deltas {
 		var err error
@@ -133,10 +163,9 @@ func TestStreamingReplayReproducesBatchSnapshot(t *testing.T) {
 // TestStreamingEpochMetricsDeterministic extends the metrics contract
 // to the epoch instruments: pipeline.delta.size and pipeline.epoch.done
 // are deterministic (identical stripped snapshots across runs and a
-// GOMAXPROCS flip), while pipeline.epoch.lag carries the Timing class
-// and is stripped.
+// GOMAXPROCS flip).
 func TestStreamingEpochMetricsDeterministic(t *testing.T) {
-	cfg := streamCfg(14)
+	cfg := streamCfg(t, 14, "clean")
 	run := func() *metrics.Registry {
 		reg := metrics.New()
 		c := cfg
@@ -146,7 +175,7 @@ func TestStreamingEpochMetricsDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer s.Close()
-		if _, err := s.RunWeeklySeriesStreamContext(context.Background(), nil); err != nil {
+		if _, err := s.RunWeeklySeriesContext(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		return reg
@@ -176,16 +205,13 @@ func TestStreamingEpochMetricsDeterministic(t *testing.T) {
 	if !bytes.Contains(jsonA, []byte("pipeline.delta.size")) {
 		t.Error("stripped snapshot is missing pipeline.delta.size")
 	}
-	if bytes.Contains(jsonA, []byte("pipeline.epoch.lag")) {
-		t.Error("pipeline.epoch.lag survived StripTiming; it must carry the Timing class")
-	}
 }
 
-// TestStreamingProducerFailurePropagates aborts the stream mid-flight
-// and checks the producer error surfaces instead of a hang or a
-// truncated success.
+// TestStreamingProducerFailurePropagates cancels the run from inside the
+// live callback at epoch 2 and checks the error surfaces before the last
+// week instead of a truncated success.
 func TestStreamingProducerFailurePropagates(t *testing.T) {
-	cfg := streamCfg(14)
+	cfg := streamCfg(t, 14, "clean")
 	s, err := NewStudy(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -193,13 +219,14 @@ func TestStreamingProducerFailurePropagates(t *testing.T) {
 	defer s.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	calls := 0
-	_, err = s.RunWeeklySeriesStreamContext(ctx, func(EpochView) {
+	p := s.NewPlan(nil)
+	p.WeeklySeries(func(EpochView) {
 		calls++
 		if calls == 2 {
 			cancel()
 		}
 	})
-	if err == nil {
+	if err := p.Run(ctx); err == nil {
 		t.Fatal("cancelled stream reported success")
 	}
 	if calls >= cfg.Weeks {

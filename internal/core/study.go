@@ -149,8 +149,13 @@ func (c Config) scanOpts() scanner.Options {
 	}
 }
 
-// NewStudy builds the world and wires the measurement stack to it.
+// NewStudy builds the world and wires the measurement stack to it. A
+// negative study length is refused here, once, for every binary: it
+// arrives from a command line (-weeks; wildsvc's -epochs).
 func NewStudy(cfg Config) (*Study, error) {
+	if cfg.Weeks < 0 {
+		return nil, fmt.Errorf("core: negative study length %d: -weeks (-epochs on wildsvc) must be at least 0", cfg.Weeks)
+	}
 	wcfg := wildnet.DefaultConfig(cfg.Order)
 	wcfg.Seed = cfg.Seed
 	wcfg.Loss = cfg.Loss
@@ -247,42 +252,11 @@ func (s *Study) noteDegraded(ev pipeline.StageEvent) {
 	}
 }
 
-// seriesCounts are the counts the weekly series reports when it is done.
-func seriesCounts(series *churn.Series) []pipeline.Count {
-	counts := []pipeline.Count{{Name: "weeks scanned", Value: len(series.Weeks)}}
-	if len(series.Weeks) > 0 {
-		counts = append(counts, pipeline.Count{Name: "final-week responders", Value: series.Last().Total})
-	}
-	return counts
-}
-
-// WeeklySeries adds the §2.2 longitudinal scans (Figure 1 and, via the
-// retained endpoints, Tables 1–2) as one batch stage.
-func (p *Plan) WeeklySeries() *Out[*churn.Series] {
-	s, out := p.s, &Out[*churn.Series]{}
-	p.Add(pipeline.Stage{
-		Name: "weekly-scans",
-		Run: func(ctx context.Context) ([]pipeline.Count, error) {
-			var err error
-			out.V, err = churn.RunWeekly(ctx, s.Scanner, s.Transport, s.locator(), churn.StudyConfig{
-				Order:       s.Cfg.Order,
-				Seed:        s.Cfg.ScanSeed,
-				Weeks:       s.Cfg.Weeks,
-				Blacklist:   s.World.ScanBlacklist(),
-				RetainWeeks: []int{0, s.Cfg.Weeks - 1},
-			})
-			if err != nil {
-				return nil, err
-			}
-			return seriesCounts(out.V), nil
-		},
-	})
-	return out
-}
-
-// RunWeeklySeriesContext performs the §2.2 longitudinal scans.
+// RunWeeklySeriesContext performs the §2.2 longitudinal scans (Figure 1
+// and, via the retained endpoints, Tables 1–2). A resumable run, or one
+// that watches the epochs go by, is a plan: NewPlan(store).WeeklySeries.
 func (s *Study) RunWeeklySeriesContext(ctx context.Context) (*churn.Series, error) {
-	return runOne(ctx, s, (*Plan).WeeklySeries)
+	return runOne(ctx, s, func(p *Plan) *Out[*churn.Series] { return p.WeeklySeries(nil) })
 }
 
 // SweepAtContext runs a single Internet-wide scan at a given week, on

@@ -58,18 +58,10 @@ func MetricsObserver(r *metrics.Registry) Observer {
 // scale where a first epoch's "delta" is the entire census.
 var deltaSizeBuckets = []int64{0, 10, 100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000}
 
-// EpochMetrics are the streaming engine's per-epoch instruments.
-//
-// DeltaSize and Epochs are Deterministic: the number of delta records an
-// epoch produces is a pure function of (seed, epoch), so two runs must
-// agree bucket for bucket. Lag is the consumer's distance behind the
-// producer (bounded-queue occupancy at consume time) — a genuinely
-// scheduling-dependent observation, so it carries the Timing class and
-// is stripped by determinism guards.
+// EpochMetrics are the weekly series' per-epoch instruments. Both are
+// Deterministic: the number of delta records an epoch produces is a pure
+// function of (seed, epoch), so two runs must agree bucket for bucket.
 type EpochMetrics struct {
-	// Lag is pipeline.epoch.lag: queued delta batches not yet applied,
-	// sampled when the consumer dequeues. Timing class.
-	Lag *metrics.Gauge
 	// DeltaSize is pipeline.delta.size: delta records per epoch batch.
 	DeltaSize *metrics.Histogram
 	// Epochs is pipeline.epoch.done: epochs applied so far.
@@ -83,7 +75,6 @@ func NewEpochMetrics(r *metrics.Registry) EpochMetrics {
 		return EpochMetrics{}
 	}
 	return EpochMetrics{
-		Lag:       r.TimingGauge("pipeline.epoch.lag"),
 		DeltaSize: r.Histogram("pipeline.delta.size", deltaSizeBuckets),
 		Epochs:    r.Counter("pipeline.epoch.done"),
 	}

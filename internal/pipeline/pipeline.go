@@ -84,16 +84,9 @@ type Stage struct {
 	// value (Required) aborts the pipeline; BestEffort records the
 	// failure and continues.
 	Policy Policy
-	// Run does the work in batch mode. The returned counts are recorded
-	// in the trace and forwarded to the observer. Under RunEpochs a
-	// stage with only Run is a finalizer: it executes once after the
-	// last epoch.
+	// Run does the work. The returned counts are recorded in the trace
+	// and forwarded to the observer.
 	Run func(ctx context.Context) ([]Count, error)
-	// RunEpoch is the stage's incremental mode: under Engine.RunEpochs
-	// it executes once per epoch, consuming and emitting that epoch's
-	// deltas. Stages with a RunEpoch are ignored by the batch Run unless
-	// they also set Run. At least one of Run and RunEpoch must be set.
-	RunEpoch func(ctx context.Context, epoch int) ([]Count, error)
 }
 
 // EventKind tags a StageEvent.
@@ -134,19 +127,12 @@ func (k EventKind) String() string {
 	}
 }
 
-// BatchEpoch is the Epoch value of batch-mode stage runs and of the
-// finalizer stages RunEpochs executes after the last epoch.
-const BatchEpoch = -1
-
 // StageEvent is one observer notification.
 type StageEvent struct {
 	// Stage is the stage's name.
 	Stage string
 	// Kind is the lifecycle edge.
 	Kind EventKind
-	// Epoch is the epoch an incremental stage ran for, or BatchEpoch for
-	// batch-mode runs and finalizer stages.
-	Epoch int
 	// Elapsed is the stage's run time (zero for StageStart), measured on
 	// the engine's clock — wall time in production, simulated time under
 	// a fake clock.
@@ -167,10 +153,7 @@ type Observer func(StageEvent)
 // the pipeline (at most one, always last) has Err set and Degraded
 // false.
 type StageResult struct {
-	Name string
-	// Epoch is the epoch an incremental stage ran for, or BatchEpoch for
-	// batch-mode runs and finalizer stages.
-	Epoch   int
+	Name    string
 	Elapsed time.Duration
 	Counts  []Count
 	// Err is the stage's failure, nil on success.
@@ -219,15 +202,6 @@ type Engine struct {
 	observer Observer
 	stages   []Stage
 	index    map[string]int
-
-	// EpochCommit, when set, runs after each epoch's incremental stages
-	// succeed in RunEpochs/RunEpochsFrom — the hook a checkpointing
-	// orchestrator uses to persist "epoch k is fully applied" at the
-	// exact moment that becomes true. An error aborts the stream like a
-	// Required stage failure (remaining epochs and finalizers are
-	// skipped); in particular a deliberate stop signal propagates out
-	// with the just-committed state intact.
-	EpochCommit func(ctx context.Context, epoch int) error
 }
 
 // New builds an engine. A nil clock defaults to scanner.SystemClock; a
@@ -246,7 +220,7 @@ func (e *Engine) Add(st Stage) error {
 	if st.Name == "" {
 		return fmt.Errorf("pipeline: stage with empty name")
 	}
-	if st.Run == nil && st.RunEpoch == nil {
+	if st.Run == nil {
 		return fmt.Errorf("pipeline: stage %q has no Run", st.Name)
 	}
 	if _, dup := e.index[st.Name]; dup {
@@ -333,11 +307,6 @@ func (e *Engine) Run(ctx context.Context) (*Trace, error) {
 	if err != nil {
 		return &Trace{}, err
 	}
-	for _, i := range order {
-		if e.stages[i].Run == nil {
-			return &Trace{}, fmt.Errorf("pipeline: stage %q is epoch-only (no Run); use RunEpochs", e.stages[i].Name)
-		}
-	}
 	trace := &Trace{Stages: make([]StageResult, 0, len(order))}
 	for k, i := range order {
 		st := e.stages[i]
@@ -347,11 +316,7 @@ func (e *Engine) Run(ctx context.Context) (*Trace, error) {
 			e.skipRemaining(trace, order[k:])
 			return trace, err
 		}
-		run := st.Run
-		if err := e.runStage(ctx, trace, st, BatchEpoch, run); err != nil {
-			if isDegraded(err) {
-				continue
-			}
+		if err := e.runStage(ctx, trace, st); err != nil {
 			e.skipRemaining(trace, order[k+1:])
 			return trace, err
 		}
@@ -359,41 +324,29 @@ func (e *Engine) Run(ctx context.Context) (*Trace, error) {
 	return trace, nil
 }
 
-// degradedError marks a best-effort failure the engine absorbed: the
-// caller continues instead of aborting.
-type degradedError struct{ err error }
-
-func (d degradedError) Error() string { return d.err.Error() }
-
-func isDegraded(err error) bool {
-	_, ok := err.(degradedError)
-	return ok
-}
-
-// runStage executes one stage function (batch or one epoch of an
-// incremental stage), folding timing, trace, and events. It returns nil
-// on success, a degradedError for an absorbed best-effort failure, and
+// runStage executes one stage, folding timing, trace, and events. It
+// returns nil on success and for an absorbed best-effort failure, and
 // the wrapped stage error for an abort.
-func (e *Engine) runStage(ctx context.Context, trace *Trace, st Stage, epoch int, run func(ctx context.Context) ([]Count, error)) error {
-	e.emit(StageEvent{Stage: st.Name, Kind: StageStart, Epoch: epoch})
+func (e *Engine) runStage(ctx context.Context, trace *Trace, st Stage) error {
+	e.emit(StageEvent{Stage: st.Name, Kind: StageStart})
 	t0 := e.clock.Now()
-	counts, err := run(ctx)
+	counts, err := st.Run(ctx)
 	elapsed := e.clock.Now().Sub(t0)
 	if err != nil {
 		// A dead context is never degradable: the stage's error is
 		// (or raced with) the cancellation, and downstream stages
 		// could not run anyway.
 		if st.Policy == BestEffort && ctx.Err() == nil {
-			trace.Stages = append(trace.Stages, StageResult{Name: st.Name, Epoch: epoch, Elapsed: elapsed, Err: err, Degraded: true})
-			e.emit(StageEvent{Stage: st.Name, Kind: StageDegraded, Epoch: epoch, Elapsed: elapsed, Err: err})
-			return degradedError{err}
+			trace.Stages = append(trace.Stages, StageResult{Name: st.Name, Elapsed: elapsed, Err: err, Degraded: true})
+			e.emit(StageEvent{Stage: st.Name, Kind: StageDegraded, Elapsed: elapsed, Err: err})
+			return nil
 		}
-		trace.Stages = append(trace.Stages, StageResult{Name: st.Name, Epoch: epoch, Elapsed: elapsed, Err: err})
-		e.emit(StageEvent{Stage: st.Name, Kind: StageFailed, Epoch: epoch, Elapsed: elapsed, Err: err})
+		trace.Stages = append(trace.Stages, StageResult{Name: st.Name, Elapsed: elapsed, Err: err})
+		e.emit(StageEvent{Stage: st.Name, Kind: StageFailed, Elapsed: elapsed, Err: err})
 		return fmt.Errorf("pipeline: stage %q: %w", st.Name, err)
 	}
-	trace.Stages = append(trace.Stages, StageResult{Name: st.Name, Epoch: epoch, Elapsed: elapsed, Counts: counts})
-	e.emit(StageEvent{Stage: st.Name, Kind: StageDone, Epoch: epoch, Elapsed: elapsed, Counts: counts})
+	trace.Stages = append(trace.Stages, StageResult{Name: st.Name, Elapsed: elapsed, Counts: counts})
+	e.emit(StageEvent{Stage: st.Name, Kind: StageDone, Elapsed: elapsed, Counts: counts})
 	return nil
 }
 
@@ -403,7 +356,7 @@ func (e *Engine) skipRemaining(trace *Trace, rest []int) {
 	for _, i := range rest {
 		name := e.stages[i].Name
 		trace.Skipped = append(trace.Skipped, name)
-		e.emit(StageEvent{Stage: name, Kind: StageSkipped, Epoch: BatchEpoch})
+		e.emit(StageEvent{Stage: name, Kind: StageSkipped})
 	}
 }
 

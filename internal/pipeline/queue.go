@@ -9,12 +9,14 @@ import (
 // ErrQueueClosed is returned by Put once the queue has been closed.
 var ErrQueueClosed = errors.New("pipeline: queue closed")
 
-// Queue is the epoch stream's backpressure seam: a bounded FIFO of delta
-// batches between a producer (the scanner sweeping epoch after epoch)
-// and a consumer (the stage applying each epoch's deltas). Put blocks
-// while the queue is full, so a producer can run at most `capacity`
-// epochs ahead of the consumer — exactly the bound a long-running
-// service needs to keep scan ingest from outrunning query-side state.
+// Queue is the serving daemon's backpressure seam (resolvesvc.Service.Run;
+// a report applies each epoch inline and has no queue): a bounded FIFO of
+// delta batches between a producer (the scanner sweeping epoch after
+// epoch) and a consumer (the applier committing each epoch's deltas to a
+// store that readers contend for). Put blocks while the queue is full, so
+// a producer can run at most `capacity` epochs ahead of the consumer —
+// exactly the bound a long-running service needs to keep scan ingest
+// from outrunning query-side state.
 // Order is preserved, which is what keeps delta application (and hence
 // the replayed snapshot) deterministic even though the two sides run
 // concurrently.

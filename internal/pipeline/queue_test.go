@@ -94,84 +94,70 @@ func TestQueueClosePutRace(t *testing.T) {
 	}
 }
 
-// TestRunEpochsFromSkipsCommitted checks the resume entry point: epochs
-// before `first` never run, the rest see their true epoch numbers, and
-// EpochCommit fires once per executed epoch.
-func TestRunEpochsFromSkipsCommitted(t *testing.T) {
-	e := New(nil, nil)
-	var ran, committed []int
-	if err := e.Add(Stage{
-		Name:     "apply",
-		Run:      func(context.Context) ([]Count, error) { return nil, nil },
-		RunEpoch: func(_ context.Context, epoch int) ([]Count, error) { ran = append(ran, epoch); return nil, nil },
-	}); err != nil {
-		t.Fatal(err)
+func TestQueueBackpressureAndOrder(t *testing.T) {
+	q := NewQueue[int](2)
+	ctx := context.Background()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		defer q.Close()
+		for i := 0; i < 10; i++ {
+			if err := q.Put(ctx, i); err != nil {
+				t.Errorf("Put(%d): %v", i, err)
+				return
+			}
+		}
+	}()
+	// The producer can run at most 2 items ahead; drain slowly and check
+	// FIFO order survives the blocking handoffs.
+	var got []int
+	for {
+		v, ok, err := q.Get(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		got = append(got, v)
+		if lag := q.Len(); lag > 2 {
+			t.Fatalf("queue lag %d exceeds capacity 2", lag)
+		}
 	}
-	final := 0
-	if err := e.Add(Stage{
-		Name: "finalize",
-		Run:  func(context.Context) ([]Count, error) { final++; return nil, nil },
-	}); err != nil {
-		t.Fatal(err)
+	<-done
+	if len(got) != 10 {
+		t.Fatalf("drained %d items, want 10", len(got))
 	}
-	e.EpochCommit = func(_ context.Context, epoch int) error { committed = append(committed, epoch); return nil }
-	if _, err := e.RunEpochsFrom(context.Background(), 2, 5); err != nil {
-		t.Fatal(err)
+	for i, v := range got {
+		if v != i {
+			t.Fatalf("item %d = %d; order not preserved", i, v)
+		}
 	}
-	want := []int{2, 3, 4}
-	if len(ran) != 3 || ran[0] != 2 || ran[2] != 4 {
-		t.Errorf("epochs ran: %v, want %v", ran, want)
+	// Closed and drained: Get reports the end of the stream.
+	if _, ok, err := q.Get(ctx); ok || err != nil {
+		t.Errorf("Get after close = ok=%v err=%v, want stream end", ok, err)
 	}
-	if len(committed) != 3 || committed[0] != 2 || committed[2] != 4 {
-		t.Errorf("epochs committed: %v, want %v", committed, want)
+	if err := q.Put(ctx, 99); err == nil {
+		t.Error("Put after Close accepted")
 	}
-	if final != 1 {
-		t.Errorf("finalizer ran %d times, want 1", final)
-	}
-
-	// Resume-after-completion: no epochs, finalizers only.
-	ran, committed, final = nil, nil, 0
-	if _, err := e.RunEpochsFrom(context.Background(), 5, 5); err != nil {
-		t.Fatal(err)
-	}
-	if len(ran) != 0 || len(committed) != 0 || final != 1 {
-		t.Errorf("first==epochs ran %v/%v/final=%d, want nothing but the finalizer", ran, committed, final)
-	}
+	q.Close() // idempotent
 }
 
-// TestEpochCommitErrorAborts pins the failure contract: a commit error
-// stops the stream before later epochs and skips the finalizers.
-func TestEpochCommitErrorAborts(t *testing.T) {
-	e := New(nil, nil)
-	var ran []int
-	if err := e.Add(Stage{
-		Name:     "apply",
-		Run:      func(context.Context) ([]Count, error) { return nil, nil },
-		RunEpoch: func(_ context.Context, epoch int) ([]Count, error) { ran = append(ran, epoch); return nil, nil },
-	}); err != nil {
+func TestQueueHonorsContext(t *testing.T) {
+	q := NewQueue[int](1)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	if err := q.Put(context.Background(), 1); err != nil {
 		t.Fatal(err)
 	}
-	final := 0
-	if err := e.Add(Stage{
-		Name: "finalize",
-		Run:  func(context.Context) ([]Count, error) { final++; return nil, nil },
-	}); err != nil {
+	// Queue full: the next Put must unblock on the dead context.
+	if err := q.Put(ctx, 2); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("blocked Put err = %v, want deadline", err)
+	}
+	if _, _, err := q.Get(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	stop := errors.New("stop")
-	e.EpochCommit = func(_ context.Context, epoch int) error {
-		if epoch == 1 {
-			return stop
-		}
-		return nil
-	}
-	if _, err := e.RunEpochs(context.Background(), 4); !errors.Is(err, stop) {
-		t.Fatalf("RunEpochs = %v, want the commit error", err)
-	}
-	if len(ran) != 2 {
-		t.Errorf("epochs ran: %v, want [0 1]", ran)
-	}
-	if final != 0 {
-		t.Errorf("finalizer ran despite aborted stream")
+	if _, ok, err := q.Get(ctx); ok || !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("blocked Get = ok=%v err=%v, want deadline", ok, err)
 	}
 }

@@ -90,7 +90,8 @@ func TestServiceStoreMatchesBatchStudy(t *testing.T) {
 	svc, _ := runService(t, order, epochs, nil)
 	store := svc.Store()
 
-	// An identical world, measured by the batch path.
+	// An identical world, measured by full sweeps on the study's clock
+	// and seed schedule with no delta layer in between.
 	wcfg := wildnet.DefaultConfig(order)
 	wcfg.Seed = 0x60176A11D
 	wcfg.Loss = 0.002
@@ -101,17 +102,14 @@ func TestServiceStoreMatchesBatchStudy(t *testing.T) {
 	tr2 := wildnet.NewMemTransport(w2, wildnet.VantagePrimary)
 	defer tr2.Close()
 	sc2 := scanner.New(tr2, scanner.Options{Workers: 4, SettleDelay: scanner.NoSettle})
-	loc2 := func(u uint32) (string, geodb.RIR) {
-		l := w2.Geo().LookupU32(u)
-		return l.Country, l.RIR
-	}
-	series, err := churn.RunWeekly(context.Background(), sc2, tr2, loc2, churn.StudyConfig{
-		Order: order, Seed: 0x5EED, Weeks: epochs,
-		Blacklist:   w2.ScanBlacklist(),
-		RetainWeeks: []int{epochs - 1},
-	})
-	if err != nil {
-		t.Fatal(err)
+	var series churn.Series
+	for week := 0; week < epochs; week++ {
+		tr2.SetTime(wildnet.At(week))
+		res, err := sc2.SweepContext(context.Background(), order, 0x5EED+uint32(week), w2.ScanBlacklist())
+		if err != nil {
+			t.Fatal(err)
+		}
+		series.Weeks = append(series.Weeks, churn.WeekObservation{Week: week, Total: res.Total(), Responders: res.Responders})
 	}
 	last := series.Last()
 	if store.OpenCount() != last.Total {
