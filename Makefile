@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-escape test test-short bench-test race chaos crash metrics-smoke serve-smoke fuzz-smoke bench-all report markdown examples clean
+.PHONY: all build vet lint lint-escape test test-short bench-test race chaos crash metrics-smoke serve-smoke fuzz-smoke bench-all report markdown record examples clean
 
 all: build vet lint test
 
@@ -45,7 +45,7 @@ bench-test:
 # times: its coalescer stress is a race between request goroutines and
 # one prober, and one schedule of it proves little.
 race:
-	$(GO) test -race ./internal/scanner ./internal/wildnet ./internal/authdns ./internal/pipeline ./internal/metrics ./internal/debughttp .
+	$(GO) test -race ./internal/scanner ./internal/wildnet ./internal/pipeline ./internal/metrics ./internal/debughttp .
 	$(GO) test -race -count=3 ./internal/resolvesvc
 
 # Chaos matrix: the full pipeline under every fault profile (clean,
@@ -67,9 +67,9 @@ crash:
 # non-empty. This is the executable form of the contract that attaching
 # observability can never perturb results.
 metrics-smoke:
-	$(GO) build -o /tmp/wildreport_metrics ./cmd/wildreport
-	/tmp/wildreport_metrics -order 16 -weeks 8 -week 7 > /tmp/wr_nometrics.txt
-	/tmp/wildreport_metrics -order 16 -weeks 8 -week 7 -metrics /tmp/wr_metrics.json > /tmp/wr_withmetrics.txt
+	$(GO) build -o /tmp/wildreport ./cmd/wildreport
+	/tmp/wildreport -order 16 -weeks 8 -week 7 > /tmp/wr_nometrics.txt
+	/tmp/wildreport -order 16 -weeks 8 -week 7 -metrics /tmp/wr_metrics.json > /tmp/wr_withmetrics.txt
 	diff /tmp/wr_nometrics.txt /tmp/wr_withmetrics.txt
 	test -s /tmp/wr_metrics.json
 
@@ -84,7 +84,7 @@ serve-smoke:
 	$(GO) run ./cmd/wildsvc -smoke
 
 # A few seconds of coverage-guided fuzzing per wire-format fuzz target.
-# `go test -fuzz` accepts one target per invocation, hence eight runs.
+# `go test -fuzz` accepts one target per invocation, hence seven runs.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzUnpack -fuzztime=5s ./internal/dnswire
 	$(GO) test -fuzz=FuzzAppendNameCompression -fuzztime=5s ./internal/dnswire
@@ -92,7 +92,6 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzDecodeTargetQName -fuzztime=5s ./internal/dnswire
 	$(GO) test -fuzz=FuzzHandleDNS -fuzztime=5s ./internal/wildnet
 	$(GO) test -fuzz=FuzzAnswerWire -fuzztime=5s ./internal/wildnet
-	$(GO) test -fuzz=FuzzParse -fuzztime=5s ./internal/zonefile
 	$(GO) test -fuzz=FuzzCheckpointDecode -fuzztime=5s ./internal/checkpoint
 
 # One iteration of every table/figure benchmark.
@@ -100,12 +99,21 @@ bench-all:
 	$(GO) test -bench=. -benchmem -benchtime=1x .
 
 # Full text report of every table and figure (order 17, quick).
+REPORT = $(GO) run ./cmd/wildreport -order 17 -weeks 10 -week 9
 report:
-	$(GO) run ./cmd/wildreport -order 17 -weeks 10 -week 9
+	$(REPORT)
 
 # The paper-vs-measured markdown table at publication scale (≈ 3 s).
+MARKDOWN = $(GO) run ./cmd/wildreport -order 18 -weeks 55 -week 50 -markdown
 markdown:
-	$(GO) run ./cmd/wildreport -order 18 -weeks 55 -week 50 -markdown
+	$(MARKDOWN)
+
+# The committed paper-facing record, regenerated from the code: the text
+# report and the comparison table EXPERIMENTS.md links. CI runs this and
+# fails on any difference from the committed files.
+record:
+	$(REPORT) > sample_report.txt
+	$(MARKDOWN) > EXPERIMENTS_TABLE.md
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -8,6 +8,10 @@
 //	dnsscan -order 16 -mode sweep
 //	dnsscan -order 16 -mode chaos -udp
 //	dnsscan -order 16 -mode domains -category Banking
+//
+// Every run ends on a "traffic:" line — probes sent, responses received
+// and the send rate over the run — summed from the metrics registry's
+// *.sent and *.recv counters, the sums -progress prints while it runs.
 package main
 
 import (
@@ -30,7 +34,7 @@ import (
 func main() {
 	f := cli.Register("dnsscan", 16)
 	f.RegisterRun()
-	flag.Lookup("progress").Usage = "print a periodic progress line to stderr (implies a metrics registry)"
+	flag.Lookup("progress").Usage = "print a periodic progress line to stderr"
 	flag.Lookup("checkpoint").Usage = "directory for crash-safe sweep checkpoints (in-memory transport only)"
 	flag.Lookup("resume").Usage = "resume the sweep from the newest checkpoint in -checkpoint"
 	var (
@@ -57,7 +61,8 @@ func main() {
 
 	wcfg := wildnet.DefaultConfig(f.Order)
 	wcfg.Seed = f.Seed
-	reg := f.Registry(f.Progress)
+	// Always on: the exit traffic line reads the registry's counters.
+	reg := f.Registry(true)
 	wcfg.Metrics = reg
 	if f.Chaos != "" {
 		faults, err := wildnet.ChaosProfile(f.Chaos)
@@ -100,19 +105,23 @@ func main() {
 	}
 	defer tr.Close()
 
-	counted, stats := scanner.WithStats(tr)
 	sweepRetries := 0
 	if wcfg.Faults.Enabled() {
 		// Ride over the injected loss the way the chaos harness does.
 		sweepRetries = 2
 	}
-	sc := scanner.New(counted, scanner.Options{
-		Workers: 8, Retries: 1, SettleDelay: settle, RatePPS: *rate,
+	sc := scanner.New(tr, scanner.Options{
+		Workers: 8, SettleDelay: settle, RatePPS: *rate,
 		SweepRetries: sweepRetries, Metrics: reg,
 	})
 	defer f.Observe()()
-	defer func() { fmt.Printf("traffic: %s\n", stats.Snapshot()) }()
 	start := time.Now()
+	// The exit line sums the same *.sent / *.recv counters -progress prints.
+	defer func() {
+		snap := reg.Snapshot()
+		sent, _ := snap.Traffic()
+		fmt.Printf("traffic: %s rate=%.0f pps\n", snap.TrafficLine(), float64(sent)/time.Since(start).Seconds())
+	}()
 	var sweep *scanner.SweepResult
 	if *epochs > 0 {
 		// Epoch-streaming mode: the weekly loop every binary runs

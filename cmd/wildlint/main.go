@@ -1,7 +1,8 @@
 // Command wildlint runs the project's static-analysis pass (see
 // internal/lint) over the module: the six syntactic rules (determinism,
-// maporder, gohygiene, errdrop, ctxhygiene, sleepcall) and the four
-// flow-sensitive ones (lockcheck, atomichygiene, hotpath, taintflow).
+// maporder, gohygiene, errdrop, ctxhygiene, sleepcall) and the five
+// flow-sensitive ones (lockcheck, atomichygiene, hotpath, taintflow,
+// fsynccheck).
 //
 // Usage:
 //

@@ -10,6 +10,10 @@
 //	wildsvc -order 16 -epochs 55 -addr localhost:8053   # daemon
 //	wildsvc -order 16 -smoke                            # self-contained smoke test
 //
+// At most two swept epochs wait between the sweeper and the store — a
+// constant, not a flag: the world's block-table cache is sized for the
+// lead it gives the sweeper.
+//
 // What a client on a socket gets out of it is measured by the repository
 // benchmark: go run -C bench goingwild/bench -workload serve-hit.
 //
@@ -45,12 +49,11 @@ func main() {
 	f := cli.Register("wildsvc", 16)
 	flag.Lookup("progress").Usage = "print one line per committed epoch to stderr"
 	var (
-		epochs     = flag.Int("epochs", 55, "weekly re-scan epochs the producer runs")
-		addr       = flag.String("addr", "", "HTTP listen address for the query API (default 127.0.0.1:0)")
-		queueDepth = flag.Int("queue-depth", 2, "bounded epoch queue between producer and store")
-		ttlBase    = flag.Int("ttl-base", resolvesvc.DefaultTTLBase, "refresh TTL in epochs for once-flapped records (halves per flap)")
-		workers    = flag.Int("workers", 8, "scanner sender goroutines")
-		smoke      = flag.Bool("smoke", false, "run the self-contained HTTP smoke test and exit")
+		epochs  = flag.Int("epochs", 55, "weekly re-scan epochs the producer runs")
+		addr    = flag.String("addr", "", "HTTP listen address for the query API (default 127.0.0.1:0)")
+		ttlBase = flag.Int("ttl-base", resolvesvc.DefaultTTLBase, "refresh TTL in epochs for once-flapped records (halves per flap)")
+		workers = flag.Int("workers", 8, "scanner sender goroutines")
+		smoke   = flag.Bool("smoke", false, "run the self-contained HTTP smoke test and exit")
 	)
 	f.Parse()
 	ctx, _, release := f.Context(context.Background(), "")
@@ -88,12 +91,11 @@ func main() {
 		return loc.Country, loc.RIR
 	}
 	svcCfg := resolvesvc.Config{
-		Order:      f.Order,
-		ScanSeed:   cfg.ScanSeed,
-		Epochs:     *epochs,
-		QueueDepth: *queueDepth,
-		TTLBase:    *ttlBase,
-		Blacklist:  study.World.ScanBlacklist(),
+		Order:     f.Order,
+		ScanSeed:  cfg.ScanSeed,
+		Epochs:    *epochs,
+		TTLBase:   *ttlBase,
+		Blacklist: study.World.ScanBlacklist(),
 	}
 	if f.Progress {
 		svcCfg.OnEpoch = func(st resolvesvc.EpochStatus) {

@@ -17,7 +17,7 @@ func runSurvey(t *testing.T, order uint) (*Survey, *wildnet.World, []uint32) {
 	}
 	tr := wildnet.NewMemTransport(w, wildnet.VantagePrimary)
 	t.Cleanup(func() { tr.Close() })
-	sc := scanner.New(tr, scanner.Options{Workers: 4, Retries: 1, SettleDelay: time.Millisecond})
+	sc := scanner.New(tr, scanner.Options{Workers: 4, SettleDelay: time.Millisecond})
 	sweep, err := sc.SweepContext(context.Background(), order, 31, w.ScanBlacklist())
 	if err != nil {
 		t.Fatal(err)

@@ -47,9 +47,6 @@ func Open(dir string) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
 // generations lists the on-disk generation numbers in ascending order.
 func (s *Store) generations() ([]uint64, error) {
 	entries, err := os.ReadDir(s.dir)

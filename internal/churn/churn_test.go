@@ -34,7 +34,7 @@ func newChaosRig(t testing.TB, order uint, profile string) *rig {
 		t.Fatal(err)
 	}
 	tr := wildnet.NewMemTransport(w, wildnet.VantagePrimary)
-	opts := scanner.Options{Workers: 4, Retries: 1, SettleDelay: time.Millisecond}
+	opts := scanner.Options{Workers: 4, SettleDelay: time.Millisecond}
 	if faults.Enabled() {
 		opts.SweepRetries = 2
 	}

@@ -26,7 +26,6 @@ const (
 	LMisc
 	LParking
 	LSearch
-	NumLabels
 )
 
 // TableLabels lists the seven Table-5 rows in the paper's order.

@@ -34,7 +34,7 @@ func newPipelineRig(t *testing.T, order uint) *pipelineRig {
 	tr := wildnet.NewMemTransport(w, wildnet.VantagePrimary)
 	t.Cleanup(func() { tr.Close() })
 	tr.SetTime(wildnet.At(50))
-	sc := scanner.New(tr, scanner.Options{Workers: 4, Retries: 1, SettleDelay: time.Millisecond})
+	sc := scanner.New(tr, scanner.Options{Workers: 4, SettleDelay: time.Millisecond})
 	sweep, err := sc.SweepContext(context.Background(), order, 77, w.ScanBlacklist())
 	if err != nil {
 		t.Fatal(err)

@@ -65,18 +65,12 @@ func (c *ChaosSummary) Render() string {
 // over it, the CHAOS fingerprinting scan and the Figure-3 domain chain
 // for one category. It is the harness behind `make chaos` and the chaos
 // matrix test: the pipeline must complete without error under every
-// profile, and the summary must be byte-identical across runs.
-func RunChaosPipeline(ctx context.Context, order uint, profile string, week int) (*ChaosSummary, error) {
-	return RunChaosPipelineMetrics(ctx, order, profile, week, nil)
-}
-
-// RunChaosPipelineMetrics is RunChaosPipeline with a metrics registry
-// threaded through the whole stack (scanner, fault layer, pipeline
-// engines), so the harness can assert per-profile fault counters — the
+// profile, and the summary must be byte-identical across runs. reg, when
+// set, is threaded through the whole stack (scanner, fault layer, pipeline
+// engine), so the harness can assert per-profile fault counters — the
 // hostile profile must garble, the flaky profile must flap — alongside
-// the byte-identical summary. A nil registry is exactly
-// RunChaosPipeline.
-func RunChaosPipelineMetrics(ctx context.Context, order uint, profile string, week int, reg *metrics.Registry) (*ChaosSummary, error) {
+// the summary; nil leaves instrumentation off.
+func RunChaosPipeline(ctx context.Context, order uint, profile string, week int, reg *metrics.Registry) (*ChaosSummary, error) {
 	cfg, err := ChaosProfileConfig(order, profile)
 	if err != nil {
 		return nil, err

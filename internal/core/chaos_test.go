@@ -35,7 +35,7 @@ func TestChaosMatrix(t *testing.T) {
 	ctx := context.Background()
 	for _, profile := range wildnet.ChaosProfileNames() {
 		t.Run(profile, func(t *testing.T) {
-			a, err := RunChaosPipeline(ctx, order, profile, week)
+			a, err := RunChaosPipeline(ctx, order, profile, week, nil)
 			if err != nil {
 				t.Fatalf("run 1: %v", err)
 			}
@@ -50,7 +50,7 @@ func TestChaosMatrix(t *testing.T) {
 				t.Errorf("clean run degraded stages: %v", a.Degraded)
 			}
 
-			b, err := RunChaosPipeline(ctx, order, profile, week)
+			b, err := RunChaosPipeline(ctx, order, profile, week, nil)
 			if err != nil {
 				t.Fatalf("run 2: %v", err)
 			}
@@ -66,7 +66,7 @@ func TestChaosMatrix(t *testing.T) {
 				flipped = 4
 			}
 			runtime.GOMAXPROCS(flipped)
-			c, err := RunChaosPipeline(ctx, order, profile, week)
+			c, err := RunChaosPipeline(ctx, order, profile, week, nil)
 			runtime.GOMAXPROCS(old)
 			if err != nil {
 				t.Fatalf("run at GOMAXPROCS=%d: %v", flipped, err)

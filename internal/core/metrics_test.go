@@ -41,12 +41,12 @@ func TestChaosMetricsSideChannelAndReproducible(t *testing.T) {
 	ctx := context.Background()
 	for _, profile := range []string{"clean", "hostile", "flaky"} {
 		t.Run(profile, func(t *testing.T) {
-			bare, err := RunChaosPipeline(ctx, order, profile, week)
+			bare, err := RunChaosPipeline(ctx, order, profile, week, nil)
 			if err != nil {
 				t.Fatalf("bare run: %v", err)
 			}
 			regA := metrics.New()
-			a, err := RunChaosPipelineMetrics(ctx, order, profile, week, regA)
+			a, err := RunChaosPipeline(ctx, order, profile, week, regA)
 			if err != nil {
 				t.Fatalf("metrics run: %v", err)
 			}
@@ -56,7 +56,7 @@ func TestChaosMetricsSideChannelAndReproducible(t *testing.T) {
 			}
 
 			regB := metrics.New()
-			if _, err := RunChaosPipelineMetrics(ctx, order, profile, week, regB); err != nil {
+			if _, err := RunChaosPipeline(ctx, order, profile, week, regB); err != nil {
 				t.Fatalf("second metrics run: %v", err)
 			}
 			jsonA, jsonB := stripJSON(t, regA), stripJSON(t, regB)
@@ -71,7 +71,7 @@ func TestChaosMetricsSideChannelAndReproducible(t *testing.T) {
 			}
 			runtime.GOMAXPROCS(flipped)
 			regC := metrics.New()
-			_, err = RunChaosPipelineMetrics(ctx, order, profile, week, regC)
+			_, err = RunChaosPipeline(ctx, order, profile, week, regC)
 			runtime.GOMAXPROCS(old)
 			if err != nil {
 				t.Fatalf("run at GOMAXPROCS=%d: %v", flipped, err)

@@ -45,12 +45,10 @@ type Config struct {
 	// flaps — see wildnet.FaultConfig). The zero value injects nothing
 	// and keeps every output byte-identical to a fault-free study.
 	Faults wildnet.FaultConfig
-	// SweepRetries, RetryBudget, and Backoff tune the scanner's
-	// adaptive retransmission (see scanner.Options). Zero values keep
-	// the legacy census semantics.
+	// SweepRetries is how many retry rounds re-probe a sweep's silent
+	// targets (see scanner.Options). Zero keeps the census semantics: one
+	// probe per target.
 	SweepRetries int
-	RetryBudget  int
-	Backoff      scanner.BackoffConfig
 	// Metrics, when set, is threaded through every layer of the study —
 	// the scanners (primary and secondary vantage), the world's fault
 	// layer, and the pipeline engines — so one registry accumulates the
@@ -140,10 +138,7 @@ type DegradedStage struct {
 func (c Config) scanOpts() scanner.Options {
 	return scanner.Options{
 		Workers:      c.Workers,
-		Retries:      1,
 		SettleDelay:  scanner.NoSettle,
-		Backoff:      c.Backoff,
-		RetryBudget:  c.RetryBudget,
 		SweepRetries: c.SweepRetries,
 		Metrics:      c.Metrics,
 	}

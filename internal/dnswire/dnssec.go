@@ -9,7 +9,6 @@ import (
 // experiment: can a validating client defeat an in-transit injector that
 // races the legitimate answer?
 const (
-	TypeDS     Type = 43
 	TypeRRSIG  Type = 46
 	TypeDNSKEY Type = 48
 )

@@ -14,7 +14,6 @@ var (
 	ErrPointerLoop    = errors.New("dnswire: compression pointer loop")
 	ErrTruncatedName  = errors.New("dnswire: truncated name")
 	ErrReservedLabel  = errors.New("dnswire: reserved label type")
-	ErrTrailingBytes  = errors.New("dnswire: trailing bytes after message")
 	ErrShortMessage   = errors.New("dnswire: message too short")
 	ErrTooManyRecords = errors.New("dnswire: record count exceeds message size")
 )

@@ -41,7 +41,6 @@ const (
 	KindCDN                     // content delivery network: geo-dependent answers across many ASes
 	KindNonexistent             // NXDOMAIN upstream
 	KindMailHost                // resolves to mail servers with IMAP/POP3/SMTP banners
-	KindGroundTruth             // the domain whose AuthNS we operate
 )
 
 // Domain is one scan-list entry.

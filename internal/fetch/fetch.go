@@ -102,11 +102,6 @@ func (c *Client) MailBanner(ip uint32, proto string) (string, bool) {
 	return c.Web.MailBanner(ip, proto)
 }
 
-// Download fetches an executable from ip, for the malware case study.
-func (c *Client) Download(ip uint32, path string) ([]byte, bool) {
-	return c.Web.Download(ip, path)
-}
-
 // CertProbe exposes the TLS probe for the prefilter wiring.
 func (c *Client) CertProbe(ip uint32, serverName string, sni bool) (websim.Cert, bool) {
 	return c.Web.Certificate(ip, serverName, sni)

@@ -97,10 +97,6 @@ type AS struct {
 	rir RIR
 }
 
-// RIRCode returns the AS's regional Internet registry (precomputed at
-// build time).
-func (as *AS) RIRCode() RIR { return as.rir }
-
 // Location is the result of an IP lookup.
 type Location struct {
 	Country string
@@ -114,7 +110,6 @@ type DB struct {
 	blockBits uint     // log2(block size in addresses)
 	blocks    []uint16 // block index -> AS index
 	ases      []AS
-	byASN     map[uint32]int
 }
 
 // Build constructs the registry for a 2^order address space. seed selects
@@ -130,7 +125,6 @@ func Build(order uint, seed uint64) (*DB, error) {
 	db := &DB{
 		order:     order,
 		blockBits: order - nBlockBits,
-		byASN:     make(map[uint32]int),
 	}
 	db.buildASes(seed)
 	db.assignBlocks(seed, 1<<nBlockBits)
@@ -188,7 +182,6 @@ func (db *DB) buildASes(seed uint64) {
 					as.Collapse = &Collapse{Week: 22, Survive: 0.0001}
 				}
 			}
-			db.byASN[as.ASN] = len(db.ases)
 			db.ases = append(db.ases, as)
 		}
 	}
@@ -215,7 +208,6 @@ func (db *DB) buildASes(seed uint64) {
 			Fate:        fate,
 			FateWeek:    10 + prand.IntN(prand.Hash(seed, 0xFEE7, uint64(i)), 30),
 		}
-		db.byASN[as.ASN] = len(db.ases)
 		db.ases = append(db.ases, as)
 	}
 }
@@ -308,39 +300,8 @@ func (db *DB) Lookup(addr netip.Addr) Location {
 	return db.LookupU32(u)
 }
 
-// ASByNumber returns the AS with the given number, or nil.
-func (db *DB) ASByNumber(asn uint32) *AS {
-	if i, ok := db.byASN[asn]; ok {
-		return &db.ases[i]
-	}
-	return nil
-}
-
 // ASes returns all registered autonomous systems.
 func (db *DB) ASes() []AS { return db.ases }
-
-// CountryWeightAt interpolates a country's population share at the given
-// week of the 55-week study, as a fraction of the week's world total.
-func CountryWeightAt(code string, week int) float64 {
-	i, ok := CountryIndex[code]
-	if !ok {
-		return 0
-	}
-	c := Countries[i]
-	f := float64(week) / 55.0
-	if f < 0 {
-		f = 0
-	}
-	if f > 1 {
-		f = 1
-	}
-	count := c.Week0 + (c.Week55-c.Week0)*f
-	var total float64
-	for _, cc := range Countries {
-		total += cc.Week0 + (cc.Week55-cc.Week0)*f
-	}
-	return count / total
-}
 
 // WorldDeclineAt returns the whole population's size at the given week
 // relative to week 0 (the paper's responder total shrinks from ≈31.2M to

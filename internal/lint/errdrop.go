@@ -7,12 +7,11 @@ import (
 )
 
 // checkErrDrop flags call sites that discard the error return of the
-// wire-format and zone-file APIs: dnswire pack/unpack and zonefile
-// parse/serialize. Those errors are the only signal that a packet or
-// zone was malformed; dropping one silently miscounts responses, which
-// is precisely the failure a measurement pipeline cannot tolerate.
+// wire-format API: dnswire pack/unpack. Those errors are the only signal
+// that a packet was malformed; dropping one silently miscounts responses,
+// which is precisely the failure a measurement pipeline cannot tolerate.
 //
-// Beyond the watched packages, the rule also tracks the transport seam:
+// Beyond the watched package, the rule also tracks the transport seam:
 // Transport.Send (declared in wildnet; scanner.Transport is an alias)
 // returns the only evidence that a probe never left the machine. The
 // scan hot paths deliberately treat send failures as modeled packet
@@ -24,10 +23,7 @@ import (
 // spawned via go/defer, or assigns the error result to the blank
 // identifier.
 func checkErrDrop(p *Package, cfg *Config, emit func(token.Pos, string, string)) {
-	watched := map[string]bool{
-		cfg.ModulePath + "/internal/dnswire":  true,
-		cfg.ModulePath + "/internal/zonefile": true,
-	}
+	wirePkg := cfg.ModulePath + "/internal/dnswire"
 	transportPkg := cfg.ModulePath + "/internal/wildnet"
 	for _, f := range p.Files {
 		inspectStack(f, func(n ast.Node, stack []ast.Node) bool {
@@ -39,7 +35,7 @@ func checkErrDrop(p *Package, cfg *Config, emit func(token.Pos, string, string))
 			if fn == nil || fn.Pkg() == nil {
 				return true
 			}
-			if pkg := fn.Pkg().Path(); !watched[pkg] &&
+			if pkg := fn.Pkg().Path(); pkg != wirePkg &&
 				!(pkg == transportPkg && fn.Name() == "Send") {
 				return true
 			}

@@ -21,8 +21,8 @@
 //     the shape that turns a 2^24-target scan into an unbounded
 //     goroutine bomb.
 //   - errdrop: flags discarded error returns from internal/dnswire
-//     encode/decode and internal/zonefile parse calls, where a swallowed
-//     malformed-packet error silently corrupts measurement counts.
+//     encode/decode calls, where a swallowed malformed-packet error
+//     silently corrupts measurement counts.
 //   - ctxhygiene: polices context propagation through the stage engine:
 //     no context.Context struct fields, ctx always the first parameter,
 //     and no context.Background()/TODO() roots outside cmd/ and tests.
@@ -134,7 +134,7 @@ func (f Finding) String() string {
 // import paths.
 type Config struct {
 	// ModulePath is the module being analyzed (for locating the dnswire
-	// and zonefile packages the errdrop rule watches).
+	// package the errdrop rule watches).
 	ModulePath string
 	// Deterministic lists the packages whose outputs must be pure
 	// functions of (seed, epoch); the determinism rule applies here.

@@ -1,6 +1,6 @@
-// Corpus for the errdrop rule. Imports the real dnswire, zonefile,
-// wildnet, and scanner packages so the callee resolution under test is
-// the production one.
+// Corpus for the errdrop rule. Imports the real dnswire, wildnet, and
+// scanner packages so the callee resolution under test is the production
+// one.
 package corpus
 
 import (
@@ -12,7 +12,6 @@ import (
 	"goingwild/internal/dnswire"
 	"goingwild/internal/scanner"
 	"goingwild/internal/wildnet"
-	"goingwild/internal/zonefile"
 )
 
 // BadStatement drops the error (and the message) on the floor.
@@ -26,14 +25,9 @@ func BadBlank(payload []byte) *dnswire.Message {
 	return m
 }
 
-// BadZonefile drops a parse error.
-func BadZonefile(r io.Reader) {
-	zonefile.Parse(r) // want errdrop
-}
-
 // BadDefer defers a call whose error nobody will see.
-func BadDefer(z *zonefile.Zone, w io.Writer) {
-	defer z.Serialize(w) // want errdrop
+func BadDefer(payload []byte) {
+	defer dnswire.Unpack(payload) // want errdrop
 }
 
 // OKPropagated returns the error to the caller.

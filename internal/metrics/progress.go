@@ -48,29 +48,45 @@ func StartProgress(w io.Writer, clock Clock, interval time.Duration, r *Registry
 	}
 }
 
-// ProgressLine renders the operator's one-line traffic summary: total
-// probes sent and responses received (summed over every *.sent/*.recv
-// counter), injected faults, and pipeline stage progress. It is the
-// simulated analogue of the live rate accounting the paper's operators
-// watched during their weekly censuses (§2.2).
-func ProgressLine(s Snapshot) string {
-	var sent, recv, faults uint64
+// Traffic sums the run's probe traffic: every *.sent counter and every
+// *.recv counter, whichever scan entrypoints tallied them.
+func (s Snapshot) Traffic() (sent, recv uint64) {
 	for _, c := range s.Counters {
 		switch {
 		case strings.HasSuffix(c.Name, ".sent"):
 			sent += c.Value
 		case strings.HasSuffix(c.Name, ".recv"):
 			recv += c.Value
-		case strings.HasPrefix(c.Name, "wildnet.fault."):
-			faults += c.Value
 		}
 	}
+	return sent, recv
+}
+
+// TrafficLine renders Traffic as "sent=N recv=M (P%)", the form the
+// progress line and dnsscan's exit line share.
+func (s Snapshot) TrafficLine() string {
+	sent, recv := s.Traffic()
 	ratio := 0.0
 	if sent > 0 {
 		ratio = float64(recv) / float64(sent)
 	}
-	return fmt.Sprintf("progress: sent=%d recv=%d (%.1f%%) faults=%d stages=%d/%d",
-		sent, recv, 100*ratio, faults,
+	return fmt.Sprintf("sent=%d recv=%d (%.1f%%)", sent, recv, 100*ratio)
+}
+
+// ProgressLine renders the operator's one-line traffic summary: total
+// probes sent and responses received (Traffic), injected faults, and
+// pipeline stage progress. It is the simulated analogue of the live rate
+// accounting the paper's operators watched during their weekly censuses
+// (§2.2).
+func ProgressLine(s Snapshot) string {
+	var faults uint64
+	for _, c := range s.Counters {
+		if strings.HasPrefix(c.Name, "wildnet.fault.") {
+			faults += c.Value
+		}
+	}
+	return fmt.Sprintf("progress: %s faults=%d stages=%d/%d",
+		s.TrafficLine(), faults,
 		s.Counter("pipeline.stage.done"),
 		s.Counter("pipeline.stage.done")+s.Counter("pipeline.stage.degraded")+
 			s.Counter("pipeline.stage.failed")+s.Counter("pipeline.stage.skipped"))

@@ -94,8 +94,5 @@ func (s *Source) Next() uint64 {
 	return Mix64(s.state)
 }
 
-// Float64 returns the next value in [0, 1).
-func (s *Source) Float64() float64 { return Float64(s.Next()) }
-
 // IntN returns the next value in [0, n).
 func (s *Source) IntN(n int) int { return IntN(s.Next(), n) }

@@ -17,6 +17,14 @@ import (
 	"goingwild/internal/wildnet"
 )
 
+// epochQueueDepth bounds how many swept-but-unapplied epoch deltas may
+// buffer between the producer and the store — the backpressure that keeps
+// the sweeper from running ahead of what is served. It caps the sweeper's
+// lead over the committed epoch at epochQueueDepth+2 weeks (the delta being
+// applied, the queue, and the sweep in flight or blocked in Put), the lead
+// wildnet.blockCacheWeeks is sized for.
+const epochQueueDepth = 2
+
 // Config parameterizes the service's continuous epoch loop.
 type Config struct {
 	// Order and ScanSeed select the target space and the per-epoch seed
@@ -26,10 +34,6 @@ type Config struct {
 	// Epochs is how many weekly sweeps the producer runs before the
 	// stream ends (a daemon passes a large horizon; tests pass a few).
 	Epochs int
-	// QueueDepth bounds how many committed-but-unapplied epoch deltas
-	// may buffer between the producer and the store (default 2) — the
-	// same backpressure seam the streaming engine uses.
-	QueueDepth int
 	// TTLBase seeds the churn-aware refresh TTL (see Store.Fresh);
 	// <= 0 selects DefaultTTLBase.
 	TTLBase int
@@ -205,9 +209,6 @@ type Service struct {
 
 // New builds a service. It does not start anything; Run does.
 func New(cfg Config, deps Deps) *Service {
-	if cfg.QueueDepth < 1 {
-		cfg.QueueDepth = 2
-	}
 	if deps.WallClock == nil {
 		deps.WallClock = scanner.SystemClock
 	}
@@ -247,7 +248,7 @@ func (s *Service) Series() churn.Series {
 // cancelled — a daemon cancels on shutdown, which fails any still-
 // waiting lookups with ErrStopped.
 func (s *Service) Run(ctx context.Context) error {
-	q := pipeline.NewQueue[churn.EpochDelta](s.cfg.QueueDepth)
+	q := pipeline.NewQueue[churn.EpochDelta](epochQueueDepth)
 	prodErr := make(chan error, 1)
 	prodCtx, cancelProd := context.WithCancel(ctx)
 	defer cancelProd()

@@ -36,6 +36,7 @@ func newTestWorld(t testing.TB, order uint, reg *metrics.Registry) *testWorld {
 	wcfg := wildnet.DefaultConfig(order)
 	wcfg.Seed = 0x60176A11D
 	wcfg.Loss = 0.002
+	wcfg.Metrics = reg
 	w, err := wildnet.NewWorld(wcfg)
 	if err != nil {
 		t.Fatal(err)
@@ -684,6 +685,79 @@ func TestServiceStaleRecordRefreshes(t *testing.T) {
 	}
 	if res.Source != "store" {
 		t.Fatalf("stable record refreshed: %+v", res)
+	}
+}
+
+// sweepWatch is the sweep transport's clock, reporting each week the
+// producer starts on.
+type sweepWatch struct {
+	churn.Clock
+	started chan int
+}
+
+func (c sweepWatch) SetTime(t wildnet.Time) {
+	c.Clock.SetTime(t)
+	c.started <- t.Week
+}
+
+// TestServiceBlockCacheRebuildsOncePerWeek pins the coupling between the
+// epoch queue and the world's block-table cache. The sweeper runs ahead
+// of the committed epoch the prober is pinned to, and the two transports
+// share one World whose block tables are direct-mapped by week: a lead as
+// long as the cache is wide evicts the prober's week, and every demand
+// probe then rebuilds a table the sweeper's next batch rebuilds back.
+// Each committed epoch here holds its cold lookup until the sweeper is as
+// far ahead as the queue lets it get and has built that week's table, so
+// the cache sees the lead a lookup between two commits sees (one racing a
+// commit sees a week more, which blockCacheWeeks also covers) — and every
+// week's table must still be built exactly once.
+func TestServiceBlockCacheRebuildsOncePerWeek(t *testing.T) {
+	const order, epochs = 14, 12
+	reg := metrics.New()
+	tw := newTestWorld(t, order, reg)
+	// One sender: several would race to build a new week's table on their
+	// first batches, and each of them counts.
+	tw.deps.Scanner = scanner.New(tw.sweepTr, scanner.Options{Workers: 1, SettleDelay: scanner.NoSettle})
+	// Room for every week, so the producer never waits on the test.
+	started := make(chan int, epochs)
+	tw.deps.SweepClock = sweepWatch{tw.sweepTr, started}
+	rebuilds := reg.TimingCounter("wildnet.blockcache.rebuilds")
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var svc *Service
+	sweeping, maxLead, cold := -1, 0, uint32(0)
+	svc = New(Config{Order: order, ScanSeed: 0x5EED, Epochs: epochs, Blacklist: tw.bl,
+		OnEpoch: func(st EpochStatus) {
+			// With this epoch in the applier's hands the queue takes
+			// epochQueueDepth more, and the producer sweeps the one after
+			// those before Put stops it.
+			for sweeping < min(st.Epoch+epochQueueDepth+1, epochs-1) {
+				sweeping = <-started
+			}
+			waitFor(t, "the sweeper's first batch of its week", func() bool { return rebuilds.Value() > uint64(sweeping) })
+			maxLead = max(maxLead, sweeping-st.Epoch)
+			for cold++; ; cold++ {
+				if _, known := svc.Store().Get(cold); !known {
+					break
+				}
+			}
+			res, err := svc.Lookup(ctx, cold)
+			if err != nil || res.Source != "probe" || res.Epoch != st.Epoch {
+				t.Errorf("epoch %d: cold lookup of %#x = %+v, %v", st.Epoch, cold, res, err)
+			}
+		}}, tw.deps)
+	if err := svc.Run(ctx); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if maxLead != epochQueueDepth+1 {
+		t.Errorf("sweeper led the probed epoch by at most %d weeks, want epochQueueDepth+1 = %d", maxLead, epochQueueDepth+1)
+	}
+	if got := reg.Snapshot().Counter("svc.probe.done"); got != epochs {
+		t.Errorf("svc.probe.done = %d, want one cold probe per epoch (%d)", got, epochs)
+	}
+	if got := rebuilds.Value(); got != epochs {
+		t.Errorf("wildnet.blockcache.rebuilds = %d over %d weeks swept and probed, want one build per week", got, epochs)
 	}
 }
 

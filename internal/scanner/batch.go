@@ -78,12 +78,12 @@ var probeBatchPool = sync.Pool{New: func() any {
 }}
 
 // templateBuild returns the sweep's probe builder: it addresses the probe
-// to target u from srcPort and patches the three per-target fields
+// to target u from basePort and patches the three per-target fields
 // (transaction ID, anti-caching prefix, hex-IP label) into a preassembled
 // query, instead of rebuilding the query label by label. The payload is
 // byte-for-byte what AppendTargetQuery produces for the same target and
 // attempt (TestTemplateBuildMatchesAppend pins this).
-func templateBuild(baseWire []byte, attempt int, srcPort uint16) probeBuild {
+func templateBuild(baseWire []byte, attempt int) probeBuild {
 	p0 := cachePrefixN(0, attempt)
 	tmpl := dnswire.AppendTargetQuery(nil, 0, p0[:], 0, baseWire, dnswire.TypeA, dnswire.ClassIN)
 	// Fixed layout: id at [0:2]; the 5-byte prefix label content at
@@ -92,7 +92,7 @@ func templateBuild(baseWire []byte, attempt int, srcPort uint16) probeBuild {
 	const hexdigits = "0123456789abcdef"
 	salt := uint64(attempt) * 0x9E3779B9
 	return func(u uint32, p *wildnet.Probe, buf []byte) []byte {
-		p.Dst, p.SrcPort = lfsr.U32ToAddr(u), srcPort
+		p.Dst, p.SrcPort = lfsr.U32ToAddr(u), basePort
 		off := len(buf)
 		buf = append(buf, tmpl...)
 		w := buf[off:]

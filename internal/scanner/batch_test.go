@@ -27,7 +27,7 @@ func TestTemplateBuildMatchesAppend(t *testing.T) {
 		targets = append(targets, u)
 	}
 	for attempt := 0; attempt <= 3; attempt++ {
-		build := templateBuild(baseWire, attempt, 33000)
+		build := templateBuild(baseWire, attempt)
 		var arena []byte
 		offs := []int{0}
 		for _, u := range targets {
@@ -107,28 +107,6 @@ func TestSweepShardUnionMatchesUnsharded(t *testing.T) {
 	for _, want := range single.Responders {
 		if got, ok := merged[want.Addr]; !ok || got != want {
 			t.Errorf("target %08x: shard union %+v, unsharded %+v", want.Addr, got, want)
-		}
-	}
-}
-
-// TestShardedSweepBudgetSplit checks the one documented divergence knob:
-// shardBudget shares sum exactly to the budget.
-func TestShardedSweepBudgetSplit(t *testing.T) {
-	for _, tc := range []struct{ total, m int }{{10, 3}, {7, 7}, {3, 8}, {0, 4}, {100, 1}} {
-		sum := 0
-		for i := 0; i < tc.m; i++ {
-			share := shardBudget(tc.total, i, tc.m)
-			if share < 0 {
-				t.Fatalf("negative share for budget %d shard %d/%d", tc.total, i, tc.m)
-			}
-			sum += share
-		}
-		want := tc.total
-		if want < 0 {
-			want = 0
-		}
-		if sum != want {
-			t.Errorf("budget %d over %d shards sums to %d", tc.total, tc.m, sum)
 		}
 	}
 }

@@ -108,7 +108,7 @@ func (s *Scanner) ScanChaosContext(ctx context.Context, resolvers []uint32) (*Ch
 			// rates.
 			if err := s.listScan(ctx, len(batch), 0, s.m.chaosSent,
 				func(i uint32, p *wildnet.Probe, arena []byte) []byte {
-					p.Dst, p.SrcPort = lfsr.U32ToAddr(batch[i]), s.opts.BasePort
+					p.Dst, p.SrcPort = lfsr.U32ToAddr(batch[i]), basePort
 					return appendWithID(arena, tmpl, uint16(i))
 				}, nil); err != nil {
 				return res, err

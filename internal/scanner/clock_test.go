@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"goingwild/internal/metrics"
 )
 
 // fakeClock is a manually-advanced Clock; Sleep jumps time forward
@@ -48,38 +50,43 @@ func (n *nullTransport) SetReceiver(f func(src netip.Addr, srcPort, dstPort uint
 
 func (n *nullTransport) Close() error { return nil }
 
+// TestStatsWithFakeClock: the registry is the scan's traffic instrument
+// and the injected clock its only time. Twenty alive probes, a quarter of
+// them answered: the counters hold the first pass, the one retry round
+// over the silent fifteen and the five answers, and the scan cost exactly
+// its two settle waits.
 func TestStatsWithFakeClock(t *testing.T) {
 	fc := newFakeClock()
-	inner := &nullTransport{}
-	tr, stats := WithStatsClock(inner, fc)
-	tr.SetReceiver(func(netip.Addr, uint16, uint16, []byte) {})
-
-	payload := make([]byte, 10)
-	for i := 0; i < 20; i++ {
-		if err := tr.Send(context.Background(), netip.MustParseAddr("192.0.2.1"), 53, 40000, payload); err != nil {
-			t.Fatal(err)
-		}
+	reg := metrics.New()
+	tr := &echoTransport{
+		sends:  map[uint32]int{},
+		answer: func(dst uint32, _ int) bool { return dst%4 == 0 },
 	}
-	for i := 0; i < 5; i++ {
-		inner.recv(netip.MustParseAddr("192.0.2.1"), 53, 40000, payload[:4])
+	addrs := make([]uint32, 20)
+	for i := range addrs {
+		addrs[i] = 0x0A000000 + uint32(i)
 	}
-	fc.Advance(2 * time.Second)
-
-	snap := stats.Snapshot()
-	if snap.Sent != 20 || snap.Received != 5 {
-		t.Errorf("sent=%d recv=%d, want 20/5", snap.Sent, snap.Received)
+	s := New(tr, Options{Workers: 4, SettleDelay: time.Second, Clock: fc, Metrics: reg})
+	start := fc.Now()
+	alive, err := s.ProbeAliveContext(context.Background(), addrs)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if snap.BytesOut != 200 || snap.BytesIn != 20 {
-		t.Errorf("bytesOut=%d bytesIn=%d, want 200/20", snap.BytesOut, snap.BytesIn)
+	if len(alive) != 5 {
+		t.Errorf("%d addresses alive, want 5", len(alive))
 	}
-	if snap.Elapsed != 2*time.Second {
-		t.Errorf("Elapsed = %v, want exactly 2s", snap.Elapsed)
+	snap := reg.Snapshot()
+	if sent, recv := snap.Traffic(); sent != 35 || recv != 5 {
+		t.Errorf("sent=%d recv=%d, want 35/5", sent, recv)
 	}
-	if got := snap.Rate(); got != 10 {
-		t.Errorf("Rate() = %v pps, want exactly 10", got)
+	if got := snap.Counter("scanner.retry.spend"); got != 15 {
+		t.Errorf("scanner.retry.spend = %d, want 15", got)
 	}
-	if got := snap.ResponseRatio(); got != 0.25 {
-		t.Errorf("ResponseRatio() = %v, want 0.25", got)
+	if got, want := snap.TrafficLine(), "sent=35 recv=5 (14.3%)"; got != want {
+		t.Errorf("TrafficLine() = %q, want %q", got, want)
+	}
+	if got := fc.Now().Sub(start); got != 2*time.Second {
+		t.Errorf("scan took %v on the fake clock, want exactly 2s", got)
 	}
 }
 

@@ -103,8 +103,8 @@ func (s *Scanner) ScanDomainsContext(ctx context.Context, resolvers []uint32, na
 			txid := v.ID()
 			portRewritten := false
 			var hi uint16
-			if dstPort >= s.opts.BasePort && dstPort < s.opts.BasePort+dnswire.ProbePortCount {
-				hi = dstPort - s.opts.BasePort
+			if dstPort >= basePort && dstPort < basePort+dnswire.ProbePortCount {
+				hi = dstPort - basePort
 			} else {
 				bits, nbits := dnswire.Decode0x20Bytes(v.QName(), 9)
 				if nbits < 9 {
@@ -142,13 +142,13 @@ func (s *Scanner) ScanDomainsContext(ctx context.Context, resolvers []uint32, na
 
 		// The probe payload is identical across attempts, so fault-layer
 		// redraws ride on the transport's retransmission counter.
-		err = s.listScan(ctx, len(resolvers), s.opts.Retries, s.m.domainsSent,
+		err = s.listScan(ctx, len(resolvers), listRetries, s.m.domainsSent,
 			func(ri uint32, p *wildnet.Probe, arena []byte) []byte {
 				txid, portIdx := dnswire.SplitProbeID(dnswire.ProbeID(ri))
 				off := len(arena)
 				arena = appendWithID(arena, tmpl, txid)
 				dnswire.Encode0x20Bytes(dnswire.QueryNameWire(arena[off:]), uint32(portIdx), 9)
-				p.Dst, p.SrcPort = lfsr.U32ToAddr(resolvers[ri]), s.opts.BasePort+portIdx
+				p.Dst, p.SrcPort = lfsr.U32ToAddr(resolvers[ri]), basePort+portIdx
 				return arena
 			},
 			func(ri uint32) bool {

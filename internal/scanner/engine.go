@@ -13,10 +13,10 @@ import (
 // snoop) — is rounds of the same thing: Options.Workers senders drain one
 // target source, build a probe per item into a pooled batch and hand the
 // batch to the transport; a settle barrier follows; retry rounds re-probe
-// what stayed silent under the backoff, budget and deadline policy. A
-// scan differs only in what it hands the engine: the source, the probe
-// builder, the miss check, the counter its probes are tallied in, and how
-// many retry rounds it wants.
+// what stayed silent. A retry is a round, nothing more: no delay before
+// it, no cap on what it sends, no deadline. A scan differs only in what it
+// hands the engine: the source, the probe builder, the miss check, the
+// counter its probes are tallied in, and how many retry rounds it wants.
 
 // targetSource yields a round's items in a fixed order: the sweep's
 // *lfsr.TargetGenerator yields target addresses, a listSource yields
@@ -99,10 +99,6 @@ type scanRun struct {
 	miss func(u uint32) bool
 	// sent tallies the probes dispatched (nil = metrics off).
 	sent *metrics.Counter
-	// budget is the retransmission allowance left when the scan runs with
-	// a bound RetryBudget (bound).
-	bound  bool
-	budget int
 	// save, when set, persists a checkpoint of the run: from the
 	// rendezvous every `every` batches, and at each round boundary with
 	// done reporting that nothing is left to send.
@@ -117,42 +113,23 @@ type scanRun struct {
 	probed uint64
 }
 
-// pull fills dst with the round's next items and reports whether the
-// round has more. Under a bound budget a retry round keeps only the first
-// `budget` misses in source order — decided here, under the lock, so the
-// retransmitted set does not depend on how many workers pull.
-func (r *scanRun) pull(dst []uint32) (n int, more bool) {
+// pull fills dst with the round's next items and reports how many; zero
+// ends the round.
+func (r *scanRun) pull(dst []uint32) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	spending := r.round > 0 && r.bound
-	if spending && r.budget <= 0 {
-		return 0, false
-	}
-	n = r.src.NextBatch(dst)
-	switch {
-	case n == 0:
-		return 0, false
-	case r.round == 0:
+	n := r.src.NextBatch(dst)
+	if r.round == 0 {
 		r.probed += uint64(n)
-	case spending:
-		k := 0
-		for _, u := range dst[:n] {
-			if k < r.budget && r.miss(u) {
-				dst[k] = u
-				k++
-			}
-		}
-		r.budget -= k
-		n = k
 	}
-	return n, true
+	return n
 }
 
 // pending reports whether the round about to start has anything to send:
 // it walks the rewound source to the first still-silent item and rewinds
 // again. A sweep finds one within its first pull; a list scan whose
-// probes were all answered ends here, before the backoff sleep and the
-// settle wait another round would cost.
+// probes were all answered ends here, before the settle wait another
+// round would cost.
 func (r *scanRun) pending() bool {
 	defer r.src.Reset()
 	bat := probeBatchPool.Get().(*probeBatch)
@@ -175,24 +152,15 @@ func (r *scanRun) pending() bool {
 // then the settle barrier fixes the answered set the next round's miss
 // check reads — an item is pulled once per round, so whether it is still
 // silent is settled before the round starts, and the probes sent are
-// independent of Workers. Retry rounds honor the backoff schedule, the
-// retransmission budget and the stage deadline; an exhausted budget, an
-// expired deadline or an empty miss set ends the scan quietly — partial
-// coverage is the graceful outcome — while context death and save errors
-// surface.
+// independent of Workers. The scan ends after its last retry round or,
+// before that, at the first round boundary with nothing left silent;
+// context death and save errors surface.
 func (s *Scanner) run(ctx context.Context, r *scanRun) error {
-	guard := s.newDeadlineGuard()
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		if r.round > 0 {
-			if guard.expired() || (r.bound && r.budget <= 0) {
-				break
-			}
-			if err := s.backoffWait(ctx, r.round); err != nil {
-				return err
-			}
 			s.m.retryRound.Inc()
 		}
 		var rz *rendezvous
@@ -206,33 +174,28 @@ func (s *Scanner) run(ctx context.Context, r *scanRun) error {
 		if err != nil {
 			return err
 		}
-		if r.round == 0 {
-			// The stage deadline bounds the retry phase, not round 0.
-			guard = s.newDeadlineGuard()
-		}
 		r.src.Reset()
 		r.round++
 		done := r.round > r.rounds || !r.pending()
 		if r.save != nil {
-			// Round boundary: force a checkpoint so a crash during the next
-			// round's backoff (or after the last round) resumes cleanly.
+			// Round boundary: force a checkpoint, so a crash early in the
+			// next round (or after the last one) does not replay this one.
 			if err := r.save(done); err != nil {
 				return err
 			}
 		}
 		if done {
-			break
+			return ctx.Err()
 		}
 	}
-	return ctx.Err()
 }
 
 // sendRound runs one round: Options.Workers senders, each pulling
-// r.chunk items at a time from the shared source, building the
-// still-wanted ones into a pooled batch and dispatching it in a single
-// SendBatch call. The set of probes sent is exactly the round's item set
-// no matter how batches interleave, so scan results stay
-// schedule-independent.
+// r.chunk items at a time from the shared source, building them — in a
+// retry round, the ones miss still reports — into a pooled batch and
+// dispatching it in a single SendBatch call. The set of probes sent is
+// exactly the round's item set no matter how batches interleave, so scan
+// results stay schedule-independent.
 //
 // A cancelled context stops each worker at its next pull (at most one
 // in-flight batch per worker completes). rz, when set, is the checkpoint
@@ -242,11 +205,6 @@ func (s *Scanner) sendRound(ctx context.Context, r *scanRun, rz *rendezvous) err
 	limited := s.rate.interval != 0
 	retry := r.round > 0
 	build := r.build(r.round)
-	// A bound budget has already applied the miss check in pull.
-	var accept func(u uint32) bool
-	if retry && !r.bound {
-		accept = r.miss
-	}
 	sender := func() error {
 		if rz != nil {
 			defer rz.finish()
@@ -257,13 +215,13 @@ func (s *Scanner) sendRound(ctx context.Context, r *scanRun, rz *rendezvous) err
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			n, more := r.pull(bat.items[:r.chunk])
-			if !more {
+			n := r.pull(bat.items[:r.chunk])
+			if n == 0 {
 				return nil
 			}
 			bat.reset()
 			for _, u := range bat.items[:n] {
-				if accept != nil && !accept(u) {
+				if retry && !r.miss(u) {
 					continue
 				}
 				if limited {
@@ -317,7 +275,5 @@ func (s *Scanner) listScan(ctx context.Context, n, rounds int, sent *metrics.Cou
 		build:  func(int) probeBuild { return build },
 		miss:   miss,
 		sent:   sent,
-		bound:  s.opts.RetryBudget > 0,
-		budget: s.opts.RetryBudget,
 	})
 }

@@ -37,7 +37,7 @@ func (tr *inspectTransport) Close() error { return nil }
 // nine bits. Four workers share the buffer pool, so a buffer handed back
 // too early would surface here as a torn payload.
 func TestDomainScanQueriesMatchMessageForm(t *testing.T) {
-	const addrBase, basePort = 0x0B000000, 40000
+	const addrBase = 0x0B000000
 	// Past 2^16 resolvers the port index, and with it the casing, moves.
 	resolvers := make([]uint32, 0x10000+500)
 	for i := range resolvers {
@@ -64,7 +64,7 @@ func TestDomainScanQueriesMatchMessageForm(t *testing.T) {
 				dst-addrBase, name, payload, srcPort, want, basePort+portIdx)
 		}
 	}
-	sc := New(tr, Options{Workers: 4, SettleDelay: NoSettle, BasePort: basePort})
+	sc := New(tr, Options{Workers: 4, SettleDelay: NoSettle})
 	if _, err := sc.ScanDomainsContext(context.Background(), resolvers, names); err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestSnoopRoundSendsOnePayload(t *testing.T) {
 // encoder packs from the name's string form, on the base source port —
 // packed bytes key the world's loss draws, so a moved byte moves reports.
 func TestAliveAndChaosQueriesMatchMessageForm(t *testing.T) {
-	const addrBase, basePort = 0x0B000000, 40000
+	const addrBase = 0x0B000000
 	var want func(dst uint32) *dnswire.Message
 	tr := &inspectTransport{check: func(dst uint32, srcPort uint16, payload []byte) {
 		wire, err := want(dst).PackBytes()
@@ -129,7 +129,7 @@ func TestAliveAndChaosQueriesMatchMessageForm(t *testing.T) {
 			t.Errorf("target %#x: sent %x from port %d, want %x from port %d", dst, payload, srcPort, wire, basePort)
 		}
 	}}
-	sc := New(tr, Options{Workers: 4, SettleDelay: NoSettle, BasePort: basePort})
+	sc := New(tr, Options{Workers: 4, SettleDelay: NoSettle})
 
 	// The alive prefix is "c" plus the low twelve bits in hex, unpadded.
 	want = func(u uint32) *dnswire.Message {

@@ -42,11 +42,11 @@ func (s *Scanner) ProbeAliveContext(ctx context.Context, addrs []uint32) (map[ui
 	// The probe asks for c<hex of the low 12 bits>.<hex-ip>.<scan base>:
 	// identical bytes on every attempt, so fault-layer redraws ride on the
 	// transport's retransmission counter.
-	err = s.listScan(ctx, len(addrs), s.opts.Retries, s.m.aliveSent,
+	err = s.listScan(ctx, len(addrs), listRetries, s.m.aliveSent,
 		func(i uint32, p *wildnet.Probe, arena []byte) []byte {
 			u := addrs[i]
 			prefix := [4]byte{'c'}
-			p.Dst, p.SrcPort = lfsr.U32ToAddr(u), s.opts.BasePort
+			p.Dst, p.SrcPort = lfsr.U32ToAddr(u), basePort
 			return dnswire.AppendTargetQuery(arena, uint16(u), strconv.AppendUint(prefix[:1], uint64(u&0xFFF), 16),
 				u, baseWire, dnswire.TypeA, dnswire.ClassIN)
 		},

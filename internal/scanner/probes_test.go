@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"goingwild/internal/dnswire"
+	"goingwild/internal/metrics"
 	"goingwild/internal/wildnet"
 )
 
@@ -187,25 +188,18 @@ func TestTCPFramingRoundTrip(t *testing.T) {
 func TestStatsCounting(t *testing.T) {
 	w, mem := testWorld(t, 16)
 	defer mem.Close()
-	tr, stats := WithStats(mem)
-	s := New(tr, Options{Workers: 4, Retries: 0, SettleDelay: NoSettle})
-	if _, err := s.SweepContext(context.Background(), 16, 5, w.ScanBlacklist()); err != nil {
+	reg := metrics.New()
+	s := New(mem, Options{Workers: 4, SettleDelay: NoSettle, Metrics: reg})
+	res, err := s.SweepContext(context.Background(), 16, 5, w.ScanBlacklist())
+	if err != nil {
 		t.Fatal(err)
 	}
-	snap := stats.Snapshot()
-	if snap.Sent == 0 || snap.Received == 0 {
-		t.Fatalf("counters empty: %+v", snap)
+	snap := reg.Snapshot()
+	sent, recv := snap.Traffic()
+	if sent != res.Probed || sent != snap.Counter("scanner.sweep.sent") {
+		t.Errorf("sent=%d (scanner.sweep.sent=%d), want the census's %d probes", sent, snap.Counter("scanner.sweep.sent"), res.Probed)
 	}
-	if snap.Received > snap.Sent {
-		t.Errorf("more responses than probes: %+v", snap)
-	}
-	if snap.BytesOut == 0 || snap.BytesIn == 0 {
-		t.Errorf("byte counters empty: %+v", snap)
-	}
-	if snap.ResponseRatio() <= 0 || snap.ResponseRatio() > 1 {
-		t.Errorf("response ratio = %f", snap.ResponseRatio())
-	}
-	if snap.String() == "" {
-		t.Error("empty snapshot string")
+	if recv < uint64(res.Total()) || recv > sent {
+		t.Errorf("recv=%d outside [%d responders, %d probes]", recv, res.Total(), sent)
 	}
 }

@@ -39,9 +39,6 @@ type SweepCheckpoint struct {
 	// target generator has advanced: every target before this position has
 	// been fully sent. On a round boundary it is the start of the walk.
 	Gen lfsr.GeneratorState `json:"gen"`
-	// Budget is the remaining retransmission allowance; meaningful only
-	// when the scan runs with a bound RetryBudget.
-	Budget int `json:"budget,omitempty"`
 	// Probed is the census probe count so far (final once Round > 0).
 	Probed uint64 `json:"probed"`
 	// Responders is the sorted collector content at the cut.
@@ -190,9 +187,6 @@ func (s *Scanner) restoreSweep(run *scanRun, st *sweepCollector, prev *SweepChec
 	}
 	run.round = prev.Round
 	run.probed = prev.Probed
-	if run.bound {
-		run.budget = prev.Budget
-	}
 	return prev.Done, nil
 }
 
@@ -202,17 +196,13 @@ func (s *Scanner) restoreSweep(run *scanRun, st *sweepCollector, prev *SweepChec
 func (s *Scanner) checkpointSweep(run *scanRun, st *sweepCollector) *SweepCheckpoint {
 	run.mu.Lock()
 	defer run.mu.Unlock()
-	ck := &SweepCheckpoint{
+	return &SweepCheckpoint{
 		Round:      run.round,
 		Gen:        run.src.(*lfsr.TargetGenerator).State(),
 		Probed:     run.probed,
 		Responders: s.collectSweep(st, run.probed).Responders,
 		Attempts:   s.snapshotAttempts(),
 	}
-	if run.bound {
-		ck.Budget = run.budget
-	}
-	return ck
 }
 
 // snapshotAttempts captures the transport's retransmission counters,

@@ -52,23 +52,22 @@ func copyCheckpoint(t *testing.T, ck *SweepCheckpoint) *SweepCheckpoint {
 	return out
 }
 
-// sweepContract checks, for one (fault profile, retry rounds, retry
-// budget) cell, everything the one sweep engine promises about Workers:
+// sweepContract checks, for one (fault profile, retry rounds) cell,
+// everything the one sweep engine promises about Workers and shards:
 //
-//	(a) SweepContext returns the same result at every worker count, a
-//	    bound budget included;
+//	(a) SweepContext returns the same result at every worker count;
 //	(b) a checkpointing sweep stopped at a seeded rendezvous and resumed
 //	    at a *different* worker count lands on that same result;
-//	(c) with an unlimited budget, the SweepShardContext shards of a
-//	    1-way and a 4-way split still union to it.
-func sweepContract(t *testing.T, profile string, retries, budget int) {
+//	(c) the SweepShardContext shards of a 1-way and a 4-way split union
+//	    to it.
+func sweepContract(t *testing.T, profile string, retries int) {
 	const order, seed = 14, 99
 	ctx := context.Background()
 	w, _ := resumeWorld(t, order, profile)
 	bl := w.ScanBlacklist()
 	newScanner := func(workers int) (*Scanner, func() error) {
 		tr := wildnet.NewMemTransport(w, wildnet.VantagePrimary)
-		return New(tr, Options{Workers: workers, SettleDelay: NoSettle, SweepRetries: retries, RetryBudget: budget}), tr.Close
+		return New(tr, Options{Workers: workers, SettleDelay: NoSettle, SweepRetries: retries}), tr.Close
 	}
 	sweep := func(workers int, rc *ResumeControl) (*SweepResult, error) {
 		s, closeTr := newScanner(workers)
@@ -111,7 +110,7 @@ func sweepContract(t *testing.T, profile string, retries, budget int) {
 			}
 			same(t, "uninterrupted checkpointing sweep", got)
 
-			stopAt := 1 + int(prand.UnitOf(seed, uint64(n), uint64(budget))*float64(saves))
+			stopAt := 1 + int(prand.UnitOf(seed, uint64(n))*float64(saves))
 			var last *SweepCheckpoint
 			seen := 0
 			_, err = sweep(n, &ResumeControl{EveryBatches: 2, Save: func(ck *SweepCheckpoint) error {
@@ -131,11 +130,6 @@ func sweepContract(t *testing.T, profile string, retries, budget int) {
 			}
 			same(t, fmt.Sprintf("stop at save %d/%d (round %d), resume at workers=%d", stopAt, saves, last.Round, resumeWith), got)
 		})
-	}
-	if budget > 0 {
-		// A bound budget is split across shards (shardBudget), the one
-		// documented way a shard union may differ from the unsharded run.
-		return
 	}
 	for _, of := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", of), func(t *testing.T) {
@@ -157,21 +151,14 @@ func sweepContract(t *testing.T, profile string, retries, budget int) {
 	}
 }
 
-// TestSweepResumeMatchesSweep runs the engine contract with an unlimited
-// retransmission budget, on a clean world (census only) and under the
-// hostile profile with two retry rounds.
+// TestSweepResumeMatchesSweep runs the engine contract on a clean world
+// (census only) and under every fault profile with the two retry rounds
+// the chaos configuration gives it.
 func TestSweepResumeMatchesSweep(t *testing.T) {
-	t.Run("clean", func(t *testing.T) { sweepContract(t, "clean", 0, 0) })
-	t.Run("hostile", func(t *testing.T) { sweepContract(t, "hostile", 2, 0) })
-}
-
-// TestSweepResumeBudgeted runs the same contract with a bound
-// RetryBudget: the budget is spent on the first misses in permutation
-// order as workers pull them, so neither the worker count nor a stop and
-// resume may change which targets are retransmitted to.
-func TestSweepResumeBudgeted(t *testing.T) {
-	t.Run("clean", func(t *testing.T) { sweepContract(t, "clean", 0, 300) })
-	t.Run("hostile", func(t *testing.T) { sweepContract(t, "hostile", 2, 300) })
+	t.Run("clean", func(t *testing.T) { sweepContract(t, "clean", 0) })
+	for _, profile := range []string{"lossy", "hostile", "flaky"} {
+		t.Run(profile, func(t *testing.T) { sweepContract(t, profile, 2) })
+	}
 }
 
 // TestSweepResumeFromAnyCheckpoint captures every checkpoint an

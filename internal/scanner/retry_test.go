@@ -10,48 +10,8 @@ import (
 
 	"goingwild/internal/dnswire"
 	"goingwild/internal/lfsr"
+	"goingwild/internal/metrics"
 )
-
-func TestBackoffDelaySchedule(t *testing.T) {
-	b := BackoffConfig{Base: 10 * time.Millisecond, Max: 80 * time.Millisecond}
-	want := []time.Duration{0, 10, 20, 40, 80, 80, 80}
-	for attempt, ms := range want {
-		if got := b.delay(attempt); got != ms*time.Millisecond {
-			t.Errorf("delay(%d) = %v, want %v", attempt, got, ms*time.Millisecond)
-		}
-	}
-	if got := (BackoffConfig{}).delay(3); got != 0 {
-		t.Errorf("zero-value delay(3) = %v, want 0 (backoff disabled)", got)
-	}
-	uncapped := BackoffConfig{Base: time.Millisecond}
-	if got := uncapped.delay(11); got != 1024*time.Millisecond {
-		t.Errorf("uncapped delay(11) = %v, want 1.024s", got)
-	}
-}
-
-func TestBackoffJitterDeterministic(t *testing.T) {
-	b := BackoffConfig{Base: 100 * time.Millisecond, Max: 100 * time.Millisecond, Jitter: 0.5, Seed: 7}
-	for attempt := 1; attempt <= 5; attempt++ {
-		d1, d2 := b.delay(attempt), b.delay(attempt)
-		if d1 != d2 {
-			t.Fatalf("delay(%d) drew %v then %v; jitter must be a pure function", attempt, d1, d2)
-		}
-		if d1 < 100*time.Millisecond || d1 > 150*time.Millisecond {
-			t.Errorf("delay(%d) = %v outside [base, base*1.5]", attempt, d1)
-		}
-	}
-	other := b
-	other.Seed = 8
-	same := 0
-	for attempt := 1; attempt <= 5; attempt++ {
-		if b.delay(attempt) == other.delay(attempt) {
-			same++
-		}
-	}
-	if same == 5 {
-		t.Error("jitter ignores the seed: two seeds drew identical 5-round schedules")
-	}
-}
 
 // echoTransport records every probe and answers the ones its script
 // picks, synchronously inside Send as the in-memory transport does. The
@@ -103,15 +63,22 @@ func (e *echoTransport) total() int {
 }
 
 // roundLoopScan is one kind of scan the round loop serves, cut down to
-// what the retry-policy cases vary: it probes items (listed in source
-// order) with `retries` retry rounds under opts.
+// what the round-loop cases vary: it probes items (listed in source order)
+// under opts. The list scans retry listRetries rounds; the sweep takes
+// sweepRetries.
 type roundLoopScan struct {
-	name  string
-	items []uint32
-	run   func(ctx context.Context, tr Transport, opts Options, retries int) error
+	name    string
+	items   []uint32
+	retries int
+	run     func(ctx context.Context, tr Transport, opts Options) error
 }
 
-// roundLoopScans lists the scans every retry-policy case below runs
+// sweepRetries is the sweep's retry allowance in the cases below: more
+// rounds than any of them needs, so a sweep that stops early stopped
+// because nothing was left silent.
+const sweepRetries = 5
+
+// roundLoopScans lists the scans every round-loop case below runs
 // against: two list scans and a sweep, each over seven items.
 func roundLoopScans(t *testing.T) []roundLoopScan {
 	list := []uint32{0x0A000001, 0x0A000002, 0x0A000003, 0x0A000004, 0x0A000005, 0x0A000006, 0x0A000007}
@@ -126,138 +93,78 @@ func roundLoopScans(t *testing.T) []roundLoopScan {
 		t.Fatalf("order-%d sweep has %d targets, want %d", order, len(permuted), len(list))
 	}
 	return []roundLoopScan{
-		{"alive", list, func(ctx context.Context, tr Transport, opts Options, retries int) error {
-			opts.Retries = retries
+		{"alive", list, listRetries, func(ctx context.Context, tr Transport, opts Options) error {
 			_, err := New(tr, opts).ProbeAliveContext(ctx, list)
 			return err
 		}},
-		{"domains", list, func(ctx context.Context, tr Transport, opts Options, retries int) error {
-			opts.Retries = retries
+		{"domains", list, listRetries, func(ctx context.Context, tr Transport, opts Options) error {
 			_, err := New(tr, opts).ScanDomainsContext(ctx, list, []string{"example.com"})
 			return err
 		}},
-		{"sweep", permuted, func(ctx context.Context, tr Transport, opts Options, retries int) error {
-			opts.SweepRetries = retries
+		{"sweep", permuted, sweepRetries, func(ctx context.Context, tr Transport, opts Options) error {
+			opts.SweepRetries = sweepRetries
 			_, err := New(tr, opts).SweepContext(ctx, order, seed, nil)
 			return err
 		}},
 	}
 }
 
-func TestRetryRoundsBackoffOnFakeClock(t *testing.T) {
-	for _, sc := range roundLoopScans(t) {
-		fc := newFakeClock()
-		tr := &echoTransport{sends: map[uint32]int{}}
-		start := fc.Now()
-		err := sc.run(context.Background(), tr, Options{
-			Workers:     1,
-			SettleDelay: NoSettle,
-			Clock:       fc,
-			Backoff:     BackoffConfig{Base: 10 * time.Millisecond, Max: 40 * time.Millisecond},
-		}, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Rounds 1..3 back off 10+20+40ms; the initial round waits nothing.
-		if got := fc.Now().Sub(start); got != 70*time.Millisecond {
-			t.Errorf("%s: 3 retry rounds advanced the fake clock by %v, want 70ms", sc.name, got)
-		}
-		for _, u := range sc.items {
-			if got := tr.sends[u]; got != 4 {
-				t.Errorf("%s: item %#x sent %d times, want 4 (every round)", sc.name, u, got)
-			}
-		}
-	}
-}
-
-func TestRetryBudgetTruncatesInTargetOrder(t *testing.T) {
-	for _, sc := range roundLoopScans(t) {
-		n := len(sc.items)
-		// The truncation is decided under the pull lock, so the worker
-		// count must not show in which items are retransmitted.
-		for _, workers := range []int{1, 8} {
-			tr := &echoTransport{sends: map[uint32]int{}}
-			err := sc.run(context.Background(), tr, Options{
-				Workers:     workers,
-				SettleDelay: NoSettle,
-				Clock:       newFakeClock(),
-				RetryBudget: n + 1,
-			}, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Initial round: n probes (free). Round 1: n retries, budget
-			// n+1→1. Round 2: the budget admits only the first item. Round
-			// 3: budget spent.
-			if got := tr.total(); got != n+n+1 {
-				t.Errorf("%s workers=%d: total sends = %d, want %d (initial + budgeted retries)", sc.name, workers, got, n+n+1)
-			}
-			for i, u := range sc.items {
-				want := 2
-				if i == 0 {
-					want = 3 // truncation keeps the first item in source order
-				}
-				if got := tr.sends[u]; got != want {
-					t.Errorf("%s workers=%d: item %d (%#x) sent %d times, want %d", sc.name, workers, i, u, got, want)
-				}
-			}
-		}
-	}
-}
-
-func TestStageDeadlineEndsRetriesQuietly(t *testing.T) {
-	for _, sc := range roundLoopScans(t) {
-		tr := &echoTransport{sends: map[uint32]int{}}
-		err := sc.run(context.Background(), tr, Options{
-			Workers:       1,
-			SettleDelay:   NoSettle,
-			Clock:         newFakeClock(),
-			Backoff:       BackoffConfig{Base: 10 * time.Millisecond},
-			StageDeadline: 15 * time.Millisecond,
-		}, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The guard is checked at round start: round 1 (0ms elapsed) and
-		// round 2 (10ms) run; round 3 finds 30ms ≥ 15ms and stops. Partial
-		// coverage, no error — degradation is quiet.
-		if got, want := tr.total(), 3*len(sc.items); got != want {
-			t.Errorf("%s: total sends = %d, want %d (initial + 2 rounds before deadline)", sc.name, got, want)
-		}
-	}
-}
-
 // TestRetryRoundsStopsWhenAnswered: once nothing is left unanswered the
-// scan is over — no further round, and neither the backoff sleep nor the
-// settle wait that round would have started with and ended on.
+// scan is over — no further round, and not the settle wait it would have
+// ended on. A round costs its settle wait and nothing else, so the fake
+// clock reads exactly rounds × settle.
 func TestRetryRoundsStopsWhenAnswered(t *testing.T) {
-	const settle, backoff = 50 * time.Millisecond, 10 * time.Millisecond
+	const settle = 50 * time.Millisecond
 	for _, sc := range roundLoopScans(t) {
 		// The last answer arrives in round 0, or in the first retry round.
 		for lastRound := 0; lastRound <= 1; lastRound++ {
 			fc := newFakeClock()
+			reg := metrics.New()
 			tr := &echoTransport{
 				sends:  map[uint32]int{},
 				answer: func(_ uint32, attempt int) bool { return attempt == lastRound },
 			}
 			start := fc.Now()
-			err := sc.run(context.Background(), tr, Options{
-				Workers:     1,
-				SettleDelay: settle,
-				Clock:       fc,
-				Backoff:     BackoffConfig{Base: backoff, Max: backoff},
-			}, 5)
+			err := sc.run(context.Background(), tr, Options{Workers: 1, SettleDelay: settle, Clock: fc, Metrics: reg})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got, want := tr.total(), (lastRound+1)*len(sc.items); got != want {
+			rounds := lastRound + 1
+			if got, want := tr.total(), rounds*len(sc.items); got != want {
 				t.Errorf("%s: total sends = %d, want %d (everything answered in round %d)", sc.name, got, want, lastRound)
 			}
-			// One settle per round run, one backoff before each retry round.
-			want := time.Duration(lastRound+1)*settle + time.Duration(lastRound)*backoff
-			if got := fc.Now().Sub(start); got != want {
+			if got, want := fc.Now().Sub(start), time.Duration(rounds)*settle; got != want {
 				t.Errorf("%s: scan answered in round %d took %v on the fake clock, want %v", sc.name, lastRound, got, want)
 			}
+			snap := reg.Snapshot()
+			if got := snap.Counter("scanner.settle.waits"); got != uint64(rounds) {
+				t.Errorf("%s: scanner.settle.waits = %d, want %d (one per round run)", sc.name, got, rounds)
+			}
+			if got := snap.Counter("scanner.retry.rounds"); got != uint64(lastRound) {
+				t.Errorf("%s: scanner.retry.rounds = %d, want %d", sc.name, got, lastRound)
+			}
+		}
+	}
+}
+
+// TestRetryRoundsRunOut: with nothing ever answered every retry round
+// runs, each over every item, and the scan ends quietly after the last.
+func TestRetryRoundsRunOut(t *testing.T) {
+	const settle = 50 * time.Millisecond
+	for _, sc := range roundLoopScans(t) {
+		fc := newFakeClock()
+		tr := &echoTransport{sends: map[uint32]int{}}
+		start := fc.Now()
+		if err := sc.run(context.Background(), tr, Options{Workers: 1, SettleDelay: settle, Clock: fc}); err != nil {
+			t.Fatal(err)
+		}
+		for _, u := range sc.items {
+			if got := tr.sends[u]; got != sc.retries+1 {
+				t.Errorf("%s: item %#x sent %d times, want %d (every round)", sc.name, u, got, sc.retries+1)
+			}
+		}
+		if got, want := fc.Now().Sub(start), time.Duration(sc.retries+1)*settle; got != want {
+			t.Errorf("%s: %d silent rounds took %v on the fake clock, want %v", sc.name, sc.retries+1, got, want)
 		}
 	}
 }
@@ -267,7 +174,7 @@ func TestRetryRoundsContextDeath(t *testing.T) {
 		tr := &echoTransport{sends: map[uint32]int{}}
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		err := sc.run(ctx, tr, Options{Workers: 1, SettleDelay: NoSettle, Clock: newFakeClock()}, 3)
+		err := sc.run(ctx, tr, Options{Workers: 1, SettleDelay: NoSettle, Clock: newFakeClock()})
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("%s on dead ctx = %v, want context.Canceled", sc.name, err)
 		}

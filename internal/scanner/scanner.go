@@ -41,9 +41,15 @@ type Transport = wildnet.Transport
 //lint:allow ctxhygiene sole Background escape, for the single-exchange helpers whose callers carry no context
 var bgCtx = context.Background()
 
-// NoRetries is the Options.Retries value that disables retransmission
-// rounds entirely (the zero value means "default", which is 1 round).
-const NoRetries = -1
+// listRetries is how many retry rounds a list scan (domain, alive) runs
+// over the resolvers still silent after its first pass — one, the fixed
+// retry count of §5's packet-loss handling. The CHAOS and snoop scans send
+// once; a sweep takes its count from Options.SweepRetries.
+const listRetries = 1
+
+// basePort is the UDP source port of every probe, and the first of the
+// ProbePortCount ports a domain scan spreads its resolver identifier over.
+const basePort = 33000
 
 // Options tunes a scanner.
 type Options struct {
@@ -53,45 +59,25 @@ type Options struct {
 	// Workers is the number of sender goroutines (default 8). It is the
 	// only parallelism knob: scan results never depend on it.
 	Workers int
-	// Retries is how many retransmission rounds cover unanswered
-	// probes (packet loss, §5). The zero value defaults to 1;
-	// NoRetries (or any negative value) disables retransmission.
-	Retries int
 	// SettleDelay is how long to wait for in-flight responses after a
 	// send round on asynchronous transports. Default 50ms; a negative
 	// value disables waiting entirely, which is correct for the
 	// in-memory transport (it delivers responses synchronously inside
 	// Send).
 	SettleDelay time.Duration
-	// Backoff is the adaptive delay between retransmission rounds
-	// (exponential with deterministic seeded jitter, slept on Clock).
-	// The zero value keeps the legacy behavior: rounds run back to back.
-	Backoff BackoffConfig
-	// RetryBudget caps the total number of retransmissions one scan
-	// entrypoint may spend; retransmission lists are truncated in
-	// deterministic target order when the budget binds. Zero means
-	// unlimited.
-	RetryBudget int
-	// StageDeadline bounds one scan entrypoint's retry phase: once the
-	// budget has elapsed on Clock, no further retry rounds start and the
-	// scan returns its partial coverage. Zero means no deadline.
-	StageDeadline time.Duration
 	// SweepRetries adds retransmission rounds for sweep non-responders.
 	// The default 0 keeps census semantics (exactly one probe per
 	// target); fault profiles set 1–2 to ride over injected loss. Each
 	// retry salts the anti-caching prefix, so the retransmission is a
 	// new packet and redraws its loss fate.
 	SweepRetries int
-	// BasePort is the first of the ProbePortCount UDP source ports a
-	// domain scan uses. Default 33000.
-	BasePort uint16
 	// Clock supplies time to the rate limiter and settle delays.
 	// Default SystemClock; tests inject a fake to exercise pacing
 	// deterministically.
 	Clock Clock
 	// Metrics, when set, receives the scanner's traffic accounting:
-	// probes sent/received per entrypoint, retry rounds and budget
-	// spend, settle waits, and rate-limiter stalls. Metrics are a pure
+	// probes sent/received per entrypoint, retry rounds and the probes
+	// they sent, settle waits, and rate-limiter stalls. Metrics are a pure
 	// side channel — scan results never depend on them — and every
 	// value except the Timing-class stall counter is deterministic
 	// across runs and GOMAXPROCS. Nil disables instrumentation at zero
@@ -103,23 +89,11 @@ func (o *Options) fill() {
 	if o.Workers <= 0 {
 		o.Workers = 8
 	}
-	if o.Retries == 0 {
-		o.Retries = 1
-	}
-	if o.Retries < 0 {
-		o.Retries = 0
-	}
 	if o.SettleDelay == 0 {
 		o.SettleDelay = 50 * time.Millisecond
 	}
-	if o.RetryBudget < 0 {
-		o.RetryBudget = 0
-	}
 	if o.SweepRetries < 0 {
 		o.SweepRetries = 0
-	}
-	if o.BasePort == 0 {
-		o.BasePort = 33000
 	}
 	if o.Clock == nil {
 		o.Clock = SystemClock

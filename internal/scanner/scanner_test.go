@@ -22,7 +22,7 @@ func testWorld(t testing.TB, order uint) (*wildnet.World, *wildnet.MemTransport)
 }
 
 func testScanner(tr Transport) *Scanner {
-	return New(tr, Options{Workers: 4, Retries: 1, SettleDelay: time.Millisecond})
+	return New(tr, Options{Workers: 4, SettleDelay: time.Millisecond})
 }
 
 func TestSweepFindsPopulation(t *testing.T) {

@@ -88,7 +88,7 @@ func (s *Scanner) SnoopRoundContext(ctx context.Context, resolvers []uint32, tld
 	// round's one query.
 	err = s.listScan(ctx, len(resolvers), 0, s.m.snoopSent,
 		func(i uint32, p *wildnet.Probe, arena []byte) []byte {
-			p.Dst, p.SrcPort, p.Payload = lfsr.U32ToAddr(resolvers[i]), s.opts.BasePort, wire
+			p.Dst, p.SrcPort, p.Payload = lfsr.U32ToAddr(resolvers[i]), basePort, wire
 			return arena
 		}, nil)
 	out := make(map[uint32]SnoopObs, collected.Len())

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"goingwild/internal/metrics"
 	"goingwild/internal/wildnet"
 )
 
@@ -21,8 +22,8 @@ func TestSweepStressParallel(t *testing.T) {
 			t.Parallel()
 			w, tr := testWorld(t, 14)
 			defer tr.Close()
-			str, stats := WithStats(tr)
-			s := New(str, Options{Workers: 16, RatePPS: 2_000_000, SettleDelay: NoSettle})
+			reg := metrics.New()
+			s := New(tr, Options{Workers: 16, RatePPS: 2_000_000, SettleDelay: NoSettle, Metrics: reg})
 			res, err := s.SweepContext(context.Background(), 14, seed, w.ScanBlacklist())
 			if err != nil {
 				t.Fatal(err)
@@ -30,8 +31,8 @@ func TestSweepStressParallel(t *testing.T) {
 			if res.Total() == 0 {
 				t.Fatal("stress sweep found no responders")
 			}
-			if snap := stats.Snapshot(); snap.Sent == 0 || snap.Received == 0 {
-				t.Errorf("stats missed traffic: %v", snap)
+			if sent, recv := reg.Snapshot().Traffic(); sent != res.Probed || recv < uint64(res.Total()) {
+				t.Errorf("registry missed traffic: sent=%d recv=%d for %d probes, %d responders", sent, recv, res.Probed, res.Total())
 			}
 		})
 	}

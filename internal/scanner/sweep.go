@@ -154,26 +154,9 @@ func (s *Scanner) SweepContext(ctx context.Context, order uint, seed uint32, bl 
 // ZMap's do. Every probe a shard sends is bit-identical to the probe the
 // unsharded sweep sends to the same target, so the modeled per-packet
 // loss draws — and therefore the responder set — cannot depend on `of`.
-// The one exception is a bound RetryBudget, which is split across shards
-// (shardBudget) and can so pick different retransmission targets than an
-// unsharded run. The result holds only this shard's probes and
-// responders.
+// The result holds only this shard's probes and responders.
 func (s *Scanner) SweepShardContext(ctx context.Context, order uint, seed uint32, bl *lfsr.Blacklist, shard, of int) (*SweepResult, error) {
 	return s.sweep(ctx, order, seed, bl, shard, of, nil)
-}
-
-// shardBudget splits a retransmission budget across m shards: shard i
-// gets total/m, plus one of the first total%m remainder units, so the
-// shares sum exactly to the budget.
-func shardBudget(total, i, m int) int {
-	if total <= 0 {
-		return 0
-	}
-	share := total / m
-	if i < total%m {
-		share++
-	}
-	return share
 }
 
 // sweep is the sweep's entry to the scan engine, behind SweepContext (full
@@ -213,15 +196,13 @@ func (s *Scanner) sweep(ctx context.Context, order uint, seed uint32, bl *lfsr.B
 		chunk:  streamBatch,
 		rounds: s.opts.SweepRetries,
 		build: func(round int) probeBuild {
-			return templateBuild(baseWire, round, s.opts.BasePort)
+			return templateBuild(baseWire, round)
 		},
 		miss: func(u uint32) bool {
 			_, answered := st.responses.Get(u)
 			return !answered
 		},
-		sent:   s.m.sweepSent,
-		bound:  s.opts.RetryBudget > 0,
-		budget: shardBudget(s.opts.RetryBudget, shard, of),
+		sent: s.m.sweepSent,
 	}
 	if rc != nil && rc.Save != nil {
 		run.every = rc.EveryBatches
@@ -297,7 +278,7 @@ func (s *Scanner) ProbeContext(ctx context.Context, addr uint32, name string, ty
 	})
 	s.m.probeSent.Inc()
 	//lint:allow errdrop single-probe send failures are modeled packet loss
-	s.tr.Send(ctx, lfsr.U32ToAddr(addr), 53, s.opts.BasePort, wire)
+	s.tr.Send(ctx, lfsr.U32ToAddr(addr), 53, basePort, wire)
 	err = s.settle(ctx)
 	mu.Lock()
 	defer mu.Unlock()

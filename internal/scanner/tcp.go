@@ -40,7 +40,7 @@ func (s *Scanner) ProbeTC(addr uint32, name string, typ dnswire.Type, class dnsw
 	})
 	s.m.tcpSent.Inc()
 	//lint:allow errdrop TC-probe send failures are modeled packet loss
-	s.tr.Send(bgCtx, lfsr.U32ToAddr(addr), 53, s.opts.BasePort, wire)
+	s.tr.Send(bgCtx, lfsr.U32ToAddr(addr), 53, basePort, wire)
 	s.settle(bgCtx)
 
 	mu.Lock()

@@ -151,18 +151,6 @@ func mailProtoOf(cn string) int {
 	}
 }
 
-// MailProto names the mail protocol a hostname stands for.
-func MailProto(cn string) string {
-	switch mailProtoOf(dnswire.CanonicalName(cn)) {
-	case 0:
-		return "imap"
-	case 1:
-		return "pop3"
-	default:
-		return "smtp"
-	}
-}
-
 // RDNS returns the PTR target of an address, or "" when none exists.
 // Infrastructure addresses carry role-appropriate names; about half the
 // ordinary-domain site hosts publish a PTR equal to the domain they host,

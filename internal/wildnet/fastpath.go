@@ -72,10 +72,11 @@ type rejectCache struct {
 // blockCacheWeeks is how many weeks' block tables a World keeps, direct-
 // mapped by week. One is enough for a scan, which stays on its week; a
 // wildsvc runs two transports over one World — the sweeper leads the
-// committed epoch the demand prober is pinned to by up to QueueDepth+2
-// = 4 weeks at the default queue — and with a single slot each side's
-// batch rebuilt the table the other had just built. Eight consecutive
-// weeks never share a slot, so that lead cannot collide.
+// committed epoch the demand prober is pinned to by up to
+// resolvesvc's epochQueueDepth+2 = 4 weeks — and with a single slot each
+// side's batch rebuilt the table the other had just built. Eight
+// consecutive weeks never share a slot, so that lead cannot collide
+// (resolvesvc's TestServiceBlockCacheRebuildsOncePerWeek holds it there).
 const blockCacheWeeks = 8
 
 // blockCache returns the block table for week, building it when the

@@ -262,11 +262,6 @@ func (w *World) RoleAddr(role Role, idx int) uint32 {
 	return w.infra.addrOf(role, idx)
 }
 
-// RoleSize returns the number of slots a role's range holds.
-func (w *World) RoleSize(role Role) int {
-	return w.infra.rangeSize(role)
-}
-
 // CensorPageAddr returns the address of one of a country's censorship
 // landing pages; variant spreads load across the country's slots. Returns
 // 0 when the country operates no landing pages.

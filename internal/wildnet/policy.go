@@ -158,12 +158,9 @@ func (w *World) censorDecision(p *Profile, cn string, cat domains.Category) (Cen
 	return CensorNone, 0
 }
 
-// GFWMatches reports whether the injector reacts to a name, independent of
-// any resolver (injection triggers even for probes to non-resolver hosts
-// in Chinese address space, §4.2).
-func GFWMatches(name string) bool { return gfwListed(dnswire.CanonicalName(name)) }
-
-// gfwListed is GFWMatches for a name already in canonical form.
+// gfwListed reports whether the injector reacts to a name in canonical
+// form, independent of any resolver (injection triggers even for probes to
+// non-resolver hosts in Chinese address space, §4.2).
 func gfwListed(cn string) bool {
 	for _, n := range gfwNames {
 		if n == cn {
@@ -173,7 +170,7 @@ func gfwListed(cn string) bool {
 	return false
 }
 
-// gfwMatchesWire is GFWMatches over a wire-view name (raw bytes, original
+// gfwMatchesWire is gfwListed over a wire-view name (raw bytes, original
 // case, no trailing dot — the form unpackName and View.QName share), kept
 // alloc-free for the transport fast path. Equivalent because gfwNames are
 // canonical and CanonicalName only lowercases and strips a trailing dot.
