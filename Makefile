@@ -41,11 +41,12 @@ bench-test:
 	$(GO) test -C bench ./...
 
 # Race-detector pass over the concurrent subsystems (the stress tests in
-# scanner and wildnet exist for this target). resolvesvc runs three
-# times: its coalescer stress is a race between request goroutines and
-# one prober, and one schedule of it proves little.
+# scanner and wildnet exist for this target; ampli's survey runs the ANY
+# scan's receiver under four senders). resolvesvc runs three times: its
+# coalescer stress is a race between request goroutines and one prober,
+# and one schedule of it proves little.
 race:
-	$(GO) test -race ./internal/scanner ./internal/wildnet ./internal/pipeline ./internal/metrics ./internal/debughttp .
+	$(GO) test -race ./internal/scanner ./internal/wildnet ./internal/ampli ./internal/pipeline ./internal/metrics ./internal/debughttp .
 	$(GO) test -race -count=3 ./internal/resolvesvc
 
 # Chaos matrix: the full pipeline under every fault profile (clean,
@@ -83,8 +84,9 @@ metrics-smoke:
 serve-smoke:
 	$(GO) run ./cmd/wildsvc -smoke
 
-# A few seconds of coverage-guided fuzzing per wire-format fuzz target.
-# `go test -fuzz` accepts one target per invocation, hence seven runs.
+# A few seconds of coverage-guided fuzzing per fuzz target: the seven
+# wire-format ones and the service's two query parsers. `go test -fuzz`
+# accepts one target per invocation, hence nine runs.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzUnpack -fuzztime=5s ./internal/dnswire
 	$(GO) test -fuzz=FuzzAppendNameCompression -fuzztime=5s ./internal/dnswire
@@ -93,6 +95,8 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzHandleDNS -fuzztime=5s ./internal/wildnet
 	$(GO) test -fuzz=FuzzAnswerWire -fuzztime=5s ./internal/wildnet
 	$(GO) test -fuzz=FuzzCheckpointDecode -fuzztime=5s ./internal/checkpoint
+	$(GO) test -fuzz=FuzzResolverQuery -fuzztime=5s ./internal/resolvesvc
+	$(GO) test -fuzz=FuzzResolversQuery -fuzztime=5s ./internal/resolvesvc
 
 # One iteration of every table/figure benchmark.
 bench-all:
@@ -115,10 +119,10 @@ record:
 	$(REPORT) > sample_report.txt
 	$(MARKDOWN) > EXPERIMENTS_TABLE.md
 
+# Every program under examples/ must run to completion (a few seconds
+# each); a new example is picked up without touching this file.
 examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/fingerprint
-	$(GO) run ./examples/dnssec
+	set -e; for d in examples/*/; do $(GO) run ./$$d; done
 
 clean:
 	$(GO) clean ./...

@@ -43,8 +43,8 @@ func TestAblationCertRule(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	full := prefilter.Run(scan, s.PrefilterEnv())
-	ablated := s.PrefilterEnv()
+	full := prefilter.Run(scan, s.PrefilterEnv(context.Background()))
+	ablated := s.PrefilterEnv(context.Background())
 	ablated.CertProbe = func(uint32, string, bool) (prefilter.Cert, bool) {
 		return prefilter.Cert{}, false
 	}
@@ -172,7 +172,7 @@ func BenchmarkAblationPrefilterNoCache(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	env := s.PrefilterEnv()
+	env := s.PrefilterEnv(context.Background())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res := prefilter.Run(scan, env)

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -22,7 +23,7 @@ func main() {
 	}
 	defer study.Close()
 
-	s := study.RunNetalyzr(50, 1200)
+	s := study.RunNetalyzr(context.Background(), 50, 1200)
 	fmt.Println(analysis.RenderNetalyzr(s))
 
 	// Where do the monetizing ISPs sit?

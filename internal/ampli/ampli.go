@@ -1,18 +1,15 @@
 // Package ampli surveys the amplification-DDoS potential of the open
 // resolver population — the threat framing of the paper's introduction
 // and of the authors' companion study (Kührer et al., USENIX Security
-// 2014): ANY queries are sent to every resolver and the bandwidth
-// amplification factor (response bytes over request bytes) is measured.
+// 2014): the scanner's ANY scan asks every resolver, and the bandwidth
+// amplification factor (response bytes over request bytes) is computed
+// here from what came back.
 package ampli
 
 import (
 	"context"
-	"net/netip"
 	"sort"
-	"sync"
 
-	"goingwild/internal/dnswire"
-	"goingwild/internal/lfsr"
 	"goingwild/internal/scanner"
 )
 
@@ -95,63 +92,27 @@ func (s *Survey) CountAbove(threshold float64) int {
 	return n
 }
 
-// Run sends one ANY query for name to every resolver and measures the
-// response sizes. A cancelled ctx stops the send loop; the survey then
-// covers the resolvers probed before the abort.
-func Run(ctx context.Context, tr scanner.Transport, resolvers []uint32, name string) *Survey {
+// Run scans the resolvers with one ANY query for name each and turns the
+// response sizes into the survey. A cancelled scan yields the survey of
+// the answers gathered before the abort, with ctx.Err().
+func Run(ctx context.Context, sc *scanner.Scanner, resolvers []uint32, name string) (*Survey, error) {
+	res, err := sc.ScanANYContext(ctx, resolvers, name)
+	if res == nil {
+		return nil, err
+	}
 	survey := &Survey{}
-	var mu sync.Mutex
-	sizes := make(map[uint32]Measurement, len(resolvers)/2)
-	refused := map[uint32]bool{}
-	want := make(map[uint32]struct{}, len(resolvers))
-	for _, u := range resolvers {
-		want[u] = struct{}{}
+	for u, a := range res.Answers {
+		if a.Refused {
+			survey.Refused++
+			survey.Responded++
+		}
+		if a.Size > 0 {
+			survey.Responded++
+			survey.Measurements = append(survey.Measurements, Measurement{Addr: u, RequestSize: res.RequestSize, ResponseSize: a.Size})
+		}
 	}
-
-	q := dnswire.NewQuery(0xA3F, name, dnswire.TypeANY, dnswire.ClassIN)
-	q.AddEDNS(4096) // amplification abuse always advertises a large buffer
-	wire, err := q.PackBytes()
-	if err != nil {
-		return survey
-	}
-	reqSize := len(wire)
-
-	tr.SetReceiver(func(src netip.Addr, srcPort, dstPort uint16, payload []byte) {
-		m, err := dnswire.Unpack(payload)
-		if err != nil || !m.Header.QR {
-			return
-		}
-		u := lfsr.AddrToU32(src)
-		if _, ok := want[u]; !ok {
-			return
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		if m.Header.RCode == dnswire.RCodeRefused {
-			refused[u] = true
-			return
-		}
-		if _, dup := sizes[u]; !dup {
-			sizes[u] = Measurement{Addr: u, RequestSize: reqSize, ResponseSize: len(payload)}
-		}
-	})
-	for _, u := range resolvers {
-		if ctx.Err() != nil {
-			break
-		}
-		//lint:allow errdrop amplification-probe send failures are modeled packet loss
-		tr.Send(ctx, lfsr.U32ToAddr(u), 53, 33001, wire)
-	}
-
-	mu.Lock()
-	defer mu.Unlock()
-	for _, m := range sizes {
-		survey.Measurements = append(survey.Measurements, m)
-	}
-	survey.Responded = len(sizes) + len(refused)
-	survey.Refused = len(refused)
 	sort.Slice(survey.Measurements, func(i, j int) bool {
 		return survey.Measurements[i].Addr < survey.Measurements[j].Addr
 	})
-	return survey
+	return survey, err
 }

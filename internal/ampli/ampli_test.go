@@ -23,7 +23,11 @@ func runSurvey(t *testing.T, order uint) (*Survey, *wildnet.World, []uint32) {
 		t.Fatal(err)
 	}
 	resolvers := sweep.NOERROR()
-	return Run(context.Background(), tr, resolvers, "chase.com"), w, resolvers
+	survey, err := Run(context.Background(), sc, resolvers, "chase.com")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return survey, w, resolvers
 }
 
 func TestSurveyShape(t *testing.T) {

@@ -210,7 +210,10 @@ func RunCohort(ctx context.Context, sc *scanner.Scanner, clock Clock, cohort []u
 		if aliveDay1[u] {
 			continue
 		}
-		name, ok := sc.LookupPTR(trustedDNS, u)
+		name, ok, err := sc.LookupPTR(ctx, trustedDNS, u)
+		if err != nil {
+			return study, err
+		}
 		if !ok {
 			continue
 		}

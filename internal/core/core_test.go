@@ -28,24 +28,46 @@ func newStudy(t testing.TB, order uint) *Study {
 
 func TestTrustedResolveAndRDNSChannels(t *testing.T) {
 	s := newStudy(t, 16)
-	addrs, rc := s.TrustedResolve(domains.GroundTruth)
+	ctx := context.Background()
+	addrs, rc := s.TrustedResolve(ctx, domains.GroundTruth)
 	if rc != 0 || len(addrs) == 0 {
 		t.Fatalf("trusted resolve GT: %v rc=%v", addrs, rc)
 	}
 	// Cache must return identical results.
-	addrs2, _ := s.TrustedResolve(domains.GroundTruth)
+	addrs2, _ := s.TrustedResolve(ctx, domains.GroundTruth)
 	if addrs2[0] != addrs[0] {
 		t.Error("trusted cache inconsistent")
 	}
 	// rDNS round trip through the measurement channel.
 	found := false
 	for u := uint32(50); u < 1<<16 && !found; u += 97 {
-		if name, ok := s.RDNS(u); ok && name != "" {
+		if name, ok := s.RDNS(ctx, u); ok && name != "" {
 			found = true
 		}
 	}
 	if !found {
 		t.Error("no rDNS resolvable through trusted channel")
+	}
+}
+
+// TestCutShortLookupsAreNotCached: a trusted lookup under a dead context
+// reads as unanswered and leaves the caches alone, so the same study
+// answers it properly afterwards.
+func TestCutShortLookupsAreNotCached(t *testing.T) {
+	s := newStudy(t, 16)
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	if addrs, rc := s.TrustedResolve(dead, domains.GroundTruth); rc != dnswire.RCodeServFail || len(addrs) != 0 {
+		t.Fatalf("trusted resolve under a dead context: %v rc=%v, want SERVFAIL", addrs, rc)
+	}
+	if _, ok := s.RDNS(dead, 50); ok {
+		t.Fatal("rDNS answered under a dead context")
+	}
+	if len(s.trustedCache) != 0 || len(s.rdnsCache) != 0 {
+		t.Fatalf("cut-short lookups were cached: %v %v", s.trustedCache, s.rdnsCache)
+	}
+	if addrs, rc := s.TrustedResolve(context.Background(), domains.GroundTruth); rc != 0 || len(addrs) == 0 {
+		t.Fatalf("trusted resolve after the cut-short one: %v rc=%v", addrs, rc)
 	}
 }
 
@@ -296,9 +318,9 @@ func TestDNSSECSignedAnswerValidatesEndToEnd(t *testing.T) {
 	if !ok {
 		t.Fatal("GT zone unsigned")
 	}
-	msgs := s.Scanner.Probe(s.World.RoleAddr(wildnet.RoleTrustedDNS, 0),
+	msgs, err := s.Scanner.ProbeContext(context.Background(), s.World.RoleAddr(wildnet.RoleTrustedDNS, 0),
 		domains.GroundTruth, dnswire.TypeA, dnswire.ClassIN)
-	if len(msgs) == 0 {
+	if err != nil || len(msgs) == 0 {
 		t.Fatal("no trusted response")
 	}
 	if !dnssec.ValidateResponse(pub, msgs[0]) {

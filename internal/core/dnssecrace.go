@@ -70,7 +70,7 @@ func (p *Plan) DNSSECRace(week int, country, name string) *Out[*DNSSECRaceResult
 			if len(resolvers) == 0 {
 				return nil, fmt.Errorf("core: no NOERROR resolvers in %s", country)
 			}
-			legit, _ := s.TrustedResolve(name)
+			legit, _ := s.TrustedResolve(ctx, name)
 			legitSet := map[uint32]bool{}
 			for _, a := range legit {
 				legitSet[a] = true

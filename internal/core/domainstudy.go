@@ -81,7 +81,10 @@ func (p *Plan) DomainStudy(week int, cats []domains.Category) *Out[*DomainStudyR
 		Name:  "prefilter",
 		Needs: []string{"domain-scan"},
 		Run: func(ctx context.Context) ([]pipeline.Count, error) {
-			res.Pre = prefilter.Run(res.Scan, s.PrefilterEnv())
+			res.Pre = prefilter.Run(res.Scan, s.PrefilterEnv(ctx))
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 			return flow(
 				pipeline.Count{Name: "3-unexpected tuples", Value: len(res.Pre.Unexpected)},
 				pipeline.Count{Name: "3-unexpected resolvers", Value: len(res.Pre.UnexpectedResolvers())},
@@ -94,9 +97,10 @@ func (p *Plan) DomainStudy(week int, cats []domains.Category) *Out[*DomainStudyR
 		Name:  "classify",
 		Needs: []string{"prefilter"},
 		Run: func(ctx context.Context) ([]pipeline.Count, error) {
-			gt := classify.BuildGroundTruth(s.Client, s.TrustedResolve, names)
+			client := s.client(ctx)
+			gt := classify.BuildGroundTruth(client, s.trustedResolver(ctx), names)
 			pipe = &classify.Pipeline{
-				Client: s.Client,
+				Client: client,
 				ResolverCountry: func(ri int) string {
 					return s.World.Geo().LookupU32(res.Resolvers[ri]).Country
 				},
@@ -105,9 +109,14 @@ func (p *Plan) DomainStudy(week int, cats []domains.Category) *Out[*DomainStudyR
 					r := res.Resolvers[ri]
 					return ip>>8 == r>>8 || s.World.ASNOf(ip) == s.World.ASNOf(r)
 				},
-				ProbeCountryInjection: s.ProbeCountryInjection,
+				ProbeCountryInjection: func(country, name string) bool {
+					return s.ProbeCountryInjection(ctx, country, name)
+				},
 			}
 			res.Report = pipe.Run(res.Scan, res.Pre, gt)
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 			return flow(
 				pipeline.Count{Name: "4-fetched pairs", Value: res.Report.PairCount},
 				pipeline.Count{Name: "5-clusters", Value: res.Report.Clusters},

@@ -16,8 +16,8 @@ import (
 func (p *Plan) Amplification(week int, name string) *Out[*ampli.Survey] {
 	c, out := p.Census(week), &Out[*ampli.Survey]{}
 	c.follow("any-survey", pipeline.Required, func(ctx context.Context) ([]pipeline.Count, error) {
-		out.V = ampli.Run(ctx, p.s.Transport, c.Resolvers, name)
-		if err := ctx.Err(); err != nil {
+		var err error
+		if out.V, err = ampli.Run(ctx, p.s.Scanner, c.Resolvers, name); err != nil {
 			return nil, err
 		}
 		return []pipeline.Count{{Name: "amplification responders", Value: out.V.Responded}}, nil
@@ -71,8 +71,8 @@ func (p *Plan) Netalyzr(week, sessions int) *Out[*netalyzr.Study] {
 	p.Add(pipeline.Stage{
 		Name: "netalyzr",
 		Run: func(ctx context.Context) ([]pipeline.Count, error) {
-			out.V = p.s.RunNetalyzr(week, sessions)
-			return nil, nil
+			out.V = p.s.RunNetalyzr(ctx, week, sessions)
+			return nil, ctx.Err()
 		},
 	})
 	return out
@@ -81,7 +81,7 @@ func (p *Plan) Netalyzr(week, sessions int) *Out[*netalyzr.Study] {
 // RunNetalyzr simulates the in-network volunteer-session study of Weaver
 // et al. against the world's *closed* ISP resolvers — the complementary
 // vantage §6 suggests combining with the open-resolver scans.
-func (s *Study) RunNetalyzr(week, sessions int) *netalyzr.Study {
+func (s *Study) RunNetalyzr(ctx context.Context, week, sessions int) *netalyzr.Study {
 	s.SetWeek(week)
 	isCDNAS := func(asn uint32) bool { return asn >= 7000 && asn < 7060 }
 	return netalyzr.Run(s.World, netalyzr.Config{
@@ -90,7 +90,7 @@ func (s *Study) RunNetalyzr(week, sessions int) *netalyzr.Study {
 		Week:           week,
 		ProbeNX:        "ghoogle.com",
 		ProbeDomains:   []string{"chase.com", "okcupid.com", domains.GroundTruth},
-		TrustedResolve: s.TrustedResolve,
+		TrustedResolve: s.trustedResolver(ctx),
 		SameNeighborhood: func(a, b uint32) bool {
 			aa, ab := s.World.ASNOf(a), s.World.ASNOf(b)
 			return aa == ab || (isCDNAS(aa) && isCDNAS(ab))

@@ -123,7 +123,7 @@ func TestPlanMatchesStandaloneRuns(t *testing.T) {
 			check("amplification population", len(full.census.Resolvers), n, nil)
 			pop, err := alone().RunPopularityContext(ctx, week)
 			check("popularity", full.pop.V, pop, err)
-			check("netalyzr", full.netalyzr.V, alone().RunNetalyzr(week, 400), nil)
+			check("netalyzr", full.netalyzr.V, alone().RunNetalyzr(ctx, week, 400), nil)
 			sweep, err := alone().SweepAtContext(ctx, week)
 			check("census", full.census.Sweep, sweep, err)
 			if len(shared.Degraded) != 0 {

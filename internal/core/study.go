@@ -94,7 +94,6 @@ type Study struct {
 	Transport *wildnet.MemTransport
 	Scanner   *scanner.Scanner
 	Web       *websim.Server
-	Client    *fetch.Client
 
 	// Observer, when set, receives every pipeline stage event of every
 	// plan — start, done (with tuple counts and elapsed time), failed. It
@@ -173,7 +172,6 @@ func NewStudy(cfg Config) (*Study, error) {
 		trustedCache: map[string]trustedEntry{},
 		rdnsCache:    map[uint32]rdnsEntry{},
 	}
-	s.Client = fetch.NewClient(web, s.resolveAt)
 	return s, nil
 }
 
@@ -187,42 +185,63 @@ func (s *Study) SetWeek(week int) {
 	s.Web.SetTime(wildnet.At(week))
 }
 
+// The lookups below sit under callback types (prefilter.Env, fetch.Client,
+// classify.Pipeline) that carry no context and no error, so each is bound
+// to its stage's context where the callback is built. A lookup the
+// context cuts short reads as unanswered and is never cached; the stage
+// that built the callback reports ctx.Err() when its consumer returns.
+
 // TrustedResolve performs a cached A lookup at the team's trusted
 // resolvers (a measurement channel, not world ground truth).
-func (s *Study) TrustedResolve(name string) ([]uint32, dnswire.RCode) {
+func (s *Study) TrustedResolve(ctx context.Context, name string) ([]uint32, dnswire.RCode) {
 	if e, ok := s.trustedCache[name]; ok {
 		return e.addrs, e.rcode
 	}
-	addrs, rcode, ok := s.Scanner.LookupA(s.trustedDNS, name)
-	if !ok {
+	addrs, rcode, ok, err := s.Scanner.LookupA(ctx, s.trustedDNS, name)
+	if !ok && err == nil {
 		// One retry; the trusted path should be reliable.
-		addrs, rcode, ok = s.Scanner.LookupA(s.trustedDNS, name)
-		if !ok {
-			rcode = dnswire.RCodeServFail
-		}
+		addrs, rcode, ok, err = s.Scanner.LookupA(ctx, s.trustedDNS, name)
+	}
+	if err != nil {
+		// Cut short, not unanswered: nothing learned, nothing cached.
+		return nil, dnswire.RCodeServFail
+	}
+	if !ok {
+		rcode = dnswire.RCodeServFail
 	}
 	s.trustedCache[name] = trustedEntry{addrs: addrs, rcode: rcode}
 	return addrs, rcode
 }
 
+// trustedResolver is TrustedResolve in the shape its consumers take.
+func (s *Study) trustedResolver(ctx context.Context) func(name string) ([]uint32, dnswire.RCode) {
+	return func(name string) ([]uint32, dnswire.RCode) { return s.TrustedResolve(ctx, name) }
+}
+
 // RDNS resolves an address's PTR record through the trusted resolvers.
-func (s *Study) RDNS(ip uint32) (string, bool) {
+func (s *Study) RDNS(ctx context.Context, ip uint32) (string, bool) {
 	if e, ok := s.rdnsCache[ip]; ok {
 		return e.name, e.ok
 	}
-	name, ok := s.Scanner.LookupPTR(s.trustedDNS, ip)
-	if !ok {
-		name, ok = s.Scanner.LookupPTR(s.trustedDNS, ip)
+	name, ok, err := s.Scanner.LookupPTR(ctx, s.trustedDNS, ip)
+	if !ok && err == nil {
+		name, ok, err = s.Scanner.LookupPTR(ctx, s.trustedDNS, ip)
+	}
+	if err != nil {
+		return "", false
 	}
 	s.rdnsCache[ip] = rdnsEntry{name: name, ok: ok}
 	return name, ok
 }
 
-// resolveAt resolves a name at an arbitrary resolver (redirect chasing in
-// the acquisition stage).
-func (s *Study) resolveAt(resolver uint32, name string) ([]uint32, bool) {
-	addrs, rcode, ok := s.Scanner.LookupA(resolver, name)
-	return addrs, ok && rcode == dnswire.RCodeNoError && len(addrs) > 0
+// client builds the acquisition client of one stage: redirect targets are
+// resolved at the resolver that produced the tuple, under the stage's
+// context.
+func (s *Study) client(ctx context.Context) *fetch.Client {
+	return fetch.NewClient(s.Web, func(resolver uint32, name string) ([]uint32, bool) {
+		addrs, rcode, ok, _ := s.Scanner.LookupA(ctx, resolver, name)
+		return addrs, ok && rcode == dnswire.RCodeNoError && len(addrs) > 0
+	})
 }
 
 // locator adapts the registry for the churn package.
@@ -482,7 +501,7 @@ func (s *Study) SecondaryAliveSetContext(ctx context.Context, week int) (map[uin
 // (most of which run no resolver); responses for the probed name without
 // responses for a control name betray an in-transit injector like the
 // Great Firewall. Address sampling uses the public geographic registry.
-func (s *Study) ProbeCountryInjection(country, name string) bool {
+func (s *Study) ProbeCountryInjection(ctx context.Context, country, name string) bool {
 	const samples = 24
 	geo := s.World.Geo()
 	src := prand32(s.Cfg.Seed ^ hashString64(country) ^ hashString64(name))
@@ -494,12 +513,13 @@ func (s *Study) ProbeCountryInjection(country, name string) bool {
 			continue
 		}
 		tried++
-		if len(s.Scanner.Probe(u, name, dnswire.TypeA, dnswire.ClassIN)) == 0 {
+		// A cut-short exchange reads as silence, like a lost packet.
+		if msgs, _ := s.Scanner.ProbeContext(ctx, u, name, dnswire.TypeA, dnswire.ClassIN); len(msgs) == 0 {
 			continue
 		}
 		// Control: a name no injector cares about must stay silent
 		// from the same address (otherwise it is simply a resolver).
-		if len(s.Scanner.Probe(u, domains.GroundTruth, dnswire.TypeA, dnswire.ClassIN)) == 0 {
+		if msgs, _ := s.Scanner.ProbeContext(ctx, u, domains.GroundTruth, dnswire.TypeA, dnswire.ClassIN); len(msgs) == 0 {
 			hits++
 			if hits >= 2 {
 				return true
@@ -527,14 +547,16 @@ func hashString64(s string) uint64 {
 	return h
 }
 
-// PrefilterEnv builds the prefilter's measurement environment.
-func (s *Study) PrefilterEnv() prefilter.Env {
+// PrefilterEnv builds the prefilter's measurement environment, its
+// lookups bound to ctx.
+func (s *Study) PrefilterEnv(ctx context.Context) prefilter.Env {
+	client := s.client(ctx)
 	return prefilter.Env{
-		TrustedResolve: s.TrustedResolve,
-		RDNS:           s.RDNS,
+		TrustedResolve: s.trustedResolver(ctx),
+		RDNS:           func(ip uint32) (string, bool) { return s.RDNS(ctx, ip) },
 		ASOf:           s.World.ASNOf,
 		CertProbe: func(ip uint32, serverName string, sni bool) (prefilter.Cert, bool) {
-			c, ok := s.Client.CertProbe(ip, serverName, sni)
+			c, ok := client.CertProbe(ip, serverName, sni)
 			if !ok {
 				return prefilter.Cert{}, false
 			}

@@ -20,10 +20,6 @@ import (
 //   - context.Background() manufactures an uncancellable root. Only
 //     package main (cmd/) owns roots — everything else must accept one.
 //     Tests are exempt by construction: the loader skips _test.go files.
-//
-// The scanner's two single-exchange helpers that take no context (Probe,
-// ProbeTC) share one annotated package-level Background
-// (`//lint:allow ctxhygiene`).
 func checkCtxHygiene(p *Package, cfg *Config, emit func(token.Pos, string, string)) {
 	// cmd/ binaries are where roots belong.
 	if p.Types.Name() == "main" || strings.HasPrefix(p.Path, cfg.ModulePath+"/cmd/") {

@@ -6,7 +6,6 @@ package corpus
 import (
 	"context"
 	"io"
-	"net/netip"
 	"strings"
 
 	"goingwild/internal/dnswire"
@@ -53,29 +52,37 @@ func AllowedDrop(payload []byte) {
 }
 
 // BadTransportSend drops the transport's send error with no
-// annotation: a probe that never left the machine silently undercounts.
-func BadTransportSend(ctx context.Context, tr wildnet.Transport, dst netip.Addr, wire []byte) {
-	tr.Send(ctx, dst, 53, 33000, wire) // want errdrop
+// annotation: a batch that never left the machine silently undercounts.
+func BadTransportSend(ctx context.Context, tr wildnet.Transport, batch []wildnet.Probe) {
+	tr.SendBatch(ctx, batch) // want errdrop
 }
 
 // BadAliasedSend reaches the same interface method through the
-// scanner.Transport alias; resolution still lands in wildnet.
-func BadAliasedSend(ctx context.Context, tr scanner.Transport, dst netip.Addr, wire []byte) {
-	_ = tr.Send(ctx, dst, 53, 33000, wire) // want errdrop
+// scanner.Transport alias; resolution still lands in wildnet. Keeping the
+// count does not keep the error.
+func BadAliasedSend(ctx context.Context, tr scanner.Transport, batch []wildnet.Probe) int {
+	n, _ := tr.SendBatch(ctx, batch) // want errdrop
+	return n
+}
+
+// OKConcreteSend: the seam is the interface. A driver holding the
+// concrete transport is timing it, not scanning through it.
+func OKConcreteSend(ctx context.Context, tr *wildnet.MemTransport, batch []wildnet.Probe) {
+	tr.SendBatch(ctx, batch)
 }
 
 // OKTransportSendAnnotated states the packet-loss policy explicitly.
-func OKTransportSendAnnotated(ctx context.Context, tr wildnet.Transport, dst netip.Addr, wire []byte) {
+func OKTransportSendAnnotated(ctx context.Context, tr wildnet.Transport, batch []wildnet.Probe) {
 	//lint:allow errdrop corpus fixture: send failures are modeled packet loss
-	tr.Send(ctx, dst, 53, 33000, wire)
+	tr.SendBatch(ctx, batch)
 }
 
 // OKTransportSendPropagated returns the send error to the caller.
-func OKTransportSendPropagated(ctx context.Context, tr wildnet.Transport, dst netip.Addr, wire []byte) error {
-	return tr.Send(ctx, dst, 53, 33000, wire)
+func OKTransportSendPropagated(ctx context.Context, tr wildnet.Transport, batch []wildnet.Probe) (int, error) {
+	return tr.SendBatch(ctx, batch)
 }
 
-// OKOtherWildnetFunc: only Send is watched by method; other
+// OKOtherWildnetFunc: only SendBatch is watched by method; other
 // error-returning wildnet calls stay vet's problem.
 func OKOtherWildnetFunc(order uint) *wildnet.World {
 	w, _ := wildnet.NewWorld(wildnet.DefaultConfig(order))

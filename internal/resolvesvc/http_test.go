@@ -17,7 +17,7 @@ import (
 // newHTTPRig builds a service with a hand-populated store, an instant
 // injected prober, and all API routes mounted on an httptest server —
 // exactly how cmd/wildsvc mounts them on debughttp's mux.
-func newHTTPRig(t *testing.T) (*Service, *httptest.Server) {
+func newHTTPRig(t testing.TB) (*Service, *httptest.Server) {
 	t.Helper()
 	svc := New(Config{Order: 12}, Deps{
 		Locator: testLoc,
@@ -42,7 +42,7 @@ func newHTTPRig(t *testing.T) (*Service, *httptest.Server) {
 }
 
 // mountAPI serves svc's routes from an httptest server.
-func mountAPI(t *testing.T, svc *Service) *httptest.Server {
+func mountAPI(t testing.TB, svc *Service) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()
 	for _, r := range svc.APIRoutes() {

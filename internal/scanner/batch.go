@@ -1,7 +1,6 @@
 package scanner
 
 import (
-	"context"
 	"sync"
 
 	"goingwild/internal/dnswire"
@@ -9,38 +8,13 @@ import (
 	"goingwild/internal/wildnet"
 )
 
-// Batched probe dispatch: instead of one Transport.Send per probe, sender
-// workers assemble one pull's worth of probes (up to streamBatch) into a
-// pooled arena and hand the whole batch to the transport in one
-// BatchSender.SendBatch call.
-// Against the in-memory transport that amortizes the clock lock and the
-// fault-layer gate; against the UDP gateway it becomes one sendmmsg(2)
-// per batch instead of 256 sendto(2) calls. A transport that does not
-// implement wildnet.BatchSender is driven through the sendLoop adapter —
-// scan results are identical either way, batching only changes the
-// dispatch overhead.
-
-// batchSender resolves a transport's batch dispatch once: its own
-// SendBatch, or the loop-over-Send adapter.
-func batchSender(tr Transport) wildnet.BatchSender {
-	if bs, ok := tr.(wildnet.BatchSender); ok {
-		return bs
-	}
-	return sendLoop{tr}
-}
-
-// sendLoop adapts a Send-only transport to wildnet.BatchSender.
-type sendLoop struct{ tr Transport }
-
-// SendBatch implements wildnet.BatchSender, one Send per probe in order.
-func (l sendLoop) SendBatch(ctx context.Context, batch []wildnet.Probe) (int, error) {
-	for i := range batch {
-		p := &batch[i]
-		//lint:allow errdrop send failures are modeled packet loss
-		l.tr.Send(ctx, p.Dst, p.DstPort, p.SrcPort, p.Payload)
-	}
-	return len(batch), nil
-}
+// Batched probe dispatch: sender workers assemble one pull's worth of
+// probes (up to streamBatch) into a pooled arena and hand the whole batch
+// to the transport in one SendBatch call. Against the in-memory transport
+// that amortizes the clock lock and the fault-layer gate; against the UDP
+// gateway it becomes one sendmmsg(2) per batch instead of 256 sendto(2)
+// calls. Where the batches are cut is pure dispatch: scan results do not
+// depend on it.
 
 // batchSizeBounds buckets the transport.batch.size histogram: powers of
 // two up to the streamBatch flush threshold.

@@ -111,11 +111,29 @@ func TestSweepShardUnionMatchesUnsharded(t *testing.T) {
 	}
 }
 
+// sendOne dispatches one probe as a batch of one, the form a single
+// exchange takes.
+func sendOne(ctx context.Context, tr Transport, p wildnet.Probe) error {
+	_, err := tr.SendBatch(ctx, []wildnet.Probe{p})
+	return err
+}
+
+// splitTransport re-cuts every batch it is handed into one-probe batches.
+type splitTransport struct{ Transport }
+
+func (s splitTransport) SendBatch(ctx context.Context, batch []wildnet.Probe) (int, error) {
+	for i, p := range batch {
+		if err := sendOne(ctx, s.Transport, p); err != nil {
+			return i, err
+		}
+	}
+	return len(batch), nil
+}
+
 // TestBatchedDispatchMatchesPerProbe pins, for the sweep and each of the
-// four list scans under the hostile profile, that hiding BatchSender from
-// the scanner (so the engine dispatches through the sendLoop adapter)
-// changes nothing about the result — batching is pure dispatch overhead —
-// and that the worker count changes nothing either.
+// five list scans under the hostile profile, that where the batches are
+// cut is pure dispatch: N one-probe batches, one N-probe batch and any
+// worker count all give the same result.
 func TestBatchedDispatchMatchesPerProbe(t *testing.T) {
 	ctx := context.Background()
 	names := []string{"qq.com", "chase.com", "thepiratebay.se"}
@@ -140,14 +158,17 @@ func TestBatchedDispatchMatchesPerProbe(t *testing.T) {
 		{"snoop", func(s *Scanner, census *SweepResult) (any, error) {
 			return s.SnoopRoundContext(ctx, census.NOERROR(), "com", 3)
 		}},
+		{"any", func(s *Scanner, census *SweepResult) (any, error) {
+			return s.ScanANYContext(ctx, census.NOERROR(), "chase.com")
+		}},
 	}
 	for _, sc := range scans {
-		run := func(hide bool, workers int) any {
+		run := func(split bool, workers int) any {
 			w, tr := resumeWorld(t, 14, "hostile")
 			defer tr.Close()
 			var transport Transport = tr
-			if hide {
-				transport = struct{ Transport }{tr}
+			if split {
+				transport = splitTransport{tr}
 			}
 			s := New(transport, Options{Workers: workers, SweepRetries: 1, SettleDelay: time.Millisecond})
 			census, err := s.SweepContext(ctx, 14, 31337, w.ScanBlacklist())
@@ -165,16 +186,13 @@ func TestBatchedDispatchMatchesPerProbe(t *testing.T) {
 		}
 		want := run(false, 2)
 		if got := run(true, 2); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: batched dispatch diverges from per-probe Send", sc.name)
+			t.Errorf("%s: one-probe batches diverge from pulled batches", sc.name)
 		}
 		for _, workers := range []int{1, 8} {
 			if got := run(false, workers); !reflect.DeepEqual(got, want) {
 				t.Errorf("%s: Workers=%d diverges from Workers=2", sc.name, workers)
 			}
 		}
-	}
-	if _, ok := any(struct{ Transport }{}).(wildnet.BatchSender); ok {
-		t.Fatal("wrapper unexpectedly still exposes SendBatch")
 	}
 }
 

@@ -8,10 +8,12 @@ import (
 	"time"
 
 	"goingwild/internal/dnswire"
+	"goingwild/internal/wildnet"
 )
 
 // cancelAfterTransport wraps a transport and cancels the given context
-// after n sends, modeling an operator hitting ^C mid-sweep.
+// at the n-th probe, modeling an operator hitting ^C mid-sweep — mid-batch
+// too, so it hands the probes on one at a time.
 type cancelAfterTransport struct {
 	inner  Transport
 	cancel context.CancelFunc
@@ -19,11 +21,16 @@ type cancelAfterTransport struct {
 	sent   atomic.Int64
 }
 
-func (c *cancelAfterTransport) Send(ctx context.Context, dst netip4, dstPort, srcPort uint16, payload []byte) error {
-	if c.sent.Add(1) == c.after {
-		c.cancel()
+func (c *cancelAfterTransport) SendBatch(ctx context.Context, batch []wildnet.Probe) (int, error) {
+	for i, p := range batch {
+		if c.sent.Add(1) == c.after {
+			c.cancel()
+		}
+		if err := sendOne(ctx, c.inner, p); err != nil {
+			return i, err
+		}
 	}
-	return c.inner.Send(ctx, dst, dstPort, srcPort, payload)
+	return len(batch), nil
 }
 
 func (c *cancelAfterTransport) SetReceiver(f func(src netip4, srcPort, dstPort uint16, payload []byte)) {

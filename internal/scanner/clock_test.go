@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"goingwild/internal/metrics"
+	"goingwild/internal/wildnet"
 )
 
 // fakeClock is a manually-advanced Clock; Sleep jumps time forward
@@ -40,8 +41,8 @@ type nullTransport struct {
 	recv func(src netip.Addr, srcPort, dstPort uint16, payload []byte)
 }
 
-func (n *nullTransport) Send(ctx context.Context, dst netip.Addr, dstPort, srcPort uint16, payload []byte) error {
-	return nil
+func (n *nullTransport) SendBatch(ctx context.Context, batch []wildnet.Probe) (int, error) {
+	return len(batch), nil
 }
 
 func (n *nullTransport) SetReceiver(f func(src netip.Addr, srcPort, dstPort uint16, payload []byte)) {

@@ -236,8 +236,8 @@ func (s *Scanner) sendRound(ctx context.Context, r *scanRun, rz *rendezvous) err
 					s.m.retrySpend.Add(uint64(len(probes)))
 				}
 				s.m.batchSize.Observe(int64(len(probes)))
-				// Send failures are modeled packet loss.
-				s.batch.SendBatch(ctx, probes)
+				//lint:allow errdrop send failures are modeled packet loss
+				s.tr.SendBatch(ctx, probes)
 			}
 			if rz != nil {
 				if err := rz.pause(); err != nil {

@@ -10,53 +10,60 @@ import (
 	"goingwild/internal/wildnet"
 )
 
-// TestDomainScanOverGatewayMatchesMemory drives a domain scan through the
-// loopback UDP gateway — where the engine's batches leave as sendmmsg(2)
-// calls carrying per-probe source ports in their tunnel headers — and
-// requires every tuple answered over real sockets to equal the in-memory
-// transport's. The world draws no loss, the gateway models none, and the
-// scan is paced, so the kernel has no reason to drop a datagram; a tuple
-// it drops anyway shows as unanswered, not as a wrong answer.
-func TestDomainScanOverGatewayMatchesMemory(t *testing.T) {
+// gatewayRig builds one lossless order-16 world behind both transports —
+// in memory, and over the loopback UDP gateway, where the engine's batches
+// leave as sendmmsg(2) calls carrying per-probe source ports in their
+// tunnel headers — with the first 64 resolvers of its census. The world
+// draws no loss, the gateway models none, and the UDP scanner is paced, so
+// the kernel has no reason to drop a datagram.
+func gatewayRig(t *testing.T) (inMemory, overUDP *Scanner, resolvers []uint32) {
+	t.Helper()
 	cfg := wildnet.DefaultConfig(16)
 	cfg.Loss = 0
 	w, err := wildnet.NewWorld(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
 	mem := wildnet.NewMemTransport(w, wildnet.VantagePrimary)
-	defer mem.Close()
+	t.Cleanup(func() { mem.Close() })
 	mem.SetTime(wildnet.At(0))
-	inMemory := New(mem, Options{Workers: 2, SettleDelay: NoSettle})
-	census, err := inMemory.SweepContext(ctx, 16, 31, w.ScanBlacklist())
+	inMemory = New(mem, Options{Workers: 2, SettleDelay: NoSettle})
+	census, err := inMemory.SweepContext(context.Background(), 16, 31, w.ScanBlacklist())
 	if err != nil {
 		t.Fatal(err)
 	}
-	resolvers := census.NOERROR()
+	resolvers = census.NOERROR()
 	if len(resolvers) < 64 {
 		t.Fatalf("only %d resolvers in the order-16 world", len(resolvers))
 	}
-	resolvers = resolvers[:64]
-	names := []string{"chase.com", "paypal.com", domains.GroundTruth}
-	want, err := inMemory.ScanDomainsContext(ctx, resolvers, names)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	gw, err := wildnet.StartGateway(w, wildnet.VantagePrimary)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer gw.Close()
+	t.Cleanup(func() { gw.Close() })
 	gw.SetTime(wildnet.At(0))
 	udp, err := wildnet.DialGateway(gw.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer udp.Close()
-	got, err := New(udp, Options{Workers: 2, RatePPS: 5000, SettleDelay: 200 * time.Millisecond}).
-		ScanDomainsContext(ctx, resolvers, names)
+	t.Cleanup(func() { udp.Close() })
+	overUDP = New(udp, Options{Workers: 2, RatePPS: 5000, SettleDelay: 200 * time.Millisecond})
+	return inMemory, overUDP, resolvers[:64]
+}
+
+// TestDomainScanOverGatewayMatchesMemory drives a domain scan through the
+// loopback UDP gateway and requires every tuple answered over real
+// sockets to equal the in-memory transport's; a tuple the kernel drops
+// anyway shows as unanswered, not as a wrong answer.
+func TestDomainScanOverGatewayMatchesMemory(t *testing.T) {
+	inMemory, overUDP, resolvers := gatewayRig(t)
+	ctx := context.Background()
+	names := []string{"chase.com", "paypal.com", domains.GroundTruth}
+	want, err := inMemory.ScanDomainsContext(ctx, resolvers, names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := overUDP.ScanDomainsContext(ctx, resolvers, names)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,5 +86,33 @@ func TestDomainScanOverGatewayMatchesMemory(t *testing.T) {
 	}
 	if answered < expected*9/10 {
 		t.Errorf("only %d of the %d tuples answered in memory were answered over UDP", answered, expected)
+	}
+}
+
+// TestANYScanOverGatewayMatchesMemory: the ANY scan settles like every
+// scan on the engine, so over real sockets it waits for its answers and
+// returns what the in-memory transport returns. (A send loop that returns
+// with the answers still in flight comes back empty here.)
+func TestANYScanOverGatewayMatchesMemory(t *testing.T) {
+	inMemory, overUDP, resolvers := gatewayRig(t)
+	ctx := context.Background()
+	want, err := inMemory.ScanANYContext(ctx, resolvers, "chase.com")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := overUDP.ScanANYContext(ctx, resolvers, "chase.com")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.RequestSize != want.RequestSize {
+		t.Errorf("request size over UDP %d, in memory %d", got.RequestSize, want.RequestSize)
+	}
+	for u, g := range got.Answers {
+		if m := want.Answers[u]; g != m {
+			t.Errorf("resolver %08x: over UDP %+v, in memory %+v", u, g, m)
+		}
+	}
+	if len(got.Answers) < len(want.Answers)*9/10 || len(want.Answers) < len(resolvers)/2 {
+		t.Errorf("%d resolvers answered over UDP, %d in memory, of %d", len(got.Answers), len(want.Answers), len(resolvers))
 	}
 }

@@ -11,17 +11,20 @@ import (
 	"goingwild/internal/dnswire"
 	"goingwild/internal/domains"
 	"goingwild/internal/lfsr"
+	"goingwild/internal/wildnet"
 )
 
-// inspectTransport hands every datagram to check inside Send — while the
+// inspectTransport hands every datagram to check inside SendBatch — while the
 // scanner still lends it the payload — and answers nothing.
 type inspectTransport struct {
 	check func(dst uint32, srcPort uint16, payload []byte)
 }
 
-func (tr *inspectTransport) Send(_ context.Context, dst netip.Addr, _, srcPort uint16, payload []byte) error {
-	tr.check(lfsr.AddrToU32(dst), srcPort, payload)
-	return nil
+func (tr *inspectTransport) SendBatch(_ context.Context, batch []wildnet.Probe) (int, error) {
+	for _, p := range batch {
+		tr.check(lfsr.AddrToU32(p.Dst), p.SrcPort, p.Payload)
+	}
+	return len(batch), nil
 }
 
 func (tr *inspectTransport) SetReceiver(func(src netip.Addr, srcPort, dstPort uint16, payload []byte)) {

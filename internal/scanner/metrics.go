@@ -22,6 +22,7 @@ type scanMetrics struct {
 	chaosSent, chaosRecv     *metrics.Counter
 	aliveSent, aliveRecv     *metrics.Counter
 	snoopSent, snoopRecv     *metrics.Counter
+	anySent, anyRecv         *metrics.Counter
 	probeSent, probeRecv     *metrics.Counter
 	tcpSent, tcpRecv         *metrics.Counter
 	// domainsUnattributed counts domain-scan responses dropped before
@@ -67,6 +68,8 @@ func newScanMetrics(r *metrics.Registry) scanMetrics {
 		aliveRecv:           r.Counter("scanner.alive.recv"),
 		snoopSent:           r.Counter("scanner.snoop.sent"),
 		snoopRecv:           r.Counter("scanner.snoop.recv"),
+		anySent:             r.Counter("scanner.any.sent"),
+		anyRecv:             r.Counter("scanner.any.recv"),
 		probeSent:           r.Counter("scanner.probe.sent"),
 		probeRecv:           r.Counter("scanner.probe.recv"),
 		tcpSent:             r.Counter("scanner.tcp.sent"),

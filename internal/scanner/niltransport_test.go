@@ -9,9 +9,9 @@ import (
 )
 
 // TestNilTransportGuards drives every public scan entrypoint against a
-// scanner built with a nil transport. Each one must refuse cleanly —
-// ErrNoTransport from the error-returning entrypoints, a false ok from
-// the boolean ones — instead of panicking on the first send. This is
+// scanner built with a nil transport. Each one must refuse cleanly, with
+// ErrNoTransport and nothing found, instead of panicking on the first
+// send. This is
 // the regression test for the constructor-misuse crash: callers that
 // wire the transport conditionally (e.g. -udp fallback paths) used to
 // take a nil-pointer panic deep inside the send loop.
@@ -47,26 +47,30 @@ func TestNilTransportGuards(t *testing.T) {
 			_, err := s.SnoopRoundContext(ctx, resolvers, "com", 1)
 			return err
 		}},
+		{"ScanANYContext", func(s *Scanner) error {
+			_, err := s.ScanANYContext(ctx, resolvers, "example.com")
+			return err
+		}},
 		{"LookupPTR", func(s *Scanner) error {
-			name, ok := s.LookupPTR(resolvers[0], resolvers[1])
+			name, ok, err := s.LookupPTR(ctx, resolvers[0], resolvers[1])
 			if ok || name != "" {
 				return errors.New("LookupPTR succeeded without a transport")
 			}
-			return ErrNoTransport
+			return err
 		}},
 		{"LookupA", func(s *Scanner) error {
-			addrs, rcode, ok := s.LookupA(resolvers[0], "example.com")
+			addrs, rcode, ok, err := s.LookupA(ctx, resolvers[0], "example.com")
 			if ok || len(addrs) != 0 || rcode != 0 {
 				return errors.New("LookupA succeeded without a transport")
 			}
-			return ErrNoTransport
+			return err
 		}},
 		{"ProbeTC", func(s *Scanner) error {
-			msgs, ok := s.ProbeTC(resolvers[0], "example.com", dnswire.TypeA, dnswire.ClassIN)
+			msgs, ok, err := s.ProbeTC(ctx, resolvers[0], "example.com", dnswire.TypeA, dnswire.ClassIN)
 			if ok || len(msgs) != 0 {
 				return errors.New("ProbeTC succeeded without a transport")
 			}
-			return ErrNoTransport
+			return err
 		}},
 	}
 	for _, tc := range tests {

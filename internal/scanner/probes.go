@@ -63,37 +63,38 @@ func (s *Scanner) ProbeAliveContext(ctx context.Context, addrs []uint32) (map[ui
 
 // LookupPTR resolves the reverse name of target through the resolver at
 // via (the churn study aggregates rDNS records of disappeared cohort
-// members through the trusted resolvers, §2.5).
-func (s *Scanner) LookupPTR(via, target uint32) (string, bool) {
-	if s.tr == nil {
-		return "", false
-	}
-	msgs := s.Probe(via, fmt.Sprintf("%d.%d.%d.%d.in-addr.arpa",
+// members through the trusted resolvers, §2.5). ok is false when no PTR
+// answer came back; an exchange that failed as ProbeContext's can —
+// a dead context above all — is an error, not a missing record.
+func (s *Scanner) LookupPTR(ctx context.Context, via, target uint32) (name string, ok bool, err error) {
+	msgs, err := s.ProbeContext(ctx, via, fmt.Sprintf("%d.%d.%d.%d.in-addr.arpa",
 		target&0xFF, target>>8&0xFF, target>>16&0xFF, target>>24), dnswire.TypePTR, dnswire.ClassIN)
+	if err != nil {
+		return "", false, err
+	}
 	for _, m := range msgs {
 		for _, rr := range m.Answers {
 			if ptr, ok := rr.Data.(dnswire.PTR); ok {
-				return ptr.Target, true
+				return ptr.Target, true, nil
 			}
 		}
 	}
-	return "", false
+	return "", false, nil
 }
 
 // LookupA resolves an A record through the resolver at via, returning the
-// answer addresses (used by the prefilter's rDNS round-trip rule).
-func (s *Scanner) LookupA(via uint32, name string) ([]uint32, dnswire.RCode, bool) {
-	if s.tr == nil {
-		return nil, 0, false
+// answer addresses (used by the prefilter's rDNS round-trip rule). ok is
+// false when nothing answered; a failed exchange is an error, as in
+// LookupPTR.
+func (s *Scanner) LookupA(ctx context.Context, via uint32, name string) (addrs []uint32, rcode dnswire.RCode, ok bool, err error) {
+	msgs, err := s.ProbeContext(ctx, via, name, dnswire.TypeA, dnswire.ClassIN)
+	if err != nil || len(msgs) == 0 {
+		return nil, 0, false, err
 	}
-	msgs := s.Probe(via, name, dnswire.TypeA, dnswire.ClassIN)
-	for _, m := range msgs {
-		addrs := m.AnswerAddrs()
-		out := make([]uint32, len(addrs))
-		for i, a := range addrs {
-			out[i] = lfsr.AddrToU32(a)
-		}
-		return out, m.Header.RCode, true
+	answer := msgs[0].AnswerAddrs()
+	addrs = make([]uint32, len(answer))
+	for i, a := range answer {
+		addrs[i] = lfsr.AddrToU32(a)
 	}
-	return nil, 0, false
+	return addrs, msgs[0].Header.RCode, true, nil
 }

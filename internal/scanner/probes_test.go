@@ -2,6 +2,7 @@ package scanner
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -59,13 +60,14 @@ func TestLookupPTRAndA(t *testing.T) {
 	if name == "" {
 		t.Skip("no round-trippable rDNS name found")
 	}
-	got, ok := s.LookupPTR(trusted, target)
-	if !ok || got != name {
-		t.Fatalf("LookupPTR = %q/%v, want %q", got, ok, name)
+	ctx := context.Background()
+	got, ok, err := s.LookupPTR(ctx, trusted, target)
+	if err != nil || !ok || got != name {
+		t.Fatalf("LookupPTR = %q/%v/%v, want %q", got, ok, err, name)
 	}
-	addrs, rc, ok := s.LookupA(trusted, name)
-	if !ok || rc != dnswire.RCodeNoError || len(addrs) != 1 || addrs[0] != target {
-		t.Errorf("LookupA(%q) = %v rc=%v ok=%v", name, addrs, rc, ok)
+	addrs, rc, ok, err := s.LookupA(ctx, trusted, name)
+	if err != nil || !ok || rc != dnswire.RCodeNoError || len(addrs) != 1 || addrs[0] != target {
+		t.Errorf("LookupA(%q) = %v rc=%v ok=%v err=%v", name, addrs, rc, ok, err)
 	}
 }
 
@@ -74,8 +76,8 @@ func TestLookupAForNXDomain(t *testing.T) {
 	defer tr.Close()
 	s := testScanner(tr)
 	trusted := w.RoleAddr(wildnet.RoleTrustedDNS, 0)
-	addrs, rc, ok := s.LookupA(trusted, "ghoogle.com")
-	if !ok {
+	addrs, rc, ok, err := s.LookupA(context.Background(), trusted, "ghoogle.com")
+	if err != nil || !ok {
 		t.Fatal("trusted resolver silent")
 	}
 	if rc != dnswire.RCodeNXDomain || len(addrs) != 0 {
@@ -143,7 +145,10 @@ func TestTruncationAndTCPFallback(t *testing.T) {
 		if c, ok := w.AmpClassAt(u, wildnet.At(0)); !ok || c != wildnet.AmpModerate {
 			continue
 		}
-		msgs, fellBack := s.ProbeTC(u, "chase.com", dnswire.TypeANY, dnswire.ClassIN)
+		msgs, fellBack, err := s.ProbeTC(context.Background(), u, "chase.com", dnswire.TypeANY, dnswire.ClassIN)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !fellBack {
 			continue
 		}
@@ -201,5 +206,64 @@ func TestStatsCounting(t *testing.T) {
 	}
 	if recv < uint64(res.Total()) || recv > sent {
 		t.Errorf("recv=%d outside [%d responders, %d probes]", recv, res.Total(), sent)
+	}
+}
+
+// recordTransport answers nothing and records the length of every batch
+// it is handed.
+type recordTransport struct {
+	nullTransport
+	batches []int
+}
+
+func (r *recordTransport) SendBatch(ctx context.Context, batch []wildnet.Probe) (int, error) {
+	r.batches = append(r.batches, len(batch))
+	return len(batch), nil
+}
+
+// TestSingleExchangeIsOneBatchOfOne: ProbeContext and the two lookups
+// over it reach the wire as exactly one SendBatch of length 1 each, and
+// under a dead context they send nothing and say so.
+func TestSingleExchangeIsOneBatchOfOne(t *testing.T) {
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name string
+		call func(ctx context.Context, s *Scanner) error
+	}{
+		{"ProbeContext", func(ctx context.Context, s *Scanner) error {
+			_, err := s.ProbeContext(ctx, 0x01020304, "example.com", dnswire.TypeA, dnswire.ClassIN)
+			return err
+		}},
+		{"LookupA", func(ctx context.Context, s *Scanner) error {
+			_, _, ok, err := s.LookupA(ctx, 0x01020304, "example.com")
+			if ok {
+				t.Error("LookupA answered by a transport that answers nothing")
+			}
+			return err
+		}},
+		{"LookupPTR", func(ctx context.Context, s *Scanner) error {
+			_, ok, err := s.LookupPTR(ctx, 0x01020304, 0x05060708)
+			if ok {
+				t.Error("LookupPTR answered by a transport that answers nothing")
+			}
+			return err
+		}},
+	} {
+		tr := &recordTransport{}
+		s := New(tr, Options{SettleDelay: NoSettle})
+		if err := tc.call(context.Background(), s); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+		if len(tr.batches) != 1 || tr.batches[0] != 1 {
+			t.Errorf("%s sent batches of %v, want one batch of 1", tc.name, tr.batches)
+		}
+		tr.batches = nil
+		if err := tc.call(dead, s); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s under a dead context returned %v, want context.Canceled", tc.name, err)
+		}
+		if len(tr.batches) != 0 {
+			t.Errorf("%s under a dead context sent batches of %v", tc.name, tr.batches)
+		}
 	}
 }

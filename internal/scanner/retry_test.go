@@ -11,10 +11,11 @@ import (
 	"goingwild/internal/dnswire"
 	"goingwild/internal/lfsr"
 	"goingwild/internal/metrics"
+	"goingwild/internal/wildnet"
 )
 
 // echoTransport records every probe and answers the ones its script
-// picks, synchronously inside Send as the in-memory transport does. The
+// picks, synchronously inside SendBatch as the in-memory transport does. The
 // reply echoes ID and question from the probed address to the probe's
 // source port — all a sweep, an alive probe or a domain scan needs to
 // attribute it.
@@ -27,25 +28,27 @@ type echoTransport struct {
 	recv   func(src netip.Addr, srcPort, dstPort uint16, payload []byte)
 }
 
-func (e *echoTransport) Send(ctx context.Context, dst netip.Addr, dstPort, srcPort uint16, payload []byte) error {
-	u := lfsr.AddrToU32(dst)
-	e.mu.Lock()
-	attempt := e.sends[u]
-	e.sends[u]++
-	e.mu.Unlock()
-	if e.answer == nil || !e.answer(u, attempt) {
-		return nil
+func (e *echoTransport) SendBatch(ctx context.Context, batch []wildnet.Probe) (int, error) {
+	for i, p := range batch {
+		u := lfsr.AddrToU32(p.Dst)
+		e.mu.Lock()
+		attempt := e.sends[u]
+		e.sends[u]++
+		e.mu.Unlock()
+		if e.answer == nil || !e.answer(u, attempt) {
+			continue
+		}
+		q, err := dnswire.Unpack(p.Payload)
+		if err != nil {
+			return i, err
+		}
+		wire, err := dnswire.NewResponse(q, dnswire.RCodeNoError).PackBytes()
+		if err != nil {
+			return i, err
+		}
+		e.recv(p.Dst, p.DstPort, p.SrcPort, wire)
 	}
-	q, err := dnswire.Unpack(payload)
-	if err != nil {
-		return err
-	}
-	wire, err := dnswire.NewResponse(q, dnswire.RCodeNoError).PackBytes()
-	if err != nil {
-		return err
-	}
-	e.recv(dst, dstPort, srcPort, wire)
-	return nil
+	return len(batch), nil
 }
 
 func (e *echoTransport) SetReceiver(f func(src netip.Addr, srcPort, dstPort uint16, payload []byte)) {

@@ -10,10 +10,11 @@
 // world (millions of probes per second) and real UDP sockets through the
 // loopback gateway.
 //
-// Every scan entrypoint takes a context (SweepContext,
-// ScanDomainsContext, ...) and aborts between send batches, between
-// retry rounds, and during settle waits; all of them run on the one
-// round loop in engine.go.
+// Every entrypoint takes a context. The scans (SweepContext,
+// ScanDomainsContext, ...) abort between send batches, between retry
+// rounds, and during settle waits, and all run on the one round loop in
+// engine.go; a single exchange (ProbeContext and the lookups over it) is
+// one batch of one.
 package scanner
 
 import (
@@ -34,21 +35,15 @@ import (
 // implementations (wildnet.MemTransport, wildnet.UDPTransport).
 type Transport = wildnet.Transport
 
-// bgCtx backs the two single-exchange helpers that take no context, Probe
-// (under LookupA, LookupPTR and core's injection probe, whose
-// callback-typed consumers carry none) and ProbeTC.
-//
-//lint:allow ctxhygiene sole Background escape, for the single-exchange helpers whose callers carry no context
-var bgCtx = context.Background()
-
 // listRetries is how many retry rounds a list scan (domain, alive) runs
 // over the resolvers still silent after its first pass — one, the fixed
-// retry count of §5's packet-loss handling. The CHAOS and snoop scans send
-// once; a sweep takes its count from Options.SweepRetries.
+// retry count of §5's packet-loss handling. The CHAOS, snoop and ANY scans
+// send once; a sweep takes its count from Options.SweepRetries.
 const listRetries = 1
 
-// basePort is the UDP source port of every probe, and the first of the
-// ProbePortCount ports a domain scan spreads its resolver identifier over.
+// basePort is the UDP source port of every probe but the ANY scan's
+// (anyPort), and the first of the ProbePortCount ports a domain scan
+// spreads its resolver identifier over.
 const basePort = 33000
 
 // Options tunes a scanner.
@@ -63,7 +58,7 @@ type Options struct {
 	// send round on asynchronous transports. Default 50ms; a negative
 	// value disables waiting entirely, which is correct for the
 	// in-memory transport (it delivers responses synchronously inside
-	// Send).
+	// SendBatch).
 	SettleDelay time.Duration
 	// SweepRetries adds retransmission rounds for sweep non-responders.
 	// The default 0 keeps census semantics (exactly one probe per
@@ -102,19 +97,16 @@ func (o *Options) fill() {
 
 // Scanner drives probes over a transport.
 type Scanner struct {
-	tr Transport
-	// batch is the engine's only dispatch: tr's own SendBatch, or the
-	// loop-over-Send adapter for a transport without one.
-	batch wildnet.BatchSender
-	opts  Options
-	rate  *rateLimiter
-	m     scanMetrics
+	tr   Transport
+	opts Options
+	rate *rateLimiter
+	m    scanMetrics
 }
 
 // New builds a scanner.
 func New(tr Transport, opts Options) *Scanner {
 	opts.fill()
-	s := &Scanner{tr: tr, batch: batchSender(tr), opts: opts, rate: newRateLimiter(opts.RatePPS, opts.Clock), m: newScanMetrics(opts.Metrics)}
+	s := &Scanner{tr: tr, opts: opts, rate: newRateLimiter(opts.RatePPS, opts.Clock), m: newScanMetrics(opts.Metrics)}
 	s.rate.stalls = s.m.rateStalls
 	return s
 }

@@ -267,8 +267,8 @@ func TestProbeReturnsResponses(t *testing.T) {
 			break
 		}
 	}
-	msgs := s.Probe(target, domains.GroundTruth, dnswire.TypeA, dnswire.ClassIN)
-	if len(msgs) == 0 {
+	msgs, err := s.ProbeContext(context.Background(), target, domains.GroundTruth, dnswire.TypeA, dnswire.ClassIN)
+	if err != nil || len(msgs) == 0 {
 		t.Error("probe got no response (loss retry not expected here)")
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"goingwild/internal/dnswire"
 	"goingwild/internal/lfsr"
+	"goingwild/internal/wildnet"
 )
 
 // snoopAnswer is one scripted reply of scriptTransport: the source it
@@ -17,32 +18,34 @@ type snoopAnswer struct {
 	ttl    uint32
 }
 
-// scriptTransport answers each probe synchronously inside Send, as the
+// scriptTransport answers each probe synchronously inside SendBatch, as the
 // in-memory transport does, with the reply scripted for its destination.
 type scriptTransport struct {
 	answers map[uint32]snoopAnswer
 	recv    func(src netip.Addr, srcPort, dstPort uint16, payload []byte)
 }
 
-func (s *scriptTransport) Send(ctx context.Context, dst netip.Addr, dstPort, srcPort uint16, payload []byte) error {
-	a, ok := s.answers[lfsr.AddrToU32(dst)]
-	if !ok {
-		return nil
+func (s *scriptTransport) SendBatch(ctx context.Context, batch []wildnet.Probe) (int, error) {
+	for i, p := range batch {
+		a, ok := s.answers[lfsr.AddrToU32(p.Dst)]
+		if !ok {
+			continue
+		}
+		q, err := dnswire.Unpack(p.Payload)
+		if err != nil {
+			return i, err
+		}
+		resp := dnswire.NewResponse(q, dnswire.RCodeNoError)
+		if a.cached {
+			resp.AddAnswer(q.Questions[0].Name, dnswire.ClassIN, a.ttl, dnswire.NS{Host: "ns1.nic.example"})
+		}
+		wire, err := resp.PackBytes()
+		if err != nil {
+			return i, err
+		}
+		s.recv(lfsr.U32ToAddr(a.src), p.DstPort, p.SrcPort, wire)
 	}
-	q, err := dnswire.Unpack(payload)
-	if err != nil {
-		return err
-	}
-	resp := dnswire.NewResponse(q, dnswire.RCodeNoError)
-	if a.cached {
-		resp.AddAnswer(q.Questions[0].Name, dnswire.ClassIN, a.ttl, dnswire.NS{Host: "ns1.nic.example"})
-	}
-	wire, err := resp.PackBytes()
-	if err != nil {
-		return err
-	}
-	s.recv(lfsr.U32ToAddr(a.src), dstPort, srcPort, wire)
-	return nil
+	return len(batch), nil
 }
 
 func (s *scriptTransport) SetReceiver(f func(src netip.Addr, srcPort, dstPort uint16, payload []byte)) {

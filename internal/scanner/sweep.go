@@ -10,6 +10,7 @@ import (
 	"goingwild/internal/domains"
 	"goingwild/internal/lfsr"
 	"goingwild/internal/metrics"
+	"goingwild/internal/wildnet"
 )
 
 // Responder is one host that answered the Internet-wide sweep.
@@ -245,42 +246,48 @@ func (s *Scanner) collectSweep(st *sweepCollector, probed uint64) *SweepResult {
 	return res
 }
 
-// Probe is ProbeContext for the callers that carry no context: LookupA,
-// LookupPTR and core's injection probe, which sit under callback types
-// without one.
-func (s *Scanner) Probe(addr uint32, name string, typ dnswire.Type, class dnswire.Class) []*dnswire.Message {
-	out, _ := s.ProbeContext(bgCtx, addr, name, typ, class)
-	return out
-}
-
 // ProbeContext sends a single query toward one resolver and returns all
 // responses that arrive before the settle deadline (the GFW study needs
-// to observe response races, §4.2). A dead context cuts the settle wait
-// short and surfaces as ctx.Err() alongside whatever arrived; a name that
-// cannot be encoded sends nothing and returns the encoder's error.
+// to observe response races, §4.2). A dead context sends nothing; one
+// that dies during the settle wait surfaces as ctx.Err() alongside
+// whatever arrived; a name that cannot be encoded sends nothing and
+// returns the encoder's error.
 func (s *Scanner) ProbeContext(ctx context.Context, addr uint32, name string, typ dnswire.Type, class dnswire.Class) ([]*dnswire.Message, error) {
+	_, out, err := s.exchange(ctx, addr, 0x5157, name, typ, class, s.m.probeSent, s.m.probeRecv)
+	return out, err
+}
+
+// exchange is the one single-exchange body, under ProbeContext and
+// ProbeTC: it packs the query under id, installs a receiver that keeps
+// every response that decodes, sends the probe as a batch of one on the
+// caller's goroutine and settles. It returns the query (ProbeTC repeats
+// it over TCP) with what arrived.
+func (s *Scanner) exchange(ctx context.Context, addr uint32, id uint16, name string, typ dnswire.Type, class dnswire.Class, sent, recv *metrics.Counter) ([]byte, []*dnswire.Message, error) {
 	if s.tr == nil {
-		return nil, ErrNoTransport
+		return nil, nil, ErrNoTransport
 	}
-	wire, err := dnswire.AppendQuery(nil, 0x5157, true, name, typ, class)
+	wire, err := dnswire.AppendQuery(nil, id, true, name, typ, class)
 	if err != nil {
-		return nil, fmt.Errorf("scanner: probe query for %q: %w", name, err)
+		return nil, nil, fmt.Errorf("scanner: probe query for %q: %w", name, err)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
 	}
 	var mu sync.Mutex
 	var out []*dnswire.Message
 	s.tr.SetReceiver(func(src netip4, srcPort, dstPort uint16, payload []byte) {
 		if m, err := dnswire.Unpack(payload); err == nil && m.Header.QR {
-			s.m.probeRecv.Inc()
+			recv.Inc()
 			mu.Lock()
 			out = append(out, m)
 			mu.Unlock()
 		}
 	})
-	s.m.probeSent.Inc()
-	//lint:allow errdrop single-probe send failures are modeled packet loss
-	s.tr.Send(ctx, lfsr.U32ToAddr(addr), 53, basePort, wire)
+	sent.Inc()
+	//lint:allow errdrop single-exchange send failures are modeled packet loss
+	s.tr.SendBatch(ctx, []wildnet.Probe{{Dst: lfsr.U32ToAddr(addr), DstPort: 53, SrcPort: basePort, Payload: wire}})
 	err = s.settle(ctx)
 	mu.Lock()
 	defer mu.Unlock()
-	return out, err
+	return wire, out, err
 }

@@ -1,8 +1,8 @@
 package scanner
 
 import (
+	"context"
 	"net/netip"
-	"sync"
 
 	"goingwild/internal/dnswire"
 	"goingwild/internal/lfsr"
@@ -18,33 +18,14 @@ type TCPQuerier interface {
 // ProbeTC sends one UDP query and, when the response is truncated and the
 // transport supports TCP, retries the exchange over TCP. It returns the
 // final responses (TCP replacing the truncated UDP answer) and whether a
-// TCP fallback happened.
-func (s *Scanner) ProbeTC(addr uint32, name string, typ dnswire.Type, class dnswire.Class) ([]*dnswire.Message, bool) {
-	if s.tr == nil {
-		return nil, false
-	}
+// TCP fallback happened; a failed UDP exchange is returned as ProbeContext
+// would.
+func (s *Scanner) ProbeTC(ctx context.Context, addr uint32, name string, typ dnswire.Type, class dnswire.Class) ([]*dnswire.Message, bool, error) {
 	// The same query goes out again over TCP after a truncated answer.
-	wire, err := dnswire.AppendQuery(nil, 0x7C17, true, name, typ, class)
+	wire, out, err := s.exchange(ctx, addr, 0x7C17, name, typ, class, s.m.tcpSent, s.m.tcpRecv)
 	if err != nil {
-		return nil, false
+		return out, false, err
 	}
-	var mu sync.Mutex
-	var out []*dnswire.Message
-	s.tr.SetReceiver(func(src netip4, srcPort, dstPort uint16, payload []byte) {
-		if m, err := dnswire.Unpack(payload); err == nil && m.Header.QR {
-			s.m.tcpRecv.Inc()
-			mu.Lock()
-			out = append(out, m)
-			mu.Unlock()
-		}
-	})
-	s.m.tcpSent.Inc()
-	//lint:allow errdrop TC-probe send failures are modeled packet loss
-	s.tr.Send(bgCtx, lfsr.U32ToAddr(addr), 53, basePort, wire)
-	s.settle(bgCtx)
-
-	mu.Lock()
-	defer mu.Unlock()
 	truncated := false
 	for _, m := range out {
 		if m.Header.TC {
@@ -52,19 +33,19 @@ func (s *Scanner) ProbeTC(addr uint32, name string, typ dnswire.Type, class dnsw
 		}
 	}
 	if !truncated {
-		return out, false
+		return out, false, nil
 	}
 	tq, ok := s.tr.(TCPQuerier)
 	if !ok {
-		return out, false
+		return out, false, nil
 	}
 	resp, ok := tq.QueryTCP(lfsr.U32ToAddr(addr), wire)
 	if !ok {
-		return out, false
+		return out, false, nil
 	}
 	m, err := dnswire.Unpack(resp)
 	if err != nil {
-		return out, false
+		return out, false, nil
 	}
 	// Replace truncated answers with the full TCP response.
 	final := make([]*dnswire.Message, 0, len(out))
@@ -74,5 +55,5 @@ func (s *Scanner) ProbeTC(addr uint32, name string, typ dnswire.Type, class dnsw
 		}
 	}
 	final = append(final, m)
-	return final, true
+	return final, true, nil
 }

@@ -19,7 +19,7 @@ func exchangeOver(t *testing.T, w *World, u uint32, payload []byte) [][]byte {
 	tr.SetReceiver(func(_ netip.Addr, _, _ uint16, resp []byte) {
 		got = append(got, append([]byte(nil), resp...))
 	})
-	if err := tr.Send(context.Background(), w.Addr(u), 53, 40000, payload); err != nil {
+	if err := sendOne(context.Background(), tr, w.Addr(u), 53, 40000, payload); err != nil {
 		t.Fatal(err)
 	}
 	return got

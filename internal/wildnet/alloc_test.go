@@ -58,7 +58,7 @@ func TestSendZeroFaultConfigAllocs(t *testing.T) {
 			continue
 		}
 		responded = false
-		if err := tr.Send(ctx, w.Addr(u), 53, 40000, payload); err != nil {
+		if err := sendOne(ctx, tr, w.Addr(u), 53, 40000, payload); err != nil {
 			t.Fatal(err)
 		}
 		if !responded && !slowSilent.IsValid() {
@@ -71,32 +71,32 @@ func TestSendZeroFaultConfigAllocs(t *testing.T) {
 
 	// Warm the pools, then demand the steady-state budgets.
 	for i := 0; i < 8; i++ {
-		if err := tr.Send(ctx, slowSilent, 53, 40000, payload); err != nil {
+		if err := sendOne(ctx, tr, slowSilent, 53, 40000, payload); err != nil {
 			t.Fatal(err)
 		}
 	}
 	allocs := testing.AllocsPerRun(500, func() {
-		if err := tr.Send(ctx, rejected, 53, 40000, payload); err != nil {
+		if err := sendOne(ctx, tr, rejected, 53, 40000, payload); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("fast-rejected Send allocates %.1f per probe, want 0", allocs)
+		t.Fatalf("fast-rejected one-probe batch allocates %.1f per probe, want 0", allocs)
 	}
 	allocs = testing.AllocsPerRun(500, func() {
-		if err := tr.Send(ctx, slowSilent, 53, 40000, payload); err != nil {
+		if err := sendOne(ctx, tr, slowSilent, 53, 40000, payload); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("zero-fault CN-silent Send allocates %.1f per probe, want 0", allocs)
+		t.Fatalf("zero-fault CN-silent one-probe batch allocates %.1f per probe, want 0", allocs)
 	}
 }
 
 // TestSendHostileRejectAllocs is the chaos-profile sibling of the test
 // above: under the hostile profile a probe toward a rejected address
 // must take the same dispatch exit as on a clean world — zero heap
-// allocations through Send and through SendBatch, and no attempt-counter
+// allocations as a batch of one and as a batch of 64, and no attempt-counter
 // entry, so a sweep's retransmission map (and the checkpoint that
 // serialises it) holds deliverable destinations only.
 func TestSendHostileRejectAllocs(t *testing.T) {
@@ -130,7 +130,7 @@ func TestSendHostileRejectAllocs(t *testing.T) {
 			rejected = w.Addr(u)
 		case classDeliver:
 			if !seeded {
-				if err := tr.Send(ctx, w.Addr(u), 53, 40000, payload); err != nil {
+				if err := sendOne(ctx, tr, w.Addr(u), 53, 40000, payload); err != nil {
 					t.Fatal(err)
 				}
 				seeded = true
@@ -150,12 +150,12 @@ func TestSendHostileRejectAllocs(t *testing.T) {
 		batch[i] = Probe{Dst: rejected, DstPort: 53, SrcPort: 40000, Payload: payload}
 	}
 	allocs := testing.AllocsPerRun(500, func() {
-		if err := tr.Send(ctx, rejected, 53, 40000, payload); err != nil {
+		if err := sendOne(ctx, tr, rejected, 53, 40000, payload); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("hostile rejected Send allocates %.1f per probe, want 0", allocs)
+		t.Fatalf("hostile rejected one-probe batch allocates %.1f per probe, want 0", allocs)
 	}
 	allocs = testing.AllocsPerRun(100, func() {
 		if n, err := tr.SendBatch(ctx, batch); err != nil || n != len(batch) {
@@ -171,8 +171,8 @@ func TestSendHostileRejectAllocs(t *testing.T) {
 }
 
 // TestSendRejectedCounter: wildnet.send.rejected counts exactly the
-// datagrams the dispatch dropped — the same number through Send and
-// through SendBatch, under a clean and a chaos profile alike.
+// datagrams the dispatch dropped — the same number sent as one-probe
+// batches and as one batch, under a clean and a chaos profile alike.
 func TestSendRejectedCounter(t *testing.T) {
 	for _, profile := range []string{"clean", "hostile"} {
 		for _, batched := range []bool{false, true} {
@@ -208,7 +208,7 @@ func TestSendRejectedCounter(t *testing.T) {
 				}
 			} else {
 				for _, p := range batch {
-					if err := tr.Send(ctx, p.Dst, p.DstPort, p.SrcPort, p.Payload); err != nil {
+					if err := sendOne(ctx, tr, p.Dst, p.DstPort, p.SrcPort, p.Payload); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -226,9 +226,10 @@ func TestSendRejectedCounter(t *testing.T) {
 // exchanges the DNS handler answered, wildnet.response.truncated the
 // responses the transport cut down to an empty TC reply, and
 // wildnet.response.bytes every byte it handed the receiver — the same
-// numbers through Send and SendBatch. ANY queries without EDNS make the
-// large amplifiers overflow the 512-octet ceiling; with loss off, every
-// truncated response reaches the receiver carrying the TC bit.
+// numbers sent as one-probe batches and as one batch. ANY queries without
+// EDNS make the large amplifiers overflow the 512-octet ceiling; with
+// loss off, every truncated response reaches the receiver carrying the
+// TC bit.
 func TestSendAnsweredAndTruncatedCounters(t *testing.T) {
 	for _, batched := range []bool{false, true} {
 		reg := metrics.New()
@@ -268,7 +269,7 @@ func TestSendAnsweredAndTruncatedCounters(t *testing.T) {
 			}
 		} else {
 			for _, p := range batch {
-				if err := tr.Send(ctx, p.Dst, p.DstPort, p.SrcPort, p.Payload); err != nil {
+				if err := sendOne(ctx, tr, p.Dst, p.DstPort, p.SrcPort, p.Payload); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -292,9 +293,9 @@ func TestSendAnsweredAndTruncatedCounters(t *testing.T) {
 
 // TestAnsweredSendAllocs pins the answered path's budget: with a zero
 // FaultConfig and a receiver that keeps nothing, an exchange an honest
-// resolver answers costs zero heap allocations at steady state — through
-// Send and through SendBatch — for an A question on a scan-list name
-// (0x20-cased, as the domain scan sends it), for a name in a signed zone
+// resolver answers costs zero heap allocations at steady state — as a
+// batch of one and as a batch of 64 — for an A question on a scan-list
+// name (0x20-cased, as the domain scan sends it), for a name in a signed zone
 // (the RRSIG comes from the signature cache), and for a cache-snooping NS
 // question. The query is read through the exchange's View and the
 // response appended into its arena; a Message, a boxed record or a name
@@ -349,11 +350,11 @@ func TestAnsweredSendAllocs(t *testing.T) {
 			t.Fatalf("%s %v: %d of %d probes drew an answer record", tc.name, tc.typ, answers, len(batch))
 		}
 		if allocs := testing.AllocsPerRun(500, func() {
-			if err := tr.Send(ctx, w.Addr(u), 53, 40000, payload); err != nil {
+			if err := sendOne(ctx, tr, w.Addr(u), 53, 40000, payload); err != nil {
 				t.Fatal(err)
 			}
 		}); allocs != 0 {
-			t.Errorf("%s %v: answered Send allocates %.1f per probe, want 0", tc.name, tc.typ, allocs)
+			t.Errorf("%s %v: answered one-probe batch allocates %.1f per probe, want 0", tc.name, tc.typ, allocs)
 		}
 		if allocs := testing.AllocsPerRun(100, func() {
 			if n, err := tr.SendBatch(ctx, batch); err != nil || n != len(batch) {

@@ -9,7 +9,7 @@ func TestAttemptsStateRoundTrip(t *testing.T) {
 	w := faultyWorld(t, 14, "hostile")
 	tr := NewMemTransport(w, VantagePrimary)
 	tr.SetTime(At(0))
-	// Simulate retransmissions directly through the counter, as Send does.
+	// Simulate retransmissions directly through the counter, as SendBatch does.
 	for _, rec := range []AttemptRecord{
 		{Addr: 9, PayloadHash: 0xabc, N: 3},
 		{Addr: 7, PayloadHash: 0xdef, N: 1},

@@ -10,7 +10,7 @@ import (
 // exchange is the scratch one simulated DNS exchange runs in: the View
 // the query is read through, the arena and Compressor its responses are
 // appended with, and the slots describing them. A transport takes one per
-// Send or per SendBatch and runs every datagram of the batch through it,
+// SendBatch and runs every datagram of the batch through it,
 // so an answered exchange allocates nothing at steady state.
 type exchange struct {
 	q     dnswire.View
@@ -26,7 +26,7 @@ type exchange struct {
 	addrs [4]uint32
 	// answered and bytes tally the exchanges that drew a response and the
 	// response bytes delivered, for the transport to add to the world's
-	// counters once per Send or SendBatch.
+	// counters once per SendBatch.
 	answered, bytes uint64
 }
 

@@ -13,7 +13,7 @@ import (
 // 2M probes/s clean and below 0.5M under a chaos profile.
 // sweepClassify decides, from a handful of seeded draws and one per-block
 // cache line, that a destination can produce no response for ANY query —
-// in which case Send and SendBatch drop the probe on the floor without
+// in which case SendBatch drops the probe on the floor without
 // parsing it, exactly as the full pipeline would have.
 //
 // Soundness contract: sweepClassify(u, v, t, c) == classReject must imply

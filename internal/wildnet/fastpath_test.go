@@ -68,8 +68,8 @@ func TestSweepRejectSoundness(t *testing.T) {
 
 // TestSweepRejectMatchesHandler proves, rather than assumes, that the
 // dispatch decision holds under faults: for every chaos profile, vantage
-// and instant it fires a sweep-shaped query at each address Send would
-// drop and demands silence from the full handler and — bypassing the
+// and instant it fires a sweep-shaped query at each address SendBatch
+// would drop and demands silence from the full handler and — bypassing the
 // dispatch by calling process directly — from the full transport
 // pipeline, for the first transmission and two identical retransmissions
 // (attempts 0–2, each a fresh set of fault draws).
@@ -122,8 +122,8 @@ func TestSweepRejectMatchesHandler(t *testing.T) {
 }
 
 // TestCNFilterMatchesPipeline drives empty-Chinese-space addresses
-// (classCNOnly: no resolver, but the injector might react) through Send —
-// which decides with the alloc-free question peek — and through the
+// (classCNOnly: no resolver, but the injector might react) through a one-probe
+// SendBatch — which decides with the alloc-free question peek — and through the
 // bypassed full pipeline, across GFW-listed, unlisted, and non-A
 // questions, and requires byte-identical deliveries.
 func TestCNFilterMatchesPipeline(t *testing.T) {
@@ -161,7 +161,7 @@ func TestCNFilterMatchesPipeline(t *testing.T) {
 					if err := tr.process(ctx, new(exchange), u, 53, 34567, payload, now); err != nil {
 						t.Fatal(err)
 					}
-				} else if err := tr.Send(ctx, w.Addr(u), 53, 34567, payload); err != nil {
+				} else if err := sendOne(ctx, tr, w.Addr(u), 53, 34567, payload); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -174,7 +174,7 @@ func TestCNFilterMatchesPipeline(t *testing.T) {
 	fast := run(false)
 	full := run(true)
 	if len(fast) != len(full) {
-		t.Fatalf("deliveries differ: %d via Send vs %d via full pipeline", len(fast), len(full))
+		t.Fatalf("deliveries differ: %d via SendBatch vs %d via full pipeline", len(fast), len(full))
 	}
 	for i := range fast {
 		if fast[i] != full[i] {
@@ -186,9 +186,10 @@ func TestCNFilterMatchesPipeline(t *testing.T) {
 	}
 }
 
-// TestSendBatchMatchesSend sends the same probe set through SendBatch and
-// through per-probe Send against two equal worlds and requires identical
-// deliveries, byte for byte and in order.
+// TestSendBatchMatchesSend sends the same probe set as one batch and as
+// one-probe batches against two equal worlds and requires identical
+// deliveries, byte for byte and in order: where a batch is cut is pure
+// dispatch.
 func TestSendBatchMatchesSend(t *testing.T) {
 	type delivery struct {
 		src     netip.Addr
@@ -222,7 +223,7 @@ func TestSendBatchMatchesSend(t *testing.T) {
 			}
 		} else {
 			for i, p := range batch {
-				if err := tr.Send(ctx, p.Dst, p.DstPort, p.SrcPort, payloads[i]); err != nil {
+				if err := sendOne(ctx, tr, p.Dst, p.DstPort, p.SrcPort, payloads[i]); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -75,8 +75,8 @@ func FuzzHandleDNS(f *testing.F) {
 			}
 		})
 		dst := lfsr.U32ToAddr(target)
-		if err := tr.Send(context.Background(), dst, dstPort, srcPort, payload); err != nil {
-			t.Fatalf("Send: %v", err)
+		if err := sendOne(context.Background(), tr, dst, dstPort, srcPort, payload); err != nil {
+			t.Fatalf("SendBatch: %v", err)
 		}
 	})
 }
@@ -160,8 +160,8 @@ func FuzzAnswerWire(f *testing.F) {
 				t.Fatalf("question %x not echoed in %x", query[12:], resp)
 			}
 		})
-		if err := tr.Send(context.Background(), w.Addr(u), 53, 40000, query); err != nil {
-			t.Fatalf("Send: %v", err)
+		if err := sendOne(context.Background(), tr, w.Addr(u), 53, 40000, query); err != nil {
+			t.Fatalf("SendBatch: %v", err)
 		}
 	})
 }

@@ -46,10 +46,7 @@ func TestUDPGatewayDomainScanParity(t *testing.T) {
 	}
 	defer udp.Close()
 
-	collect := func(tr interface {
-		Send(ctx context.Context, dst netip.Addr, dstPort, srcPort uint16, payload []byte) error
-		SetReceiver(func(src netip.Addr, srcPort, dstPort uint16, payload []byte))
-	}, wait time.Duration) map[uint32][]uint32 {
+	collect := func(tr Transport, wait time.Duration) map[uint32][]uint32 {
 		out := map[uint32][]uint32{}
 		var mu sync.Mutex
 		tr.SetReceiver(func(src netip.Addr, srcPort, dstPort uint16, payload []byte) {
@@ -67,11 +64,13 @@ func TestUDPGatewayDomainScanParity(t *testing.T) {
 			mu.Unlock()
 		})
 		for round := 0; round < 3; round++ { // ride over the 0.2% loss model
+			batch := make([]Probe, len(targets))
 			for i, u := range targets {
 				q := dnswire.NewQuery(uint16(i), domains.GroundTruth, dnswire.TypeA, dnswire.ClassIN)
 				wire, _ := q.PackBytes()
-				tr.Send(context.Background(), U32ToAddrExported(u), 53, 42000, wire)
+				batch[i] = Probe{Dst: U32ToAddrExported(u), DstPort: 53, SrcPort: 42000, Payload: wire}
 			}
+			tr.SendBatch(context.Background(), batch)
 		}
 		time.Sleep(wait)
 		mu.Lock()

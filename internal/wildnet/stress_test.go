@@ -68,7 +68,7 @@ func TestUDPGatewayFanOutStress(t *testing.T) {
 					t.Errorf("pack: %v", err)
 					return
 				}
-				if err := tr.Send(context.Background(), w.Addr(u), 53, uint16(42000+c), wire); err != nil {
+				if _, err := tr.SendBatch(context.Background(), []Probe{{Dst: w.Addr(u), DstPort: 53, SrcPort: uint16(42000 + c), Payload: wire}}); err != nil {
 					t.Errorf("client %d send %d: %v", c, i, err)
 					return
 				}

@@ -18,52 +18,46 @@ import (
 // scanner.Transport is an alias of this interface, so the two layers can
 // never drift.
 type Transport interface {
-	// Send transmits one datagram from the scanner's srcPort to
-	// dst:dstPort. Delivery is not guaranteed (packet loss is part of
-	// the model, §5 "Completeness"). A cancelled ctx aborts the send —
-	// including, on the synchronous in-memory transport, the response
-	// deliveries that happen inside Send — with ctx.Err(). payload is
-	// borrowed for the duration of the call only, as Probe.Payload is:
-	// implementations copy or consume it before returning and neither
-	// keep nor modify it, because scans build probes into pooled buffers
-	// and send one shared payload from many goroutines at once.
-	Send(ctx context.Context, dst netip.Addr, dstPort, srcPort uint16, payload []byte) error
+	// SendBatch is the one way onto the wire: it transmits the probes in
+	// order — a single exchange is a batch of one — and lets the
+	// implementation amortize per-packet overhead: the in-memory
+	// transport takes its clock lock and receiver load once per batch,
+	// the UDP gateway transport hands the kernel the whole batch in one
+	// sendmmsg(2). Delivery is not guaranteed (packet loss is part of the
+	// model, §5 "Completeness"). It returns how many probes were
+	// processed; on error, probes [0, n) were handled and batch[n] was
+	// not. A cancelled ctx aborts the batch — including, on the
+	// synchronous in-memory transport, the response deliveries that
+	// happen inside SendBatch — with ctx.Err(). Each Probe.Payload is
+	// borrowed for the duration of the call only: implementations copy or
+	// consume it before returning and neither keep nor modify it, because
+	// scans build probes into pooled buffers and lend one shared payload
+	// to many probes, from many goroutines at once.
+	SendBatch(ctx context.Context, batch []Probe) (int, error)
 	// SetReceiver registers the response callback. It must be called
-	// before the first Send. The callback may run concurrently, and must
-	// not retain payload after returning: the in-memory transport packs
-	// responses into pooled buffers that are reused for later deliveries.
+	// before the first SendBatch. The callback may run concurrently, and
+	// must not retain payload after returning: the in-memory transport
+	// packs responses into pooled buffers that are reused for later
+	// deliveries.
 	SetReceiver(func(src netip.Addr, srcPort, dstPort uint16, payload []byte))
 	// Close releases resources; no callbacks run after Close returns.
 	Close() error
 }
 
-// ErrTransportClosed is returned by Send after Close.
+// ErrTransportClosed is returned by SendBatch after Close.
 var ErrTransportClosed = errors.New("wildnet: transport closed")
 
 // errIPv4Only rejects non-IPv4 destinations on every transport.
 var errIPv4Only = errors.New("wildnet: transport is IPv4-only")
 
-// Probe is one ready-to-send datagram for batched dispatch. Payload is
-// borrowed for the duration of the SendBatch call only: transports must
-// not retain it, mirroring the receiver-side contract.
+// Probe is one ready-to-send datagram. Payload is borrowed for the
+// duration of the SendBatch call only: transports must not retain it,
+// mirroring the receiver-side contract.
 type Probe struct {
 	Dst     netip.Addr
 	DstPort uint16
 	SrcPort uint16
 	Payload []byte
-}
-
-// BatchSender is the optional bulk extension of Transport: SendBatch
-// dispatches the probes in order with per-probe semantics identical to
-// calling Send once per probe, but lets the implementation amortize
-// per-packet overhead — the in-memory transport takes its clock lock and
-// receiver load once per batch, the UDP gateway transport hands the
-// kernel the whole batch in one sendmmsg(2). It returns how many probes
-// were processed; on error, probes [0, n) were handled and batch[n] was
-// not. Scan engines type-assert for this interface and fall back to the
-// Send loop when it is absent.
-type BatchSender interface {
-	SendBatch(ctx context.Context, batch []Probe) (int, error)
 }
 
 // MemTransport delivers packets synchronously through the world model.
@@ -118,46 +112,9 @@ func (m *MemTransport) SetReceiver(f func(src netip.Addr, srcPort, dstPort uint1
 	m.recv.Store(&f)
 }
 
-// Send implements Transport: the query is processed by the world and all
-// surviving responses are delivered to the receiver before Send returns.
-// This is the hot path of every simulated scan — one call per probe — so
-// the query is read through a View, the responses are appended on the
-// wire, and the two-response common case of the sort runs in place, all
-// in one pooled exchange scratch, and the context is checked only at loop
-// edges (entry and between response deliveries), never per byte.
-//
-// Under every fault profile the destination is classified first: a
-// datagram nothing can answer is counted in wildnet.send.rejected and
-// dropped there. It draws no base or fault loss, takes no attempt-counter
-// entry, and moves no wildnet.fault.* counter — faults act on exchanges
-// that have a live endpoint, and a dropped, flapped or delivered probe to
-// empty space is the same silence to the sender.
-func (m *MemTransport) Send(ctx context.Context, dst netip.Addr, dstPort, srcPort uint16, payload []byte) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if m.closed.Load() {
-		return ErrTransportClosed
-	}
-	if !dst.Is4() {
-		return errIPv4Only
-	}
-	t := m.Time()
-	u32dst := lfsr.AddrToU32(dst)
-	class := m.world.sweepClassify(u32dst, m.vantage, t, m.world.blockCache(t.Week))
-	if m.undeliverable(class, dstPort, payload) {
-		m.world.sendRejected.Inc()
-		return nil
-	}
-	x := exchangePool.Get().(*exchange)
-	err := m.process(ctx, x, u32dst, dstPort, srcPort, payload, t)
-	m.putExchange(x)
-	return err
-}
-
 // putExchange adds an exchange scratch's tallies to the world's counters
-// — once per Send or SendBatch, so the shared counters cost an answered
-// exchange nothing — and returns it to the pool.
+// — once per SendBatch, so the shared counters cost an answered exchange
+// nothing — and returns it to the pool.
 func (m *MemTransport) putExchange(x *exchange) {
 	m.world.sendAnswered.Add(x.answered)
 	m.world.respBytes.Add(x.bytes)
@@ -165,18 +122,31 @@ func (m *MemTransport) putExchange(x *exchange) {
 	exchangePool.Put(x)
 }
 
-// undeliverable is the second half of the dispatch decision Send and
-// SendBatch share, given the destination's sweepClassify verdict: true
-// when nothing there can answer this datagram (fastpath.go), so the
-// caller drops it before the hash, the loss draws, the attempt counter,
-// the parse and the handler. Small enough to inline into both loops.
+// undeliverable is the second half of SendBatch's dispatch decision,
+// given the destination's sweepClassify verdict: true when nothing there
+// can answer this datagram (fastpath.go), so the loop drops it before the
+// hash, the loss draws, the attempt counter, the parse and the handler.
+// Small enough to inline.
 func (m *MemTransport) undeliverable(class sweepClass, dstPort uint16, payload []byte) bool {
 	return class == classReject || class == classCNOnly && !m.cnCouldAnswer(dstPort, payload)
 }
 
-// SendBatch implements BatchSender: per-probe semantics are exactly those
-// of Send, with the clock lock, the block-table load, the exchange
-// scratch and the counters amortized over the whole batch.
+// SendBatch implements Transport: each query is processed by the world
+// and all its surviving responses are delivered to the receiver before
+// the next probe is looked at, with the clock lock, the block-table load,
+// the exchange scratch and the counters amortized over the whole batch.
+// This is the hot path of every simulated scan, so the query is read
+// through a View, the responses are appended on the wire, and the
+// two-response common case of the sort runs in place, all in one pooled
+// exchange scratch, and the context is checked only at loop edges (entry
+// and between response deliveries), never per byte.
+//
+// Under every fault profile the destination is classified first: a
+// datagram nothing can answer is counted in wildnet.send.rejected and
+// dropped there. It draws no base or fault loss, takes no attempt-counter
+// entry, and moves no wildnet.fault.* counter — faults act on exchanges
+// that have a live endpoint, and a dropped, flapped or delivered probe to
+// empty space is the same silence to the sender.
 func (m *MemTransport) SendBatch(ctx context.Context, batch []Probe) (int, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
@@ -213,8 +183,7 @@ func (m *MemTransport) SendBatch(ctx context.Context, batch []Probe) (int, error
 }
 
 // process runs one datagram through the world at simulated time t, in
-// the exchange scratch x, and delivers the surviving responses. It is the
-// shared tail of Send and SendBatch.
+// the exchange scratch x, and delivers the surviving responses.
 func (m *MemTransport) process(ctx context.Context, x *exchange, u32dst uint32, dstPort, srcPort uint16, payload []byte, t Time) error {
 	qph := hashBytes(payload)
 	// Independent loss on the query packet.

@@ -2,6 +2,7 @@ package wildnet
 
 import (
 	"context"
+	"errors"
 	"net/netip"
 	"sync"
 	"testing"
@@ -10,6 +11,15 @@ import (
 	"goingwild/internal/dnswire"
 	"goingwild/internal/domains"
 )
+
+// sendOne dispatches one datagram as a batch of one — the form a single
+// exchange takes on the wire. It takes the concrete transport so the
+// one-probe array stays on the caller's stack and the allocation tests
+// measure the transport alone.
+func sendOne(ctx context.Context, tr *MemTransport, dst netip.Addr, dstPort, srcPort uint16, payload []byte) error {
+	_, err := tr.SendBatch(ctx, []Probe{{Dst: dst, DstPort: dstPort, SrcPort: srcPort, Payload: payload}})
+	return err
+}
 
 func TestMemTransportRoundTrip(t *testing.T) {
 	w := testWorld(t, 16)
@@ -34,7 +44,7 @@ func TestMemTransportRoundTrip(t *testing.T) {
 	// minute between attempts to redraw.
 	for i := 0; i < 10 && len(got) == 0; i++ {
 		tr.SetTime(Time{Minute: i})
-		if err := tr.Send(context.Background(), w.Addr(u), 53, 40000, wire); err != nil {
+		if err := sendOne(context.Background(), tr, w.Addr(u), 53, 40000, wire); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -50,8 +60,8 @@ func TestMemTransportClosed(t *testing.T) {
 	w := testWorld(t, 16)
 	tr := NewMemTransport(w, VantagePrimary)
 	tr.Close()
-	if err := tr.Send(context.Background(), w.Addr(1), 53, 40000, []byte{0}); err != ErrTransportClosed {
-		t.Errorf("Send after Close = %v, want ErrTransportClosed", err)
+	if err := sendOne(context.Background(), tr, w.Addr(1), 53, 40000, []byte{0}); err != ErrTransportClosed {
+		t.Errorf("SendBatch after Close = %v, want ErrTransportClosed", err)
 	}
 }
 
@@ -62,11 +72,35 @@ func TestMemTransportIgnoresGarbage(t *testing.T) {
 	tr.SetReceiver(func(netip.Addr, uint16, uint16, []byte) {
 		t.Error("garbage produced a response")
 	})
-	if err := tr.Send(context.Background(), w.Addr(12345), 53, 40000, []byte{1, 2, 3}); err != nil {
+	if err := sendOne(context.Background(), tr, w.Addr(12345), 53, 40000, []byte{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Send(context.Background(), netip.MustParseAddr("2001:db8::1"), 53, 40000, []byte{1}); err == nil {
-		t.Error("IPv6 destination accepted")
+}
+
+// TestTransportsRejectIPv6: both transports refuse a non-IPv4 destination
+// with the package's one sentinel.
+func TestTransportsRejectIPv6(t *testing.T) {
+	w := testWorld(t, 16)
+	mem := NewMemTransport(w, VantagePrimary)
+	defer mem.Close()
+	gw, err := StartGateway(w, VantagePrimary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close()
+	udp, err := DialGateway(gw.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer udp.Close()
+	batch := []Probe{
+		{Dst: w.Addr(12345), DstPort: 53, SrcPort: 40000, Payload: []byte{1, 2, 3}},
+		{Dst: netip.MustParseAddr("2001:db8::1"), DstPort: 53, SrcPort: 40000, Payload: []byte{1}},
+	}
+	for name, tr := range map[string]Transport{"mem": mem, "udp": udp} {
+		if _, err := tr.SendBatch(context.Background(), batch); !errors.Is(err, errIPv4Only) {
+			t.Errorf("%s: SendBatch with an IPv6 destination = %v, want errIPv4Only", name, err)
+		}
 	}
 }
 
@@ -101,7 +135,7 @@ func TestUDPGatewayRoundTrip(t *testing.T) {
 	})
 	q := dnswire.NewQuery(7, domains.GroundTruth, dnswire.TypeA, dnswire.ClassIN)
 	wire, _ := q.PackBytes()
-	if err := tr.Send(context.Background(), w.Addr(u), 53, 41000, wire); err != nil {
+	if _, err := tr.SendBatch(context.Background(), []Probe{{Dst: w.Addr(u), DstPort: 53, SrcPort: 41000, Payload: wire}}); err != nil {
 		t.Fatal(err)
 	}
 	select {

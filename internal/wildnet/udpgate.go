@@ -197,26 +197,6 @@ func (u *UDPTransport) readLoop() {
 	}
 }
 
-// Send implements Transport. The kernel write itself is not
-// interruptible, so the context is honored at the call edge: a send loop
-// that keeps calling Send after cancellation gets ctx.Err() back
-// immediately instead of queueing more datagrams.
-func (u *UDPTransport) Send(ctx context.Context, dst netip.Addr, dstPort, srcPort uint16, payload []byte) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if !dst.Is4() {
-		return fmt.Errorf("wildnet: transport is IPv4-only")
-	}
-	out := make([]byte, tunnelHeaderLen+len(payload))
-	binary.BigEndian.PutUint32(out[0:], lfsr.AddrToU32(dst))
-	binary.BigEndian.PutUint16(out[4:], dstPort)
-	binary.BigEndian.PutUint16(out[6:], srcPort)
-	copy(out[tunnelHeaderLen:], payload)
-	_, err := u.conn.WriteToUDP(out, u.gateway)
-	return err
-}
-
 // Close implements Transport.
 func (u *UDPTransport) Close() error {
 	err := u.conn.Close()
@@ -241,12 +221,15 @@ var gateFramePool = sync.Pool{New: func() any {
 	}
 }}
 
-// SendBatch implements BatchSender: the batch is framed into one arena
+// SendBatch implements Transport: the batch is framed into one arena
 // and handed to the kernel as a single sendmmsg(2) on platforms that
 // have it (one syscall instead of len(probes) sendto calls), with a
 // per-datagram fallback everywhere else — including at runtime, if the
-// kernel rejects the syscall. Semantics match a Send loop exactly: the
-// same tunnel frames leave the socket in the same order.
+// kernel rejects the syscall; either way the same tunnel frames leave
+// the socket in the same order. The kernel write itself is not
+// interruptible, so the context is honored at the call edge: a sender
+// that keeps calling after cancellation gets ctx.Err() back immediately
+// instead of queueing more datagrams.
 func (u *UDPTransport) SendBatch(ctx context.Context, probes []Probe) (int, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
@@ -258,7 +241,7 @@ func (u *UDPTransport) SendBatch(ctx context.Context, probes []Probe) (int, erro
 	fr.frames = fr.frames[:0]
 	for i, p := range probes {
 		if !p.Dst.Is4() {
-			return i, fmt.Errorf("wildnet: transport is IPv4-only")
+			return i, errIPv4Only
 		}
 		fr.offs = append(fr.offs, len(fr.buf))
 		var hdr [tunnelHeaderLen]byte

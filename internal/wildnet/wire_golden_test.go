@@ -166,13 +166,13 @@ func sendGolden(t *testing.T, tr *MemTransport, got *[]goldenResponse, q goldenQ
 	if tr.Time() != q.at {
 		tr.SetTime(q.at)
 	}
-	if err := tr.Send(context.Background(), lfsr.U32ToAddr(q.dst), 53, q.srcPort, q.payload); err != nil {
+	if err := sendOne(context.Background(), tr, lfsr.U32ToAddr(q.dst), 53, q.srcPort, q.payload); err != nil {
 		t.Fatal(err)
 	}
 	return *got
 }
 
-// goldenDigest runs the corpus through Send and folds every delivered
+// goldenDigest runs the corpus through one-probe batches and folds every delivered
 // response — claimed source, destination port, length, bytes — into one
 // SHA-256, returning it with the response count. each, when set, sees
 // every exchange.
