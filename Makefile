@@ -12,10 +12,11 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Project-specific static analysis (internal/lint): the six syntactic
-# rules (determinism, maporder, gohygiene, errdrop, ctxhygiene,
-# sleepcall) and the five flow-sensitive ones (lockcheck, atomichygiene,
-# hotpath, taintflow, fsynccheck). Exits nonzero on any finding.
+# Project-specific static analysis (internal/lint): the five syntactic
+# rules (determinism, maporder, errdrop, ctxhygiene, sleepcall) and the
+# two flow-sensitive ones (hotpath, fsynccheck). Lock copies are go vet's
+# job (the vet target); README "Correctness tooling" records what each
+# rule has caught. Exits nonzero on any finding.
 lint:
 	$(GO) run ./cmd/wildlint ./...
 
@@ -42,11 +43,12 @@ bench-test:
 
 # Race-detector pass over the concurrent subsystems (the stress tests in
 # scanner and wildnet exist for this target; ampli's survey runs the ANY
-# scan's receiver under four senders). resolvesvc runs three times: its
-# coalescer stress is a race between request goroutines and one prober,
-# and one schedule of it proves little.
+# scan's receiver under four senders; cluster's linkage fills its
+# distance rows from parallel goroutines through an atomic row counter).
+# resolvesvc runs three times: its coalescer stress is a race between
+# request goroutines and one prober, and one schedule of it proves little.
 race:
-	$(GO) test -race ./internal/scanner ./internal/wildnet ./internal/ampli ./internal/pipeline ./internal/metrics ./internal/debughttp .
+	$(GO) test -race ./internal/scanner ./internal/wildnet ./internal/ampli ./internal/cluster ./internal/pipeline ./internal/metrics ./internal/debughttp .
 	$(GO) test -race -count=3 ./internal/resolvesvc
 
 # Chaos matrix: the full pipeline under every fault profile (clean,

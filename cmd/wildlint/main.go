@@ -1,19 +1,17 @@
 // Command wildlint runs the project's static-analysis pass (see
-// internal/lint) over the module: the six syntactic rules (determinism,
-// maporder, gohygiene, errdrop, ctxhygiene, sleepcall) and the five
-// flow-sensitive ones (lockcheck, atomichygiene, hotpath, taintflow,
-// fsynccheck).
+// internal/lint) over the module: the five syntactic rules (determinism,
+// maporder, errdrop, ctxhygiene, sleepcall) and the two flow-sensitive
+// ones (hotpath, fsynccheck). Every run checks every rule.
 //
 // Usage:
 //
-//	wildlint [-json] [-rules a,b,c] [-escape-log file] [./...|dir ...]
+//	wildlint [-json] [-escape-log file] [./...|dir ...]
 //
 // With no arguments (or the literal ./...) it analyzes every package in
 // the module containing the current directory. Findings print one per
 // line as `file:line: [rule] message`; -json emits them instead as a
 // sorted JSON array of {rule, file, line, msg, allowed} objects (allowed
-// findings are included in JSON and suppressed in text). -rules
-// restricts analysis to a comma-separated subset of rule names.
+// findings are included in JSON and suppressed in text).
 // -escape-log cross-checks //lint:hotpath functions against the
 // compiler's escape analysis: the file is the stderr of
 // `go build -a -gcflags=-m ./...` and any heap allocation the compiler
@@ -32,7 +30,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 
 	"goingwild/internal/lint"
 )
@@ -56,7 +53,6 @@ func run(args []string, stdout, stderr *os.File) int {
 	fs := flag.NewFlagSet("wildlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit findings as a sorted JSON array (includes allowed findings with their allow-state)")
-	rulesFlag := fs.String("rules", "", "comma-separated rules to run (default: all)")
 	escapeLog := fs.String("escape-log", "", "cross-check //lint:hotpath functions against this `go build -gcflags=-m` stderr file")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -85,14 +81,6 @@ func run(args []string, stdout, stderr *os.File) int {
 	}
 
 	cfg := lint.DefaultConfig(loader.ModPath)
-	if *rulesFlag != "" {
-		rules, err := parseRules(*rulesFlag)
-		if err != nil {
-			fmt.Fprintln(stderr, "wildlint:", err)
-			return 2
-		}
-		cfg.Rules = rules
-	}
 
 	var findings []lint.Finding
 	for _, dir := range dirs {
@@ -167,47 +155,6 @@ func run(args []string, stdout, stderr *os.File) int {
 		status = 1
 	}
 	return status
-}
-
-// parseRules validates the -rules list against the known rule names.
-func parseRules(s string) ([]string, error) {
-	var rules []string
-	for _, r := range strings.Split(s, ",") {
-		r = strings.TrimSpace(r)
-		if r == "" {
-			continue
-		}
-		known := r == "allow"
-		for _, k := range lint.AllRules {
-			if k == r {
-				known = true
-			}
-		}
-		if !known {
-			return nil, fmt.Errorf("unknown rule %q (known: %s)", r, strings.Join(lint.AllRules, ", "))
-		}
-		rules = append(rules, r)
-	}
-	if len(rules) == 0 {
-		return nil, fmt.Errorf("-rules given but no rule names parsed")
-	}
-	// The allow machinery (malformed/stale //lint:allow findings) rides
-	// along unless the filter names only other rules on purpose; include
-	// it implicitly so a filtered run still reports rotted escapes for
-	// the rules it checks.
-	if !contains(rules, "allow") {
-		rules = append(rules, "allow")
-	}
-	return rules, nil
-}
-
-func contains(xs []string, want string) bool {
-	for _, x := range xs {
-		if x == want {
-			return true
-		}
-	}
-	return false
 }
 
 // expandArgs turns the command-line patterns into package directories.

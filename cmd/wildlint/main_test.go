@@ -91,35 +91,6 @@ func TestJSONShape(t *testing.T) {
 	}
 }
 
-// TestRulesFilter restricts the run to one rule and checks nothing else
-// leaks through.
-func TestRulesFilter(t *testing.T) {
-	_, out, errb := capture(t, append([]string{"-json", "-rules", "lockcheck"}, flowPkgs...))
-	if len(out) == 0 {
-		t.Fatalf("no JSON produced; stderr: %s", errb)
-	}
-	var findings []jsonFinding
-	if err := json.Unmarshal(out, &findings); err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range findings {
-		if f.Rule != "lockcheck" && f.Rule != "allow" {
-			t.Errorf("rule %s leaked through -rules lockcheck", f.Rule)
-		}
-	}
-}
-
-// TestRulesFilterRejectsUnknown pins the diagnostic for typo'd rules.
-func TestRulesFilterRejectsUnknown(t *testing.T) {
-	status, _, errb := capture(t, []string{"-rules", "lockchek", "../../internal/scanner"})
-	if status != 2 {
-		t.Fatalf("unknown rule accepted (status %d)", status)
-	}
-	if want := "unknown rule"; !containsStr(string(errb), want) {
-		t.Errorf("diagnostic missing %q: %s", want, errb)
-	}
-}
-
 // TestLoadFailureIsFatal points wildlint at a module with a file that
 // does not type-check: the run must exit 2 and name the package instead
 // of silently analyzing a partial set.

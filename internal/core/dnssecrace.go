@@ -7,6 +7,7 @@ import (
 
 	"goingwild/internal/dnssec"
 	"goingwild/internal/dnswire"
+	"goingwild/internal/lfsr"
 	"goingwild/internal/pipeline"
 )
 
@@ -77,7 +78,7 @@ func (p *Plan) DNSSECRace(week int, country, name string) *Out[*DNSSECRaceResult
 			}
 			correct := func(m *dnswire.Message) bool {
 				for _, a := range m.AnswerAddrs() {
-					if legitSet[s.World.Mask(u32Of(a))] {
+					if legitSet[s.World.Mask(lfsr.AddrToU32(a))] {
 						return true
 					}
 				}
@@ -139,9 +140,4 @@ func (p *Plan) DNSSECRace(week int, country, name string) *Out[*DNSSECRaceResult
 // and evaluates both client strategies.
 func (s *Study) RunDNSSECRaceContext(ctx context.Context, week int, country, name string) (*DNSSECRaceResult, error) {
 	return runOne(ctx, s, func(p *Plan) *Out[*DNSSECRaceResult] { return p.DNSSECRace(week, country, name) })
-}
-
-func u32Of(a interface{ As4() [4]byte }) uint32 {
-	b := a.As4()
-	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
 }

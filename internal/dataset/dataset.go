@@ -49,11 +49,11 @@ func ip4(u uint32) string { return lfsr.U32ToAddr(u).String() }
 
 // parseIP4 reverses ip4.
 func parseIP4(s string) (uint32, error) {
-	var a, b, c, d int
-	if _, err := fmt.Sscanf(s, "%d.%d.%d.%d", &a, &b, &c, &d); err != nil {
-		return 0, fmt.Errorf("dataset: bad address %q: %w", s, err)
+	u, err := lfsr.ParseU32(s)
+	if err != nil {
+		return 0, fmt.Errorf("dataset: bad address: %w", err)
 	}
-	return uint32(a)<<24 | uint32(b)<<16 | uint32(c)<<8 | uint32(d), nil
+	return u, nil
 }
 
 // WriteManifest writes the provenance header file.
@@ -104,21 +104,25 @@ func ReadSweep(r io.Reader) ([]scanner.Responder, error) {
 		if err != nil {
 			return nil, err
 		}
+		rc, err := parseRCode(rec.RCode)
+		if err != nil {
+			return nil, err
+		}
 		out = append(out, scanner.Responder{
-			Addr: addr, Source: src,
-			RCode: parseRCode(rec.RCode), Answered: rec.Answered,
+			Addr: addr, Source: src, RCode: rc, Answered: rec.Answered,
 		})
 	}
 	return out, nil
 }
 
-func parseRCode(s string) dnswire.RCode {
+// parseRCode reverses RCode.String over the header's 4-bit range.
+func parseRCode(s string) (dnswire.RCode, error) {
 	for rc := dnswire.RCode(0); rc < 16; rc++ {
 		if rc.String() == s {
-			return rc
+			return rc, nil
 		}
 	}
-	return dnswire.RCodeNoError
+	return 0, fmt.Errorf("dataset: unknown rcode %q", s)
 }
 
 // WriteTuples serializes a domain scan's prefiltered tuples: every

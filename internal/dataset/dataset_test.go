@@ -85,9 +85,16 @@ func TestReadRejectsGarbage(t *testing.T) {
 	if _, err := ReadSweep(strings.NewReader("not json\n")); err == nil {
 		t.Error("garbage accepted")
 	}
-	if _, err := ReadSweep(strings.NewReader(`{"addr":"999.1.2.3","source":"1.2.3.4","rcode":"NOERROR"}`)); err == nil {
-		// Sscanf is lenient about octet ranges; just ensure no panic.
-		t.Log("lenient address parsing tolerated")
+	for _, rec := range []string{
+		`{"addr":"999.1.2.3","source":"1.2.3.4","rcode":"NOERROR"}`,
+		`{"addr":"1.2.3.4junk","source":"1.2.3.4","rcode":"NOERROR"}`,
+		`{"addr":"1.2.3.4.5","source":"1.2.3.4","rcode":"NOERROR"}`,
+		`{"addr":"1.2.3.4","source":"::1","rcode":"NOERROR"}`,
+		`{"addr":"1.2.3.4","source":"1.2.3.4","rcode":"NOTACODE"}`,
+	} {
+		if got, err := ReadSweep(strings.NewReader(rec)); err == nil {
+			t.Errorf("%s accepted as %+v", rec, got)
+		}
 	}
 }
 

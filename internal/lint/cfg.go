@@ -5,11 +5,10 @@ import (
 )
 
 // This file is the control-flow half of the flow-sensitive analysis core.
-// The original six rules are single-statement pattern matchers; the bug
-// classes the sharded collectors are most exposed to — a missed Unlock on
-// an early return, an allocation on one arm of a branch, a map-ordered
-// value that is sorted on one path but not the other — only exist across
-// branches. A CFG makes "on all paths" and "on some path" answerable.
+// The syntactic rules are single-statement pattern matchers; an
+// allocation on one arm of a branch, or a rename no Sync precedes on one
+// path, only exists across branches. A CFG makes "on all paths" and "on
+// some path" answerable.
 //
 // The builder lowers one function body to basic blocks. Compound
 // statements are flattened: a block never contains a statement that owns
@@ -470,8 +469,8 @@ func isPanicCall(e ast.Expr) bool {
 // how consumers stop at nested function literals.
 func walkBlockNode(n ast.Node, fn func(ast.Node) bool) {
 	if rs, ok := n.(*ast.RangeStmt); ok {
-		// The header node itself is visible (taint seeds off it), but
-		// only its evaluated parts are descended.
+		// The header node itself is visible, but only its evaluated
+		// parts are descended.
 		if !fn(rs) {
 			return
 		}

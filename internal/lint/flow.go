@@ -3,13 +3,11 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"strconv"
 )
 
 // This file is the dataflow half of the analysis core: a forward worklist
-// solver over per-block lattices, def-use chains resolved through
-// go/types, and the expression-key machinery that lets lockcheck and
-// atomichygiene name "the same location" across statements.
+// solver over per-block lattices, plus the expression and type queries
+// fsynccheck asks of the code it walks. (hotpath needs only cfg.go.)
 
 // flowState is one analyzer-defined lattice element. nil means ⊥
 // (unreached).
@@ -63,160 +61,10 @@ func solveForward(p flowProblem) map[*Block]flowState {
 	return in
 }
 
-// ---- def-use chains ----
-
-// defUse maps every variable object assigned inside one function to the
-// expressions assigned to it, so analyzers can ask "does this value
-// derive from X" without re-walking the tree per query.
-type defUse struct {
-	p *Package
-	// defs collects, per object, every RHS expression assigned to it
-	// (including := and var declarations with initializers). A nil entry
-	// slot means an assignment from an untracked source (multi-value
-	// call, range, channel receive).
-	defs map[types.Object][]ast.Expr
-}
-
-// buildDefUse scans root (one function body) for assignments.
-func buildDefUse(p *Package, root ast.Node) *defUse {
-	d := &defUse{p: p, defs: map[types.Object][]ast.Expr{}}
-	ast.Inspect(root, func(n ast.Node) bool {
-		switch s := n.(type) {
-		case *ast.AssignStmt:
-			if len(s.Rhs) == len(s.Lhs) {
-				for i, lhs := range s.Lhs {
-					if obj := d.lhsObject(lhs); obj != nil {
-						d.defs[obj] = append(d.defs[obj], s.Rhs[i])
-					}
-				}
-			} else {
-				// Multi-value: every target derives from the one RHS.
-				for _, lhs := range s.Lhs {
-					if obj := d.lhsObject(lhs); obj != nil {
-						d.defs[obj] = append(d.defs[obj], s.Rhs[0])
-					}
-				}
-			}
-		case *ast.ValueSpec:
-			for i, name := range s.Names {
-				obj := d.p.Info.Defs[name]
-				if obj == nil {
-					continue
-				}
-				if i < len(s.Values) {
-					d.defs[obj] = append(d.defs[obj], s.Values[i])
-				} else if len(s.Values) == 1 {
-					d.defs[obj] = append(d.defs[obj], s.Values[0])
-				}
-			}
-		}
-		return true
-	})
-	return d
-}
-
-// lhsObject resolves an assignment target to the object it writes, for
-// plain identifier targets (x = ..., x := ...). Selector and index
-// targets write through a base object; those are not tracked as defs.
-func (d *defUse) lhsObject(lhs ast.Expr) types.Object {
-	id, ok := lhs.(*ast.Ident)
-	if !ok || id.Name == "_" {
-		return nil
-	}
-	if obj := d.p.Info.Defs[id]; obj != nil {
-		return obj
-	}
-	return d.p.Info.Uses[id]
-}
-
-// derives reports whether expr transitively derives from a value
-// satisfying src: either expr itself satisfies src, or it mentions a
-// variable one of whose definitions derives from src. The walk follows
-// assignment chains through defs with cycle protection.
-func (d *defUse) derives(expr ast.Expr, src func(ast.Expr) bool) bool {
-	return d.derivesSeen(expr, src, map[types.Object]bool{})
-}
-
-func (d *defUse) derivesSeen(expr ast.Expr, src func(ast.Expr) bool, seen map[types.Object]bool) bool {
-	found := false
-	ast.Inspect(expr, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if e, ok := n.(ast.Expr); ok && src(e) {
-			found = true
-			return false
-		}
-		if id, ok := n.(*ast.Ident); ok {
-			obj := d.p.Info.Uses[id]
-			if obj == nil || seen[obj] {
-				return true
-			}
-			seen[obj] = true
-			for _, def := range d.defs[obj] {
-				if d.derivesSeen(def, src, seen) {
-					found = true
-					return false
-				}
-			}
-		}
-		return true
-	})
-	return found
-}
-
-// ---- location keys ----
-
-// exprKey canonicalizes a lock or atomic-field access path — the receiver
-// of mu.Lock(), the &field argument of atomic.AddUint64 — to a stable
-// string, so two accesses to the same storage compare equal. Paths are
-// rooted at a variable object (identified by declaration position, which
-// is unique and deterministic); selector hops append field names; only
-// constant indexes are allowed (a computed index may address different
-// storage at each occurrence, so such paths are untrackable and the
-// caller must skip them). The second result is false for untrackable
-// expressions.
-func exprKey(p *Package, e ast.Expr) (string, bool) {
-	switch e := e.(type) {
-	case *ast.Ident:
-		obj := p.Info.Uses[e]
-		if obj == nil {
-			obj = p.Info.Defs[e]
-		}
-		if obj == nil {
-			return "", false
-		}
-		return obj.Name() + "@" + strconv.Itoa(int(obj.Pos())), true
-	case *ast.SelectorExpr:
-		base, ok := exprKey(p, e.X)
-		if !ok {
-			return "", false
-		}
-		return base + "." + e.Sel.Name, true
-	case *ast.ParenExpr:
-		return exprKey(p, e.X)
-	case *ast.StarExpr:
-		// Dereference does not change the storage a path names for our
-		// purposes: (*p).mu and p.mu are the same lock.
-		return exprKey(p, e.X)
-	case *ast.UnaryExpr:
-		// &x names x's storage.
-		return exprKey(p, e.X)
-	case *ast.IndexExpr:
-		base, ok := exprKey(p, e.X)
-		if !ok {
-			return "", false
-		}
-		if tv, okc := p.Info.Types[e.Index]; okc && tv.Value != nil {
-			return base + "[" + tv.Value.ExactString() + "]", true
-		}
-		return "", false
-	}
-	return "", false
-}
+// ---- shared expression and type queries ----
 
 // exprText renders a short human-readable form of an access path for
-// messages (best effort; falls back to "lock" for exotic shapes).
+// messages (best effort; falls back to "expr" for exotic shapes).
 func exprText(e ast.Expr) string {
 	switch e := e.(type) {
 	case *ast.Ident:
@@ -236,8 +84,6 @@ func exprText(e ast.Expr) string {
 	}
 	return "expr"
 }
-
-// ---- shared type queries ----
 
 // namedIn reports whether t (after unwrapping pointers) is the named type
 // pkg.name.

@@ -1,7 +1,9 @@
-// Package lint is the project's static-analysis pass: eleven analyzers
+// Package lint is the project's static-analysis pass: seven analyzers
 // that enforce the correctness contracts the measurement pipeline relies
-// on but the compiler cannot check. Six are syntactic; five are
+// on but the compiler cannot check. Five are syntactic; two are
 // flow-sensitive, built on the CFG and dataflow core in cfg.go/flow.go.
+// A rule stays only while it has caught something or guards a live
+// seam; README ("Correctness tooling") keeps the catch record.
 //
 // The wildnet substitution (DESIGN.md) makes every table and figure a
 // pure function of (seed, epoch). That contract survives only as long as
@@ -16,10 +18,6 @@
 //     outer slice without a later sort, writes rendered output, builds a
 //     string, or leaks the iteration variables into outer state — the
 //     patterns that make a report depend on Go's randomized map order.
-//   - gohygiene: flags goroutines launched inside loops with no visible
-//     join (WaitGroup-style counter or result channel) and no bound —
-//     the shape that turns a 2^24-target scan into an unbounded
-//     goroutine bomb.
 //   - errdrop: flags discarded error returns from internal/dnswire
 //     encode/decode calls, where a swallowed malformed-packet error
 //     silently corrupts measurement counts.
@@ -32,24 +30,11 @@
 //
 // The flow-sensitive rules:
 //
-//   - lockcheck: a mutex acquired on a path must be released on every
-//     path out of the function (Unlock or defer Unlock), never acquired
-//     twice without an intervening release, and never copied by value —
-//     the solver walks the CFG so an early return inside one branch of a
-//     lock-protected region is caught even when the happy path is clean.
-//   - atomichygiene: a field accessed through sync/atomic anywhere must
-//     be accessed atomically everywhere, and an atomically-loaded value
-//     must not be stored back non-transactionally (Load; compute; Store
-//     loses concurrent updates — use Add or CompareAndSwap).
 //   - hotpath: functions annotated //lint:hotpath must contain no
 //     allocating construct on any reachable path: append, make/new,
 //     string concatenation or conversion, capturing closures, map/slice
 //     literals, and interface boxing at call sites. `make lint-escape`
 //     cross-checks the rule against the compiler's own escape analysis.
-//   - taintflow: the flow-sensitive maporder generalization — values
-//     derived from map iteration (including through helper returns and
-//     callback parameters) must not reach an output sink on any path
-//     without a sort in between.
 //   - fsynccheck: write-durability discipline in the packages that
 //     publish files by write-then-rename (the checkpoint store): an
 //     os.Rename with no (*os.File).Sync() preceding it on any path can
@@ -79,28 +64,23 @@ import (
 
 // Rule names, as they appear in findings and //lint:allow comments.
 const (
-	RuleDeterminism   = "determinism"
-	RuleMapOrder      = "maporder"
-	RuleGoHygiene     = "gohygiene"
-	RuleErrDrop       = "errdrop"
-	RuleCtxHygiene    = "ctxhygiene"
-	RuleSleepCall     = "sleepcall"
-	RuleLockCheck     = "lockcheck"
-	RuleAtomicHygiene = "atomichygiene"
-	RuleHotPath       = "hotpath"
-	RuleTaintFlow     = "taintflow"
-	RuleFsyncCheck    = "fsynccheck"
+	RuleDeterminism = "determinism"
+	RuleMapOrder    = "maporder"
+	RuleErrDrop     = "errdrop"
+	RuleCtxHygiene  = "ctxhygiene"
+	RuleSleepCall   = "sleepcall"
+	RuleHotPath     = "hotpath"
+	RuleFsyncCheck  = "fsynccheck"
 	// RuleAllow tags problems with //lint:allow comments themselves:
 	// malformed, unknown rule, or stale (covering nothing).
 	RuleAllow = "allow"
 )
 
-// AllRules lists every rule name, in reporting order. The CLI's -rules
-// flag validates against this.
+// AllRules lists every rule name, in reporting order. A //lint:allow
+// naming anything else is a finding.
 var AllRules = []string{
-	RuleDeterminism, RuleMapOrder, RuleGoHygiene, RuleErrDrop,
-	RuleCtxHygiene, RuleSleepCall, RuleLockCheck, RuleAtomicHygiene,
-	RuleHotPath, RuleTaintFlow, RuleFsyncCheck,
+	RuleDeterminism, RuleMapOrder, RuleErrDrop, RuleCtxHygiene,
+	RuleSleepCall, RuleHotPath, RuleFsyncCheck,
 }
 
 func knownRule(name string) bool {
@@ -140,23 +120,11 @@ type Config struct {
 	// functions of (seed, epoch); the determinism rule applies here.
 	Deterministic []string
 	// Rendering lists the packages that produce tables, reports, and
-	// result sets; the maporder and taintflow rules apply here.
+	// result sets; the maporder rule applies here.
 	Rendering []string
 	// Durable lists the packages that publish files by atomic
 	// write-then-rename; the fsynccheck rule applies here.
 	Durable []string
-	// Rules restricts analysis to the named rules; nil or empty means
-	// all. Stale-allow detection only considers allows naming enabled
-	// rules, so filtering cannot manufacture false staleness.
-	Rules []string
-}
-
-// enabled reports whether a rule is selected by the Rules filter.
-func (c *Config) enabled(rule string) bool {
-	if len(c.Rules) == 0 {
-		return true
-	}
-	return contains(c.Rules, rule)
 }
 
 // DefaultConfig returns the repository's contract: which packages are
@@ -176,7 +144,7 @@ func DefaultConfig(modulePath string) Config {
 			"analysis", "churn", "scanner", "metrics"),
 		// core, pipeline, and shardio joined with the streaming epoch
 		// engine: they now carry delta batches into rendered output, so
-		// taintflow must follow results through them too.
+		// maporder must follow results through them too.
 		Rendering: ip("analysis", "classify", "snoop", "churn", "scanner",
 			"core", "pipeline", "shardio"),
 		// The checkpoint store is where a missed fsync turns a crash
@@ -194,7 +162,7 @@ func contains(paths []string, p string) bool {
 	return false
 }
 
-// Analyze runs the enabled analyzers over one loaded package and returns
+// Analyze runs every analyzer over one loaded package and returns
 // the surviving (non-allowed) findings sorted by position.
 func (c *Config) Analyze(p *Package) []Finding {
 	all := c.AnalyzeAll(p)
@@ -207,25 +175,13 @@ func (c *Config) Analyze(p *Package) []Finding {
 	return out
 }
 
-// checkers pairs each rule with its analyzer, in reporting order.
-var checkers = []struct {
-	rule string
-	fn   func(*Package, *Config, func(token.Pos, string, string))
-}{
-	{RuleDeterminism, checkDeterminism},
-	{RuleMapOrder, checkMapOrder},
-	{RuleGoHygiene, checkGoHygiene},
-	{RuleErrDrop, checkErrDrop},
-	{RuleCtxHygiene, checkCtxHygiene},
-	{RuleSleepCall, checkSleepCall},
-	{RuleLockCheck, checkLockCheck},
-	{RuleAtomicHygiene, checkAtomicHygiene},
-	{RuleHotPath, checkHotPath},
-	{RuleTaintFlow, checkTaintFlow},
-	{RuleFsyncCheck, checkFsyncCheck},
+// checkers lists every analyzer; AnalyzeAll sorts what they emit.
+var checkers = []func(*Package, *Config, func(token.Pos, string, string)){
+	checkDeterminism, checkMapOrder, checkErrDrop, checkCtxHygiene,
+	checkSleepCall, checkHotPath, checkFsyncCheck,
 }
 
-// AnalyzeAll runs the enabled analyzers and returns every finding,
+// AnalyzeAll runs every analyzer and returns every finding,
 // including ones a //lint:allow suppresses (marked Allowed) and
 // allow-machinery findings: malformed comments, unknown rule names, and
 // stale allows whose rule no longer fires on the covered line.
@@ -234,10 +190,8 @@ func (c *Config) AnalyzeAll(p *Package) []Finding {
 	emit := func(pos token.Pos, rule, msg string) {
 		raw = append(raw, Finding{Pos: p.Fset.Position(pos), Rule: rule, Msg: msg})
 	}
-	for _, ck := range checkers {
-		if c.enabled(ck.rule) {
-			ck.fn(p, c, emit)
-		}
+	for _, check := range checkers {
+		check(p, c, emit)
 	}
 
 	allows, records, bad := collectAllows(p)
@@ -246,10 +200,8 @@ func (c *Config) AnalyzeAll(p *Package) []Finding {
 		f.Allowed = allows.covers(f.Pos, f.Rule)
 		out = append(out, f)
 	}
-	if c.enabled(RuleAllow) {
-		out = append(out, bad...)
-		out = append(out, c.staleAllows(raw, records)...)
-	}
+	out = append(out, bad...)
+	out = append(out, staleAllows(raw, records)...)
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Pos.Filename != out[j].Pos.Filename {
 			return out[i].Pos.Filename < out[j].Pos.Filename
@@ -277,19 +229,14 @@ func (c *Config) AnalyzeAll(p *Package) []Finding {
 
 // staleAllows reports //lint:allow comments that suppress nothing: no
 // finding of the named rule sits on the comment's line or the line
-// below. Only allows naming enabled rules are judged — with a rule
-// filter active, an allow for a disabled rule cannot prove itself.
-// Unknown rule names are reported unconditionally: they can never match
+// below. Unknown rule names are reported as such: they can never match
 // a finding, so they are typos, not suppressions.
-func (c *Config) staleAllows(raw []Finding, records []allowRecord) []Finding {
+func staleAllows(raw []Finding, records []allowRecord) []Finding {
 	var out []Finding
 	for _, rec := range records {
 		if !knownRule(rec.rule) {
 			out = append(out, Finding{Pos: rec.pos, Rule: RuleAllow,
 				Msg: "//lint:allow names unknown rule " + strconv.Quote(rec.rule)})
-			continue
-		}
-		if !c.enabled(rec.rule) {
 			continue
 		}
 		used := false
@@ -382,24 +329,6 @@ func inspectStack(root ast.Node, fn func(n ast.Node, stack []ast.Node) bool) {
 		}
 		return true
 	})
-}
-
-// enclosing returns the innermost node of kind K on the stack strictly
-// above the last element.
-func enclosingLoop(stack []ast.Node) ast.Stmt {
-	for i := len(stack) - 2; i >= 0; i-- {
-		switch s := stack[i].(type) {
-		case *ast.ForStmt:
-			return s
-		case *ast.RangeStmt:
-			return s
-		case *ast.FuncLit, *ast.FuncDecl:
-			// A loop outside the nearest function doesn't iterate this
-			// statement.
-			return nil
-		}
-	}
-	return nil
 }
 
 // enclosingFuncBody returns the body of the innermost function containing

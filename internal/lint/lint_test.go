@@ -17,33 +17,20 @@ var update = flag.Bool("update", false, "rewrite the golden expected-findings fi
 // corpusTests pins each rule's testdata directory to the package
 // identity it is analyzed under. determinism and maporder only fire in
 // their configured package sets, so the corpus must impersonate a
-// member; gohygiene and errdrop apply everywhere, so a neutral path
-// works.
+// member; errdrop applies everywhere, so a neutral path works. Every
+// corpus runs under all rules, so its golden also pins what the sibling
+// rules say about it.
 var corpusTests = []struct {
 	rule       string
 	importPath string
-	// rules optionally narrows the analysis via Config.Rules, so a
-	// corpus whose patterns also trip sibling rules (taintflow corpora
-	// are full of maporder shapes) stays a single-rule golden. nil runs
-	// everything, preserving the original corpora byte for byte.
-	rules []string
 }{
 	{rule: RuleDeterminism, importPath: "goingwild/internal/wildnet"},
 	{rule: RuleMapOrder, importPath: "goingwild/internal/analysis"},
-	{rule: RuleGoHygiene, importPath: "goingwild/internal/fetch"},
 	{rule: RuleErrDrop, importPath: "goingwild/internal/fetch"},
 	{rule: RuleCtxHygiene, importPath: "goingwild/internal/fetch"},
 	{rule: RuleSleepCall, importPath: "goingwild/internal/fetch"},
-	{rule: RuleLockCheck, importPath: "goingwild/internal/fetch",
-		rules: []string{RuleLockCheck, RuleAllow}},
-	{rule: RuleAtomicHygiene, importPath: "goingwild/internal/fetch",
-		rules: []string{RuleAtomicHygiene, RuleAllow}},
-	{rule: RuleHotPath, importPath: "goingwild/internal/fetch",
-		rules: []string{RuleHotPath, RuleAllow}},
-	{rule: RuleTaintFlow, importPath: "goingwild/internal/analysis",
-		rules: []string{RuleTaintFlow, RuleAllow}},
-	{rule: RuleFsyncCheck, importPath: "goingwild/internal/checkpoint",
-		rules: []string{RuleFsyncCheck, RuleAllow}},
+	{rule: RuleHotPath, importPath: "goingwild/internal/fetch"},
+	{rule: RuleFsyncCheck, importPath: "goingwild/internal/checkpoint"},
 }
 
 // loadCorpus type-checks testdata/<rule> as though it were the package
@@ -107,7 +94,6 @@ func TestCorpusGolden(t *testing.T) {
 		t.Run(tc.rule, func(t *testing.T) {
 			pkg := loadCorpus(t, tc.rule, tc.importPath)
 			cfg := DefaultConfig("goingwild")
-			cfg.Rules = tc.rules
 			got := render(cfg.Analyze(pkg))
 
 			golden := filepath.Join("testdata", tc.rule+".golden")

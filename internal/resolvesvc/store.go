@@ -169,7 +169,7 @@ func (s *Store) intern(country string) uint16 {
 	i := uint16(len(names))
 	next := append(names[:i:i], country)
 	s.countryIdx[country] = i
-	//lint:allow atomichygiene internMu serializes every writer; readers only Load
+	// internMu serializes every writer; readers only Load.
 	s.countries.Store(&next)
 	return i
 }

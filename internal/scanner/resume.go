@@ -64,10 +64,10 @@ type ResumeControl struct {
 	// error (e.g. checkpoint.ErrStopped from a signal-triggered stop
 	// after a successful save) unwinds the sweep.
 	Save func(*SweepCheckpoint) error
-	// EveryBatches is how many send batches the workers dispatch between
+	// everyBatches is how many send batches the workers dispatch between
 	// rendezvous points (default 16; one batch is up to streamBatch
-	// probes).
-	EveryBatches int
+	// probes). Only the package's tests set it, to checkpoint densely.
+	everyBatches int
 }
 
 // attemptsCarrier is implemented by transports whose fault layer keeps

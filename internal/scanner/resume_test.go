@@ -101,7 +101,7 @@ func sweepContract(t *testing.T, profile string, retries int) {
 			// An uninterrupted checkpointing run, to learn how many
 			// rendezvous the sweep has to stop at.
 			saves := 0
-			got, err = sweep(n, &ResumeControl{EveryBatches: 2, Save: func(*SweepCheckpoint) error { saves++; return nil }})
+			got, err = sweep(n, &ResumeControl{everyBatches: 2, Save: func(*SweepCheckpoint) error { saves++; return nil }})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -113,7 +113,7 @@ func sweepContract(t *testing.T, profile string, retries int) {
 			stopAt := 1 + int(prand.UnitOf(seed, uint64(n))*float64(saves))
 			var last *SweepCheckpoint
 			seen := 0
-			_, err = sweep(n, &ResumeControl{EveryBatches: 2, Save: func(ck *SweepCheckpoint) error {
+			_, err = sweep(n, &ResumeControl{everyBatches: 2, Save: func(ck *SweepCheckpoint) error {
 				last = copyCheckpoint(t, ck)
 				if seen++; seen == stopAt {
 					return errStop
@@ -124,7 +124,7 @@ func sweepContract(t *testing.T, profile string, retries int) {
 				t.Fatalf("sweep stopped at save %d/%d returned %v, want the stop error", stopAt, saves, err)
 			}
 			resumeWith := workers[(i+1)%len(workers)]
-			got, err = sweep(resumeWith, &ResumeControl{Prev: last, EveryBatches: 2, Save: func(*SweepCheckpoint) error { return nil }})
+			got, err = sweep(resumeWith, &ResumeControl{Prev: last, everyBatches: 2, Save: func(*SweepCheckpoint) error { return nil }})
 			if err != nil {
 				t.Fatalf("resume from save %d/%d (round %d) at workers=%d: %v", stopAt, saves, last.Round, resumeWith, err)
 			}
@@ -177,7 +177,7 @@ func TestSweepResumeFromAnyCheckpoint(t *testing.T) {
 		var cks []*SweepCheckpoint
 		rc := &ResumeControl{
 			Prev:         prev,
-			EveryBatches: 2,
+			everyBatches: 2,
 			Save: func(ck *SweepCheckpoint) error {
 				cks = append(cks, copyCheckpoint(t, ck))
 				return nil
@@ -238,7 +238,7 @@ func TestSweepResumeStops(t *testing.T) {
 	var last *SweepCheckpoint
 	saves := 0
 	rc := &ResumeControl{
-		EveryBatches: 2,
+		everyBatches: 2,
 		Save: func(ck *SweepCheckpoint) error {
 			last = copyCheckpoint(t, ck)
 			saves++
@@ -255,7 +255,7 @@ func TestSweepResumeStops(t *testing.T) {
 	tr2 := wildnet.NewMemTransport(w, wildnet.VantagePrimary)
 	defer tr2.Close()
 	got, err := New(tr2, resumeOpts(1)).SweepResumeContext(context.Background(), order, 3, bl,
-		&ResumeControl{Prev: last, EveryBatches: 2, Save: func(*SweepCheckpoint) error { return nil }})
+		&ResumeControl{Prev: last, everyBatches: 2, Save: func(*SweepCheckpoint) error { return nil }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestSweepCheckpointAttemptsDeliverableOnly(t *testing.T) {
 	var last *SweepCheckpoint
 	entries := 0
 	rc := &ResumeControl{
-		EveryBatches: 2,
+		everyBatches: 2,
 		Save: func(ck *SweepCheckpoint) error {
 			last = copyCheckpoint(t, ck)
 			// Save runs with every sender parked, so the live map is a
@@ -333,7 +333,7 @@ func TestSweepCheckpointAttemptsDeliverableOnly(t *testing.T) {
 	tr2 := wildnet.NewMemTransport(w, wildnet.VantagePrimary)
 	defer tr2.Close()
 	got, err := New(tr2, resumeOpts(2)).SweepResumeContext(context.Background(), order, 5, bl,
-		&ResumeControl{Prev: last, EveryBatches: 2, Save: func(*SweepCheckpoint) error { return nil }})
+		&ResumeControl{Prev: last, everyBatches: 2, Save: func(*SweepCheckpoint) error { return nil }})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -174,9 +174,10 @@ func (s *Scanner) SweepShardContext(ctx context.Context, order uint, seed uint32
 // attempt-salted anti-caching prefix, so every retransmission is a new
 // packet with a fresh loss draw.
 //
-// With rc set the senders quiesce at a rendezvous every rc.EveryBatches
-// batches and at every round boundary, and a consistent SweepCheckpoint
-// goes to rc.Save (see resume.go); with rc nil that hook costs nothing.
+// With rc set the senders quiesce at a rendezvous every 16 batches (the
+// package's tests lower that through rc.everyBatches) and at every round
+// boundary, and a consistent SweepCheckpoint goes to rc.Save (see
+// resume.go); with rc nil that hook costs nothing.
 func (s *Scanner) sweep(ctx context.Context, order uint, seed uint32, bl *lfsr.Blacklist, shard, of int, rc *ResumeControl) (*SweepResult, error) {
 	if s.tr == nil {
 		return nil, ErrNoTransport
@@ -206,7 +207,7 @@ func (s *Scanner) sweep(ctx context.Context, order uint, seed uint32, bl *lfsr.B
 		sent: s.m.sweepSent,
 	}
 	if rc != nil && rc.Save != nil {
-		run.every = rc.EveryBatches
+		run.every = rc.everyBatches
 		run.save = func(done bool) error {
 			ck := s.checkpointSweep(run, st)
 			ck.Done = done

@@ -205,14 +205,11 @@ func Merge(arts []Artifact) (*scanner.SweepResult, Provenance, error) {
 }
 
 func parseIP4(s string) (uint32, error) {
-	var a, b, c, d int
-	if _, err := fmt.Sscanf(s, "%d.%d.%d.%d", &a, &b, &c, &d); err != nil {
-		return 0, fmt.Errorf("shardio: bad address %q: %w", s, err)
+	u, err := lfsr.ParseU32(s)
+	if err != nil {
+		return 0, fmt.Errorf("shardio: bad address: %w", err)
 	}
-	if a|b|c|d < 0 || a > 255 || b > 255 || c > 255 || d > 255 {
-		return 0, fmt.Errorf("shardio: bad address %q", s)
-	}
-	return uint32(a)<<24 | uint32(b)<<16 | uint32(c)<<8 | uint32(d), nil
+	return u, nil
 }
 
 // RenderCensus renders one sweep as the census report both

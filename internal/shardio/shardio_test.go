@@ -96,6 +96,26 @@ func TestMergeRejectsIncoherentSets(t *testing.T) {
 	}
 }
 
+// TestMergeRejectsMalformedAddress corrupts one address of a written
+// artifact: the document still decodes, so Merge is what must refuse it
+// rather than fold a prefix of the bytes into the census.
+func TestMergeRejectsMalformedAddress(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Write(&buf, FromSweep(prov, 0, 1, shardResult(0x0A000001))); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []string{"10.0.0.1junk", "10.0.0.1.5", "999.0.0.1", "::ffff:10.0.0.1"} {
+		doc := strings.Replace(buf.String(), `"addr": "10.0.0.1"`, `"addr": "`+bad+`"`, 1)
+		a, err := Read(strings.NewReader(doc))
+		if err != nil {
+			t.Fatalf("%s: artifact no longer decodes: %v", bad, err)
+		}
+		if _, _, err := Merge([]Artifact{a}); err == nil || !strings.Contains(err.Error(), "bad address") {
+			t.Errorf("address %q merged: err = %v", bad, err)
+		}
+	}
+}
+
 func TestReadRejectsBadShardRange(t *testing.T) {
 	a := FromSweep(prov, 0, 1, shardResult(1))
 	a.Shard, a.Of = 4, 4
