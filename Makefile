@@ -44,11 +44,13 @@ bench-test:
 # Race-detector pass over the concurrent subsystems (the stress tests in
 # scanner and wildnet exist for this target; ampli's survey runs the ANY
 # scan's receiver under four senders; cluster's linkage fills its
-# distance rows from parallel goroutines through an atomic row counter).
+# distance rows from parallel goroutines through an atomic row counter;
+# snoop's rounds merge concurrent senders' replies into per-resolver
+# slots under stripe locks).
 # resolvesvc runs three times: its coalescer stress is a race between
 # request goroutines and one prober, and one schedule of it proves little.
 race:
-	$(GO) test -race ./internal/scanner ./internal/wildnet ./internal/ampli ./internal/cluster ./internal/pipeline ./internal/metrics ./internal/debughttp .
+	$(GO) test -race ./internal/scanner ./internal/wildnet ./internal/ampli ./internal/cluster ./internal/snoop ./internal/pipeline ./internal/metrics ./internal/debughttp .
 	$(GO) test -race -count=3 ./internal/resolvesvc
 
 # Chaos matrix: the full pipeline under every fault profile (clean,

@@ -181,15 +181,17 @@ func TestModDistanceGroupsSimilarInjections(t *testing.T) {
 	inj1 := Modification{Added: map[string]int{"script": 1}, Removed: map[string]int{}}
 	inj2 := Modification{Added: map[string]int{"script": 1}, Removed: map[string]int{}}
 	other := Modification{Added: map[string]int{"img": 46, "form": 1}, Removed: map[string]int{"div": 5}}
-	if d := ModDistance(inj1, inj2); d != 0 {
-		t.Errorf("identical injections distance = %f", d)
-	}
-	if d := ModDistance(inj1, other); d < 0.5 {
-		t.Errorf("different modifications distance = %f", d)
-	}
-	r := ClusterModifications([]Modification{inj1, inj2, other}, 0.3)
+	mods := []Modification{inj1, inj2, other}
+	r := ClusterModifications(mods, 0.3)
 	if r.Num != 2 {
 		t.Errorf("modification clusters = %d, want 2", r.Num)
+	}
+	if len(r.Merges) == 0 || r.Merges[0] != (Merge{A: 0, B: 1, Dist: 0, Size: 2}) {
+		t.Errorf("identical injections merge = %+v, want 0+1 at distance 0", r.Merges)
+	}
+	// Average linkage puts other at its distance from either injection.
+	if r := ClusterModifications(mods, 0.499); r.Num != 2 {
+		t.Errorf("different modifications merged below distance 0.5: %+v", r.Merges)
 	}
 }
 

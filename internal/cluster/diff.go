@@ -1,5 +1,10 @@
 package cluster
 
+import (
+	"cmp"
+	"slices"
+)
+
 // Fine-grained clustering (§3.6, second stage): unknown responses are
 // diffed against the most similar ground-truth representation of the
 // website; the multisets of added and removed HTML tags summarize the
@@ -81,16 +86,80 @@ func (m Modification) Size() int {
 	return n
 }
 
-// ModDistance is the Jaccard-multiset distance between two modifications,
-// comparing additions and removals separately and averaging.
-func ModDistance(a, b Modification) float64 {
-	return (JaccardMultiset(a.Added, b.Added) + JaccardMultiset(a.Removed, b.Removed)) / 2
+// tagCount is one entry of an interned tag multiset: the tag's id in a
+// ClusterModifications call's vocabulary, and its multiplicity.
+type tagCount struct {
+	id int32
+	n  int
+}
+
+// internTags turns a tag multiset into its entries sorted by id, adding
+// unseen tags to ids. Which id a tag gets depends on map order; the
+// Jaccard sums do not, since they only ask whether two ids are equal.
+func internTags(ids map[string]int32, m map[string]int) []tagCount {
+	out := make([]tagCount, 0, len(m))
+	for tag, n := range m {
+		id, ok := ids[tag]
+		if !ok {
+			id = int32(len(ids))
+			ids[tag] = id
+		}
+		out = append(out, tagCount{id: id, n: n})
+	}
+	slices.SortFunc(out, func(a, b tagCount) int { return cmp.Compare(a.id, b.id) })
+	return out
+}
+
+// jaccardSorted is JaccardMultiset over two id-sorted multisets: a merge
+// walk that sums the same per-tag minima and maxima as integers, so it
+// divides to the same float.
+func jaccardSorted(a, b []tagCount) float64 {
+	if len(a) == 0 && len(b) == 0 {
+		return 0
+	}
+	inter, union := 0, 0
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i].id < b[j].id:
+			union += a[i].n
+			i++
+		case a[i].id > b[j].id:
+			union += b[j].n
+			j++
+		default:
+			inter += min(a[i].n, b[j].n)
+			union += max(a[i].n, b[j].n)
+			i++
+			j++
+		}
+	}
+	for ; i < len(a); i++ {
+		union += a[i].n
+	}
+	for ; j < len(b); j++ {
+		union += b[j].n
+	}
+	if union == 0 {
+		return 0
+	}
+	return 1 - float64(inter)/float64(union)
 }
 
 // ClusterModifications groups modifications with agglomerative average
-// linkage at the given cutoff.
+// linkage at the given cutoff. The distance between two modifications is
+// the Jaccard-multiset distance of their additions and of their removals,
+// averaged; the tag names are interned once per call, so each of the
+// O(n²) pairs is two merge walks over sorted slices.
 func ClusterModifications(mods []Modification, cutoff float64) *Result {
+	ids := map[string]int32{}
+	added := make([][]tagCount, len(mods))
+	removed := make([][]tagCount, len(mods))
+	for i, m := range mods {
+		added[i] = internTags(ids, m.Added)
+		removed[i] = internTags(ids, m.Removed)
+	}
 	return Agglomerate(len(mods), func(i, j int) float64 {
-		return ModDistance(mods[i], mods[j])
+		return (jaccardSorted(added[i], added[j]) + jaccardSorted(removed[i], removed[j])) / 2
 	}, cutoff)
 }

@@ -159,17 +159,3 @@ func FeatureDistance(a, b *htmlx.Features) float64 {
 	sum += JaccardSet(a.Hrefs, b.Hrefs)
 	return sum / 7
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

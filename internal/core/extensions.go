@@ -43,13 +43,6 @@ func (p *Plan) Popularity(week int) *Out[[]snoop.PopularityEstimate] {
 	c.follow("minute-snoop", pipeline.Required, func(ctx context.Context) ([]pipeline.Count, error) {
 		cfg := snoop.DefaultPopularityConfig()
 		cfg.Week = week
-		// Index of "com" in the snooped TLD list keeps probe
-		// sequence numbers aligned with the hourly study.
-		for i, tld := range domains.SnoopedTLDs {
-			if tld == cfg.TLD {
-				cfg.TLDIdx = i
-			}
-		}
 		var err error
 		out.V, err = snoop.EstimatePopularity(ctx, p.s.Scanner, p.s.Transport, c.Resolvers, cfg)
 		if err != nil {

@@ -172,8 +172,9 @@ func TestDomainScanAllocsPerTuple(t *testing.T) {
 
 // TestSnoopRoundSendAllocs: a snoop round packs its query once, so the
 // send side costs no allocation per resolver. Doubling the resolver list
-// under a transport that answers nothing may only grow a round's
-// allocations by what its two address-keyed maps need.
+// under a transport that answers nothing must not grow a round's
+// allocation count: the round's one slice only gets longer.
+// TestSnoopRoundReceiveAllocs holds the answered path to the same bound.
 func TestSnoopRoundSendAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instruments allocations")

@@ -120,16 +120,27 @@ func TestSnoopRoundAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(round) < len(resolvers)/2 {
-		t.Errorf("snoop round reached %d/%d resolvers", len(round), len(resolvers))
+	if len(round) != len(resolvers) {
+		t.Fatalf("snoop round returned %d slots for %d resolvers", len(round), len(resolvers))
 	}
-	for u, obs := range round {
+	answered := 0
+	for i, obs := range round {
 		if !obs.Answered {
-			t.Errorf("unanswered observation recorded for %d", u)
+			if obs != (SnoopObs{}) {
+				t.Errorf("silent resolver %d carries an observation: %+v", resolvers[i], obs)
+			}
+			continue
+		}
+		answered++
+		if obs.Cached == obs.Empty {
+			t.Errorf("resolver %d: cached=%v empty=%v, want exactly one", resolvers[i], obs.Cached, obs.Empty)
 		}
 		if obs.Cached && obs.TTL > 48*3600 {
 			t.Errorf("TTL %d out of range", obs.TTL)
 		}
+	}
+	if answered < len(resolvers)/2 {
+		t.Errorf("snoop round reached %d/%d resolvers", answered, len(resolvers))
 	}
 }
 

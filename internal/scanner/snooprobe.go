@@ -3,6 +3,7 @@ package scanner
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"goingwild/internal/dnswire"
 	"goingwild/internal/lfsr"
@@ -40,17 +41,26 @@ func mergeSnoopObs(a, b SnoopObs) SnoopObs {
 }
 
 // SnoopRoundContext sends one non-recursive NS query for tld to every
-// resolver. seq is the per-round sequence number; a stateful resolver
-// sees it as the transaction ID, which is how often it has been probed so
-// far. Responses are attributed by source address, so the handful of
-// resolvers answering from foreign addresses drop out — the same
-// attrition the paper tolerates for this experiment — and a source with
-// two answers keeps the mergeSnoopObs minimum. A cancelled round
+// resolver and returns one observation per resolver, aligned with the
+// list; Answered false means the resolver stayed silent. resolvers must be
+// strictly increasing (a census's NOERROR list is): a reply's source is
+// found by binary search, and any other list is refused with an error
+// before anything is sent. seq is the per-round sequence number; a
+// stateful resolver sees it as the transaction ID, which is how often it
+// has been probed so far. Responses are attributed by source address, so
+// the handful of resolvers answering from foreign addresses drop out — the
+// same attrition the paper tolerates for this experiment — and a source
+// with two answers keeps the mergeSnoopObs minimum. A cancelled round
 // returns the observations gathered so far plus ctx.Err(); a tld that
 // cannot be encoded sends nothing and returns the encoder's error.
-func (s *Scanner) SnoopRoundContext(ctx context.Context, resolvers []uint32, tld string, seq uint16) (map[uint32]SnoopObs, error) {
+func (s *Scanner) SnoopRoundContext(ctx context.Context, resolvers []uint32, tld string, seq uint16) ([]SnoopObs, error) {
 	if s.tr == nil {
 		return nil, ErrNoTransport
+	}
+	for i := 1; i < len(resolvers); i++ {
+		if resolvers[i] <= resolvers[i-1] {
+			return nil, fmt.Errorf("scanner: snoop resolver list not strictly increasing at index %d", i)
+		}
 	}
 	// Every resolver gets the same bytes, so the round packs its query
 	// once; RD stays clear because snooping must not trigger recursion.
@@ -58,20 +68,18 @@ func (s *Scanner) SnoopRoundContext(ctx context.Context, resolvers []uint32, tld
 	if err != nil {
 		return nil, fmt.Errorf("scanner: snoop query for %q: %w", tld, err)
 	}
-	collected := newShardedMap[SnoopObs](len(resolvers) / 2)
-	// want is written before the sends and only read by receivers.
-	want := make(map[uint32]struct{}, len(resolvers))
-	for _, u := range resolvers {
-		want[u] = struct{}{}
-	}
+	// Slots are addressed by list position, so a striped lock set guards
+	// the merges of concurrent senders.
+	out := make([]SnoopObs, len(resolvers))
+	var locks stripedMutex
 	s.tr.SetReceiver(func(src netip4, srcPort, dstPort uint16, payload []byte) {
 		v := dnswire.GetView()
 		defer dnswire.PutView(v)
 		if err := v.Reset(payload); err != nil || !v.QR() {
 			return
 		}
-		u := addrU32(src)
-		if _, ok := want[u]; !ok {
+		i, ok := slices.BinarySearch(resolvers, addrU32(src))
+		if !ok {
 			return
 		}
 		s.m.snoopRecv.Inc()
@@ -82,7 +90,13 @@ func (s *Scanner) SnoopRoundContext(ctx context.Context, resolvers []uint32, tld
 		} else {
 			obs.Empty = true
 		}
-		collected.Merge(u, obs, mergeSnoopObs)
+		mu := locks.of(uint32(i))
+		mu.Lock()
+		if out[i].Answered {
+			obs = mergeSnoopObs(out[i], obs)
+		}
+		out[i] = obs
+		mu.Unlock()
 	})
 	// One probe per resolver, no retry rounds: every probe is lent the
 	// round's one query.
@@ -91,9 +105,5 @@ func (s *Scanner) SnoopRoundContext(ctx context.Context, resolvers []uint32, tld
 			p.Dst, p.SrcPort, p.Payload = lfsr.U32ToAddr(resolvers[i]), basePort, wire
 			return arena
 		}, nil)
-	out := make(map[uint32]SnoopObs, collected.Len())
-	collected.Collect(func(u uint32, obs SnoopObs) {
-		out[u] = obs
-	})
 	return out, err
 }

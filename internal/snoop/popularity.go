@@ -2,6 +2,7 @@ package snoop
 
 import (
 	"context"
+	"slices"
 
 	"goingwild/internal/scanner"
 	"goingwild/internal/wildnet"
@@ -27,10 +28,8 @@ type PopularityEstimate struct {
 
 // PopularityConfig parameterizes the fine-grained probe.
 type PopularityConfig struct {
-	// TLD is the snooped zone; TLDIdx its index in the hourly study's
-	// TLD list (the probe sequence numbers continue from there).
-	TLD    string
-	TLDIdx int
+	// TLD is the snooped zone.
+	TLD string
 	// Minutes is the probing duration at one-minute intervals.
 	Minutes int
 	// BaseTTL is the zone's NS TTL.
@@ -42,15 +41,16 @@ type PopularityConfig struct {
 // DefaultPopularityConfig probes the busiest zone for four simulated
 // hours.
 func DefaultPopularityConfig() PopularityConfig {
-	return PopularityConfig{TLD: "com", TLDIdx: 3, Minutes: 240, BaseTTL: wildnet.SnoopTTLBase, Week: 43}
+	return PopularityConfig{TLD: "com", Minutes: 240, BaseTTL: wildnet.SnoopTTLBase, Week: 43}
 }
 
 // EstimatePopularity probes the resolvers every minute and reconstructs
 // re-caching gaps from TTL arithmetic: when an entry expires at time E
 // and a later probe at time T observes remaining TTL r, the re-caching
 // happened at T−(BaseTTL−r), so the gap is that instant minus E.
-// Cancellation checkpoints sit between minute rounds; a cancelled run
-// returns the estimates recoverable so far together with ctx.Err().
+// Cancellation checkpoints sit between minute rounds. A cancelled run, or
+// one whose round fails, stops there and returns the estimates
+// recoverable so far together with the error.
 func EstimatePopularity(ctx context.Context, sc *scanner.Scanner, clock interface{ SetTime(wildnet.Time) }, resolvers []uint32, cfg PopularityConfig) ([]PopularityEstimate, error) {
 	type track struct {
 		lastTTL    int64
@@ -59,18 +59,18 @@ func EstimatePopularity(ctx context.Context, sc *scanner.Scanner, clock interfac
 		gapSum     int64
 		gapSamples int
 	}
-	tracks := make(map[uint32]*track, len(resolvers))
-	for _, u := range resolvers {
-		tracks[u] = &track{}
-	}
+	list := sortedSet(resolvers)
+	tracks := make([]track, len(list)) // tracks[i] follows list[i]
 	base := int64(cfg.BaseTTL)
-	for minute := 0; minute < cfg.Minutes && ctx.Err() == nil; minute++ {
+	var err error
+	for minute := 0; minute < cfg.Minutes && err == nil && ctx.Err() == nil; minute++ {
 		now := wildnet.Time{Week: cfg.Week, Day: 2, Hour: minute / 60, Minute: minute % 60}
 		clock.SetTime(now)
 		sec := now.AbsSeconds()
-		round, _ := sc.SnoopRoundContext(ctx, resolvers, cfg.TLD, uint16(1000+minute))
-		for u, o := range round {
-			tr := tracks[u]
+		var round []scanner.SnoopObs
+		round, err = sc.SnoopRoundContext(ctx, list, cfg.TLD, uint16(1000+minute))
+		for i, o := range round {
+			tr := &tracks[i]
 			if !o.Cached {
 				continue
 			}
@@ -95,7 +95,8 @@ func EstimatePopularity(ctx context.Context, sc *scanner.Scanner, clock interfac
 	}
 	var out []PopularityEstimate
 	for _, u := range resolvers {
-		tr := tracks[u]
+		i, _ := slices.BinarySearch(list, u)
+		tr := &tracks[i]
 		if tr.gapSamples == 0 {
 			continue
 		}
@@ -108,5 +109,8 @@ func EstimatePopularity(ctx context.Context, sc *scanner.Scanner, clock interfac
 		}
 		out = append(out, est)
 	}
-	return out, ctx.Err()
+	if err == nil {
+		err = ctx.Err()
+	}
+	return out, err
 }

@@ -2,9 +2,11 @@ package snoop
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"time"
 
+	"goingwild/internal/domains"
 	"goingwild/internal/scanner"
 	"goingwild/internal/wildnet"
 )
@@ -18,6 +20,7 @@ func TestPopularityRecoversPlantedGaps(t *testing.T) {
 	defer tr.Close()
 	sc := scanner.New(tr, scanner.Options{Workers: 4, SettleDelay: time.Millisecond})
 	cfg := DefaultPopularityConfig()
+	tldIdx := slices.Index(domains.SnoopedTLDs, cfg.TLD)
 	tr.SetTime(wildnet.Time{Week: cfg.Week})
 	sweep, err := sc.SweepContext(context.Background(), 17, 77, w.ScanBlacklist())
 	if err != nil {
@@ -35,7 +38,7 @@ func TestPopularityRecoversPlantedGaps(t *testing.T) {
 	// re-caching gap; the probing resolution is one minute.
 	checked, close := 0, 0
 	for _, est := range estimates {
-		planted, ok := w.PlantedSnoopGap(est.Addr, wildnet.Time{Week: cfg.Week, Day: 2}, cfg.TLDIdx)
+		planted, ok := w.PlantedSnoopGap(est.Addr, wildnet.Time{Week: cfg.Week, Day: 2}, tldIdx)
 		if !ok {
 			continue
 		}
@@ -59,7 +62,7 @@ func TestPopularityRecoversPlantedGaps(t *testing.T) {
 	var fastRate, slowRate float64
 	var nFast, nSlow int
 	for _, est := range estimates {
-		if _, ok := w.PlantedSnoopGap(est.Addr, wildnet.Time{Week: cfg.Week, Day: 2}, cfg.TLDIdx); ok {
+		if _, ok := w.PlantedSnoopGap(est.Addr, wildnet.Time{Week: cfg.Week, Day: 2}, tldIdx); ok {
 			slowRate += est.RequestsPerHour
 			nSlow++
 		} else if est.GapSeconds <= 60 {

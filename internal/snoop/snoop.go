@@ -7,6 +7,7 @@ package snoop
 
 import (
 	"context"
+	"slices"
 
 	"goingwild/internal/scanner"
 	"goingwild/internal/wildnet"
@@ -106,23 +107,44 @@ type obs struct {
 	o    scanner.SnoopObs
 }
 
+// sortedSet returns resolvers sorted and deduplicated: the strictly
+// increasing list a snoop round takes, and the index space of a study's
+// per-resolver state.
+func sortedSet(resolvers []uint32) []uint32 {
+	list := slices.Clone(resolvers)
+	slices.Sort(list)
+	return slices.Compact(list)
+}
+
 // Run executes the snooping study against a resolver population.
-// Cancellation checkpoints sit between hourly rounds; a cancelled run
-// classifies whatever history it gathered and returns it with ctx.Err().
+// Cancellation checkpoints sit between hourly rounds. A cancelled run, or
+// one whose round fails, stops there, classifies whatever history it
+// gathered and returns it with the error.
 func Run(ctx context.Context, sc *scanner.Scanner, clock interface{ SetTime(wildnet.Time) }, resolvers []uint32, cfg Config) (*Result, error) {
-	hist := make(map[uint32][][]obs, len(resolvers)) // addr -> tldIdx -> history
-	for _, u := range resolvers {
-		hist[u] = make([][]obs, len(cfg.TLDs))
+	list := sortedSet(resolvers)
+	nT := len(cfg.TLDs)
+	// hist[i*nT+ti] is the history of list[i] for TLD ti. A resolver
+	// answers a TLD at most once an hour, so each history gets a fixed
+	// window of one flat array and appending never reallocates.
+	hist := make([][]obs, len(list)*nT)
+	window := max(cfg.Hours, 0)
+	backing := make([]obs, len(hist)*window)
+	for k := range hist {
+		hist[k] = backing[k*window : k*window : (k+1)*window]
 	}
-	seq := make([]uint16, len(cfg.TLDs)) // per-TLD probe counter
-	for h := 0; h < cfg.Hours && ctx.Err() == nil; h++ {
+	seq := make([]uint16, nT) // per-TLD probe counter
+	var err error
+	for h := 0; h < cfg.Hours && err == nil && ctx.Err() == nil; h++ {
 		abs := cfg.StartDelayHours + h
 		clock.SetTime(wildnet.Time{Week: cfg.Week, Day: abs / 24, Hour: abs % 24})
 		for ti, tld := range cfg.TLDs {
-			round, err := sc.SnoopRoundContext(ctx, resolvers, tld, seq[ti])
+			var round []scanner.SnoopObs
+			round, err = sc.SnoopRoundContext(ctx, list, tld, seq[ti])
 			seq[ti]++
-			for u, o := range round {
-				hist[u][ti] = append(hist[u][ti], obs{hour: h, o: o})
+			for i, o := range round {
+				if o.Answered {
+					hist[i*nT+ti] = append(hist[i*nT+ti], obs{hour: h, o: o})
+				}
 			}
 			if err != nil {
 				break
@@ -132,10 +154,11 @@ func Run(ctx context.Context, sc *scanner.Scanner, clock interface{ SetTime(wild
 	res := &Result{
 		Scanned:  len(resolvers),
 		Counts:   map[Class]int{},
-		Verdicts: make(map[uint32]Class, len(resolvers)),
+		Verdicts: make(map[uint32]Class, len(list)),
 	}
 	for _, u := range resolvers {
-		v := classify(hist[u], cfg)
+		i, _ := slices.BinarySearch(list, u)
+		v := classify(hist[i*nT:(i+1)*nT], cfg)
 		res.Verdicts[u] = v.Addr
 		res.Counts[v.Addr]++
 		if v.Addr != ClassUnreachable {
@@ -145,7 +168,10 @@ func Run(ctx context.Context, sc *scanner.Scanner, clock interface{ SetTime(wild
 			res.Frequent++
 		}
 	}
-	return res, ctx.Err()
+	if err == nil {
+		err = ctx.Err()
+	}
+	return res, err
 }
 
 // classify reduces one resolver's observation history to a verdict.

@@ -13,7 +13,9 @@ import (
 	"goingwild/internal/wildnet"
 )
 
-func runStudy(t *testing.T, order uint) (*Result, int) {
+// census sweeps a default world of the given order at week and returns
+// its scanner, transport and NOERROR list.
+func census(t *testing.T, order uint, week int) (*scanner.Scanner, *wildnet.MemTransport, []uint32) {
 	t.Helper()
 	w, err := wildnet.NewWorld(wildnet.DefaultConfig(order))
 	if err != nil {
@@ -22,13 +24,18 @@ func runStudy(t *testing.T, order uint) (*Result, int) {
 	tr := wildnet.NewMemTransport(w, wildnet.VantagePrimary)
 	t.Cleanup(func() { tr.Close() })
 	sc := scanner.New(tr, scanner.Options{Workers: 4, SettleDelay: time.Millisecond})
-	cfg := DefaultConfig(domains.SnoopedTLDs)
-	tr.SetTime(wildnet.Time{Week: cfg.Week})
+	tr.SetTime(wildnet.Time{Week: week})
 	sweep, err := sc.SweepContext(context.Background(), order, 21, w.ScanBlacklist())
 	if err != nil {
 		t.Fatal(err)
 	}
-	resolvers := sweep.NOERROR()
+	return sc, tr, sweep.NOERROR()
+}
+
+func runStudy(t *testing.T, order uint) (*Result, int) {
+	t.Helper()
+	cfg := DefaultConfig(domains.SnoopedTLDs)
+	sc, tr, resolvers := census(t, order, cfg.Week)
 	res, err := Run(context.Background(), sc, tr, resolvers, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -71,6 +78,27 @@ func TestUtilizationStudyShape(t *testing.T) {
 	}
 	if res.Counts[ClassInUse] <= res.Counts[ClassResetting] {
 		t.Error("in-use not the dominant class")
+	}
+}
+
+// TestRoundErrorsSurface: a TLD the encoder refuses fails its round, and
+// both studies stop there and return the error beside what they gathered
+// — the hourly study its verdicts over the rounds before the failure.
+func TestRoundErrorsSurface(t *testing.T) {
+	cfg := DefaultConfig([]string{"com", "a..b"})
+	cfg.Hours = 3
+	sc, tr, resolvers := census(t, 14, cfg.Week)
+	res, err := Run(context.Background(), sc, tr, resolvers, cfg)
+	if err == nil {
+		t.Error("Run over an unencodable TLD returned no error")
+	}
+	if res == nil || res.Scanned != len(resolvers) || res.Responded == 0 {
+		t.Errorf("Run kept no partial result: %+v", res)
+	}
+	pcfg := DefaultPopularityConfig()
+	pcfg.TLD, pcfg.Minutes = "a..b", 3
+	if _, err := EstimatePopularity(context.Background(), sc, tr, resolvers, pcfg); err == nil {
+		t.Error("EstimatePopularity over an unencodable TLD returned no error")
 	}
 }
 

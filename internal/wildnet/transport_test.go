@@ -2,7 +2,9 @@ package wildnet
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"net"
 	"net/netip"
 	"sync"
 	"testing"
@@ -101,6 +103,52 @@ func TestTransportsRejectIPv6(t *testing.T) {
 		if _, err := tr.SendBatch(context.Background(), batch); !errors.Is(err, errIPv4Only) {
 			t.Errorf("%s: SendBatch with an IPv6 destination = %v, want errIPv4Only", name, err)
 		}
+	}
+}
+
+// TestUDPSendBatchStopsAtIPv6: an IPv6 destination at index 2 of
+// [v4, v4, v6, v4] ends the batch there, as the Transport contract
+// says: n = 2 with errIPv4Only, and exactly probes 0 and 1 leave the
+// socket. A plain loopback socket stands in for the gateway and reads the
+// tunnel frames in the order they were written; the queries carry IDs 1
+// to 4, and a later batch with ID 5 marks the end.
+func TestUDPSendBatchStopsAtIPv6(t *testing.T) {
+	gw, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close()
+	tr, err := DialGateway(gw.LocalAddr().(*net.UDPAddr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	probe := func(id uint16, dst string) Probe {
+		wire, err := dnswire.NewQuery(id, domains.GroundTruth, dnswire.TypeA, dnswire.ClassIN).PackBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Probe{Dst: netip.MustParseAddr(dst), DstPort: 53, SrcPort: 41000, Payload: wire}
+	}
+	batch := []Probe{probe(1, "10.0.0.1"), probe(2, "10.0.0.2"), probe(3, "2001:db8::1"), probe(4, "10.0.0.4")}
+	if n, err := tr.SendBatch(context.Background(), batch); n != 2 || !errors.Is(err, errIPv4Only) {
+		t.Fatalf("SendBatch = (%d, %v), want (2, errIPv4Only)", n, err)
+	}
+	if n, err := tr.SendBatch(context.Background(), []Probe{probe(5, "10.0.0.5")}); n != 1 || err != nil {
+		t.Fatalf("marker SendBatch = (%d, %v)", n, err)
+	}
+	gw.SetReadDeadline(time.Now().Add(5 * time.Second))
+	buf := make([]byte, 1500)
+	var got []uint16
+	for len(got) == 0 || got[len(got)-1] != 5 {
+		n, _, err := gw.ReadFromUDP(buf)
+		if err != nil {
+			t.Fatalf("frames %v, then %v", got, err)
+		}
+		got = append(got, binary.BigEndian.Uint16(buf[tunnelHeaderLen:n]))
+	}
+	if len(got) != 3 || got[0] != 1 || got[1] != 2 {
+		t.Errorf("frames with IDs %v left the socket, want [1 2 5]", got)
 	}
 }
 

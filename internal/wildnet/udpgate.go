@@ -229,7 +229,9 @@ var gateFramePool = sync.Pool{New: func() any {
 // the socket in the same order. The kernel write itself is not
 // interruptible, so the context is honored at the call edge: a sender
 // that keeps calling after cancellation gets ctx.Err() back immediately
-// instead of queueing more datagrams.
+// instead of queueing more datagrams. A non-IPv4 destination at index i
+// ends the batch there: frames [0, i) are written, and the error is
+// errIPv4Only unless the write itself failed first.
 func (u *UDPTransport) SendBatch(ctx context.Context, probes []Probe) (int, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
@@ -239,9 +241,11 @@ func (u *UDPTransport) SendBatch(ctx context.Context, probes []Probe) (int, erro
 	fr.buf = fr.buf[:0]
 	fr.offs = fr.offs[:0]
 	fr.frames = fr.frames[:0]
+	var stop error
 	for i, p := range probes {
 		if !p.Dst.Is4() {
-			return i, errIPv4Only
+			probes, stop = probes[:i], errIPv4Only
+			break
 		}
 		fr.offs = append(fr.offs, len(fr.buf))
 		var hdr [tunnelHeaderLen]byte
@@ -255,7 +259,11 @@ func (u *UDPTransport) SendBatch(ctx context.Context, probes []Probe) (int, erro
 	for i := range probes {
 		fr.frames = append(fr.frames, fr.buf[fr.offs[i]:fr.offs[i+1]:fr.offs[i+1]])
 	}
-	return u.writeBatch(fr.frames)
+	n, err := u.writeBatch(fr.frames)
+	if err == nil {
+		err = stop
+	}
+	return n, err
 }
 
 // writeBatchSerial is the portable batch write: one kernel write per
