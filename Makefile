@@ -59,7 +59,7 @@ race:
 chaos:
 	$(GO) test -run TestChaosMatrix -count=1 -v ./internal/core
 
-# Crash-injection matrix: SIGKILL a real goingwild run at seeded-random
+# Crash-injection matrix: SIGKILL a real wildreport run at seeded-random
 # points, resume from its checkpoint directory (flipping GOMAXPROCS
 # across attempts), and require byte-identical stdout versus an
 # uninterrupted run — plus torn-checkpoint fallback and the two-phase

@@ -1,17 +1,20 @@
 // Command wildmerge recombines per-shard census artifacts — written by
-// `goingwild -shard i/M -shard-out f.json` running as M independent
-// processes — into the single-scan census report. The merged report is
+// `wildreport -shard i/M -shard-out f.json` running as M independent
+// processes — into the single-scan census report. The one-shard artifact
+// `wildreport -export DIR` writes as DIR/sweep.json reads the same way.
+// The merged report is
 // byte-identical to what one unsharded process prints for the same
 // (order, seed, week), which is the whole point: sharding an
 // Internet-wide scan across machines must not change its result.
 //
 // Usage:
 //
-//	goingwild -order 16 -shard 0/4 -shard-out s0.json
-//	goingwild -order 16 -shard 1/4 -shard-out s1.json
+//	wildreport -order 16 -shard 0/4 -shard-out s0.json
+//	wildreport -order 16 -shard 1/4 -shard-out s1.json
 //	...
 //	wildmerge s0.json s1.json s2.json s3.json
 //	wildmerge -out merged.json s*.json     # also write the merged artifact
+//	wildmerge DIR/sweep.json               # the census of a -export run
 package main
 
 import (

@@ -1,0 +1,234 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"slices"
+	"strings"
+	"testing"
+
+	"goingwild/internal/cli"
+	"goingwild/internal/shardio"
+)
+
+// TestMain lets a test run the command itself: with runMainEnv set, the
+// test binary is wildreport.
+func TestMain(m *testing.M) {
+	if os.Getenv(runMainEnv) == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+const runMainEnv = "WILDREPORT_TEST_RUN_MAIN"
+
+// wildreport runs the command with args and returns its stdout, stderr
+// and exit status.
+func wildreport(t *testing.T, args ...string) (stdout, stderr string, exit int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	var out, errOut bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	err := cmd.Run()
+	var ee *exec.ExitError
+	if errors.As(err, &ee) {
+		exit = ee.ExitCode()
+	} else if err != nil {
+		t.Fatal(err)
+	}
+	return out.String(), errOut.String(), exit
+}
+
+// shape renders a selection as "section[block names]" per section, "-"
+// standing for a nameless block.
+func shape(sel []cli.Section) string {
+	var parts []string
+	for _, sec := range sel {
+		var blocks []string
+		for _, b := range sec.Blocks {
+			if len(b.Names) == 0 {
+				blocks = append(blocks, "-")
+			} else {
+				blocks = append(blocks, b.Names[0])
+			}
+		}
+		parts = append(parts, sec.Name+"["+strings.Join(blocks, " ")+"]")
+	}
+	return strings.Join(parts, " ")
+}
+
+// TestExpSelectsFromTheTable pins -exp as a filter over the one section
+// table: "all" is exactly the recorded report, census and verify answer
+// only to their own names, the domains section's blocks answer to their
+// own names, -export pulls the domains section into any run, and a name
+// the table does not know is an error instead of an empty report.
+func TestExpSelectsFromTheTable(t *testing.T) {
+	const (
+		head     = "series[fig1 table1 table2] table3[table3] table4[table4] fig2[fig2] util[util] "
+		tail     = "domains[pipeline domains table5 fig4 cases] dnssec[dnssec] amp[amp] popularity[popularity] netalyzr[netalyzr] degraded[-]"
+		recorded = head + tail
+	)
+	for _, tc := range []struct {
+		exp, export, want string
+	}{
+		{exp: "all", want: recorded},
+		{exp: "all,census", want: "census[census] " + recorded},
+		{exp: "all,verify", want: head + "verify[verify] " + tail},
+		{exp: "census", want: "census[census] degraded[-]"},
+		{exp: "verify", want: "verify[verify] degraded[-]"},
+		{exp: "fig1", want: "series[fig1] degraded[-]"},
+		{exp: "table2,fig1", want: "series[fig1 table2] degraded[-]"},
+		{exp: " table3 , util ", want: "table3[table3] util[util] degraded[-]"},
+		{exp: "util,table3", want: "table3[table3] util[util] degraded[-]"},
+		{exp: "netalyzr", want: "netalyzr[netalyzr] degraded[-]"},
+		{exp: "domains", want: "domains[domains table5] degraded[-]"},
+		{exp: "table5", want: "domains[table5] degraded[-]"},
+		{exp: "fig4", want: "domains[fig4] degraded[-]"},
+		{exp: "cases,pipeline", want: "domains[pipeline cases] degraded[-]"},
+		{exp: "fig1", export: "out", want: "series[fig1] domains[-] degraded[-]"},
+		{exp: "fig4", export: "out", want: "domains[- fig4] degraded[-]"},
+		{exp: "census", export: "out", want: "census[census] domains[-] degraded[-]"},
+	} {
+		sel, err := cli.Select(sections(new(cli.Report), tc.export), tc.exp)
+		if err != nil {
+			t.Errorf("-exp %q: %v", tc.exp, err)
+		} else if got := shape(sel); got != tc.want {
+			t.Errorf("-exp %q -export %q selects\n  %s\nwant\n  %s", tc.exp, tc.export, got, tc.want)
+		}
+	}
+	for _, exp := range []string{"tabel3", "", "fig1,", "fig1,,util", "ALL", "degraded", "export", "series"} {
+		_, err := cli.Select(sections(new(cli.Report), ""), exp)
+		if err == nil || !strings.Contains(err.Error(), "all,census,fig1") {
+			t.Errorf("-exp %q: err = %v, want an error naming the valid experiments", exp, err)
+		}
+	}
+	names := cli.ExpNames(sections(new(cli.Report), ""))
+	for _, name := range []string{"all", "census", "verify", "table5", "netalyzr", "popularity", "pipeline"} {
+		if !slices.Contains(names, name) {
+			t.Errorf("the -exp help omits %q: %v", name, names)
+		}
+	}
+}
+
+// TestParseShard pins -shard to exactly i/M: trailing bytes, a third
+// number, a list or a leading space are errors, not shard i/M.
+func TestParseShard(t *testing.T) {
+	for _, tc := range []struct {
+		spec      string
+		shard, of int
+		ok        bool
+	}{
+		{spec: "0/4", shard: 0, of: 4, ok: true},
+		{spec: "3/4", shard: 3, of: 4, ok: true},
+		{spec: "0/4x"},
+		{spec: "1/4/5"},
+		{spec: "2/4,3"},
+		{spec: " 0/4"},
+		{spec: "4/4"},
+		{spec: "-1/4"},
+		{spec: "0/0"},
+	} {
+		shard, of, err := parseShard(tc.spec)
+		if ok := err == nil; ok != tc.ok || shard != tc.shard || of != tc.of {
+			t.Errorf("parseShard(%q) = %d, %d, %v; want %d/%d ok=%v", tc.spec, shard, of, err, tc.shard, tc.of, tc.ok)
+		}
+	}
+}
+
+// TestModeFlagsConflict pins every flag pair whose modes exclude each
+// other as a refusal, and that the modes alone and the flags that combine
+// with them still pass.
+func TestModeFlagsConflict(t *testing.T) {
+	for _, tc := range []struct {
+		given []string
+		err   string
+	}{
+		{given: nil},
+		{given: []string{"shard", "shard-out"}},
+		{given: []string{"shard", "shard-out", "week", "order", "seed", "chaos"}},
+		{given: []string{"checkpoint", "resume", "exp", "export"}},
+		{given: []string{"markdown", "exp"}},
+		{given: []string{"shard-out"}, err: "-shard and -shard-out go together"},
+		{given: []string{"shard"}, err: "-shard and -shard-out go together"},
+		{given: []string{"shard", "shard-out", "checkpoint"}, err: "-checkpoint and -shard"},
+		{given: []string{"checkpoint", "markdown"}, err: "-checkpoint and -markdown"},
+		{given: []string{"shard", "shard-out", "markdown"}, err: "-markdown and -shard"},
+		{given: []string{"shard", "shard-out", "export"}, err: "-export and -shard"},
+		{given: []string{"shard", "shard-out", "exp"}, err: "-exp and -shard"},
+		{given: []string{"markdown", "export"}, err: "-export and -markdown"},
+	} {
+		given := map[string]bool{}
+		for _, name := range tc.given {
+			given[name] = true
+		}
+		err := checkModes(given)
+		if tc.err == "" && err != nil || tc.err != "" && (err == nil || !strings.Contains(err.Error(), tc.err)) {
+			t.Errorf("flags %v: err = %v, want %q", tc.given, err, tc.err)
+		}
+	}
+}
+
+// TestRefusalsExitTwo runs the refusals end to end: each is a usage
+// error before any work, and -shard-out alone writes no file.
+func TestRefusalsExitTwo(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "s.json")
+	for _, args := range [][]string{
+		{"-order", "14", "-shard-out", out},
+		{"-order", "14", "-shard", "0/4x", "-shard-out", out},
+		{"-order", "14", "-shard", "0/4", "-shard-out", out, "-exp", "census"},
+		{"-order", "14", "-shard", "0/4", "-shard-out", out, "-markdown"},
+		{"-order", "14", "-exp", "tabel3"},
+	} {
+		stdout, stderr, exit := wildreport(t, args...)
+		if exit != 2 || stdout != "" || !strings.HasPrefix(stderr, "wildreport: ") {
+			t.Errorf("wildreport %v: exit %d, stdout %q, stderr %q; want exit 2 and a diagnostic", args, exit, stdout, stderr)
+		}
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Errorf("a refused run left %s behind (stat err %v)", out, err)
+	}
+}
+
+// TestExportIsTheCensusArtifact pins -export's sweep.json as the
+// unsharded census artifact: merged and rendered the way wildmerge does,
+// it prints exactly the census block of -exp census.
+func TestExportIsTheCensusArtifact(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs two order-14 reports")
+	}
+	dir := t.TempDir()
+	base := []string{"-order", "14", "-weeks", "4", "-week", "3"}
+	census, stderr, exit := wildreport(t, append(base, "-exp", "census")...)
+	if exit != 0 {
+		t.Fatalf("-exp census: exit %d: %s", exit, stderr)
+	}
+	exported, stderr, exit := wildreport(t, append(base, "-exp", "census", "-export", dir)...)
+	if exit != 0 {
+		t.Fatalf("-export: exit %d: %s", exit, stderr)
+	}
+	if !strings.HasPrefix(exported, census) {
+		t.Errorf("-export changed the census block:\n%s\nwant it to start with\n%s", exported, census)
+	}
+	art, err := shardio.ReadFile(filepath.Join(dir, "sweep.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, prov, err := shardio.Merge([]shardio.Artifact{art})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prov.Order != 14 || prov.Week != 3 {
+		t.Errorf("artifact provenance %+v, want order 14 week 3", prov)
+	}
+	if got := shardio.RenderCensus(res); got != census {
+		t.Errorf("sweep.json renders\n%s\nwant the -exp census block\n%s", got, census)
+	}
+	if fi, err := os.Stat(filepath.Join(dir, "tuples.jsonl")); err != nil || fi.Size() == 0 {
+		t.Errorf("tuples.jsonl: %v (err %v), want a non-empty file", fi, err)
+	}
+}

@@ -1,5 +1,5 @@
-// Package cli is the one place the command-line surface goingwild,
-// wildreport, dnsscan and wildsvc share is declared: the flags all of them
+// Package cli is the one place the command-line surface wildreport,
+// dnsscan and wildsvc share is declared: the flags all of them
 // take, and the run scaffolding behind those flags — checkpoint store and
 // interrupt handling, metrics registry, debug endpoint, progress output,
 // exit-time snapshot, journaled report sections. A binary's main keeps
@@ -40,7 +40,7 @@ type Flags struct {
 	DebugAddr  string
 }
 
-// Register declares the flags all four binaries take, on the process
+// Register declares the flags all three binaries take, on the process
 // command line: -order (default order), -seed, -progress and -metrics.
 // prog names the binary in everything the package prints.
 func Register(prog string, order uint) *Flags {

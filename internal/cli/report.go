@@ -20,13 +20,11 @@ import (
 	"goingwild/internal/snoop"
 )
 
-// A report binary is one ordered table of sections over one core.Plan.
-// goingwild's -exp is a filter over its table (Select), text mode is the
-// table as it stands (Sectioned), wildreport's -markdown is the same
-// table read by its comparison column (Markdown). The blocks both
-// binaries print are declared once, as methods of Report; where the
-// binaries differ on purpose the difference is an argument or a row of
-// the binary's own table.
+// wildreport is one ordered table of sections over one core.Plan. -exp
+// filters the table (Select), text mode renders the selection as it
+// stands (Sectioned), and -markdown reads the same selection by its
+// comparison column (Markdown). Every block is declared once, as a method
+// of Report; the binary's main only orders them into its table.
 
 // Block is one row of the table, one stdout block of the report.
 type Block struct {
@@ -103,7 +101,7 @@ func Select(table []Section, spec string) ([]Section, error) {
 	return out, nil
 }
 
-// Report is one run of a report binary: the study, the plan its blocks
+// Report is one run of the report binary: the study, the plan its blocks
 // add their experiments to, and the two experiments several blocks read.
 // The zero Report anchors a table: blocks capture it when the table is
 // built — before the flags are parsed, for -exp's help — and read it only
@@ -269,17 +267,10 @@ func (r *Report) Table2() Block {
 	return one("table2", r.Series, func(s *churn.Series) string { return analysis.RenderTable2(s, r.Scale) }, nil)
 }
 
-// Table3 is the CHAOS software survey; header prefixes it with the size
-// of the population it scanned.
-func (r *Report) Table3(header bool) Block {
+// Table3 is the CHAOS software survey.
+func (r *Report) Table3() Block {
 	return one("table3", func() *core.Out[*fingerprint.ChaosSurvey] { return r.Plan.Chaos(r.Week) },
-		func(s *fingerprint.ChaosSurvey) string {
-			text := analysis.RenderTable3(s, 10)
-			if header {
-				text = fmt.Sprintf("CHAOS scan over %d resolvers\n", len(r.Census().Resolvers)) + text
-			}
-			return text
-		}, analysis.CompareTable3)
+		func(s *fingerprint.ChaosSurvey) string { return analysis.RenderTable3(s, 10) }, analysis.CompareTable3)
 }
 
 // Table4 is the device fingerprint survey.
@@ -288,15 +279,13 @@ func (r *Report) Table4() Block {
 		analysis.RenderTable4, analysis.CompareTable4)
 }
 
-// Figure2 is the churn of the week-0 cohort, re-probed weekly for as many
-// weeks as the series has but at most maxWeeks; concentrate adds the
-// share of the final survivors that sits in the three largest networks.
-func (r *Report) Figure2(maxWeeks int, concentrate bool) Block {
-	return one("fig2", func() *core.Out[*churn.CohortStudy] { return r.Plan.Cohort(min(r.Study.Cfg.Weeks, maxWeeks)) },
+// Figure2 is the churn of the week-0 cohort, re-probed weekly over the
+// whole series, with the share of the final survivors that sits in the
+// three largest networks.
+func (r *Report) Figure2() Block {
+	return one("fig2", func() *core.Out[*churn.CohortStudy] { return r.Plan.Cohort(r.Study.Cfg.Weeks) },
 		func(c *churn.CohortStudy) string {
-			if concentrate {
-				c.ConcentrateSurvivors(r.Study.World.ASNOf)
-			}
+			c.ConcentrateSurvivors(r.Study.World.ASNOf)
 			return analysis.RenderFigure2(c)
 		}, analysis.CompareFigure2)
 }
@@ -333,9 +322,9 @@ func (r *Report) DomainBlocks() []Block {
 	}
 }
 
-// DNSSEC is §5's race for one domain among the Chinese resolvers.
-func (r *Report) DNSSEC(name string) Block {
-	return one("dnssec", func() *core.Out[*core.DNSSECRaceResult] { return r.Plan.DNSSECRace(r.Week, "CN", name) },
+// DNSSEC is §5's race for wikileaks.org among the Chinese resolvers.
+func (r *Report) DNSSEC() Block {
+	return one("dnssec", func() *core.Out[*core.DNSSECRaceResult] { return r.Plan.DNSSECRace(r.Week, "CN", "wikileaks.org") },
 		analysis.RenderDNSSECRace,
 		func(race *core.DNSSECRaceResult) []analysis.Row { return analysis.CompareExtensions(race, nil, nil) })
 }
@@ -363,10 +352,9 @@ func (r *Report) Popularity() Block {
 		func(e []snoop.PopularityEstimate) []analysis.Row { return analysis.CompareExtensions(nil, nil, e) })
 }
 
-// Netalyzr is the in-network volunteer-session study over the given
-// number of sessions.
-func (r *Report) Netalyzr(sessions int) Block {
-	return one("netalyzr", func() *core.Out[*netalyzr.Study] { return r.Plan.Netalyzr(r.Week, sessions) },
+// Netalyzr is the in-network volunteer-session study over 400 sessions.
+func (r *Report) Netalyzr() Block {
+	return one("netalyzr", func() *core.Out[*netalyzr.Study] { return r.Plan.Netalyzr(r.Week, 400) },
 		analysis.RenderNetalyzr, nil)
 }
 

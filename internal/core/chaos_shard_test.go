@@ -11,7 +11,7 @@ import (
 
 // chaosShardUnion runs the week-3 census under a chaos profile as `of`
 // independent shard studies — a fresh world and scanner each, as the
-// separate `goingwild -shard i/of` processes have — and merges the
+// separate `wildreport -shard i/of` processes have — and merges the
 // per-shard results the way cmd/wildmerge does.
 func chaosShardUnion(t *testing.T, profile string, of int) *scanner.SweepResult {
 	t.Helper()

@@ -33,8 +33,8 @@ var (
 	buildErr  error
 )
 
-// goingwildBin builds cmd/goingwild once and returns the binary path.
-func goingwildBin(t *testing.T) string {
+// wildreportBin builds cmd/wildreport once and returns the binary path.
+func wildreportBin(t *testing.T) string {
 	t.Helper()
 	buildOnce.Do(func() {
 		dir, err := os.MkdirTemp("", "crashtest-bin-")
@@ -42,11 +42,11 @@ func goingwildBin(t *testing.T) string {
 			buildErr = err
 			return
 		}
-		buildBin = filepath.Join(dir, "goingwild")
-		cmd := exec.Command("go", "build", "-o", buildBin, "goingwild/cmd/goingwild")
+		buildBin = filepath.Join(dir, "wildreport")
+		cmd := exec.Command("go", "build", "-o", buildBin, "goingwild/cmd/wildreport")
 		cmd.Dir = "../.." // module root relative to internal/crashtest
 		if out, err := cmd.CombinedOutput(); err != nil {
-			buildErr = fmt.Errorf("building goingwild: %v\n%s", err, out)
+			buildErr = fmt.Errorf("building wildreport: %v\n%s", err, out)
 		}
 	})
 	if buildErr != nil {
@@ -133,7 +133,7 @@ func scenarioArgs(chaos string) []string {
 // the ones whose senders truly run in parallel when the kill lands.
 func TestCrashResumeByteIdentity(t *testing.T) {
 	gate(t)
-	bin := goingwildBin(t)
+	bin := wildreportBin(t)
 	scenarios := []struct {
 		chaos string
 		// procs is GOMAXPROCS for even (incl. the first) and odd attempts.
@@ -232,7 +232,7 @@ func ckptFiles(t *testing.T, dir string) []string {
 // generation, and still finish with byte-identical output.
 func TestTornCheckpointFallsBack(t *testing.T) {
 	gate(t)
-	bin := goingwildBin(t)
+	bin := wildreportBin(t)
 	args := scenarioArgs("hostile")
 	base := runOnce(t, bin, args, "4", 0)
 	if base.exit != 0 {
@@ -289,7 +289,7 @@ func TestTornCheckpointFallsBack(t *testing.T) {
 // byte-identical output.
 func TestInterruptCheckpointsAndResumes(t *testing.T) {
 	gate(t)
-	bin := goingwildBin(t)
+	bin := wildreportBin(t)
 	args := scenarioArgs("clean")
 	base := runOnce(t, bin, args, "4", 0)
 	if base.exit != 0 {

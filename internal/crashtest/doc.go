@@ -1,5 +1,5 @@
 // Package crashtest is the crash-injection harness behind `make crash`:
-// it SIGKILLs a real goingwild process at seeded-random points mid-run,
+// it SIGKILLs a real wildreport process at seeded-random points mid-run,
 // resumes it from its checkpoint directory, and requires the final
 // stdout to be byte-identical to an uninterrupted run of the same
 // flags. The matrix covers all four chaos profiles and a GOMAXPROCS flip

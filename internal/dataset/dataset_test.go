@@ -2,6 +2,9 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
+	"io"
 	"strings"
 	"testing"
 
@@ -10,45 +13,21 @@ import (
 	"goingwild/internal/scanner"
 )
 
-func TestManifestRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	m := Manifest{Paper: "IMC 2015", Order: 18, Seed: 42, ScanSeed: 7, Week: 50, Generator: "goingwild"}
-	if err := WriteManifest(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadManifest(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != m {
-		t.Errorf("manifest round trip: %+v vs %+v", got, m)
-	}
-}
-
-func TestSweepRoundTrip(t *testing.T) {
-	res := &scanner.SweepResult{Responders: []scanner.Responder{
-		{Addr: 0x01020304, Source: 0x01020304, RCode: dnswire.RCodeNoError, Answered: true},
-		{Addr: 0x0A0B0C0D, Source: 0x0A0B0CFF, RCode: dnswire.RCodeRefused},
-		{Addr: 0xFFFFFFFE, Source: 0xFFFFFFFE, RCode: dnswire.RCodeServFail},
-	}}
-	var buf bytes.Buffer
-	if err := WriteSweep(&buf, res); err != nil {
-		t.Fatal(err)
-	}
-	if lines := strings.Count(buf.String(), "\n"); lines != 3 {
-		t.Errorf("JSONL lines = %d", lines)
-	}
-	got, err := ReadSweep(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 {
-		t.Fatalf("records = %d", len(got))
-	}
-	for i, r := range got {
-		if r != res.Responders[i] {
-			t.Errorf("record %d: %+v vs %+v", i, r, res.Responders[i])
+// readTuples decodes a tuple stream strictly: every line must be one
+// TupleRecord and nothing else, so a field the writer renamed or a torn
+// line fails here rather than in a consumer of the published dataset.
+func readTuples(r io.Reader) ([]TupleRecord, error) {
+	var out []TupleRecord
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	for {
+		var rec TupleRecord
+		if err := dec.Decode(&rec); errors.Is(err, io.EOF) {
+			return out, nil
+		} else if err != nil {
+			return nil, err
 		}
+		out = append(out, rec)
 	}
 }
 
@@ -66,7 +45,10 @@ func TestTuplesRoundTrip(t *testing.T) {
 	if err := WriteTuples(&buf, scan, pre); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := ReadTuples(&buf)
+	if lines := strings.Count(buf.String(), "\n"); lines != 2 {
+		t.Errorf("JSONL lines = %d, want 2", lines)
+	}
+	recs, err := readTuples(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,29 +63,38 @@ func TestTuplesRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadRejectsGarbage pins the tuple stream's shape from the reader's
+// side: a line that is not one TupleRecord is an error, not a record.
 func TestReadRejectsGarbage(t *testing.T) {
-	if _, err := ReadSweep(strings.NewReader("not json\n")); err == nil {
-		t.Error("garbage accepted")
-	}
-	for _, rec := range []string{
-		`{"addr":"999.1.2.3","source":"1.2.3.4","rcode":"NOERROR"}`,
-		`{"addr":"1.2.3.4junk","source":"1.2.3.4","rcode":"NOERROR"}`,
-		`{"addr":"1.2.3.4.5","source":"1.2.3.4","rcode":"NOERROR"}`,
-		`{"addr":"1.2.3.4","source":"::1","rcode":"NOERROR"}`,
-		`{"addr":"1.2.3.4","source":"1.2.3.4","rcode":"NOTACODE"}`,
+	for _, stream := range []string{
+		"not json\n",
+		`{"domain":"chase.com","resolver":"0.0.3.232","ip":"0.0.0.100","verdict":"legitimate"` + "\n",
+		`{"domain":"chase.com","resolvr":"0.0.3.232","ip":"0.0.0.100","verdict":"legitimate"}` + "\n",
+		`{"domain":"chase.com","resolver":1000,"ip":"0.0.0.100","verdict":"legitimate"}` + "\n",
 	} {
-		if got, err := ReadSweep(strings.NewReader(rec)); err == nil {
-			t.Errorf("%s accepted as %+v", rec, got)
+		if got, err := readTuples(strings.NewReader(stream)); err == nil {
+			t.Errorf("%q accepted as %+v", stream, got)
 		}
 	}
 }
 
+// TestEmptyStreams pins that a scan with no answered tuple exports an
+// empty file, which reads back as no records.
 func TestEmptyStreams(t *testing.T) {
-	got, err := ReadSweep(strings.NewReader(""))
-	if err != nil || len(got) != 0 {
-		t.Errorf("empty sweep: %v %v", got, err)
+	scan := &scanner.DomainScanResult{
+		Resolvers: []uint32{1000},
+		Names:     []string{"chase.com"},
+		Answers:   [][]scanner.TupleAnswer{{{ResolverIdx: 0}}},
 	}
-	recs, err := ReadTuples(strings.NewReader(""))
+	pre := &prefilter.Result{Verdicts: [][]prefilter.Class{{prefilter.ClassUnanswered}}}
+	var buf bytes.Buffer
+	if err := WriteTuples(&buf, scan, pre); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() != 0 {
+		t.Errorf("unanswered scan wrote %q", buf.String())
+	}
+	recs, err := readTuples(&buf)
 	if err != nil || len(recs) != 0 {
 		t.Errorf("empty tuples: %v %v", recs, err)
 	}

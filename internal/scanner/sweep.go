@@ -150,7 +150,7 @@ func (s *Scanner) SweepContext(ctx context.Context, order uint, seed uint32, bl 
 // SweepShardContext probes shard `shard` of `of` of a 2^order sweep: the
 // targets lfsr.ShardedGenerator(order, seed, bl, shard, of) yields, i.e.
 // every of-th slot of the full permutation. Separate processes each run
-// one shard (goingwild -shard i/M) and cmd/wildmerge recombines the
+// one shard (wildreport -shard i/M) and cmd/wildmerge recombines the
 // per-shard results into the unsharded report — shards share nothing, as
 // ZMap's do. Every probe a shard sends is bit-identical to the probe the
 // unsharded sweep sends to the same target, so the modeled per-packet

@@ -1,9 +1,11 @@
-// Package shardio serializes per-shard census results so an
-// Internet-wide sweep can be split across processes (or machines) and
-// recombined losslessly: each scan process runs `goingwild -shard i/M
-// -shard-out f.json`, and cmd/wildmerge folds the M artifacts back into
-// the exact result — and the exact rendered report — a single
-// unsharded sweep of the same (order, seed) produces.
+// Package shardio is the one on-disk form of a census sweep. It
+// serializes per-shard census results so an Internet-wide sweep can be
+// split across processes (or machines) and recombined losslessly: each
+// scan process runs `wildreport -shard i/M -shard-out f.json`, and
+// cmd/wildmerge folds the M artifacts back into the exact result — and
+// the exact rendered report — a single unsharded sweep of the same
+// (order, seed) produces. An unsharded sweep is the artifact 0/1, which
+// is what `wildreport -export DIR` writes as DIR/sweep.json.
 //
 // The merge is only sound because of the scanner's sharding contract:
 // leapfrog shards partition the target permutation, every probe is
@@ -213,7 +215,7 @@ func parseIP4(s string) (uint32, error) {
 }
 
 // RenderCensus renders one sweep as the census report both
-// cmd/wildmerge and `goingwild -exp census` print. It deliberately
+// cmd/wildmerge and `wildreport -exp census` print. It deliberately
 // carries no trace of how many shards produced the result: a merged
 // M-shard census must be byte-identical to the single-process one.
 func RenderCensus(res *scanner.SweepResult) string {
