@@ -12,6 +12,10 @@
 // Every run ends on a "traffic:" line — probes sent, responses received
 // and the send rate over the run — summed from the metrics registry's
 // *.sent and *.recv counters, the sums -progress prints while it runs.
+//
+// A sweep is the unit a killed run repeats: dnsscan takes no -checkpoint
+// or -resume (wildreport does, for its weekly series and sections), and
+// SIGINT cancels the scan.
 package main
 
 import (
@@ -23,7 +27,6 @@ import (
 
 	"goingwild/internal/churn"
 	"goingwild/internal/cli"
-	"goingwild/internal/core"
 	"goingwild/internal/dnswire"
 	"goingwild/internal/domains"
 	"goingwild/internal/fingerprint"
@@ -33,10 +36,8 @@ import (
 
 func main() {
 	f := cli.Register("dnsscan", 16)
-	f.RegisterRun()
+	f.RegisterRun(false)
 	flag.Lookup("progress").Usage = "print a periodic progress line to stderr"
-	flag.Lookup("checkpoint").Usage = "directory for crash-safe sweep checkpoints (in-memory transport only)"
-	flag.Lookup("resume").Usage = "resume the sweep from the newest checkpoint in -checkpoint"
 	var (
 		scanSeed = flag.Uint("scanseed", 0x5EED, "LFSR seed for the target permutation")
 		week     = flag.Int("week", 0, "study week")
@@ -47,16 +48,8 @@ func main() {
 		rate     = flag.Int("rate", 0, "probe rate limit in packets/s (0 = unlimited)")
 	)
 	f.Parse()
-	if f.Checkpoint != "" && (*useUDP || *epochs > 0) {
-		// The resumable sweep replays the in-memory world's deterministic
-		// fault draws; real sockets and the epoch demo have no such replay.
-		f.Fatal(fmt.Errorf("-checkpoint supports only the in-memory transport without -epochs"))
-	}
-	// The checkpoint fingerprint covers every flag that shapes the sweep.
-	// An interrupted plain scan still prints its partial tally; a
-	// checkpointed one exits 3 at the next rendezvous.
-	ctx, runner, release := f.Context(context.Background(), fmt.Sprintf(
-		"dnsscan order=%d seed=%#x scanseed=%#x week=%d chaos=%s", f.Order, f.Seed, *scanSeed, *week, f.Chaos))
+	// Without -checkpoint the context needs no fingerprint.
+	ctx, _, release := f.Context(context.Background(), "")
 	defer release()
 
 	wcfg := wildnet.DefaultConfig(f.Order)
@@ -152,18 +145,6 @@ func main() {
 		elapsed := time.Since(start)
 		fmt.Printf("epochs: %d sweeps, %d delta records in %v (%.0f records/s)\n",
 			*epochs, records, elapsed.Round(time.Millisecond), float64(records)/elapsed.Seconds())
-	} else if runner != nil {
-		// Crash-safe sweep: progress lands in the checkpoint directory at
-		// every rendezvous; a killed run resumes mid-sweep and reproduces
-		// the uninterrupted responder set exactly.
-		rc, err := core.SweepResume(runner, "sweep")
-		if err != nil {
-			f.Fatal(err)
-		}
-		sweep, err = sc.SweepResumeContext(ctx, f.Order, uint32(*scanSeed), world.ScanBlacklist(), rc)
-		if err != nil {
-			f.Fatal(err)
-		}
 	} else {
 		var err error
 		sweep, err = sc.SweepContext(ctx, f.Order, uint32(*scanSeed), world.ScanBlacklist())

@@ -16,10 +16,11 @@
 //	wildreport -order 20 -checkpoint run.ckpt # crash-safe; resume with -resume
 //
 // With -checkpoint, every completed report section is journaled and the
-// weekly series checkpoints per committed epoch (and mid-sweep at scan
-// rendezvous); a killed run restarted with -resume produces stdout
+// weekly series commits each finished week; a killed run restarted with
+// -resume re-sweeps the week or census it was in and produces stdout
 // byte-identical to an uninterrupted run. The first SIGINT checkpoints
-// at the next safe point and exits 3; a second aborts hard.
+// at the next week commit or section boundary and exits 3; a second
+// aborts hard.
 package main
 
 import (
@@ -41,7 +42,7 @@ import (
 
 func main() {
 	f := cli.Register("wildreport", 18)
-	f.RegisterRun()
+	f.RegisterRun(true)
 	var (
 		r         cli.Report
 		weeks     = flag.Int("weeks", 55, "weekly scans")

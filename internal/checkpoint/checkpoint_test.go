@@ -144,6 +144,34 @@ func TestStoreClear(t *testing.T) {
 	}
 }
 
+// TestOpenRemovesUnpublishedTemp: a kill between a Save's CreateTemp and
+// its rename leaves a temp file behind. The next Open removes it, and
+// what is left after a Save is the published generation alone.
+func TestOpenRemovesUnpublishedTemp(t *testing.T) {
+	dir := t.TempDir()
+	stale := filepath.Join(dir, ".tmp-ckpt-123456")
+	if err := os.WriteFile(stale, []byte("half a generation"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Save(NewState("fp")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(stale); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("unpublished temp file survived Open and Save (stat err = %v)", err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "ckpt-000001" {
+		t.Fatalf("store holds %v after one Save, want only ckpt-000001", entries)
+	}
+}
+
 // TestRunnerSectionReplay simulates a crash between two sections: a
 // second runner loaded from the saved state must replay the first
 // section's bytes verbatim and run only the missing one.

@@ -18,10 +18,8 @@ import (
 var ErrStopped = errors.New("checkpoint: run stopped; resume with -resume")
 
 // Runner drives a checkpointed run: it owns the State, serializes every
-// mutation and Save behind one mutex (sections complete on the main
-// goroutine while sweep progress saves arrive from scan workers), and
-// journals each completed report section together with the exact bytes
-// it wrote to stdout.
+// mutation and Save behind one mutex, and journals each completed report
+// section together with the exact bytes it wrote to stdout.
 type Runner struct {
 	mu    sync.Mutex
 	store *Store
@@ -80,8 +78,8 @@ func (r *Runner) Done(name string) bool {
 }
 
 // Update stores v as the named data document and saves a generation.
-// Scan workers call this mid-section (sweep progress, series cursor),
-// so it is safe under concurrency with Section.
+// The weekly series calls it mid-section, once per committed week, and a
+// section's render stage once for its degradation entries.
 func (r *Runner) Update(name string, v any) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -98,17 +96,9 @@ func (r *Runner) Fetch(name string, v any) (bool, error) {
 	return r.st.Get(name, v)
 }
 
-// Drop removes the named data document from the in-memory state; the
-// removal reaches disk with the next Save (typically the owning
-// section's completion).
-func (r *Runner) Drop(name string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.st.Drop(name)
-}
-
 // RequestStop asks the run to checkpoint and exit at the next safe
-// point (section boundary or sweep rendezvous).
+// point: the weekly series' next week commit or the next section
+// boundary.
 func (r *Runner) RequestStop() {
 	r.once.Do(func() { close(r.stop) })
 }
@@ -136,8 +126,9 @@ func (r *Runner) CheckStop() error {
 
 // InstallSignals arranges two-phase interrupt handling for a
 // checkpointed run: the first SIGINT requests an orderly stop (drain to
-// the next rendezvous, save, exit via ErrStopped), the second cancels
-// hard through cancel. The returned function uninstalls the handler.
+// the next week commit or section boundary, save, exit via ErrStopped),
+// the second cancels hard through cancel. The returned function
+// uninstalls the handler.
 func (r *Runner) InstallSignals(cancel context.CancelFunc) func() {
 	ch := make(chan os.Signal, 2)
 	signal.Notify(ch, os.Interrupt)

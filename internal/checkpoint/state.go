@@ -7,9 +7,8 @@ import (
 
 // Version is the State schema version; a checkpoint written by a
 // different schema is treated as unusable rather than misread. Bump it
-// whenever a document stored under Data changes layout: version 2 is the
-// one-generator scanner.SweepCheckpoint (a version-1 sweep document would
-// unmarshal into it with a zero position beside a non-empty collector).
+// whenever a document stored under Data changes layout. A document no
+// reader asks for is never decoded, so dropping one needs no bump.
 const Version = 2
 
 // State is everything a resumed run needs. It is one JSON document —
@@ -29,9 +28,9 @@ type State struct {
 	// verbatim and picks up at the first unfinished section, which is
 	// what makes the final stdout byte-identical to an uninterrupted run.
 	Sections []Section `json:"sections,omitempty"`
-	// Data holds named mid-section state documents (an in-flight sweep,
-	// the weekly-series cursor and tracker) owned by whichever subsystem
-	// wrote them.
+	// Data holds named mid-section state documents (the weekly-series
+	// cursor and tracker, a section's degradation entries) owned by
+	// whichever subsystem wrote them.
 	Data map[string]json.RawMessage `json:"data,omitempty"`
 }
 
@@ -81,9 +80,4 @@ func (st *State) Get(name string, v any) (bool, error) {
 		return false, fmt.Errorf("checkpoint: decode %q: %w", name, err)
 	}
 	return true, nil
-}
-
-// Drop removes the named data document (a no-op when absent).
-func (st *State) Drop(name string) {
-	delete(st.Data, name)
 }

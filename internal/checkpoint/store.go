@@ -30,11 +30,28 @@ const keepGenerations = 2
 
 const genPrefix = "ckpt-"
 
-// Open prepares dir (creating it if needed) and positions the store
-// after the newest existing generation.
+// tmpPrefix names a generation still being written. One left in the
+// directory is a Save a kill interrupted before its rename.
+const tmpPrefix = ".tmp-" + genPrefix
+
+// Open prepares dir (creating it if needed), removes the temp files of
+// Saves a killed run never published, and positions the store after the
+// newest existing generation. One process owns a store, so no temp file
+// found here can belong to a Save in progress.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: %w", err)
+	}
+	for _, e := range entries {
+		if strings.HasPrefix(e.Name(), tmpPrefix) {
+			if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
+				return nil, fmt.Errorf("checkpoint: %w", err)
+			}
+		}
 	}
 	s := &Store{dir: dir}
 	gens, err := s.generations()
@@ -84,7 +101,7 @@ func (s *Store) Save(st *State) error {
 		return fmt.Errorf("checkpoint: encode state: %w", err)
 	}
 	blob := Encode(payload)
-	f, err := os.CreateTemp(s.dir, ".tmp-ckpt-*")
+	f, err := os.CreateTemp(s.dir, tmpPrefix+"*")
 	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}

@@ -55,11 +55,6 @@ type StudyConfig struct {
 	// Prev is the responder snapshot of week StartWeek-1, needed to
 	// diff the first streamed week against when resuming mid-series.
 	Prev []scanner.Responder
-	// Sweep, when set, replaces the weekly SweepContext call — the seam
-	// through which a checkpointing orchestrator injects resumable
-	// sweeps. It must produce exactly what SweepContext(ctx, Order,
-	// Seed+week, Blacklist) produces.
-	Sweep func(ctx context.Context, week int) (*scanner.SweepResult, error)
 }
 
 // First returns the series' opening observation, or nil when no weeks

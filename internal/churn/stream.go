@@ -39,13 +39,7 @@ func StreamWeekly(ctx context.Context, sc *scanner.Scanner, clock Clock, cfg Stu
 			return err
 		}
 		clock.SetTime(wildnet.At(week))
-		var res *scanner.SweepResult
-		var err error
-		if cfg.Sweep != nil {
-			res, err = cfg.Sweep(ctx, week)
-		} else {
-			res, err = sc.SweepContext(ctx, cfg.Order, cfg.Seed+uint32(week), cfg.Blacklist)
-		}
+		res, err := sc.SweepContext(ctx, cfg.Order, cfg.Seed+uint32(week), cfg.Blacklist)
 		if err != nil {
 			return err
 		}

@@ -53,12 +53,17 @@ func Register(prog string, order uint) *Flags {
 }
 
 // RegisterRun adds the flags of a binary that runs a study or scan to
-// completion: -chaos, -checkpoint, -resume and -debug-addr. The daemon has
-// no run to checkpoint and serves its own endpoint, so it goes without.
-func (f *Flags) RegisterRun() {
+// completion: -chaos and -debug-addr and, for the binary that runs a plan
+// (plan true), -checkpoint and -resume. A plan commits at week and section
+// boundaries; a single scan has no such boundary to save at, and the
+// daemon has no run to checkpoint and serves its own endpoint, so both go
+// without.
+func (f *Flags) RegisterRun(plan bool) {
 	flag.StringVar(&f.Chaos, "chaos", "", "fault-injection profile (clean, lossy, hostile, flaky); empty injects nothing")
-	flag.StringVar(&f.Checkpoint, "checkpoint", "", "directory for crash-safe checkpoints; progress is saved there at every safe point")
-	flag.BoolVar(&f.Resume, "resume", false, "resume from the newest checkpoint in -checkpoint instead of starting over")
+	if plan {
+		flag.StringVar(&f.Checkpoint, "checkpoint", "", "directory for crash-safe checkpoints; progress is saved there after every week and section")
+		flag.BoolVar(&f.Resume, "resume", false, "resume from the newest checkpoint in -checkpoint instead of starting over")
+	}
 	flag.StringVar(&f.DebugAddr, "debug-addr", "", "serve expvar/pprof/metrics over HTTP on this address (e.g. localhost:6060)")
 }
 

@@ -35,9 +35,9 @@ type Plan struct {
 	census map[int]*Census
 }
 
-// NewPlan starts an empty plan. A non-nil store makes its long scans
-// crash-safe: a census sweep and the weekly series record their progress
-// there and resume from what a killed run left.
+// NewPlan starts an empty plan. A non-nil store makes its weekly series
+// crash-safe: the series commits each finished week there and resumes
+// from the last commit a killed run left.
 func (s *Study) NewPlan(store SeriesStore) *Plan {
 	return &Plan{s: s, eng: s.engine(), store: store, census: map[int]*Census{}}
 }
@@ -92,16 +92,9 @@ func (p *Plan) Census(week int) *Census {
 	p.Add(pipeline.Stage{
 		Name: c.Stage,
 		Run: func(ctx context.Context) ([]pipeline.Count, error) {
-			doc := fmt.Sprintf("census-sweep@%d", week)
-			rc, err := SweepResume(p.store, doc)
-			if err != nil {
+			var err error
+			if c.Sweep, err = p.s.SweepAtContext(ctx, week); err != nil {
 				return nil, err
-			}
-			if c.Sweep, err = p.s.SweepAtResumeContext(ctx, week, rc); err != nil {
-				return nil, err
-			}
-			if p.store != nil {
-				p.store.Drop(doc) // reaches disk with the store's next save
 			}
 			c.Resolvers = c.Sweep.NOERROR()
 			return c.counts(), nil

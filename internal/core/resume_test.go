@@ -65,12 +65,6 @@ func (m *memStore) Fetch(name string, v any) (bool, error) {
 	return true, json.Unmarshal(b, v)
 }
 
-func (m *memStore) Drop(name string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.docs, name)
-}
-
 func (m *memStore) CheckStop() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -119,11 +113,11 @@ func resumeStudy(t *testing.T, order uint, profile string, workers int) *Study {
 
 // TestSeriesResumeFromEveryGeneration is the core-layer crash-exactness
 // proof: run the resumable weekly series once uninterrupted, recording
-// every persisted checkpoint generation, then for a spread of those
+// every persisted checkpoint generation, then for every one of those
 // generations build a fresh world and resume from that state alone.
-// Every resumed run must produce the identical Series — mid-sweep
-// generations, committed-cursor generations, and the torn window where
-// a sweep document outlives its week's commit all included.
+// Every resumed run must produce the identical Series. Resuming from
+// generation g is also a kill anywhere between week g's commit and week
+// g+1's: the kill lands mid-sweep and the resume re-sweeps that week.
 func TestSeriesResumeFromEveryGeneration(t *testing.T) {
 	for _, profile := range []string{"clean", "hostile"} {
 		t.Run(profile, func(t *testing.T) {
@@ -144,19 +138,9 @@ func TestSeriesResumeFromEveryGeneration(t *testing.T) {
 				t.Fatal("resumable series differs from the storeless series")
 			}
 
-			if len(store.hist) < 8 {
-				t.Fatalf("only %d checkpoint generations recorded; need a real spread to test", len(store.hist))
-			}
-			midSweep, committed := 0, 0
-			step := len(store.hist)/12 + 1
-			for gen := 0; gen < len(store.hist); gen += step {
-				snap := store.hist[gen]
-				if _, ok := snap[sweepDocName]; ok {
-					midSweep++
-				}
-				if _, ok := snap[seriesDocName]; ok {
-					committed++
-				}
+			// An empty store is the kill before week 0's commit.
+			gens := append([]map[string]json.RawMessage{{}}, store.hist...)
+			for gen, snap := range gens {
 				s := resumeStudy(t, 14, profile, 8)
 				res, err := planSeries(s, restoredFrom(snap))
 				if err != nil {
@@ -166,10 +150,27 @@ func TestSeriesResumeFromEveryGeneration(t *testing.T) {
 					t.Fatalf("resume from generation %d diverged from the uninterrupted series", gen)
 				}
 			}
-			if midSweep == 0 || committed == 0 {
-				t.Fatalf("sampled generations covered mid-sweep=%d committed=%d; need both kinds", midSweep, committed)
-			}
 		})
+	}
+}
+
+// TestSeriesSavesOncePerWeek pins the save cadence: a resumable series of
+// W weeks writes exactly W generations, each holding the committed
+// cursor and nothing else — no sweep is saved part-way.
+func TestSeriesSavesOncePerWeek(t *testing.T) {
+	s := resumeStudy(t, 14, "hostile", 8)
+	store := newMemStore()
+	if _, err := planSeries(s, store); err != nil {
+		t.Fatal(err)
+	}
+	if store.saves != s.Cfg.Weeks {
+		t.Fatalf("series of %d weeks saved %d generations, want one per week", s.Cfg.Weeks, store.saves)
+	}
+	for gen, snap := range store.hist {
+		var ck SeriesCheckpoint
+		if len(snap) != 1 || json.Unmarshal(snap[seriesDocName], &ck) != nil || ck.Cursor != gen+1 {
+			t.Fatalf("generation %d holds %d documents (cursor %d), want only the series cursor %d", gen, len(snap), ck.Cursor, gen+1)
+		}
 	}
 }
 
@@ -185,10 +186,13 @@ func TestSeriesResumeAfterStop(t *testing.T) {
 	}
 
 	store := newMemStore()
-	store.stopAt = 5
+	store.stopAt = 2
 	stopped := resumeStudy(t, 14, "hostile", 8)
 	if _, err := planSeries(stopped, store); !errors.Is(err, errStopRun) {
 		t.Fatalf("stopped run returned %v, want the stop error", err)
+	}
+	if store.saves != 2 {
+		t.Fatalf("stop requested at week 1's commit unwound after %d saves, want 2", store.saves)
 	}
 	store.stopAt = 0
 
@@ -199,9 +203,6 @@ func TestSeriesResumeAfterStop(t *testing.T) {
 	}
 	if !reflect.DeepEqual(want, res) {
 		t.Fatal("post-stop resume diverged from the uninterrupted series")
-	}
-	if _, ok := store.docs[sweepDocName]; ok {
-		t.Fatal("completed series left a sweep document behind")
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"goingwild/internal/churn"
 	"goingwild/internal/pipeline"
-	"goingwild/internal/scanner"
 )
 
 // EpochView is the live per-epoch slice handed to WeeklySeries' callback
@@ -33,23 +32,18 @@ type EpochView struct {
 //
 // Under the plan's store the series is resumable to the exact same Series
 // from a kill at any instant; without one it is the same code entered at
-// week 0 with no saves. Progress is recorded at two granularities:
-// mid-sweep, the scanner's rendezvous checkpoints land in sweepDocName
-// (tagged with the week); after each epoch's deltas are applied, the
-// cursor and the tracker's frozen state are committed to seriesDocName.
-// On entry a committed cursor skips the finished weeks entirely — one
-// that already covers every week sweeps nothing — and a sweep document
-// for the in-flight week resumes that sweep from its last rendezvous.
-// One for an already-committed week — a crash landed between the epoch
-// commit and the next generation — is ignored: replaying a week's sweep
-// from scratch is deterministic, so dropped progress costs time, never
-// bytes.
+// week 0 with no saves. After each epoch's deltas are applied, the cursor
+// and the tracker's frozen state are committed to seriesDocName, and that
+// commit is the series' only save. On entry a committed cursor skips the
+// finished weeks entirely — one that already covers every week sweeps
+// nothing. A kill inside a week loses that week's sweep: replaying it from
+// scratch is deterministic, so lost progress costs time, never bytes.
 func (p *Plan) WeeklySeries(live func(EpochView)) *Out[*churn.Series] {
 	s, store, out := p.s, p.store, &Out[*churn.Series]{}
 	p.Add(pipeline.Stage{
 		Name: "weekly-scans",
 		Run: func(ctx context.Context) ([]pipeline.Count, error) {
-			tracker, cursor, prevSweep, err := s.resumeSeries(store)
+			tracker, cursor, err := s.resumeSeries(store)
 			if err != nil {
 				return nil, err
 			}
@@ -60,21 +54,6 @@ func (p *Plan) WeeklySeries(live func(EpochView)) *Out[*churn.Series] {
 				Blacklist: s.World.ScanBlacklist(),
 				StartWeek: cursor,
 				Prev:      tracker.Snapshot(),
-			}
-			if store != nil {
-				// Route each week through the resumable sweep so the
-				// rendezvous checkpoints reach the store mid-week.
-				weekly.Sweep = func(ctx context.Context, week int) (*scanner.SweepResult, error) {
-					rc := &scanner.ResumeControl{
-						Save: func(sck *scanner.SweepCheckpoint) error {
-							return save(store, sweepDocName, weekSweepState{Week: week, Ck: *sck})
-						},
-					}
-					if week == cursor {
-						rc.Prev = prevSweep
-					}
-					return s.Scanner.SweepResumeContext(ctx, weekly.Order, weekly.Seed+uint32(week), weekly.Blacklist, rc)
-				}
 			}
 			em := pipeline.NewEpochMetrics(s.Cfg.Metrics)
 			err = churn.StreamWeekly(ctx, s.Scanner, s.Transport, weekly, func(_ context.Context, d churn.EpochDelta) error {
@@ -98,9 +77,6 @@ func (p *Plan) WeeklySeries(live func(EpochView)) *Out[*churn.Series] {
 			})
 			if err != nil {
 				return nil, err
-			}
-			if store != nil {
-				store.Drop(sweepDocName) // reaches disk with the store's next save
 			}
 			out.V = tracker.Series()
 			counts := []pipeline.Count{{Name: "weeks scanned", Value: len(out.V.Weeks)}}

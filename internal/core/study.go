@@ -276,7 +276,8 @@ func (s *Study) RunWeeklySeriesContext(ctx context.Context) (*churn.Series, erro
 // SweepAtContext runs a single Internet-wide scan at a given week, on
 // every call; sharing one week's scan between experiments is a Plan's job.
 func (s *Study) SweepAtContext(ctx context.Context, week int) (*scanner.SweepResult, error) {
-	return s.SweepAtResumeContext(ctx, week, nil)
+	s.SetWeek(week)
+	return s.Scanner.SweepContext(ctx, s.Cfg.Order, s.Cfg.ScanSeed+uint32(week)*7919, s.World.ScanBlacklist())
 }
 
 // SweepShardAt runs shard `shard` of `of` of the week's Internet-wide

@@ -126,11 +126,12 @@ func scenarioArgs(chaos string) []string {
 // completing run's stdout — journaled sections replayed, interrupted
 // work redone — must match the uninterrupted run byte for byte.
 //
-// A checkpointed sweep runs Options.Workers senders, so what gets killed
-// is up to eight of them at or between rendezvous. Most rows start on
-// four procs and resume on one; the last row flips the other way, so the
-// resumed runs — the ones picking up another process's checkpoint — are
-// the ones whose senders truly run in parallel when the kill lands.
+// A checkpoint is saved only at a week commit or a section boundary, so
+// most kills land mid-sweep, with up to eight senders running, and the
+// resume re-sweeps that week or census. Most rows start on four procs
+// and resume on one; the last row flips the other way, so the resumed
+// runs — the ones picking up another process's checkpoint — are the ones
+// whose senders truly run in parallel when the kill lands.
 func TestCrashResumeByteIdentity(t *testing.T) {
 	gate(t)
 	bin := wildreportBin(t)
@@ -284,9 +285,9 @@ func TestTornCheckpointFallsBack(t *testing.T) {
 }
 
 // TestInterruptCheckpointsAndResumes pins the two-phase SIGINT
-// contract: the first interrupt drains to a rendezvous, checkpoints,
-// reports how to resume, and exits 3; the resumed run completes with
-// byte-identical output.
+// contract: the first interrupt drains to the next week commit or
+// section boundary, checkpoints, reports how to resume, and exits 3; the
+// resumed run completes with byte-identical output.
 func TestInterruptCheckpointsAndResumes(t *testing.T) {
 	gate(t)
 	bin := wildreportBin(t)

@@ -164,7 +164,7 @@ func TestBatchedDispatchMatchesPerProbe(t *testing.T) {
 	}
 	for _, sc := range scans {
 		run := func(split bool, workers int) any {
-			w, tr := resumeWorld(t, 14, "hostile")
+			w, tr := chaosWorld(t, 14, "hostile")
 			defer tr.Close()
 			var transport Transport = tr
 			if split {

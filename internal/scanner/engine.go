@@ -99,11 +99,6 @@ type scanRun struct {
 	miss func(u uint32) bool
 	// sent tallies the probes dispatched (nil = metrics off).
 	sent *metrics.Counter
-	// save, when set, persists a checkpoint of the run: from the
-	// rendezvous every `every` batches, and at each round boundary with
-	// done reporting that nothing is left to send.
-	save  func(done bool) error
-	every int
 
 	mu sync.Mutex
 	// round is 0 for the first pass, 1..rounds for retransmissions.
@@ -147,14 +142,14 @@ func (r *scanRun) pending() bool {
 	}
 }
 
-// run drives r through its rounds, starting at r.round (nonzero only for
-// a resumed sweep). Each round Options.Workers senders drain the source,
-// then the settle barrier fixes the answered set the next round's miss
+// run drives r through its rounds. Each round Options.Workers senders
+// drain the source, then the settle barrier fixes the answered set the
+// next round's miss
 // check reads — an item is pulled once per round, so whether it is still
 // silent is settled before the round starts, and the probes sent are
 // independent of Workers. The scan ends after its last retry round or,
 // before that, at the first round boundary with nothing left silent;
-// context death and save errors surface.
+// context death surfaces.
 func (s *Scanner) run(ctx context.Context, r *scanRun) error {
 	for {
 		if err := ctx.Err(); err != nil {
@@ -163,11 +158,7 @@ func (s *Scanner) run(ctx context.Context, r *scanRun) error {
 		if r.round > 0 {
 			s.m.retryRound.Inc()
 		}
-		var rz *rendezvous
-		if r.save != nil {
-			rz = newRendezvous(s.opts.Workers, r.every, func() error { return r.save(false) })
-		}
-		err := s.sendRound(ctx, r, rz)
+		err := s.sendRound(ctx, r)
 		if err == nil {
 			err = s.settle(ctx)
 		}
@@ -176,15 +167,7 @@ func (s *Scanner) run(ctx context.Context, r *scanRun) error {
 		}
 		r.src.Reset()
 		r.round++
-		done := r.round > r.rounds || !r.pending()
-		if r.save != nil {
-			// Round boundary: force a checkpoint, so a crash early in the
-			// next round (or after the last one) does not replay this one.
-			if err := r.save(done); err != nil {
-				return err
-			}
-		}
-		if done {
+		if r.round > r.rounds || !r.pending() {
 			return ctx.Err()
 		}
 	}
@@ -198,17 +181,12 @@ func (s *Scanner) run(ctx context.Context, r *scanRun) error {
 // results stay schedule-independent.
 //
 // A cancelled context stops each worker at its next pull (at most one
-// in-flight batch per worker completes). rz, when set, is the checkpoint
-// rendezvous every worker visits after each batch; a nil rz adds no lock
-// and no allocation to the batch.
-func (s *Scanner) sendRound(ctx context.Context, r *scanRun, rz *rendezvous) error {
+// in-flight batch per worker completes).
+func (s *Scanner) sendRound(ctx context.Context, r *scanRun) error {
 	limited := s.rate.interval != 0
 	retry := r.round > 0
 	build := r.build(r.round)
 	sender := func() error {
-		if rz != nil {
-			defer rz.finish()
-		}
 		bat := probeBatchPool.Get().(*probeBatch)
 		defer probeBatchPool.Put(bat)
 		for {
@@ -238,11 +216,6 @@ func (s *Scanner) sendRound(ctx context.Context, r *scanRun, rz *rendezvous) err
 				s.m.batchSize.Observe(int64(len(probes)))
 				//lint:allow errdrop send failures are modeled packet loss
 				s.tr.SendBatch(ctx, probes)
-			}
-			if rz != nil {
-				if err := rz.pause(); err != nil {
-					return err
-				}
 			}
 		}
 	}

@@ -21,6 +21,18 @@ func testWorld(t testing.TB, order uint) (*wildnet.World, *wildnet.MemTransport)
 	return w, wildnet.NewMemTransport(w, wildnet.VantagePrimary)
 }
 
+// chaosWorld is testWorld under a named fault profile.
+func chaosWorld(t testing.TB, order uint, profile string) (*wildnet.World, *wildnet.MemTransport) {
+	t.Helper()
+	cfg := wildnet.DefaultConfig(order)
+	cfg.Faults = wildnet.MustChaosProfile(profile)
+	w, err := wildnet.NewWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w, wildnet.NewMemTransport(w, wildnet.VantagePrimary)
+}
+
 func testScanner(tr Transport) *Scanner {
 	return New(tr, Options{Workers: 4, SettleDelay: time.Millisecond})
 }

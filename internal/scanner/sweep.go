@@ -141,10 +141,10 @@ func (st *sweepCollector) receive(src netip4, srcPort, dstPort uint16, payload [
 // Cancellation is honored between send batches and during the settle
 // wait. A cancelled sweep returns ctx.Err() together with a consistent
 // partial result: every response collected before the abort is present,
-// sorted, and counted, so callers that tolerate partial censuses (e.g. a
-// checkpointing orchestrator) can keep it.
+// sorted, and counted, so callers that tolerate partial censuses can keep
+// it.
 func (s *Scanner) SweepContext(ctx context.Context, order uint, seed uint32, bl *lfsr.Blacklist) (*SweepResult, error) {
-	return s.sweep(ctx, order, seed, bl, 0, 1, nil)
+	return s.sweep(ctx, order, seed, bl, 0, 1)
 }
 
 // SweepShardContext probes shard `shard` of `of` of a 2^order sweep: the
@@ -157,14 +157,13 @@ func (s *Scanner) SweepContext(ctx context.Context, order uint, seed uint32, bl 
 // loss draws — and therefore the responder set — cannot depend on `of`.
 // The result holds only this shard's probes and responders.
 func (s *Scanner) SweepShardContext(ctx context.Context, order uint, seed uint32, bl *lfsr.Blacklist, shard, of int) (*SweepResult, error) {
-	return s.sweep(ctx, order, seed, bl, shard, of, nil)
+	return s.sweep(ctx, order, seed, bl, shard, of)
 }
 
 // sweep is the sweep's entry to the scan engine, behind SweepContext (full
-// permutation), SweepShardContext (one leapfrog shard of it) and
-// SweepResumeContext (a ResumeControl attached): the target source is the
-// LFSR generator, the builder the census template, and SweepRetries the
-// retry rounds.
+// permutation) and SweepShardContext (one leapfrog shard of it): the
+// target source is the LFSR generator, the builder the census template,
+// and SweepRetries the retry rounds.
 //
 // A census sends exactly one probe per target: retransmitting to the
 // silent majority (non-resolvers) would double the scan for a
@@ -173,12 +172,7 @@ func (s *Scanner) SweepShardContext(ctx context.Context, order uint, seed uint32
 // for the fault profiles: they re-probe only still-silent targets with an
 // attempt-salted anti-caching prefix, so every retransmission is a new
 // packet with a fresh loss draw.
-//
-// With rc set the senders quiesce at a rendezvous every 16 batches (the
-// package's tests lower that through rc.everyBatches) and at every round
-// boundary, and a consistent SweepCheckpoint goes to rc.Save (see
-// resume.go); with rc nil that hook costs nothing.
-func (s *Scanner) sweep(ctx context.Context, order uint, seed uint32, bl *lfsr.Blacklist, shard, of int, rc *ResumeControl) (*SweepResult, error) {
+func (s *Scanner) sweep(ctx context.Context, order uint, seed uint32, bl *lfsr.Blacklist, shard, of int) (*SweepResult, error) {
 	if s.tr == nil {
 		return nil, ErrNoTransport
 	}
@@ -205,23 +199,6 @@ func (s *Scanner) sweep(ctx context.Context, order uint, seed uint32, bl *lfsr.B
 			return !answered
 		},
 		sent: s.m.sweepSent,
-	}
-	if rc != nil && rc.Save != nil {
-		run.every = rc.everyBatches
-		run.save = func(done bool) error {
-			ck := s.checkpointSweep(run, st)
-			ck.Done = done
-			return rc.Save(ck)
-		}
-		if rc.Prev != nil {
-			done, err := s.restoreSweep(run, st, rc.Prev, bl)
-			if err != nil {
-				return nil, err
-			}
-			if done {
-				return s.collectSweep(st, run.probed), nil
-			}
-		}
 	}
 	err = s.run(ctx, run)
 	return s.collectSweep(st, run.probed), err

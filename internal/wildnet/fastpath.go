@@ -29,8 +29,8 @@ import (
 // A rejected datagram never touches the base loss draw (pure and
 // unmetered), the fault loss draw and its wildnet.fault.drop.query /
 // .drop.burst counters, the flap check and wildnet.fault.flap.suppressed,
-// or the per-transport attempt counter (so SweepCheckpoint.Attempts
-// lists deliverable destinations only). Those counters therefore read
+// or the per-transport attempt counter (so the list scans' retransmission
+// map holds deliverable destinations only). Those counters therefore read
 // "faults injected into exchanges with a live endpoint". The reject is
 // itself counted, in wildnet.send.rejected.
 
