@@ -57,18 +57,18 @@ func main() {
 	given := map[string]bool{}
 	flag.Visit(func(fl *flag.Flag) { given[fl.Name] = true })
 	if err := checkModes(given); err != nil {
-		usage(err)
+		f.Usage(err)
 	}
 	// -exp is a filter over the section table; a name the table does not
 	// know is a usage error, not an empty report.
 	table, err := cli.Select(sections(&r, *export), *exps)
 	if err != nil {
-		usage(err)
+		f.Usage(err)
 	}
 	shard, of := 0, 0
 	if *shardSpec != "" {
 		if shard, of, err = parseShard(*shardSpec); err != nil {
-			usage(err)
+			f.Usage(err)
 		}
 	}
 	ctx, runner, release := f.Context(context.Background(), fmt.Sprintf(
@@ -113,12 +113,6 @@ func main() {
 	if err := r.Plan.Run(ctx); err != nil {
 		f.Fatal(err)
 	}
-}
-
-// usage reports a bad command line and exits 2, as the flag package does.
-func usage(err error) {
-	fmt.Fprintln(os.Stderr, "wildreport:", err)
-	os.Exit(2)
 }
 
 // exclusive are the flag pairs of two modes that cannot run together: the

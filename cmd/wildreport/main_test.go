@@ -174,23 +174,65 @@ func TestModeFlagsConflict(t *testing.T) {
 }
 
 // TestRefusalsExitTwo runs the refusals end to end: each is a usage
-// error before any work, and -shard-out alone writes no file.
+// error before any work, -shard-out alone writes no file, and an unknown
+// -chaos profile leaves no -checkpoint directory behind.
 func TestRefusalsExitTwo(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "s.json")
+	ckpt := filepath.Join(t.TempDir(), "ckpt")
 	for _, args := range [][]string{
 		{"-order", "14", "-shard-out", out},
 		{"-order", "14", "-shard", "0/4x", "-shard-out", out},
 		{"-order", "14", "-shard", "0/4", "-shard-out", out, "-exp", "census"},
 		{"-order", "14", "-shard", "0/4", "-shard-out", out, "-markdown"},
 		{"-order", "14", "-exp", "tabel3"},
+		{"-order", "14", "-resume"},
+		{"-order", "14", "-chaos", "bogus", "-checkpoint", ckpt},
 	} {
 		stdout, stderr, exit := wildreport(t, args...)
 		if exit != 2 || stdout != "" || !strings.HasPrefix(stderr, "wildreport: ") {
 			t.Errorf("wildreport %v: exit %d, stdout %q, stderr %q; want exit 2 and a diagnostic", args, exit, stdout, stderr)
 		}
 	}
-	if _, err := os.Stat(out); !os.IsNotExist(err) {
-		t.Errorf("a refused run left %s behind (stat err %v)", out, err)
+	for _, path := range []string{out, ckpt} {
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("a refused run left %s behind (stat err %v)", path, err)
+		}
+	}
+}
+
+// TestReportStageOrder pins the order a full report runs its stages in:
+// the order the section table adds them, each section's experiments
+// before the stage that renders it, one census shared by the week's
+// experiments.
+func TestReportStageOrder(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs an order-14 report")
+	}
+	_, stderr, exit := wildreport(t, "-order", "14", "-weeks", "4", "-week", "3", "-progress")
+	if exit != 0 {
+		t.Fatalf("exit %d: %s", exit, stderr)
+	}
+	var got []string
+	for _, line := range strings.Split(stderr, "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "wildreport:" && f[1] == "stage" && f[3] == "start" {
+			got = append(got, f[2])
+		}
+	}
+	want := []string{
+		"weekly-scans", "render-series",
+		"ipv4-scan", "chaos-scan", "render-table3",
+		"device-fingerprint", "render-table4",
+		"week0-scan", "cohort-track", "render-fig2",
+		"cache-snoop", "render-util",
+		"domain-scan", "prefilter", "classify", "figure4", "render-domains",
+		"key-fetch@wikileaks.org", "race-probes@wikileaks.org", "render-dnssec",
+		"any-survey", "render-amp",
+		"minute-snoop", "render-popularity",
+		"netalyzr", "render-netalyzr",
+		"render-degraded",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("stages start in the order\n  %s\nwant\n  %s", strings.Join(got, " "), strings.Join(want, " "))
 	}
 }
 

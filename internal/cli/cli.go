@@ -21,6 +21,7 @@ import (
 	"goingwild/internal/metrics"
 	"goingwild/internal/pipeline"
 	"goingwild/internal/scanner"
+	"goingwild/internal/wildnet"
 )
 
 // Flags holds one binary's shared flags, valid after Parse. A binary whose
@@ -67,13 +68,25 @@ func (f *Flags) RegisterRun(plan bool) {
 	flag.StringVar(&f.DebugAddr, "debug-addr", "", "serve expvar/pprof/metrics over HTTP on this address (e.g. localhost:6060)")
 }
 
-// Parse parses the command line and checks the shared flags against each
-// other.
+// Parse parses the command line and checks the shared flags, before
+// anything touches the disk: -resume needs -checkpoint, and -chaos must
+// name a profile.
 func (f *Flags) Parse() {
 	flag.Parse()
 	if f.Resume && f.Checkpoint == "" {
-		f.Fatal(errors.New("-resume requires -checkpoint"))
+		f.Usage(errors.New("-resume requires -checkpoint"))
 	}
+	if f.Chaos != "" {
+		if _, err := wildnet.ChaosProfile(f.Chaos); err != nil {
+			f.Usage(err)
+		}
+	}
+}
+
+// Usage reports a bad command line and exits 2, as the flag package does.
+func (f *Flags) Usage(err error) {
+	fmt.Fprintf(os.Stderr, "%s: %v\n", f.prog, err)
+	os.Exit(2)
 }
 
 // Fatal reports err on stderr and exits: status 3 when err is the orderly

@@ -166,8 +166,8 @@ func (r *Report) Domains() *core.Out[*core.DomainStudyResult] {
 // entries the section's stages contributed; a resumed run adds no
 // experiment for a journaled section — its render stage replays the
 // recorded bytes and restores the entries — so the final "Degraded
-// stages" block matches the uninterrupted run's. Rendering needs no
-// edges: the plan runs stages in the order they were added.
+// stages" block matches the uninterrupted run's. The plan runs stages in
+// the order they were added, so a section renders after what it needs.
 func Sectioned(r *Report, sections []Section) {
 	mark := 0 // len(r.Study.Degraded) when the previous section closed
 	for _, sec := range sections {

@@ -59,8 +59,7 @@ func (p *Plan) DNSSECRace(week int, country, name string) *Out[*DNSSECRaceResult
 		return nil, nil
 	})
 	p.Add(pipeline.Stage{
-		Name:  "race-probes@" + name,
-		Needs: []string{"key-fetch@" + name},
+		Name: "race-probes@" + name,
 		Run: func(ctx context.Context) ([]pipeline.Count, error) {
 			var resolvers []uint32
 			for _, addr := range c.Resolvers {

@@ -78,8 +78,7 @@ func (p *Plan) DomainStudy(week int, cats []domains.Category) *Out[*DomainStudyR
 
 	// ❸ DNS-based prefiltering.
 	p.Add(pipeline.Stage{
-		Name:  "prefilter",
-		Needs: []string{"domain-scan"},
+		Name: "prefilter",
 		Run: func(ctx context.Context) ([]pipeline.Count, error) {
 			res.Pre = prefilter.Run(res.Scan, s.PrefilterEnv(ctx))
 			if err := ctx.Err(); err != nil {
@@ -94,8 +93,7 @@ func (p *Plan) DomainStudy(week int, cats []domains.Category) *Out[*DomainStudyR
 
 	// ❹–❻ Acquisition, clustering, labeling, case studies.
 	p.Add(pipeline.Stage{
-		Name:  "classify",
-		Needs: []string{"prefilter"},
+		Name: "classify",
 		Run: func(ctx context.Context) ([]pipeline.Count, error) {
 			client := s.client(ctx)
 			gt := classify.BuildGroundTruth(client, s.trustedResolver(ctx), names)
@@ -130,7 +128,6 @@ func (p *Plan) DomainStudy(week int, cats []domains.Category) *Out[*DomainStudyR
 	// is presentation, not measurement, hence best-effort.
 	p.Add(pipeline.Stage{
 		Name:   "figure4",
-		Needs:  []string{"classify"},
 		Policy: pipeline.BestEffort,
 		Run: func(ctx context.Context) ([]pipeline.Count, error) {
 			res.Fig4 = classify.BuildFigure4(res.Scan, res.Pre, pipe.ResolverCountry,

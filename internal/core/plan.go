@@ -8,14 +8,14 @@ import (
 	"goingwild/internal/scanner"
 )
 
-// Plan is one report: one pipeline.Engine, the inputs its experiments
-// share, and the experiments themselves. Figure 3 starts with one "❶ full
-// IPv4 scan" per week, and every follow-up of §2.4–§4 targets the
-// resolver list that scan produced; a plan is that DAG. Census adds a
-// week's scan the first time the week is asked for, each experiment
-// method adds its own stages behind it and returns the handle its result
-// lands in, and Run executes the lot in the order it was added (a stage
-// is always added after the stages it needs). The sharing dies with the
+// Plan is one report: one list of pipeline stages, the inputs its
+// experiments share, and the experiments themselves. Figure 3 starts with
+// one "❶ full IPv4 scan" per week, and every follow-up of §2.4–§4 targets
+// the resolver list that scan produced. Census adds a week's scan the
+// first time the week is asked for, each experiment method adds its own
+// stages after it and returns the handle its result lands in, and Run
+// executes the lot in the order it was added, so a stage always runs
+// after the stages whose results it reads. The sharing dies with the
 // plan: Study.SweepAtContext sweeps on every call.
 //
 // The one invariant an experiment honours: its first stage re-seats the
@@ -30,7 +30,7 @@ import (
 // it leaves are ones no follow-up probe can hit.
 type Plan struct {
 	s      *Study
-	eng    *pipeline.Engine
+	stages []pipeline.Stage
 	store  SeriesStore
 	census map[int]*Census
 }
@@ -39,16 +39,30 @@ type Plan struct {
 // crash-safe: the series commits each finished week there and resumes
 // from the last commit a killed run left.
 func (s *Study) NewPlan(store SeriesStore) *Plan {
-	return &Plan{s: s, eng: s.engine(), store: store, census: map[int]*Census{}}
+	return &Plan{s: s, store: store, census: map[int]*Census{}}
 }
 
-// Add appends a stage; a name already taken panics.
-func (p *Plan) Add(st pipeline.Stage) { p.eng.MustAdd(st) }
+// Add appends a stage.
+func (p *Plan) Add(st pipeline.Stage) { p.stages = append(p.stages, st) }
 
-// Run executes the plan, once. Handles are valid when it returns nil.
+// Run executes the plan, once, on the wall clock. Handles are valid when
+// it returns nil. Every stage event goes to three sinks in turn: an
+// absorbed best-effort failure is filed in Study.Degraded (before the next
+// stage starts, so the list is as deterministic as the results), then
+// Study.Observer, then the metrics fold of Cfg.Metrics.
 func (p *Plan) Run(ctx context.Context) error {
-	_, err := p.eng.Run(ctx)
-	return err
+	s, fold := p.s, pipeline.MetricsObserver(p.s.Cfg.Metrics)
+	return pipeline.Run(ctx, scanner.SystemClock, p.stages, func(ev pipeline.StageEvent) {
+		if ev.Kind == pipeline.StageDegraded {
+			s.Degraded = append(s.Degraded, DegradedStage{Stage: ev.Stage, Err: ev.Err.Error()})
+		}
+		if s.Observer != nil {
+			s.Observer(ev)
+		}
+		if fold != nil {
+			fold(ev)
+		}
+	})
 }
 
 // Out is the typed handle to an experiment's result: V is set by the
@@ -67,7 +81,7 @@ func runOne[T any](ctx context.Context, s *Study, add func(*Plan) *Out[T]) (T, e
 }
 
 // Census is one week's "❶ full IPv4 scan", the input the week's
-// point-in-time experiments share: Stage names it for Needs edges, Sweep
+// point-in-time experiments share: Stage is its stage's name, Sweep
 // is its result and Resolvers the NOERROR population every follow-up scan
 // targets, both set when the stage runs and read-only after.
 type Census struct {
@@ -111,13 +125,12 @@ func (c *Census) counts() []pipeline.Count {
 	}
 }
 
-// follow adds the stage an experiment opens with: it needs the census
+// follow adds the stage an experiment opens with: it reads the census
 // and re-seats the clock at the census week (see Plan). The experiment's
 // later stages continue on the clock this one leaves.
 func (c *Census) follow(name string, policy pipeline.Policy, run func(ctx context.Context) ([]pipeline.Count, error)) {
 	c.p.Add(pipeline.Stage{
 		Name:   name,
-		Needs:  []string{c.Stage},
 		Policy: policy,
 		Run: func(ctx context.Context) ([]pipeline.Count, error) {
 			c.p.s.SetWeek(c.Week)

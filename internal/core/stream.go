@@ -16,6 +16,11 @@ type EpochView struct {
 	Delta churn.EpochDelta
 }
 
+// deltaSizeBuckets are the upper bounds of the per-epoch delta-batch
+// size histogram: zero for quiet epochs, then decades up to the order-24
+// scale where a first epoch's "delta" is the entire census.
+var deltaSizeBuckets = []int64{0, 10, 100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000}
+
 // WeeklySeries adds the §2.2 longitudinal scans (Figure 1 and, via the
 // retained endpoints, Tables 1–2) as the one stage "weekly-scans":
 // churn.StreamWeekly — the program's only weekly loop — into an inline
@@ -55,14 +60,15 @@ func (p *Plan) WeeklySeries(live func(EpochView)) *Out[*churn.Series] {
 				StartWeek: cursor,
 				Prev:      tracker.Snapshot(),
 			}
-			em := pipeline.NewEpochMetrics(s.Cfg.Metrics)
+			deltaSize := s.Cfg.Metrics.Histogram("pipeline.delta.size", deltaSizeBuckets)
+			epochs := s.Cfg.Metrics.Counter("pipeline.epoch.done")
 			err = churn.StreamWeekly(ctx, s.Scanner, s.Transport, weekly, func(_ context.Context, d churn.EpochDelta) error {
-				em.DeltaSize.Observe(int64(len(d.Deltas)))
+				deltaSize.Observe(int64(len(d.Deltas)))
 				obs, err := tracker.Apply(d)
 				if err != nil {
 					return err
 				}
-				em.Epochs.Inc()
+				epochs.Inc()
 				if store != nil {
 					// Commit the cursor: everything up to and including this
 					// week is now derivable from the store alone.

@@ -51,7 +51,7 @@ type Config struct {
 	SweepRetries int
 	// Metrics, when set, is threaded through every layer of the study —
 	// the scanners (primary and secondary vantage), the world's fault
-	// layer, and the pipeline engines — so one registry accumulates the
+	// layer, and the plans' stage events — so one registry accumulates the
 	// whole run. A pure side channel: study outputs are byte-identical
 	// with and without it.
 	Metrics *metrics.Registry
@@ -101,13 +101,10 @@ type Study struct {
 	// attaching a progress printer cannot perturb the determinism
 	// contract.
 	Observer pipeline.Observer
-	// EngineClock times pipeline stages; nil means scanner.SystemClock.
-	EngineClock scanner.Clock
 
 	// Degraded accumulates the best-effort stages whose failures were
-	// absorbed, in execution order, filed as the engine announces them
-	// (on its own goroutine, before the next stage starts), so it is as
-	// deterministic as the results themselves. Empty on a clean run.
+	// absorbed, in execution order, filed as a plan announces them (see
+	// Plan.Run). Empty on a clean run.
 	Degraded []DegradedStage
 
 	trustedDNS uint32
@@ -252,20 +249,6 @@ func (s *Study) locator() churn.Locator {
 	}
 }
 
-// engine builds a stage engine wired to the study's observer and clock,
-// teeing stage events into the metrics registry when one is attached and
-// filing every absorbed best-effort failure in Degraded.
-func (s *Study) engine() *pipeline.Engine {
-	return pipeline.New(s.EngineClock,
-		pipeline.TeeObservers(s.noteDegraded, s.Observer, pipeline.MetricsObserver(s.Cfg.Metrics)))
-}
-
-func (s *Study) noteDegraded(ev pipeline.StageEvent) {
-	if ev.Kind == pipeline.StageDegraded {
-		s.Degraded = append(s.Degraded, DegradedStage{Stage: ev.Stage, Err: ev.Err.Error()})
-	}
-}
-
 // RunWeeklySeriesContext performs the §2.2 longitudinal scans (Figure 1
 // and, via the retained endpoints, Tables 1–2). A resumable run, or one
 // that watches the epochs go by, is a plan: NewPlan(store).WeeklySeries.
@@ -310,8 +293,7 @@ func (p *Plan) Cohort(weeks int) *Out[*churn.CohortStudy] {
 		},
 	})
 	p.Add(pipeline.Stage{
-		Name:  "cohort-track",
-		Needs: []string{"week0-scan"},
+		Name: "cohort-track",
 		Run: func(ctx context.Context) ([]pipeline.Count, error) {
 			var err error
 			out.V, err = churn.RunCohort(ctx, s.Scanner, s.Transport, cohort, weeks, s.trustedDNS)
@@ -435,8 +417,7 @@ func (p *Plan) Verification(week int) *Out[*VerificationResult] {
 		},
 	})
 	p.Add(pipeline.Stage{
-		Name:  "compare-vantages",
-		Needs: []string{c.Stage, "secondary-scan"},
+		Name: "compare-vantages",
 		Run: func(ctx context.Context) ([]pipeline.Count, error) {
 			primary := c.Sweep
 			primarySet := make(map[uint32]bool, primary.Total())

@@ -109,66 +109,6 @@ func TestJumpMatchesNext(t *testing.T) {
 	}
 }
 
-// TestSkipProperty is the satellite's resumability contract: with no
-// blacklist, Skip(n) followed by Next equals n Next calls followed by
-// Next — for full generators and for shards.
-func TestSkipProperty(t *testing.T) {
-	for _, tc := range []struct{ shard, of int }{{0, 1}, {0, 4}, {3, 4}, {5, 8}} {
-		for _, n := range []uint64{0, 1, 13, 255, 4095, 100_000} {
-			skip, err := ShardedGenerator(16, 0x5EED, nil, tc.shard, tc.of)
-			if err != nil {
-				t.Fatal(err)
-			}
-			skip.Skip(n)
-			walk, err := ShardedGenerator(16, 0x5EED, nil, tc.shard, tc.of)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := uint64(0); i < n; i++ {
-				walk.NextU32()
-			}
-			if skip.Emitted() != walk.Emitted() {
-				t.Fatalf("shard %d/%d Skip(%d): emitted %d, walked %d", tc.shard, tc.of, n, skip.Emitted(), walk.Emitted())
-			}
-			su, sok := skip.NextU32()
-			wu, wok := walk.NextU32()
-			if su != wu || sok != wok {
-				t.Fatalf("shard %d/%d Skip(%d)+Next = (%#x,%v), walked Next = (%#x,%v)", tc.shard, tc.of, n, su, sok, wu, wok)
-			}
-		}
-	}
-}
-
-// TestStateResume round-trips a mid-walk snapshot, with a blacklist in
-// play, and checks the resumed stream continues identically.
-func TestStateResume(t *testing.T) {
-	bl := DefaultReserved()
-	for _, tc := range []struct{ shard, of int }{{0, 1}, {2, 4}} {
-		g, err := ShardedGenerator(16, 0xABCD, bl, tc.shard, tc.of)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 1000; i++ {
-			g.NextU32()
-		}
-		st := g.State()
-		resumed, err := Resume(st, bl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 5000; i++ {
-			gu, gok := g.NextU32()
-			ru, rok := resumed.NextU32()
-			if gu != ru || gok != rok {
-				t.Fatalf("shard %d/%d resumed stream diverges at %d: (%#x,%v) vs (%#x,%v)", tc.shard, tc.of, i, gu, gok, ru, rok)
-			}
-			if !gok {
-				break
-			}
-		}
-	}
-}
-
 // TestShardedGeneratorRejectsBadShard covers constructor validation.
 func TestShardedGeneratorRejectsBadShard(t *testing.T) {
 	for _, tc := range []struct{ shard, of int }{{-1, 4}, {4, 4}, {0, 0}, {1, -2}} {

@@ -26,8 +26,6 @@ type TargetGenerator struct {
 	// slots leapfrogged over).
 	emitted uint64
 	period  uint64
-	order   uint
-	seed    uint32
 	// stride is the leapfrog decimation factor (1 for a full-permutation
 	// generator); offset is this shard's first slot index.
 	stride uint64
@@ -44,7 +42,7 @@ func NewTargetGenerator(order uint, seed uint32, bl *Blacklist) (*TargetGenerato
 // the walker that emits every of-th slot of the seed's permutation
 // starting at slot `shard` (leapfrog decimation, as ZMap shards its
 // cyclic-group permutation). Shards of the same (order, seed) partition
-// the address space exactly; each is independently resumable via State.
+// the address space exactly.
 func ShardedGenerator(order uint, seed uint32, bl *Blacklist, shard, of int) (*TargetGenerator, error) {
 	if of < 1 || shard < 0 || shard >= of {
 		return nil, fmt.Errorf("lfsr: shard %d/%d out of range", shard, of)
@@ -57,8 +55,6 @@ func ShardedGenerator(order uint, seed uint32, bl *Blacklist, shard, of int) (*T
 		reg:       reg,
 		blacklist: bl,
 		period:    reg.Period(),
-		order:     order,
-		seed:      seed,
 		stride:    uint64(of),
 		offset:    uint64(shard),
 	}
@@ -134,68 +130,6 @@ func (g *TargetGenerator) NextBatch(dst []uint32) int {
 		n++
 	}
 	return n
-}
-
-// Emitted returns how many raw permutation slots have been consumed
-// (including blacklisted skips and leapfrogged slots of other shards).
-func (g *TargetGenerator) Emitted() uint64 { return g.emitted }
-
-// Skip seeks the generator forward past its next n slots without walking
-// them: for a full-permutation generator that is n permutation slots, for
-// shard i of M it is n of the shard's own (stride-spaced) slots. Skipped
-// slots count as consumed whether or not they were blacklisted, so with a
-// nil blacklist Skip(n) followed by Next yields exactly what the (n+1)-th
-// Next call would have. The seek runs in O(log n) register operations —
-// no replay — which is what makes a resumed or freshly-offset shard cheap
-// at order 32.
-func (g *TargetGenerator) Skip(n uint64) {
-	if n == 0 || g.emitted >= g.period {
-		return
-	}
-	raw := n * g.stride
-	if remaining := g.period - g.emitted; raw > remaining {
-		raw = remaining
-	}
-	g.reg.Jump(raw)
-	g.emitted += raw
-}
-
-// GeneratorState is a resumable TargetGenerator position: everything
-// needed to rebuild the walker and seek it back to where it stopped, in
-// O(log n) time. The blacklist is not part of the state — the resumer
-// supplies it, exactly as the original constructor did.
-type GeneratorState struct {
-	Order   uint
-	Seed    uint32
-	Shard   int
-	Of      int
-	Emitted uint64 // raw permutation slots consumed
-}
-
-// State snapshots the generator's position for later Resume.
-func (g *TargetGenerator) State() GeneratorState {
-	return GeneratorState{
-		Order:   g.order,
-		Seed:    g.seed,
-		Shard:   int(g.offset),
-		Of:      int(g.stride),
-		Emitted: g.emitted,
-	}
-}
-
-// Resume rebuilds a generator from a saved State and seeks it to the
-// recorded position without replaying the permutation.
-func Resume(st GeneratorState, bl *Blacklist) (*TargetGenerator, error) {
-	g, err := ShardedGenerator(st.Order, st.Seed, bl, st.Shard, st.Of)
-	if err != nil {
-		return nil, err
-	}
-	if st.Emitted < g.emitted || st.Emitted > g.period {
-		return nil, fmt.Errorf("lfsr: resume position %d outside shard %d/%d walk", st.Emitted, st.Shard, st.Of)
-	}
-	g.reg.Jump(st.Emitted - g.emitted)
-	g.emitted = st.Emitted
-	return g, nil
 }
 
 // Reset rewinds the generator to the start of its (shard of the)

@@ -9,28 +9,27 @@ import (
 	"goingwild/internal/metrics"
 )
 
-// TestMetricsObserverFoldsStageEvents runs a four-stage engine on a
-// fake clock and asserts the full metric fold: lifecycle tallies,
-// per-stage timing gauges (exact, because the clock is fake), the
-// duration histogram, and tuple counts.
+// TestMetricsObserverFoldsStageEvents runs three stages on a fake clock
+// and asserts the full metric fold: lifecycle tallies, per-stage timing
+// gauges (exact, because the clock is fake), the duration histogram, and
+// tuple counts.
 func TestMetricsObserverFoldsStageEvents(t *testing.T) {
 	clock := newFakeClock()
 	reg := metrics.New()
-	e := New(clock, MetricsObserver(reg))
-	e.MustAdd(Stage{Name: "sweep", Run: func(ctx context.Context) ([]Count, error) {
-		clock.Sleep(40 * time.Millisecond)
-		return []Count{{"responders", 7}, {"probes", 100}}, nil
-	}})
-	e.MustAdd(Stage{Name: "prefilter", Needs: []string{"sweep"}, Policy: BestEffort,
-		Run: func(ctx context.Context) ([]Count, error) {
+	err := Run(context.Background(), clock, []Stage{
+		{Name: "sweep", Run: func(ctx context.Context) ([]Count, error) {
+			clock.Sleep(40 * time.Millisecond)
+			return []Count{{"responders", 7}, {"probes", 100}}, nil
+		}},
+		{Name: "prefilter", Policy: BestEffort, Run: func(ctx context.Context) ([]Count, error) {
 			clock.Sleep(3 * time.Millisecond)
 			return nil, errors.New("partial input")
-		}})
-	e.MustAdd(Stage{Name: "classify", Needs: []string{"prefilter"},
-		Run: func(ctx context.Context) ([]Count, error) {
+		}},
+		{Name: "classify", Run: func(ctx context.Context) ([]Count, error) {
 			return []Count{{"responders", 2}}, nil
-		}})
-	if _, err := e.Run(context.Background()); err != nil {
+		}},
+	}, MetricsObserver(reg))
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -70,13 +69,11 @@ func TestMetricsObserverFoldsStageEvents(t *testing.T) {
 // failed once and skipped for each stage that never ran.
 func TestMetricsObserverCountsSkips(t *testing.T) {
 	reg := metrics.New()
-	e := New(newFakeClock(), MetricsObserver(reg))
-	e.MustAdd(Stage{Name: "boom", Run: func(ctx context.Context) ([]Count, error) {
-		return nil, errors.New("fatal")
-	}})
-	e.MustAdd(Stage{Name: "after", Needs: []string{"boom"},
-		Run: func(ctx context.Context) ([]Count, error) { return nil, nil }})
-	if _, err := e.Run(context.Background()); err == nil {
+	err := Run(context.Background(), newFakeClock(), []Stage{
+		{Name: "boom", Run: func(ctx context.Context) ([]Count, error) { return nil, errors.New("fatal") }},
+		{Name: "after", Run: func(ctx context.Context) ([]Count, error) { return nil, nil }},
+	}, MetricsObserver(reg))
+	if err == nil {
 		t.Fatal("required-stage failure did not surface")
 	}
 	s := reg.Snapshot()
@@ -91,25 +88,8 @@ func TestMetricsObserverCountsSkips(t *testing.T) {
 	}
 }
 
-// TestTeeObservers pins the fan-out contract: nils are dropped, all-nil
-// collapses to nil (so the engine skips emission entirely), and live
-// observers see every event in argument order.
-func TestTeeObservers(t *testing.T) {
-	if TeeObservers(nil, nil) != nil {
-		t.Error("tee of nils is not nil")
-	}
-	var order []string
-	a := func(ev StageEvent) { order = append(order, "a:"+ev.Stage) }
-	b := func(ev StageEvent) { order = append(order, "b:"+ev.Stage) }
-	tee := TeeObservers(a, nil, b)
-	tee(StageEvent{Stage: "x", Kind: StageStart})
-	if len(order) != 2 || order[0] != "a:x" || order[1] != "b:x" {
-		t.Errorf("tee order = %v", order)
-	}
-}
-
 // TestMetricsObserverNilRegistry: observability off must cost the
-// engine nothing — a nil registry yields a nil observer.
+// pipeline nothing — a nil registry yields a nil observer.
 func TestMetricsObserverNilRegistry(t *testing.T) {
 	if MetricsObserver(nil) != nil {
 		t.Error("MetricsObserver(nil) is not nil")

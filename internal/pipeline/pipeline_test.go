@@ -29,108 +29,46 @@ func (c *fakeClock) Sleep(d time.Duration) {
 	c.mu.Unlock()
 }
 
-func okStage(name string, needs []string, log *[]string, counts ...Count) Stage {
-	return Stage{Name: name, Needs: needs, Run: func(ctx context.Context) ([]Count, error) {
+func okStage(name string, log *[]string, counts ...Count) Stage {
+	return Stage{Name: name, Run: func(ctx context.Context) ([]Count, error) {
 		*log = append(*log, name)
 		return counts, nil
 	}}
 }
 
-func TestRunFollowsDependencyOrder(t *testing.T) {
-	var log []string
-	e := New(newFakeClock(), nil)
-	// Added out of dependency order on purpose: Needs, not Add order,
-	// decides precedence, with Add order breaking ties.
-	e.MustAdd(okStage("classify", []string{"prefilter"}, &log))
-	e.MustAdd(okStage("sweep", nil, &log, Count{"responders", 7}))
-	e.MustAdd(okStage("prefilter", []string{"domain-scan"}, &log))
-	e.MustAdd(okStage("domain-scan", []string{"sweep"}, &log))
-	trace, err := e.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
+// kinds renders events as "stage:kind" in arrival order.
+func kinds(events []StageEvent) string {
+	var out []string
+	for _, ev := range events {
+		out = append(out, ev.Stage+":"+ev.Kind.String())
 	}
-	want := []string{"sweep", "domain-scan", "prefilter", "classify"}
-	if strings.Join(log, ",") != strings.Join(want, ",") {
-		t.Fatalf("execution order %v, want %v", log, want)
-	}
-	if len(trace.Stages) != 4 || trace.Stages[0].Name != "sweep" {
-		t.Fatalf("trace %+v", trace.Stages)
-	}
-	counts := trace.Counts()
-	if len(counts) != 1 || counts[0] != (Count{"responders", 7}) {
-		t.Fatalf("trace counts %v", counts)
-	}
+	return strings.Join(out, ",")
 }
 
 func TestRunOrderIsStableAcrossIndependentStages(t *testing.T) {
-	// Independent stages must run in Add order every time — map-order
-	// leakage here would reorder measurements between runs.
-	for trial := 0; trial < 20; trial++ {
-		var log []string
-		e := New(newFakeClock(), nil)
-		for _, name := range []string{"e", "a", "d", "b", "c"} {
-			e.MustAdd(okStage(name, nil, &log))
-		}
-		if _, err := e.Run(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		if got := strings.Join(log, ""); got != "eadbc" {
-			t.Fatalf("trial %d: order %q, want eadbc", trial, got)
-		}
+	// Stages run in slice order, whatever their names.
+	var log []string
+	var stages []Stage
+	for _, name := range []string{"e", "a", "d", "b", "c"} {
+		stages = append(stages, okStage(name, &log))
 	}
-}
-
-func TestAddValidation(t *testing.T) {
-	e := New(nil, nil)
-	if err := e.Add(Stage{Name: "", Run: func(context.Context) ([]Count, error) { return nil, nil }}); err == nil {
-		t.Error("empty name accepted")
-	}
-	if err := e.Add(Stage{Name: "x"}); err == nil {
-		t.Error("nil Run accepted")
-	}
-	if err := e.Add(Stage{Name: "x", Run: func(context.Context) ([]Count, error) { return nil, nil }}); err != nil {
+	if err := Run(context.Background(), newFakeClock(), stages, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Add(Stage{Name: "x", Run: func(context.Context) ([]Count, error) { return nil, nil }}); err == nil {
-		t.Error("duplicate name accepted")
-	}
-}
-
-func TestRunRejectsUnknownAndCyclicNeeds(t *testing.T) {
-	var log []string
-	e := New(nil, nil)
-	e.MustAdd(okStage("a", []string{"ghost"}, &log))
-	if _, err := e.Run(context.Background()); err == nil || !strings.Contains(err.Error(), "ghost") {
-		t.Errorf("unknown dependency: err = %v", err)
-	}
-	if len(log) != 0 {
-		t.Error("stage ran despite invalid DAG")
-	}
-
-	e = New(nil, nil)
-	e.MustAdd(okStage("a", []string{"b"}, &log))
-	e.MustAdd(okStage("b", []string{"a"}, &log))
-	if _, err := e.Run(context.Background()); err == nil || !strings.Contains(err.Error(), "cycle") {
-		t.Errorf("cycle: err = %v", err)
-	}
-
-	e = New(nil, nil)
-	e.MustAdd(okStage("a", []string{"a"}, &log))
-	if _, err := e.Run(context.Background()); err == nil {
-		t.Error("self-dependency accepted")
+	if got := strings.Join(log, ""); got != "eadbc" {
+		t.Fatalf("order %q, want eadbc", got)
 	}
 }
 
 func TestStageErrorStopsPipeline(t *testing.T) {
 	boom := errors.New("boom")
 	var log []string
-	e := New(newFakeClock(), nil)
-	e.MustAdd(okStage("a", nil, &log))
-	e.MustAdd(Stage{Name: "b", Needs: []string{"a"}, Run: func(ctx context.Context) ([]Count, error) {
-		return nil, boom
-	}})
-	e.MustAdd(okStage("c", []string{"b"}, &log))
-	trace, err := e.Run(context.Background())
+	var events []StageEvent
+	err := Run(context.Background(), newFakeClock(), []Stage{
+		okStage("a", &log),
+		{Name: "b", Run: func(ctx context.Context) ([]Count, error) { return nil, boom }},
+		okStage("c", &log),
+	}, func(ev StageEvent) { events = append(events, ev) })
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped boom", err)
 	}
@@ -140,71 +78,55 @@ func TestStageErrorStopsPipeline(t *testing.T) {
 	if strings.Join(log, ",") != "a" {
 		t.Errorf("ran %v, want only a", log)
 	}
-	if len(trace.Stages) != 2 || trace.Stages[0].Name != "a" || trace.Stages[1].Name != "b" {
-		t.Fatalf("partial trace %+v, want a then the failed b", trace.Stages)
+	if got, want := kinds(events), "a:start,a:done,b:start,b:failed,c:skipped"; got != want {
+		t.Errorf("events %s, want %s", got, want)
 	}
-	if !errors.Is(trace.Stages[1].Err, boom) || trace.Stages[1].Degraded {
-		t.Errorf("failed stage recorded as %+v, want Err=boom and not degraded", trace.Stages[1])
-	}
-	if strings.Join(trace.Skipped, ",") != "c" {
-		t.Errorf("skipped = %v, want [c]", trace.Skipped)
+	if !errors.Is(events[3].Err, boom) {
+		t.Errorf("failed event carries %v, want boom", events[3].Err)
 	}
 }
 
 func TestCancellationCheckpointBetweenStages(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var log []string
-	e := New(newFakeClock(), nil)
-	e.MustAdd(Stage{Name: "a", Run: func(ctx context.Context) ([]Count, error) {
-		log = append(log, "a")
-		cancel() // dies while a is running; b must never start
-		return nil, nil
-	}})
-	e.MustAdd(okStage("b", []string{"a"}, &log))
-	trace, err := e.Run(ctx)
+	var events []StageEvent
+	err := Run(ctx, newFakeClock(), []Stage{
+		{Name: "a", Run: func(ctx context.Context) ([]Count, error) {
+			log = append(log, "a")
+			cancel() // dies while a is running; b must never start
+			return nil, nil
+		}},
+		okStage("b", &log),
+	}, func(ev StageEvent) { events = append(events, ev) })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if strings.Join(log, ",") != "a" {
 		t.Errorf("ran %v, want only a", log)
 	}
-	if len(trace.Stages) != 1 {
-		t.Errorf("trace has %d stages, want the 1 that completed", len(trace.Stages))
-	}
-	if strings.Join(trace.Skipped, ",") != "b" {
-		t.Errorf("skipped = %v, want [b]", trace.Skipped)
+	if got, want := kinds(events), "a:start,a:done,b:skipped"; got != want {
+		t.Errorf("events %s, want %s", got, want)
 	}
 }
 
 func TestObserverSeesLifecycleAndTiming(t *testing.T) {
 	fc := newFakeClock()
 	var events []StageEvent
-	e := New(fc, func(ev StageEvent) { events = append(events, ev) })
-	e.MustAdd(Stage{Name: "slow", Run: func(ctx context.Context) ([]Count, error) {
-		fc.Sleep(3 * time.Second)
-		return []Count{{"tuples", 42}}, nil
-	}})
-	e.MustAdd(Stage{Name: "bad", Needs: []string{"slow"}, Run: func(ctx context.Context) ([]Count, error) {
-		return nil, errors.New("nope")
-	}})
-	trace, err := e.Run(context.Background())
+	err := Run(context.Background(), fc, []Stage{
+		{Name: "slow", Run: func(ctx context.Context) ([]Count, error) {
+			fc.Sleep(3 * time.Second)
+			return []Count{{"tuples", 42}}, nil
+		}},
+		{Name: "bad", Run: func(ctx context.Context) ([]Count, error) {
+			fc.Sleep(time.Second)
+			return nil, errors.New("nope")
+		}},
+	}, func(ev StageEvent) { events = append(events, ev) })
 	if err == nil {
 		t.Fatal("expected failure")
 	}
-	want := []struct {
-		stage string
-		kind  EventKind
-	}{
-		{"slow", StageStart}, {"slow", StageDone},
-		{"bad", StageStart}, {"bad", StageFailed},
-	}
-	if len(events) != len(want) {
-		t.Fatalf("got %d events, want %d: %+v", len(events), len(want), events)
-	}
-	for i, w := range want {
-		if events[i].Stage != w.stage || events[i].Kind != w.kind {
-			t.Errorf("event %d = %s/%s, want %s/%s", i, events[i].Stage, events[i].Kind, w.stage, w.kind)
-		}
+	if got, want := kinds(events), "slow:start,slow:done,bad:start,bad:failed"; got != want {
+		t.Fatalf("events %s, want %s", got, want)
 	}
 	if events[1].Elapsed != 3*time.Second {
 		t.Errorf("StageDone elapsed = %v, want exactly 3s on the fake clock", events[1].Elapsed)
@@ -215,8 +137,8 @@ func TestObserverSeesLifecycleAndTiming(t *testing.T) {
 	if events[3].Err == nil {
 		t.Error("StageFailed event carries no error")
 	}
-	if trace.Stages[0].Elapsed != 3*time.Second {
-		t.Errorf("trace elapsed = %v, want 3s", trace.Stages[0].Elapsed)
+	if events[3].Elapsed != time.Second {
+		t.Errorf("StageFailed elapsed = %v, want exactly 1s", events[3].Elapsed)
 	}
 }
 
@@ -227,9 +149,6 @@ func TestEventKindString(t *testing.T) {
 	if StageDegraded.String() != "degraded" || StageSkipped.String() != "skipped" {
 		t.Error("degradation EventKind names drifted")
 	}
-	if Required.String() != "required" || BestEffort.String() != "best-effort" {
-		t.Error("Policy names drifted")
-	}
 	if got := EventKind(9).String(); !strings.Contains(got, "9") {
 		t.Errorf("unknown kind = %q", got)
 	}
@@ -239,91 +158,66 @@ func TestBestEffortStageDegrades(t *testing.T) {
 	soft := errors.New("soft failure")
 	var log []string
 	var events []StageEvent
-	e := New(newFakeClock(), func(ev StageEvent) { events = append(events, ev) })
-	e.MustAdd(okStage("a", nil, &log))
-	e.MustAdd(Stage{Name: "b", Needs: []string{"a"}, Policy: BestEffort, Run: func(ctx context.Context) ([]Count, error) {
-		return nil, soft
-	}})
-	e.MustAdd(okStage("c", []string{"b"}, &log, Count{"tuples", 3}))
-	trace, err := e.Run(context.Background())
+	err := Run(context.Background(), newFakeClock(), []Stage{
+		okStage("a", &log),
+		{Name: "b", Policy: BestEffort, Run: func(ctx context.Context) ([]Count, error) { return nil, soft }},
+		okStage("c", &log, Count{"tuples", 3}),
+	}, func(ev StageEvent) { events = append(events, ev) })
 	if err != nil {
 		t.Fatalf("degraded run returned error %v, want nil", err)
 	}
 	if strings.Join(log, ",") != "a,c" {
 		t.Errorf("ran %v, want a and c around the degraded b", log)
 	}
-	if len(trace.Stages) != 3 {
-		t.Fatalf("trace %+v, want all three stages recorded", trace.Stages)
+	if got, want := kinds(events), "a:start,a:done,b:start,b:degraded,c:start,c:done"; got != want {
+		t.Errorf("events %s, want %s", got, want)
 	}
-	b := trace.Stages[1]
-	if b.Name != "b" || !errors.Is(b.Err, soft) || !b.Degraded {
-		t.Errorf("degraded stage recorded as %+v", b)
+	if !errors.Is(events[3].Err, soft) {
+		t.Errorf("degraded event carries %v, want the soft failure", events[3].Err)
 	}
-	deg := trace.Degraded()
-	if len(deg) != 1 || deg[0].Name != "b" {
-		t.Errorf("Degraded() = %+v, want just b", deg)
-	}
-	if len(trace.Skipped) != 0 {
-		t.Errorf("skipped = %v, want none", trace.Skipped)
-	}
-	// Downstream counts survive: the degraded stage contributes nothing.
-	counts := trace.Counts()
-	if len(counts) != 1 || counts[0] != (Count{"tuples", 3}) {
-		t.Errorf("counts = %v", counts)
-	}
-	var kinds []string
-	for _, ev := range events {
-		kinds = append(kinds, ev.Stage+":"+ev.Kind.String())
-	}
-	want := "a:start,a:done,b:start,b:degraded,c:start,c:done"
-	if strings.Join(kinds, ",") != want {
-		t.Errorf("events %v, want %s", kinds, want)
+	// The stage after the degraded one still reports its counts.
+	if c := events[5].Counts; len(c) != 1 || c[0] != (Count{"tuples", 3}) {
+		t.Errorf("counts after the degraded stage = %v", c)
 	}
 }
 
 func TestBestEffortCancellationStillAborts(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var log []string
-	e := New(newFakeClock(), nil)
-	e.MustAdd(Stage{Name: "a", Policy: BestEffort, Run: func(ctx context.Context) ([]Count, error) {
-		cancel()
-		return nil, ctx.Err()
-	}})
-	e.MustAdd(okStage("b", []string{"a"}, &log))
-	trace, err := e.Run(ctx)
+	var events []StageEvent
+	err := Run(ctx, newFakeClock(), []Stage{
+		{Name: "a", Policy: BestEffort, Run: func(ctx context.Context) ([]Count, error) {
+			cancel()
+			return nil, ctx.Err()
+		}},
+		okStage("b", &log),
+	}, func(ev StageEvent) { events = append(events, ev) })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled despite BestEffort", err)
 	}
 	if len(log) != 0 {
 		t.Errorf("ran %v after cancellation", log)
 	}
-	if strings.Join(trace.Skipped, ",") != "b" {
-		t.Errorf("skipped = %v, want [b]", trace.Skipped)
+	if got, want := kinds(events), "a:start,a:failed,b:skipped"; got != want {
+		t.Errorf("events %s, want %s", got, want)
 	}
 }
 
 func TestRequiredFailureEmitsSkippedEvents(t *testing.T) {
 	var log []string
 	var events []StageEvent
-	e := New(newFakeClock(), func(ev StageEvent) { events = append(events, ev) })
-	e.MustAdd(Stage{Name: "a", Run: func(ctx context.Context) ([]Count, error) {
-		return nil, errors.New("hard failure")
-	}})
-	e.MustAdd(okStage("b", []string{"a"}, &log))
-	e.MustAdd(okStage("c", []string{"b"}, &log))
-	trace, err := e.Run(context.Background())
+	err := Run(context.Background(), newFakeClock(), []Stage{
+		{Name: "a", Run: func(ctx context.Context) ([]Count, error) { return nil, errors.New("hard failure") }},
+		okStage("b", &log),
+		okStage("c", &log),
+	}, func(ev StageEvent) { events = append(events, ev) })
 	if err == nil {
 		t.Fatal("expected failure")
 	}
-	var kinds []string
-	for _, ev := range events {
-		kinds = append(kinds, ev.Stage+":"+ev.Kind.String())
+	if got, want := kinds(events), "a:start,a:failed,b:skipped,c:skipped"; got != want {
+		t.Errorf("events %s, want %s", got, want)
 	}
-	want := "a:start,a:failed,b:skipped,c:skipped"
-	if strings.Join(kinds, ",") != want {
-		t.Errorf("events %v, want %s", kinds, want)
-	}
-	if strings.Join(trace.Skipped, ",") != "b,c" {
-		t.Errorf("skipped = %v, want [b c]", trace.Skipped)
+	if len(log) != 0 {
+		t.Errorf("ran %v after the failure", log)
 	}
 }
