@@ -146,6 +146,83 @@ func (b *ResponseBuilder) RR(class Class, ttl uint32, data RData) {
 	b.body(data.appendTo(b.buf, &b.cmp))
 }
 
+// Canned is a run of answer records encoded once, to be appended to many
+// responses with a fresh TTL (AppendCanned). Its compression pointers
+// count from the first byte of the message it was cut from, so it is
+// valid behind exactly the header and question it followed there: a
+// question of the same canonical name, in any letter casing.
+type Canned struct {
+	// at is the length of the header and question the run followed.
+	at   int
+	wire []byte
+	// ttls are the offsets in wire of each record's TTL.
+	ttls []int
+}
+
+var (
+	errCannedShape    = errors.New("dnswire: canned records follow a question of another length")
+	errCannedSections = errors.New("dnswire: canned response must hold one question and answers only")
+)
+
+// CanAnswers cuts the answer records out of a finished response whose
+// other sections are empty, for AppendCanned to replay.
+func CanAnswers(msg []byte) (Canned, error) {
+	if len(msg) < 12 {
+		return Canned{}, ErrShortMessage
+	}
+	if binary.BigEndian.Uint16(msg[4:]) != 1 || binary.BigEndian.Uint32(msg[8:]) != 0 {
+		return Canned{}, errCannedSections
+	}
+	at, err := skipName(msg, 12)
+	if err != nil {
+		return Canned{}, err
+	}
+	at += 4
+	c := Canned{at: at, wire: append([]byte(nil), msg[at:]...)}
+	off := 0
+	for off < len(c.wire) {
+		if off, err = skipName(c.wire, off); err != nil {
+			return Canned{}, err
+		}
+		if off+10 > len(c.wire) {
+			return Canned{}, ErrShortMessage
+		}
+		c.ttls = append(c.ttls, off+4)
+		off += 10 + int(binary.BigEndian.Uint16(c.wire[off+8:]))
+	}
+	if off != len(c.wire) {
+		return Canned{}, ErrBadRData
+	}
+	if len(c.ttls) != int(binary.BigEndian.Uint16(msg[6:])) {
+		return Canned{}, ErrTooManyRecords
+	}
+	return c, nil
+}
+
+// AppendCanned appends c's records to the section being filled with
+// every TTL set to ttl: the bytes the record appenders would have
+// written for the same records. It must come straight after Begin, for
+// a question of the name c was cut behind — a question of another length
+// is refused as Finish reports — and records added behind it do not
+// compress against its names.
+//
+//lint:hotpath per-probe append of a pre-encoded snoop answer
+func (b *ResponseBuilder) AppendCanned(c *Canned, ttl uint32) {
+	if len(b.buf)-b.start != c.at {
+		if b.err == nil {
+			b.err = errCannedShape
+		}
+		return
+	}
+	p := b.extend(len(c.wire))
+	copy(p, c.wire)
+	for _, off := range c.ttls {
+		binary.BigEndian.PutUint32(p[off:], ttl)
+	}
+	n := b.buf[b.count:]
+	binary.BigEndian.PutUint16(n, binary.BigEndian.Uint16(n)+uint16(len(c.ttls)))
+}
+
 var errRDataTooLong = errors.New("dnswire: rdata exceeds 65535 bytes")
 
 // body closes a record whose RDATA an appendTo call wrote behind a

@@ -236,6 +236,74 @@ func TestResponseBuilderAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(200, answer); allocs != 0 {
 		t.Fatalf("building two responses allocates %.1f, want 0", allocs)
 	}
+	off, end, _ := b.Finish() // the last response: one A and two NS records
+	canned, err := CanAnswers(b.Message(off, end))
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay := func() {
+		b.Reset()
+		b.Begin(&v, "co.uk", RCodeNoError)
+		b.AppendCanned(&canned, 300)
+		if _, _, err := b.Finish(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(200, replay); allocs != 0 {
+		t.Fatalf("replaying canned records allocates %.1f, want 0", allocs)
+	}
+}
+
+// TestAppendCannedMatchesRecords: records cut from one response and
+// replayed behind the same question in another casing, with another ID
+// and TTL, are the bytes the NS appender writes there; a question of
+// another length is refused and leaves nothing in the arena.
+func TestAppendCannedMatchesRecords(t *testing.T) {
+	for _, c := range builderCases[4:6] { // the two snoop-shaped NS answers
+		lower := c
+		lower.name = strings.ToLower(c.name)
+		var b ResponseBuilder
+		off, end, err := lower.build(t, &b, lower.query(t, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		canned, err := CanAnswers(b.Message(off, end))
+		if err != nil {
+			t.Fatalf("%q: CanAnswers: %v", c.name, err)
+		}
+
+		var v View
+		if err := v.Reset(c.query(t, 0x4242)); err != nil {
+			t.Fatal(err)
+		}
+		cn := CanonicalName(c.name)
+		b.Reset()
+		b.Begin(&v, cn, RCodeNoError)
+		for _, r := range c.records {
+			b.NS(4711, strings.TrimPrefix(r, "NS:"))
+		}
+		off, end, _ = b.Finish()
+		want := append([]byte(nil), b.Message(off, end)...)
+		b.Begin(&v, cn, RCodeNoError)
+		b.AppendCanned(&canned, 4711)
+		off, end, err = b.Finish()
+		if got := b.Message(off, end); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%q: canned %x (%v)\n  records %x", c.name, got, err, want)
+		}
+
+		var other View
+		if err := other.Reset(builderCases[0].query(t, 3)); err != nil {
+			t.Fatal(err)
+		}
+		b.Begin(&other, "chase.com", RCodeNoError)
+		b.AppendCanned(&canned, 1)
+		if off, end, err := b.Finish(); !errors.Is(err, errCannedShape) || off != end {
+			t.Errorf("%q behind chase.com: span [%d, %d), err %v; want refused", c.name, off, end, err)
+		}
+	}
+	if _, err := CanAnswers([]byte{1, 2, 3}); err == nil {
+		t.Error("CanAnswers accepted a three-byte message")
+	}
 }
 
 // TestViewQueryAccessors: the accessors the simulated resolver reads a

@@ -310,10 +310,12 @@ func TestSendAnsweredAndTruncatedCounters(t *testing.T) {
 // batch of one and as a batch of 64 — for an A question on a scan-list
 // name (0x20-cased, as the domain scan sends it), for a name in a signed zone
 // (the RRSIG comes from the signature cache), and for a cache-snooping NS
-// question. The query is read through the exchange's View and the
-// response appended into its arena; a Message, a boxed record or a name
-// string anywhere on that path shows up here as a non-zero count. (The
-// handler before it cost 8 per A answer.)
+// question — each with the resolver's profile in the world's memo and at
+// a new hour, where the probe derives the profile and stores it. The
+// query is read through the exchange's View and the response appended
+// into its arena; a Message, a boxed record or a name string anywhere on
+// that path shows up here as a non-zero count. (The handler before it
+// cost 8 per A answer.)
 func TestAnsweredSendAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instruments allocations")
@@ -330,10 +332,7 @@ func TestAnsweredSendAllocs(t *testing.T) {
 		}
 		dnswire.PutView(v)
 	})
-	u, _ := findResolver(t, w, now, func(p Profile) bool {
-		return p.RCode == RCNoError && p.Manip == ManipHonest && p.Country == "US" &&
-			(p.Util == UtilInUseFast || p.Util == UtilResetting)
-	})
+	u := memoProbeResolver(t, w)
 	ctx := context.Background()
 	for _, tc := range []struct {
 		name string
@@ -376,5 +375,26 @@ func TestAnsweredSendAllocs(t *testing.T) {
 		}); allocs != 0 {
 			t.Errorf("%s %v: answered SendBatch allocates %.1f per batch of %d, want 0", tc.name, tc.typ, allocs, len(batch))
 		}
+		// The first probe of each new hour misses the memo.
+		answers = 0
+		probes, hits := 0, 0
+		if allocs := testing.AllocsPerRun(500, func() {
+			probes++
+			at := memoHour(probes)
+			var p Profile
+			if key, _ := profileKey(u, at); w.prof.lookup(u, key, &p) {
+				hits++
+			}
+			tr.SetTime(at)
+			if err := sendOne(ctx, tr, w.Addr(u), 53, 40000, payload); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s %v: answered one-probe batch at a new hour allocates %.1f per probe, want 0", tc.name, tc.typ, allocs)
+		}
+		if hits != 0 || answers != probes {
+			t.Errorf("%s %v: %d of %d new-hour probes found the profile in the memo, %d drew an answer record", tc.name, tc.typ, hits, probes, answers)
+		}
+		tr.SetTime(now)
 	}
 }

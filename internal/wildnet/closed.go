@@ -62,7 +62,7 @@ func (w *World) handleClientDNS(x *exchange, client uint32, payload []byte, t Ti
 	}
 	client = w.Mask(client)
 	resolver := w.ClosedResolverOf(client)
-	qname, d, listed := x.qname()
+	qname, d, listed, _ := x.qname()
 	if w.geo.BlockOf(client) != w.geo.BlockOf(resolver) {
 		x.begin(qname, dnswire.RCodeRefused)
 		return x.emit(resolver, 53, 0)

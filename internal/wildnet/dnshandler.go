@@ -150,7 +150,7 @@ func (w *World) handleDNS(x *exchange, v Vantage, srcPort uint16, dst uint32, pa
 		// The injector reacts to queries into Chinese address space
 		// even when no resolver lives there.
 		if q.QType() == dnswire.TypeA && w.geo.ASOfU32(dst).Country == "CN" {
-			if qname, _, _ := x.qname(); gfwListed(qname) {
+			if qname, _, _, _ := x.qname(); gfwListed(qname) {
 				x.begin(qname, dnswire.RCodeNoError)
 				w.addA(x, w.gfwRandomAddr(uint64(dst), qname))
 				return x.emit(dst, srcPort, 2)
@@ -173,7 +173,7 @@ func (w *World) handleDNS(x *exchange, v Vantage, srcPort uint16, dst uint32, pa
 		toPort = uint16(1024 + prand.Hash(p.Identity, 0x9048, uint64(seq))%50000)
 	}
 	delay := 5 + int(prand.Hash(p.Identity, uint64(seq))%115)
-	qname, d, listed := x.qname()
+	qname, d, listed, tld := x.qname()
 	status := func(rcode dnswire.RCode) []QueryResponse {
 		x.begin(qname, rcode)
 		return x.emit(src, toPort, delay)
@@ -206,10 +206,8 @@ func (w *World) handleDNS(x *exchange, v Vantage, srcPort uint16, dst uint32, pa
 	case dnswire.TypePTR:
 		w.answerPTR(x, qname)
 	case dnswire.TypeNS:
-		if !q.RD() {
-			if tldIdx := snoopedTLDIndex(qname); tldIdx >= 0 {
-				return w.answerSnoop(x, &p, qname, tldIdx, src, toPort, delay, t, seq)
-			}
+		if !q.RD() && tld >= 0 {
+			return w.answerSnoop(x, &p, qname, tld, src, toPort, delay, t, seq)
 		}
 		x.begin(qname, dnswire.RCodeNoError)
 		x.rb.NS(answerTTL, "ns1."+qname)
@@ -228,7 +226,7 @@ func (w *World) handleDNS(x *exchange, v Vantage, srcPort uint16, dst uint32, pa
 // answerTrusted implements the measurement team's own resolvers and the
 // authoritative servers: straight, hierarchy-following resolution.
 func (w *World) answerTrusted(x *exchange, dst uint32, srcPort uint16) []QueryResponse {
-	qname, d, listed := x.qname()
+	qname, d, listed, _ := x.qname()
 	switch x.q.QType() {
 	case dnswire.TypePTR:
 		w.answerPTR(x, qname)
@@ -294,17 +292,9 @@ func (w *World) answerPTR(x *exchange, qname string) {
 	x.rb.RR(dnswire.ClassIN, 3600, dnswire.PTR{Target: name})
 }
 
-// snoopedTLDIndex returns the index of a snooped TLD, or -1.
-func snoopedTLDIndex(qname string) int {
-	for i, tld := range domains.SnoopedTLDs {
-		if qname == tld {
-			return i
-		}
-	}
-	return -1
-}
-
-// answerSnoop renders the resolver's cache view for a snooping probe.
+// answerSnoop renders the resolver's cache view for a snooping probe. A
+// cached entry is the TLD's two NS records, appended pre-encoded
+// (snoopAnswers) with the remaining TTL patched in.
 func (w *World) answerSnoop(x *exchange, p *Profile, qname string, tldIdx int, src uint32, toPort uint16, delay int, t Time, seq int) []QueryResponse {
 	// Daily-churn hosts drop out of reach partway through the window.
 	sa := snoopState(p, tldIdx, t.AbsSeconds(), seq)
@@ -313,20 +303,39 @@ func (w *World) answerSnoop(x *exchange, p *Profile, qname string, tldIdx int, s
 	}
 	x.begin(qname, dnswire.RCodeNoError)
 	if !sa.Empty && sa.Cached {
-		for _, host := range snoopNSHosts[tldIdx] {
-			x.rb.NS(sa.TTL, host)
-		}
+		x.rb.AppendCanned(&snoopAnswers[tldIdx], sa.TTL)
 	}
 	return x.emit(src, toPort, delay)
 }
 
-// snoopNSHosts names the two servers each snooped TLD's cached NS set
-// lists, by SnoopedTLDs index.
-var snoopNSHosts = func() [][2]string {
-	out := make([][2]string, len(domains.SnoopedTLDs))
+// snoopAnswers holds each snooped TLD's cached NS answer section, by
+// SnoopedTLDs index: the two servers ns1 and ns2.nic.<tld, dots as
+// dashes>.example, encoded once through the ResponseBuilder behind the
+// TLD's own question, whose length — and so every compression pointer —
+// is the same in every snoop query for it.
+var snoopAnswers = func() []dnswire.Canned {
+	out := make([]dnswire.Canned, len(domains.SnoopedTLDs))
+	var b dnswire.ResponseBuilder
+	var v dnswire.View
 	for i, tld := range domains.SnoopedTLDs {
-		for j := range out[i] {
-			out[i][j] = "ns" + string(rune('1'+j)) + ".nic." + strings.ReplaceAll(tld, ".", "-") + ".example"
+		q, err := dnswire.AppendQuery(nil, 0, false, tld, dnswire.TypeNS, dnswire.ClassIN)
+		if err == nil {
+			err = v.Reset(q)
+		}
+		if err != nil {
+			panic(err)
+		}
+		b.Reset()
+		b.Begin(&v, tld, dnswire.RCodeNoError)
+		for _, ns := range []string{"ns1", "ns2"} {
+			b.NS(0, ns+".nic."+strings.ReplaceAll(tld, ".", "-")+".example")
+		}
+		off, end, err := b.Finish()
+		if err == nil {
+			out[i], err = dnswire.CanAnswers(b.Message(off, end))
+		}
+		if err != nil {
+			panic(err)
 		}
 	}
 	return out

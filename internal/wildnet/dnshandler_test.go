@@ -414,3 +414,28 @@ func TestScanQNameEncodingAnswered(t *testing.T) {
 		t.Errorf("scan answer = %d, want encoded target %d", got, u)
 	}
 }
+
+// TestQNameNamesSnoopedTLDs: the one lookup qname makes names a snooped
+// TLD by its SnoopedTLDs index, in any letter casing — no TLD is a
+// scan-list name, which qname tries first — and every other name -1.
+func TestQNameNamesSnoopedTLDs(t *testing.T) {
+	var x exchange
+	ask := func(name string) (string, int) {
+		payload, err := dnswire.AppendQuery(nil, 1, false, name, dnswire.TypeNS, dnswire.ClassIN)
+		if err != nil || !x.accept(payload) {
+			t.Fatalf("query %q not accepted (%v)", name, err)
+		}
+		cn, _, _, tld := x.qname()
+		return cn, tld
+	}
+	for i, tld := range domains.SnoopedTLDs {
+		if cn, got := ask(strings.ToUpper(tld)); cn != tld || got != i {
+			t.Errorf("%q: qname = %q, tld %d; want %q, %d", tld, cn, got, tld, i)
+		}
+	}
+	for _, name := range []string{"version.bind", "chase.com", "example.org", "c0m"} {
+		if _, got := ask(name); got != -1 {
+			t.Errorf("%q: tld %d, want -1", name, got)
+		}
+	}
+}

@@ -49,29 +49,37 @@ func (x *exchange) accept(payload []byte) bool {
 	return err == nil
 }
 
+// internedName is an unlisted name list scans repeat, and its index in
+// domains.SnoopedTLDs (-1 for the CHAOS version names).
+type internedName struct {
+	name string
+	tld  int
+}
+
 // internedNames holds the unlisted names list scans repeat — the snooped
 // TLDs and the two CHAOS version names — so qname hands out a shared
-// string for them as it does for the scan list.
-var internedNames = func() map[string]string {
-	m := map[string]string{"version.bind": "version.bind", "version.server": "version.server"}
-	for _, tld := range domains.SnoopedTLDs {
-		m[tld] = tld
+// string for them as it does for the scan list, and names a snooped TLD
+// in the same lookup.
+var internedNames = func() map[string]internedName {
+	m := map[string]internedName{"version.bind": {"version.bind", -1}, "version.server": {"version.server", -1}}
+	for i, tld := range domains.SnoopedTLDs {
+		m[tld] = internedName{tld, i}
 	}
 	return m
 }()
 
 // qname returns the query name in canonical form with its scan-list
-// entry. A listed or interned name costs
-// no allocation; any other name costs its one string.
-func (x *exchange) qname() (cn string, d domains.Domain, listed bool) {
+// entry, and tld, its domains.SnoopedTLDs index or -1. A listed or
+// interned name costs no allocation; any other name costs its one string.
+func (x *exchange) qname() (cn string, d domains.Domain, listed bool, tld int) {
 	x.cn = dnswire.AppendCanonicalName(x.cn[:0], x.q.QName())
 	if d, ok := domains.ByNameBytes(x.cn); ok {
-		return d.Name, d, true
+		return d.Name, d, true, -1
 	}
-	if s, ok := internedNames[string(x.cn)]; ok {
-		return s, domains.Domain{}, false
+	if in, ok := internedNames[string(x.cn)]; ok {
+		return in.name, domains.Domain{}, false, in.tld
 	}
-	return string(x.cn), domains.Domain{}, false
+	return string(x.cn), domains.Domain{}, false, -1
 }
 
 // begin starts a response with the given rcode; qname is x.qname().

@@ -175,6 +175,26 @@ func (w *World) sweepClassify(u uint32, v Vantage, t Time, c *rejectCache) sweep
 	return classReject
 }
 
+// knownResolver reports whether the profile memo holds a resolver at u at
+// time t whose network lets vantage v through: a destination
+// sweepClassify would call classDeliver, decided without its tenancy
+// draws. A memo entry is only ever stored for a derivation that found a
+// resolver (a station or a passed slot draw, never an infrastructure
+// address), so the two answers agree. SendBatch asks it only for the
+// destination behind a deliverable one: a list scan's batches answer
+// throughout and hit here, while a sweep's are silent for ninety-nine
+// destinations in a hundred, which would each pay a lookup that misses.
+//
+//lint:hotpath per-probe dispatch of every list-scan probe
+func (w *World) knownResolver(u uint32, v Vantage, t Time, c *rejectCache) bool {
+	u &= w.mask
+	key, memo := profileKey(u, t)
+	if !memo || !w.prof.holds(u, key) {
+		return false
+	}
+	return v != VantagePrimary || !c.blocks[w.geo.BlockOf(u)].blocksPrimary
+}
+
 // cnCouldAnswer reports whether a probe into empty Chinese address space
 // (classCNOnly) could draw an injector response: a port-53, parseable A
 // question for a GFW-listed name is the only stimulus handleDNS answers

@@ -66,6 +66,44 @@ func TestSweepRejectSoundness(t *testing.T) {
 	}
 }
 
+// TestKnownResolverAgreesWithClassify: once every address of an order-14
+// world has been asked for its profile at an instant, the memo-first
+// dispatch knows the resolvers there — nearly all of them, since a set
+// can overflow — and wherever it knows one, sweepClassify delivers too,
+// under both vantages (the networks that black-hole the primary vantage
+// by week 55 included).
+func TestKnownResolverAgreesWithClassify(t *testing.T) {
+	w := testWorld(t, 14)
+	for _, tm := range soundnessTimes {
+		c := w.blockCache(tm.Week)
+		resolvers := 0
+		for u := uint32(0); u < uint32(w.SpaceSize()); u++ {
+			if _, ok := w.ProfileAt(u, tm); ok {
+				resolvers++
+			}
+		}
+		for _, v := range []Vantage{VantagePrimary, VantageSecondary} {
+			known, delivered := 0, 0
+			for u := uint32(0); u < uint32(w.SpaceSize()); u++ {
+				class := w.sweepClassify(u, v, tm, c)
+				if _, ok := w.ProfileAt(u, tm); ok && class == classDeliver {
+					delivered++
+				}
+				if !w.knownResolver(u, v, tm, c) {
+					continue
+				}
+				known++
+				if class != classDeliver {
+					t.Fatalf("week %d vantage %d: %#x known to the memo, classified %d", tm.Week, v, u, class)
+				}
+			}
+			if known == 0 || known < delivered*95/100 {
+				t.Errorf("week %d vantage %d: memo knows %d of %d delivered resolvers (%d resolvers)", tm.Week, v, known, delivered, resolvers)
+			}
+		}
+	}
+}
+
 // TestSweepRejectMatchesHandler proves, rather than assumes, that the
 // dispatch decision holds under faults: for every chaos profile, vantage
 // and instant it fires a sweep-shaped query at each address SendBatch
@@ -101,7 +139,7 @@ func TestSweepRejectMatchesHandler(t *testing.T) {
 							t.Fatalf("%s vantage %d week %d: %#x dropped at dispatch but handleDNS answered attempt %d",
 								profile, v, now.Week, u, attempt)
 						}
-						if err := tr.process(ctx, x, u, 53, 33000, payload, now); err != nil {
+						if err := tr.process(ctx, ctx.Done(), x, u, 53, 33000, payload, now); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -158,7 +196,7 @@ func TestCNFilterMatchesPipeline(t *testing.T) {
 					t.Fatal(err)
 				}
 				if bypass {
-					if err := tr.process(ctx, new(exchange), u, 53, 34567, payload, now); err != nil {
+					if err := tr.process(ctx, ctx.Done(), new(exchange), u, 53, 34567, payload, now); err != nil {
 						t.Fatal(err)
 					}
 				} else if err := sendOne(ctx, tr, w.Addr(u), 53, 34567, payload); err != nil {

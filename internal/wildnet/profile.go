@@ -128,12 +128,31 @@ func servFailShare(week int) float64 {
 	return 0.044 + 0.024*math.Sin(float64(week)*0.55+1.3)
 }
 
-// ProfileAt derives the full profile of the resolver at u. ok is false
-// when no resolver answers at u at time t. The lease epoch is derived
-// once, for the slot draw and for the identity, and the week's constants
-// — density, REFUSED and SERVFAIL shares — come from the block cache.
+// ProfileAt returns the full profile of the resolver at u. ok is false
+// when no resolver answers at u at time t. A profile derived for the same
+// address and hour comes out of the world's memo (profilememo.go); every
+// other call derives it, counted in wildnet.profile.derived.
 func (w *World) ProfileAt(u uint32, t Time) (Profile, bool) {
 	u = w.Mask(u)
+	key, memo := profileKey(u, t)
+	var p Profile
+	if memo && w.prof.lookup(u, key, &p) {
+		p.Country = w.geo.ASOfU32(u).Country
+		return p, true
+	}
+	w.profDerived.Inc()
+	p, ok := w.deriveProfile(u, t)
+	if ok && memo {
+		w.prof.store(u, key, &p)
+	}
+	return p, ok
+}
+
+// deriveProfile computes ProfileAt for the masked address u without the
+// memo. The lease epoch is derived once, for the slot draw and for the
+// identity, and the week's constants — density, REFUSED and SERVFAIL
+// shares — come from the block cache.
+func (w *World) deriveProfile(u uint32, t Time) (Profile, bool) {
 	wk := w.blockCache(t.Week)
 	station, isStation := w.stations[u]
 	var id uint64

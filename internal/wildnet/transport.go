@@ -139,14 +139,20 @@ func (m *MemTransport) undeliverable(class sweepClass, dstPort uint16, payload [
 // through a View, the responses are appended on the wire, and the
 // two-response common case of the sort runs in place, all in one pooled
 // exchange scratch, and the context is checked only at loop edges (entry
-// and between response deliveries), never per byte.
+// and between response deliveries), never per byte — between deliveries
+// by polling its Done channel, fetched once per batch, since Err takes
+// the context's mutex, which concurrent senders under one signal context
+// share.
 //
 // Under every fault profile the destination is classified first: a
 // datagram nothing can answer is counted in wildnet.send.rejected and
 // dropped there. It draws no base or fault loss, takes no attempt-counter
 // entry, and moves no wildnet.fault.* counter — faults act on exchanges
 // that have a live endpoint, and a dropped, flapped or delivered probe to
-// empty space is the same silence to the sender.
+// empty space is the same silence to the sender. Behind a deliverable
+// destination the next one is first looked up in the profile memo
+// (knownResolver), so a list scan's resolvers are dispatched without the
+// tenancy draws the handler has already made for them.
 func (m *MemTransport) SendBatch(ctx context.Context, batch []Probe) (int, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
@@ -156,11 +162,15 @@ func (m *MemTransport) SendBatch(ctx context.Context, batch []Probe) (int, error
 	}
 	t := m.Time()
 	bc := m.world.blockCache(t.Week)
+	done := ctx.Done()
 	// Rejects are tallied locally and added once per batch, so the
 	// shared counter costs the silent majority nothing.
 	n, rejected := len(batch), uint64(0)
 	x := exchangePool.Get().(*exchange)
 	var err error
+	// afterDeliver is true behind a deliverable destination, where a list
+	// scan's next one is most likely a resolver the memo knows.
+	afterDeliver := false
 	for i := range batch {
 		p := &batch[i]
 		if !p.Dst.Is4() {
@@ -168,11 +178,15 @@ func (m *MemTransport) SendBatch(ctx context.Context, batch []Probe) (int, error
 			break
 		}
 		u32dst := lfsr.AddrToU32(p.Dst)
-		if m.undeliverable(m.world.sweepClassify(u32dst, m.vantage, t, bc), p.DstPort, p.Payload) {
+		class := classDeliver
+		if !afterDeliver || !m.world.knownResolver(u32dst, m.vantage, t, bc) {
+			class = m.world.sweepClassify(u32dst, m.vantage, t, bc)
+		}
+		if afterDeliver = !m.undeliverable(class, p.DstPort, p.Payload); !afterDeliver {
 			rejected++
 			continue
 		}
-		if err = m.process(ctx, x, u32dst, p.DstPort, p.SrcPort, p.Payload, t); err != nil {
+		if err = m.process(ctx, done, x, u32dst, p.DstPort, p.SrcPort, p.Payload, t); err != nil {
 			n = i
 			break
 		}
@@ -183,8 +197,9 @@ func (m *MemTransport) SendBatch(ctx context.Context, batch []Probe) (int, error
 }
 
 // process runs one datagram through the world at simulated time t, in
-// the exchange scratch x, and delivers the surviving responses.
-func (m *MemTransport) process(ctx context.Context, x *exchange, u32dst uint32, dstPort, srcPort uint16, payload []byte, t Time) error {
+// the exchange scratch x, and delivers the surviving responses. done is
+// ctx.Done().
+func (m *MemTransport) process(ctx context.Context, done <-chan struct{}, x *exchange, u32dst uint32, dstPort, srcPort uint16, payload []byte, t Time) error {
 	qph := hashBytes(payload)
 	// Independent loss on the query packet.
 	if m.drop(dirQuery, u32dst, dstPort, srcPort, qph, t) {
@@ -228,8 +243,10 @@ func (m *MemTransport) process(ctx context.Context, x *exchange, u32dst uint32, 
 	for _, r := range resps {
 		// A context death mid-delivery drops the remaining responses,
 		// exactly as a real cancelled scan stops reading its socket.
-		if err := ctx.Err(); err != nil {
-			return err
+		select {
+		case <-done:
+			return ctx.Err()
+		default:
 		}
 		wire := x.wire(r)
 		if len(wire) == 0 {

@@ -150,6 +150,12 @@ type World struct {
 	// touches which week first is a scheduling fact); nil (no-op)
 	// without a registry.
 	bcRebuilds *metrics.Counter
+	// prof memoizes ProfileAt per (address, hour) (profilememo.go); pure
+	// caching like bc. profDerived counts the derivations it did not
+	// spare (Timing: which of two colliding addresses a sender finds in
+	// the table is a scheduling fact); nil (no-op) without a registry.
+	prof        profileMemo
+	profDerived *metrics.Counter
 }
 
 // NewWorld builds a world from cfg.
@@ -183,7 +189,9 @@ func NewWorld(cfg Config) (*World, error) {
 		respBytes:     cfg.Metrics.Counter("wildnet.response.bytes"),
 		respTruncated: cfg.Metrics.Counter("wildnet.response.truncated"),
 		bcRebuilds:    cfg.Metrics.TimingCounter("wildnet.blockcache.rebuilds"),
+		profDerived:   cfg.Metrics.TimingCounter("wildnet.profile.derived"),
 	}
+	w.prof = newProfileMemo(min(int(w.ExpectedPopulation(At(0))*profileMemoPerResolver)+1, maxProfileMemo))
 	for f := range w.pre {
 		w.pre[f] = prand.Start(cfg.Seed, uint64(f))
 	}
