@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-escape test test-short bench-test race chaos crash metrics-smoke serve-smoke fuzz-smoke bench-all report markdown record examples clean
+.PHONY: all build vet lint lint-escape test test-short bench-test race chaos metrics-smoke serve-smoke fuzz-smoke bench-all report markdown record examples clean
 
 all: build vet lint test
 
@@ -14,7 +14,7 @@ vet:
 
 # Project-specific static analysis (internal/lint): the five syntactic
 # rules (determinism, maporder, errdrop, ctxhygiene, sleepcall) and the
-# two flow-sensitive ones (hotpath, fsynccheck). Lock copies are go vet's
+# flow-sensitive one (hotpath). Lock copies are go vet's
 # job (the vet target); README "Correctness tooling" records what each
 # rule has caught. Exits nonzero on any finding.
 lint:
@@ -59,14 +59,6 @@ race:
 chaos:
 	$(GO) test -run TestChaosMatrix -count=1 -v ./internal/core
 
-# Crash-injection matrix: SIGKILL a real wildreport run at seeded-random
-# points, resume from its checkpoint directory (flipping GOMAXPROCS
-# across attempts), and require byte-identical stdout versus an
-# uninterrupted run — plus torn-checkpoint fallback and the two-phase
-# SIGINT contract. Forks and kills real processes; takes minutes.
-crash:
-	CRASHTEST=1 $(GO) test -run 'TestCrashResumeByteIdentity|TestTornCheckpointFallsBack|TestInterruptCheckpointsAndResumes' -count=1 -v -timeout 15m ./internal/crashtest
-
 # Metrics side-channel guard: an order-16 report must print byte-identical
 # stdout with and without -metrics, and the snapshot it writes must be
 # non-empty. This is the executable form of the contract that attaching
@@ -88,9 +80,9 @@ metrics-smoke:
 serve-smoke:
 	$(GO) run ./cmd/wildsvc -smoke
 
-# A few seconds of coverage-guided fuzzing per fuzz target: the seven
+# A few seconds of coverage-guided fuzzing per fuzz target: the six
 # wire-format ones and the service's two query parsers. `go test -fuzz`
-# accepts one target per invocation, hence nine runs.
+# accepts one target per invocation, hence eight runs.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzUnpack -fuzztime=5s ./internal/dnswire
 	$(GO) test -fuzz=FuzzAppendNameCompression -fuzztime=5s ./internal/dnswire
@@ -98,7 +90,6 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzDecodeTargetQName -fuzztime=5s ./internal/dnswire
 	$(GO) test -fuzz=FuzzHandleDNS -fuzztime=5s ./internal/wildnet
 	$(GO) test -fuzz=FuzzAnswerWire -fuzztime=5s ./internal/wildnet
-	$(GO) test -fuzz=FuzzCheckpointDecode -fuzztime=5s ./internal/checkpoint
 	$(GO) test -fuzz=FuzzResolverQuery -fuzztime=5s ./internal/resolvesvc
 	$(GO) test -fuzz=FuzzResolversQuery -fuzztime=5s ./internal/resolvesvc
 

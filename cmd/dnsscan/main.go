@@ -13,9 +13,9 @@
 // and the send rate over the run — summed from the metrics registry's
 // *.sent and *.recv counters, the sums -progress prints while it runs.
 //
-// A sweep is the unit a killed run repeats: dnsscan takes no -checkpoint
-// or -resume (wildreport does, for its weekly series and sections), and
-// SIGINT cancels the scan.
+// A bad -mode, -category, -week or -epochs is a usage error (exit 2)
+// before anything is scanned. SIGINT cancels the scan; a killed scan is
+// run again.
 package main
 
 import (
@@ -23,6 +23,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"goingwild/internal/churn"
@@ -36,20 +38,36 @@ import (
 
 func main() {
 	f := cli.Register("dnsscan", 16)
-	f.RegisterRun(false)
+	f.RegisterRun()
 	flag.Lookup("progress").Usage = "print a periodic progress line to stderr"
 	var (
 		scanSeed = flag.Uint("scanseed", 0x5EED, "LFSR seed for the target permutation")
 		week     = flag.Int("week", 0, "study week")
-		mode     = flag.String("mode", "sweep", "sweep | chaos | domains")
+		mode     = flag.String("mode", "sweep", strings.Join(modes, " | "))
 		epochs   = flag.Int("epochs", 0, "run N weekly epoch sweeps through the delta layer (per-epoch diffs on stderr; summary reflects the replayed final snapshot)")
 		category = flag.String("category", "Banking", "domain category for -mode domains")
 		useUDP   = flag.Bool("udp", false, "drive the scan over real UDP sockets (loopback gateway)")
 		rate     = flag.Int("rate", 0, "probe rate limit in packets/s (0 = unlimited)")
 	)
 	f.Parse()
-	// Without -checkpoint the context needs no fingerprint.
-	ctx, _, release := f.Context(context.Background(), "")
+	var names []string // the -category names and the ground truth, for -mode domains
+	switch {
+	case !slices.Contains(modes, *mode):
+		f.Usage(fmt.Errorf("unknown -mode %q; valid modes: %s", *mode, strings.Join(modes, ", ")))
+	case *week < 0:
+		f.Usage(fmt.Errorf("-week %d: must be at least 0", *week))
+	case *epochs < 0:
+		f.Usage(fmt.Errorf("-epochs %d: must be at least 0", *epochs))
+	case *mode == "domains":
+		for _, d := range domains.ByCategory(domains.Category(*category)) {
+			names = append(names, d.Name)
+		}
+		if len(names) == 0 {
+			f.Usage(fmt.Errorf("unknown -category %q; valid categories: %s", *category, categoryList()))
+		}
+		names = append(names, domains.GroundTruth)
+	}
+	ctx, release := f.Context(context.Background())
 	defer release()
 
 	wcfg := wildnet.DefaultConfig(f.Order)
@@ -173,14 +191,6 @@ func main() {
 		fmt.Printf("chaos: %d/%d responded; versioned %.1f%%\n",
 			survey.Responded, len(resolvers), 100*survey.VersionedShare())
 	case "domains":
-		var names []string
-		for _, d := range domains.ByCategory(domains.Category(*category)) {
-			names = append(names, d.Name)
-		}
-		if len(names) == 0 {
-			f.Fatal(fmt.Errorf("unknown category %q", *category))
-		}
-		names = append(names, domains.GroundTruth)
 		resolvers := sweep.NOERROR()
 		res, err := sc.ScanDomainsContext(ctx, resolvers, names)
 		if err != nil {
@@ -199,7 +209,17 @@ func main() {
 			}
 			fmt.Printf("  %-38s answered %5d  with-addresses %5d\n", name, answered, withAddrs)
 		}
-	default:
-		f.Fatal(fmt.Errorf("unknown mode %q", *mode))
 	}
+}
+
+// modes are the values -mode accepts.
+var modes = []string{"sweep", "chaos", "domains"}
+
+// categoryList names the values -category accepts.
+func categoryList() string {
+	names := make([]string, len(domains.AllCategories))
+	for i, c := range domains.AllCategories {
+		names[i] = string(c)
+	}
+	return strings.Join(names, ", ")
 }

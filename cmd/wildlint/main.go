@@ -1,7 +1,7 @@
 // Command wildlint runs the project's static-analysis pass (see
 // internal/lint) over the module: the five syntactic rules (determinism,
-// maporder, errdrop, ctxhygiene, sleepcall) and the two flow-sensitive
-// ones (hotpath, fsynccheck). Every run checks every rule.
+// maporder, errdrop, ctxhygiene, sleepcall) and the flow-sensitive one
+// (hotpath). Every run checks every rule.
 //
 // Usage:
 //

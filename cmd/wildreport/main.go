@@ -10,17 +10,12 @@
 //	wildreport -order 18 -exp fig1,table3     # only the named experiments
 //	wildreport -order 18 -exp census          # the -week census alone
 //	wildreport -order 18 -export out          # also write out/sweep.json and out/tuples.jsonl
-//	wildreport -order 18 -shard 0/4 -shard-out s0.json   # one census shard, for wildmerge
 //	wildreport -order 20 -progress            # stage events and live per-week churn on stderr
 //	wildreport -order 16 -chaos hostile       # run under injected faults
-//	wildreport -order 20 -checkpoint run.ckpt # crash-safe; resume with -resume
 //
-// With -checkpoint, every completed report section is journaled and the
-// weekly series commits each finished week; a killed run restarted with
-// -resume re-sweeps the week or census it was in and produces stdout
-// byte-identical to an uninterrupted run. The first SIGINT checkpoints
-// at the next week commit or section boundary and exits 3; a second
-// aborts hard.
+// A run saves no progress: the longest recorded one, the order-22 record,
+// takes about half a minute on a 2-core machine, so an interrupted run is
+// run again. SIGINT cancels it.
 package main
 
 import (
@@ -31,29 +26,31 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strconv"
+	"sort"
 	"strings"
 
 	"goingwild/internal/cli"
 	"goingwild/internal/core"
 	"goingwild/internal/dataset"
-	"goingwild/internal/shardio"
+	"goingwild/internal/dnswire"
+	"goingwild/internal/scanner"
 )
 
 func main() {
 	f := cli.Register("wildreport", 18)
-	f.RegisterRun(true)
+	f.RegisterRun()
 	var (
-		r         cli.Report
-		weeks     = flag.Int("weeks", 55, "weekly scans")
-		week      = flag.Int("week", 50, "week for point-in-time experiments")
-		exps      = flag.String("exp", "all", "comma-separated experiments: "+strings.Join(cli.ExpNames(sections(&r, "")), ",")+" (census and verify are not part of all)")
-		markdown  = flag.Bool("markdown", false, "emit the markdown comparison table of the -exp experiments only")
-		export    = flag.String("export", "", "directory to write the -week census artifact (sweep.json) and domain tuples (tuples.jsonl) into")
-		shardSpec = flag.String("shard", "", "run only census shard i/M of the -week sweep and exit (e.g. -shard 0/4); requires -shard-out")
-		shardOut  = flag.String("shard-out", "", "write the -shard census artifact (JSON) to this file, for cmd/wildmerge")
+		r        cli.Report
+		weeks    = flag.Int("weeks", 55, "weekly scans")
+		week     = flag.Int("week", 50, "week for point-in-time experiments")
+		exps     = flag.String("exp", "all", "comma-separated experiments: "+strings.Join(cli.ExpNames(sections(&r, "")), ",")+" (census and verify are not part of all)")
+		markdown = flag.Bool("markdown", false, "emit the markdown comparison table of the -exp experiments only")
+		export   = flag.String("export", "", "directory to write the -week census artifact (sweep.json) and domain tuples (tuples.jsonl) into")
 	)
 	f.Parse()
+	if *week < 0 {
+		f.Usage(fmt.Errorf("-week %d: must be at least 0", *week))
+	}
 	given := map[string]bool{}
 	flag.Visit(func(fl *flag.Flag) { given[fl.Name] = true })
 	if err := checkModes(given); err != nil {
@@ -65,15 +62,7 @@ func main() {
 	if err != nil {
 		f.Usage(err)
 	}
-	shard, of := 0, 0
-	if *shardSpec != "" {
-		if shard, of, err = parseShard(*shardSpec); err != nil {
-			f.Usage(err)
-		}
-	}
-	ctx, runner, release := f.Context(context.Background(), fmt.Sprintf(
-		"wildreport order=%d seed=%#x weeks=%d exp=%s week=%d chaos=%s export=%s",
-		f.Order, f.Seed, *weeks, *exps, *week, f.Chaos, *export))
+	ctx, release := f.Context(context.Background())
 	defer release()
 
 	cfg := f.StudyConfig()
@@ -88,23 +77,10 @@ func main() {
 	// without -progress (the observer is a side channel only).
 	study.Observer = f.StageProgress()
 
-	// -shard i/M is the out-of-process sharding mode: run exactly one
-	// census shard of the -week sweep, write its artifact, and exit.
-	// cmd/wildmerge recombines the M artifacts into the unsharded census.
-	if *shardSpec != "" {
-		if err := runShard(ctx, study, *week, shard, of, *shardOut); err != nil {
-			f.Fatal(err)
-		}
-		return
-	}
-
 	// One table, one plan: text mode renders every selected section as
 	// its stages finish, -markdown reads the same selection by its
-	// comparison column. Under -checkpoint every section journals its
-	// output; a resume replays finished sections and re-runs only what the
-	// rest still need (every experiment re-seats the world clock before
-	// touching the network, so section-granularity replay is exact).
-	f.Start(&r, study, runner, *week)
+	// comparison column.
+	f.Start(&r, study, *week)
 	if *markdown {
 		cli.Markdown(&r, table)
 	} else {
@@ -115,41 +91,14 @@ func main() {
 	}
 }
 
-// exclusive are the flag pairs of two modes that cannot run together: the
-// second flag would be silently ignored, or — under -checkpoint — the run
-// would only feign crash safety (a shard or a markdown table is one
-// atomic write at the very end, with nothing to journal).
-var exclusive = [][2]string{
-	{"checkpoint", "shard"}, {"checkpoint", "markdown"}, {"markdown", "shard"},
-	{"export", "shard"}, {"exp", "shard"}, {"export", "markdown"},
-}
-
 // checkModes refuses a command line whose given flags belong to modes
-// that exclude each other.
+// that exclude each other: -markdown prints only the comparison table,
+// so an -export beside it would be silently ignored.
 func checkModes(given map[string]bool) error {
-	if given["shard"] != given["shard-out"] {
-		return errors.New("-shard and -shard-out go together")
-	}
-	for _, p := range exclusive {
-		if given[p[0]] && given[p[1]] {
-			return fmt.Errorf("-%s and -%s are mutually exclusive", p[0], p[1])
-		}
+	if given["export"] && given["markdown"] {
+		return errors.New("-export and -markdown are mutually exclusive")
 	}
 	return nil
-}
-
-// parseShard parses a -shard value, which is exactly i/M with 0 ≤ i < M.
-func parseShard(spec string) (shard, of int, err error) {
-	i, m, ok := strings.Cut(spec, "/")
-	shard, err1 := strconv.Atoi(i)
-	of, err2 := strconv.Atoi(m)
-	if !ok || err1 != nil || err2 != nil {
-		return 0, 0, fmt.Errorf("bad -shard %q, want i/M (e.g. 0/4)", spec)
-	}
-	if of < 1 || shard < 0 || shard >= of {
-		return 0, 0, fmt.Errorf("-shard %d/%d out of range", shard, of)
-	}
-	return shard, of, nil
 }
 
 // sections is the report's table over r, in print order. exportDir, when
@@ -172,13 +121,13 @@ func sections(r *cli.Report, exportDir string) []cli.Section {
 	verify := cli.Of(r.Verification())
 	verify.Explicit = true
 	return []cli.Section{
-		// census is not part of "all": it exists for the sharding workflow
-		// (its output is what wildmerge must reproduce byte-for-byte).
+		// census is not part of "all": it is the -week sweep alone, the
+		// summary of what -export writes as sweep.json.
 		{Name: "census", Explicit: true, Blocks: []cli.Block{{
 			Names: []string{"census"},
 			Needs: func() { r.Census() },
 			Render: func(w io.Writer) error {
-				_, err := fmt.Fprint(w, shardio.RenderCensus(r.Census().Sweep))
+				_, err := fmt.Fprint(w, renderCensus(r.Census().Sweep))
 				return err
 			},
 		}}},
@@ -197,31 +146,32 @@ func sections(r *cli.Report, exportDir string) []cli.Section {
 	}
 }
 
-// runShard executes census shard i/M of the week's sweep and writes its
-// artifact for cmd/wildmerge.
-func runShard(ctx context.Context, study *core.Study, week, shard, of int, out string) error {
-	res, err := study.SweepShardAt(ctx, week, shard, of)
-	if err != nil {
-		return err
+// renderCensus renders one sweep as the census block of -exp census.
+func renderCensus(res *scanner.SweepResult) string {
+	out := "IPv4 scan census\n"
+	out += fmt.Sprintf("  probed       %d\n", res.Probed)
+	out += fmt.Sprintf("  responders   %d\n", res.Total())
+	out += fmt.Sprintf("  noerror      %d\n", res.ByRCode[dnswire.RCodeNoError])
+	out += fmt.Sprintf("  mis-sourced  %d\n", res.MisSourcedCount())
+	rcodes := make([]int, 0, len(res.ByRCode))
+	for rc := range res.ByRCode {
+		rcodes = append(rcodes, int(rc))
 	}
-	cfg := study.Cfg
-	prov := shardio.Provenance{Order: cfg.Order, Seed: cfg.Seed, ScanSeed: cfg.ScanSeed, Week: week}
-	if err := shardio.WriteFile(out, shardio.FromSweep(prov, shard, of, res)); err != nil {
-		return err
+	sort.Ints(rcodes)
+	for _, rc := range rcodes {
+		out += fmt.Sprintf("    %-10s %d\n", dnswire.RCode(rc).String(), res.ByRCode[dnswire.RCode(rc)])
 	}
-	fmt.Fprintf(os.Stderr, "wildreport: shard %d/%d probed %d targets, %d responders -> %s\n",
-		shard, of, res.Probed, res.Total(), out)
-	return nil
+	return out
 }
 
-// exportDatasets writes the week's census as the unsharded artifact
-// wildmerge reads (sweep.json) and the domain scan's tuples as JSONL.
+// exportDatasets writes the week's census artifact (sweep.json) and the
+// domain scan's tuples as JSONL.
 func exportDatasets(dir string, cfg core.Config, census *core.Census, res *core.DomainStudyResult) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	prov := shardio.Provenance{Order: cfg.Order, Seed: cfg.Seed, ScanSeed: cfg.ScanSeed, Week: census.Week}
-	if err := shardio.WriteFile(filepath.Join(dir, "sweep.json"), shardio.FromSweep(prov, 0, 1, census.Sweep)); err != nil {
+	art := dataset.FromSweep(cfg.Order, cfg.Seed, cfg.ScanSeed, census.Week, census.Sweep)
+	if err := dataset.WriteFile(filepath.Join(dir, "sweep.json"), art); err != nil {
 		return err
 	}
 	file, err := os.Create(filepath.Join(dir, "tuples.jsonl"))

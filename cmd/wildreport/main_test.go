@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"os/exec"
@@ -11,7 +12,10 @@ import (
 	"testing"
 
 	"goingwild/internal/cli"
-	"goingwild/internal/shardio"
+	"goingwild/internal/dataset"
+	"goingwild/internal/dnswire"
+	"goingwild/internal/lfsr"
+	"goingwild/internal/scanner"
 )
 
 // TestMain lets a test run the command itself: with runMainEnv set, the
@@ -115,31 +119,6 @@ func TestExpSelectsFromTheTable(t *testing.T) {
 	}
 }
 
-// TestParseShard pins -shard to exactly i/M: trailing bytes, a third
-// number, a list or a leading space are errors, not shard i/M.
-func TestParseShard(t *testing.T) {
-	for _, tc := range []struct {
-		spec      string
-		shard, of int
-		ok        bool
-	}{
-		{spec: "0/4", shard: 0, of: 4, ok: true},
-		{spec: "3/4", shard: 3, of: 4, ok: true},
-		{spec: "0/4x"},
-		{spec: "1/4/5"},
-		{spec: "2/4,3"},
-		{spec: " 0/4"},
-		{spec: "4/4"},
-		{spec: "-1/4"},
-		{spec: "0/0"},
-	} {
-		shard, of, err := parseShard(tc.spec)
-		if ok := err == nil; ok != tc.ok || shard != tc.shard || of != tc.of {
-			t.Errorf("parseShard(%q) = %d, %d, %v; want %d/%d ok=%v", tc.spec, shard, of, err, tc.shard, tc.of, tc.ok)
-		}
-	}
-}
-
 // TestModeFlagsConflict pins every flag pair whose modes exclude each
 // other as a refusal, and that the modes alone and the flags that combine
 // with them still pass.
@@ -149,17 +128,8 @@ func TestModeFlagsConflict(t *testing.T) {
 		err   string
 	}{
 		{given: nil},
-		{given: []string{"shard", "shard-out"}},
-		{given: []string{"shard", "shard-out", "week", "order", "seed", "chaos"}},
-		{given: []string{"checkpoint", "resume", "exp", "export"}},
+		{given: []string{"exp", "export", "week", "order", "seed", "chaos"}},
 		{given: []string{"markdown", "exp"}},
-		{given: []string{"shard-out"}, err: "-shard and -shard-out go together"},
-		{given: []string{"shard"}, err: "-shard and -shard-out go together"},
-		{given: []string{"shard", "shard-out", "checkpoint"}, err: "-checkpoint and -shard"},
-		{given: []string{"checkpoint", "markdown"}, err: "-checkpoint and -markdown"},
-		{given: []string{"shard", "shard-out", "markdown"}, err: "-markdown and -shard"},
-		{given: []string{"shard", "shard-out", "export"}, err: "-export and -shard"},
-		{given: []string{"shard", "shard-out", "exp"}, err: "-exp and -shard"},
 		{given: []string{"markdown", "export"}, err: "-export and -markdown"},
 	} {
 		given := map[string]bool{}
@@ -174,29 +144,33 @@ func TestModeFlagsConflict(t *testing.T) {
 }
 
 // TestRefusalsExitTwo runs the refusals end to end: each is a usage
-// error before any work, -shard-out alone writes no file, and an unknown
-// -chaos profile leaves no -checkpoint directory behind.
+// error before any work, and a refused -export writes no directory. The
+// flags of the deleted resume and shard modes are undefined, and the flag
+// package refuses them the same way.
 func TestRefusalsExitTwo(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "s.json")
-	ckpt := filepath.Join(t.TempDir(), "ckpt")
-	for _, args := range [][]string{
-		{"-order", "14", "-shard-out", out},
-		{"-order", "14", "-shard", "0/4x", "-shard-out", out},
-		{"-order", "14", "-shard", "0/4", "-shard-out", out, "-exp", "census"},
-		{"-order", "14", "-shard", "0/4", "-shard-out", out, "-markdown"},
-		{"-order", "14", "-exp", "tabel3"},
-		{"-order", "14", "-resume"},
-		{"-order", "14", "-chaos", "bogus", "-checkpoint", ckpt},
+	out := filepath.Join(t.TempDir(), "out")
+	const undefined = "flag provided but not defined"
+	for _, tc := range []struct {
+		args []string
+		want string // in stderr
+	}{
+		{args: []string{"-exp", "tabel3"}, want: "wildreport: unknown experiment"},
+		{args: []string{"-chaos", "bogus", "-export", out}, want: "wildreport: "},
+		{args: []string{"-markdown", "-export", out}, want: "wildreport: -export and -markdown"},
+		{args: []string{"-weeks", "4", "-week", "-1", "-exp", "table3", "-export", out}, want: "wildreport: -week -1"},
+		{args: []string{"-checkpoint", "D"}, want: undefined},
+		{args: []string{"-resume"}, want: undefined},
+		{args: []string{"-shard", "0/4"}, want: undefined},
+		{args: []string{"-shard-out", "s.json"}, want: undefined},
 	} {
+		args := append([]string{"-order", "14"}, tc.args...)
 		stdout, stderr, exit := wildreport(t, args...)
-		if exit != 2 || stdout != "" || !strings.HasPrefix(stderr, "wildreport: ") {
-			t.Errorf("wildreport %v: exit %d, stdout %q, stderr %q; want exit 2 and a diagnostic", args, exit, stdout, stderr)
+		if exit != 2 || stdout != "" || !strings.Contains(stderr, tc.want) {
+			t.Errorf("wildreport %v: exit %d, stdout %q, stderr %q; want exit 2 and %q", args, exit, stdout, stderr, tc.want)
 		}
 	}
-	for _, path := range []string{out, ckpt} {
-		if _, err := os.Stat(path); !os.IsNotExist(err) {
-			t.Errorf("a refused run left %s behind (stat err %v)", path, err)
-		}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Errorf("a refused run left %s behind (stat err %v)", out, err)
 	}
 }
 
@@ -236,9 +210,9 @@ func TestReportStageOrder(t *testing.T) {
 	}
 }
 
-// TestExportIsTheCensusArtifact pins -export's sweep.json as the
-// unsharded census artifact: merged and rendered the way wildmerge does,
-// it prints exactly the census block of -exp census.
+// TestExportIsTheCensusArtifact pins -export's sweep.json as the census
+// artifact: decoded into dataset.Artifact and rendered, it prints exactly
+// the census block of -exp census.
 func TestExportIsTheCensusArtifact(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs two order-14 reports")
@@ -256,18 +230,32 @@ func TestExportIsTheCensusArtifact(t *testing.T) {
 	if !strings.HasPrefix(exported, census) {
 		t.Errorf("-export changed the census block:\n%s\nwant it to start with\n%s", exported, census)
 	}
-	art, err := shardio.ReadFile(filepath.Join(dir, "sweep.json"))
+	raw, err := os.ReadFile(filepath.Join(dir, "sweep.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, prov, err := shardio.Merge([]shardio.Artifact{art})
-	if err != nil {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	var art dataset.Artifact
+	if err := dec.Decode(&art); err != nil {
 		t.Fatal(err)
 	}
-	if prov.Order != 14 || prov.Week != 3 {
-		t.Errorf("artifact provenance %+v, want order 14 week 3", prov)
+	if art.Order != 14 || art.Week != 3 {
+		t.Errorf("artifact of order %d week %d, want order 14 week 3", art.Order, art.Week)
 	}
-	if got := shardio.RenderCensus(res); got != census {
+	responders := make([]scanner.Responder, len(art.Responders))
+	for i, r := range art.Responders {
+		addr, err := lfsr.ParseU32(r.Addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src, err := lfsr.ParseU32(r.Source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		responders[i] = scanner.Responder{Addr: addr, Source: src, RCode: dnswire.RCode(r.RCode), Answered: r.Answered}
+	}
+	if got := renderCensus(scanner.SnapshotSweep(art.Probed, responders)); got != census {
 		t.Errorf("sweep.json renders\n%s\nwant the -exp census block\n%s", got, census)
 	}
 	if fi, err := os.Stat(filepath.Join(dir, "tuples.jsonl")); err != nil || fi.Size() == 0 {

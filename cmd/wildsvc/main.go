@@ -56,7 +56,7 @@ func main() {
 		smoke   = flag.Bool("smoke", false, "run the self-contained HTTP smoke test and exit")
 	)
 	f.Parse()
-	ctx, _, release := f.Context(context.Background(), "")
+	ctx, release := f.Context(context.Background())
 	defer release()
 
 	reg := f.Registry(true)

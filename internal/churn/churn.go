@@ -48,19 +48,12 @@ type StudyConfig struct {
 	Seed      uint32
 	Weeks     int // number of weekly scans (the paper ran 55)
 	Blacklist *lfsr.Blacklist
-	// StartWeek is the first week scanned (resume support): weeks before
-	// it are assumed already applied downstream. The zero value streams
-	// the whole study.
-	StartWeek int
-	// Prev is the responder snapshot of week StartWeek-1, needed to
-	// diff the first streamed week against when resuming mid-series.
-	Prev []scanner.Responder
 }
 
 // First returns the series' opening observation, or nil when no weeks
-// were scanned. An empty series is reachable (a -weeks 0 run, a
-// zero-epoch resume), and this used to panic on s.Weeks[0]; callers
-// must treat nil as "no data", which every renderer now does.
+// were scanned. An empty series is reachable (a -weeks 0 run), and this
+// used to panic on s.Weeks[0]; callers must treat nil as "no data",
+// which every renderer now does.
 func (s *Series) First() *WeekObservation {
 	if len(s.Weeks) == 0 {
 		return nil

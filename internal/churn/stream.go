@@ -33,8 +33,8 @@ type EpochDelta struct {
 // Cancellation checkpoints sit between weeks; a sink error (including a
 // closed queue's) aborts the stream.
 func StreamWeekly(ctx context.Context, sc *scanner.Scanner, clock Clock, cfg StudyConfig, sink func(context.Context, EpochDelta) error) error {
-	prev := cfg.Prev
-	for week := cfg.StartWeek; week < cfg.Weeks; week++ {
+	var prev []scanner.Responder
+	for week := 0; week < cfg.Weeks; week++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}

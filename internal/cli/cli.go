@@ -1,21 +1,20 @@
 // Package cli is the one place the command-line surface wildreport,
 // dnsscan and wildsvc share is declared: the flags all of them
-// take, and the run scaffolding behind those flags — checkpoint store and
-// interrupt handling, metrics registry, debug endpoint, progress output,
-// exit-time snapshot, journaled report sections. A binary's main keeps
-// only its own flags and its own work.
+// take, and the run scaffolding behind those flags — interrupt handling,
+// metrics registry, debug endpoint, progress output, exit-time snapshot,
+// report sections. A binary's main keeps only its own flags and its own
+// work. A run is short enough to repeat, so nothing here saves progress:
+// an interrupted run is run again.
 package cli
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
 	"time"
 
-	"goingwild/internal/checkpoint"
 	"goingwild/internal/core"
 	"goingwild/internal/debughttp"
 	"goingwild/internal/metrics"
@@ -35,10 +34,8 @@ type Flags struct {
 	Progress bool
 	Metrics  string
 	// The run flags; see RegisterRun.
-	Chaos      string
-	Checkpoint string
-	Resume     bool
-	DebugAddr  string
+	Chaos     string
+	DebugAddr string
 }
 
 // Register declares the flags all three binaries take, on the process
@@ -54,28 +51,17 @@ func Register(prog string, order uint) *Flags {
 }
 
 // RegisterRun adds the flags of a binary that runs a study or scan to
-// completion: -chaos and -debug-addr and, for the binary that runs a plan
-// (plan true), -checkpoint and -resume. A plan commits at week and section
-// boundaries; a single scan has no such boundary to save at, and the
-// daemon has no run to checkpoint and serves its own endpoint, so both go
-// without.
-func (f *Flags) RegisterRun(plan bool) {
+// completion: -chaos and -debug-addr. The daemon serves its own endpoint
+// and goes without.
+func (f *Flags) RegisterRun() {
 	flag.StringVar(&f.Chaos, "chaos", "", "fault-injection profile (clean, lossy, hostile, flaky); empty injects nothing")
-	if plan {
-		flag.StringVar(&f.Checkpoint, "checkpoint", "", "directory for crash-safe checkpoints; progress is saved there after every week and section")
-		flag.BoolVar(&f.Resume, "resume", false, "resume from the newest checkpoint in -checkpoint instead of starting over")
-	}
 	flag.StringVar(&f.DebugAddr, "debug-addr", "", "serve expvar/pprof/metrics over HTTP on this address (e.g. localhost:6060)")
 }
 
-// Parse parses the command line and checks the shared flags, before
-// anything touches the disk: -resume needs -checkpoint, and -chaos must
-// name a profile.
+// Parse parses the command line and checks the shared flags before any
+// work starts: -chaos must name a profile.
 func (f *Flags) Parse() {
 	flag.Parse()
-	if f.Resume && f.Checkpoint == "" {
-		f.Usage(errors.New("-resume requires -checkpoint"))
-	}
 	if f.Chaos != "" {
 		if _, err := wildnet.ChaosProfile(f.Chaos); err != nil {
 			f.Usage(err)
@@ -89,38 +75,17 @@ func (f *Flags) Usage(err error) {
 	os.Exit(2)
 }
 
-// Fatal reports err on stderr and exits: status 3 when err is the orderly
-// first-interrupt stop of a checkpointed run (the checkpoint is saved),
-// status 1 for a failure.
+// Fatal reports a failure on stderr and exits 1.
 func (f *Flags) Fatal(err error) {
-	if errors.Is(err, checkpoint.ErrStopped) {
-		fmt.Fprintf(os.Stderr, "%s: checkpoint saved; resume with -resume\n", f.prog)
-		os.Exit(3)
-	}
 	fmt.Fprintf(os.Stderr, "%s: %v\n", f.prog, err)
 	os.Exit(1)
 }
 
-// Context derives the run's context from root and, under -checkpoint,
-// opens the checkpoint run. fingerprint names every flag that shapes
-// stdout, so a resume under different flags is refused instead of
-// splicing two runs. Without -checkpoint SIGINT cancels the context, and
-// every stage boundary and send batch honors it. With it interrupts are
-// two-phase: the first SIGINT drains to the next safe point, checkpoints
-// and surfaces as checkpoint.ErrStopped; the second cancels hard. release
-// undoes the signal handling.
-func (f *Flags) Context(root context.Context, fingerprint string) (ctx context.Context, runner *checkpoint.Runner, release func()) {
-	if f.Checkpoint == "" {
-		ctx, release = signal.NotifyContext(root, os.Interrupt)
-		return ctx, nil, release
-	}
-	runner, err := checkpoint.OpenRun(f.Checkpoint, f.Resume, fingerprint, os.Stdout, os.Stderr)
-	if err != nil {
-		f.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(root)
-	uninstall := runner.InstallSignals(cancel)
-	return ctx, runner, func() { uninstall(); cancel() }
+// Context derives the run's context from root: SIGINT cancels it, and
+// every stage boundary and send batch honors that. release undoes the
+// signal handling.
+func (f *Flags) Context(root context.Context) (ctx context.Context, release func()) {
+	return signal.NotifyContext(root, os.Interrupt)
 }
 
 // Registry returns the run's metrics registry, created when -metrics or

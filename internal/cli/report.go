@@ -10,7 +10,6 @@ import (
 
 	"goingwild/internal/ampli"
 	"goingwild/internal/analysis"
-	"goingwild/internal/checkpoint"
 	"goingwild/internal/churn"
 	"goingwild/internal/core"
 	"goingwild/internal/domains"
@@ -39,7 +38,7 @@ type Block struct {
 	Rows func() []analysis.Row
 }
 
-// Section is a run of blocks journaled as one unit under -checkpoint.
+// Section is a run of blocks printed by one render stage.
 type Section struct {
 	Name string
 	// Explicit sections are selected by name only, never by "all".
@@ -113,23 +112,17 @@ type Report struct {
 	Week  int
 	Scale analysis.Scale
 
-	runner *checkpoint.Runner
 	live   func(core.EpochView)
 	series *core.Out[*churn.Series]
 	dom    *core.Out[*core.DomainStudyResult]
 }
 
-// Start binds r to a study and an empty plan, crash-safe through runner
-// when the run is checkpointed. Under -progress the weekly series prints
-// every applied epoch to stderr.
-func (f *Flags) Start(r *Report, study *core.Study, runner *checkpoint.Runner, week int) {
-	r.Study, r.Week, r.runner = study, week, runner
+// Start binds r to a study and an empty plan. Under -progress the weekly
+// series prints every applied epoch to stderr.
+func (f *Flags) Start(r *Report, study *core.Study, week int) {
+	r.Study, r.Week = study, week
 	r.Scale = analysis.Scale(study.World.ScaleFactor())
-	var store core.SeriesStore
-	if runner != nil {
-		store = runner
-	}
-	r.Plan = study.NewPlan(store)
+	r.Plan = study.NewPlan()
 	if f.Progress {
 		r.live = func(v core.EpochView) {
 			fmt.Fprint(os.Stderr, analysis.RenderEpochDelta(v.Obs, v.Delta, r.Scale))
@@ -138,8 +131,7 @@ func (f *Flags) Start(r *Report, study *core.Study, runner *checkpoint.Runner, w
 }
 
 // Series is the weekly series, added to the plan by the first block that
-// needs it. Under -checkpoint a resume whose cursor already covers every
-// week replays the checkpointed tracker without scanning at all.
+// needs it.
 func (r *Report) Series() *core.Out[*churn.Series] {
 	if r.series == nil {
 		r.series = r.Plan.WeeklySeries(r.live)
@@ -160,49 +152,24 @@ func (r *Report) Domains() *core.Out[*core.DomainStudyResult] {
 }
 
 // Sectioned adds the sections to the report's plan: what each section's
-// blocks need, then the stage that renders it. Without a checkpoint run
-// the render stage prints straight to stdout. With one it journals the
-// section the moment it is rendered, together with the degradation
-// entries the section's stages contributed; a resumed run adds no
-// experiment for a journaled section — its render stage replays the
-// recorded bytes and restores the entries — so the final "Degraded
-// stages" block matches the uninterrupted run's. The plan runs stages in
-// the order they were added, so a section renders after what it needs.
+// blocks need, then the stage that prints the section to stdout. The
+// plan runs stages in the order they were added, so a section renders
+// after what it needs, and the sections a failed run finished stay
+// printed.
 func Sectioned(r *Report, sections []Section) {
-	mark := 0 // len(r.Study.Degraded) when the previous section closed
 	for _, sec := range sections {
-		doc := "degraded:" + sec.Name
-		done := r.runner != nil && r.runner.Done(sec.Name)
 		for _, b := range sec.Blocks {
-			if !done && b.Needs != nil {
+			if b.Needs != nil {
 				b.Needs()
 			}
 		}
-		render := func(w io.Writer) error {
-			for _, b := range sec.Blocks {
-				if err := b.Render(w); err != nil {
-					return err
-				}
-			}
-			if delta := r.Study.Degraded[mark:]; r.runner != nil && len(delta) > 0 {
-				// Overwriting the same value makes a crash-retry idempotent.
-				return r.runner.Update(doc, delta)
-			}
-			return nil
-		}
 		r.Plan.Add(pipeline.Stage{Name: "render-" + sec.Name, Run: func(context.Context) ([]pipeline.Count, error) {
-			defer func() { mark = len(r.Study.Degraded) }()
-			if r.runner == nil {
-				return nil, render(os.Stdout)
-			}
-			if done {
-				var recs []core.DegradedStage
-				if _, err := r.runner.Fetch(doc, &recs); err != nil {
+			for _, b := range sec.Blocks {
+				if err := b.Render(os.Stdout); err != nil {
 					return nil, err
 				}
-				r.Study.Degraded = append(r.Study.Degraded, recs...)
 			}
-			return nil, r.runner.Section(sec.Name, render)
+			return nil, nil
 		}})
 	}
 }

@@ -82,7 +82,7 @@ func RunChaosPipeline(ctx context.Context, order uint, profile string, week int,
 	}
 	defer s.Close()
 
-	p := s.NewPlan(nil)
+	p := s.NewPlan()
 	census, survey := p.Census(week), p.Chaos(week)
 	dom := p.DomainStudy(week, []domains.Category{domains.Alexa})
 	if err := p.Run(ctx); err != nil {

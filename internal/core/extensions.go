@@ -28,7 +28,7 @@ func (p *Plan) Amplification(week int, name string) *Out[*ampli.Survey] {
 // RunAmplificationContext runs the amplification survey and reports how
 // many resolvers it targeted.
 func (s *Study) RunAmplificationContext(ctx context.Context, week int, name string) (*ampli.Survey, int, error) {
-	p := s.NewPlan(nil)
+	p := s.NewPlan()
 	survey := p.Amplification(week, name)
 	if err := p.Run(ctx); err != nil {
 		return nil, 0, err

@@ -241,7 +241,7 @@ func TestPlanCountsTheCensusOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	p := s.NewPlan(nil)
+	p := s.NewPlan()
 	full := addFullReport(p, week)
 	if err := p.Run(context.Background()); err != nil {
 		t.Fatal(err)

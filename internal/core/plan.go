@@ -31,15 +31,12 @@ import (
 type Plan struct {
 	s      *Study
 	stages []pipeline.Stage
-	store  SeriesStore
 	census map[int]*Census
 }
 
-// NewPlan starts an empty plan. A non-nil store makes its weekly series
-// crash-safe: the series commits each finished week there and resumes
-// from the last commit a killed run left.
-func (s *Study) NewPlan(store SeriesStore) *Plan {
-	return &Plan{s: s, store: store, census: map[int]*Census{}}
+// NewPlan starts an empty plan.
+func (s *Study) NewPlan() *Plan {
+	return &Plan{s: s, census: map[int]*Census{}}
 }
 
 // Add appends a stage.
@@ -71,7 +68,7 @@ type Out[T any] struct{ V T }
 
 // runOne is the plan behind a Study.Run*Context method: one experiment.
 func runOne[T any](ctx context.Context, s *Study, add func(*Plan) *Out[T]) (T, error) {
-	p := s.NewPlan(nil)
+	p := s.NewPlan()
 	out := add(p)
 	if err := p.Run(ctx); err != nil {
 		var zero T

@@ -85,7 +85,7 @@ func TestPlanMatchesStandaloneRuns(t *testing.T) {
 			}
 			runtime.GOMAXPROCS(flipped)
 			shared := planStudy(t, profile, order, weeks)
-			p := shared.NewPlan(nil)
+			p := shared.NewPlan()
 			full := addFullReport(p, week)
 			err := p.Run(ctx)
 			runtime.GOMAXPROCS(old)
@@ -145,7 +145,7 @@ func TestPlanSweepsEachWeekOnce(t *testing.T) {
 			done[ev.Stage]++
 		}
 	}
-	p := s.NewPlan(nil)
+	p := s.NewPlan()
 	addFullReport(p, 3)
 	other := p.Census(2)
 	if again := p.Census(2); again != other {
@@ -167,43 +167,37 @@ func TestPlanSweepsEachWeekOnce(t *testing.T) {
 }
 
 // TestPlanSeriesIsOneStage watches a series plan from the observer's
-// side: with and without a store it is the one stage "weekly-scans" —
-// started once, done once, nothing nested around or inside it — and the
-// per-epoch instruments count the weeks the stage applied.
+// side: it is the one stage "weekly-scans" — started once, done once,
+// nothing nested around or inside it — and the per-epoch instruments
+// count the weeks the stage applied.
 func TestPlanSeriesIsOneStage(t *testing.T) {
 	const weeks = 4
-	run := func(store SeriesStore) (events []string, stripped []byte, epochs uint64) {
-		t.Helper()
-		cfg := DefaultConfig(14)
-		cfg.Weeks, cfg.Metrics = weeks, metrics.New()
-		s, err := NewStudy(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		s.Observer = func(ev pipeline.StageEvent) {
-			events = append(events, ev.Stage+" "+ev.Kind.String())
-		}
-		p := s.NewPlan(store)
-		series := p.WeeklySeries(nil)
-		if err := p.Run(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		if len(series.V.Weeks) != weeks {
-			t.Fatalf("series has %d weeks, want %d", len(series.V.Weeks), weeks)
-		}
-		return events, stripJSON(t, cfg.Metrics), cfg.Metrics.Snapshot().Counter("pipeline.epoch.done")
+	cfg := DefaultConfig(14)
+	cfg.Weeks, cfg.Metrics = weeks, metrics.New()
+	s, err := NewStudy(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	plain, plainJSON, plainEpochs := run(nil)
-	stored, _, storedEpochs := run(newMemStore())
-	want := []string{"weekly-scans start", "weekly-scans done"}
-	if !reflect.DeepEqual(plain, want) || !reflect.DeepEqual(stored, want) {
-		t.Errorf("stage events: plain %v, with a store %v; want %v both ways", plain, stored, want)
+	defer s.Close()
+	var events []string
+	s.Observer = func(ev pipeline.StageEvent) {
+		events = append(events, ev.Stage+" "+ev.Kind.String())
 	}
-	if plainEpochs != weeks || storedEpochs != weeks {
-		t.Errorf("pipeline.epoch.done = %d plain, %d with a store; want %d", plainEpochs, storedEpochs, weeks)
+	p := s.NewPlan()
+	series := p.WeeklySeries(nil)
+	if err := p.Run(context.Background()); err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Contains(plainJSON, []byte("pipeline.delta.size")) {
+	if len(series.V.Weeks) != weeks {
+		t.Fatalf("series has %d weeks, want %d", len(series.V.Weeks), weeks)
+	}
+	if want := []string{"weekly-scans start", "weekly-scans done"}; !reflect.DeepEqual(events, want) {
+		t.Errorf("stage events %v, want %v", events, want)
+	}
+	if epochs := cfg.Metrics.Snapshot().Counter("pipeline.epoch.done"); epochs != weeks {
+		t.Errorf("pipeline.epoch.done = %d, want %d", epochs, weeks)
+	}
+	if !bytes.Contains(stripJSON(t, cfg.Metrics), []byte("pipeline.delta.size")) {
 		t.Error("stripped snapshot is missing pipeline.delta.size")
 	}
 }
@@ -238,7 +232,7 @@ func TestNewStudyRejectsNegativeWeeks(t *testing.T) {
 func TestPlanStagesReseatTheClock(t *testing.T) {
 	const week = 1
 	ctx := context.Background()
-	p := planStudy(t, "hostile", 14, 4).NewPlan(nil)
+	p := planStudy(t, "hostile", 14, 4).NewPlan()
 	p.Cohort(4)
 	util, amp := p.Utilization(week), p.Amplification(week, "chase.com")
 	if err := p.Run(ctx); err != nil {

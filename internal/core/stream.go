@@ -30,52 +30,31 @@ var deltaSizeBuckets = []int64{0, 10, 100, 1_000, 10_000, 100_000, 1_000_000, 10
 // producer goroutine and no queue; the serving daemon, whose applier
 // contends with readers, keeps its own (resolvesvc.Service.Run).
 //
-// live, when non-nil, is called after each epoch is applied (and, under a
-// store, committed); like the pipeline observer it is a side channel.
-// Per-epoch delta-size and epoch-count metrics land in Cfg.Metrics
-// (pipeline.delta.size, pipeline.epoch.done; both deterministic).
-//
-// Under the plan's store the series is resumable to the exact same Series
-// from a kill at any instant; without one it is the same code entered at
-// week 0 with no saves. After each epoch's deltas are applied, the cursor
-// and the tracker's frozen state are committed to seriesDocName, and that
-// commit is the series' only save. On entry a committed cursor skips the
-// finished weeks entirely — one that already covers every week sweeps
-// nothing. A kill inside a week loses that week's sweep: replaying it from
-// scratch is deterministic, so lost progress costs time, never bytes.
+// live, when non-nil, is called after each epoch is applied; like the
+// pipeline observer it is a side channel. Per-epoch delta-size and
+// epoch-count metrics land in Cfg.Metrics (pipeline.delta.size,
+// pipeline.epoch.done; both deterministic).
 func (p *Plan) WeeklySeries(live func(EpochView)) *Out[*churn.Series] {
-	s, store, out := p.s, p.store, &Out[*churn.Series]{}
+	s, out := p.s, &Out[*churn.Series]{}
 	p.Add(pipeline.Stage{
 		Name: "weekly-scans",
 		Run: func(ctx context.Context) ([]pipeline.Count, error) {
-			tracker, cursor, err := s.resumeSeries(store)
-			if err != nil {
-				return nil, err
-			}
+			tracker := churn.NewTracker(s.locator(), []int{0, s.Cfg.Weeks - 1})
 			weekly := churn.StudyConfig{
 				Order:     s.Cfg.Order,
 				Seed:      s.Cfg.ScanSeed,
 				Weeks:     s.Cfg.Weeks,
 				Blacklist: s.World.ScanBlacklist(),
-				StartWeek: cursor,
-				Prev:      tracker.Snapshot(),
 			}
 			deltaSize := s.Cfg.Metrics.Histogram("pipeline.delta.size", deltaSizeBuckets)
 			epochs := s.Cfg.Metrics.Counter("pipeline.epoch.done")
-			err = churn.StreamWeekly(ctx, s.Scanner, s.Transport, weekly, func(_ context.Context, d churn.EpochDelta) error {
+			err := churn.StreamWeekly(ctx, s.Scanner, s.Transport, weekly, func(_ context.Context, d churn.EpochDelta) error {
 				deltaSize.Observe(int64(len(d.Deltas)))
 				obs, err := tracker.Apply(d)
 				if err != nil {
 					return err
 				}
 				epochs.Inc()
-				if store != nil {
-					// Commit the cursor: everything up to and including this
-					// week is now derivable from the store alone.
-					if err := save(store, seriesDocName, SeriesCheckpoint{Cursor: d.Week + 1, Tracker: tracker.State()}); err != nil {
-						return err
-					}
-				}
 				if live != nil {
 					live(EpochView{Obs: obs, Delta: d})
 				}

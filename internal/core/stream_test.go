@@ -72,7 +72,7 @@ func seriesStream(t *testing.T, cfg Config, live func(EpochView)) *churn.Series 
 		t.Fatal(err)
 	}
 	defer s.Close()
-	p := s.NewPlan(nil)
+	p := s.NewPlan()
 	series := p.WeeklySeries(live)
 	if err := p.Run(context.Background()); err != nil {
 		t.Fatal(err)
@@ -219,7 +219,7 @@ func TestStreamingProducerFailurePropagates(t *testing.T) {
 	defer s.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	calls := 0
-	p := s.NewPlan(nil)
+	p := s.NewPlan()
 	p.WeeklySeries(func(EpochView) {
 		calls++
 		if calls == 2 {

@@ -250,8 +250,8 @@ func (s *Study) locator() churn.Locator {
 }
 
 // RunWeeklySeriesContext performs the §2.2 longitudinal scans (Figure 1
-// and, via the retained endpoints, Tables 1–2). A resumable run, or one
-// that watches the epochs go by, is a plan: NewPlan(store).WeeklySeries.
+// and, via the retained endpoints, Tables 1–2). A run that watches the
+// epochs go by is a plan: NewPlan().WeeklySeries.
 func (s *Study) RunWeeklySeriesContext(ctx context.Context) (*churn.Series, error) {
 	return runOne(ctx, s, func(p *Plan) *Out[*churn.Series] { return p.WeeklySeries(nil) })
 }
@@ -261,15 +261,6 @@ func (s *Study) RunWeeklySeriesContext(ctx context.Context) (*churn.Series, erro
 func (s *Study) SweepAtContext(ctx context.Context, week int) (*scanner.SweepResult, error) {
 	s.SetWeek(week)
 	return s.Scanner.SweepContext(ctx, s.Cfg.Order, s.Cfg.ScanSeed+uint32(week)*7919, s.World.ScanBlacklist())
-}
-
-// SweepShardAt runs shard `shard` of `of` of the week's Internet-wide
-// scan — the same permutation SweepAtContext walks, decimated by leapfrog
-// — so separate processes can each cover one shard and cmd/wildmerge can
-// recombine their artifacts into the unsharded census.
-func (s *Study) SweepShardAt(ctx context.Context, week, shard, of int) (*scanner.SweepResult, error) {
-	s.SetWeek(week)
-	return s.Scanner.SweepShardContext(ctx, s.Cfg.Order, s.Cfg.ScanSeed+uint32(week)*7919, s.World.ScanBlacklist(), shard, of)
 }
 
 // Cohort adds the tracking of the week-0 responders (Figure 2, §2.5): a
@@ -329,7 +320,7 @@ func (p *Plan) Chaos(week int) *Out[*fingerprint.ChaosSurvey] {
 // RunChaosContext performs the CHAOS scan of §2.4 (Table 3) and reports
 // how many resolvers it targeted.
 func (s *Study) RunChaosContext(ctx context.Context, week int) (*fingerprint.ChaosSurvey, int, error) {
-	p := s.NewPlan(nil)
+	p := s.NewPlan()
 	survey := p.Chaos(week)
 	if err := p.Run(ctx); err != nil {
 		return nil, 0, err

@@ -5,6 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -97,5 +100,44 @@ func TestEmptyStreams(t *testing.T) {
 	recs, err := readTuples(&buf)
 	if err != nil || len(recs) != 0 {
 		t.Errorf("empty tuples: %v %v", recs, err)
+	}
+}
+
+// TestArtifactRoundTrip writes a census artifact and decodes it strictly:
+// every field comes back, the responders in dotted-quad form and sorted
+// as the sweep had them, and a refused responder keeps its rcode and its
+// mis-sourced answer address.
+func TestArtifactRoundTrip(t *testing.T) {
+	res := &scanner.SweepResult{Probed: 30, Responders: []scanner.Responder{
+		{Addr: 5, Source: 5, RCode: dnswire.RCodeNoError, Answered: true},
+		{Addr: 9, Source: 10, RCode: dnswire.RCodeRefused},
+		{Addr: 0x01020304, Source: 0x01020304, RCode: dnswire.RCode(11)},
+	}}
+	a := FromSweep(16, 0x60176A11D, 0x5EED, 3, res)
+	path := filepath.Join(t.TempDir(), "sweep.json")
+	if err := WriteFile(path, a); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	dec := json.NewDecoder(f)
+	dec.DisallowUnknownFields()
+	var got Artifact
+	if err := dec.Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, a) {
+		t.Errorf("round trip changed the artifact:\n got %+v\nwant %+v", got, a)
+	}
+	want := []Responder{
+		{Addr: "0.0.0.5", Source: "0.0.0.5", RCode: 0, Answered: true},
+		{Addr: "0.0.0.9", Source: "0.0.0.10", RCode: 5},
+		{Addr: "1.2.3.4", Source: "1.2.3.4", RCode: 11},
+	}
+	if !reflect.DeepEqual(got.Responders, want) {
+		t.Errorf("responders %+v, want %+v", got.Responders, want)
 	}
 }

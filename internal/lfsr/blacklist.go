@@ -79,12 +79,6 @@ func (b *Blacklist) addRange(lo, hi uint32) {
 	b.frozen = false
 }
 
-// Freeze sorts and merges the ranges now instead of lazily at the first
-// lookup. Lookups from a single goroutine never need it, but concurrent
-// readers — the sharded sweep's per-shard generators — must Freeze
-// first: the lazy path mutates shared state on first use.
-func (b *Blacklist) Freeze() { b.freeze() }
-
 // freeze sorts and merges ranges; called lazily before lookups.
 func (b *Blacklist) freeze() {
 	if b.frozen {

@@ -13,7 +13,6 @@ package lfsr
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 )
 
 // ErrBadOrder reports an unsupported register width.
@@ -110,65 +109,6 @@ func (l *LFSR) Next() uint32 {
 		l.state ^= l.fb
 	}
 	return out
-}
-
-// stepMatrix is the GF(2) transition matrix of one Next step, stored in
-// column form: m[j] is the image of the basis state 1<<j. The Galois step
-// (shift right, toggle taps when a one falls off) is linear over GF(2), so
-// any number of steps composes into one matrix and a register can seek in
-// O(32² log n) bit operations instead of n iterations.
-type stepMatrix [32]uint32
-
-// stepMatrix returns the single-step matrix of this register: bit j shifts
-// down to j-1, and bit 0 toggles the feedback taps.
-func (l *LFSR) stepMatrix() stepMatrix {
-	var m stepMatrix
-	m[0] = l.fb
-	for j := 1; j < 32; j++ {
-		m[j] = 1 << (j - 1)
-	}
-	return m
-}
-
-// apply maps a state through the matrix.
-func (m *stepMatrix) apply(s uint32) uint32 {
-	var out uint32
-	for s != 0 {
-		j := bits.TrailingZeros32(s)
-		out ^= m[j]
-		s &= s - 1
-	}
-	return out
-}
-
-// compose returns the matrix of "a after b" (apply b first, then a).
-func (a *stepMatrix) compose(b *stepMatrix) stepMatrix {
-	var out stepMatrix
-	for j := 0; j < 32; j++ {
-		out[j] = a.apply(b[j])
-	}
-	return out
-}
-
-// Jump advances the register by n steps, as if Next had been called n
-// times (discarding the outputs), in O(32² log n) time. Jumping past the
-// period wraps around, exactly as repeated Next calls would.
-func (l *LFSR) Jump(n uint64) {
-	if n == 0 {
-		return
-	}
-	pow := l.stepMatrix() // step^(2^k) at iteration k
-	s := l.state
-	for n > 0 {
-		if n&1 == 1 {
-			s = pow.apply(s)
-		}
-		n >>= 1
-		if n > 0 {
-			pow = pow.compose(&pow)
-		}
-	}
-	l.state = s
 }
 
 // Wrapped reports whether the register has returned to its seed state,

@@ -4,11 +4,11 @@ import (
 	"go/ast"
 )
 
-// This file is the control-flow half of the flow-sensitive analysis core.
+// This file is the control-flow core of the flow-sensitive hotpath rule.
 // The syntactic rules are single-statement pattern matchers; an
-// allocation on one arm of a branch, or a rename no Sync precedes on one
-// path, only exists across branches. A CFG makes "on all paths" and "on
-// some path" answerable.
+// allocation on one arm of a branch only exists across branches, and an
+// allocation after a return lies on no path at all. A CFG makes "on some
+// reachable path" answerable.
 //
 // The builder lowers one function body to basic blocks. Compound
 // statements are flattened: a block never contains a statement that owns

@@ -1,7 +1,7 @@
-// Package lint is the project's static-analysis pass: seven analyzers
+// Package lint is the project's static-analysis pass: six analyzers
 // that enforce the correctness contracts the measurement pipeline relies
-// on but the compiler cannot check. Five are syntactic; two are
-// flow-sensitive, built on the CFG and dataflow core in cfg.go/flow.go.
+// on but the compiler cannot check. Five are syntactic; one is
+// flow-sensitive, built on the CFG in cfg.go.
 // A rule stays only while it has caught something or guards a live
 // seam; README ("Correctness tooling") keeps the catch record.
 //
@@ -28,18 +28,13 @@
 //     delay must flow through the injected Clock seam so fake-clock
 //     tests and the deterministic backoff schedule see every pause.
 //
-// The flow-sensitive rules:
+// The flow-sensitive rule:
 //
 //   - hotpath: functions annotated //lint:hotpath must contain no
 //     allocating construct on any reachable path: append, make/new,
 //     string concatenation or conversion, capturing closures, map/slice
 //     literals, and interface boxing at call sites. `make lint-escape`
 //     cross-checks the rule against the compiler's own escape analysis.
-//   - fsynccheck: write-durability discipline in the packages that
-//     publish files by write-then-rename (the checkpoint store): an
-//     os.Rename with no (*os.File).Sync() preceding it on any path can
-//     publish a torn file after a crash, and a bare f.Close() discards
-//     the error that delivers deferred write-back failures.
 //
 // Intentional exceptions are annotated in the source:
 //
@@ -70,7 +65,6 @@ const (
 	RuleCtxHygiene  = "ctxhygiene"
 	RuleSleepCall   = "sleepcall"
 	RuleHotPath     = "hotpath"
-	RuleFsyncCheck  = "fsynccheck"
 	// RuleAllow tags problems with //lint:allow comments themselves:
 	// malformed, unknown rule, or stale (covering nothing).
 	RuleAllow = "allow"
@@ -80,7 +74,7 @@ const (
 // naming anything else is a finding.
 var AllRules = []string{
 	RuleDeterminism, RuleMapOrder, RuleErrDrop, RuleCtxHygiene,
-	RuleSleepCall, RuleHotPath, RuleFsyncCheck,
+	RuleSleepCall, RuleHotPath,
 }
 
 func knownRule(name string) bool {
@@ -122,9 +116,6 @@ type Config struct {
 	// Rendering lists the packages that produce tables, reports, and
 	// result sets; the maporder rule applies here.
 	Rendering []string
-	// Durable lists the packages that publish files by atomic
-	// write-then-rename; the fsynccheck rule applies here.
-	Durable []string
 }
 
 // DefaultConfig returns the repository's contract: which packages are
@@ -142,14 +133,11 @@ func DefaultConfig(modulePath string) Config {
 		ModulePath: modulePath,
 		Deterministic: ip("wildnet", "prand", "lfsr", "cluster", "classify",
 			"analysis", "churn", "scanner", "metrics"),
-		// core, pipeline, and shardio joined with the streaming epoch
-		// engine: they now carry delta batches into rendered output, so
+		// core and pipeline carry delta batches into rendered output, and
+		// dataset writes the census artifact and the tuple file, so
 		// maporder must follow results through them too.
 		Rendering: ip("analysis", "classify", "snoop", "churn", "scanner",
-			"core", "pipeline", "shardio"),
-		// The checkpoint store is where a missed fsync turns a crash
-		// into a torn snapshot.
-		Durable: ip("checkpoint"),
+			"core", "pipeline", "dataset"),
 	}
 }
 
@@ -178,7 +166,7 @@ func (c *Config) Analyze(p *Package) []Finding {
 // checkers lists every analyzer; AnalyzeAll sorts what they emit.
 var checkers = []func(*Package, *Config, func(token.Pos, string, string)){
 	checkDeterminism, checkMapOrder, checkErrDrop, checkCtxHygiene,
-	checkSleepCall, checkHotPath, checkFsyncCheck,
+	checkSleepCall, checkHotPath,
 }
 
 // AnalyzeAll runs every analyzer and returns every finding,

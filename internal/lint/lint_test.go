@@ -30,7 +30,6 @@ var corpusTests = []struct {
 	{rule: RuleCtxHygiene, importPath: "goingwild/internal/fetch"},
 	{rule: RuleSleepCall, importPath: "goingwild/internal/fetch"},
 	{rule: RuleHotPath, importPath: "goingwild/internal/fetch"},
-	{rule: RuleFsyncCheck, importPath: "goingwild/internal/checkpoint"},
 }
 
 // loadCorpus type-checks testdata/<rule> as though it were the package
@@ -121,14 +120,28 @@ func TestCorpusGolden(t *testing.T) {
 // TestScopedRulesRespectPackageSets re-analyzes the determinism corpus
 // under a package outside the deterministic set: every determinism
 // finding must vanish (only the malformed-allow finding, which is
-// path-independent by design, may remain).
+// path-independent by design, may remain). The maporder corpus goes
+// quiet the same way outside the rendering set, and fires under dataset,
+// which writes the census artifact and the tuple file.
 func TestScopedRulesRespectPackageSets(t *testing.T) {
-	pkg := loadCorpus(t, RuleDeterminism, "goingwild/internal/fetch")
 	cfg := DefaultConfig("goingwild")
-	for _, f := range cfg.Analyze(pkg) {
-		if f.Rule == RuleDeterminism {
-			t.Errorf("determinism fired outside its package set: %s", f)
+	count := func(rule, importPath string) int {
+		n := 0
+		for _, f := range cfg.Analyze(loadCorpus(t, rule, importPath)) {
+			if f.Rule == rule {
+				n++
+			}
 		}
+		return n
+	}
+	if n := count(RuleDeterminism, "goingwild/internal/fetch"); n != 0 {
+		t.Errorf("determinism fired %d times outside its package set", n)
+	}
+	if n := count(RuleMapOrder, "goingwild/internal/fetch"); n != 0 {
+		t.Errorf("maporder fired %d times outside its package set", n)
+	}
+	if count(RuleMapOrder, "goingwild/internal/dataset") == 0 {
+		t.Error("maporder is silent in dataset, a rendering package")
 	}
 }
 

@@ -51,66 +51,6 @@ func TestTemplateBuildMatchesAppend(t *testing.T) {
 	}
 }
 
-// sweepWith runs one sweep against a fresh deterministic world, so two
-// invocations differ only in the options the caller varies.
-func sweepWith(t *testing.T, order uint, seed uint32, opts Options) *SweepResult {
-	t.Helper()
-	w, err := wildnet.NewWorld(wildnet.DefaultConfig(order))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := wildnet.NewMemTransport(w, wildnet.VantagePrimary)
-	defer tr.Close()
-	res, err := New(tr, opts).SweepContext(context.Background(), order, seed, w.ScanBlacklist())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
-}
-
-// TestSweepShardUnionMatchesUnsharded covers the out-of-process split:
-// running each shard as its own SweepShard call (fresh world each, as
-// separate scan processes would) and merging the per-shard results
-// reproduces the unsharded sweep exactly.
-func TestSweepShardUnionMatchesUnsharded(t *testing.T) {
-	const of = 4
-	opts := Options{Workers: 2, SweepRetries: 1, SettleDelay: time.Millisecond}
-	single := sweepWith(t, 16, 777, opts)
-
-	var probed uint64
-	merged := map[uint32]Responder{}
-	for shard := 0; shard < of; shard++ {
-		w, err := wildnet.NewWorld(wildnet.DefaultConfig(16))
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr := wildnet.NewMemTransport(w, wildnet.VantagePrimary)
-		res, err := New(tr, opts).SweepShardContext(context.Background(), 16, 777, w.ScanBlacklist(), shard, of)
-		tr.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		probed += res.Probed
-		for _, r := range res.Responders {
-			if _, dup := merged[r.Addr]; dup {
-				t.Fatalf("target %08x reported by two shards", r.Addr)
-			}
-			merged[r.Addr] = r
-		}
-	}
-	if probed != single.Probed {
-		t.Errorf("shard probes sum to %d, unsharded probed %d", probed, single.Probed)
-	}
-	if len(merged) != len(single.Responders) {
-		t.Errorf("shard union has %d responders, unsharded %d", len(merged), len(single.Responders))
-	}
-	for _, want := range single.Responders {
-		if got, ok := merged[want.Addr]; !ok || got != want {
-			t.Errorf("target %08x: shard union %+v, unsharded %+v", want.Addr, got, want)
-		}
-	}
-}
-
 // sendOne dispatches one probe as a batch of one, the form a single
 // exchange takes.
 func sendOne(ctx context.Context, tr Transport, p wildnet.Probe) error {
@@ -192,51 +132,6 @@ func TestBatchedDispatchMatchesPerProbe(t *testing.T) {
 			if got := run(false, workers); !reflect.DeepEqual(got, want) {
 				t.Errorf("%s: Workers=%d diverges from Workers=2", sc.name, workers)
 			}
-		}
-	}
-}
-
-// TestShardGeneratorUnionIsPermutation: the leapfrog shards of one seed
-// partition the full permutation slot-for-slot.
-func TestShardGeneratorUnionIsPermutation(t *testing.T) {
-	const order, seed, m = 12, 5, 3
-	full, err := lfsr.NewTargetGenerator(order, seed, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want []uint32
-	for {
-		u, ok := full.NextU32()
-		if !ok {
-			break
-		}
-		want = append(want, u)
-	}
-	got := make([]uint32, len(want))
-	seen := 0
-	for i := 0; i < m; i++ {
-		g, err := lfsr.ShardedGenerator(order, seed, nil, i, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for pos := i; ; pos += m {
-			u, ok := g.NextU32()
-			if !ok {
-				break
-			}
-			if pos >= len(want) {
-				t.Fatalf("shard %d overran the permutation", i)
-			}
-			got[pos] = u
-			seen++
-		}
-	}
-	if seen != len(want) {
-		t.Fatalf("shards yielded %d slots, permutation has %d", seen, len(want))
-	}
-	for pos := range want {
-		if got[pos] != want[pos] {
-			t.Fatalf("slot %d: shard union %08x, full walk %08x", pos, got[pos], want[pos])
 		}
 	}
 }

@@ -2,7 +2,6 @@ package scanner
 
 import (
 	"fmt"
-	"sort"
 
 	"goingwild/internal/dnswire"
 )
@@ -139,31 +138,4 @@ func SnapshotSweep(probed uint64, responders []Responder) *SweepResult {
 		res.ByRCode[r.RCode]++
 	}
 	return res
-}
-
-// MergeSweepResults deterministically combines shard-local sweep
-// results into the result one unsharded sweep would have produced:
-// probed counts sum, responder lists merge-sort by Addr, and ByRCode is
-// rebuilt from the merged set. The inputs must cover disjoint target
-// sets (the scanner's sharding contract); a target present in two parts
-// is an error, since first-response-wins gives no deterministic way to
-// pick between conflicting records.
-func MergeSweepResults(parts []*SweepResult) (*SweepResult, error) {
-	total := 0
-	var probed uint64
-	for _, p := range parts {
-		total += len(p.Responders)
-		probed += p.Probed
-	}
-	merged := make([]Responder, 0, total)
-	for _, p := range parts {
-		merged = append(merged, p.Responders...)
-	}
-	sort.Slice(merged, func(i, j int) bool { return merged[i].Addr < merged[j].Addr })
-	for i := 1; i < len(merged); i++ {
-		if merged[i-1].Addr == merged[i].Addr {
-			return nil, fmt.Errorf("scanner: target %08x present in two sweep results", merged[i].Addr)
-		}
-	}
-	return SnapshotSweep(probed, merged), nil
 }

@@ -140,30 +140,3 @@ func TestSnapshotSweepMatchesCollector(t *testing.T) {
 		t.Error("snapshot aliases the input slice")
 	}
 }
-
-func TestMergeSweepResultsDisjointAndDetectsOverlap(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	full := randomResponders(rng, 128)
-	// Leapfrog split, as the sharded sweep partitions targets.
-	parts := make([]*SweepResult, 4)
-	for i := range parts {
-		parts[i] = &SweepResult{Probed: 32}
-	}
-	for k, r := range full {
-		p := parts[k%4]
-		p.Responders = append(p.Responders, r)
-	}
-	merged, err := MergeSweepResults(parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := SnapshotSweep(128, full)
-	if !reflect.DeepEqual(merged, want) {
-		t.Fatalf("merged shards != unsharded snapshot\ngot  %+v\nwant %+v", merged, want)
-	}
-
-	parts[0].Responders = append(parts[0].Responders, parts[1].Responders[0])
-	if _, err := MergeSweepResults(parts); err == nil {
-		t.Error("overlapping shards accepted")
-	}
-}

@@ -143,44 +143,25 @@ func (st *sweepCollector) receive(src netip4, srcPort, dstPort uint16, payload [
 // partial result: every response collected before the abort is present,
 // sorted, and counted, so callers that tolerate partial censuses can keep
 // it.
-func (s *Scanner) SweepContext(ctx context.Context, order uint, seed uint32, bl *lfsr.Blacklist) (*SweepResult, error) {
-	return s.sweep(ctx, order, seed, bl, 0, 1)
-}
-
-// SweepShardContext probes shard `shard` of `of` of a 2^order sweep: the
-// targets lfsr.ShardedGenerator(order, seed, bl, shard, of) yields, i.e.
-// every of-th slot of the full permutation. Separate processes each run
-// one shard (wildreport -shard i/M) and cmd/wildmerge recombines the
-// per-shard results into the unsharded report — shards share nothing, as
-// ZMap's do. Every probe a shard sends is bit-identical to the probe the
-// unsharded sweep sends to the same target, so the modeled per-packet
-// loss draws — and therefore the responder set — cannot depend on `of`.
-// The result holds only this shard's probes and responders.
-func (s *Scanner) SweepShardContext(ctx context.Context, order uint, seed uint32, bl *lfsr.Blacklist, shard, of int) (*SweepResult, error) {
-	return s.sweep(ctx, order, seed, bl, shard, of)
-}
-
-// sweep is the sweep's entry to the scan engine, behind SweepContext (full
-// permutation) and SweepShardContext (one leapfrog shard of it): the
-// target source is the LFSR generator, the builder the census template,
-// and SweepRetries the retry rounds.
 //
-// A census sends exactly one probe per target: retransmitting to the
+// On the scan engine the target source is the LFSR generator, the
+// builder the census template, and SweepRetries the retry rounds. A
+// census sends exactly one probe per target: retransmitting to the
 // silent majority (non-resolvers) would double the scan for a
 // fraction-of-a-percent gain, and loss is accounted for by the
 // secondary-vantage verification scan instead (§2.2). Retry rounds exist
 // for the fault profiles: they re-probe only still-silent targets with an
 // attempt-salted anti-caching prefix, so every retransmission is a new
 // packet with a fresh loss draw.
-func (s *Scanner) sweep(ctx context.Context, order uint, seed uint32, bl *lfsr.Blacklist, shard, of int) (*SweepResult, error) {
+func (s *Scanner) SweepContext(ctx context.Context, order uint, seed uint32, bl *lfsr.Blacklist) (*SweepResult, error) {
 	if s.tr == nil {
 		return nil, ErrNoTransport
 	}
-	gen, err := lfsr.ShardedGenerator(order, seed, bl, shard, of)
+	gen, err := lfsr.NewTargetGenerator(order, seed, bl)
 	if err != nil {
 		return nil, err
 	}
-	st := newSweepCollector(domains.ScanBase, int(uint64(1)<<order/64/uint64(of)))
+	st := newSweepCollector(domains.ScanBase, int(uint64(1)<<order/64))
 	st.recv = s.m.sweepRecv
 	s.tr.SetReceiver(st.receive)
 	baseWire, err := dnswire.EncodeNameWire(st.base)

@@ -12,15 +12,13 @@ import (
 )
 
 // sweepContract checks, for one (fault profile, retry rounds) cell,
-// everything the one sweep engine promises about Workers and shards:
+// everything the one sweep engine promises about Workers:
 //
 //	(a) SweepContext returns the same result at every worker count;
 //	(b) a sweep killed at a seeded probe — in the census or a retry
 //	    round — and swept again from the start on a fresh transport at a
 //	    *different* worker count lands on that same result: a killed
-//	    sweep resumes by sweeping again;
-//	(c) the SweepShardContext shards of a 1-way and a 4-way split union
-//	    to it.
+//	    sweep resumes by sweeping again.
 func sweepContract(t *testing.T, profile string, retries int) {
 	const order, seed = 14, 99
 	w, _ := chaosWorld(t, order, profile)
@@ -69,25 +67,6 @@ func sweepContract(t *testing.T, profile string, retries int) {
 				t.Fatal(err)
 			}
 			same(t, fmt.Sprintf("kill at probe %d/%d, sweep again at workers=%d", killAt, sent, again), got)
-		})
-	}
-	for _, of := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", of), func(t *testing.T) {
-			parts := make([]*SweepResult, of)
-			for shard := range parts {
-				tr := wildnet.NewMemTransport(w, wildnet.VantagePrimary)
-				s := New(tr, Options{Workers: 2, SettleDelay: NoSettle, SweepRetries: retries})
-				parts[shard], err = s.SweepShardContext(context.Background(), order, seed, bl, shard, of)
-				tr.Close()
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
-			got, err := MergeSweepResults(parts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			same(t, fmt.Sprintf("%d-shard union", of), got)
 		})
 	}
 }
