@@ -45,12 +45,16 @@ bench-test:
 # scanner and wildnet exist for this target; ampli's survey runs the ANY
 # scan's receiver under four senders; cluster's linkage fills its
 # distance rows from parallel goroutines through an atomic row counter;
-# snoop's rounds merge concurrent senders' replies into per-resolver
-# slots under stripe locks).
-# resolvesvc runs three times: its coalescer stress is a race between
-# request goroutines and one prober, and one schedule of it proves little.
+# snoop's rounds and the CHAOS scan merge concurrent senders' replies
+# into per-resolver slots under stripe locks; the domain scan claims its
+# answer slots with atomics instead).
+# Two runs go three times, because one schedule of them proves little:
+# resolvesvc's coalescer stress is a race between request goroutines and
+# one prober, and over the UDP gateway the domain scan's answer slots are
+# written by the transport's read loop while the scan reads them.
 race:
 	$(GO) test -race ./internal/scanner ./internal/wildnet ./internal/ampli ./internal/cluster ./internal/snoop ./internal/pipeline ./internal/metrics ./internal/debughttp .
+	$(GO) test -race -count=3 -run Gateway ./internal/scanner
 	$(GO) test -race -count=3 ./internal/resolvesvc
 
 # Chaos matrix: the full pipeline under every fault profile (clean,

@@ -3,6 +3,7 @@ package dnswire
 import (
 	"encoding/binary"
 	"errors"
+	"strings"
 )
 
 // This file is the encode-side mirror of view.go: the simulated resolvers
@@ -42,10 +43,11 @@ func (b *ResponseBuilder) Message(off, end int) []byte { return b.buf[off:end:en
 // opcode and RD bit, QR and RA set, rcode, and the question echoed in the
 // query's letter casing. cn must be q's question name in canonical form
 // (CanonicalName: lower case, the one optional trailing dot gone), which
-// the resolver holds anyway; it is what gets encoded — so the
-// Compressor's entries alias a string, never the View's reused storage —
-// and the query's casing is copied back over it. Records are added to
-// the answer section until Authority is called.
+// the resolver holds anyway; the Compressor's entries alias it, never the
+// View's reused storage. A question whose wire labels spell cn is copied
+// as it stands (echoesName); any other has cn encoded and the query's
+// casing copied back over it — the bytes are the same either way. Records
+// are added to the answer section until Authority is called.
 func (b *ResponseBuilder) Begin(q *View, cn string, rcode RCode) {
 	b.start, b.err = len(b.buf), nil
 	b.count = b.start + 6
@@ -54,9 +56,68 @@ func (b *ResponseBuilder) Begin(q *View, cn string, rcode RCode) {
 	b.buf = binary.BigEndian.AppendUint16(b.buf, q.id)
 	b.buf = binary.BigEndian.AppendUint16(b.buf, flags)
 	b.buf = append(b.buf, 0, 1, 0, 0, 0, 0, 0, 0)
+	b.rootOwner = cn == ""
+	if q.counts[0] > 0 && len(q.msg) > 12 && echoesName(q.msg[12:], cn) {
+		b.echoQuestion(q.msg[12:12+len(cn)+2], cn)
+	} else {
+		b.encodeQuestion(q, cn)
+	}
+	b.buf = binary.BigEndian.AppendUint16(b.buf, uint16(q.qtype))
+	b.buf = binary.BigEndian.AppendUint16(b.buf, uint16(q.qclass))
+}
+
+// echoesName reports whether the wire name at the front of raw spells the
+// canonical name cn label for label, with no compression pointer: every
+// octet of a label is cn's or the upper case of cn's letter, and none is
+// a dot, which in cn would split the label. The root and a name too long
+// to encode are left to the encoder.
+//
+//lint:hotpath per-probe question echo of the simulated resolver
+func echoesName(raw []byte, cn string) bool {
+	if cn == "" || len(cn)+2 > maxNameWire || len(raw) < len(cn)+2 {
+		return false
+	}
+	for i := 0; ; {
+		end := i + int(raw[i])
+		if end == i || end-i > maxLabelWire || end > len(cn) {
+			return false
+		}
+		for j := i; j < end; j++ {
+			if c := raw[j+1]; c == '.' || c != cn[j] && lowerASCII(c) != cn[j] {
+				return false
+			}
+		}
+		if end == len(cn) {
+			return raw[end+1] == 0
+		}
+		if cn[end] != '.' {
+			return false
+		}
+		i = end + 1
+	}
+}
+
+// echoQuestion copies the question name wire, which echoesName has
+// matched to cn, and registers cn's suffixes with the Compressor where
+// encoding cn would have: the suffix starting at text index i of cn has
+// its length octet at message offset 12+i.
+func (b *ResponseBuilder) echoQuestion(wire []byte, cn string) {
+	copy(b.extend(len(wire)), wire)
+	for i := 0; ; {
+		b.cmp.entries = append(b.cmp.entries, compEntry{cn[i:], 12 + i})
+		j := strings.IndexByte(cn[i:], '.')
+		if j < 0 {
+			return
+		}
+		i += j + 1
+	}
+}
+
+// encodeQuestion encodes cn as the question name and copies the query's
+// letter casing back over it.
+func (b *ResponseBuilder) encodeQuestion(q *View, cn string) {
 	name := len(b.buf) + 1 // text index i of the name sits at name+i
 	b.buf, b.err = appendLabels(b.buf, cn, &b.cmp)
-	b.rootOwner = cn == ""
 	if raw := q.name; b.err == nil && len(raw) >= len(cn) {
 		for i := 0; i < len(cn); i++ {
 			if c := raw[i]; c != cn[i] && lowerASCII(c) == cn[i] {
@@ -64,8 +125,6 @@ func (b *ResponseBuilder) Begin(q *View, cn string, rcode RCode) {
 			}
 		}
 	}
-	b.buf = binary.BigEndian.AppendUint16(b.buf, uint16(q.qtype))
-	b.buf = binary.BigEndian.AppendUint16(b.buf, uint16(q.qclass))
 }
 
 // SetAA marks the response authoritative.

@@ -362,3 +362,94 @@ func TestViewQueryAccessors(t *testing.T) {
 		t.Errorf("EDNSPayloadSize = %d, %v, %v; want 1400 from the first additional OPT", got, ok, err)
 	}
 }
+
+// rawQuery is an A query whose question carries labels exactly as given,
+// a literal dot inside one included, which AppendQuery cannot write.
+func rawQuery(labels ...string) []byte {
+	q := []byte{0x12, 0x34, 0x01, 0x00, 0, 1, 0, 0, 0, 0, 0, 0}
+	for _, l := range labels {
+		q = append(append(q, byte(len(l))), l...)
+	}
+	return append(q, 0, 0, 1, 0, 1)
+}
+
+// questionPaths writes the question name of q for cn both ways Begin can,
+// behind a 12-byte header, and returns each path's bytes and Compressor
+// entries; echoed reports whether Begin takes the echo path.
+func questionPaths(q *View, cn string) (echoed bool, echo, enc *ResponseBuilder) {
+	enc = &ResponseBuilder{buf: make([]byte, 12)}
+	enc.encodeQuestion(q, cn)
+	echo = &ResponseBuilder{buf: make([]byte, 12)}
+	if echoed = q.counts[0] > 0 && echoesName(q.msg[12:], cn); echoed {
+		echo.echoQuestion(q.msg[12:12+len(cn)+2], cn)
+	}
+	return echoed, echo, enc
+}
+
+// TestBeginEchoMatchesEncode: a question Begin echoes by copy is written
+// byte for byte as encoding its canonical name and copying the query's
+// casing back would write it, with the same Compressor entries — so the
+// records behind it compress identically — and a question the echo test
+// refuses (a label holding a literal dot, the root, a name too long to
+// encode, a name that is not the question's) takes the encode path.
+func TestBeginEchoMatchesEncode(t *testing.T) {
+	long := strings.Repeat(strings.Repeat("x", 50)+".", 4) + strings.Repeat("w", 49)
+	l63 := strings.Repeat("y", 63)
+	for _, c := range []struct {
+		query []byte
+		cn    string // "" with echo set: CanonicalName of the question
+		echo  bool
+	}{
+		{query: mustQuery(t, "chase.com"), echo: true},
+		{query: mustQuery(t, "ChAsE.CoM"), echo: true},
+		{query: mustQuery(t, "WWW.Example.co.UK."), echo: true},
+		{query: mustQuery(t, "x1-Y2_z3.A"), echo: true},
+		{query: mustQuery(t, long), echo: true}, // 253 octets of text, 255 on the wire
+		{query: rawQuery("a.b", "com"), cn: "a.b.com"},
+		{query: rawQuery("a", "b.com"), cn: "a.b.com"},
+		{query: rawQuery(), cn: ""},
+		{query: rawQuery(l63, l63, l63, l63), cn: l63 + "." + l63 + "." + l63 + "." + l63}, // 255 octets of text
+		{query: rawQuery("chase", "com"), cn: "chase.com", echo: true},
+		{query: mustQuery(t, "chase.com"), cn: "chase.co"},
+		{query: mustQuery(t, "chase.com"), cn: "Chase.com"},
+		{query: mustQuery(t, "chase.com"), cn: "chase.com.org"},
+	} {
+		var v View
+		if err := v.Reset(c.query); err != nil {
+			t.Fatalf("%x: %v", c.query, err)
+		}
+		cn := c.cn
+		if c.echo {
+			cn = CanonicalName(string(v.QName()))
+		}
+		echoed, echo, enc := questionPaths(&v, cn)
+		if echoed != c.echo {
+			t.Errorf("%q for question %q: echoed %v, want %v", cn, v.QName(), echoed, c.echo)
+			continue
+		}
+		if !echoed {
+			continue
+		}
+		if !bytes.Equal(echo.buf, enc.buf) || echo.err != nil || enc.err != nil {
+			t.Errorf("%q: echo %x (%v), encode %x (%v)", cn, echo.buf, echo.err, enc.buf, enc.err)
+		}
+		if len(echo.cmp.entries) != len(enc.cmp.entries) {
+			t.Errorf("%q: echo registers %v, encode %v", cn, echo.cmp.entries, enc.cmp.entries)
+			continue
+		}
+		for i, e := range echo.cmp.entries {
+			if e != enc.cmp.entries[i] {
+				t.Errorf("%q: entry %d echo %v, encode %v", cn, i, e, enc.cmp.entries[i])
+			}
+		}
+	}
+}
+
+func mustQuery(t *testing.T, name string) []byte {
+	t.Helper()
+	q, err := AppendQuery(nil, 0x1234, true, name, TypeA, ClassIN)
+	if err != nil {
+		t.Fatalf("query %q: %v", name, err)
+	}
+	return q
+}

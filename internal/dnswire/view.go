@@ -116,6 +116,26 @@ func (v *View) AnswerCount() int { return v.counts[1] }
 //lint:hotpath pooled-view accessor on the receive path
 func (v *View) QName() []byte { return v.name }
 
+// QNameIs reports whether the first question's name is name under DNS
+// case folding (ASCII letters only), ignoring name's one optional
+// trailing dot.
+//
+//lint:hotpath per-response round check on the receive path
+func (v *View) QNameIs(name string) bool {
+	if n := len(name); n > 0 && name[n-1] == '.' {
+		name = name[:n-1]
+	}
+	if len(v.name) != len(name) {
+		return false
+	}
+	for i, c := range v.name {
+		if c != name[i] && lowerASCII(c) != lowerASCII(name[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // QType returns the first question's type.
 //
 //lint:hotpath pooled-view accessor on the receive path

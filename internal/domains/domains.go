@@ -264,12 +264,13 @@ func ByCategory(cat Category) []Domain {
 }
 
 // byName indexes List for the per-query lookup the resolver answer path
-// performs; first entry wins, matching the linear scan it replaces.
-var byName = func() map[string]Domain {
-	m := make(map[string]Domain, len(List))
-	for _, d := range List {
+// performs, by position; first entry wins, matching the linear scan it
+// replaces.
+var byName = func() map[string]int {
+	m := make(map[string]int, len(List))
+	for i, d := range List {
 		if _, ok := m[d.Name]; !ok {
-			m[d.Name] = d
+			m[d.Name] = i
 		}
 	}
 	return m
@@ -277,15 +278,17 @@ var byName = func() map[string]Domain {
 
 // ByName returns the list entry with the given name and whether it exists.
 func ByName(name string) (Domain, bool) {
-	d, ok := byName[name]
-	return d, ok
+	if i, ok := byName[name]; ok {
+		return List[i], true
+	}
+	return Domain{}, false
 }
 
-// ByNameBytes is ByName for a name held as bytes, as a wire decoder holds
-// it; the lookup does not allocate.
-func ByNameBytes(name []byte) (Domain, bool) {
-	d, ok := byName[string(name)]
-	return d, ok
+// IndexBytes returns the List position of the entry with the given name,
+// held as bytes as a wire decoder holds it; the lookup does not allocate.
+func IndexBytes(name []byte) (int, bool) {
+	i, ok := byName[string(name)]
+	return i, ok
 }
 
 // Names returns all scan-list names in order.

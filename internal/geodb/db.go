@@ -92,10 +92,16 @@ type AS struct {
 	Fate        Fate
 	FateWeek    int // week the fate takes effect
 
-	// rir caches RIROf(Country) at build time so the per-probe lookup
-	// path never touches the country→RIR string map.
+	// rir caches RIROf(Country) and ci Country's CountryIndex entry (-1
+	// for none) at build time, so the per-probe lookup path never
+	// touches the country-keyed string maps.
 	rir RIR
+	ci  int
 }
+
+// CountryIdx returns the position of the AS's country in Countries, -1
+// for a code outside it.
+func (a *AS) CountryIdx() int { return a.ci }
 
 // Location is the result of an IP lookup.
 type Location struct {
@@ -130,6 +136,10 @@ func Build(order uint, seed uint64) (*DB, error) {
 	db.assignBlocks(seed, 1<<nBlockBits)
 	for i := range db.ases {
 		db.ases[i].rir = RIROf(db.ases[i].Country)
+		db.ases[i].ci = -1
+		if ci, ok := CountryIndex[db.ases[i].Country]; ok {
+			db.ases[i].ci = ci
+		}
 	}
 	return db, nil
 }

@@ -80,7 +80,9 @@ func (s *Scanner) ScanChaosContext(ctx context.Context, resolvers []uint32) (*Ch
 			s.tr.SetReceiver(func(src netip4, srcPort, dstPort uint16, payload []byte) {
 				v := dnswire.GetView()
 				defer dnswire.PutView(v)
-				if err := v.Reset(payload); err != nil || !v.QR() {
+				// A response to the other version name is late from
+				// the other pass; it is not this pass's answer.
+				if err := v.Reset(payload); err != nil || !v.QR() || v.QDCount() > 0 && !v.QNameIs(qname) {
 					return
 				}
 				idx := lo + int(v.ID())

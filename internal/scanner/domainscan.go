@@ -71,10 +71,11 @@ func (s *Scanner) ScanDomainsContext(ctx context.Context, resolvers []uint32, na
 		}
 	}
 
-	// One striped lock set serves every name round: answers are addressed
-	// by resolver index, so receivers for different resolvers proceed in
-	// parallel instead of convoying on a per-name mutex.
-	var locks stripedMutex
+	// Answers are addressed by resolver index, so each response claims
+	// its slot with an atomic add and the receivers for different
+	// resolvers never wait on each other. One slot set serves every name
+	// round.
+	slots := make(answerSlots, len(resolvers))
 	var tmpl []byte
 	for ni, name := range names {
 		// Checkpoint between name rounds: a cancelled scan keeps the
@@ -93,6 +94,12 @@ func (s *Scanner) ScanDomainsContext(ctx context.Context, resolvers []uint32, na
 			v := dnswire.GetView()
 			defer dnswire.PutView(v)
 			if err := v.Reset(payload); err != nil || !v.QR() || v.QDCount() == 0 {
+				return
+			}
+			// A response to another name is late from an earlier round
+			// (it outlived that round's settle); it is not this row's.
+			if !v.QNameIs(name) {
+				s.m.domainsUnattributed.Inc()
 				return
 			}
 			// Recover the resolver identifier. The transaction ID
@@ -123,22 +130,27 @@ func (s *Scanner) ScanDomainsContext(ctx context.Context, resolvers []uint32, na
 			}
 			s.m.domainsRecv.Inc()
 			ans := &row[id]
-			mu := locks.of(uint32(id))
-			mu.Lock()
-			defer mu.Unlock()
-			ans.Responses++
 			// The answer set is materialized only for the responses that
 			// are actually recorded; duplicate and late responses cost no
 			// allocation.
-			if ans.Responses == 1 {
+			switch slots.claim(uint32(id)) {
+			case 1:
 				ans.RCode = v.RCode()
 				ans.Addrs = answerSet(v)
 				ans.NSOnly = len(ans.Addrs) == 0 && v.HasAuthorityNS()
 				ans.PortRewritten = portRewritten
-			} else if ans.Responses == 2 {
+			case 2:
 				ans.SecondAddrs = answerSet(v)
 			}
+			slots.publish(uint32(id))
 		})
+
+		// The slots are zeroed once the new receiver is installed: the
+		// previous one is handed no more responses, and a late response
+		// to the previous name meets this round's question check.
+		for i := range slots {
+			slots[i].Store(0)
+		}
 
 		// The probe payload is identical across attempts, so fault-layer
 		// redraws ride on the transport's retransmission counter.
@@ -151,13 +163,10 @@ func (s *Scanner) ScanDomainsContext(ctx context.Context, resolvers []uint32, na
 				p.Dst, p.SrcPort = lfsr.U32ToAddr(resolvers[ri]), basePort+portIdx
 				return arena
 			},
-			func(ri uint32) bool {
-				mu := locks.of(ri)
-				mu.Lock()
-				n := row[ri].Responses
-				mu.Unlock()
-				return n == 0
-			})
+			func(ri uint32) bool { return slots.published(ri) == 0 })
+		for ri := range row {
+			row[ri].Responses = slots.published(uint32(ri))
+		}
 		if err != nil {
 			return res, err
 		}

@@ -1,6 +1,9 @@
 package scanner
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // Response collection used to funnel every receiver callback through one
 // mutex-guarded map. At millions of probes per second across 16 sender
@@ -120,10 +123,11 @@ type paddedMutex struct {
 	_ [56]byte
 }
 
-// stripedMutex guards index-addressed state (domain-scan answer rows,
-// CHAOS answer slots) without a single global lock: lock of(key) around
-// any access to the state that key addresses. Distinct keys may share a
-// stripe; that is safe (coarser locking), just slower.
+// stripedMutex guards index-addressed state (CHAOS answer slots, snoop
+// observations) without a single global lock: lock of(key) around any
+// access to the state that key addresses. Distinct keys may share a
+// stripe; that is safe (coarser locking), just slower. The domain scan
+// claims its answer slots with answerSlots instead.
 type stripedMutex struct {
 	locks [nStripes]paddedMutex
 }
@@ -134,3 +138,28 @@ type stripedMutex struct {
 func (s *stripedMutex) of(key uint32) *sync.Mutex {
 	return &s.locks[shardOf(key)].Mutex
 }
+
+// answerSlots counts the responses to each probe of a domain-scan name
+// round without a lock. A receiver claims its probe's slot (claim returns
+// 1 for the first response, 2 for the second, and so on), writes what
+// that response records into the probe's own fields, and then publishes.
+// The scan reads published counts only — the miss check and the copy into
+// TupleAnswer.Responses — so every write behind a count it reads happens
+// before the read. Each slot's low word counts claims, its high word
+// publishes.
+type answerSlots []atomic.Uint64
+
+// claim takes the next response number of slot i.
+//
+//lint:hotpath per-response collector insert
+func (a answerSlots) claim(i uint32) uint32 { return uint32(a[i].Add(1)) }
+
+// publish marks a claimed response of slot i as written.
+//
+//lint:hotpath per-response collector insert
+func (a answerSlots) publish(i uint32) { a[i].Add(1 << 32) }
+
+// published returns how many responses to slot i have been written.
+//
+//lint:hotpath per-probe miss check of a retry round
+func (a answerSlots) published(i uint32) int { return int(a[i].Load() >> 32) }

@@ -75,7 +75,9 @@ func (s *Scanner) SnoopRoundContext(ctx context.Context, resolvers []uint32, tld
 	s.tr.SetReceiver(func(src netip4, srcPort, dstPort uint16, payload []byte) {
 		v := dnswire.GetView()
 		defer dnswire.PutView(v)
-		if err := v.Reset(payload); err != nil || !v.QR() {
+		// A response to another TLD is late from an earlier round; it
+		// is not this round's observation.
+		if err := v.Reset(payload); err != nil || !v.QR() || v.QDCount() > 0 && !v.QNameIs(tld) {
 			return
 		}
 		i, ok := slices.BinarySearch(resolvers, addrU32(src))

@@ -308,10 +308,11 @@ func TestSendAnsweredAndTruncatedCounters(t *testing.T) {
 // FaultConfig and a receiver that keeps nothing, an exchange an honest
 // resolver answers costs zero heap allocations at steady state — as a
 // batch of one and as a batch of 64 — for an A question on a scan-list
-// name (0x20-cased, as the domain scan sends it), for a name in a signed zone
-// (the RRSIG comes from the signature cache), and for a cache-snooping NS
-// question — each with the resolver's profile in the world's memo and at
-// a new hour, where the probe derives the profile and stores it. The
+// name (0x20-cased, as the domain scan sends it) and for a name in a
+// signed zone (both appended from the canned answer table), and for a
+// cache-snooping NS question — each with the resolver's profile in the
+// world's memo and at a new hour, where the probe derives the profile
+// and stores it. The
 // query is read through the exchange's View and the response appended
 // into its arena; a Message, a boxed record or a name string anywhere on
 // that path shows up here as a non-zero count. (The handler before it

@@ -20,12 +20,26 @@ import (
 // cdnRegions is the number of distinct answer regions a CDN serves.
 const cdnRegions = 8
 
-// RegionOf maps a country to its CDN answer region.
-func RegionOf(country string) int {
-	if i, ok := geodb.CountryIndex[country]; ok {
-		return i % cdnRegions
+// countryIdxOf returns the geodb.Countries index of a country code, -1
+// for a code outside it.
+func countryIdxOf(code string) int {
+	if i, ok := geodb.CountryIndex[code]; ok {
+		return i
 	}
-	return 0
+	return -1
+}
+
+// RegionOf maps a country to its CDN answer region.
+func RegionOf(country string) int { return regionOfIdx(countryIdxOf(country)) }
+
+// regionOfIdx is RegionOf for a geodb.Countries index, -1 for none.
+//
+//lint:hotpath per-probe CDN-region lookup
+func regionOfIdx(ci int) int {
+	if ci < 0 {
+		return 0
+	}
+	return ci % cdnRegions
 }
 
 // vantageCountry is where the measurement host (and its trusted

@@ -62,7 +62,7 @@ func (w *World) handleClientDNS(x *exchange, client uint32, payload []byte, t Ti
 	}
 	client = w.Mask(client)
 	resolver := w.ClosedResolverOf(client)
-	qname, d, listed, _ := x.qname()
+	qname, d, li, _ := x.qname()
 	if w.geo.BlockOf(client) != w.geo.BlockOf(resolver) {
 		x.begin(qname, dnswire.RCodeRefused)
 		return x.emit(resolver, 53, 0)
@@ -72,5 +72,5 @@ func (w *World) handleClientDNS(x *exchange, client uint32, payload []byte, t Ti
 		x.begin(qname, dnswire.RCodeNotImp)
 		return x.emit(resolver, 53, 0)
 	}
-	return w.answerA(x, &p, qname, d, listed, resolver, resolver, 53, 3, t)
+	return w.answerA(x, &p, qname, d, li, resolver, resolver, 53, 3, t)
 }

@@ -173,7 +173,8 @@ func (w *World) handleDNS(x *exchange, v Vantage, srcPort uint16, dst uint32, pa
 		toPort = uint16(1024 + prand.Hash(p.Identity, 0x9048, uint64(seq))%50000)
 	}
 	delay := 5 + int(prand.Hash(p.Identity, uint64(seq))%115)
-	qname, d, listed, tld := x.qname()
+	qname, d, li, tld := x.qname()
+	listed := li >= 0
 	status := func(rcode dnswire.RCode) []QueryResponse {
 		x.begin(qname, rcode)
 		return x.emit(src, toPort, delay)
@@ -212,7 +213,7 @@ func (w *World) handleDNS(x *exchange, v Vantage, srcPort uint16, dst uint32, pa
 		x.begin(qname, dnswire.RCodeNoError)
 		x.rb.NS(answerTTL, "ns1."+qname)
 	case dnswire.TypeA:
-		return w.answerA(x, &p, qname, d, listed, dst, src, toPort, delay, t)
+		return w.answerA(x, &p, qname, d, li, dst, src, toPort, delay, t)
 	case dnswire.TypeDNSKEY:
 		w.answerDNSKEY(x, qname, listed)
 	case dnswire.TypeANY:
@@ -226,7 +227,8 @@ func (w *World) handleDNS(x *exchange, v Vantage, srcPort uint16, dst uint32, pa
 // answerTrusted implements the measurement team's own resolvers and the
 // authoritative servers: straight, hierarchy-following resolution.
 func (w *World) answerTrusted(x *exchange, dst uint32, srcPort uint16) []QueryResponse {
-	qname, d, listed, _ := x.qname()
+	qname, d, li, _ := x.qname()
+	listed := li >= 0
 	switch x.q.QType() {
 	case dnswire.TypePTR:
 		w.answerPTR(x, qname)
@@ -343,8 +345,10 @@ var snoopAnswers = func() []dnswire.Canned {
 
 // answerA synthesizes the resolver's answer for an A query, applying
 // censorship policy and the manipulation profile. qname is canonical and
-// (d, listed) its domains.ByName entry: the caller looks both up once.
-func (w *World) answerA(x *exchange, p *Profile, qname string, d domains.Domain, listed bool, dst, src uint32, toPort uint16, delay int, t Time) []QueryResponse {
+// (d, li) its scan-list entry and index, -1 for an unlisted name: the
+// caller looks both up once.
+func (w *World) answerA(x *exchange, p *Profile, qname string, d domains.Domain, li int, dst, src uint32, toPort uint16, delay int, t Time) []QueryResponse {
+	listed := li >= 0
 	status := func(rcode dnswire.RCode) []QueryResponse {
 		x.begin(qname, rcode)
 		return x.emit(src, toPort, delay)
@@ -354,13 +358,28 @@ func (w *World) answerA(x *exchange, p *Profile, qname string, d domains.Domain,
 		w.addA(x, a)
 		return x.emit(src, toPort, delay)
 	}
-	// legit answers with the zone's own records, signed where the zone is.
-	legit := func(addrs []uint32, delayMS int) []QueryResponse {
-		x.begin(qname, dnswire.RCodeNoError)
-		for _, a := range addrs {
-			w.addA(x, a)
+	// resolve is legitAddrs from the resolver's country: a listed name's
+	// canned answer (la), any other name's address set.
+	resolve := func() (la *legitAnswer, addrs []uint32, rc dnswire.RCode) {
+		if listed {
+			la = w.legitAnswer(li, d, p)
+			return la, nil, la.rcode
 		}
-		w.signAnswer(x, qname, listed, addrs)
+		addrs, rc = w.legitAddrs(x.addrs[:0], qname, d, false, p.Country)
+		return nil, addrs, rc
+	}
+	// legit answers with the zone's own records, signed where the zone
+	// is: the canned ones, or addrs encoded here.
+	legit := func(la *legitAnswer, addrs []uint32, delayMS int) []QueryResponse {
+		x.begin(qname, dnswire.RCodeNoError)
+		if la != nil {
+			x.rb.AppendCanned(&la.recs, answerTTL)
+		} else {
+			for _, a := range addrs {
+				w.addA(x, a)
+			}
+			w.signAnswer(x, qname, false, addrs)
+		}
 		return x.emit(src, toPort, delayMS)
 	}
 
@@ -372,8 +391,8 @@ func (w *World) answerA(x *exchange, p *Profile, qname string, d domains.Domain,
 	case CensorGFW:
 		out := answer(landing) // poisoned/injected answer, never signed
 		if p.GFWDouble {
-			addrs, _ := w.legitAddrs(x.addrs[:0], qname, d, listed, p.Country)
-			out = legit(addrs, delay+4)
+			la, addrs, _ := resolve()
+			out = legit(la, addrs, delay+4)
 		}
 		return out
 	}
@@ -470,7 +489,7 @@ func (w *World) answerA(x *exchange, p *Profile, qname string, d domains.Domain,
 	if role, prob := domainQuirk(qname); prob > 0 && prand.UnitOf(id, 0x2B1, hashString(qname)) < prob {
 		return answer(w.infra.addrOf(role, int(prand.Hash(id, 0x2B2)%uint64(w.infra.rangeSize(role)))))
 	}
-	addrs, rc := w.legitAddrs(x.addrs[:0], qname, d, listed, p.Country)
+	la, addrs, rc := resolve()
 	if rc == dnswire.RCodeNXDomain {
 		// A share of resolvers translates NXDOMAIN into empty NOERROR.
 		if prand.UnitOf(id, 0x88F) < 0.3 {
@@ -478,7 +497,7 @@ func (w *World) answerA(x *exchange, p *Profile, qname string, d domains.Domain,
 		}
 		return status(dnswire.RCodeNXDomain)
 	}
-	return legit(addrs, delay)
+	return legit(la, addrs, delay)
 }
 
 // monetizes reports whether an NX-monetizing resolver intercepts this

@@ -69,17 +69,18 @@ var internedNames = func() map[string]internedName {
 }()
 
 // qname returns the query name in canonical form with its scan-list
-// entry, and tld, its domains.SnoopedTLDs index or -1. A listed or
-// interned name costs no allocation; any other name costs its one string.
-func (x *exchange) qname() (cn string, d domains.Domain, listed bool, tld int) {
+// entry and index li (-1 for an unlisted name), and tld, its
+// domains.SnoopedTLDs index or -1. A listed or interned name costs no
+// allocation; any other name costs its one string.
+func (x *exchange) qname() (cn string, d domains.Domain, li, tld int) {
 	x.cn = dnswire.AppendCanonicalName(x.cn[:0], x.q.QName())
-	if d, ok := domains.ByNameBytes(x.cn); ok {
-		return d.Name, d, true, -1
+	if i, ok := domains.IndexBytes(x.cn); ok {
+		return domains.List[i].Name, domains.List[i], i, -1
 	}
 	if in, ok := internedNames[string(x.cn)]; ok {
-		return in.name, domains.Domain{}, false, in.tld
+		return in.name, domains.Domain{}, -1, in.tld
 	}
-	return string(x.cn), domains.Domain{}, false, -1
+	return string(x.cn), domains.Domain{}, -1, -1
 }
 
 // begin starts a response with the given rcode; qname is x.qname().

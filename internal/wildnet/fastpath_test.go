@@ -139,7 +139,7 @@ func TestSweepRejectMatchesHandler(t *testing.T) {
 							t.Fatalf("%s vantage %d week %d: %#x dropped at dispatch but handleDNS answered attempt %d",
 								profile, v, now.Week, u, attempt)
 						}
-						if err := tr.process(ctx, ctx.Done(), x, u, 53, 33000, payload, now); err != nil {
+						if err := tr.process(ctx, ctx.Done(), x, u, 53, 33000, payload, hashBytes(payload), now); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -196,7 +196,7 @@ func TestCNFilterMatchesPipeline(t *testing.T) {
 					t.Fatal(err)
 				}
 				if bypass {
-					if err := tr.process(ctx, ctx.Done(), new(exchange), u, 53, 34567, payload, now); err != nil {
+					if err := tr.process(ctx, ctx.Done(), new(exchange), u, 53, 34567, payload, hashBytes(payload), now); err != nil {
 						t.Fatal(err)
 					}
 				} else if err := sendOne(ctx, tr, w.Addr(u), 53, 34567, payload); err != nil {

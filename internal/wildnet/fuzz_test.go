@@ -125,6 +125,13 @@ func FuzzAnswerWire(f *testing.F) {
 	f.Add("", uint16(dnswire.TypeA), uint16(dnswire.ClassIN), true, uint16(13), uint32(14), uint8(0))
 	f.Add("facebook.com", uint16(dnswire.TypeA), uint16(dnswire.ClassIN), true, uint16(14), uint32(0x7001), uint8(4))
 	f.Add("r1.c0a80101."+domains.ScanBase, uint16(dnswire.TypeA), uint16(dnswire.ClassIN), true, uint16(15), uint32(0x7FFF9), uint8(0))
+	// Listed names in mixed case take the canned honest answer behind an
+	// echoed question: a signed zone, a CDN name, an injected name and an
+	// NXDOMAIN name.
+	f.Add("PayPal.COM", uint16(dnswire.TypeA), uint16(dnswire.ClassIN), true, uint16(16), uint32(16), uint8(1))
+	f.Add("ADS.DoubleClick.example", uint16(dnswire.TypeA), uint16(dnswire.ClassIN), true, uint16(17), uint32(18), uint8(6))
+	f.Add("YouTube.Com", uint16(dnswire.TypeA), uint16(dnswire.ClassIN), false, uint16(18), uint32(20), uint8(7))
+	f.Add("RQZZkifu.Example", uint16(dnswire.TypeA), uint16(dnswire.ClassIN), true, uint16(19), uint32(22), uint8(2))
 	f.Fuzz(func(t *testing.T, name string, qtype, qclass uint16, rd bool, id uint16, dst uint32, week uint8) {
 		w, resolvers, err := cleanFuzzWorld()
 		if err != nil {

@@ -3,6 +3,7 @@ package wildnet
 import (
 	"goingwild/internal/dnswire"
 	"goingwild/internal/domains"
+	"goingwild/internal/geodb"
 	"goingwild/internal/prand"
 )
 
@@ -46,18 +47,32 @@ var gfwNames = []string{
 
 var censorRules = buildCensorRules()
 
-// censorRulesOf lists, per country, the indices of its censorRules in
-// table order, so a decision walks only the rules that can match. The
-// order within a country is the table's: the first match wins and the
-// compliance draw keys on the table index, exactly as a full walk would.
-var censorRulesOf = func() map[string][]int {
-	m := map[string][]int{}
+// censorRulesOf lists, per geodb.Countries index, the indices of the
+// country's censorRules in table order, so a decision walks only the
+// rules that can match. The order within a country is the table's: the
+// first match wins and the compliance draw keys on the table index,
+// exactly as a full walk would.
+var censorRulesOf = func() [][]int {
+	m := make([][]int, len(geodb.Countries))
 	for ri := range censorRules {
-		cc := censorRules[ri].country
-		m[cc] = append(m[cc], ri)
+		ci := countryIdxOf(censorRules[ri].country)
+		if ci < 0 {
+			panic("wildnet: censoring country " + censorRules[ri].country + " is not a geodb country")
+		}
+		m[ci] = append(m[ci], ri)
 	}
 	return m
 }()
+
+// censorRulesFor returns censorRulesOf for a country index, none for -1.
+//
+//lint:hotpath per-probe censorship lookup
+func censorRulesFor(ci int) []int {
+	if ci < 0 {
+		return nil
+	}
+	return censorRulesOf[ci]
+}
 
 func buildCensorRules() []censorRule {
 	rules := []censorRule{
@@ -137,7 +152,7 @@ func (w *World) CensorDecision(p *Profile, name string) (CensorMode, uint32) {
 // canonicalised the name and looked up its scan-list category (the zero
 // Category for an unlisted name), as the DNS handler has.
 func (w *World) censorDecision(p *Profile, cn string, cat domains.Category) (CensorMode, uint32) {
-	for _, ri := range censorRulesOf[p.Country] {
+	for _, ri := range censorRulesFor(p.countryIdx()) {
 		r := &censorRules[ri]
 		if !r.matches(cn, cat) {
 			continue

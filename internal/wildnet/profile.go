@@ -92,6 +92,21 @@ type Profile struct {
 	Util      UtilClass
 	GFWDouble bool
 	Country   string
+	// cc is Country's geodb.Countries index plus one, carried from the
+	// address's AS so the per-probe policy lookups index slices; zero in
+	// a profile built without it, whose lookups go through the map.
+	cc int
+}
+
+// countryIdx returns the geodb.Countries index of p.Country, -1 for a
+// code outside it.
+//
+//lint:hotpath per-probe censorship and CDN-region lookup
+func (p *Profile) countryIdx() int {
+	if p.cc > 0 {
+		return p.cc - 1
+	}
+	return countryIdxOf(p.Country)
 }
 
 // Manipulation profile probabilities (share of NOERROR resolvers).
@@ -137,7 +152,8 @@ func (w *World) ProfileAt(u uint32, t Time) (Profile, bool) {
 	key, memo := profileKey(u, t)
 	var p Profile
 	if memo && w.prof.lookup(u, key, &p) {
-		p.Country = w.geo.ASOfU32(u).Country
+		as := w.geo.ASOfU32(u)
+		p.Country, p.cc = as.Country, as.CountryIdx()+1
 		return p, true
 	}
 	w.profDerived.Inc()
@@ -165,8 +181,9 @@ func (w *World) deriveProfile(u uint32, t Time) (Profile, bool) {
 		}
 		id = prand.Hash(w.cfg.Seed, uint64(u), epoch)
 	}
-	country := w.geo.ASOfU32(u).Country
-	p := Profile{Identity: id, Country: country, SoftwareIdx: -1, HiddenIdx: -1, DeviceIdx: -1}
+	as := w.geo.ASOfU32(u)
+	country := as.Country
+	p := Profile{Identity: id, Country: country, cc: as.CountryIdx() + 1, SoftwareIdx: -1, HiddenIdx: -1, DeviceIdx: -1}
 
 	// Response-code class. The REFUSED share grows as the population
 	// declines so its absolute count stays flat (Figure 1).

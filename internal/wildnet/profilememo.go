@@ -146,7 +146,8 @@ func (m *profileMemo) store(u uint32, key uint64, p *Profile) {
 
 // packProfile folds a profile's small fields into one word: the three
 // catalog indexes plus one (so -1 packs as 0) in 16 bits each, then the
-// class fields. Country is not stored; it is the address's AS's.
+// class fields. Country (and its index) is not stored; it is the
+// address's AS's.
 func packProfile(p *Profile) uint64 {
 	w := uint64(uint16(p.SoftwareIdx+1)) | uint64(uint16(p.HiddenIdx+1))<<16 | uint64(uint16(p.DeviceIdx+1))<<32
 	w |= uint64(p.RCode)<<48 | uint64(p.Manip)<<50 | uint64(p.Chaos)<<56 | uint64(p.Util)<<58

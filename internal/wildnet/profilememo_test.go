@@ -167,11 +167,12 @@ func memoHour(hour int) Time {
 }
 
 // BenchmarkAnsweredProbe times one answered probe on the in-memory
-// transport, as a batch of one, for a scan-list A question and a
-// snooping NS question, each with the resolver's profile in the memo
-// (hit) and at a new hour (miss: the probe derives it). Both variants set
-// the clock before every probe, so hit and miss differ only in the
-// derivation; the figure to read is ns/probe.
+// transport, as a batch of one, for scan-list A questions (an ordinary,
+// a CDN and a signed-zone name) and a snooping NS question, each with
+// the resolver's profile in the memo (hit) and at a new hour (miss: the
+// probe derives it). Both variants set the clock before every probe, so
+// hit and miss differ only in the derivation; the figure to read is
+// ns/probe.
 func BenchmarkAnsweredProbe(b *testing.B) {
 	w := MustNewWorld(DefaultConfig(16))
 	tr := NewMemTransport(w, VantagePrimary)
@@ -186,6 +187,8 @@ func BenchmarkAnsweredProbe(b *testing.B) {
 		rd   bool
 	}{
 		{"domain-A", "chase.com", dnswire.TypeA, true},
+		{"cdn-A", "ads.doubleclick.example", dnswire.TypeA, true},
+		{"signed-A", "paypal.com", dnswire.TypeA, true},
 		{"snoop-NS", "com", dnswire.TypeNS, false},
 	} {
 		payload, err := dnswire.AppendQuery(nil, 0, q.rd, q.qn, q.typ, dnswire.ClassIN)

@@ -171,6 +171,12 @@ func (m *MemTransport) SendBatch(ctx context.Context, batch []Probe) (int, error
 	// afterDeliver is true behind a deliverable destination, where a list
 	// scan's next one is most likely a resolver the memo knows.
 	afterDeliver := false
+	// lent is the last payload hashed and lentHash its hash. A payload
+	// lent to many probes (a snoop round's one query) has the same
+	// backing array and length in each, and no payload may change during
+	// SendBatch, so it is hashed once.
+	var lent []byte
+	var lentHash uint64
 	for i := range batch {
 		p := &batch[i]
 		if !p.Dst.Is4() {
@@ -186,7 +192,10 @@ func (m *MemTransport) SendBatch(ctx context.Context, batch []Probe) (int, error
 			rejected++
 			continue
 		}
-		if err = m.process(ctx, done, x, u32dst, p.DstPort, p.SrcPort, p.Payload, t); err != nil {
+		if !sameBacking(p.Payload, lent) {
+			lent, lentHash = p.Payload, hashBytes(p.Payload)
+		}
+		if err = m.process(ctx, done, x, u32dst, p.DstPort, p.SrcPort, p.Payload, lentHash, t); err != nil {
 			n = i
 			break
 		}
@@ -196,11 +205,16 @@ func (m *MemTransport) SendBatch(ctx context.Context, batch []Probe) (int, error
 	return n, err
 }
 
+// sameBacking reports whether a and b are one non-empty run of bytes:
+// the same backing array from the same start, of the same length.
+func sameBacking(a, b []byte) bool {
+	return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0]
+}
+
 // process runs one datagram through the world at simulated time t, in
-// the exchange scratch x, and delivers the surviving responses. done is
-// ctx.Done().
-func (m *MemTransport) process(ctx context.Context, done <-chan struct{}, x *exchange, u32dst uint32, dstPort, srcPort uint16, payload []byte, t Time) error {
-	qph := hashBytes(payload)
+// the exchange scratch x, and delivers the surviving responses. qph is
+// hashBytes(payload), and done is ctx.Done().
+func (m *MemTransport) process(ctx context.Context, done <-chan struct{}, x *exchange, u32dst uint32, dstPort, srcPort uint16, payload []byte, qph uint64, t Time) error {
 	// Independent loss on the query packet.
 	if m.drop(dirQuery, u32dst, dstPort, srcPort, qph, t) {
 		return nil

@@ -156,6 +156,9 @@ type World struct {
 	// the table is a scheduling fact); nil (no-op) without a registry.
 	prof        profileMemo
 	profDerived *metrics.Counter
+	// legit holds the canned honest answers to the scan-list names, per
+	// CDN region (legitanswer.go); pure caching like bc and prof.
+	legit legitTable
 }
 
 // NewWorld builds a world from cfg.
@@ -191,6 +194,7 @@ func NewWorld(cfg Config) (*World, error) {
 		bcRebuilds:    cfg.Metrics.TimingCounter("wildnet.blockcache.rebuilds"),
 		profDerived:   cfg.Metrics.TimingCounter("wildnet.profile.derived"),
 	}
+	w.legit = newLegitTable()
 	w.prof = newProfileMemo(min(int(w.ExpectedPopulation(At(0))*profileMemoPerResolver)+1, maxProfileMemo))
 	for f := range w.pre {
 		w.pre[f] = prand.Start(cfg.Seed, uint64(f))
