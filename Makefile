@@ -12,22 +12,22 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Project-specific static analysis (internal/lint): the five syntactic
-# rules (determinism, maporder, errdrop, ctxhygiene, sleepcall) and the
-# flow-sensitive one (hotpath). Lock copies are go vet's
-# job (the vet target); README "Correctness tooling" records what each
-# rule has caught. Exits nonzero on any finding.
+# Project-specific static analysis (internal/lint): the five rules
+# determinism, maporder, errdrop, ctxhygiene and sleepcall. Lock copies
+# are go vet's job (the vet target); README "Correctness tooling"
+# records what each rule has caught. Exits nonzero on any finding.
 lint:
 	$(GO) run ./cmd/wildlint ./...
 
-# Escape-analysis cross-check for the hotpath rule: rebuild the packages
-# carrying //lint:hotpath annotations with the compiler's -m diagnostics
-# (-a defeats the build cache, which would otherwise swallow them) and
-# fail if the compiler reports a heap allocation inside an annotated
-# function. The static rule and the compiler must agree.
+# The zero-alloc contract of //lint:hotpath functions, checked by the
+# compiler: build the module with escape-analysis diagnostics (-m; a
+# cached build replays them) and fail if the compiler reports a heap
+# allocation inside an annotated function, or if an annotation is
+# attached to no function. The *Allocs tests check the same contract
+# at run time, append growth included.
 lint-escape:
-	$(GO) build -a -gcflags=-m ./internal/scanner ./internal/dnswire ./internal/lfsr ./internal/wildnet ./internal/prand 2> /tmp/wildlint_escape.log || (cat /tmp/wildlint_escape.log; exit 1)
-	$(GO) run ./cmd/wildlint -escape-log /tmp/wildlint_escape.log ./internal/scanner ./internal/dnswire ./internal/lfsr ./internal/wildnet ./internal/prand
+	$(GO) build -gcflags=-m ./... 2> /tmp/wildlint_escape.log || (cat /tmp/wildlint_escape.log; exit 1)
+	$(GO) run ./cmd/wildlint -escape-log /tmp/wildlint_escape.log ./...
 
 test:
 	$(GO) test ./...

@@ -1,7 +1,6 @@
 // Command wildlint runs the project's static-analysis pass (see
-// internal/lint) over the module: the five syntactic rules (determinism,
-// maporder, errdrop, ctxhygiene, sleepcall) and the flow-sensitive one
-// (hotpath). Every run checks every rule.
+// internal/lint) over the module: the five rules determinism, maporder,
+// errdrop, ctxhygiene and sleepcall. Every run checks every rule.
 //
 // Usage:
 //
@@ -12,11 +11,11 @@
 // line as `file:line: [rule] message`; -json emits them instead as a
 // sorted JSON array of {rule, file, line, msg, allowed} objects (allowed
 // findings are included in JSON and suppressed in text).
-// -escape-log cross-checks //lint:hotpath functions against the
-// compiler's escape analysis: the file is the stderr of
-// `go build -a -gcflags=-m ./...` and any heap allocation the compiler
-// reports inside an annotated function is a finding (`make lint-escape`
-// wires this up).
+// -escape-log holds //lint:hotpath functions to the compiler's escape
+// analysis: the file is the stderr of `go build -gcflags=-m ./...`,
+// and any heap allocation the compiler reports inside an annotated
+// function, or a //lint:hotpath comment attached to no function, is a
+// [hotpath] finding (`make lint-escape` wires this up).
 //
 // Exit status: 0 clean, 1 when any finding survives, 2 when a package
 // fails to load or type-check — a partial analysis is not a clean one,
@@ -29,7 +28,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"goingwild/internal/lint"
 )
@@ -80,9 +78,17 @@ func run(args []string, stdout, stderr *os.File) int {
 		return 2
 	}
 
-	cfg := lint.DefaultConfig(loader.ModPath)
+	var escapes []byte
+	if *escapeLog != "" {
+		if escapes, err = os.ReadFile(*escapeLog); err != nil {
+			fmt.Fprintln(stderr, "wildlint:", err)
+			return 2
+		}
+	}
 
+	cfg := lint.DefaultConfig(loader.ModPath)
 	var findings []lint.Finding
+	var spans []lint.HotpathSpan
 	for _, dir := range dirs {
 		pkg, err := loader.LoadDir(dir)
 		if err != nil {
@@ -93,40 +99,22 @@ func run(args []string, stdout, stderr *os.File) int {
 			fmt.Fprintln(stderr, "wildlint: aborting: findings below this point would be incomplete")
 			return 2
 		}
-		for _, f := range cfg.AnalyzeAll(pkg) {
-			f.Pos.Filename = relPath(cwd, f.Pos.Filename)
-			findings = append(findings, f)
-		}
+		findings = append(findings, cfg.AnalyzeAll(pkg)...)
 		if *escapeLog != "" {
-			spans := lint.HotpathSpans(pkg)
-			logBytes, err := os.ReadFile(*escapeLog)
-			if err != nil {
-				fmt.Fprintln(stderr, "wildlint:", err)
-				return 2
-			}
-			for _, f := range lint.CheckEscapeLog(spans, logBytes, cwd) {
-				f.Pos.Filename = relPath(cwd, f.Pos.Filename)
-				findings = append(findings, f)
-			}
+			s, detached := lint.HotpathSpans(pkg)
+			spans = append(spans, s...)
+			findings = append(findings, detached...)
 		}
 	}
-
-	// Findings arrive sorted per package; re-sort globally so multi-dir
-	// runs (and JSON output) are byte-identical regardless of dir order
-	// or scheduling.
-	sort.Slice(findings, func(i, j int) bool {
-		a, b := findings[i], findings[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Rule != b.Rule {
-			return a.Rule < b.Rule
-		}
-		return a.Msg < b.Msg
-	})
+	if *escapeLog != "" {
+		findings = append(findings, lint.CheckEscapeLog(spans, escapes, cwd)...)
+	}
+	for i := range findings {
+		findings[i].Pos.Filename = relPath(cwd, findings[i].Pos.Filename)
+	}
+	// Re-sort globally so multi-dir runs (and JSON output) are
+	// byte-identical regardless of dir order or scheduling.
+	lint.SortFindings(findings)
 
 	if *jsonOut {
 		out := make([]jsonFinding, 0, len(findings))

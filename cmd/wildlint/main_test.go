@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -29,10 +30,9 @@ func capture(t *testing.T, args []string) (int, []byte, []byte) {
 	return status, out, errb
 }
 
-// flowPkgs is a small, flow-analysis-heavy package set so the
-// determinism tests stay fast; the whole-module equivalent runs in
-// TestRepoIsClean and CI.
-var flowPkgs = []string{
+// samplePkgs is a small package set so the determinism test stays fast;
+// the whole-module equivalent runs in TestRepoIsClean and CI.
+var samplePkgs = []string{
 	"../../internal/scanner",
 	"../../internal/metrics",
 	"../../internal/analysis",
@@ -46,7 +46,7 @@ func TestJSONDeterministicAcrossRuns(t *testing.T) {
 	old := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(old)
 
-	args := append([]string{"-json"}, flowPkgs...)
+	args := append([]string{"-json"}, samplePkgs...)
 	st1, out1, err1 := capture(t, args)
 	if st1 == 2 {
 		t.Fatalf("load failed: %s", err1)
@@ -70,7 +70,7 @@ func TestJSONDeterministicAcrossRuns(t *testing.T) {
 // TestJSONShape decodes the output and checks ordering and field
 // presence rather than trusting the encoder.
 func TestJSONShape(t *testing.T) {
-	_, out, errb := capture(t, append([]string{"-json"}, flowPkgs...))
+	_, out, errb := capture(t, append([]string{"-json"}, samplePkgs...))
 	if len(out) == 0 {
 		t.Fatalf("no JSON produced; stderr: %s", errb)
 	}
@@ -95,11 +95,63 @@ func TestJSONShape(t *testing.T) {
 // does not type-check: the run must exit 2 and name the package instead
 // of silently analyzing a partial set.
 func TestLoadFailureIsFatal(t *testing.T) {
-	dir := t.TempDir()
-	mustWrite(t, filepath.Join(dir, "go.mod"), "module brokenmod\n\ngo 1.22\n")
-	mustWrite(t, filepath.Join(dir, "broken.go"),
-		"package brokenmod\n\nfunc f() int { return undefinedSymbol }\n")
+	inTempModule(t, map[string]string{
+		"go.mod":    "module brokenmod\n\ngo 1.22\n",
+		"broken.go": "package brokenmod\n\nfunc f() int { return undefinedSymbol }\n",
+	})
+	status, _, errb := capture(t, []string{"./..."})
+	if status != 2 {
+		t.Fatalf("broken package exited %d, want 2; stderr: %s", status, errb)
+	}
+	if !strings.Contains(string(errb), "cannot analyze") {
+		t.Errorf("diagnostic does not name the failing package: %s", errb)
+	}
+}
 
+// TestEscapeLogFindings drives -escape-log end to end: a heap allocation
+// the log reports inside a //lint:hotpath function and an annotation
+// attached to no function both fail the run, with cwd-relative paths;
+// the same allocation outside the annotated span passes.
+func TestEscapeLogFindings(t *testing.T) {
+	inTempModule(t, map[string]string{
+		"go.mod": "module hotmod\n\ngo 1.22\n",
+		"hot.go": `package hotmod
+
+//lint:hotpath per-probe
+func Hot(n int) []byte {
+	return make([]byte, n)
+}
+
+func Cold(n int) []byte {
+	return make([]byte, n)
+}
+
+//lint:hotpath detached
+var v = 1
+`,
+		"m.log": "# hotmod\n./hot.go:4:6: can inline Hot\n./hot.go:5:13: make([]byte, n) escapes to heap\n./hot.go:9:13: make([]byte, n) escapes to heap\n",
+	})
+	status, out, errb := capture(t, []string{"-escape-log", "m.log", "./..."})
+	if status != 1 {
+		t.Fatalf("exit %d, want 1; stderr: %s", status, errb)
+	}
+	want := "hot.go:5: [hotpath] compiler escape analysis reports an allocation inside //lint:hotpath Hot: make([]byte, n) escapes to heap\n" +
+		"hot.go:12: [hotpath] //lint:hotpath annotation is not attached to a function declaration; move it onto the function's doc comment\n"
+	if string(out) != want {
+		t.Errorf("got\n%swant\n%s", out, want)
+	}
+}
+
+// inTempModule writes files into a fresh directory and makes it the
+// working directory until the test ends.
+func inTempModule(t *testing.T, files map[string]string) {
+	t.Helper()
+	dir := t.TempDir()
+	for name, content := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 	cwd, err := os.Getwd()
 	if err != nil {
 		t.Fatal(err)
@@ -107,29 +159,5 @@ func TestLoadFailureIsFatal(t *testing.T) {
 	if err := os.Chdir(dir); err != nil {
 		t.Fatal(err)
 	}
-	defer os.Chdir(cwd)
-
-	status, _, errb := capture(t, []string{"./..."})
-	if status != 2 {
-		t.Fatalf("broken package exited %d, want 2; stderr: %s", status, errb)
-	}
-	if !containsStr(string(errb), "cannot analyze") {
-		t.Errorf("diagnostic does not name the failing package: %s", errb)
-	}
-}
-
-func mustWrite(t *testing.T, path, content string) {
-	t.Helper()
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func containsStr(haystack, needle string) bool {
-	for i := 0; i+len(needle) <= len(haystack); i++ {
-		if haystack[i:i+len(needle)] == needle {
-			return true
-		}
-	}
-	return false
+	t.Cleanup(func() { os.Chdir(cwd) })
 }

@@ -1,7 +1,8 @@
-// Package lint is the project's static-analysis pass: six analyzers
-// that enforce the correctness contracts the measurement pipeline relies
-// on but the compiler cannot check. Five are syntactic; one is
-// flow-sensitive, built on the CFG in cfg.go.
+// Package lint is the project's static-analysis pass: five syntactic
+// analyzers that enforce the correctness contracts the measurement
+// pipeline relies on but the compiler cannot check, plus the
+// -escape-log cross-check (escape.go) that holds //lint:hotpath
+// functions to the compiler's own escape analysis.
 // A rule stays only while it has caught something or guards a live
 // seam; README ("Correctness tooling") keeps the catch record.
 //
@@ -27,14 +28,6 @@
 //   - sleepcall: forbids raw time.Sleep/After/Tick/NewTimer/NewTicker —
 //     delay must flow through the injected Clock seam so fake-clock
 //     tests and the deterministic backoff schedule see every pause.
-//
-// The flow-sensitive rule:
-//
-//   - hotpath: functions annotated //lint:hotpath must contain no
-//     allocating construct on any reachable path: append, make/new,
-//     string concatenation or conversion, capturing closures, map/slice
-//     literals, and interface boxing at call sites. `make lint-escape`
-//     cross-checks the rule against the compiler's own escape analysis.
 //
 // Intentional exceptions are annotated in the source:
 //
@@ -64,7 +57,9 @@ const (
 	RuleErrDrop     = "errdrop"
 	RuleCtxHygiene  = "ctxhygiene"
 	RuleSleepCall   = "sleepcall"
-	RuleHotPath     = "hotpath"
+	// RuleHotPath tags -escape-log findings. It is no analyzer, so no
+	// //lint:allow can name it.
+	RuleHotPath = "hotpath"
 	// RuleAllow tags problems with //lint:allow comments themselves:
 	// malformed, unknown rule, or stale (covering nothing).
 	RuleAllow = "allow"
@@ -74,7 +69,7 @@ const (
 // naming anything else is a finding.
 var AllRules = []string{
 	RuleDeterminism, RuleMapOrder, RuleErrDrop, RuleCtxHygiene,
-	RuleSleepCall, RuleHotPath,
+	RuleSleepCall,
 }
 
 func knownRule(name string) bool {
@@ -166,7 +161,7 @@ func (c *Config) Analyze(p *Package) []Finding {
 // checkers lists every analyzer; AnalyzeAll sorts what they emit.
 var checkers = []func(*Package, *Config, func(token.Pos, string, string)){
 	checkDeterminism, checkMapOrder, checkErrDrop, checkCtxHygiene,
-	checkSleepCall, checkHotPath,
+	checkSleepCall,
 }
 
 // AnalyzeAll runs every analyzer and returns every finding,
@@ -190,18 +185,7 @@ func (c *Config) AnalyzeAll(p *Package) []Finding {
 	}
 	out = append(out, bad...)
 	out = append(out, staleAllows(raw, records)...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Pos.Filename != out[j].Pos.Filename {
-			return out[i].Pos.Filename < out[j].Pos.Filename
-		}
-		if out[i].Pos.Line != out[j].Pos.Line {
-			return out[i].Pos.Line < out[j].Pos.Line
-		}
-		if out[i].Rule != out[j].Rule {
-			return out[i].Rule < out[j].Rule
-		}
-		return out[i].Msg < out[j].Msg
-	})
+	SortFindings(out)
 	// A multi-assign statement can trip the same rule once per operand;
 	// one report per line and rule is enough.
 	dedup := out[:0]
@@ -213,6 +197,24 @@ func (c *Config) AnalyzeAll(p *Package) []Finding {
 		dedup = append(dedup, f)
 	}
 	return dedup
+}
+
+// SortFindings orders findings by (file, line, rule, message), the
+// order every report prints them in.
+func SortFindings(fs []Finding) {
+	sort.Slice(fs, func(i, j int) bool {
+		a, b := fs[i], fs[j]
+		if a.Pos.Filename != b.Pos.Filename {
+			return a.Pos.Filename < b.Pos.Filename
+		}
+		if a.Pos.Line != b.Pos.Line {
+			return a.Pos.Line < b.Pos.Line
+		}
+		if a.Rule != b.Rule {
+			return a.Rule < b.Rule
+		}
+		return a.Msg < b.Msg
+	})
 }
 
 // staleAllows reports //lint:allow comments that suppress nothing: no

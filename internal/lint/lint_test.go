@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -29,21 +30,32 @@ var corpusTests = []struct {
 	{rule: RuleErrDrop, importPath: "goingwild/internal/fetch"},
 	{rule: RuleCtxHygiene, importPath: "goingwild/internal/fetch"},
 	{rule: RuleSleepCall, importPath: "goingwild/internal/fetch"},
-	{rule: RuleHotPath, importPath: "goingwild/internal/fetch"},
+}
+
+// repoLoader is the one Loader of the test binary: the corpora and the
+// self-check share its standard library and its module packages.
+var repoLoader = sync.OnceValues(func() (*Loader, error) {
+	root, err := FindModuleRoot(".")
+	if err != nil {
+		return nil, err
+	}
+	return NewLoader(root)
+})
+
+func testLoader(t *testing.T) *Loader {
+	t.Helper()
+	loader, err := repoLoader()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return loader
 }
 
 // loadCorpus type-checks testdata/<rule> as though it were the package
 // at importPath.
 func loadCorpus(t *testing.T, rule, importPath string) *Package {
 	t.Helper()
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	loader, err := NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
+	loader := testLoader(t)
 	dir := filepath.Join("testdata", rule)
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -176,15 +188,8 @@ func TestRepoIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-module type check is slow; covered by make lint")
 	}
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	loader, err := NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dirs, err := PackageDirs(root)
+	loader := testLoader(t)
+	dirs, err := PackageDirs(loader.ModRoot)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,10 +25,12 @@ type Package struct {
 	Types *types.Package
 }
 
-// Loader parses and type-checks packages of one module, resolving
-// module-internal imports from source and standard-library imports
-// through the stdlib source importer. No build system, no export data,
-// no external dependencies.
+// Loader parses and type-checks packages of one module. Module-internal
+// imports are parsed and type-checked from source, because the rules
+// need their syntax trees; standard-library imports are read from the
+// compiler's export data (go/importer's "gc" importer, which asks
+// `go list -export` for the file and builds it into the build cache if
+// it is missing). No external dependencies.
 type Loader struct {
 	ModRoot string
 	ModPath string
@@ -53,7 +55,7 @@ func NewLoader(modRoot string) (*Loader, error) {
 		ModRoot: modRoot,
 		ModPath: modPath,
 		Fset:    fset,
-		std:     importer.ForCompiler(fset, "source", nil),
+		std:     importer.ForCompiler(fset, "gc", nil),
 		pkgs:    map[string]*Package{},
 		loading: map[string]bool{},
 	}, nil
@@ -119,7 +121,7 @@ func (l *Loader) LoadVirtual(importPath string, files []*ast.File) (*Package, er
 
 // Import implements types.Importer: module-internal packages are
 // resolved from source under ModRoot, everything else goes to the
-// standard-library source importer.
+// standard library's export data.
 func (l *Loader) Import(path string) (*types.Package, error) {
 	if path == l.ModPath || strings.HasPrefix(path, l.ModPath+"/") {
 		dir := l.ModRoot

@@ -1,5 +1,5 @@
-// Corpus for the hotpath rule: //lint:hotpath functions must not contain
-// allocating constructs on any reachable path.
+// Corpus for the -escape-log cross-check: ../escape.log is its go1.24
+// -gcflags=-m log, and ../escape.golden what CheckEscapeLog reports.
 package corpus
 
 import "fmt"
@@ -35,7 +35,7 @@ func OKCallerStorage(dst []uint32, u uint32) int {
 //
 //lint:hotpath demo
 func BadAppend(dst []uint32, u uint32) []uint32 {
-	return append(dst, u) // want hotpath
+	return append(dst, u) // allocates on growth; -m is silent
 }
 
 // BadMake allocates per call.
@@ -70,7 +70,7 @@ func BadClosure(n int) func() int {
 //
 //lint:hotpath demo
 func OKNonCapturingClosure() func() int {
-	return func() int { return 1 }
+	return func() int { return 1 } // -m over-reports this static closure
 }
 
 // BadMapLiteral allocates the map.
@@ -108,7 +108,7 @@ func OKUnreachable(dst []uint32, u uint32) []uint32 {
 //lint:hotpath demo
 func BadBranch(dst []uint32, u uint32, grow bool) []uint32 {
 	if grow {
-		dst = append(dst, u) // want hotpath
+		dst = append(dst, u) // allocates on growth; -m is silent
 	}
 	return dst
 }
@@ -122,7 +122,7 @@ func UnannotatedAppend(dst []uint32, u uint32) []uint32 {
 //
 //lint:hotpath demo
 func AllowedAppend(dst []uint32, u uint32) []uint32 {
-	//lint:allow hotpath first call grows once, then the capacity sticks
+	// the first call grows once, then the capacity sticks
 	return append(dst, u)
 }
 
