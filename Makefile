@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-escape test test-short bench-test race chaos metrics-smoke serve-smoke fuzz-smoke bench-all report markdown record examples clean
+.PHONY: all build vet lint lint-escape test test-short bench-test race serve-smoke fuzz-smoke bench-all report markdown record examples clean
 
 all: build vet lint test
 
@@ -52,27 +52,14 @@ bench-test:
 # resolvesvc's coalescer stress is a race between request goroutines and
 # one prober, and over the UDP gateway the domain scan's answer slots are
 # written by the transport's read loop while the scan reads them.
+# The equivalence harness's children are the race-built test binary, so
+# the last line runs the full report under every fault profile, at
+# GOMAXPROCS 1 and 2, under the detector.
 race:
 	$(GO) test -race ./internal/scanner ./internal/wildnet ./internal/ampli ./internal/cluster ./internal/snoop ./internal/pipeline ./internal/metrics ./internal/debughttp .
 	$(GO) test -race -count=3 -run Gateway ./internal/scanner
 	$(GO) test -race -count=3 ./internal/resolvesvc
-
-# Chaos matrix: the full pipeline under every fault profile (clean,
-# lossy, hostile, flaky), checking determinism across runs and
-# GOMAXPROCS and sweep completeness against planted ground truth.
-chaos:
-	$(GO) test -run TestChaosMatrix -count=1 -v ./internal/core
-
-# Metrics side-channel guard: an order-16 report must print byte-identical
-# stdout with and without -metrics, and the snapshot it writes must be
-# non-empty. This is the executable form of the contract that attaching
-# observability can never perturb results.
-metrics-smoke:
-	$(GO) build -o /tmp/wildreport ./cmd/wildreport
-	/tmp/wildreport -order 16 -weeks 8 -week 7 > /tmp/wr_nometrics.txt
-	/tmp/wildreport -order 16 -weeks 8 -week 7 -metrics /tmp/wr_metrics.json > /tmp/wr_withmetrics.txt
-	diff /tmp/wr_nometrics.txt /tmp/wr_withmetrics.txt
-	test -s /tmp/wr_metrics.json
+	$(GO) test -race -run TestEquivalence ./cmd/wildreport
 
 # Service smoke: run wildsvc's built-in self-check — three epochs at
 # order 16, then query the HTTP API over a real socket: a known

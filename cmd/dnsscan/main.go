@@ -118,7 +118,7 @@ func main() {
 
 	sweepRetries := 0
 	if wcfg.Faults.Enabled() {
-		// Ride over the injected loss the way the chaos harness does.
+		// Ride over the injected loss as a report under -chaos does.
 		sweepRetries = 2
 	}
 	sc := scanner.New(tr, scanner.Options{

@@ -39,7 +39,7 @@ func dnsscan(t *testing.T, args ...string) (stdout, stderr string, exit int) {
 	return out.String(), errOut.String(), exit
 }
 
-// TestRefusalsExitTwo pins every bad value of dnsscan's own flags as a
+// TestRefusalsExitTwo pins every bad flag value dnsscan checks as a
 // usage error raised before the scan: exit 2, a diagnostic naming the
 // flag, and nothing on stdout (no sweep line, no rcode table).
 func TestRefusalsExitTwo(t *testing.T) {
@@ -52,6 +52,8 @@ func TestRefusalsExitTwo(t *testing.T) {
 		{args: []string{"-week", "-1"}, want: "dnsscan: -week -1"},
 		{args: []string{"-epochs", "-3"}, want: "dnsscan: -epochs -3"},
 		{args: []string{"-chaos", "bogus"}, want: "dnsscan: "},
+		{args: []string{"-order", "8"}, want: "dnsscan: -order: order 8 out of range [14, 32]"},
+		{args: []string{"-order", "33"}, want: "dnsscan: -order: order 33 out of range [14, 32]"},
 	} {
 		args := append([]string{"-order", "14"}, tc.args...)
 		stdout, stderr, exit := dnsscan(t, args...)

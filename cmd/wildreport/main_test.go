@@ -34,8 +34,15 @@ const runMainEnv = "WILDREPORT_TEST_RUN_MAIN"
 // and exit status.
 func wildreport(t *testing.T, args ...string) (stdout, stderr string, exit int) {
 	t.Helper()
+	return wildreportEnv(t, nil, args...)
+}
+
+// wildreportEnv is wildreport with env added to the command's
+// environment; a variable set there overrides the inherited one.
+func wildreportEnv(t *testing.T, env []string, args ...string) (stdout, stderr string, exit int) {
+	t.Helper()
 	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	cmd.Env = append(append(os.Environ(), runMainEnv+"=1"), env...)
 	var out, errOut bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &out, &errOut
 	err := cmd.Run()
@@ -155,6 +162,8 @@ func TestRefusalsExitTwo(t *testing.T) {
 		want string // in stderr
 	}{
 		{args: []string{"-exp", "tabel3"}, want: "wildreport: unknown experiment"},
+		{args: []string{"-order", "8"}, want: "wildreport: -order: order 8 out of range [14, 32]"},
+		{args: []string{"-order", "33"}, want: "wildreport: -order: order 33 out of range [14, 32]"},
 		{args: []string{"-chaos", "bogus", "-export", out}, want: "wildreport: "},
 		{args: []string{"-markdown", "-export", out}, want: "wildreport: -export and -markdown"},
 		{args: []string{"-weeks", "4", "-week", "-1", "-exp", "table3", "-export", out}, want: "wildreport: -week -1"},
@@ -171,42 +180,6 @@ func TestRefusalsExitTwo(t *testing.T) {
 	}
 	if _, err := os.Stat(out); !os.IsNotExist(err) {
 		t.Errorf("a refused run left %s behind (stat err %v)", out, err)
-	}
-}
-
-// TestReportStageOrder pins the order a full report runs its stages in:
-// the order the section table adds them, each section's experiments
-// before the stage that renders it, one census shared by the week's
-// experiments.
-func TestReportStageOrder(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs an order-14 report")
-	}
-	_, stderr, exit := wildreport(t, "-order", "14", "-weeks", "4", "-week", "3", "-progress")
-	if exit != 0 {
-		t.Fatalf("exit %d: %s", exit, stderr)
-	}
-	var got []string
-	for _, line := range strings.Split(stderr, "\n") {
-		if f := strings.Fields(line); len(f) == 4 && f[0] == "wildreport:" && f[1] == "stage" && f[3] == "start" {
-			got = append(got, f[2])
-		}
-	}
-	want := []string{
-		"weekly-scans", "render-series",
-		"ipv4-scan", "chaos-scan", "render-table3",
-		"device-fingerprint", "render-table4",
-		"week0-scan", "cohort-track", "render-fig2",
-		"cache-snoop", "render-util",
-		"domain-scan", "prefilter", "classify", "figure4", "render-domains",
-		"key-fetch@wikileaks.org", "race-probes@wikileaks.org", "render-dnssec",
-		"any-survey", "render-amp",
-		"minute-snoop", "render-popularity",
-		"netalyzr", "render-netalyzr",
-		"render-degraded",
-	}
-	if !slices.Equal(got, want) {
-		t.Errorf("stages start in the order\n  %s\nwant\n  %s", strings.Join(got, " "), strings.Join(want, " "))
 	}
 }
 

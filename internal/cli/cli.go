@@ -59,9 +59,13 @@ func (f *Flags) RegisterRun() {
 }
 
 // Parse parses the command line and checks the shared flags before any
-// work starts: -chaos must name a profile.
+// work starts: -order must be a width a world can be built at, and
+// -chaos must name a profile.
 func (f *Flags) Parse() {
 	flag.Parse()
+	if err := wildnet.CheckOrder(f.Order); err != nil {
+		f.Usage(fmt.Errorf("-order: %w", err))
+	}
 	if f.Chaos != "" {
 		if _, err := wildnet.ChaosProfile(f.Chaos); err != nil {
 			f.Usage(err)

@@ -305,102 +305,3 @@ func agglomerateChain(n int, d []float64, cutoff float64, linkage Linkage) *Resu
 	}
 	return &Result{Assign: assign, Num: num, Merges: merges}
 }
-
-// agglomerateExhaustive is the original O(n³) closest-pair implementation,
-// kept as the reference oracle for the differential property tests: the
-// chain algorithm must produce identical partitions at any cutoff.
-func agglomerateExhaustive(n int, dist func(i, j int) float64, cutoff float64, linkage Linkage) *Result {
-	if n == 0 {
-		return &Result{}
-	}
-	// Active cluster bookkeeping over a dense distance matrix.
-	d := make([][]float64, n)
-	for i := range d {
-		d[i] = make([]float64, n)
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			v := dist(i, j)
-			d[i][j], d[j][i] = v, v
-		}
-	}
-	size := make([]int, n)
-	active := make([]bool, n)
-	id := make([]int, n) // dendrogram id of slot i
-	for i := range size {
-		size[i] = 1
-		active[i] = true
-		id[i] = i
-	}
-	parent := make(map[int]int) // dendrogram id -> merged-into id
-	var merges []Merge
-	nextID := n
-	remaining := n
-	for remaining > 1 {
-		// Find the closest active pair.
-		bi, bj, best := -1, -1, math.Inf(1)
-		for i := 0; i < n; i++ {
-			if !active[i] {
-				continue
-			}
-			for j := i + 1; j < n; j++ {
-				if !active[j] {
-					continue
-				}
-				if d[i][j] < best {
-					bi, bj, best = i, j, d[i][j]
-				}
-			}
-		}
-		if bi < 0 || best > cutoff {
-			break
-		}
-		// Merge bj into bi, updating distances per the linkage.
-		na, nb := float64(size[bi]), float64(size[bj])
-		for k := 0; k < n; k++ {
-			if !active[k] || k == bi || k == bj {
-				continue
-			}
-			var v float64
-			switch linkage {
-			case LinkageSingle:
-				v = math.Min(d[bi][k], d[bj][k])
-			case LinkageComplete:
-				v = math.Max(d[bi][k], d[bj][k])
-			default:
-				v = (na*d[bi][k] + nb*d[bj][k]) / (na + nb)
-			}
-			d[bi][k], d[k][bi] = v, v
-		}
-		merges = append(merges, Merge{A: id[bi], B: id[bj], Dist: best, Size: size[bi] + size[bj]})
-		parent[id[bi]] = nextID
-		parent[id[bj]] = nextID
-		id[bi] = nextID
-		nextID++
-		size[bi] += size[bj]
-		active[bj] = false
-		remaining--
-	}
-	// Densely number the surviving clusters and resolve items to them.
-	clusterOf := map[int]int{}
-	num := 0
-	for i := 0; i < n; i++ {
-		if active[i] {
-			clusterOf[id[i]] = num
-			num++
-		}
-	}
-	assign := make([]int, n)
-	for i := 0; i < n; i++ {
-		c := i
-		for {
-			p, ok := parent[c]
-			if !ok {
-				break
-			}
-			c = p
-		}
-		assign[i] = clusterOf[c]
-	}
-	return &Result{Assign: assign, Num: num, Merges: merges}
-}

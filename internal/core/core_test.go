@@ -10,7 +10,6 @@ import (
 	"goingwild/internal/dnssec"
 	"goingwild/internal/dnswire"
 	"goingwild/internal/domains"
-	"goingwild/internal/pipeline"
 	"goingwild/internal/prefilter"
 	"goingwild/internal/scanner"
 	"goingwild/internal/wildnet"
@@ -422,51 +421,4 @@ func TestVanishedNetworkForensicsEndToEnd(t *testing.T) {
 		t.Error("no scanner-blocking networks identified via the secondary vantage")
 	}
 	t.Logf("vanished: %d networks, reasons: %v", len(vanished), reasons)
-}
-
-// TestObserverIsSideChannelOnly pins the tentpole's determinism clause:
-// attaching an observer changes what the study reports about itself
-// (stage events appear) but never what it measures.
-func TestObserverIsSideChannelOnly(t *testing.T) {
-	plain := newStudy(t, 16)
-	resA, err := plain.RunDomainStudyContext(context.Background(), 50, []domains.Category{domains.Dating})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	observed := newStudy(t, 16)
-	var events []pipeline.StageEvent
-	observed.Observer = func(ev pipeline.StageEvent) { events = append(events, ev) }
-	resB, err := observed.RunDomainStudyContext(context.Background(), 50, []domains.Category{domains.Dating})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if len(resA.StageTrace) != len(resB.StageTrace) {
-		t.Fatalf("stage traces diverge: %d vs %d entries", len(resA.StageTrace), len(resB.StageTrace))
-	}
-	for i := range resA.StageTrace {
-		if resA.StageTrace[i] != resB.StageTrace[i] {
-			t.Errorf("stage %d: %+v vs %+v", i, resA.StageTrace[i], resB.StageTrace[i])
-		}
-	}
-	if resA.Report.Clusters != resB.Report.Clusters || resA.Report.PairCount != resB.Report.PairCount {
-		t.Errorf("observer perturbed the measurement: clusters %d/%d pairs %d/%d",
-			resA.Report.Clusters, resB.Report.Clusters, resA.Report.PairCount, resB.Report.PairCount)
-	}
-
-	// The observer saw every stage start and finish, in order.
-	stages := []string{"ipv4-scan", "domain-scan", "prefilter", "classify", "figure4"}
-	if len(events) != 2*len(stages) {
-		t.Fatalf("observer saw %d events, want %d", len(events), 2*len(stages))
-	}
-	for i, name := range stages {
-		start, done := events[2*i], events[2*i+1]
-		if start.Stage != name || start.Kind != pipeline.StageStart {
-			t.Errorf("event %d = %s/%v, want %s start", 2*i, start.Stage, start.Kind, name)
-		}
-		if done.Stage != name || done.Kind != pipeline.StageDone {
-			t.Errorf("event %d = %s/%v, want %s done", 2*i+1, done.Stage, done.Kind, name)
-		}
-	}
 }

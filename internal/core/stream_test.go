@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"reflect"
 	"runtime"
@@ -9,7 +8,6 @@ import (
 
 	"goingwild/internal/churn"
 	"goingwild/internal/geodb"
-	"goingwild/internal/metrics"
 	"goingwild/internal/scanner"
 	"goingwild/internal/wildnet"
 )
@@ -157,53 +155,6 @@ func TestStreamingReplayReproducesBatchSnapshot(t *testing.T) {
 	}
 	if !reflect.DeepEqual(state, batch.Last().Responders) {
 		t.Fatal("replayed final snapshot != batch final responder set")
-	}
-}
-
-// TestStreamingEpochMetricsDeterministic extends the metrics contract
-// to the epoch instruments: pipeline.delta.size and pipeline.epoch.done
-// are deterministic (identical stripped snapshots across runs and a
-// GOMAXPROCS flip).
-func TestStreamingEpochMetricsDeterministic(t *testing.T) {
-	cfg := streamCfg(t, 14, "clean")
-	run := func() *metrics.Registry {
-		reg := metrics.New()
-		c := cfg
-		c.Metrics = reg
-		s, err := NewStudy(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		if _, err := s.RunWeeklySeriesContext(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		return reg
-	}
-	regA := run()
-	regB := run()
-	jsonA, jsonB := stripJSON(t, regA), stripJSON(t, regB)
-	if !bytes.Equal(jsonA, jsonB) {
-		t.Errorf("epoch metrics differ between runs:\n--- run 1\n%s--- run 2\n%s", jsonA, jsonB)
-	}
-	old := runtime.GOMAXPROCS(0)
-	flipped := 1
-	if old == 1 {
-		flipped = 4
-	}
-	runtime.GOMAXPROCS(flipped)
-	regC := run()
-	runtime.GOMAXPROCS(old)
-	if jsonC := stripJSON(t, regC); !bytes.Equal(jsonA, jsonC) {
-		t.Errorf("epoch metrics diverge at GOMAXPROCS=%d:\n--- base\n%s--- flipped\n%s", flipped, jsonA, jsonC)
-	}
-
-	snap := regA.Snapshot()
-	if got := snap.Counter("pipeline.epoch.done"); got != uint64(cfg.Weeks) {
-		t.Errorf("pipeline.epoch.done = %d, want %d", got, cfg.Weeks)
-	}
-	if !bytes.Contains(jsonA, []byte("pipeline.delta.size")) {
-		t.Error("stripped snapshot is missing pipeline.delta.size")
 	}
 }
 

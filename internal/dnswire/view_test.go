@@ -302,6 +302,13 @@ func TestViewResetAllocs(t *testing.T) {
 		t.Skip("race detector instruments allocations")
 	}
 	wire, _ := viewSample(t)
+	// A truncated answer: the header flag and the question, no records.
+	tc := NewQuery(0xBEEF, "r1a2b.c0a80001.Scan-Base.example", TypeA, ClassIN)
+	tc.Header.QR, tc.Header.TC = true, true
+	tcWire, err := tc.PackBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var v View
 	if err := v.Reset(wire); err != nil { // warm the name buffer
 		t.Fatal(err)
@@ -311,10 +318,16 @@ func TestViewResetAllocs(t *testing.T) {
 		if err := v.Reset(wire); err != nil {
 			t.Fatal(err)
 		}
-		if !v.QR() || !v.HasAnswerA() || !v.HasAuthorityNS() {
+		if !v.QR() || v.TC() || !v.HasAnswerA() || !v.HasAuthorityNS() {
 			t.Fatal("bad view state")
 		}
 		sink = v.AppendAnswerA(sink[:0])
+		if err := v.Reset(tcWire); err != nil {
+			t.Fatal(err)
+		}
+		if !v.TC() || v.HasAnswerA() {
+			t.Fatal("bad truncated view state")
+		}
 	})
 	if allocs != 0 {
 		t.Fatalf("View decode allocates %.1f per run, want 0", allocs)

@@ -185,6 +185,29 @@ func TestTargetGeneratorFullCoverage(t *testing.T) {
 	}
 }
 
+// TestNextU32Allocs holds the one-target pull to the zero-alloc
+// contract, blacklisted slots skipped on the way.
+func TestNextU32Allocs(t *testing.T) {
+	bl := NewBlacklist()
+	if err := bl.AddCIDR("0.0.0.64/26"); err != nil {
+		t.Fatal(err)
+	}
+	g, err := NewTargetGenerator(16, 99, bl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 64; i++ {
+			if _, ok := g.NextU32(); !ok {
+				t.Fatal("permutation exhausted")
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("64 NextU32 pulls allocate %.1f per run, want 0", allocs)
+	}
+}
+
 func TestTargetGeneratorReset(t *testing.T) {
 	g, err := NewTargetGenerator(12, 5, nil)
 	if err != nil {

@@ -144,7 +144,7 @@ func TestSnapshotSortedAndReproducible(t *testing.T) {
 	}
 }
 
-// TestStripTimingSurvivesJSON: the determinism guard filters on the
+// TestStripTimingSurvivesJSON: a determinism check filters on the
 // exported class string, so stripping must work on a snapshot that has
 // been through a JSON round-trip (e.g. one read back from a -metrics
 // file).

@@ -93,7 +93,7 @@ func (r *Registry) Snapshot() Snapshot {
 }
 
 // StripTiming returns a copy of the snapshot without timing-class
-// metrics — the form determinism guards compare byte-for-byte across
+// metrics — the form determinism checks compare byte-for-byte across
 // runs and GOMAXPROCS settings.
 func (s Snapshot) StripTiming() Snapshot {
 	var out Snapshot

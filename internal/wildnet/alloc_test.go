@@ -18,8 +18,9 @@ import (
 // draw, and the parse. A probe into empty Chinese space (which the
 // predicate cannot reject outright, because the injector might answer)
 // is decided by the alloc-free question peek and must also cost zero
-// allocations for a non-GFW name. A regression on either path means
-// every probe of an order-24 sweep pays garbage.
+// allocations, for a non-GFW name and for a censored one the injector
+// answers. A regression on either path means every probe of an order-24
+// sweep pays garbage.
 func TestSendZeroFaultConfigAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instruments allocations")
@@ -91,6 +92,25 @@ func TestSendZeroFaultConfigAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("zero-fault CN-silent one-probe batch allocates %.1f per probe, want 0", allocs)
+	}
+	// A censored name in mixed case passes the question peek through
+	// the case-insensitive list match and draws the injector's forged
+	// answer, still without a heap allocation.
+	censored, err := dnswire.NewQuery(7, "FaceBook.com", dnswire.TypeA, dnswire.ClassIN).PackBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	responded = false
+	allocs = testing.AllocsPerRun(500, func() {
+		if err := sendOne(ctx, tr, slowSilent, 53, 40000, censored); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !responded {
+		t.Fatalf("no injected answer to a censored name sent to %v", slowSilent)
+	}
+	if allocs != 0 {
+		t.Fatalf("zero-fault CN-censored one-probe batch allocates %.1f per probe, want 0", allocs)
 	}
 }
 

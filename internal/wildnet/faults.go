@@ -126,8 +126,8 @@ func (f *FaultConfig) flapWindow(t Time) uint64 {
 // ChaosProfileNames lists the named chaos profiles, mildest first.
 func ChaosProfileNames() []string { return []string{"clean", "lossy", "hostile", "flaky"} }
 
-// ChaosProfile returns one of the named fault profiles the chaos harness
-// (and the cmds' -chaos flag) runs the pipeline under:
+// ChaosProfile returns one of the named fault profiles the cmds' -chaos
+// flag runs the pipeline under:
 //
 //	clean   — no injected faults; the pre-existing 0.2% base loss only.
 //	lossy   — heavy independent loss plus congestive bursts and jitter;
@@ -384,10 +384,10 @@ func (w *World) faultDup(src uint32, rph uint64, t Time, attempt uint64) bool {
 // CountRespondingAt iterates the whole address space and returns the
 // planted ground truth a lossless sweep from vantage v at time t would
 // measure: every resolver that is present, visible, not blacklisted by
-// skip, and not inside a flap outage. The chaos harness compares measured
-// sweep totals against this count, so its tolerance covers exactly the
-// loss-like faults (base loss, bursts, rate-limit drops, garbling) and
-// nothing the world model already decides.
+// skip, and not inside a flap outage. core's TestChaosMatrix compares
+// measured sweep totals against this count, so its tolerance covers
+// exactly the loss-like faults (base loss, bursts, rate-limit drops,
+// garbling) and nothing the world model already decides.
 func (w *World) CountRespondingAt(v Vantage, t Time, skip func(u uint32) bool) int {
 	n := 0
 	for u := uint64(0); u < w.SpaceSize(); u++ {

@@ -3,7 +3,7 @@ package wildnet
 import "goingwild/internal/metrics"
 
 // faultMetrics holds the fault layer's pre-resolved counter handles, one
-// per injected pathology, so the chaos harness can assert exactly what a
+// per injected pathology, so a -metrics snapshot shows exactly what a
 // profile did to a run. Counting never feeds back into any draw — every
 // fault fate stays a pure function of (seed, traffic) — and every
 // counter is deterministic: the packets a scan offers the transport are

@@ -161,10 +161,18 @@ type World struct {
 	legit legitTable
 }
 
+// CheckOrder refuses an address-space width NewWorld cannot build.
+func CheckOrder(order uint) error {
+	if order < 14 || order > 32 {
+		return fmt.Errorf("order %d out of range [14, 32]", order)
+	}
+	return nil
+}
+
 // NewWorld builds a world from cfg.
 func NewWorld(cfg Config) (*World, error) {
-	if cfg.Order < 14 || cfg.Order > 32 {
-		return nil, fmt.Errorf("wildnet: order %d out of range [14, 32]", cfg.Order)
+	if err := CheckOrder(cfg.Order); err != nil {
+		return nil, fmt.Errorf("wildnet: %w", err)
 	}
 	if cfg.BaseDensity <= 0 || cfg.BaseDensity > 0.5 {
 		return nil, fmt.Errorf("wildnet: base density %f out of range (0, 0.5]", cfg.BaseDensity)
