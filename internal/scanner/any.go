@@ -81,7 +81,7 @@ func (s *Scanner) ScanANYContext(ctx context.Context, resolvers []uint32, name s
 	})
 	// One probe per resolver, no retry rounds: every probe is lent the
 	// scan's one query.
-	err = s.listScan(ctx, len(resolvers), 0, s.m.anySent,
+	err = s.listScan(ctx, len(resolvers), 0, s.m.any,
 		func(i uint32, p *wildnet.Probe, arena []byte) []byte {
 			p.Dst, p.SrcPort, p.Payload = lfsr.U32ToAddr(resolvers[i]), anyPort, wire
 			return arena

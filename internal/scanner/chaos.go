@@ -108,7 +108,7 @@ func (s *Scanner) ScanChaosContext(ctx context.Context, resolvers []uint32) (*Ch
 			// The version census sends once per (resolver, name) — no
 			// retry rounds — so Table 3 keeps its single-probe response
 			// rates.
-			if err := s.listScan(ctx, len(batch), 0, s.m.chaosSent,
+			if err := s.listScan(ctx, len(batch), 0, s.m.chaos,
 				func(i uint32, p *wildnet.Probe, arena []byte) []byte {
 					p.Dst, p.SrcPort = lfsr.U32ToAddr(batch[i]), basePort
 					return appendWithID(arena, tmpl, uint16(i))

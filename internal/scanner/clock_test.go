@@ -3,10 +3,12 @@ package scanner
 import (
 	"context"
 	"net/netip"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"goingwild/internal/lfsr"
 	"goingwild/internal/metrics"
 	"goingwild/internal/wildnet"
 )
@@ -122,5 +124,82 @@ func TestSettleUsesInjectedClock(t *testing.T) {
 	s.settle(context.Background())
 	if got := fc.Now().Sub(before); got != 5*time.Millisecond {
 		t.Errorf("settle advanced fake clock by %v, want 5ms", got)
+	}
+}
+
+// tickClock is a fakeClock that moves one nanosecond at every reading, so
+// a span between two readings is 1ns plus whatever advanced it between
+// them; reads counts the readings.
+type tickClock struct {
+	fakeClock
+	reads int
+}
+
+func (c *tickClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.reads++
+	t := c.now
+	c.now = t.Add(time.Nanosecond)
+	return t
+}
+
+// slowTransport swallows sends, charging each probe perProbe on the clock.
+type slowTransport struct {
+	nullTransport
+	clock    *tickClock
+	perProbe time.Duration
+}
+
+func (s *slowTransport) SendBatch(ctx context.Context, batch []wildnet.Probe) (int, error) {
+	s.clock.Advance(time.Duration(len(batch)) * s.perProbe)
+	return len(batch), nil
+}
+
+// TestSenderPhaseCounters pins the engine's per-phase Timing counters on a
+// three-batch sweep: an order-10 space less its first /24 is 768 targets,
+// three full pulls and the empty one that ends the round. One sender
+// reads the clock at every phase boundary, so pull holds four 1ns ticks,
+// build three, and send three plus the transport's 1µs per probe. The
+// counters are Timing class, and a scanner without a registry never
+// reads the clock.
+func TestSenderPhaseCounters(t *testing.T) {
+	bl := lfsr.NewBlacklist()
+	if err := bl.AddCIDR("0.0.0.0/24"); err != nil {
+		t.Fatal(err)
+	}
+	sweep := func(reg *metrics.Registry) *tickClock {
+		fc := &tickClock{fakeClock: fakeClock{now: time.Unix(1_000_000, 0)}}
+		tr := &slowTransport{clock: fc, perProbe: time.Microsecond}
+		s := New(tr, Options{Workers: 1, SettleDelay: NoSettle, Clock: fc, Metrics: reg})
+		res, err := s.SweepContext(context.Background(), 10, 3, bl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Probed != 768 {
+			t.Fatalf("probed %d targets, want 768", res.Probed)
+		}
+		return fc
+	}
+	reg := metrics.New()
+	sweep(reg)
+	snap := reg.Snapshot()
+	for name, want := range map[string]uint64{
+		"scanner.sweep.sent":     768,
+		"scanner.sweep.pull_ns":  4,
+		"scanner.sweep.build_ns": 3,
+		"scanner.sweep.send_ns":  3 + 768*1000,
+	} {
+		if got := snap.Counter(name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	for _, c := range snap.StripTiming().Counters {
+		if strings.HasSuffix(c.Name, "_ns") {
+			t.Errorf("StripTiming kept %s", c.Name)
+		}
+	}
+	if fc := sweep(nil); fc.reads != 0 {
+		t.Errorf("a scanner without a registry read the clock %d times", fc.reads)
 	}
 }

@@ -154,7 +154,7 @@ func (s *Scanner) ScanDomainsContext(ctx context.Context, resolvers []uint32, na
 
 		// The probe payload is identical across attempts, so fault-layer
 		// redraws ride on the transport's retransmission counter.
-		err = s.listScan(ctx, len(resolvers), listRetries, s.m.domainsSent,
+		err = s.listScan(ctx, len(resolvers), listRetries, s.m.domains,
 			func(ri uint32, p *wildnet.Probe, arena []byte) []byte {
 				txid, portIdx := dnswire.SplitProbeID(dnswire.ProbeID(ri))
 				off := len(arena)

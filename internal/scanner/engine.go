@@ -3,6 +3,7 @@ package scanner
 import (
 	"context"
 	"sync"
+	"time"
 
 	"goingwild/internal/metrics"
 	"goingwild/internal/wildnet"
@@ -97,8 +98,9 @@ type scanRun struct {
 	// miss reports whether item u is still unanswered. It is consulted
 	// only for items of a retry round, each pulled once per round.
 	miss func(u uint32) bool
-	// sent tallies the probes dispatched (nil = metrics off).
-	sent *metrics.Counter
+	// ctr tallies the probes dispatched and times the senders' phases
+	// (all nil = metrics off).
+	ctr senderCounters
 
 	mu sync.Mutex
 	// round is 0 for the first pass, 1..rounds for retransmissions.
@@ -182,18 +184,36 @@ func (s *Scanner) run(ctx context.Context, r *scanRun) error {
 //
 // A cancelled context stops each worker at its next pull (at most one
 // in-flight batch per worker completes).
+//
+// With a registry attached, each sender reads the injected Clock at the
+// batch's phase boundaries and adds the spans to r.ctr's pull, build and
+// send counters; without one it reads no clock at all.
 func (s *Scanner) sendRound(ctx context.Context, r *scanRun) error {
 	limited := s.rate.interval != 0
 	retry := r.round > 0
 	build := r.build(r.round)
+	timed := r.ctr.pullNs != nil
 	sender := func() error {
 		bat := probeBatchPool.Get().(*probeBatch)
 		defer probeBatchPool.Put(bat)
+		var mark time.Time
+		if timed {
+			mark = s.opts.Clock.Now()
+		}
+		// lap adds the time since the last boundary to c.
+		lap := func(c *metrics.Counter) {
+			if timed {
+				now := s.opts.Clock.Now()
+				c.Add(uint64(max(now.Sub(mark), 0)))
+				mark = now
+			}
+		}
 		for {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 			n := r.pull(bat.items[:r.chunk])
+			lap(r.ctr.pullNs)
 			if n == 0 {
 				return nil
 			}
@@ -207,9 +227,10 @@ func (s *Scanner) sendRound(ctx context.Context, r *scanRun) error {
 				}
 				bat.add(u, build)
 			}
+			lap(r.ctr.buildNs)
 			if bat.n > 0 {
 				probes := bat.finish()
-				r.sent.Add(uint64(len(probes)))
+				r.ctr.sent.Add(uint64(len(probes)))
 				if retry {
 					s.m.retrySpend.Add(uint64(len(probes)))
 				}
@@ -217,6 +238,7 @@ func (s *Scanner) sendRound(ctx context.Context, r *scanRun) error {
 				//lint:allow errdrop send failures are modeled packet loss
 				s.tr.SendBatch(ctx, probes)
 			}
+			lap(r.ctr.sendNs)
 		}
 	}
 	errs := make([]error, s.opts.Workers)
@@ -240,13 +262,13 @@ func (s *Scanner) sendRound(ctx context.Context, r *scanRun) error {
 // listScan runs the engine over the indices of an n-item list: every index
 // is probed once, then up to `rounds` retry rounds cover the ones miss
 // still reports (miss may be nil when rounds is 0).
-func (s *Scanner) listScan(ctx context.Context, n, rounds int, sent *metrics.Counter, build probeBuild, miss func(i uint32) bool) error {
+func (s *Scanner) listScan(ctx context.Context, n, rounds int, ctr senderCounters, build probeBuild, miss func(i uint32) bool) error {
 	return s.run(ctx, &scanRun{
 		src:    &listSource{n: uint32(n)},
 		chunk:  listPull(n),
 		rounds: rounds,
 		build:  func(int) probeBuild { return build },
 		miss:   miss,
-		sent:   sent,
+		ctr:    ctr,
 	})
 }

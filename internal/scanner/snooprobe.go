@@ -102,7 +102,7 @@ func (s *Scanner) SnoopRoundContext(ctx context.Context, resolvers []uint32, tld
 	})
 	// One probe per resolver, no retry rounds: every probe is lent the
 	// round's one query.
-	err = s.listScan(ctx, len(resolvers), 0, s.m.snoopSent,
+	err = s.listScan(ctx, len(resolvers), 0, s.m.snoop,
 		func(i uint32, p *wildnet.Probe, arena []byte) []byte {
 			p.Dst, p.SrcPort, p.Payload = lfsr.U32ToAddr(resolvers[i]), basePort, wire
 			return arena

@@ -138,7 +138,7 @@ func snoopRoundRef(ctx context.Context, s *Scanner, resolvers []uint32, tld stri
 		}
 		collected.Merge(u, obs, mergeSnoopObs)
 	})
-	err = s.listScan(ctx, len(resolvers), 0, nil,
+	err = s.listScan(ctx, len(resolvers), 0, senderCounters{},
 		func(i uint32, p *wildnet.Probe, arena []byte) []byte {
 			p.Dst, p.SrcPort, p.Payload = lfsr.U32ToAddr(resolvers[i]), basePort, wire
 			return arena
