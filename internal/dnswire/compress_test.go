@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"goingwild/internal/alloctest"
 	"goingwild/internal/domains"
 )
 
@@ -351,13 +352,13 @@ func TestPackIntoAllocs(t *testing.T) {
 		if _, err := m.PackInto(buf, &cmp); err != nil { // warm the Compressor
 			t.Fatal(err)
 		}
-		allocs := testing.AllocsPerRun(200, func() {
+		allocs := alloctest.Count(200, func() {
 			if _, err := m.PackInto(buf, &cmp); err != nil {
 				t.Fatal(err)
 			}
 		})
 		if allocs != 0 {
-			t.Errorf("PackInto of a %s response allocates %.1f per pack, want 0", m.Questions[0].Type, allocs)
+			t.Errorf("PackInto of a %s response allocates %d times over 200 packs, want 0", m.Questions[0].Type, allocs)
 		}
 	}
 }

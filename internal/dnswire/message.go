@@ -263,8 +263,9 @@ func EncodeNameWire(name string) ([]byte, error) {
 // into buf with no name assembly or Message. prefix is one raw label (its
 // bytes, no length octet, ≤63 bytes of it used); baseWire is the scan
 // base's precomputed encoding from EncodeNameWire, whose terminating root
-// label closes the name. This is the sweep's per-target send cost, so it
-// must not allocate when buf has capacity.
+// label closes the name. The alive probes pay it per target and the
+// sweep once per round, for the template it patches; it does not
+// allocate when buf has capacity.
 func AppendTargetQuery(buf []byte, id uint16, prefix []byte, target uint32, baseWire []byte, typ Type, class Class) []byte {
 	buf = binary.BigEndian.AppendUint16(buf, id)
 	buf = binary.BigEndian.AppendUint16(buf, flagRD)

@@ -6,6 +6,8 @@ import (
 	"net/netip"
 	"strings"
 	"testing"
+
+	"goingwild/internal/alloctest"
 )
 
 // builderCase is one response, described once and built twice: as a
@@ -233,8 +235,8 @@ func TestResponseBuilderAllocs(t *testing.T) {
 		}
 	}
 	answer()
-	if allocs := testing.AllocsPerRun(200, answer); allocs != 0 {
-		t.Fatalf("building two responses allocates %.1f, want 0", allocs)
+	if allocs := alloctest.Count(200, answer); allocs != 0 {
+		t.Fatalf("building two responses allocates %d times over 200 runs, want 0", allocs)
 	}
 	off, end, _ := b.Finish() // the last response: one A and two NS records
 	canned, err := CanAnswers(b.Message(off, end))
@@ -249,8 +251,8 @@ func TestResponseBuilderAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if allocs := testing.AllocsPerRun(200, replay); allocs != 0 {
-		t.Fatalf("replaying canned records allocates %.1f, want 0", allocs)
+	if allocs := alloctest.Count(200, replay); allocs != 0 {
+		t.Fatalf("replaying canned records allocates %d times over 200 runs, want 0", allocs)
 	}
 }
 

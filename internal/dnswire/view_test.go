@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"net/netip"
 	"testing"
+
+	"goingwild/internal/alloctest"
 )
 
 // viewSample builds a response exercising every section the view walks:
@@ -314,7 +316,7 @@ func TestViewResetAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sink []uint32
-	allocs := testing.AllocsPerRun(200, func() {
+	allocs := alloctest.Count(200, func() {
 		if err := v.Reset(wire); err != nil {
 			t.Fatal(err)
 		}
@@ -330,6 +332,6 @@ func TestViewResetAllocs(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("View decode allocates %.1f per run, want 0", allocs)
+		t.Fatalf("View decode allocates %d times over 200 runs, want 0", allocs)
 	}
 }

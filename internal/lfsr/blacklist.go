@@ -110,23 +110,31 @@ func (b *Blacklist) Contains(addr netip.Addr) bool {
 // ContainsU32 reports whether the address (as a big-endian uint32) is
 // blacklisted. This is the hot-path form used by the target generator:
 // the freeze check and the range binary search are open-coded because
-// the generator pays this per raw permutation slot.
+// the generator pays this per raw permutation slot, under the sweep's
+// generator lock. An address outside the envelope [first lo, last hi]
+// is answered before the search: a simulated world blacklists one
+// infrastructure range at the top of its space, so every census target
+// below it costs two compares.
 //
 //lint:hotpath per-slot blacklist check in the target generator
 func (b *Blacklist) ContainsU32(u uint32) bool {
 	if !b.frozen {
 		b.freeze()
 	}
-	lo, hi := 0, len(b.ranges)
+	r := b.ranges
+	if len(r) == 0 || u < r[0].lo || u > r[len(r)-1].hi {
+		return false
+	}
+	lo, hi := 0, len(r)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if b.ranges[mid].hi >= u {
+		if r[mid].hi >= u {
 			hi = mid
 		} else {
 			lo = mid + 1
 		}
 	}
-	return lo < len(b.ranges) && b.ranges[lo].lo <= u
+	return r[lo].lo <= u
 }
 
 // Size returns the total number of blacklisted addresses.

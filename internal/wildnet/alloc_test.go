@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"goingwild/internal/alloctest"
 	"goingwild/internal/dnswire"
 	"goingwild/internal/metrics"
 )
@@ -77,21 +78,21 @@ func TestSendZeroFaultConfigAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	allocs := testing.AllocsPerRun(500, func() {
+	allocs := alloctest.Count(500, func() {
 		if err := sendOne(ctx, tr, rejected, 53, 40000, payload); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("fast-rejected one-probe batch allocates %.1f per probe, want 0", allocs)
+		t.Fatalf("fast-rejected one-probe batch allocates %d times over 500 probes, want 0", allocs)
 	}
-	allocs = testing.AllocsPerRun(500, func() {
+	allocs = alloctest.Count(500, func() {
 		if err := sendOne(ctx, tr, slowSilent, 53, 40000, payload); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("zero-fault CN-silent one-probe batch allocates %.1f per probe, want 0", allocs)
+		t.Fatalf("zero-fault CN-silent one-probe batch allocates %d times over 500 probes, want 0", allocs)
 	}
 	// A censored name in mixed case passes the question peek through
 	// the case-insensitive list match and draws the injector's forged
@@ -101,7 +102,7 @@ func TestSendZeroFaultConfigAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	responded = false
-	allocs = testing.AllocsPerRun(500, func() {
+	allocs = alloctest.Count(500, func() {
 		if err := sendOne(ctx, tr, slowSilent, 53, 40000, censored); err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +111,7 @@ func TestSendZeroFaultConfigAllocs(t *testing.T) {
 		t.Fatalf("no injected answer to a censored name sent to %v", slowSilent)
 	}
 	if allocs != 0 {
-		t.Fatalf("zero-fault CN-censored one-probe batch allocates %.1f per probe, want 0", allocs)
+		t.Fatalf("zero-fault CN-censored one-probe batch allocates %d times over 500 probes, want 0", allocs)
 	}
 }
 
@@ -169,21 +170,21 @@ func TestSendHostileRejectAllocs(t *testing.T) {
 	for i := range batch {
 		batch[i] = Probe{Dst: rejected, DstPort: 53, SrcPort: 40000, Payload: payload}
 	}
-	allocs := testing.AllocsPerRun(500, func() {
+	allocs := alloctest.Count(500, func() {
 		if err := sendOne(ctx, tr, rejected, 53, 40000, payload); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("hostile rejected one-probe batch allocates %.1f per probe, want 0", allocs)
+		t.Fatalf("hostile rejected one-probe batch allocates %d times over 500 probes, want 0", allocs)
 	}
-	allocs = testing.AllocsPerRun(100, func() {
+	allocs = alloctest.Count(100, func() {
 		if n, err := tr.SendBatch(ctx, batch); err != nil || n != len(batch) {
 			t.Fatalf("SendBatch = %d, %v", n, err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("hostile rejected SendBatch allocates %.1f per batch, want 0", allocs)
+		t.Fatalf("hostile rejected SendBatch allocates %d times over 100 batches, want 0", allocs)
 	}
 	if after := attemptEntries(tr); !reflect.DeepEqual(after, before) {
 		t.Fatalf("rejected probes changed the attempt map: %v -> %v", before, after)
@@ -382,24 +383,24 @@ func TestAnsweredSendAllocs(t *testing.T) {
 		if answers != len(batch) {
 			t.Fatalf("%s %v: %d of %d probes drew an answer record", tc.name, tc.typ, answers, len(batch))
 		}
-		if allocs := testing.AllocsPerRun(500, func() {
+		if allocs := alloctest.Count(500, func() {
 			if err := sendOne(ctx, tr, w.Addr(u), 53, 40000, payload); err != nil {
 				t.Fatal(err)
 			}
 		}); allocs != 0 {
-			t.Errorf("%s %v: answered one-probe batch allocates %.1f per probe, want 0", tc.name, tc.typ, allocs)
+			t.Errorf("%s %v: answered one-probe batch allocates %d times over 500 probes, want 0", tc.name, tc.typ, allocs)
 		}
-		if allocs := testing.AllocsPerRun(100, func() {
+		if allocs := alloctest.Count(100, func() {
 			if n, err := tr.SendBatch(ctx, batch); err != nil || n != len(batch) {
 				t.Fatalf("SendBatch = %d, %v", n, err)
 			}
 		}); allocs != 0 {
-			t.Errorf("%s %v: answered SendBatch allocates %.1f per batch of %d, want 0", tc.name, tc.typ, allocs, len(batch))
+			t.Errorf("%s %v: answered SendBatch allocates %d times over 100 batches of %d, want 0", tc.name, tc.typ, allocs, len(batch))
 		}
 		// The first probe of each new hour misses the memo.
 		answers = 0
 		probes, hits := 0, 0
-		if allocs := testing.AllocsPerRun(500, func() {
+		if allocs := alloctest.Count(500, func() {
 			probes++
 			at := memoHour(probes)
 			var p Profile
@@ -411,7 +412,7 @@ func TestAnsweredSendAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}); allocs != 0 {
-			t.Errorf("%s %v: answered one-probe batch at a new hour allocates %.1f per probe, want 0", tc.name, tc.typ, allocs)
+			t.Errorf("%s %v: answered one-probe batch at a new hour allocates %d times over 500 probes, want 0", tc.name, tc.typ, allocs)
 		}
 		if hits != 0 || answers != probes {
 			t.Errorf("%s %v: %d of %d new-hour probes found the profile in the memo, %d drew an answer record", tc.name, tc.typ, hits, probes, answers)

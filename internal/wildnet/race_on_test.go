@@ -2,6 +2,6 @@
 
 package wildnet
 
-// raceEnabled gates the AllocsPerRun regression tests: the race detector
+// raceEnabled gates the allocation-count regression tests: the race detector
 // instruments allocations, so zero-alloc assertions only hold without it.
 const raceEnabled = true
