@@ -13,8 +13,8 @@
 // and the send rate over the run — summed from the metrics registry's
 // *.sent and *.recv counters, the sums -progress prints while it runs.
 //
-// A bad -mode, -category, -week or -epochs is a usage error (exit 2)
-// before anything is scanned. SIGINT cancels the scan; a killed scan is
+// A bad -mode, -category, -week, -epochs or -rate is a usage error (exit
+// 2) before anything is scanned. SIGINT cancels the scan; a killed scan is
 // run again.
 package main
 
@@ -58,6 +58,8 @@ func main() {
 		f.Usage(fmt.Errorf("-week %d: must be at least 0", *week))
 	case *epochs < 0:
 		f.Usage(fmt.Errorf("-epochs %d: must be at least 0", *epochs))
+	case *rate < 0:
+		f.Usage(fmt.Errorf("-rate %d: must be at least 0", *rate))
 	case *mode == "domains":
 		for _, d := range domains.ByCategory(domains.Category(*category)) {
 			names = append(names, d.Name)
@@ -70,18 +72,15 @@ func main() {
 	ctx, release := f.Context(context.Background())
 	defer release()
 
-	wcfg := wildnet.DefaultConfig(f.Order)
-	wcfg.Seed = f.Seed
 	// Always on: the exit traffic line reads the registry's counters.
 	reg := f.Registry(true)
+	// The -chaos profile's faults, with the retry rounds a report runs
+	// over them.
+	study := f.StudyConfig()
+	wcfg := wildnet.DefaultConfig(f.Order)
+	wcfg.Seed = f.Seed
 	wcfg.Metrics = reg
-	if f.Chaos != "" {
-		faults, err := wildnet.ChaosProfile(f.Chaos)
-		if err != nil {
-			f.Fatal(err)
-		}
-		wcfg.Faults = faults
-	}
+	wcfg.Faults = study.Faults
 	world, err := wildnet.NewWorld(wcfg)
 	if err != nil {
 		f.Fatal(err)
@@ -116,14 +115,9 @@ func main() {
 	}
 	defer tr.Close()
 
-	sweepRetries := 0
-	if wcfg.Faults.Enabled() {
-		// Ride over the injected loss as a report under -chaos does.
-		sweepRetries = 2
-	}
 	sc := scanner.New(tr, scanner.Options{
 		Workers: 8, SettleDelay: settle, RatePPS: *rate,
-		SweepRetries: sweepRetries, Metrics: reg,
+		SweepRetries: study.SweepRetries, Metrics: reg,
 	})
 	defer f.Observe()()
 	start := time.Now()

@@ -51,6 +51,8 @@ func TestRefusalsExitTwo(t *testing.T) {
 		{args: []string{"-mode", "domains", "-category", "Nope"}, want: `dnsscan: unknown -category "Nope"; valid categories: Ads,`},
 		{args: []string{"-week", "-1"}, want: "dnsscan: -week -1"},
 		{args: []string{"-epochs", "-3"}, want: "dnsscan: -epochs -3"},
+		{args: []string{"-rate", "-5"}, want: "dnsscan: -rate -5"},
+		{args: []string{"-rate", "-5", "-udp"}, want: "dnsscan: -rate -5"},
 		{args: []string{"-chaos", "bogus"}, want: "dnsscan: "},
 		{args: []string{"-order", "8"}, want: "dnsscan: -order: order 8 out of range [14, 32]"},
 		{args: []string{"-order", "33"}, want: "dnsscan: -order: order 33 out of range [14, 32]"},

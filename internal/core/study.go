@@ -18,6 +18,7 @@ import (
 	"goingwild/internal/geodb"
 	"goingwild/internal/metrics"
 	"goingwild/internal/pipeline"
+	"goingwild/internal/prand"
 	"goingwild/internal/prefilter"
 	"goingwild/internal/scanner"
 	"goingwild/internal/snoop"
@@ -477,7 +478,7 @@ func (s *Study) SecondaryAliveSetContext(ctx context.Context, week int) (map[uin
 func (s *Study) ProbeCountryInjection(ctx context.Context, country, name string) bool {
 	const samples = 24
 	geo := s.World.Geo()
-	src := prand32(s.Cfg.Seed ^ hashString64(country) ^ hashString64(name))
+	src := prand32(s.Cfg.Seed ^ prand.FNV(country) ^ prand.FNV(name))
 	hits := 0
 	tried := 0
 	for i := 0; tried < samples && i < samples*64; i++ {
@@ -509,15 +510,6 @@ func prand32(seed uint64) func() uint32 {
 		state = state*6364136223846793005 + 1442695040888963407
 		return uint32(state >> 32)
 	}
-}
-
-func hashString64(s string) uint64 {
-	h := uint64(0xCBF29CE484222325)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 0x100000001B3
-	}
-	return h
 }
 
 // PrefilterEnv builds the prefilter's measurement environment, its

@@ -2,7 +2,6 @@ package dnswire
 
 import (
 	"net/netip"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -154,29 +153,5 @@ func TestEDNSHelpers(t *testing.T) {
 	size, ok = got.EDNSPayloadSize()
 	if !ok || size != 4096 {
 		t.Errorf("EDNS size after round trip = %d/%v", size, ok)
-	}
-}
-
-func TestTruncateSemantics(t *testing.T) {
-	q := NewQuery(9, "big.example", TypeTXT, ClassIN)
-	resp := NewResponse(q, RCodeNoError)
-	for i := 0; i < 5; i++ {
-		resp.AddAnswer("big.example", ClassIN, 60, TXT{Strings: []string{strings.Repeat("x", 200)}})
-	}
-	tc, truncated := resp.Truncate(MaxUDPSize)
-	if !truncated {
-		t.Fatal("oversized response not truncated")
-	}
-	if !tc.Header.TC || len(tc.Answers) != 0 {
-		t.Errorf("truncated form = %+v", tc.Header)
-	}
-	if len(tc.Questions) != 1 {
-		t.Error("question section lost on truncation")
-	}
-	// Small responses pass through unchanged.
-	small := NewResponse(q, RCodeNoError)
-	same, truncated := small.Truncate(MaxUDPSize)
-	if truncated || same != small {
-		t.Error("small response mangled")
 	}
 }

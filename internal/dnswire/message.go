@@ -58,9 +58,9 @@ type Message struct {
 	Additional []ResourceRecord
 }
 
-// maxUDPPayload is the classic 512-octet UDP ceiling; the scanners never
-// need EDNS-sized responses, and responders truncate beyond it.
-const maxUDPPayload = 512
+// MaxUDPSize is the classic 512-octet UDP payload ceiling for non-EDNS
+// responders.
+const MaxUDPSize = 512
 
 // NewQuery builds a single-question query message with recursion desired,
 // the shape every scan in the paper sends.
@@ -86,6 +86,28 @@ func NewResponse(q *Message, rcode RCode) *Message {
 	}
 	resp.Questions = append(resp.Questions, q.Questions...)
 	return resp
+}
+
+// AddEDNS attaches an OPT pseudo-record advertising a UDP payload size
+// (RFC 6891: the OPT record's CLASS field carries the size).
+func (m *Message) AddEDNS(payloadSize uint16) {
+	m.Additional = append(m.Additional, ResourceRecord{
+		Name:  "",
+		Class: Class(payloadSize),
+		TTL:   0,
+		Data:  OPT{},
+	})
+}
+
+// EDNSPayloadSize returns the advertised EDNS UDP payload size of the
+// message, if it carries an OPT record.
+func (m *Message) EDNSPayloadSize() (uint16, bool) {
+	for _, rr := range m.Additional {
+		if rr.Type() == TypeOPT {
+			return uint16(rr.Class), true
+		}
+	}
+	return 0, false
 }
 
 // AddAnswer appends an answer record.
@@ -132,7 +154,7 @@ const (
 // slice. Name compression is applied across all sections. The message is
 // assembled in a message-local buffer (compression offsets are relative to
 // the message start) and then appended, so buf may already hold unrelated
-// framing such as a TCP length prefix.
+// framing.
 func (m *Message) Pack(buf []byte) ([]byte, error) {
 	msg, err := m.packLocal()
 	if err != nil {

@@ -36,7 +36,7 @@ func TestLoaderHonorsBuildConstraints(t *testing.T) {
 		fmt.Sprintf("//go:build %s\n\npackage plat\n\nconst tagged = true\n", runtime.GOOS))
 	write("plat/tagged_other.go",
 		fmt.Sprintf("//go:build !%s\n\npackage plat\n\nconst tagged = false\n", runtime.GOOS))
-	// A combined form mirroring the wildnet sendmmsg layout.
+	// A combined form: an OS term and-ed with a parenthesised arch list.
 	write("plat/combo.go",
 		fmt.Sprintf("//go:build %s && (%s || fakearch)\n\npackage plat\n\nvar combo = num\n",
 			runtime.GOOS, runtime.GOARCH))

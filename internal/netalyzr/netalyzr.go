@@ -90,7 +90,7 @@ func runSession(w *wildnet.World, client uint32, cfg Config) SessionResult {
 		Country:  w.Geo().LookupU32(client).Country,
 	}
 	ask := func(name string) (*dnswire.Message, bool) {
-		q := dnswire.NewQuery(uint16(prand.Hash(uint64(client), hash(name))), name, dnswire.TypeA, dnswire.ClassIN)
+		q := dnswire.NewQuery(uint16(prand.Hash(uint64(client), prand.FNV(name))), name, dnswire.TypeA, dnswire.ClassIN)
 		resps := w.HandleClientDNS(client, q, t)
 		if len(resps) == 0 {
 			return nil, false
@@ -135,13 +135,4 @@ func runSession(w *wildnet.World, client uint32, cfg Config) SessionResult {
 		}
 	}
 	return res
-}
-
-func hash(s string) uint64 {
-	h := uint64(0xCBF29CE484222325)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 0x100000001B3
-	}
-	return h
 }

@@ -57,6 +57,17 @@ func Float64(h uint64) float64 {
 	return float64(h>>11) / (1 << 53)
 }
 
+// FNV is the 64-bit FNV-1a hash of s, the fold that turns a name or a
+// datagram into one word a seeded draw can key on.
+func FNV[T string | []byte](s T) uint64 {
+	h := uint64(0xCBF29CE484222325)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 0x100000001B3
+	}
+	return h
+}
+
 // UnitOf is shorthand for Float64(Hash(words...)).
 func UnitOf(words ...uint64) float64 {
 	return Float64(Hash(words...))

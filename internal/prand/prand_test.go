@@ -127,3 +127,24 @@ func TestHashGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestFNVGolden pins FNV to the published 64-bit FNV-1a vectors, for a
+// string and the same bytes as a slice: names and datagram bytes key
+// seeded draws through it, so every report depends on these bits.
+func TestFNVGolden(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want uint64
+	}{
+		{"", 0xcbf29ce484222325},
+		{"a", 0xaf63dc4c8601ec8c},
+		{"foobar", 0x85944171f73967e8},
+	} {
+		if got := FNV(c.in); got != c.want {
+			t.Errorf("FNV(%q) = %#x, want %#x", c.in, got, c.want)
+		}
+		if got := FNV([]byte(c.in)); got != c.want {
+			t.Errorf("FNV([]byte(%q)) = %#x, want %#x", c.in, got, c.want)
+		}
+	}
+}

@@ -12,9 +12,8 @@ import (
 // probes (up to streamBatch) into a pooled arena and hand the whole batch
 // to the transport in one SendBatch call. Against the in-memory transport
 // that amortizes the clock lock and the fault-layer gate; against the UDP
-// gateway it becomes one sendmmsg(2) per batch instead of 256 sendto(2)
-// calls. Where the batches are cut is pure dispatch: scan results do not
-// depend on it.
+// gateway it frames the batch in one buffer. Where the batches are cut is
+// pure dispatch: scan results do not depend on it.
 
 // batchSizeBounds buckets the transport.batch.size histogram: powers of
 // two up to the streamBatch flush threshold.

@@ -12,8 +12,8 @@ import (
 
 // gatewayRig builds one lossless order-16 world behind both transports —
 // in memory, and over the loopback UDP gateway, where the engine's batches
-// leave as sendmmsg(2) calls carrying per-probe source ports in their
-// tunnel headers — with the first 64 resolvers of its census. The world
+// leave as datagrams carrying per-probe source ports in their tunnel
+// headers — with the first 64 resolvers of its census. The world
 // draws no loss, the gateway models none, and the UDP scanner is paced, so
 // the kernel has no reason to drop a datagram.
 func gatewayRig(t *testing.T) (inMemory, overUDP *Scanner, resolvers []uint32) {

@@ -25,7 +25,6 @@ type scanMetrics struct {
 	chaosRecv, aliveRecv   *metrics.Counter
 	snoopRecv, anyRecv     *metrics.Counter
 	probeSent, probeRecv   *metrics.Counter
-	tcpSent, tcpRecv       *metrics.Counter
 	// domainsUnattributed counts domain-scan responses dropped before
 	// domainsRecv because no resolver can be named for them: a rewritten
 	// port under a question with fewer than nine letters, or a recovered
@@ -94,8 +93,6 @@ func newScanMetrics(r *metrics.Registry) scanMetrics {
 		anyRecv:             r.Counter("scanner.any.recv"),
 		probeSent:           r.Counter("scanner.probe.sent"),
 		probeRecv:           r.Counter("scanner.probe.recv"),
-		tcpSent:             r.Counter("scanner.tcp.sent"),
-		tcpRecv:             r.Counter("scanner.tcp.recv"),
 		retryRound:          r.Counter("scanner.retry.rounds"),
 		retrySpend:          r.Counter("scanner.retry.spend"),
 		settleWaits:         r.Counter("scanner.settle.waits"),

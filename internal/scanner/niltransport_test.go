@@ -65,13 +65,6 @@ func TestNilTransportGuards(t *testing.T) {
 			}
 			return err
 		}},
-		{"ProbeTC", func(s *Scanner) error {
-			msgs, ok, err := s.ProbeTC(ctx, resolvers[0], "example.com", dnswire.TypeA, dnswire.ClassIN)
-			if ok || len(msgs) != 0 {
-				return errors.New("ProbeTC succeeded without a transport")
-			}
-			return err
-		}},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {

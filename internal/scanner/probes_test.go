@@ -144,61 +144,32 @@ func TestSnoopRoundAttribution(t *testing.T) {
 	}
 }
 
-func TestTruncationAndTCPFallback(t *testing.T) {
+// TestProbeContextReturnsTruncatedANY: a moderate amplifier's ANY answer
+// to a query without EDNS overflows the 512-octet ceiling, and the single
+// exchange hands it back cut to its header and question with TC set.
+func TestProbeContextReturnsTruncatedANY(t *testing.T) {
 	w, tr := testWorld(t, 18)
 	defer tr.Close()
 	s := testScanner(tr)
-	// Find a moderate amplifier whose ANY payload exceeds 512 octets
-	// (no EDNS): its UDP answer must truncate and TCP must recover it.
-	var target uint32
-	found := false
-	for u := uint32(0); u < 1<<18 && !found; u++ {
+	for u := uint32(0); u < 1<<18; u++ {
 		if c, ok := w.AmpClassAt(u, wildnet.At(0)); !ok || c != wildnet.AmpModerate {
 			continue
 		}
-		msgs, fellBack, err := s.ProbeTC(context.Background(), u, "chase.com", dnswire.TypeANY, dnswire.ClassIN)
+		msgs, err := s.ProbeContext(context.Background(), u, "chase.com", dnswire.TypeANY, dnswire.ClassIN)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !fellBack {
-			continue
-		}
-		found = true
-		target = u
-		full := msgs[len(msgs)-1]
-		if full.Header.TC {
-			t.Error("TCP response still truncated")
-		}
-		wire, err := full.PackBytes()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(wire) <= dnswire.MaxUDPSize {
-			t.Errorf("TCP answer only %d bytes — nothing was truncated", len(wire))
+		for _, m := range msgs {
+			if !m.Header.TC {
+				continue
+			}
+			if len(m.Answers) != 0 || len(m.Questions) != 1 || m.Question().Name != "chase.com" {
+				t.Errorf("%#x: truncated answer carries %d answers, questions %v", u, len(m.Answers), m.Questions)
+			}
+			return
 		}
 	}
-	if !found {
-		t.Skip("no truncating moderate amplifier with TCP service at this order")
-	}
-	_ = target
-}
-
-func TestTCPFramingRoundTrip(t *testing.T) {
-	q := dnswire.NewQuery(5, "chase.com", dnswire.TypeA, dnswire.ClassIN)
-	frame, err := q.PackTCP()
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, consumed, err := dnswire.UnpackTCP(frame)
-	if err != nil || consumed != len(frame) {
-		t.Fatalf("UnpackTCP: %v consumed=%d", err, consumed)
-	}
-	if m.Header.ID != 5 {
-		t.Errorf("id = %d", m.Header.ID)
-	}
-	if _, _, err := dnswire.UnpackTCP(frame[:1]); err == nil {
-		t.Error("short frame accepted")
-	}
+	t.Fatal("no moderate amplifier returned a truncated ANY answer at this order")
 }
 
 func TestStatsCounting(t *testing.T) {

@@ -208,43 +208,34 @@ func (s *Scanner) collectSweep(st *sweepCollector, probed uint64) *SweepResult {
 // to observe response races, §4.2). A dead context sends nothing; one
 // that dies during the settle wait surfaces as ctx.Err() alongside
 // whatever arrived; a name that cannot be encoded sends nothing and
-// returns the encoder's error.
+// returns the encoder's error. The probe goes out as a batch of one on
+// the caller's goroutine, and every response that decodes is kept.
 func (s *Scanner) ProbeContext(ctx context.Context, addr uint32, name string, typ dnswire.Type, class dnswire.Class) ([]*dnswire.Message, error) {
-	_, out, err := s.exchange(ctx, addr, 0x5157, name, typ, class, s.m.probeSent, s.m.probeRecv)
-	return out, err
-}
-
-// exchange is the one single-exchange body, under ProbeContext and
-// ProbeTC: it packs the query under id, installs a receiver that keeps
-// every response that decodes, sends the probe as a batch of one on the
-// caller's goroutine and settles. It returns the query (ProbeTC repeats
-// it over TCP) with what arrived.
-func (s *Scanner) exchange(ctx context.Context, addr uint32, id uint16, name string, typ dnswire.Type, class dnswire.Class, sent, recv *metrics.Counter) ([]byte, []*dnswire.Message, error) {
 	if s.tr == nil {
-		return nil, nil, ErrNoTransport
+		return nil, ErrNoTransport
 	}
-	wire, err := dnswire.AppendQuery(nil, id, true, name, typ, class)
+	wire, err := dnswire.AppendQuery(nil, 0x5157, true, name, typ, class)
 	if err != nil {
-		return nil, nil, fmt.Errorf("scanner: probe query for %q: %w", name, err)
+		return nil, fmt.Errorf("scanner: probe query for %q: %w", name, err)
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	var mu sync.Mutex
 	var out []*dnswire.Message
 	s.tr.SetReceiver(func(src netip4, srcPort, dstPort uint16, payload []byte) {
 		if m, err := dnswire.Unpack(payload); err == nil && m.Header.QR {
-			recv.Inc()
+			s.m.probeRecv.Inc()
 			mu.Lock()
 			out = append(out, m)
 			mu.Unlock()
 		}
 	})
-	sent.Inc()
+	s.m.probeSent.Inc()
 	//lint:allow errdrop single-exchange send failures are modeled packet loss
 	s.tr.SendBatch(ctx, []wildnet.Probe{{Dst: lfsr.U32ToAddr(addr), DstPort: 53, SrcPort: basePort, Payload: wire}})
 	err = s.settle(ctx)
 	mu.Lock()
 	defer mu.Unlock()
-	return wire, out, err
+	return out, err
 }

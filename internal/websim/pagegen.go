@@ -60,7 +60,7 @@ func (p *page) render() string {
 // Structure varies by site category so clusters separate cleanly, and a
 // per-domain hash varies link/resource sets within a category.
 func legitPage(domain string, seed uint64) string {
-	h := prand.Hash(seed, 0x9A6E, hashStr(domain))
+	h := prand.Hash(seed, 0x9A6E, prand.FNV(domain))
 	p := &page{title: siteTitle(domain)}
 	p.head = append(p.head, fmt.Sprintf("<link rel=\"stylesheet\" href=\"/static/%s/main.css\">", domain))
 	p.raw(fmt.Sprintf("<div id=\"header\"><img src=\"//%s/logo.png\" alt=\"%s\"></div>", domain, domain))
@@ -95,7 +95,7 @@ func bankingPage(domain string, seed uint64) string {
 	p.el("div", "class=\"security\"", "Your connection is protected with TLS. Never share your credentials.")
 	p.el("footer", "", fmt.Sprintf("<a href=\"https://%s/security\">security center</a> <a href=\"https://%s/contact\">contact</a>", domain, domain))
 	p.addScript("function validate(f){return f.user.value.length>0&&f.pass.value.length>0;}")
-	p.addScript(fmt.Sprintf("var csrf=%q;", fmt.Sprintf("%x", prand.Hash(seed, hashStr(domain), 0xC54F))))
+	p.addScript(fmt.Sprintf("var csrf=%q;", fmt.Sprintf("%x", prand.Hash(seed, prand.FNV(domain), 0xC54F))))
 	return p.render()
 }
 
@@ -114,7 +114,7 @@ func searchEnginePage(domain string) string {
 func adProviderPage(domain string, seed uint64) string {
 	p := &page{title: "ad delivery"}
 	p.addScript(fmt.Sprintf("var adNetwork=%q;function deliver(slot){var e=document.createElement('iframe');e.src='//%s/creative?slot='+slot;document.body.appendChild(e);}", domain, domain))
-	p.addScript(fmt.Sprintf("var campaign=%d;deliver(campaign%%8);", prand.Hash(seed, hashStr(domain))%1000))
+	p.addScript(fmt.Sprintf("var campaign=%d;deliver(campaign%%8);", prand.Hash(seed, prand.FNV(domain))%1000))
 	return p.render()
 }
 
@@ -128,13 +128,4 @@ func siteTitle(domain string) string {
 		return domain
 	}
 	return strings.ToUpper(base[:1]) + base[1:]
-}
-
-func hashStr(s string) uint64 {
-	h := uint64(0xCBF29CE484222325)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 0x100000001B3
-	}
-	return h
 }

@@ -68,9 +68,6 @@ func TestHandlerIgnoresResponses(t *testing.T) {
 		if got := w.HandleDNS(VantagePrimary, 4000, dst, q, At(0)); len(got) != 0 {
 			t.Errorf("%#x: HandleDNS(QR=1) = %d responses", dst, len(got))
 		}
-		if resp := w.HandleDNSTCP(VantagePrimary, dst, q, At(0)); resp != nil {
-			t.Errorf("%#x: HandleDNSTCP(QR=1) answered", dst)
-		}
 	}
 	q := query("chase.com", dnswire.TypeA, dnswire.ClassIN)
 	if got := w.HandleClientDNS(u, q, At(0)); len(got) == 0 {

@@ -102,41 +102,6 @@ func (w *World) fitUDP(wire []byte, limit int) []byte {
 	return dnswire.TruncateResponse(wire)
 }
 
-// HandleDNSTCP answers a query over TCP: no size limit and — because
-// injecting into an established TCP stream is much harder than spoofing
-// UDP — no in-transit injection. Only resolvers offering TCP service
-// answer (about two thirds of the population).
-func (w *World) HandleDNSTCP(v Vantage, dst uint32, q *dnswire.Message, t Time) *dnswire.Message {
-	resps := decoded(q, func(x *exchange, payload []byte) []QueryResponse {
-		return w.handleDNSTCP(x, v, dst, payload, t)
-	})
-	if len(resps) == 0 {
-		return nil
-	}
-	return resps[0].Msg
-}
-
-// handleDNSTCP is the wire handler under HandleDNSTCP and QueryTCP; it
-// returns at most one response.
-func (w *World) handleDNSTCP(x *exchange, v Vantage, dst uint32, payload []byte, t Time) []QueryResponse {
-	dst = w.Mask(dst)
-	p, ok := w.ProfileAt(dst, t)
-	if !ok || !w.VisibleFrom(dst, v, t) {
-		return nil
-	}
-	if prand.UnitOf(p.Identity, 0x7C9) > 0.67 {
-		return nil // no DNS-over-TCP service
-	}
-	// TCP answers skip the injector: the CensorGFW mode degrades to the
-	// resolver's own (possibly cache-poisoned) answer, which the
-	// double-response minority has correct.
-	resps := w.handleDNS(x, v, 53, dst, payload, t, faultCtx{})
-	if len(resps) == 0 {
-		return nil
-	}
-	return resps[len(resps)-1:]
-}
-
 // soaOf is the SOA record ANY answers carry for a zone.
 func soaOf(qname string) dnswire.SOA {
 	return dnswire.SOA{

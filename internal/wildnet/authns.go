@@ -77,7 +77,7 @@ func (w *World) legitAddrs(dst []uint32, cn string, d domains.Domain, listed boo
 	if !listed {
 		// Unlisted names (sub-resolutions from redirects) hash onto a
 		// stable site-host slot.
-		h := w.pre[facetInfra].Add(hashString(cn)).Sum()
+		h := w.pre[facetInfra].Add(prand.FNV(cn)).Sum()
 		return append(dst, w.infra.addrOf(RoleSiteHost, 2+prand.IntN(h, nSiteHost-2))), dnswire.RCodeNoError
 	}
 	switch d.Kind {
@@ -101,7 +101,7 @@ func (w *World) TrustedResolve(name string) ([]uint32, dnswire.RCode) {
 // ordinaryAddrs appends the fixed 1–3 hosting addresses of a non-CDN
 // domain, all within one owner network.
 func (w *World) ordinaryAddrs(dst []uint32, cn string) []uint32 {
-	h := w.pre[facetInfra].Add(hashString(cn)).Add(1).Sum()
+	h := w.pre[facetInfra].Add(prand.FNV(cn)).Add(1).Sum()
 	n := 1 + prand.IntN(h, 3)
 	base := 8 + prand.IntN(prand.Mix64(h), nSiteHost-16)
 	for i := 0; i < n; i++ {
@@ -114,7 +114,7 @@ func (w *World) ordinaryAddrs(dst []uint32, cn string) []uint32 {
 // region. A small share of slots point at currently-dead content nodes,
 // which is what leaves some tuples without HTTP payload (§4.2).
 func (w *World) cdnAddrs(dst []uint32, cn string, region int) []uint32 {
-	h := w.pre[facetRegion].Add(hashString(cn)).Add(uint64(region)).Sum()
+	h := w.pre[facetRegion].Add(prand.FNV(cn)).Add(uint64(region)).Sum()
 	n := 2 + prand.IntN(h, 3)
 	for i := 0; i < n; i++ {
 		hi := prand.Hash(h, uint64(i))
@@ -212,7 +212,7 @@ func (w *World) siteHostDomain(idx int) string {
 		if d.Kind != domains.KindOrdinary {
 			continue
 		}
-		h := w.pre[facetInfra].Add(hashString(d.Name)).Add(1).Sum()
+		h := w.pre[facetInfra].Add(prand.FNV(d.Name)).Add(1).Sum()
 		n := 1 + prand.IntN(h, 3)
 		base := 8 + prand.IntN(prand.Mix64(h), nSiteHost-16)
 		if idx >= base && idx < base+n {
@@ -281,13 +281,4 @@ func ParsePTRName(name string) (uint32, bool) {
 		u = u<<8 | uint32(v)
 	}
 	return u, true
-}
-
-func hashString(s string) uint64 {
-	h := uint64(0xCBF29CE484222325)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 0x100000001B3
-	}
-	return h
 }

@@ -76,9 +76,9 @@ func IsLANAddr(u uint32) bool {
 // sequence number through the transaction ID it chooses, which is how the
 // single-response-then-stop class of §2.6 is modeled.
 //
-// HandleDNS, HandleClientDNS and HandleDNSTCP are tree adapters over the
-// wire handlers the transports call: the query is packed, answered on the
-// wire, and each response unpacked into QueryResponse.Msg.
+// HandleDNS and HandleClientDNS are tree adapters over the wire handlers
+// the transports call: the query is packed, answered on the wire, and each
+// response unpacked into QueryResponse.Msg.
 func (w *World) HandleDNS(v Vantage, srcPort uint16, dst uint32, q *dnswire.Message, t Time) []QueryResponse {
 	return decoded(q, func(x *exchange, payload []byte) []QueryResponse {
 		return w.handleDNS(x, v, srcPort, dst, payload, t, faultCtx{})
@@ -414,10 +414,10 @@ func (w *World) answerA(x *exchange, p *Profile, qname string, d domains.Domain,
 	case ManipWildPark:
 		return answer(w.infra.addrOf(RoleParking, int(prand.Hash(id, 0x9A4)%nParking)))
 	case ManipStaleMis:
-		v := prand.UnitOf(id, 0x57A1E, hashString(qname))
+		v := prand.UnitOf(id, 0x57A1E, prand.FNV(qname))
 		switch {
 		case v < 0.60:
-			return answer(w.infra.addrOf(RoleErrorPage, int(prand.Hash(id, hashString(qname))%nErrorPage)))
+			return answer(w.infra.addrOf(RoleErrorPage, int(prand.Hash(id, prand.FNV(qname))%nErrorPage)))
 		case v < 0.85:
 			return answer(w.infra.addrOf(RoleDeadCDN, int(prand.Hash(id, 0xDEAD)%nDeadCDN)))
 		default:
@@ -476,8 +476,8 @@ func (w *World) answerA(x *exchange, p *Profile, qname string, d domains.Domain,
 			return answer(w.infra.addrOf(RolePhishBankRU, 0))
 		}
 	case ManipPhishOther:
-		if listed && d.Category == domains.Banking && prand.UnitOf(id, 0xF16, hashString(qname)) < 0.12 {
-			return answer(w.infra.addrOf(RolePhishOther, int(prand.Hash(id, 0xF17, hashString(qname))%nPhishOther)))
+		if listed && d.Category == domains.Banking && prand.UnitOf(id, 0xF16, prand.FNV(qname)) < 0.12 {
+			return answer(w.infra.addrOf(RolePhishOther, int(prand.Hash(id, 0xF17, prand.FNV(qname))%nPhishOther)))
 		}
 	case ManipMalware:
 		if isUpdateDomain(qname) {
@@ -486,7 +486,7 @@ func (w *World) answerA(x *exchange, p *Profile, qname string, d domains.Domain,
 	}
 
 	// Honest resolution (possibly with per-domain quirks).
-	if role, prob := domainQuirk(qname); prob > 0 && prand.UnitOf(id, 0x2B1, hashString(qname)) < prob {
+	if role, prob := domainQuirk(qname); prob > 0 && prand.UnitOf(id, 0x2B1, prand.FNV(qname)) < prob {
 		return answer(w.infra.addrOf(role, int(prand.Hash(id, 0x2B2)%uint64(w.infra.rangeSize(role)))))
 	}
 	la, addrs, rc := resolve()
@@ -510,7 +510,7 @@ func (w *World) monetizes(qname string, d domains.Domain, listed bool, id uint64
 	if !listed {
 		return false
 	}
-	if d.Category == domains.Malware && prand.UnitOf(hashString(qname), 0x6D1) < 0.46 {
+	if d.Category == domains.Malware && prand.UnitOf(prand.FNV(qname), 0x6D1) < 0.46 {
 		return true
 	}
 	return false
@@ -521,7 +521,7 @@ func (w *World) monetizes(qname string, d domains.Domain, listed bool, id uint64
 // Error 24.7%, Misc 8.5%, Login 2.8%, Blocking ~2%).
 func (w *World) monetizeAddr(id uint64, qname string) uint32 {
 	v := prand.UnitOf(id, 0x6D2)
-	h := int(prand.Hash(id, 0x6D3, hashString(qname)))
+	h := int(prand.Hash(id, 0x6D3, prand.FNV(qname)))
 	switch {
 	case v < 0.36:
 		return w.infra.addrOf(RoleSearchPage, h%nSearch)

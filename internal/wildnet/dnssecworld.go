@@ -60,7 +60,7 @@ func (w *World) signedZone(cn string, listed bool) (string, bool) {
 		}
 	}
 	// A ~1% tail of other zones is signed, seeded per world.
-	if listed && prand.UnitOf(w.cfg.Seed, 0xD5EC, hashString(cn)) < 0.01 {
+	if listed && prand.UnitOf(w.cfg.Seed, 0xD5EC, prand.FNV(cn)) < 0.01 {
 		return cn, true
 	}
 	return "", false

@@ -194,41 +194,3 @@ func TestUDPPayloadLimitSemantics(t *testing.T) {
 		t.Errorf("EDNS honored by non-EDNS resolver: %d", got)
 	}
 }
-
-func TestHandleDNSTCPSkipsInjector(t *testing.T) {
-	w := testWorld(t, 18)
-	// Find a CN resolver that censors facebook over UDP and offers TCP.
-	for u := uint32(0); u < 1<<18; u++ {
-		p, ok := w.ProfileAt(u, At(50))
-		if !ok || p.Country != "CN" || p.RCode != RCNoError || p.Manip != ManipHonest || !p.GFWDouble {
-			continue
-		}
-		q := dnswire.NewQuery(1, "facebook.com", dnswire.TypeA, dnswire.ClassIN)
-		resp := w.HandleDNSTCP(VantagePrimary, u, q, At(50))
-		if resp == nil {
-			continue // no TCP service on this one
-		}
-		// Over TCP the injected first answer cannot exist; the double
-		// responder's own (legitimate) answer comes through.
-		legit, _ := w.LegitAddrs("facebook.com", "CN")
-		got := resp.AnswerAddrs()
-		if len(got) == 0 {
-			t.Fatal("empty TCP answer")
-		}
-		found := false
-		for _, a := range got {
-			b := a.As4()
-			ua := uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
-			for _, l := range legit {
-				if ua == l {
-					found = true
-				}
-			}
-		}
-		if !found {
-			t.Errorf("TCP answer %v not legitimate %v", got, legit)
-		}
-		return
-	}
-	t.Skip("no TCP-capable double-response CN resolver at this order")
-}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"goingwild/internal/dnswire"
+	"goingwild/internal/prand"
 )
 
 // sweepReject is the reject verdict alone, with the week's block table
@@ -134,12 +135,12 @@ func TestSweepRejectMatchesHandler(t *testing.T) {
 						continue
 					}
 					for attempt := uint64(0); attempt < 3; attempt++ {
-						fc := faultCtx{payloadHash: hashBytes(payload), attempt: attempt}
+						fc := faultCtx{payloadHash: prand.FNV(payload), attempt: attempt}
 						if resps := w.handleDNS(x, v, 33000, u, payload, now, fc); len(resps) != 0 {
 							t.Fatalf("%s vantage %d week %d: %#x dropped at dispatch but handleDNS answered attempt %d",
 								profile, v, now.Week, u, attempt)
 						}
-						if err := tr.process(ctx, ctx.Done(), x, u, 53, 33000, payload, hashBytes(payload), now); err != nil {
+						if err := tr.process(ctx, ctx.Done(), x, u, 53, 33000, payload, prand.FNV(payload), now); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -196,7 +197,7 @@ func TestCNFilterMatchesPipeline(t *testing.T) {
 					t.Fatal(err)
 				}
 				if bypass {
-					if err := tr.process(ctx, ctx.Done(), new(exchange), u, 53, 34567, payload, hashBytes(payload), now); err != nil {
+					if err := tr.process(ctx, ctx.Done(), new(exchange), u, 53, 34567, payload, prand.FNV(payload), now); err != nil {
 						t.Fatal(err)
 					}
 				} else if err := sendOne(ctx, tr, w.Addr(u), 53, 34567, payload); err != nil {

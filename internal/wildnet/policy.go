@@ -227,7 +227,7 @@ func asciiEqualFold(b []byte, s string) bool {
 // HTTP payload for most tuples and why the Alexa column of Table 5 is
 // heavy on HTTP errors.
 func (w *World) gfwRandomAddr(id uint64, cn string) uint32 {
-	h := prand.Hash(id, 0x6F3, hashString(cn))
+	h := prand.Hash(id, 0x6F3, prand.FNV(cn))
 	switch v := prand.Float64(h); {
 	case v < 0.25:
 		return w.infra.addrOf(RoleErrorPage, prand.IntN(prand.Mix64(h), nErrorPage))

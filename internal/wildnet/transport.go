@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"goingwild/internal/lfsr"
+	"goingwild/internal/prand"
 )
 
 // Transport is the scanner's view of the network: fire-and-forget UDP
@@ -22,9 +23,9 @@ type Transport interface {
 	// order — a single exchange is a batch of one — and lets the
 	// implementation amortize per-packet overhead: the in-memory
 	// transport takes its clock lock and receiver load once per batch,
-	// the UDP gateway transport hands the kernel the whole batch in one
-	// sendmmsg(2). Delivery is not guaranteed (packet loss is part of the
-	// model, §5 "Completeness"). It returns how many probes were
+	// the UDP gateway transport frames the whole batch in one buffer.
+	// Delivery is not guaranteed (packet loss is part of the model, §5
+	// "Completeness"). It returns how many probes were
 	// processed; on error, probes [0, n) were handled and batch[n] was
 	// not. A cancelled ctx aborts the batch — including, on the
 	// synchronous in-memory transport, the response deliveries that
@@ -193,7 +194,7 @@ func (m *MemTransport) SendBatch(ctx context.Context, batch []Probe) (int, error
 			continue
 		}
 		if !sameBacking(p.Payload, lent) {
-			lent, lentHash = p.Payload, hashBytes(p.Payload)
+			lent, lentHash = p.Payload, prand.FNV(p.Payload)
 		}
 		if err = m.process(ctx, done, x, u32dst, p.DstPort, p.SrcPort, p.Payload, lentHash, t); err != nil {
 			n = i
@@ -213,7 +214,7 @@ func sameBacking(a, b []byte) bool {
 
 // process runs one datagram through the world at simulated time t, in
 // the exchange scratch x, and delivers the surviving responses. qph is
-// hashBytes(payload), and done is ctx.Done().
+// prand.FNV(payload), and done is ctx.Done().
 func (m *MemTransport) process(ctx context.Context, done <-chan struct{}, x *exchange, u32dst uint32, dstPort, srcPort uint16, payload []byte, qph uint64, t Time) error {
 	// Independent loss on the query packet.
 	if m.drop(dirQuery, u32dst, dstPort, srcPort, qph, t) {
@@ -269,7 +270,7 @@ func (m *MemTransport) process(ctx context.Context, done <-chan struct{}, x *exc
 		// Oversized responses go out as the empty TC-bit reply, cut from
 		// the bytes already written.
 		wire = m.world.fitUDP(wire, limit)
-		rph := hashBytes(wire)
+		rph := prand.FNV(wire)
 		if m.drop(dirResponse, r.Src, 53, r.ToPort, rph, t) {
 			continue
 		}
@@ -296,22 +297,6 @@ func (m *MemTransport) process(ctx context.Context, done <-chan struct{}, x *exc
 	return nil
 }
 
-// QueryTCP performs a synchronous DNS-over-TCP exchange with the resolver
-// at dst, for truncated-response fallback. ok is false when the resolver
-// offers no TCP service.
-func (m *MemTransport) QueryTCP(dst netip.Addr, payload []byte) ([]byte, bool) {
-	if m.closed.Load() || !dst.Is4() {
-		return nil, false
-	}
-	x := exchangePool.Get().(*exchange)
-	defer exchangePool.Put(x)
-	resps := m.world.handleDNSTCP(x, m.vantage, lfsr.AddrToU32(dst), payload, m.Time())
-	if len(resps) == 0 || resps[0].end == resps[0].off {
-		return nil, false
-	}
-	return append([]byte(nil), x.wire(resps[0])...), true
-}
-
 // Loss-draw direction tags, so a query and its response get independent
 // fates even when their bytes coincide.
 const (
@@ -336,16 +321,6 @@ func (m *MemTransport) drop(dir uint64, addr uint32, aPort, bPort uint16, ph uin
 	return m.world.pre[facetLoss].Add(dir).Add(uint64(addr)).
 		Add(uint64(aPort)<<16|uint64(bPort)).Add(ph).
 		Add(uint64(t.AbsHour()*60+t.Minute)).Unit() < m.world.cfg.Loss
-}
-
-// hashBytes folds a payload into one word (FNV-1a).
-func hashBytes(b []byte) uint64 {
-	h := uint64(0xcbf29ce484222325)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 0x100000001b3
-	}
-	return h
 }
 
 // Close implements Transport.

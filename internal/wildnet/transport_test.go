@@ -196,6 +196,93 @@ func TestUDPGatewayRoundTrip(t *testing.T) {
 	}
 }
 
+// TestUDPGatewayBatchRoundTrip drives the gateway through one
+// multi-probe SendBatch and checks every probe of the batch gets its
+// response.
+func TestUDPGatewayBatchRoundTrip(t *testing.T) {
+	w := testWorld(t, 16)
+	gw, err := StartGateway(w, VantagePrimary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close()
+	tr, err := DialGateway(gw.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+
+	// A batch of queries to honest resolvers, each with a distinct
+	// transaction ID so responses are attributable.
+	var resolvers []uint32
+	for u := uint32(1); u < 1<<16 && len(resolvers) < 24; u++ {
+		p, ok := w.ProfileAt(u, At(0))
+		if ok && p.RCode == RCNoError && p.Manip == ManipHonest && !p.MisSourced && w.VisibleFrom(u, VantagePrimary, At(0)) {
+			resolvers = append(resolvers, u)
+		}
+	}
+	if len(resolvers) < 8 {
+		t.Fatalf("only %d usable resolvers in the test world", len(resolvers))
+	}
+	probes := make([]Probe, len(resolvers))
+	for i, u := range resolvers {
+		q := dnswire.NewQuery(uint16(i+1), domains.GroundTruth, dnswire.TypeA, dnswire.ClassIN)
+		wire, err := q.PackBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		probes[i] = Probe{Dst: w.Addr(u), DstPort: 53, SrcPort: 41000, Payload: wire}
+	}
+
+	var mu sync.Mutex
+	got := map[uint16]bool{}
+	done := make(chan struct{})
+	tr.SetReceiver(func(src netip.Addr, srcPort, dstPort uint16, payload []byte) {
+		m, err := dnswire.Unpack(payload)
+		if err != nil || !m.Header.QR {
+			return
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		got[m.Header.ID] = true
+		if len(got) == len(probes) {
+			close(done)
+		}
+	})
+
+	n, err := tr.SendBatch(context.Background(), probes)
+	if err != nil {
+		t.Fatalf("SendBatch: %v (after %d probes)", err, n)
+	}
+	if n != len(probes) {
+		t.Fatalf("SendBatch sent %d of %d probes", n, len(probes))
+	}
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		mu.Lock()
+		defer mu.Unlock()
+		t.Fatalf("only %d/%d batch responses arrived", len(got), len(probes))
+	}
+	for i := range probes {
+		if !got[uint16(i+1)] {
+			t.Errorf("probe %d of the batch got no response", i)
+		}
+	}
+
+	// A cancelled context must refuse the batch before any kernel write.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if n, err := tr.SendBatch(ctx, probes); err == nil || n != 0 {
+		t.Errorf("cancelled SendBatch sent %d, err %v", n, err)
+	}
+	// IPv6 destinations are rejected with the index of the bad probe.
+	bad := []Probe{probes[0], {Dst: netip.MustParseAddr("2001:db8::1"), DstPort: 53, Payload: []byte{1}}}
+	if n, err := tr.SendBatch(context.Background(), bad); err == nil || n != 1 {
+		t.Errorf("IPv6 probe accepted (n=%d err=%v)", n, err)
+	}
+}
+
 func TestUDPGatewayTimeAdvances(t *testing.T) {
 	w := testWorld(t, 16)
 	gw, err := StartGateway(w, VantagePrimary)

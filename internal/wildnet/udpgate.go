@@ -204,76 +204,30 @@ func (u *UDPTransport) Close() error {
 	return err
 }
 
-// gateFrames is a pooled framing arena for SendBatch: every probe's
-// tunnel header + payload is appended into one buffer, and the frame
-// slices are cut only after the buffer has stopped growing.
-type gateFrames struct {
-	buf    []byte
-	offs   []int
-	frames [][]byte
-}
-
-var gateFramePool = sync.Pool{New: func() any {
-	return &gateFrames{
-		buf:    make([]byte, 0, 256*64),
-		offs:   make([]int, 0, 257),
-		frames: make([][]byte, 0, 256),
-	}
-}}
-
-// SendBatch implements Transport: the batch is framed into one arena
-// and handed to the kernel as a single sendmmsg(2) on platforms that
-// have it (one syscall instead of len(probes) sendto calls), with a
-// per-datagram fallback everywhere else — including at runtime, if the
-// kernel rejects the syscall; either way the same tunnel frames leave
-// the socket in the same order. The kernel write itself is not
-// interruptible, so the context is honored at the call edge: a sender
-// that keeps calling after cancellation gets ctx.Err() back immediately
-// instead of queueing more datagrams. A non-IPv4 destination at index i
-// ends the batch there: frames [0, i) are written, and the error is
-// errIPv4Only unless the write itself failed first.
+// SendBatch implements Transport: each probe is framed (tunnel header,
+// then payload) into one buffer reused across the batch and written with
+// its own WriteToUDP, so the frames leave the socket in batch order. The
+// kernel write itself is not interruptible, so the context is honored at
+// the call edge: a sender that keeps calling after cancellation gets
+// ctx.Err() back immediately instead of queueing more datagrams. A
+// non-IPv4 destination at index i ends the batch there: frames [0, i) are
+// written, and the error is errIPv4Only unless a write failed first.
 func (u *UDPTransport) SendBatch(ctx context.Context, probes []Probe) (int, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	fr := gateFramePool.Get().(*gateFrames)
-	defer gateFramePool.Put(fr)
-	fr.buf = fr.buf[:0]
-	fr.offs = fr.offs[:0]
-	fr.frames = fr.frames[:0]
-	var stop error
+	var frame []byte
 	for i, p := range probes {
 		if !p.Dst.Is4() {
-			probes, stop = probes[:i], errIPv4Only
-			break
+			return i, errIPv4Only
 		}
-		fr.offs = append(fr.offs, len(fr.buf))
-		var hdr [tunnelHeaderLen]byte
-		binary.BigEndian.PutUint32(hdr[0:], lfsr.AddrToU32(p.Dst))
-		binary.BigEndian.PutUint16(hdr[4:], p.DstPort)
-		binary.BigEndian.PutUint16(hdr[6:], p.SrcPort)
-		fr.buf = append(fr.buf, hdr[:]...)
-		fr.buf = append(fr.buf, p.Payload...)
-	}
-	fr.offs = append(fr.offs, len(fr.buf))
-	for i := range probes {
-		fr.frames = append(fr.frames, fr.buf[fr.offs[i]:fr.offs[i+1]:fr.offs[i+1]])
-	}
-	n, err := u.writeBatch(fr.frames)
-	if err == nil {
-		err = stop
-	}
-	return n, err
-}
-
-// writeBatchSerial is the portable batch write: one kernel write per
-// frame. It is the whole writeBatch on non-sendmmsg platforms and the
-// runtime fallback on kernels that refuse the syscall.
-func (u *UDPTransport) writeBatchSerial(frames [][]byte) (int, error) {
-	for i, f := range frames {
-		if _, err := u.conn.WriteToUDP(f, u.gateway); err != nil {
+		frame = binary.BigEndian.AppendUint32(frame[:0], lfsr.AddrToU32(p.Dst))
+		frame = binary.BigEndian.AppendUint16(frame, p.DstPort)
+		frame = binary.BigEndian.AppendUint16(frame, p.SrcPort)
+		frame = append(frame, p.Payload...)
+		if _, err := u.conn.WriteToUDP(frame, u.gateway); err != nil {
 			return i, err
 		}
 	}
-	return len(frames), nil
+	return len(probes), nil
 }

@@ -14,7 +14,7 @@ import (
 	"goingwild/internal/lfsr"
 )
 
-// The response bytes the simulated resolver writes feed hashBytes, and
+// The response bytes the simulated resolver writes feed prand.FNV, and
 // through it the loss and fault draws of every exchange: one moved byte
 // moves every seeded report. These tests hold the wire responder to the
 // tree encoder it replaced — a digest recorded on the Message-building
