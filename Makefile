@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-escape test test-short bench-test race serve-smoke fuzz-smoke bench-all report markdown record examples clean
+.PHONY: all build vet lint lint-escape test test-short bench-test race fuzz-smoke bench-all report markdown record examples clean
 
 all: build vet lint test
 
@@ -60,16 +60,6 @@ race:
 	$(GO) test -race -count=3 -run Gateway ./internal/scanner
 	$(GO) test -race -count=3 ./internal/resolvesvc
 	$(GO) test -race -run TestEquivalence ./cmd/wildreport
-
-# Service smoke: run wildsvc's built-in self-check — three epochs at
-# order 16, then query the HTTP API over a real socket: a known
-# responder (store hit, JSON shape), a known miss (demand probe), two
-# addresses outside the scanned space (400, no record, no probe), and
-# four concurrent requests for one cold address, which must all read the
-# same answer at the cost of exactly one probe. Exits nonzero on any
-# assertion failure; the last stdout line is "wildsvc smoke: PASS".
-serve-smoke:
-	$(GO) run ./cmd/wildsvc -smoke
 
 # A few seconds of coverage-guided fuzzing per fuzz target: the six
 # wire-format ones and the service's two query parsers. `go test -fuzz`

@@ -13,8 +13,8 @@
 // and the send rate over the run — summed from the metrics registry's
 // *.sent and *.recv counters, the sums -progress prints while it runs.
 //
-// A bad -mode, -category, -week, -epochs or -rate is a usage error (exit
-// 2) before anything is scanned. SIGINT cancels the scan; a killed scan is
+// A bad -mode, -category, -week or -rate is a usage error (exit 2) before
+// anything is scanned. SIGINT cancels the scan; a killed scan is
 // run again.
 package main
 
@@ -22,12 +22,10 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"os"
 	"slices"
 	"strings"
 	"time"
 
-	"goingwild/internal/churn"
 	"goingwild/internal/cli"
 	"goingwild/internal/dnswire"
 	"goingwild/internal/domains"
@@ -44,7 +42,6 @@ func main() {
 		scanSeed = flag.Uint("scanseed", 0x5EED, "LFSR seed for the target permutation")
 		week     = flag.Int("week", 0, "study week")
 		mode     = flag.String("mode", "sweep", strings.Join(modes, " | "))
-		epochs   = flag.Int("epochs", 0, "run N weekly epoch sweeps through the delta layer (per-epoch diffs on stderr; summary reflects the replayed final snapshot)")
 		category = flag.String("category", "Banking", "domain category for -mode domains")
 		useUDP   = flag.Bool("udp", false, "drive the scan over real UDP sockets (loopback gateway)")
 		rate     = flag.Int("rate", 0, "probe rate limit in packets/s (0 = unlimited)")
@@ -56,8 +53,6 @@ func main() {
 		f.Usage(fmt.Errorf("unknown -mode %q; valid modes: %s", *mode, strings.Join(modes, ", ")))
 	case *week < 0:
 		f.Usage(fmt.Errorf("-week %d: must be at least 0", *week))
-	case *epochs < 0:
-		f.Usage(fmt.Errorf("-epochs %d: must be at least 0", *epochs))
 	case *rate < 0:
 		f.Usage(fmt.Errorf("-rate %d: must be at least 0", *rate))
 	case *mode == "domains":
@@ -87,7 +82,6 @@ func main() {
 	}
 
 	var tr scanner.Transport
-	var clock churn.Clock // advances the world between -epochs sweeps
 	settle := scanner.NoSettle
 	if *useUDP {
 		gw, err := wildnet.StartGateway(world, wildnet.VantagePrimary)
@@ -100,7 +94,7 @@ func main() {
 		if err != nil {
 			f.Fatal(err)
 		}
-		tr, clock = udp, gw
+		tr = udp
 		settle = 200 * time.Millisecond
 		if *rate == 0 {
 			// Loopback sockets drop bursts beyond the buffer; pace
@@ -111,7 +105,7 @@ func main() {
 	} else {
 		mem := wildnet.NewMemTransport(world, wildnet.VantagePrimary)
 		mem.SetTime(wildnet.At(*week))
-		tr, clock = mem, mem
+		tr = mem
 	}
 	defer tr.Close()
 
@@ -127,42 +121,9 @@ func main() {
 		sent, _ := snap.Traffic()
 		fmt.Printf("traffic: %s rate=%.0f pps\n", snap.TrafficLine(), float64(sent)/time.Since(start).Seconds())
 	}()
-	var sweep *scanner.SweepResult
-	if *epochs > 0 {
-		// Epoch-streaming mode: the weekly loop every binary runs
-		// (churn.StreamWeekly), here into a sink that replays each week's
-		// delta batch into a running snapshot. Per-epoch lines go to
-		// stderr; the summary below reflects the replayed final snapshot,
-		// which must equal the last sweep exactly.
-		var snapshot []scanner.Responder
-		var probed uint64
-		var records int
-		err := churn.StreamWeekly(ctx, sc, clock, churn.StudyConfig{
-			Order: f.Order, Seed: uint32(*scanSeed), Weeks: *epochs, Blacklist: world.ScanBlacklist(),
-		}, func(_ context.Context, d churn.EpochDelta) error {
-			next, err := scanner.ApplyResponderDeltas(snapshot, d.Deltas)
-			if err != nil {
-				return err
-			}
-			snapshot, probed = next, d.Probed
-			records += len(d.Deltas)
-			fmt.Fprintf(os.Stderr, "dnsscan: epoch %d: %d delta records, %d responders\n",
-				d.Week, len(d.Deltas), len(snapshot))
-			return nil
-		})
-		if err != nil {
-			f.Fatal(err)
-		}
-		sweep = scanner.SnapshotSweep(probed, snapshot)
-		elapsed := time.Since(start)
-		fmt.Printf("epochs: %d sweeps, %d delta records in %v (%.0f records/s)\n",
-			*epochs, records, elapsed.Round(time.Millisecond), float64(records)/elapsed.Seconds())
-	} else {
-		var err error
-		sweep, err = sc.SweepContext(ctx, f.Order, uint32(*scanSeed), world.ScanBlacklist())
-		if err != nil {
-			f.Fatal(err)
-		}
+	sweep, err := sc.SweepContext(ctx, f.Order, uint32(*scanSeed), world.ScanBlacklist())
+	if err != nil {
+		f.Fatal(err)
 	}
 	elapsed := time.Since(start)
 	pps := float64(sweep.Probed) / elapsed.Seconds()

@@ -50,7 +50,7 @@ func TestRefusalsExitTwo(t *testing.T) {
 		{args: []string{"-mode", "bogus"}, want: `dnsscan: unknown -mode "bogus"; valid modes: sweep, chaos, domains`},
 		{args: []string{"-mode", "domains", "-category", "Nope"}, want: `dnsscan: unknown -category "Nope"; valid categories: Ads,`},
 		{args: []string{"-week", "-1"}, want: "dnsscan: -week -1"},
-		{args: []string{"-epochs", "-3"}, want: "dnsscan: -epochs -3"},
+		{args: []string{"-epochs", "3"}, want: "flag provided but not defined: -epochs"},
 		{args: []string{"-rate", "-5"}, want: "dnsscan: -rate -5"},
 		{args: []string{"-rate", "-5", "-udp"}, want: "dnsscan: -rate -5"},
 		{args: []string{"-chaos", "bogus"}, want: "dnsscan: "},

@@ -216,7 +216,7 @@ func TestExportIsTheCensusArtifact(t *testing.T) {
 	if art.Order != 14 || art.Week != 3 {
 		t.Errorf("artifact of order %d week %d, want order 14 week 3", art.Order, art.Week)
 	}
-	responders := make([]scanner.Responder, len(art.Responders))
+	sweep := &scanner.SweepResult{Probed: art.Probed, ByRCode: map[dnswire.RCode]int{}, Responders: make([]scanner.Responder, len(art.Responders))}
 	for i, r := range art.Responders {
 		addr, err := lfsr.ParseU32(r.Addr)
 		if err != nil {
@@ -226,9 +226,10 @@ func TestExportIsTheCensusArtifact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		responders[i] = scanner.Responder{Addr: addr, Source: src, RCode: dnswire.RCode(r.RCode), Answered: r.Answered}
+		sweep.Responders[i] = scanner.Responder{Addr: addr, Source: src, RCode: dnswire.RCode(r.RCode), Answered: r.Answered}
+		sweep.ByRCode[dnswire.RCode(r.RCode)]++
 	}
-	if got := renderCensus(scanner.SnapshotSweep(art.Probed, responders)); got != census {
+	if got := renderCensus(sweep); got != census {
 		t.Errorf("sweep.json renders\n%s\nwant the -exp census block\n%s", got, census)
 	}
 	if fi, err := os.Stat(filepath.Join(dir, "tuples.jsonl")); err != nil || fi.Size() == 0 {

@@ -5,6 +5,9 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+
+	"goingwild/internal/dnswire"
+	"goingwild/internal/scanner"
 )
 
 // streamConfig is the shared study shape of the reference-vs-stream
@@ -92,11 +95,6 @@ func TestStreamWeeklyMatchesBatchSeries(t *testing.T) {
 				t.Fatal("streamed series != batch series")
 			}
 
-			// The final snapshot must equal the last week's retained set.
-			if !reflect.DeepEqual(tr.Snapshot(), batch.Last().Responders) {
-				t.Error("final snapshot != last retained responder set")
-			}
-
 			// The tables the binaries print derive from the series alone, so they
 			// match too; render one as a sanity anchor.
 			if !reflect.DeepEqual(got.CountryFluctuation(10), batch.CountryFluctuation(10)) {
@@ -140,5 +138,35 @@ func TestTrackerWeekOrderContract(t *testing.T) {
 	}
 	if _, err := tr.Apply(EpochDelta{Week: 0}); err == nil {
 		t.Error("tracker accepted a repeated week")
+	}
+
+	// A refused batch leaves no trace: the retry of week 1 reads what a
+	// tracker given only the valid batches reads.
+	add := func(addrs ...uint32) []scanner.ResponderDelta {
+		ds := make([]scanner.ResponderDelta, len(addrs))
+		for i, a := range addrs {
+			ds[i] = scanner.ResponderDelta{Op: scanner.DeltaAdd, Responder: scanner.Responder{Addr: a, Source: a, RCode: dnswire.RCodeNoError}}
+		}
+		return ds
+	}
+	retried, fresh := NewTracker(loc, nil), NewTracker(loc, nil)
+	for _, tk := range []*Tracker{retried, fresh} {
+		if _, err := tk.Apply(EpochDelta{Week: 0, Deltas: add(10)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := retried.Apply(EpochDelta{Week: 1, Deltas: add(20, 15)}); err == nil {
+		t.Fatal("tracker accepted an unsorted batch")
+	}
+	got, err := retried.Apply(EpochDelta{Week: 1, Deltas: add(15, 20)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.Apply(EpochDelta{Week: 1, Deltas: add(15, 20)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Total != 3 || got.ByRCode[dnswire.RCodeNoError] != 3 || !reflect.DeepEqual(got, want) {
+		t.Errorf("week 1 after a refused batch = %+v, want %+v", got, want)
 	}
 }

@@ -24,11 +24,13 @@ var deltaSizeBuckets = []int64{0, 10, 100, 1_000, 10_000, 100_000, 1_000_000, 10
 // WeeklySeries adds the §2.2 longitudinal scans (Figure 1 and, via the
 // retained endpoints, Tables 1–2) as the one stage "weekly-scans":
 // churn.StreamWeekly — the program's only weekly loop — into an inline
-// sink that applies each week's deltas to a churn.Tracker before the next
-// week is swept. There is nothing between the sweep and the apply to
-// overlap (diff + apply cost about a millisecond a week), so there is no
-// producer goroutine and no queue; the serving daemon, whose applier
-// contends with readers, keeps its own (resolvesvc.Service.Run).
+// sink that applies each week's deltas to a churn.Tracker, which counts
+// the week from its replayed snapshot, before the next week is swept.
+// There is nothing between the sweep and the apply to overlap (diff +
+// apply cost about a millisecond a week), so there is no producer
+// goroutine and no queue; the stream's other sink, the serving daemon,
+// whose applier contends with readers, keeps its own
+// (resolvesvc.Service.Run).
 //
 // live, when non-nil, is called after each epoch is applied; like the
 // pipeline observer it is a side channel. Per-epoch delta-size and

@@ -13,24 +13,10 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"goingwild/internal/metrics"
 )
-
-// publishOnce guards the process-wide expvar name (expvar.Publish
-// panics on re-registration; tests may Serve more than once). The
-// registry itself is NOT captured by the published closure: it reads
-// currentReg, which every Serve call updates, so a second Serve with a
-// different registry exposes that registry's snapshot under
-// /debug/vars instead of silently pinning the first one forever.
-var publishOnce sync.Once
-
-// currentReg is the registry the expvar "metrics" var snapshots:
-// always the one passed to the most recent Serve call.
-var currentReg atomic.Pointer[metrics.Registry]
 
 // Route is an extra handler mounted on the debug mux — the seam a
 // long-running service (cmd/wildsvc) uses to serve its query API on
@@ -51,7 +37,7 @@ const shutdownTimeout = 5 * time.Second
 //
 //	/metrics       — Prometheus text exposition of the registry
 //	/metrics.json  — the same snapshot as indented JSON
-//	/debug/vars    — expvar (includes the snapshot under "metrics")
+//	/debug/vars    — expvar: the Go runtime's own vars (cmdline, memstats)
 //	/debug/pprof/  — the standard pprof handlers
 //
 // plus any extra routes the caller mounts. The server is hardened for
@@ -63,15 +49,6 @@ const shutdownTimeout = 5 * time.Second
 // and reports the first error the server hit — a failed Serve loop or
 // a failed shutdown — instead of dropping it.
 func Serve(addr string, reg *metrics.Registry, extra ...Route) (string, func() error, error) {
-	currentReg.Store(reg)
-	publishOnce.Do(func() {
-		expvar.Publish("metrics", expvar.Func(func() any {
-			if r := currentReg.Load(); r != nil {
-				return r.Snapshot()
-			}
-			return nil
-		}))
-	})
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")

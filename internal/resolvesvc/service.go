@@ -34,9 +34,6 @@ type Config struct {
 	// Epochs is how many weekly sweeps the producer runs before the
 	// stream ends (a daemon passes a large horizon; tests pass a few).
 	Epochs int
-	// TTLBase seeds the churn-aware refresh TTL (see Store.Fresh);
-	// <= 0 selects DefaultTTLBase.
-	TTLBase int
 	// Blacklist is excluded from sweeps, as everywhere else.
 	Blacklist *lfsr.Blacklist
 	// OnEpoch, when set, observes each committed epoch (live logging;
@@ -184,11 +181,6 @@ type Service struct {
 	deps  Deps
 	store *Store
 
-	// tracker mirrors the epoch stream's aggregates (per-rcode, country,
-	// RIR) so status endpoints can serve live churn tables.
-	trackerMu sync.Mutex
-	tracker   *churn.Tracker
-
 	// pending holds every demand probe not yet answered — queued or
 	// executing — keyed by target, so a lookup can join one until its
 	// answer is in; queue holds the queued ones in arrival order. wake
@@ -215,8 +207,7 @@ func New(cfg Config, deps Deps) *Service {
 	s := &Service{
 		cfg:     cfg,
 		deps:    deps,
-		store:   NewStore(cfg.TTLBase),
-		tracker: churn.NewTracker(deps.Locator, nil),
+		store:   NewStore(),
 		pending: map[uint32]*inflight{},
 		wake:    make(chan struct{}, 1),
 		m:       newSvcMetrics(deps.Metrics),
@@ -229,22 +220,11 @@ func New(cfg Config, deps Deps) *Service {
 // load generator, tests).
 func (s *Service) Store() *Store { return s.store }
 
-// Series returns a point-in-time copy of the tracker's weekly series —
-// the same aggregates the batch study would have produced so far.
-func (s *Service) Series() churn.Series {
-	s.trackerMu.Lock()
-	defer s.trackerMu.Unlock()
-	ser := s.tracker.Series()
-	out := churn.Series{Weeks: make([]churn.WeekObservation, len(ser.Weeks))}
-	copy(out.Weeks, ser.Weeks)
-	return out
-}
-
 // Run drives the epoch loop: the producer re-sweeps the space epoch
 // after epoch behind a bounded queue, and the applier commits each
-// delta batch to the tracker and the store. Run returns once all
-// cfg.Epochs have been applied (or ctx dies, or the stream breaks its
-// contract). The coalescer keeps serving demand probes until ctx is
+// delta batch to the store, whose ApplyEpoch checks the stream
+// contract. Run returns once all cfg.Epochs have been applied (or ctx
+// dies, or the stream breaks its contract). The coalescer keeps serving demand probes until ctx is
 // cancelled — a daemon cancels on shutdown, which fails any still-
 // waiting lookups with ErrStopped.
 func (s *Service) Run(ctx context.Context) error {
@@ -273,12 +253,6 @@ func (s *Service) Run(ctx context.Context) error {
 			break
 		}
 		lag := q.Len()
-		s.trackerMu.Lock()
-		_, err = s.tracker.Apply(d)
-		s.trackerMu.Unlock()
-		if err != nil {
-			return err
-		}
 		if err := s.store.ApplyEpoch(d.Week, d.Deltas, s.deps.Locator); err != nil {
 			return err
 		}

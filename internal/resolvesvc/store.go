@@ -201,7 +201,6 @@ type Store struct {
 	epoch   atomic.Int64 // last fully committed epoch; -1 before the first
 	records atomic.Int64 // total records (sweep- and probe-created)
 	open    atomic.Int64 // records with Open == true
-	ttlBase int
 
 	// The country intern table (see intern): the published names, and
 	// under internMu their reverse index.
@@ -210,16 +209,14 @@ type Store struct {
 	countryIdx map[string]uint16
 }
 
-// DefaultTTLBase is the refresh TTL (in epochs) a once-flapped record
-// starts from; each further flap halves it (minimum one epoch).
-const DefaultTTLBase = 8
+// ttlBase sets the churn-aware refresh TTL: a record seen to flap k
+// times goes stale ttlBase>>k epochs (minimum one) after its last
+// evidence (see Fresh).
+const ttlBase = 8
 
-// NewStore builds an empty store. ttlBase <= 0 selects DefaultTTLBase.
-func NewStore(ttlBase int) *Store {
-	if ttlBase <= 0 {
-		ttlBase = DefaultTTLBase
-	}
-	s := &Store{ttlBase: ttlBase}
+// NewStore builds an empty store.
+func NewStore() *Store {
+	s := &Store{}
 	s.epoch.Store(-1)
 	s.countries.Store(&[]string{""})
 	s.countryIdx = map[string]uint16{"": 0}
@@ -257,8 +254,8 @@ func (s *Store) Get(addr uint32) (Record, bool) {
 // after ttlBase>>Flaps epochs (minimum one) without fresh evidence —
 // either a delta touching them or a demand probe — and a stale lookup
 // takes the coalesced probe path to re-confirm them. This is the
-// churn-aware refresh cadence: the flappier the churn tracker has seen
-// a target be, the shorter the service trusts its last observation.
+// churn-aware refresh cadence: the flappier the sweeps have seen a
+// target be, the shorter the service trusts its last observation.
 func (s *Store) Fresh(r Record, epoch int) bool {
 	if r.Flaps == 0 {
 		return true
@@ -267,7 +264,7 @@ func (s *Store) Fresh(r Record, epoch int) bool {
 	if shift > 30 {
 		shift = 30
 	}
-	ttl := s.ttlBase >> uint(shift)
+	ttl := ttlBase >> uint(shift)
 	if ttl < 1 {
 		ttl = 1
 	}

@@ -30,7 +30,7 @@ func remove(addr uint32) scanner.ResponderDelta {
 }
 
 func TestStoreApplyEpochLifecycle(t *testing.T) {
-	s := NewStore(8)
+	s := NewStore()
 	if s.Epoch() != -1 {
 		t.Fatalf("fresh store epoch = %d, want -1", s.Epoch())
 	}
@@ -77,7 +77,7 @@ func TestStoreApplyEpochLifecycle(t *testing.T) {
 }
 
 func TestStoreApplyEpochContractViolations(t *testing.T) {
-	s := NewStore(0)
+	s := NewStore()
 	if err := s.ApplyEpoch(0, []scanner.ResponderDelta{add(5, dnswire.RCodeNoError)}, testLoc); err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestStoreApplyEpochContractViolations(t *testing.T) {
 }
 
 func TestStoreRecordProbe(t *testing.T) {
-	s := NewStore(8)
+	s := NewStore()
 	if err := s.ApplyEpoch(0, []scanner.ResponderDelta{add(10, dnswire.RCodeNoError)}, testLoc); err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestStoreRecordProbe(t *testing.T) {
 }
 
 func TestStoreFreshTTL(t *testing.T) {
-	s := NewStore(8)
+	s := NewStore()
 	stable := Record{Flaps: 0, Checked: 0}
 	if !s.Fresh(stable, 1000) {
 		t.Error("stable record went stale")
@@ -171,7 +171,7 @@ func TestStoreConcurrentLookupsVsEpochApply(t *testing.T) {
 		epochs  = 50
 		readers = 4
 	)
-	s := NewStore(8)
+	s := NewStore()
 	stopCh := make(chan struct{})
 	var wg sync.WaitGroup
 	for r := 0; r < readers; r++ {
@@ -308,7 +308,7 @@ func reachableRecord(rng *rand.Rand) Record {
 // field but Flaps exactly, Flaps saturated at 65 535, and Fresh giving the
 // packed record the verdict it gives the original at any epoch.
 func TestPackUnpackRoundTrip(t *testing.T) {
-	s := NewStore(8)
+	s := NewStore()
 	property := func(seed int64, at int32) bool {
 		r := reachableRecord(rand.New(rand.NewSource(seed)))
 		got := s.unpack(r.Addr, pack(r, s.intern(r.Country)))
@@ -360,7 +360,7 @@ func TestStoreInternConcurrentReaders(t *testing.T) {
 	)
 	countryOf := func(u uint32) string { return string([]byte{'A' + byte(u/26%26), 'A' + byte(u%26)}) }
 	loc := func(u uint32) (string, geodb.RIR) { return countryOf(u), geodb.RIPE }
-	s := NewStore(0)
+	s := NewStore()
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for r := 0; r < 4; r++ {
@@ -411,7 +411,7 @@ func TestStoreApplyEpochRefusesWideEpoch(t *testing.T) {
 	if math.MaxInt == math.MaxInt32 {
 		t.Skip("int is 32 bits: every epoch fits")
 	}
-	s := NewStore(0)
+	s := NewStore()
 	wide := math.MaxInt32
 	wide++
 	if err := s.ApplyEpoch(wide, []scanner.ResponderDelta{add(5, dnswire.RCodeNoError)}, testLoc); err == nil {
@@ -445,7 +445,7 @@ func TestStoreBytesPerRecord(t *testing.T) {
 		return ms.HeapAlloc
 	}
 	before := heap()
-	s := NewStore(0)
+	s := NewStore()
 	func() {
 		deltas := make([]scanner.ResponderDelta, n)
 		for i := range deltas {
@@ -474,7 +474,7 @@ func TestStoreBytesPerRecord(t *testing.T) {
 }
 
 func TestStoreList(t *testing.T) {
-	s := NewStore(0)
+	s := NewStore()
 	var deltas []scanner.ResponderDelta
 	for a := uint32(1); a <= 20; a++ {
 		deltas = append(deltas, add(a, dnswire.RCodeNoError))
@@ -529,7 +529,7 @@ func TestStoreEpochPublishOrder(t *testing.T) {
 	// Epoch() is a floor: it must not advance before all stripes commit.
 	// Serial proof: after ApplyEpoch returns, every delta is visible at
 	// the published epoch.
-	s := NewStore(0)
+	s := NewStore()
 	for e := 0; e < 5; e++ {
 		var deltas []scanner.ResponderDelta
 		for a := uint32(1); a <= 64; a++ {
@@ -552,7 +552,7 @@ func TestStoreEpochPublishOrder(t *testing.T) {
 }
 
 func BenchmarkStoreGet(b *testing.B) {
-	s := NewStore(0)
+	s := NewStore()
 	var deltas []scanner.ResponderDelta
 	for a := uint32(1); a <= 4096; a++ {
 		deltas = append(deltas, add(a, dnswire.RCodeNoError))

@@ -1,10 +1,6 @@
 package scanner
 
-import (
-	"fmt"
-
-	"goingwild/internal/dnswire"
-)
+import "fmt"
 
 // DeltaOp is the kind of one responder-set change between two sweeps.
 type DeltaOp uint8
@@ -122,20 +118,4 @@ func ApplyResponderDeltas(snapshot []Responder, deltas []ResponderDelta) ([]Resp
 	}
 	out = append(out, snapshot[i:]...)
 	return out, nil
-}
-
-// SnapshotSweep freezes a sorted responder list into the SweepResult a
-// batch sweep of the same population would return: same slice order,
-// same ByRCode tallies. It is how a delta consumer materializes its
-// replayed state for the batch-born renderers.
-func SnapshotSweep(probed uint64, responders []Responder) *SweepResult {
-	res := &SweepResult{
-		Probed:     probed,
-		ByRCode:    make(map[dnswire.RCode]int),
-		Responders: append([]Responder(nil), responders...),
-	}
-	for _, r := range res.Responders {
-		res.ByRCode[r.RCode]++
-	}
-	return res
 }

@@ -110,33 +110,3 @@ func TestApplyRejectsContractViolations(t *testing.T) {
 		t.Error("apply mutated its input snapshot")
 	}
 }
-
-func TestSnapshotSweepMatchesCollector(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	responders := randomResponders(rng, 64)
-	res := SnapshotSweep(100, responders)
-	if res.Probed != 100 || len(res.Responders) != len(responders) {
-		t.Fatalf("snapshot = %d probed / %d responders", res.Probed, len(res.Responders))
-	}
-	count := 0
-	for rc, n := range res.ByRCode {
-		count += n
-		want := 0
-		for _, r := range responders {
-			if r.RCode == rc {
-				want++
-			}
-		}
-		if n != want {
-			t.Errorf("ByRCode[%v] = %d, want %d", rc, n, want)
-		}
-	}
-	if count != len(responders) {
-		t.Errorf("ByRCode sums to %d, want %d", count, len(responders))
-	}
-	// Defensive copy: growing the input must not alias the snapshot.
-	responders[0].RCode = 15
-	if res.Responders[0].RCode == 15 {
-		t.Error("snapshot aliases the input slice")
-	}
-}

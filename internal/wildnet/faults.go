@@ -23,8 +23,8 @@ type FaultConfig struct {
 	// probability, applied to queries and responses on top of
 	// Config.Loss.
 	ExtraLoss float64
-	// BurstProb is the probability that a given (host, burst window) is
-	// inside a loss burst; during a burst every packet to or from the
+	// BurstProb is the probability that a given (host, burstWindowSec
+	// window) is inside a loss burst; during a burst every packet to or from the
 	// host is dropped with probability BurstLoss instead of ExtraLoss.
 	// Bursts model correlated congestive loss: retransmissions inside
 	// the window redraw their individual fate but stay under the
@@ -32,9 +32,6 @@ type FaultConfig struct {
 	BurstProb float64
 	// BurstLoss is the per-packet loss probability during a burst.
 	BurstLoss float64
-	// BurstWindowSec is the burst correlation window in simulated
-	// seconds (default 30 when bursts are enabled).
-	BurstWindowSec int
 
 	// LatencyBaseMS is a per-hop latency added to every response's
 	// delivery delay; LatencyJitterMS is the maximum additional seeded
@@ -69,14 +66,20 @@ type FaultConfig struct {
 	RateLimitPass   float64
 	RateLimitRefuse float64
 
-	// FlapProb is the probability that a given (host, flap window) is in
-	// a mid-scan outage: the host answers nothing for the window, then
-	// returns. Layered on the churn model — the lease does not change,
-	// the host is just unreachable. FlapWindowMin is the outage window
-	// in simulated minutes (default 10 when flaps are enabled).
-	FlapProb      float64
-	FlapWindowMin int
+	// FlapProb is the probability that a given (host, flapWindowMin
+	// window) is in a mid-scan outage: the host answers nothing for the
+	// window, then returns. Layered on the churn model — the lease does
+	// not change, the host is just unreachable.
+	FlapProb float64
 }
+
+// The correlation windows of the fault draws: a burst lasts
+// burstWindowSec simulated seconds, a host outage flapWindowMin
+// simulated minutes.
+const (
+	burstWindowSec = 30
+	flapWindowMin  = 10
+)
 
 // Enabled reports whether any fault is configured.
 func (f FaultConfig) Enabled() bool { return f != (FaultConfig{}) }
@@ -98,30 +101,17 @@ func (f FaultConfig) validate() error {
 			return fmt.Errorf("wildnet: fault %s = %v out of [0, 1]", p.name, p.v)
 		}
 	}
-	if f.LatencyBaseMS < 0 || f.LatencyJitterMS < 0 || f.DeadlineMS < 0 ||
-		f.BurstWindowSec < 0 || f.FlapWindowMin < 0 {
+	if f.LatencyBaseMS < 0 || f.LatencyJitterMS < 0 || f.DeadlineMS < 0 {
 		return fmt.Errorf("wildnet: negative fault duration")
 	}
 	return nil
 }
 
 // burstWindow returns the burst correlation window of t.
-func (f *FaultConfig) burstWindow(t Time) uint64 {
-	w := f.BurstWindowSec
-	if w <= 0 {
-		w = 30
-	}
-	return uint64(t.AbsSeconds()) / uint64(w)
-}
+func burstWindow(t Time) uint64 { return uint64(t.AbsSeconds()) / burstWindowSec }
 
 // flapWindow returns the outage window of t.
-func (f *FaultConfig) flapWindow(t Time) uint64 {
-	w := f.FlapWindowMin
-	if w <= 0 {
-		w = 10
-	}
-	return uint64(t.AbsSeconds()) / 60 / uint64(w)
-}
+func flapWindow(t Time) uint64 { return uint64(t.AbsSeconds()) / 60 / flapWindowMin }
 
 // ChaosProfileNames lists the named chaos profiles, mildest first.
 func ChaosProfileNames() []string { return []string{"clean", "lossy", "hostile", "flaky"} }
@@ -145,7 +135,6 @@ func ChaosProfile(name string) (FaultConfig, error) {
 			ExtraLoss:       0.02,
 			BurstProb:       0.004,
 			BurstLoss:       0.85,
-			BurstWindowSec:  30,
 			LatencyBaseMS:   20,
 			LatencyJitterMS: 60,
 		}, nil
@@ -154,7 +143,6 @@ func ChaosProfile(name string) (FaultConfig, error) {
 			ExtraLoss:       0.01,
 			BurstProb:       0.01,
 			BurstLoss:       0.90,
-			BurstWindowSec:  30,
 			LatencyBaseMS:   40,
 			LatencyJitterMS: 120,
 			DeadlineMS:      260,
@@ -170,7 +158,6 @@ func ChaosProfile(name string) (FaultConfig, error) {
 			LatencyBaseMS:   10,
 			LatencyJitterMS: 30,
 			FlapProb:        0.03,
-			FlapWindowMin:   10,
 			RateLimitShare:  0.05,
 			RateLimitPass:   0.70,
 			RateLimitRefuse: 0.70,
@@ -204,7 +191,7 @@ type faultCtx struct {
 func (w *World) faultLossProb(addr uint32, t Time) (p float64, burst bool) {
 	f := &w.cfg.Faults
 	if f.BurstProb > 0 &&
-		w.pre[facetFaultBurst].Add(uint64(addr)).Add(f.burstWindow(t)).Unit() < f.BurstProb {
+		w.pre[facetFaultBurst].Add(uint64(addr)).Add(burstWindow(t)).Unit() < f.BurstProb {
 		return f.BurstLoss, true
 	}
 	return f.ExtraLoss, false
@@ -243,7 +230,7 @@ func (w *World) faultFlapped(u uint32, t Time) bool {
 	if f.FlapProb <= 0 {
 		return false
 	}
-	return w.pre[facetFaultFlap].Add(uint64(u)).Add(f.flapWindow(t)).Unit() < f.FlapProb
+	return w.pre[facetFaultFlap].Add(uint64(u)).Add(flapWindow(t)).Unit() < f.FlapProb
 }
 
 // faultRateLimited draws the rate-limiter verdict for a resolver query:

@@ -32,7 +32,6 @@ func TestFaultConfigValidateRejectsGarbage(t *testing.T) {
 		{BurstProb: 1.5},
 		{RateLimitRefuse: 2},
 		{LatencyBaseMS: -1},
-		{FlapWindowMin: -3},
 	}
 	for i, f := range cases {
 		if err := f.validate(); err == nil {

@@ -122,7 +122,7 @@ func (w *World) leaseEpochDyn(u uint32, t Time, dynamic bool) uint64 {
 // only runs when the block cache is (re)built for a week.
 func (w *World) densitySlow(u uint32, t Time) float64 {
 	loc := w.geo.LookupU32(u)
-	d := w.cfg.BaseDensity * loc.AS.DensityMul * geodb.CountryDeclineAt(loc.Country, t.Week)
+	d := baseDensity * loc.AS.DensityMul * geodb.CountryDeclineAt(loc.Country, t.Week)
 	if c := loc.AS.Collapse; c != nil && t.Week >= c.Week {
 		d *= c.Survive
 	}
@@ -194,5 +194,5 @@ const (
 // ExpectedPopulation returns the expected number of responding resolvers
 // at time t, for sizing rare-behavior quotas and sanity checks.
 func (w *World) ExpectedPopulation(t Time) float64 {
-	return w.cfg.BaseDensity * float64(w.SpaceSize()) * geodb.WorldDeclineAt(t.Week)
+	return baseDensity * float64(w.SpaceSize()) * geodb.WorldDeclineAt(t.Week)
 }

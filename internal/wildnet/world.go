@@ -71,10 +71,6 @@ type Config struct {
 	Order uint
 	// Seed selects the world.
 	Seed uint64
-	// BaseDensity is the fraction of addresses hosting a responding
-	// resolver at week 0. The paper observes ≈31.2M responders in the
-	// 2^32 space ≈ 0.73%.
-	BaseDensity float64
 	// Loss is the probability that any single UDP packet is dropped
 	// (applied independently to queries and responses).
 	Loss float64
@@ -90,13 +86,17 @@ type Config struct {
 	Metrics *metrics.Registry
 }
 
+// baseDensity is the fraction of addresses hosting a responding resolver
+// at week 0. The paper observes ≈31.2M responders in the 2^32 space
+// ≈ 0.73%.
+const baseDensity = 31.2e6 / float64(uint64(1)<<32)
+
 // DefaultConfig returns the standard world used by tests and examples.
 func DefaultConfig(order uint) Config {
 	return Config{
-		Order:       order,
-		Seed:        0x60176A11D,
-		BaseDensity: 31.2e6 / float64(uint64(1)<<32),
-		Loss:        0.002,
+		Order: order,
+		Seed:  0x60176A11D,
+		Loss:  0.002,
 	}
 }
 
@@ -173,9 +173,6 @@ func CheckOrder(order uint) error {
 func NewWorld(cfg Config) (*World, error) {
 	if err := CheckOrder(cfg.Order); err != nil {
 		return nil, fmt.Errorf("wildnet: %w", err)
-	}
-	if cfg.BaseDensity <= 0 || cfg.BaseDensity > 0.5 {
-		return nil, fmt.Errorf("wildnet: base density %f out of range (0, 0.5]", cfg.BaseDensity)
 	}
 	geo, err := geodb.Build(cfg.Order, cfg.Seed)
 	if err != nil {

@@ -18,10 +18,8 @@ func testWorld(t testing.TB, order uint) *World {
 
 func TestNewWorldValidation(t *testing.T) {
 	for _, cfg := range []Config{
-		{Order: 8, Seed: 1, BaseDensity: 0.01},
-		{Order: 33, Seed: 1, BaseDensity: 0.01},
-		{Order: 20, Seed: 1, BaseDensity: 0},
-		{Order: 20, Seed: 1, BaseDensity: 0.9},
+		{Order: 8, Seed: 1},
+		{Order: 33, Seed: 1},
 	} {
 		if _, err := NewWorld(cfg); err == nil {
 			t.Errorf("config %+v accepted", cfg)
@@ -37,7 +35,7 @@ func TestPopulationDensityNearTarget(t *testing.T) {
 			count++
 		}
 	}
-	want := w.cfg.BaseDensity * float64(w.SpaceSize())
+	want := baseDensity * float64(w.SpaceSize())
 	if math.Abs(float64(count)-want) > want*0.25 {
 		t.Errorf("week-0 population = %d, want ≈ %.0f", count, want)
 	}
