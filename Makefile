@@ -51,13 +51,16 @@ bench-test:
 # Two runs go three times, because one schedule of them proves little:
 # resolvesvc's coalescer stress is a race between request goroutines and
 # one prober, and over the UDP gateway the domain scan's answer slots are
-# written by the transport's read loop while the scan reads them.
+# written by the transport's read loop while the scan reads them. The
+# domain scan's differential (every row of a scan of all names against a
+# scan of that name alone, four senders interleaving the rows) rides
+# with the gateway runs.
 # The equivalence harness's children are the race-built test binary, so
 # the last line runs the full report under every fault profile, at
 # GOMAXPROCS 1 and 2, under the detector.
 race:
 	$(GO) test -race ./internal/scanner ./internal/wildnet ./internal/ampli ./internal/cluster ./internal/snoop ./internal/pipeline ./internal/metrics ./internal/debughttp .
-	$(GO) test -race -count=3 -run Gateway ./internal/scanner
+	$(GO) test -race -count=3 -run 'Gateway|TestDomainScanRowsMatchOneNameScans' ./internal/scanner
 	$(GO) test -race -count=3 ./internal/resolvesvc
 	$(GO) test -race -run TestEquivalence ./cmd/wildreport
 

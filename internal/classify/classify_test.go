@@ -151,9 +151,9 @@ func TestFigure4Distributions(t *testing.T) {
 		Resolvers: []uint32{1, 2, 3},
 		Names:     []string{"facebook.com"},
 		Answers: [][]scanner.TupleAnswer{{
-			{ResolverIdx: 0, RCode: dnswire.RCodeNoError, Addrs: []uint32{50}, Responses: 1},
-			{ResolverIdx: 1, RCode: dnswire.RCodeNoError, Addrs: []uint32{60}, Responses: 1},
-			{ResolverIdx: 2, RCode: dnswire.RCodeNoError, Addrs: []uint32{70}, Responses: 1},
+			{RCode: dnswire.RCodeNoError, Addrs: []uint32{50}, Responses: 1},
+			{RCode: dnswire.RCodeNoError, Addrs: []uint32{60}, Responses: 1},
+			{RCode: dnswire.RCodeNoError, Addrs: []uint32{70}, Responses: 1},
 		}},
 	}
 	pre := &prefilter.Result{
@@ -185,7 +185,7 @@ func TestCensorCoverageThreshold(t *testing.T) {
 	resolvers := make([]uint32, n)
 	for i := 0; i < n; i++ {
 		resolvers[i] = uint32(i)
-		answers[i] = scanner.TupleAnswer{ResolverIdx: i, RCode: dnswire.RCodeNoError, Addrs: []uint32{9}, Responses: 1}
+		answers[i] = scanner.TupleAnswer{RCode: dnswire.RCodeNoError, Addrs: []uint32{9}, Responses: 1}
 		if i < 9 {
 			verdicts[i] = prefilter.ClassUnexpected
 		} else {

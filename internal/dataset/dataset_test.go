@@ -39,8 +39,8 @@ func TestTuplesRoundTrip(t *testing.T) {
 		Resolvers: []uint32{1000, 2000},
 		Names:     []string{"chase.com"},
 		Answers: [][]scanner.TupleAnswer{{
-			{ResolverIdx: 0, RCode: dnswire.RCodeNoError, Addrs: []uint32{100, 101}, Responses: 1},
-			{ResolverIdx: 1}, // unanswered: skipped
+			{RCode: dnswire.RCodeNoError, Addrs: []uint32{100, 101}, Responses: 1},
+			{}, // unanswered: skipped
 		}},
 	}
 	pre := &prefilter.Result{Verdicts: [][]prefilter.Class{{prefilter.ClassLegit, prefilter.ClassUnanswered}}}
@@ -87,7 +87,7 @@ func TestEmptyStreams(t *testing.T) {
 	scan := &scanner.DomainScanResult{
 		Resolvers: []uint32{1000},
 		Names:     []string{"chase.com"},
-		Answers:   [][]scanner.TupleAnswer{{{ResolverIdx: 0}}},
+		Answers:   [][]scanner.TupleAnswer{{{}}},
 	}
 	pre := &prefilter.Result{Verdicts: [][]prefilter.Class{{prefilter.ClassUnanswered}}}
 	var buf bytes.Buffer

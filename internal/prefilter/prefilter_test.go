@@ -61,7 +61,6 @@ func buildScan(name string, answers []scanner.TupleAnswer) *scanner.DomainScanRe
 	resolvers := make([]uint32, len(answers))
 	for i := range resolvers {
 		resolvers[i] = uint32(1000 + i)
-		answers[i].ResolverIdx = i
 	}
 	return &scanner.DomainScanResult{
 		Resolvers: resolvers,

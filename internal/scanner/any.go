@@ -79,6 +79,7 @@ func (s *Scanner) ScanANYContext(ctx context.Context, resolvers []uint32, name s
 		}
 		collected.Merge(u, a, mergeANYAnswer)
 	})
+	defer s.tr.SetReceiver(nil)
 	// One probe per resolver, no retry rounds: every probe is lent the
 	// scan's one query.
 	err = s.listScan(ctx, len(resolvers), 0, s.m.any,

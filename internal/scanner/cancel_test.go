@@ -191,9 +191,9 @@ func TestSettleDeadlineReturnsPromptly(t *testing.T) {
 	}
 }
 
-// TestScanDomainsCancelBetweenRounds checks the retry-round checkpoint:
-// a context cancelled after the first name round stops the scan with the
-// measured rows intact.
+// TestScanDomainsCancelBetweenRounds checks the engine's first
+// checkpoint: a context dead before round 0 stops the scan before any
+// probe, with the allocated rows intact and empty.
 func TestScanDomainsCancelBetweenRounds(t *testing.T) {
 	w, mem := testWorld(t, 16)
 	defer mem.Close()

@@ -58,6 +58,7 @@ func (s *Scanner) ScanChaosContext(ctx context.Context, resolvers []uint32) (*Ch
 	// Answer slots are addressed by resolver index, so a striped lock set
 	// replaces the single scan-wide mutex.
 	var locks stripedMutex
+	defer s.tr.SetReceiver(nil)
 	for pass, qname := range []string{"version.bind", "version.server"} {
 		isBind := pass == 0
 		// Every probe of a pass asks the same question; only the ID moves.

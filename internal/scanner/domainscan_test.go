@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"goingwild/internal/domains"
 	"goingwild/internal/metrics"
@@ -15,7 +16,8 @@ import (
 // lateReplayTransport wraps a transport and models a response that
 // outlives its round's settle: it remembers the last response delivered
 // to each receiver and, once the scan has installed the next round's
-// receiver, hands that response to it before the round's first batch.
+// receiver, hands that response to it before the round's first batch. A
+// nil receiver (a scan returning) is passed through.
 type lateReplayTransport struct {
 	inner Transport
 
@@ -36,6 +38,10 @@ func (l *lateReplayTransport) SetReceiver(f func(src netip4, srcPort, dstPort ui
 	l.mu.Lock()
 	l.recv, l.pending = f, l.last.payload != nil
 	l.mu.Unlock()
+	if f == nil {
+		l.inner.SetReceiver(nil)
+		return
+	}
 	l.inner.SetReceiver(func(src netip4, srcPort, dstPort uint16, payload []byte) {
 		l.mu.Lock()
 		l.last = lateResponse{src, srcPort, dstPort, append([]byte(nil), payload...)}
@@ -60,12 +66,12 @@ func (l *lateReplayTransport) SendBatch(ctx context.Context, batch []wildnet.Pro
 
 func (l *lateReplayTransport) Close() error { return l.inner.Close() }
 
-// TestListScansDropLateResponses: a response to the previous round's
-// question that arrives in the next round — the previous name, the other
-// version.* pass, the previous TLD — is not the next round's answer. With
-// one replayed into the start of every round after the first, each scan
-// returns what it returns without the replays, and the domain scan counts
-// every replay as unattributed.
+// TestListScansDropLateResponses: a response to an earlier question that
+// arrives in a later round — a name outside the domain scan's set, the
+// other version.* pass, the previous TLD — is not the later round's
+// answer. With one replayed into the start of every round after the
+// first, each scan returns what it returns without the replays, and the
+// domain scan counts its replay as unattributed.
 func TestListScansDropLateResponses(t *testing.T) {
 	ctx := context.Background()
 	scan := func(t *testing.T, late bool) (*DomainScanResult, *ChaosResult, [][]SnoopObs, *metrics.Registry, *lateReplayTransport) {
@@ -85,6 +91,11 @@ func TestListScansDropLateResponses(t *testing.T) {
 		}
 		reg := metrics.New()
 		s := New(tr, Options{Workers: 1, SettleDelay: NoSettle, Metrics: reg})
+		// The scan before the domain scan asks for a name outside its
+		// set.
+		if _, err := s.ScanDomainsContext(ctx, resolvers, []string{"qq.com"}); err != nil {
+			t.Fatal(err)
+		}
 		dom, err := s.ScanDomainsContext(ctx, resolvers, []string{"chase.com", "paypal.com", "facebook.com"})
 		if err != nil {
 			t.Fatal(err)
@@ -106,11 +117,12 @@ func TestListScansDropLateResponses(t *testing.T) {
 	wantDom, wantChaos, wantSnoop, wantReg, _ := scan(t, false)
 	gotDom, gotChaos, gotSnoop, gotReg, lr := scan(t, true)
 
-	// Every round but the scans' first starts behind an earlier one: two
-	// domain rounds, both CHAOS passes (the first behind the last domain
-	// round) and the three snoop rounds.
-	if lr.replayed != 7 {
-		t.Fatalf("%d late responses replayed, want 7", lr.replayed)
+	// Every round but the first starts behind an earlier one: the domain
+	// scan (behind the qq.com scan), both CHAOS passes (the first behind
+	// the domain scan) and the three snoop rounds. The domain scan is one
+	// pass over all its names, so no name round starts behind another.
+	if lr.replayed != 6 {
+		t.Fatalf("%d late responses replayed, want 6", lr.replayed)
 	}
 	if !reflect.DeepEqual(gotDom.Answers, wantDom.Answers) {
 		for ni := range gotDom.Answers {
@@ -136,8 +148,139 @@ func TestListScansDropLateResponses(t *testing.T) {
 		}
 	}
 	const c = "scanner.domains.unattributed"
-	if g, w := got.Counter(c), want.Counter(c)+2; g != w {
-		t.Errorf("%s = %d with two late responses, want %d", c, g, w)
+	if g, w := got.Counter(c), want.Counter(c)+1; g != w {
+		t.Errorf("%s = %d with one late response, want %d", c, g, w)
+	}
+}
+
+// TestDomainScanRowsMatchOneNameScans: the domain scan is one pass over
+// every (name, resolver) tuple, with one retry round for all names. Row
+// ni of it must equal a scan of names[ni] alone — the scan the engine ran
+// per name before — with and without faults. Each scan starts at the same
+// instant (SetTime resets the transport's attempt counter), so every
+// probe draws the fate it draws in the one-name scan; four workers
+// interleave the rows' pulls.
+func TestDomainScanRowsMatchOneNameScans(t *testing.T) {
+	ctx := context.Background()
+	names := domains.Names()
+	// "clean" is the zero fault configuration: no profile at all.
+	for _, profile := range []string{"clean", "hostile"} {
+		t.Run(profile, func(t *testing.T) {
+			w, mem := chaosWorld(t, 16, profile)
+			t.Cleanup(func() { mem.Close() })
+			s := New(mem, Options{Workers: 4, SettleDelay: NoSettle})
+			at := wildnet.At(9)
+			mem.SetTime(at)
+			census, err := s.SweepContext(ctx, 16, 21, w.ScanBlacklist())
+			if err != nil {
+				t.Fatal(err)
+			}
+			resolvers := census.NOERROR()
+			mem.SetTime(at)
+			all, err := s.ScanDomainsContext(ctx, resolvers, names)
+			if err != nil {
+				t.Fatal(err)
+			}
+			answered := 0
+			for ni, name := range names {
+				mem.SetTime(at)
+				one, err := s.ScanDomainsContext(ctx, resolvers, names[ni:ni+1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				for ri := range resolvers {
+					if g, w := all.Answers[ni][ri], one.Answers[0][ri]; !reflect.DeepEqual(g, w) {
+						t.Errorf("%s at resolver %d: all names %+v, alone %+v", name, ri, g, w)
+					}
+					if one.Answers[0][ri].Answered() {
+						answered++
+					}
+				}
+			}
+			if answered < len(names)*len(resolvers)/2 {
+				t.Errorf("only %d of %d tuples answered", answered, len(names)*len(resolvers))
+			}
+		})
+	}
+}
+
+// heldTransport hands the inner transport each receiver through an
+// allocation of its own whose collection closes freed, so a test can see
+// whether the transport still holds what the last scan installed — and,
+// through it, that scan's collector.
+type heldTransport struct {
+	Transport
+	freed chan struct{}
+}
+
+type heldReceiver struct {
+	f func(src netip4, srcPort, dstPort uint16, payload []byte)
+}
+
+func (h *heldTransport) SetReceiver(f func(src netip4, srcPort, dstPort uint16, payload []byte)) {
+	if f == nil {
+		h.Transport.SetReceiver(nil)
+		return
+	}
+	r := &heldReceiver{f}
+	freed := make(chan struct{})
+	h.freed = freed
+	runtime.SetFinalizer(r, func(*heldReceiver) { close(freed) })
+	h.Transport.SetReceiver(func(src netip4, srcPort, dstPort uint16, payload []byte) {
+		r.f(src, srcPort, dstPort, payload)
+	})
+}
+
+// awaitCollected runs the collector until freed is closed.
+func awaitCollected(t *testing.T, what string, freed <-chan struct{}) {
+	t.Helper()
+	for i := 0; i < 50; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Errorf("%s is still reachable from the transport after the scan returned", what)
+}
+
+// TestReturnedScansLeaveNothingOnTheTransport: a scan's receiver binds its
+// collector — the sweep's sharded map, the domain scan's rows — and the
+// transport holds the receiver until the next SetReceiver. Every scan
+// uninstalls it on return, so while the Scanner and its transport live, a
+// returned sweep's collector and a domain result the caller dropped are
+// garbage.
+func TestReturnedScansLeaveNothingOnTheTransport(t *testing.T) {
+	ctx := context.Background()
+	w, mem := testWorld(t, 14)
+	t.Cleanup(func() { mem.Close() })
+	tr := &heldTransport{Transport: mem}
+	s := New(tr, Options{Workers: 2, SettleDelay: NoSettle})
+	census, err := s.SweepContext(ctx, 14, 1, w.ScanBlacklist())
+	if err != nil {
+		t.Fatal(err)
+	}
+	awaitCollected(t, "the sweep's receiver", tr.freed)
+
+	res, err := s.ScanDomainsContext(ctx, census.NOERROR(), []string{"chase.com", "qq.com"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make(chan struct{})
+	runtime.SetFinalizer(&res.Answers[0][0], func(*TupleAnswer) { close(rows) })
+	res = nil
+	awaitCollected(t, "the domain scan's receiver", tr.freed)
+	awaitCollected(t, "the domain scan's result", rows)
+	runtime.KeepAlive(s)
+}
+
+// TestTupleAnswerIs64Bytes: a domain scan holds one TupleAnswer per
+// (name, resolver) tuple, a quarter of a million at order 18, so its
+// layout is part of the scan's memory cost.
+func TestTupleAnswerIs64Bytes(t *testing.T) {
+	if size := reflect.TypeOf(TupleAnswer{}).Size(); size != 64 {
+		t.Errorf("TupleAnswer is %d bytes, want 64", size)
 	}
 }
 
@@ -166,6 +309,34 @@ func BenchmarkDomainRound(b *testing.B) {
 	b.StopTimer()
 	runtime.ReadMemStats(&ms)
 	tuples := float64(b.N) * float64(len(resolvers))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/tuples, "ns/tuple")
+	b.ReportMetric(float64(ms.Mallocs-mallocs)/tuples, "allocs/tuple")
+	b.ReportMetric(float64(len(resolvers)), "resolvers")
+}
+
+// BenchmarkDomainScan runs the whole domain scan (one op) — every name of
+// the scan list over an order-16 census's NOERROR resolvers, on the
+// engine's default eight workers, one pass over all the tuples and its
+// retry round. Beside BenchmarkDomainRound's one name on one worker,
+// ns/tuple here includes what the senders' fan-out and join cost.
+func BenchmarkDomainScan(b *testing.B) {
+	_, s, resolvers := snoopCensus(b, 8)
+	ctx := context.Background()
+	names := domains.Names()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	mallocs := ms.Mallocs
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if sinkDomains, err = s.ScanDomainsContext(ctx, resolvers, names); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&ms)
+	tuples := float64(b.N) * float64(len(resolvers)) * float64(len(names))
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/tuples, "ns/tuple")
 	b.ReportMetric(float64(ms.Mallocs-mallocs)/tuples, "allocs/tuple")
 	b.ReportMetric(float64(len(resolvers)), "resolvers")

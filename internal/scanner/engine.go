@@ -30,15 +30,23 @@ type targetSource interface {
 	Reset()
 }
 
-// listSource walks the indices 0..n-1 of an address list in order.
-type listSource struct{ n, next uint32 }
+// listSource walks the indices 0..n-1 of a list in order, cut into rows
+// of row items: a pull never crosses a row's end. A plain address list is
+// one row (row = n); a domain scan's rows are its names, one item per
+// resolver, so its pulls are exactly the ones a scan of each name alone
+// would cut.
+type listSource struct{ n, row, next uint32 }
 
 // NextBatch implements targetSource.
 //
 //lint:hotpath per-probe index generation for list scans
 func (l *listSource) NextBatch(dst []uint32) int {
+	if l.next >= l.n {
+		return 0
+	}
+	end := min(l.n, (l.next/l.row+1)*l.row)
 	n := 0
-	for n < len(dst) && l.next < l.n {
+	for n < len(dst) && l.next < end {
 		dst[n] = l.next
 		l.next++
 		n++
@@ -55,9 +63,9 @@ func (l *listSource) Reset() { l.next = 0 }
 // bounding how far ahead of the others any worker can run.
 const streamBatch = 256
 
-// listPull is how many indices a worker pulls from an n-item list at a
-// time: a thirty-second of the list, so a name round of a few thousand
-// resolvers still spreads over every worker, within [8, streamBatch]. It
+// listPull is how many indices a worker pulls from an n-item list (or
+// list row) at a time: a thirty-second of it, so a domain-scan row of a
+// few thousand resolvers spans many pulls, within [8, streamBatch]. It
 // is a function of n alone — pulls cut the batches, so a size derived
 // from Workers or GOMAXPROCS would make transport.batch.size depend on
 // the machine.
@@ -259,12 +267,12 @@ func (s *Scanner) sendRound(ctx context.Context, r *scanRun) error {
 	return nil
 }
 
-// listScan runs the engine over the indices of an n-item list: every index
-// is probed once, then up to `rounds` retry rounds cover the ones miss
-// still reports (miss may be nil when rounds is 0).
+// listScan runs the engine over the indices of an n-item list, one row:
+// every index is probed once, then up to `rounds` retry rounds cover the
+// ones miss still reports (miss may be nil when rounds is 0).
 func (s *Scanner) listScan(ctx context.Context, n, rounds int, ctr senderCounters, build probeBuild, miss func(i uint32) bool) error {
 	return s.run(ctx, &scanRun{
-		src:    &listSource{n: uint32(n)},
+		src:    &listSource{n: uint32(n), row: uint32(n)},
 		chunk:  listPull(n),
 		rounds: rounds,
 		build:  func(int) probeBuild { return build },

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"net/netip"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -38,7 +39,8 @@ func (tr *inspectTransport) Close() error { return nil }
 // encoder packs from the 0x20-cased string — the form the benchmark's
 // traced replay still sends — on the source port that carries the same
 // nine bits. Four workers share the buffer pool, so a buffer handed back
-// too early would surface here as a torn payload.
+// too early would surface here as a torn payload. The names share one
+// pass, so the question (case-folded) names the probe's row.
 func TestDomainScanQueriesMatchMessageForm(t *testing.T) {
 	const addrBase = 0x0B000000
 	// Past 2^16 resolvers the port index, and with it the casing, moves.
@@ -48,13 +50,22 @@ func TestDomainScanQueriesMatchMessageForm(t *testing.T) {
 	}
 	// A name with fewer than nine letters takes fewer bits.
 	names := []string{"qq.com", "thepiratebay.se", "update.adobe.example"}
-	var sends atomic.Int64
+	var sends [3]atomic.Int64
 	tr := &inspectTransport{}
 	tr.check = func(dst uint32, srcPort uint16, payload []byte) {
-		// Nothing answers, so every name costs its round and one retry
-		// round of identical probes; the rounds are barriered, which
-		// lets the send count name the round.
-		name := names[int(sends.Add(1)-1)/(2*len(resolvers))]
+		v := dnswire.GetView()
+		defer dnswire.PutView(v)
+		if err := v.Reset(payload); err != nil {
+			t.Error(err)
+			return
+		}
+		ni := slices.IndexFunc(names, v.QNameIs)
+		if ni < 0 {
+			t.Errorf("probe %x asks for no scanned name", payload)
+			return
+		}
+		sends[ni].Add(1)
+		name := names[ni]
 		txid, portIdx := dnswire.SplitProbeID(dnswire.ProbeID(dst - addrBase))
 		qname, _ := dnswire.Encode0x20(name, uint32(portIdx), 9)
 		want, err := dnswire.NewQuery(txid, qname, dnswire.TypeA, dnswire.ClassIN).PackBytes()
@@ -71,8 +82,21 @@ func TestDomainScanQueriesMatchMessageForm(t *testing.T) {
 	if _, err := sc.ScanDomainsContext(context.Background(), resolvers, names); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := sends.Load(), int64(2*len(resolvers)*len(names)); got != want {
-		t.Fatalf("%d probes sent, want %d", got, want)
+	// Nothing answers, so every tuple is probed twice: its first pass
+	// and the retry round.
+	for ni, name := range names {
+		if got, want := sends[ni].Load(), int64(2*len(resolvers)); got != want {
+			t.Errorf("%s: %d probes sent, want %d", name, got, want)
+		}
+	}
+
+	// A name that cannot be encoded, or one that repeats another under
+	// DNS case folding, fails the scan before any probe leaves.
+	tr.check = func(uint32, uint16, []byte) { t.Error("a refused domain scan sent a probe") }
+	for _, bad := range [][]string{{"qq.com", "a..b"}, {"qq.com", "QQ.com."}} {
+		if _, err := sc.ScanDomainsContext(context.Background(), resolvers, bad); err == nil {
+			t.Errorf("domain scan of %q returned no error", bad)
+		}
 	}
 }
 

@@ -26,9 +26,10 @@ type scanMetrics struct {
 	snoopRecv, anyRecv     *metrics.Counter
 	probeSent, probeRecv   *metrics.Counter
 	// domainsUnattributed counts domain-scan responses dropped before
-	// domainsRecv because no resolver can be named for them: a rewritten
-	// port under a question with fewer than nine letters, or a recovered
-	// identifier beyond the resolver list. With it the stage reconciles:
+	// domainsRecv because no tuple can be named for them: a question
+	// outside the scan's names, a rewritten port under a question with
+	// fewer than nine letters, or a recovered identifier beyond the
+	// resolver list. With it the stage reconciles:
 	// wildnet.send.answered ≤ domains.recv + domains.unattributed.
 	domainsUnattributed *metrics.Counter
 	// retryRound counts retry rounds that actually retransmitted;

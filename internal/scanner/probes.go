@@ -39,6 +39,7 @@ func (s *Scanner) ProbeAliveContext(ctx context.Context, addrs []uint32) (map[ui
 		s.m.aliveRecv.Inc()
 		collected.InsertOnce(target, true)
 	})
+	defer s.tr.SetReceiver(nil)
 	err = s.listScan(ctx, len(addrs), listRetries, s.m.alive, aliveBuild(addrs, baseWire),
 		func(i uint32) bool {
 			_, ok := collected.Get(addrs[i])

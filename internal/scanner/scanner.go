@@ -11,10 +11,11 @@
 // loopback gateway.
 //
 // Every entrypoint takes a context. The scans (SweepContext,
-// ScanDomainsContext, ...) abort between send batches, between retry
-// rounds, and during settle waits, and all run on the one round loop in
+// ScanDomainsContext, ...) abort between send batches, between rounds,
+// and during settle waits, and all run on the one round loop in
 // engine.go; a single exchange (ProbeContext and the lookups over it) is
-// one batch of one.
+// one batch of one. A query name that cannot be encoded fails a scan
+// before any probe is sent, and a returning scan uninstalls its receiver.
 package scanner
 
 import (

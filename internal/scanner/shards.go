@@ -139,8 +139,8 @@ func (s *stripedMutex) of(key uint32) *sync.Mutex {
 	return &s.locks[shardOf(key)].Mutex
 }
 
-// answerSlots counts the responses to each probe of a domain-scan name
-// round without a lock. A receiver claims its probe's slot (claim returns
+// answerSlots counts the responses to each probe of a domain scan, one
+// slot per (name, resolver) tuple, without a lock. A receiver claims its probe's slot (claim returns
 // 1 for the first response, 2 for the second, and so on), writes what
 // that response records into the probe's own fields, and then publishes.
 // The scan reads published counts only — the miss check and the copy into

@@ -100,6 +100,7 @@ func (s *Scanner) SnoopRoundContext(ctx context.Context, resolvers []uint32, tld
 		out[i] = obs
 		mu.Unlock()
 	})
+	defer s.tr.SetReceiver(nil)
 	// One probe per resolver, no retry rounds: every probe is lent the
 	// round's one query.
 	err = s.listScan(ctx, len(resolvers), 0, s.m.snoop,

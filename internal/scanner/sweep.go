@@ -161,11 +161,14 @@ func (s *Scanner) SweepContext(ctx context.Context, order uint, seed uint32, bl 
 	}
 	st := newSweepCollector(domains.ScanBase, int(uint64(1)<<order/64))
 	st.recv = s.m.sweepRecv
-	s.tr.SetReceiver(st.receive)
 	baseWire, err := dnswire.EncodeNameWire(st.base)
 	if err != nil {
 		return nil, err
 	}
+	// The installed receiver binds the collector; it goes with the
+	// return, so a returned sweep leaves nothing on the transport.
+	s.tr.SetReceiver(st.receive)
+	defer s.tr.SetReceiver(nil)
 	run := &scanRun{
 		src:    gen,
 		chunk:  streamBatch,
@@ -231,6 +234,7 @@ func (s *Scanner) ProbeContext(ctx context.Context, addr uint32, name string, ty
 			mu.Unlock()
 		}
 	})
+	defer s.tr.SetReceiver(nil)
 	s.m.probeSent.Inc()
 	//lint:allow errdrop single-exchange send failures are modeled packet loss
 	s.tr.SendBatch(ctx, []wildnet.Probe{{Dst: lfsr.U32ToAddr(addr), DstPort: 53, SrcPort: basePort, Payload: wire}})

@@ -39,7 +39,9 @@ type Transport interface {
 	// before the first SendBatch. The callback may run concurrently, and
 	// must not retain payload after returning: the in-memory transport
 	// packs responses into pooled buffers that are reused for later
-	// deliveries.
+	// deliveries. A nil callback uninstalls the previous one: later
+	// responses are dropped, and the transport keeps nothing the old
+	// callback reached.
 	SetReceiver(func(src netip.Addr, srcPort, dstPort uint16, payload []byte))
 	// Close releases resources; no callbacks run after Close returns.
 	Close() error
@@ -108,8 +110,13 @@ func (m *MemTransport) Time() Time {
 	return m.clock
 }
 
-// SetReceiver implements Transport.
+// SetReceiver implements Transport. A nil f stores nil, not a pointer to
+// a nil func, so deliveries check one pointer and drop.
 func (m *MemTransport) SetReceiver(f func(src netip.Addr, srcPort, dstPort uint16, payload []byte)) {
+	if f == nil {
+		m.recv.Store(nil)
+		return
+	}
 	m.recv.Store(&f)
 }
 

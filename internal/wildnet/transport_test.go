@@ -56,6 +56,16 @@ func TestMemTransportRoundTrip(t *testing.T) {
 	if got[0].Header.ID != 99 || len(got[0].Answers) == 0 {
 		t.Errorf("response = %v", got[0])
 	}
+	// A nil receiver uninstalls: the exchange that answered above, sent
+	// again in the same minute, is dropped now, not handed to a nil func.
+	n := len(got)
+	tr.SetReceiver(nil)
+	if err := sendOne(context.Background(), tr, w.Addr(u), 53, 40000, wire); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != n {
+		t.Errorf("%d responses delivered after SetReceiver(nil)", len(got)-n)
+	}
 }
 
 func TestMemTransportClosed(t *testing.T) {
