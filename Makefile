@@ -98,10 +98,15 @@ record:
 	$(REPORT) > sample_report.txt
 	$(MARKDOWN) > EXPERIMENTS_TABLE.md
 
-# Every program under examples/ must run to completion (a few seconds
-# each); a new example is picked up without touching this file.
+# Every program under examples/ must run to completion (under a second
+# each) and print the same bytes on a second run; a new example is picked
+# up without touching this file.
 examples:
-	set -e; for d in examples/*/; do $(GO) run ./$$d; done
+	set -e; out=$$(mktemp -d); trap 'rm -rf "$$out"' EXIT; \
+	for d in examples/*/; do \
+		$(GO) run ./$$d > $$out/first; $(GO) run ./$$d > $$out/second; \
+		cmp $$out/first $$out/second || { echo "$$d printed different bytes on two runs"; exit 1; }; \
+	done
 
 clean:
 	$(GO) clean ./...

@@ -16,9 +16,11 @@ import (
 	"goingwild/internal/core"
 	"goingwild/internal/dnswire"
 	"goingwild/internal/domains"
+	"goingwild/internal/fingerprint"
 	"goingwild/internal/geodb"
 	"goingwild/internal/htmlx"
 	"goingwild/internal/lfsr"
+	"goingwild/internal/snoop"
 	"goingwild/internal/websim"
 	"goingwild/internal/wildnet"
 )
@@ -33,6 +35,25 @@ func benchStudy(b *testing.B, order uint) *core.Study {
 	return s
 }
 
+// run runs the one experiment add puts on a fresh plan of s and returns
+// its result and the plan, whose census it read.
+func run[T any](b *testing.B, s *core.Study, add func(*core.Plan) *core.Out[T]) (T, *core.Plan) {
+	b.Helper()
+	p := s.NewPlan()
+	out := add(p)
+	if err := p.Run(context.Background()); err != nil {
+		b.Fatal(err)
+	}
+	return out.V, p
+}
+
+// domainStudy runs steps ❶–❻ at week 50 for cats (nil: all 13).
+func domainStudy(b *testing.B, s *core.Study, cats []domains.Category) *core.DomainStudyResult {
+	b.Helper()
+	res, _ := run(b, s, func(p *core.Plan) *core.Out[*core.DomainStudyResult] { return p.DomainStudy(50, cats) })
+	return res
+}
+
 // BenchmarkFigure1WeeklyScans regenerates E1: the weekly responder series
 // with its NOERROR/REFUSED/SERVFAIL breakdown.
 func BenchmarkFigure1WeeklyScans(b *testing.B) {
@@ -45,10 +66,7 @@ func BenchmarkFigure1WeeklyScans(b *testing.B) {
 	defer s.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		series, err := s.RunWeeklySeriesContext(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
+		series, _ := run(b, s, func(p *core.Plan) *core.Out[*churn.Series] { return p.WeeklySeries(nil) })
 		if series.First().Total == 0 {
 			b.Fatal("empty scan")
 		}
@@ -105,14 +123,11 @@ func endpointSeries(b *testing.B, s *core.Study) *churn.Series {
 func BenchmarkTable3ChaosFingerprint(b *testing.B) {
 	s := benchStudy(b, 17)
 	for i := 0; i < b.N; i++ {
-		survey, n, err := s.RunChaosContext(context.Background(), 46)
-		if err != nil {
-			b.Fatal(err)
-		}
+		survey, p := run(b, s, func(p *core.Plan) *core.Out[*fingerprint.ChaosSurvey] { return p.Chaos(46) })
 		if survey.Responded == 0 {
 			b.Fatal("no responders")
 		}
-		b.ReportMetric(float64(n), "resolvers")
+		b.ReportMetric(float64(len(p.Census(46).Resolvers)), "resolvers")
 		b.ReportMetric(100*survey.VersionedShare(), "versioned_pct")
 	}
 }
@@ -122,10 +137,7 @@ func BenchmarkTable3ChaosFingerprint(b *testing.B) {
 func BenchmarkTable4DeviceFingerprint(b *testing.B) {
 	s := benchStudy(b, 17)
 	for i := 0; i < b.N; i++ {
-		survey, err := s.RunDevicesContext(context.Background(), 46)
-		if err != nil {
-			b.Fatal(err)
-		}
+		survey, _ := run(b, s, func(p *core.Plan) *core.Out[*fingerprint.DeviceSurvey] { return p.Devices(46) })
 		if survey.Responsive == 0 {
 			b.Fatal("no banners")
 		}
@@ -137,10 +149,7 @@ func BenchmarkTable4DeviceFingerprint(b *testing.B) {
 func BenchmarkFigure2IPChurn(b *testing.B) {
 	s := benchStudy(b, 16)
 	for i := 0; i < b.N; i++ {
-		study, err := s.RunCohortStudyContext(context.Background(), 8)
-		if err != nil {
-			b.Fatal(err)
-		}
+		study, _ := run(b, s, func(p *core.Plan) *core.Out[*churn.CohortStudy] { return p.Cohort(8) })
 		b.ReportMetric(100*study.Day1Survival, "day1_pct")
 	}
 }
@@ -150,10 +159,7 @@ func BenchmarkFigure2IPChurn(b *testing.B) {
 func BenchmarkUtilizationSnooping(b *testing.B) {
 	s := benchStudy(b, 15)
 	for i := 0; i < b.N; i++ {
-		res, err := s.RunUtilizationContext(context.Background(), 43)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res, _ := run(b, s, func(p *core.Plan) *core.Out[*snoop.Result] { return p.Utilization(43) })
 		b.ReportMetric(100*float64(res.Responded)/float64(res.Scanned), "responded_pct")
 	}
 }
@@ -163,10 +169,7 @@ func BenchmarkUtilizationSnooping(b *testing.B) {
 func BenchmarkPrefiltering(b *testing.B) {
 	s := benchStudy(b, 16)
 	for i := 0; i < b.N; i++ {
-		res, err := s.RunDomainStudyContext(context.Background(), 50, []domains.Category{domains.Banking, domains.NX})
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := domainStudy(b, s, []domains.Category{domains.Banking, domains.NX})
 		b.ReportMetric(float64(len(res.Pre.Unexpected)), "unexpected_tuples")
 	}
 }
@@ -176,12 +179,9 @@ func BenchmarkPrefiltering(b *testing.B) {
 func BenchmarkTable5Classification(b *testing.B) {
 	s := benchStudy(b, 16)
 	for i := 0; i < b.N; i++ {
-		res, err := s.RunDomainStudyContext(context.Background(), 50, []domains.Category{
+		res := domainStudy(b, s, []domains.Category{
 			domains.Adult, domains.Gambling, domains.NX, domains.Banking,
 		})
-		if err != nil {
-			b.Fatal(err)
-		}
 		b.ReportMetric(float64(res.Report.Clusters), "clusters")
 	}
 }
@@ -191,10 +191,7 @@ func BenchmarkTable5Classification(b *testing.B) {
 func BenchmarkFigure4CensorshipGeo(b *testing.B) {
 	s := benchStudy(b, 17)
 	for i := 0; i < b.N; i++ {
-		res, err := s.RunDomainStudyContext(context.Background(), 50, []domains.Category{domains.Alexa})
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := domainStudy(b, s, []domains.Category{domains.Alexa})
 		b.ReportMetric(100*res.Fig4.Unexpected["CN"], "cn_pct")
 	}
 }
@@ -203,12 +200,9 @@ func BenchmarkFigure4CensorshipGeo(b *testing.B) {
 func BenchmarkCaseStudies(b *testing.B) {
 	s := benchStudy(b, 16)
 	for i := 0; i < b.N; i++ {
-		res, err := s.RunDomainStudyContext(context.Background(), 50, []domains.Category{
+		res := domainStudy(b, s, []domains.Category{
 			domains.Ads, domains.Banking, domains.MX, domains.Misc,
 		})
-		if err != nil {
-			b.Fatal(err)
-		}
 		cs := res.Report.Cases
 		b.ReportMetric(float64(cs.ProxyPlainResolvers), "proxy_resolvers")
 	}
@@ -219,10 +213,7 @@ func BenchmarkCaseStudies(b *testing.B) {
 func BenchmarkFullPipeline(b *testing.B) {
 	s := benchStudy(b, 16)
 	for i := 0; i < b.N; i++ {
-		res, err := s.RunDomainStudyContext(context.Background(), 50, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := domainStudy(b, s, nil)
 		if res.Report.PairCount == 0 {
 			b.Fatal("no pairs")
 		}
@@ -235,10 +226,7 @@ func BenchmarkFullPipeline(b *testing.B) {
 func BenchmarkScanVerification(b *testing.B) {
 	s := benchStudy(b, 17)
 	for i := 0; i < b.N; i++ {
-		v, err := s.RunVerificationContext(context.Background(), 50)
-		if err != nil {
-			b.Fatal(err)
-		}
+		v, _ := run(b, s, func(p *core.Plan) *core.Out[*core.VerificationResult] { return p.Verification(50) })
 		b.ReportMetric(float64(v.OnlySecondary), "only_secondary")
 	}
 }
@@ -380,10 +368,7 @@ func BenchmarkHTMLExtract(b *testing.B) {
 // must be negligible next to measurement).
 func BenchmarkRenderReports(b *testing.B) {
 	s := benchStudy(b, 16)
-	survey, _, err := s.RunChaosContext(context.Background(), 46)
-	if err != nil {
-		b.Fatal(err)
-	}
+	survey, _ := run(b, s, func(p *core.Plan) *core.Out[*fingerprint.ChaosSurvey] { return p.Chaos(46) })
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if out := analysis.RenderTable3(survey, 10); len(out) == 0 {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"net/netip"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -218,15 +219,7 @@ func TestExportIsTheCensusArtifact(t *testing.T) {
 	}
 	sweep := &scanner.SweepResult{Probed: art.Probed, ByRCode: map[dnswire.RCode]int{}, Responders: make([]scanner.Responder, len(art.Responders))}
 	for i, r := range art.Responders {
-		addr, err := lfsr.ParseU32(r.Addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		src, err := lfsr.ParseU32(r.Source)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sweep.Responders[i] = scanner.Responder{Addr: addr, Source: src, RCode: dnswire.RCode(r.RCode), Answered: r.Answered}
+		sweep.Responders[i] = scanner.Responder{Addr: parseIPv4(t, r.Addr), Source: parseIPv4(t, r.Source), RCode: dnswire.RCode(r.RCode), Answered: r.Answered}
 		sweep.ByRCode[dnswire.RCode(r.RCode)]++
 	}
 	if got := renderCensus(sweep); got != census {
@@ -235,4 +228,15 @@ func TestExportIsTheCensusArtifact(t *testing.T) {
 	if fi, err := os.Stat(filepath.Join(dir, "tuples.jsonl")); err != nil || fi.Size() == 0 {
 		t.Errorf("tuples.jsonl: %v (err %v), want a non-empty file", fi, err)
 	}
+}
+
+// parseIPv4 reverses lfsr.U32ToAddr(u).String(): a dotted quad and
+// nothing else.
+func parseIPv4(t *testing.T, s string) uint32 {
+	t.Helper()
+	a, err := netip.ParseAddr(s)
+	if err != nil || !a.Is4() {
+		t.Fatalf("%q is not an IPv4 address (%v)", s, err)
+	}
+	return lfsr.AddrToU32(a)
 }

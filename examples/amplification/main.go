@@ -22,11 +22,13 @@ func main() {
 	defer study.Close()
 	ctx := context.Background()
 
-	survey, scanned, err := study.RunAmplificationContext(ctx, 50, "chase.com")
-	if err != nil {
+	p := study.NewPlan()
+	amp := p.Amplification(50, "chase.com")
+	if err := p.Run(ctx); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println(analysis.RenderAmplification(survey, scanned))
+	survey := amp.V
+	fmt.Println(analysis.RenderAmplification(survey, len(p.Census(50).Resolvers)))
 
 	// The harvest list an attacker would build: top amplifiers first.
 	ms := survey.Measurements

@@ -25,10 +25,12 @@ func main() {
 	defer study.Close()
 	ctx := context.Background()
 
-	res, err := study.RunDomainStudyContext(ctx, 50, []goingwild.Category{domains.Alexa, domains.Adult})
-	if err != nil {
+	p := study.NewPlan()
+	out := p.DomainStudy(50, []goingwild.Category{domains.Alexa, domains.Adult})
+	if err := p.Run(ctx); err != nil {
 		log.Fatal(err)
 	}
+	res := out.V
 
 	fmt.Println(analysis.RenderFigure4(res.Fig4))
 
@@ -47,7 +49,12 @@ func main() {
 				rows = append(rows, row{cc, v})
 			}
 		}
-		sort.Slice(rows, func(i, j int) bool { return rows[i].v > rows[j].v })
+		sort.Slice(rows, func(i, j int) bool {
+			if rows[i].v != rows[j].v {
+				return rows[i].v > rows[j].v
+			}
+			return rows[i].cc < rows[j].cc
+		})
 		fmt.Printf("censorship compliance for %s:\n", name)
 		for _, r := range rows {
 			fmt.Printf("  %-3s %5.1f%% of the country's resolvers\n", r.cc, 100*r.v)

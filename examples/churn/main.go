@@ -25,23 +25,14 @@ func main() {
 	ctx := context.Background()
 	scale := goingwild.ScaleOf(study)
 
-	series, err := study.RunWeeklySeriesContext(ctx)
-	if err != nil {
+	p := study.NewPlan()
+	series, cohort, util := p.WeeklySeries(nil), p.Cohort(10), p.Utilization(43)
+	if err := p.Run(ctx); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println(analysis.RenderFigure1(series, scale))
-	fmt.Println(analysis.RenderTable1(series, scale, 10))
-	fmt.Println(analysis.RenderTable2(series, scale))
-
-	cohort, err := study.RunCohortStudyContext(ctx, 10)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println(analysis.RenderFigure2(cohort))
-
-	util, err := study.RunUtilizationContext(ctx, 43)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println(analysis.RenderUtilization(util))
+	fmt.Println(analysis.RenderFigure1(series.V, scale))
+	fmt.Println(analysis.RenderTable1(series.V, scale, 10))
+	fmt.Println(analysis.RenderTable2(series.V, scale))
+	fmt.Println(analysis.RenderFigure2(cohort.V))
+	fmt.Println(analysis.RenderUtilization(util.V))
 }

@@ -24,13 +24,13 @@ func main() {
 	defer study.Close()
 	ctx := context.Background()
 
-	for _, name := range []string{"wikileaks.org", "facebook.com"} {
-		res, err := study.RunDNSSECRaceContext(ctx, 50, "CN", name)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(analysis.RenderDNSSECRace(res))
+	p := study.NewPlan()
+	signed, unsigned := p.DNSSECRace(50, "CN", "wikileaks.org"), p.DNSSECRace(50, "CN", "facebook.com")
+	if err := p.Run(ctx); err != nil {
+		log.Fatal(err)
 	}
+	fmt.Println(analysis.RenderDNSSECRace(signed.V))
+	fmt.Println(analysis.RenderDNSSECRace(unsigned.V))
 
 	fmt.Println("The validate-and-wait strategy only helps when the client already")
 	fmt.Println("knows the zone is signed (§5) — otherwise the unsigned fallback")

@@ -8,6 +8,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"sort"
 
 	"goingwild"
 
@@ -23,27 +24,30 @@ func main() {
 	defer study.Close()
 	ctx := context.Background()
 
-	// Dec 17, 2014 is week 46 of the study.
-	chaos, n, err := study.RunChaosContext(ctx, 46)
-	if err != nil {
+	// Dec 17, 2014 is week 46 of the study; both surveys read its census.
+	p := study.NewPlan()
+	chaos, devices := p.Chaos(46), p.Devices(46)
+	if err := p.Run(ctx); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("CHAOS scan over %d NOERROR resolvers (device DB: %d expressions)\n\n",
-		n, fingerprint.RuleCount())
-	fmt.Println(analysis.RenderTable3(chaos, 10))
+		len(p.Census(46).Resolvers), fingerprint.RuleCount())
+	fmt.Println(analysis.RenderTable3(chaos.V, 10))
+	fmt.Println(analysis.RenderTable4(devices.V))
 
-	devices, err := study.RunDevicesContext(ctx, 46)
-	if err != nil {
-		log.Fatal(err)
+	count := devices.V.Labels
+	labels := make([]string, 0, len(count))
+	for label := range count {
+		labels = append(labels, label)
 	}
-	fmt.Println(analysis.RenderTable4(devices))
-
-	fmt.Println("most common fingerprinted models:")
-	shown := 0
-	for label, count := range devices.Labels {
-		fmt.Printf("  %-20s %d\n", label, count)
-		if shown++; shown >= 8 {
-			break
+	sort.Slice(labels, func(i, j int) bool {
+		if count[labels[i]] != count[labels[j]] {
+			return count[labels[i]] > count[labels[j]]
 		}
+		return labels[i] < labels[j]
+	})
+	fmt.Println("most common fingerprinted models:")
+	for _, label := range labels[:min(8, len(labels))] {
+		fmt.Printf("  %-20s %d\n", label, count[label])
 	}
 }

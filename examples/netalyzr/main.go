@@ -23,7 +23,12 @@ func main() {
 	}
 	defer study.Close()
 
-	s := study.RunNetalyzr(context.Background(), 50, 1200)
+	p := study.NewPlan()
+	nz := p.Netalyzr(50, 1200)
+	if err := p.Run(context.Background()); err != nil {
+		log.Fatal(err)
+	}
+	s := nz.V
 	fmt.Println(analysis.RenderNetalyzr(s))
 
 	// Where do the monetizing ISPs sit?
@@ -46,7 +51,12 @@ func main() {
 			rows = append(rows, row{cc, float64(n) / float64(sessionsByCountry[cc]), n})
 		}
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].rate > rows[j].rate })
+	sort.Slice(rows, func(i, j int) bool {
+		if rows[i].rate != rows[j].rate {
+			return rows[i].rate > rows[j].rate
+		}
+		return rows[i].cc < rows[j].cc
+	})
 	fmt.Println("NXDOMAIN monetization by country (≥20 sessions):")
 	for i, r := range rows {
 		if i >= 8 {

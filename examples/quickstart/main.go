@@ -24,20 +24,18 @@ func main() {
 	defer study.Close()
 	ctx := context.Background()
 
-	// Step 1: the Internet-wide scan.
-	sweep, err := study.SweepAtContext(ctx, 50)
-	if err != nil {
+	// Step 1 is the Internet-wide scan; steps 2–6 (domain scan,
+	// prefilter, acquisition, clustering, labeling for the Banking and NX
+	// categories) follow it on the same plan and target its resolvers.
+	p := study.NewPlan()
+	census := p.Census(50)
+	out := p.DomainStudy(50, []goingwild.Category{domains.Banking, domains.NX})
+	if err := p.Run(ctx); err != nil {
 		log.Fatal(err)
 	}
+	sweep, res := census.Sweep, out.V
 	fmt.Printf("week-50 scan: %d responding DNS servers (≈%.1fM at paper scale)\n",
 		sweep.Total(), float64(sweep.Total())*study.World.ScaleFactor()/1e6)
-
-	// Steps 2–6: domain scan, prefilter, acquisition, clustering,
-	// labeling for the Banking and NX categories.
-	res, err := study.RunDomainStudyContext(ctx, 50, []goingwild.Category{domains.Banking, domains.NX})
-	if err != nil {
-		log.Fatal(err)
-	}
 	fmt.Println("\nProcessing chain:")
 	for _, st := range res.StageTrace {
 		fmt.Printf("  %-26s %d\n", st.Stage, st.Count)

@@ -4,16 +4,19 @@
 // Resolvers" (Kührer, Hupperich, Bushart, Rossow, Holz; IMC 2015),
 // running against a deterministic virtual IPv4 Internet.
 //
-// The typical entry point is a Study:
+// The typical entry point is a Study, and every experiment runs on one of
+// its plans:
 //
 //	study, err := goingwild.NewStudy(goingwild.DefaultConfig(20))
 //	if err != nil { ... }
 //	defer study.Close()
-//	series, err := study.RunWeeklySeriesContext(ctx)          // Figure 1, Tables 1–2
-//	result, err := study.RunDomainStudyContext(ctx, 50, nil)  // the Figure-3 chain
+//	p := study.NewPlan()
+//	series := p.WeeklySeries(nil)     // Figure 1, Tables 1–2
+//	result := p.DomainStudy(50, nil)  // the Figure-3 chain
+//	err = p.Run(ctx)                  // then read series.V, result.V
 //
-// Every study entry point takes a context and stops at the next stage
-// boundary or send batch once it is cancelled.
+// Plan.Run takes a context and stops at the next stage boundary or send
+// batch once it is cancelled.
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 // paper-vs-measured record of every table and figure.

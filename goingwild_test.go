@@ -26,10 +26,12 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if sweep.Total() == 0 {
 		t.Fatal("empty sweep through the facade")
 	}
-	res, err := study.RunDomainStudyContext(context.Background(), 50, []Category{domains.Dating})
-	if err != nil {
+	p := study.NewPlan()
+	out := p.DomainStudy(50, []Category{domains.Dating})
+	if err := p.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	res := out.V
 	if res.Report == nil || res.Pre == nil {
 		t.Fatalf("incomplete result: %+v", res)
 	}

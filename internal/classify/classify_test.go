@@ -98,14 +98,14 @@ func TestTable5Accumulator(t *testing.T) {
 	if c.Max != 0.8 || c.MaxDomain != "a.com" {
 		t.Errorf("censorship max = %f@%s", c.Max, c.MaxDomain)
 	}
-	if tb.DomainsIn(domains.Adult) != 2 {
-		t.Errorf("domains = %d", tb.DomainsIn(domains.Adult))
+	if n := len(tb.perDomain[domains.Adult]); n != 2 {
+		t.Errorf("domains = %d", n)
 	}
 	// Zero-denominator domains are ignored.
 	tb2 := NewTable5()
 	tb2.AddDomain(domains.Adult, "c.com", nil, 0)
 	tb2.Finalize()
-	if tb2.DomainsIn(domains.Adult) != 0 {
+	if len(tb2.perDomain[domains.Adult]) != 0 {
 		t.Error("empty domain counted")
 	}
 }

@@ -84,8 +84,3 @@ func (t *Table5) Share(cat domains.Category, l Label) Stat {
 	}
 	return Stat{}
 }
-
-// DomainsIn returns how many domains of a category contributed.
-func (t *Table5) DomainsIn(cat domains.Category) int {
-	return len(t.perDomain[cat])
-}

@@ -195,14 +195,6 @@ func TestModDistanceGroupsSimilarInjections(t *testing.T) {
 	}
 }
 
-func TestDendrogramRenders(t *testing.T) {
-	r := Agglomerate(4, func(i, j int) float64 { return 0.1 }, 1.0)
-	s := r.Dendrogram()
-	if s == "" {
-		t.Error("empty dendrogram")
-	}
-}
-
 func TestAgglomerateInvariantsProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := newDetRand(seed)

@@ -1,11 +1,9 @@
 package cluster
 
 import (
-	"fmt"
 	"math"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -41,25 +39,6 @@ func (r *Result) Members() [][]int {
 		out[c] = append(out[c], item)
 	}
 	return out
-}
-
-// Dendrogram renders the merge history as an indented text tree, largest
-// clusters first — the inspection aid hierarchical clustering buys.
-func (r *Result) Dendrogram() string {
-	var sb strings.Builder
-	members := r.Members()
-	order := make([]int, len(members))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(i, j int) bool { return len(members[order[i]]) > len(members[order[j]]) })
-	for _, c := range order {
-		fmt.Fprintf(&sb, "cluster %d: %d items\n", c, len(members[c]))
-	}
-	for _, m := range r.Merges {
-		fmt.Fprintf(&sb, "  merge %d+%d at %.3f -> size %d\n", m.A, m.B, m.Dist, m.Size)
-	}
-	return sb.String()
 }
 
 // Linkage selects how inter-cluster distance is updated after a merge

@@ -78,10 +78,12 @@ func TestDomainStudyReportDeterministicUnderFaults(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer s.Close()
-		res, err := s.RunDomainStudyContext(context.Background(), 3, nil)
-		if err != nil {
+		p := s.NewPlan()
+		out := p.DomainStudy(3, nil)
+		if err := p.Run(context.Background()); err != nil {
 			t.Fatal(err)
 		}
+		res := out.V
 		// fmt sorts map keys, so this is a canonical dump of the
 		// label matrix and the per-tuple labels.
 		return fmt.Sprintf("%+v\n%+v\n%+v", res.Report.Table5.Cells, res.Report.TupleLabels, res.Report.ModClusterSizes)

@@ -25,6 +25,18 @@ func newStudy(t testing.TB, order uint) *Study {
 	return s
 }
 
+// domainStudy runs steps ❶–❻ at week 50 for the given categories on a
+// plan of their own.
+func domainStudy(t testing.TB, s *Study, cats ...domains.Category) *DomainStudyResult {
+	t.Helper()
+	p := s.NewPlan()
+	res := p.DomainStudy(50, cats)
+	if err := p.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	return res.V
+}
+
 func TestTrustedResolveAndRDNSChannels(t *testing.T) {
 	s := newStudy(t, 16)
 	ctx := context.Background()
@@ -71,11 +83,12 @@ func TestCutShortLookupsAreNotCached(t *testing.T) {
 }
 
 func TestVerificationScanFindsBlockedNetworks(t *testing.T) {
-	s := newStudy(t, 17)
-	v, err := s.RunVerificationContext(context.Background(), 50)
-	if err != nil {
+	p := newStudy(t, 17).NewPlan()
+	out := p.Verification(50)
+	if err := p.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	v := out.V
 	if v.Primary == 0 || v.Secondary == 0 {
 		t.Fatalf("empty scans: %+v", v)
 	}
@@ -92,11 +105,7 @@ func TestVerificationScanFindsBlockedNetworks(t *testing.T) {
 }
 
 func TestDomainStudySmallCategories(t *testing.T) {
-	s := newStudy(t, 17)
-	res, err := s.RunDomainStudyContext(context.Background(), 50, []domains.Category{domains.Adult, domains.Gambling, domains.NX})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := domainStudy(t, newStudy(t, 17), domains.Adult, domains.Gambling, domains.NX)
 	if len(res.Resolvers) < 300 {
 		t.Fatalf("only %d resolvers", len(res.Resolvers))
 	}
@@ -145,10 +154,7 @@ func TestDomainStudySmallCategories(t *testing.T) {
 
 func TestDomainStudyCensorshipGeography(t *testing.T) {
 	s := newStudy(t, 18)
-	res, err := s.RunDomainStudyContext(context.Background(), 50, []domains.Category{domains.Alexa})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := domainStudy(t, s, domains.Alexa)
 	fig := res.Fig4
 	if fig.UnexpectedCount == 0 {
 		t.Fatal("no unexpected resolvers for the censored trio")
@@ -171,7 +177,7 @@ func TestDomainStudyCensorshipGeography(t *testing.T) {
 
 	// Per-country compliance: ≈99.7% of Chinese resolvers censor
 	// facebook.com.
-	cov := res.CensorCoverageFor(func(ri int) string {
+	cov := classify.CensorCoverage(res.Scan, res.Pre, func(ri int) string {
 		return s.World.Geo().LookupU32(res.Resolvers[ri]).Country
 	}, "facebook.com")
 	if cov["CN"] < 0.95 {
@@ -187,13 +193,7 @@ func TestDomainStudyCensorshipGeography(t *testing.T) {
 }
 
 func TestDomainStudyCaseStudies(t *testing.T) {
-	s := newStudy(t, 17)
-	res, err := s.RunDomainStudyContext(context.Background(), 50, []domains.Category{
-		domains.Ads, domains.Banking, domains.MX, domains.Misc,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := domainStudy(t, newStudy(t, 17), domains.Ads, domains.Banking, domains.MX, domains.Misc)
 	cs := res.Report.Cases
 	if cs.ProxyPlainIPs == 0 {
 		t.Error("no HTTP-only proxies detected")
@@ -223,32 +223,24 @@ func TestDomainStudyCaseStudies(t *testing.T) {
 }
 
 func TestChaosAndDeviceSurveysEndToEnd(t *testing.T) {
-	s := newStudy(t, 16)
-	chaos, n, err := s.RunChaosContext(context.Background(), 46)
-	if err != nil {
+	p := newStudy(t, 16).NewPlan()
+	chaos, dev := p.Chaos(46), p.Devices(46)
+	if err := p.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if n == 0 || chaos.Responded == 0 {
+	if n := len(p.Census(46).Resolvers); n == 0 || chaos.V.Responded == 0 {
 		t.Fatalf("chaos survey empty: n=%d", n)
 	}
-	if v := chaos.VersionedShare(); math.Abs(v-0.339) > 0.08 {
+	if v := chaos.V.VersionedShare(); math.Abs(v-0.339) > 0.08 {
 		t.Errorf("versioned share = %.3f", v)
 	}
-	dev, err := s.RunDevicesContext(context.Background(), 46)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dev.Responsive == 0 {
+	if dev.V.Responsive == 0 {
 		t.Fatal("device survey empty")
 	}
 }
 
 func TestStageTraceComplete(t *testing.T) {
-	s := newStudy(t, 16)
-	res, err := s.RunDomainStudyContext(context.Background(), 50, []domains.Category{domains.Dating})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := domainStudy(t, newStudy(t, 16), domains.Dating)
 	if len(res.StageTrace) != 7 {
 		t.Fatalf("stage trace = %+v", res.StageTrace)
 	}
@@ -260,13 +252,14 @@ func TestStageTraceComplete(t *testing.T) {
 }
 
 func TestDNSSECRaceExperiment(t *testing.T) {
-	s := newStudy(t, 18)
+	p := newStudy(t, 18).NewPlan()
 	// wikileaks.org is signed AND injected by the Chinese firewall:
-	// the exact §5 scenario.
-	res, err := s.RunDNSSECRaceContext(context.Background(), 50, "CN", "wikileaks.org")
-	if err != nil {
+	// the exact §5 scenario; facebook.com is injected but unsigned.
+	signed, unsigned := p.DNSSECRace(50, "CN", "wikileaks.org"), p.DNSSECRace(50, "CN", "facebook.com")
+	if err := p.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	res := signed.V
 	if !res.Signed {
 		t.Fatal("wikileaks.org not DNSSEC-signed in this world")
 	}
@@ -299,10 +292,7 @@ func TestDNSSECRaceExperiment(t *testing.T) {
 		t.Error("validated success should be the exception, not the rule")
 	}
 	// An unsigned injected domain cannot be protected at all.
-	un, err := s.RunDNSSECRaceContext(context.Background(), 50, "CN", "facebook.com")
-	if err != nil {
-		t.Fatal(err)
-	}
+	un := unsigned.V
 	if un.Signed {
 		t.Fatal("facebook.com unexpectedly signed")
 	}
@@ -328,11 +318,7 @@ func TestDNSSECSignedAnswerValidatesEndToEnd(t *testing.T) {
 }
 
 func TestFineGrainedModificationClustering(t *testing.T) {
-	s := newStudy(t, 17)
-	res, err := s.RunDomainStudyContext(context.Background(), 50, []domains.Category{domains.Banking})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := domainStudy(t, newStudy(t, 17), domains.Banking)
 	rep := res.Report
 	if rep.ModClusters == 0 {
 		t.Fatal("fine-grained stage produced no modification clusters")

@@ -134,9 +134,3 @@ func (p *Plan) DNSSECRace(week int, country, name string) *Out[*DNSSECRaceResult
 	})
 	return out
 }
-
-// RunDNSSECRaceContext probes every resolver of a country for one domain
-// and evaluates both client strategies.
-func (s *Study) RunDNSSECRaceContext(ctx context.Context, week int, country, name string) (*DNSSECRaceResult, error) {
-	return runOne(ctx, s, func(p *Plan) *Out[*DNSSECRaceResult] { return p.DNSSECRace(week, country, name) })
-}

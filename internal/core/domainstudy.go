@@ -137,15 +137,3 @@ func (p *Plan) DomainStudy(week int, cats []domains.Category) *Out[*DomainStudyR
 	})
 	return &Out[*DomainStudyResult]{V: res}
 }
-
-// RunDomainStudyContext executes steps ❶–❻ at the given week for the
-// given categories (nil means all 13).
-func (s *Study) RunDomainStudyContext(ctx context.Context, week int, cats []domains.Category) (*DomainStudyResult, error) {
-	return runOne(ctx, s, func(p *Plan) *Out[*DomainStudyResult] { return p.DomainStudy(week, cats) })
-}
-
-// CensorCoverageFor exposes the per-country compliance ratio for one
-// domain of a finished study.
-func (r *DomainStudyResult) CensorCoverageFor(country func(ri int) string, name string) map[string]float64 {
-	return classify.CensorCoverage(r.Scan, r.Pre, country, name)
-}

@@ -25,17 +25,6 @@ func (p *Plan) Amplification(week int, name string) *Out[*ampli.Survey] {
 	return out
 }
 
-// RunAmplificationContext runs the amplification survey and reports how
-// many resolvers it targeted.
-func (s *Study) RunAmplificationContext(ctx context.Context, week int, name string) (*ampli.Survey, int, error) {
-	p := s.NewPlan()
-	survey := p.Amplification(week, name)
-	if err := p.Run(ctx); err != nil {
-		return nil, 0, err
-	}
-	return survey.V, len(p.Census(week).Resolvers), nil
-}
-
 // Popularity adds the fine-grained minute-resolution cache probe (§2.6's
 // suggested follow-up) over the week's census.
 func (p *Plan) Popularity(week int) *Out[[]snoop.PopularityEstimate] {
@@ -53,40 +42,30 @@ func (p *Plan) Popularity(week int) *Out[[]snoop.PopularityEstimate] {
 	return out
 }
 
-// RunPopularityContext executes the minute-resolution cache probe.
-func (s *Study) RunPopularityContext(ctx context.Context, week int) ([]snoop.PopularityEstimate, error) {
-	return runOne(ctx, s, func(p *Plan) *Out[[]snoop.PopularityEstimate] { return p.Popularity(week) })
-}
-
-// Netalyzr adds RunNetalyzr as a stage.
+// Netalyzr adds the in-network volunteer-session study of Weaver et al.
+// against the world's *closed* ISP resolvers — the complementary vantage
+// §6 suggests combining with the open-resolver scans. It reads no census.
 func (p *Plan) Netalyzr(week, sessions int) *Out[*netalyzr.Study] {
-	out := &Out[*netalyzr.Study]{}
+	s, out := p.s, &Out[*netalyzr.Study]{}
+	isCDNAS := func(asn uint32) bool { return asn >= 7000 && asn < 7060 }
 	p.Add(pipeline.Stage{
 		Name: "netalyzr",
 		Run: func(ctx context.Context) ([]pipeline.Count, error) {
-			out.V = p.s.RunNetalyzr(ctx, week, sessions)
+			s.SetWeek(week)
+			out.V = netalyzr.Run(s.World, netalyzr.Config{
+				Sessions:       sessions,
+				Seed:           s.Cfg.Seed ^ 0x4E7ABC,
+				Week:           week,
+				ProbeNX:        "ghoogle.com",
+				ProbeDomains:   []string{"chase.com", "okcupid.com", domains.GroundTruth},
+				TrustedResolve: s.trustedResolver(ctx),
+				SameNeighborhood: func(a, b uint32) bool {
+					aa, ab := s.World.ASNOf(a), s.World.ASNOf(b)
+					return aa == ab || (isCDNAS(aa) && isCDNAS(ab))
+				},
+			})
 			return nil, ctx.Err()
 		},
 	})
 	return out
-}
-
-// RunNetalyzr simulates the in-network volunteer-session study of Weaver
-// et al. against the world's *closed* ISP resolvers — the complementary
-// vantage §6 suggests combining with the open-resolver scans.
-func (s *Study) RunNetalyzr(ctx context.Context, week, sessions int) *netalyzr.Study {
-	s.SetWeek(week)
-	isCDNAS := func(asn uint32) bool { return asn >= 7000 && asn < 7060 }
-	return netalyzr.Run(s.World, netalyzr.Config{
-		Sessions:       sessions,
-		Seed:           s.Cfg.Seed ^ 0x4E7ABC,
-		Week:           week,
-		ProbeNX:        "ghoogle.com",
-		ProbeDomains:   []string{"chase.com", "okcupid.com", domains.GroundTruth},
-		TrustedResolve: s.trustedResolver(ctx),
-		SameNeighborhood: func(a, b uint32) bool {
-			aa, ab := s.World.ASNOf(a), s.World.ASNOf(b)
-			return aa == ab || (isCDNAS(aa) && isCDNAS(ab))
-		},
-	})
 }

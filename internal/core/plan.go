@@ -66,17 +66,6 @@ func (p *Plan) Run(ctx context.Context) error {
 // stages that produce it.
 type Out[T any] struct{ V T }
 
-// runOne is the plan behind a Study.Run*Context method: one experiment.
-func runOne[T any](ctx context.Context, s *Study, add func(*Plan) *Out[T]) (T, error) {
-	p := s.NewPlan()
-	out := add(p)
-	if err := p.Run(ctx); err != nil {
-		var zero T
-		return zero, err
-	}
-	return out.V, nil
-}
-
 // Census is one week's "❶ full IPv4 scan", the input the week's
 // point-in-time experiments share: Stage is its stage's name, Sweep
 // is its result and Resolvers the NOERROR population every follow-up scan

@@ -64,11 +64,24 @@ func planStudy(t *testing.T, profile string, order uint, weeks int) *Study {
 	return s
 }
 
+// alone runs one experiment on a plan that holds nothing else, over a
+// fresh study of the given profile, so the experiment sweeps for itself.
+// The plan is returned too, for its census.
+func alone[T any](t *testing.T, profile string, order uint, weeks int, add func(*Plan) *Out[T]) (T, *Plan) {
+	t.Helper()
+	p := planStudy(t, profile, order, weeks).NewPlan()
+	out := add(p)
+	if err := p.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	return out.V, p
+}
+
 // TestPlanMatchesStandaloneRuns is the tier-1 form of "sharing a census
 // changes no result": every experiment of a full report plan — one
-// census, every follow-up behind it — yields exactly what the standalone
-// Run*Context method yields on a fresh study of the same seed, where the
-// experiment sweeps for itself. Clean and hostile profiles, with the
+// census, every follow-up behind it — yields exactly what a plan holding
+// that experiment alone yields on a fresh study of the same seed, where
+// the experiment sweeps for itself. Clean and hostile profiles, with the
 // scheduler flipped between the two sides.
 func TestPlanMatchesStandaloneRuns(t *testing.T) {
 	if testing.Short() {
@@ -93,39 +106,39 @@ func TestPlanMatchesStandaloneRuns(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			alone := func() *Study { return planStudy(t, profile, order, weeks) }
-			check := func(name string, got, want any, err error) {
+			check := func(name string, got, want any) {
 				t.Helper()
-				if err != nil {
-					t.Fatalf("%s standalone: %v", name, err)
-				}
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("%s: the plan's result differs from the standalone run's", name)
 				}
 			}
-			series, err := alone().RunWeeklySeriesContext(ctx)
-			check("series", full.series.V, series, err)
-			chaos, n, err := alone().RunChaosContext(ctx, week)
-			check("chaos", full.chaos.V, chaos, err)
-			check("chaos population", len(full.census.Resolvers), n, nil)
-			devices, err := alone().RunDevicesContext(ctx, week)
-			check("devices", full.devices.V, devices, err)
-			cohort, err := alone().RunCohortStudyContext(ctx, weeks)
-			check("cohort", full.cohort.V, cohort, err)
-			util, err := alone().RunUtilizationContext(ctx, week)
-			check("utilization", full.util.V, util, err)
-			dom, err := alone().RunDomainStudyContext(ctx, week, nil)
-			check("domains", full.domains.V, dom, err)
-			race, err := alone().RunDNSSECRaceContext(ctx, week, "CN", "wikileaks.org")
-			check("dnssec", full.race.V, race, err)
-			amp, n, err := alone().RunAmplificationContext(ctx, week, "chase.com")
-			check("amplification", full.amp.V, amp, err)
-			check("amplification population", len(full.census.Resolvers), n, nil)
-			pop, err := alone().RunPopularityContext(ctx, week)
-			check("popularity", full.pop.V, pop, err)
-			check("netalyzr", full.netalyzr.V, alone().RunNetalyzr(ctx, week, 400), nil)
-			sweep, err := alone().SweepAtContext(ctx, week)
-			check("census", full.census.Sweep, sweep, err)
+			series, _ := alone(t, profile, order, weeks, func(p *Plan) *Out[*churn.Series] { return p.WeeklySeries(nil) })
+			check("series", full.series.V, series)
+			chaos, cp := alone(t, profile, order, weeks, func(p *Plan) *Out[*fingerprint.ChaosSurvey] { return p.Chaos(week) })
+			check("chaos", full.chaos.V, chaos)
+			check("chaos population", len(full.census.Resolvers), len(cp.Census(week).Resolvers))
+			devices, _ := alone(t, profile, order, weeks, func(p *Plan) *Out[*fingerprint.DeviceSurvey] { return p.Devices(week) })
+			check("devices", full.devices.V, devices)
+			cohort, _ := alone(t, profile, order, weeks, func(p *Plan) *Out[*churn.CohortStudy] { return p.Cohort(weeks) })
+			check("cohort", full.cohort.V, cohort)
+			util, _ := alone(t, profile, order, weeks, func(p *Plan) *Out[*snoop.Result] { return p.Utilization(week) })
+			check("utilization", full.util.V, util)
+			dom, _ := alone(t, profile, order, weeks, func(p *Plan) *Out[*DomainStudyResult] { return p.DomainStudy(week, nil) })
+			check("domains", full.domains.V, dom)
+			race, _ := alone(t, profile, order, weeks, func(p *Plan) *Out[*DNSSECRaceResult] { return p.DNSSECRace(week, "CN", "wikileaks.org") })
+			check("dnssec", full.race.V, race)
+			amp, ap := alone(t, profile, order, weeks, func(p *Plan) *Out[*ampli.Survey] { return p.Amplification(week, "chase.com") })
+			check("amplification", full.amp.V, amp)
+			check("amplification population", len(full.census.Resolvers), len(ap.Census(week).Resolvers))
+			pop, _ := alone(t, profile, order, weeks, func(p *Plan) *Out[[]snoop.PopularityEstimate] { return p.Popularity(week) })
+			check("popularity", full.pop.V, pop)
+			nz, _ := alone(t, profile, order, weeks, func(p *Plan) *Out[*netalyzr.Study] { return p.Netalyzr(week, 400) })
+			check("netalyzr", full.netalyzr.V, nz)
+			sweep, err := planStudy(t, profile, order, weeks).SweepAtContext(ctx, week)
+			if err != nil {
+				t.Fatalf("census standalone: %v", err)
+			}
+			check("census", full.census.Sweep, sweep)
 			if len(shared.Degraded) != 0 {
 				t.Errorf("plan degraded stages: %v", shared.Degraded)
 			}
@@ -215,10 +228,7 @@ func TestNewStudyRejectsNegativeWeeks(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "-weeks") {
 		t.Errorf("error %q does not name the flag", err)
 	}
-	series, err := planStudy(t, "clean", 14, 0).RunWeeklySeriesContext(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	series, _ := alone(t, "clean", 14, 0, func(p *Plan) *Out[*churn.Series] { return p.WeeklySeries(nil) })
 	if len(series.Weeks) != 0 {
 		t.Errorf("a zero-week study scanned %d weeks", len(series.Weeks))
 	}
@@ -238,17 +248,11 @@ func TestPlanStagesReseatTheClock(t *testing.T) {
 	if err := p.Run(ctx); err != nil {
 		t.Fatal(err)
 	}
-	utilAlone, err := planStudy(t, "hostile", 14, 4).RunUtilizationContext(ctx, week)
-	if err != nil {
-		t.Fatal(err)
-	}
+	utilAlone, _ := alone(t, "hostile", 14, 4, func(p *Plan) *Out[*snoop.Result] { return p.Utilization(week) })
 	if !reflect.DeepEqual(util.V, utilAlone) {
 		t.Errorf("utilization after the cohort differs from utilization alone:\n after %+v\n alone %+v", util.V.Counts, utilAlone.Counts)
 	}
-	ampAlone, _, err := planStudy(t, "hostile", 14, 4).RunAmplificationContext(ctx, week, "chase.com")
-	if err != nil {
-		t.Fatal(err)
-	}
+	ampAlone, _ := alone(t, "hostile", 14, 4, func(p *Plan) *Out[*ampli.Survey] { return p.Amplification(week, "chase.com") })
 	if !reflect.DeepEqual(amp.V, ampAlone) {
 		t.Errorf("amplification after the snoop differs from amplification alone: %d/%d responded, %d/%d refused",
 			amp.V.Responded, ampAlone.Responded, amp.V.Refused, ampAlone.Refused)

@@ -250,13 +250,6 @@ func (s *Study) locator() churn.Locator {
 	}
 }
 
-// RunWeeklySeriesContext performs the §2.2 longitudinal scans (Figure 1
-// and, via the retained endpoints, Tables 1–2). A run that watches the
-// epochs go by is a plan: NewPlan().WeeklySeries.
-func (s *Study) RunWeeklySeriesContext(ctx context.Context) (*churn.Series, error) {
-	return runOne(ctx, s, func(p *Plan) *Out[*churn.Series] { return p.WeeklySeries(nil) })
-}
-
 // SweepAtContext runs a single Internet-wide scan at a given week, on
 // every call; sharing one week's scan between experiments is a Plan's job.
 func (s *Study) SweepAtContext(ctx context.Context, week int) (*scanner.SweepResult, error) {
@@ -298,11 +291,6 @@ func (p *Plan) Cohort(weeks int) *Out[*churn.CohortStudy] {
 	return out
 }
 
-// RunCohortStudyContext tracks the week-0 responders (Figure 2, §2.5).
-func (s *Study) RunCohortStudyContext(ctx context.Context, weeks int) (*churn.CohortStudy, error) {
-	return runOne(ctx, s, func(p *Plan) *Out[*churn.CohortStudy] { return p.Cohort(weeks) })
-}
-
 // Chaos adds the CHAOS fingerprinting scan of §2.4 (Table 3) over the
 // week's census.
 func (p *Plan) Chaos(week int) *Out[*fingerprint.ChaosSurvey] {
@@ -316,17 +304,6 @@ func (p *Plan) Chaos(week int) *Out[*fingerprint.ChaosSurvey] {
 		return []pipeline.Count{{Name: "chaos responders", Value: chaos.Responded()}}, nil
 	})
 	return out
-}
-
-// RunChaosContext performs the CHAOS scan of §2.4 (Table 3) and reports
-// how many resolvers it targeted.
-func (s *Study) RunChaosContext(ctx context.Context, week int) (*fingerprint.ChaosSurvey, int, error) {
-	p := s.NewPlan()
-	survey := p.Chaos(week)
-	if err := p.Run(ctx); err != nil {
-		return nil, 0, err
-	}
-	return survey.V, len(p.Census(week).Resolvers), nil
 }
 
 // bannerSource adapts the world's TCP services for the fingerprinter.
@@ -352,11 +329,6 @@ func (p *Plan) Devices(week int) *Out[*fingerprint.DeviceSurvey] {
 	return out
 }
 
-// RunDevicesContext performs the device fingerprinting of §2.4 (Table 4).
-func (s *Study) RunDevicesContext(ctx context.Context, week int) (*fingerprint.DeviceSurvey, error) {
-	return runOne(ctx, s, func(p *Plan) *Out[*fingerprint.DeviceSurvey] { return p.Devices(week) })
-}
-
 // Utilization adds the 36-hour cache-snooping study of §2.6 over the
 // week's census. It is a side study: a failure degrades the utilization
 // table — to whatever history the snoop had gathered, which snoop.Run
@@ -376,11 +348,6 @@ func (p *Plan) Utilization(week int) *Out[*snoop.Result] {
 		}, nil
 	})
 	return out
-}
-
-// RunUtilizationContext performs the cache-snooping study of §2.6.
-func (s *Study) RunUtilizationContext(ctx context.Context, week int) (*snoop.Result, error) {
-	return runOne(ctx, s, func(p *Plan) *Out[*snoop.Result] { return p.Utilization(week) })
 }
 
 // VerificationResult compares the primary and secondary vantage scans
@@ -439,11 +406,6 @@ func (p *Plan) Verification(week int) *Out[*VerificationResult] {
 		},
 	})
 	return out
-}
-
-// RunVerificationContext executes the §2.2 secondary-vantage verification.
-func (s *Study) RunVerificationContext(ctx context.Context, week int) (*VerificationResult, error) {
-	return runOne(ctx, s, func(p *Plan) *Out[*VerificationResult] { return p.Verification(week) })
 }
 
 // sweepSecondary sweeps the full space at week from the secondary

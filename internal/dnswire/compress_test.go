@@ -152,9 +152,9 @@ func nameRecords(m *Message, name string) {
 	m.AddAnswer(name, ClassIN, 300, A{Addr: netip.AddrFrom4([4]byte{192, 0, 2, 1})})
 	m.AddAnswer(upper, ClassIN, 300, CNAME{Target: "www." + name})
 	m.AddAnswer("www."+upper, ClassIN, 300, MX{Preference: 10, Host: "Mail." + name + "."})
-	m.AddAuthority(name, ClassIN, 300, NS{Host: "ns1." + upper})
-	m.AddAuthority(name+".", ClassIN, 300, NS{Host: "ns2." + name})
-	m.AddAuthority(name, ClassIN, 60, SOA{MName: "ns1." + name, RName: "Hostmaster." + upper, Serial: 7})
+	m.addAuthority(name, ClassIN, 300, NS{Host: "ns1." + upper})
+	m.addAuthority(name+".", ClassIN, 300, NS{Host: "ns2." + name})
+	m.addAuthority(name, ClassIN, 60, SOA{MName: "ns1." + name, RName: "Hostmaster." + upper, Serial: 7})
 	m.Additional = append(m.Additional, ResourceRecord{Name: "1.2.0.192.in-addr.arpa", Class: ClassIN, TTL: 60, Data: PTR{Target: "host." + name}})
 	m.Additional = append(m.Additional, ResourceRecord{Name: "ns1." + name, Class: ClassIN, TTL: 60, Data: TXT{Strings: []string{"v=1"}}})
 }
@@ -247,7 +247,7 @@ func TestCompressorMatchesReferenceAcross0x4000(t *testing.T) {
 	}
 	m.AddAnswer("late.example.net", ClassIN, 60, NS{Host: "ns1.late.example.net"})
 	m.AddAnswer("LATE.example.net", ClassIN, 60, CNAME{Target: "t3.EARLY.example.org"})
-	m.AddAuthority("late.example.net", ClassIN, 60, SOA{MName: "ns1.late.example.net", RName: "early.example.org"})
+	m.addAuthority("late.example.net", ClassIN, 60, SOA{MName: "ns1.late.example.net", RName: "early.example.org"})
 	wire := mustMatchRef(t, "message crossing 0x4000", m)
 	if len(wire) <= 0x4000 {
 		t.Fatalf("message is %d octets; the test needs it past 0x4000", len(wire))
@@ -396,7 +396,7 @@ func FuzzAppendNameCompression(f *testing.F) {
 			case 1:
 				m.AddAnswer(names[i], ClassIN, 60, MX{Preference: 1, Host: n})
 			case 2:
-				m.AddAuthority(n, ClassIN, 60, SOA{MName: names[i], RName: n})
+				m.addAuthority(n, ClassIN, 60, SOA{MName: names[i], RName: n})
 			default:
 				m.Additional = append(m.Additional, ResourceRecord{Name: n, Class: ClassIN, TTL: 60, Data: TXT{Strings: []string{n}}})
 			}

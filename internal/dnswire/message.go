@@ -73,6 +73,7 @@ func NewQuery(id uint16, name string, typ Type, class Class) *Message {
 
 // NewResponse builds a response message answering q, echoing its question
 // section as resolvers do.
+// Test support: the tests of other packages build responses with it.
 func NewResponse(q *Message, rcode RCode) *Message {
 	resp := &Message{
 		Header: Header{
@@ -111,13 +112,9 @@ func (m *Message) EDNSPayloadSize() (uint16, bool) {
 }
 
 // AddAnswer appends an answer record.
+// Test support: the tests of other packages build responses with it.
 func (m *Message) AddAnswer(name string, class Class, ttl uint32, data RData) {
 	m.Answers = append(m.Answers, ResourceRecord{Name: name, Class: class, TTL: ttl, Data: data})
-}
-
-// AddAuthority appends an authority-section record.
-func (m *Message) AddAuthority(name string, class Class, ttl uint32, data RData) {
-	m.Authority = append(m.Authority, ResourceRecord{Name: name, Class: class, TTL: ttl, Data: data})
 }
 
 // Question returns the first question, or a zero Question when the section
@@ -149,23 +146,6 @@ const (
 	flagRD = 1 << 8
 	flagRA = 1 << 7
 )
-
-// Pack appends the wire encoding of m to buf and returns the extended
-// slice. Name compression is applied across all sections. The message is
-// assembled in a message-local buffer (compression offsets are relative to
-// the message start) and then appended, so buf may already hold unrelated
-// framing.
-func (m *Message) Pack(buf []byte) ([]byte, error) {
-	msg, err := m.packLocal()
-	if err != nil {
-		return buf, err
-	}
-	return append(buf, msg...), nil
-}
-
-func (m *Message) packLocal() ([]byte, error) {
-	return m.PackInto(make([]byte, 0, 128), new(Compressor))
-}
 
 // PackInto packs m from offset 0 of buf (truncated first) using the
 // caller-supplied Compressor (emptied first; nil packs every name in
@@ -238,9 +218,10 @@ func (m *Message) PackInto(buf []byte, cmp *Compressor) ([]byte, error) {
 	return buf, nil
 }
 
-// PackBytes packs m into a fresh slice.
+// PackBytes packs m into a fresh slice, compressing names across all
+// sections.
 func (m *Message) PackBytes() ([]byte, error) {
-	return m.packLocal()
+	return m.PackInto(make([]byte, 0, 128), new(Compressor))
 }
 
 // AppendQuery appends the wire form of a single-question query — the

@@ -92,25 +92,6 @@ func SplitLabels(name string) []string {
 	return strings.Split(name, ".")
 }
 
-// ValidName reports whether name (with or without trailing dot) satisfies
-// the RFC 1035 length limits. It does not restrict the label alphabet:
-// scanners deliberately emit unusual octets (e.g. 0x20-mixed case).
-func ValidName(name string) bool {
-	name = strings.TrimSuffix(name, ".")
-	if name == "" {
-		return true
-	}
-	if len(name)+2 > maxNameWire { // labels + length octets + root
-		return false
-	}
-	for _, label := range strings.Split(name, ".") {
-		if label == "" || len(label) > maxLabelWire {
-			return false
-		}
-	}
-	return true
-}
-
 // Compressor records where the suffixes of the names written so far start
 // in the message being packed, so a later name can end in a pointer to an
 // earlier one (RFC 1035 §4.1.4). Entries hold substrings of the names

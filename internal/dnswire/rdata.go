@@ -173,10 +173,6 @@ func (t TXT) String() string {
 	return strings.Join(quoted, " ")
 }
 
-// Joined returns the concatenation of all strings, the form version
-// fingerprinting matches against.
-func (t TXT) Joined() string { return strings.Join(t.Strings, "") }
-
 // OPT is a pseudo-record body (EDNS0, RFC 6891). Only the payload size in
 // the class field matters for the scanners; options are carried opaquely.
 type OPT struct{ Options []byte }

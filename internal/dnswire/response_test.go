@@ -43,7 +43,7 @@ func (c builderCase) tree(t testing.TB, q *Message) ([]byte, error) {
 	for i, r := range c.records {
 		switch {
 		case r == "AUTH":
-			add = resp.AddAuthority
+			add = resp.addAuthority
 		case r == "A":
 			add(owner, ClassIN, 300, A{Addr: netip.AddrFrom4([4]byte{192, 0, 2, byte(i)})})
 		case strings.HasPrefix(r, "NS:"):

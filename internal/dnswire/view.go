@@ -257,7 +257,7 @@ func (v *View) HasAuthorityNS() bool {
 }
 
 // AppendAnswerTXT appends the concatenated character-strings of every TXT
-// answer record to dst, matching TXT.Joined over a full unpack. CHAOS
+// answer record to dst, matching their strings joined over a full unpack. CHAOS
 // version scans use it to read version.bind payloads without a Message.
 func (v *View) AppendAnswerTXT(dst []byte) []byte {
 	//lint:allow errdrop malformed answer sections contribute no text by design

@@ -19,7 +19,7 @@ func viewSample(t *testing.T) ([]byte, *Message) {
 	m.AddAnswer("r1a2b.c0a80001.scan-base.example", ClassIN, 60, A{Addr: netip.MustParseAddr("192.0.2.7")})
 	m.AddAnswer("r1a2b.c0a80001.scan-base.example", ClassIN, 60, CNAME{Target: "alias.example"})
 	m.AddAnswer("alias.example", ClassIN, 60, A{Addr: netip.MustParseAddr("192.0.2.9")})
-	m.AddAuthority("example", ClassIN, 3600, NS{Host: "ns1.example"})
+	m.addAuthority("example", ClassIN, 3600, NS{Host: "ns1.example"})
 	m.AddEDNS(4096)
 	wire, err := m.PackBytes()
 	if err != nil {
@@ -124,7 +124,7 @@ func TestViewAnswerTXTMatchesJoined(t *testing.T) {
 	}
 	for _, rr := range mm.Answers {
 		if txt, ok := rr.Data.(TXT); ok {
-			want += txt.Joined()
+			want += txt.joined()
 		}
 	}
 	var v View
@@ -198,7 +198,7 @@ func TestDecode0x20BytesMatchesString(t *testing.T) {
 		if n != 9 {
 			t.Fatalf("embedded %d bits", n)
 		}
-		sb, sn := Decode0x20(name, 9)
+		sb, sn := decode0x20(name, 9)
 		bb, bn := Decode0x20Bytes([]byte(name), 9)
 		if sb != bb || sn != bn {
 			t.Fatalf("decoders disagree: string %x/%d bytes %x/%d", sb, sn, bb, bn)

@@ -144,15 +144,6 @@ func Build(order uint, seed uint64) (*DB, error) {
 	return db, nil
 }
 
-// MustBuild is Build that panics on error, for statically valid orders.
-func MustBuild(order uint, seed uint64) *DB {
-	db, err := Build(order, seed)
-	if err != nil {
-		panic(err)
-	}
-	return db
-}
-
 // asTemplate describes the AS mix inside a country.
 type asTemplate struct {
 	suffix string
@@ -311,6 +302,7 @@ func (db *DB) Lookup(addr netip.Addr) Location {
 }
 
 // ASes returns all registered autonomous systems.
+// Test support: wildnet's tests pick a planted AS fate from it.
 func (db *DB) ASes() []AS { return db.ases }
 
 // WorldDeclineAt returns the whole population's size at the given week

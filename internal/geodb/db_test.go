@@ -7,6 +7,15 @@ import (
 	"testing/quick"
 )
 
+// mustBuild is Build that panics on error, for statically valid orders.
+func mustBuild(order uint, seed uint64) *DB {
+	db, err := Build(order, seed)
+	if err != nil {
+		panic(err)
+	}
+	return db
+}
+
 func TestBuildRejectsBadOrder(t *testing.T) {
 	for _, order := range []uint{0, 9, 33} {
 		if _, err := Build(order, 1); err == nil {
@@ -16,8 +25,8 @@ func TestBuildRejectsBadOrder(t *testing.T) {
 }
 
 func TestBuildDeterministic(t *testing.T) {
-	a := MustBuild(20, 7)
-	b := MustBuild(20, 7)
+	a := mustBuild(20, 7)
+	b := mustBuild(20, 7)
 	for u := uint32(0); u < 1<<20; u += 4099 {
 		la, lb := a.LookupU32(u), b.LookupU32(u)
 		if la.Country != lb.Country || la.AS.ASN != lb.AS.ASN {
@@ -27,7 +36,7 @@ func TestBuildDeterministic(t *testing.T) {
 }
 
 func TestLookupConsistentWithinBlock(t *testing.T) {
-	db := MustBuild(20, 3)
+	db := mustBuild(20, 3)
 	blockSize := uint32(1) << (20 - 12)
 	base := 17 * blockSize
 	first := db.LookupU32(base)
@@ -39,7 +48,7 @@ func TestLookupConsistentWithinBlock(t *testing.T) {
 }
 
 func TestCountrySharesApproximateTable1(t *testing.T) {
-	db := MustBuild(22, 11)
+	db := mustBuild(22, 11)
 	counts := map[string]int{}
 	const samples = 1 << 18
 	for i := 0; i < samples; i++ {
@@ -84,7 +93,7 @@ func TestRIRMappingMatchesTable2Regions(t *testing.T) {
 }
 
 func TestFatedNetworksPresent(t *testing.T) {
-	db := MustBuild(20, 5)
+	db := mustBuild(20, 5)
 	var blocks, filters, shutdowns int
 	for _, as := range db.ASes() {
 		switch as.Fate {
@@ -102,7 +111,7 @@ func TestFatedNetworksPresent(t *testing.T) {
 }
 
 func TestCollapseEventsPlanted(t *testing.T) {
-	db := MustBuild(20, 5)
+	db := mustBuild(20, 5)
 	var ar, kr *AS
 	for i, as := range db.ASes() {
 		if as.Collapse == nil {
@@ -157,7 +166,7 @@ func TestCountryDeclineMatchesTable1(t *testing.T) {
 }
 
 func TestLookupFoldsOutOfSpaceAddresses(t *testing.T) {
-	db := MustBuild(16, 9)
+	db := mustBuild(16, 9)
 	f := func(u uint32) bool {
 		loc := db.LookupU32(u)
 		folded := db.LookupU32(u & 0xFFFF)
@@ -169,7 +178,7 @@ func TestLookupFoldsOutOfSpaceAddresses(t *testing.T) {
 }
 
 func TestLookupAddrForm(t *testing.T) {
-	db := MustBuild(32, 1)
+	db := mustBuild(32, 1)
 	addr := netip.MustParseAddr("93.184.216.34")
 	loc := db.Lookup(addr)
 	if loc.AS == nil || loc.Country == "" {
@@ -181,7 +190,7 @@ func TestLookupAddrForm(t *testing.T) {
 }
 
 func TestRDNSTokens(t *testing.T) {
-	db := MustBuild(20, 13)
+	db := mustBuild(20, 13)
 	var withRDNS, dynamic, fromDynPool int
 	for u := uint32(0); u < 1<<20; u += 257 {
 		name := db.RDNSName(13, u)

@@ -23,6 +23,7 @@ func NewBlacklist() *Blacklist { return &Blacklist{} }
 
 // DefaultReserved returns a blacklist preloaded with the non-routable and
 // special-purpose IPv4 ranges every Internet-wide scan must skip.
+// Test support: the root benchmarks generate targets around it.
 func DefaultReserved() *Blacklist {
 	b := NewBlacklist()
 	for _, cidr := range []string{
@@ -165,16 +166,3 @@ func U32ToAddr(u uint32) netip.Addr {
 
 // AddrToU32 converts an IPv4 netip.Addr to its big-endian uint32 form.
 func AddrToU32(a netip.Addr) uint32 { return addrToU32(a) }
-
-// ParseU32 reverses U32ToAddr(u).String(): it accepts a dotted quad and
-// nothing else — no trailing bytes, no octet above 255, no IPv6 form.
-func ParseU32(s string) (uint32, error) {
-	a, err := netip.ParseAddr(s)
-	if err != nil {
-		return 0, err
-	}
-	if !a.Is4() {
-		return 0, fmt.Errorf("%q is not an IPv4 address", s)
-	}
-	return addrToU32(a), nil
-}

@@ -89,15 +89,6 @@ func New(order uint, seed uint32) (*LFSR, error) {
 	return &LFSR{state: s, seed: s, mask: mask, fb: fb}, nil
 }
 
-// MustNew is New for statically valid orders; it panics on error.
-func MustNew(order uint, seed uint32) *LFSR {
-	l, err := New(order, seed)
-	if err != nil {
-		panic(err)
-	}
-	return l
-}
-
 // Next returns the current state and advances the register one step
 // (Galois form: shift right, then toggle the tap bits when a one falls
 // off the end).
@@ -110,10 +101,6 @@ func (l *LFSR) Next() uint32 {
 	}
 	return out
 }
-
-// Wrapped reports whether the register has returned to its seed state,
-// i.e. a full period has been emitted by preceding Next calls.
-func (l *LFSR) Wrapped() bool { return l.state == l.seed }
 
 // Period returns the cycle length 2^order-1.
 func (l *LFSR) Period() uint64 {

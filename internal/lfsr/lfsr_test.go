@@ -9,11 +9,24 @@ import (
 	"goingwild/internal/alloctest"
 )
 
+// mustNew is New for statically valid orders; it panics on error.
+func mustNew(order uint, seed uint32) *LFSR {
+	l, err := New(order, seed)
+	if err != nil {
+		panic(err)
+	}
+	return l
+}
+
+// wrapped reports whether the register has returned to its seed state,
+// i.e. a full period has been emitted by preceding Next calls.
+func (l *LFSR) wrapped() bool { return l.state == l.seed }
+
 // TestMaximalPeriodAllOrders exhaustively verifies maximality up to order
 // 20 (a million states) and spot-checks distinctness for larger orders.
 func TestMaximalPeriodAllOrders(t *testing.T) {
 	for order := uint(3); order <= 20; order++ {
-		reg := MustNew(order, 0xDEADBEEF)
+		reg := mustNew(order, 0xDEADBEEF)
 		period := reg.Period()
 		seen := make([]bool, period+1)
 		var count uint64
@@ -27,7 +40,7 @@ func TestMaximalPeriodAllOrders(t *testing.T) {
 			}
 			seen[s] = true
 			count++
-			if reg.Wrapped() {
+			if reg.wrapped() {
 				break
 			}
 		}
@@ -39,7 +52,7 @@ func TestMaximalPeriodAllOrders(t *testing.T) {
 
 func TestLargeOrderNoEarlyRepeat(t *testing.T) {
 	for _, order := range []uint{24, 28, 32} {
-		reg := MustNew(order, 1)
+		reg := mustNew(order, 1)
 		const n = 1 << 20
 		seen := make(map[uint32]struct{}, n)
 		for i := 0; i < n; i++ {
@@ -61,14 +74,14 @@ func TestNewRejectsBadOrder(t *testing.T) {
 }
 
 func TestZeroSeedCoerced(t *testing.T) {
-	reg := MustNew(16, 0)
+	reg := mustNew(16, 0)
 	if s := reg.Next(); s == 0 {
 		t.Error("zero seed produced zero state")
 	}
 }
 
 func TestResetRestartsSequence(t *testing.T) {
-	reg := MustNew(16, 77)
+	reg := mustNew(16, 77)
 	a := []uint32{reg.Next(), reg.Next(), reg.Next()}
 	reg.Reset()
 	b := []uint32{reg.Next(), reg.Next(), reg.Next()}
@@ -79,8 +92,8 @@ func TestResetRestartsSequence(t *testing.T) {
 
 func TestSeedDeterminism(t *testing.T) {
 	f := func(seed uint32) bool {
-		r1 := MustNew(20, seed)
-		r2 := MustNew(20, seed)
+		r1 := mustNew(20, seed)
+		r2 := mustNew(20, seed)
 		for i := 0; i < 100; i++ {
 			if r1.Next() != r2.Next() {
 				return false

@@ -85,8 +85,8 @@ func knownRule(name string) bool {
 }
 
 // Finding is one reported violation. Allowed marks findings suppressed
-// by a //lint:allow comment; Analyze drops them, AnalyzeAll keeps them
-// so the CLI's JSON mode can report allow-state.
+// by a //lint:allow comment; AnalyzeAll keeps them so the CLI's JSON
+// mode can report allow-state.
 type Finding struct {
 	Pos     token.Position
 	Rule    string
@@ -100,7 +100,7 @@ func (f Finding) String() string {
 }
 
 // Config names the package sets each rule applies to. Paths are full
-// import paths.
+// import paths; one ending in "/..." names every package under it.
 type Config struct {
 	// ModulePath is the module being analyzed (for locating the dnswire
 	// package the errdrop rule watches).
@@ -130,9 +130,10 @@ func DefaultConfig(modulePath string) Config {
 			"analysis", "churn", "scanner", "metrics"),
 		// core and pipeline carry delta batches into rendered output, and
 		// dataset writes the census artifact and the tuple file, so
-		// maporder must follow results through them too.
-		Rendering: ip("analysis", "classify", "snoop", "churn", "scanner",
-			"core", "pipeline", "dataset"),
+		// maporder must follow results through them too. The examples
+		// print results as well, and each new one is covered unlisted.
+		Rendering: append(ip("analysis", "classify", "snoop", "churn", "scanner",
+			"core", "pipeline", "dataset"), modulePath+"/examples/..."),
 	}
 }
 
@@ -141,21 +142,11 @@ func contains(paths []string, p string) bool {
 		if x == p {
 			return true
 		}
-	}
-	return false
-}
-
-// Analyze runs every analyzer over one loaded package and returns
-// the surviving (non-allowed) findings sorted by position.
-func (c *Config) Analyze(p *Package) []Finding {
-	all := c.AnalyzeAll(p)
-	out := all[:0]
-	for _, f := range all {
-		if !f.Allowed {
-			out = append(out, f)
+		if dir, ok := strings.CutSuffix(x, "/..."); ok && strings.HasPrefix(p, dir+"/") {
+			return true
 		}
 	}
-	return out
+	return false
 }
 
 // checkers lists every analyzer; AnalyzeAll sorts what they emit.

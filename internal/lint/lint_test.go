@@ -13,6 +13,19 @@ import (
 	"testing"
 )
 
+// analyze runs every analyzer over one loaded package and returns the
+// surviving (non-allowed) findings sorted by position.
+func (c *Config) analyze(p *Package) []Finding {
+	all := c.AnalyzeAll(p)
+	out := all[:0]
+	for _, f := range all {
+		if !f.Allowed {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
 var update = flag.Bool("update", false, "rewrite the golden expected-findings files")
 
 // corpusTests pins each rule's testdata directory to the package
@@ -77,7 +90,7 @@ func loadCorpus(t *testing.T, rule, importPath string) *Package {
 		}
 		files = append(files, f)
 	}
-	pkg, err := loader.LoadVirtual(importPath, files)
+	pkg, err := loader.check(importPath, files)
 	if err != nil {
 		t.Fatalf("type-checking corpus %s: %v", rule, err)
 	}
@@ -105,7 +118,7 @@ func TestCorpusGolden(t *testing.T) {
 		t.Run(tc.rule, func(t *testing.T) {
 			pkg := loadCorpus(t, tc.rule, tc.importPath)
 			cfg := DefaultConfig("goingwild")
-			got := render(cfg.Analyze(pkg))
+			got := render(cfg.analyze(pkg))
 
 			golden := filepath.Join("testdata", tc.rule+".golden")
 			if *update {
@@ -134,12 +147,13 @@ func TestCorpusGolden(t *testing.T) {
 // finding must vanish (only the malformed-allow finding, which is
 // path-independent by design, may remain). The maporder corpus goes
 // quiet the same way outside the rendering set, and fires under dataset,
-// which writes the census artifact and the tuple file.
+// which writes the census artifact and the tuple file, and under any
+// package below examples/, listed or not.
 func TestScopedRulesRespectPackageSets(t *testing.T) {
 	cfg := DefaultConfig("goingwild")
 	count := func(rule, importPath string) int {
 		n := 0
-		for _, f := range cfg.Analyze(loadCorpus(t, rule, importPath)) {
+		for _, f := range cfg.analyze(loadCorpus(t, rule, importPath)) {
 			if f.Rule == rule {
 				n++
 			}
@@ -155,6 +169,14 @@ func TestScopedRulesRespectPackageSets(t *testing.T) {
 	if count(RuleMapOrder, "goingwild/internal/dataset") == 0 {
 		t.Error("maporder is silent in dataset, a rendering package")
 	}
+	if count(RuleMapOrder, "goingwild/examples/newstudy") == 0 {
+		t.Error("maporder is silent in an example, a rendering package")
+	}
+	for _, outside := range []string{"goingwild/examples", "goingwild/examplesx/newstudy"} {
+		if n := count(RuleMapOrder, outside); n != 0 {
+			t.Errorf("maporder fired %d times under %s, outside examples/", n, outside)
+		}
+	}
 }
 
 // TestCtxHygieneExemptsCmd re-analyzes the ctxhygiene corpus under a
@@ -163,7 +185,7 @@ func TestScopedRulesRespectPackageSets(t *testing.T) {
 func TestCtxHygieneExemptsCmd(t *testing.T) {
 	pkg := loadCorpus(t, RuleCtxHygiene, "goingwild/cmd/fake")
 	cfg := DefaultConfig("goingwild")
-	for _, f := range cfg.Analyze(pkg) {
+	for _, f := range cfg.analyze(pkg) {
 		if f.Rule == RuleCtxHygiene {
 			t.Errorf("ctxhygiene fired under cmd/: %s", f)
 		}
@@ -202,7 +224,7 @@ func TestRepoIsClean(t *testing.T) {
 		if err != nil {
 			t.Fatalf("loading %s: %v", dir, err)
 		}
-		for _, f := range cfg.Analyze(pkg) {
+		for _, f := range cfg.analyze(pkg) {
 			t.Errorf("repo not lint-clean: %s", f)
 		}
 	}

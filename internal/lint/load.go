@@ -112,13 +112,6 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 	return l.load(path, abs)
 }
 
-// LoadVirtual type-checks a set of parsed files as though they formed
-// the package at importPath. The lint tests use it to run rule corpora
-// under the package identities the rules key off.
-func (l *Loader) LoadVirtual(importPath string, files []*ast.File) (*Package, error) {
-	return l.check(importPath, files)
-}
-
 // Import implements types.Importer: module-internal packages are
 // resolved from source under ModRoot, everything else goes to the
 // standard library's export data.

@@ -95,6 +95,8 @@ func (r *Registry) Snapshot() Snapshot {
 // StripTiming returns a copy of the snapshot without timing-class
 // metrics — the form determinism checks compare byte-for-byte across
 // runs and GOMAXPROCS settings.
+// Test support: the equivalence harness and other packages' tests strip
+// their snapshots with it.
 func (s Snapshot) StripTiming() Snapshot {
 	var out Snapshot
 	for _, c := range s.Counters {

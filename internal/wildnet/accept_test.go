@@ -55,8 +55,8 @@ func TestHandlerIgnoresResponses(t *testing.T) {
 		if got := exchangeOver(t, w, dst, payload); len(got) != 1 {
 			t.Fatalf("%#x: query drew %d responses, want 1", dst, len(got))
 		}
-		if got := w.HandleDNS(VantagePrimary, 4000, dst, q, At(0)); len(got) != 1 {
-			t.Fatalf("%#x: HandleDNS(query) = %d responses, want 1", dst, len(got))
+		if got := handle(w, VantagePrimary, 4000, dst, q, At(0)); len(got) != 1 {
+			t.Fatalf("%#x: handle(query) = %d responses, want 1", dst, len(got))
 		}
 		// The same datagram with QR set — and the response it drew, fed
 		// straight back — vanish.
@@ -65,8 +65,8 @@ func TestHandlerIgnoresResponses(t *testing.T) {
 		if got := exchangeOver(t, w, dst, payload); len(got) != 0 {
 			t.Errorf("%#x: QR=1 datagram drew %d responses", dst, len(got))
 		}
-		if got := w.HandleDNS(VantagePrimary, 4000, dst, q, At(0)); len(got) != 0 {
-			t.Errorf("%#x: HandleDNS(QR=1) = %d responses", dst, len(got))
+		if got := handle(w, VantagePrimary, 4000, dst, q, At(0)); len(got) != 0 {
+			t.Errorf("%#x: handle(QR=1) = %d responses", dst, len(got))
 		}
 	}
 	q := query("chase.com", dnswire.TypeA, dnswire.ClassIN)
@@ -163,7 +163,7 @@ func TestHandlerAcceptSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	adapted := w.HandleDNS(VantagePrimary, 40000, u, qm, At(0))
+	adapted := handle(w, VantagePrimary, 40000, u, qm, At(0))
 	if len(adapted) != 1 {
 		t.Fatalf("adapter: %d responses", len(adapted))
 	}

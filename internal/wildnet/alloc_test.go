@@ -288,7 +288,7 @@ func TestSendAnsweredAndTruncatedCounters(t *testing.T) {
 		wantAnswered := uint64(0)
 		for u := uint32(0); u < uint32(w.SpaceSize()); u++ {
 			q := dnswire.NewQuery(uint16(u), "chase.com", dnswire.TypeANY, dnswire.ClassIN)
-			if len(w.HandleDNS(VantagePrimary, 40000, u, q, now)) > 0 {
+			if len(handle(w, VantagePrimary, 40000, u, q, now)) > 0 {
 				wantAnswered++
 			}
 			payload, err := q.PackBytes()

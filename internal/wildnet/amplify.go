@@ -57,22 +57,13 @@ func (w *World) AmpClassAt(u uint32, t Time) (AmpClass, bool) {
 	return ampClassOf(p.Identity), true
 }
 
-// UDPPayloadLimit returns the largest UDP response the resolver at u
-// sends for the given query (RFC 6891): without an EDNS OPT record in
-// the query, everything truncates at the classic 512 octets; with one,
-// EDNS-capable resolvers honor the advertised size up to their own
-// buffer. Large amplifiers are exactly the EDNS-capable ones — which is
-// why real amplification attacks always send EDNS queries.
-func (w *World) UDPPayloadLimit(u uint32, q *dnswire.Message, t Time) int {
-	if q == nil {
-		return dnswire.MaxUDPSize
-	}
-	size, hasEDNS := q.EDNSPayloadSize()
-	return w.udpPayloadLimit(u, size, hasEDNS, t)
-}
-
-// udpPayloadLimit is UDPPayloadLimit for a caller that has read the
-// query's OPT record itself, as the wire handler has.
+// udpPayloadLimit returns the largest UDP response the resolver at u
+// sends for a query whose OPT record (hasEDNS) advertised the given size
+// (RFC 6891): without an EDNS OPT record in the query, everything
+// truncates at the classic 512 octets; with one, EDNS-capable resolvers
+// honor the advertised size up to their own buffer. Large amplifiers are
+// exactly the EDNS-capable ones — which is why real amplification attacks
+// always send EDNS queries.
 func (w *World) udpPayloadLimit(u uint32, advertised uint16, hasEDNS bool, t Time) int {
 	if !hasEDNS || advertised <= dnswire.MaxUDPSize {
 		return dnswire.MaxUDPSize

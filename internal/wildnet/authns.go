@@ -257,11 +257,6 @@ func (w *World) rdnsRoundTrip(cn string) (uint32, bool) {
 	return 0, false
 }
 
-// PTRName builds the in-addr.arpa name for an address.
-func PTRName(u uint32) string {
-	return fmt.Sprintf("%d.%d.%d.%d.in-addr.arpa", u&0xFF, u>>8&0xFF, u>>16&0xFF, u>>24)
-}
-
 // ParsePTRName extracts the address from an in-addr.arpa name.
 func ParsePTRName(name string) (uint32, bool) {
 	cn := dnswire.CanonicalName(name)

@@ -20,10 +20,10 @@ type QueryResponse struct {
 	ToPort uint16
 	// DelayMS orders responses in time.
 	DelayMS int
-	// Msg is the decoded response, filled by the exported tree adapters
-	// (HandleDNS, HandleClientDNS) for callers that want a Message. The
-	// wire handler leaves it nil: there the response is the span
-	// [off, end) of the exchange's arena, empty when it did not encode.
+	// Msg is the decoded response, filled by the tree adapter
+	// HandleClientDNS for callers that want a Message. The wire handler
+	// leaves it nil: there the response is the span [off, end) of the
+	// exchange's arena, empty when it did not encode.
 	Msg      *dnswire.Message
 	off, end int
 }
@@ -69,22 +69,6 @@ func IsLANAddr(u uint32) bool {
 	}
 }
 
-// HandleDNS processes one DNS query sent from a scan vantage to dst and
-// returns the responses. srcPort is the scanner-side UDP source port
-// (echoed into ToPort unless the resolver scrambles it). Stateful hosts
-// know how often they have been probed; the snooping prober exposes that
-// sequence number through the transaction ID it chooses, which is how the
-// single-response-then-stop class of §2.6 is modeled.
-//
-// HandleDNS and HandleClientDNS are tree adapters over the wire handlers
-// the transports call: the query is packed, answered on the wire, and each
-// response unpacked into QueryResponse.Msg.
-func (w *World) HandleDNS(v Vantage, srcPort uint16, dst uint32, q *dnswire.Message, t Time) []QueryResponse {
-	return decoded(q, func(x *exchange, payload []byte) []QueryResponse {
-		return w.handleDNS(x, v, srcPort, dst, payload, t, faultCtx{})
-	})
-}
-
 // decoded runs a wire handler over the packed form of q and decodes what
 // it answered. A query that does not pack, like one the handler does not
 // accept, draws nothing.
@@ -104,9 +88,14 @@ func decoded(q *dnswire.Message, handle func(x *exchange, payload []byte) []Quer
 	return out
 }
 
-// handleDNS answers one datagram on the wire: the query is read through
-// x's View and every response appended into x's arena; the returned
-// slots (x's own, valid until its next exchange) carry the spans. fc is
+// handleDNS answers one datagram sent from a scan vantage to dst on the
+// wire: the query is read through x's View and every response appended
+// into x's arena; the returned slots (x's own, valid until its next
+// exchange) carry the spans. srcPort is the scanner-side UDP source port
+// (echoed into ToPort unless the resolver scrambles it). Stateful hosts
+// know how often they have been probed; the snooping prober exposes that
+// sequence number through the transaction ID it chooses, which is how the
+// single-response-then-stop class of §2.6 is modeled. fc is
 // the per-packet fault context the in-memory transport threads through
 // for retransmission redraws. Host flaps and rate limiting live here
 // rather than in the transport because they are properties of the

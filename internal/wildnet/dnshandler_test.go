@@ -1,6 +1,7 @@
 package wildnet
 
 import (
+	"fmt"
 	"net/netip"
 	"strings"
 	"testing"
@@ -28,12 +29,26 @@ func query(name string, typ dnswire.Type, class dnswire.Class) *dnswire.Message 
 	return dnswire.NewQuery(4242, name, typ, class)
 }
 
+// handle sends q from vantage v and srcPort to dst the way both
+// transports do: packed, answered by handleDNS on the wire with no fault
+// context, each response decoded into its Msg.
+func handle(w *World, v Vantage, srcPort uint16, dst uint32, q *dnswire.Message, t Time) []QueryResponse {
+	return decoded(q, func(x *exchange, payload []byte) []QueryResponse {
+		return w.handleDNS(x, v, srcPort, dst, payload, t, faultCtx{})
+	})
+}
+
+// ptrName builds the in-addr.arpa name for an address.
+func ptrName(u uint32) string {
+	return fmt.Sprintf("%d.%d.%d.%d.in-addr.arpa", u&0xFF, u>>8&0xFF, u>>16&0xFF, u>>24)
+}
+
 func TestHonestResolverAnswersGT(t *testing.T) {
 	w := testWorld(t, 16)
 	u, _ := findResolver(t, w, At(0), func(p Profile) bool {
 		return p.RCode == RCNoError && p.Manip == ManipHonest && !p.MisSourced
 	})
-	resps := w.HandleDNS(VantagePrimary, 4000, u, query(domains.GroundTruth, dnswire.TypeA, dnswire.ClassIN), At(0))
+	resps := handle(w, VantagePrimary, 4000, u, query(domains.GroundTruth, dnswire.TypeA, dnswire.ClassIN), At(0))
 	if len(resps) != 1 {
 		t.Fatalf("got %d responses, want 1", len(resps))
 	}
@@ -51,12 +66,12 @@ func TestHonestResolverAnswersGT(t *testing.T) {
 func TestRefusedAndServfailClasses(t *testing.T) {
 	w := testWorld(t, 16)
 	u, _ := findResolver(t, w, At(0), func(p Profile) bool { return p.RCode == RCRefused })
-	resps := w.HandleDNS(VantagePrimary, 4000, u, query("example.com", dnswire.TypeA, dnswire.ClassIN), At(0))
+	resps := handle(w, VantagePrimary, 4000, u, query("example.com", dnswire.TypeA, dnswire.ClassIN), At(0))
 	if len(resps) != 1 || resps[0].Msg.Header.RCode != dnswire.RCodeRefused {
 		t.Errorf("refused resolver answered %v", resps)
 	}
 	u2, _ := findResolver(t, w, At(0), func(p Profile) bool { return p.RCode == RCServFail })
-	resps = w.HandleDNS(VantagePrimary, 4000, u2, query("example.com", dnswire.TypeA, dnswire.ClassIN), At(0))
+	resps = handle(w, VantagePrimary, 4000, u2, query("example.com", dnswire.TypeA, dnswire.ClassIN), At(0))
 	if len(resps) != 1 || resps[0].Msg.Header.RCode != dnswire.RCodeServFail {
 		t.Errorf("servfail resolver answered %v", resps)
 	}
@@ -67,12 +82,12 @@ func TestChaosVersionResponses(t *testing.T) {
 	u, p := findResolver(t, w, At(0), func(p Profile) bool {
 		return p.RCode == RCNoError && p.Chaos == ChaosVersioned
 	})
-	resps := w.HandleDNS(VantagePrimary, 4000, u, query("version.bind", dnswire.TypeTXT, dnswire.ClassCH), At(0))
+	resps := handle(w, VantagePrimary, 4000, u, query("version.bind", dnswire.TypeTXT, dnswire.ClassCH), At(0))
 	if len(resps) != 1 {
 		t.Fatalf("got %d responses", len(resps))
 	}
 	txt, ok := resps[0].Msg.Answers[0].Data.(dnswire.TXT)
-	if !ok || txt.Joined() == "" {
+	if !ok || strings.Join(txt.Strings, "") == "" {
 		t.Fatalf("CHAOS answer = %v", resps[0].Msg)
 	}
 	_ = p
@@ -80,9 +95,9 @@ func TestChaosVersionResponses(t *testing.T) {
 	u2, p2 := findResolver(t, w, At(0), func(p Profile) bool {
 		return p.RCode == RCNoError && p.Chaos == ChaosHidden
 	})
-	resps = w.HandleDNS(VantagePrimary, 4000, u2, query("version.bind", dnswire.TypeTXT, dnswire.ClassCH), At(0))
+	resps = handle(w, VantagePrimary, 4000, u2, query("version.bind", dnswire.TypeTXT, dnswire.ClassCH), At(0))
 	txt = resps[0].Msg.Answers[0].Data.(dnswire.TXT)
-	if txt.Joined() == "" {
+	if strings.Join(txt.Strings, "") == "" {
 		t.Error("hidden class returned empty string")
 	}
 	_ = p2
@@ -90,7 +105,7 @@ func TestChaosVersionResponses(t *testing.T) {
 	u3, _ := findResolver(t, w, At(0), func(p Profile) bool {
 		return p.RCode == RCNoError && p.Chaos == ChaosError
 	})
-	resps = w.HandleDNS(VantagePrimary, 4000, u3, query("version.bind", dnswire.TypeTXT, dnswire.ClassCH), At(0))
+	resps = handle(w, VantagePrimary, 4000, u3, query("version.bind", dnswire.TypeTXT, dnswire.ClassCH), At(0))
 	rc := resps[0].Msg.Header.RCode
 	if rc != dnswire.RCodeRefused && rc != dnswire.RCodeServFail {
 		t.Errorf("CHAOS error class returned %v", rc)
@@ -104,7 +119,7 @@ func TestStaticIPResolverConsistent(t *testing.T) {
 	})
 	var first netip.Addr
 	for i, name := range []string{"google.com", "paypal.com", domains.GroundTruth} {
-		resps := w.HandleDNS(VantagePrimary, 4000, u, query(name, dnswire.TypeA, dnswire.ClassIN), At(0))
+		resps := handle(w, VantagePrimary, 4000, u, query(name, dnswire.TypeA, dnswire.ClassIN), At(0))
 		if len(resps) != 1 || len(resps[0].Msg.Answers) != 1 {
 			t.Fatalf("static resolver gave %v", resps)
 		}
@@ -122,7 +137,7 @@ func TestSelfIPResolver(t *testing.T) {
 	u, _ := findResolver(t, w, At(0), func(p Profile) bool {
 		return p.RCode == RCNoError && p.Manip == ManipSelfIP
 	})
-	resps := w.HandleDNS(VantagePrimary, 4000, u, query("chase.com", dnswire.TypeA, dnswire.ClassIN), At(0))
+	resps := handle(w, VantagePrimary, 4000, u, query("chase.com", dnswire.TypeA, dnswire.ClassIN), At(0))
 	got := lfsr.AddrToU32(resps[0].Msg.Answers[0].Data.(dnswire.A).Addr)
 	if got != u {
 		t.Errorf("self-IP resolver returned %d, want %d", got, u)
@@ -135,12 +150,12 @@ func TestNXMonetizerRedirectsOnlyNX(t *testing.T) {
 		return p.RCode == RCNoError && p.Manip == ManipNXMonetize && p.Country == "US"
 	})
 	// NX domain: must return an address instead of NXDOMAIN.
-	resps := w.HandleDNS(VantagePrimary, 4000, u, query("ghoogle.com", dnswire.TypeA, dnswire.ClassIN), At(0))
+	resps := handle(w, VantagePrimary, 4000, u, query("ghoogle.com", dnswire.TypeA, dnswire.ClassIN), At(0))
 	if resps[0].Msg.Header.RCode != dnswire.RCodeNoError || len(resps[0].Msg.Answers) == 0 {
 		t.Errorf("monetizer did not monetize NX: %v", resps[0].Msg)
 	}
 	// Existing non-malware domain: honest answer.
-	resps = w.HandleDNS(VantagePrimary, 4000, u, query("chase.com", dnswire.TypeA, dnswire.ClassIN), At(0))
+	resps = handle(w, VantagePrimary, 4000, u, query("chase.com", dnswire.TypeA, dnswire.ClassIN), At(0))
 	want, _ := w.LegitAddrs("chase.com", "US")
 	got := lfsr.AddrToU32(resps[0].Msg.Answers[0].Data.(dnswire.A).Addr)
 	found := false
@@ -159,7 +174,7 @@ func TestHonestNXDomainIsNXOrEmpty(t *testing.T) {
 	u, _ := findResolver(t, w, At(0), func(p Profile) bool {
 		return p.RCode == RCNoError && p.Manip == ManipHonest && p.Country == "US"
 	})
-	resps := w.HandleDNS(VantagePrimary, 4000, u, query("amason.com", dnswire.TypeA, dnswire.ClassIN), At(0))
+	resps := handle(w, VantagePrimary, 4000, u, query("amason.com", dnswire.TypeA, dnswire.ClassIN), At(0))
 	m := resps[0].Msg
 	if m.Header.RCode == dnswire.RCodeNXDomain {
 		return
@@ -175,7 +190,7 @@ func TestChineseGFWInjection(t *testing.T) {
 	u, p := findResolver(t, w, At(50), func(p Profile) bool {
 		return p.RCode == RCNoError && p.Manip == ManipHonest && p.Country == "CN" && !p.GFWDouble
 	})
-	resps := w.HandleDNS(VantagePrimary, 4000, u, query("facebook.com", dnswire.TypeA, dnswire.ClassIN), At(50))
+	resps := handle(w, VantagePrimary, 4000, u, query("facebook.com", dnswire.TypeA, dnswire.ClassIN), At(50))
 	if len(resps) != 1 {
 		t.Fatalf("CN resolver sent %d responses, want 1 (poisoned)", len(resps))
 	}
@@ -191,7 +206,7 @@ func TestChineseGFWInjection(t *testing.T) {
 	u2, _ := findResolver(t, w, At(50), func(p Profile) bool {
 		return p.RCode == RCNoError && p.Manip == ManipHonest && p.Country == "CN" && p.GFWDouble
 	})
-	resps = w.HandleDNS(VantagePrimary, 4000, u2, query("twitter.com", dnswire.TypeA, dnswire.ClassIN), At(50))
+	resps = handle(w, VantagePrimary, 4000, u2, query("twitter.com", dnswire.TypeA, dnswire.ClassIN), At(50))
 	if len(resps) != 2 {
 		t.Fatalf("double-response resolver sent %d responses", len(resps))
 	}
@@ -199,7 +214,7 @@ func TestChineseGFWInjection(t *testing.T) {
 		t.Error("injected response does not arrive first")
 	}
 	// Non-GFW domains resolve normally from CN.
-	resps = w.HandleDNS(VantagePrimary, 4000, u, query("chase.com", dnswire.TypeA, dnswire.ClassIN), At(50))
+	resps = handle(w, VantagePrimary, 4000, u, query("chase.com", dnswire.TypeA, dnswire.ClassIN), At(50))
 	if len(resps) != 1 || len(resps[0].Msg.Answers) == 0 {
 		t.Errorf("CN resolver broke non-censored domain: %v", resps)
 	}
@@ -219,11 +234,11 @@ func TestGFWInjectionWithoutResolver(t *testing.T) {
 	if !found {
 		t.Skip("no empty Chinese address at this order")
 	}
-	resps := w.HandleDNS(VantagePrimary, 4000, u, query("youtube.com", dnswire.TypeA, dnswire.ClassIN), At(50))
+	resps := handle(w, VantagePrimary, 4000, u, query("youtube.com", dnswire.TypeA, dnswire.ClassIN), At(50))
 	if len(resps) != 1 || len(resps[0].Msg.Answers) == 0 {
 		t.Errorf("injector silent for non-resolver Chinese address: %v", resps)
 	}
-	resps = w.HandleDNS(VantagePrimary, 4000, u, query("chase.com", dnswire.TypeA, dnswire.ClassIN), At(50))
+	resps = handle(w, VantagePrimary, 4000, u, query("chase.com", dnswire.TypeA, dnswire.ClassIN), At(50))
 	if len(resps) != 0 {
 		t.Errorf("non-GFW domain triggered response from empty address: %v", resps)
 	}
@@ -238,7 +253,7 @@ func TestCensorshipLandingPages(t *testing.T) {
 		mode, _ := w.CensorDecision(&p, "adultfinder.com")
 		return mode == CensorLanding
 	})
-	resps := w.HandleDNS(VantagePrimary, 4000, u, query("adultfinder.com", dnswire.TypeA, dnswire.ClassIN), At(50))
+	resps := handle(w, VantagePrimary, 4000, u, query("adultfinder.com", dnswire.TypeA, dnswire.ClassIN), At(50))
 	got := lfsr.AddrToU32(resps[0].Msg.Answers[0].Data.(dnswire.A).Addr)
 	role, slot := w.RoleOf(got)
 	if role != RoleCensorPage {
@@ -310,7 +325,7 @@ func TestEstonianResolversUseRussianLanding(t *testing.T) {
 		mode, _ := w.CensorDecision(&p, "bet-at-home.com")
 		return mode == CensorLanding
 	})
-	resps := w.HandleDNS(VantagePrimary, 4000, u, query("bet-at-home.com", dnswire.TypeA, dnswire.ClassIN), At(50))
+	resps := handle(w, VantagePrimary, 4000, u, query("bet-at-home.com", dnswire.TypeA, dnswire.ClassIN), At(50))
 	got := lfsr.AddrToU32(resps[0].Msg.Answers[0].Data.(dnswire.A).Addr)
 	_, slot := w.RoleOf(got)
 	if CensorPageCountry(slot) != "RU" {
@@ -331,7 +346,7 @@ func TestPTRLookups(t *testing.T) {
 			break
 		}
 	}
-	resps := w.HandleDNS(VantagePrimary, 4000, u, query(PTRName(target), dnswire.TypePTR, dnswire.ClassIN), At(0))
+	resps := handle(w, VantagePrimary, 4000, u, query(ptrName(target), dnswire.TypePTR, dnswire.ClassIN), At(0))
 	if len(resps) != 1 {
 		t.Fatalf("PTR got %d responses", len(resps))
 	}
@@ -370,12 +385,12 @@ func TestMailRedirectOnlyMX(t *testing.T) {
 	u, _ := findResolver(t, w, At(0), func(p Profile) bool {
 		return p.RCode == RCNoError && p.Manip == ManipMailRedir
 	})
-	resps := w.HandleDNS(VantagePrimary, 4000, u, query("imap.gmail.com", dnswire.TypeA, dnswire.ClassIN), At(0))
+	resps := handle(w, VantagePrimary, 4000, u, query("imap.gmail.com", dnswire.TypeA, dnswire.ClassIN), At(0))
 	got := lfsr.AddrToU32(resps[0].Msg.Answers[0].Data.(dnswire.A).Addr)
 	if role, _ := w.RoleOf(got); role != RoleMailSniff {
 		t.Errorf("MX answer role = %v, want mail-sniff", role)
 	}
-	resps = w.HandleDNS(VantagePrimary, 4000, u, query("chase.com", dnswire.TypeA, dnswire.ClassIN), At(0))
+	resps = handle(w, VantagePrimary, 4000, u, query("chase.com", dnswire.TypeA, dnswire.ClassIN), At(0))
 	got = lfsr.AddrToU32(resps[0].Msg.Answers[0].Data.(dnswire.A).Addr)
 	if role, _ := w.RoleOf(got); role == RoleMailSniff {
 		t.Error("non-MX domain redirected to mail sniffer")
@@ -389,12 +404,12 @@ func TestSnoopSequenceStopsSingleResponders(t *testing.T) {
 	})
 	q0 := dnswire.NewQuery(0, "com", dnswire.TypeNS, dnswire.ClassIN)
 	q0.Header.RD = false
-	if resps := w.HandleDNS(VantagePrimary, 4000, u, q0, At(0)); len(resps) != 1 {
+	if resps := handle(w, VantagePrimary, 4000, u, q0, At(0)); len(resps) != 1 {
 		t.Fatalf("first snoop probe got %d responses", len(resps))
 	}
 	q1 := dnswire.NewQuery(1, "com", dnswire.TypeNS, dnswire.ClassIN)
 	q1.Header.RD = false
-	if resps := w.HandleDNS(VantagePrimary, 4000, u, q1, At(0)); len(resps) != 0 {
+	if resps := handle(w, VantagePrimary, 4000, u, q1, At(0)); len(resps) != 0 {
 		t.Errorf("single-stop resolver answered probe #2")
 	}
 }
@@ -405,7 +420,7 @@ func TestScanQNameEncodingAnswered(t *testing.T) {
 		return p.RCode == RCNoError && p.Manip == ManipHonest
 	})
 	name := dnswire.EncodeTargetQName("p1", w.Addr(u), domains.ScanBase)
-	resps := w.HandleDNS(VantagePrimary, 4000, u, query(name, dnswire.TypeA, dnswire.ClassIN), At(0))
+	resps := handle(w, VantagePrimary, 4000, u, query(name, dnswire.TypeA, dnswire.ClassIN), At(0))
 	if len(resps) != 1 || len(resps[0].Msg.Answers) == 0 {
 		t.Fatalf("scan qname unanswered: %v", resps)
 	}

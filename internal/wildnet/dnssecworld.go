@@ -81,6 +81,7 @@ func (w *World) ZoneKeyOf(zone string) *dnssec.ZoneKey {
 
 // ZonePublicKey exposes the public key the client-side validator fetches
 // via a DNSKEY lookup.
+// Test support: core's tests validate signed answers against it.
 func (w *World) ZonePublicKey(zone string) (ed25519.PublicKey, bool) {
 	if _, signed := w.SignedZone(zone); !signed {
 		return nil, false

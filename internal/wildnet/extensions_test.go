@@ -115,7 +115,7 @@ func TestANYResponseSizes(t *testing.T) {
 	}
 	sizeOf := func(u uint32) int {
 		q := dnswire.NewQuery(1, "chase.com", dnswire.TypeANY, dnswire.ClassIN)
-		resps := w.HandleDNS(VantagePrimary, 4000, u, q, At(0))
+		resps := handle(w, VantagePrimary, 4000, u, q, At(0))
 		if len(resps) == 0 {
 			t.Fatalf("no ANY response from %d", u)
 		}
@@ -181,16 +181,20 @@ func TestUDPPayloadLimitSemantics(t *testing.T) {
 	huge := dnswire.NewQuery(1, "chase.com", dnswire.TypeANY, dnswire.ClassIN)
 	huge.AddEDNS(65000)
 
-	if got := w.UDPPayloadLimit(large, plain, At(0)); got != dnswire.MaxUDPSize {
+	limit := func(u uint32, q *dnswire.Message) int {
+		size, hasEDNS := q.EDNSPayloadSize()
+		return w.udpPayloadLimit(u, size, hasEDNS, At(0))
+	}
+	if got := limit(large, plain); got != dnswire.MaxUDPSize {
 		t.Errorf("no-EDNS limit = %d, want 512", got)
 	}
-	if got := w.UDPPayloadLimit(large, edns, At(0)); got != 4096 {
+	if got := limit(large, edns); got != 4096 {
 		t.Errorf("EDNS limit on large amp = %d, want 4096", got)
 	}
-	if got := w.UDPPayloadLimit(large, huge, At(0)); got != 4096 {
+	if got := limit(large, huge); got != 4096 {
 		t.Errorf("advertised size not capped: %d", got)
 	}
-	if got := w.UDPPayloadLimit(minimal, edns, At(0)); got != dnswire.MaxUDPSize {
+	if got := limit(minimal, edns); got != dnswire.MaxUDPSize {
 		t.Errorf("EDNS honored by non-EDNS resolver: %d", got)
 	}
 }

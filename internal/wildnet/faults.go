@@ -168,6 +168,7 @@ func ChaosProfile(name string) (FaultConfig, error) {
 }
 
 // MustChaosProfile is ChaosProfile for statically-known names.
+// Test support: the tests of other packages arm their profiles with it.
 func MustChaosProfile(name string) FaultConfig {
 	f, err := ChaosProfile(name)
 	if err != nil {

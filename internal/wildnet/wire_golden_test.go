@@ -101,8 +101,8 @@ func goldenCorpus(t *testing.T, w *World) []goldenQuery {
 		query(u, id, true, "version.bind", dnswire.TypeTXT, dnswire.ClassCH, 0)
 		query(u, id, true, "version.server", dnswire.TypeTXT, dnswire.ClassCH, 0x155)
 		query(u, id, true, "hostname.bind", dnswire.TypeTXT, dnswire.ClassCH, 0)
-		query(u, id, true, PTRName(u), dnswire.TypePTR, dnswire.ClassIN, 0)
-		query(u, id, true, PTRName(w.infra.addrOf(RoleSiteHost, ri)), dnswire.TypePTR, dnswire.ClassIN, 0)
+		query(u, id, true, ptrName(u), dnswire.TypePTR, dnswire.ClassIN, 0)
+		query(u, id, true, ptrName(w.infra.addrOf(RoleSiteHost, ri)), dnswire.TypePTR, dnswire.ClassIN, 0)
 		query(u, id, true, "not-an-address.in-addr.arpa", dnswire.TypePTR, dnswire.ClassIN, 0)
 		for _, tld := range domains.SnoopedTLDs {
 			for seq := uint16(0); seq < 2; seq++ {
@@ -127,7 +127,7 @@ func goldenCorpus(t *testing.T, w *World) []goldenQuery {
 			query(srv, uint16(ni), true, name, dnswire.TypeA, dnswire.ClassIN, uint32(ni)&0x1FF)
 		}
 		query(srv, 7, true, "r1.c0a80101."+domains.ScanBase, dnswire.TypeA, dnswire.ClassIN, 0)
-		query(srv, 7, true, PTRName(responders[0]), dnswire.TypePTR, dnswire.ClassIN, 0)
+		query(srv, 7, true, ptrName(responders[0]), dnswire.TypePTR, dnswire.ClassIN, 0)
 		query(srv, 7, true, "wikileaks.org", dnswire.TypeDNSKEY, dnswire.ClassIN, 0)
 		query(srv, 7, true, "chase.com", dnswire.TypeDNSKEY, dnswire.ClassIN, 0)
 		query(srv, 7, true, "chase.com", dnswire.TypeMX, dnswire.ClassIN, 0)
@@ -277,7 +277,7 @@ func TestResponseWireRoundTrips(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			full := w.HandleDNS(VantagePrimary, q.srcPort, q.dst, qm, q.at)
+			full := handle(w, VantagePrimary, q.srcPort, q.dst, qm, q.at)
 			if len(full) != 1 || len(resps) != 1 {
 				t.Fatalf("truncated exchange with %d responses (%d delivered)", len(full), len(resps))
 			}

@@ -210,6 +210,7 @@ func NewWorld(cfg Config) (*World, error) {
 }
 
 // MustNewWorld is NewWorld that panics on error.
+// Test support: the tests of other packages build their worlds with it.
 func MustNewWorld(cfg Config) *World {
 	w, err := NewWorld(cfg)
 	if err != nil {
