@@ -54,13 +54,16 @@ bench-test:
 # written by the transport's read loop while the scan reads them. The
 # domain scan's differential (every row of a scan of all names against a
 # scan of that name alone, four senders interleaving the rows) rides
-# with the gateway runs.
+# with the gateway runs, and so do the sweep's two: its lock-free miss
+# check against the responder map after each round of four senders
+# setting answered bits, and its template probes against the same
+# probes sent built.
 # The equivalence harness's children are the race-built test binary, so
 # the last line runs the full report under every fault profile, at
 # GOMAXPROCS 1 and 2, under the detector.
 race:
 	$(GO) test -race ./internal/scanner ./internal/wildnet ./internal/ampli ./internal/cluster ./internal/snoop ./internal/pipeline ./internal/metrics ./internal/debughttp .
-	$(GO) test -race -count=3 -run 'Gateway|TestDomainScanRowsMatchOneNameScans' ./internal/scanner
+	$(GO) test -race -count=3 -run 'Gateway|TestDomainScanRowsMatchOneNameScans|TestSweepMissMatchesAnswered|TestLazyProbesMatchBuiltProbes' ./internal/scanner
 	$(GO) test -race -count=3 ./internal/resolvesvc
 	$(GO) test -race -run TestEquivalence ./cmd/wildreport
 

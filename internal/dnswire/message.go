@@ -291,6 +291,82 @@ func AppendTargetQuery(buf []byte, id uint16, prefix []byte, target uint32, base
 	return buf
 }
 
+// CensusQuery is one sweep round's probe template. Append patches the
+// three per-target fields (transaction ID, anti-caching prefix, hex-IP
+// label) into a preassembled query instead of rebuilding it label by
+// label; the bytes are what AppendTargetQuery produces for the same
+// target and attempt (TestTemplateBuildMatchesAppend pins this). Every
+// instance has the template's length, QTYPE and name length, so a
+// transport can decide what depends only on those once per template,
+// without building a probe.
+type CensusQuery struct {
+	wire    []byte // the query for target 0
+	salt    uint64
+	nameLen int
+}
+
+// NewCensusQuery returns the template of retry round attempt (0 is the
+// census pass) over the scan base's encoding baseWire, from
+// EncodeNameWire.
+func NewCensusQuery(baseWire []byte, attempt int) *CensusQuery {
+	p0 := censusPrefix(0, attempt)
+	wire := AppendTargetQuery(nil, 0, p0[:], 0, baseWire, TypeA, ClassIN)
+	// The dotted form drops the first length octet and the root label.
+	return &CensusQuery{wire: wire, salt: uint64(attempt) * 0x9E3779B9, nameLen: len(QueryNameWire(wire)) - 2}
+}
+
+// censusPrefix derives the per-target random label that defeats caching
+// (§2.2), salted with the retry attempt: attempt 0 is the original census
+// probe, while each retransmission round carries a fresh label — a
+// genuinely new packet that redraws its per-packet loss fate (the target
+// decode ignores the prefix, so attribution is unaffected). It is the
+// defining computation; Append writes the same digits in place.
+func censusPrefix(u uint32, attempt int) [5]byte {
+	v := uint16((uint64(u)*2654435761 + uint64(attempt)*0x9E3779B9) >> 8)
+	const hexdigits = "0123456789abcdef"
+	return [5]byte{'r', hexdigits[v>>12], hexdigits[v>>8&0xF], hexdigits[v>>4&0xF], hexdigits[v&0xF]}
+}
+
+// QType returns the question type every instance asks.
+func (q *CensusQuery) QType() Type {
+	return Type(binary.BigEndian.Uint16(q.wire[len(q.wire)-4:]))
+}
+
+// NameLen returns the length of every instance's question name in dotted
+// form, as View.QName reads it.
+func (q *CensusQuery) NameLen() int { return q.nameLen }
+
+// Append appends the probe for target u to buf and returns it grown; it
+// does not allocate when buf has capacity.
+//
+//lint:hotpath per-probe census query build
+func (q *CensusQuery) Append(buf []byte, u uint32) []byte {
+	off := len(buf)
+	buf = append(buf, q.wire...)
+	// Fixed layout: id at [0:2]; the 5-byte prefix label content at
+	// [13:18] (after the 12-byte header and its length octet); the
+	// 8-hex-digit target label content at [19:27].
+	w := buf[off:]
+	id := uint16(u) ^ uint16(u>>16)
+	w[0], w[1] = byte(id>>8), byte(id)
+	// The anti-caching prefix (w[13] stays 'r' from the template).
+	const hexdigits = "0123456789abcdef"
+	v := uint16((uint64(u)*2654435761 + q.salt) >> 8)
+	w[14] = hexdigits[v>>12]
+	w[15] = hexdigits[v>>8&0xF]
+	w[16] = hexdigits[v>>4&0xF]
+	w[17] = hexdigits[v&0xF]
+	w[19] = hexdigits[u>>28]
+	w[20] = hexdigits[u>>24&0xF]
+	w[21] = hexdigits[u>>20&0xF]
+	w[22] = hexdigits[u>>16&0xF]
+	w[23] = hexdigits[u>>12&0xF]
+	w[24] = hexdigits[u>>8&0xF]
+	w[25] = hexdigits[u>>4&0xF]
+	w[26] = hexdigits[u&0xF]
+	return buf
+}
+
 // Unpack decodes a wire-format message. It is tolerant of trailing
 // garbage after the final section (observed from broken CPE resolvers) but
 // strict about structural validity inside the declared sections.

@@ -23,7 +23,7 @@ func TestSweepSendPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instruments allocations")
 	}
-	if n := batchAllocs(t, templateBuild(scanBaseWire(t), 0)); n != 0 {
+	if n := batchAllocs(t, sweepBuild(dnswire.NewCensusQuery(scanBaseWire(t), 0))); n != 0 {
 		t.Fatalf("sweep batch assembly allocates %d times over 500 batches of %d, want 0", n, streamBatch)
 	}
 }
@@ -37,7 +37,7 @@ func TestSweepRetrySendPathAllocs(t *testing.T) {
 		t.Skip("race detector instruments allocations")
 	}
 	for attempt := 1; attempt <= 2; attempt++ {
-		if n := batchAllocs(t, templateBuild(scanBaseWire(t), attempt)); n != 0 {
+		if n := batchAllocs(t, sweepBuild(dnswire.NewCensusQuery(scanBaseWire(t), attempt))); n != 0 {
 			t.Fatalf("attempt %d: retry batch assembly allocates %d times over 500 batches of %d, want 0", attempt, n, streamBatch)
 		}
 	}
@@ -70,18 +70,21 @@ func scanBaseWire(t *testing.T) []byte {
 
 // batchAllocs counts the heap allocations of 500 full batches assembled
 // the way a sender does: a pooled probeBatch, reset, one build add per
-// item 0 … streamBatch−1, finish.
+// item 0 … streamBatch−1, finish. The first probe's bytes are read
+// through its AppendPayload, which builds a template probe's query.
 func batchAllocs(t *testing.T, build probeBuild) uint64 {
 	t.Helper()
 	bat := probeBatchPool.Get().(*probeBatch)
 	defer probeBatchPool.Put(bat)
+	scratch := make([]byte, 0, 512)
 	return alloctest.Count(500, func() {
 		bat.reset()
 		for u := range uint32(streamBatch) {
 			bat.add(u, build)
 		}
-		if probes := bat.finish(); len(probes) != streamBatch || len(probes[0].Payload) == 0 {
-			t.Fatalf("batch of %d probes, first payload %d bytes", len(probes), len(probes[0].Payload))
+		probes := bat.finish()
+		if payload := probes[0].AppendPayload(scratch[:0]); len(probes) != streamBatch || len(payload) == 0 {
+			t.Fatalf("batch of %d probes, first payload %d bytes", len(probes), len(payload))
 		}
 	})
 }
@@ -92,10 +95,12 @@ func TestSweepReceivePathAllocs(t *testing.T) {
 	}
 	// Build one realistic sweep response: the echoed question plus an A
 	// answer.
-	u := uint32(0x7F000001)
-	prefix := cachePrefixN(u, 0)
-	name := dnswire.EncodeTargetQName(string(prefix[:]), lfsr.U32ToAddr(u), domains.ScanBase)
-	m := dnswire.NewQuery(uint16(u)^uint16(u>>16), name, dnswire.TypeA, dnswire.ClassIN)
+	u := uint32(0x7F01)
+	m, err := dnswire.Unpack(dnswire.NewCensusQuery(scanBaseWire(t), 0).Append(nil, u))
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := m.Questions[0].Name
 	m.Header.QR = true
 	m.AddAnswer(name, dnswire.ClassIN, 60, dnswire.A{Addr: netip.MustParseAddr("192.0.2.1")})
 	payload, err := m.PackBytes()
@@ -106,6 +111,9 @@ func TestSweepReceivePathAllocs(t *testing.T) {
 
 	st := newSweepCollector(domains.ScanBase, 16)
 	st.receive(src, 53, 33000, payload) // first delivery inserts
+	if st.missed(u) {
+		t.Fatal("the stored responder's target is not marked answered")
+	}
 	// Steady state: duplicate responses (and by extension every parse)
 	// must not touch the heap.
 	if n := alloctest.Count(500, func() {

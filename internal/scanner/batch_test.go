@@ -8,44 +8,30 @@ import (
 	"time"
 
 	"goingwild/internal/dnswire"
-	"goingwild/internal/domains"
 	"goingwild/internal/lfsr"
 	"goingwild/internal/wildnet"
 )
 
-// TestTemplateBuildMatchesAppend pins the contract templateBuild's doc
-// comment promises: the template-patched batch payload is byte-for-byte
-// what AppendTargetQuery produces for the same target and attempt.
-func TestTemplateBuildMatchesAppend(t *testing.T) {
-	base := dnswire.CanonicalName(domains.ScanBase)
-	baseWire, err := dnswire.EncodeNameWire(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	targets := []uint32{1, 2, 0xFF, 0x1234, 0xDEADBEEF, 0xFFFFFFFF, 0x01020304, 0x80000000}
-	for u := uint32(3); u < 1<<20; u += 99991 { // sparse walk of the low space
-		targets = append(targets, u)
-	}
-	for attempt := 0; attempt <= 3; attempt++ {
-		build := templateBuild(baseWire, attempt)
-		var arena []byte
-		offs := []int{0}
-		for _, u := range targets {
+// TestSweepProbesCarryTheTemplate: the sweep's builder addresses each
+// probe to its target from the base port and hands it the round's
+// template, in place of bytes; the bytes the probe builds are the
+// template's for that target (dnswire pins those to AppendTargetQuery).
+func TestSweepProbesCarryTheTemplate(t *testing.T) {
+	baseWire := scanBaseWire(t)
+	for attempt := 0; attempt <= 2; attempt++ {
+		tmpl := dnswire.NewCensusQuery(baseWire, attempt)
+		build := sweepBuild(tmpl)
+		for _, u := range []uint32{1, 0x1234, 0xDEADBEEF} {
 			var p wildnet.Probe
-			arena = build(u, &p, arena)
-			offs = append(offs, len(arena))
-			if p.Dst != lfsr.U32ToAddr(u) || p.SrcPort != 33000 || p.Payload != nil {
+			if arena := build(u, &p, nil); arena != nil {
+				t.Fatalf("attempt %d target %08x: the builder wrote %d arena bytes", attempt, u, len(arena))
+			}
+			if p.Dst != lfsr.U32ToAddr(u) || p.SrcPort != 33000 || p.Payload != nil || p.Template != tmpl {
 				t.Fatalf("attempt %d target %08x: probe header %+v", attempt, u, p)
 			}
-		}
-		for i, u := range targets {
-			got := arena[offs[i]:offs[i+1]]
-			prefix := cachePrefixN(u, attempt)
-			want := dnswire.AppendTargetQuery(nil, uint16(u)^uint16(u>>16),
-				prefix[:], u, baseWire, dnswire.TypeA, dnswire.ClassIN)
-			if !bytes.Equal(got, want) {
-				t.Fatalf("attempt %d target %08x: templateBuild diverges from AppendTargetQuery:\n got %x\nwant %x",
-					attempt, u, got, want)
+			want := tmpl.Append(nil, u)
+			if got := p.AppendPayload(nil); !bytes.Equal(got, want) {
+				t.Fatalf("attempt %d target %08x: probe builds %x, want %x", attempt, u, got, want)
 			}
 		}
 	}

@@ -159,10 +159,10 @@ func (s *slowTransport) SendBatch(ctx context.Context, batch []wildnet.Probe) (i
 // TestSenderPhaseCounters pins the engine's per-phase Timing counters on a
 // three-batch sweep: an order-10 space less its first /24 is 768 targets,
 // three full pulls and the empty one that ends the round. One sender
-// reads the clock at every phase boundary, so pull holds four 1ns ticks,
-// build three, and send three plus the transport's 1µs per probe. The
-// counters are Timing class, and a scanner without a registry never
-// reads the clock.
+// reads the clock at every phase boundary, so the pull wait and the pull
+// hold four 1ns ticks each, build three, and send three plus the
+// transport's 1µs per probe. The counters are Timing class, and a
+// scanner without a registry never reads the clock.
 func TestSenderPhaseCounters(t *testing.T) {
 	bl := lfsr.NewBlacklist()
 	if err := bl.AddCIDR("0.0.0.0/24"); err != nil {
@@ -185,10 +185,11 @@ func TestSenderPhaseCounters(t *testing.T) {
 	sweep(reg)
 	snap := reg.Snapshot()
 	for name, want := range map[string]uint64{
-		"scanner.sweep.sent":     768,
-		"scanner.sweep.pull_ns":  4,
-		"scanner.sweep.build_ns": 3,
-		"scanner.sweep.send_ns":  3 + 768*1000,
+		"scanner.sweep.sent":         768,
+		"scanner.sweep.pull_wait_ns": 4,
+		"scanner.sweep.pull_ns":      4,
+		"scanner.sweep.build_ns":     3,
+		"scanner.sweep.send_ns":      3 + 768*1000,
 	} {
 		if got := snap.Counter(name); got != want {
 			t.Errorf("%s = %d, want %d", name, got, want)

@@ -73,11 +73,12 @@ func listPull(n int) int {
 	return min(max(n/32, 8), streamBatch)
 }
 
-// probeBuild fills p for item u: destination, source port and payload. A
-// payload built per item is appended to arena, which is returned grown —
-// the batch cuts it into p.Payload once the arena has stopped moving. A
-// payload the whole round shares is lent through p.Payload as is, and
-// arena comes back untouched.
+// probeBuild fills p for item u: destination, source port and payload,
+// in exactly one of the probe's two forms. A payload built per item is
+// appended to arena, which is returned grown — the batch cuts it into
+// p.Payload once the arena has stopped moving. A payload the whole round
+// shares is lent through p.Payload as is, and a sweep sets p.Template,
+// the round's census template; either way arena comes back untouched.
 type probeBuild func(u uint32, p *wildnet.Probe, arena []byte) []byte
 
 // appendWithID appends the packed query tmpl to arena under transaction
@@ -119,10 +120,12 @@ type scanRun struct {
 }
 
 // pull fills dst with the round's next items and reports how many; zero
-// ends the round.
-func (r *scanRun) pull(dst []uint32) int {
+// ends the round. lap runs with r.ctr.pullWaitNs as soon as r.mu is held,
+// so the wait for the lock and its hold are timed apart.
+func (r *scanRun) pull(dst []uint32, lap func(*metrics.Counter)) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	lap(r.ctr.pullWaitNs)
 	n := r.src.NextBatch(dst)
 	if r.round == 0 {
 		r.probed += uint64(n)
@@ -194,8 +197,8 @@ func (s *Scanner) run(ctx context.Context, r *scanRun) error {
 // in-flight batch per worker completes).
 //
 // With a registry attached, each sender reads the injected Clock at the
-// batch's phase boundaries and adds the spans to r.ctr's pull, build and
-// send counters; without one it reads no clock at all.
+// batch's phase boundaries and adds the spans to r.ctr's pull-wait, pull,
+// build and send counters; without one it reads no clock at all.
 func (s *Scanner) sendRound(ctx context.Context, r *scanRun) error {
 	limited := s.rate.interval != 0
 	retry := r.round > 0
@@ -220,7 +223,7 @@ func (s *Scanner) sendRound(ctx context.Context, r *scanRun) error {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			n := r.pull(bat.items[:r.chunk])
+			n := r.pull(bat.items[:r.chunk], lap)
 			lap(r.ctr.pullNs)
 			if n == 0 {
 				return nil

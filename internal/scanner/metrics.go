@@ -54,21 +54,23 @@ type scanMetrics struct {
 // senderCounters are one scan kind's sender-side series: sent, the probes
 // its batches dispatched (scanner.KIND.sent, Deterministic), and the
 // nanoseconds its senders spent in each phase of a batch
-// (scanner.KIND.{pull,build,send}_ns, Timing). pull is the wait for and
-// the hold of scanRun.mu; build is assembling the batch, rate-limiter
-// waits included; send is the transport's SendBatch.
+// (scanner.KIND.{pull_wait,pull,build,send}_ns, Timing). pull_wait is the
+// wait for scanRun.mu, which grows with the senders queueing on it, and
+// pull its hold; build is assembling the batch, rate-limiter waits
+// included; send is the transport's SendBatch.
 type senderCounters struct {
-	sent                    *metrics.Counter
-	pullNs, buildNs, sendNs *metrics.Counter
+	sent                                *metrics.Counter
+	pullWaitNs, pullNs, buildNs, sendNs *metrics.Counter
 }
 
 func newSenderCounters(r *metrics.Registry, kind string) senderCounters {
 	p := "scanner." + kind + "."
 	return senderCounters{
-		sent:    r.Counter(p + "sent"),
-		pullNs:  r.TimingCounter(p + "pull_ns"),
-		buildNs: r.TimingCounter(p + "build_ns"),
-		sendNs:  r.TimingCounter(p + "send_ns"),
+		sent:       r.Counter(p + "sent"),
+		pullWaitNs: r.TimingCounter(p + "pull_wait_ns"),
+		pullNs:     r.TimingCounter(p + "pull_ns"),
+		buildNs:    r.TimingCounter(p + "build_ns"),
+		sendNs:     r.TimingCounter(p + "send_ns"),
 	}
 }
 

@@ -38,7 +38,7 @@ func (e *echoTransport) SendBatch(ctx context.Context, batch []wildnet.Probe) (i
 		if e.answer == nil || !e.answer(u, attempt) {
 			continue
 		}
-		q, err := dnswire.Unpack(p.Payload)
+		q, err := dnswire.Unpack(p.AppendPayload(nil))
 		if err != nil {
 			return i, err
 		}

@@ -3,7 +3,22 @@ package scanner
 import (
 	"sync"
 	"testing"
+	"unsafe"
 )
+
+// TestStripesFillCacheLines: a stripe of the sharded map and a striped
+// mutex each span whole 64-byte cache lines, so neighbouring stripe locks
+// never share one.
+func TestStripesFillCacheLines(t *testing.T) {
+	for name, size := range map[string]uintptr{
+		"mapShard":    unsafe.Sizeof(mapShard[Responder]{}),
+		"paddedMutex": unsafe.Sizeof(paddedMutex{}),
+	} {
+		if size%64 != 0 {
+			t.Errorf("%s is %d bytes, not a multiple of 64", name, size)
+		}
+	}
+}
 
 func TestShardedMapInsertOnce(t *testing.T) {
 	m := newShardedMap[int](0)

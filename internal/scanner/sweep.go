@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"goingwild/internal/dnswire"
 	"goingwild/internal/domains"
@@ -77,32 +78,26 @@ func (r *SweepResult) MisSourcedCount() int {
 	return n
 }
 
-// cachePrefixN derives the per-target random label that defeats caching
-// (§2.2), salted with the retry attempt: attempt 0 is byte-identical to
-// the original census probe, while each retransmission round carries a
-// fresh label — a genuinely new packet that redraws its per-packet loss
-// fate (the target decode ignores the prefix, so attribution is
-// unaffected). It is the defining computation; templateBuild writes the
-// same digits per probe straight into the query.
-func cachePrefixN(u uint32, attempt int) [5]byte {
-	v := uint16((uint64(u)*2654435761 + uint64(attempt)*0x9E3779B9) >> 8)
-	const hexdigits = "0123456789abcdef"
-	return [5]byte{'r', hexdigits[v>>12], hexdigits[v>>8&0xF], hexdigits[v>>4&0xF], hexdigits[v&0xF]}
-}
-
 // sweepCollector accumulates sweep responses in a sharded map keyed by
-// target address. Its receive method is the hot receiver callback: one
-// pooled wire view, no Message, no allocation at steady state.
+// target address, and marks each stored target in a bitmap of the 2^order
+// space that the retry rounds' miss check reads without a lock. Its
+// receive method is the hot receiver callback: one pooled wire view, no
+// Message, no allocation at steady state.
 type sweepCollector struct {
 	base      string // canonical scan base the qname must end in
 	responses *shardedMap[Responder]
-	recv      *metrics.Counter // valid sweep responses seen (nil = metrics off)
+	// answered holds one bit per target, set once its responder is
+	// stored: 32 KB at order 18, less than the map's size hint.
+	answered []atomic.Uint64
+	recv     *metrics.Counter // valid sweep responses seen (nil = metrics off)
 }
 
-func newSweepCollector(base string, hint int) *sweepCollector {
+func newSweepCollector(base string, order uint) *sweepCollector {
+	space := uint64(1) << order
 	return &sweepCollector{
 		base:      dnswire.CanonicalName(base),
-		responses: newShardedMap[Responder](hint),
+		responses: newShardedMap[Responder](int(space / 64)),
+		answered:  make([]atomic.Uint64, (space+63)/64),
 	}
 }
 
@@ -121,12 +116,53 @@ func (st *sweepCollector) receive(src netip4, srcPort, dstPort uint16, payload [
 		return
 	}
 	st.recv.Inc()
-	st.responses.InsertOnce(target, Responder{
+	if st.responses.InsertOnce(target, Responder{
 		Addr:     target,
 		Source:   addrU32(src),
 		RCode:    v.RCode(),
 		Answered: v.HasAnswerA(),
-	})
+	}) {
+		st.mark(target)
+	}
+}
+
+// mark sets target's answered bit. Neighbouring targets share a word but
+// hash to different stripes, so concurrent receivers set bits in one word
+// and the loop retries a lost CompareAndSwap. A target outside the space
+// (a garbled name can decode to one) has no bit; no round probes it.
+//
+//lint:hotpath per-response collector insert
+func (st *sweepCollector) mark(target uint32) {
+	i := uint64(target / 64)
+	if i >= uint64(len(st.answered)) {
+		return
+	}
+	w, bit := &st.answered[i], uint64(1)<<(target%64)
+	for {
+		old := w.Load()
+		if old&bit != 0 || w.CompareAndSwap(old, old|bit) {
+			return
+		}
+	}
+}
+
+// missed reports whether target u of the space has no responder stored:
+// the sweep's miss check.
+//
+//lint:hotpath per-probe miss check of a retry round
+func (st *sweepCollector) missed(u uint32) bool {
+	return st.answered[u/64].Load()&(uint64(1)<<(u%64)) == 0
+}
+
+// sweepBuild returns the sweep's probe builder for a round's template: it
+// addresses the probe to target u from basePort and hands it the
+// template, which the transport builds into target u's query bytes only
+// where a host can read them.
+func sweepBuild(tmpl *dnswire.CensusQuery) probeBuild {
+	return func(u uint32, p *wildnet.Probe, arena []byte) []byte {
+		p.Dst, p.SrcPort, p.Template = lfsr.U32ToAddr(u), basePort, tmpl
+		return arena
+	}
 }
 
 // SweepContext probes every address of a 2^order space once, in
@@ -155,13 +191,7 @@ func (s *Scanner) SweepContext(ctx context.Context, order uint, seed uint32, bl 
 	if s.tr == nil {
 		return nil, ErrNoTransport
 	}
-	gen, err := lfsr.NewTargetGenerator(order, seed, bl)
-	if err != nil {
-		return nil, err
-	}
-	st := newSweepCollector(domains.ScanBase, int(uint64(1)<<order/64))
-	st.recv = s.m.sweepRecv
-	baseWire, err := dnswire.EncodeNameWire(st.base)
+	st, run, err := s.newSweep(order, seed, bl)
 	if err != nil {
 		return nil, err
 	}
@@ -169,21 +199,34 @@ func (s *Scanner) SweepContext(ctx context.Context, order uint, seed uint32, bl 
 	// return, so a returned sweep leaves nothing on the transport.
 	s.tr.SetReceiver(st.receive)
 	defer s.tr.SetReceiver(nil)
-	run := &scanRun{
+	err = s.run(ctx, run)
+	return s.collectSweep(st, run.probed), err
+}
+
+// newSweep returns a sweep's collector and its run on the engine: the
+// LFSR generator as the source, the round's census template as the
+// builder, and the collector's answered bitmap as the miss check.
+func (s *Scanner) newSweep(order uint, seed uint32, bl *lfsr.Blacklist) (*sweepCollector, *scanRun, error) {
+	gen, err := lfsr.NewTargetGenerator(order, seed, bl)
+	if err != nil {
+		return nil, nil, err
+	}
+	st := newSweepCollector(domains.ScanBase, order)
+	st.recv = s.m.sweepRecv
+	baseWire, err := dnswire.EncodeNameWire(st.base)
+	if err != nil {
+		return nil, nil, err
+	}
+	return st, &scanRun{
 		src:    gen,
 		chunk:  streamBatch,
 		rounds: s.opts.SweepRetries,
 		build: func(round int) probeBuild {
-			return templateBuild(baseWire, round)
+			return sweepBuild(dnswire.NewCensusQuery(baseWire, round))
 		},
-		miss: func(u uint32) bool {
-			_, answered := st.responses.Get(u)
-			return !answered
-		},
-		ctr: s.m.sweep,
-	}
-	err = s.run(ctx, run)
-	return s.collectSweep(st, run.probed), err
+		miss: st.missed,
+		ctr:  s.m.sweep,
+	}, nil
 }
 
 // collectSweep freezes the collector into the sorted result.

@@ -12,9 +12,11 @@ import (
 // BenchmarkSweep is the census on its own: one op is one full sweep of an
 // order-20 world (2^20 targets, over 99% of them silent) at week 0 and at
 // week 45, with the default sender count and no settle wait. ns/probe is
-// the sweep's wall time per target; pull, build and send are the
-// engine's phase counters per target, summed over the senders, so pull
-// includes the wait for the generator lock. Run it with
+// the sweep's wall time per target; pull_wait, pull, build and send are
+// the engine's phase counters per target, summed over the senders:
+// pull_wait is the wait for the generator lock and pull its hold, and
+// send holds the transport's reject and, past it, the query build. Run
+// it with
 //
 //	go test ./internal/scanner -run '^$' -bench Sweep -benchtime 5x
 func BenchmarkSweep(b *testing.B) {
@@ -43,7 +45,7 @@ func BenchmarkSweep(b *testing.B) {
 			b.StopTimer()
 			snap := reg.Snapshot()
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/probes, "ns/probe")
-			for _, phase := range []string{"pull", "build", "send"} {
+			for _, phase := range []string{"pull_wait", "pull", "build", "send"} {
 				b.ReportMetric(float64(snap.Counter("scanner.sweep."+phase+"_ns"))/probes, phase+"-ns/probe")
 			}
 		})

@@ -9,6 +9,7 @@ import (
 
 	"goingwild/internal/alloctest"
 	"goingwild/internal/dnswire"
+	"goingwild/internal/domains"
 	"goingwild/internal/metrics"
 )
 
@@ -418,5 +419,81 @@ func TestAnsweredSendAllocs(t *testing.T) {
 			t.Errorf("%s %v: %d of %d new-hour probes found the profile in the memo, %d drew an answer record", tc.name, tc.typ, hits, probes, answers)
 		}
 		tr.SetTime(now)
+	}
+}
+
+// TestTemplateSendAllocs holds the deliver-and-build path to the budget
+// of the bytes it builds. Into empty Chinese space, a template whose
+// names are as long as a GFW-listed one is built into the exchange
+// scratch and its question read, at zero allocations. To a resolver, a
+// template probe is built past the reject, answered and delivered at
+// exactly the allocations of the same probe sent built: the build adds
+// none (the handler's answer to a scan-base name costs its own).
+func TestTemplateSendAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instruments allocations")
+	}
+	w := testWorld(t, 16)
+	tr := NewMemTransport(w, VantagePrimary)
+	defer tr.Close()
+	answers := 0
+	tr.SetReceiver(func(netip.Addr, uint16, uint16, []byte) { answers++ })
+	ctx := context.Background()
+	batchOf := func(p Probe) []Probe {
+		batch := make([]Probe, 64)
+		for i := range batch {
+			batch[i] = p
+		}
+		return batch
+	}
+	// allocs counts a batch's allocations after one warm send, and
+	// reports how many responses the warm send drew.
+	allocs := func(batch []Probe) (n uint64, warmAnswers int) {
+		t.Helper()
+		answers = 0
+		if n, err := tr.SendBatch(ctx, batch); err != nil || n != len(batch) {
+			t.Fatalf("SendBatch = %d, %v", n, err)
+		}
+		warmAnswers = answers
+		return alloctest.Count(100, func() {
+			if n, err := tr.SendBatch(ctx, batch); err != nil || n != len(batch) {
+				t.Fatalf("SendBatch = %d, %v", n, err)
+			}
+		}), warmAnswers
+	}
+
+	now := tr.Time()
+	bc := w.blockCache(now.Week)
+	cn := uint32(0)
+	for w.sweepClassify(cn, VantagePrimary, now, bc) != classCNOnly {
+		if cn++; cn == uint32(w.SpaceSize()) {
+			t.Fatal("no empty Chinese space in the order-16 world")
+		}
+	}
+	gfwLong, err := dnswire.EncodeNameWire("example.org")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmpl := dnswire.NewCensusQuery(gfwLong, 0)
+	if gfwDeafTo(tmpl) {
+		t.Fatalf("a %d-byte name matches no GFW-listed length", tmpl.NameLen())
+	}
+	if n, got := allocs(batchOf(Probe{Dst: w.Addr(cn), DstPort: 53, SrcPort: 33000, Template: tmpl})); n != 0 || got != 0 {
+		t.Errorf("built-and-read template batch into Chinese space allocates %d times over 100 batches, %d answers; want 0 and 0", n, got)
+	}
+
+	baseWire, err := dnswire.EncodeNameWire(dnswire.CanonicalName(domains.ScanBase))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lazy := Probe{Dst: w.Addr(memoProbeResolver(t, w)), DstPort: 53, SrcPort: 33000, Template: dnswire.NewCensusQuery(baseWire, 0)}
+	built := lazy
+	built.Payload, built.Template = lazy.AppendPayload(nil), nil
+	lazyAllocs, got := allocs(batchOf(lazy))
+	if got != 64 {
+		t.Fatalf("%d of 64 template probes to a resolver drew a response", got)
+	}
+	if builtAllocs, _ := allocs(batchOf(built)); lazyAllocs != builtAllocs {
+		t.Errorf("answered template batch allocates %d times over 100 batches, the same probes built %d", lazyAllocs, builtAllocs)
 	}
 }

@@ -20,8 +20,10 @@ type exchange struct {
 	// hasEDNS whether it carries one.
 	edns    uint16
 	hasEDNS bool
-	// cn backs the canonical query name while it is looked up; addrs
-	// backs an answer set (at most four addresses).
+	// query backs a template probe's bytes, built past the reject; cn
+	// backs the canonical query name while it is looked up; addrs backs
+	// an answer set (at most four addresses).
+	query []byte
 	cn    []byte
 	addrs [4]uint32
 	// answered and bytes tally the exchanges that drew a response and the

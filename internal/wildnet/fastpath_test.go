@@ -3,9 +3,11 @@ package wildnet
 import (
 	"context"
 	"net/netip"
+	"reflect"
 	"testing"
 
 	"goingwild/internal/dnswire"
+	"goingwild/internal/metrics"
 	"goingwild/internal/prand"
 )
 
@@ -281,5 +283,71 @@ func TestSendBatchMatchesSend(t *testing.T) {
 	}
 	if len(single) == 0 {
 		t.Fatal("no deliveries at all; world suspiciously empty")
+	}
+}
+
+// TestTemplateProbesMatchPayloadProbes sends every address of an order-14
+// hostile world the census probe of two rounds, once as templates and
+// once built into payloads of their own, against two equal worlds, and
+// requires identical deliveries, byte for byte and in order, and equal
+// deterministic series (wildnet.send.rejected and wildnet.fault.*
+// among them). Over the scan base the injector ignores every instance, so
+// empty Chinese space rejects them unbuilt; over a base whose names are as
+// long as a GFW-listed one, those probes take the build-and-read path.
+func TestTemplateProbesMatchPayloadProbes(t *testing.T) {
+	type delivery struct {
+		src     netip.Addr
+		sp, dp  uint16
+		payload string
+	}
+	for _, base := range []string{"scan.dnsstudy.example.edu", "example.org"} {
+		baseWire, err := dnswire.EncodeNameWire(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tmpls := []*dnswire.CensusQuery{dnswire.NewCensusQuery(baseWire, 0), dnswire.NewCensusQuery(baseWire, 1)}
+		if base == "example.org" && gfwDeafTo(tmpls[0]) {
+			t.Fatalf("%s: a %d-byte name matches no GFW-listed length", base, tmpls[0].NameLen())
+		}
+		run := func(built bool) ([]delivery, metrics.Snapshot) {
+			cfg := DefaultConfig(14)
+			cfg.Faults = MustChaosProfile("hostile")
+			cfg.Metrics = metrics.New()
+			w, err := NewWorld(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr := NewMemTransport(w, VantagePrimary)
+			defer tr.Close()
+			var got []delivery
+			tr.SetReceiver(func(src netip.Addr, sp, dp uint16, payload []byte) {
+				got = append(got, delivery{src, sp, dp, string(payload)})
+			})
+			for _, tmpl := range tmpls {
+				batch := make([]Probe, 0, w.SpaceSize())
+				for u := uint32(0); u < uint32(w.SpaceSize()); u++ {
+					p := Probe{Dst: w.Addr(u), DstPort: 53, SrcPort: 33000, Template: tmpl}
+					if built {
+						p.Payload, p.Template = p.AppendPayload(nil), nil
+					}
+					batch = append(batch, p)
+				}
+				if n, err := tr.SendBatch(context.Background(), batch); err != nil || n != len(batch) {
+					t.Fatalf("SendBatch = %d, %v", n, err)
+				}
+			}
+			return got, cfg.Metrics.Snapshot().StripTiming()
+		}
+		lazy, lazySnap := run(false)
+		built, builtSnap := run(true)
+		if !reflect.DeepEqual(lazy, built) {
+			t.Errorf("%s: %d deliveries from templates, %d from built probes", base, len(lazy), len(built))
+		}
+		if !reflect.DeepEqual(lazySnap, builtSnap) {
+			t.Errorf("%s: deterministic series diverge:\ntemplates %+v\nbuilt     %+v", base, lazySnap.Counters, builtSnap.Counters)
+		}
+		if len(lazy) == 0 || lazySnap.Counter("wildnet.send.rejected") == 0 {
+			t.Errorf("%s: %d deliveries, %d rejects", base, len(lazy), lazySnap.Counter("wildnet.send.rejected"))
+		}
 	}
 }

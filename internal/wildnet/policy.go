@@ -200,6 +200,24 @@ func gfwMatchesWire(name []byte) bool {
 	return false
 }
 
+// gfwDeafTo reports whether the injector ignores every instance of a
+// census template, so that a probe into empty Chinese space carrying it
+// can be rejected unbuilt. The injector reacts only to an A question for
+// a GFW-listed name (cnCouldAnswer), and every instance asks one QTYPE
+// under a name of one length: 40 bytes at the scan base, longer than any
+// listed name.
+func gfwDeafTo(q *dnswire.CensusQuery) bool {
+	if q.QType() != dnswire.TypeA {
+		return true
+	}
+	for _, n := range gfwNames {
+		if len(n) == q.NameLen() {
+			return false
+		}
+	}
+	return true
+}
+
 // asciiEqualFold compares equal-length names ASCII case-insensitively.
 //
 //lint:hotpath per-probe CN injector filter

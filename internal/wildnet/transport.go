@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"goingwild/internal/dnswire"
 	"goingwild/internal/lfsr"
 	"goingwild/internal/prand"
 )
@@ -23,13 +24,17 @@ type Transport interface {
 	// order — a single exchange is a batch of one — and lets the
 	// implementation amortize per-packet overhead: the in-memory
 	// transport takes its clock lock and receiver load once per batch,
-	// the UDP gateway transport frames the whole batch in one buffer.
+	// and the UDP gateway transport frames every probe in one buffer it
+	// reuses across the batch, one datagram per probe.
 	// Delivery is not guaranteed (packet loss is part of the model, §5
 	// "Completeness"). It returns how many probes were
 	// processed; on error, probes [0, n) were handled and batch[n] was
 	// not. A cancelled ctx aborts the batch — including, on the
 	// synchronous in-memory transport, the response deliveries that
-	// happen inside SendBatch — with ctx.Err(). Each Probe.Payload is
+	// happen inside SendBatch — with ctx.Err(). A probe comes in one of
+	// two forms (see Probe): its bytes in Payload, or a census template
+	// the transport builds the bytes from — only for a destination that
+	// can read them, on the in-memory transport. Each Probe.Payload is
 	// borrowed for the duration of the call only: implementations copy or
 	// consume it before returning and neither keep nor modify it, because
 	// scans build probes into pooled buffers and lend one shared payload
@@ -53,14 +58,32 @@ var ErrTransportClosed = errors.New("wildnet: transport closed")
 // errIPv4Only rejects non-IPv4 destinations on every transport.
 var errIPv4Only = errors.New("wildnet: transport is IPv4-only")
 
-// Probe is one ready-to-send datagram. Payload is borrowed for the
-// duration of the SendBatch call only: transports must not retain it,
-// mirroring the receiver-side contract.
+// Probe is one datagram to send, in one of two forms: its bytes in
+// Payload, or a census template that stands for them. A probe sets
+// exactly one of the two. Payload is borrowed for the duration of the
+// SendBatch call only: transports must not retain it, mirroring the
+// receiver-side contract.
 type Probe struct {
 	Dst     netip.Addr
 	DstPort uint16
 	SrcPort uint16
 	Payload []byte
+	// Template, when set, stands for the payload: the census query it
+	// builds for Dst. A sweep's probes carry it, so the in-memory
+	// transport builds bytes only past the reject, where a host reads
+	// them.
+	Template *dnswire.CensusQuery
+}
+
+// AppendPayload appends the probe's datagram to buf: Payload, or the
+// bytes Template builds for Dst.
+//
+//lint:hotpath per-probe census query build
+func (p *Probe) AppendPayload(buf []byte) []byte {
+	if p.Template != nil {
+		return p.Template.Append(buf, lfsr.AddrToU32(p.Dst))
+	}
+	return append(buf, p.Payload...)
 }
 
 // MemTransport delivers packets synchronously through the world model.
@@ -154,7 +177,12 @@ func (m *MemTransport) undeliverable(class sweepClass, dstPort uint16, payload [
 //
 // Under every fault profile the destination is classified first: a
 // datagram nothing can answer is counted in wildnet.send.rejected and
-// dropped there. It draws no base or fault loss, takes no attempt-counter
+// dropped there. A template probe's bytes are built into the exchange
+// scratch only past that reject; into empty Chinese space, where only the
+// injector may answer, a template whose instances it ignores (decided
+// once per template, from the QTYPE and the name length every instance
+// shares) is rejected unbuilt too, and any other probe is built and its
+// question read. It draws no base or fault loss, takes no attempt-counter
 // entry, and moves no wildnet.fault.* counter — faults act on exchanges
 // that have a live endpoint, and a dropped, flapped or delivered probe to
 // empty space is the same silence to the sender. Behind a deliverable
@@ -185,6 +213,10 @@ func (m *MemTransport) SendBatch(ctx context.Context, batch []Probe) (int, error
 	// SendBatch, so it is hashed once.
 	var lent []byte
 	var lentHash uint64
+	// cnTmpl is the last template seen in empty Chinese space, and
+	// cnDeaf whether the injector ignores every instance of it.
+	var cnTmpl *dnswire.CensusQuery
+	cnDeaf := false
 	for i := range batch {
 		p := &batch[i]
 		if !p.Dst.Is4() {
@@ -196,14 +228,30 @@ func (m *MemTransport) SendBatch(ctx context.Context, batch []Probe) (int, error
 		if !afterDeliver || !m.world.knownResolver(u32dst, m.vantage, t, bc) {
 			class = m.world.sweepClassify(u32dst, m.vantage, t, bc)
 		}
-		if afterDeliver = !m.undeliverable(class, p.DstPort, p.Payload); !afterDeliver {
+		if class == classCNOnly && p.Template != nil {
+			if p.Template != cnTmpl {
+				cnTmpl, cnDeaf = p.Template, gfwDeafTo(p.Template)
+			}
+			if cnDeaf {
+				class = classReject
+			}
+		}
+		payload := p.Payload
+		if class != classReject && p.Template != nil {
+			// Built probes share x.query's backing array, and a round's
+			// probes its length too: never lend built bytes, or the next
+			// built probe would take this one's hash.
+			x.query = p.Template.Append(x.query[:0], u32dst)
+			payload, lent = x.query, nil
+		}
+		if afterDeliver = !m.undeliverable(class, p.DstPort, payload); !afterDeliver {
 			rejected++
 			continue
 		}
-		if !sameBacking(p.Payload, lent) {
-			lent, lentHash = p.Payload, prand.FNV(p.Payload)
+		if !sameBacking(payload, lent) {
+			lent, lentHash = payload, prand.FNV(payload)
 		}
-		if err = m.process(ctx, done, x, u32dst, p.DstPort, p.SrcPort, p.Payload, lentHash, t); err != nil {
+		if err = m.process(ctx, done, x, u32dst, p.DstPort, p.SrcPort, payload, lentHash, t); err != nil {
 			n = i
 			break
 		}

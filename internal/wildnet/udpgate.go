@@ -205,8 +205,9 @@ func (u *UDPTransport) Close() error {
 }
 
 // SendBatch implements Transport: each probe is framed (tunnel header,
-// then payload) into one buffer reused across the batch and written with
-// its own WriteToUDP, so the frames leave the socket in batch order. The
+// then payload, built here for a template probe) into one buffer reused
+// across the batch and written with its own WriteToUDP, so the frames
+// leave the socket in batch order. The
 // kernel write itself is not interruptible, so the context is honored at
 // the call edge: a sender that keeps calling after cancellation gets
 // ctx.Err() back immediately instead of queueing more datagrams. A
@@ -224,7 +225,7 @@ func (u *UDPTransport) SendBatch(ctx context.Context, probes []Probe) (int, erro
 		frame = binary.BigEndian.AppendUint32(frame[:0], lfsr.AddrToU32(p.Dst))
 		frame = binary.BigEndian.AppendUint16(frame, p.DstPort)
 		frame = binary.BigEndian.AppendUint16(frame, p.SrcPort)
-		frame = append(frame, p.Payload...)
+		frame = p.AppendPayload(frame)
 		if _, err := u.conn.WriteToUDP(frame, u.gateway); err != nil {
 			return i, err
 		}
