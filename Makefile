@@ -57,7 +57,11 @@ bench-test:
 # with the gateway runs, and so do the sweep's two: its lock-free miss
 # check against the responder map after each round of four senders
 # setting answered bits, and its template probes against the same
-# probes sent built.
+# probes sent built. The gateway and UDP transport tests of wildnet and
+# dnsscan go three times as well: the gateway's read loop answers every
+# datagram through an in-memory transport, and dnsscan's test (its
+# children are the race-built test binary) holds a -udp scan to the
+# in-memory one.
 # The equivalence harness's children are the race-built test binary, so
 # the last line runs the full report under every fault profile, at
 # GOMAXPROCS 1 and 2, under the detector.
@@ -65,6 +69,7 @@ race:
 	$(GO) test -race ./internal/scanner ./internal/wildnet ./internal/ampli ./internal/cluster ./internal/snoop ./internal/pipeline ./internal/metrics ./internal/debughttp .
 	$(GO) test -race -count=3 -run 'Gateway|TestDomainScanRowsMatchOneNameScans|TestSweepMissMatchesAnswered|TestLazyProbesMatchBuiltProbes' ./internal/scanner
 	$(GO) test -race -count=3 ./internal/resolvesvc
+	$(GO) test -race -count=3 -run 'Gateway|UDP' ./internal/wildnet ./cmd/dnsscan
 	$(GO) test -race -run TestEquivalence ./cmd/wildreport
 
 # A few seconds of coverage-guided fuzzing per fuzz target: the six

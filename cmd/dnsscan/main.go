@@ -84,7 +84,7 @@ func main() {
 	var tr scanner.Transport
 	settle := scanner.NoSettle
 	if *useUDP {
-		gw, err := wildnet.StartGateway(world, wildnet.VantagePrimary)
+		gw, err := wildnet.StartGateway(ctx, world, wildnet.VantagePrimary)
 		if err != nil {
 			f.Fatal(err)
 		}

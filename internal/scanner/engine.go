@@ -58,9 +58,8 @@ func (l *listSource) NextBatch(dst []uint32) int {
 func (l *listSource) Reset() { l.next = 0 }
 
 // streamBatch is how many targets a sender worker pulls from the sweep's
-// generator per lock acquisition, and the ceiling of any pull. 256 keeps
-// the generator lock at well under 1% of each worker's time while
-// bounding how far ahead of the others any worker can run.
+// generator per lock acquisition, and the ceiling of any pull: it bounds
+// a batch's size, and how far ahead of the others any worker can run.
 const streamBatch = 256
 
 // listPull is how many indices a worker pulls from an n-item list (or

@@ -14,8 +14,10 @@ import (
 
 // TestUDPGatewayFanOutStress hammers one gateway from several concurrent
 // clients, each with its own sender goroutine. It exists for `make
-// race`: the gateway's serve loop spawns a goroutine per response, and
-// this is the test that makes those paths actually race each other.
+// race`: the clients' datagrams interleave on the gateway's one read
+// loop, whose responses go back to whichever peer sent the datagram
+// being served, while each client's read loop delivers concurrently
+// with its sender.
 func TestUDPGatewayFanOutStress(t *testing.T) {
 	t.Parallel()
 	w := testWorld(t, 14)
@@ -30,7 +32,7 @@ func TestUDPGatewayFanOutStress(t *testing.T) {
 		t.Fatal("world has no visible resolvers")
 	}
 
-	gw, err := StartGateway(w, VantagePrimary)
+	gw, err := StartGateway(context.Background(), w, VantagePrimary)
 	if err != nil {
 		t.Fatal(err)
 	}

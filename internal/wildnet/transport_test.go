@@ -95,7 +95,7 @@ func TestTransportsRejectIPv6(t *testing.T) {
 	w := testWorld(t, 16)
 	mem := NewMemTransport(w, VantagePrimary)
 	defer mem.Close()
-	gw, err := StartGateway(w, VantagePrimary)
+	gw, err := StartGateway(context.Background(), w, VantagePrimary)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestUDPGatewayRoundTrip(t *testing.T) {
 	u, _ := findResolver(t, w, At(0), func(p Profile) bool {
 		return p.RCode == RCNoError && p.Manip == ManipHonest && !p.MisSourced
 	})
-	gw, err := StartGateway(w, VantagePrimary)
+	gw, err := StartGateway(context.Background(), w, VantagePrimary)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestUDPGatewayRoundTrip(t *testing.T) {
 // response.
 func TestUDPGatewayBatchRoundTrip(t *testing.T) {
 	w := testWorld(t, 16)
-	gw, err := StartGateway(w, VantagePrimary)
+	gw, err := StartGateway(context.Background(), w, VantagePrimary)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,6 +254,11 @@ func TestUDPGatewayBatchRoundTrip(t *testing.T) {
 		}
 		mu.Lock()
 		defer mu.Unlock()
+		// The IPv6 leg below re-sends probes[0]: count each ID once, so
+		// done closes once.
+		if got[m.Header.ID] {
+			return
+		}
 		got[m.Header.ID] = true
 		if len(got) == len(probes) {
 			close(done)
@@ -295,13 +300,13 @@ func TestUDPGatewayBatchRoundTrip(t *testing.T) {
 
 func TestUDPGatewayTimeAdvances(t *testing.T) {
 	w := testWorld(t, 16)
-	gw, err := StartGateway(w, VantagePrimary)
+	gw, err := StartGateway(context.Background(), w, VantagePrimary)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer gw.Close()
 	gw.SetTime(At(30))
-	if got := gw.time(); got.Week != 30 {
+	if got := gw.mem.Time(); got.Week != 30 {
 		t.Errorf("gateway clock = %+v", got)
 	}
 }

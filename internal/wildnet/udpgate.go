@@ -7,7 +7,6 @@ import (
 	"net"
 	"net/netip"
 	"sync"
-	"time"
 
 	"goingwild/internal/lfsr"
 )
@@ -31,20 +30,27 @@ import (
 // tunnelHeaderLen is the length of the tunnel header.
 const tunnelHeaderLen = 8
 
-// Gateway is the server side: it terminates tunnel datagrams, runs them
-// through the world, and returns the responses.
+// Gateway is the server side: it terminates tunnel datagrams and hands
+// each to an in-memory transport over its world, so a probe over the
+// socket meets exactly the draws — loss, faults, the attempt counter —
+// and gets exactly the responses, in the same order, that it gets in
+// memory. What the gateway adds is framing.
 type Gateway struct {
-	world   *World
-	vantage Vantage
-	conn    *net.UDPConn
-	wg      sync.WaitGroup
+	mem  *MemTransport
+	conn *net.UDPConn
+	wg   sync.WaitGroup
 
-	mu    sync.Mutex
-	clock Time
+	// peer is the sender of the datagram being served, and frame the
+	// buffer its responses are framed in. The read loop is the only
+	// sender into mem, and mem runs the receiver on the sender's
+	// goroutine, so both belong to the read loop.
+	peer  *net.UDPAddr
+	frame []byte
 }
 
-// StartGateway binds a loopback UDP socket and serves the world on it.
-func StartGateway(w *World, v Vantage) (*Gateway, error) {
+// StartGateway binds a loopback UDP socket and serves the world on it
+// until Close, or until ctx is done.
+func StartGateway(ctx context.Context, w *World, v Vantage) (*Gateway, error) {
 	conn, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
 		return nil, fmt.Errorf("wildnet: gateway listen: %w", err)
@@ -52,27 +58,19 @@ func StartGateway(w *World, v Vantage) (*Gateway, error) {
 	// High-rate scans burst far beyond the default socket buffers.
 	conn.SetReadBuffer(8 << 20)
 	conn.SetWriteBuffer(8 << 20)
-	g := &Gateway{world: w, vantage: v, conn: conn}
+	g := &Gateway{mem: NewMemTransport(w, v), conn: conn}
+	g.mem.SetReceiver(g.reply)
 	g.wg.Add(1)
-	go g.serve()
+	go g.serve(ctx)
 	return g, nil
 }
 
 // Addr returns the gateway's real UDP address.
 func (g *Gateway) Addr() *net.UDPAddr { return g.conn.LocalAddr().(*net.UDPAddr) }
 
-// SetTime moves the gateway's simulation clock.
-func (g *Gateway) SetTime(t Time) {
-	g.mu.Lock()
-	g.clock = t
-	g.mu.Unlock()
-}
-
-func (g *Gateway) time() Time {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.clock
-}
+// SetTime moves the gateway's simulation clock, which restarts its attempt
+// counter (MemTransport.SetTime).
+func (g *Gateway) SetTime(t Time) { g.mem.SetTime(t) }
 
 // Close stops the gateway.
 func (g *Gateway) Close() error {
@@ -81,12 +79,12 @@ func (g *Gateway) Close() error {
 	return err
 }
 
-func (g *Gateway) serve() {
+// serve is the read loop: each tunnel datagram is sent into the
+// in-memory transport as a batch of one.
+func (g *Gateway) serve(ctx context.Context) {
 	defer g.wg.Done()
 	buf := make([]byte, 65535)
-	// The read loop is the gateway's only handler goroutine, so one
-	// exchange scratch serves every datagram.
-	x := new(exchange)
+	var batch [1]Probe
 	for {
 		n, peer, err := g.conn.ReadFromUDP(buf)
 		if err != nil {
@@ -95,46 +93,28 @@ func (g *Gateway) serve() {
 		if n < tunnelHeaderLen {
 			continue
 		}
-		dst := binary.BigEndian.Uint32(buf[0:])
-		dstPort := binary.BigEndian.Uint16(buf[4:])
-		srcPort := binary.BigEndian.Uint16(buf[6:])
-		if dstPort != 53 {
-			continue
+		g.peer = peer
+		batch[0] = Probe{
+			Dst:     lfsr.U32ToAddr(binary.BigEndian.Uint32(buf[0:])),
+			DstPort: binary.BigEndian.Uint16(buf[4:]),
+			SrcPort: binary.BigEndian.Uint16(buf[6:]),
+			Payload: buf[tunnelHeaderLen:n],
 		}
-		t := g.time()
-		resps := g.world.handleDNS(x, g.vantage, srcPort, dst, buf[tunnelHeaderLen:n], t, faultCtx{})
-		if len(resps) == 0 {
-			continue
-		}
-		limit := g.world.udpPayloadLimit(dst, x.edns, x.hasEDNS, t)
-		for _, r := range resps {
-			wire := x.wire(r)
-			if len(wire) == 0 {
-				continue // the response did not encode
-			}
-			wire = g.world.fitUDP(wire, limit)
-			out := make([]byte, tunnelHeaderLen+len(wire))
-			binary.BigEndian.PutUint32(out[0:], r.Src)
-			binary.BigEndian.PutUint16(out[4:], 53)
-			binary.BigEndian.PutUint16(out[6:], r.ToPort)
-			copy(out[tunnelHeaderLen:], wire)
-			if r.DelayMS > 0 {
-				// Deliver injected-vs-legit races in order without
-				// blocking the read loop.
-				delay := time.Duration(r.DelayMS) * time.Millisecond
-				to := *peer
-				g.wg.Add(1)
-				go func() {
-					defer g.wg.Done()
-					//lint:allow sleepcall gateway delivery delay models the wire, not scan pacing
-					time.Sleep(delay / 10) // compressed timescale
-					g.conn.WriteToUDP(out, &to)
-				}()
-				continue
-			}
-			g.conn.WriteToUDP(out, peer)
+		if _, err := g.mem.SendBatch(ctx, batch[:]); err != nil {
+			return // ctx is done
 		}
 	}
+}
+
+// reply is the in-memory transport's receiver: it frames one response
+// (tunnel header naming the virtual source, then payload) and writes it
+// to the peer whose datagram is being served.
+func (g *Gateway) reply(src netip.Addr, srcPort, dstPort uint16, payload []byte) {
+	g.frame = binary.BigEndian.AppendUint32(g.frame[:0], lfsr.AddrToU32(src))
+	g.frame = binary.BigEndian.AppendUint16(g.frame, srcPort)
+	g.frame = binary.BigEndian.AppendUint16(g.frame, dstPort)
+	g.frame = append(g.frame, payload...)
+	g.conn.WriteToUDP(g.frame, g.peer)
 }
 
 // UDPTransport is the client side of the tunnel, implementing Transport
@@ -186,13 +166,11 @@ func (u *UDPTransport) readLoop() {
 		src := binary.BigEndian.Uint32(buf[0:])
 		srcPort := binary.BigEndian.Uint16(buf[4:])
 		dstPort := binary.BigEndian.Uint16(buf[6:])
-		payload := make([]byte, n-tunnelHeaderLen)
-		copy(payload, buf[tunnelHeaderLen:n])
 		u.mu.Lock()
 		f := u.recv
 		u.mu.Unlock()
 		if f != nil {
-			f(lfsr.U32ToAddr(src), srcPort, dstPort, payload)
+			f(lfsr.U32ToAddr(src), srcPort, dstPort, buf[tunnelHeaderLen:n])
 		}
 	}
 }
