@@ -130,9 +130,6 @@ func TestEquivalence(t *testing.T) {
 					if i > 0 && r.stdout != base.stdout {
 						t.Errorf("stdout of %s differs from base: %s", c.name, firstDiff(base.stdout, r.stdout))
 					}
-					if i == 0 && (profile == "none" || profile == "clean") && strings.Contains(r.stdout, "Degraded stages") {
-						t.Errorf("a run without injected faults degraded stages:\n%s", r.stdout[strings.Index(r.stdout, "Degraded stages"):])
-					}
 					if c.name == "repeat" && !bytes.Equal(runs[1].snapJSON, r.snapJSON) {
 						t.Errorf("deterministic snapshots differ:\n--- observed\n%s--- repeat\n%s", runs[1].snapJSON, r.snapJSON)
 					}
@@ -173,7 +170,7 @@ func checkCounters(t *testing.T, profile string, weeks int, s metrics.Snapshot) 
 			t.Errorf("%s = 0", name)
 		}
 	}
-	finished := s.Counter("pipeline.stage.done") + s.Counter("pipeline.stage.degraded") + s.Counter("pipeline.stage.failed")
+	finished := s.Counter("pipeline.stage.done") + s.Counter("pipeline.stage.failed")
 	if got := s.Counter("pipeline.stage.started"); got != finished {
 		t.Errorf("pipeline.stage.started = %d but %d stages finished", got, finished)
 	}
@@ -229,7 +226,6 @@ var reportStages = []string{
 	"any-survey", "render-amp",
 	"minute-snoop", "render-popularity",
 	"netalyzr", "render-netalyzr",
-	"render-degraded",
 }
 
 // checkStageOrder reads the -progress stage lines of stderr: the stages

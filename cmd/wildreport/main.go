@@ -142,7 +142,6 @@ func sections(r *cli.Report, exportDir string) []cli.Section {
 		cli.Of(r.Amplification()),
 		cli.Of(r.Popularity()),
 		cli.Of(r.Netalyzr()),
-		r.Degraded(),
 	}
 }
 

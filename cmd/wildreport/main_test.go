@@ -82,7 +82,7 @@ func shape(sel []cli.Section) string {
 func TestExpSelectsFromTheTable(t *testing.T) {
 	const (
 		head     = "series[fig1 table1 table2] table3[table3] table4[table4] fig2[fig2] util[util] "
-		tail     = "domains[pipeline domains table5 fig4 cases] dnssec[dnssec] amp[amp] popularity[popularity] netalyzr[netalyzr] degraded[-]"
+		tail     = "domains[pipeline domains table5 fig4 cases] dnssec[dnssec] amp[amp] popularity[popularity] netalyzr[netalyzr]"
 		recorded = head + tail
 	)
 	for _, tc := range []struct {
@@ -91,20 +91,20 @@ func TestExpSelectsFromTheTable(t *testing.T) {
 		{exp: "all", want: recorded},
 		{exp: "all,census", want: "census[census] " + recorded},
 		{exp: "all,verify", want: head + "verify[verify] " + tail},
-		{exp: "census", want: "census[census] degraded[-]"},
-		{exp: "verify", want: "verify[verify] degraded[-]"},
-		{exp: "fig1", want: "series[fig1] degraded[-]"},
-		{exp: "table2,fig1", want: "series[fig1 table2] degraded[-]"},
-		{exp: " table3 , util ", want: "table3[table3] util[util] degraded[-]"},
-		{exp: "util,table3", want: "table3[table3] util[util] degraded[-]"},
-		{exp: "netalyzr", want: "netalyzr[netalyzr] degraded[-]"},
-		{exp: "domains", want: "domains[domains table5] degraded[-]"},
-		{exp: "table5", want: "domains[table5] degraded[-]"},
-		{exp: "fig4", want: "domains[fig4] degraded[-]"},
-		{exp: "cases,pipeline", want: "domains[pipeline cases] degraded[-]"},
-		{exp: "fig1", export: "out", want: "series[fig1] domains[-] degraded[-]"},
-		{exp: "fig4", export: "out", want: "domains[- fig4] degraded[-]"},
-		{exp: "census", export: "out", want: "census[census] domains[-] degraded[-]"},
+		{exp: "census", want: "census[census]"},
+		{exp: "verify", want: "verify[verify]"},
+		{exp: "fig1", want: "series[fig1]"},
+		{exp: "table2,fig1", want: "series[fig1 table2]"},
+		{exp: " table3 , util ", want: "table3[table3] util[util]"},
+		{exp: "util,table3", want: "table3[table3] util[util]"},
+		{exp: "netalyzr", want: "netalyzr[netalyzr]"},
+		{exp: "domains", want: "domains[domains table5]"},
+		{exp: "table5", want: "domains[table5]"},
+		{exp: "fig4", want: "domains[fig4]"},
+		{exp: "cases,pipeline", want: "domains[pipeline cases]"},
+		{exp: "fig1", export: "out", want: "series[fig1] domains[-]"},
+		{exp: "fig4", export: "out", want: "domains[- fig4]"},
+		{exp: "census", export: "out", want: "census[census] domains[-]"},
 	} {
 		sel, err := cli.Select(sections(new(cli.Report), tc.export), tc.exp)
 		if err != nil {
@@ -113,7 +113,7 @@ func TestExpSelectsFromTheTable(t *testing.T) {
 			t.Errorf("-exp %q -export %q selects\n  %s\nwant\n  %s", tc.exp, tc.export, got, tc.want)
 		}
 	}
-	for _, exp := range []string{"tabel3", "", "fig1,", "fig1,,util", "ALL", "degraded", "export", "series"} {
+	for _, exp := range []string{"tabel3", "", "fig1,", "fig1,,util", "ALL", "export", "series"} {
 		_, err := cli.Select(sections(new(cli.Report), ""), exp)
 		if err == nil || !strings.Contains(err.Error(), "all,census,fig1") {
 			t.Errorf("-exp %q: err = %v, want an error naming the valid experiments", exp, err)

@@ -41,9 +41,8 @@ func main() {
 	f := cli.Register("wildsvc", 16)
 	flag.Lookup("progress").Usage = "print one line per committed epoch to stderr"
 	var (
-		epochs  = flag.Int("epochs", 55, "weekly re-scan epochs the producer runs")
-		addr    = flag.String("addr", "", "HTTP listen address for the query API (default 127.0.0.1:0)")
-		workers = flag.Int("workers", 8, "scanner sender goroutines")
+		epochs = flag.Int("epochs", 55, "weekly re-scan epochs the producer runs")
+		addr   = flag.String("addr", "", "HTTP listen address for the query API (default 127.0.0.1:0)")
 	)
 	f.Parse()
 	ctx, release := f.Context(context.Background())
@@ -52,7 +51,6 @@ func main() {
 	reg := f.Registry(true)
 	cfg := f.StudyConfig()
 	cfg.Weeks = *epochs
-	cfg.Workers = *workers
 	study, err := core.NewStudy(cfg)
 	if err != nil {
 		f.Fatal(err)
@@ -103,11 +101,7 @@ func main() {
 	if *addr == "" {
 		*addr = "127.0.0.1:0"
 	}
-	var routes []debughttp.Route
-	for _, r := range svc.APIRoutes() {
-		routes = append(routes, debughttp.Route{Pattern: r.Pattern, Handler: r.Handler})
-	}
-	boundAddr, stopDebug, err := debughttp.Serve(*addr, reg, routes...)
+	boundAddr, stopDebug, err := debughttp.Serve(*addr, reg, svc.APIRoutes()...)
 	if err != nil {
 		f.Fatal(err)
 	}

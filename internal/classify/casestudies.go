@@ -38,21 +38,6 @@ type CaseStudies struct {
 	SameSetResolvers  int
 }
 
-// updateDomains lists the software-update names the malware droppers
-// impersonate.
-func isUpdateDomain(cn string) bool {
-	switch cn {
-	case "update.adobe.example", "ardownload.adobe.example",
-		"update.oracle.example", "windowsupdate.com", "update.microsoft.com":
-		return true
-	}
-	return false
-}
-
-func isSearchFront(cn string) bool {
-	return cn == "google.com" || cn == "bing.com" || cn == "duckduckgo.com"
-}
-
 // runCaseStudies executes the in-depth detectors over the acquired data.
 func (p *Pipeline) runCaseStudies(scan *scanner.DomainScanResult, pre *prefilter.Result, gt *GroundTruth, pages map[pageKey]*page, tupleIP map[int]map[int]uint32) CaseStudies {
 	var cs CaseStudies
@@ -142,7 +127,7 @@ func (p *Pipeline) runCaseStudies(scan *scanner.DomainScanResult, pre *prefilter
 					adInjectRes[ri] = struct{}{}
 				}
 			}
-			if isSearchFront(cn) && hasPasswordInput(body) == false &&
+			if domains.IsSearchFront(cn) && hasPasswordInput(body) == false &&
 				strings.Contains(body, "Search") && strings.Contains(body, "banner") {
 				adFakeIPs[ip] = struct{}{}
 				adFakeRes[ri] = struct{}{}
@@ -164,7 +149,7 @@ func (p *Pipeline) runCaseStudies(scan *scanner.DomainScanResult, pre *prefilter
 			}
 
 			// Malware delivery on update domains.
-			if isUpdateDomain(cn) && strings.Contains(body, ".exe") {
+			if domains.IsUpdateHost(cn) && strings.Contains(body, ".exe") {
 				if malicious, ok := p.Client.Detonate(ip, "/flash_update.exe"); ok && malicious {
 					malwareIPs[ip] = struct{}{}
 					malwareRes[ri] = struct{}{}

@@ -136,7 +136,7 @@ func (f *Flags) Observe() (stop func()) {
 	}
 	stopProgress := func() {}
 	if f.Progress && f.reg != nil {
-		stopProgress = metrics.StartProgress(os.Stderr, scanner.SystemClock, 2*time.Second, f.reg, nil)
+		stopProgress = metrics.StartProgress(os.Stderr, scanner.SystemClock, 2*time.Second, f.reg)
 	}
 	return func() {
 		stopProgress()
@@ -188,8 +188,6 @@ func (f *Flags) StageProgress() pipeline.Observer {
 			fmt.Fprintln(os.Stderr)
 		case pipeline.StageFailed:
 			fmt.Fprintf(os.Stderr, "%s: stage %-16s failed: %v\n", f.prog, ev.Stage, ev.Err)
-		case pipeline.StageDegraded:
-			fmt.Fprintf(os.Stderr, "%s: stage %-16s degraded: %v\n", f.prog, ev.Stage, ev.Err)
 		case pipeline.StageSkipped:
 			fmt.Fprintf(os.Stderr, "%s: stage %-16s skipped\n", f.prog, ev.Stage)
 		}

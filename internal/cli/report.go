@@ -324,20 +324,3 @@ func (r *Report) Netalyzr() Block {
 	return one("netalyzr", func() *core.Out[*netalyzr.Study] { return r.Plan.Netalyzr(r.Week, 400) },
 		analysis.RenderNetalyzr, nil)
 }
-
-// Degraded closes every report with the best-effort stages whose failures
-// the plan absorbed. A clean run prints nothing, keeping stdout
-// byte-identical to a build without degradation support.
-func (r *Report) Degraded() Section {
-	return Section{Name: "degraded", Blocks: []Block{{Render: func(w io.Writer) error {
-		if len(r.Study.Degraded) == 0 {
-			return nil
-		}
-		fmt.Fprintln(w, "Degraded stages (best-effort failures absorbed):")
-		for _, d := range r.Study.Degraded {
-			fmt.Fprintf(w, "  %-26s %s\n", d.Stage, d.Err)
-		}
-		fmt.Fprintln(w)
-		return nil
-	}}}}
-}

@@ -11,46 +11,30 @@ import (
 	"goingwild/internal/pipeline"
 )
 
-// TestSectionedAttributesDegradation pins where an absorbed best-effort
-// failure is recorded: a section whose stage degrades still prints, the
-// run closes with a "Degraded stages" block naming that stage and its
-// error, and the clean section's stage is not in it. A run that dies in
-// its second section leaves the first one printed.
-func TestSectionedAttributesDegradation(t *testing.T) {
+// TestSectionedPrintsFinishedSections pins what a sectioned report
+// prints: a clean run prints every section in table order, and a run
+// that dies in its second section leaves the first one printed and
+// nothing after it.
+func TestSectionedPrintsFinishedSections(t *testing.T) {
 	errDied := errors.New("killed here")
-	table := func(r *Report, die bool) []Section {
-		return []Section{
-			{Name: "shaky", Blocks: []Block{{
-				Needs: func() {
-					r.Plan.Add(pipeline.Stage{
-						Name:   "banner-grab",
-						Policy: pipeline.BestEffort,
-						Run: func(context.Context) ([]pipeline.Count, error) {
-							return nil, errors.New("connection reset")
-						},
-					})
-				},
-				Render: func(w io.Writer) error { _, err := io.WriteString(w, "shaky section\n"); return err },
-			}}},
-			{Name: "solid", Blocks: []Block{{
-				Needs: func() {
-					r.Plan.Add(pipeline.Stage{
-						Name: "solid-work",
-						Run: func(context.Context) ([]pipeline.Count, error) {
-							if die {
-								return nil, errDied
-							}
-							return nil, nil
-						},
-					})
-				},
-				Render: func(w io.Writer) error { _, err := io.WriteString(w, "solid section\n"); return err },
-			}}},
-			r.Degraded(),
-		}
+	section := func(r *Report, name string, die bool) Section {
+		return Section{Name: name, Blocks: []Block{{
+			Needs: func() {
+				r.Plan.Add(pipeline.Stage{
+					Name: name + "-work",
+					Run: func(context.Context) ([]pipeline.Count, error) {
+						if die {
+							return nil, errDied
+						}
+						return nil, nil
+					},
+				})
+			},
+			Render: func(w io.Writer) error { _, err := io.WriteString(w, name+" section\n"); return err },
+		}}}
 	}
 	// run renders the table with stdout captured.
-	run := func(die bool) (string, []core.DegradedStage, error) {
+	run := func(die bool) (string, error) {
 		t.Helper()
 		study, err := core.NewStudy(core.DefaultConfig(14))
 		if err != nil {
@@ -65,7 +49,7 @@ func TestSectionedAttributesDegradation(t *testing.T) {
 		os.Stdout = wr
 		var r Report
 		(&Flags{prog: "test"}).Start(&r, study, 3)
-		Sectioned(&r, table(&r, die))
+		Sectioned(&r, []Section{section(&r, "first", false), section(&r, "second", die)})
 		err = r.Plan.Run(context.Background())
 		os.Stdout = stdout
 		wr.Close()
@@ -74,28 +58,22 @@ func TestSectionedAttributesDegradation(t *testing.T) {
 		if rerr != nil {
 			t.Fatal(rerr)
 		}
-		return string(out), study.Degraded, err
+		return string(out), err
 	}
 
-	out, degraded, err := run(false)
+	out, err := run(false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "shaky section\nsolid section\n" +
-		"Degraded stages (best-effort failures absorbed):\n" +
-		"  banner-grab                connection reset\n\n"
-	if out != want {
+	if want := "first section\nsecond section\n"; out != want {
 		t.Errorf("the run printed\n%q\nwant\n%q", out, want)
 	}
-	if len(degraded) != 1 || degraded[0].Stage != "banner-grab" {
-		t.Errorf("Study.Degraded = %+v, want the banner-grab entry alone", degraded)
-	}
 
-	partial, _, err := run(true)
+	partial, err := run(true)
 	if !errors.Is(err, errDied) {
 		t.Fatalf("dying run: err = %v, want %v", err, errDied)
 	}
-	if partial != "shaky section\n" {
+	if partial != "first section\n" {
 		t.Errorf("dying run printed %q, want the first section only", partial)
 	}
 }

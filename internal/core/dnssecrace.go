@@ -42,7 +42,7 @@ func (p *Plan) DNSSECRace(week int, country, name string) *Out[*DNSSECRaceResult
 		pub    ed25519.PublicKey
 		signed bool
 	)
-	c.follow("key-fetch@"+name, pipeline.Required, func(ctx context.Context) ([]pipeline.Count, error) {
+	c.follow("key-fetch@"+name, func(ctx context.Context) ([]pipeline.Count, error) {
 		// Client-side key knowledge via a trusted DNSKEY lookup.
 		msgs, err := s.Scanner.ProbeContext(ctx, s.trustedDNS, name, dnswire.TypeDNSKEY, dnswire.ClassIN)
 		if err != nil {

@@ -65,7 +65,7 @@ func (p *Plan) DomainStudy(week int, cats []domains.Category) *Out[*DomainStudyR
 
 	// ❷ Domain scan for the selected categories plus the GT domain, over
 	// ❶'s resolvers; ❶'s boxes open the flow.
-	c.follow("domain-scan", pipeline.Required, func(ctx context.Context) ([]pipeline.Count, error) {
+	c.follow("domain-scan", func(ctx context.Context) ([]pipeline.Count, error) {
 		res.Resolvers = c.Resolvers
 		var err error
 		res.Scan, err = s.Scanner.ScanDomainsContext(ctx, res.Resolvers, names)
@@ -124,11 +124,9 @@ func (p *Plan) DomainStudy(week int, cats []domains.Category) *Out[*DomainStudyR
 
 	// Figure 4 rides after classification (it reads scan + prefilter
 	// only, but the figure belongs to the finished report). It reports
-	// no Figure-3 counts, keeping the flow exactly the boxes. The figure
-	// is presentation, not measurement, hence best-effort.
+	// no Figure-3 counts, keeping the flow exactly the boxes.
 	p.Add(pipeline.Stage{
-		Name:   "figure4",
-		Policy: pipeline.BestEffort,
+		Name: "figure4",
 		Run: func(ctx context.Context) ([]pipeline.Count, error) {
 			res.Fig4 = classify.BuildFigure4(res.Scan, res.Pre, pipe.ResolverCountry,
 				[]string{"facebook.com", "twitter.com", "youtube.com"})

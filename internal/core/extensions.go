@@ -15,7 +15,7 @@ import (
 // authors' 2014 amplification study) over the week's census.
 func (p *Plan) Amplification(week int, name string) *Out[*ampli.Survey] {
 	c, out := p.Census(week), &Out[*ampli.Survey]{}
-	c.follow("any-survey", pipeline.Required, func(ctx context.Context) ([]pipeline.Count, error) {
+	c.follow("any-survey", func(ctx context.Context) ([]pipeline.Count, error) {
 		var err error
 		if out.V, err = ampli.Run(ctx, p.s.Scanner, c.Resolvers, name); err != nil {
 			return nil, err
@@ -29,7 +29,7 @@ func (p *Plan) Amplification(week int, name string) *Out[*ampli.Survey] {
 // suggested follow-up) over the week's census.
 func (p *Plan) Popularity(week int) *Out[[]snoop.PopularityEstimate] {
 	c, out := p.Census(week), &Out[[]snoop.PopularityEstimate]{}
-	c.follow("minute-snoop", pipeline.Required, func(ctx context.Context) ([]pipeline.Count, error) {
+	c.follow("minute-snoop", func(ctx context.Context) ([]pipeline.Count, error) {
 		cfg := snoop.DefaultPopularityConfig()
 		cfg.Week = week
 		var err error

@@ -43,16 +43,11 @@ func (s *Study) NewPlan() *Plan {
 func (p *Plan) Add(st pipeline.Stage) { p.stages = append(p.stages, st) }
 
 // Run executes the plan, once, on the wall clock. Handles are valid when
-// it returns nil. Every stage event goes to three sinks in turn: an
-// absorbed best-effort failure is filed in Study.Degraded (before the next
-// stage starts, so the list is as deterministic as the results), then
+// it returns nil. Every stage event goes to two sinks in turn:
 // Study.Observer, then the metrics fold of Cfg.Metrics.
 func (p *Plan) Run(ctx context.Context) error {
 	s, fold := p.s, pipeline.MetricsObserver(p.s.Cfg.Metrics)
 	return pipeline.Run(ctx, scanner.SystemClock, p.stages, func(ev pipeline.StageEvent) {
-		if ev.Kind == pipeline.StageDegraded {
-			s.Degraded = append(s.Degraded, DegradedStage{Stage: ev.Stage, Err: ev.Err.Error()})
-		}
 		if s.Observer != nil {
 			s.Observer(ev)
 		}
@@ -114,10 +109,9 @@ func (c *Census) counts() []pipeline.Count {
 // follow adds the stage an experiment opens with: it reads the census
 // and re-seats the clock at the census week (see Plan). The experiment's
 // later stages continue on the clock this one leaves.
-func (c *Census) follow(name string, policy pipeline.Policy, run func(ctx context.Context) ([]pipeline.Count, error)) {
+func (c *Census) follow(name string, run func(ctx context.Context) ([]pipeline.Count, error)) {
 	c.p.Add(pipeline.Stage{
-		Name:   name,
-		Policy: policy,
+		Name: name,
 		Run: func(ctx context.Context) ([]pipeline.Count, error) {
 			c.p.s.SetWeek(c.Week)
 			return run(ctx)

@@ -103,11 +103,6 @@ type Study struct {
 	// contract.
 	Observer pipeline.Observer
 
-	// Degraded accumulates the best-effort stages whose failures were
-	// absorbed, in execution order, filed as a plan announces them (see
-	// Plan.Run). Empty on a clean run.
-	Degraded []DegradedStage
-
 	trustedDNS uint32
 	// Caches for the prefilter's measurement-channel lookups.
 	trustedCache map[string]trustedEntry
@@ -122,12 +117,6 @@ type trustedEntry struct {
 type rdnsEntry struct {
 	name string
 	ok   bool
-}
-
-// DegradedStage records one absorbed best-effort failure.
-type DegradedStage struct {
-	Stage string
-	Err   string
 }
 
 // scanOpts is the one place the study's scanner tuning is assembled, so
@@ -295,7 +284,7 @@ func (p *Plan) Cohort(weeks int) *Out[*churn.CohortStudy] {
 // week's census.
 func (p *Plan) Chaos(week int) *Out[*fingerprint.ChaosSurvey] {
 	c, out := p.Census(week), &Out[*fingerprint.ChaosSurvey]{}
-	c.follow("chaos-scan", pipeline.Required, func(ctx context.Context) ([]pipeline.Count, error) {
+	c.follow("chaos-scan", func(ctx context.Context) ([]pipeline.Count, error) {
 		chaos, err := p.s.Scanner.ScanChaosContext(ctx, c.Resolvers)
 		if err != nil {
 			return nil, err
@@ -318,11 +307,10 @@ func (b bannerSource) Banner(addr uint32, proto devices.Proto) (string, bool) {
 }
 
 // Devices adds the device fingerprinting of §2.4 (Table 4) over the
-// week's census. Banner grabbing is auxiliary to the DNS study: a
-// failure here degrades Table 4 instead of killing the whole run.
+// week's census.
 func (p *Plan) Devices(week int) *Out[*fingerprint.DeviceSurvey] {
 	c, out := p.Census(week), &Out[*fingerprint.DeviceSurvey]{}
-	c.follow("device-fingerprint", pipeline.BestEffort, func(ctx context.Context) ([]pipeline.Count, error) {
+	c.follow("device-fingerprint", func(ctx context.Context) ([]pipeline.Count, error) {
 		out.V = fingerprint.SurveyDevices(bannerSource{p.s.World, wildnet.At(week)}, c.Resolvers)
 		return []pipeline.Count{{Name: "banner responders", Value: out.V.Responsive}}, nil
 	})
@@ -330,12 +318,10 @@ func (p *Plan) Devices(week int) *Out[*fingerprint.DeviceSurvey] {
 }
 
 // Utilization adds the 36-hour cache-snooping study of §2.6 over the
-// week's census. It is a side study: a failure degrades the utilization
-// table — to whatever history the snoop had gathered, which snoop.Run
-// classifies and returns beside its error — instead of killing the run.
+// week's census.
 func (p *Plan) Utilization(week int) *Out[*snoop.Result] {
 	c, out := p.Census(week), &Out[*snoop.Result]{}
-	c.follow("cache-snoop", pipeline.BestEffort, func(ctx context.Context) ([]pipeline.Count, error) {
+	c.follow("cache-snoop", func(ctx context.Context) ([]pipeline.Count, error) {
 		cfg := snoop.DefaultConfig(domains.SnoopedTLDs)
 		cfg.Week = week
 		var err error

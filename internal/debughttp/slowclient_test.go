@@ -1,4 +1,4 @@
-package debughttp
+package debughttp_test
 
 import (
 	"context"
@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"goingwild/internal/debughttp"
 	"goingwild/internal/geodb"
 	"goingwild/internal/lfsr"
 	"goingwild/internal/metrics"
@@ -21,7 +22,7 @@ import (
 // reads its body. The handler parks in a socket write (WriteTimeout is
 // zero on purpose), and it must park alone: the status and lookup
 // endpoints keep answering and the epoch loop keeps committing. Once the
-// client hangs up, stop drains within shutdownTimeout.
+// client hangs up, stop drains within the shutdown timeout.
 func TestSlowClientBlocksOnlyItself(t *testing.T) {
 	const order, epochs = 16, 3
 	w, err := wildnet.NewWorld(wildnet.DefaultConfig(order))
@@ -51,19 +52,17 @@ func TestSlowClientBlocksOnlyItself(t *testing.T) {
 	}
 
 	entered, returned := make(chan struct{}), make(chan struct{})
-	var routes []Route
-	for _, r := range svc.APIRoutes() {
-		h := r.Handler
+	routes := svc.APIRoutes()
+	for i, r := range routes {
 		if r.Pattern == "/resolvers" {
-			h = http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
+			routes[i].Handler = http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
 				close(entered)
 				defer close(returned)
 				r.Handler.ServeHTTP(rw, req)
 			})
 		}
-		routes = append(routes, Route{Pattern: r.Pattern, Handler: h})
 	}
-	addr, stop, err := Serve("127.0.0.1:0", metrics.New(), routes...)
+	addr, stop, err := debughttp.Serve("127.0.0.1:0", metrics.New(), routes...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +90,7 @@ func TestSlowClientBlocksOnlyItself(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Run beside a parked handler: %v", err)
 		}
-	case <-time.After(shutdownTimeout):
+	case <-time.After(debughttp.ShutdownTimeout):
 		t.Fatal("the epoch loop stalled beside a parked handler")
 	}
 	if got := svc.Store().Epoch(); got != epochs-1 || got == before {
@@ -119,21 +118,21 @@ func TestSlowClientBlocksOnlyItself(t *testing.T) {
 	conn.Close()
 	select {
 	case <-returned:
-	case <-time.After(shutdownTimeout):
+	case <-time.After(debughttp.ShutdownTimeout):
 		t.Fatal("the /resolvers handler is still writing after its client hung up")
 	}
 	start := time.Now()
 	if err := stop(); err != nil {
 		t.Fatalf("stop after the slow client hung up: %v", err)
 	}
-	if d := time.Since(start); d >= shutdownTimeout {
-		t.Fatalf("stop took %v, want under shutdownTimeout (%v)", d, shutdownTimeout)
+	if d := time.Since(start); d >= debughttp.ShutdownTimeout {
+		t.Fatalf("stop took %v, want under debughttp.ShutdownTimeout (%v)", d, debughttp.ShutdownTimeout)
 	}
 }
 
 func getJSON(t *testing.T, url string, v any) {
 	t.Helper()
-	resp, err := (&http.Client{Timeout: shutdownTimeout}).Get(url)
+	resp, err := (&http.Client{Timeout: debughttp.ShutdownTimeout}).Get(url)
 	if err != nil {
 		t.Fatal(err)
 	}

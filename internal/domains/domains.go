@@ -66,6 +66,24 @@ var SnoopedTLDs = []string{
 	"it", "jp", "net", "nl", "org", "pl", "ru",
 }
 
+// IsUpdateHost reports whether name is one of the software-update hosts
+// the malware droppers impersonate (Adobe Flash, Java and Windows update
+// pages).
+func IsUpdateHost(name string) bool {
+	switch name {
+	case "update.adobe.example", "ardownload.adobe.example",
+		"update.oracle.example", "windowsupdate.com", "update.microsoft.com":
+		return true
+	}
+	return false
+}
+
+// IsSearchFront reports whether name is one of the search engines whose
+// answers ad-injecting resolvers replace with fake search pages.
+func IsSearchFront(name string) bool {
+	return name == "google.com" || name == "bing.com" || name == "duckduckgo.com"
+}
+
 // List is the full 155-domain scan set in 13 categories.
 var List = []Domain{
 	// Ads: 9 domains associated with ad providers.

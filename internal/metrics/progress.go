@@ -18,15 +18,12 @@ type Clock interface {
 	Sleep(d time.Duration)
 }
 
-// StartProgress launches a reporter goroutine that writes one rendered
-// progress line to w per interval, slept on clock. A nil render uses
-// ProgressLine. The returned stop function halts the reporter: no line
-// is written after stop returns. Progress output is an operator side
-// channel — point w at stderr, never stdout.
-func StartProgress(w io.Writer, clock Clock, interval time.Duration, r *Registry, render func(Snapshot) string) (stop func()) {
-	if render == nil {
-		render = ProgressLine
-	}
+// StartProgress launches a reporter goroutine that writes one
+// ProgressLine to w per interval, slept on clock. The returned stop
+// function halts the reporter: no line is written after stop returns.
+// Progress output is an operator side channel — point w at stderr, never
+// stdout.
+func StartProgress(w io.Writer, clock Clock, interval time.Duration, r *Registry) (stop func()) {
 	var mu sync.Mutex // serializes writes against stop
 	stopped := false
 	go func() {
@@ -37,7 +34,7 @@ func StartProgress(w io.Writer, clock Clock, interval time.Duration, r *Registry
 				mu.Unlock()
 				return
 			}
-			fmt.Fprintln(w, render(r.Snapshot()))
+			fmt.Fprintln(w, ProgressLine(r.Snapshot()))
 			mu.Unlock()
 		}
 	}()
@@ -88,6 +85,6 @@ func ProgressLine(s Snapshot) string {
 	return fmt.Sprintf("progress: %s faults=%d stages=%d/%d",
 		s.TrafficLine(), faults,
 		s.Counter("pipeline.stage.done"),
-		s.Counter("pipeline.stage.done")+s.Counter("pipeline.stage.degraded")+
-			s.Counter("pipeline.stage.failed")+s.Counter("pipeline.stage.skipped"))
+		s.Counter("pipeline.stage.done")+s.Counter("pipeline.stage.failed")+
+			s.Counter("pipeline.stage.skipped"))
 }

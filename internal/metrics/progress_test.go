@@ -56,7 +56,7 @@ func TestStartProgressWritesAndStops(t *testing.T) {
 	r.Counter("pipeline.stage.done").Add(2)
 	r.Counter("pipeline.stage.skipped").Add(1)
 
-	stop := StartProgress(&out, clock, time.Second, r, nil)
+	stop := StartProgress(&out, clock, time.Second, r)
 	clock.ticks <- struct{}{} // release one interval
 	waitFor(t, func() bool { return out.lines() == 1 })
 

@@ -9,7 +9,7 @@ var durationBucketsMS = []int64{1, 5, 10, 50, 100, 500, 1000, 5000, 10_000, 60_0
 
 // MetricsObserver returns an Observer that folds every stage event into
 // the registry: lifecycle tallies (pipeline.stage.started/done/
-// degraded/failed/skipped), each stage's reported tuple counts
+// failed/skipped), each stage's reported tuple counts
 // (pipeline.count.<name>), and a Timing-class duration histogram plus a
 // per-stage Timing gauge of the last run's duration. Like every
 // observer it is a pure side channel — the pipeline's results never
@@ -24,7 +24,6 @@ func MetricsObserver(r *metrics.Registry) Observer {
 	}
 	started := r.Counter("pipeline.stage.started")
 	done := r.Counter("pipeline.stage.done")
-	degraded := r.Counter("pipeline.stage.degraded")
 	failed := r.Counter("pipeline.stage.failed")
 	skipped := r.Counter("pipeline.stage.skipped")
 	durations := r.TimingHistogram("pipeline.stage.duration_ms", durationBucketsMS)
@@ -35,8 +34,6 @@ func MetricsObserver(r *metrics.Registry) Observer {
 			return
 		case StageDone:
 			done.Inc()
-		case StageDegraded:
-			degraded.Inc()
 		case StageFailed:
 			failed.Inc()
 		case StageSkipped:

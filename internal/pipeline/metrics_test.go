@@ -21,9 +21,9 @@ func TestMetricsObserverFoldsStageEvents(t *testing.T) {
 			clock.Sleep(40 * time.Millisecond)
 			return []Count{{"responders", 7}, {"probes", 100}}, nil
 		}},
-		{Name: "prefilter", Policy: BestEffort, Run: func(ctx context.Context) ([]Count, error) {
+		{Name: "prefilter", Run: func(ctx context.Context) ([]Count, error) {
 			clock.Sleep(3 * time.Millisecond)
-			return nil, errors.New("partial input")
+			return nil, nil
 		}},
 		{Name: "classify", Run: func(ctx context.Context) ([]Count, error) {
 			return []Count{{"responders", 2}}, nil
@@ -35,12 +35,11 @@ func TestMetricsObserverFoldsStageEvents(t *testing.T) {
 
 	s := reg.Snapshot()
 	for name, want := range map[string]uint64{
-		"pipeline.stage.started":  3,
-		"pipeline.stage.done":     2,
-		"pipeline.stage.degraded": 1,
-		"pipeline.stage.failed":   0,
-		"pipeline.stage.skipped":  0,
-		"pipeline.count.probes":   100,
+		"pipeline.stage.started": 3,
+		"pipeline.stage.done":    3,
+		"pipeline.stage.failed":  0,
+		"pipeline.stage.skipped": 0,
+		"pipeline.count.probes":  100,
 		// Two stages report "responders"; the counter accumulates both.
 		"pipeline.count.responders": 9,
 	} {

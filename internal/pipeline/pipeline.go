@@ -21,12 +21,9 @@
 // order, so two runs of the same list perform the same work in the same
 // order. A stage is listed after the stages whose results it reads.
 //
-// Stages degrade instead of failing when marked BestEffort: a
-// non-cancellation error from such a stage is announced as StageDegraded,
-// and the rest of the pipeline runs against whatever partial data the
-// stage produced. Required stages (the zero policy) abort the run; the
-// stages that never started are announced as StageSkipped, so progress
-// reporting shows exactly where a run died.
+// A stage finishes or the run fails: a stage's error stops the pipeline,
+// and the stages that never started are announced as StageSkipped, so
+// progress reporting shows exactly where a run died.
 package pipeline
 
 import (
@@ -44,29 +41,10 @@ type Count struct {
 	Value int
 }
 
-// Policy selects how a stage's failure affects the rest of the
-// pipeline.
-type Policy uint8
-
-const (
-	// Required stages abort the pipeline on failure: downstream stages
-	// are skipped and Run returns the wrapped error. The zero value.
-	Required Policy = iota
-	// BestEffort stages degrade instead of aborting: a StageDegraded
-	// event fires, and later stages still run against whatever partial
-	// data the stage left behind. A context cancellation is never
-	// degradable — a dead context aborts the pipeline regardless of
-	// policy.
-	BestEffort
-)
-
 // Stage is one step of the pipeline.
 type Stage struct {
 	// Name labels the stage in events and metrics.
 	Name string
-	// Policy is how Run treats this stage's failure. The zero value
-	// (Required) aborts the pipeline; BestEffort degrades and continues.
-	Policy Policy
 	// Run does the work. The returned counts go to the observer.
 	Run func(ctx context.Context) ([]Count, error)
 }
@@ -83,11 +61,8 @@ const (
 	// StageFailed is emitted after a stage returns an error (including
 	// a context cancellation surfaced by the stage).
 	StageFailed
-	// StageDegraded is emitted instead of StageFailed when a BestEffort
-	// stage returns a non-cancellation error: the pipeline continues.
-	StageDegraded
 	// StageSkipped is emitted for each stage that never ran because an
-	// earlier required stage failed or the context died between stages.
+	// earlier stage failed or the context died between stages.
 	StageSkipped
 )
 
@@ -100,8 +75,6 @@ func (k EventKind) String() string {
 		return "done"
 	case StageFailed:
 		return "failed"
-	case StageDegraded:
-		return "degraded"
 	case StageSkipped:
 		return "skipped"
 	default:
@@ -121,7 +94,7 @@ type StageEvent struct {
 	Elapsed time.Duration
 	// Counts are the stage's reported tuple counts (StageDone only).
 	Counts []Count
-	// Err is the stage's failure (StageFailed and StageDegraded only).
+	// Err is the stage's failure (StageFailed only).
 	Err error
 }
 
@@ -131,10 +104,9 @@ type Observer func(StageEvent)
 
 // Run executes the stages in slice order, timing each on clock and
 // announcing every edge to observe (nil observes nothing). A failing
-// Required stage, or a context that dies between stages, stops the run:
-// each stage that never ran gets a StageSkipped event and the error is
-// returned, wrapped with the stage's name when a stage failed. A failing
-// BestEffort stage degrades instead, and the stages after it still run.
+// stage, or a context that dies between stages, stops the run: each
+// stage that never ran gets a StageSkipped event and the error is
+// returned, wrapped with the stage's name when a stage failed.
 func Run(ctx context.Context, clock scanner.Clock, stages []Stage, observe Observer) error {
 	emit := func(ev StageEvent) {
 		if observe != nil {
@@ -157,19 +129,12 @@ func Run(ctx context.Context, clock scanner.Clock, stages []Stage, observe Obser
 		t0 := clock.Now()
 		counts, err := st.Run(ctx)
 		elapsed := clock.Now().Sub(t0)
-		switch {
-		case err == nil:
-			emit(StageEvent{Stage: st.Name, Kind: StageDone, Elapsed: elapsed, Counts: counts})
-		case st.Policy == BestEffort && ctx.Err() == nil:
-			// A dead context is never degradable: the stage's error is
-			// (or raced with) the cancellation, and the stages after it
-			// could not run anyway.
-			emit(StageEvent{Stage: st.Name, Kind: StageDegraded, Elapsed: elapsed, Err: err})
-		default:
+		if err != nil {
 			emit(StageEvent{Stage: st.Name, Kind: StageFailed, Elapsed: elapsed, Err: err})
 			skip(stages[i+1:])
 			return fmt.Errorf("pipeline: stage %q: %w", st.Name, err)
 		}
+		emit(StageEvent{Stage: st.Name, Kind: StageDone, Elapsed: elapsed, Counts: counts})
 	}
 	return nil
 }

@@ -146,60 +146,41 @@ func TestEventKindString(t *testing.T) {
 	if StageStart.String() != "start" || StageDone.String() != "done" || StageFailed.String() != "failed" {
 		t.Error("EventKind names drifted")
 	}
-	if StageDegraded.String() != "degraded" || StageSkipped.String() != "skipped" {
-		t.Error("degradation EventKind names drifted")
+	if StageSkipped.String() != "skipped" {
+		t.Error("skip EventKind name drifted")
 	}
 	if got := EventKind(9).String(); !strings.Contains(got, "9") {
 		t.Errorf("unknown kind = %q", got)
 	}
 }
 
-func TestBestEffortStageDegrades(t *testing.T) {
-	soft := errors.New("soft failure")
-	var log []string
-	var events []StageEvent
-	err := Run(context.Background(), newFakeClock(), []Stage{
-		okStage("a", &log),
-		{Name: "b", Policy: BestEffort, Run: func(ctx context.Context) ([]Count, error) { return nil, soft }},
-		okStage("c", &log, Count{"tuples", 3}),
-	}, func(ev StageEvent) { events = append(events, ev) })
-	if err != nil {
-		t.Fatalf("degraded run returned error %v, want nil", err)
-	}
-	if strings.Join(log, ",") != "a,c" {
-		t.Errorf("ran %v, want a and c around the degraded b", log)
-	}
-	if got, want := kinds(events), "a:start,a:done,b:start,b:degraded,c:start,c:done"; got != want {
-		t.Errorf("events %s, want %s", got, want)
-	}
-	if !errors.Is(events[3].Err, soft) {
-		t.Errorf("degraded event carries %v, want the soft failure", events[3].Err)
-	}
-	// The stage after the degraded one still reports its counts.
-	if c := events[5].Counts; len(c) != 1 || c[0] != (Count{"tuples", 3}) {
-		t.Errorf("counts after the degraded stage = %v", c)
-	}
-}
-
-func TestBestEffortCancellationStillAborts(t *testing.T) {
+// TestStageCancelledMidRunSkipsTheRest: a stage whose context dies while
+// it runs fails, every later stage is announced as skipped without
+// running, and the cancellation is what Run returns.
+func TestStageCancelledMidRunSkipsTheRest(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var log []string
 	var events []StageEvent
 	err := Run(ctx, newFakeClock(), []Stage{
-		{Name: "a", Policy: BestEffort, Run: func(ctx context.Context) ([]Count, error) {
+		okStage("a", &log),
+		{Name: "b", Run: func(ctx context.Context) ([]Count, error) {
 			cancel()
 			return nil, ctx.Err()
 		}},
-		okStage("b", &log),
+		okStage("c", &log),
+		okStage("d", &log),
 	}, func(ev StageEvent) { events = append(events, ev) })
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled despite BestEffort", err)
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if len(log) != 0 {
-		t.Errorf("ran %v after cancellation", log)
+	if strings.Join(log, ",") != "a" {
+		t.Errorf("ran %v, want only the stage before the cancellation", log)
 	}
-	if got, want := kinds(events), "a:start,a:failed,b:skipped"; got != want {
+	if got, want := kinds(events), "a:start,a:done,b:start,b:failed,c:skipped,d:skipped"; got != want {
 		t.Errorf("events %s, want %s", got, want)
+	}
+	if !errors.Is(events[3].Err, context.Canceled) {
+		t.Errorf("failed event carries %v, want context.Canceled", events[3].Err)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"net/netip"
 	"strconv"
 
+	"goingwild/internal/debughttp"
 	"goingwild/internal/lfsr"
 )
 
@@ -145,16 +146,10 @@ func (s *Service) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// APIRoute is one mountable query-API endpoint.
-type APIRoute struct {
-	Pattern string
-	Handler http.Handler
-}
-
 // APIRoutes returns the query API as pattern/handler pairs for the
 // caller to mount (cmd/wildsvc feeds them to debughttp.Serve).
-func (s *Service) APIRoutes() []APIRoute {
-	return []APIRoute{
+func (s *Service) APIRoutes() []debughttp.Route {
+	return []debughttp.Route{
 		{Pattern: "/resolver", Handler: http.HandlerFunc(s.handleResolver)},
 		{Pattern: "/resolvers", Handler: http.HandlerFunc(s.handleResolvers)},
 		{Pattern: "/svc/status", Handler: http.HandlerFunc(s.handleStatus)},

@@ -154,7 +154,7 @@ func TestDomainScanRoundTrip(t *testing.T) {
 	}
 	answered := 0
 	gtCorrect := 0
-	want, _ := w.TrustedResolve(domains.GroundTruth)
+	want, _ := w.LegitAddrs(domains.GroundTruth, "DE")
 	for ri := range resolvers {
 		a := res.Answers[0][ri]
 		if !a.Answered() {

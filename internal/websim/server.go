@@ -128,9 +128,7 @@ func (s *Server) HTTP(ip uint32, host string, useTLS bool) (Response, bool) {
 		}
 		return s.notFound()
 	case wildnet.RoleMalware:
-		switch host {
-		case "update.adobe.example", "ardownload.adobe.example",
-			"update.oracle.example", "windowsupdate.com", "update.microsoft.com":
+		if domains.IsUpdateHost(host) {
 			return Response{Status: 200, Server: "nginx", Body: malwareUpdatePage(host, slot)}, true
 		}
 		return s.notFound()

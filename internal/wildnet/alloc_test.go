@@ -3,6 +3,7 @@ package wildnet
 import (
 	"context"
 	"maps"
+	"net"
 	"net/netip"
 	"reflect"
 	"testing"
@@ -113,6 +114,39 @@ func TestSendZeroFaultConfigAllocs(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("zero-fault CN-censored one-probe batch allocates %d times over 500 probes, want 0", allocs)
+	}
+}
+
+// TestUDPSendBatchAllocs pins the client side of the tunnel: framing and
+// writing a 16-probe batch costs no heap allocation once the frame pool
+// is warm. A plain loopback socket stands in for the gateway; nothing
+// reads it, so the kernel drops what overflows its buffer.
+func TestUDPSendBatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instruments allocations")
+	}
+	gw, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close()
+	tr, err := DialGateway(gw.LocalAddr().(*net.UDPAddr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	batch := make([]Probe, 16)
+	for i := range batch {
+		batch[i] = Probe{Dst: netip.AddrFrom4([4]byte{10, 0, 0, byte(i + 1)}), DstPort: 53, SrcPort: 40000, Payload: make([]byte, 40)}
+	}
+	ctx := context.Background()
+	allocs := alloctest.Count(100, func() {
+		if _, err := tr.SendBatch(ctx, batch); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a 16-probe UDP batch allocates %d times over 100 batches, want 0", allocs)
 	}
 }
 

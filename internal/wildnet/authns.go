@@ -92,12 +92,6 @@ func (w *World) legitAddrs(dst []uint32, cn string, d domains.Domain, listed boo
 	}
 }
 
-// TrustedResolve performs the lookup the measurement team's own trusted
-// recursive resolvers would, i.e. from the vantage region (§3.4 rule i).
-func (w *World) TrustedResolve(name string) ([]uint32, dnswire.RCode) {
-	return w.LegitAddrs(name, vantageCountry)
-}
-
 // ordinaryAddrs appends the fixed 1–3 hosting addresses of a non-CDN
 // domain, all within one owner network.
 func (w *World) ordinaryAddrs(dst []uint32, cn string) []uint32 {

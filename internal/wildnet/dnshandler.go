@@ -445,7 +445,7 @@ func (w *World) answerA(x *exchange, p *Profile, qname string, d domains.Domain,
 			return answer(w.infra.addrOf(RoleAdBlockEmpty, int(prand.Hash(id, 0xADB)%nAdBlock)))
 		}
 	case ManipAdFakeSearch:
-		if qname == "google.com" || qname == "bing.com" || qname == "duckduckgo.com" {
+		if domains.IsSearchFront(qname) {
 			return answer(w.infra.addrOf(RoleAdFakeSearch, int(prand.Hash(id, 0xADF)%nAdFake)))
 		}
 	case ManipProxyTLS:
@@ -469,7 +469,7 @@ func (w *World) answerA(x *exchange, p *Profile, qname string, d domains.Domain,
 			return answer(w.infra.addrOf(RolePhishOther, int(prand.Hash(id, 0xF17, prand.FNV(qname))%nPhishOther)))
 		}
 	case ManipMalware:
-		if isUpdateDomain(qname) {
+		if domains.IsUpdateHost(qname) {
 			return answer(w.infra.addrOf(RoleMalware, int(prand.Hash(id, 0x3A1)%nMalware)))
 		}
 	}
@@ -556,15 +556,4 @@ func domainQuirk(qname string) (Role, float64) {
 	default:
 		return RoleNone, 0
 	}
-}
-
-// isUpdateDomain matches the software-update domains the malware
-// droppers impersonate (Adobe Flash and Java update pages).
-func isUpdateDomain(qname string) bool {
-	switch qname {
-	case "update.adobe.example", "ardownload.adobe.example",
-		"update.oracle.example", "windowsupdate.com", "update.microsoft.com":
-		return true
-	}
-	return false
 }

@@ -56,7 +56,7 @@ func TestHonestResolverAnswersGT(t *testing.T) {
 	if m.Header.RCode != dnswire.RCodeNoError || len(m.Answers) == 0 {
 		t.Fatalf("GT answer = %v", m)
 	}
-	want, _ := w.TrustedResolve(domains.GroundTruth)
+	want, _ := w.LegitAddrs(domains.GroundTruth, vantageCountry)
 	got := lfsr.AddrToU32(m.Answers[0].Data.(dnswire.A).Addr)
 	if got != want[0] {
 		t.Errorf("GT A = %d, want %d", got, want[0])

@@ -35,9 +35,8 @@ type FaultConfig struct {
 
 	// LatencyBaseMS is a per-hop latency added to every response's
 	// delivery delay; LatencyJitterMS is the maximum additional seeded
-	// jitter. On the in-memory transport delay is ordering metadata (it
-	// decides response races and deadline drops); on the UDP gateway it
-	// becomes real timer delay through the injected clock.
+	// jitter. Delay is ordering metadata: it decides response races and
+	// deadline drops.
 	LatencyBaseMS   int
 	LatencyJitterMS int
 	// DeadlineMS drops responses whose total delay exceeds it — the

@@ -182,10 +182,15 @@ func (u *UDPTransport) Close() error {
 	return err
 }
 
+// framePool holds SendBatch's frame buffers. Senders call SendBatch
+// concurrently, so a buffer cannot live on the transport, and a fresh one
+// per call would allocate on every batch.
+var framePool = sync.Pool{New: func() any { return new([]byte) }}
+
 // SendBatch implements Transport: each probe is framed (tunnel header,
-// then payload, built here for a template probe) into one buffer reused
-// across the batch and written with its own WriteToUDP, so the frames
-// leave the socket in batch order. The
+// then payload, built here for a template probe) into one pooled buffer
+// reused across the batch and written with its own WriteToUDP, so the
+// frames leave the socket in batch order. The
 // kernel write itself is not interruptible, so the context is honored at
 // the call edge: a sender that keeps calling after cancellation gets
 // ctx.Err() back immediately instead of queueing more datagrams. A
@@ -195,16 +200,17 @@ func (u *UDPTransport) SendBatch(ctx context.Context, probes []Probe) (int, erro
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	var frame []byte
+	frame := framePool.Get().(*[]byte)
+	defer framePool.Put(frame)
 	for i, p := range probes {
 		if !p.Dst.Is4() {
 			return i, errIPv4Only
 		}
-		frame = binary.BigEndian.AppendUint32(frame[:0], lfsr.AddrToU32(p.Dst))
-		frame = binary.BigEndian.AppendUint16(frame, p.DstPort)
-		frame = binary.BigEndian.AppendUint16(frame, p.SrcPort)
-		frame = p.AppendPayload(frame)
-		if _, err := u.conn.WriteToUDP(frame, u.gateway); err != nil {
+		*frame = binary.BigEndian.AppendUint32((*frame)[:0], lfsr.AddrToU32(p.Dst))
+		*frame = binary.BigEndian.AppendUint16(*frame, p.DstPort)
+		*frame = binary.BigEndian.AppendUint16(*frame, p.SrcPort)
+		*frame = p.AppendPayload(*frame)
+		if _, err := u.conn.WriteToUDP(*frame, u.gateway); err != nil {
 			return i, err
 		}
 	}
