@@ -61,15 +61,17 @@ bench-test:
 # dnsscan go three times as well: the gateway's read loop answers every
 # datagram through an in-memory transport, and dnsscan's test (its
 # children are the race-built test binary) holds a -udp scan to the
-# in-memory one.
+# in-memory one. So do wildnet's silent-memo tests: four senders set the
+# memo's bits of one word at once. The lfsr package runs once, for its
+# concurrent first lookups into a fresh blacklist.
 # The equivalence harness's children are the race-built test binary, so
 # the last line runs the full report under every fault profile, at
 # GOMAXPROCS 1 and 2, under the detector.
 race:
-	$(GO) test -race ./internal/scanner ./internal/wildnet ./internal/ampli ./internal/cluster ./internal/snoop ./internal/pipeline ./internal/metrics ./internal/debughttp .
+	$(GO) test -race ./internal/scanner ./internal/wildnet ./internal/lfsr ./internal/ampli ./internal/cluster ./internal/snoop ./internal/pipeline ./internal/metrics ./internal/debughttp .
 	$(GO) test -race -count=3 -run 'Gateway|TestDomainScanRowsMatchOneNameScans|TestSweepMissMatchesAnswered|TestLazyProbesMatchBuiltProbes' ./internal/scanner
 	$(GO) test -race -count=3 ./internal/resolvesvc
-	$(GO) test -race -count=3 -run 'Gateway|UDP' ./internal/wildnet ./cmd/dnsscan
+	$(GO) test -race -count=3 -run 'Gateway|UDP|^TestSilentMemo' ./internal/wildnet ./cmd/dnsscan
 	$(GO) test -race -run TestEquivalence ./cmd/wildreport
 
 # A few seconds of coverage-guided fuzzing per fuzz target: the six

@@ -27,6 +27,7 @@ import (
 var unusedExports = map[string]string{
 	"dnswire.NewResponse":                 "test support: dnssec, scanner and the root benchmarks build responses with it",
 	"dnswire.Message.AddAnswer":           "test support: dnssec, scanner and the root benchmarks build responses with it",
+	"dnswire.DecodeTargetQName":           "test support: wildnet's tests hold the handler's scan-base answer to it",
 	"geodb.DB.ASes":                       "test support: wildnet's tests pick a planted AS fate from it",
 	"lfsr.DefaultReserved":                "test support: the root benchmarks generate targets around it",
 	"metrics.Snapshot.StripTiming":        "test support: the equivalence harness and the core, scanner and resolvesvc tests compare stripped snapshots",

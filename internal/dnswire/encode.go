@@ -46,7 +46,10 @@ func EncodeTargetQName(prefix string, target netip.Addr, base string) string {
 
 // DecodeTargetQName recovers the target address from a scan query name of
 // the form prefix.hex-ip.base. base must match (case-insensitively) or the
-// name is rejected.
+// name is rejected, and so is a name with nothing before the hex-ip label.
+// It is the string form of DecodeTargetQNameU32, which the receivers and
+// the DNS handler decode with.
+// Test support: wildnet's tests hold the handler's scan-base answer to it.
 func DecodeTargetQName(name, base string) (netip.Addr, error) {
 	cn := CanonicalName(name)
 	cb := CanonicalName(base)
@@ -59,7 +62,8 @@ func DecodeTargetQName(name, base string) (netip.Addr, error) {
 		return netip.Addr{}, ErrBadTargetQName
 	}
 	hexip := labels[len(labels)-1]
-	if len(hexip) != 8 {
+	if len(hexip) != 8 || len(rest) == len(hexip)+1 {
+		// The prefix may spell anything, dots included, but not nothing.
 		return netip.Addr{}, ErrBadTargetQName
 	}
 	var b [4]byte

@@ -76,12 +76,19 @@ func FuzzView(f *testing.F) {
 	})
 }
 
-// FuzzDecodeTargetQName guards the scan-response attribution path.
+// FuzzDecodeTargetQName holds the string decoder and the byte decoder the
+// scan-response attribution path uses to one answer for every name.
 func FuzzDecodeTargetQName(f *testing.F) {
+	const base = "scan.dnsstudy.example.edu"
 	f.Add("r1.c0a80101.scan.dnsstudy.example.edu")
 	f.Add("scan.dnsstudy.example.edu")
+	f.Add(".c0a80101.scan.dnsstudy.example.edu")
 	f.Add("..")
 	f.Fuzz(func(t *testing.T, name string) {
-		DecodeTargetQName(name, "scan.dnsstudy.example.edu")
+		addr, err := DecodeTargetQName(name, base)
+		u, ok := DecodeTargetQNameU32([]byte(CanonicalName(name)), base)
+		if (err == nil) != ok || ok && addr != netip.AddrFrom4([4]byte{byte(u >> 24), byte(u >> 16), byte(u >> 8), byte(u)}) {
+			t.Fatalf("%q: string decoder %v, %v; byte decoder %08x, %v", name, addr, err, u, ok)
+		}
 	})
 }

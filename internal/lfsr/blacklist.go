@@ -3,17 +3,18 @@ package lfsr
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 )
 
 // Blacklist is a set of IPv4 ranges excluded from scanning: well-known
 // private and unallocated space plus networks that opted out (the paper's
 // operators blacklisted 208 ranges and 50 individual addresses on request,
-// ~20.8M addresses in total). Lookup is a binary search over merged,
-// sorted ranges.
+// ~20.8M addresses in total). Ranges are kept sorted and merged as they
+// are added, so a lookup is a binary search that writes nothing: once
+// built, a Blacklist may be read from any number of goroutines.
 type Blacklist struct {
-	ranges []ipRange // sorted, non-overlapping
-	frozen bool
+	ranges []ipRange // sorted, disjoint, no two adjacent
 }
 
 type ipRange struct{ lo, hi uint32 }
@@ -65,39 +66,25 @@ func (b *Blacklist) AddCIDR(cidr string) error {
 	return nil
 }
 
-// AddAddr adds a single address.
-func (b *Blacklist) AddAddr(addr netip.Addr) error {
-	if !addr.Is4() {
-		return fmt.Errorf("lfsr: blacklist address %v is not IPv4", addr)
+// AddRange adds the addresses first through last (big-endian uint32
+// forms, inclusive), as one range; first > last adds nothing.
+func (b *Blacklist) AddRange(first, last uint32) {
+	if first <= last {
+		b.addRange(first, last)
 	}
-	u := addrToU32(addr)
-	b.addRange(u, u)
-	return nil
 }
 
+// addRange inserts [lo, hi] in order, merged with every range it
+// overlaps or touches.
 func (b *Blacklist) addRange(lo, hi uint32) {
-	b.ranges = append(b.ranges, ipRange{lo, hi})
-	b.frozen = false
-}
-
-// freeze sorts and merges ranges; called lazily before lookups.
-func (b *Blacklist) freeze() {
-	if b.frozen {
-		return
+	r := b.ranges
+	// r[i:j] are the ranges [lo, hi] overlaps or touches.
+	i := sort.Search(len(r), func(k int) bool { return uint64(r[k].hi)+1 >= uint64(lo) })
+	j := i + sort.Search(len(r)-i, func(k int) bool { return uint64(r[i+k].lo) > uint64(hi)+1 })
+	if i < j {
+		lo, hi = min(lo, r[i].lo), max(hi, r[j-1].hi)
 	}
-	sort.Slice(b.ranges, func(i, j int) bool { return b.ranges[i].lo < b.ranges[j].lo })
-	merged := b.ranges[:0]
-	for _, r := range b.ranges {
-		if n := len(merged); n > 0 && uint64(r.lo) <= uint64(merged[n-1].hi)+1 {
-			if r.hi > merged[n-1].hi {
-				merged[n-1].hi = r.hi
-			}
-			continue
-		}
-		merged = append(merged, r)
-	}
-	b.ranges = merged
-	b.frozen = true
+	b.ranges = slices.Replace(r, i, j, ipRange{lo, hi})
 }
 
 // Contains reports whether addr is blacklisted.
@@ -110,18 +97,14 @@ func (b *Blacklist) Contains(addr netip.Addr) bool {
 
 // ContainsU32 reports whether the address (as a big-endian uint32) is
 // blacklisted. This is the hot-path form used by the target generator:
-// the freeze check and the range binary search are open-coded because
-// the generator pays this per raw permutation slot, under the sweep's
-// generator lock. An address outside the envelope [first lo, last hi]
-// is answered before the search: a simulated world blacklists one
-// infrastructure range at the top of its space, so every census target
-// below it costs two compares.
+// the range binary search is open-coded because the generator pays this
+// per raw permutation slot. An address outside the envelope [first lo,
+// last hi] is answered before the search: a simulated world blacklists
+// one infrastructure range at the top of its space, so every census
+// target below it costs two compares.
 //
 //lint:hotpath per-slot blacklist check in the target generator
 func (b *Blacklist) ContainsU32(u uint32) bool {
-	if !b.frozen {
-		b.freeze()
-	}
 	r := b.ranges
 	if len(r) == 0 || u < r[0].lo || u > r[len(r)-1].hi {
 		return false
@@ -140,7 +123,6 @@ func (b *Blacklist) ContainsU32(u uint32) bool {
 
 // Size returns the total number of blacklisted addresses.
 func (b *Blacklist) Size() uint64 {
-	b.freeze()
 	var n uint64
 	for _, r := range b.ranges {
 		n += uint64(r.hi-r.lo) + 1
@@ -150,7 +132,6 @@ func (b *Blacklist) Size() uint64 {
 
 // Len returns the number of merged ranges.
 func (b *Blacklist) Len() int {
-	b.freeze()
 	return len(b.ranges)
 }
 

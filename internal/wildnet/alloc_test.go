@@ -462,7 +462,8 @@ func TestAnsweredSendAllocs(t *testing.T) {
 // scratch and its question read, at zero allocations. To a resolver, a
 // template probe is built past the reject, answered and delivered at
 // exactly the allocations of the same probe sent built: the build adds
-// none (the handler's answer to a scan-base name costs its own).
+// none, and the handler's answer to a scan-base name costs one, its
+// question name's string.
 func TestTemplateSendAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instruments allocations")
@@ -529,5 +530,11 @@ func TestTemplateSendAllocs(t *testing.T) {
 	}
 	if builtAllocs, _ := allocs(batchOf(built)); lazyAllocs != builtAllocs {
 		t.Errorf("answered template batch allocates %d times over 100 batches, the same probes built %d", lazyAllocs, builtAllocs)
+	}
+	// The one allocation an answered census probe costs is the handler's
+	// string of its question name; the target is decoded from the
+	// exchange's bytes.
+	if perProbe := float64(lazyAllocs) / (100 * 64); perProbe > 1 {
+		t.Errorf("answered template probe allocates %.2f times, want at most 1", perProbe)
 	}
 }

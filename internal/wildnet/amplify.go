@@ -108,7 +108,7 @@ func (w *World) answerANY(x *exchange, p *Profile, qname string, d domains.Domai
 		x.begin(qname, dnswire.RCodeRefused)
 		return
 	}
-	addrs, rc := w.legitAddrs(x.addrs[:0], qname, d, listed, p.Country)
+	addrs, rc := w.legitAddrs(x.addrs[:0], qname, x.cn, d, listed, p.Country)
 	if class == AmpLarge {
 		rc = dnswire.RCodeNoError
 	}

@@ -8,7 +8,6 @@ import (
 	"goingwild/internal/dnswire"
 	"goingwild/internal/domains"
 	"goingwild/internal/geodb"
-	"goingwild/internal/lfsr"
 	"goingwild/internal/prand"
 )
 
@@ -53,21 +52,23 @@ const vantageCountry = "DE"
 func (w *World) LegitAddrs(name string, requesterCountry string) ([]uint32, dnswire.RCode) {
 	cn := dnswire.CanonicalName(name)
 	d, listed := domains.ByName(cn)
-	return w.legitAddrs(nil, cn, d, listed, requesterCountry)
+	return w.legitAddrs(nil, cn, []byte(cn), d, listed, requesterCountry)
 }
 
 // legitAddrs is LegitAddrs for a caller that has already canonicalised
-// the name and looked it up in the scan list, as the DNS handler has. The
-// answer set (at most four addresses) is appended to dst.
-func (w *World) legitAddrs(dst []uint32, cn string, d domains.Domain, listed bool, requesterCountry string) ([]uint32, dnswire.RCode) {
+// the name and looked it up in the scan list, as the DNS handler has; cnb
+// holds cn's bytes (the exchange's canonical name), which a name under the
+// scan base is decoded from without allocating. The answer set (at most
+// four addresses) is appended to dst.
+func (w *World) legitAddrs(dst []uint32, cn string, cnb []byte, d domains.Domain, listed bool, requesterCountry string) ([]uint32, dnswire.RCode) {
 	if cn == domains.GroundTruth || strings.HasSuffix(cn, "."+domains.GroundTruth) {
 		return append(dst, w.infra.addrOf(RoleSiteHost, 0)), dnswire.RCodeNoError
 	}
 	if strings.HasSuffix(cn, "."+domains.ScanBase) || cn == domains.ScanBase {
 		// Any name under the scan base resolves; the A record carries
 		// the encoded target back (the zone is wildcarded).
-		if target, err := dnswire.DecodeTargetQName(cn, domains.ScanBase); err == nil {
-			return append(dst, w.Mask(lfsr.AddrToU32(target))), dnswire.RCodeNoError
+		if target, ok := dnswire.DecodeTargetQNameU32(cnb, domains.ScanBase); ok {
+			return append(dst, w.Mask(target)), dnswire.RCodeNoError
 		}
 		return append(dst, w.infra.addrOf(RoleSiteHost, 1)), dnswire.RCodeNoError
 	}

@@ -222,7 +222,7 @@ func (w *World) answerTrusted(x *exchange, dst uint32, srcPort uint16) []QueryRe
 	case dnswire.TypePTR:
 		w.answerPTR(x, qname)
 	case dnswire.TypeA:
-		addrs, rc := w.legitAddrs(x.addrs[:0], qname, d, listed, vantageCountry)
+		addrs, rc := w.legitAddrs(x.addrs[:0], qname, x.cn, d, listed, vantageCountry)
 		x.begin(qname, rc)
 		x.rb.SetAA()
 		for _, a := range addrs {
@@ -354,7 +354,7 @@ func (w *World) answerA(x *exchange, p *Profile, qname string, d domains.Domain,
 			la = w.legitAnswer(li, d, p)
 			return la, nil, la.rcode
 		}
-		addrs, rc = w.legitAddrs(x.addrs[:0], qname, d, false, p.Country)
+		addrs, rc = w.legitAddrs(x.addrs[:0], qname, x.cn, d, false, p.Country)
 		return nil, addrs, rc
 	}
 	// legit answers with the zone's own records, signed where the zone

@@ -430,6 +430,57 @@ func TestScanQNameEncodingAnswered(t *testing.T) {
 	}
 }
 
+// TestScanBaseDecodersAgree: legitAddrs reads a name under the scan base
+// from the exchange's canonical name bytes (dnswire.DecodeTargetQNameU32),
+// and answers every shape of name a query can carry there exactly as the
+// string decoder would have it: the encoded target, or the site host a
+// name without one resolves to.
+func TestScanBaseDecodersAgree(t *testing.T) {
+	w := testWorld(t, 16)
+	const target = 0xC0A80101
+	base := domains.ScanBase
+	for _, c := range []struct {
+		shape, name string
+		decodes     bool
+	}{
+		{"census probe", "r1a2b.c0a80101." + base, true},
+		{"mixed case", "R1A2B.C0A80101." + strings.ToUpper(base), true},
+		{"extra labels", "a.b.r1.c0a80101." + base, true},
+		{"no prefix label", "c0a80101." + base, false},
+		{"9-character hex label", "r1.c0a801010." + base, false},
+		{"7-character hex label", "r1.c0a8010." + base, false},
+		{"non-hex digit", "r1.c0a8z101." + base, false},
+		{"empty prefix", "xc0a80101." + base, false}, // first octet becomes '.'
+		{"bare base", base, false},
+	} {
+		payload, err := dnswire.AppendQuery(nil, 1, true, c.name, dnswire.TypeA, dnswire.ClassIN)
+		if err != nil {
+			t.Fatalf("%s: %v", c.shape, err)
+		}
+		if c.shape == "empty prefix" {
+			payload[13] = '.' // the label ".c0a80101" spells ".c0a80101.<base>"
+		}
+		var x exchange
+		if !x.accept(payload) {
+			t.Fatalf("%s: query not accepted", c.shape)
+		}
+		cn, d, li, _ := x.qname()
+		u, ok := dnswire.DecodeTargetQNameU32(x.cn, base)
+		addr, err := dnswire.DecodeTargetQName(cn, base)
+		if ok != (err == nil) || ok != c.decodes || ok && (u != target || lfsr.AddrToU32(addr) != u) {
+			t.Errorf("%s (%q): byte decoder %08x, %v; string decoder %v, %v; want decodes=%v", c.shape, cn, u, ok, addr, err, c.decodes)
+		}
+		want := w.infra.addrOf(RoleSiteHost, 1)
+		if err == nil {
+			want = w.Mask(lfsr.AddrToU32(addr))
+		}
+		got, rc := w.legitAddrs(nil, cn, x.cn, d, li >= 0, "DE")
+		if rc != dnswire.RCodeNoError || len(got) != 1 || got[0] != want {
+			t.Errorf("%s (%q): legitAddrs = %v, %v; want [%d]", c.shape, cn, got, rc, want)
+		}
+	}
+}
+
 // TestQNameNamesSnoopedTLDs: the one lookup qname makes names a snooped
 // TLD by its SnoopedTLDs index, in any letter casing — no TLD is a
 // scan-list name, which qname tries first — and every other name -1.

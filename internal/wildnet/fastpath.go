@@ -1,6 +1,8 @@
 package wildnet
 
 import (
+	"sync/atomic"
+
 	"goingwild/internal/dnswire"
 	"goingwild/internal/geodb"
 )
@@ -33,6 +35,15 @@ import (
 // map holds deliverable destinations only). Those counters therefore read
 // "faults injected into exchanges with a live endpoint". The reject is
 // itself counted, in wildnet.send.rejected.
+//
+// The verdict is memoised. sweepClassify reads nothing but the address,
+// the vantage, the clock and the week's block table (itself a pure
+// function of the world and the week), so a faulted transport — one
+// vantage, one clock until SetTime — keeps a silentMemo of the addresses
+// it has found classReject, and a retry round rejects them without
+// classifying again. A new input to sweepClassify must also clear the
+// memo (SetTime is where it is cleared today), or a retry round rejects
+// an address the input has since made deliverable.
 
 // blockInfo caches the per-network-block facts the reject predicate
 // needs. Every field is a pure function of (world seed, block, week).
@@ -173,6 +184,77 @@ func (w *World) sweepClassify(u uint32, v Vantage, t Time, c *rejectCache) sweep
 		return classCNOnly
 	}
 	return classReject
+}
+
+// silentMemo holds one bit per address of the world's space, set once
+// sweepClassify has returned classReject for the address at the owning
+// transport's current clock: 2^order bits, 32 KB at order 18 and 512 KB
+// at order 22, the size of the sweep collector's answered bitmap. It
+// memoises sweepClassify's own verdict, never SendBatch's final class: a
+// classCNOnly address is rejected only through its probe's question, so
+// it keeps no bit. A transport keeps one only when its world has faults,
+// because only the fault profiles re-send to silent addresses within one
+// instant (the sweep's retry rounds); the nil memo of a fault-free
+// transport answers has with one nil check.
+type silentMemo struct {
+	mask uint32
+	bits []atomic.Uint64
+	// dirty is set once a bit has been set since the last reset, so a
+	// reset that follows no send leaves the bitmap alone.
+	dirty atomic.Bool
+}
+
+func newSilentMemo(mask uint32) *silentMemo {
+	return &silentMemo{mask: mask, bits: make([]atomic.Uint64, (uint64(mask)+64)/64)}
+}
+
+// has reports whether u is proved silent at the current clock; false on a
+// nil memo.
+//
+//lint:hotpath per-probe memo read before the reject predicate
+func (s *silentMemo) has(u uint32) bool {
+	if s == nil {
+		return false
+	}
+	u &= s.mask
+	return s.bits[u/64].Load()&(uint64(1)<<(u%64)) != 0
+}
+
+// set marks u silent. Concurrent senders set bits of one word, so a lost
+// CompareAndSwap is retried, as in the sweep collector's answered bitmap.
+// The caller notes the set bit with markDirty once per batch.
+//
+//lint:hotpath per-probe memo write after a reject
+func (s *silentMemo) set(u uint32) {
+	u &= s.mask
+	w, bit := &s.bits[u/64], uint64(1)<<(u%64)
+	for {
+		old := w.Load()
+		if old&bit != 0 || w.CompareAndSwap(old, old|bit) {
+			return
+		}
+	}
+}
+
+// markDirty records that a bit was set since the last reset. It writes
+// the flag only when it is clear, so concurrent senders share the line
+// read-only after the first set.
+func (s *silentMemo) markDirty() {
+	if !s.dirty.Load() {
+		s.dirty.Store(true)
+	}
+}
+
+// reset clears every bit if any was set since the last reset; a nil memo
+// does nothing. It must not run concurrently with a send, as the attempt
+// counter's reset must not.
+func (s *silentMemo) reset() {
+	if s == nil || !s.dirty.Swap(false) {
+		return
+	}
+	for i := range s.bits {
+		s.bits[i].Store(0)
+	}
 }
 
 // knownResolver reports whether the profile memo holds a resolver at u at

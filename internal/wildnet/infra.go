@@ -246,14 +246,7 @@ func (w *World) InfraRange() (base uint32, size uint32) {
 // them away.)
 func (w *World) ScanBlacklist() *lfsr.Blacklist {
 	bl := lfsr.NewBlacklist()
-	for u := w.infra.base; ; u++ {
-		if err := bl.AddAddr(lfsr.U32ToAddr(u)); err != nil {
-			break
-		}
-		if u == w.infra.base+w.infra.total-1 {
-			break
-		}
-	}
+	bl.AddRange(w.infra.base, w.infra.base+w.infra.total-1)
 	return bl
 }
 

@@ -65,7 +65,7 @@ func (w *World) buildLegit(slot int, d domains.Domain, country string) *legitAns
 	if !x.accept(q) {
 		panic(fmt.Sprintf("wildnet: query for scan-list name %q does not parse", d.Name))
 	}
-	addrs, rc := w.legitAddrs(x.addrs[:0], d.Name, d, true, country)
+	addrs, rc := w.legitAddrs(x.addrs[:0], d.Name, []byte(d.Name), d, true, country)
 	x.begin(d.Name, dnswire.RCodeNoError)
 	for _, a := range addrs {
 		w.addA(x, a)

@@ -71,7 +71,7 @@ func TestLegitAnswerMatchesLive(t *testing.T) {
 				canned.rb.AppendCanned(&la.recs, answerTTL)
 				canned.emit(0, 0, 0)
 
-				addrs, rc := w.legitAddrs(live.addrs[:0], cn, d, true, cc)
+				addrs, rc := w.legitAddrs(live.addrs[:0], cn, canned.cn, d, true, cc)
 				live.begin(cn, dnswire.RCodeNoError)
 				for _, a := range addrs {
 					w.addA(&live, a)

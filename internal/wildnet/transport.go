@@ -103,6 +103,10 @@ type MemTransport struct {
 	// datagrams that reach process take an entry, so a sweep's map holds
 	// its deliverable destinations, not the address space.
 	attempts *attemptCounter
+	// silent memoises the reject verdict of every address the transport
+	// has classified at the current clock (fastpath.go); nil, like
+	// attempts, when the world has no faults.
+	silent *silentMemo
 }
 
 // NewMemTransport wires a scanner vantage to the world.
@@ -110,13 +114,17 @@ func NewMemTransport(w *World, v Vantage) *MemTransport {
 	m := &MemTransport{world: w, vantage: v}
 	if w.faultsOn {
 		m.attempts = newAttemptCounter()
+		m.silent = newSilentMemo(w.mask)
 	}
 	return m
 }
 
 // SetTime moves the transport's simulation clock; subsequent queries are
 // answered as of t. A new simulated instant redraws every packet fate, so
-// the fault layer's retransmission counter restarts with it.
+// the fault layer's retransmission counter restarts with it, and so does
+// the memo of addresses proved silent. On a world with faults SetTime
+// must not run concurrently with a SendBatch: a batch that straddles it
+// would count or memoise against the instant it started at.
 func (m *MemTransport) SetTime(t Time) {
 	m.mu.Lock()
 	m.clock = t
@@ -124,6 +132,7 @@ func (m *MemTransport) SetTime(t Time) {
 	if m.attempts != nil {
 		m.attempts.reset()
 	}
+	m.silent.reset()
 }
 
 // Time returns the current simulation clock.
@@ -177,7 +186,10 @@ func (m *MemTransport) undeliverable(class sweepClass, dstPort uint16, payload [
 //
 // Under every fault profile the destination is classified first: a
 // datagram nothing can answer is counted in wildnet.send.rejected and
-// dropped there. A template probe's bytes are built into the exchange
+// dropped there. On a world with faults, an address classified
+// classReject once at the current clock is remembered (silentMemo), and
+// a later probe to it — a retry round's — takes the same reject without
+// classifying again. A template probe's bytes are built into the exchange
 // scratch only past that reject; into empty Chinese space, where only the
 // injector may answer, a template whose instances it ignores (decided
 // once per template, from the QTYPE and the name length every instance
@@ -217,6 +229,8 @@ func (m *MemTransport) SendBatch(ctx context.Context, batch []Probe) (int, error
 	// cnDeaf whether the injector ignores every instance of it.
 	var cnTmpl *dnswire.CensusQuery
 	cnDeaf := false
+	// silenced is true once the batch has set a bit of the silent memo.
+	silent, silenced := m.silent, false
 	for i := range batch {
 		p := &batch[i]
 		if !p.Dst.Is4() {
@@ -224,9 +238,18 @@ func (m *MemTransport) SendBatch(ctx context.Context, batch []Probe) (int, error
 			break
 		}
 		u32dst := lfsr.AddrToU32(p.Dst)
+		if silent.has(u32dst) {
+			afterDeliver = false
+			rejected++
+			continue
+		}
 		class := classDeliver
 		if !afterDeliver || !m.world.knownResolver(u32dst, m.vantage, t, bc) {
 			class = m.world.sweepClassify(u32dst, m.vantage, t, bc)
+			if class == classReject && silent != nil {
+				silent.set(u32dst)
+				silenced = true
+			}
 		}
 		if class == classCNOnly && p.Template != nil {
 			if p.Template != cnTmpl {
@@ -255,6 +278,9 @@ func (m *MemTransport) SendBatch(ctx context.Context, batch []Probe) (int, error
 			n = i
 			break
 		}
+	}
+	if silenced {
+		silent.markDirty()
 	}
 	m.world.sendRejected.Add(rejected)
 	m.putExchange(x)
