@@ -45,19 +45,21 @@ bench-test:
 # scanner and wildnet exist for this target; ampli's survey runs the ANY
 # scan's receiver under four senders; cluster's linkage fills its
 # distance rows from parallel goroutines through an atomic row counter;
-# snoop's rounds and the CHAOS scan merge concurrent senders' replies
-# into per-resolver slots under stripe locks; the domain scan claims its
-# answer slots with atomics instead).
+# snoop's rounds, the ANY scan and the CHAOS scan merge concurrent
+# senders' replies into per-resolver slots under stripe locks; the domain
+# scan claims its answer slots with atomics instead, and the sweep and
+# the alive scan claim one bit per target or list position).
 # Two runs go three times, because one schedule of them proves little:
 # resolvesvc's coalescer stress is a race between request goroutines and
 # one prober, and over the UDP gateway the domain scan's answer slots are
 # written by the transport's read loop while the scan reads them. The
 # domain scan's differential (every row of a scan of all names against a
 # scan of that name alone, four senders interleaving the rows) rides
-# with the gateway runs, and so do the sweep's two: its lock-free miss
-# check against the responder map after each round of four senders
-# setting answered bits, and its template probes against the same
-# probes sent built. The gateway and UDP transport tests of wildnet and
+# with the gateway runs, and so do the claim bits' stress (four
+# goroutines claiming overlapping indices, one winner each) and the
+# sweep's two: its lock-free miss check against the collected responder
+# list after each round of four senders claiming bits, and its template
+# probes against the same probes sent built. The gateway and UDP transport tests of wildnet and
 # dnsscan go three times as well: the gateway's read loop answers every
 # datagram through an in-memory transport, and dnsscan's test (its
 # children are the race-built test binary) holds a -udp scan to the
@@ -69,7 +71,7 @@ bench-test:
 # GOMAXPROCS 1 and 2, under the detector.
 race:
 	$(GO) test -race ./internal/scanner ./internal/wildnet ./internal/lfsr ./internal/ampli ./internal/cluster ./internal/snoop ./internal/pipeline ./internal/metrics ./internal/debughttp .
-	$(GO) test -race -count=3 -run 'Gateway|TestDomainScanRowsMatchOneNameScans|TestSweepMissMatchesAnswered|TestLazyProbesMatchBuiltProbes' ./internal/scanner
+	$(GO) test -race -count=3 -run 'Gateway|TestDomainScanRowsMatchOneNameScans|TestClaimBitsOneWinner|TestSweepMissMatchesAnswered|TestLazyProbesMatchBuiltProbes' ./internal/scanner
 	$(GO) test -race -count=3 ./internal/resolvesvc
 	$(GO) test -race -count=3 -run 'Gateway|UDP|^TestSilentMemo' ./internal/wildnet ./cmd/dnsscan
 	$(GO) test -race -run TestEquivalence ./cmd/wildreport

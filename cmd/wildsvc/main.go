@@ -64,7 +64,6 @@ func main() {
 	proberTr := wildnet.NewMemTransport(study.World, wildnet.VantagePrimary)
 	defer proberTr.Close()
 	prober := scanner.New(proberTr, scanner.Options{
-		Workers:     2,
 		SettleDelay: scanner.NoSettle,
 		Metrics:     reg,
 	})

@@ -41,61 +41,36 @@ func (r *Result) Members() [][]int {
 	return out
 }
 
-// Linkage selects how inter-cluster distance is updated after a merge
-// (Lance–Williams family).
-type Linkage uint8
-
-// Linkage criteria. The paper uses average linkage (§3.6: "similar
-// instances are grouped using average linkage"); the alternatives exist
-// for the linkage ablation.
-const (
-	// LinkageAverage updates to the size-weighted mean pairwise
-	// distance. Resists chaining, the paper's choice.
-	LinkageAverage Linkage = iota
-	// LinkageSingle updates to the minimum: clusters chain through
-	// border points.
-	LinkageSingle
-	// LinkageComplete updates to the maximum: compact, conservative
-	// clusters.
-	LinkageComplete
-)
-
 // Agglomerate performs agglomerative hierarchical clustering with average
-// linkage over n items whose pairwise distance is given by dist. Merging
-// stops when the closest pair of clusters is farther than cutoff; the
-// remaining clusters are the result.
+// linkage (§3.6: "similar instances are grouped using average linkage")
+// over n items whose pairwise distance is given by dist. Merging stops
+// when the closest pair of clusters is farther than cutoff; the remaining
+// clusters are the result.
 //
 // Average linkage is maintained with the Lance–Williams update: after
 // merging clusters a and b, the distance from the merge to any other
 // cluster c is the size-weighted mean of d(a,c) and d(b,c), which equals
 // the mean pairwise item distance.
-func Agglomerate(n int, dist func(i, j int) float64, cutoff float64) *Result {
-	return AgglomerateWith(n, dist, cutoff, LinkageAverage)
-}
-
-// AgglomerateWith is Agglomerate with an explicit linkage criterion.
 //
 // Implementation: the nearest-neighbor-chain algorithm over a flat
 // distance matrix — O(n²) time instead of the O(n³) closest-pair scan.
-// All three linkage criteria here are reducible (merging two clusters
-// never brings the merge closer to a third than the nearer of the two
-// was), which makes chain merges produce the same dendrogram heights as
-// globally-closest-pair merging; replaying the merges in ascending
-// distance order then yields the same cutoff partition. When distinct
-// pairs tie at exactly equal distance the dendrogram is not unique, and
-// for average/complete linkage the chain may resolve such a tie into a
-// different — equally valid — tree than the exhaustive scan (single
-// linkage partitions are tie-invariant: connected components of the
-// threshold graph). The result is still deterministic for a given input,
-// which is what the reporting contract requires. dist must be pure:
-// the initial matrix is filled from GOMAXPROCS goroutines, so dist(i, j)
-// is called concurrently (classify's feature distances are pure functions
-// of the immutable representative features).
-func AgglomerateWith(n int, dist func(i, j int) float64, cutoff float64, linkage Linkage) *Result {
+// Average linkage is reducible (merging two clusters never brings the
+// merge closer to a third than the nearer of the two was), which makes
+// chain merges produce the same dendrogram heights as globally-closest-
+// pair merging; replaying the merges in ascending distance order then
+// yields the same cutoff partition. When distinct pairs tie at exactly
+// equal distance the dendrogram is not unique, and the chain may resolve
+// such a tie into a different — equally valid — tree than the exhaustive
+// scan. The result is still deterministic for a given input, which is
+// what the reporting contract requires. dist must be pure: the initial
+// matrix is filled from GOMAXPROCS goroutines, so dist(i, j) is called
+// concurrently (classify's feature distances are pure functions of the
+// immutable representative features).
+func Agglomerate(n int, dist func(i, j int) float64, cutoff float64) *Result {
 	if n == 0 {
 		return &Result{}
 	}
-	return agglomerateChain(n, newDistMatrix(n, dist), cutoff, linkage)
+	return agglomerateChain(n, newDistMatrix(n, dist), cutoff)
 }
 
 // parallelMatrixMin is the item count below which the distance matrix is
@@ -160,7 +135,7 @@ type rawMerge struct {
 // then replays the merges in ascending distance order, applying the
 // cutoff, to produce the same Result shape (merge ids, dense cluster
 // numbering, assignment) as the exhaustive closest-pair reference.
-func agglomerateChain(n int, d []float64, cutoff float64, linkage Linkage) *Result {
+func agglomerateChain(n int, d []float64, cutoff float64) *Result {
 	size := make([]int, n)
 	active := make([]bool, n)
 	for i := range size {
@@ -219,15 +194,7 @@ func agglomerateChain(n int, d []float64, cutoff float64, linkage Linkage) *Resu
 			if !active[k] || k == lo || k == hi {
 				continue
 			}
-			var v float64
-			switch linkage {
-			case LinkageSingle:
-				v = math.Min(rl[k], rh[k])
-			case LinkageComplete:
-				v = math.Max(rl[k], rh[k])
-			default:
-				v = (na*rl[k] + nb*rh[k]) / (na + nb)
-			}
+			v := (na*rl[k] + nb*rh[k]) / (na + nb)
 			rl[k] = v
 			d[k*n+lo] = v
 		}
@@ -237,8 +204,8 @@ func agglomerateChain(n int, d []float64, cutoff float64, linkage Linkage) *Resu
 		chain = chain[:len(chain)-2]
 	}
 
-	// Replay in ascending distance. Reducible linkages give monotone
-	// dendrograms, so a stable sort keeps every merge after the merges
+	// Replay in ascending distance. A reducible linkage gives a monotone
+	// dendrogram, so a stable sort keeps every merge after the merges
 	// that formed its operands; cutting at the cutoff therefore removes a
 	// suffix of consistent merges only.
 	sort.SliceStable(raw, func(i, j int) bool { return raw[i].dist < raw[j].dist })

@@ -7,9 +7,9 @@ import (
 )
 
 // The nearest-neighbor-chain implementation must be exact, not approximate:
-// for every linkage criterion it has to produce the same partition as the
-// exhaustive closest-pair search it replaced. These differential tests pit
-// agglomerateChain (via AgglomerateWith) against agglomerateExhaustive on
+// it has to produce the same average-linkage partition as the exhaustive
+// closest-pair search it replaced. These differential tests pit
+// agglomerateChain (via Agglomerate) against agglomerateExhaustive on
 // seeded random instances.
 
 // randDistMatrix builds a symmetric matrix of pairwise distances. With
@@ -112,14 +112,6 @@ func validResult(t *testing.T, r *Result, n int, cutoff float64, ctx string) {
 }
 
 func TestChainMatchesExhaustive(t *testing.T) {
-	linkages := []struct {
-		name string
-		l    Linkage
-	}{
-		{"average", LinkageAverage},
-		{"single", LinkageSingle},
-		{"complete", LinkageComplete},
-	}
 	for seed := int64(1); seed <= 60; seed++ {
 		r := newDetRand(seed)
 		n := 2 + r.intn(40)
@@ -128,45 +120,33 @@ func TestChainMatchesExhaustive(t *testing.T) {
 		dist := func(i, j int) float64 { return m[i][j] }
 		// Cutoffs span "merge nothing" through "merge everything".
 		cutoffs := []float64{0, r.unit(), r.unit(), 1.5}
-		for _, lk := range linkages {
-			for _, cut := range cutoffs {
-				ctx := fmt.Sprintf("seed=%d n=%d distinct=%v linkage=%s cutoff=%g",
-					seed, n, distinct, lk.name, cut)
-				got := AgglomerateWith(n, dist, cut, lk.l)
-				want := agglomerateExhaustive(n, dist, cut, lk.l)
-				// Exact partition equality is guaranteed when the
-				// dendrogram is unique: always for distinct distances, and
-				// for single linkage even under ties (its cutoff partition
-				// is the threshold graph's connected components, however
-				// the ties resolve). Tie-heavy average/complete instances
-				// may legally differ from the oracle, so those only get
-				// the structural checks below.
-				if distinct || lk.l == LinkageSingle {
-					samePartition(t, got, want, ctx)
-				}
-				validResult(t, got, n, cut, ctx)
-				if distinct {
-					// With no ties the whole merge history is forced, so
-					// the dendrograms must agree merge for merge. Average
-					// linkage gets an ULP-scale tolerance on the distance:
-					// the chain discovers merges in a different temporal
-					// order than the global closest-pair search, so the
-					// Lance-Williams weighted averages nest differently in
-					// floating point. Min and max are order-exact.
-					if len(got.Merges) != len(want.Merges) {
-						t.Fatalf("%s: %d merges, exhaustive %d", ctx, len(got.Merges), len(want.Merges))
-					}
-					for k := range want.Merges {
-						g, w := got.Merges[k], want.Merges[k]
-						dOK := g.Dist == w.Dist
-						if lk.l == LinkageAverage {
-							dOK = math.Abs(g.Dist-w.Dist) <= 1e-12*math.Max(1, w.Dist)
-						}
-						if g.A != w.A || g.B != w.B || g.Size != w.Size || !dOK {
-							t.Fatalf("%s: merge %d = %+v, exhaustive %+v",
-								ctx, k, g, w)
-						}
-					}
+		for _, cut := range cutoffs {
+			ctx := fmt.Sprintf("seed=%d n=%d distinct=%v cutoff=%g", seed, n, distinct, cut)
+			got := Agglomerate(n, dist, cut)
+			want := agglomerateExhaustive(n, dist, cut)
+			validResult(t, got, n, cut, ctx)
+			// Exact partition equality is guaranteed when the dendrogram
+			// is unique, as it is for distinct distances. Tie-heavy
+			// instances may legally differ from the oracle, so those only
+			// get the structural checks above.
+			if !distinct {
+				continue
+			}
+			samePartition(t, got, want, ctx)
+			// With no ties the whole merge history is forced, so the
+			// dendrograms must agree merge for merge, with an ULP-scale
+			// tolerance on the distance: the chain discovers merges in a
+			// different temporal order than the global closest-pair
+			// search, so the Lance-Williams weighted averages nest
+			// differently in floating point.
+			if len(got.Merges) != len(want.Merges) {
+				t.Fatalf("%s: %d merges, exhaustive %d", ctx, len(got.Merges), len(want.Merges))
+			}
+			for k := range want.Merges {
+				g, w := got.Merges[k], want.Merges[k]
+				dOK := math.Abs(g.Dist-w.Dist) <= 1e-12*math.Max(1, w.Dist)
+				if g.A != w.A || g.B != w.B || g.Size != w.Size || !dOK {
+					t.Fatalf("%s: merge %d = %+v, exhaustive %+v", ctx, k, g, w)
 				}
 			}
 		}
@@ -193,14 +173,10 @@ func TestChainMatchesExhaustiveDegenerate(t *testing.T) {
 		}
 		return 0.1
 	}
-	for _, lk := range []Linkage{LinkageAverage, LinkageSingle, LinkageComplete} {
-		for _, cut := range []float64{0.05, 0.25, 0.5, 0.95} {
-			for name, dist := range map[string]func(i, j int) float64{"flat": flat, "outlier": outlier} {
-				ctx := fmt.Sprintf("%s linkage=%d cutoff=%g", name, lk, cut)
-				got := AgglomerateWith(n, dist, cut, lk)
-				want := agglomerateExhaustive(n, dist, cut, lk)
-				samePartition(t, got, want, ctx)
-			}
+	for _, cut := range []float64{0.05, 0.25, 0.5, 0.95} {
+		for name, dist := range map[string]func(i, j int) float64{"flat": flat, "outlier": outlier} {
+			ctx := fmt.Sprintf("%s cutoff=%g", name, cut)
+			samePartition(t, Agglomerate(n, dist, cut), agglomerateExhaustive(n, dist, cut), ctx)
 		}
 	}
 }
@@ -208,7 +184,7 @@ func TestChainMatchesExhaustiveDegenerate(t *testing.T) {
 // agglomerateExhaustive is the original O(n³) closest-pair implementation,
 // kept as the reference oracle for the differential property tests: the
 // chain algorithm must produce identical partitions at any cutoff.
-func agglomerateExhaustive(n int, dist func(i, j int) float64, cutoff float64, linkage Linkage) *Result {
+func agglomerateExhaustive(n int, dist func(i, j int) float64, cutoff float64) *Result {
 	if n == 0 {
 		return &Result{}
 	}
@@ -254,21 +230,13 @@ func agglomerateExhaustive(n int, dist func(i, j int) float64, cutoff float64, l
 		if bi < 0 || best > cutoff {
 			break
 		}
-		// Merge bj into bi, updating distances per the linkage.
+		// Merge bj into bi, updating distances to the size-weighted mean.
 		na, nb := float64(size[bi]), float64(size[bj])
 		for k := 0; k < n; k++ {
 			if !active[k] || k == bi || k == bj {
 				continue
 			}
-			var v float64
-			switch linkage {
-			case LinkageSingle:
-				v = math.Min(d[bi][k], d[bj][k])
-			case LinkageComplete:
-				v = math.Max(d[bi][k], d[bj][k])
-			default:
-				v = (na*d[bi][k] + nb*d[bj][k]) / (na + nb)
-			}
+			v := (na*d[bi][k] + nb*d[bj][k]) / (na + nb)
 			d[bi][k], d[k][bi] = v, v
 		}
 		merges = append(merges, Merge{A: id[bi], B: id[bj], Dist: best, Size: size[bi] + size[bj]})

@@ -23,10 +23,9 @@ import (
 	"goingwild/internal/scanner"
 )
 
-// nShards stripes the store 64 ways, the same trick (and the same
-// multiplicative hash) as the scanner's sharded collectors: concurrent
-// lookups contend only when they land on the same stripe, and the
-// epoch-apply writer locks one stripe at a time instead of the world.
+// nShards stripes the store 64 ways: concurrent lookups contend only
+// when they land on the same stripe, and the epoch-apply writer locks one
+// stripe at a time instead of the world.
 const nShards = 64
 
 const shardShift = 32 - 6 // log2(nShards) == 6

@@ -9,6 +9,7 @@ import (
 	"goingwild/internal/dnswire"
 	"goingwild/internal/domains"
 	"goingwild/internal/lfsr"
+	"goingwild/internal/wildnet"
 )
 
 // The sweep budget is the point of the zero-alloc engine: these tests pin
@@ -121,12 +122,73 @@ func TestSweepReceivePathAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("sweep receive path allocates %d times over 500 responses, want 0", n)
 	}
-	if st.responses.Len() != 1 {
-		t.Fatalf("collector holds %d responders, want 1", st.responses.Len())
+	res := (&Scanner{}).collectSweep(st, 1)
+	if len(res.Responders) != 1 {
+		t.Fatalf("collector holds %d responders, want 1", len(res.Responders))
 	}
-	r, ok := st.responses.Get(u)
-	if !ok || r.Addr != u || !r.Answered || r.RCode != dnswire.RCodeNoError {
-		t.Fatalf("bad responder: %+v ok=%v", r, ok)
+	if r := res.Responders[0]; r.Addr != u || !r.Answered || r.RCode != dnswire.RCodeNoError {
+		t.Fatalf("bad responder: %+v", r)
+	}
+}
+
+// aliveReplayTransport answers the first probe it is sent and then
+// replays that answer into the scan's receiver under alloctest.Count: the
+// alive scan's receive path at steady state, a duplicate response to a
+// claimed position.
+type aliveReplayTransport struct {
+	recv   func(src netip.Addr, srcPort, dstPort uint16, payload []byte)
+	allocs uint64
+	err    error
+	done   bool
+}
+
+func (r *aliveReplayTransport) SendBatch(_ context.Context, batch []wildnet.Probe) (int, error) {
+	if r.done {
+		return len(batch), nil
+	}
+	r.done = true
+	p := batch[0]
+	m, err := dnswire.Unpack(p.AppendPayload(nil))
+	if err != nil {
+		r.err = err
+		return 0, err
+	}
+	m.Header.QR = true
+	payload, err := m.PackBytes()
+	if err != nil {
+		r.err = err
+		return 0, err
+	}
+	r.recv(p.Dst, 53, p.SrcPort, payload) // the first delivery claims
+	r.allocs = alloctest.Count(500, func() {
+		r.recv(p.Dst, 53, p.SrcPort, payload)
+	})
+	return len(batch), nil
+}
+
+func (r *aliveReplayTransport) SetReceiver(f func(src netip.Addr, srcPort, dstPort uint16, payload []byte)) {
+	r.recv = f
+}
+
+func (r *aliveReplayTransport) Close() error { return nil }
+
+// TestAliveReceivePathAllocs: an alive response costs a wire view, a
+// binary search and a claim bit, and no allocation.
+func TestAliveReceivePathAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instruments allocations")
+	}
+	tr := &aliveReplayTransport{}
+	addrs := []uint32{0x0A000001, 0x0A000100, 0x0A010000}
+	alive, err := New(tr, Options{Workers: 1, SettleDelay: NoSettle}).ProbeAliveContext(context.Background(), addrs)
+	if err != nil || tr.err != nil {
+		t.Fatal(err, tr.err)
+	}
+	if len(alive) != 1 || !alive[addrs[0]] {
+		t.Fatalf("alive set %v, want only %#x", alive, addrs[0])
+	}
+	if tr.allocs != 0 {
+		t.Fatalf("alive receive path allocates %d times over 500 responses, want 0", tr.allocs)
 	}
 }
 

@@ -2,6 +2,7 @@ package scanner
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"time"
 
@@ -264,6 +265,18 @@ func (s *Scanner) sendRound(ctx context.Context, r *scanRun) error {
 	for _, err := range errs {
 		if err != nil {
 			return err
+		}
+	}
+	return nil
+}
+
+// checkIncreasing refuses a list that is not strictly increasing: a list
+// scan that files a response at its list position finds the position by
+// binary search. what names the list in the error.
+func checkIncreasing(list []uint32, what string) error {
+	for i := 1; i < len(list); i++ {
+		if list[i] <= list[i-1] {
+			return fmt.Errorf("scanner: %s list not strictly increasing at index %d", what, i)
 		}
 	}
 	return nil

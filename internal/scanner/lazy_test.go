@@ -110,10 +110,11 @@ func (r *roundCheckTransport) SendBatch(ctx context.Context, batch []wildnet.Pro
 }
 
 // TestSweepMissMatchesAnswered: the retry rounds' lock-free miss check
-// agrees, for every target of the space, with the responder map the
-// receivers fill — after each round of an order-14 hostile sweep whose
-// four senders set the answered bits concurrently. make race runs it
-// three times under the detector.
+// agrees, for every target of the space, with the responder list the
+// receivers fill — one responder per claimed target, none for a missed
+// one — after each round of an order-14 hostile sweep whose four senders
+// claim the answered bits concurrently. make race runs it three times
+// under the detector.
 func TestSweepMissMatchesAnswered(t *testing.T) {
 	const order = 14
 	w, tr := chaosWorld(t, order, "hostile")
@@ -128,16 +129,18 @@ func TestSweepMissMatchesAnswered(t *testing.T) {
 	answered := 0
 	ct.check = func() {
 		checks++
-		answered = 0
+		st.mu.Lock()
+		listed := make(map[uint32]int, len(st.responders))
+		for _, r := range st.responders {
+			listed[r.Addr]++
+		}
+		st.mu.Unlock()
+		answered = len(listed)
 		for u := uint32(0); u < 1<<order; u++ {
-			_, ok := st.responses.Get(u)
-			if run.miss(u) == ok {
-				// check runs on a sender goroutine: no Fatal here.
-				t.Errorf("check %d, target %#x: miss = %v with a responder stored = %v", checks, u, run.miss(u), ok)
+			// check runs on a sender goroutine: no Fatal here.
+			if n := listed[u]; run.miss(u) != (n == 0) || n > 1 {
+				t.Errorf("check %d, target %#x: miss = %v with %d responders listed", checks, u, run.miss(u), n)
 				return
-			}
-			if ok {
-				answered++
 			}
 		}
 	}

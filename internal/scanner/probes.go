@@ -3,6 +3,7 @@ package scanner
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
 
 	"goingwild/internal/dnswire"
@@ -13,19 +14,26 @@ import (
 
 // ProbeAliveContext re-probes an explicit address list (the §2.5 churn
 // study tracks the week-0 cohort this way) and returns the set that
-// responded with any DNS answer. Cancellation checkpoints sit between
-// retry rounds; a cancelled probe returns the partial alive set with
-// ctx.Err().
+// responded with any DNS answer. addrs must be strictly increasing (a
+// census's responder list is): a response's target is found at its list
+// position by binary search, and any other list is refused with an error
+// before anything is sent. Cancellation checkpoints sit between retry
+// rounds; a cancelled probe returns the partial alive set with ctx.Err().
 func (s *Scanner) ProbeAliveContext(ctx context.Context, addrs []uint32) (map[uint32]bool, error) {
 	if s.tr == nil {
 		return nil, ErrNoTransport
 	}
-	collected := newShardedMap[bool](len(addrs) / 4)
+	if err := checkIncreasing(addrs, "alive address"); err != nil {
+		return nil, err
+	}
 	base := dnswire.CanonicalName(domains.ScanBase)
 	baseWire, err := dnswire.EncodeNameWire(base)
 	if err != nil {
 		return nil, err
 	}
+	// One claim bit per list position: the first response files its
+	// target, and the retry rounds' miss check reads the bit.
+	answered := newClaimBits(uint64(len(addrs)))
 	s.tr.SetReceiver(func(src netip4, srcPort, dstPort uint16, payload []byte) {
 		v := dnswire.GetView()
 		defer dnswire.PutView(v)
@@ -36,19 +44,22 @@ func (s *Scanner) ProbeAliveContext(ctx context.Context, addrs []uint32) (map[ui
 		if !ok {
 			return
 		}
+		i, ok := slices.BinarySearch(addrs, target)
+		if !ok {
+			return
+		}
 		s.m.aliveRecv.Inc()
-		collected.InsertOnce(target, true)
+		answered.claim(uint32(i))
 	})
 	defer s.tr.SetReceiver(nil)
 	err = s.listScan(ctx, len(addrs), listRetries, s.m.alive, aliveBuild(addrs, baseWire),
-		func(i uint32) bool {
-			_, ok := collected.Get(addrs[i])
-			return !ok
-		})
-	alive := make(map[uint32]bool, collected.Len())
-	collected.Collect(func(u uint32, _ bool) {
-		alive[u] = true
-	})
+		func(i uint32) bool { return !answered.has(i) })
+	alive := make(map[uint32]bool, len(addrs))
+	for i, u := range addrs {
+		if answered.has(uint32(i)) {
+			alive[u] = true
+		}
+	}
 	return alive, err
 }
 

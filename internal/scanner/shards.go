@@ -5,117 +5,67 @@ import (
 	"sync/atomic"
 )
 
-// Response collection used to funnel every receiver callback through one
-// mutex-guarded map. At millions of probes per second across 16 sender
-// goroutines (the in-memory transport delivers responses synchronously on
-// the sending goroutine), that lock is the scan's ceiling. The collectors
-// here stripe the state over a power-of-two shard array indexed by a
-// multiplicative hash of the key, so concurrent receivers contend only
-// when they land on the same shard.
+// At millions of probes per second across 16 sender goroutines (the
+// in-memory transport delivers responses synchronously on the sending
+// goroutine), one collector lock would be the scan's ceiling. Every
+// collector is addressed by a dense index (a sweep's target, a list
+// scan's list position), so each claims with one of three primitives: a
+// claim bit (claimBits: the sweep and the alive scan), a striped lock
+// around an index-addressed slot (stripedMutex: CHAOS, snoop and ANY), or
+// a response counter (answerSlots: the domain scan).
 
 // nStripes is the stripe count. 64 stripes keep the collision probability
-// for 16 workers under 2% per access while the whole array stays small
-// enough to walk cheaply at collect time.
+// for 16 workers under 2% per access while the whole array stays small.
 const nStripes = 64
 
-// shardMask extracts the shard index from the hash's top bits.
+// shardShift extracts the stripe index from the hash's top bits.
 const shardShift = 32 - 6 // log2(nStripes) == 6
 
-// shardOf maps a key (an IPv4 address or probe index) to its stripe.
-// Knuth's multiplicative hash spreads sequential and LFSR-permuted keys
-// evenly; the top bits are the well-mixed ones.
+// shardOf maps a key (a list position) to its stripe. Knuth's
+// multiplicative hash spreads sequential keys evenly; the top bits are
+// the well-mixed ones.
 //
 //lint:hotpath per-response collector insert
 func shardOf(key uint32) uint32 {
 	return key * 2654435761 >> shardShift
 }
 
-// mapShard is one stripe of a shardedMap, padded out to its own cache
-// line so neighboring shard locks do not false-share: an 8-byte mutex
-// and an 8-byte map pointer, then 48 bytes of padding.
-type mapShard[V any] struct {
-	mu sync.Mutex
-	m  map[uint32]V
-	_  [48]byte
-}
+// claimBits holds one bit per index, set by the first response that
+// claims it: "first response wins" without a lock. The retry rounds' miss
+// check reads a bit the same way.
+type claimBits []atomic.Uint64
 
-// shardedMap is a striped insert-mostly map keyed by uint32. All methods
-// are safe for concurrent use.
-type shardedMap[V any] struct {
-	shards [nStripes]mapShard[V]
-}
+// newClaimBits returns a cleared bit per index of [0, n).
+func newClaimBits(n uint64) claimBits { return make(claimBits, (n+63)/64) }
 
-// newShardedMap sizes each stripe for about hint total entries.
-func newShardedMap[V any](hint int) *shardedMap[V] {
-	s := new(shardedMap[V])
-	per := hint / nStripes
-	for i := range s.shards {
-		s.shards[i].m = make(map[uint32]V, per)
-	}
-	return s
-}
-
-// InsertOnce stores v under key unless the key is already present,
-// reporting whether it stored. First writer wins, matching the dedup
-// semantics of the old single-map collectors.
+// claim sets bit i and reports whether this call set it. Neighbouring
+// indices share a word, so concurrent receivers set bits in one word and
+// the loop retries a lost CompareAndSwap. An index past the end has no
+// bit and is never claimed.
 //
 //lint:hotpath per-response collector insert
-func (s *shardedMap[V]) InsertOnce(key uint32, v V) bool {
-	sh := &s.shards[shardOf(key)]
-	sh.mu.Lock()
-	_, dup := sh.m[key]
-	if !dup {
-		sh.m[key] = v
+func (b claimBits) claim(i uint32) bool {
+	wi := uint64(i / 64)
+	if wi >= uint64(len(b)) {
+		return false
 	}
-	sh.mu.Unlock()
-	return !dup
-}
-
-// Merge stores v under key, or merge(old, v) when the key is already
-// present. With a commutative, associative merge the stored value is the
-// same whatever order concurrent writers arrive in.
-func (s *shardedMap[V]) Merge(key uint32, v V, merge func(old, v V) V) {
-	sh := &s.shards[shardOf(key)]
-	sh.mu.Lock()
-	if old, dup := sh.m[key]; dup {
-		v = merge(old, v)
-	}
-	sh.m[key] = v
-	sh.mu.Unlock()
-}
-
-// Get returns the value stored under key.
-func (s *shardedMap[V]) Get(key uint32) (V, bool) {
-	sh := &s.shards[shardOf(key)]
-	sh.mu.Lock()
-	v, ok := sh.m[key]
-	sh.mu.Unlock()
-	return v, ok
-}
-
-// Len returns the total entry count.
-func (s *shardedMap[V]) Len() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		n += len(sh.m)
-		sh.mu.Unlock()
-	}
-	return n
-}
-
-// Collect calls fn for every entry, in unspecified order: callers that
-// build output from it must sort afterwards, exactly as with a plain map.
-func (s *shardedMap[V]) Collect(fn func(key uint32, v V)) {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for k, v := range sh.m {
-			fn(k, v)
+	w, bit := &b[wi], uint64(1)<<(i%64)
+	for {
+		old := w.Load()
+		if old&bit != 0 {
+			return false
 		}
-		sh.mu.Unlock()
+		if w.CompareAndSwap(old, old|bit) {
+			return true
+		}
 	}
+}
+
+// has reports whether index i is claimed.
+//
+//lint:hotpath per-probe miss check of a retry round
+func (b claimBits) has(i uint32) bool {
+	return b[i/64].Load()&(uint64(1)<<(i%64)) != 0
 }
 
 // paddedMutex is a mutex on its own cache line.
@@ -125,7 +75,7 @@ type paddedMutex struct {
 }
 
 // stripedMutex guards index-addressed state (CHAOS answer slots, snoop
-// observations) without a single global lock: lock of(key) around any
+// observations, ANY answers) without a single global lock: lock of(key) around any
 // access to the state that key addresses. Distinct keys may share a
 // stripe; that is safe (coarser locking), just slower. The domain scan
 // claims its answer slots with answerSlots instead.

@@ -6,99 +6,62 @@ import (
 	"unsafe"
 )
 
-// TestStripesFillCacheLines: a stripe of the sharded map and a striped
-// mutex each span whole 64-byte cache lines, so neighbouring stripe locks
-// never share one.
+// TestStripesFillCacheLines: a striped mutex's stripe spans whole 64-byte
+// cache lines, so neighbouring stripe locks never share one.
 func TestStripesFillCacheLines(t *testing.T) {
-	for name, size := range map[string]uintptr{
-		"mapShard":    unsafe.Sizeof(mapShard[Responder]{}),
-		"paddedMutex": unsafe.Sizeof(paddedMutex{}),
-	} {
-		if size%64 != 0 {
-			t.Errorf("%s is %d bytes, not a multiple of 64", name, size)
-		}
+	if size := unsafe.Sizeof(paddedMutex{}); size%64 != 0 {
+		t.Errorf("paddedMutex is %d bytes, not a multiple of 64", size)
 	}
 }
 
-func TestShardedMapInsertOnce(t *testing.T) {
-	m := newShardedMap[int](0)
-	if !m.InsertOnce(7, 1) {
-		t.Fatal("first insert rejected")
-	}
-	if m.InsertOnce(7, 2) {
-		t.Fatal("duplicate insert accepted")
-	}
-	v, ok := m.Get(7)
-	if !ok || v != 1 {
-		t.Fatalf("Get(7) = %d,%v want 1,true (first writer wins)", v, ok)
-	}
-	if _, ok := m.Get(8); ok {
-		t.Fatal("Get of absent key reported present")
-	}
-	if m.Len() != 1 {
-		t.Fatalf("Len = %d want 1", m.Len())
-	}
-}
-
-// TestShardedMapConcurrent is the race stress for the sharded collector:
-// many goroutines hammer overlapping key ranges with InsertOnce and Get
-// while another samples Len. Run under -race (make race covers this
-// package) to certify the striping.
-func TestShardedMapConcurrent(t *testing.T) {
+// TestClaimBitsOneWinner is the race stress for the claim bits: four
+// goroutines claim overlapping index ranges, every index of the range has
+// exactly one winner, and the bit read agrees with the claims — while
+// they run and after. An index past the end is never claimed. make race
+// runs it three times under the detector.
+func TestClaimBitsOneWinner(t *testing.T) {
 	const (
-		workers = 16
-		keys    = 4096
+		workers = 4
+		n       = 4096 + 17 // a partial last word
 	)
-	m := newShardedMap[uint32](keys)
-	done := make(chan struct{})
-	var sampler sync.WaitGroup
-	sampler.Add(1)
-	go func() {
-		defer sampler.Done()
-		for {
-			select {
-			case <-done:
-				return
-			default:
-				_ = m.Len()
-			}
-		}
-	}()
-
+	b := newClaimBits(n)
+	wins := make([][]uint32, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w uint32) {
+		go func(w int) {
 			defer wg.Done()
-			// Each worker walks the full key space from a different
-			// start, so every key sees contending writers.
-			for i := uint32(0); i < keys; i++ {
-				k := (i + w*131) % keys
-				m.InsertOnce(k, k^w)
-				if v, ok := m.Get(k); !ok || v^k >= workers {
-					t.Errorf("key %d reads %d,%v after insert", k, v, ok)
+			// Each goroutine walks the whole range from its own start,
+			// so every index has contending claimers.
+			for k := uint32(0); k < n; k++ {
+				i := (k + uint32(w)*1031) % n
+				if b.claim(i) {
+					wins[w] = append(wins[w], i)
+				}
+				if !b.has(i) {
+					t.Errorf("index %d reads unclaimed after a claim", i)
 					return
 				}
 			}
-		}(uint32(w))
+		}(w)
 	}
 	wg.Wait()
-	close(done)
-	sampler.Wait()
-
-	if got := m.Len(); got != keys {
-		t.Fatalf("Len = %d want %d", got, keys)
+	won := make([]int, n)
+	for _, ws := range wins {
+		for _, i := range ws {
+			won[i]++
+		}
 	}
-	for k := uint32(0); k < keys; k++ {
-		v, ok := m.Get(k)
-		if !ok {
-			t.Fatalf("key %d missing", k)
+	for i, c := range won {
+		if c != 1 {
+			t.Fatalf("index %d has %d winners, want 1", i, c)
 		}
-		// First writer wins: the stored value must be k^w for exactly one
-		// of the racing workers, whichever got there first.
-		if w := v ^ k; w >= workers {
-			t.Fatalf("key %d holds %d, not written by any worker", k, v)
+		if !b.has(uint32(i)) {
+			t.Fatalf("index %d won but reads unclaimed", i)
 		}
+	}
+	if b.claim(uint32(len(b) * 64)) {
+		t.Fatal("an index past the end was claimed")
 	}
 }
 

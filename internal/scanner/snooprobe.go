@@ -57,10 +57,8 @@ func (s *Scanner) SnoopRoundContext(ctx context.Context, resolvers []uint32, tld
 	if s.tr == nil {
 		return nil, ErrNoTransport
 	}
-	for i := 1; i < len(resolvers); i++ {
-		if resolvers[i] <= resolvers[i-1] {
-			return nil, fmt.Errorf("scanner: snoop resolver list not strictly increasing at index %d", i)
-		}
+	if err := checkIncreasing(resolvers, "snoop resolver"); err != nil {
+		return nil, err
 	}
 	// Every resolver gets the same bytes, so the round packs its query
 	// once; RD stays clear because snooping must not trigger recursion.

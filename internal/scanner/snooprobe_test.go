@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/netip"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -107,14 +108,15 @@ func TestSnoopRoundCommutesOverDeliveryOrder(t *testing.T) {
 }
 
 // snoopRoundRef is the map-based form of a snoop round: a want set, a
-// sharded map merged per source, and the answers returned keyed by
-// address. It is the oracle for TestSnoopRoundMatchesMapReference.
+// map merged per source under one mutex, and the answers returned keyed
+// by address. It is the oracle for TestSnoopRoundMatchesMapReference.
 func snoopRoundRef(ctx context.Context, s *Scanner, resolvers []uint32, tld string, seq uint16) (map[uint32]SnoopObs, error) {
 	wire, err := dnswire.AppendQuery(nil, seq, false, tld, dnswire.TypeNS, dnswire.ClassIN)
 	if err != nil {
 		return nil, err
 	}
-	collected := newShardedMap[SnoopObs](len(resolvers) / 2)
+	var mu sync.Mutex
+	out := make(map[uint32]SnoopObs)
 	want := make(map[uint32]struct{}, len(resolvers))
 	for _, u := range resolvers {
 		want[u] = struct{}{}
@@ -136,15 +138,20 @@ func snoopRoundRef(ctx context.Context, s *Scanner, resolvers []uint32, tld stri
 		} else {
 			obs.Empty = true
 		}
-		collected.Merge(u, obs, mergeSnoopObs)
+		mu.Lock()
+		if old, dup := out[u]; dup {
+			obs = mergeSnoopObs(old, obs)
+		}
+		out[u] = obs
+		mu.Unlock()
 	})
 	err = s.listScan(ctx, len(resolvers), 0, senderCounters{},
 		func(i uint32, p *wildnet.Probe, arena []byte) []byte {
 			p.Dst, p.SrcPort, p.Payload = lfsr.U32ToAddr(resolvers[i]), basePort, wire
 			return arena
 		}, nil)
-	out := make(map[uint32]SnoopObs, collected.Len())
-	collected.Collect(func(u uint32, obs SnoopObs) { out[u] = obs })
+	mu.Lock()
+	defer mu.Unlock()
 	return out, err
 }
 
@@ -154,34 +161,10 @@ func snoopRoundRef(ctx context.Context, s *Scanner, resolvers []uint32, tld stri
 // for slot, at one worker and at eight racing ones; and a list that is
 // not strictly increasing is refused before anything is sent.
 func TestSnoopRoundMatchesMapReference(t *testing.T) {
-	const order, week = 18, 9
-	wc := wildnet.DefaultConfig(order)
-	wc.Seed = 126450538
-	w, err := wildnet.NewWorld(wc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	at := wildnet.Time{Week: week}
+	w := misSourcedWorld(t)
 	ctx := context.Background()
 	for _, workers := range []int{1, 8} {
-		tr := wildnet.NewMemTransport(w, wildnet.VantagePrimary)
-		defer tr.Close()
-		sc := New(tr, Options{Workers: workers, SettleDelay: NoSettle})
-		tr.SetTime(at)
-		sweep, err := sc.SweepContext(ctx, order, 21, w.ScanBlacklist())
-		if err != nil {
-			t.Fatal(err)
-		}
-		resolvers := sweep.NOERROR()
-		misSourced := 0
-		for _, u := range resolvers {
-			if p, ok := w.ProfileAt(u, at); ok && p.MisSourced {
-				misSourced++
-			}
-		}
-		if misSourced == 0 {
-			t.Fatal("no mis-sourced resolver in the census")
-		}
+		sc, resolvers := misSourcedCensus(t, w, workers)
 		for _, c := range []struct {
 			tld string
 			seq uint16
@@ -222,6 +205,45 @@ func TestSnoopRoundMatchesMapReference(t *testing.T) {
 			t.Errorf("workers=%d: refused rounds sent %d probes", workers, n)
 		}
 	}
+}
+
+// misSourcedWorld is the order-18 world (seed 126450538) in which, at
+// week 9, source 0.1.130.153 answers for itself and for the mis-sourced
+// 0.1.130.216: a list scan that attributes by source files two answers in
+// one slot there.
+func misSourcedWorld(t *testing.T) *wildnet.World {
+	t.Helper()
+	wc := wildnet.DefaultConfig(18)
+	wc.Seed = 126450538
+	w, err := wildnet.NewWorld(wc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// misSourcedCensus sweeps misSourcedWorld at week 9 on a new transport
+// with the given senders and returns the scanner and its NOERROR list,
+// which holds at least one mis-sourced resolver.
+func misSourcedCensus(t *testing.T, w *wildnet.World, workers int) (*Scanner, []uint32) {
+	t.Helper()
+	at := wildnet.Time{Week: 9}
+	tr := wildnet.NewMemTransport(w, wildnet.VantagePrimary)
+	t.Cleanup(func() { tr.Close() })
+	sc := New(tr, Options{Workers: workers, SettleDelay: NoSettle})
+	tr.SetTime(at)
+	sweep, err := sc.SweepContext(context.Background(), 18, 21, w.ScanBlacklist())
+	if err != nil {
+		t.Fatal(err)
+	}
+	resolvers := sweep.NOERROR()
+	for _, u := range resolvers {
+		if p, ok := w.ProfileAt(u, at); ok && p.MisSourced {
+			return sc, resolvers
+		}
+	}
+	t.Fatal("no mis-sourced resolver in the census")
+	return nil, nil
 }
 
 // snoopCensus sweeps an order-16 world at week 9 and returns its

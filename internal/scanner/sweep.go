@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"goingwild/internal/dnswire"
 	"goingwild/internal/domains"
@@ -78,31 +77,36 @@ func (r *SweepResult) MisSourcedCount() int {
 	return n
 }
 
-// sweepCollector accumulates sweep responses in a sharded map keyed by
-// target address, and marks each stored target in a bitmap of the 2^order
-// space that the retry rounds' miss check reads without a lock. Its
-// receive method is the hot receiver callback: one pooled wire view, no
-// Message, no allocation at steady state.
+// sweepCollector accumulates sweep responses: one claim bit per target
+// of the 2^order space decides which response is the target's, and only
+// that one is appended to the responder list. The retry rounds' miss
+// check reads the same bits without a lock. Its receive method is the hot
+// receiver callback: one pooled wire view, no Message, no allocation at
+// steady state.
 type sweepCollector struct {
-	base      string // canonical scan base the qname must end in
-	responses *shardedMap[Responder]
-	// answered holds one bit per target, set once its responder is
-	// stored: 32 KB at order 18, less than the map's size hint.
-	answered []atomic.Uint64
-	recv     *metrics.Counter // valid sweep responses seen (nil = metrics off)
+	base string // canonical scan base the qname must end in
+	// answered holds one bit per target, claimed by its first response:
+	// 32 KB at order 18.
+	answered claimBits
+	// mu guards responders: each claimed target's response, in arrival
+	// order.
+	mu         sync.Mutex
+	responders []Responder
+	recv       *metrics.Counter // valid sweep responses seen (nil = metrics off)
 }
 
 func newSweepCollector(base string, order uint) *sweepCollector {
 	space := uint64(1) << order
 	return &sweepCollector{
-		base:      dnswire.CanonicalName(base),
-		responses: newShardedMap[Responder](int(space / 64)),
-		answered:  make([]atomic.Uint64, (space+63)/64),
+		base:       dnswire.CanonicalName(base),
+		answered:   newClaimBits(space),
+		responders: make([]Responder, 0, space/64),
 	}
 }
 
-// receive handles one response datagram. First response per target wins,
-// as with the old single-map collector.
+// receive handles one response datagram. The first response per target
+// wins; a target outside the space (a garbled name can decode to one) has
+// no bit, and no round probes it, so it is dropped.
 //
 //lint:hotpath per-probe / per-response sweep path
 func (st *sweepCollector) receive(src netip4, srcPort, dstPort uint16, payload []byte) {
@@ -116,43 +120,25 @@ func (st *sweepCollector) receive(src netip4, srcPort, dstPort uint16, payload [
 		return
 	}
 	st.recv.Inc()
-	if st.responses.InsertOnce(target, Responder{
+	if !st.answered.claim(target) {
+		return
+	}
+	r := Responder{
 		Addr:     target,
 		Source:   addrU32(src),
 		RCode:    v.RCode(),
 		Answered: v.HasAnswerA(),
-	}) {
-		st.mark(target)
 	}
+	st.mu.Lock()
+	st.responders = append(st.responders, r)
+	st.mu.Unlock()
 }
 
-// mark sets target's answered bit. Neighbouring targets share a word but
-// hash to different stripes, so concurrent receivers set bits in one word
-// and the loop retries a lost CompareAndSwap. A target outside the space
-// (a garbled name can decode to one) has no bit; no round probes it.
-//
-//lint:hotpath per-response collector insert
-func (st *sweepCollector) mark(target uint32) {
-	i := uint64(target / 64)
-	if i >= uint64(len(st.answered)) {
-		return
-	}
-	w, bit := &st.answered[i], uint64(1)<<(target%64)
-	for {
-		old := w.Load()
-		if old&bit != 0 || w.CompareAndSwap(old, old|bit) {
-			return
-		}
-	}
-}
-
-// missed reports whether target u of the space has no responder stored:
-// the sweep's miss check.
+// missed reports whether target u of the space has no responder: the
+// sweep's miss check.
 //
 //lint:hotpath per-probe miss check of a retry round
-func (st *sweepCollector) missed(u uint32) bool {
-	return st.answered[u/64].Load()&(uint64(1)<<(u%64)) == 0
-}
+func (st *sweepCollector) missed(u uint32) bool { return !st.answered.has(u) }
 
 // sweepBuild returns the sweep's probe builder for a round's template: it
 // addresses the probe to target u from basePort and hands it the
@@ -231,16 +217,16 @@ func (s *Scanner) newSweep(order uint, seed uint32, bl *lfsr.Blacklist) (*sweepC
 
 // collectSweep freezes the collector into the sorted result.
 func (s *Scanner) collectSweep(st *sweepCollector, probed uint64) *SweepResult {
-	res := &SweepResult{
-		Probed:     probed,
-		ByRCode:    make(map[dnswire.RCode]int),
-		Responders: make([]Responder, 0, st.responses.Len()),
-	}
-	st.responses.Collect(func(_ uint32, r Responder) {
-		res.Responders = append(res.Responders, r)
+	res := &SweepResult{Probed: probed, ByRCode: make(map[dnswire.RCode]int)}
+	// The result takes the list: a response that still arrives appends to
+	// a new one.
+	st.mu.Lock()
+	res.Responders, st.responders = st.responders, nil
+	st.mu.Unlock()
+	for _, r := range res.Responders {
 		res.ByRCode[r.RCode]++
-	})
-	// Shard maps iterate in unspecified order; sort so the responder list
+	}
+	// Responders arrive in the senders' interleaving; sort so the list
 	// (and everything derived from it, e.g. NOERROR ordering) is
 	// reproducible.
 	sort.Slice(res.Responders, func(i, j int) bool {
