@@ -8,6 +8,7 @@ all: build vet lint test
 
 build:
 	$(GO) build ./...
+	$(GO) build -C bench ./...
 
 vet:
 	$(GO) vet ./...

@@ -12,15 +12,15 @@ import (
 // which is precisely the failure a measurement pipeline cannot tolerate.
 //
 // Beyond the watched package, the rule also tracks the transport seam:
-// Transport.SendBatch (declared in wildnet; scanner.Transport is an
-// alias), the one way onto the wire, returns the only evidence that a
-// probe never left the machine. The scan engine and the single exchange
+// Transport.Send (declared in wildnet; scanner.Transport is an alias),
+// the one way onto the wire, returns the only evidence that a probe
+// never left the machine. The scan engine and the single exchange
 // deliberately treat send failures as modeled packet loss, but that
-// policy must be legible — every dropped SendBatch error needs an
-// explicit //lint:allow errdrop annotation stating so, or the rule
-// fires. The seam is the interface method: a driver that holds a concrete
-// transport (the benchmark timing MemTransport.SendBatch) is measuring
-// the transport, not scanning through it.
+// policy must be legible — every dropped Send error needs an explicit
+// //lint:allow errdrop annotation stating so, or the rule fires. The
+// seam is the interface method: a driver that holds a concrete transport
+// (the benchmark timing MemTransport.SendBatch) is measuring the
+// transport, not scanning through it.
 //
 // A call drops the error when it stands alone as a statement, is
 // spawned via go/defer, or assigns the error result to the blank
@@ -39,7 +39,7 @@ func checkErrDrop(p *Package, cfg *Config, emit func(token.Pos, string, string))
 				return true
 			}
 			if pkg := fn.Pkg().Path(); pkg != wirePkg &&
-				!(pkg == transportPkg && fn.Name() == "SendBatch" && isInterfaceMethod(fn)) {
+				!(pkg == transportPkg && fn.Name() == "Send" && isInterfaceMethod(fn)) {
 				return true
 			}
 			errIdx := errResultIndex(fn)

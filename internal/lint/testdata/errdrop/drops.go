@@ -53,15 +53,15 @@ func AllowedDrop(payload []byte) {
 
 // BadTransportSend drops the transport's send error with no
 // annotation: a batch that never left the machine silently undercounts.
-func BadTransportSend(ctx context.Context, tr wildnet.Transport, batch []wildnet.Probe) {
-	tr.SendBatch(ctx, batch) // want errdrop
+func BadTransportSend(ctx context.Context, tr wildnet.Transport, batch *wildnet.Batch) {
+	tr.Send(ctx, batch) // want errdrop
 }
 
 // BadAliasedSend reaches the same interface method through the
 // scanner.Transport alias; resolution still lands in wildnet. Keeping the
 // count does not keep the error.
-func BadAliasedSend(ctx context.Context, tr scanner.Transport, batch []wildnet.Probe) int {
-	n, _ := tr.SendBatch(ctx, batch) // want errdrop
+func BadAliasedSend(ctx context.Context, tr scanner.Transport, batch *wildnet.Batch) int {
+	n, _ := tr.Send(ctx, batch) // want errdrop
 	return n
 }
 
@@ -72,17 +72,17 @@ func OKConcreteSend(ctx context.Context, tr *wildnet.MemTransport, batch []wildn
 }
 
 // OKTransportSendAnnotated states the packet-loss policy explicitly.
-func OKTransportSendAnnotated(ctx context.Context, tr wildnet.Transport, batch []wildnet.Probe) {
+func OKTransportSendAnnotated(ctx context.Context, tr wildnet.Transport, batch *wildnet.Batch) {
 	//lint:allow errdrop corpus fixture: send failures are modeled packet loss
-	tr.SendBatch(ctx, batch)
+	tr.Send(ctx, batch)
 }
 
 // OKTransportSendPropagated returns the send error to the caller.
-func OKTransportSendPropagated(ctx context.Context, tr wildnet.Transport, batch []wildnet.Probe) (int, error) {
-	return tr.SendBatch(ctx, batch)
+func OKTransportSendPropagated(ctx context.Context, tr wildnet.Transport, batch *wildnet.Batch) (int, error) {
+	return tr.Send(ctx, batch)
 }
 
-// OKOtherWildnetFunc: only SendBatch is watched by method; other
+// OKOtherWildnetFunc: only Send is watched by method; other
 // error-returning wildnet calls stay vet's problem.
 func OKOtherWildnetFunc(order uint) *wildnet.World {
 	w, _ := wildnet.NewWorld(wildnet.DefaultConfig(order))

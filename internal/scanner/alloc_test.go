@@ -24,7 +24,7 @@ func TestSweepSendPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instruments allocations")
 	}
-	if n := batchAllocs(t, sweepBuild(dnswire.NewCensusQuery(scanBaseWire(t), 0))); n != 0 {
+	if n := batchAllocs(t, probeBuild{tmpl: dnswire.NewCensusQuery(scanBaseWire(t), 0)}); n != 0 {
 		t.Fatalf("sweep batch assembly allocates %d times over 500 batches of %d, want 0", n, streamBatch)
 	}
 }
@@ -38,7 +38,7 @@ func TestSweepRetrySendPathAllocs(t *testing.T) {
 		t.Skip("race detector instruments allocations")
 	}
 	for attempt := 1; attempt <= 2; attempt++ {
-		if n := batchAllocs(t, sweepBuild(dnswire.NewCensusQuery(scanBaseWire(t), attempt))); n != 0 {
+		if n := batchAllocs(t, probeBuild{tmpl: dnswire.NewCensusQuery(scanBaseWire(t), attempt)}); n != 0 {
 			t.Fatalf("attempt %d: retry batch assembly allocates %d times over 500 batches of %d, want 0", attempt, n, streamBatch)
 		}
 	}
@@ -70,22 +70,28 @@ func scanBaseWire(t *testing.T) []byte {
 }
 
 // batchAllocs counts the heap allocations of 500 full batches assembled
-// the way a sender does: a pooled probeBatch, reset, one build add per
-// item 0 … streamBatch−1, finish. The first probe's bytes are read
-// through its AppendPayload, which builds a template probe's query.
+// the way a sender does: a pooled probeBatch, items 0 … streamBatch−1
+// kept in place, fill. The first probe's bytes are read from the batch,
+// built from the template in a sweep's.
 func batchAllocs(t *testing.T, build probeBuild) uint64 {
 	t.Helper()
 	bat := probeBatchPool.Get().(*probeBatch)
 	defer probeBatchPool.Put(bat)
 	scratch := make([]byte, 0, 512)
 	return alloctest.Count(500, func() {
-		bat.reset()
+		kept := bat.items[:0]
 		for u := range uint32(streamBatch) {
-			bat.add(u, build)
+			kept = append(kept, u)
 		}
-		probes := bat.finish()
-		if payload := probes[0].AppendPayload(scratch[:0]); len(probes) != streamBatch || len(payload) == 0 {
-			t.Fatalf("batch of %d probes, first payload %d bytes", len(probes), len(payload))
+		b := bat.fill(kept, build)
+		first := b.Arena[:0]
+		if b.Template != nil {
+			first = b.Template.Append(scratch[:0], b.Dst[0])
+		} else if b.Ends != nil {
+			first = b.Arena[:b.Ends[0]]
+		}
+		if len(b.Dst) != streamBatch || len(first) == 0 {
+			t.Fatalf("batch of %d probes, first payload %d bytes", len(b.Dst), len(first))
 		}
 	})
 }
@@ -142,13 +148,13 @@ type aliveReplayTransport struct {
 	done   bool
 }
 
-func (r *aliveReplayTransport) SendBatch(_ context.Context, batch []wildnet.Probe) (int, error) {
+func (r *aliveReplayTransport) Send(_ context.Context, b *wildnet.Batch) (int, error) {
 	if r.done {
-		return len(batch), nil
+		return len(b.Dst), nil
 	}
 	r.done = true
-	p := batch[0]
-	m, err := dnswire.Unpack(p.AppendPayload(nil))
+	p := probesOf(b)[0]
+	m, err := dnswire.Unpack(payloadOf(p))
 	if err != nil {
 		r.err = err
 		return 0, err
@@ -163,7 +169,7 @@ func (r *aliveReplayTransport) SendBatch(_ context.Context, batch []wildnet.Prob
 	r.allocs = alloctest.Count(500, func() {
 		r.recv(p.Dst, 53, p.SrcPort, payload)
 	})
-	return len(batch), nil
+	return len(b.Dst), nil
 }
 
 func (r *aliveReplayTransport) SetReceiver(f func(src netip.Addr, srcPort, dstPort uint16, payload []byte)) {

@@ -6,8 +6,6 @@ import (
 	"slices"
 
 	"goingwild/internal/dnswire"
-	"goingwild/internal/lfsr"
-	"goingwild/internal/wildnet"
 )
 
 // anyPort is the UDP source port of the ANY scan's probes.
@@ -93,10 +91,9 @@ func (s *Scanner) ScanANYContext(ctx context.Context, resolvers []uint32, name s
 	// One probe per resolver, no retry rounds: every probe is lent the
 	// scan's one query.
 	err = s.listScan(ctx, len(resolvers), 0, s.m.any,
-		func(i uint32, p *wildnet.Probe, arena []byte) []byte {
-			p.Dst, p.SrcPort, p.Payload = lfsr.U32ToAddr(resolvers[i]), anyPort, wire
-			return arena
-		}, nil)
+		probeBuild{lent: wire, item: func(i uint32, arena []byte) (uint32, uint16, []byte) {
+			return resolvers[i], anyPort, arena
+		}}, nil)
 	// A late response may still be merging: read each slot under its lock.
 	res := &ANYResult{RequestSize: len(wire), Answers: make(map[uint32]ANYAnswer, len(resolvers))}
 	for i, u := range resolvers {

@@ -9,8 +9,6 @@ import (
 	"testing"
 
 	"goingwild/internal/dnswire"
-	"goingwild/internal/lfsr"
-	"goingwild/internal/wildnet"
 )
 
 // anyScanRef is the map-based form of an ANY scan: a want set, a map
@@ -51,10 +49,9 @@ func anyScanRef(ctx context.Context, s *Scanner, resolvers []uint32, name string
 	})
 	defer s.tr.SetReceiver(nil)
 	err = s.listScan(ctx, len(resolvers), 0, senderCounters{},
-		func(i uint32, p *wildnet.Probe, arena []byte) []byte {
-			p.Dst, p.SrcPort, p.Payload = lfsr.U32ToAddr(resolvers[i]), anyPort, wire
-			return arena
-		}, nil)
+		probeBuild{lent: wire, item: func(i uint32, arena []byte) (uint32, uint16, []byte) {
+			return resolvers[i], anyPort, arena
+		}}, nil)
 	mu.Lock()
 	defer mu.Unlock()
 	return out, err

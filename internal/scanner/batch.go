@@ -7,87 +7,58 @@ import (
 )
 
 // Batched probe dispatch: sender workers assemble one pull's worth of
-// probes (up to streamBatch) into a pooled arena and hand the whole batch
-// to the transport in one SendBatch call. Against the in-memory transport
-// that amortizes the clock lock and the fault-layer gate; against the UDP
-// gateway it reuses one framing buffer, one datagram per probe. Where the
-// batches are cut is pure dispatch: scan results do not depend on it.
+// probes (up to streamBatch) into a pooled wildnet.Batch and hand the
+// whole batch to the transport in one Send call. Against the in-memory
+// transport that amortizes the clock lock and the fault-layer gate;
+// against the UDP gateway it reuses one framing buffer, one datagram per
+// probe. Where the batches are cut is pure dispatch: scan results do not
+// depend on it.
 
 // batchSizeBounds buckets the transport.batch.size histogram: powers of
 // two up to the streamBatch flush threshold.
 var batchSizeBounds = []int64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 
-// probeBatch is a pooled batch-assembly arena: the items of one pull, the
-// payload bytes built for them and the probe headers that point into
-// those (a sweep's headers carry their round's template instead).
-// Payloads append into one buffer and are sliced only in finish, after
-// the arena has stopped growing, so reallocation never leaves a probe
-// pointing at a stale backing array.
+// probeBatch is a pooled batch-assembly arena: the items of one pull and
+// the columns of the Batch built from them. A sweep's batch is its kept
+// items themselves under the round's template; a list scan's fills the
+// destination, source-port and payload-end columns per item, its
+// payloads appended to one arena and cut by offset, so the arena may
+// grow mid-batch.
 type probeBatch struct {
 	items [streamBatch]uint32
-	// n is the live probe count; offs and probes stay at full streamBatch
-	// length so batch assembly writes by index and never appends.
-	n      int
-	offs   []int
-	buf    []byte
-	probes []wildnet.Probe
+	dst   [streamBatch]uint32
+	ports [streamBatch]uint16
+	ends  [streamBatch]int
+	arena []byte
+	b     wildnet.Batch
 }
 
 // probeBatchPool recycles assembly arenas across batches and scans; it
 // lives at package scope so warm arenas carry from one sweep to the next.
-// The probe headers are kept at full length with the constant fields
-// (DstPort 53) prefilled; builders only write what varies per probe.
 var probeBatchPool = sync.Pool{New: func() any {
-	b := &probeBatch{
-		offs:   make([]int, streamBatch),
-		buf:    make([]byte, 0, streamBatch*64),
-		probes: make([]wildnet.Probe, streamBatch),
-	}
-	for i := range b.probes {
-		b.probes[i].DstPort = 53
-	}
-	return b
+	return &probeBatch{arena: make([]byte, 0, streamBatch*64)}
 }}
 
-// reset clears the arena for the next batch, keeping capacity.
+// fill builds the batch for kept through build. A sweep's batch is kept
+// itself under build.tmpl; a list scan's maps each item through
+// build.item. A pull is at most streamBatch items, so the indexed
+// writes stay in bounds.
 //
-//lint:hotpath per-probe batch assembly
-func (b *probeBatch) reset() {
-	b.n = 0
-	b.buf = b.buf[:0]
-}
-
-// add builds item u's probe into the next header slot and, through
-// build, its payload into the arena. Both payload forms are cleared
-// first, so a header the pool hands from one scan to the next never
-// keeps the other form from an earlier batch. A pull is at most
-// streamBatch items, so the indexed writes stay in bounds.
-//
-//lint:hotpath per-probe batch assembly
-func (b *probeBatch) add(u uint32, build probeBuild) {
-	p := &b.probes[b.n]
-	p.Payload, p.Template = nil, nil
-	b.offs[b.n] = len(b.buf)
-	b.buf = build(u, p, b.buf)
-	b.n++
-}
-
-// finish points every probe whose builder wrote to the arena at its bytes,
-// now that the arena is stable; a probe that was lent its payload, or
-// carries a template, keeps it. The header slots beyond this batch's
-// length keep their stale-but-unreachable previous values.
-//
-//lint:hotpath per-probe batch assembly
-func (b *probeBatch) finish() []wildnet.Probe {
-	probes := b.probes[:b.n]
-	for i := range probes {
-		off, end := b.offs[i], len(b.buf)
-		if i+1 < b.n {
-			end = b.offs[i+1]
-		}
-		if off < end {
-			probes[i].Payload = b.buf[off:end:end]
-		}
+//lint:hotpath per-probe batch assembly of the list scans
+func (b *probeBatch) fill(kept []uint32, build probeBuild) *wildnet.Batch {
+	if build.tmpl != nil {
+		b.b = wildnet.Batch{Dst: kept, DstPort: 53, SrcPort: basePort, Template: build.tmpl}
+		return &b.b
 	}
-	return probes
+	b.arena = b.arena[:0]
+	for i, u := range kept {
+		b.dst[i], b.ports[i], b.arena = build.item(u, b.arena)
+		b.ends[i] = len(b.arena)
+	}
+	n := len(kept)
+	b.b = wildnet.Batch{Dst: b.dst[:n], DstPort: 53, SrcPorts: b.ports[:n], Arena: b.arena, Ends: b.ends[:n]}
+	if build.lent != nil {
+		b.b.Arena, b.b.Ends, b.b.Payload = nil, nil, build.lent
+	}
+	return &b.b
 }

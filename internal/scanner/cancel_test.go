@@ -21,8 +21,8 @@ type cancelAfterTransport struct {
 	sent   atomic.Int64
 }
 
-func (c *cancelAfterTransport) SendBatch(ctx context.Context, batch []wildnet.Probe) (int, error) {
-	for i, p := range batch {
+func (c *cancelAfterTransport) Send(ctx context.Context, b *wildnet.Batch) (int, error) {
+	for i, p := range probesOf(b) {
 		if c.sent.Add(1) == c.after {
 			c.cancel()
 		}
@@ -30,7 +30,7 @@ func (c *cancelAfterTransport) SendBatch(ctx context.Context, batch []wildnet.Pr
 			return i, err
 		}
 	}
-	return len(batch), nil
+	return len(b.Dst), nil
 }
 
 func (c *cancelAfterTransport) SetReceiver(f func(src netip4, srcPort, dstPort uint16, payload []byte)) {

@@ -5,8 +5,6 @@ import (
 	"fmt"
 
 	"goingwild/internal/dnswire"
-	"goingwild/internal/lfsr"
-	"goingwild/internal/wildnet"
 )
 
 // ChaosAnswer is one resolver's pair of CHAOS version responses (§2.4).
@@ -110,10 +108,9 @@ func (s *Scanner) ScanChaosContext(ctx context.Context, resolvers []uint32) (*Ch
 			// retry rounds — so Table 3 keeps its single-probe response
 			// rates.
 			if err := s.listScan(ctx, len(batch), 0, s.m.chaos,
-				func(i uint32, p *wildnet.Probe, arena []byte) []byte {
-					p.Dst, p.SrcPort = lfsr.U32ToAddr(batch[i]), basePort
-					return appendWithID(arena, tmpl, uint16(i))
-				}, nil); err != nil {
+				probeBuild{item: func(i uint32, arena []byte) (uint32, uint16, []byte) {
+					return batch[i], basePort, appendWithID(arena, tmpl, uint16(i))
+				}}, nil); err != nil {
 				return res, err
 			}
 		}

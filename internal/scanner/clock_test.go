@@ -43,8 +43,8 @@ type nullTransport struct {
 	recv func(src netip.Addr, srcPort, dstPort uint16, payload []byte)
 }
 
-func (n *nullTransport) SendBatch(ctx context.Context, batch []wildnet.Probe) (int, error) {
-	return len(batch), nil
+func (n *nullTransport) Send(ctx context.Context, b *wildnet.Batch) (int, error) {
+	return len(b.Dst), nil
 }
 
 func (n *nullTransport) SetReceiver(f func(src netip.Addr, srcPort, dstPort uint16, payload []byte)) {
@@ -117,6 +117,36 @@ func TestRateLimiterWithFakeClock(t *testing.T) {
 	}
 }
 
+// TestRateLimitedSweepWaitsPerTarget: a rate-limited sweep takes one
+// token per probe it sends, in round 0 and in its retry round, and none
+// for a target the retry round skips: an order-10 sweep at 1000 pps on a
+// fake clock, a third of whose targets answer the first probe, spends
+// one virtual millisecond per probe sent, less the limiter's 2ms burst.
+func TestRateLimitedSweepWaitsPerTarget(t *testing.T) {
+	fc := newFakeClock()
+	reg := metrics.New()
+	tr := &echoTransport{
+		sends:  map[uint32]int{},
+		answer: func(dst uint32, attempt int) bool { return attempt == 0 && dst%3 == 0 },
+	}
+	// One sender: the fake clock sums every sleep, so two senders
+	// sleeping at once would count their overlap twice.
+	s := New(tr, Options{Workers: 1, RatePPS: 1000, SweepRetries: 1, SettleDelay: NoSettle, Clock: fc, Metrics: reg})
+	start := fc.Now()
+	res, err := s.SweepContext(context.Background(), 10, 7, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent := reg.Snapshot().Counter("scanner.sweep.sent")
+	if answered := uint64(res.Total()); sent != 2*res.Probed-answered || answered == 0 || int(sent) != tr.total() {
+		t.Fatalf("%d probes sent to %d targets, %d answered, %d at the transport", sent, res.Probed, answered, tr.total())
+	}
+	elapsed := fc.Now().Sub(start)
+	if want := time.Duration(sent) * time.Millisecond; elapsed > want || elapsed < want-3*time.Millisecond {
+		t.Errorf("%d probes advanced the fake clock by %v, want %v less the 2ms burst", sent, elapsed, want)
+	}
+}
+
 func TestSettleUsesInjectedClock(t *testing.T) {
 	fc := newFakeClock()
 	s := New(&nullTransport{}, Options{SettleDelay: 5 * time.Millisecond, Clock: fc})
@@ -151,9 +181,9 @@ type slowTransport struct {
 	perProbe time.Duration
 }
 
-func (s *slowTransport) SendBatch(ctx context.Context, batch []wildnet.Probe) (int, error) {
-	s.clock.Advance(time.Duration(len(batch)) * s.perProbe)
-	return len(batch), nil
+func (s *slowTransport) Send(ctx context.Context, b *wildnet.Batch) (int, error) {
+	s.clock.Advance(time.Duration(len(b.Dst)) * s.perProbe)
+	return len(b.Dst), nil
 }
 
 // TestSenderPhaseCounters pins the engine's per-phase Timing counters on a

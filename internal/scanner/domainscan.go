@@ -8,8 +8,6 @@ import (
 	"strings"
 
 	"goingwild/internal/dnswire"
-	"goingwild/internal/lfsr"
-	"goingwild/internal/wildnet"
 )
 
 // TupleAnswer is the outcome of one (domain, resolver) probe — the raw
@@ -165,15 +163,14 @@ func (s *Scanner) ScanDomainsContext(ctx context.Context, resolvers []uint32, na
 
 	// The probe payload is identical across attempts, so fault-layer
 	// redraws ride on the transport's retransmission counter.
-	build := func(u uint32, p *wildnet.Probe, arena []byte) []byte {
+	build := probeBuild{item: func(u uint32, arena []byte) (uint32, uint16, []byte) {
 		ni, ri := u/nr, u%nr
 		txid, portIdx := dnswire.SplitProbeID(dnswire.ProbeID(ri))
 		off := len(arena)
 		arena = appendWithID(arena, tmpls[ni], txid)
 		dnswire.Encode0x20Bytes(dnswire.QueryNameWire(arena[off:]), uint32(portIdx), 9)
-		p.Dst, p.SrcPort = lfsr.U32ToAddr(resolvers[ri]), basePort+portIdx
-		return arena
-	}
+		return resolvers[ri], basePort + portIdx, arena
+	}}
 	err := s.run(ctx, &scanRun{
 		src:    &listSource{n: uint32(len(slots)), row: nr},
 		chunk:  listPull(len(resolvers)),

@@ -50,7 +50,7 @@ func (l *lateReplayTransport) SetReceiver(f func(src netip4, srcPort, dstPort ui
 	})
 }
 
-func (l *lateReplayTransport) SendBatch(ctx context.Context, batch []wildnet.Probe) (int, error) {
+func (l *lateReplayTransport) Send(ctx context.Context, b *wildnet.Batch) (int, error) {
 	l.mu.Lock()
 	late, f, replay := l.last, l.recv, l.pending
 	l.pending = false
@@ -61,7 +61,7 @@ func (l *lateReplayTransport) SendBatch(ctx context.Context, batch []wildnet.Pro
 	if replay {
 		f(late.src, late.srcPort, late.dstPort, late.payload)
 	}
-	return l.inner.SendBatch(ctx, batch)
+	return l.inner.Send(ctx, b)
 }
 
 func (l *lateReplayTransport) Close() error { return l.inner.Close() }

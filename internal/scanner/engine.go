@@ -6,14 +6,14 @@ import (
 	"sync"
 	"time"
 
+	"goingwild/internal/dnswire"
 	"goingwild/internal/metrics"
-	"goingwild/internal/wildnet"
 )
 
 // The scan engine. Every scan — the Internet-wide sweep and the list
 // scans over an enumerated resolver population (domain, CHAOS, alive,
 // snoop) — is rounds of the same thing: Options.Workers senders drain one
-// target source, build a probe per item into a pooled batch and hand the
+// target source, assemble the items into a pooled batch and hand the
 // batch to the transport; a settle barrier follows; retry rounds re-probe
 // what stayed silent. A retry is a round, nothing more: no delay before
 // it, no cap on what it sends, no deadline. A scan differs only in what it
@@ -73,13 +73,19 @@ func listPull(n int) int {
 	return min(max(n/32, 8), streamBatch)
 }
 
-// probeBuild fills p for item u: destination, source port and payload,
-// in exactly one of the probe's two forms. A payload built per item is
-// appended to arena, which is returned grown — the batch cuts it into
-// p.Payload once the arena has stopped moving. A payload the whole round
-// shares is lent through p.Payload as is, and a sweep sets p.Template,
-// the round's census template; either way arena comes back untouched.
-type probeBuild func(u uint32, p *wildnet.Probe, arena []byte) []byte
+// probeBuild is how a round's items become a batch's probes, in one of
+// two forms. A sweep's sets tmpl, the round's census template: its items
+// are the destinations, each asked from basePort, and the transport
+// builds a probe's bytes from tmpl only where a host can read them. A
+// list scan's sets item, which maps item u to its destination and source
+// port and appends its payload to arena, returned grown — unless lent is
+// set, the payload every probe of the round borrows, and item appends
+// nothing.
+type probeBuild struct {
+	tmpl *dnswire.CensusQuery
+	lent []byte
+	item func(u uint32, arena []byte) (dst uint32, srcPort uint16, grown []byte)
+}
 
 // appendWithID appends the packed query tmpl to arena under transaction
 // id — what a probe builder does when a round's queries differ only in
@@ -187,9 +193,10 @@ func (s *Scanner) run(ctx context.Context, r *scanRun) error {
 }
 
 // sendRound runs one round: Options.Workers senders, each pulling
-// r.chunk items at a time from the shared source, building them — in a
-// retry round, the ones miss still reports — into a pooled batch and
-// dispatching it in a single SendBatch call. The set of probes sent is
+// r.chunk items at a time from the shared source, keeping the ones the
+// round sends (in a retry round, the ones miss still reports),
+// assembling them into a pooled batch and dispatching it in a single
+// Send call. The set of probes sent is
 // exactly the round's item set no matter how batches interleave, so scan
 // results stay schedule-independent.
 //
@@ -228,26 +235,32 @@ func (s *Scanner) sendRound(ctx context.Context, r *scanRun) error {
 			if n == 0 {
 				return nil
 			}
-			bat.reset()
-			for _, u := range bat.items[:n] {
-				if retry && !r.miss(u) {
-					continue
+			// Round 0 keeps every item. A retry round keeps the ones
+			// miss still reports, compacted in place, and a rate-limited
+			// round waits once per kept item.
+			kept := bat.items[:n]
+			if retry || limited {
+				kept = kept[:0]
+				for _, u := range bat.items[:n] {
+					if retry && !r.miss(u) {
+						continue
+					}
+					if limited {
+						s.rate.wait(ctx)
+					}
+					kept = append(kept, u)
 				}
-				if limited {
-					s.rate.wait(ctx)
-				}
-				bat.add(u, build)
 			}
+			b := bat.fill(kept, build)
 			lap(r.ctr.buildNs)
-			if bat.n > 0 {
-				probes := bat.finish()
-				r.ctr.sent.Add(uint64(len(probes)))
+			if len(kept) > 0 {
+				r.ctr.sent.Add(uint64(len(kept)))
 				if retry {
-					s.m.retrySpend.Add(uint64(len(probes)))
+					s.m.retrySpend.Add(uint64(len(kept)))
 				}
-				s.m.batchSize.Observe(int64(len(probes)))
+				s.m.batchSize.Observe(int64(len(kept)))
 				//lint:allow errdrop send failures are modeled packet loss
-				s.tr.SendBatch(ctx, probes)
+				s.tr.Send(ctx, b)
 			}
 			lap(r.ctr.sendNs)
 		}

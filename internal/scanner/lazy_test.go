@@ -17,13 +17,13 @@ import (
 // probes share a backing array.
 type builtTransport struct{ *wildnet.MemTransport }
 
-func (b builtTransport) SendBatch(ctx context.Context, batch []wildnet.Probe) (int, error) {
-	built := make([]wildnet.Probe, len(batch))
-	for i, p := range batch {
-		p.Payload, p.Template = p.AppendPayload(nil), nil
-		built[i] = p
+func (bt builtTransport) Send(ctx context.Context, b *wildnet.Batch) (int, error) {
+	built := probesOf(b)
+	for i := range built {
+		p := &built[i]
+		p.Payload, p.Template = payloadOf(*p), nil
 	}
-	return b.MemTransport.SendBatch(ctx, built)
+	return bt.MemTransport.SendBatch(ctx, built)
 }
 
 // TestLazyProbesMatchBuiltProbes is the differential for the template
@@ -99,14 +99,14 @@ type roundCheckTransport struct {
 	check func()
 }
 
-func (r *roundCheckTransport) SendBatch(ctx context.Context, batch []wildnet.Probe) (int, error) {
+func (r *roundCheckTransport) Send(ctx context.Context, b *wildnet.Batch) (int, error) {
 	r.mu.Lock()
-	if tmpl := batch[0].Template; tmpl != r.last {
+	if tmpl := b.Template; tmpl != r.last {
 		r.last = tmpl
 		r.check()
 	}
 	r.mu.Unlock()
-	return r.Transport.SendBatch(ctx, batch)
+	return r.Transport.Send(ctx, b)
 }
 
 // TestSweepMissMatchesAnswered: the retry rounds' lock-free miss check

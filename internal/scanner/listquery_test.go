@@ -15,17 +15,17 @@ import (
 	"goingwild/internal/wildnet"
 )
 
-// inspectTransport hands every datagram to check inside SendBatch — while the
+// inspectTransport hands every datagram to check inside Send — while the
 // scanner still lends it the payload — and answers nothing.
 type inspectTransport struct {
 	check func(dst uint32, srcPort uint16, payload []byte)
 }
 
-func (tr *inspectTransport) SendBatch(_ context.Context, batch []wildnet.Probe) (int, error) {
-	for _, p := range batch {
+func (tr *inspectTransport) Send(_ context.Context, b *wildnet.Batch) (int, error) {
+	for _, p := range probesOf(b) {
 		tr.check(lfsr.AddrToU32(p.Dst), p.SrcPort, p.Payload)
 	}
-	return len(batch), nil
+	return len(b.Dst), nil
 }
 
 func (tr *inspectTransport) SetReceiver(func(src netip.Addr, srcPort, dstPort uint16, payload []byte)) {

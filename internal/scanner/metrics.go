@@ -42,7 +42,7 @@ type scanMetrics struct {
 	settleWaits *metrics.Counter
 	// rateStalls counts rate-limiter sleeps (Timing class).
 	rateStalls *metrics.Counter
-	// batchSize distributes the per-SendBatch probe counts every scan
+	// batchSize distributes the per-Send probe counts every scan
 	// dispatched. The multiset of batch sizes is deterministic (batches
 	// are cut by the one source's pull sequence: full pulls — streamBatch
 	// for a sweep, listPull of the list length for a list scan — plus one
@@ -57,7 +57,7 @@ type scanMetrics struct {
 // (scanner.KIND.{pull_wait,pull,build,send}_ns, Timing). pull_wait is the
 // wait for scanRun.mu, which grows with the senders queueing on it, and
 // pull its hold; build is assembling the batch, rate-limiter waits
-// included; send is the transport's SendBatch.
+// included; send is the transport's Send.
 type senderCounters struct {
 	sent                                *metrics.Counter
 	pullWaitNs, pullNs, buildNs, sendNs *metrics.Counter

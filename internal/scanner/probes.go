@@ -9,7 +9,6 @@ import (
 	"goingwild/internal/dnswire"
 	"goingwild/internal/domains"
 	"goingwild/internal/lfsr"
-	"goingwild/internal/wildnet"
 )
 
 // ProbeAliveContext re-probes an explicit address list (the §2.5 churn
@@ -68,13 +67,12 @@ func (s *Scanner) ProbeAliveContext(ctx context.Context, addrs []uint32) (map[ui
 // identical bytes on every attempt, so fault-layer redraws ride on the
 // transport's retransmission counter.
 func aliveBuild(addrs []uint32, baseWire []byte) probeBuild {
-	return func(i uint32, p *wildnet.Probe, arena []byte) []byte {
+	return probeBuild{item: func(i uint32, arena []byte) (uint32, uint16, []byte) {
 		u := addrs[i]
 		prefix := [4]byte{'c'}
-		p.Dst, p.SrcPort = lfsr.U32ToAddr(u), basePort
-		return dnswire.AppendTargetQuery(arena, uint16(u), strconv.AppendUint(prefix[:1], uint64(u&0xFFF), 16),
+		return u, basePort, dnswire.AppendTargetQuery(arena, uint16(u), strconv.AppendUint(prefix[:1], uint64(u&0xFFF), 16),
 			u, baseWire, dnswire.TypeA, dnswire.ClassIN)
-	}
+	}}
 }
 
 // LookupPTR resolves the reverse name of target through the resolver at

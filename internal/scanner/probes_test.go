@@ -198,13 +198,13 @@ type recordTransport struct {
 	batches []int
 }
 
-func (r *recordTransport) SendBatch(ctx context.Context, batch []wildnet.Probe) (int, error) {
-	r.batches = append(r.batches, len(batch))
-	return len(batch), nil
+func (r *recordTransport) Send(ctx context.Context, b *wildnet.Batch) (int, error) {
+	r.batches = append(r.batches, len(b.Dst))
+	return len(b.Dst), nil
 }
 
 // TestSingleExchangeIsOneBatchOfOne: ProbeContext and the two lookups
-// over it reach the wire as exactly one SendBatch of length 1 each, and
+// over it reach the wire as exactly one Send of a batch of one each, and
 // under a dead context they send nothing and say so.
 func TestSingleExchangeIsOneBatchOfOne(t *testing.T) {
 	dead, cancel := context.WithCancel(context.Background())

@@ -15,7 +15,7 @@ import (
 )
 
 // echoTransport records every probe and answers the ones its script
-// picks, synchronously inside SendBatch as the in-memory transport does. The
+// picks, synchronously inside Send as the in-memory transport does. The
 // reply echoes ID and question from the probed address to the probe's
 // source port — all a sweep, an alive probe or a domain scan needs to
 // attribute it.
@@ -28,8 +28,8 @@ type echoTransport struct {
 	recv   func(src netip.Addr, srcPort, dstPort uint16, payload []byte)
 }
 
-func (e *echoTransport) SendBatch(ctx context.Context, batch []wildnet.Probe) (int, error) {
-	for i, p := range batch {
+func (e *echoTransport) Send(ctx context.Context, b *wildnet.Batch) (int, error) {
+	for i, p := range probesOf(b) {
 		u := lfsr.AddrToU32(p.Dst)
 		e.mu.Lock()
 		attempt := e.sends[u]
@@ -38,7 +38,7 @@ func (e *echoTransport) SendBatch(ctx context.Context, batch []wildnet.Probe) (i
 		if e.answer == nil || !e.answer(u, attempt) {
 			continue
 		}
-		q, err := dnswire.Unpack(p.AppendPayload(nil))
+		q, err := dnswire.Unpack(payloadOf(p))
 		if err != nil {
 			return i, err
 		}
@@ -48,7 +48,7 @@ func (e *echoTransport) SendBatch(ctx context.Context, batch []wildnet.Probe) (i
 		}
 		e.recv(p.Dst, p.DstPort, p.SrcPort, wire)
 	}
-	return len(batch), nil
+	return len(b.Dst), nil
 }
 
 func (e *echoTransport) SetReceiver(f func(src netip.Addr, srcPort, dstPort uint16, payload []byte)) {

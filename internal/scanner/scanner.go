@@ -59,7 +59,7 @@ type Options struct {
 	// send round on asynchronous transports. Default 50ms; a negative
 	// value disables waiting entirely, which is correct for the
 	// in-memory transport (it delivers responses synchronously inside
-	// SendBatch).
+	// Send).
 	SettleDelay time.Duration
 	// SweepRetries adds retransmission rounds for sweep non-responders.
 	// The default 0 keeps census semantics (exactly one probe per

@@ -6,8 +6,6 @@ import (
 	"slices"
 
 	"goingwild/internal/dnswire"
-	"goingwild/internal/lfsr"
-	"goingwild/internal/wildnet"
 )
 
 // SnoopObs is one cache-snooping observation (§2.6): the resolver's view
@@ -102,9 +100,8 @@ func (s *Scanner) SnoopRoundContext(ctx context.Context, resolvers []uint32, tld
 	// One probe per resolver, no retry rounds: every probe is lent the
 	// round's one query.
 	err = s.listScan(ctx, len(resolvers), 0, s.m.snoop,
-		func(i uint32, p *wildnet.Probe, arena []byte) []byte {
-			p.Dst, p.SrcPort, p.Payload = lfsr.U32ToAddr(resolvers[i]), basePort, wire
-			return arena
-		}, nil)
+		probeBuild{lent: wire, item: func(i uint32, arena []byte) (uint32, uint16, []byte) {
+			return resolvers[i], basePort, arena
+		}}, nil)
 	return out, err
 }

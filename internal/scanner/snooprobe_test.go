@@ -21,7 +21,7 @@ type snoopAnswer struct {
 	ttl    uint32
 }
 
-// scriptTransport answers each probe synchronously inside SendBatch, as the
+// scriptTransport answers each probe synchronously inside Send, as the
 // in-memory transport does, with the reply scripted for its destination.
 // reverse walks every batch back to front, so the replies arrive in the
 // opposite order of the sends.
@@ -31,7 +31,8 @@ type scriptTransport struct {
 	recv    func(src netip.Addr, srcPort, dstPort uint16, payload []byte)
 }
 
-func (s *scriptTransport) SendBatch(ctx context.Context, batch []wildnet.Probe) (int, error) {
+func (s *scriptTransport) Send(ctx context.Context, b *wildnet.Batch) (int, error) {
+	batch := probesOf(b)
 	for k := range batch {
 		p := batch[k]
 		if s.reverse {
@@ -146,10 +147,9 @@ func snoopRoundRef(ctx context.Context, s *Scanner, resolvers []uint32, tld stri
 		mu.Unlock()
 	})
 	err = s.listScan(ctx, len(resolvers), 0, senderCounters{},
-		func(i uint32, p *wildnet.Probe, arena []byte) []byte {
-			p.Dst, p.SrcPort, p.Payload = lfsr.U32ToAddr(resolvers[i]), basePort, wire
-			return arena
-		}, nil)
+		probeBuild{lent: wire, item: func(i uint32, arena []byte) (uint32, uint16, []byte) {
+			return resolvers[i], basePort, arena
+		}}, nil)
 	mu.Lock()
 	defer mu.Unlock()
 	return out, err

@@ -140,17 +140,6 @@ func (st *sweepCollector) receive(src netip4, srcPort, dstPort uint16, payload [
 //lint:hotpath per-probe miss check of a retry round
 func (st *sweepCollector) missed(u uint32) bool { return !st.answered.has(u) }
 
-// sweepBuild returns the sweep's probe builder for a round's template: it
-// addresses the probe to target u from basePort and hands it the
-// template, which the transport builds into target u's query bytes only
-// where a host can read them.
-func sweepBuild(tmpl *dnswire.CensusQuery) probeBuild {
-	return func(u uint32, p *wildnet.Probe, arena []byte) []byte {
-		p.Dst, p.SrcPort, p.Template = lfsr.U32ToAddr(u), basePort, tmpl
-		return arena
-	}
-}
-
 // SweepContext probes every address of a 2^order space once, in
 // LFSR-permuted order, skipping the blacklist. Each probe is a DNS A
 // query for prefix.hex-ip.scanbase, so responses are attributed to the
@@ -191,7 +180,9 @@ func (s *Scanner) SweepContext(ctx context.Context, order uint, seed uint32, bl 
 
 // newSweep returns a sweep's collector and its run on the engine: the
 // LFSR generator as the source, the round's census template as the
-// builder, and the collector's answered bitmap as the miss check.
+// builder — a round's batches are its kept targets, and the transport
+// builds a target's query bytes only where a host can read them — and
+// the collector's answered bitmap as the miss check.
 func (s *Scanner) newSweep(order uint, seed uint32, bl *lfsr.Blacklist) (*sweepCollector, *scanRun, error) {
 	gen, err := lfsr.NewTargetGenerator(order, seed, bl)
 	if err != nil {
@@ -208,7 +199,7 @@ func (s *Scanner) newSweep(order uint, seed uint32, bl *lfsr.Blacklist) (*sweepC
 		chunk:  streamBatch,
 		rounds: s.opts.SweepRetries,
 		build: func(round int) probeBuild {
-			return sweepBuild(dnswire.NewCensusQuery(baseWire, round))
+			return probeBuild{tmpl: dnswire.NewCensusQuery(baseWire, round)}
 		},
 		miss: st.missed,
 		ctr:  s.m.sweep,
@@ -266,7 +257,7 @@ func (s *Scanner) ProbeContext(ctx context.Context, addr uint32, name string, ty
 	defer s.tr.SetReceiver(nil)
 	s.m.probeSent.Inc()
 	//lint:allow errdrop single-exchange send failures are modeled packet loss
-	s.tr.SendBatch(ctx, []wildnet.Probe{{Dst: lfsr.U32ToAddr(addr), DstPort: 53, SrcPort: basePort, Payload: wire}})
+	s.tr.Send(ctx, &wildnet.Batch{Dst: []uint32{addr}, DstPort: 53, SrcPort: basePort, Payload: wire})
 	err = s.settle(ctx)
 	mu.Lock()
 	defer mu.Unlock()

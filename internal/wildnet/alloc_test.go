@@ -11,6 +11,7 @@ import (
 	"goingwild/internal/alloctest"
 	"goingwild/internal/dnswire"
 	"goingwild/internal/domains"
+	"goingwild/internal/lfsr"
 	"goingwild/internal/metrics"
 )
 
@@ -135,13 +136,14 @@ func TestUDPSendBatchAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	batch := make([]Probe, 16)
-	for i := range batch {
-		batch[i] = Probe{Dst: netip.AddrFrom4([4]byte{10, 0, 0, byte(i + 1)}), DstPort: 53, SrcPort: 40000, Payload: make([]byte, 40)}
+	batch := &Batch{DstPort: 53, SrcPort: 40000, Arena: make([]byte, 16*40)}
+	for i := range 16 {
+		batch.Dst = append(batch.Dst, 0x0A000001+uint32(i))
+		batch.Ends = append(batch.Ends, (i+1)*40)
 	}
 	ctx := context.Background()
 	allocs := alloctest.Count(100, func() {
-		if _, err := tr.SendBatch(ctx, batch); err != nil {
+		if _, err := tr.Send(ctx, batch); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -456,6 +458,66 @@ func TestAnsweredSendAllocs(t *testing.T) {
 	}
 }
 
+// TestTargetListSendAllocs: a sweep's batch form — its targets under a
+// census template — costs no allocation through Send when the targets
+// are silent, on a clean world and under hostile, where the repeated
+// batch meets the silent memo; nor when they lie in empty Chinese space,
+// under a template the injector ignores (rejected unbuilt) and under one
+// whose names it reads (each built and its question read).
+func TestTargetListSendAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instruments allocations")
+	}
+	readWire, err := dnswire.EncodeNameWire("example.org")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deaf, read := memoTemplates(t)[0], dnswire.NewCensusQuery(readWire, 0)
+	ctx := context.Background()
+	for _, profile := range []string{"", "hostile"} {
+		w := testWorld(t, 16)
+		if profile != "" {
+			w = faultyWorld(t, 16, profile)
+		}
+		tr := NewMemTransport(w, VantagePrimary)
+		defer tr.Close()
+		tr.SetReceiver(func(netip.Addr, uint16, uint16, []byte) {})
+		now := tr.Time()
+		bc := w.blockCache(now.Week)
+		var silent, cn []uint32
+		for u := uint32(0); u < uint32(w.SpaceSize()) && (len(silent) < 256 || len(cn) < 256); u++ {
+			switch w.sweepClassify(u, VantagePrimary, now, bc) {
+			case classReject:
+				silent = append(silent, u)
+			case classCNOnly:
+				cn = append(cn, u)
+			}
+		}
+		if len(silent) < 256 || len(cn) < 16 {
+			t.Fatalf("profile %q: %d silent and %d empty Chinese addresses", profile, len(silent), len(cn))
+		}
+		for _, tc := range []struct {
+			name string
+			b    *Batch
+		}{
+			{"silent", &Batch{Dst: silent[:256], DstPort: 53, SrcPort: 33000, Template: deaf}},
+			{"CN-only, ignored", &Batch{Dst: cn, DstPort: 53, SrcPort: 33000, Template: deaf}},
+			{"CN-only, read", &Batch{Dst: cn, DstPort: 53, SrcPort: 33000, Template: read}},
+		} {
+			send := func() {
+				if n, err := tr.Send(ctx, tc.b); err != nil || n != len(tc.b.Dst) {
+					t.Fatalf("Send = %d, %v", n, err)
+				}
+			}
+			send()
+			if allocs := alloctest.Count(100, send); allocs != 0 {
+				t.Errorf("profile %q: a %s batch of %d targets allocates %d times over 100 batches, want 0",
+					profile, tc.name, len(tc.b.Dst), allocs)
+			}
+		}
+	}
+}
+
 // TestTemplateSendAllocs holds the deliver-and-build path to the budget
 // of the bytes it builds. Into empty Chinese space, a template whose
 // names are as long as a GFW-listed one is built into the exchange
@@ -523,7 +585,7 @@ func TestTemplateSendAllocs(t *testing.T) {
 	}
 	lazy := Probe{Dst: w.Addr(memoProbeResolver(t, w)), DstPort: 53, SrcPort: 33000, Template: dnswire.NewCensusQuery(baseWire, 0)}
 	built := lazy
-	built.Payload, built.Template = lazy.AppendPayload(nil), nil
+	built.Payload, built.Template = lazy.Template.Append(nil, lfsr.AddrToU32(lazy.Dst)), nil
 	lazyAllocs, got := allocs(batchOf(lazy))
 	if got != 64 {
 		t.Fatalf("%d of 64 template probes to a resolver drew a response", got)

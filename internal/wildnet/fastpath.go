@@ -15,7 +15,7 @@ import (
 // 2M probes/s clean and below 0.5M under a chaos profile.
 // sweepClassify decides, from a handful of seeded draws and one per-block
 // cache line, that a destination can produce no response for ANY query —
-// in which case SendBatch drops the probe on the floor without
+// in which case Send drops the probe on the floor without
 // parsing it, exactly as the full pipeline would have.
 //
 // Soundness contract: sweepClassify(u, v, t, c) == classReject must imply
@@ -190,7 +190,7 @@ func (w *World) sweepClassify(u uint32, v Vantage, t Time, c *rejectCache) sweep
 // sweepClassify has returned classReject for the address at the owning
 // transport's current clock: 2^order bits, 32 KB at order 18 and 512 KB
 // at order 22, the size of the sweep collector's answered bitmap. It
-// memoises sweepClassify's own verdict, never SendBatch's final class: a
+// memoises sweepClassify's own verdict, never Send's final class: a
 // classCNOnly address is rejected only through its probe's question, so
 // it keeps no bit. A transport keeps one only when its world has faults,
 // because only the fault profiles re-send to silent addresses within one
@@ -262,7 +262,7 @@ func (s *silentMemo) reset() {
 // sweepClassify would call classDeliver, decided without its tenancy
 // draws. A memo entry is only ever stored for a derivation that found a
 // resolver (a station or a passed slot draw, never an infrastructure
-// address), so the two answers agree. SendBatch asks it only for the
+// address), so the two answers agree. Send asks it only for the
 // destination behind a deliverable one: a list scan's batches answer
 // throughout and hit here, while a sweep's are silent for ninety-nine
 // destinations in a hundred, which would each pay a lookup that misses.

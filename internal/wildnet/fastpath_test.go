@@ -328,7 +328,7 @@ func TestTemplateProbesMatchPayloadProbes(t *testing.T) {
 				for u := uint32(0); u < uint32(w.SpaceSize()); u++ {
 					p := Probe{Dst: w.Addr(u), DstPort: 53, SrcPort: 33000, Template: tmpl}
 					if built {
-						p.Payload, p.Template = p.AppendPayload(nil), nil
+						p.Payload, p.Template = tmpl.Append(nil, u), nil
 					}
 					batch = append(batch, p)
 				}

@@ -10,7 +10,6 @@ import (
 
 	"goingwild/internal/dnswire"
 	"goingwild/internal/domains"
-	"goingwild/internal/lfsr"
 )
 
 // TestUDPGatewayDomainScanParity drives a small domain scan through real
@@ -68,13 +67,14 @@ func TestUDPGatewayDomainScanParity(t *testing.T) {
 		// One round: loss is a pure function of the packet and the
 		// simulated minute, so a repeat would share the first one's fate
 		// on both transports.
-		batch := make([]Probe, len(targets))
-		for i, u := range targets {
+		batch := &Batch{Dst: targets, DstPort: 53, SrcPort: 42000}
+		for i := range targets {
 			q := dnswire.NewQuery(uint16(i), domains.GroundTruth, dnswire.TypeA, dnswire.ClassIN)
 			wire, _ := q.PackBytes()
-			batch[i] = Probe{Dst: lfsr.U32ToAddr(u), DstPort: 53, SrcPort: 42000, Payload: wire}
+			batch.Arena = append(batch.Arena, wire...)
+			batch.Ends = append(batch.Ends, len(batch.Arena))
 		}
-		if _, err := tr.SendBatch(context.Background(), batch); err != nil {
+		if _, err := tr.Send(context.Background(), batch); err != nil {
 			t.Fatal(err)
 		}
 		time.Sleep(wait)

@@ -76,8 +76,12 @@ func memoSweep(t *testing.T, tr *MemTransport, w *World, senders int) []string {
 	return got
 }
 
-// memoBits returns the addresses whose silent-memo bit is set.
+// memoBits returns the addresses whose silent-memo bit is set; none on a
+// transport that keeps no memo.
 func memoBits(tr *MemTransport) []uint32 {
+	if tr.silent == nil {
+		return nil
+	}
 	var out []uint32
 	for i := range tr.silent.bits {
 		for word := tr.silent.bits[i].Load(); word != 0; word &= word - 1 {

@@ -70,7 +70,7 @@ func TestUDPGatewayFanOutStress(t *testing.T) {
 					t.Errorf("pack: %v", err)
 					return
 				}
-				if _, err := tr.SendBatch(context.Background(), []Probe{{Dst: w.Addr(u), DstPort: 53, SrcPort: uint16(42000 + c), Payload: wire}}); err != nil {
+				if _, err := tr.Send(context.Background(), &Batch{Dst: []uint32{w.Mask(u)}, DstPort: 53, SrcPort: uint16(42000 + c), Payload: wire}); err != nil {
 					t.Errorf("client %d send %d: %v", c, i, err)
 					return
 				}

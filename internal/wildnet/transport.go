@@ -20,28 +20,26 @@ import (
 // scanner.Transport is an alias of this interface, so the two layers can
 // never drift.
 type Transport interface {
-	// SendBatch is the one way onto the wire: it transmits the probes in
-	// order — a single exchange is a batch of one — and lets the
+	// Send is the one way onto the wire: it transmits the batch's probes
+	// in order — a single exchange is a batch of one — and lets the
 	// implementation amortize per-packet overhead: the in-memory
 	// transport takes its clock lock and receiver load once per batch,
 	// and the UDP gateway transport frames every probe in one buffer it
 	// reuses across the batch, one datagram per probe.
 	// Delivery is not guaranteed (packet loss is part of the model, §5
 	// "Completeness"). It returns how many probes were
-	// processed; on error, probes [0, n) were handled and batch[n] was
+	// processed; on error, probes [0, n) were handled and probe n was
 	// not. A cancelled ctx aborts the batch — including, on the
 	// synchronous in-memory transport, the response deliveries that
-	// happen inside SendBatch — with ctx.Err(). A probe comes in one of
-	// two forms (see Probe): its bytes in Payload, or a census template
-	// the transport builds the bytes from — only for a destination that
-	// can read them, on the in-memory transport. Each Probe.Payload is
-	// borrowed for the duration of the call only: implementations copy or
-	// consume it before returning and neither keep nor modify it, because
-	// scans build probes into pooled buffers and lend one shared payload
-	// to many probes, from many goroutines at once.
-	SendBatch(ctx context.Context, batch []Probe) (int, error)
+	// happen inside Send — with ctx.Err(). The batch and every slice it
+	// holds are borrowed for the duration of the call only:
+	// implementations copy or consume them before returning and neither
+	// keep nor modify them, because scans assemble batches in pooled
+	// buffers and lend one shared payload to many probes, from many
+	// goroutines at once.
+	Send(ctx context.Context, b *Batch) (int, error)
 	// SetReceiver registers the response callback. It must be called
-	// before the first SendBatch. The callback may run concurrently, and
+	// before the first Send. The callback may run concurrently, and
 	// must not retain payload after returning: the in-memory transport
 	// packs responses into pooled buffers that are reused for later
 	// deliveries. A nil callback uninstalls the previous one: later
@@ -52,38 +50,83 @@ type Transport interface {
 	Close() error
 }
 
-// ErrTransportClosed is returned by SendBatch after Close.
+// ErrTransportClosed is returned by Send after Close.
 var ErrTransportClosed = errors.New("wildnet: transport closed")
 
-// errIPv4Only rejects non-IPv4 destinations on every transport.
+// errIPv4Only rejects a non-IPv4 destination of the Probe form.
 var errIPv4Only = errors.New("wildnet: transport is IPv4-only")
 
-// Probe is one datagram to send, in one of two forms: its bytes in
-// Payload, or a census template that stands for them. A probe sets
-// exactly one of the two. Payload is borrowed for the duration of the
-// SendBatch call only: transports must not retain it, mirroring the
-// receiver-side contract.
+// Batch is a run of datagrams in struct-of-arrays form, the form Send
+// takes: a destination per probe, and what the probes share given once.
+// A census sweep's round is its kept targets and one template, so
+// nothing is written per silent target but its address. The payload
+// comes in exactly one of three forms:
+//   - Template set: probe i's payload is the census query Template builds
+//     for Dst[i] — a sweep round's form, which the in-memory transport
+//     builds only where a host can read it;
+//   - Ends set: per-probe payloads cut from Arena, probe i's being
+//     Arena[Ends[i-1]:Ends[i]] (from 0 for probe 0);
+//   - otherwise Payload, lent to every probe.
+type Batch struct {
+	// Dst is each probe's IPv4 destination.
+	Dst []uint32
+	// DstPort is every probe's destination port.
+	DstPort uint16
+	// SrcPort is every probe's source port, unless SrcPorts is set.
+	SrcPort uint16
+	// SrcPorts, when set, is each probe's source port.
+	SrcPorts []uint16
+	Template *dnswire.CensusQuery
+	Arena    []byte
+	Ends     []int
+	Payload  []byte
+}
+
+// srcPort returns probe i's source port.
+func (b *Batch) srcPort(i int) uint16 {
+	if b.SrcPorts != nil {
+		return b.SrcPorts[i]
+	}
+	return b.SrcPort
+}
+
+// payload returns probe i's bytes in the Ends or the lent form; nil in
+// the Template form.
+//
+//lint:hotpath per-probe payload of a list-scan batch
+func (b *Batch) payload(i int) []byte {
+	if b.Ends == nil {
+		return b.Payload
+	}
+	start, end := 0, b.Ends[i]
+	if i > 0 {
+		start = b.Ends[i-1]
+	}
+	return b.Arena[start:end:end]
+}
+
+// appendPayload appends probe i's datagram to buf, building it from
+// Template in that form.
+func (b *Batch) appendPayload(buf []byte, i int) []byte {
+	if b.Template != nil {
+		return b.Template.Append(buf, b.Dst[i])
+	}
+	return append(buf, b.payload(i)...)
+}
+
+// Probe is one datagram in the per-probe form MemTransport.SendBatch
+// takes, a convenience for callers that assemble probes one at a time:
+// its bytes in Payload, or a census template that stands for them. A
+// probe sets exactly one of the two. Payload is borrowed for the
+// duration of the call only, mirroring the receiver-side contract.
 type Probe struct {
 	Dst     netip.Addr
 	DstPort uint16
 	SrcPort uint16
 	Payload []byte
 	// Template, when set, stands for the payload: the census query it
-	// builds for Dst. A sweep's probes carry it, so the in-memory
-	// transport builds bytes only past the reject, where a host reads
-	// them.
+	// builds for Dst.
 	Template *dnswire.CensusQuery
-}
-
-// AppendPayload appends the probe's datagram to buf: Payload, or the
-// bytes Template builds for Dst.
-//
-//lint:hotpath per-probe census query build
-func (p *Probe) AppendPayload(buf []byte) []byte {
-	if p.Template != nil {
-		return p.Template.Append(buf, lfsr.AddrToU32(p.Dst))
-	}
-	return append(buf, p.Payload...)
 }
 
 // MemTransport delivers packets synchronously through the world model.
@@ -123,7 +166,7 @@ func NewMemTransport(w *World, v Vantage) *MemTransport {
 // answered as of t. A new simulated instant redraws every packet fate, so
 // the fault layer's retransmission counter restarts with it, and so does
 // the memo of addresses proved silent. On a world with faults SetTime
-// must not run concurrently with a SendBatch: a batch that straddles it
+// must not run concurrently with a Send: a batch that straddles it
 // would count or memoise against the instant it started at.
 func (m *MemTransport) SetTime(t Time) {
 	m.mu.Lock()
@@ -153,7 +196,7 @@ func (m *MemTransport) SetReceiver(f func(src netip.Addr, srcPort, dstPort uint1
 }
 
 // putExchange adds an exchange scratch's tallies to the world's counters
-// — once per SendBatch, so the shared counters cost an answered exchange
+// — once per Send, so the shared counters cost an answered exchange
 // nothing — and returns it to the pool.
 func (m *MemTransport) putExchange(x *exchange) {
 	m.world.sendAnswered.Add(x.answered)
@@ -162,46 +205,51 @@ func (m *MemTransport) putExchange(x *exchange) {
 	exchangePool.Put(x)
 }
 
-// undeliverable is the second half of SendBatch's dispatch decision,
-// given the destination's sweepClassify verdict: true when nothing there
-// can answer this datagram (fastpath.go), so the loop drops it before the
+// undeliverable is the second half of Send's dispatch decision, given
+// the destination's sweepClassify verdict: true when nothing there can
+// answer this datagram (fastpath.go), so the loop drops it before the
 // hash, the loss draws, the attempt counter, the parse and the handler.
 // Small enough to inline.
 func (m *MemTransport) undeliverable(class sweepClass, dstPort uint16, payload []byte) bool {
 	return class == classReject || class == classCNOnly && !m.cnCouldAnswer(dstPort, payload)
 }
 
-// SendBatch implements Transport: each query is processed by the world
-// and all its surviving responses are delivered to the receiver before
-// the next probe is looked at, with the clock lock, the block-table load,
+// Send implements Transport: each query is processed by the world and
+// all its surviving responses are delivered to the receiver before the
+// next probe is looked at, with the clock lock, the block-table load,
 // the exchange scratch and the counters amortized over the whole batch.
-// This is the hot path of every simulated scan, so the query is read
-// through a View, the responses are appended on the wire, and the
-// two-response common case of the sort runs in place, all in one pooled
-// exchange scratch, and the context is checked only at loop edges (entry
-// and between response deliveries), never per byte — between deliveries
-// by polling its Done channel, fetched once per batch, since Err takes
-// the context's mutex, which concurrent senders under one signal context
-// share.
+// This is the hot path of every simulated scan, and the one per-target
+// dispatch loop of the transport (SendBatch cuts its probes into batches
+// for it), so it reads each destination as the uint32 the batch holds,
+// the query is read through a View, the responses are appended on the
+// wire, and the two-response common case of the sort runs in place, all
+// in one pooled exchange scratch, and the context is checked only at
+// loop edges (entry and between response deliveries), never per byte —
+// between deliveries by polling its Done channel, fetched once per
+// batch, since Err takes the context's mutex, which concurrent senders
+// under one signal context share.
 //
 // Under every fault profile the destination is classified first: a
 // datagram nothing can answer is counted in wildnet.send.rejected and
 // dropped there. On a world with faults, an address classified
 // classReject once at the current clock is remembered (silentMemo), and
 // a later probe to it — a retry round's — takes the same reject without
-// classifying again. A template probe's bytes are built into the exchange
-// scratch only past that reject; into empty Chinese space, where only the
-// injector may answer, a template whose instances it ignores (decided
-// once per template, from the QTYPE and the name length every instance
-// shares) is rejected unbuilt too, and any other probe is built and its
-// question read. It draws no base or fault loss, takes no attempt-counter
-// entry, and moves no wildnet.fault.* counter — faults act on exchanges
-// that have a live endpoint, and a dropped, flapped or delivered probe to
-// empty space is the same silence to the sender. Behind a deliverable
-// destination the next one is first looked up in the profile memo
-// (knownResolver), so a list scan's resolvers are dispatched without the
-// tenancy draws the handler has already made for them.
-func (m *MemTransport) SendBatch(ctx context.Context, batch []Probe) (int, error) {
+// classifying again. A template batch's bytes are built into the
+// exchange scratch only past that reject; into empty Chinese space,
+// where only the injector may answer, a template whose instances it
+// ignores (decided once per batch, from the QTYPE and the name length
+// every instance shares) is rejected unbuilt too, and any other probe is
+// built and its question read. It draws no base or fault loss, takes no
+// attempt-counter entry, and moves no wildnet.fault.* counter — faults
+// act on exchanges that have a live endpoint, and a dropped, flapped or
+// delivered probe to empty space is the same silence to the sender.
+// Behind a deliverable destination the next one is first looked up in
+// the profile memo (knownResolver), so a list scan's resolvers are
+// dispatched without the tenancy draws the handler has already made for
+// them.
+//
+//lint:hotpath per-target dispatch of every scan
+func (m *MemTransport) Send(ctx context.Context, b *Batch) (int, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
@@ -213,7 +261,7 @@ func (m *MemTransport) SendBatch(ctx context.Context, batch []Probe) (int, error
 	done := ctx.Done()
 	// Rejects are tallied locally and added once per batch, so the
 	// shared counter costs the silent majority nothing.
-	n, rejected := len(batch), uint64(0)
+	n, rejected := len(b.Dst), uint64(0)
 	x := exchangePool.Get().(*exchange)
 	var err error
 	// afterDeliver is true behind a deliverable destination, where a list
@@ -222,22 +270,16 @@ func (m *MemTransport) SendBatch(ctx context.Context, batch []Probe) (int, error
 	// lent is the last payload hashed and lentHash its hash. A payload
 	// lent to many probes (a snoop round's one query) has the same
 	// backing array and length in each, and no payload may change during
-	// SendBatch, so it is hashed once.
+	// Send, so it is hashed once.
 	var lent []byte
 	var lentHash uint64
-	// cnTmpl is the last template seen in empty Chinese space, and
-	// cnDeaf whether the injector ignores every instance of it.
-	var cnTmpl *dnswire.CensusQuery
-	cnDeaf := false
+	// cnDeaf is whether the injector ignores every instance of the
+	// batch's template, decided (cnKnown) at its first destination in
+	// empty Chinese space.
+	tmpl, cnKnown, cnDeaf := b.Template, false, false
 	// silenced is true once the batch has set a bit of the silent memo.
 	silent, silenced := m.silent, false
-	for i := range batch {
-		p := &batch[i]
-		if !p.Dst.Is4() {
-			n, err = i, errIPv4Only
-			break
-		}
-		u32dst := lfsr.AddrToU32(p.Dst)
+	for i, u32dst := range b.Dst {
 		if silent.has(u32dst) {
 			afterDeliver = false
 			rejected++
@@ -251,30 +293,32 @@ func (m *MemTransport) SendBatch(ctx context.Context, batch []Probe) (int, error
 				silenced = true
 			}
 		}
-		if class == classCNOnly && p.Template != nil {
-			if p.Template != cnTmpl {
-				cnTmpl, cnDeaf = p.Template, gfwDeafTo(p.Template)
+		if class == classCNOnly && tmpl != nil {
+			if !cnKnown {
+				cnKnown, cnDeaf = true, gfwDeafTo(tmpl)
 			}
 			if cnDeaf {
 				class = classReject
 			}
 		}
-		payload := p.Payload
-		if class != classReject && p.Template != nil {
+		var payload []byte
+		if tmpl == nil {
+			payload = b.payload(i)
+		} else if class != classReject {
 			// Built probes share x.query's backing array, and a round's
 			// probes its length too: never lend built bytes, or the next
 			// built probe would take this one's hash.
-			x.query = p.Template.Append(x.query[:0], u32dst)
+			x.query = tmpl.Append(x.query[:0], u32dst)
 			payload, lent = x.query, nil
 		}
-		if afterDeliver = !m.undeliverable(class, p.DstPort, payload); !afterDeliver {
+		if afterDeliver = !m.undeliverable(class, b.DstPort, payload); !afterDeliver {
 			rejected++
 			continue
 		}
 		if !sameBacking(payload, lent) {
 			lent, lentHash = payload, prand.FNV(payload)
 		}
-		if err = m.process(ctx, done, x, u32dst, p.DstPort, p.SrcPort, payload, lentHash, t); err != nil {
+		if err = m.process(ctx, done, x, u32dst, b.DstPort, b.srcPort(i), payload, lentHash, t); err != nil {
 			n = i
 			break
 		}
@@ -285,6 +329,68 @@ func (m *MemTransport) SendBatch(ctx context.Context, batch []Probe) (int, error
 	m.world.sendRejected.Add(rejected)
 	m.putExchange(x)
 	return n, err
+}
+
+// SendBatch sends probes in the Probe form through Send: it cuts them
+// into runs one Batch carries — IPv4 destinations to one port, under
+// one template or none — and sends each run in turn, so the transport
+// keeps one dispatch loop. A payload is copied into the run's pooled
+// arena; a template stays one, built only past the reject. A non-IPv4
+// destination at index i ends the batch there with errIPv4Only, after
+// probes [0, i) were sent.
+func (m *MemTransport) SendBatch(ctx context.Context, probes []Probe) (int, error) {
+	if len(probes) == 0 {
+		return m.Send(ctx, &Batch{})
+	}
+	r := probeRunPool.Get().(*probeRun)
+	defer probeRunPool.Put(r)
+	sent := 0
+	for sent < len(probes) {
+		if r.cut(probes[sent:]) == 0 {
+			return sent, errIPv4Only
+		}
+		n, err := m.Send(ctx, &r.b)
+		if sent += n; err != nil {
+			return sent, err
+		}
+	}
+	return sent, nil
+}
+
+// probeRun is SendBatch's scratch: one Batch cut from a []Probe, over
+// columns whose capacity carries from call to call.
+type probeRun struct {
+	b     Batch
+	dst   []uint32
+	ports []uint16
+	arena []byte
+	ends  []int
+}
+
+var probeRunPool = sync.Pool{New: func() any { return new(probeRun) }}
+
+// cut fills r.b with the longest prefix of probes that one Batch
+// carries, and reports its length: 0 when probes[0] is not IPv4.
+func (r *probeRun) cut(probes []Probe) int {
+	first := &probes[0]
+	r.dst, r.ports, r.arena, r.ends = r.dst[:0], r.ports[:0], r.arena[:0], r.ends[:0]
+	for i := range probes {
+		p := &probes[i]
+		if !p.Dst.Is4() || p.DstPort != first.DstPort || p.Template != first.Template {
+			break
+		}
+		r.dst = append(r.dst, lfsr.AddrToU32(p.Dst))
+		r.ports = append(r.ports, p.SrcPort)
+		if p.Template == nil {
+			r.arena = append(r.arena, p.Payload...)
+			r.ends = append(r.ends, len(r.arena))
+		}
+	}
+	r.b = Batch{Dst: r.dst, DstPort: first.DstPort, SrcPorts: r.ports, Template: first.Template}
+	if first.Template == nil {
+		r.b.Arena, r.b.Ends = r.arena, r.ends
+	}
+	return len(r.dst)
 }
 
 // sameBacking reports whether a and b are one non-empty run of bytes:

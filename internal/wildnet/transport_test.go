@@ -2,9 +2,7 @@ package wildnet
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
-	"net"
 	"net/netip"
 	"sync"
 	"testing"
@@ -89,76 +87,61 @@ func TestMemTransportIgnoresGarbage(t *testing.T) {
 	}
 }
 
-// TestTransportsRejectIPv6: both transports refuse a non-IPv4 destination
-// with the package's one sentinel.
+// TestTransportsRejectIPv6: a Batch holds IPv4 destinations only, so
+// the Probe form is where a non-IPv4 destination can reach a transport,
+// and MemTransport.SendBatch refuses it with the package's one sentinel.
 func TestTransportsRejectIPv6(t *testing.T) {
 	w := testWorld(t, 16)
 	mem := NewMemTransport(w, VantagePrimary)
 	defer mem.Close()
-	gw, err := StartGateway(context.Background(), w, VantagePrimary)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer gw.Close()
-	udp, err := DialGateway(gw.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer udp.Close()
 	batch := []Probe{
 		{Dst: w.Addr(12345), DstPort: 53, SrcPort: 40000, Payload: []byte{1, 2, 3}},
 		{Dst: netip.MustParseAddr("2001:db8::1"), DstPort: 53, SrcPort: 40000, Payload: []byte{1}},
 	}
-	for name, tr := range map[string]Transport{"mem": mem, "udp": udp} {
-		if _, err := tr.SendBatch(context.Background(), batch); !errors.Is(err, errIPv4Only) {
-			t.Errorf("%s: SendBatch with an IPv6 destination = %v, want errIPv4Only", name, err)
-		}
+	if _, err := mem.SendBatch(context.Background(), batch); !errors.Is(err, errIPv4Only) {
+		t.Errorf("SendBatch with an IPv6 destination = %v, want errIPv4Only", err)
 	}
 }
 
-// TestUDPSendBatchStopsAtIPv6: an IPv6 destination at index 2 of
+// TestSendBatchStopsAtIPv6: an IPv6 destination at index 2 of
 // [v4, v4, v6, v4] ends the batch there, as the Transport contract
-// says: n = 2 with errIPv4Only, and exactly probes 0 and 1 leave the
-// socket. A plain loopback socket stands in for the gateway and reads the
-// tunnel frames in the order they were written; the queries carry IDs 1
-// to 4, and a later batch with ID 5 marks the end.
-func TestUDPSendBatchStopsAtIPv6(t *testing.T) {
-	gw, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer gw.Close()
-	tr, err := DialGateway(gw.LocalAddr().(*net.UDPAddr))
-	if err != nil {
-		t.Fatal(err)
-	}
+// says: n = 2 with errIPv4Only, and exactly probes 0 and 1 are
+// dispatched. The destinations are honest resolvers, and the queries
+// carry IDs 1 to 4, so the answers name the probes that went out.
+func TestSendBatchStopsAtIPv6(t *testing.T) {
+	w := testWorld(t, 16)
+	tr := NewMemTransport(w, VantagePrimary)
 	defer tr.Close()
-	probe := func(id uint16, dst string) Probe {
+	var got []uint16
+	tr.SetReceiver(func(_ netip.Addr, _, _ uint16, payload []byte) {
+		if m, err := dnswire.Unpack(payload); err == nil {
+			got = append(got, m.Header.ID)
+		}
+	})
+	var resolvers []uint32
+	for u := uint32(1); u < 1<<16 && len(resolvers) < 3; u++ {
+		p, ok := w.ProfileAt(u, At(0))
+		if ok && p.RCode == RCNoError && p.Manip == ManipHonest && !p.MisSourced && w.VisibleFrom(u, VantagePrimary, At(0)) {
+			resolvers = append(resolvers, u)
+		}
+	}
+	if len(resolvers) < 3 {
+		t.Fatalf("only %d usable resolvers in the test world", len(resolvers))
+	}
+	probe := func(id uint16, dst netip.Addr) Probe {
 		wire, err := dnswire.NewQuery(id, domains.GroundTruth, dnswire.TypeA, dnswire.ClassIN).PackBytes()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return Probe{Dst: netip.MustParseAddr(dst), DstPort: 53, SrcPort: 41000, Payload: wire}
+		return Probe{Dst: dst, DstPort: 53, SrcPort: 41000, Payload: wire}
 	}
-	batch := []Probe{probe(1, "10.0.0.1"), probe(2, "10.0.0.2"), probe(3, "2001:db8::1"), probe(4, "10.0.0.4")}
+	batch := []Probe{probe(1, w.Addr(resolvers[0])), probe(2, w.Addr(resolvers[1])),
+		probe(3, netip.MustParseAddr("2001:db8::1")), probe(4, w.Addr(resolvers[2]))}
 	if n, err := tr.SendBatch(context.Background(), batch); n != 2 || !errors.Is(err, errIPv4Only) {
 		t.Fatalf("SendBatch = (%d, %v), want (2, errIPv4Only)", n, err)
 	}
-	if n, err := tr.SendBatch(context.Background(), []Probe{probe(5, "10.0.0.5")}); n != 1 || err != nil {
-		t.Fatalf("marker SendBatch = (%d, %v)", n, err)
-	}
-	gw.SetReadDeadline(time.Now().Add(5 * time.Second))
-	buf := make([]byte, 1500)
-	var got []uint16
-	for len(got) == 0 || got[len(got)-1] != 5 {
-		n, _, err := gw.ReadFromUDP(buf)
-		if err != nil {
-			t.Fatalf("frames %v, then %v", got, err)
-		}
-		got = append(got, binary.BigEndian.Uint16(buf[tunnelHeaderLen:n]))
-	}
-	if len(got) != 3 || got[0] != 1 || got[1] != 2 {
-		t.Errorf("frames with IDs %v left the socket, want [1 2 5]", got)
+	if len(got) < 2 || got[0] != 1 || got[len(got)-1] != 2 {
+		t.Errorf("answers to the probes with IDs %v, want 1 and 2", got)
 	}
 }
 
@@ -193,7 +176,7 @@ func TestUDPGatewayRoundTrip(t *testing.T) {
 	})
 	q := dnswire.NewQuery(7, domains.GroundTruth, dnswire.TypeA, dnswire.ClassIN)
 	wire, _ := q.PackBytes()
-	if _, err := tr.SendBatch(context.Background(), []Probe{{Dst: w.Addr(u), DstPort: 53, SrcPort: 41000, Payload: wire}}); err != nil {
+	if _, err := tr.Send(context.Background(), &Batch{Dst: []uint32{u}, DstPort: 53, SrcPort: 41000, Payload: wire}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -207,7 +190,7 @@ func TestUDPGatewayRoundTrip(t *testing.T) {
 }
 
 // TestUDPGatewayBatchRoundTrip drives the gateway through one
-// multi-probe SendBatch and checks every probe of the batch gets its
+// multi-probe Send and checks every probe of the batch gets its
 // response.
 func TestUDPGatewayBatchRoundTrip(t *testing.T) {
 	w := testWorld(t, 16)
@@ -265,12 +248,14 @@ func TestUDPGatewayBatchRoundTrip(t *testing.T) {
 		}
 	})
 
-	n, err := tr.SendBatch(context.Background(), probes)
+	var run probeRun
+	run.cut(probes)
+	n, err := tr.Send(context.Background(), &run.b)
 	if err != nil {
-		t.Fatalf("SendBatch: %v (after %d probes)", err, n)
+		t.Fatalf("Send: %v (after %d probes)", err, n)
 	}
 	if n != len(probes) {
-		t.Fatalf("SendBatch sent %d of %d probes", n, len(probes))
+		t.Fatalf("Send sent %d of %d probes", n, len(probes))
 	}
 	select {
 	case <-done:
@@ -288,13 +273,8 @@ func TestUDPGatewayBatchRoundTrip(t *testing.T) {
 	// A cancelled context must refuse the batch before any kernel write.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if n, err := tr.SendBatch(ctx, probes); err == nil || n != 0 {
-		t.Errorf("cancelled SendBatch sent %d, err %v", n, err)
-	}
-	// IPv6 destinations are rejected with the index of the bad probe.
-	bad := []Probe{probes[0], {Dst: netip.MustParseAddr("2001:db8::1"), DstPort: 53, Payload: []byte{1}}}
-	if n, err := tr.SendBatch(context.Background(), bad); err == nil || n != 1 {
-		t.Errorf("IPv6 probe accepted (n=%d err=%v)", n, err)
+	if n, err := tr.Send(ctx, &run.b); err == nil || n != 0 {
+		t.Errorf("cancelled Send sent %d, err %v", n, err)
 	}
 }
 

@@ -80,11 +80,12 @@ func (g *Gateway) Close() error {
 }
 
 // serve is the read loop: each tunnel datagram is sent into the
-// in-memory transport as a batch of one.
+// in-memory transport as a batch of one, its payload lent.
 func (g *Gateway) serve(ctx context.Context) {
 	defer g.wg.Done()
 	buf := make([]byte, 65535)
-	var batch [1]Probe
+	var dst [1]uint32
+	batch := Batch{Dst: dst[:]}
 	for {
 		n, peer, err := g.conn.ReadFromUDP(buf)
 		if err != nil {
@@ -94,13 +95,11 @@ func (g *Gateway) serve(ctx context.Context) {
 			continue
 		}
 		g.peer = peer
-		batch[0] = Probe{
-			Dst:     lfsr.U32ToAddr(binary.BigEndian.Uint32(buf[0:])),
-			DstPort: binary.BigEndian.Uint16(buf[4:]),
-			SrcPort: binary.BigEndian.Uint16(buf[6:]),
-			Payload: buf[tunnelHeaderLen:n],
-		}
-		if _, err := g.mem.SendBatch(ctx, batch[:]); err != nil {
+		dst[0] = binary.BigEndian.Uint32(buf[0:])
+		batch.DstPort = binary.BigEndian.Uint16(buf[4:])
+		batch.SrcPort = binary.BigEndian.Uint16(buf[6:])
+		batch.Payload = buf[tunnelHeaderLen:n]
+		if _, err := g.mem.Send(ctx, &batch); err != nil {
 			return // ctx is done
 		}
 	}
@@ -182,37 +181,32 @@ func (u *UDPTransport) Close() error {
 	return err
 }
 
-// framePool holds SendBatch's frame buffers. Senders call SendBatch
-// concurrently, so a buffer cannot live on the transport, and a fresh one
-// per call would allocate on every batch.
+// framePool holds Send's frame buffers. Senders call Send concurrently,
+// so a buffer cannot live on the transport, and a fresh one per call
+// would allocate on every batch.
 var framePool = sync.Pool{New: func() any { return new([]byte) }}
 
-// SendBatch implements Transport: each probe is framed (tunnel header,
-// then payload, built here for a template probe) into one pooled buffer
+// Send implements Transport: each probe is framed (tunnel header, then
+// payload, built here for a template batch) into one pooled buffer
 // reused across the batch and written with its own WriteToUDP, so the
-// frames leave the socket in batch order. The
-// kernel write itself is not interruptible, so the context is honored at
-// the call edge: a sender that keeps calling after cancellation gets
-// ctx.Err() back immediately instead of queueing more datagrams. A
-// non-IPv4 destination at index i ends the batch there: frames [0, i) are
-// written, and the error is errIPv4Only unless a write failed first.
-func (u *UDPTransport) SendBatch(ctx context.Context, probes []Probe) (int, error) {
+// frames leave the socket in batch order. The kernel write itself is not
+// interruptible, so the context is honored at the call edge: a sender
+// that keeps calling after cancellation gets ctx.Err() back immediately
+// instead of queueing more datagrams.
+func (u *UDPTransport) Send(ctx context.Context, b *Batch) (int, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
 	frame := framePool.Get().(*[]byte)
 	defer framePool.Put(frame)
-	for i, p := range probes {
-		if !p.Dst.Is4() {
-			return i, errIPv4Only
-		}
-		*frame = binary.BigEndian.AppendUint32((*frame)[:0], lfsr.AddrToU32(p.Dst))
-		*frame = binary.BigEndian.AppendUint16(*frame, p.DstPort)
-		*frame = binary.BigEndian.AppendUint16(*frame, p.SrcPort)
-		*frame = p.AppendPayload(*frame)
+	for i, dst := range b.Dst {
+		*frame = binary.BigEndian.AppendUint32((*frame)[:0], dst)
+		*frame = binary.BigEndian.AppendUint16(*frame, b.DstPort)
+		*frame = binary.BigEndian.AppendUint16(*frame, b.srcPort(i))
+		*frame = b.appendPayload(*frame, i)
 		if _, err := u.conn.WriteToUDP(*frame, u.gateway); err != nil {
 			return i, err
 		}
 	}
-	return len(probes), nil
+	return len(b.Dst), nil
 }
