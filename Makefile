@@ -77,11 +77,12 @@ race:
 	$(GO) test -race -count=3 -run 'Gateway|UDP|^TestSilentMemo' ./internal/wildnet ./cmd/dnsscan
 	$(GO) test -race -run TestEquivalence ./cmd/wildreport
 
-# A few seconds of coverage-guided fuzzing per fuzz target: the six
+# A few seconds of coverage-guided fuzzing per fuzz target: the seven
 # wire-format ones and the service's two query parsers. `go test -fuzz`
-# accepts one target per invocation, hence eight runs.
+# accepts one target per invocation, hence nine runs.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzUnpack -fuzztime=5s ./internal/dnswire
+	$(GO) test -fuzz=FuzzValidate -fuzztime=5s ./internal/dnswire
 	$(GO) test -fuzz=FuzzAppendNameCompression -fuzztime=5s ./internal/dnswire
 	$(GO) test -fuzz=FuzzView -fuzztime=5s ./internal/dnswire
 	$(GO) test -fuzz=FuzzDecodeTargetQName -fuzztime=5s ./internal/dnswire

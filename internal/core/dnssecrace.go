@@ -7,7 +7,6 @@ import (
 
 	"goingwild/internal/dnssec"
 	"goingwild/internal/dnswire"
-	"goingwild/internal/lfsr"
 	"goingwild/internal/pipeline"
 )
 
@@ -48,12 +47,14 @@ func (p *Plan) DNSSECRace(week int, country, name string) *Out[*DNSSECRaceResult
 		if err != nil {
 			return nil, err
 		}
-		for _, m := range msgs {
-			for _, rr := range m.Answers {
-				if k, ok := rr.Data.(dnswire.DNSKEY); ok {
-					pub = ed25519.PublicKey(k.PublicKey)
-					signed = true
-				}
+		v := dnswire.GetView()
+		defer dnswire.PutView(v)
+		for _, msg := range msgs {
+			if err := v.Reset(msg); err != nil {
+				return nil, err
+			}
+			if d, ok := v.FirstAnswer(dnswire.TypeDNSKEY); ok {
+				pub, signed = ed25519.PublicKey(d.(dnswire.DNSKEY).PublicKey), true
 			}
 		}
 		return nil, nil
@@ -75,9 +76,16 @@ func (p *Plan) DNSSECRace(week int, country, name string) *Out[*DNSSECRaceResult
 			for _, a := range legit {
 				legitSet[a] = true
 			}
-			correct := func(m *dnswire.Message) bool {
-				for _, a := range m.AnswerAddrs() {
-					if legitSet[s.World.Mask(lfsr.AddrToU32(a))] {
+			v := dnswire.GetView()
+			defer dnswire.PutView(v)
+			var answers []uint32
+			correct := func(msg []byte) bool {
+				if v.Reset(msg) != nil {
+					return false
+				}
+				answers = v.AppendAnswerA(answers[:0])
+				for _, a := range answers {
+					if legitSet[s.World.Mask(a)] {
 						return true
 					}
 				}

@@ -57,8 +57,11 @@ func (k *ZoneKey) DNSKEY() dnswire.DNSKEY {
 }
 
 // signedData serializes an RRset canonically for signing: the RRSIG
-// header fields followed by each record in canonical form, sorted.
-func signedData(sig *dnswire.RRSIG, name string, class dnswire.Class, rrs []dnswire.ResourceRecord) []byte {
+// header fields followed by each record in wire form — the canonical
+// owner name, type, class, the original TTL and the RDATA — sorted. Sign
+// and Verify both build it from the RDATA byte strings, so a signature
+// is over the bytes a response carries.
+func signedData(sig *dnswire.RRSIG, name string, class dnswire.Class, rdatas [][]byte) []byte {
 	buf := binary.BigEndian.AppendUint16(nil, uint16(sig.TypeCovered))
 	buf = append(buf, sig.Algorithm, sig.Labels)
 	buf = binary.BigEndian.AppendUint32(buf, sig.OrigTTL)
@@ -67,17 +70,18 @@ func signedData(sig *dnswire.RRSIG, name string, class dnswire.Class, rrs []dnsw
 	buf = binary.BigEndian.AppendUint16(buf, sig.KeyTag)
 	buf = append(buf, dnswire.CanonicalName(sig.SignerName)...)
 	buf = append(buf, 0)
-	var wires [][]byte
-	for _, rr := range rrs {
-		m := &dnswire.Message{}
-		m.Answers = append(m.Answers, dnswire.ResourceRecord{
-			Name: dnswire.CanonicalName(name), Class: class, TTL: sig.OrigTTL, Data: rr.Data,
-		})
-		w, err := m.PackBytes()
-		if err != nil {
-			continue
-		}
-		wires = append(wires, w[12:]) // strip the header
+	owner, err := dnswire.EncodeNameWire(dnswire.CanonicalName(name))
+	if err != nil {
+		return buf // an owner that does not encode contributes no records
+	}
+	wires := make([][]byte, len(rdatas))
+	for i, rdata := range rdatas {
+		w := append([]byte(nil), owner...)
+		w = binary.BigEndian.AppendUint16(w, uint16(sig.TypeCovered))
+		w = binary.BigEndian.AppendUint16(w, uint16(class))
+		w = binary.BigEndian.AppendUint32(w, sig.OrigTTL)
+		w = binary.BigEndian.AppendUint16(w, uint16(len(rdata)))
+		wires[i] = append(w, rdata...)
 	}
 	sort.Slice(wires, func(i, j int) bool { return string(wires[i]) < string(wires[j]) })
 	for _, w := range wires {
@@ -86,14 +90,11 @@ func signedData(sig *dnswire.RRSIG, name string, class dnswire.Class, rrs []dnsw
 	return buf
 }
 
-// Sign produces an RRSIG over the A/record set of name.
-func (k *ZoneKey) Sign(name string, class dnswire.Class, ttl uint32, rrs []dnswire.ResourceRecord) dnswire.RRSIG {
-	typeCovered := dnswire.TypeA
-	if len(rrs) > 0 {
-		typeCovered = rrs[0].Type()
-	}
+// Sign produces an RRSIG over the RRset of name whose records of type typ
+// carry the given RDATA.
+func (k *ZoneKey) Sign(name string, class dnswire.Class, ttl uint32, typ dnswire.Type, rdatas [][]byte) dnswire.RRSIG {
 	sig := dnswire.RRSIG{
-		TypeCovered: typeCovered,
+		TypeCovered: typ,
 		Algorithm:   dnswire.AlgoEd25519,
 		Labels:      uint8(len(dnswire.SplitLabels(name))),
 		OrigTTL:     ttl,
@@ -102,56 +103,58 @@ func (k *ZoneKey) Sign(name string, class dnswire.Class, ttl uint32, rrs []dnswi
 		KeyTag:      k.KeyTag,
 		SignerName:  k.Zone,
 	}
-	data := signedData(&sig, name, class, rrs)
+	data := signedData(&sig, name, class, rdatas)
 	sig.Signature = ed25519.Sign(k.private, data)
 	return sig
 }
 
-// Verify checks an RRSIG over an RRset against a public key.
-func Verify(pub ed25519.PublicKey, sig *dnswire.RRSIG, name string, class dnswire.Class, rrs []dnswire.ResourceRecord) bool {
+// Verify checks an RRSIG over the RRset of name whose records of the
+// covered type carry the given RDATA against a public key.
+func Verify(pub ed25519.PublicKey, sig *dnswire.RRSIG, name string, class dnswire.Class, rdatas [][]byte) bool {
 	if sig.Algorithm != dnswire.AlgoEd25519 || len(sig.Signature) != ed25519.SignatureSize {
 		return false
 	}
 	if len(pub) != ed25519.PublicKeySize {
 		return false
 	}
-	data := signedData(sig, name, class, rrs)
+	data := signedData(sig, name, class, rdatas)
 	return ed25519.Verify(pub, data, sig.Signature)
 }
 
-// SplitAnswer separates a response's answer section into the data RRset
-// and its signatures.
-func SplitAnswer(m *dnswire.Message) (rrs []dnswire.ResourceRecord, sigs []dnswire.RRSIG) {
-	for _, rr := range m.Answers {
-		if s, ok := rr.Data.(dnswire.RRSIG); ok {
-			sigs = append(sigs, s)
-			continue
-		}
-		rrs = append(rrs, rr)
-	}
-	return rrs, sigs
-}
-
-// ValidateResponse reports whether a response carries a correctly signed
-// answer RRset under the given zone key. Each signature is checked
-// against the records of exactly the type it covers.
-func ValidateResponse(pub ed25519.PublicKey, m *dnswire.Message) bool {
-	rrs, sigs := SplitAnswer(m)
-	if len(rrs) == 0 || len(sigs) == 0 {
+// ValidateResponse reports whether the response msg carries a correctly
+// signed answer RRset under the given zone key, read from the wire: a
+// message View.Validate refuses carries none. Each RRSIG answer is
+// checked against the RDATA of the answer records of exactly the type it
+// covers, as the RRset of the question name.
+func ValidateResponse(pub ed25519.PublicKey, msg []byte) bool {
+	v := dnswire.GetView()
+	defer dnswire.PutView(v)
+	if v.Reset(msg) != nil || v.Validate() != nil {
 		return false
 	}
-	name := m.Question().Name
-	for i := range sigs {
-		var covered []dnswire.ResourceRecord
-		for _, rr := range rrs {
-			if rr.Type() == sigs[i].TypeCovered {
-				covered = append(covered, rr)
-			}
+	var sigs, rrs []dnswire.Record
+	//lint:allow errdrop Validate accepted the message, so every section walks
+	_ = v.Records(dnswire.SectionAnswer, func(rr dnswire.Record) {
+		if rr.Type == dnswire.TypeRRSIG {
+			sigs = append(sigs, rr)
+		} else {
+			rrs = append(rrs, rr)
 		}
-		if len(covered) == 0 {
+	})
+	name := string(v.QName())
+	for _, s := range sigs {
+		d, err := v.RData(s)
+		if err != nil {
 			continue
 		}
-		if Verify(pub, &sigs[i], name, dnswire.ClassIN, covered) {
+		sig := d.(dnswire.RRSIG)
+		var covered [][]byte
+		for _, rr := range rrs {
+			if rr.Type == sig.TypeCovered {
+				covered = append(covered, rr.Data)
+			}
+		}
+		if len(covered) > 0 && Verify(pub, &sig, name, dnswire.ClassIN, covered) {
 			return true
 		}
 	}

@@ -1,6 +1,8 @@
 package dnssec
 
 import (
+	"bytes"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 
@@ -8,21 +10,19 @@ import (
 	"goingwild/internal/lfsr"
 )
 
-func rrsetOf(name string, addrs ...uint32) []dnswire.ResourceRecord {
-	var out []dnswire.ResourceRecord
+// rrsetOf returns the RDATA of an A RRset.
+func rrsetOf(addrs ...uint32) [][]byte {
+	var out [][]byte
 	for _, a := range addrs {
-		out = append(out, dnswire.ResourceRecord{
-			Name: name, Class: dnswire.ClassIN, TTL: 300,
-			Data: dnswire.A{Addr: lfsr.U32ToAddr(a)},
-		})
+		out = append(out, binary.BigEndian.AppendUint32(nil, a))
 	}
 	return out
 }
 
 func TestSignVerifyRoundTrip(t *testing.T) {
 	key := NewZoneKey("wikileaks.org", 7)
-	rrs := rrsetOf("wikileaks.org", 0x01020304, 0x05060708)
-	sig := key.Sign("wikileaks.org", dnswire.ClassIN, 300, rrs)
+	rrs := rrsetOf(0x01020304, 0x05060708)
+	sig := key.Sign("wikileaks.org", dnswire.ClassIN, 300, dnswire.TypeA, rrs)
 	if !Verify(key.Public, &sig, "wikileaks.org", dnswire.ClassIN, rrs) {
 		t.Fatal("valid signature rejected")
 	}
@@ -30,9 +30,9 @@ func TestSignVerifyRoundTrip(t *testing.T) {
 
 func TestVerifyRejectsTamperedRRset(t *testing.T) {
 	key := NewZoneKey("paypal.com", 7)
-	rrs := rrsetOf("paypal.com", 0x01020304)
-	sig := key.Sign("paypal.com", dnswire.ClassIN, 300, rrs)
-	forged := rrsetOf("paypal.com", 0x0A0B0C0D)
+	rrs := rrsetOf(0x01020304)
+	sig := key.Sign("paypal.com", dnswire.ClassIN, 300, dnswire.TypeA, rrs)
+	forged := rrsetOf(0x0A0B0C0D)
 	if Verify(key.Public, &sig, "paypal.com", dnswire.ClassIN, forged) {
 		t.Fatal("signature covered a forged RRset")
 	}
@@ -41,8 +41,8 @@ func TestVerifyRejectsTamperedRRset(t *testing.T) {
 func TestVerifyRejectsWrongKey(t *testing.T) {
 	key := NewZoneKey("a.example", 7)
 	other := NewZoneKey("b.example", 7)
-	rrs := rrsetOf("a.example", 1)
-	sig := key.Sign("a.example", dnswire.ClassIN, 300, rrs)
+	rrs := rrsetOf(1)
+	sig := key.Sign("a.example", dnswire.ClassIN, 300, dnswire.TypeA, rrs)
 	if Verify(other.Public, &sig, "a.example", dnswire.ClassIN, rrs) {
 		t.Fatal("foreign key verified the signature")
 	}
@@ -50,9 +50,9 @@ func TestVerifyRejectsWrongKey(t *testing.T) {
 
 func TestVerifyOrderIndependent(t *testing.T) {
 	key := NewZoneKey("x.example", 9)
-	rrs := rrsetOf("x.example", 3, 1, 2)
-	sig := key.Sign("x.example", dnswire.ClassIN, 300, rrs)
-	shuffled := rrsetOf("x.example", 2, 3, 1)
+	rrs := rrsetOf(3, 1, 2)
+	sig := key.Sign("x.example", dnswire.ClassIN, 300, dnswire.TypeA, rrs)
+	shuffled := rrsetOf(2, 3, 1)
 	if !Verify(key.Public, &sig, "x.example", dnswire.ClassIN, shuffled) {
 		t.Fatal("canonical ordering not applied")
 	}
@@ -60,8 +60,8 @@ func TestVerifyOrderIndependent(t *testing.T) {
 
 func TestVerifyCaseFolded(t *testing.T) {
 	key := NewZoneKey("x.example", 9)
-	rrs := rrsetOf("x.example", 3)
-	sig := key.Sign("x.example", dnswire.ClassIN, 300, rrs)
+	rrs := rrsetOf(3)
+	sig := key.Sign("x.example", dnswire.ClassIN, 300, dnswire.TypeA, rrs)
 	if !Verify(key.Public, &sig, "X.ExAmple", dnswire.ClassIN, rrs) {
 		t.Fatal("0x20-mixed name broke validation")
 	}
@@ -81,23 +81,25 @@ func TestKeyDeterminism(t *testing.T) {
 
 func TestRRSIGWireRoundTrip(t *testing.T) {
 	key := NewZoneKey("wikileaks.org", 7)
-	rrs := rrsetOf("wikileaks.org", 0x01020304)
-	sig := key.Sign("wikileaks.org", dnswire.ClassIN, 300, rrs)
+	rrs := rrsetOf(0x01020304)
+	sig := key.Sign("wikileaks.org", dnswire.ClassIN, 300, dnswire.TypeA, rrs)
 	q := dnswire.NewQuery(1, "wikileaks.org", dnswire.TypeA, dnswire.ClassIN)
 	resp := dnswire.NewResponse(q, dnswire.RCodeNoError)
-	resp.Answers = append(resp.Answers, rrs...)
+	resp.AddAnswer("wikileaks.org", dnswire.ClassIN, 300, dnswire.A{Addr: lfsr.U32ToAddr(0x01020304)})
 	resp.AddAnswer("wikileaks.org", dnswire.ClassIN, 300, sig)
 	resp.AddAnswer("wikileaks.org", dnswire.ClassIN, 3600, key.DNSKEY())
 	wire, err := resp.PackBytes()
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := dnswire.Unpack(wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ValidateResponse(key.Public, got) {
+	if !ValidateResponse(key.Public, wire) {
 		t.Fatal("validation failed after wire round trip")
+	}
+	// One answer address flipped: the signature no longer covers it.
+	forged := bytes.Clone(wire)
+	forged[bytes.Index(forged, []byte{1, 2, 3, 4})] = 9
+	if ValidateResponse(key.Public, forged) {
+		t.Fatal("a forged answer validated")
 	}
 }
 
@@ -106,15 +108,19 @@ func TestValidateResponseRejectsUnsigned(t *testing.T) {
 	q := dnswire.NewQuery(1, "wikileaks.org", dnswire.TypeA, dnswire.ClassIN)
 	resp := dnswire.NewResponse(q, dnswire.RCodeNoError)
 	resp.AddAnswer("wikileaks.org", dnswire.ClassIN, 300, dnswire.A{Addr: lfsr.U32ToAddr(0x7F000001)})
-	if ValidateResponse(key.Public, resp) {
+	wire, err := resp.PackBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ValidateResponse(key.Public, wire) {
 		t.Fatal("unsigned response validated")
 	}
 }
 
 func TestSignatureNotForgeableProperty(t *testing.T) {
 	key := NewZoneKey("gt.example", 11)
-	rrs := rrsetOf("gt.example", 0xC0000201)
-	sig := key.Sign("gt.example", dnswire.ClassIN, 300, rrs)
+	rrs := rrsetOf(0xC0000201)
+	sig := key.Sign("gt.example", dnswire.ClassIN, 300, dnswire.TypeA, rrs)
 	f := func(flip uint16, idx uint8) bool {
 		mut := sig
 		mut.Signature = append([]byte(nil), sig.Signature...)

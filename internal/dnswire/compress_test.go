@@ -331,6 +331,14 @@ func TestAppendQueryMatchesMessageForm(t *testing.T) {
 		if err != nil || !bytes.Equal(got, want) {
 			t.Errorf("AppendQuery(rd=%v) = %x, %v; message form %x", rd, got, err, want)
 		}
+		// The ANY survey's query: the same with an OPT record.
+		q.AddEDNS(4096)
+		if want, err = q.PackBytes(); err != nil {
+			t.Fatal(err)
+		}
+		if got = AppendEDNS(got, 4096); !bytes.Equal(got, want) {
+			t.Errorf("AppendEDNS(rd=%v) = %x; message form %x", rd, got, want)
+		}
 	}
 }
 

@@ -1,9 +1,6 @@
 package dnswire
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "encoding/binary"
 
 // DNSSEC record types (RFC 4034), used by the §5 response-authenticity
 // experiment: can a validating client defeat an in-transit injector that
@@ -31,10 +28,6 @@ func (k DNSKEY) appendTo(buf []byte, _ *Compressor) ([]byte, error) {
 	buf = binary.BigEndian.AppendUint16(buf, k.Flags)
 	buf = append(buf, k.Protocol, k.Algorithm)
 	return append(buf, k.PublicKey...), nil
-}
-
-func (k DNSKEY) String() string {
-	return fmt.Sprintf("%d %d %d %x", k.Flags, k.Protocol, k.Algorithm, k.PublicKey)
 }
 
 // RRSIG is a signature over an RRset (RFC 4034 §3 layout; names inside
@@ -66,50 +59,4 @@ func (s RRSIG) appendTo(buf []byte, _ *Compressor) ([]byte, error) {
 		return buf, err
 	}
 	return append(buf, s.Signature...), nil
-}
-
-func (s RRSIG) String() string {
-	return fmt.Sprintf("%s %d %d %d %s. %x",
-		s.TypeCovered, s.Algorithm, s.Labels, s.OrigTTL, s.SignerName, s.Signature)
-}
-
-// unpackDNSSEC decodes the DNSSEC rdata bodies; wired into unpackRData.
-func unpackDNSSEC(msg []byte, off, length int, typ Type) (RData, error) {
-	body := msg[off : off+length]
-	switch typ {
-	case TypeDNSKEY:
-		if len(body) < 4 {
-			return nil, fmt.Errorf("%w: DNSKEY rdata length %d", ErrBadRData, len(body))
-		}
-		return DNSKEY{
-			Flags:     binary.BigEndian.Uint16(body),
-			Protocol:  body[2],
-			Algorithm: body[3],
-			PublicKey: append([]byte(nil), body[4:]...),
-		}, nil
-	case TypeRRSIG:
-		if len(body) < 18 {
-			return nil, fmt.Errorf("%w: RRSIG rdata length %d", ErrBadRData, len(body))
-		}
-		signer, next, err := unpackName(msg, off+18)
-		if err != nil {
-			return nil, err
-		}
-		if next > off+length {
-			return nil, fmt.Errorf("%w: RRSIG signer overruns rdata", ErrBadRData)
-		}
-		return RRSIG{
-			TypeCovered: Type(binary.BigEndian.Uint16(body)),
-			Algorithm:   body[2],
-			Labels:      body[3],
-			OrigTTL:     binary.BigEndian.Uint32(body[4:]),
-			Expiration:  binary.BigEndian.Uint32(body[8:]),
-			Inception:   binary.BigEndian.Uint32(body[12:]),
-			KeyTag:      binary.BigEndian.Uint16(body[16:]),
-			SignerName:  signer,
-			Signature:   append([]byte(nil), msg[next:off+length]...),
-		}, nil
-	default:
-		return RawRData{RType: typ, Data: append([]byte(nil), body...)}, nil
-	}
 }

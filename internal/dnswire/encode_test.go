@@ -151,25 +151,34 @@ func Test0x20SkipsDigitsAndDots(t *testing.T) {
 
 func TestEDNSHelpers(t *testing.T) {
 	q := NewQuery(1, "chase.com", TypeANY, ClassIN)
-	if _, ok := q.EDNSPayloadSize(); ok {
+	ednsOf := func() (uint16, bool) {
+		t.Helper()
+		wire, err := q.PackBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var v View
+		if err := v.Reset(wire); err != nil {
+			t.Fatal(err)
+		}
+		size, ok, err := v.EDNSPayloadSize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return size, ok
+	}
+	if _, ok := ednsOf(); ok {
 		t.Error("EDNS detected on a plain query")
 	}
 	q.AddEDNS(4096)
-	size, ok := q.EDNSPayloadSize()
-	if !ok || size != 4096 {
-		t.Fatalf("EDNS size = %d/%v", size, ok)
+	if size, ok := ednsOf(); !ok || size != 4096 {
+		t.Errorf("EDNS size = %d/%v", size, ok)
 	}
-	// Survives the wire.
-	wire, err := q.PackBytes()
+	got, err := q.PackBytes()
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Unpack(wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	size, ok = got.EDNSPayloadSize()
-	if !ok || size != 4096 {
-		t.Errorf("EDNS size after round trip = %d/%v", size, ok)
+	if m, err := Unpack(got); err != nil || len(m.Additional) != 1 || m.Additional[0].Type() != TypeOPT || m.Additional[0].Class != 4096 {
+		t.Errorf("OPT record after round trip: %v", err)
 	}
 }

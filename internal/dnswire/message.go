@@ -3,8 +3,6 @@ package dnswire
 import (
 	"encoding/binary"
 	"fmt"
-	"net/netip"
-	"strings"
 )
 
 // Header is the fixed 12-octet DNS message header with its flag bits
@@ -42,11 +40,6 @@ func (rr ResourceRecord) Type() Type {
 		return TypeNone
 	}
 	return rr.Data.Type()
-}
-
-// String renders the record in zone-file style.
-func (rr ResourceRecord) String() string {
-	return fmt.Sprintf("%s. %d %s %s %s", rr.Name, rr.TTL, rr.Class, rr.Type(), rr.Data)
 }
 
 // Message is a complete DNS message.
@@ -91,6 +84,7 @@ func NewResponse(q *Message, rcode RCode) *Message {
 
 // AddEDNS attaches an OPT pseudo-record advertising a UDP payload size
 // (RFC 6891: the OPT record's CLASS field carries the size).
+// Test support: the tests of other packages build EDNS queries with it.
 func (m *Message) AddEDNS(payloadSize uint16) {
 	m.Additional = append(m.Additional, ResourceRecord{
 		Name:  "",
@@ -100,42 +94,10 @@ func (m *Message) AddEDNS(payloadSize uint16) {
 	})
 }
 
-// EDNSPayloadSize returns the advertised EDNS UDP payload size of the
-// message, if it carries an OPT record.
-func (m *Message) EDNSPayloadSize() (uint16, bool) {
-	for _, rr := range m.Additional {
-		if rr.Type() == TypeOPT {
-			return uint16(rr.Class), true
-		}
-	}
-	return 0, false
-}
-
 // AddAnswer appends an answer record.
 // Test support: the tests of other packages build responses with it.
 func (m *Message) AddAnswer(name string, class Class, ttl uint32, data RData) {
 	m.Answers = append(m.Answers, ResourceRecord{Name: name, Class: class, TTL: ttl, Data: data})
-}
-
-// Question returns the first question, or a zero Question when the section
-// is empty (tolerated because broken responders exist in the wild).
-func (m *Message) Question() Question {
-	if len(m.Questions) == 0 {
-		return Question{}
-	}
-	return m.Questions[0]
-}
-
-// AnswerAddrs extracts all IPv4 addresses from A records in the answer
-// section, the payload the prefilter operates on.
-func (m *Message) AnswerAddrs() []netip.Addr {
-	var addrs []netip.Addr
-	for _, rr := range m.Answers {
-		if a, ok := rr.Data.(A); ok {
-			addrs = append(addrs, a.Addr)
-		}
-	}
-	return addrs
 }
 
 // flag bit positions within the 16-bit flags word.
@@ -245,6 +207,18 @@ func AppendQuery(buf []byte, id uint16, rd bool, name string, typ Type, class Cl
 	buf = binary.BigEndian.AppendUint16(buf, uint16(typ))
 	buf = binary.BigEndian.AppendUint16(buf, uint16(class))
 	return buf, nil
+}
+
+// AppendEDNS appends to query, a message AppendQuery built at the start
+// of its slice, an OPT pseudo-record advertising a UDP payload size
+// (RFC 6891: the OPT record's CLASS field carries the size) and counts it
+// in ARCOUNT: the bytes AddEDNS gives the same query packed.
+func AppendEDNS(query []byte, payloadSize uint16) []byte {
+	binary.BigEndian.PutUint16(query[10:], binary.BigEndian.Uint16(query[10:])+1)
+	query = append(query, 0) // the root owner name
+	query = binary.BigEndian.AppendUint16(query, uint16(TypeOPT))
+	query = binary.BigEndian.AppendUint16(query, payloadSize)
+	return append(query, 0, 0, 0, 0, 0, 0) // TTL and an empty RDATA
 }
 
 // QueryNameWire returns the question name of a query built by AppendQuery
@@ -367,119 +341,54 @@ func (q *CensusQuery) Append(buf []byte, u uint32) []byte {
 	return buf
 }
 
-// Unpack decodes a wire-format message. It is tolerant of trailing
-// garbage after the final section (observed from broken CPE resolvers) but
-// strict about structural validity inside the declared sections.
+// Unpack decodes a wire-format message into a Message tree: a View's
+// Validate decides whether it is accepted (and with which error it is
+// not), and the tree is built from the View's record walk. Only tests and
+// the benchmark's decode replay build trees; production code reads every
+// datagram through a View.
 func Unpack(msg []byte) (*Message, error) {
-	m := new(Message)
-	if err := UnpackInto(msg, m); err != nil {
+	m := new(Message) // inlined: a caller that drops the tree keeps it on the stack
+	if err := unpackInto(msg, m); err != nil {
 		return nil, err
 	}
 	return m, nil
 }
 
-// UnpackInto is Unpack decoding into a caller-owned (typically pooled)
-// Message: section slices are truncated and their capacity reused, so a
-// message of steady shape settles to near-zero slice allocations. All
-// sections are parsed. On error m is left partially filled.
-func UnpackInto(msg []byte, m *Message) error {
-	if len(msg) < 12 {
-		return ErrShortMessage
+func unpackInto(msg []byte, m *Message) error {
+	v := GetView() // pooled: its name buffer is grown already
+	defer PutView(v)
+	//lint:allow errdrop Validate re-applies every check of Reset and returns the first fault in wire order
+	_ = v.Reset(msg)
+	if err := v.Validate(); err != nil {
+		return err
 	}
-	flags := binary.BigEndian.Uint16(msg[2:])
 	m.Header = Header{
-		ID:     binary.BigEndian.Uint16(msg[0:]),
-		QR:     flags&flagQR != 0,
-		Opcode: Opcode(flags >> 11 & 0xF),
-		AA:     flags&flagAA != 0,
-		TC:     flags&flagTC != 0,
-		RD:     flags&flagRD != 0,
-		RA:     flags&flagRA != 0,
-		RCode:  RCode(flags & 0xF),
-	}
-	m.Questions = m.Questions[:0]
-	m.Answers = m.Answers[:0]
-	m.Authority = m.Authority[:0]
-	m.Additional = m.Additional[:0]
-	qd := int(binary.BigEndian.Uint16(msg[4:]))
-	an := int(binary.BigEndian.Uint16(msg[6:]))
-	ns := int(binary.BigEndian.Uint16(msg[8:]))
-	ar := int(binary.BigEndian.Uint16(msg[10:]))
-	// Each question needs ≥5 bytes, each record ≥11; reject counts that
-	// cannot fit, a cheap defense against malicious count inflation.
-	if qd*5+an*11+ns*11+ar*11 > len(msg)-12 {
-		return ErrTooManyRecords
+		ID:     v.id,
+		QR:     v.flags&flagQR != 0,
+		Opcode: Opcode(v.flags >> 11 & 0xF),
+		AA:     v.flags&flagAA != 0,
+		TC:     v.flags&flagTC != 0,
+		RD:     v.flags&flagRD != 0,
+		RA:     v.flags&flagRA != 0,
+		RCode:  RCode(v.flags & 0xF),
 	}
 	off := 12
-	var err error
-	for i := 0; i < qd; i++ {
+	for i := 0; i < v.counts[0]; i++ {
 		var q Question
-		q.Name, off, err = unpackName(msg, off)
-		if err != nil {
-			return err
-		}
-		if off+4 > len(msg) {
-			return ErrShortMessage
-		}
+		q.Name, off = nameAt(msg, off)
 		q.Type = Type(binary.BigEndian.Uint16(msg[off:]))
 		q.Class = Class(binary.BigEndian.Uint16(msg[off+2:]))
 		off += 4
 		m.Questions = append(m.Questions, q)
 	}
-	unpackSection := func(rrs []ResourceRecord, n int) ([]ResourceRecord, error) {
-		for i := 0; i < n; i++ {
-			var rr ResourceRecord
-			rr.Name, off, err = unpackName(msg, off)
-			if err != nil {
-				return rrs, err
-			}
-			if off+10 > len(msg) {
-				return rrs, ErrShortMessage
-			}
-			typ := Type(binary.BigEndian.Uint16(msg[off:]))
-			rr.Class = Class(binary.BigEndian.Uint16(msg[off+2:]))
-			rr.TTL = binary.BigEndian.Uint32(msg[off+4:])
-			rdlen := int(binary.BigEndian.Uint16(msg[off+8:]))
-			off += 10
-			if off+rdlen > len(msg) {
-				return rrs, ErrShortMessage
-			}
-			rr.Data, err = unpackRData(msg, off, rdlen, typ)
-			if err != nil {
-				return rrs, err
-			}
-			off += rdlen
-			rrs = append(rrs, rr)
+	for i, rrs := range [...]*[]ResourceRecord{&m.Answers, &m.Authority, &m.Additional} {
+		err := v.Records(SectionAnswer+i, func(rr Record) {
+			name, _ := nameAt(msg, rr.owner)
+			*rrs = append(*rrs, ResourceRecord{Name: name, Class: rr.Class, TTL: rr.TTL, Data: rdataOf(msg, rr)})
+		})
+		if err != nil {
+			return err
 		}
-		return rrs, nil
-	}
-	if m.Answers, err = unpackSection(m.Answers, an); err != nil {
-		return err
-	}
-	if m.Authority, err = unpackSection(m.Authority, ns); err != nil {
-		return err
-	}
-	if m.Additional, err = unpackSection(m.Additional, ar); err != nil {
-		return err
 	}
 	return nil
-}
-
-// String renders the message in dig-like presentation form, for debugging
-// and example output.
-func (m *Message) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, ";; id %d %s %s qr=%v aa=%v tc=%v rd=%v ra=%v\n",
-		m.Header.ID, m.Header.Opcode, m.Header.RCode,
-		m.Header.QR, m.Header.AA, m.Header.TC, m.Header.RD, m.Header.RA)
-	for _, q := range m.Questions {
-		fmt.Fprintf(&sb, ";; question: %s. %s %s\n", q.Name, q.Class, q.Type)
-	}
-	for _, rr := range m.Answers {
-		fmt.Fprintf(&sb, "%s\n", rr)
-	}
-	for _, rr := range m.Authority {
-		fmt.Fprintf(&sb, ";; authority: %s\n", rr)
-	}
-	return sb.String()
 }

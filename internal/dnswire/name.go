@@ -186,19 +186,24 @@ func appendLabels(buf []byte, name string, cmp *Compressor) ([]byte, error) {
 	}
 }
 
-// unpackName decodes a possibly compressed name starting at off in msg.
-// It returns the decoded name (no trailing dot, original case preserved)
-// and the offset of the first byte after the name's direct encoding.
-func unpackName(msg []byte, off int) (string, int, error) {
-	// Decode into a stack buffer and convert once: one allocation per
-	// name instead of one per strings.Builder growth. The buffer never
-	// reallocates because appendNameBytes enforces maxNameWire.
+// nameEnd checks the name at off in msg under appendNameBytes's rules,
+// decoding it into stack scratch, and returns the offset after its direct
+// encoding: Validate's name rule, with no allocation.
+func nameEnd(msg []byte, off int) (int, error) {
 	var scratch [maxNameWire]byte
-	b, end, err := appendNameBytes(scratch[:0], msg, off)
-	if err != nil {
-		return "", 0, err
-	}
-	return string(b), end, nil
+	_, end, err := appendNameBytes(scratch[:0], msg, off)
+	return end, err
+}
+
+// nameAt decodes the name at off of a message Validate accepted (dotted,
+// original case, no trailing dot) and returns the offset after its direct
+// encoding. The buffer never reallocates because appendNameBytes enforces
+// maxNameWire, so the name costs one allocation.
+func nameAt(msg []byte, off int) (string, int) {
+	var scratch [maxNameWire]byte
+	//lint:allow errdrop Validate accepted every name of the message
+	b, end, _ := appendNameBytes(scratch[:0], msg, off)
+	return string(b), end
 }
 
 // EqualNamesFold reports whether two domain names are equal under DNS case

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
-	"strings"
 )
 
 // ErrBadRData reports a malformed RDATA section.
@@ -18,8 +17,6 @@ type RData interface {
 	// appendTo appends the wire form of the body to buf. cmp is the
 	// message-wide Compressor (nil disables compression).
 	appendTo(buf []byte, cmp *Compressor) ([]byte, error)
-	// String renders the body in zone-file style presentation format.
-	String() string
 }
 
 // A is an IPv4 address record body.
@@ -36,8 +33,6 @@ func (a A) appendTo(buf []byte, _ *Compressor) ([]byte, error) {
 	return append(buf, b[:]...), nil
 }
 
-func (a A) String() string { return a.Addr.String() }
-
 // AAAA is an IPv6 address record body.
 type AAAA struct{ Addr netip.Addr }
 
@@ -52,8 +47,6 @@ func (a AAAA) appendTo(buf []byte, _ *Compressor) ([]byte, error) {
 	return append(buf, b[:]...), nil
 }
 
-func (a AAAA) String() string { return a.Addr.String() }
-
 // NS is a name server record body.
 type NS struct{ Host string }
 
@@ -63,8 +56,6 @@ func (NS) Type() Type { return TypeNS }
 func (n NS) appendTo(buf []byte, cmp *Compressor) ([]byte, error) {
 	return appendName(buf, n.Host, cmp)
 }
-
-func (n NS) String() string { return n.Host + "." }
 
 // CNAME is a canonical name record body.
 type CNAME struct{ Target string }
@@ -76,8 +67,6 @@ func (c CNAME) appendTo(buf []byte, cmp *Compressor) ([]byte, error) {
 	return appendName(buf, c.Target, cmp)
 }
 
-func (c CNAME) String() string { return c.Target + "." }
-
 // PTR is a pointer record body (rDNS).
 type PTR struct{ Target string }
 
@@ -87,8 +76,6 @@ func (PTR) Type() Type { return TypePTR }
 func (p PTR) appendTo(buf []byte, cmp *Compressor) ([]byte, error) {
 	return appendName(buf, p.Target, cmp)
 }
-
-func (p PTR) String() string { return p.Target + "." }
 
 // MX is a mail exchanger record body.
 type MX struct {
@@ -103,8 +90,6 @@ func (m MX) appendTo(buf []byte, cmp *Compressor) ([]byte, error) {
 	buf = binary.BigEndian.AppendUint16(buf, m.Preference)
 	return appendName(buf, m.Host, cmp)
 }
-
-func (m MX) String() string { return fmt.Sprintf("%d %s.", m.Preference, m.Host) }
 
 // SOA is a start-of-authority record body.
 type SOA struct {
@@ -136,11 +121,6 @@ func (s SOA) appendTo(buf []byte, cmp *Compressor) ([]byte, error) {
 	return buf, nil
 }
 
-func (s SOA) String() string {
-	return fmt.Sprintf("%s. %s. %d %d %d %d %d",
-		s.MName, s.RName, s.Serial, s.Refresh, s.Retry, s.Expire, s.Minimum)
-}
-
 // TXT is a text record body. CHAOS version.bind responses use a TXT record
 // in class CH; each string is at most 255 octets on the wire.
 type TXT struct{ Strings []string }
@@ -165,14 +145,6 @@ func (t TXT) appendTo(buf []byte, _ *Compressor) ([]byte, error) {
 	return buf, nil
 }
 
-func (t TXT) String() string {
-	quoted := make([]string, len(t.Strings))
-	for i, s := range t.Strings {
-		quoted[i] = fmt.Sprintf("%q", s)
-	}
-	return strings.Join(quoted, " ")
-}
-
 // OPT is a pseudo-record body (EDNS0, RFC 6891). Only the payload size in
 // the class field matters for the scanners; options are carried opaquely.
 type OPT struct{ Options []byte }
@@ -183,8 +155,6 @@ func (OPT) Type() Type { return TypeOPT }
 func (o OPT) appendTo(buf []byte, _ *Compressor) ([]byte, error) {
 	return append(buf, o.Options...), nil
 }
-
-func (o OPT) String() string { return fmt.Sprintf("OPT %d bytes", len(o.Options)) }
 
 // RawRData carries the undecoded body of a record type the codec does not
 // model. Unknown types are preserved byte-for-byte so that scans tolerate
@@ -201,67 +171,94 @@ func (r RawRData) appendTo(buf []byte, _ *Compressor) ([]byte, error) {
 	return append(buf, r.Data...), nil
 }
 
-func (r RawRData) String() string { return fmt.Sprintf("\\# %d %x", len(r.Data), r.Data) }
-
-// unpackRData decodes the body of a record of the given type from
-// msg[off:off+length]. The full message is supplied so compressed names
-// inside RDATA resolve.
-func unpackRData(msg []byte, off, length int, typ Type) (RData, error) {
-	if off+length > len(msg) {
-		return nil, ErrTruncatedName
-	}
-	body := msg[off : off+length]
-	switch typ {
+// checkRData applies Validate's typed RDATA rule to rr, a record of msg:
+// A is 4 octets, AAAA 16, MX ≥ 3, DNSKEY ≥ 4 and RRSIG ≥ 18; TXT strings
+// end inside the RDATA; a name inside the body decodes (followed where it
+// leads, as RFC 1035 decoders do; only SOA's 20 fixed octets and RRSIG's
+// signer must end inside the RDATA). Types the codec does not model are
+// not interpreted.
+func checkRData(msg []byte, rr Record) error {
+	body, off := rr.Data, rr.data
+	var err error
+	switch rr.Type {
 	case TypeA:
 		if len(body) != 4 {
-			return nil, fmt.Errorf("%w: A rdata length %d", ErrBadRData, len(body))
+			return fmt.Errorf("%w: A rdata length %d", ErrBadRData, len(body))
 		}
-		return A{Addr: netip.AddrFrom4([4]byte(body))}, nil
 	case TypeAAAA:
 		if len(body) != 16 {
-			return nil, fmt.Errorf("%w: AAAA rdata length %d", ErrBadRData, len(body))
+			return fmt.Errorf("%w: AAAA rdata length %d", ErrBadRData, len(body))
 		}
-		return AAAA{Addr: netip.AddrFrom16([16]byte(body))}, nil
-	case TypeNS:
-		name, _, err := unpackName(msg, off)
-		if err != nil {
-			return nil, err
-		}
-		return NS{Host: name}, nil
-	case TypeCNAME:
-		name, _, err := unpackName(msg, off)
-		if err != nil {
-			return nil, err
-		}
-		return CNAME{Target: name}, nil
-	case TypePTR:
-		name, _, err := unpackName(msg, off)
-		if err != nil {
-			return nil, err
-		}
-		return PTR{Target: name}, nil
+	case TypeNS, TypeCNAME, TypePTR:
+		_, err = nameEnd(msg, off)
 	case TypeMX:
 		if len(body) < 3 {
-			return nil, fmt.Errorf("%w: MX rdata length %d", ErrBadRData, len(body))
+			return fmt.Errorf("%w: MX rdata length %d", ErrBadRData, len(body))
 		}
-		pref := binary.BigEndian.Uint16(body)
-		name, _, err := unpackName(msg, off+2)
-		if err != nil {
-			return nil, err
-		}
-		return MX{Preference: pref, Host: name}, nil
+		_, err = nameEnd(msg, off+2)
 	case TypeSOA:
-		mname, next, err := unpackName(msg, off)
+		next, err := nameEnd(msg, off)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		rname, next, err := unpackName(msg, next)
+		if next, err = nameEnd(msg, next); err != nil {
+			return err
+		}
+		if next+20 > off+len(body) {
+			return fmt.Errorf("%w: SOA fixed fields truncated", ErrBadRData)
+		}
+	case TypeTXT:
+		for i := 0; i < len(body); {
+			n := int(body[i])
+			i++
+			if i+n > len(body) {
+				return fmt.Errorf("%w: TXT string overruns rdata", ErrBadRData)
+			}
+			i += n
+		}
+	case TypeDNSKEY:
+		if len(body) < 4 {
+			return fmt.Errorf("%w: DNSKEY rdata length %d", ErrBadRData, len(body))
+		}
+	case TypeRRSIG:
+		if len(body) < 18 {
+			return fmt.Errorf("%w: RRSIG rdata length %d", ErrBadRData, len(body))
+		}
+		next, err := nameEnd(msg, off+18)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if next+20 > off+length {
-			return nil, fmt.Errorf("%w: SOA fixed fields truncated", ErrBadRData)
+		if next > off+len(body) {
+			return fmt.Errorf("%w: RRSIG signer overruns rdata", ErrBadRData)
 		}
+	}
+	return err
+}
+
+// rdataOf decodes the typed body of rr, a record of msg that Validate
+// accepted: the checks are checkRData's, so none is repeated here.
+func rdataOf(msg []byte, rr Record) RData {
+	body, off := rr.Data, rr.data
+	switch rr.Type {
+	case TypeA:
+		return A{Addr: netip.AddrFrom4([4]byte(body))}
+	case TypeAAAA:
+		return AAAA{Addr: netip.AddrFrom16([16]byte(body))}
+	case TypeNS:
+		host, _ := nameAt(msg, off)
+		return NS{Host: host}
+	case TypeCNAME:
+		target, _ := nameAt(msg, off)
+		return CNAME{Target: target}
+	case TypePTR:
+		target, _ := nameAt(msg, off)
+		return PTR{Target: target}
+	case TypeMX:
+		host, _ := nameAt(msg, off+2)
+		return MX{Preference: binary.BigEndian.Uint16(body), Host: host}
+	case TypeSOA:
+		mname, next := nameAt(msg, off)
+		rname, next := nameAt(msg, next)
 		f := msg[next:]
 		return SOA{
 			MName:   mname,
@@ -271,24 +268,38 @@ func unpackRData(msg []byte, off, length int, typ Type) (RData, error) {
 			Retry:   binary.BigEndian.Uint32(f[8:]),
 			Expire:  binary.BigEndian.Uint32(f[12:]),
 			Minimum: binary.BigEndian.Uint32(f[16:]),
-		}, nil
+		}
 	case TypeTXT:
 		var strs []string
 		for i := 0; i < len(body); {
 			n := int(body[i])
-			i++
-			if i+n > len(body) {
-				return nil, fmt.Errorf("%w: TXT string overruns rdata", ErrBadRData)
-			}
-			strs = append(strs, string(body[i:i+n]))
-			i += n
+			strs = append(strs, string(body[i+1:i+1+n]))
+			i += 1 + n
 		}
-		return TXT{Strings: strs}, nil
+		return TXT{Strings: strs}
 	case TypeOPT:
-		return OPT{Options: append([]byte(nil), body...)}, nil
-	case TypeDNSKEY, TypeRRSIG:
-		return unpackDNSSEC(msg, off, length, typ)
+		return OPT{Options: append([]byte(nil), body...)}
+	case TypeDNSKEY:
+		return DNSKEY{
+			Flags:     binary.BigEndian.Uint16(body),
+			Protocol:  body[2],
+			Algorithm: body[3],
+			PublicKey: append([]byte(nil), body[4:]...),
+		}
+	case TypeRRSIG:
+		signer, next := nameAt(msg, off+18)
+		return RRSIG{
+			TypeCovered: Type(binary.BigEndian.Uint16(body)),
+			Algorithm:   body[2],
+			Labels:      body[3],
+			OrigTTL:     binary.BigEndian.Uint32(body[4:]),
+			Expiration:  binary.BigEndian.Uint32(body[8:]),
+			Inception:   binary.BigEndian.Uint32(body[12:]),
+			KeyTag:      binary.BigEndian.Uint16(body[16:]),
+			SignerName:  signer,
+			Signature:   append([]byte(nil), msg[next:off+len(body)]...),
+		}
 	default:
-		return RawRData{RType: typ, Data: append([]byte(nil), body...)}, nil
+		return RawRData{RType: rr.Type, Data: append([]byte(nil), body...)}
 	}
 }

@@ -43,16 +43,12 @@ func (v *View) Reset(msg []byte) error {
 	}
 	v.id = binary.BigEndian.Uint16(msg[0:])
 	v.flags = binary.BigEndian.Uint16(msg[2:])
-	for i := range v.counts {
-		v.counts[i] = int(binary.BigEndian.Uint16(msg[4+2*i:]))
-	}
-	qd, an, ns, ar := v.counts[0], v.counts[1], v.counts[2], v.counts[3]
-	if qd*5+an*11+ns*11+ar*11 > len(msg)-12 {
-		return ErrTooManyRecords
+	var err error
+	if v.counts, err = sectionCounts(msg); err != nil {
+		return err
 	}
 	off := 12
-	var err error
-	for i := 0; i < qd; i++ {
+	for i := 0; i < v.counts[0]; i++ {
 		if i == 0 {
 			v.name, off, err = appendNameBytes(v.name[:0], msg, off)
 		} else {
@@ -72,6 +68,50 @@ func (v *View) Reset(msg []byte) error {
 	}
 	v.ansOff = off
 	return nil
+}
+
+// sectionCounts reads the header's four section counts of msg, at least
+// 12 octets long, and rejects counts that cannot fit the message: each
+// question needs ≥5 octets and each record ≥11, a cheap defense against
+// malicious count inflation.
+func sectionCounts(msg []byte) (c [4]int, err error) {
+	for i := range c {
+		c[i] = int(binary.BigEndian.Uint16(msg[4+2*i:]))
+	}
+	if c[0]*5+(c[1]+c[2]+c[3])*11 > len(msg)-12 {
+		return c, ErrTooManyRecords
+	}
+	return c, nil
+}
+
+// Validate applies the full decoder's acceptance rule to the message
+// Reset was last given: every question name, owner name and RDATA name
+// decodes under appendNameBytes's rules, and every modelled RDATA passes
+// checkRData; bytes after the last record are tolerated. It returns the
+// first fault in wire order whether or not Reset accepted the message, so
+// its error is Unpack's. Reset alone is the looser rule of the sweep,
+// domain, CHAOS, alive and snoop receivers; every other reader applies both.
+func (v *View) Validate() error {
+	msg := v.msg
+	if len(msg) < 12 {
+		return ErrShortMessage
+	}
+	c, err := sectionCounts(msg)
+	if err != nil {
+		return err
+	}
+	off := 12
+	for i := 0; i < c[0]; i++ {
+		if off, err = nameEnd(msg, off); err != nil {
+			return err
+		}
+		if off+4 > len(msg) {
+			return ErrShortMessage
+		}
+		off += 4
+	}
+	_, err = v.walk(off, c[1]+c[2]+c[3], true, nil)
+	return err
 }
 
 // ID returns the transaction ID.
@@ -146,30 +186,112 @@ func (v *View) QType() Type { return v.qtype }
 //lint:hotpath pooled-view accessor on the receive path
 func (v *View) QClass() Class { return v.qclass }
 
-// walk visits count records starting at off, calling fn with each record's
-// fixed fields and RDATA window. It returns the offset after the last
-// record. A nil fn skips the records (used to seek past a section).
-func (v *View) walk(off, count int, fn func(typ Type, class Class, ttl uint32, rdOff, rdLen int)) (int, error) {
+// Record sections, numbered as the header counts them (0 is the
+// question section).
+const (
+	SectionAnswer = 1 + iota
+	SectionAuthority
+	SectionAdditional
+)
+
+// Record is one resource record of the message a View holds: its type,
+// class and TTL, and its RDATA, which aliases the message and is valid
+// until the View's next Reset.
+type Record struct {
+	Type  Type
+	Class Class
+	TTL   uint32
+	Data  []byte
+	// owner and data are the offsets in the message of the owner name
+	// and of Data, where a decoder starts reading the names they hold.
+	owner, data int
+}
+
+// Records calls fn with every record of one record section
+// (SectionAnswer, SectionAuthority or SectionAdditional), in wire order.
+// It returns the error of the first record on the way that does not
+// walk, the sections before this one included; a message Validate
+// accepted walks whole.
+func (v *View) Records(section int, fn func(rr Record)) error {
+	skip := 0
+	for sec := SectionAnswer; sec < section; sec++ {
+		skip += v.counts[sec]
+	}
+	off, err := v.walk(v.ansOff, skip, false, nil)
+	if err != nil {
+		return err
+	}
+	_, err = v.walk(off, v.counts[section], false, fn)
+	return err
+}
+
+// RData decodes the typed body of rr, a record of v's walk since its last
+// Reset, under Validate's RDATA rule: the form the readers of PTR,
+// DNSKEY and RRSIG answers take, where a name inside the RDATA may point
+// anywhere before it.
+func (v *View) RData(rr Record) (RData, error) {
+	if err := checkRData(v.msg, rr); err != nil {
+		return nil, err
+	}
+	return rdataOf(v.msg, rr), nil
+}
+
+// FirstAnswer decodes the body of the first answer record of type typ
+// that passes Validate's RDATA rule: how the PTR and DNSKEY lookups read
+// their answer. ok is false when there is none.
+func (v *View) FirstAnswer(typ Type) (d RData, ok bool) {
+	//lint:allow errdrop a malformed answer section holds no further record
+	_ = v.Records(SectionAnswer, func(rr Record) {
+		if rr.Type == typ && !ok {
+			if body, err := v.RData(rr); err == nil {
+				d, ok = body, true
+			}
+		}
+	})
+	return d, ok
+}
+
+// walk visits count records starting at off, calling fn (nil skips the
+// records, to seek past a section) with each. It returns the offset after
+// the last record. strict applies Validate's rule to each record: its
+// owner name decodes under appendNameBytes's rules and its RDATA passes
+// checkRData. Otherwise owner names are only skipped and RDATA is not
+// interpreted, so a record Unpack would refuse still walks.
+func (v *View) walk(off, count int, strict bool, fn func(rr Record)) (int, error) {
 	msg := v.msg
 	var err error
 	for i := 0; i < count; i++ {
-		off, err = skipName(msg, off)
+		owner := off
+		if strict {
+			off, err = nameEnd(msg, off)
+		} else {
+			off, err = skipName(msg, off)
+		}
 		if err != nil {
 			return off, err
 		}
 		if off+10 > len(msg) {
 			return off, ErrShortMessage
 		}
-		typ := Type(binary.BigEndian.Uint16(msg[off:]))
-		class := Class(binary.BigEndian.Uint16(msg[off+2:]))
-		ttl := binary.BigEndian.Uint32(msg[off+4:])
+		rr := Record{
+			Type:  Type(binary.BigEndian.Uint16(msg[off:])),
+			Class: Class(binary.BigEndian.Uint16(msg[off+2:])),
+			TTL:   binary.BigEndian.Uint32(msg[off+4:]),
+			owner: owner,
+		}
 		rdlen := int(binary.BigEndian.Uint16(msg[off+8:]))
 		off += 10
 		if off+rdlen > len(msg) {
 			return off, ErrShortMessage
 		}
+		rr.Data, rr.data = msg[off:off+rdlen], off
+		if strict {
+			if err := checkRData(msg, rr); err != nil {
+				return off, err
+			}
+		}
 		if fn != nil {
-			fn(typ, class, ttl, off, rdlen)
+			fn(rr)
 		}
 		off += rdlen
 	}
@@ -178,8 +300,7 @@ func (v *View) walk(off, count int, fn func(typ Type, class Class, ttl uint32, r
 
 // EDNSPayloadSize walks the three record sections to their end and
 // returns the UDP payload size the first OPT record of the additional
-// section advertises in its CLASS field (RFC 6891) — what
-// Message.EDNSPayloadSize reads off a full unpack. err reports a section
+// section advertises in its CLASS field (RFC 6891). err reports a section
 // that does not walk: an owner name or an RDLENGTH running past the
 // message. RDATA is not interpreted, so a record Unpack would reject for
 // its body alone still walks.
@@ -187,13 +308,9 @@ func (v *View) EDNSPayloadSize() (size uint16, ok bool, err error) {
 	if v.counts[1]|v.counts[2]|v.counts[3] == 0 {
 		return 0, false, nil // the shape of every scan probe
 	}
-	off, err := v.walk(v.ansOff, v.counts[1]+v.counts[2], nil)
-	if err != nil {
-		return 0, false, err
-	}
-	_, err = v.walk(off, v.counts[3], func(typ Type, class Class, _ uint32, _, _ int) {
-		if typ == TypeOPT && !ok {
-			size, ok = uint16(class), true
+	err = v.Records(SectionAdditional, func(rr Record) {
+		if rr.Type == TypeOPT && !ok {
+			size, ok = uint16(rr.Class), true
 		}
 	})
 	return size, ok, err
@@ -201,13 +318,13 @@ func (v *View) EDNSPayloadSize() (size uint16, ok bool, err error) {
 
 // HasAnswerA reports whether the answer section carries at least one A
 // record — the sweep receiver's "Answered" bit. The class is deliberately
-// not checked, mirroring Message.AnswerAddrs. Malformed record sections
+// not checked. Malformed record sections
 // read as unanswered; the header and question already validated.
 func (v *View) HasAnswerA() bool {
 	found := false
 	//lint:allow errdrop malformed answer sections read as unanswered by design
-	_, _ = v.walk(v.ansOff, v.counts[1], func(typ Type, _ Class, _ uint32, _, rdLen int) {
-		if typ == TypeA && rdLen == 4 {
+	_, _ = v.walk(v.ansOff, v.counts[1], false, func(rr Record) {
+		if rr.Type == TypeA && len(rr.Data) == 4 {
 			found = true
 		}
 	})
@@ -219,9 +336,9 @@ func (v *View) HasAnswerA() bool {
 // extended slice. With no A answers and a nil dst it allocates nothing.
 func (v *View) AppendAnswerA(dst []uint32) []uint32 {
 	//lint:allow errdrop malformed answer sections contribute no addresses by design
-	_, _ = v.walk(v.ansOff, v.counts[1], func(typ Type, _ Class, _ uint32, rdOff, rdLen int) {
-		if typ == TypeA && rdLen == 4 {
-			dst = append(dst, binary.BigEndian.Uint32(v.msg[rdOff:]))
+	_, _ = v.walk(v.ansOff, v.counts[1], false, func(rr Record) {
+		if rr.Type == TypeA && len(rr.Data) == 4 {
+			dst = append(dst, binary.BigEndian.Uint32(rr.Data))
 		}
 	})
 	return dst
@@ -231,9 +348,9 @@ func (v *View) AppendAnswerA(dst []uint32) []uint32 {
 // what the cache-snooping probe reads off a resolver's cache view.
 func (v *View) FirstAnswerNS() (ttl uint32, ok bool) {
 	//lint:allow errdrop malformed answer sections read as uncached by design
-	_, _ = v.walk(v.ansOff, v.counts[1], func(typ Type, _ Class, t uint32, _, _ int) {
-		if typ == TypeNS && !ok {
-			ttl, ok = t, true
+	_, _ = v.walk(v.ansOff, v.counts[1], false, func(rr Record) {
+		if rr.Type == TypeNS && !ok {
+			ttl, ok = rr.TTL, true
 		}
 	})
 	return ttl, ok
@@ -242,14 +359,10 @@ func (v *View) FirstAnswerNS() (ttl uint32, ok bool) {
 // HasAuthorityNS reports whether the authority section carries an NS
 // record (the NS-only referral shape of §3.4's no-answer responses).
 func (v *View) HasAuthorityNS() bool {
-	off, err := v.walk(v.ansOff, v.counts[1], nil)
-	if err != nil {
-		return false
-	}
 	found := false
-	//lint:allow errdrop malformed authority sections read as empty by design
-	_, _ = v.walk(off, v.counts[2], func(typ Type, _ Class, _ uint32, _, _ int) {
-		if typ == TypeNS {
+	//lint:allow errdrop malformed answer and authority sections read as empty by design
+	_ = v.Records(SectionAuthority, func(rr Record) {
+		if rr.Type == TypeNS {
 			found = true
 		}
 	})
@@ -261,17 +374,17 @@ func (v *View) HasAuthorityNS() bool {
 // version scans use it to read version.bind payloads without a Message.
 func (v *View) AppendAnswerTXT(dst []byte) []byte {
 	//lint:allow errdrop malformed answer sections contribute no text by design
-	_, _ = v.walk(v.ansOff, v.counts[1], func(typ Type, _ Class, _ uint32, rdOff, rdLen int) {
-		if typ != TypeTXT {
+	_, _ = v.walk(v.ansOff, v.counts[1], false, func(rr Record) {
+		if rr.Type != TypeTXT {
 			return
 		}
-		for p := rdOff; p < rdOff+rdLen; {
-			n := int(v.msg[p])
+		for p := 0; p < len(rr.Data); {
+			n := int(rr.Data[p])
 			p++
-			if p+n > rdOff+rdLen {
+			if p+n > len(rr.Data) {
 				return // overrunning character-string: ignore the tail
 			}
-			dst = append(dst, v.msg[p:p+n]...)
+			dst = append(dst, rr.Data[p:p+n]...)
 			p += n
 		}
 	})
@@ -304,10 +417,12 @@ func skipName(msg []byte, off int) (int, error) {
 	}
 }
 
-// appendNameBytes is unpackName writing into a caller-owned byte slice
-// instead of a strings.Builder, so a pooled View re-decodes names with no
-// allocation at steady state. It returns the extended slice and the offset
-// after the name's direct encoding.
+// appendNameBytes decodes the possibly compressed name at off in msg into
+// a caller-owned byte slice (dotted, original case, no trailing dot), so a
+// pooled View re-decodes names with no allocation at steady state. It
+// returns the extended slice and the offset after the name's direct
+// encoding. Its pointer, loop and length checks are the name rule of
+// Reset, Validate and Unpack.
 func appendNameBytes(dst []byte, msg []byte, off int) ([]byte, int, error) {
 	start := len(dst)
 	ptrSeen := 0

@@ -3,6 +3,7 @@ package dnswire
 import (
 	"bytes"
 	"net/netip"
+	"reflect"
 	"testing"
 
 	"goingwild/internal/alloctest"
@@ -53,7 +54,12 @@ func TestViewMatchesUnpack(t *testing.T) {
 	if !v.HasAnswerA() {
 		t.Fatalf("HasAnswerA = false, want true")
 	}
-	wantAddrs := m.AnswerAddrs()
+	var wantAddrs []netip.Addr
+	for _, rr := range m.Answers {
+		if a, ok := rr.Data.(A); ok {
+			wantAddrs = append(wantAddrs, a.Addr)
+		}
+	}
 	gotAddrs := v.AppendAnswerA(nil)
 	if len(gotAddrs) != len(wantAddrs) {
 		t.Fatalf("A answers: got %d want %d", len(gotAddrs), len(wantAddrs))
@@ -212,7 +218,7 @@ func TestDecode0x20BytesMatchesString(t *testing.T) {
 func TestSkipName(t *testing.T) {
 	wire, _ := viewSample(t)
 	// Walk the first question with both implementations.
-	name, off1, err := unpackName(wire, 12)
+	name, off1, err := appendNameBytes(nil, wire, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +227,7 @@ func TestSkipName(t *testing.T) {
 		t.Fatal(err)
 	}
 	if off1 != off2 {
-		t.Fatalf("skipName offset %d, unpackName offset %d (name %q)", off2, off1, name)
+		t.Fatalf("skipName offset %d, appendNameBytes offset %d (name %q)", off2, off1, name)
 	}
 }
 
@@ -245,37 +251,34 @@ func TestAppendTargetQueryMatchesAppendQuery(t *testing.T) {
 	}
 }
 
-func TestUnpackIntoReuse(t *testing.T) {
+// TestUnpackPooledViewReuse: Unpack reads through a pooled View, so a
+// tree must carry nothing of the message the View held before it.
+func TestUnpackPooledViewReuse(t *testing.T) {
 	wire1, _ := viewSample(t)
 	m2 := NewResponse(NewQuery(5, "other.example", TypeA, ClassIN), RCodeNoError)
 	wire2, err := m2.PackBytes()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var m Message
-	if err := UnpackInto(wire1, &m); err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Answers) != 3 || len(m.Additional) != 1 {
-		t.Fatalf("first unpack: %d answers %d additional", len(m.Answers), len(m.Additional))
-	}
-	// Reuse must fully replace the previous contents.
-	if err := UnpackInto(wire2, &m); err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Answers) != 0 || len(m.Additional) != 0 || len(m.Questions) != 1 {
-		t.Fatalf("reused unpack kept stale sections: %d answers", len(m.Answers))
-	}
-	if m.Questions[0].Name != "other.example" || m.Header.ID != 5 {
-		t.Fatalf("reused unpack wrong content: %+v", m.Questions[0])
-	}
-	// And match a fresh Unpack field for field.
-	fresh, err := Unpack(wire2)
+	first, err := Unpack(wire1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Header != fresh.Header {
-		t.Fatalf("header mismatch after reuse")
+	if len(first.Answers) != 3 || len(first.Additional) != 1 {
+		t.Fatalf("first unpack: %d answers %d additional", len(first.Answers), len(first.Additional))
+	}
+	m, err := Unpack(wire2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Answers) != 0 || len(m.Additional) != 0 || len(m.Questions) != 1 {
+		t.Fatalf("second unpack kept stale sections: %d answers", len(m.Answers))
+	}
+	if m.Questions[0].Name != "other.example" || m.Header.ID != 5 {
+		t.Fatalf("second unpack wrong content: %+v", m.Questions[0])
+	}
+	if ref, err := unpackRef(wire2); err != nil || !reflect.DeepEqual(m, ref) {
+		t.Fatalf("second unpack = %+v, reference %+v, %v", m, ref, err)
 	}
 }
 

@@ -89,39 +89,46 @@ func runSession(w *wildnet.World, client uint32, cfg Config) SessionResult {
 		Resolver: w.ClosedResolverOf(client),
 		Country:  w.Geo().LookupU32(client).Country,
 	}
-	ask := func(name string) (*dnswire.Message, bool) {
-		q := dnswire.NewQuery(uint16(prand.Hash(uint64(client), prand.FNV(name))), name, dnswire.TypeA, dnswire.ClassIN)
-		resps := w.HandleClientDNS(client, q, t)
-		if len(resps) == 0 {
-			return nil, false
+	// ask sends one A query for name and reads the first response that
+	// passes View.Validate into v.
+	v := dnswire.GetView()
+	defer dnswire.PutView(v)
+	ask := func(name string) bool {
+		q, err := dnswire.AppendQuery(nil, uint16(prand.Hash(uint64(client), prand.FNV(name))), true, name, dnswire.TypeA, dnswire.ClassIN)
+		if err != nil {
+			return false
 		}
-		return resps[0].Msg, true
+		for _, resp := range w.HandleClientDNS(client, q, t) {
+			if v.Reset(resp) == nil && v.Validate() == nil {
+				return true
+			}
+		}
+		return false
 	}
 
 	// NXDOMAIN monetization check.
-	if m, ok := ask(cfg.ProbeNX); ok {
-		if m.Header.RCode == dnswire.RCodeRefused {
+	if ask(cfg.ProbeNX) {
+		if v.RCode() == dnswire.RCodeRefused {
 			res.Refused = true
 			return res
 		}
-		if m.Header.RCode == dnswire.RCodeNoError && len(m.AnswerAddrs()) > 0 {
+		if v.RCode() == dnswire.RCodeNoError && v.HasAnswerA() {
 			res.NXMonetized = true
 		}
 	}
 
 	// Manipulation check against trusted answers.
+	var answers []uint32
 	for _, name := range cfg.ProbeDomains {
-		m, ok := ask(name)
-		if !ok || m.Header.RCode != dnswire.RCodeNoError {
+		if !ask(name) || v.RCode() != dnswire.RCodeNoError {
 			continue
 		}
 		trusted, rc := cfg.TrustedResolve(name)
 		if rc != dnswire.RCodeNoError || len(trusted) == 0 {
 			continue
 		}
-		for _, a := range m.AnswerAddrs() {
-			b := a.As4()
-			u := uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
+		answers = v.AppendAnswerA(answers[:0])
+		for _, u := range answers {
 			okAddr := false
 			for _, tr := range trusted {
 				if u == tr || (cfg.SameNeighborhood != nil && cfg.SameNeighborhood(u, tr)) {

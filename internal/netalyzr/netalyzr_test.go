@@ -34,16 +34,20 @@ func TestClosedResolversServeOnlyTheirBlock(t *testing.T) {
 	w := testWorld(t)
 	client := uint32(5000)
 	resolver := w.ClosedResolverOf(client)
-	q := dnswire.NewQuery(1, "chase.com", dnswire.TypeA, dnswire.ClassIN)
+	q, err := dnswire.AppendQuery(nil, 1, true, "chase.com", dnswire.TypeA, dnswire.ClassIN)
+	if err != nil {
+		t.Fatal(err)
+	}
 	resps := w.HandleClientDNS(client, q, wildnet.At(50))
 	if len(resps) == 0 {
 		t.Fatal("in-network client got no answer")
 	}
-	if resps[0].Src != resolver {
-		t.Errorf("answer from %d, want closed resolver %d", resps[0].Src, resolver)
+	var v dnswire.View
+	if err := v.Reset(resps[0]); err != nil {
+		t.Fatal(err)
 	}
-	if resps[0].Msg.Header.RCode == dnswire.RCodeRefused {
-		t.Error("in-network client refused")
+	if v.RCode() == dnswire.RCodeRefused {
+		t.Errorf("in-network client refused by its closed resolver %d", resolver)
 	}
 }
 

@@ -440,14 +440,12 @@ func (s *Service) demandProbe(ctx context.Context, addr uint32) (Record, error) 
 	var rcode dnswire.RCode
 	var answered bool
 	if open {
-		m := msgs[0]
-		rcode = m.Header.RCode
-		for _, rr := range m.Answers {
-			if rr.Type() == dnswire.TypeA {
-				answered = true
-				break
-			}
+		v := dnswire.GetView()
+		defer dnswire.PutView(v)
+		if err := v.Reset(msgs[0]); err != nil {
+			return Record{}, err
 		}
+		rcode, answered = v.RCode(), v.HasAnswerA()
 	}
 	return s.store.RecordProbe(addr, s.store.Epoch(), open, rcode, answered, s.deps.Locator), nil
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"goingwild/internal/alloctest"
 	"goingwild/internal/churn"
 	"goingwild/internal/dnswire"
 	"goingwild/internal/geodb"
@@ -901,4 +902,29 @@ func BenchmarkLookupMiss(b *testing.B) {
 		<-exited
 	}
 	b.ReportMetric(float64(waited.Load())/float64(b.N), "ns/lookup")
+}
+
+// TestDemandProbeAllocs pins a demand probe of an open resolver that the
+// store already holds to 17 allocations: the probe's name and the
+// exchange, whose response is read through a pooled View. Reading it as
+// a Message tree, as the probe once did, made it 22.
+func TestDemandProbeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instruments allocations")
+	}
+	svc, _ := runService(t, 14, 1, nil)
+	open := svc.Store().List(true, 1)
+	if len(open) == 0 {
+		t.Fatal("no open resolver in the store")
+	}
+	ctx := context.Background()
+	const runs, budget = 200, 17
+	n := alloctest.Count(runs, func() {
+		if r, err := svc.demandProbe(ctx, open[0].Addr); err != nil || !r.Open {
+			t.Fatalf("demand probe: %+v, %v", r, err)
+		}
+	})
+	if n > runs*budget {
+		t.Fatalf("a demand probe allocates %.2f times, budget %d", float64(n)/runs, budget)
+	}
 }

@@ -287,3 +287,30 @@ func TestSnoopRoundSendAllocs(t *testing.T) {
 			per, half, len(resolvers)/2, full, len(resolvers))
 	}
 }
+
+// TestProbeExchangeAllocs pins an answered single exchange — the
+// ProbeContext round trip under LookupA, the DNSSEC race and the demand
+// probe, the trusted resolver's answer included — to 14 allocations: the
+// receiver reads the datagram through a pooled View and keeps one copy.
+// Building a Message tree for the response, as the exchange once did,
+// made it 24.
+func TestProbeExchangeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instruments allocations")
+	}
+	w, tr := testWorld(t, 16)
+	defer tr.Close()
+	s := New(tr, Options{Workers: 1, SettleDelay: NoSettle})
+	trusted := w.RoleAddr(wildnet.RoleTrustedDNS, 0)
+	ctx := context.Background()
+	const runs, budget = 200, 14
+	n := alloctest.Count(runs, func() {
+		msgs, err := s.ProbeContext(ctx, trusted, domains.GroundTruth, dnswire.TypeA, dnswire.ClassIN)
+		if err != nil || len(msgs) != 1 {
+			t.Fatalf("exchange: %d responses, %v", len(msgs), err)
+		}
+	})
+	if n > runs*budget {
+		t.Fatalf("an answered exchange allocates %.2f times, budget %d", float64(n)/runs, budget)
+	}
+}

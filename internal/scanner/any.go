@@ -55,22 +55,22 @@ func (s *Scanner) ScanANYContext(ctx context.Context, resolvers []uint32, name s
 	if err := checkIncreasing(resolvers, "ANY resolver"); err != nil {
 		return nil, err
 	}
-	q := dnswire.NewQuery(0xA3F, name, dnswire.TypeANY, dnswire.ClassIN)
-	q.AddEDNS(4096)
-	wire, err := q.PackBytes()
+	wire, err := dnswire.AppendQuery(nil, 0xA3F, true, name, dnswire.TypeANY, dnswire.ClassIN)
 	if err != nil {
 		return nil, fmt.Errorf("scanner: ANY query for %q: %w", name, err)
 	}
+	wire = dnswire.AppendEDNS(wire, 4096)
 	// Answers are filed at the source's list position, so a striped lock
 	// set guards the merges of concurrent senders. A response is never
 	// empty, so a slot left zero is a silent resolver.
 	answers := make([]ANYAnswer, len(resolvers))
 	var locks stripedMutex
 	s.tr.SetReceiver(func(src netip4, srcPort, dstPort uint16, payload []byte) {
-		// The full decode, not a View: a response counts only when all of
-		// it parses, which is what decides a garbled datagram's fate.
-		m, err := dnswire.Unpack(payload)
-		if err != nil || !m.Header.QR {
+		// The full rule, not Reset alone: a response counts only when all
+		// of it decodes, which is what decides a garbled datagram's fate.
+		v := dnswire.GetView()
+		defer dnswire.PutView(v)
+		if v.Reset(payload) != nil || v.Validate() != nil || !v.QR() {
 			return
 		}
 		i, ok := slices.BinarySearch(resolvers, addrU32(src))
@@ -79,7 +79,7 @@ func (s *Scanner) ScanANYContext(ctx context.Context, resolvers []uint32, name s
 		}
 		s.m.anyRecv.Inc()
 		a := ANYAnswer{Size: len(payload)}
-		if m.Header.RCode == dnswire.RCodeRefused {
+		if v.RCode() == dnswire.RCodeRefused {
 			a = ANYAnswer{Refused: true}
 		}
 		mu := locks.of(uint32(i))

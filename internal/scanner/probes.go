@@ -8,7 +8,6 @@ import (
 
 	"goingwild/internal/dnswire"
 	"goingwild/internal/domains"
-	"goingwild/internal/lfsr"
 )
 
 // ProbeAliveContext re-probes an explicit address list (the §2.5 churn
@@ -86,11 +85,14 @@ func (s *Scanner) LookupPTR(ctx context.Context, via, target uint32) (name strin
 	if err != nil {
 		return "", false, err
 	}
-	for _, m := range msgs {
-		for _, rr := range m.Answers {
-			if ptr, ok := rr.Data.(dnswire.PTR); ok {
-				return ptr.Target, true, nil
-			}
+	v := dnswire.GetView()
+	defer dnswire.PutView(v)
+	for _, msg := range msgs {
+		if err := v.Reset(msg); err != nil {
+			return "", false, err
+		}
+		if d, ok := v.FirstAnswer(dnswire.TypePTR); ok {
+			return d.(dnswire.PTR).Target, true, nil
 		}
 	}
 	return "", false, nil
@@ -105,10 +107,10 @@ func (s *Scanner) LookupA(ctx context.Context, via uint32, name string) (addrs [
 	if err != nil || len(msgs) == 0 {
 		return nil, 0, false, err
 	}
-	answer := msgs[0].AnswerAddrs()
-	addrs = make([]uint32, len(answer))
-	for i, a := range answer {
-		addrs[i] = lfsr.AddrToU32(a)
+	v := dnswire.GetView()
+	defer dnswire.PutView(v)
+	if err := v.Reset(msgs[0]); err != nil {
+		return nil, 0, false, err
 	}
-	return addrs, msgs[0].Header.RCode, true, nil
+	return v.AppendAnswerA(nil), v.RCode(), true, nil
 }

@@ -161,7 +161,7 @@ func snoopRoundRef(ctx context.Context, s *Scanner, resolvers []uint32, tld stri
 // for slot, at one worker and at eight racing ones; and a list that is
 // not strictly increasing is refused before anything is sent.
 func TestSnoopRoundMatchesMapReference(t *testing.T) {
-	w := misSourcedWorld(t)
+	w := misSourcedWorld(t, "")
 	ctx := context.Background()
 	for _, workers := range []int{1, 8} {
 		sc, resolvers := misSourcedCensus(t, w, workers)
@@ -210,11 +210,14 @@ func TestSnoopRoundMatchesMapReference(t *testing.T) {
 // misSourcedWorld is the order-18 world (seed 126450538) in which, at
 // week 9, source 0.1.130.153 answers for itself and for the mis-sourced
 // 0.1.130.216: a list scan that attributes by source files two answers in
-// one slot there.
-func misSourcedWorld(t *testing.T) *wildnet.World {
+// one slot there. profile names a fault profile; "" injects none.
+func misSourcedWorld(t *testing.T, profile string) *wildnet.World {
 	t.Helper()
 	wc := wildnet.DefaultConfig(18)
 	wc.Seed = 126450538
+	if profile != "" {
+		wc.Faults = wildnet.MustChaosProfile(profile)
+	}
 	w, err := wildnet.NewWorld(wc)
 	if err != nil {
 		t.Fatal(err)

@@ -232,8 +232,10 @@ func (s *Scanner) collectSweep(st *sweepCollector, probed uint64) *SweepResult {
 // that dies during the settle wait surfaces as ctx.Err() alongside
 // whatever arrived; a name that cannot be encoded sends nothing and
 // returns the encoder's error. The probe goes out as a batch of one on
-// the caller's goroutine, and every response that decodes is kept.
-func (s *Scanner) ProbeContext(ctx context.Context, addr uint32, name string, typ dnswire.Type, class dnswire.Class) ([]*dnswire.Message, error) {
+// the caller's goroutine, and every response that passes View.Validate
+// is kept: a copy of its datagram, in arrival order, for the caller to
+// read through a View.
+func (s *Scanner) ProbeContext(ctx context.Context, addr uint32, name string, typ dnswire.Type, class dnswire.Class) ([][]byte, error) {
 	if s.tr == nil {
 		return nil, ErrNoTransport
 	}
@@ -245,14 +247,17 @@ func (s *Scanner) ProbeContext(ctx context.Context, addr uint32, name string, ty
 		return nil, err
 	}
 	var mu sync.Mutex
-	var out []*dnswire.Message
+	var out [][]byte
 	s.tr.SetReceiver(func(src netip4, srcPort, dstPort uint16, payload []byte) {
-		if m, err := dnswire.Unpack(payload); err == nil && m.Header.QR {
-			s.m.probeRecv.Inc()
-			mu.Lock()
-			out = append(out, m)
-			mu.Unlock()
+		v := dnswire.GetView()
+		defer dnswire.PutView(v)
+		if v.Reset(payload) != nil || v.Validate() != nil || !v.QR() {
+			return
 		}
+		s.m.probeRecv.Inc()
+		mu.Lock()
+		out = append(out, append([]byte(nil), payload...))
+		mu.Unlock()
 	})
 	defer s.tr.SetReceiver(nil)
 	s.m.probeSent.Inc()

@@ -69,12 +69,24 @@ func TestHandlerIgnoresResponses(t *testing.T) {
 			t.Errorf("%#x: handle(QR=1) = %d responses", dst, len(got))
 		}
 	}
-	q := query("chase.com", dnswire.TypeA, dnswire.ClassIN)
-	if got := w.HandleClientDNS(u, q, At(0)); len(got) == 0 {
+	payload, err := query("chase.com", dnswire.TypeA, dnswire.ClassIN).PackBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := w.HandleClientDNS(u, payload, At(0)); len(got) == 0 {
 		t.Fatal("closed resolver ignored a query")
 	}
-	q.Header.QR = true
-	if got := w.HandleClientDNS(u, q, At(0)); len(got) != 0 {
+	// HandleClientDNS returns bytes alone; its answers come from the
+	// client's closed resolver.
+	x := exchangePool.Get().(*exchange)
+	defer exchangePool.Put(x)
+	for _, r := range w.handleClientDNS(x, u, payload, At(0)) {
+		if r.Src != w.ClosedResolverOf(u) {
+			t.Errorf("closed resolver answered from %#x, want %#x", r.Src, w.ClosedResolverOf(u))
+		}
+	}
+	payload[2] |= 0x80
+	if got := w.HandleClientDNS(u, payload, At(0)); len(got) != 0 {
 		t.Errorf("closed resolver answered a response with %d responses", len(got))
 	}
 }
@@ -82,7 +94,7 @@ func TestHandlerIgnoresResponses(t *testing.T) {
 // TestHandlerAcceptSet pins which datagrams the wire handler takes for a
 // query: View.Reset succeeds, QR=0, QDCOUNT=1, and the three record
 // sections walk structurally. The Message-building handler accepted what
-// UnpackInto accepted, which differs in three rows (marked): it answered
+// Unpack accepted, which differs in three rows (marked): it answered
 // the first of several questions, it answered responses, and it refused
 // a query over the RDATA of a record it never looked at.
 func TestHandlerAcceptSet(t *testing.T) {
@@ -174,7 +186,7 @@ func TestHandlerAcceptSet(t *testing.T) {
 	if !bytes.Equal(got[0], want) {
 		t.Errorf("compressed question name:\n  wire    %x\n  adapter %x", got[0], want)
 	}
-	if name := adapted[0].Msg.Question().Name; name != "ChasE.com" || len(adapted[0].Msg.Answers) == 0 {
+	if name := adapted[0].Msg.Questions[0].Name; name != "ChasE.com" || len(adapted[0].Msg.Answers) == 0 {
 		t.Errorf("compressed question name answered as %q with %d answers", name, len(adapted[0].Msg.Answers))
 	}
 }

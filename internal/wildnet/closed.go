@@ -46,17 +46,25 @@ func (w *World) closedProfile(resolver uint32) Profile {
 	return p
 }
 
-// HandleClientDNS processes a query a *client inside the network* sends
-// to its ISP's closed resolver. Queries from outside the resolver's
-// block are refused — which is what makes the resolver closed.
-func (w *World) HandleClientDNS(client uint32, q *dnswire.Message, t Time) []QueryResponse {
-	return decoded(q, func(x *exchange, payload []byte) []QueryResponse {
-		return w.handleClientDNS(x, client, payload, t)
-	})
+// HandleClientDNS answers the query datagram a *client inside the
+// network* sends to its ISP's closed resolver and returns a copy of each
+// response datagram, in the order they were emitted. Queries from
+// outside the resolver's block are refused — which is what makes the
+// resolver closed.
+func (w *World) HandleClientDNS(client uint32, query []byte, t Time) [][]byte {
+	x := exchangePool.Get().(*exchange)
+	defer exchangePool.Put(x)
+	var out [][]byte
+	for _, r := range w.handleClientDNS(x, client, query, t) {
+		if wire := x.wire(r); len(wire) > 0 { // an empty span did not encode
+			out = append(out, append([]byte(nil), wire...))
+		}
+	}
+	return out
 }
 
 // handleClientDNS is the wire handler under HandleClientDNS.
-func (w *World) handleClientDNS(x *exchange, client uint32, payload []byte, t Time) []QueryResponse {
+func (w *World) handleClientDNS(x *exchange, client uint32, payload []byte, t Time) []queryResponse {
 	if !x.accept(payload) {
 		return nil
 	}

@@ -9,10 +9,10 @@ import (
 	"goingwild/internal/software"
 )
 
-// QueryResponse is one DNS response emitted by the world. A single query
+// queryResponse is one DNS response emitted by the world. A single query
 // can yield zero, one, or two responses (the Chinese injector races the
 // legitimate answer, §4.2).
-type QueryResponse struct {
+type queryResponse struct {
 	// Src is the address the response claims to come from.
 	Src uint32
 	// ToPort is the scanner-side port the response is delivered to;
@@ -20,11 +20,8 @@ type QueryResponse struct {
 	ToPort uint16
 	// DelayMS orders responses in time.
 	DelayMS int
-	// Msg is the decoded response, filled by the tree adapter
-	// HandleClientDNS for callers that want a Message. The wire handler
-	// leaves it nil: there the response is the span [off, end) of the
-	// exchange's arena, empty when it did not encode.
-	Msg      *dnswire.Message
+	// off and end span the response in the exchange's arena; the span
+	// is empty when the response did not encode.
 	off, end int
 }
 
@@ -69,25 +66,6 @@ func IsLANAddr(u uint32) bool {
 	}
 }
 
-// decoded runs a wire handler over the packed form of q and decodes what
-// it answered. A query that does not pack, like one the handler does not
-// accept, draws nothing.
-func decoded(q *dnswire.Message, handle func(x *exchange, payload []byte) []QueryResponse) []QueryResponse {
-	payload, err := q.PackBytes()
-	if err != nil {
-		return nil
-	}
-	x := exchangePool.Get().(*exchange)
-	defer exchangePool.Put(x)
-	var out []QueryResponse
-	for _, r := range handle(x, payload) {
-		if r.Msg, err = dnswire.Unpack(x.wire(r)); err == nil {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // handleDNS answers one datagram sent from a scan vantage to dst on the
 // wire: the query is read through x's View and every response appended
 // into x's arena; the returned slots (x's own, valid until its next
@@ -102,7 +80,7 @@ func decoded(q *dnswire.Message, handle func(x *exchange, payload []byte) []Quer
 // responding host, not of the path — and because trusted infrastructure
 // (handled above the resolver path) must stay exempt so the measurement
 // channels of §3 remain reliable.
-func (w *World) handleDNS(x *exchange, v Vantage, srcPort uint16, dst uint32, payload []byte, t Time, fc faultCtx) []QueryResponse {
+func (w *World) handleDNS(x *exchange, v Vantage, srcPort uint16, dst uint32, payload []byte, t Time, fc faultCtx) []queryResponse {
 	if !x.accept(payload) {
 		return nil
 	}
@@ -164,7 +142,7 @@ func (w *World) handleDNS(x *exchange, v Vantage, srcPort uint16, dst uint32, pa
 	delay := 5 + int(prand.Hash(p.Identity, uint64(seq))%115)
 	qname, d, li, tld := x.qname()
 	listed := li >= 0
-	status := func(rcode dnswire.RCode) []QueryResponse {
+	status := func(rcode dnswire.RCode) []queryResponse {
 		x.begin(qname, rcode)
 		return x.emit(src, toPort, delay)
 	}
@@ -215,7 +193,7 @@ func (w *World) handleDNS(x *exchange, v Vantage, srcPort uint16, dst uint32, pa
 
 // answerTrusted implements the measurement team's own resolvers and the
 // authoritative servers: straight, hierarchy-following resolution.
-func (w *World) answerTrusted(x *exchange, dst uint32, srcPort uint16) []QueryResponse {
+func (w *World) answerTrusted(x *exchange, dst uint32, srcPort uint16) []queryResponse {
 	qname, d, li, _ := x.qname()
 	listed := li >= 0
 	switch x.q.QType() {
@@ -286,7 +264,7 @@ func (w *World) answerPTR(x *exchange, qname string) {
 // answerSnoop renders the resolver's cache view for a snooping probe. A
 // cached entry is the TLD's two NS records, appended pre-encoded
 // (snoopAnswers) with the remaining TTL patched in.
-func (w *World) answerSnoop(x *exchange, p *Profile, qname string, tldIdx int, src uint32, toPort uint16, delay int, t Time, seq int) []QueryResponse {
+func (w *World) answerSnoop(x *exchange, p *Profile, qname string, tldIdx int, src uint32, toPort uint16, delay int, t Time, seq int) []queryResponse {
 	// Daily-churn hosts drop out of reach partway through the window.
 	sa := snoopState(p, tldIdx, t.AbsSeconds(), seq)
 	if !sa.Responded {
@@ -336,13 +314,13 @@ var snoopAnswers = func() []dnswire.Canned {
 // censorship policy and the manipulation profile. qname is canonical and
 // (d, li) its scan-list entry and index, -1 for an unlisted name: the
 // caller looks both up once.
-func (w *World) answerA(x *exchange, p *Profile, qname string, d domains.Domain, li int, dst, src uint32, toPort uint16, delay int, t Time) []QueryResponse {
+func (w *World) answerA(x *exchange, p *Profile, qname string, d domains.Domain, li int, dst, src uint32, toPort uint16, delay int, t Time) []queryResponse {
 	listed := li >= 0
-	status := func(rcode dnswire.RCode) []QueryResponse {
+	status := func(rcode dnswire.RCode) []queryResponse {
 		x.begin(qname, rcode)
 		return x.emit(src, toPort, delay)
 	}
-	answer := func(a uint32) []QueryResponse {
+	answer := func(a uint32) []queryResponse {
 		x.begin(qname, dnswire.RCodeNoError)
 		w.addA(x, a)
 		return x.emit(src, toPort, delay)
@@ -359,7 +337,7 @@ func (w *World) answerA(x *exchange, p *Profile, qname string, d domains.Domain,
 	}
 	// legit answers with the zone's own records, signed where the zone
 	// is: the canned ones, or addrs encoded here.
-	legit := func(la *legitAnswer, addrs []uint32, delayMS int) []QueryResponse {
+	legit := func(la *legitAnswer, addrs []uint32, delayMS int) []queryResponse {
 		x.begin(qname, dnswire.RCodeNoError)
 		if la != nil {
 			x.rb.AppendCanned(&la.recs, answerTTL)

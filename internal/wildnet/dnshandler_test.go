@@ -29,13 +29,31 @@ func query(name string, typ dnswire.Type, class dnswire.Class) *dnswire.Message 
 	return dnswire.NewQuery(4242, name, typ, class)
 }
 
+// decodedResponse is a response the world emitted with its Message
+// tree, the form the handler tests read answers in.
+type decodedResponse struct {
+	queryResponse
+	Msg *dnswire.Message
+}
+
 // handle sends q from vantage v and srcPort to dst the way both
 // transports do: packed, answered by handleDNS on the wire with no fault
-// context, each response decoded into its Msg.
-func handle(w *World, v Vantage, srcPort uint16, dst uint32, q *dnswire.Message, t Time) []QueryResponse {
-	return decoded(q, func(x *exchange, payload []byte) []QueryResponse {
-		return w.handleDNS(x, v, srcPort, dst, payload, t, faultCtx{})
-	})
+// context, each response decoded into its Msg. A query that does not
+// pack draws nothing, and a response that does not decode is dropped.
+func handle(w *World, v Vantage, srcPort uint16, dst uint32, q *dnswire.Message, t Time) []decodedResponse {
+	payload, err := q.PackBytes()
+	if err != nil {
+		return nil
+	}
+	x := exchangePool.Get().(*exchange)
+	defer exchangePool.Put(x)
+	var out []decodedResponse
+	for _, r := range w.handleDNS(x, v, srcPort, dst, payload, t, faultCtx{}) {
+		if m, err := dnswire.Unpack(x.wire(r)); err == nil {
+			out = append(out, decodedResponse{r, m})
+		}
+	}
+	return out
 }
 
 // ptrName builds the in-addr.arpa name for an address.

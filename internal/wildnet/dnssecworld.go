@@ -8,7 +8,6 @@ import (
 	"goingwild/internal/dnssec"
 	"goingwild/internal/dnswire"
 	"goingwild/internal/domains"
-	"goingwild/internal/lfsr"
 	"goingwild/internal/prand"
 )
 
@@ -108,11 +107,11 @@ func (w *World) signAnswer(x *exchange, qname string, listed bool, addrs []uint3
 	sig, ok := st.sigs[string(key)]
 	st.mu.Unlock()
 	if !ok {
-		rrs := make([]dnswire.ResourceRecord, len(addrs))
+		rdatas := make([][]byte, len(addrs))
 		for i, a := range addrs {
-			rrs[i].Data = dnswire.A{Addr: lfsr.U32ToAddr(w.answerAddr(a))}
+			rdatas[i] = binary.BigEndian.AppendUint32(nil, w.answerAddr(a))
 		}
-		sig = w.ZoneKeyOf(zone).Sign(qname, dnswire.ClassIN, answerTTL, rrs)
+		sig = w.ZoneKeyOf(zone).Sign(qname, dnswire.ClassIN, answerTTL, dnswire.TypeA, rdatas)
 		st.mu.Lock()
 		st.sigs[string(key)] = sig
 		st.mu.Unlock()

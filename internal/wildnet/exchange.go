@@ -15,7 +15,7 @@ import (
 type exchange struct {
 	q     dnswire.View
 	rb    dnswire.ResponseBuilder
-	resps []QueryResponse
+	resps []queryResponse
 	// edns is the UDP payload size the query's OPT record advertises,
 	// hasEDNS whether it carries one.
 	edns    uint16
@@ -91,12 +91,12 @@ func (x *exchange) begin(qname string, rcode dnswire.RCode) {
 }
 
 // emit closes the response under construction and queues it.
-func (x *exchange) emit(src uint32, toPort uint16, delayMS int) []QueryResponse {
+func (x *exchange) emit(src uint32, toPort uint16, delayMS int) []queryResponse {
 	//lint:allow errdrop a response that does not encode is an empty span the transport skips
 	off, end, _ := x.rb.Finish()
-	x.resps = append(x.resps, QueryResponse{Src: src, ToPort: toPort, DelayMS: delayMS, off: off, end: end})
+	x.resps = append(x.resps, queryResponse{Src: src, ToPort: toPort, DelayMS: delayMS, off: off, end: end})
 	return x.resps
 }
 
 // wire returns the bytes of a queued response.
-func (x *exchange) wire(r QueryResponse) []byte { return x.rb.Message(r.off, r.end) }
+func (x *exchange) wire(r queryResponse) []byte { return x.rb.Message(r.off, r.end) }

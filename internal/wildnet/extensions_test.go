@@ -182,7 +182,11 @@ func TestUDPPayloadLimitSemantics(t *testing.T) {
 	huge.AddEDNS(65000)
 
 	limit := func(u uint32, q *dnswire.Message) int {
-		size, hasEDNS := q.EDNSPayloadSize()
+		var size uint16
+		hasEDNS := len(q.Additional) > 0
+		if hasEDNS {
+			size = uint16(q.Additional[0].Class)
+		}
 		return w.udpPayloadLimit(u, size, hasEDNS, At(0))
 	}
 	if got := limit(large, plain); got != dnswire.MaxUDPSize {

@@ -261,7 +261,7 @@ func (w *World) faultRateLimited(identity uint64, t Time, fc faultCtx) (refused,
 // to a response set in place, returning the (possibly shortened) slice.
 // It runs before the transport's delay sort so injected-response races
 // are decided on the faulted timeline.
-func (w *World) faultAdjustResponses(resps []QueryResponse, t Time, fc faultCtx) []QueryResponse {
+func (w *World) faultAdjustResponses(resps []queryResponse, t Time, fc faultCtx) []queryResponse {
 	f := &w.cfg.Faults
 	if f.LatencyBaseMS == 0 && f.LatencyJitterMS == 0 && f.DeadlineMS == 0 {
 		return resps

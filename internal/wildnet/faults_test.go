@@ -162,7 +162,7 @@ func TestFaultRateLimiterClasses(t *testing.T) {
 func TestFaultAdjustResponsesDeadline(t *testing.T) {
 	w := faultyWorld(t, 14, "hostile") // DeadlineMS=260, LatencyBaseMS=40
 	tm := At(0)
-	resps := []QueryResponse{
+	resps := []queryResponse{
 		{Src: 1, ToPort: 40000, DelayMS: 5},
 		{Src: 2, ToPort: 40000, DelayMS: 100000}, // far past any deadline
 	}

@@ -51,17 +51,13 @@ func TestUDPGatewayDomainScanParity(t *testing.T) {
 		out := map[uint32][]uint32{}
 		var mu sync.Mutex
 		tr.SetReceiver(func(src netip.Addr, srcPort, dstPort uint16, payload []byte) {
-			m, err := dnswire.Unpack(payload)
-			if err != nil || !m.Header.QR {
+			var v dnswire.View
+			if v.Reset(payload) != nil || v.Validate() != nil || !v.QR() {
 				return
 			}
-			var addrs []uint32
-			for _, a := range m.AnswerAddrs() {
-				b := a.As4()
-				addrs = append(addrs, uint32(b[0])<<24|uint32(b[1])<<16|uint32(b[2])<<8|uint32(b[3]))
-			}
+			addrs := v.AppendAnswerA(nil)
 			mu.Lock()
-			out[uint32(m.Header.ID)] = addrs
+			out[uint32(v.ID())] = addrs
 			mu.Unlock()
 		})
 		// One round: loss is a pure function of the packet and the

@@ -186,7 +186,7 @@ func gfwListed(cn string) bool {
 }
 
 // gfwMatchesWire is gfwListed over a wire-view name (raw bytes, original
-// case, no trailing dot — the form unpackName and View.QName share), kept
+// case, no trailing dot — the form Unpack and View.QName share), kept
 // alloc-free for the transport fast path. Equivalent because gfwNames are
 // canonical and CanonicalName only lowercases and strips a trailing dot.
 //
