@@ -58,9 +58,11 @@ bench-test:
 # scan of that name alone, four senders interleaving the rows) rides
 # with the gateway runs, and so do the claim bits' stress (four
 # goroutines claiming overlapping indices, one winner each) and the
-# sweep's two: its lock-free miss check against the collected responder
-# list after each round of four senders claiming bits, and its template
-# probes against the same probes sent built. The gateway and UDP transport tests of wildnet and
+# sweep's three: its lock-free miss check against the collected responder
+# list after each round of four senders claiming bits, its template
+# probes against the same probes sent built, and its retry rounds'
+# replay of round 0's pulls against an oracle that re-walks the
+# generator, at one and eight senders. The gateway and UDP transport tests of wildnet and
 # dnsscan go three times as well: the gateway's read loop answers every
 # datagram through an in-memory transport, and dnsscan's test (its
 # children are the race-built test binary) holds a -udp scan to the
@@ -72,7 +74,7 @@ bench-test:
 # GOMAXPROCS 1 and 2, under the detector.
 race:
 	$(GO) test -race ./internal/scanner ./internal/wildnet ./internal/lfsr ./internal/ampli ./internal/cluster ./internal/snoop ./internal/pipeline ./internal/metrics ./internal/debughttp .
-	$(GO) test -race -count=3 -run 'Gateway|TestDomainScanRowsMatchOneNameScans|TestClaimBitsOneWinner|TestSweepMissMatchesAnswered|TestLazyProbesMatchBuiltProbes' ./internal/scanner
+	$(GO) test -race -count=3 -run 'Gateway|TestDomainScanRowsMatchOneNameScans|TestClaimBitsOneWinner|TestSweepMissMatchesAnswered|TestLazyProbesMatchBuiltProbes|TestSweepReplayMatchesGenerator' ./internal/scanner
 	$(GO) test -race -count=3 ./internal/resolvesvc
 	$(GO) test -race -count=3 -run 'Gateway|UDP|^TestSilentMemo' ./internal/wildnet ./cmd/dnsscan
 	$(GO) test -race -run TestEquivalence ./cmd/wildreport

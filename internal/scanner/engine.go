@@ -3,6 +3,7 @@ package scanner
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -21,7 +22,8 @@ import (
 // counter its probes are tallied in, and how many retry rounds it wants.
 
 // targetSource yields a round's items in a fixed order: the sweep's
-// *lfsr.TargetGenerator yields target addresses, a listSource yields
+// *lfsr.TargetGenerator yields target addresses (wrapped in a
+// replaySource when the sweep has retry rounds), a listSource yields
 // indices into the caller's address list.
 type targetSource interface {
 	// NextBatch fills dst with the round's next items and reports how
@@ -57,6 +59,61 @@ func (l *listSource) NextBatch(dst []uint32) int {
 
 // Reset implements targetSource.
 func (l *listSource) Reset() { l.next = 0 }
+
+// replaySource is a sweep's source when it has retry rounds. Round 0
+// pulls from src and appends each pull's items to list (NextBatch runs
+// under scanRun.mu, so the list is in pull order); from round 0's Reset
+// on, every round reads list back instead of stepping src again. src
+// cuts a pull short only at its end, so pull k of a replay is exactly
+// round 0's pull k. The list costs 4 bytes per item, holds no pointers
+// and is pooled across sweeps.
+type replaySource struct {
+	src  targetSource
+	list []uint32
+	// replay is set by the first Reset; next is the replay position.
+	replay bool
+	next   int
+}
+
+// replayPool recycles replay sources, so a warm sweep records into the
+// previous one's array, as probeBatchPool recycles batch arenas.
+var replayPool = sync.Pool{New: func() any { return new(replaySource) }}
+
+// newReplaySource wraps src, whose round yields at most size items, in a
+// pooled replay source. The list is emptied here, so what a sweep cut
+// short in round 0 recorded never reaches the next one.
+func newReplaySource(src targetSource, size int) *replaySource {
+	r := replayPool.Get().(*replaySource)
+	*r = replaySource{src: src, list: slices.Grow(r.list[:0], size)}
+	return r
+}
+
+// release returns r to the pool once its sweep is over.
+func (r *replaySource) release() {
+	r.src = nil
+	replayPool.Put(r)
+}
+
+// NextBatch implements targetSource.
+//
+//lint:hotpath per-probe target pull of a sweep with retry rounds
+func (r *replaySource) NextBatch(dst []uint32) int {
+	if !r.replay {
+		n := r.src.NextBatch(dst)
+		r.list = append(r.list, dst[:n]...)
+		return n
+	}
+	n := copy(dst, r.list[r.next:])
+	r.next += n
+	return n
+}
+
+// Reset implements targetSource: it ends the recording and rewinds the
+// replay.
+func (r *replaySource) Reset() {
+	r.replay = true
+	r.next = 0
+}
 
 // streamBatch is how many targets a sender worker pulls from the sweep's
 // generator per lock acquisition, and the ceiling of any pull: it bounds
@@ -127,7 +184,9 @@ type scanRun struct {
 
 // pull fills dst with the round's next items and reports how many; zero
 // ends the round. lap runs with r.ctr.pullWaitNs as soon as r.mu is held,
-// so the wait for the lock and its hold are timed apart.
+// so the wait for the lock and its hold are timed apart. In a sweep's
+// retry round the hold is a copy out of the replay list; a lock-free
+// replay pull measured no faster (DESIGN "Retry rounds").
 func (r *scanRun) pull(dst []uint32, lap func(*metrics.Counter)) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -140,10 +199,10 @@ func (r *scanRun) pull(dst []uint32, lap func(*metrics.Counter)) int {
 }
 
 // pending reports whether the round about to start has anything to send:
-// it walks the rewound source to the first still-silent item and rewinds
-// again. A sweep finds one within its first pull; a list scan whose
-// probes were all answered ends here, before the settle wait another
-// round would cost.
+// it walks the rewound source (a sweep's replay list) to the first
+// still-silent item and rewinds again. A sweep finds one within its
+// first pull; a list scan whose probes were all answered ends here,
+// before the settle wait another round would cost.
 func (r *scanRun) pending() bool {
 	defer r.src.Reset()
 	bat := probeBatchPool.Get().(*probeBatch)
@@ -166,7 +225,9 @@ func (r *scanRun) pending() bool {
 // next round's miss
 // check reads — an item is pulled once per round, so whether it is still
 // silent is settled before the round starts, and the probes sent are
-// independent of Workers. The scan ends after its last retry round or,
+// independent of Workers. The Reset after round 0 ends a replaySource's
+// recording: a round 0 cut short returns before it, so no retry round
+// reads a partial list. The scan ends after its last retry round or,
 // before that, at the first round boundary with nothing left silent;
 // context death surfaces.
 func (s *Scanner) run(ctx context.Context, r *scanRun) error {

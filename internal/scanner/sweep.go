@@ -144,8 +144,10 @@ func (st *sweepCollector) missed(u uint32) bool { return !st.answered.has(u) }
 // LFSR-permuted order, skipping the blacklist. Each probe is a DNS A
 // query for prefix.hex-ip.scanbase, so responses are attributed to the
 // probed target regardless of their source address. Targets stream from
-// the generator straight to the sender workers — the permutation is
-// never materialized.
+// the generator straight to the sender workers; the permutation is
+// materialized only when there are retry rounds, which replay round 0's
+// targets from a pooled list (4 bytes per target) instead of stepping
+// the generator again.
 //
 // Cancellation is honored between send batches and during the settle
 // wait. A cancelled sweep returns ctx.Err() together with a consistent
@@ -174,6 +176,9 @@ func (s *Scanner) SweepContext(ctx context.Context, order uint, seed uint32, bl 
 	// return, so a returned sweep leaves nothing on the transport.
 	s.tr.SetReceiver(st.receive)
 	defer s.tr.SetReceiver(nil)
+	if rs, ok := run.src.(*replaySource); ok {
+		defer rs.release()
+	}
 	err = s.run(ctx, run)
 	return s.collectSweep(st, run.probed), err
 }
@@ -182,7 +187,9 @@ func (s *Scanner) SweepContext(ctx context.Context, order uint, seed uint32, bl 
 // LFSR generator as the source, the round's census template as the
 // builder — a round's batches are its kept targets, and the transport
 // builds a target's query bytes only where a host can read them — and
-// the collector's answered bitmap as the miss check.
+// the collector's answered bitmap as the miss check. With retry rounds
+// the generator is wrapped in a replaySource, which the caller releases
+// once the run is over; a sweep without them records nothing.
 func (s *Scanner) newSweep(order uint, seed uint32, bl *lfsr.Blacklist) (*sweepCollector, *scanRun, error) {
 	gen, err := lfsr.NewTargetGenerator(order, seed, bl)
 	if err != nil {
@@ -194,8 +201,12 @@ func (s *Scanner) newSweep(order uint, seed uint32, bl *lfsr.Blacklist) (*sweepC
 	if err != nil {
 		return nil, nil, err
 	}
+	var src targetSource = gen
+	if s.opts.SweepRetries > 0 {
+		src = newReplaySource(gen, 1<<order)
+	}
 	return st, &scanRun{
-		src:    gen,
+		src:    src,
 		chunk:  streamBatch,
 		rounds: s.opts.SweepRetries,
 		build: func(round int) probeBuild {

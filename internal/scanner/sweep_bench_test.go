@@ -21,10 +21,11 @@ import (
 // more than one probe per target) is the sweep's wall time per target;
 // pull_wait, pull, build and send are the engine's phase counters per
 // target, in the same unit, summed over the senders: pull_wait is the
-// wait for the generator lock and pull its hold, build is only the retry
-// rounds' miss filter (a sweep batch is its kept targets under the
-// round's template), and send holds the transport's reject and, past it,
-// the query build. Run it with
+// wait for the generator lock r.mu and pull its hold (a generator step
+// in round 0, a copy out of round 0's recorded pulls in a retry round),
+// build is only the retry rounds' miss filter (a sweep batch is its kept
+// targets under the round's template), and send holds the transport's
+// reject and, past it, the query build. Run it with
 //
 //	go test ./internal/scanner -run '^$' -bench Sweep -benchtime 5x
 func BenchmarkSweep(b *testing.B) {
