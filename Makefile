@@ -42,36 +42,16 @@ test-short:
 bench-test:
 	$(GO) test -C bench ./...
 
-# Race-detector pass over the concurrent subsystems (the stress tests in
-# scanner and wildnet exist for this target; ampli's survey runs the ANY
-# scan's receiver under four senders; cluster's linkage fills its
-# distance rows from parallel goroutines through an atomic row counter;
-# snoop's rounds, the ANY scan and the CHAOS scan merge concurrent
-# senders' replies into per-resolver slots under stripe locks; the domain
-# scan claims its answer slots with atomics instead, and the sweep and
-# the alive scan claim one bit per target or list position).
-# Two runs go three times, because one schedule of them proves little:
-# resolvesvc's coalescer stress is a race between request goroutines and
-# one prober, and over the UDP gateway the domain scan's answer slots are
-# written by the transport's read loop while the scan reads them. The
-# domain scan's differential (every row of a scan of all names against a
-# scan of that name alone, four senders interleaving the rows) rides
-# with the gateway runs, and so do the claim bits' stress (four
-# goroutines claiming overlapping indices, one winner each) and the
-# sweep's three: its lock-free miss check against the collected responder
-# list after each round of four senders claiming bits, its template
-# probes against the same probes sent built, and its retry rounds'
-# replay of round 0's pulls against an oracle that re-walks the
-# generator, at one and eight senders. The gateway and UDP transport tests of wildnet and
-# dnsscan go three times as well: the gateway's read loop answers every
-# datagram through an in-memory transport, and dnsscan's test (its
-# children are the race-built test binary) holds a -udp scan to the
-# in-memory one. So do wildnet's silent-memo tests: four senders set the
-# memo's bits of one word at once. The lfsr package runs once, for its
-# concurrent first lookups into a fresh blacklist.
-# The equivalence harness's children are the race-built test binary, so
-# the last line runs the full report under every fault profile, at
-# GOMAXPROCS 1 and 2, under the detector.
+# Race-detector pass, one reason per command:
+# 1. these packages' tests run goroutines over shared memory (senders and
+#    receivers, parallel linkage rows, striped slots, the stage runner);
+# 2. -count=3: the scanner's gateway, claim-bit, miss-check, template and
+#    replay tests race senders or a socket's read loop on shared words,
+#    and one schedule proves little;
+# 3. -count=3: resolvesvc's coalescer stress races requests and a prober;
+# 4. -count=3: the gateway's read loop, the UDP transport and the silent
+#    memo's shared words, in wildnet and dnsscan;
+# 5. the equivalence harness, whose report children inherit the race build.
 race:
 	$(GO) test -race ./internal/scanner ./internal/wildnet ./internal/lfsr ./internal/ampli ./internal/cluster ./internal/snoop ./internal/pipeline ./internal/metrics ./internal/debughttp .
 	$(GO) test -race -count=3 -run 'Gateway|TestDomainScanRowsMatchOneNameScans|TestClaimBitsOneWinner|TestSweepMissMatchesAnswered|TestLazyProbesMatchBuiltProbes|TestSweepReplayMatchesGenerator' ./internal/scanner

@@ -12,6 +12,19 @@ import (
 	"goingwild/internal/scanner"
 )
 
+const (
+	// clusterCutoff is the dendrogram cut distance of step ❺'s
+	// page clustering.
+	clusterCutoff = 0.30
+	// modCutoff is the cut distance of the fine-grained clustering of
+	// tag-level modifications.
+	modCutoff = 0.25
+	// maxReps caps the items fed to either quadratic clustering: the
+	// first maxReps structurally deduplicated representatives, and the
+	// first maxReps modifications.
+	maxReps = 800
+)
+
 // Pipeline wires the classification stages together.
 type Pipeline struct {
 	Client *fetch.Client
@@ -23,11 +36,6 @@ type Pipeline struct {
 	// NearResolver reports whether an answer address sits in the same
 	// AS or /24 as the resolver (§4.2's no-payload breakdown).
 	NearResolver func(ip uint32, resolverIdx int) bool
-	// ClusterCutoff is the dendrogram cut distance (default 0.30).
-	ClusterCutoff float64
-	// MaxReps caps the items fed to the quadratic clustering; beyond
-	// it, structurally deduplicated representatives are sampled.
-	MaxReps int
 	// ProbeCountryInjection reproduces the paper's succeeding
 	// experiment (§4.2): sending queries for a domain to randomly
 	// chosen addresses of a country and checking whether forged
@@ -142,13 +150,6 @@ type Report struct {
 
 // Run executes acquisition, clustering, labeling, and aggregation.
 func (p *Pipeline) Run(scan *scanner.DomainScanResult, pre *prefilter.Result, gt *GroundTruth) *Report {
-	if p.ClusterCutoff == 0 {
-		p.ClusterCutoff = 0.30
-	}
-	if p.MaxReps == 0 {
-		p.MaxReps = 800
-	}
-
 	// --- Step ❹ bookkeeping: one fetch per (domain, ip) pair. -------
 	pages := map[pageKey]*page{}
 	tupleIP := map[int]map[int]uint32{} // nameIdx -> resolverIdx -> representative answer IP
@@ -185,12 +186,12 @@ func (p *Pipeline) Run(scan *scanner.DomainScanResult, pre *prefilter.Result, gt
 		return fetched[i].key.ip < fetched[j].key.ip
 	})
 	reps, repOf := dedupe(fetched)
-	if len(reps) > p.MaxReps {
-		reps = reps[:p.MaxReps]
+	if len(reps) > maxReps {
+		reps = reps[:maxReps]
 	}
 	clustering := cluster.Agglomerate(len(reps), func(i, j int) float64 {
 		return cluster.FeatureDistance(reps[i].features, reps[j].features)
-	}, p.ClusterCutoff)
+	}, clusterCutoff)
 
 	// --- Step ❻: label each cluster by its representative pages. ----
 	clusterLabel := make([]Label, clustering.Num)
@@ -337,7 +338,7 @@ func (p *Pipeline) Run(scan *scanner.DomainScanResult, pre *prefilter.Result, gt
 	// most similar ground-truth representation and cluster the
 	// modifications — small diffs with injected tags are how phishing
 	// and ad injection surface.
-	p.runFineGrained(rep, scan, fetched, gt)
+	runFineGrained(rep, scan, fetched, gt)
 
 	// Case studies.
 	rep.Cases = p.runCaseStudies(scan, pre, gt, pages, tupleIP)
@@ -346,7 +347,7 @@ func (p *Pipeline) Run(scan *scanner.DomainScanResult, pre *prefilter.Result, gt
 
 // runFineGrained computes tag-level modifications of unexpected pages
 // relative to ground truth and clusters them.
-func (p *Pipeline) runFineGrained(rep *Report, scan *scanner.DomainScanResult, fetched []*page, gt *GroundTruth) {
+func runFineGrained(rep *Report, scan *scanner.DomainScanResult, fetched []*page, gt *GroundTruth) {
 	var mods []cluster.Modification
 	for _, pg := range fetched {
 		name := dnswire.CanonicalName(scan.Names[pg.key.nameIdx])
@@ -363,14 +364,14 @@ func (p *Pipeline) runFineGrained(rep *Report, scan *scanner.DomainScanResult, f
 			rep.SmallModifications++
 		}
 		mods = append(mods, m)
-		if len(mods) >= p.MaxReps {
+		if len(mods) >= maxReps {
 			break
 		}
 	}
 	if len(mods) == 0 {
 		return
 	}
-	res := cluster.ClusterModifications(mods, 0.25)
+	res := cluster.ClusterModifications(mods, modCutoff)
 	rep.ModClusters = res.Num
 	sizes := make([]int, res.Num)
 	for _, c := range res.Assign {

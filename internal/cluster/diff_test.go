@@ -90,7 +90,7 @@ func TestClusterModificationsMatchesMapDistance(t *testing.T) {
 var sinkResult *Result
 
 // BenchmarkClusterModifications clusters 800 generated modifications —
-// the classify pipeline's MaxReps cap — at the pipeline's 0.25 cutoff.
+// the classify pipeline's maxReps cap — at the pipeline's 0.25 modCutoff.
 func BenchmarkClusterModifications(b *testing.B) {
 	mods := modCorpus(800, 800)
 	b.ReportAllocs()
